@@ -631,7 +631,7 @@ func BenchmarkFig8Efficiency(b *testing.B) {
 func BenchmarkForwardedCopy(b *testing.B) {
 	const (
 		size     = 4 << 20
-		floorMBs = 400 // ≥ 2x the 198 MB/s BENCH_PR4.json forwarded copy
+		floorMBs = 400 // ≥ 2x the 198 MB/s PR 4 forwarded copy
 	)
 	ctx, qA, qB, cleanup := crossServerCluster(b, true, 1250e6)
 	defer cleanup()

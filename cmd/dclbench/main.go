@@ -12,9 +12,10 @@
 //	dclbench -fig 8            # transfer efficiency vs chunk size
 //	dclbench -fig all -quick   # reduced workloads
 //	dclbench -timescale 0.05   # slower, more accurate time compression
-//	dclbench -bench            # machine-readable micro-bench suite →
-//	                           # BENCH_PR7.json (see -benchout)
 //	dclbench -cpuprofile p.out # CPU profile of any of the above
+//
+// Performance of the stack itself (end-to-end workloads and the per-layer
+// ladder) is measured by the benchmark package: see benchmark/README.md.
 package main
 
 import (
@@ -33,15 +34,6 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced workload sizes")
 	timescale := flag.Float64("timescale", 0.02, "time compression factor (modeled seconds × factor = real seconds)")
 	verbose := flag.Bool("v", false, "progress logging")
-	bench := flag.Bool("bench", false, "run the micro-benchmark suite and emit machine-readable JSON")
-	benchout := flag.String("benchout", "BENCH_PR7.json", "output path for -bench results")
-	chaosSmoke := flag.Bool("chaos", false, "run the daemon-failure recovery smoke (mid-run kill + recovery latency)")
-	serveBench := flag.Bool("serve", false, "run the serve-plane benchmark (1k clients, batching vs per-job, warm cache)")
-	serveout := flag.String("serveout", "BENCH_PR8.json", "output path for -serve results")
-	controlBench := flag.Bool("control", false, "run the control-plane churn benchmark (lease grant/release, seed vs indexed vs 3 shards)")
-	controlout := flag.String("controlout", "BENCH_PR9.json", "output path for -control results")
-	darrayBench := flag.Bool("darray", false, "run the distributed-array halo-exchange benchmark (O(surface) traffic proof)")
-	darrayout := flag.String("darrayout", "BENCH_PR10.json", "output path for -darray results")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -69,46 +61,6 @@ func main() {
 				log.Printf("dclbench: -memprofile: %v", err)
 			}
 		}()
-	}
-
-	if *chaosSmoke {
-		if err := runChaosSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "chaos smoke failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serveBench {
-		if err := runServeBench(*serveout); err != nil {
-			fmt.Fprintf(os.Stderr, "serve bench failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *darrayBench {
-		if err := runDArrayBench(*darrayout, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "darray bench failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *controlBench {
-		if err := runControlBench(*controlout, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "control bench failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bench {
-		if err := runBenchSuite(*benchout); err != nil {
-			fmt.Fprintf(os.Stderr, "bench suite failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	opt := exp.Options{TimeScale: *timescale, Quick: *quick}

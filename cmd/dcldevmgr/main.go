@@ -24,7 +24,6 @@ import (
 
 func main() {
 	listen := flag.String("listen", ":7080", "TCP address to listen on")
-	strategy := flag.String("strategy", "indexed", "scheduling strategy: indexed, least-loaded, first-fit or round-robin")
 	self := flag.String("self", "", "this shard's address in the membership list (sharded mode)")
 	shards := flag.String("shards", "", "comma-separated shard membership, including -self (sharded mode)")
 	gossipEvery := flag.Duration("gossip-interval", time.Second, "shard-to-shard health gossip interval (sharded mode)")
@@ -35,19 +34,6 @@ func main() {
 	flag.Parse()
 
 	opts := []devmgr.Option{devmgr.WithLogf(log.Printf), devmgr.WithProbeFanout(*probeFanout)}
-	switch *strategy {
-	case "indexed":
-		// nil scheduler selects the indexed free lists: O(log n) picks
-		// with the LeastLoaded contract.
-	case "least-loaded":
-		opts = append(opts, devmgr.WithScheduler(devmgr.LeastLoaded{}))
-	case "first-fit":
-		opts = append(opts, devmgr.WithScheduler(devmgr.FirstFit{}))
-	case "round-robin":
-		opts = append(opts, devmgr.WithScheduler(&devmgr.RoundRobin{}))
-	default:
-		log.Fatalf("dcldevmgr: unknown strategy %q", *strategy)
-	}
 
 	sharded := *shards != ""
 	if sharded {
@@ -87,9 +73,9 @@ func main() {
 		log.Fatalf("dcldevmgr: %v", err)
 	}
 	if sharded {
-		log.Printf("dcldevmgr: shard %s listening on %s (members %s, strategy %s)", *self, *listen, *shards, *strategy)
+		log.Printf("dcldevmgr: shard %s listening on %s (members %s)", *self, *listen, *shards)
 	} else {
-		log.Printf("dcldevmgr: listening on %s (strategy %s)", *listen, *strategy)
+		log.Printf("dcldevmgr: listening on %s", *listen)
 	}
 	if err := m.Serve(l); err != nil {
 		log.Fatalf("dcldevmgr: %v", err)

@@ -12,6 +12,7 @@ import (
 
 	"dopencl/internal/cl"
 	"dopencl/internal/device"
+	"dopencl/internal/protocol"
 )
 
 const (
@@ -23,11 +24,20 @@ const (
 // replays it deltaLoopIters times, mutating a 256-float span of the
 // payload (at a shifting offset) before each replay. It returns the
 // concatenated read-backs and the client→daemon bytes shipped across
-// the measured replays (registration and warm-up excluded).
-func runDeltaLoop(t *testing.T, tc *testCluster, plat *Platform, clientID, addr string) ([]byte, int64) {
+// the measured replays (registration and warm-up excluded). With
+// fullFrames set the server's negotiated CapDeltaReplay bit is cleared
+// after the handshake, so the client behaves as against a daemon that
+// never advertised delta replay and ships every update as a full frame.
+func runDeltaLoop(t *testing.T, tc *testCluster, plat *Platform, clientID, addr string, fullFrames bool) ([]byte, int64) {
 	t.Helper()
-	if _, err := plat.ConnectServer(addr); err != nil {
+	srv, err := plat.ConnectServer(addr)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if fullFrames {
+		srv.mu.Lock()
+		srv.caps &^= protocol.CapDeltaReplay
+		srv.mu.Unlock()
 	}
 	devs, err := plat.Devices(cl.DeviceTypeAll)
 	if err != nil {
@@ -130,15 +140,15 @@ func TestGraphReplayDeltaEncoding(t *testing.T) {
 	})
 
 	// Delta on (default: the daemon advertises CapDeltaReplay).
-	deltaOut, deltaBytes := runDeltaLoop(t, tc, tc.plat, testClientID, addr)
+	deltaOut, deltaBytes := runDeltaLoop(t, tc, tc.plat, testClientID, addr, false)
 
-	// Delta off: same cluster, a second client with the knob set.
+	// Delta off: same cluster, a second client whose server lost the
+	// capability bit.
 	fullPlat := NewPlatform(Options{
-		Dialer:        func(a string) (net.Conn, error) { return tc.net.DialFrom("client-full", a) },
-		ClientName:    "itest-full",
-		NoReplayDelta: true,
+		Dialer:     func(a string) (net.Conn, error) { return tc.net.DialFrom("client-full", a) },
+		ClientName: "itest-full",
 	})
-	fullOut, fullBytes := runDeltaLoop(t, tc, fullPlat, "client-full", addr)
+	fullOut, fullBytes := runDeltaLoop(t, tc, fullPlat, "client-full", addr, true)
 
 	if !bytes.Equal(deltaOut, fullOut) {
 		t.Fatalf("delta replay results diverge from full-frame replay (%d vs %d bytes)", len(deltaOut), len(fullOut))

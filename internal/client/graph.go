@@ -389,7 +389,7 @@ func (cb *CommandBuffer) registerLocked(q *Queue) error {
 		}
 	}
 	wire, uploads, streams := cb.wireCommandsLocked(srv)
-	delta := srv.supportsDeltaReplay() && !q.ctx.plat.opts.NoReplayDelta
+	delta := srv.supportsDeltaReplay()
 	if err := srv.send(protocol.MsgRegisterGraph, func(w *protocol.Writer) {
 		protocol.PutRegisterGraph(w, protocol.RegisterGraph{
 			GraphID:     cb.id,

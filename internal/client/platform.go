@@ -30,11 +30,6 @@ type Options struct {
 	// disables probing (transport errors still surface immediately).
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
-	// NoReplayDelta disables delta encoding of graph-replay write
-	// payloads even against daemons that advertise support. Full frames
-	// are shipped instead — a diagnostic/benchmark knob; the default
-	// (delta on where negotiated) is strictly less data on the wire.
-	NoReplayDelta bool
 	// Managers seeds the control plane for RequestFromManager calls whose
 	// ManagerConfig names no manager of its own: the platform-level
 	// default shard list. With more than one seed the acquire path fails

@@ -186,7 +186,7 @@ func (s *session) graphBuffer(bufID uint64, offset, size int) (cl.Buffer, error)
 func (s *session) handleRegisterGraph(r *protocol.Reader) {
 	g := protocol.GetRegisterGraph(r)
 	if r.Err() != nil {
-		s.badFrame(0, true, protocol.MsgRegisterGraph)
+		s.badFrame(protocol.MsgRegisterGraph)
 		return
 	}
 	// Streams not yet claimed by a staged payload must be drained on
@@ -199,7 +199,7 @@ func (s *session) handleRegisterGraph(r *protocol.Reader) {
 				s.drainStream(c.StreamID)
 			}
 		}
-		s.replyErr(0, true, protocol.MsgRegisterGraph, g.QueueID, 0, err)
+		s.notifyCommandFailed(g.QueueID, 0, protocol.MsgRegisterGraph, err)
 	}
 	s.mu.Lock()
 	q := s.queues[g.QueueID]
@@ -316,7 +316,7 @@ func (s *session) handleRegisterGraph(r *protocol.Reader) {
 func (s *session) handleExecGraph(r *protocol.Reader) {
 	e := protocol.GetExecGraph(r)
 	if r.Err() != nil {
-		s.badFrame(0, true, protocol.MsgExecGraph)
+		s.badFrame(protocol.MsgExecGraph)
 		return
 	}
 	// Streams the client announced must never be left dangling: read
@@ -338,7 +338,7 @@ func (s *session) handleExecGraph(r *protocol.Reader) {
 				s.drainStream(u.StreamID)
 			}
 		}
-		s.replyErr(0, true, protocol.MsgExecGraph, e.QueueID, e.EventID, err)
+		s.notifyCommandFailed(e.QueueID, e.EventID, protocol.MsgExecGraph, err)
 	}
 	s.mu.Lock()
 	g := s.graphs[e.GraphID]
@@ -510,7 +510,7 @@ func (s *session) applyGraphUpdate(g *sessGraph, u protocol.GraphUpdate) error {
 func (s *session) handleReleaseGraph(r *protocol.Reader) {
 	graphID := r.U64()
 	if r.Err() != nil {
-		s.badFrame(0, true, protocol.MsgReleaseGraph)
+		s.badFrame(protocol.MsgReleaseGraph)
 		return
 	}
 	s.mu.Lock()

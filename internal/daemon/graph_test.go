@@ -23,8 +23,13 @@ func newGraphSession(t *testing.T, d *Daemon) *graphSession {
 	t.Helper()
 	a, b := simnet.Pipe(simnet.Unlimited())
 	d.ServeConn(b)
+	return startGraphSession(gcf.NewEndpoint(a, true))
+}
+
+// startGraphSession starts the client side of a raw session on ep.
+func startGraphSession(ep *gcf.Endpoint) *graphSession {
 	gs := &graphSession{
-		ep:     gcf.NewEndpoint(a, true),
+		ep:     ep,
 		resp:   make(chan protocol.Envelope, 16),
 		notify: make(chan protocol.Envelope, 16),
 	}

@@ -93,7 +93,7 @@ func (d *Daemon) ServeStats() ServeStats {
 func (s *session) handleServeOpen(id uint32, r *protocol.Reader) {
 	o := protocol.GetServeOpen(r)
 	if r.Err() != nil {
-		s.badFrame(id, false, protocol.MsgServeOpen)
+		s.fail(id, protocol.MsgServeOpen, cl.Errf(cl.InvalidValue, "malformed %s", protocol.MsgServeOpen))
 		return
 	}
 	lane := &serveLane{s: s, serveID: o.ServeID, laneID: s.d.serveLaneSeq.Add(1)}
@@ -117,7 +117,7 @@ func (s *session) handleServeOpen(id uint32, r *protocol.Reader) {
 func (s *session) handleServeClose(r *protocol.Reader) {
 	c := protocol.GetServeClose(r)
 	if r.Err() != nil {
-		s.badFrame(0, true, protocol.MsgServeClose)
+		s.badFrame(protocol.MsgServeClose)
 		return
 	}
 	s.mu.Lock()
@@ -151,7 +151,7 @@ func (s *session) closeServeLanes() {
 func (s *session) handleServeSubmit(r *protocol.Reader) {
 	sub := protocol.GetServeSubmit(r)
 	if r.Err() != nil {
-		s.badFrame(0, true, protocol.MsgServeSubmit)
+		s.badFrame(protocol.MsgServeSubmit)
 		return
 	}
 	s.mu.Lock()

@@ -164,25 +164,11 @@ func (s *session) replyErr(id uint32, oneway bool, typ protocol.MsgType, queueID
 	s.fail(id, typ, err)
 }
 
-// replyOK acknowledges a successful command; one-way commands are
-// acknowledged by silence (ack only on error).
-func (s *session) replyOK(id uint32, oneway bool, typ protocol.MsgType) {
-	if oneway {
-		return
-	}
-	s.respond(id, typ, cl.Success, nil)
-}
-
-// badFrame handles a message whose body failed to decode: the parsed IDs
-// are garbage, so a one-way failure report would be misdirected (or
-// collide with a live event) — log and drop instead. Requests still get
-// an error response, which is correlated by the envelope ID alone.
-func (s *session) badFrame(id uint32, oneway bool, typ protocol.MsgType) {
-	if oneway {
-		s.d.logf("daemon %s: malformed one-way %s frame dropped", s.d.cfg.Name, typ)
-		return
-	}
-	s.fail(id, typ, cl.Errf(cl.InvalidValue, "malformed %s", typ))
+// badFrame handles a one-way message whose body failed to decode: the
+// parsed IDs are garbage, so a failure report would be misdirected (or
+// collide with a live event) — log and drop instead.
+func (s *session) badFrame(typ protocol.MsgType) {
+	s.d.logf("daemon %s: malformed one-way %s frame dropped", s.d.cfg.Name, typ)
 }
 
 // drainStream discards and releases an inbound bulk-data stream whose
@@ -246,10 +232,10 @@ func (s *session) resolveWaits(ids []uint64) ([]cl.Event, error) {
 //
 // One-way commands (ClassOneWay) are processed in arrival order exactly
 // like requests, but no response is synthesized: success is silent and
-// failures are pushed back as MsgCommandFailed notifications. Only the
-// command-path operations support this mode; the dispatch order relative
-// to a later Finish request is what makes Finish a correct
-// synchronization point for the whole pipeline.
+// failures are pushed back as MsgCommandFailed notifications. The
+// command-path operations are served in this class only; the dispatch
+// order relative to a later Finish request is what makes Finish a
+// correct synchronization point for the whole pipeline.
 func (s *session) handle(msg []byte) {
 	env, err := protocol.ParseEnvelope(msg)
 	if err != nil {
@@ -278,52 +264,43 @@ func (s *session) handle(msg []byte) {
 	case protocol.MsgCreateContext:
 		s.handleCreateContext(env.ID, r)
 	case protocol.MsgReleaseContext:
-		s.handleRelease(env.ID, false, env.Type, r.U64())
+		s.handleRelease(env.ID, env.Type, r.U64())
 	case protocol.MsgCreateQueue:
 		s.handleCreateQueue(env.ID, r)
 	case protocol.MsgReleaseQueue:
-		s.handleRelease(env.ID, false, env.Type, r.U64())
+		s.handleRelease(env.ID, env.Type, r.U64())
 	case protocol.MsgCreateBuffer:
 		s.handleCreateBuffer(env.ID, r)
 	case protocol.MsgReleaseBuffer:
-		s.handleRelease(env.ID, false, env.Type, r.U64())
+		s.handleRelease(env.ID, env.Type, r.U64())
 	case protocol.MsgCreateProgram:
 		s.handleCreateProgram(env.ID, r)
 	case protocol.MsgBuildProgram:
 		s.handleBuildProgram(env.ID, r)
 	case protocol.MsgReleaseProgram:
-		s.handleRelease(env.ID, false, env.Type, r.U64())
+		s.handleRelease(env.ID, env.Type, r.U64())
 	case protocol.MsgCreateKernel:
 		s.handleCreateKernel(env.ID, false, r)
-	case protocol.MsgReleaseKernel:
-		s.handleRelease(env.ID, false, env.Type, r.U64())
 	case protocol.MsgSetKernelArg:
 		s.handleSetKernelArg(env.ID, false, r)
-	case protocol.MsgEnqueueWrite:
-		s.handleEnqueueWrite(env.ID, false, r)
-	case protocol.MsgEnqueueRead:
-		s.handleEnqueueRead(env.ID, false, r)
-	case protocol.MsgEnqueueCopy:
-		s.handleEnqueueCopy(env.ID, false, r)
-	case protocol.MsgEnqueueKernel:
-		s.handleEnqueueKernel(env.ID, false, r)
-	case protocol.MsgEnqueueMarker:
-		s.handleEnqueueMarker(env.ID, false, r)
-	case protocol.MsgEnqueueBarrier:
-		s.handleEnqueueBarrier(env.ID, false, r)
 	case protocol.MsgFinish:
 		s.handleFinish(env.ID, r)
-	case protocol.MsgFlush:
-		s.handleFlush(env.ID, false, r)
 	case protocol.MsgCreateUserEvent:
 		s.handleCreateUserEvent(env.ID, r)
 	case protocol.MsgSetUserEventStatus:
 		s.handleSetUserEventStatus(env.ID, r)
-	case protocol.MsgReleaseEvent:
-		s.handleReleaseEvent(env.ID, r)
 	case protocol.MsgServeOpen:
 		s.handleServeOpen(env.ID, r)
 	default:
+		// Everything else — the enqueue, flush and kernel/event release
+		// commands included — is not served in request class: rejected,
+		// never executed.
+		if env.Type == protocol.MsgEnqueueWrite {
+			// Its payload may already be in flight behind the frame.
+			if w := getEnqueueWrite(r); r.Err() == nil {
+				s.drainStream(w.streamID)
+			}
+		}
 		s.respond(env.ID, env.Type, cl.InvalidOperation, nil)
 	}
 }
@@ -344,21 +321,21 @@ func (s *session) handleOneWay(env protocol.Envelope) {
 	case protocol.MsgSetKernelArg:
 		s.handleSetKernelArg(0, true, r)
 	case protocol.MsgReleaseKernel:
-		s.handleRelease(0, true, protocol.MsgReleaseKernel, r.U64())
+		s.handleReleaseKernel(r)
 	case protocol.MsgEnqueueWrite:
-		s.handleEnqueueWrite(0, true, r)
+		s.handleEnqueueWrite(r)
 	case protocol.MsgEnqueueRead:
-		s.handleEnqueueRead(0, true, r)
+		s.handleEnqueueRead(r)
 	case protocol.MsgEnqueueCopy:
-		s.handleEnqueueCopy(0, true, r)
+		s.handleEnqueueCopy(r)
 	case protocol.MsgEnqueueKernel:
-		s.handleEnqueueKernel(0, true, r)
+		s.handleEnqueueKernel(r)
 	case protocol.MsgEnqueueMarker:
-		s.handleEnqueueMarker(0, true, r)
+		s.handleEnqueueMarker(r)
 	case protocol.MsgEnqueueBarrier:
-		s.handleEnqueueBarrier(0, true, r)
+		s.handleEnqueueBarrier(r)
 	case protocol.MsgFlush:
-		s.handleFlush(0, true, r)
+		s.handleFlush(r)
 	case protocol.MsgForwardBuffer:
 		s.handleForwardBuffer(r)
 	case protocol.MsgAcceptForward:
@@ -381,7 +358,7 @@ func (s *session) handleOneWay(env protocol.Envelope) {
 		eventID := r.U64()
 		status := cl.CommandStatus(r.I32())
 		if r.Err() != nil {
-			s.badFrame(0, true, protocol.MsgSetUserEventStatus)
+			s.badFrame(protocol.MsgSetUserEventStatus)
 			return
 		}
 		s.mu.Lock()
@@ -395,7 +372,7 @@ func (s *session) handleOneWay(env protocol.Envelope) {
 	case protocol.MsgReleaseEvent:
 		eventID := r.U64()
 		if r.Err() != nil {
-			s.badFrame(0, true, protocol.MsgReleaseEvent)
+			s.badFrame(protocol.MsgReleaseEvent)
 			return
 		}
 		s.mu.Lock()
@@ -523,11 +500,11 @@ func (s *session) handleAttachSession(id uint32, r *protocol.Reader) {
 func (s *session) handleForwardBuffer(r *protocol.Reader) {
 	f := protocol.GetForwardBuffer(r)
 	if r.Err() != nil {
-		s.badFrame(0, true, protocol.MsgForwardBuffer)
+		s.badFrame(protocol.MsgForwardBuffer)
 		return
 	}
 	failFwd := func(err error) {
-		s.replyErr(0, true, protocol.MsgForwardBuffer, f.QueueID, f.EventID, err)
+		s.notifyCommandFailed(f.QueueID, f.EventID, protocol.MsgForwardBuffer, err)
 	}
 	if s.d.peers == nil {
 		failFwd(cl.Errf(cl.InvalidOperation, "daemon %s has no peer data plane", s.d.cfg.Name))
@@ -597,11 +574,11 @@ func (s *session) handleForwardBuffer(r *protocol.Reader) {
 func (s *session) handleAcceptForward(r *protocol.Reader) {
 	a := protocol.GetAcceptForward(r)
 	if r.Err() != nil {
-		s.badFrame(0, true, protocol.MsgAcceptForward)
+		s.badFrame(protocol.MsgAcceptForward)
 		return
 	}
 	failAcc := func(err error) {
-		s.replyErr(0, true, protocol.MsgAcceptForward, a.QueueID, a.EventID, err)
+		s.notifyCommandFailed(a.QueueID, a.EventID, protocol.MsgAcceptForward, err)
 	}
 	s.mu.Lock()
 	buf := s.buffers[a.BufID]
@@ -883,7 +860,10 @@ func (s *session) handleSetKernelArg(id uint32, oneway bool, r *protocol.Reader)
 		s.replyErr(id, oneway, protocol.MsgSetKernelArg, 0, 0, err)
 		return
 	}
-	s.replyOK(id, oneway, protocol.MsgSetKernelArg)
+	// One-way commands are acknowledged by silence (ack only on error).
+	if !oneway {
+		s.respond(id, protocol.MsgSetKernelArg, cl.Success, nil)
+	}
 }
 
 // setScalarArg binds a raw 64-bit scalar image to argument idx, letting
@@ -907,29 +887,38 @@ func subBufferView(buf cl.Buffer, org, size int) (cl.Buffer, error) {
 	return nb.CreateSubBuffer(org, size)
 }
 
-func (s *session) handleEnqueueWrite(id uint32, oneway bool, r *protocol.Reader) {
-	queueID := r.U64()
-	bufID := r.U64()
-	offset := int(r.I64())
-	size := int(r.I64())
-	streamID := r.U32()
-	eventID := r.U64()
-	waitIDs := r.U64s()
+// enqueueWrite is the decoded body of a MsgEnqueueWrite command.
+type enqueueWrite struct {
+	queueID, bufID uint64
+	offset, size   int
+	streamID       uint32
+	eventID        uint64
+	waitIDs        []uint64
+}
+
+func getEnqueueWrite(r *protocol.Reader) enqueueWrite {
+	return enqueueWrite{
+		queueID: r.U64(), bufID: r.U64(),
+		offset: int(r.I64()), size: int(r.I64()),
+		streamID: r.U32(), eventID: r.U64(), waitIDs: r.U64s(),
+	}
+}
+
+func (s *session) handleEnqueueWrite(r *protocol.Reader) {
+	w := getEnqueueWrite(r)
 	if r.Err() != nil {
-		s.badFrame(id, oneway, protocol.MsgEnqueueWrite)
+		s.badFrame(protocol.MsgEnqueueWrite)
 		return
 	}
-	// The drain is only needed in one-way mode: a request-mode client
-	// waits for the response and never ships payload after an error.
+	// The payload is pipelined behind the command, so a failed write must
+	// still consume it.
 	failWrite := func(err error) {
-		if oneway {
-			s.drainStream(streamID)
-		}
-		s.replyErr(id, oneway, protocol.MsgEnqueueWrite, queueID, eventID, err)
+		s.drainStream(w.streamID)
+		s.notifyCommandFailed(w.queueID, w.eventID, protocol.MsgEnqueueWrite, err)
 	}
 	s.mu.Lock()
-	q := s.queues[queueID]
-	buf := s.buffers[bufID]
+	q := s.queues[w.queueID]
+	buf := s.buffers[w.bufID]
 	s.mu.Unlock()
 	if q == nil || buf == nil {
 		failWrite(cl.Errf(cl.InvalidCommandQueue, "unknown queue or buffer"))
@@ -937,11 +926,11 @@ func (s *session) handleEnqueueWrite(id uint32, oneway bool, r *protocol.Reader)
 	}
 	// Bound the staging allocation before trusting wire-supplied sizes
 	// (written to avoid offset+size overflow).
-	if size < 0 || offset < 0 || size > buf.Size() || offset > buf.Size()-size {
-		failWrite(cl.Errf(cl.InvalidValue, "malformed enqueue write (offset %d size %d)", offset, size))
+	if w.size < 0 || w.offset < 0 || w.size > buf.Size() || w.offset > buf.Size()-w.size {
+		failWrite(cl.Errf(cl.InvalidValue, "malformed enqueue write (offset %d size %d)", w.offset, w.size))
 		return
 	}
-	waits, err := s.resolveWaits(waitIDs)
+	waits, err := s.resolveWaits(w.waitIDs)
 	if err != nil {
 		failWrite(err)
 		return
@@ -953,8 +942,8 @@ func (s *session) handleEnqueueWrite(id uint32, oneway bool, r *protocol.Reader)
 	// native write command, so it re-enters the pool only after BOTH are
 	// done with it (refcount of two — on a synchronous enqueue failure
 	// the error branch stands in for the completion callback).
-	stream := s.ep.Stream(streamID)
-	staged := gcf.GetPayload(size)
+	stream := s.ep.Stream(w.streamID)
+	staged := gcf.GetPayload(w.size)
 	var stagedRefs atomic.Int32
 	releaseStaged := func() {
 		if stagedRefs.Add(1) == 2 {
@@ -977,10 +966,10 @@ func (s *session) handleEnqueueWrite(id uint32, oneway bool, r *protocol.Reader)
 		}
 		stream.Release()
 	}()
-	ev, err := q.EnqueueWriteBuffer(buf, false, offset, staged, append(waits, gate))
+	ev, err := q.EnqueueWriteBuffer(buf, false, w.offset, staged, append(waits, gate))
 	if err != nil {
 		releaseStaged()
-		s.replyErr(id, oneway, protocol.MsgEnqueueWrite, queueID, eventID, err)
+		s.notifyCommandFailed(w.queueID, w.eventID, protocol.MsgEnqueueWrite, err)
 		return
 	}
 	if cerr := ev.SetCallback(cl.Complete, func(cl.Event, cl.CommandStatus) {
@@ -988,11 +977,10 @@ func (s *session) handleEnqueueWrite(id uint32, oneway bool, r *protocol.Reader)
 	}); cerr != nil {
 		s.d.logf("daemon %s: write staging callback: %v", s.d.cfg.Name, cerr)
 	}
-	s.registerEvent(eventID, ev)
-	s.replyOK(id, oneway, protocol.MsgEnqueueWrite)
+	s.registerEvent(w.eventID, ev)
 }
 
-func (s *session) handleEnqueueRead(id uint32, oneway bool, r *protocol.Reader) {
+func (s *session) handleEnqueueRead(r *protocol.Reader) {
 	queueID := r.U64()
 	bufID := r.U64()
 	offset := int(r.I64())
@@ -1001,21 +989,21 @@ func (s *session) handleEnqueueRead(id uint32, oneway bool, r *protocol.Reader) 
 	eventID := r.U64()
 	waitIDs := r.U64s()
 	if r.Err() != nil {
-		s.badFrame(id, oneway, protocol.MsgEnqueueRead)
+		s.badFrame(protocol.MsgEnqueueRead)
 		return
 	}
-	// A failed one-way read must close the announced stream empty so a
-	// client blocked on the download unblocks (the real error follows as
-	// a MsgCommandFailed notification).
+	// A failed read must close the announced stream empty so a client
+	// blocked on the download unblocks (the real error follows as a
+	// MsgCommandFailed notification).
 	failRead := func(err error) {
-		if oneway && streamID != 0 {
+		if streamID != 0 {
 			st := s.ep.Stream(streamID)
 			if cerr := st.CloseWrite(); cerr != nil {
 				s.d.logf("daemon %s: read-back stream close: %v", s.d.cfg.Name, cerr)
 			}
 			st.Release()
 		}
-		s.replyErr(id, oneway, protocol.MsgEnqueueRead, queueID, eventID, err)
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueRead, err)
 	}
 	s.mu.Lock()
 	q := s.queues[queueID]
@@ -1069,10 +1057,9 @@ func (s *session) handleEnqueueRead(id uint32, oneway bool, r *protocol.Reader) 
 		return
 	}
 	s.registerEvent(eventID, ev)
-	s.replyOK(id, oneway, protocol.MsgEnqueueRead)
 }
 
-func (s *session) handleEnqueueCopy(id uint32, oneway bool, r *protocol.Reader) {
+func (s *session) handleEnqueueCopy(r *protocol.Reader) {
 	queueID := r.U64()
 	srcID := r.U64()
 	dstID := r.U64()
@@ -1082,7 +1069,7 @@ func (s *session) handleEnqueueCopy(id uint32, oneway bool, r *protocol.Reader) 
 	eventID := r.U64()
 	waitIDs := r.U64s()
 	if r.Err() != nil {
-		s.badFrame(id, oneway, protocol.MsgEnqueueCopy)
+		s.badFrame(protocol.MsgEnqueueCopy)
 		return
 	}
 	s.mu.Lock()
@@ -1091,24 +1078,23 @@ func (s *session) handleEnqueueCopy(id uint32, oneway bool, r *protocol.Reader) 
 	dst := s.buffers[dstID]
 	s.mu.Unlock()
 	if q == nil || src == nil || dst == nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueCopy, queueID, eventID, cl.Errf(cl.InvalidCommandQueue, "unknown queue or buffer"))
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueCopy, cl.Errf(cl.InvalidCommandQueue, "unknown queue or buffer"))
 		return
 	}
 	waits, err := s.resolveWaits(waitIDs)
 	if err != nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueCopy, queueID, eventID, err)
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueCopy, err)
 		return
 	}
 	ev, err := q.EnqueueCopyBuffer(src, dst, srcOff, dstOff, size, waits)
 	if err != nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueCopy, queueID, eventID, err)
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueCopy, err)
 		return
 	}
 	s.registerEvent(eventID, ev)
-	s.replyOK(id, oneway, protocol.MsgEnqueueCopy)
 }
 
-func (s *session) handleEnqueueKernel(id uint32, oneway bool, r *protocol.Reader) {
+func (s *session) handleEnqueueKernel(r *protocol.Reader) {
 	queueID := r.U64()
 	kernelID := r.U64()
 	goffset := r.Ints()
@@ -1117,7 +1103,7 @@ func (s *session) handleEnqueueKernel(id uint32, oneway bool, r *protocol.Reader
 	eventID := r.U64()
 	waitIDs := r.U64s()
 	if r.Err() != nil {
-		s.badFrame(id, oneway, protocol.MsgEnqueueKernel)
+		s.badFrame(protocol.MsgEnqueueKernel)
 		return
 	}
 	s.mu.Lock()
@@ -1125,12 +1111,12 @@ func (s *session) handleEnqueueKernel(id uint32, oneway bool, r *protocol.Reader
 	k := s.kernels[kernelID]
 	s.mu.Unlock()
 	if q == nil || k == nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueKernel, queueID, eventID, cl.Errf(cl.InvalidCommandQueue, "unknown queue or kernel"))
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueKernel, cl.Errf(cl.InvalidCommandQueue, "unknown queue or kernel"))
 		return
 	}
 	waits, err := s.resolveWaits(waitIDs)
 	if err != nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueKernel, queueID, eventID, err)
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueKernel, err)
 		return
 	}
 	if len(local) == 0 {
@@ -1141,54 +1127,51 @@ func (s *session) handleEnqueueKernel(id uint32, oneway bool, r *protocol.Reader
 	}
 	ev, err := q.EnqueueNDRangeKernelWithOffset(k, goffset, global, local, waits)
 	if err != nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueKernel, queueID, eventID, err)
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueKernel, err)
 		return
 	}
 	s.registerEvent(eventID, ev)
-	s.replyOK(id, oneway, protocol.MsgEnqueueKernel)
 }
 
-func (s *session) handleEnqueueMarker(id uint32, oneway bool, r *protocol.Reader) {
+func (s *session) handleEnqueueMarker(r *protocol.Reader) {
 	queueID := r.U64()
 	eventID := r.U64()
 	if r.Err() != nil {
-		s.badFrame(id, oneway, protocol.MsgEnqueueMarker)
+		s.badFrame(protocol.MsgEnqueueMarker)
 		return
 	}
 	s.mu.Lock()
 	q := s.queues[queueID]
 	s.mu.Unlock()
 	if q == nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueMarker, queueID, eventID, cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", queueID))
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueMarker, cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", queueID))
 		return
 	}
 	ev, err := q.EnqueueMarker()
 	if err != nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueMarker, queueID, eventID, err)
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueMarker, err)
 		return
 	}
 	s.registerEvent(eventID, ev)
-	s.replyOK(id, oneway, protocol.MsgEnqueueMarker)
 }
 
-func (s *session) handleEnqueueBarrier(id uint32, oneway bool, r *protocol.Reader) {
+func (s *session) handleEnqueueBarrier(r *protocol.Reader) {
 	queueID := r.U64()
 	if r.Err() != nil {
-		s.badFrame(id, oneway, protocol.MsgEnqueueBarrier)
+		s.badFrame(protocol.MsgEnqueueBarrier)
 		return
 	}
 	s.mu.Lock()
 	q := s.queues[queueID]
 	s.mu.Unlock()
 	if q == nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueBarrier, queueID, 0, cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", queueID))
+		s.notifyCommandFailed(queueID, 0, protocol.MsgEnqueueBarrier, cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", queueID))
 		return
 	}
 	if err := q.EnqueueBarrier(); err != nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueBarrier, queueID, 0, err)
+		s.notifyCommandFailed(queueID, 0, protocol.MsgEnqueueBarrier, err)
 		return
 	}
-	s.replyOK(id, oneway, protocol.MsgEnqueueBarrier)
 }
 
 func (s *session) handleFinish(id uint32, r *protocol.Reader) {
@@ -1211,24 +1194,23 @@ func (s *session) handleFinish(id uint32, r *protocol.Reader) {
 	}()
 }
 
-func (s *session) handleFlush(id uint32, oneway bool, r *protocol.Reader) {
+func (s *session) handleFlush(r *protocol.Reader) {
 	queueID := r.U64()
 	if r.Err() != nil {
-		s.badFrame(id, oneway, protocol.MsgFlush)
+		s.badFrame(protocol.MsgFlush)
 		return
 	}
 	s.mu.Lock()
 	q := s.queues[queueID]
 	s.mu.Unlock()
 	if q == nil {
-		s.replyErr(id, oneway, protocol.MsgFlush, queueID, 0, cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", queueID))
+		s.notifyCommandFailed(queueID, 0, protocol.MsgFlush, cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", queueID))
 		return
 	}
 	if err := q.Flush(); err != nil {
-		s.replyErr(id, oneway, protocol.MsgFlush, queueID, 0, err)
+		s.notifyCommandFailed(queueID, 0, protocol.MsgFlush, err)
 		return
 	}
-	s.replyOK(id, oneway, protocol.MsgFlush)
 }
 
 func (s *session) handleCreateUserEvent(id uint32, r *protocol.Reader) {
@@ -1270,16 +1252,8 @@ func (s *session) handleSetUserEventStatus(id uint32, r *protocol.Reader) {
 	s.respond(id, protocol.MsgSetUserEventStatus, cl.Success, nil)
 }
 
-func (s *session) handleReleaseEvent(id uint32, r *protocol.Reader) {
-	eventID := r.U64()
-	s.mu.Lock()
-	delete(s.events, eventID)
-	s.mu.Unlock()
-	s.respond(id, protocol.MsgReleaseEvent, cl.Success, nil)
-}
-
-// handleRelease releases an object by ID across all tables.
-func (s *session) handleRelease(id uint32, oneway bool, typ protocol.MsgType, objID uint64) {
+// handleRelease releases a context, queue, buffer or program by ID.
+func (s *session) handleRelease(id uint32, typ protocol.MsgType, objID uint64) {
 	s.mu.Lock()
 	var err error
 	switch typ {
@@ -1303,17 +1277,32 @@ func (s *session) handleRelease(id uint32, oneway bool, typ protocol.MsgType, ob
 			err = p.Release()
 		}
 		delete(s.programs, objID)
-	case protocol.MsgReleaseKernel:
-		if k := s.kernels[objID]; k != nil {
-			err = k.Release()
-		}
-		delete(s.kernels, objID)
-		delete(s.serveProg, objID)
 	}
 	s.mu.Unlock()
 	if err != nil {
-		s.replyErr(id, oneway, typ, 0, 0, err)
+		s.fail(id, typ, err)
 		return
 	}
-	s.replyOK(id, oneway, typ)
+	s.respond(id, typ, cl.Success, nil)
+}
+
+// handleReleaseKernel releases a kernel; it rides the ordered one-way
+// stream behind the launches that use it.
+func (s *session) handleReleaseKernel(r *protocol.Reader) {
+	kernelID := r.U64()
+	if r.Err() != nil {
+		s.badFrame(protocol.MsgReleaseKernel)
+		return
+	}
+	s.mu.Lock()
+	k := s.kernels[kernelID]
+	delete(s.kernels, kernelID)
+	delete(s.serveProg, kernelID)
+	s.mu.Unlock()
+	if k == nil {
+		return
+	}
+	if err := k.Release(); err != nil {
+		s.notifyCommandFailed(0, 0, protocol.MsgReleaseKernel, err)
+	}
 }

@@ -59,10 +59,6 @@ type Config struct {
 	SampleGroups int
 	// Workers bounds VM parallelism for ExecReal; zero uses ComputeUnits.
 	Workers int
-	// ForceInterpreter disables the work-group kernel compiler for this
-	// device and runs the cooperative bytecode interpreter instead
-	// (baseline measurements, compiler validation).
-	ForceInterpreter bool
 
 	// Bus is the host↔device transfer model; zero values disable
 	// transfer-time modeling (instantaneous copies).
@@ -168,7 +164,6 @@ func (d *Device) ChargeTransfer(n int, read bool) time.Duration {
 func (d *Device) Execute(l vm.Launch) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	l.ForceInterpreter = d.cfg.ForceInterpreter
 	switch d.cfg.Mode {
 	case ExecModeled:
 		return d.executeModeled(l)
@@ -193,7 +188,6 @@ func (d *Device) Execute(l vm.Launch) (time.Duration, error) {
 func (d *Device) ExecuteBatch(b vm.Batch) ([]error, time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	b.ForceInterpreter = d.cfg.ForceInterpreter
 	if d.cfg.Mode == ExecModeled {
 		errs := make([]error, len(b.Jobs))
 		var total time.Duration
@@ -202,7 +196,7 @@ func (d *Device) ExecuteBatch(b vm.Batch) ([]error, time.Duration) {
 			dur, err := d.executeModeled(vm.Launch{
 				Prog: b.Prog, Kernel: b.Kernel, Args: j.Args,
 				GlobalSize: j.GlobalSize, GlobalOffset: j.GlobalOffset,
-				LocalSize: j.LocalSize, ForceInterpreter: b.ForceInterpreter,
+				LocalSize: j.LocalSize,
 			})
 			errs[i] = err
 			total += dur
@@ -220,20 +214,16 @@ func (d *Device) ExecuteBatch(b vm.Batch) ([]error, time.Duration) {
 }
 
 // costCache caches instruction-cost estimates across launches, keyed by
-// (program, kernel, engine). The first launch of a kernel pays the
-// sampling cost; later launches (and warmed-up experiment runs) convert
-// work size to time directly. The assumption — one cost profile per
-// kernel of a program — holds for the paper's workloads, where every
-// device runs the same kernel with the same per-item work. Interpreter
-// and compiled engines execute different instruction currencies (stack
-// bytecode vs fused register IR), so the key separates them: a
-// ForceInterpreter device must never reuse a compiled cost profile.
+// (program, kernel). The first launch of a kernel pays the sampling
+// cost; later launches (and warmed-up experiment runs) convert work size
+// to time directly. The assumption — one cost profile per kernel of a
+// program — holds for the paper's workloads, where every device runs the
+// same kernel with the same per-item work.
 var costCache sync.Map // costKey → costEntry
 
 type costKey struct {
-	src    string // program source (stable across re-created program objects)
-	name   string
-	interp bool // cooperative-interpreter engine (ForceInterpreter)
+	src  string // program source (stable across re-created program objects)
+	name string
 }
 
 // costEntry splits the sampled cost into its per-item and per-group
@@ -304,7 +294,7 @@ func (d *Device) executeModeled(l vm.Launch) (time.Duration, error) {
 	for _, g := range l.GlobalSize {
 		totalItems *= g
 	}
-	key := costKey{src: l.Prog.Source, name: l.Kernel.Name, interp: l.ForceInterpreter}
+	key := costKey{src: l.Prog.Source, name: l.Kernel.Name}
 	if v, ok := costCache.Load(key); ok {
 		if rate <= 0 {
 			return 0, nil

@@ -140,7 +140,6 @@ type Manager struct {
 	leases    map[string]*lease
 	idx       *devIndex
 	freeCount int
-	sched     Scheduler // nil = indexed fast path (LeastLoaded contract)
 
 	// srvMu guards the daemon registry.
 	srvMu   sync.Mutex
@@ -176,14 +175,6 @@ type Option func(*Manager)
 // WithLogf directs diagnostics to fn.
 func WithLogf(fn func(string, ...any)) Option {
 	return func(m *Manager) { m.logf = fn }
-}
-
-// WithScheduler selects a pluggable device assignment strategy. It
-// switches placement onto the legacy linear candidate scan the policies
-// are written against; the default (no scheduler) is the indexed
-// O(log n) fast path with LeastLoaded semantics.
-func WithScheduler(s Scheduler) Option {
-	return func(m *Manager) { m.sched = s }
 }
 
 // WithProbeFanout bounds concurrent health probes (0 restores the
@@ -431,7 +422,7 @@ func (m *Manager) handleRequest(ep *gcf.Endpoint, env protocol.Envelope) {
 		return
 	}
 	envID, envType := env.ID, env.Type
-	m.PlaceLeaseAsync(preq.Tenant, preq.Weight, preq.Requests, func(ls *leaseView, err error) {
+	m.placeLeaseAsync(preq.Tenant, preq.Weight, preq.Requests, func(ls *leaseView, err error) {
 		if err != nil {
 			w := protocol.NewWriter()
 			w.I32(int32(cl.CodeOf(err)))
@@ -740,10 +731,6 @@ type leaseView struct {
 	servers map[string]bool
 }
 
-// LeaseView is the exported name of the assignment result, so embedders
-// outside the package can write PlaceLeaseAsync callbacks.
-type LeaseView = leaseView
-
 // AuthID returns the lease's authentication ID.
 func (v *leaseView) AuthID() string { return v.authID }
 
@@ -758,57 +745,3 @@ func (v *leaseView) Servers() []string {
 
 // DeviceCount returns the number of assigned devices.
 func (v *leaseView) DeviceCount() int { return len(v.devices) }
-
-// Scheduler picks one device from a non-empty candidate list. load maps
-// server address → number of devices already assigned (including tentative
-// picks of the current request). Installing a Scheduler routes placement
-// through the legacy linear scan; the default indexed path implements the
-// LeastLoaded contract at O(log n).
-type Scheduler interface {
-	Pick(candidates []*managedDevice, load map[string]int) *managedDevice
-}
-
-// FirstFit picks the first matching device (the naive strategy whose
-// pile-up behaviour motivates the device manager in Section IV).
-type FirstFit struct{}
-
-// Pick returns the first candidate.
-func (FirstFit) Pick(c []*managedDevice, _ map[string]int) *managedDevice { return c[0] }
-
-// LeastLoaded spreads assignments across servers: it picks a device on
-// the server with the fewest assigned devices, which keeps concurrent
-// applications on distinct devices (the behaviour evaluated in Fig. 6).
-// Ties break on the lexicographically smallest server address, so an
-// assignment is a pure function of the registered fleet and the load —
-// not of registration order or map iteration — and multi-server leases
-// are reproducible run to run.
-type LeastLoaded struct{}
-
-// Pick returns a candidate on the least-loaded server, smallest server
-// address first on equal load (deterministic tie-break).
-func (LeastLoaded) Pick(c []*managedDevice, load map[string]int) *managedDevice {
-	best := c[0]
-	bestLoad := load[best.server]
-	for _, d := range c[1:] {
-		l := load[d.server]
-		if l < bestLoad || (l == bestLoad && d.server < best.server) {
-			best, bestLoad = d, l
-		}
-	}
-	return best
-}
-
-// RoundRobin rotates through candidate devices across calls.
-type RoundRobin struct {
-	mu   sync.Mutex
-	next int
-}
-
-// Pick returns candidates in rotating order.
-func (r *RoundRobin) Pick(c []*managedDevice, _ map[string]int) *managedDevice {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	d := c[r.next%len(c)]
-	r.next++
-	return d
-}

@@ -120,123 +120,71 @@ func TestAssignMatchesProperties(t *testing.T) {
 	}
 }
 
-func TestSchedulersSpreadLoad(t *testing.T) {
-	mk := func() []*managedDevice {
-		return []*managedDevice{
-			{server: "a", unitID: 0, info: cl.DeviceInfo{Type: cl.DeviceTypeGPU}},
-			{server: "a", unitID: 1, info: cl.DeviceInfo{Type: cl.DeviceTypeGPU}},
-			{server: "b", unitID: 0, info: cl.DeviceInfo{Type: cl.DeviceTypeGPU}},
-			{server: "b", unitID: 1, info: cl.DeviceInfo{Type: cl.DeviceTypeGPU}},
-		}
-	}
-	m := New(WithScheduler(LeastLoaded{}))
-	inject(m, mk())
-	ls1, err := m.Assign([]protocol.DeviceRequest{{Count: 1, Type: cl.DeviceTypeGPU}})
+// TestPlacementSpreadsLoad: consecutive leases land on distinct servers
+// while a less-loaded one has a free device, which keeps concurrent
+// applications on distinct devices (the behaviour evaluated in Fig. 6).
+func TestPlacementSpreadsLoad(t *testing.T) {
+	m := New()
+	inject(m, []*managedDevice{
+		{server: "a", unitID: 0, info: cl.DeviceInfo{Type: cl.DeviceTypeGPU}},
+		{server: "a", unitID: 1, info: cl.DeviceInfo{Type: cl.DeviceTypeGPU}},
+		{server: "b", unitID: 0, info: cl.DeviceInfo{Type: cl.DeviceTypeGPU}},
+		{server: "b", unitID: 1, info: cl.DeviceInfo{Type: cl.DeviceTypeGPU}},
+	})
+	req := []protocol.DeviceRequest{{Count: 1, Type: cl.DeviceTypeGPU}}
+	ls1, err := m.Assign(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls2, err := m.Assign([]protocol.DeviceRequest{{Count: 1, Type: cl.DeviceTypeGPU}})
+	ls2, err := m.Assign(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ls1.devices[0].server == ls2.devices[0].server {
-		t.Errorf("least-loaded put both leases on %s", ls1.devices[0].server)
-	}
-
-	ff := New(WithScheduler(FirstFit{}))
-	inject(ff, mk())
-	f1, err := ff.Assign([]protocol.DeviceRequest{{Count: 1, Type: cl.DeviceTypeGPU}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := ff.Assign([]protocol.DeviceRequest{{Count: 1, Type: cl.DeviceTypeGPU}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f1.devices[0].server != "a" || f2.devices[0].server != "a" {
-		t.Errorf("first-fit should fill server a first: %s %s", f1.devices[0].server, f2.devices[0].server)
+	if got := []string{ls1.devices[0].server, ls2.devices[0].server}; got[0] != "a" || got[1] != "b" {
+		t.Fatalf("assigned %v, want [a b] (least-loaded with deterministic ties)", got)
 	}
 }
 
-// TestLeastLoadedDeterministicTieBreak pins the tie rule: with equal
-// load, LeastLoaded picks the lexicographically smallest server address
-// regardless of candidate order, so assignments are reproducible.
+// TestLeastLoadedTieBreakDeterministic pins the tie rule: with equal
+// load, placement picks the lexicographically smallest server address
+// regardless of registration order, so assignments are reproducible.
 func TestLeastLoadedTieBreakDeterministic(t *testing.T) {
-	devB := &managedDevice{server: "srv-b", unitID: 0, info: cl.DeviceInfo{Type: cl.DeviceTypeGPU}}
-	devA := &managedDevice{server: "srv-a", unitID: 0, info: cl.DeviceInfo{Type: cl.DeviceTypeGPU}}
-	devC := &managedDevice{server: "srv-c", unitID: 0, info: cl.DeviceInfo{Type: cl.DeviceTypeGPU}}
-	for _, candidates := range [][]*managedDevice{
-		{devB, devA, devC},
-		{devC, devB, devA},
-		{devA, devC, devB},
-	} {
-		pick := LeastLoaded{}.Pick(candidates, map[string]int{})
-		if pick != devA {
-			t.Fatalf("tie at zero load picked %s, want srv-a", pick.server)
-		}
-	}
-	// Load still dominates the tie rule: srv-a loaded → smallest among
-	// the least-loaded remainder wins.
-	pick := LeastLoaded{}.Pick([]*managedDevice{devB, devA, devC}, map[string]int{"srv-a": 2})
-	if pick != devB {
-		t.Fatalf("loaded srv-a: picked %s, want srv-b", pick.server)
-	}
-	// Equal nonzero load: still lexicographic.
-	pick = LeastLoaded{}.Pick([]*managedDevice{devC, devB}, map[string]int{"srv-b": 1, "srv-c": 1})
-	if pick != devB {
-		t.Fatalf("equal load: picked %s, want srv-b", pick.server)
-	}
-}
-
-// TestWithSchedulerSelectsPolicy pins that WithScheduler installs the
-// given policy (and that the default is LeastLoaded): the same fleet and
-// request sequence lands on different servers under different policies.
-func TestWithSchedulerSelectsPolicy(t *testing.T) {
-	mk := func() []*managedDevice {
-		return []*managedDevice{
-			{server: "a", unitID: 0, info: cl.DeviceInfo{Type: cl.DeviceTypeGPU}},
-			{server: "a", unitID: 1, info: cl.DeviceInfo{Type: cl.DeviceTypeGPU}},
-			{server: "b", unitID: 0, info: cl.DeviceInfo{Type: cl.DeviceTypeGPU}},
-		}
+	gpu := func(server string, unit uint32) *managedDevice {
+		return &managedDevice{server: server, unitID: unit, info: cl.DeviceInfo{Type: cl.DeviceTypeGPU}}
 	}
 	req := []protocol.DeviceRequest{{Count: 1, Type: cl.DeviceTypeGPU}}
-
-	def := New() // default: the indexed path with LeastLoaded semantics
-	inject(def, mk())
-	d1, err := def.Assign(req)
-	if err != nil {
-		t.Fatal(err)
+	pick := func(m *Manager) string {
+		t.Helper()
+		ls, err := m.Assign(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ls.devices[0].server
 	}
-	d2, err := def.Assign(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := []string{d1.devices[0].server, d2.devices[0].server}; got[0] != "a" || got[1] != "b" {
-		t.Fatalf("default scheduler assigned %v, want [a b] (least-loaded with deterministic ties)", got)
-	}
-
-	ff := New(WithScheduler(FirstFit{}))
-	inject(ff, mk())
-	f1, err := ff.Assign(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := ff.Assign(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f1.devices[0].server != "a" || f2.devices[0].server != "a" {
-		t.Fatalf("WithScheduler(FirstFit) assigned %s,%s, want a,a", f1.devices[0].server, f2.devices[0].server)
-	}
-
-	rr := New(WithScheduler(&RoundRobin{}))
-	inject(rr, mk())
-	r1, err := rr.Assign(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.DeviceCount() != 1 {
-		t.Fatalf("WithScheduler(RoundRobin) assigned %d devices", r1.DeviceCount())
+	for _, order := range [][]string{
+		{"srv-b", "srv-a", "srv-c"},
+		{"srv-c", "srv-b", "srv-a"},
+		{"srv-a", "srv-c", "srv-b"},
+	} {
+		m := New()
+		for _, srv := range order {
+			inject(m, []*managedDevice{gpu(srv, 0), gpu(srv, 1), gpu(srv, 2)})
+		}
+		if got := pick(m); got != "srv-a" {
+			t.Fatalf("registration order %v: tie at zero load picked %s, want srv-a", order, got)
+		}
+		// Load dominates the tie rule: srv-a is loaded now, so the
+		// smallest address among the least-loaded remainder wins.
+		if got := pick(m); got != "srv-b" {
+			t.Fatalf("registration order %v: loaded srv-a: picked %s, want srv-b", order, got)
+		}
+		if got := pick(m); got != "srv-c" {
+			t.Fatalf("registration order %v: picked %s, want srv-c", order, got)
+		}
+		// Equal nonzero load: still lexicographic.
+		if got := pick(m); got != "srv-a" {
+			t.Fatalf("registration order %v: equal load 1 picked %s, want srv-a", order, got)
+		}
 	}
 }
 

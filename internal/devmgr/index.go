@@ -8,8 +8,8 @@ import (
 	"dopencl/internal/protocol"
 )
 
-// devIndex replaces the seed's linear free-device scan with per-(device
-// class, server) free lists behind per-class min-heaps over server load.
+// devIndex is the free-device index: per-(device class, server) free
+// lists behind per-class min-heaps over server load.
 //
 // A device's class is its exact cl.DeviceType value (a request's type
 // mask matches a class when the bit sets intersect — there are only a
@@ -29,9 +29,10 @@ import (
 //
 // Pick order is deterministic: least-loaded server first, ties broken on
 // the lexicographically smallest server address, then the smallest unit
-// ID on that server — byte-for-byte the LeastLoaded scheduler's contract,
-// so the indexed fast path and the legacy scheduler path are
-// interchangeable in tests.
+// ID on that server — so an assignment is a pure function of the
+// registered fleet and the load, not of registration order or map
+// iteration. index_test.go holds the linear reference model of this
+// contract.
 type devIndex struct {
 	servers map[string]*idxServer
 	classes map[cl.DeviceType]*classHeap
@@ -152,7 +153,7 @@ func (x *devIndex) removeServer(addr string) {
 	delete(x.servers, addr)
 }
 
-// pick returns the free device the LeastLoaded contract would choose for
+// pick returns the free device the least-loaded contract chooses for
 // the request, or nil when no free device matches. The caller leases or
 // skips it; pick itself does not mutate free lists.
 func (x *devIndex) pick(req protocol.DeviceRequest) *managedDevice {

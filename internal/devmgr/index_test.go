@@ -29,19 +29,89 @@ func churnFleet(nServers, devsPer int) []*managedDevice {
 	return devs
 }
 
-// TestIndexMatchesLinearUnderChurn drives the indexed fast path and the
-// legacy LeastLoaded linear scan through an identical deterministic
-// lease/release churn and requires byte-identical placement decisions:
-// the O(log n) index implements the same contract (least-loaded server,
-// lexicographic address tie-break, smallest unit ID), so scheduler
-// tie-breaks stay stable under churn.
+// linearModel is the reference for the index's placement contract: a
+// linear scan over every device picking the least-loaded server,
+// lexicographically smallest address on ties, smallest unit ID on that
+// server.
+type linearModel struct {
+	devices []*managedDevice
+	leases  map[string][]*managedDevice
+	next    int
+}
+
+func (l *linearModel) pick(req protocol.DeviceRequest) *managedDevice {
+	load := map[string]int{}
+	for _, d := range l.devices {
+		if d.leased != "" {
+			load[d.server]++
+		}
+	}
+	var best *managedDevice
+	for _, d := range l.devices {
+		if d.leased != "" || !matches(d, req) {
+			continue
+		}
+		switch {
+		case best == nil || load[d.server] < load[best.server]:
+			best = d
+		case load[d.server] > load[best.server]:
+		case d.server < best.server || (d.server == best.server && d.unitID < best.unitID):
+			best = d
+		}
+	}
+	return best
+}
+
+// assign places every requested device or none, like Manager.assign.
+func (l *linearModel) assign(req protocol.DeviceRequest) (string, []*managedDevice) {
+	l.next++
+	id := fmt.Sprintf("lease-%d", l.next)
+	var chosen []*managedDevice
+	for i := 0; i < req.Count; i++ {
+		d := l.pick(req)
+		if d == nil {
+			for _, c := range chosen {
+				c.leased = ""
+			}
+			return "", nil
+		}
+		d.leased = id
+		chosen = append(chosen, d)
+	}
+	l.leases[id] = chosen
+	return id, chosen
+}
+
+func (l *linearModel) release(id string) {
+	for _, d := range l.leases[id] {
+		d.leased = ""
+	}
+	delete(l.leases, id)
+}
+
+func (l *linearModel) free() int {
+	n := 0
+	for _, d := range l.devices {
+		if d.leased == "" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestIndexMatchesLinearUnderChurn drives the index and the linear
+// reference model through an identical deterministic lease/release churn
+// and requires identical placement decisions, so tie-breaks stay stable
+// under churn.
 func TestIndexMatchesLinearUnderChurn(t *testing.T) {
 	indexed := New()
 	inject(indexed, churnFleet(8, 6))
-	linear := New(WithScheduler(LeastLoaded{}))
-	inject(linear, churnFleet(8, 6))
+	linear := &linearModel{devices: churnFleet(8, 6), leases: map[string][]*managedDevice{}}
 
-	type placed struct{ a, b *leaseView }
+	type placed struct {
+		a *leaseView
+		b string
+	}
 	rng := rand.New(rand.NewSource(7))
 	var live []placed
 	reqKinds := []protocol.DeviceRequest{
@@ -54,34 +124,34 @@ func TestIndexMatchesLinearUnderChurn(t *testing.T) {
 		if len(live) > 0 && rng.Intn(3) == 0 {
 			i := rng.Intn(len(live))
 			indexed.ReleaseLease(live[i].a.AuthID())
-			linear.ReleaseLease(live[i].b.AuthID())
+			linear.release(live[i].b)
 			live = append(live[:i], live[i+1:]...)
 			continue
 		}
 		req := reqKinds[rng.Intn(len(reqKinds))]
 		la, errA := indexed.Assign([]protocol.DeviceRequest{req})
-		lb, errB := linear.Assign([]protocol.DeviceRequest{req})
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("op %d: indexed err=%v linear err=%v", op, errA, errB)
+		idB, devsB := linear.assign(req)
+		if (errA == nil) != (devsB != nil) {
+			t.Fatalf("op %d: indexed err=%v, linear placed %d devices", op, errA, len(devsB))
 		}
 		if errA != nil {
 			continue
 		}
-		ka, kb := placeKey(la), placeKey(lb)
+		ka, kb := placeKey(la.devices), placeKey(devsB)
 		if ka != kb {
 			t.Fatalf("op %d (%+v): indexed placed %s, linear placed %s", op, req, ka, kb)
 		}
-		live = append(live, placed{la, lb})
+		live = append(live, placed{la, idB})
 	}
-	if indexed.FreeDevices() != linear.FreeDevices() {
-		t.Fatalf("free counts diverged: indexed %d, linear %d", indexed.FreeDevices(), linear.FreeDevices())
+	if indexed.FreeDevices() != linear.free() {
+		t.Fatalf("free counts diverged: indexed %d, linear %d", indexed.FreeDevices(), linear.free())
 	}
 }
 
-// placeKey canonicalizes a lease's devices as "server/unit,server/unit".
-func placeKey(ls *leaseView) string {
+// placeKey canonicalizes placed devices as "server/unit,server/unit".
+func placeKey(devs []*managedDevice) string {
 	out := ""
-	for _, d := range ls.devices {
+	for _, d := range devs {
 		out += fmt.Sprintf("%s/%d,", d.server, d.unitID)
 	}
 	return out

@@ -24,8 +24,12 @@ type placement struct {
 	workers int
 	quota   uint32
 	shed    int
-	once    sync.Once
-	wg      sync.WaitGroup
+	// hold, when non-nil, parks every worker before each Pop until the
+	// channel yields or is closed. Only tests set it: with the workers
+	// parked the queue fills to exactly its admission bounds.
+	hold chan struct{}
+	once sync.Once
+	wg   sync.WaitGroup
 }
 
 // pendingGrant is one queued lease request awaiting placement.
@@ -35,50 +39,22 @@ type pendingGrant struct {
 	done   func(*leaseView, error)
 }
 
-// Placement defaults: per-tenant queued-grant quota and the global queue
-// depth past which new requests are shed with cl.Busy.
+// Placement bounds: per-tenant queued-grant quota, the global queue
+// depth past which new requests are shed with cl.Busy, and the number of
+// goroutines draining the grant queue.
 const (
-	defaultTenantQuota = 128
-	defaultShedLimit   = 4096
-	defaultWorkers     = 4
+	tenantQuota      = 128
+	shedLimit        = 4096
+	placementWorkers = 4
 )
-
-// WithTenantQuota bounds how many placement requests one tenant may have
-// queued (0 restores the default).
-func WithTenantQuota(n uint32) Option {
-	return func(m *Manager) {
-		if n > 0 {
-			m.place.quota = n
-		}
-	}
-}
-
-// WithShedLimit bounds the total placement queue depth; past it requests
-// are refused with cl.Busy regardless of tenant (0 restores the default).
-func WithShedLimit(n int) Option {
-	return func(m *Manager) {
-		if n > 0 {
-			m.place.shed = n
-		}
-	}
-}
-
-// WithPlacementWorkers sets how many goroutines drain the grant queue.
-func WithPlacementWorkers(n int) Option {
-	return func(m *Manager) {
-		if n > 0 {
-			m.place.workers = n
-		}
-	}
-}
 
 func newPlacement(m *Manager) *placement {
 	return &placement{
 		m:       m,
 		q:       serve.NewFairQueue[struct{}, *pendingGrant](),
-		workers: defaultWorkers,
-		quota:   defaultTenantQuota,
-		shed:    defaultShedLimit,
+		workers: placementWorkers,
+		quota:   tenantQuota,
+		shed:    shedLimit,
 	}
 }
 
@@ -94,6 +70,9 @@ func (p *placement) start() {
 func (p *placement) run() {
 	defer p.wg.Done()
 	for {
+		if p.hold != nil {
+			<-p.hold
+		}
 		g, sess, ok := p.q.Pop()
 		if !ok {
 			return
@@ -113,13 +92,13 @@ func (p *placement) close() {
 	p.q.Close()
 }
 
-// PlaceLeaseAsync admits one placement request into the fair grant
+// placeLeaseAsync admits one placement request into the fair grant
 // queue. done is called exactly once, from a placement worker, with the
 // grant or the typed refusal: cl.Busy when the tenant's quota or the
 // global shed limit is hit (admission refusal — the request was never
 // queued), cl.DeviceNotFound when placement ran but no free device
 // matched. weight 0 means 1.
-func (m *Manager) PlaceLeaseAsync(tenant string, weight uint32, reqs []protocol.DeviceRequest, done func(*leaseView, error)) {
+func (m *Manager) placeLeaseAsync(tenant string, weight uint32, reqs []protocol.DeviceRequest, done func(*leaseView, error)) {
 	p := m.place
 	p.start()
 	if p.q.Len() >= p.shed {
@@ -145,17 +124,16 @@ func (m *Manager) PlaceLeaseAsync(tenant string, weight uint32, reqs []protocol.
 	}
 }
 
-// PlaceLease is the synchronous form of PlaceLeaseAsync: the full
+// PlaceLease is the synchronous form of placeLeaseAsync: the full
 // admission path (quota check, weighted fair queue, placement worker) as
-// one call. This is the API the churn bench and in-process embedders
-// drive.
+// one call. This is the API in-process embedders drive.
 func (m *Manager) PlaceLease(tenant string, weight uint32, reqs []protocol.DeviceRequest) (*leaseView, error) {
 	type outcome struct {
 		ls  *leaseView
 		err error
 	}
 	ch := make(chan outcome, 1)
-	m.PlaceLeaseAsync(tenant, weight, reqs, func(ls *leaseView, err error) {
+	m.placeLeaseAsync(tenant, weight, reqs, func(ls *leaseView, err error) {
 		ch <- outcome{ls, err}
 	})
 	o := <-ch
@@ -163,12 +141,8 @@ func (m *Manager) PlaceLease(tenant string, weight uint32, reqs []protocol.Devic
 }
 
 // assign matches the requests against the free set and creates a lease.
-// With the default (nil) scheduler it runs on the indexed fast path:
-// each pick is an O(log n) heap probe with the LeastLoaded contract
-// (least-loaded server, lexicographic address tie-break, smallest unit
-// ID). An explicit WithScheduler policy takes the legacy linear path —
-// same semantics the seed had, retained both for the pluggable-policy
-// API and as the measured baseline in the churn bench.
+// Each pick is an O(log n) probe of the free-device index: least-loaded
+// server, lexicographic address tie-break, smallest unit ID.
 func (m *Manager) assign(reqs []protocol.DeviceRequest) (*leaseView, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -190,20 +164,7 @@ func (m *Manager) assign(reqs []protocol.DeviceRequest) (*leaseView, error) {
 			count = 1
 		}
 		for i := 0; i < count; i++ {
-			var pick *managedDevice
-			if m.sched == nil {
-				pick = m.idx.pick(req)
-			} else {
-				var candidates []*managedDevice
-				for _, d := range m.devices {
-					if d.leased == "" && matches(d, req) {
-						candidates = append(candidates, d)
-					}
-				}
-				if len(candidates) > 0 {
-					pick = m.sched.Pick(candidates, m.loadView())
-				}
-			}
+			pick := m.idx.pick(req)
 			if pick == nil {
 				return fail(req)
 			}
@@ -234,20 +195,7 @@ func (m *Manager) assign(reqs []protocol.DeviceRequest) (*leaseView, error) {
 }
 
 // Assign is the direct, queue-bypassing placement entry point, exported
-// for in-process use and tests (and as the seed-equivalent baseline the
-// churn bench measures when a linear Scheduler is installed).
+// for in-process use and tests.
 func (m *Manager) Assign(reqs []protocol.DeviceRequest) (*leaseView, error) {
 	return m.assign(reqs)
-}
-
-// loadView computes per-server assigned-device counts for the legacy
-// scheduler path (tentative picks are already marked leased).
-func (m *Manager) loadView() map[string]int {
-	load := map[string]int{}
-	for _, d := range m.devices {
-		if d.leased != "" {
-			load[d.server]++
-		}
-	}
-	return load
 }

@@ -5,136 +5,118 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dopencl/internal/cl"
 	"dopencl/internal/protocol"
 )
 
-// slowSched wraps LeastLoaded with a fixed per-pick delay, slowing the
-// placement worker enough that admission-control tests can fill the
-// grant queue deterministically.
-type slowSched struct{ delay time.Duration }
-
-func (s slowSched) Pick(c []*managedDevice, load map[string]int) *managedDevice {
-	time.Sleep(s.delay)
-	return LeastLoaded{}.Pick(c, load)
+// heldManager returns a manager whose single placement worker is parked
+// until release is called, so a test can fill the grant queue to exactly
+// its admission bounds before anything drains.
+func heldManager(quota uint32, shed int) (m *Manager, release func()) {
+	m = New()
+	m.place.workers = 1
+	m.place.quota = quota
+	m.place.shed = shed
+	m.place.hold = make(chan struct{})
+	return m, func() { close(m.place.hold) }
 }
+
+var oneGPU = []protocol.DeviceRequest{{Count: 1, Type: cl.DeviceTypeGPU}}
 
 // TestTenantQuotaRefusesWithBusy: one tenant flooding placement requests
 // past its queued-grant quota is refused with typed cl.Busy; the
 // refusals never enter the queue.
 func TestTenantQuotaRefusesWithBusy(t *testing.T) {
-	m := New(WithScheduler(slowSched{5 * time.Millisecond}),
-		WithTenantQuota(8), WithPlacementWorkers(1))
+	const n, quota = 60, 8
+	m, release := heldManager(quota, shedLimit)
 	defer m.Close()
-	inject(m, churnFleet(2, 4))
+	inject(m, churnFleet(4, 8)) // 16 GPUs: every admitted request places
 
-	const n = 60
-	var busy, other atomic.Int64
+	var granted, busy, other atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		m.PlaceLeaseAsync("flooder", 0, []protocol.DeviceRequest{{Count: 1, Type: cl.DeviceTypeGPU}},
-			func(ls *leaseView, err error) {
-				defer wg.Done()
-				switch {
-				case err == nil:
-				case cl.CodeOf(err) == cl.Busy:
-					busy.Add(1)
-				default:
-					other.Add(1)
-				}
-			})
+		m.placeLeaseAsync("flooder", 0, oneGPU, func(ls *leaseView, err error) {
+			defer wg.Done()
+			switch {
+			case err == nil:
+				granted.Add(1)
+			case cl.CodeOf(err) == cl.Busy:
+				busy.Add(1)
+			default:
+				other.Add(1)
+			}
+		})
 	}
+	if got := m.place.q.Len(); got != quota {
+		t.Fatalf("%d grants queued with the worker held, want exactly the quota %d", got, quota)
+	}
+	release()
 	wg.Wait()
-	// 60 requests arrived in microseconds; the single worker needs 5ms per
-	// grant, so far more than quota (8) were pending at some point.
-	if busy.Load() == 0 {
-		t.Fatalf("no request refused with cl.Busy (quota 8, %d requests, other-err=%d)", n, other.Load())
+	if granted.Load() != quota || busy.Load() != n-quota || other.Load() != 0 {
+		t.Fatalf("granted=%d busy=%d other=%d, want %d/%d/0", granted.Load(), busy.Load(), other.Load(), quota, n-quota)
 	}
 }
 
 // TestShedLimitRefusesAllTenants: past the global queue depth even
 // distinct tenants are shed with cl.Busy.
 func TestShedLimitRefusesAllTenants(t *testing.T) {
-	m := New(WithScheduler(slowSched{5 * time.Millisecond}),
-		WithTenantQuota(1000), WithShedLimit(4), WithPlacementWorkers(1))
+	const n, shed = 40, 4
+	m, release := heldManager(1000, shed)
 	defer m.Close()
 	inject(m, churnFleet(2, 4))
 
-	const n = 40
-	var busy atomic.Int64
+	var granted, busy atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		tenant := fmt.Sprintf("tenant-%d", i)
-		m.PlaceLeaseAsync(tenant, 0, []protocol.DeviceRequest{{Count: 1, Type: cl.DeviceTypeGPU}},
-			func(ls *leaseView, err error) {
-				defer wg.Done()
-				if err != nil && cl.CodeOf(err) == cl.Busy {
-					busy.Add(1)
-				}
-			})
+		m.placeLeaseAsync(fmt.Sprintf("tenant-%d", i), 0, oneGPU, func(ls *leaseView, err error) {
+			defer wg.Done()
+			switch {
+			case err == nil:
+				granted.Add(1)
+			case cl.CodeOf(err) == cl.Busy:
+				busy.Add(1)
+			}
+		})
 	}
+	release()
 	wg.Wait()
-	if busy.Load() == 0 {
-		t.Fatalf("no tenant shed (shed limit 4, %d tenants)", n)
+	if granted.Load() != shed || busy.Load() != n-shed {
+		t.Fatalf("granted=%d shed=%d, want %d/%d", granted.Load(), busy.Load(), shed, n-shed)
 	}
 }
 
 // TestFairDrainInterleavesTenants: with the queue pre-filled by two
-// tenants (heavy pushed all its jobs first), the weighted fair queue
-// drains them interleaved — strict FIFO would run all of the first
-// tenant's jobs before any of the second's.
+// equal-weight tenants (heavy pushed all its jobs first), the weighted
+// fair queue drains them strictly alternating — FIFO would run all of
+// heavy's jobs before any of light's.
 func TestFairDrainInterleavesTenants(t *testing.T) {
-	m := New(WithScheduler(slowSched{2 * time.Millisecond}), WithPlacementWorkers(1))
+	m, release := heldManager(tenantQuota, shedLimit)
 	defer m.Close()
 	inject(m, churnFleet(4, 8))
 
-	var mu sync.Mutex
-	var order []string
+	var order []string // appended by the single worker only
 	var wg sync.WaitGroup
 	record := func(tenant string) func(*leaseView, error) {
 		return func(ls *leaseView, err error) {
-			mu.Lock()
 			order = append(order, tenant)
-			mu.Unlock()
-			if ls != nil {
-				m.ReleaseLease(ls.AuthID())
-			}
 			wg.Done()
 		}
 	}
-	// Block the worker on a sacrificial grant so the queue builds.
-	wg.Add(1)
-	m.PlaceLeaseAsync("z-block", 0, []protocol.DeviceRequest{{Count: 1, Type: cl.DeviceTypeGPU}}, record("z"))
-	time.Sleep(500 * time.Microsecond)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		m.PlaceLeaseAsync("heavy", 0, []protocol.DeviceRequest{{Count: 1, Type: cl.DeviceTypeGPU}}, record("heavy"))
-	}
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		m.PlaceLeaseAsync("light", 0, []protocol.DeviceRequest{{Count: 1, Type: cl.DeviceTypeGPU}}, record("light"))
-	}
-	wg.Wait()
-
-	// Find the positions of light's grants among the 8 contested slots.
-	firstLight := -1
-	for i, who := range order {
-		if who == "light" {
-			firstLight = i
-			break
+	for _, tenant := range []string{"heavy", "light"} {
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			m.placeLeaseAsync(tenant, 0, oneGPU, record(tenant))
 		}
 	}
-	if firstLight < 0 {
-		t.Fatal("light tenant never drained")
-	}
-	// FIFO would put light's first grant at position 5 (after z + 4×heavy).
-	// Fair queueing must interleave: light's first grant lands earlier.
-	if firstLight >= 5 {
-		t.Fatalf("drain order %v: light's first grant at %d — queue drained FIFO, not fair", order, firstLight)
+	release()
+	wg.Wait()
+
+	want := []string{"heavy", "light", "heavy", "light", "heavy", "light", "heavy", "light"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("drain order %v, want %v", order, want)
 	}
 }
 
@@ -142,7 +124,7 @@ func TestFairDrainInterleavesTenants(t *testing.T) {
 // and release from many goroutines; run under -race this is the lease
 // bookkeeping race check, and the end state must balance exactly.
 func TestConcurrentPlaceReleaseRace(t *testing.T) {
-	m := New(WithPlacementWorkers(4))
+	m := New()
 	defer m.Close()
 	inject(m, churnFleet(4, 8)) // 32 devices
 
@@ -196,7 +178,8 @@ func TestConcurrentPlaceReleaseRace(t *testing.T) {
 // leases against new grants targeting the same narrow fleet: the free
 // count must return to capacity and no device may end double-leased.
 func TestReleaseDuringGrantChurn(t *testing.T) {
-	m := New(WithPlacementWorkers(2))
+	m := New()
+	m.place.workers = 2
 	defer m.Close()
 	m.AddDevices("only", []protocol.DeviceRecord{
 		{UnitID: 0, Info: cl.DeviceInfo{Type: cl.DeviceTypeGPU}},

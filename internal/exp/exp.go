@@ -9,9 +9,9 @@
 // scale to report modeled seconds. Kernel cost profiles are prewarmed
 // (device.PrewarmCost) so that timed runs never pay VM sampling cost.
 // Absolute device throughputs are calibrated against the paper's anchor
-// measurements (see EXPERIMENTS.md); the reported comparisons — who wins,
-// overhead decomposition, scaling, crossovers — emerge from the behaviour
-// of the actual middleware stack (client driver, wire protocol, daemons).
+// measurements; the reported comparisons — who wins, overhead
+// decomposition, scaling, crossovers — emerge from the behaviour of the
+// actual middleware stack (client driver, wire protocol, daemons).
 package exp
 
 import (

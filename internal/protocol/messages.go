@@ -55,6 +55,7 @@ const (
 	// retaining it for re-attachment — only abnormal termination pays the
 	// retention cost (parked device memory).
 	MsgGoodbye
+	msgClientEnd // one past the last client ↔ daemon type
 )
 
 // Peer data-plane message types (daemon ↔ daemon). These travel on the
@@ -63,12 +64,14 @@ const (
 const (
 	MsgPeerHello    MsgType = iota + 80 // handshake after an outbound peer dial
 	MsgPeerTransfer                     // one bulk transfer: header + stream payload
+	msgPeerEnd
 )
 
 // Notifications (daemon → client).
 const (
 	MsgEventComplete MsgType = iota + 40
 	MsgCommandFailed         // deferred failure of a one-way command
+	msgNotifyEnd
 )
 
 // Device manager message types.
@@ -95,39 +98,44 @@ const (
 	// request carries the sender's view, the response the receiver's, and
 	// both sides adopt the higher epoch.
 	MsgDMGossip
+	msgDMEnd
 )
+
+// msgNames is indexed by MsgType; a type without an entry prints as
+// "MsgType(?)". TestMsgTypeNames walks every declared range, so a
+// constant added without a name here fails the build's tests.
+var msgNames = [...]string{
+	MsgHello: "Hello", MsgCreateContext: "CreateContext",
+	MsgReleaseContext: "ReleaseContext", MsgCreateQueue: "CreateQueue",
+	MsgReleaseQueue: "ReleaseQueue", MsgCreateBuffer: "CreateBuffer",
+	MsgReleaseBuffer: "ReleaseBuffer", MsgCreateProgram: "CreateProgram",
+	MsgBuildProgram: "BuildProgram", MsgReleaseProgram: "ReleaseProgram",
+	MsgCreateKernel: "CreateKernel", MsgReleaseKernel: "ReleaseKernel",
+	MsgSetKernelArg: "SetKernelArg", MsgEnqueueWrite: "EnqueueWrite",
+	MsgEnqueueRead: "EnqueueRead", MsgEnqueueCopy: "EnqueueCopy",
+	MsgEnqueueKernel: "EnqueueKernel", MsgEnqueueMarker: "EnqueueMarker",
+	MsgEnqueueBarrier: "EnqueueBarrier", MsgFinish: "Finish",
+	MsgFlush: "Flush", MsgCreateUserEvent: "CreateUserEvent",
+	MsgSetUserEventStatus: "SetUserEventStatus", MsgReleaseEvent: "ReleaseEvent",
+	MsgGetServerInfo: "GetServerInfo", MsgEventComplete: "EventComplete",
+	MsgForwardBuffer: "ForwardBuffer", MsgAcceptForward: "AcceptForward",
+	MsgRegisterGraph: "RegisterGraph", MsgExecGraph: "ExecGraph",
+	MsgReleaseGraph: "ReleaseGraph", MsgAttachSession: "AttachSession",
+	MsgGoodbye:   "Goodbye",
+	MsgPeerHello: "PeerHello", MsgPeerTransfer: "PeerTransfer",
+	MsgCommandFailed:    "CommandFailed",
+	MsgDMRegisterServer: "DMRegisterServer", MsgDMRequestDevices: "DMRequestDevices",
+	MsgDMAssign: "DMAssign", MsgDMReleaseLease: "DMReleaseLease",
+	MsgDMRevoke: "DMRevoke", MsgDMPing: "DMPing",
+	MsgDMShardMap: "DMShardMap", MsgDMGossip: "DMGossip",
+	MsgServeOpen: "ServeOpen", MsgServeClose: "ServeClose",
+	MsgServeSubmit: "ServeSubmit", MsgServeResult: "ServeResult",
+}
 
 // String returns the message type name for logs and errors.
 func (t MsgType) String() string {
-	names := map[MsgType]string{
-		MsgHello: "Hello", MsgCreateContext: "CreateContext",
-		MsgReleaseContext: "ReleaseContext", MsgCreateQueue: "CreateQueue",
-		MsgReleaseQueue: "ReleaseQueue", MsgCreateBuffer: "CreateBuffer",
-		MsgReleaseBuffer: "ReleaseBuffer", MsgCreateProgram: "CreateProgram",
-		MsgBuildProgram: "BuildProgram", MsgReleaseProgram: "ReleaseProgram",
-		MsgCreateKernel: "CreateKernel", MsgReleaseKernel: "ReleaseKernel",
-		MsgSetKernelArg: "SetKernelArg", MsgEnqueueWrite: "EnqueueWrite",
-		MsgEnqueueRead: "EnqueueRead", MsgEnqueueCopy: "EnqueueCopy",
-		MsgEnqueueKernel: "EnqueueKernel", MsgEnqueueMarker: "EnqueueMarker",
-		MsgEnqueueBarrier: "EnqueueBarrier", MsgFinish: "Finish",
-		MsgFlush: "Flush", MsgCreateUserEvent: "CreateUserEvent",
-		MsgSetUserEventStatus: "SetUserEventStatus", MsgReleaseEvent: "ReleaseEvent",
-		MsgGetServerInfo: "GetServerInfo", MsgEventComplete: "EventComplete",
-		MsgForwardBuffer: "ForwardBuffer", MsgAcceptForward: "AcceptForward",
-		MsgRegisterGraph: "RegisterGraph", MsgExecGraph: "ExecGraph",
-		MsgReleaseGraph: "ReleaseGraph", MsgAttachSession: "AttachSession",
-		MsgGoodbye:   "Goodbye",
-		MsgPeerHello: "PeerHello", MsgPeerTransfer: "PeerTransfer",
-		MsgCommandFailed:    "CommandFailed",
-		MsgDMRegisterServer: "DMRegisterServer", MsgDMRequestDevices: "DMRequestDevices",
-		MsgDMAssign: "DMAssign", MsgDMReleaseLease: "DMReleaseLease",
-		MsgDMRevoke: "DMRevoke", MsgDMPing: "DMPing",
-		MsgDMShardMap: "DMShardMap", MsgDMGossip: "DMGossip",
-		MsgServeOpen: "ServeOpen", MsgServeClose: "ServeClose",
-		MsgServeSubmit: "ServeSubmit", MsgServeResult: "ServeResult",
-	}
-	if s, ok := names[t]; ok {
-		return s
+	if int(t) < len(msgNames) && msgNames[t] != "" {
+		return msgNames[t]
 	}
 	return "MsgType(?)"
 }

@@ -240,10 +240,49 @@ func TestDeviceRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMsgTypeNames walks every declared message range (each const block
+// ends in an unexported sentinel) and requires a unique name per type.
 func TestMsgTypeNames(t *testing.T) {
-	for _, typ := range []MsgType{MsgHello, MsgEnqueueKernel, MsgEventComplete, MsgDMAssign} {
-		if typ.String() == "MsgType(?)" {
-			t.Errorf("type %d has no name", typ)
+	seen := map[string]MsgType{}
+	for _, r := range []struct{ first, end MsgType }{
+		{MsgHello, msgClientEnd},
+		{MsgEventComplete, msgNotifyEnd},
+		{MsgDMRegisterServer, msgDMEnd},
+		{MsgPeerHello, msgPeerEnd},
+		{MsgServeOpen, msgServeEnd},
+	} {
+		if r.end <= r.first {
+			t.Fatalf("empty range [%d, %d)", r.first, r.end)
+		}
+		for typ := r.first; typ < r.end; typ++ {
+			name := typ.String()
+			if name == "MsgType(?)" {
+				t.Errorf("type %d has no name", typ)
+				continue
+			}
+			if prev, dup := seen[name]; dup {
+				t.Errorf("types %d and %d share the name %q", prev, typ, name)
+			}
+			seen[name] = typ
 		}
 	}
+	if len(seen) != len(msgNames)-countEmpty(msgNames[:]) {
+		t.Errorf("%d names reachable from the declared ranges, table holds %d", len(seen), len(msgNames)-countEmpty(msgNames[:]))
+	}
+	if got := MsgType(0).String(); got != "MsgType(?)" {
+		t.Errorf("MsgType(0) = %q", got)
+	}
+	if got := MsgType(60000).String(); got != "MsgType(?)" {
+		t.Errorf("out-of-table type = %q", got)
+	}
+}
+
+func countEmpty(names []string) int {
+	n := 0
+	for _, s := range names {
+		if s == "" {
+			n++
+		}
+	}
+	return n
 }

@@ -26,6 +26,7 @@ const (
 	MsgServeClose                       // one-way: drop the lane, fail pending jobs
 	MsgServeSubmit                      // one-way: submit a batch of jobs
 	MsgServeResult                      // notification: per-job outcomes
+	msgServeEnd
 )
 
 // CapServe advertises the serve plane in the Hello/AttachSession

@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -57,14 +56,14 @@ func RunBatch(b Batch) ([]error, Stats) {
 	runs := make([]jobRun, 0, len(b.Jobs))
 	itemsPerGroup := 0
 	for i := range b.Jobs {
-		disp, groups, items, err := prepareJob(b.Kernel, &b.Jobs[i])
+		j := &b.Jobs[i]
+		disp, groups, err := prepare(b.Prog, b.Kernel, j.Args, j.GlobalSize, j.GlobalOffset, j.LocalSize)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		disp.prog = b.Prog
 		runs = append(runs, jobRun{idx: i, disp: disp, groups: groups})
-		itemsPerGroup = items // representative; jobs may differ
+		itemsPerGroup = disp.itemsPerGroup // representative; jobs may differ
 	}
 	if len(runs) == 0 {
 		return errs, Stats{}
@@ -72,16 +71,7 @@ func RunBatch(b Batch) ([]error, Stats) {
 
 	// One plan fetch for the whole batch (cached on the kernel function,
 	// so this is a map hit after the first ever launch).
-	var plan *kernel.WGFunc
-	var compileInfo *kernel.WGCompileInfo
-	if !b.ForceInterpreter && b.Prog != nil {
-		if wp := b.Prog.WorkGroup(b.Kernel); wp != nil {
-			compileInfo = &wp.Info
-			if wp.Fallback == "" {
-				plan = wp
-			}
-		}
-	}
+	plan, compileInfo := selectPlan(b.Prog, b.Kernel, b.ForceInterpreter)
 
 	workers := b.Workers
 	if workers <= 0 {
@@ -93,8 +83,7 @@ func RunBatch(b Batch) ([]error, Stats) {
 
 	var wg sync.WaitGroup
 	var next int64
-	var instr, prologue uint64
-	var fused, coop, groupsRun int64
+	var c runCounters
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -105,36 +94,13 @@ func RunBatch(b Batch) ([]error, Stats) {
 					return
 				}
 				jr := runs[id]
-				var runOne func(gid int) *TrapError
-				var flush func()
-				if plan != nil {
-					pr := newPlanRunner(jr.disp, plan)
-					runOne = pr.runGroup
-					flush = func() {
-						atomic.AddUint64(&instr, pr.instrCount)
-						atomic.AddUint64(&prologue, pr.prologueCount)
-						atomic.AddInt64(&fused, int64(pr.fusedGroups))
-						atomic.AddInt64(&coop, int64(pr.coopGroups))
-					}
-				} else {
-					g := newGroupRunner(jr.disp)
-					groups := int64(0)
-					runOne = func(gid int) *TrapError {
-						groups++
-						return g.run(gid)
-					}
-					flush = func() {
-						atomic.AddUint64(&instr, g.instrCount)
-						atomic.AddInt64(&coop, groups)
-					}
-				}
+				runOne, flush := groupRunnerFor(jr.disp, plan, &c)
 				for gid := 0; gid < jr.groups; gid++ {
 					if err := runOne(gid); err != nil {
 						errs[jr.idx] = err
 						break
 					}
 				}
-				atomic.AddInt64(&groupsRun, int64(jr.groups))
 				flush()
 			}
 		}()
@@ -145,83 +111,5 @@ func RunBatch(b Batch) ([]error, Stats) {
 	for _, jr := range runs {
 		totalGroups += jr.groups
 	}
-	return errs, Stats{
-		Instructions:         atomic.LoadUint64(&instr),
-		GroupsRun:            int(atomic.LoadInt64(&groupsRun)),
-		GroupsTotal:          totalGroups,
-		ItemsPerGroup:        itemsPerGroup,
-		PrologueInstructions: atomic.LoadUint64(&prologue),
-		FusedGroups:          int(atomic.LoadInt64(&fused)),
-		CoopGroups:           int(atomic.LoadInt64(&coop)),
-		Compile:              compileInfo,
-	}
-}
-
-// prepareJob validates one batch job against the kernel signature and
-// builds its dispatch, mirroring RunStats' checks.
-func prepareJob(fn *kernel.Func, j *BatchJob) (*dispatch, int, int, error) {
-	if len(j.GlobalSize) < 1 || len(j.GlobalSize) > 3 {
-		return nil, 0, 0, &TrapError{Kernel: fn.Name, Msg: "global work size must have 1-3 dimensions"}
-	}
-	for _, g := range j.GlobalSize {
-		if g <= 0 {
-			return nil, 0, 0, &TrapError{Kernel: fn.Name, Msg: "global work size must be positive"}
-		}
-	}
-	if j.GlobalOffset != nil && len(j.GlobalOffset) != len(j.GlobalSize) {
-		return nil, 0, 0, &TrapError{Kernel: fn.Name, Msg: "global offset dimensionality mismatch"}
-	}
-	for _, o := range j.GlobalOffset {
-		if o < 0 {
-			return nil, 0, 0, &TrapError{Kernel: fn.Name, Msg: "global work offset must be non-negative"}
-		}
-	}
-	if len(j.Args) != len(fn.Args) {
-		return nil, 0, 0, &TrapError{Kernel: fn.Name,
-			Msg: fmt.Sprintf("kernel takes %d arguments, %d bound", len(fn.Args), len(j.Args))}
-	}
-	for i, a := range j.Args {
-		if want := fn.Args[i].Kind; a.Kind != want {
-			return nil, 0, 0, &TrapError{Kernel: fn.Name,
-				Msg: fmt.Sprintf("argument %d: kind mismatch (have %d, want %d)", i, a.Kind, want)}
-		}
-	}
-
-	local := j.LocalSize
-	autoPick := local == nil
-	if !autoPick {
-		for _, v := range local {
-			if v == 0 {
-				autoPick = true
-				break
-			}
-		}
-	}
-	if autoPick {
-		local = AutoLocalSize(j.GlobalSize)
-	}
-	if len(local) != len(j.GlobalSize) {
-		return nil, 0, 0, &TrapError{Kernel: fn.Name, Msg: "local size dimensionality mismatch"}
-	}
-	numGroups := make([]int, len(j.GlobalSize))
-	totalGroups := 1
-	itemsPerGroup := 1
-	for d := range j.GlobalSize {
-		if local[d] <= 0 || j.GlobalSize[d]%local[d] != 0 {
-			return nil, 0, 0, &TrapError{Kernel: fn.Name,
-				Msg: fmt.Sprintf("global size %d not divisible by local size %d in dimension %d",
-					j.GlobalSize[d], local[d], d)}
-		}
-		numGroups[d] = j.GlobalSize[d] / local[d]
-		totalGroups *= numGroups[d]
-		itemsPerGroup *= local[d]
-	}
-
-	var offset [3]int
-	copy(offset[:], j.GlobalOffset)
-	return &dispatch{
-		fn: fn, args: j.Args,
-		global: j.GlobalSize, offset: offset, local: local, numGroups: numGroups,
-		itemsPerGroup: itemsPerGroup,
-	}, totalGroups, itemsPerGroup, nil
+	return errs, c.stats(totalGroups, totalGroups, itemsPerGroup, compileInfo)
 }

@@ -556,26 +556,9 @@ func DispatchAllocsPerOp(l Launch) (float64, error) {
 	if plan.Fallback != "" {
 		return 0, fmt.Errorf("vm: kernel %s falls back to the interpreter: %s", l.Kernel.Name, plan.Fallback)
 	}
-	local := l.LocalSize
-	if local == nil {
-		local = AutoLocalSize(l.GlobalSize)
-	}
-	numGroups := make([]int, len(l.GlobalSize))
-	totalGroups, itemsPerGroup := 1, 1
-	for d := range l.GlobalSize {
-		if local[d] <= 0 || l.GlobalSize[d]%local[d] != 0 {
-			return 0, fmt.Errorf("vm: global size not divisible by local size")
-		}
-		numGroups[d] = l.GlobalSize[d] / local[d]
-		totalGroups *= numGroups[d]
-		itemsPerGroup *= local[d]
-	}
-	var offset [3]int
-	copy(offset[:], l.GlobalOffset)
-	disp := &dispatch{
-		prog: l.Prog, fn: l.Kernel, args: l.Args,
-		global: l.GlobalSize, offset: offset, local: local, numGroups: numGroups,
-		itemsPerGroup: itemsPerGroup,
+	disp, totalGroups, err := prepare(l.Prog, l.Kernel, l.Args, l.GlobalSize, l.GlobalOffset, l.LocalSize)
+	if err != nil {
+		return 0, err
 	}
 	r := newPlanRunner(disp, plan)
 	if err := r.runGroup(0); err != nil {

@@ -51,13 +51,18 @@ func runEngines(t *testing.T, src, name string, extra []Arg, outLen int, sh laun
 // queries and guard-mixed groups (items of the same group surviving and
 // failing the bounds guard).
 func TestCoordinateBuiltinsAcrossEngines(t *testing.T) {
-	// Each work-item encodes its full coordinate view. The guard makes
-	// the tail of the range idle, so the last active group is "ragged":
-	// some of its items store, some do not.
+	// Each work-item encodes its full coordinate view into its own ten
+	// slots (indexed by the linear item number over all dimensions, so no
+	// two items share a slot and the result cannot depend on the order
+	// items run in). The guard makes the tail of the range idle, so the
+	// last active group is "ragged": some of its items store, some do not.
 	src := `
 kernel void coords(global int* out, int n) {
 	int gid = get_global_id(0);
-	int base = (gid - get_global_offset(0)) * 10;
+	int lin = (gid - get_global_offset(0)) + get_global_size(0) *
+		((get_global_id(1) - get_global_offset(1)) + get_global_size(1) *
+		(get_global_id(2) - get_global_offset(2)));
+	int base = lin * 10;
 	if (gid - get_global_offset(0) < n) {
 		out[base + 0] = gid;
 		out[base + 1] = get_local_id(0);

@@ -159,62 +159,9 @@ func RunStats(l Launch) (Stats, error) {
 	if l.Kernel == nil || !l.Kernel.IsKernel {
 		return Stats{}, &TrapError{Kernel: "?", Msg: "launch requires a kernel function"}
 	}
-	if len(l.GlobalSize) < 1 || len(l.GlobalSize) > 3 {
-		return Stats{}, &TrapError{Kernel: l.Kernel.Name, Msg: "global work size must have 1-3 dimensions"}
-	}
-	for _, g := range l.GlobalSize {
-		if g <= 0 {
-			return Stats{}, &TrapError{Kernel: l.Kernel.Name, Msg: "global work size must be positive"}
-		}
-	}
-	if l.GlobalOffset != nil && len(l.GlobalOffset) != len(l.GlobalSize) {
-		return Stats{}, &TrapError{Kernel: l.Kernel.Name, Msg: "global offset dimensionality mismatch"}
-	}
-	for _, o := range l.GlobalOffset {
-		if o < 0 {
-			return Stats{}, &TrapError{Kernel: l.Kernel.Name, Msg: "global work offset must be non-negative"}
-		}
-	}
-	if len(l.Args) != len(l.Kernel.Args) {
-		return Stats{}, &TrapError{Kernel: l.Kernel.Name,
-			Msg: fmt.Sprintf("kernel takes %d arguments, %d bound", len(l.Kernel.Args), len(l.Args))}
-	}
-	for i, a := range l.Args {
-		want := l.Kernel.Args[i].Kind
-		if a.Kind != want {
-			return Stats{}, &TrapError{Kernel: l.Kernel.Name,
-				Msg: fmt.Sprintf("argument %d: kind mismatch (have %d, want %d)", i, a.Kind, want)}
-		}
-	}
-
-	local := l.LocalSize
-	autoPick := local == nil
-	if !autoPick {
-		for _, v := range local {
-			if v == 0 {
-				autoPick = true
-				break
-			}
-		}
-	}
-	if autoPick {
-		local = AutoLocalSize(l.GlobalSize)
-	}
-	if len(local) != len(l.GlobalSize) {
-		return Stats{}, &TrapError{Kernel: l.Kernel.Name, Msg: "local size dimensionality mismatch"}
-	}
-	numGroups := make([]int, len(l.GlobalSize))
-	totalGroups := 1
-	itemsPerGroup := 1
-	for d := range l.GlobalSize {
-		if local[d] <= 0 || l.GlobalSize[d]%local[d] != 0 {
-			return Stats{}, &TrapError{Kernel: l.Kernel.Name,
-				Msg: fmt.Sprintf("global size %d not divisible by local size %d in dimension %d",
-					l.GlobalSize[d], local[d], d)}
-		}
-		numGroups[d] = l.GlobalSize[d] / local[d]
-		totalGroups *= numGroups[d]
-		itemsPerGroup *= local[d]
+	disp, totalGroups, err := prepare(l.Prog, l.Kernel, l.Args, l.GlobalSize, l.GlobalOffset, l.LocalSize)
+	if err != nil {
+		return Stats{}, err
 	}
 
 	runGroups := totalGroups
@@ -229,62 +176,17 @@ func RunStats(l Launch) (Stats, error) {
 		workers = runGroups
 	}
 
-	var offset [3]int
-	copy(offset[:], l.GlobalOffset)
-	disp := &dispatch{
-		prog: l.Prog, fn: l.Kernel, args: l.Args,
-		global: l.GlobalSize, offset: offset, local: local, numGroups: numGroups,
-		itemsPerGroup: itemsPerGroup,
-	}
-
-	// Engine selection: compiled work-group plans are cached on the
-	// kernel function and reused across launches, graph replays and
-	// scheduler chunks. A fallback plan (or ForceInterpreter) keeps the
-	// cooperative interpreter.
-	var plan *kernel.WGFunc
-	var compileInfo *kernel.WGCompileInfo
-	if !l.ForceInterpreter && l.Prog != nil {
-		wp := l.Prog.WorkGroup(l.Kernel)
-		if wp != nil {
-			compileInfo = &wp.Info
-			if wp.Fallback == "" {
-				plan = wp
-			}
-		}
-	}
+	plan, compileInfo := selectPlan(l.Prog, l.Kernel, l.ForceInterpreter)
 
 	var wg sync.WaitGroup
 	var next int64
-	var instr, prologue uint64
-	var fused, coop int64
+	var c runCounters
 	var failed atomic.Value // *TrapError
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var runOne func(gid int) *TrapError
-			var flush func()
-			if plan != nil {
-				pr := newPlanRunner(disp, plan)
-				runOne = pr.runGroup
-				flush = func() {
-					atomic.AddUint64(&instr, pr.instrCount)
-					atomic.AddUint64(&prologue, pr.prologueCount)
-					atomic.AddInt64(&fused, int64(pr.fusedGroups))
-					atomic.AddInt64(&coop, int64(pr.coopGroups))
-				}
-			} else {
-				g := newGroupRunner(disp)
-				groups := int64(0)
-				runOne = func(gid int) *TrapError {
-					groups++
-					return g.run(gid)
-				}
-				flush = func() {
-					atomic.AddUint64(&instr, g.instrCount)
-					atomic.AddInt64(&coop, groups)
-				}
-			}
+			runOne, flush := groupRunnerFor(disp, plan, &c)
 			// Sampled runs spread the executed groups across the range so
 			// cost estimates are not biased toward one corner of the
 			// ND-range (e.g. the fast-escaping top rows of a Mandelbrot
@@ -312,20 +214,140 @@ func RunStats(l Launch) (Stats, error) {
 		}()
 	}
 	wg.Wait()
-	stats := Stats{
-		Instructions:         atomic.LoadUint64(&instr),
-		GroupsRun:            runGroups,
-		GroupsTotal:          totalGroups,
-		ItemsPerGroup:        itemsPerGroup,
-		PrologueInstructions: atomic.LoadUint64(&prologue),
-		FusedGroups:          int(atomic.LoadInt64(&fused)),
-		CoopGroups:           int(atomic.LoadInt64(&coop)),
-		Compile:              compileInfo,
-	}
+	stats := c.stats(runGroups, totalGroups, disp.itemsPerGroup, compileInfo)
 	if err := failed.Load(); err != nil {
 		return stats, err.(*TrapError)
 	}
 	return stats, nil
+}
+
+// prepare validates one ND-range launch of fn against the kernel
+// signature and builds its dispatch. It returns the total work-group
+// count alongside.
+func prepare(prog *kernel.Program, fn *kernel.Func, args []Arg, global, goffset, local []int) (*dispatch, int, error) {
+	trap := func(format string, a ...any) (*dispatch, int, error) {
+		return nil, 0, &TrapError{Kernel: fn.Name, Msg: fmt.Sprintf(format, a...)}
+	}
+	if len(global) < 1 || len(global) > 3 {
+		return trap("global work size must have 1-3 dimensions")
+	}
+	for _, g := range global {
+		if g <= 0 {
+			return trap("global work size must be positive")
+		}
+	}
+	if goffset != nil && len(goffset) != len(global) {
+		return trap("global offset dimensionality mismatch")
+	}
+	for _, o := range goffset {
+		if o < 0 {
+			return trap("global work offset must be non-negative")
+		}
+	}
+	if len(args) != len(fn.Args) {
+		return trap("kernel takes %d arguments, %d bound", len(fn.Args), len(args))
+	}
+	for i, a := range args {
+		if want := fn.Args[i].Kind; a.Kind != want {
+			return trap("argument %d: kind mismatch (have %d, want %d)", i, a.Kind, want)
+		}
+	}
+
+	autoPick := local == nil
+	for _, v := range local {
+		if v == 0 {
+			autoPick = true
+			break
+		}
+	}
+	if autoPick {
+		local = AutoLocalSize(global)
+	}
+	if len(local) != len(global) {
+		return trap("local size dimensionality mismatch")
+	}
+	numGroups := make([]int, len(global))
+	totalGroups := 1
+	itemsPerGroup := 1
+	for d := range global {
+		if local[d] <= 0 || global[d]%local[d] != 0 {
+			return trap("global size %d not divisible by local size %d in dimension %d",
+				global[d], local[d], d)
+		}
+		numGroups[d] = global[d] / local[d]
+		totalGroups *= numGroups[d]
+		itemsPerGroup *= local[d]
+	}
+
+	var offset [3]int
+	copy(offset[:], goffset)
+	return &dispatch{
+		prog: prog, fn: fn, args: args,
+		global: global, offset: offset, local: local, numGroups: numGroups,
+		itemsPerGroup: itemsPerGroup,
+	}, totalGroups, nil
+}
+
+// selectPlan picks the execution engine for a launch: compiled
+// work-group plans are cached on the kernel function and reused across
+// launches, graph replays and scheduler chunks. A fallback plan (or
+// forceInterp) keeps the cooperative interpreter and returns a nil plan.
+func selectPlan(prog *kernel.Program, fn *kernel.Func, forceInterp bool) (*kernel.WGFunc, *kernel.WGCompileInfo) {
+	if forceInterp || prog == nil {
+		return nil, nil
+	}
+	wp := prog.WorkGroup(fn)
+	if wp == nil {
+		return nil, nil
+	}
+	if wp.Fallback != "" {
+		return nil, &wp.Info
+	}
+	return wp, &wp.Info
+}
+
+// runCounters accumulates the per-worker execution counters of one run.
+type runCounters struct {
+	instr, prologue uint64
+	fused, coop     int64
+}
+
+func (c *runCounters) stats(groupsRun, groupsTotal, itemsPerGroup int, info *kernel.WGCompileInfo) Stats {
+	return Stats{
+		Instructions:         atomic.LoadUint64(&c.instr),
+		GroupsRun:            groupsRun,
+		GroupsTotal:          groupsTotal,
+		ItemsPerGroup:        itemsPerGroup,
+		PrologueInstructions: atomic.LoadUint64(&c.prologue),
+		FusedGroups:          int(atomic.LoadInt64(&c.fused)),
+		CoopGroups:           int(atomic.LoadInt64(&c.coop)),
+		Compile:              info,
+	}
+}
+
+// groupRunnerFor builds one worker's group executor over disp — the
+// compiled plan when there is one, the cooperative interpreter otherwise
+// — and a flush that adds the worker's counters to c when it is done.
+func groupRunnerFor(disp *dispatch, plan *kernel.WGFunc, c *runCounters) (runOne func(gid int) *TrapError, flush func()) {
+	if plan != nil {
+		pr := newPlanRunner(disp, plan)
+		return pr.runGroup, func() {
+			atomic.AddUint64(&c.instr, pr.instrCount)
+			atomic.AddUint64(&c.prologue, pr.prologueCount)
+			atomic.AddInt64(&c.fused, int64(pr.fusedGroups))
+			atomic.AddInt64(&c.coop, int64(pr.coopGroups))
+		}
+	}
+	g := newGroupRunner(disp)
+	groups := int64(0)
+	runOne = func(gid int) *TrapError {
+		groups++
+		return g.run(gid)
+	}
+	return runOne, func() {
+		atomic.AddUint64(&c.instr, g.instrCount)
+		atomic.AddInt64(&c.coop, groups)
+	}
 }
 
 // dispatch is the immutable launch description shared by all workers.
