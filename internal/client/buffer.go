@@ -83,17 +83,16 @@ func (b *Buffer) viewRange() (off, end int) { return b.org, b.org + b.size }
 // absRange translates a view-relative range to root coordinates.
 func (b *Buffer) absRange(off, n int) (int, int) { return b.org + off, b.org + off + n }
 
-// rangeView returns a handle over [off, off+size) of the root buffer in
-// ROOT coordinates: the root itself when the range covers it entirely,
-// otherwise a synthetic view (used by the graph footprint to track
-// region-granular inputs/outputs).
-func (b *Buffer) rangeView(off, size int) *Buffer {
-	r := b.root()
-	if off == 0 && size == r.size {
-		return r
-	}
-	return &Buffer{ctx: r.ctx, id: r.id, size: size, flags: r.flags, parent: r, org: off}
+// span is a byte range [off, end) of a root buffer: what the coherence
+// layer tracks, claims and transfers. A buffer or view covers one
+// (Buffer.span); a command's footprint is a list of them.
+type span struct {
+	root     *Buffer
+	off, end int
 }
+
+// span returns the buffer's (or view's) window in root coordinates.
+func (b *Buffer) span() span { return span{b.root(), b.org, b.org + b.size} }
 
 // CreateSubBuffer creates a region view of this buffer (or of this view's
 // root). Views are free: no remote objects are created — the root ID plus
@@ -262,13 +261,6 @@ func (b *Buffer) markRangeWrittenBy(srv *Server, off, end int, ev *Event) {
 	}
 }
 
-// markWrittenBy records a write covering the buffer's (or view's) whole
-// range.
-func (b *Buffer) markWrittenBy(srv *Server, ev *Event) {
-	off, end := b.viewRange()
-	b.markRangeWrittenBy(srv, off, end, ev)
-}
-
 // handleServerLost sweeps the directory after srv's connection died.
 func (b *Buffer) handleServerLost(srv *Server) {
 	gen := srv.generation()
@@ -364,14 +356,7 @@ func containsEvent(evs []*Event, e *Event) bool {
 // ---------------------------------------------------------------------------
 // Coherence transfers.
 
-// ensureValidOn guarantees that srv holds a valid copy of the buffer's
-// (or view's) whole range before a command that reads it executes there.
-func (b *Buffer) ensureValidOn(q *Queue) ([]*Event, error) {
-	off, end := b.viewRange()
-	return b.ensureRangeValidOn(q, off, end)
-}
-
-// ensureValidAsKernelArg is ensureValidOn with the kernel-argument
+// validAsKernelArg is ensureRangeValidOn with the kernel-argument
 // policy for data loss: a MemWriteOnly buffer cannot be read by kernels
 // (API contract), so when its range is Lost — the data was unrecoverable
 // anyway — the launch proceeds and recomputes it instead of failing.
@@ -379,17 +364,13 @@ func (b *Buffer) ensureValidOn(q *Queue) ([]*Event, error) {
 // the range (a late-landing payload must still not clobber the launch's
 // fresh output); coherence transfers started for other spans before the
 // lost one was hit are covered too, since their landing registers the
-// same inbound gates. Used by the eager launch and the graph replay.
-func (b *Buffer) ensureValidAsKernelArg(q *Queue) ([]*Event, error) {
-	gs, err := b.ensureValidOn(q)
-	if err == nil {
-		return gs, nil
+// same inbound gates.
+func (s span) validAsKernelArg(q *Queue) ([]*Event, error) {
+	gs, err := s.root.ensureRangeValidOn(q, s.off, s.end)
+	if err != nil && s.root.flags&cl.MemWriteOnly != 0 && cl.CodeOf(err) == cl.DataLost {
+		return s.root.inboundGatesRange(q.srv, s.off, s.end), nil
 	}
-	if b.flags&cl.MemWriteOnly != 0 && cl.CodeOf(err) == cl.DataLost {
-		off, end := b.viewRange()
-		return b.root().inboundGatesRange(q.srv, off, end), nil
-	}
-	return nil, err
+	return gs, err
 }
 
 // ensureRangeValidOn guarantees that q's server holds a valid copy of
@@ -493,7 +474,8 @@ func (b *Buffer) makeRangeValid(q *Queue, ps, pe int, hostValid, lost bool, src 
 		if srcGate != nil {
 			gateList = []cl.Event{srcGate}
 		}
-		if _, err := cohQ.enqueueReadInternal(b, true, ps, data, gateList, false); err != nil {
+		down := &recCmd{op: protocol.GraphOpRead, buf: b, offset: ps, size: len(data), rdst: data}
+		if _, err := cohQ.enqueueReadInternal(down, true, gateList, false); err != nil {
 			return nil, false, err
 		}
 		// Only record the download if the range's directory state is
@@ -538,7 +520,8 @@ func (b *Buffer) uploadRange(q *Queue, ps, pe int) (*Event, error) {
 		// stale payload can never land over the fresh upload.
 		b.cancelSupersededForward(g.(*Event))
 	}
-	ev, err := q.enqueueWriteInternal(b.root(), false, ps, data, func() { gcf.PutPayload(data) }, nil, false)
+	up := &recCmd{op: protocol.GraphOpWrite, buf: b.root(), offset: ps, size: len(data), data: data}
+	ev, err := q.enqueueWriteInternal(up, false, func() { gcf.PutPayload(data) }, nil, nil)
 	if err != nil {
 		return nil, err
 	}

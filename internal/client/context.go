@@ -616,9 +616,9 @@ func (p *Program) CreateKernel(name string) (cl.Kernel, error) {
 	}
 	k := &Kernel{prog: p, id: p.ctx.plat.newID(), name: name}
 	k.argInfo = fn.Args
+	k.argVals = make([]protocol.GraphKernelArg, len(k.argInfo))
 	k.argBufs = make([]*Buffer, len(k.argInfo))
 	k.argSet = make([]bool, len(k.argInfo))
-	k.argWire = make([]wireArg, len(k.argInfo))
 	created := false
 	for _, srv := range p.ctx.servers {
 		// Dead servers are skipped: the re-attach recovery re-creates the
@@ -676,9 +676,9 @@ type Kernel struct {
 
 	mu       sync.Mutex
 	argInfo  []kernel.ArgInfo
-	argBufs  []*Buffer // buffer bindings, tracked for MSI at launch
+	argVals  []protocol.GraphKernelArg // wire values of the bindings
+	argBufs  []*Buffer                 // parallel: the stub behind each (sub-)buffer value, tracked for MSI
 	argSet   []bool
-	argWire  []wireArg // wire images of the bindings, snapshotted by recordings
 	released bool
 }
 
@@ -693,26 +693,28 @@ func (k *Kernel) NumArgs() int { return len(k.argInfo) }
 // ArgInfo exposes the compiled argument metadata.
 func (k *Kernel) ArgInfo() []kernel.ArgInfo { return k.argInfo }
 
-// encodeArg converts an application argument value to its wire image,
-// shared by the eager SetArg replication path and the graph recorder.
-func (k *Kernel) encodeArg(i int, v any) (wireArg, error) {
+// encodeArg validates an application argument value against the
+// argument metadata and converts it to its wire value, plus the buffer
+// stub behind it when it binds one — shared by SetArg, graph updates and
+// serve jobs.
+func (k *Kernel) encodeArg(i int, v any) (protocol.GraphKernelArg, *Buffer, error) {
+	var none protocol.GraphKernelArg
 	if i < 0 || i >= len(k.argInfo) {
-		return wireArg{}, cl.Errf(cl.InvalidArgIndex, "kernel %s has %d arguments", k.name, len(k.argInfo))
+		return none, nil, cl.Errf(cl.InvalidArgIndex, "kernel %s has %d arguments", k.name, len(k.argInfo))
 	}
-	info := k.argInfo[i]
-	switch info.Kind {
+	switch k.argInfo[i].Kind {
 	case kernel.ArgScalarInt:
 		iv, err := coerceInt(v)
 		if err != nil {
-			return wireArg{}, err
+			return none, nil, err
 		}
-		return wireArg{kind: protocol.ArgValScalar, raw: uint64(uint32(iv))}, nil
+		return protocol.GraphKernelArg{Kind: protocol.ArgValScalar, Raw: uint64(uint32(iv))}, nil, nil
 	case kernel.ArgScalarFloat:
 		fv, err := coerceFloat(v)
 		if err != nil {
-			return wireArg{}, err
+			return none, nil, err
 		}
-		return wireArg{kind: protocol.ArgValScalar, raw: uint64(floatBits(fv))}, nil
+		return protocol.GraphKernelArg{Kind: protocol.ArgValScalar, Raw: uint64(floatBits(fv))}, nil, nil
 	case kernel.ArgGlobalBuf:
 		buf, ok := v.(*Buffer)
 		if !ok {
@@ -721,23 +723,24 @@ func (k *Kernel) encodeArg(i int, v any) (wireArg, error) {
 			}
 		}
 		if !ok || buf == nil {
-			return wireArg{}, cl.Errf(cl.InvalidArgValue, "argument %d of %s requires a dOpenCL buffer", i, k.name)
+			return none, nil, cl.Errf(cl.InvalidArgValue, "argument %d of %s requires a dOpenCL buffer", i, k.name)
 		}
 		if buf.parent != nil {
 			// Sub-buffer view: the wire carries root ID + range, and the
 			// coherence layer scopes the launch's reads/invalidations to
 			// the view's window.
-			return wireArg{kind: protocol.ArgValSubBuffer, buf: buf}, nil
+			return protocol.GraphKernelArg{Kind: protocol.ArgValSubBuffer, Raw: buf.parent.id,
+				SubOrg: int64(buf.org), SubLen: int64(buf.size)}, buf, nil
 		}
-		return wireArg{kind: protocol.ArgValBuffer, buf: buf}, nil
+		return protocol.GraphKernelArg{Kind: protocol.ArgValBuffer, Raw: buf.id}, buf, nil
 	case kernel.ArgLocalBuf:
 		ls, ok := v.(cl.LocalSpace)
 		if !ok || ls.Size <= 0 {
-			return wireArg{}, cl.Errf(cl.InvalidArgSize, "argument %d of %s requires LocalSpace", i, k.name)
+			return none, nil, cl.Errf(cl.InvalidArgSize, "argument %d of %s requires LocalSpace", i, k.name)
 		}
-		return wireArg{kind: protocol.ArgValLocal, local: ls.Size}, nil
+		return protocol.GraphKernelArg{Kind: protocol.ArgValLocal, Local: int64(ls.Size)}, nil, nil
 	}
-	return wireArg{}, cl.Errf(cl.InvalidArgValue, "argument %d of %s has unsupported kind", i, k.name)
+	return none, nil, cl.Errf(cl.InvalidArgValue, "argument %d of %s has unsupported kind", i, k.name)
 }
 
 // SetArg binds argument i, replicating to all servers as pipelined
@@ -751,26 +754,26 @@ func (k *Kernel) encodeArg(i int, v any) (wireArg, error) {
 // dead daemon does not stall launches on the survivors. Daemon-side
 // failures (a released buffer, say) surface at the next Finish.
 func (k *Kernel) SetArg(i int, v any) error {
-	wa, err := k.encodeArg(i, v)
+	val, buf, err := k.encodeArg(i, v)
 	if err != nil {
 		return err
 	}
+	body := protocol.SetKernelArg{KernelID: k.id, Index: uint32(i), Arg: val}
 	for _, srv := range k.prog.ctx.servers {
 		if !srv.Connected() {
 			continue
 		}
 		if err := srv.send(protocol.MsgSetKernelArg, func(w *protocol.Writer) {
-			w.U64(k.id)
-			w.U32(uint32(i))
-			wa.put(w)
+			protocol.PutSetKernelArg(w, body)
 		}); err != nil && srv.Connected() {
 			return err
 		}
 	}
 	k.mu.Lock()
-	k.argBufs[i] = wa.buf
-	k.argSet[i] = true
-	k.argWire[i] = wa
+	// Copy-on-write: launches keep the slices they snapshotted.
+	k.argVals = append([]protocol.GraphKernelArg(nil), k.argVals...)
+	k.argBufs = append([]*Buffer(nil), k.argBufs...)
+	k.argVals[i], k.argBufs[i], k.argSet[i] = val, buf, true
 	k.mu.Unlock()
 	return nil
 }
@@ -780,21 +783,16 @@ func (k *Kernel) SetArg(i int, v any) error {
 // were skipped for it).
 func (k *Kernel) resendArgs(srv *Server) error {
 	k.mu.Lock()
-	var idx []int
-	var was []wireArg
-	for i := range k.argWire {
+	var set []protocol.SetKernelArg
+	for i, val := range k.argVals {
 		if k.argSet[i] {
-			idx = append(idx, i)
-			was = append(was, k.argWire[i])
+			set = append(set, protocol.SetKernelArg{KernelID: k.id, Index: uint32(i), Arg: val})
 		}
 	}
 	k.mu.Unlock()
-	for j, i := range idx {
-		wa := was[j]
+	for _, body := range set {
 		if _, err := srv.call(protocol.MsgSetKernelArg, func(w *protocol.Writer) {
-			w.U64(k.id)
-			w.U32(uint32(i))
-			wa.put(w)
+			protocol.PutSetKernelArg(w, body)
 		}); err != nil {
 			return err
 		}
@@ -802,39 +800,19 @@ func (k *Kernel) resendArgs(srv *Server) error {
 	return nil
 }
 
-// snapshotWire captures the current wire-format argument bindings for a
-// recording, failing on unset arguments (record-time validation).
-func (k *Kernel) snapshotWire() ([]wireArg, error) {
+// snapshotArgs returns the current bindings — a launch, eager or recorded,
+// runs with what was bound when it was enqueued — failing on an unset
+// argument. The slices are shared and never written again (SetArg
+// replaces them).
+func (k *Kernel) snapshotArgs() ([]protocol.GraphKernelArg, []*Buffer, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	out := make([]wireArg, len(k.argWire))
-	for i := range k.argWire {
-		if !k.argSet[i] {
-			return nil, cl.Errf(cl.InvalidKernelArgs, "argument %d of %s not set", i, k.name)
-		}
-		out[i] = k.argWire[i]
-	}
-	return out, nil
-}
-
-// bufferBindings snapshots the buffer arguments with their access modes.
-func (k *Kernel) bufferBindings() (readBufs, writeBufs []*Buffer, err error) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	for i, info := range k.argInfo {
-		if !k.argSet[i] {
+	for i, set := range k.argSet {
+		if !set {
 			return nil, nil, cl.Errf(cl.InvalidKernelArgs, "argument %d of %s not set", i, k.name)
 		}
-		if info.Kind != kernel.ArgGlobalBuf {
-			continue
-		}
-		buf := k.argBufs[i]
-		readBufs = append(readBufs, buf)
-		if !info.ReadOnly {
-			writeBufs = append(writeBufs, buf)
-		}
 	}
-	return readBufs, writeBufs, nil
+	return k.argVals, k.argBufs, nil
 }
 
 // Release releases the kernel on all servers (a pipelined one-way send:

@@ -2,17 +2,16 @@ package client
 
 // End-to-end tests for delta-encoded graph replay payloads: an
 // OSEM-style loop re-uploading a mutable write slot each iteration must
-// ship far fewer bytes when only a small span of the payload changes,
-// and the computed results must be bit-identical to full-frame replay.
+// ship far fewer bytes than the payloads it uploads when only a small
+// span changes, and the computed results must be bit-identical to the
+// same loop enqueued eagerly.
 
 import (
 	"bytes"
-	"net"
 	"testing"
 
 	"dopencl/internal/cl"
 	"dopencl/internal/device"
-	"dopencl/internal/protocol"
 )
 
 const (
@@ -20,24 +19,20 @@ const (
 	deltaLoopIters = 8
 )
 
-// runDeltaLoop records a write→scale→read graph on a fresh context and
-// replays it deltaLoopIters times, mutating a 256-float span of the
-// payload (at a shifting offset) before each replay. It returns the
-// concatenated read-backs and the client→daemon bytes shipped across
-// the measured replays (registration and warm-up excluded). With
-// fullFrames set the server's negotiated CapDeltaReplay bit is cleared
-// after the handshake, so the client behaves as against a daemon that
-// never advertised delta replay and ships every update as a full frame.
-func runDeltaLoop(t *testing.T, tc *testCluster, plat *Platform, clientID, addr string, fullFrames bool) ([]byte, int64) {
+// runDeltaLoop runs a write→scale→read iteration deltaLoopIters times on
+// a fresh context, mutating a 256-float span of the payload (at a
+// shifting offset) before each one. With replay set the iteration is
+// recorded once and replayed with a write-data update; otherwise every
+// iteration is enqueued eagerly. It returns the concatenated read-backs
+// and the client→daemon bytes shipped across the measured iterations
+// (registration and warm-up excluded).
+func runDeltaLoop(t *testing.T, tc *testCluster, addr string, replay bool) ([]byte, int64) {
 	t.Helper()
-	srv, err := plat.ConnectServer(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fullFrames {
-		srv.mu.Lock()
-		srv.caps &^= protocol.CapDeltaReplay
-		srv.mu.Unlock()
+	plat := tc.plat
+	if len(plat.Servers()) == 0 {
+		if _, err := plat.ConnectServer(addr); err != nil {
+			t.Fatal(err)
+		}
 	}
 	devs, err := plat.Devices(cl.DeviceTypeAll)
 	if err != nil {
@@ -77,50 +72,63 @@ func runDeltaLoop(t *testing.T, tc *testCluster, plat *Platform, clientID, addr 
 	for i := range payload {
 		payload[i] = float32(i % 251)
 	}
-	out := make([]byte, 4*deltaLoopN)
-	if err := q.BeginRecording(); err != nil {
-		t.Fatal(err)
+	// iterate enqueues one write→scale→read iteration on the queue —
+	// while recording, the commands of the graph.
+	iterate := func(dst []byte) cl.Event {
+		wev, err := q.EnqueueWriteBuffer(buf, false, 0, f32bytes(payload), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.EnqueueNDRangeKernel(k, []int{deltaLoopN}, nil, []cl.Event{wev}); err != nil {
+			t.Fatal(err)
+		}
+		rev, err := q.EnqueueReadBuffer(buf, false, 0, dst, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rev
 	}
-	wev, err := q.EnqueueWriteBuffer(buf, false, 0, f32bytes(payload), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.EnqueueNDRangeKernel(k, []int{deltaLoopN}, nil, []cl.Event{wev}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.EnqueueReadBuffer(buf, false, 0, out, nil); err != nil {
-		t.Fatal(err)
-	}
-	cb, err := q.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cb.Release()
-
-	// Warm up: first replay (no updates) pipelines behind the
-	// registration payload upload; everything after this is steady state.
-	ev, err := q.EnqueueCommandBuffer(cb, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ev.Wait(); err != nil {
-		t.Fatal(err)
+	var cb cl.CommandBuffer
+	if replay {
+		if err := q.BeginRecording(); err != nil {
+			t.Fatal(err)
+		}
+		iterate(make([]byte, 4*deltaLoopN))
+		if cb, err = q.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		defer cb.Release()
+		// Warm up: first replay (no updates) pipelines behind the
+		// registration payload upload; everything after this is steady
+		// state.
+		ev, err := q.EnqueueCommandBuffer(cb, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ev.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	var all []byte
-	base := tc.net.BytesSent(clientID, addr)
+	base := tc.net.BytesSent(testClientID, addr)
 	for iter := 0; iter < deltaLoopIters; iter++ {
 		off := (iter * 1531) % (deltaLoopN - 256)
 		for i := off; i < off+256; i++ {
 			payload[i] = float32(iter+1) * 0.75
 		}
 		dst := make([]byte, 4*deltaLoopN)
-		ev, err := q.EnqueueCommandBuffer(cb, []cl.CommandUpdate{
-			cl.WriteDataUpdate(0, f32bytes(payload)),
-			cl.ReadDstUpdate(2, dst),
-		}, nil)
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
+		var ev cl.Event
+		if replay {
+			ev, err = q.EnqueueCommandBuffer(cb, []cl.CommandUpdate{
+				cl.WriteDataUpdate(0, f32bytes(payload)),
+				cl.ReadDstUpdate(2, dst),
+			}, nil)
+			if err != nil {
+				t.Fatalf("iter %d: %v", iter, err)
+			}
+		} else {
+			ev = iterate(dst)
 		}
 		if err := ev.Wait(); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
@@ -130,7 +138,7 @@ func runDeltaLoop(t *testing.T, tc *testCluster, plat *Platform, clientID, addr 
 	if err := q.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	return all, tc.net.BytesSent(clientID, addr) - base
+	return all, tc.net.BytesSent(testClientID, addr) - base
 }
 
 func TestGraphReplayDeltaEncoding(t *testing.T) {
@@ -138,39 +146,31 @@ func TestGraphReplayDeltaEncoding(t *testing.T) {
 	tc := newTestCluster(t, map[string][]device.Config{
 		addr: {device.TestCPU("cpu-delta")},
 	})
+	deltaOut, deltaBytes := runDeltaLoop(t, tc, addr, true)
+	eagerOut, eagerBytes := runDeltaLoop(t, tc, addr, false)
 
-	// Delta on (default: the daemon advertises CapDeltaReplay).
-	deltaOut, deltaBytes := runDeltaLoop(t, tc, tc.plat, testClientID, addr, false)
-
-	// Delta off: same cluster, a second client whose server lost the
-	// capability bit.
-	fullPlat := NewPlatform(Options{
-		Dialer:     func(a string) (net.Conn, error) { return tc.net.DialFrom("client-full", a) },
-		ClientName: "itest-full",
-	})
-	fullOut, fullBytes := runDeltaLoop(t, tc, fullPlat, "client-full", addr, true)
-
-	if !bytes.Equal(deltaOut, fullOut) {
-		t.Fatalf("delta replay results diverge from full-frame replay (%d vs %d bytes)", len(deltaOut), len(fullOut))
+	if !bytes.Equal(deltaOut, eagerOut) {
+		t.Fatalf("delta replay results diverge from the eager loop (%d vs %d bytes)", len(deltaOut), len(eagerOut))
 	}
-	// Each full-frame iteration re-ships the 64 KiB payload; each delta
-	// iteration ships a ~1 KiB changed span plus framing. Require a 4x
-	// reduction — the real ratio is ~50x, so this has a wide margin
-	// without being brittle about framing overhead.
-	if fullBytes < int64(deltaLoopIters)*4*deltaLoopN {
-		t.Fatalf("full-frame loop shipped %d bytes, expected at least the %d payload bytes", fullBytes, deltaLoopIters*4*deltaLoopN)
+	// Shipped in full, each iteration's upload is the 64 KiB payload — the
+	// eager loop does exactly that — where a delta iteration ships a
+	// ~1 KiB changed span plus framing. Require a 4x reduction against
+	// the payload bytes alone — the real ratio is ~50x, so this has a
+	// wide margin without being brittle about framing overhead.
+	const payloadBytes = int64(deltaLoopIters) * 4 * deltaLoopN
+	if eagerBytes < payloadBytes {
+		t.Fatalf("eager loop shipped %d bytes, expected at least the %d payload bytes", eagerBytes, payloadBytes)
 	}
-	if deltaBytes*4 > fullBytes {
-		t.Fatalf("delta loop shipped %d bytes vs %d full-frame: expected at least a 4x reduction", deltaBytes, fullBytes)
+	if deltaBytes*4 > payloadBytes {
+		t.Fatalf("delta loop shipped %d bytes for %d bytes of payload: expected at least a 4x reduction", deltaBytes, payloadBytes)
 	}
-	t.Logf("replay bytes per iteration: full=%d delta=%d (%.1fx)",
-		fullBytes/deltaLoopIters, deltaBytes/deltaLoopIters, float64(fullBytes)/float64(deltaBytes))
+	t.Logf("upload bytes per iteration: full=%d delta=%d (%.1fx)",
+		payloadBytes/deltaLoopIters, deltaBytes/deltaLoopIters, float64(payloadBytes)/float64(deltaBytes))
 }
 
 // TestGraphReplayDeltaFallback: a payload update that rewrites every
 // byte must fall back to a full frame (encoder declines) and still
-// replay correctly — covering the GraphPayloadFull path on a
-// delta-negotiated graph.
+// replay correctly — covering the GraphPayloadFull path.
 func TestGraphReplayDeltaFallback(t *testing.T) {
 	_, q, a, b, k := graphTestSetup(t)
 	input := f32bytes([]float32{1, 2, 3, 4})

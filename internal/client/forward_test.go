@@ -1,6 +1,7 @@
 package client
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -271,12 +272,20 @@ func TestCrossServerCopyContract(t *testing.T) {
 		t.Fatalf("foreign destination buffer: got %v, want InvalidMemObject", err)
 	}
 
-	// A source with no valid copy anywhere (a directory wedged by
-	// failures) is rejected explicitly rather than copied as garbage.
 	dst, err := ctx.CreateBuffer(cl.MemReadWrite, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A range outside either buffer — a negative size and offset+size
+	// overflow included — is rejected before anything reaches the daemon.
+	for _, bad := range [][3]int{{8, 8, -8}, {0, 8, 16}, {-1, 0, 8}, {8, 0, math.MaxInt}} {
+		if _, err := q1.EnqueueCopyBuffer(buf, dst, bad[0], bad[1], bad[2], nil); cl.CodeOf(err) != cl.InvalidValue {
+			t.Fatalf("copy src+%d dst+%d size %d: got %v, want InvalidValue", bad[0], bad[1], bad[2], err)
+		}
+	}
+
+	// A source with no valid copy anywhere (a directory wedged by
+	// failures) is rejected explicitly rather than copied as garbage.
 	cb := buf.(*Buffer)
 	cb.mu.Lock()
 	cb.coh.ForceInvalidate(0, cb.size)

@@ -18,78 +18,11 @@ import (
 // MsgCommandFailed path and input coherence (including cross-daemon
 // transfers) on the PR 2 forward path.
 
-// wireArg is the wire image of one kernel argument binding.
-type wireArg struct {
-	kind  uint8 // protocol.ArgVal*
-	raw   uint64
-	buf   *Buffer
-	local int
-}
-
-// put encodes the argument as a MsgSetKernelArg value.
-func (a wireArg) put(w *protocol.Writer) {
-	w.U8(a.kind)
-	switch a.kind {
-	case protocol.ArgValBuffer:
-		w.U64(a.buf.id)
-	case protocol.ArgValSubBuffer:
-		w.U64(a.buf.root().id)
-		w.I64(int64(a.buf.org))
-		w.I64(int64(a.buf.size))
-	case protocol.ArgValLocal:
-		w.I64(int64(a.local))
-	default:
-		w.U64(a.raw)
-	}
-}
-
-// proto converts the argument to its graph-registration form.
-func (a wireArg) proto() protocol.GraphKernelArg {
-	switch a.kind {
-	case protocol.ArgValBuffer:
-		return protocol.GraphKernelArg{Kind: a.kind, Raw: a.buf.id}
-	case protocol.ArgValSubBuffer:
-		return protocol.GraphKernelArg{Kind: a.kind, Raw: a.buf.root().id,
-			SubOrg: int64(a.buf.org), SubLen: int64(a.buf.size)}
-	case protocol.ArgValLocal:
-		return protocol.GraphKernelArg{Kind: a.kind, Local: int64(a.local)}
-	default:
-		return protocol.GraphKernelArg{Kind: a.kind, Raw: a.raw}
-	}
-}
-
-// isBuffer reports whether the argument binds a (sub-)buffer.
-func (a wireArg) isBuffer() bool {
-	return a.kind == protocol.ArgValBuffer || a.kind == protocol.ArgValSubBuffer
-}
-
-// recCmd is one recorded command of a client-side graph. Transfer
-// commands store ROOT buffers with absolute offsets (views are resolved
-// at record time); kernel arguments may still be sub-buffer views, whose
-// window the coherence footprint honours.
-type recCmd struct {
-	op uint8 // protocol.GraphOp*
-
-	buf      *Buffer // write/read target (root)
-	src, dst *Buffer // copy endpoints (roots)
-	offset   int     // write/read offset, copy source offset (absolute)
-	dstOff   int
-	size     int
-
-	data []byte // write payload (owned copy, shipped at registration)
-	rdst []byte // read destination (application slice)
-
-	k       *Kernel
-	args    []wireArg // frozen at record time; patched only by updates
-	goffset []int
-	global  []int
-	local   []int
-}
-
-// maybeRecord captures a command when the queue is recording; the bool
-// result reports whether recording mode was active. build may fail
-// (e.g. unset kernel arguments), surfacing record-time validation.
-func (q *Queue) maybeRecord(blocking bool, wait []cl.Event, build func() (*recCmd, error)) (cl.Event, bool, error) {
+// record captures c when the queue is recording; the bool result reports
+// whether it was (the caller then returns (ev, err) instead of sending
+// the command). A recorded command never executes, so a blocking
+// transfer is an error and wait lists may only name recorded events.
+func (q *Queue) record(c *recCmd, blocking bool, wait []cl.Event) (cl.Event, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.rec == nil {
@@ -101,11 +34,18 @@ func (q *Queue) maybeRecord(blocking bool, wait []cl.Event, build func() (*recCm
 	if err := cl.CheckRecordedWaits(wait); err != nil {
 		return nil, true, err
 	}
-	c, err := build()
-	if err != nil {
-		return nil, true, err
-	}
-	q.rec = append(q.rec, c)
+	// The recording outlives the call: the application may reuse its
+	// payload and dimension slices afterwards (a read's destination is
+	// the application's by contract), and updates patch the argument
+	// snapshot in place.
+	rec := *c
+	rec.data = append([]byte(nil), c.data...)
+	rec.args = append([]protocol.GraphKernelArg(nil), c.args...)
+	rec.argBufs = append([]*Buffer(nil), c.argBufs...)
+	rec.goffset = append([]int(nil), c.goffset...)
+	rec.global = append([]int(nil), c.global...)
+	rec.local = append([]int(nil), c.local...)
+	q.rec = append(q.rec, &rec)
 	return cl.RecordedEvent{}, true, nil
 }
 
@@ -137,8 +77,8 @@ type CommandBuffer struct {
 	mu       sync.Mutex
 	q        *Queue // current replay target
 	cmds     []*recCmd
-	inputs   []*Buffer            // buffers that must be valid on the server at entry
-	outputs  []*Buffer            // buffers the graph writes (Modified after a replay)
+	inputs   []span               // ranges that must be valid on the server at entry
+	outputs  []span               // ranges the graph writes (Modified after a replay)
 	readIdx  []int                // indices of read commands, stream order
 	reg      map[*Server]graphReg // where (and against which daemon state) the graph is registered
 	released bool
@@ -151,11 +91,7 @@ type graphReg struct {
 	// MsgRegisterGraph is a one-way frame: it can die with the connection
 	// even when the daemon retains the session, so a registration is only
 	// trusted on the connection that carried it.
-	conn uint64
-	// delta records whether this registration asked for delta-capable
-	// replay updates (daemon advertised CapDeltaReplay): only then may
-	// replays ship GraphPayloadDelta streams against the cached payloads.
-	delta   bool
+	conn    uint64
 	queueID uint64 // daemon queue the graph was registered against
 }
 
@@ -196,33 +132,29 @@ func (cb *CommandBuffer) Release() error {
 	return first
 }
 
-// compileLocked derives the coherence footprint from the command list:
-// inputs are buffer RANGES whose first access reads existing contents
-// (reads, copy sources, kernel arguments); outputs are ranges any command
-// writes. Ranges are carried as (possibly synthetic) sub-buffer views, so
-// the per-iteration revalidation and the post-iteration invalidation are
-// both region-granular — a graph that writes only its own chunk of a
-// shared buffer does not invalidate the other daemons' chunks. A range
-// already produced by an earlier command of the same graph is not an
-// input (later reads see graph-produced data). Resolved once at finalize
-// and recomputed only when an update rebinds a kernel buffer argument.
+// compileLocked folds the commands' footprints (recCmd.footprint) into
+// the graph's: inputs are the spans whose first access reads existing
+// contents; outputs are the spans any command writes — so the
+// per-iteration revalidation and the post-iteration invalidation are
+// both region-granular, and a graph that writes only its own chunk of a
+// shared buffer does not invalidate the other daemons' chunks. A span
+// already produced by earlier commands of the same graph is not an input
+// (later reads see graph-produced data). Resolved once at finalize and
+// recomputed only when an update rebinds a kernel buffer argument.
 func (cb *CommandBuffer) compileLocked() {
 	cb.inputs = nil
 	cb.outputs = nil
 	cb.readIdx = nil
-	type iv struct{ off, end int }
-	written := map[*Buffer][]iv{} // root → ranges produced so far, in order
-	// coveredBy reports whether the view's range is fully covered by the
-	// union of ranges the graph has already written to its root.
-	covered := func(b *Buffer) bool {
-		off, end := b.viewRange()
-		ivs := written[b.root()]
-		pos := off
-		for pos < end {
+	written := map[*Buffer][]span{} // root → spans produced so far, in order
+	// covered reports whether s is fully covered by the union of spans
+	// the graph has already written to its root.
+	covered := func(s span) bool {
+		pos := s.off
+		for pos < s.end {
 			advanced := false
-			for _, i := range ivs {
-				if i.off <= pos && pos < i.end {
-					pos = i.end
+			for _, w := range written[s.root] {
+				if w.off <= pos && pos < w.end {
+					pos = w.end
 					advanced = true
 					break
 				}
@@ -233,57 +165,25 @@ func (cb *CommandBuffer) compileLocked() {
 		}
 		return true
 	}
-	sameRange := func(a, b *Buffer) bool {
-		return a.root() == b.root() && a.org == b.org && a.size == b.size
+	addUnique := func(list []span, s span) []span {
+		if containsSpan(list, s) {
+			return list
+		}
+		return append(list, s)
 	}
-	addInput := func(b *Buffer) {
-		if covered(b) {
-			return
+	addInput := func(s span) {
+		if !covered(s) {
+			cb.inputs = addUnique(cb.inputs, s)
 		}
-		for _, e := range cb.inputs {
-			if sameRange(e, b) {
-				return
-			}
-		}
-		cb.inputs = append(cb.inputs, b)
 	}
-	addOutput := func(b *Buffer) {
-		off, end := b.viewRange()
-		written[b.root()] = append(written[b.root()], iv{off, end})
-		for _, e := range cb.outputs {
-			if sameRange(e, b) {
-				return
-			}
-		}
-		cb.outputs = append(cb.outputs, b)
+	addOutput := func(s span) {
+		written[s.root] = append(written[s.root], s)
+		cb.outputs = addUnique(cb.outputs, s)
 	}
 	for i, c := range cb.cmds {
-		switch c.op {
-		case protocol.GraphOpWrite:
-			// With the region directory a partial write claims exactly its
-			// range: no read-modify-write input on the rest of the buffer.
-			addOutput(c.buf.rangeView(c.offset, c.size))
-		case protocol.GraphOpRead:
-			addInput(c.buf.rangeView(c.offset, c.size))
+		c.footprint(addInput, addOutput)
+		if c.op == protocol.GraphOpRead {
 			cb.readIdx = append(cb.readIdx, i)
-		case protocol.GraphOpCopy:
-			addInput(c.src.rangeView(c.offset, c.size))
-			addOutput(c.dst.rangeView(c.dstOff, c.size))
-		case protocol.GraphOpKernel:
-			for ai, a := range c.args {
-				if !a.isBuffer() {
-					continue
-				}
-				// Mirrors the eager launch: every buffer argument's range
-				// must be valid on the server; non-read-only arguments are
-				// written. Sub-buffer views scope both to their window.
-				// (Lost MemWriteOnly inputs are tolerated at replay time,
-				// like the eager launch path does.)
-				addInput(a.buf)
-				if !c.k.argInfo[ai].ReadOnly {
-					addOutput(a.buf)
-				}
-			}
 		}
 	}
 }
@@ -298,46 +198,23 @@ func (cb *CommandBuffer) wireCommandsLocked(srv *Server) ([]protocol.GraphComman
 	var uploads []func()
 	var streams []*gcf.Stream
 	for i, c := range cb.cmds {
-		gc := protocol.GraphCommand{Op: c.op}
-		switch c.op {
-		case protocol.GraphOpWrite:
-			gc.BufID = c.buf.id
-			gc.Offset = int64(c.offset)
-			gc.Size = int64(c.size)
-			stream := srv.openStream()
-			gc.StreamID = stream.ID()
-			streams = append(streams, stream)
-			data := c.data
-			uploads = append(uploads, func() {
-				defer stream.Release()
-				if _, err := stream.Write(data); err != nil {
-					return
-				}
-				if err := stream.CloseWrite(); err != nil {
-					return
-				}
-			})
-		case protocol.GraphOpRead:
-			gc.BufID = c.buf.id
-			gc.Offset = int64(c.offset)
-			gc.Size = int64(c.size)
-		case protocol.GraphOpCopy:
-			gc.SrcID = c.src.id
-			gc.DstID = c.dst.id
-			gc.Offset = int64(c.offset)
-			gc.DstOff = int64(c.dstOff)
-			gc.Size = int64(c.size)
-		case protocol.GraphOpKernel:
-			gc.KernelID = c.k.id
-			gc.Args = make([]protocol.GraphKernelArg, len(c.args))
-			for ai, a := range c.args {
-				gc.Args[ai] = a.proto()
-			}
-			gc.GOffset = c.goffset
-			gc.Global = c.global
-			gc.Local = c.local
+		if c.op != protocol.GraphOpWrite {
+			wire[i] = c.wire(0)
+			continue
 		}
-		wire[i] = gc
+		stream := srv.openStream()
+		wire[i] = c.wire(stream.ID())
+		streams = append(streams, stream)
+		data := c.data
+		uploads = append(uploads, func() {
+			defer stream.Release()
+			if _, err := stream.Write(data); err != nil {
+				return
+			}
+			if err := stream.CloseWrite(); err != nil {
+				return
+			}
+		})
 	}
 	return wire, uploads, streams
 }
@@ -389,14 +266,8 @@ func (cb *CommandBuffer) registerLocked(q *Queue) error {
 		}
 	}
 	wire, uploads, streams := cb.wireCommandsLocked(srv)
-	delta := srv.supportsDeltaReplay()
 	if err := srv.send(protocol.MsgRegisterGraph, func(w *protocol.Writer) {
-		protocol.PutRegisterGraph(w, protocol.RegisterGraph{
-			GraphID:     cb.id,
-			QueueID:     q.id,
-			Commands:    wire,
-			DeltaReplay: delta,
-		})
+		protocol.PutRegisterGraph(w, protocol.RegisterGraph{GraphID: cb.id, QueueID: q.id, Commands: wire})
 	}); err != nil {
 		// The registration never left the client; the payload streams
 		// will not be consumed by anyone.
@@ -408,7 +279,7 @@ func (cb *CommandBuffer) registerLocked(q *Queue) error {
 	for _, up := range uploads {
 		go up()
 	}
-	cb.reg[srv] = graphReg{epoch: srv.Epoch(), conn: srv.generation(), queueID: q.id, delta: delta}
+	cb.reg[srv] = graphReg{epoch: srv.Epoch(), conn: srv.generation(), queueID: q.id}
 	return nil
 }
 
@@ -493,14 +364,13 @@ func (q *Queue) EnqueueCommandBuffer(b cl.CommandBuffer, updates []cl.CommandUpd
 	if footprintDirty {
 		cb.compileLocked()
 	}
-	inputs := append([]*Buffer(nil), cb.inputs...)
-	outputs := append([]*Buffer(nil), cb.outputs...)
+	inputs := append([]span(nil), cb.inputs...)
+	outputs := append([]span(nil), cb.outputs...)
 	readDsts := make([][]byte, len(cb.readIdx))
 	for i, idx := range cb.readIdx {
 		readDsts[i] = cb.cmds[idx].rdst
 	}
 	graphID := cb.id
-	deltaOK := cb.reg[q.srv].delta
 	cb.mu.Unlock()
 	// Re-locks cb.mu: the mutations must be withdrawn atomically with
 	// respect to other replays.
@@ -516,32 +386,12 @@ func (q *Queue) EnqueueCommandBuffer(b cl.CommandBuffer, updates []cl.CommandUpd
 	// runs here — daemon-to-daemon over the PR 2 forward path when
 	// available, range-granular either way — and its gates join the
 	// replay's wait list.
-	var gates []*Event
-	for _, in := range inputs {
-		gs, err := in.ensureValidAsKernelArg(q)
-		if err != nil {
-			rollbackLocked()
-			return nil, err
-		}
-		for _, g := range gs {
-			if g != nil && !containsEvent(gates, g) {
-				gates = append(gates, g)
-			}
-		}
+	gates, err := q.acquire(inputs, outputs, false)
+	if err != nil {
+		rollbackLocked()
+		return nil, err
 	}
-	for _, out := range outputs {
-		// Output ranges are overwritten: like the eager write path,
-		// sequence behind any in-flight inbound forward overlapping them
-		// so a late payload cannot clobber the iteration's results.
-		ooff, oend := out.viewRange()
-		for _, g := range out.root().inboundGatesRange(q.srv, ooff, oend) {
-			if g != nil && !containsEvent(gates, g) {
-				gates = append(gates, g)
-			}
-		}
-	}
-	wait = withGates(wait, gates...)
-	waitIDs, err := translateWaitList(q.srv, wait)
+	waitIDs, err := translateWaitList(q.srv, withGates(wait, gates...))
 	if err != nil {
 		rollbackLocked()
 		return nil, err
@@ -556,14 +406,13 @@ func (q *Queue) EnqueueCommandBuffer(b cl.CommandBuffer, updates []cl.CommandUpd
 		readStreams[i] = q.srv.openStream()
 		readIDs[i] = readStreams[i].ID()
 	}
-	// Encode each updated write payload: on delta-negotiated graphs both
-	// sides hold the previous iteration's payload (the daemon as the
-	// cached command, the client as the pre-update plan), so the stream
-	// ships just the changed byte runs when that is smaller. Updates ride
-	// the same ordered connection as the baselines they were encoded
-	// against; like the update mechanism itself, delta encoding assumes
-	// replays of one command buffer are not raced from multiple
-	// goroutines.
+	// Encode each updated write payload: both sides hold the previous
+	// iteration's payload (the daemon as the cached command, the client
+	// as the pre-update plan), so the stream ships just the changed byte
+	// runs when that is smaller. Updates ride the same ordered connection
+	// as the baselines they were encoded against; like the update
+	// mechanism itself, delta encoding assumes replays of one command
+	// buffer are not raced from multiple goroutines.
 	updStreams := make([]*gcf.Stream, 0, len(updPayloads))
 	shipPayloads := make([][]byte, 0, len(updPayloads))
 	j := 0
@@ -574,11 +423,9 @@ func (q *Queue) EnqueueCommandBuffer(b cl.CommandBuffer, updates []cl.CommandUpd
 		up := updPayloads[j]
 		j++
 		data := up.cur
-		if deltaOK {
-			if enc, ok := protocol.EncodeDelta(up.prev, up.cur); ok {
-				data = enc
-				wireUpdates[i].Encoding = protocol.GraphPayloadDelta
-			}
+		if enc, ok := protocol.EncodeDelta(up.prev, up.cur); ok {
+			data = enc
+			wireUpdates[i].Encoding = protocol.GraphPayloadDelta
 		}
 		wireUpdates[i].PayloadLen = uint32(len(data))
 		st := q.srv.openStream()
@@ -666,17 +513,15 @@ func (q *Queue) EnqueueCommandBuffer(b cl.CommandBuffer, updates []cl.CommandUpd
 	}
 	q.track(wrapped)
 	// Directory effects of the whole iteration: every written buffer is
-	// Modified on this server, rolled back by markWrittenBy's failure
+	// Modified on this server, rolled back by markRangeWrittenBy's failure
 	// hook if the replay fails.
-	for _, out := range outputs {
-		out.markWrittenBy(q.srv, wrapped)
-	}
+	q.claim(outputs, wrapped)
 	return wrapped, nil
 }
 
 // updPayload is one write-data update's ship set: the new payload and
-// the baseline it replaced (the daemon's cached payload, used as the
-// delta-encoding baseline on delta-negotiated graphs).
+// the baseline it replaced (the daemon's cached payload, the
+// delta-encoding baseline).
 type updPayload struct {
 	cur, prev []byte
 }
@@ -697,19 +542,19 @@ func (cb *CommandBuffer) applyUpdateLocked(u cl.CommandUpdate) (*protocol.GraphU
 		if c.op != protocol.GraphOpKernel {
 			return nil, updPayload{}, nil, false, cl.Errf(cl.InvalidCommandBuffer, "command %d is not a kernel launch", u.Command)
 		}
-		wa, err := c.k.encodeArg(u.ArgIndex, u.ArgValue)
+		i := u.ArgIndex
+		val, buf, err := c.k.encodeArg(i, u.ArgValue)
 		if err != nil {
 			return nil, updPayload{}, nil, false, err
 		}
-		prev := c.args[u.ArgIndex]
-		dirty := wa.buf != prev.buf
-		c.args[u.ArgIndex] = wa
+		prevVal, prevBuf := c.args[i], c.argBufs[i]
+		c.args[i], c.argBufs[i] = val, buf
 		return &protocol.GraphUpdate{
 			Cmd:      uint32(u.Command),
 			Kind:     protocol.GraphUpdateKernelArg,
-			ArgIndex: uint32(u.ArgIndex),
-			Arg:      wa.proto(),
-		}, updPayload{}, func() { c.args[u.ArgIndex] = prev }, dirty, nil
+			ArgIndex: uint32(i),
+			Arg:      val,
+		}, updPayload{}, func() { c.args[i], c.argBufs[i] = prevVal, prevBuf }, buf != prevBuf, nil
 	case cl.UpdateWriteData:
 		if c.op != protocol.GraphOpWrite {
 			return nil, updPayload{}, nil, false, cl.Errf(cl.InvalidCommandBuffer, "command %d is not a write", u.Command)

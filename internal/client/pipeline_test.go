@@ -83,8 +83,8 @@ func TestDeferredFailureFailsEventAndFinish(t *testing.T) {
 	status := make(chan cl.CommandStatus, 1)
 	srv.registerHook(evID, func(st cl.CommandStatus) { status <- st })
 	if err := srv.send(protocol.MsgEnqueueMarker, func(w *protocol.Writer) {
-		w.U64(bogusQueue)
-		w.U64(evID)
+		protocol.PutEnqueue(w, protocol.Enqueue{QueueID: bogusQueue, EventID: evID,
+			Cmd: protocol.GraphCommand{Op: protocol.GraphOpMarker}})
 	}); err != nil {
 		t.Fatalf("send: %v", err)
 	}

@@ -78,9 +78,201 @@ func withGates(wait []cl.Event, gates ...*Event) []cl.Event {
 	return out
 }
 
-// withGateList is withGates over a slice of gates.
-func withGateList(wait []cl.Event, gates []*Event) []cl.Event {
-	return withGates(wait, gates...)
+// recCmd is one queue command on the client: every Queue.Enqueue* call
+// builds one, which an active recording then captures (record) or the
+// queue sends to its daemon. Transfer commands name ROOT buffers with
+// absolute offsets (views are resolved when the command is built); kernel
+// arguments may still be sub-buffer views, whose window the footprint
+// honours.
+type recCmd struct {
+	op uint8 // protocol.GraphOp*
+
+	buf      *Buffer // write/read target (root)
+	src, dst *Buffer // copy endpoints (roots)
+	offset   int     // write/read offset, copy source offset (absolute)
+	dstOff   int
+	size     int
+
+	data []byte // write payload
+	rdst []byte // read destination (application slice)
+
+	// Kernel launch. The bindings are frozen when the command is built:
+	// later SetArg calls do not leak into it (in a recording, updates are
+	// the only patch path).
+	k       *Kernel
+	args    []protocol.GraphKernelArg
+	argBufs []*Buffer // parallel to args: the stub behind each (sub-)buffer value
+	goffset []int
+	global  []int
+	local   []int
+}
+
+// footprint is the one statement of which buffer ranges a command reads
+// and which it writes: read is called for every span whose current
+// contents the command needs on its server, write for every span it
+// overwrites. The eager path turns them into coherence transfers, gates
+// and directory claims (prepare); a recording folds them into the
+// graph's inputs and outputs (compileLocked).
+func (c *recCmd) footprint(read, write func(span)) {
+	switch c.op {
+	case protocol.GraphOpWrite:
+		// A write claims exactly its range: no read-modify-write of the
+		// rest of the buffer.
+		write(span{c.buf, c.offset, c.offset + c.size})
+	case protocol.GraphOpRead:
+		read(span{c.buf, c.offset, c.offset + c.size})
+	case protocol.GraphOpCopy:
+		read(span{c.src, c.offset, c.offset + c.size})
+		write(span{c.dst, c.dstOff, c.dstOff + c.size})
+	case protocol.GraphOpKernel:
+		// Every buffer argument's range must be valid on the server;
+		// non-read-only arguments are written. Sub-buffer views scope both
+		// to their window — the mechanism by which a partitioned launch on
+		// N daemons leaves each holding Modified on its own chunk only.
+		for i, b := range c.argBufs {
+			if b == nil {
+				continue
+			}
+			read(b.span())
+			if !c.k.argInfo[i].ReadOnly {
+				write(b.span())
+			}
+		}
+	}
+}
+
+// wire converts the command to its protocol form — the one conversion
+// behind both the eager frame and the graph registration. streamID is the
+// command's bulk-data stream, if it has one.
+func (c *recCmd) wire(streamID uint32) protocol.GraphCommand {
+	gc := protocol.GraphCommand{Op: c.op, Offset: int64(c.offset), DstOff: int64(c.dstOff), Size: int64(c.size), StreamID: streamID}
+	switch c.op {
+	case protocol.GraphOpWrite, protocol.GraphOpRead:
+		gc.BufID = c.buf.id
+	case protocol.GraphOpCopy:
+		gc.SrcID, gc.DstID = c.src.id, c.dst.id
+	case protocol.GraphOpKernel:
+		gc.KernelID, gc.Args = c.k.id, c.args
+		gc.GOffset, gc.Global, gc.Local = c.goffset, c.global, c.local
+	}
+	return gc
+}
+
+// acquire runs the coherence protocol for a command (or a whole graph
+// iteration) about to execute on q's server: every read range is made
+// valid there — transferred daemon-to-daemon or through the client as
+// needed, range-granular either way — and the returned gates, which must
+// ride the command's wait list, cover those transfers plus every
+// in-flight inbound forward overlapping a written range, so a
+// late-landing payload cannot clobber the fresh data. The gates are hard
+// dependencies on purpose: an ordering-only wait would let an overwrite
+// run while a cancelled transfer's receive is still copying, so a failed
+// forward fails the command too (safe, and the application can retry).
+// strict refuses a Lost range even on a MemWriteOnly buffer (copy
+// sources: the copy engine does read them); kernel arguments and graph
+// inputs tolerate it, see span.validAsKernelArg.
+func (q *Queue) acquire(reads, writes []span, strict bool) ([]*Event, error) {
+	var gates []*Event
+	add := func(gs []*Event) {
+		for _, g := range gs {
+			if g != nil && !containsEvent(gates, g) {
+				gates = append(gates, g)
+			}
+		}
+	}
+	for _, s := range reads {
+		var gs []*Event
+		var err error
+		if strict {
+			gs, err = s.root.ensureRangeValidOn(q, s.off, s.end)
+		} else {
+			gs, err = s.validAsKernelArg(q)
+		}
+		if err != nil {
+			return nil, err
+		}
+		add(gs)
+	}
+	for _, s := range writes {
+		// A span that was also read is covered: making it valid returned
+		// the inbound gates over it.
+		if !containsSpan(reads, s) {
+			add(s.root.inboundGatesRange(q.srv, s.off, s.end))
+		}
+	}
+	return gates, nil
+}
+
+func containsSpan(list []span, s span) bool {
+	for _, e := range list {
+		if e == s {
+			return true
+		}
+	}
+	return false
+}
+
+// claim records that the command completing ev writes the spans on q's
+// server: its copy of each becomes Modified, every other copy Invalid.
+func (q *Queue) claim(writes []span, ev *Event) {
+	for _, s := range writes {
+		s.root.markRangeWrittenBy(q.srv, s.off, s.end, ev)
+	}
+}
+
+// prepare runs coherence for one eager command: it returns wait extended
+// by the command's gates, and the written spans to claim once the
+// command is on the wire.
+func (q *Queue) prepare(c *recCmd, wait []cl.Event) ([]cl.Event, []span, error) {
+	reads, writes := make([]span, 0, 4), make([]span, 0, 2)
+	c.footprint(func(s span) { reads = append(reads, s) }, func(s span) { writes = append(writes, s) })
+	gates, err := q.acquire(reads, writes, c.op == protocol.GraphOpCopy)
+	if err != nil {
+		return nil, nil, err
+	}
+	return withGates(wait, gates...), writes, nil
+}
+
+// sendCmd puts c on the wire as an eager MsgEnqueue* frame completing ev
+// (nil: the command has no event).
+func (q *Queue) sendCmd(c *recCmd, streamID uint32, ev *Event, waitIDs []uint64) error {
+	e := protocol.Enqueue{QueueID: q.id, WaitIDs: waitIDs, Cmd: c.wire(streamID)}
+	if ev != nil {
+		e.EventID = ev.originID
+	}
+	err := q.srv.send(e.MsgType(), func(w *protocol.Writer) { protocol.PutEnqueue(w, e) })
+	if err != nil && ev != nil {
+		q.srv.dropHook(ev.originID)
+	}
+	return err
+}
+
+// submit records c, or issues it: the path of every command that moves
+// no bulk data through the client (copy, kernel, marker, barrier).
+// Barriers have no event — their remote failures surface at the next
+// Finish — so for them the returned event is nil.
+func (q *Queue) submit(c *recCmd, wait []cl.Event) (cl.Event, error) {
+	if ev, rec, err := q.record(c, false, wait); rec {
+		return ev, err
+	}
+	wait, writes, err := q.prepare(c, wait)
+	if err != nil {
+		return nil, err
+	}
+	waitIDs, err := translateWaitList(q.srv, wait)
+	if err != nil {
+		return nil, err
+	}
+	var ev *Event
+	if c.op != protocol.GraphOpBarrier {
+		ev = q.newCommandEvent()
+	}
+	if err := q.sendCmd(c, 0, ev, waitIDs); err != nil || ev == nil {
+		return nil, err
+	}
+	q.track(ev)
+	q.claim(writes, ev)
+	return ev, nil
 }
 
 // newCommandEvent allocates the client-side event stub and registers its
@@ -138,35 +330,25 @@ func (q *Queue) EnqueueWriteBuffer(b cl.Buffer, blocking bool, offset int, data 
 	if offset < 0 || offset+len(data) > cb.size {
 		return nil, cl.Errf(cl.InvalidValue, "write of %d bytes at offset %d exceeds buffer size %d", len(data), offset, cb.size)
 	}
-	aoff, aend := cb.absRange(offset, len(data))
-	if ev, rec, err := q.maybeRecord(blocking, wait, func() (*recCmd, error) {
-		// Recording copies the payload (the application may reuse its
-		// slice) and defers all coherence work to replay time. Views
-		// resolve to their root plus absolute offsets at record time.
-		return &recCmd{op: protocol.GraphOpWrite, buf: cb.root(), offset: aoff, size: len(data),
-			data: append([]byte(nil), data...)}, nil
-	}); rec {
+	aoff, _ := cb.absRange(offset, len(data))
+	c := &recCmd{op: protocol.GraphOpWrite, buf: cb.root(), offset: aoff, size: len(data), data: data}
+	if ev, rec, err := q.record(c, blocking, wait); rec {
 		return ev, err
 	}
-	// The write claims exactly its range; it only needs to sequence
-	// behind in-flight inbound forwards overlapping that range so a
-	// late-landing payload cannot clobber it. The gate is a hard
-	// dependency on purpose: an ordering-only wait would let the
-	// overwrite run while a cancelled transfer's receive is still
-	// memcpy-ing, so a failed forward fails this write too (safe, and
-	// the application can simply retry).
-	wait = withGateList(wait, cb.root().inboundGatesRange(q.srv, aoff, aend))
-	ev, err := q.enqueueWriteInternal(cb.root(), blocking, aoff, data, nil, wait, true)
+	wait, writes, err := q.prepare(c, wait)
+	if err != nil {
+		return nil, err
+	}
+	ev, err := q.enqueueWriteInternal(c, blocking, nil, wait, writes)
 	if err != nil {
 		return nil, err
 	}
 	return ev, nil
 }
 
-// enqueueWriteInternal performs the wire work of a write against the ROOT
-// buffer at an absolute offset. When mark is true the directory records
-// the server's copy of the written range as Modified (application
-// writes); coherence uploads pass mark=false and adjust states
+// enqueueWriteInternal performs the wire work of a write command. The
+// directory records the server's copy of the claimed spans as Modified
+// (application writes); coherence uploads claim nothing and adjust states
 // themselves.
 //
 // The payload ships zero-copy: the transport's frames REFERENCE data
@@ -180,7 +362,8 @@ func (q *Queue) EnqueueWriteBuffer(b cl.Buffer, blocking bool, offset int, data 
 // pooled snapshot plus a release callback; release is called exactly
 // once on every path — after the last frame flushes, or on the early
 // error returns below.
-func (q *Queue) enqueueWriteInternal(cb *Buffer, blocking bool, offset int, data []byte, release func(), wait []cl.Event, mark bool) (*Event, error) {
+func (q *Queue) enqueueWriteInternal(c *recCmd, blocking bool, release func(), wait []cl.Event, claimed []span) (*Event, error) {
+	data := c.data
 	waitIDs, err := translateWaitList(q.srv, wait)
 	if err != nil {
 		if release != nil {
@@ -190,16 +373,7 @@ func (q *Queue) enqueueWriteInternal(cb *Buffer, blocking bool, offset int, data
 	}
 	ev := q.newCommandEvent()
 	stream := q.srv.openStream()
-	if err := q.srv.send(protocol.MsgEnqueueWrite, func(w *protocol.Writer) {
-		w.U64(q.id)
-		w.U64(cb.id)
-		w.I64(int64(offset))
-		w.I64(int64(len(data)))
-		w.U32(stream.ID())
-		w.U64(ev.originID)
-		w.U64s(waitIDs)
-	}); err != nil {
-		q.srv.dropHook(ev.originID)
+	if err := q.sendCmd(c, stream.ID(), ev, waitIDs); err != nil {
 		stream.Release()
 		if release != nil {
 			release()
@@ -207,9 +381,7 @@ func (q *Queue) enqueueWriteInternal(cb *Buffer, blocking bool, offset int, data
 		return nil, err
 	}
 	q.track(ev)
-	if mark {
-		cb.markRangeWrittenBy(q.srv, offset, offset+len(data), ev)
-	}
+	q.claim(claimed, ev)
 	// Ship the payload. Blocking writes transfer synchronously (the
 	// caller may reuse the slice immediately after return); non-blocking
 	// writes stream in the background, as the paper's asynchronous bulk
@@ -259,12 +431,11 @@ func (q *Queue) EnqueueReadBuffer(b cl.Buffer, blocking bool, offset int, dst []
 		return nil, cl.Errf(cl.InvalidValue, "read of %d bytes at offset %d exceeds buffer size %d", len(dst), offset, cb.size)
 	}
 	aoff, aend := cb.absRange(offset, len(dst))
-	if ev, rec, err := q.maybeRecord(blocking, wait, func() (*recCmd, error) {
-		return &recCmd{op: protocol.GraphOpRead, buf: cb.root(), offset: aoff, size: len(dst), rdst: dst}, nil
-	}); rec {
+	root := cb.root()
+	c := &recCmd{op: protocol.GraphOpRead, buf: root, offset: aoff, size: len(dst), rdst: dst}
+	if ev, rec, err := q.record(c, blocking, wait); rec {
 		return ev, err
 	}
-	root := cb.root()
 	parts, err := root.readPlan(q, aoff, aend)
 	if err != nil {
 		// Some sub-range has no valid copy anywhere (a directory wedged
@@ -274,7 +445,7 @@ func (q *Queue) EnqueueReadBuffer(b cl.Buffer, blocking bool, offset int, dst []
 	if parts == nil {
 		// Fast path: the whole range is valid on this server.
 		gates := root.inboundGatesRange(q.srv, aoff, aend)
-		return q.enqueueReadInternal(root, blocking, aoff, dst, withGateList(wait, gates), true)
+		return q.enqueueReadInternal(c, blocking, withGates(wait, gates...), true)
 	}
 	return q.readStitched(root, blocking, aoff, dst, parts, wait)
 }
@@ -315,7 +486,8 @@ func (q *Queue) readStitched(root *Buffer, blocking bool, aoff int, dst []byte, 
 			}
 			partQ = cq
 		}
-		ev, err := partQ.enqueueReadInternal(root, false, p.off, sub, withGateList(wait, p.gates), true)
+		part := &recCmd{op: protocol.GraphOpRead, buf: root, offset: p.off, size: len(sub), rdst: sub}
+		ev, err := partQ.enqueueReadInternal(part, false, withGates(wait, p.gates...), true)
 		if err != nil {
 			return failPlan(err)
 		}
@@ -354,10 +526,11 @@ func (q *Queue) readStitched(root *Buffer, blocking bool, aoff int, dst []byte, 
 	return ev, nil
 }
 
-// enqueueReadInternal performs the wire work of a read against the ROOT
-// buffer at an absolute offset. note selects whether the directory
-// records the host's fresh copy of the range.
-func (q *Queue) enqueueReadInternal(cb *Buffer, blocking bool, offset int, dst []byte, wait []cl.Event, note bool) (*Event, error) {
+// enqueueReadInternal performs the wire work of a read command. note
+// selects whether the directory records the host's fresh copy of the
+// range.
+func (q *Queue) enqueueReadInternal(c *recCmd, blocking bool, wait []cl.Event, note bool) (*Event, error) {
+	cb, offset, dst := c.buf, c.offset, c.rdst
 	waitIDs, err := translateWaitList(q.srv, wait)
 	if err != nil {
 		return nil, err
@@ -402,16 +575,7 @@ func (q *Queue) enqueueReadInternal(cb *Buffer, blocking bool, offset int, dst [
 			wrapped.complete(st)
 		})
 	}
-	if err := q.srv.send(protocol.MsgEnqueueRead, func(w *protocol.Writer) {
-		w.U64(q.id)
-		w.U64(cb.id)
-		w.I64(int64(offset))
-		w.I64(int64(len(dst)))
-		w.U32(stream.ID())
-		w.U64(ev.originID)
-		w.U64s(waitIDs)
-	}); err != nil {
-		q.srv.dropHook(ev.originID)
+	if err := q.sendCmd(c, stream.ID(), ev, waitIDs); err != nil {
 		stream.Release()
 		return nil, err
 	}
@@ -454,46 +618,13 @@ func (q *Queue) EnqueueCopyBuffer(src, dst cl.Buffer, srcOffset, dstOffset, size
 	if err != nil {
 		return nil, err
 	}
-	if srcOffset < 0 || srcOffset+size > csrc.size || dstOffset < 0 || dstOffset+size > cdst.size {
+	if size < 0 || srcOffset < 0 || srcOffset > csrc.size-size || dstOffset < 0 || dstOffset > cdst.size-size {
 		return nil, cl.Errf(cl.InvalidValue, "copy range out of bounds")
 	}
-	sAbs, sEnd := csrc.absRange(srcOffset, size)
-	dAbs, dEnd := cdst.absRange(dstOffset, size)
-	if ev, rec, err := q.maybeRecord(false, wait, func() (*recCmd, error) {
-		return &recCmd{op: protocol.GraphOpCopy, src: csrc.root(), dst: cdst.root(),
-			offset: sAbs, dstOff: dAbs, size: size}, nil
-	}); rec {
-		return ev, err
-	}
-	srcGates, err := csrc.root().ensureRangeValidOn(q, sAbs, sEnd)
-	if err != nil {
-		return nil, cl.Errf(cl.CodeOf(err), "cross-server copy source: %v", err)
-	}
-	// The destination range is fully overwritten: it only needs to
-	// sequence behind in-flight inbound forwards overlapping it.
-	dstGates := cdst.root().inboundGatesRange(q.srv, dAbs, dEnd)
-	wait = withGateList(withGateList(wait, srcGates), dstGates)
-	waitIDs, err := translateWaitList(q.srv, wait)
-	if err != nil {
-		return nil, err
-	}
-	ev := q.newCommandEvent()
-	if err := q.srv.send(protocol.MsgEnqueueCopy, func(w *protocol.Writer) {
-		w.U64(q.id)
-		w.U64(csrc.root().id)
-		w.U64(cdst.root().id)
-		w.I64(int64(sAbs))
-		w.I64(int64(dAbs))
-		w.I64(int64(size))
-		w.U64(ev.originID)
-		w.U64s(waitIDs)
-	}); err != nil {
-		q.srv.dropHook(ev.originID)
-		return nil, err
-	}
-	q.track(ev)
-	cdst.root().markRangeWrittenBy(q.srv, dAbs, dEnd, ev)
-	return ev, nil
+	sAbs, _ := csrc.absRange(srcOffset, size)
+	dAbs, _ := cdst.absRange(dstOffset, size)
+	return q.submit(&recCmd{op: protocol.GraphOpCopy, src: csrc.root(), dst: cdst.root(),
+		offset: sAbs, dstOff: dAbs, size: size}, wait)
 }
 
 // EnqueueNDRangeKernel launches a kernel on this queue's device. Before
@@ -517,91 +648,25 @@ func (q *Queue) EnqueueNDRangeKernelWithOffset(k cl.Kernel, goffset, global, loc
 	if goffset != nil && len(goffset) != len(global) {
 		return nil, cl.Errf(cl.InvalidGlobalOffset, "offset has %d dimensions, global %d", len(goffset), len(global))
 	}
-	if ev, rec, err := q.maybeRecord(false, wait, func() (*recCmd, error) {
-		// The wire snapshot freezes the argument bindings at record time
-		// (and validates that all are set); later SetArg calls do not
-		// leak into the recording — updates are the only patch path.
-		args, aerr := ck.snapshotWire()
-		if aerr != nil {
-			return nil, aerr
-		}
-		return &recCmd{op: protocol.GraphOpKernel, k: ck, args: args,
-			goffset: append([]int(nil), goffset...),
-			global:  append([]int(nil), global...), local: append([]int(nil), local...)}, nil
-	}); rec {
-		return ev, err
-	}
-	readBufs, writeBufs, err := ck.bufferBindings()
+	// The snapshot validates that every argument is set.
+	args, argBufs, err := ck.snapshotArgs()
 	if err != nil {
 		return nil, err
 	}
-	var gates []*Event
-	for _, buf := range readBufs {
-		gs, err := buf.ensureValidAsKernelArg(q)
-		if err != nil {
-			return nil, err
-		}
-		for _, g := range gs {
-			if g != nil && !containsEvent(gates, g) {
-				gates = append(gates, g)
-			}
-		}
-	}
-	wait = withGates(wait, gates...)
-	waitIDs, err := translateWaitList(q.srv, wait)
-	if err != nil {
-		return nil, err
-	}
-	ev := q.newCommandEvent()
-	if err := q.srv.send(protocol.MsgEnqueueKernel, func(w *protocol.Writer) {
-		w.U64(q.id)
-		w.U64(ck.id)
-		w.Ints(goffset)
-		w.Ints(global)
-		w.Ints(local)
-		w.U64(ev.originID)
-		w.U64s(waitIDs)
-	}); err != nil {
-		q.srv.dropHook(ev.originID)
-		return nil, err
-	}
-	q.track(ev)
-	for _, buf := range writeBufs {
-		buf.markWrittenBy(q.srv, ev)
-	}
-	return ev, nil
+	return q.submit(&recCmd{op: protocol.GraphOpKernel, k: ck, args: args, argBufs: argBufs,
+		goffset: goffset, global: global, local: local}, wait)
 }
 
 // EnqueueMarker enqueues a marker command.
 func (q *Queue) EnqueueMarker() (cl.Event, error) {
-	if ev, rec, err := q.maybeRecord(false, nil, func() (*recCmd, error) {
-		return &recCmd{op: protocol.GraphOpMarker}, nil
-	}); rec {
-		return ev, err
-	}
-	ev := q.newCommandEvent()
-	if err := q.srv.send(protocol.MsgEnqueueMarker, func(w *protocol.Writer) {
-		w.U64(q.id)
-		w.U64(ev.originID)
-	}); err != nil {
-		q.srv.dropHook(ev.originID)
-		return nil, err
-	}
-	q.track(ev)
-	return ev, nil
+	return q.submit(&recCmd{op: protocol.GraphOpMarker}, nil)
 }
 
 // EnqueueBarrier enqueues a barrier command. Remote failures are deferred
 // to the next Finish (the command has no event to carry them).
 func (q *Queue) EnqueueBarrier() error {
-	if _, rec, err := q.maybeRecord(false, nil, func() (*recCmd, error) {
-		return &recCmd{op: protocol.GraphOpBarrier}, nil
-	}); rec {
-		return err
-	}
-	return q.srv.send(protocol.MsgEnqueueBarrier, func(w *protocol.Writer) {
-		w.U64(q.id)
-	})
+	_, err := q.submit(&recCmd{op: protocol.GraphOpBarrier}, nil)
+	return err
 }
 
 // Flush forwards clFlush as a one-way request. Any deferred failure

@@ -70,13 +70,6 @@ type pendingServeJob struct {
 	stamps []serve.Stamp
 }
 
-// supportsServe reports whether the daemon advertised the serve plane.
-func (s *Server) supportsServe() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.caps&protocol.CapServe != 0
-}
-
 // OpenServe opens a serve session on the server hosting dev. Weight is
 // the session's share in the daemon's weighted fair queue relative to
 // other serve sessions (0 means 1); maxPending bounds the session's
@@ -87,9 +80,6 @@ func (c *Context) OpenServe(dev cl.Device, weight, maxPending int) (*ServeSessio
 		return nil, cl.Errf(cl.InvalidDevice, "foreign device object")
 	}
 	srv := d.srv
-	if !srv.supportsServe() {
-		return nil, cl.Errf(cl.InvalidOperation, "server %s does not support the serve plane", srv.addr)
-	}
 	if maxPending <= 0 {
 		maxPending = 256
 	}
@@ -167,7 +157,7 @@ func (ss *ServeSession) Submit(spec JobSpec) (*serve.Future, error) {
 		if err != nil {
 			return fail(err)
 		}
-		gates, err := buf.ensureValidAsKernelArg(q)
+		gates, err := buf.span().validAsKernelArg(q)
 		if err != nil {
 			return fail(err)
 		}
@@ -248,18 +238,18 @@ func (ss *ServeSession) freezeArgs(k *Kernel, spec JobSpec) ([]protocol.GraphKer
 			wire[i] = protocol.GraphKernelArg{Kind: protocol.ArgValScalar}
 			continue
 		}
-		wa, err := k.encodeArg(i, spec.Args[i])
+		val, buf, err := k.encodeArg(i, spec.Args[i])
 		if err != nil {
 			return nil, nil, err
 		}
-		if wa.buf != nil {
+		if buf != nil {
 			if !info[i].ReadOnly {
 				return nil, nil, cl.Errf(cl.InvalidArgValue,
 					"serve: argument %d of %s is writable — session buffers may only bind read-only serve arguments", i, k.name)
 			}
-			bufs = append(bufs, wa.buf)
+			bufs = append(bufs, buf)
 		}
-		wire[i] = wa.proto()
+		wire[i] = val
 	}
 	return wire, bufs, nil
 }

@@ -41,9 +41,6 @@ type Server struct {
 	// daemon can originate forwards.
 	peerAddr   string
 	canForward bool
-	// caps holds the daemon's optional-feature capability bits
-	// (protocol.Cap*), also learned in the Hello/attach exchange.
-	caps uint32
 
 	nextReq atomic.Uint32
 
@@ -155,7 +152,6 @@ func dialServer(p *Platform, addr string, ep *gcf.Endpoint, authID string) (*Ser
 	s.peerAddr = resp.String()
 	s.canForward = resp.Bool()
 	sessionID := resp.U64()
-	caps := resp.U32()
 	if resp.Err() != nil {
 		ep.Close()
 		return nil, cl.Errf(cl.InvalidServer, "malformed hello response from %s", addr)
@@ -165,7 +161,6 @@ func dialServer(p *Platform, addr string, ep *gcf.Endpoint, authID string) (*Ser
 		s.devices = append(s.devices, &Device{srv: s, unitID: rec.UnitID, info: rec.Info})
 	}
 	s.sessionID = sessionID
-	s.caps = caps
 	s.connected = true
 	s.reattaching = false
 	s.mu.Unlock()
@@ -547,14 +542,6 @@ func (s *Server) CanForward() bool {
 	return s.canForward
 }
 
-// supportsDeltaReplay reports whether the daemon decodes delta-encoded
-// replay payload updates (CapDeltaReplay in the handshake).
-func (s *Server) supportsDeltaReplay() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.caps&protocol.CapDeltaReplay != 0
-}
-
 // markPeerUnreachable records that this daemon failed to reach the peer
 // at addr; later coherence transfers toward that peer fall back to the
 // client-mediated path instead of failing repeatedly.
@@ -649,7 +636,6 @@ func (s *Server) Reattach() (retained bool, err error) {
 	peerAddr := resp.String()
 	canFwd := resp.Bool()
 	newSID := resp.U64()
-	caps := resp.U32()
 	if resp.Err() != nil {
 		ep.Close()
 		return false, cl.Errf(cl.InvalidServer, "malformed attach response from %s", s.addr)
@@ -660,7 +646,6 @@ func (s *Server) Reattach() (retained bool, err error) {
 	s.peerAddr = peerAddr
 	s.canForward = canFwd
 	s.sessionID = newSID
-	s.caps = caps
 	s.badPeers = map[string]bool{}
 	s.queueErrs = map[uint64][]deferredFailure{}
 	s.sessErrs = nil

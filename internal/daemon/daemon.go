@@ -315,9 +315,9 @@ func (d *Daemon) registerSessionSeq(s *session) uint64 {
 // removed from the registry and its expiry timer stopped. Returns nil
 // when the ID is unknown, expired, or still attached to a live
 // connection (a live session must not be stealable by ID). A re-attach
-// can outrace the old connection's close notice — the endpoint is
-// already closed but detachSession has not run — so a session whose
-// endpoint is dead gets a bounded grace to finish detaching.
+// can outrace the old connection's close notice — this side's read loop
+// may not even have seen the link drop yet — so a session that is still
+// attached gets a bounded grace to detach before the answer is no.
 func (d *Daemon) takeDetachedSession(id uint64) *session {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -337,9 +337,8 @@ func (d *Daemon) takeDetachedSession(id uint64) *session {
 			}
 			return s
 		}
-		ep := s.ep
 		d.sessMu.Unlock()
-		if !ep.Closed() || time.Now().After(deadline) {
+		if time.Now().After(deadline) {
 			return nil
 		}
 		time.Sleep(2 * time.Millisecond)

@@ -1,8 +1,6 @@
 package daemon
 
 import (
-	"io"
-
 	"dopencl/internal/cl"
 	"dopencl/internal/gcf"
 	"dopencl/internal/native"
@@ -19,165 +17,12 @@ import (
 // event through the deferred MsgCommandFailed path instead of wedging
 // the queue.
 
-// dGraphCmd is one cached command of a registered graph. Mutable slots
-// are replaced, never mutated in place, so an already-enqueued replay
-// keeps the values it was fired with.
-type dGraphCmd struct {
-	op uint8
-
-	buf      cl.Buffer // write/read target
-	src, dst cl.Buffer // copy endpoints
-	offset   int
-	dstOff   int
-	size     int
-
-	payload     []byte   // write payload (staged from the registration/update stream)
-	payloadGate cl.Event // completes when the staged payload has fully landed
-
-	k       *native.Kernel // private clone with the registered argument snapshot
-	goffset []int          // global work offset (nil = zero)
-	global  []int
-	local   []int
-}
-
 // sessGraph is one cached graph.
 type sessGraph struct {
 	queueID   uint64
 	q         *native.Queue
-	cmds      []*dGraphCmd
+	cmds      []command
 	readCount int
-	// delta: the registration negotiated delta-capable replay updates
-	// (GraphPayloadDelta streams decoded against the cached payloads).
-	delta bool
-}
-
-// stagePayload reads size bytes from the stream into a fresh slice off
-// the dispatcher goroutine, returning the slice and a gate event that
-// completes when the payload has fully landed (or fails if the transfer
-// broke). Replayed writes of the slice wait on the gate.
-func (s *session) stagePayload(streamID uint32, size int) ([]byte, cl.Event) {
-	stream := s.ep.Stream(streamID)
-	staged := make([]byte, size)
-	gate := native.NewUserEvent()
-	go func() {
-		defer stream.Release()
-		if _, err := io.ReadFull(stream, staged); err != nil {
-			if serr := gate.SetStatus(cl.CommandStatus(cl.InvalidValue)); serr != nil {
-				s.d.logf("daemon %s: graph payload gate: %v", s.d.cfg.Name, serr)
-			}
-			return
-		}
-		stream.WaitEOF()
-		if serr := gate.SetStatus(cl.Complete); serr != nil {
-			s.d.logf("daemon %s: graph payload gate: %v", s.d.cfg.Name, serr)
-		}
-	}()
-	return staged, gate
-}
-
-// stageDeltaPayload reads a delta-encoded payload update from the stream
-// and reconstructs the full payload against the command's current cached
-// payload (the baseline the client encoded against — both sides retain
-// the previous iteration's bytes on delta-negotiated graphs). The
-// decoded result lands on a fresh slice: an earlier replay's enqueue may
-// still be reading the baseline, and the baseline itself must stay
-// intact until decoding finishes. When the baseline's own gate is still
-// pending (pipelined updates, or an update chasing the registration
-// upload), decoding waits for it off the dispatcher goroutine; a failed
-// baseline fails this gate too, and with it every replay of the slot.
-func (s *session) stageDeltaPayload(streamID uint32, encLen int, prev []byte, prevGate cl.Event, size int) ([]byte, cl.Event) {
-	stream := s.ep.Stream(streamID)
-	staged := make([]byte, size)
-	gate := native.NewUserEvent()
-	failGate := func(why string, err error) {
-		s.d.logf("daemon %s: graph delta payload: %s: %v", s.d.cfg.Name, why, err)
-		if serr := gate.SetStatus(cl.CommandStatus(cl.InvalidValue)); serr != nil {
-			s.d.logf("daemon %s: graph payload gate: %v", s.d.cfg.Name, serr)
-		}
-	}
-	go func() {
-		defer stream.Release()
-		enc := gcf.GetPayload(encLen)
-		defer gcf.PutPayload(enc)
-		if _, err := io.ReadFull(stream, enc); err != nil {
-			failGate("stream", err)
-			return
-		}
-		stream.WaitEOF()
-		if prevGate != nil {
-			if err := prevGate.Wait(); err != nil {
-				failGate("baseline never landed", err)
-				return
-			}
-		}
-		if err := protocol.ApplyDelta(staged, prev, enc); err != nil {
-			failGate("decode", err)
-			return
-		}
-		if serr := gate.SetStatus(cl.Complete); serr != nil {
-			s.d.logf("daemon %s: graph payload gate: %v", s.d.cfg.Name, serr)
-		}
-	}()
-	return staged, gate
-}
-
-// applyGraphArgs binds a registered argument snapshot to a kernel clone.
-func (s *session) applyGraphArgs(k *native.Kernel, args []protocol.GraphKernelArg) error {
-	if len(args) != k.NumArgs() {
-		return cl.Errf(cl.InvalidKernelArgs, "graph kernel has %d arguments, snapshot has %d", k.NumArgs(), len(args))
-	}
-	for i, a := range args {
-		if err := s.applyGraphArg(k, i, a); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// applyGraphArg binds one snapshot argument.
-func (s *session) applyGraphArg(k *native.Kernel, i int, a protocol.GraphKernelArg) error {
-	switch a.Kind {
-	case protocol.ArgValScalar:
-		return k.SetRawArg(i, a.Raw)
-	case protocol.ArgValBuffer:
-		s.mu.Lock()
-		buf := s.buffers[a.Raw]
-		s.mu.Unlock()
-		if buf == nil {
-			return cl.Errf(cl.InvalidMemObject, "graph kernel argument %d: unknown buffer %d", i, a.Raw)
-		}
-		return k.SetArg(i, buf)
-	case protocol.ArgValSubBuffer:
-		s.mu.Lock()
-		buf := s.buffers[a.Raw]
-		s.mu.Unlock()
-		if buf == nil {
-			return cl.Errf(cl.InvalidMemObject, "graph kernel argument %d: unknown buffer %d", i, a.Raw)
-		}
-		sub, err := subBufferView(buf, int(a.SubOrg), int(a.SubLen))
-		if err != nil {
-			return err
-		}
-		return k.SetArg(i, sub)
-	case protocol.ArgValLocal:
-		return k.SetArg(i, cl.LocalSpace{Size: int(a.Local)})
-	}
-	return cl.Errf(cl.InvalidValue, "graph kernel argument %d: bad kind %d", i, a.Kind)
-}
-
-// graphBuffer resolves and bounds-checks a buffer reference of a graph
-// command (overflow-safe, as everywhere wire-supplied sizes are used).
-func (s *session) graphBuffer(bufID uint64, offset, size int) (cl.Buffer, error) {
-	s.mu.Lock()
-	buf := s.buffers[bufID]
-	s.mu.Unlock()
-	if buf == nil {
-		return nil, cl.Errf(cl.InvalidMemObject, "unknown buffer %d", bufID)
-	}
-	if size < 0 || offset < 0 || size > buf.Size() || offset > buf.Size()-size {
-		return nil, cl.Errf(cl.InvalidValue, "malformed graph command (offset %d size %d)", offset, size)
-	}
-	return buf, nil
 }
 
 // handleRegisterGraph validates and caches a client graph registration.
@@ -202,10 +47,10 @@ func (s *session) handleRegisterGraph(r *protocol.Reader) {
 		s.notifyCommandFailed(g.QueueID, 0, protocol.MsgRegisterGraph, err)
 	}
 	s.mu.Lock()
-	q := s.queues[g.QueueID]
+	q, ok := s.queues[g.QueueID].(*native.Queue)
 	dup := s.graphs[g.GraphID] != nil
 	s.mu.Unlock()
-	if q == nil {
+	if !ok {
 		failReg(cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", g.QueueID))
 		return
 	}
@@ -213,91 +58,33 @@ func (s *session) handleRegisterGraph(r *protocol.Reader) {
 		failReg(cl.Errf(cl.InvalidValue, "graph %d already registered", g.GraphID))
 		return
 	}
-	nq, ok := q.(*native.Queue)
-	if !ok {
-		failReg(cl.Errf(cl.InvalidOperation, "graph replay requires the native runtime"))
-		return
-	}
 	if len(g.Commands) == 0 {
 		failReg(cl.Errf(cl.InvalidValue, "empty graph"))
 		return
 	}
-	sg := &sessGraph{queueID: g.QueueID, q: nq, cmds: make([]*dGraphCmd, 0, len(g.Commands)), delta: g.DeltaReplay}
+	sg := &sessGraph{queueID: g.QueueID, q: q, cmds: make([]command, 0, len(g.Commands))}
 	seenStreams := map[uint32]bool{}
 	for i, c := range g.Commands {
-		cmd := &dGraphCmd{op: c.Op}
-		switch c.Op {
-		case protocol.GraphOpWrite:
-			buf, err := s.graphBuffer(c.BufID, int(c.Offset), int(c.Size))
-			if err != nil {
-				failReg(err)
-				return
-			}
-			// A zero or duplicated payload stream would park the staging
-			// read forever and wedge every replay behind its gate —
-			// reject the registration instead.
-			if c.StreamID == 0 || seenStreams[c.StreamID] {
-				failReg(cl.Errf(cl.InvalidValue, "graph write %d has invalid payload stream %d", i, c.StreamID))
-				return
-			}
-			seenStreams[c.StreamID] = true
-			cmd.buf, cmd.offset, cmd.size = buf, int(c.Offset), int(c.Size)
-			cmd.payload, cmd.payloadGate = s.stagePayload(c.StreamID, cmd.size)
-			claimed = i + 1
-		case protocol.GraphOpRead:
-			buf, err := s.graphBuffer(c.BufID, int(c.Offset), int(c.Size))
-			if err != nil {
-				failReg(err)
-				return
-			}
-			cmd.buf, cmd.offset, cmd.size = buf, int(c.Offset), int(c.Size)
+		cmd, err := s.resolve(c, true)
+		switch {
+		case err != nil:
+		case c.Op == protocol.GraphOpRead:
 			sg.readCount++
-		case protocol.GraphOpCopy:
-			src, err := s.graphBuffer(c.SrcID, int(c.Offset), int(c.Size))
-			if err != nil {
-				failReg(err)
-				return
+		case c.Op == protocol.GraphOpWrite && seenStreams[c.StreamID]:
+			// A duplicated payload stream would park the second staging
+			// read forever and wedge every replay behind its gate.
+			err = cl.Errf(cl.InvalidValue, "graph write %d reuses payload stream %d", i, c.StreamID)
+		case c.Op == protocol.GraphOpWrite:
+			seenStreams[c.StreamID] = true
+			// The cached payload outlives the registration: a fresh slice,
+			// not a pooled block.
+			cmd.payload = make([]byte, cmd.size)
+			if cmd.payloadGate, err = s.stage(c.StreamID, cmd.payload, nil); err == nil {
+				claimed = i + 1
 			}
-			dst, err := s.graphBuffer(c.DstID, int(c.DstOff), int(c.Size))
-			if err != nil {
-				failReg(err)
-				return
-			}
-			cmd.src, cmd.dst = src, dst
-			cmd.offset, cmd.dstOff, cmd.size = int(c.Offset), int(c.DstOff), int(c.Size)
-		case protocol.GraphOpKernel:
-			s.mu.Lock()
-			k := s.kernels[c.KernelID]
-			s.mu.Unlock()
-			if k == nil {
-				failReg(cl.Errf(cl.InvalidKernel, "unknown kernel %d", c.KernelID))
-				return
-			}
-			nk, ok := k.(*native.Kernel)
-			if !ok {
-				failReg(cl.Errf(cl.InvalidOperation, "graph replay requires the native runtime"))
-				return
-			}
-			// The clone freezes the registered snapshot without pinning
-			// the session kernel: eager SetKernelArg calls and graph
-			// replays cannot clobber each other's bindings.
-			cmd.k = nk.Clone()
-			if err := s.applyGraphArgs(cmd.k, c.Args); err != nil {
-				failReg(err)
-				return
-			}
-			cmd.global = c.Global
-			cmd.local = c.Local
-			cmd.goffset = c.GOffset
-			if len(cmd.local) == 0 {
-				cmd.local = nil
-			}
-			if len(cmd.goffset) == 0 {
-				cmd.goffset = nil
-			}
-		case protocol.GraphOpMarker, protocol.GraphOpBarrier:
-		default:
-			failReg(cl.Errf(cl.InvalidValue, "unknown graph op %d", c.Op))
+		}
+		if err != nil {
+			failReg(err)
 			return
 		}
 		sg.cmds = append(sg.cmds, cmd)
@@ -327,11 +114,7 @@ func (s *session) handleExecGraph(r *protocol.Reader) {
 	updsTaken := 0
 	failExec := func(err error) {
 		for _, id := range e.ReadStreamIDs[handed:] {
-			st := s.ep.Stream(id)
-			if cerr := st.CloseWrite(); cerr != nil {
-				s.d.logf("daemon %s: graph read stream close: %v", s.d.cfg.Name, cerr)
-			}
-			st.Release()
+			s.closeStream(id)
 		}
 		for _, u := range e.Updates[updsTaken:] {
 			if u.Kind == protocol.GraphUpdateWriteData {
@@ -368,15 +151,23 @@ func (s *session) handleExecGraph(r *protocol.Reader) {
 		return
 	}
 	evs := make([]cl.Event, 0, len(g.cmds)+1)
-	for i, cmd := range g.cmds {
+	for i := range g.cmds {
+		cmd := &g.cmds[i]
 		var w []cl.Event
 		if i == 0 {
 			w = waits
 		}
-		ev, cerr := s.replayGraphCmd(g, cmd, w, e.ReadStreamIDs, &handed)
+		var readStream uint32
+		if cmd.op == protocol.GraphOpRead {
+			readStream = e.ReadStreamIDs[handed]
+		}
+		ev, cerr := s.enqueue(g.q, cmd, w, readStream)
 		if cerr != nil {
 			failExec(cerr)
 			return
+		}
+		if cmd.op == protocol.GraphOpRead {
+			handed++
 		}
 		evs = append(evs, ev)
 	}
@@ -400,54 +191,6 @@ func (s *session) handleExecGraph(r *protocol.Reader) {
 	}
 }
 
-// replayGraphCmd enqueues one cached command on the graph's queue.
-func (s *session) replayGraphCmd(g *sessGraph, cmd *dGraphCmd, w []cl.Event, readStreams []uint32, handed *int) (cl.Event, error) {
-	switch cmd.op {
-	case protocol.GraphOpWrite:
-		// Every replay gates on the payload having landed: the first on
-		// the registration stream, later ones on the newest update.
-		if cmd.payloadGate != nil {
-			w = append(append([]cl.Event(nil), w...), cmd.payloadGate)
-		}
-		return g.q.EnqueueWriteBuffer(cmd.buf, false, cmd.offset, cmd.payload, w)
-	case protocol.GraphOpRead:
-		// Pooled staging + zero-copy ship-out, as on the eager read path:
-		// replayed reads are the per-iteration hot path, so the staging
-		// block cycles through the payload pool instead of the allocator.
-		staged := gcf.GetPayload(cmd.size)
-		ev, err := g.q.EnqueueReadBuffer(cmd.buf, false, cmd.offset, staged, w)
-		if err != nil {
-			gcf.PutPayload(staged)
-			return nil, err
-		}
-		stream := s.ep.Stream(readStreams[*handed])
-		*handed++
-		if cbErr := ev.SetCallback(cl.Complete, func(_ cl.Event, st cl.CommandStatus) {
-			if st == cl.Complete {
-				if werr := stream.WriteOwned(staged, func() { gcf.PutPayload(staged) }); werr != nil {
-					s.d.logf("daemon %s: graph read-back write: %v", s.d.cfg.Name, werr)
-				}
-			} else {
-				gcf.PutPayload(staged)
-			}
-			if cerr := stream.CloseWrite(); cerr != nil {
-				s.d.logf("daemon %s: graph read-back close: %v", s.d.cfg.Name, cerr)
-			}
-			stream.Release()
-		}); cbErr != nil {
-			return nil, cbErr
-		}
-		return ev, nil
-	case protocol.GraphOpCopy:
-		return g.q.EnqueueCopyBuffer(cmd.src, cmd.dst, cmd.offset, cmd.dstOff, cmd.size, w)
-	case protocol.GraphOpKernel:
-		return g.q.EnqueueNDRangeKernelWithOffset(cmd.k, cmd.goffset, cmd.global, cmd.local, w)
-	case protocol.GraphOpMarker, protocol.GraphOpBarrier:
-		return g.q.EnqueueMarkerAfter(w)
-	}
-	return nil, cl.Errf(cl.InvalidValue, "unknown graph op %d", cmd.op)
-}
-
 // applyGraphUpdate patches one mutable slot of a cached graph. Updates
 // are persistent (the cache mutates), mirroring the client's plan.
 func (s *session) applyGraphUpdate(g *sessGraph, u protocol.GraphUpdate) error {
@@ -457,7 +200,7 @@ func (s *session) applyGraphUpdate(g *sessGraph, u protocol.GraphUpdate) error {
 		}
 		return cl.Errf(cl.InvalidCommandBuffer, "update targets command %d of %d", u.Cmd, len(g.cmds))
 	}
-	cmd := g.cmds[u.Cmd]
+	cmd := &g.cmds[u.Cmd]
 	switch u.Kind {
 	case protocol.GraphUpdateKernelArg:
 		if cmd.op != protocol.GraphOpKernel {
@@ -468,38 +211,65 @@ func (s *session) applyGraphUpdate(g *sessGraph, u protocol.GraphUpdate) error {
 		// clone is safe and keeps the old clone's bindings intact for
 		// any not-yet-enqueued use.
 		nk := cmd.k.Clone()
-		if err := s.applyGraphArg(nk, int(u.ArgIndex), u.Arg); err != nil {
+		if err := s.bindArg(nk, int(u.ArgIndex), u.Arg); err != nil {
 			return err
 		}
 		cmd.k = nk
 	case protocol.GraphUpdateWriteData:
-		if cmd.op != protocol.GraphOpWrite {
-			// The announced payload stream must still be consumed.
+		// The announced payload stream must be consumed on every path.
+		fail := func(err error) error {
 			s.drainStream(u.StreamID)
-			return cl.Errf(cl.InvalidCommandBuffer, "command %d is not a write", u.Cmd)
+			return err
 		}
-		if u.StreamID == 0 {
-			// Staging a phantom stream would wedge every later replay
-			// behind a gate that never completes.
-			return cl.Errf(cl.InvalidValue, "write update for command %d has no payload stream", u.Cmd)
+		if cmd.op != protocol.GraphOpWrite {
+			return fail(cl.Errf(cl.InvalidCommandBuffer, "command %d is not a write", u.Cmd))
 		}
+		// Either way the new payload lands on a fresh slice: an earlier
+		// replay's enqueue may still be reading the old one.
+		staged := make([]byte, cmd.size)
+		var gate cl.Event
+		var err error
 		switch u.Encoding {
 		case protocol.GraphPayloadFull:
 			if u.PayloadLen != 0 && int(u.PayloadLen) != cmd.size {
-				s.drainStream(u.StreamID)
-				return cl.Errf(cl.InvalidValue, "write update for command %d announces %d bytes, recorded size %d", u.Cmd, u.PayloadLen, cmd.size)
+				return fail(cl.Errf(cl.InvalidValue, "write update for command %d announces %d bytes, recorded size %d", u.Cmd, u.PayloadLen, cmd.size))
 			}
-			cmd.payload, cmd.payloadGate = s.stagePayload(u.StreamID, cmd.size)
+			gate, err = s.stage(u.StreamID, staged, nil)
 		case protocol.GraphPayloadDelta:
-			if !g.delta {
-				s.drainStream(u.StreamID)
-				return cl.Errf(cl.InvalidValue, "delta update for command %d on a graph registered without delta replay", u.Cmd)
+			// A delta is never longer than the payload it encodes (the
+			// client ships the full payload instead), which also bounds
+			// the staging allocation by something the session owns.
+			if int(u.PayloadLen) > cmd.size {
+				return fail(cl.Errf(cl.InvalidValue, "delta update for command %d announces %d bytes, recorded size %d", u.Cmd, u.PayloadLen, cmd.size))
 			}
-			cmd.payload, cmd.payloadGate = s.stageDeltaPayload(u.StreamID, int(u.PayloadLen), cmd.payload, cmd.payloadGate, cmd.size)
+			// Reconstruct against the current cached payload — the baseline
+			// the client encoded against; both sides retain the previous
+			// iteration's bytes. The baseline's own gate may still be
+			// pending (pipelined updates, or an update chasing the
+			// registration upload): decoding waits for it on the staging
+			// goroutine, and a failed baseline fails this gate too, and
+			// with it every replay of the slot.
+			enc, prev, prevGate := gcf.GetPayload(int(u.PayloadLen)), cmd.payload, cmd.payloadGate
+			gate, err = s.stage(u.StreamID, enc, func(err error) error {
+				defer gcf.PutPayload(enc)
+				if err == nil {
+					err = prevGate.Wait()
+				}
+				if err == nil {
+					err = protocol.ApplyDelta(staged, prev, enc)
+				}
+				return err
+			})
+			if err != nil {
+				gcf.PutPayload(enc)
+			}
 		default:
-			s.drainStream(u.StreamID)
-			return cl.Errf(cl.InvalidValue, "write update for command %d has unknown payload encoding %d", u.Cmd, u.Encoding)
+			return fail(cl.Errf(cl.InvalidValue, "write update for command %d has unknown payload encoding %d", u.Cmd, u.Encoding))
 		}
+		if err != nil {
+			return err
+		}
+		cmd.payload, cmd.payloadGate = staged, gate
 	default:
 		return cl.Errf(cl.InvalidValue, "unknown graph update kind %d", u.Kind)
 	}

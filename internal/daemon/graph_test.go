@@ -77,6 +77,12 @@ func (gs *graphSession) oneway(t *testing.T, typ protocol.MsgType, fill func(*pr
 	}
 }
 
+// enqueue sends an eager command as its one-way MsgEnqueue* frame.
+func (gs *graphSession) enqueue(t *testing.T, e protocol.Enqueue) {
+	t.Helper()
+	gs.oneway(t, e.MsgType(), func(w *protocol.Writer) { protocol.PutEnqueue(w, e) })
+}
+
 func (gs *graphSession) waitNotify(t *testing.T, typ protocol.MsgType) protocol.Envelope {
 	t.Helper()
 	deadline := time.After(5 * time.Second)

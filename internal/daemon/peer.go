@@ -507,54 +507,65 @@ func (d *Daemon) startReceive(pf *pendingForward, ep *gcf.Endpoint, hdr protocol
 // zero-copy (the gcf write path frames it without copying and applies
 // backpressure, so a slow peer link bounds this daemon's buffering).
 // release returns ownership of payload to the caller's pool; it is
-// called exactly once on every path — by the transport after the last
-// frame flushes, or here when the payload was never queued. done
-// completes when the payload has been fully handed to the transport;
-// failures are reported through fail (a deferred MsgCommandFailed to
-// the client) as well.
+// called exactly once, when the transport no longer references the
+// payload. done completes when the payload has been written to the peer
+// connection; failures are reported through fail (a deferred
+// MsgCommandFailed to the client) as well.
+//
+// A pooled connection can be dead without knowing it yet: the peer
+// restarted and this side's read loop has not run since. When the
+// connection dies under an attempt, one more is made over a fresh dial
+// — the restarted peer saw nothing of the first; a peer that did see a
+// truncated stream has already failed the transfer's gate and parks the
+// repeat until its TTL.
 func (d *Daemon) forwardPayload(addr string, hdr protocol.PeerTransfer, payload []byte, release func(), done *native.UserEvent, fail func(error)) {
-	finish := func(err error) {
-		if err != nil {
-			fail(err)
-			if serr := done.SetStatus(cl.CommandStatus(cl.CodeOf(err))); serr != nil {
-				d.logf("daemon %s: forward done status: %v", d.cfg.Name, serr)
-			}
-			return
-		}
-		if serr := done.SetStatus(cl.Complete); serr != nil {
-			d.logf("daemon %s: forward done status: %v", d.cfg.Name, serr)
-		}
+	lost, err := d.sendTransfer(addr, hdr, payload)
+	if lost {
+		_, err = d.sendTransfer(addr, hdr, payload)
 	}
+	if release != nil {
+		release()
+	}
+	st := cl.Complete
+	if err != nil {
+		fail(err)
+		st = cl.CommandStatus(cl.CodeOf(err))
+	}
+	if serr := done.SetStatus(st); serr != nil {
+		d.logf("daemon %s: forward done status: %v", d.cfg.Name, serr)
+	}
+}
+
+// sendTransfer makes one attempt at a peer transfer and returns once the
+// transport holds no reference to payload any more. lost reports that the
+// connection died under the attempt.
+func (d *Daemon) sendTransfer(addr string, hdr protocol.PeerTransfer, payload []byte) (lost bool, err error) {
 	ep, err := d.peers.Get(addr)
 	if err != nil {
-		if release != nil {
-			release()
-		}
-		finish(cl.Errf(cl.InvalidServer, "peer dial %s: %v", addr, err))
-		return
+		return false, cl.Errf(cl.InvalidServer, "peer dial %s: %v", addr, err)
 	}
 	stream := ep.OpenStream()
+	defer stream.Release()
 	hdr.StreamID = stream.ID()
 	w := protocol.NewWriter()
 	protocol.PutPeerTransfer(w, hdr)
 	if err := ep.Send(protocol.EncodeEnvelope(protocol.ClassOneWay, 0, protocol.MsgPeerTransfer, w)); err != nil {
-		stream.Release()
-		if release != nil {
-			release()
-		}
-		finish(cl.Errf(cl.InvalidServer, "peer transfer header to %s: %v", addr, err))
-		return
+		return true, cl.Errf(cl.InvalidServer, "peer transfer header to %s: %v", addr, err)
 	}
-	defer stream.Release()
-	// WriteOwned owns the release from here on: it fires after the last
-	// queued frame flushes, including the error and shutdown-drain paths.
-	if err := stream.WriteOwned(payload, release); err != nil {
-		finish(cl.Errf(cl.InvalidServer, "peer transfer to %s failed mid-stream: %v", addr, err))
-		return
+	// The transport only queues frames; its write loop sends them later,
+	// and the flush callback fires on the error and shutdown-drain paths
+	// too. Success is claimed only for a payload written to a connection
+	// that is still up: otherwise a dead pooled connection would swallow
+	// the transfer while the receiver's gate, and every command behind
+	// it, waits forever.
+	flushed := make(chan struct{})
+	err = stream.WriteOwned(payload, func() { close(flushed) })
+	if err == nil {
+		err = stream.CloseWrite()
 	}
-	if err := stream.CloseWrite(); err != nil {
-		finish(cl.Errf(cl.InvalidServer, "peer transfer close to %s: %v", addr, err))
-		return
+	<-flushed
+	if err != nil || ep.Closed() {
+		return true, cl.Errf(cl.InvalidServer, "peer transfer to %s failed mid-stream: %v (connection: %v)", addr, err, ep.CloseErr())
 	}
-	finish(nil)
+	return false, nil
 }

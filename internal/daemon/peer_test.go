@@ -1,7 +1,9 @@
 package daemon
 
 import (
+	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,12 +36,25 @@ func newPeerHarness(t *testing.T) *peerHarness {
 // TTL (0 keeps the default), for the millisecond-expiry churn tests.
 func newPeerHarnessTTL(t *testing.T, ttl time.Duration) *peerHarness {
 	t.Helper()
+	return newPeerHarnessWrap(t, ttl, func(c net.Conn) net.Conn { return c })
+}
+
+// newPeerHarnessWrap additionally passes every connection the daemon
+// dials on its peer plane through wrap.
+func newPeerHarnessWrap(t *testing.T, ttl time.Duration, wrap func(net.Conn) net.Conn) *peerHarness {
+	t.Helper()
 	nw := simnet.NewNetwork(simnet.Unlimited())
 	plat := native.NewPlatform("p", "v", []device.Config{device.TestCPU("cpu0")})
 	d, err := New(Config{
 		Name: "srv", Platform: plat,
-		PeerAddr:    "srv/peer",
-		PeerDial:    func(a string) (net.Conn, error) { return nw.DialFrom("srv", a) },
+		PeerAddr: "srv/peer",
+		PeerDial: func(a string) (net.Conn, error) {
+			c, err := nw.DialFrom("srv", a)
+			if err != nil {
+				return nil, err
+			}
+			return wrap(c), nil
+		},
 		PeerParkTTL: ttl,
 	})
 	if err != nil {
@@ -276,13 +291,8 @@ func TestEarlyTransferRendezvous(t *testing.T) {
 	}
 	// The payload must be in the buffer: read it back through the queue.
 	h.oneWay(t, protocol.MsgEnqueueRead, func(w *protocol.Writer) {
-		w.U64(2)
-		w.U64(3)
-		w.I64(0)
-		w.I64(64)
-		w.U32(41) // client-side stream ID (odd)
-		w.U64(0)
-		w.U64s(nil)
+		protocol.PutEnqueue(w, protocol.Enqueue{QueueID: 2,
+			Cmd: protocol.GraphCommand{Op: protocol.GraphOpRead, BufID: 3, Size: 64, StreamID: 41}}) // client-side stream ID (odd)
 	})
 	st := h.client.Stream(41)
 	got := make([]byte, 64)
@@ -424,13 +434,8 @@ func TestCancelledForwardNeverTouchesBuffer(t *testing.T) {
 
 	// The buffer must still be all zeros.
 	h.oneWay(t, protocol.MsgEnqueueRead, func(w *protocol.Writer) {
-		w.U64(2)
-		w.U64(3)
-		w.I64(0)
-		w.I64(32)
-		w.U32(43)
-		w.U64(0)
-		w.U64s(nil)
+		protocol.PutEnqueue(w, protocol.Enqueue{QueueID: 2,
+			Cmd: protocol.GraphCommand{Op: protocol.GraphOpRead, BufID: 3, Size: 32, StreamID: 43}})
 	})
 	got := make([]byte, 32)
 	if _, err := ioReadFull(h.client.Stream(43), got); err != nil {
@@ -504,6 +509,72 @@ func TestForwardBufferValidation(t *testing.T) {
 		if f.EventID != tc.f.EventID || f.Status >= 0 {
 			t.Fatalf("%s: failure = %+v", tc.name, f)
 		}
+	}
+}
+
+// halfDeadConn is a connection whose peer can vanish without this side's
+// reader noticing: once dead is set writes fail, reads keep blocking.
+type halfDeadConn struct {
+	net.Conn
+	dead atomic.Bool
+}
+
+func (c *halfDeadConn) Write(p []byte) (int, error) {
+	if c.dead.Load() {
+		return 0, io.ErrClosedPipe
+	}
+	return c.Conn.Write(p)
+}
+
+// TestForwardOverStalePooledConnection: the peer pool can hand out a
+// connection whose far end is gone while the local read loop has not
+// noticed (the peer restarted; nothing has been read since). The
+// transport accepts the transfer's frames into its queue regardless, so
+// the forward used to report success for a payload that never left and
+// the receiver's gate — with every command behind it — waited forever.
+// The source now notices the loss at flush time and repeats the
+// transfer over a fresh connection.
+func TestForwardOverStalePooledConnection(t *testing.T) {
+	var pooled []*halfDeadConn
+	h := newPeerHarnessWrap(t, 0, func(c net.Conn) net.Conn {
+		hc := &halfDeadConn{Conn: c}
+		pooled = append(pooled, hc)
+		return hc
+	})
+	defer h.client.Close()
+	defer h.peer.Close()
+	h.setupBuffer(t, 64)
+
+	// forward ships buffer 3 to this same daemon's peer plane and waits
+	// for the receiver's gate.
+	forward := func(token, gateID uint64) {
+		t.Helper()
+		h.oneWay(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
+			protocol.PutAcceptForward(w, protocol.AcceptForward{Token: token, BufID: 3, Size: 64, EventID: gateID})
+		})
+		h.oneWay(t, protocol.MsgForwardBuffer, func(w *protocol.Writer) {
+			protocol.PutForwardBuffer(w, protocol.ForwardBuffer{QueueID: 2, SrcBufID: 3, Size: 64,
+				PeerAddr: "srv/peer", Token: token, DstBufID: 3, EventID: gateID + 1})
+		})
+		for {
+			env := h.waitNotif(t, protocol.MsgEventComplete)
+			if id := env.Body.U64(); id != gateID {
+				continue // the source-side completion
+			}
+			if st := cl.CommandStatus(env.Body.I32()); st != cl.Complete {
+				t.Fatalf("transfer %d: gate status %v", token, st)
+			}
+			return
+		}
+	}
+	forward(1, 600) // dials and pools the connection
+	if len(pooled) != 1 {
+		t.Fatalf("%d peer connections dialed, want 1", len(pooled))
+	}
+	pooled[0].dead.Store(true)
+	forward(2, 700)
+	if len(pooled) != 2 {
+		t.Fatalf("%d peer connections dialed, want a second one replacing the dead one", len(pooled))
 	}
 }
 

@@ -1,9 +1,7 @@
 package daemon
 
 import (
-	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dopencl/internal/cl"
@@ -297,8 +295,8 @@ func (s *session) handle(msg []byte) {
 		// never executed.
 		if env.Type == protocol.MsgEnqueueWrite {
 			// Its payload may already be in flight behind the frame.
-			if w := getEnqueueWrite(r); r.Err() == nil {
-				s.drainStream(w.streamID)
+			if e := protocol.GetEnqueue(r); r.Err() == nil {
+				s.drainStream(e.Cmd.StreamID)
 			}
 		}
 		s.respond(env.ID, env.Type, cl.InvalidOperation, nil)
@@ -322,18 +320,9 @@ func (s *session) handleOneWay(env protocol.Envelope) {
 		s.handleSetKernelArg(0, true, r)
 	case protocol.MsgReleaseKernel:
 		s.handleReleaseKernel(r)
-	case protocol.MsgEnqueueWrite:
-		s.handleEnqueueWrite(r)
-	case protocol.MsgEnqueueRead:
-		s.handleEnqueueRead(r)
-	case protocol.MsgEnqueueCopy:
-		s.handleEnqueueCopy(r)
-	case protocol.MsgEnqueueKernel:
-		s.handleEnqueueKernel(r)
-	case protocol.MsgEnqueueMarker:
-		s.handleEnqueueMarker(r)
-	case protocol.MsgEnqueueBarrier:
-		s.handleEnqueueBarrier(r)
+	case protocol.MsgEnqueueWrite, protocol.MsgEnqueueRead, protocol.MsgEnqueueCopy,
+		protocol.MsgEnqueueKernel, protocol.MsgEnqueueMarker, protocol.MsgEnqueueBarrier:
+		s.handleEnqueue(env.Type, r)
 	case protocol.MsgFlush:
 		s.handleFlush(r)
 	case protocol.MsgForwardBuffer:
@@ -418,8 +407,6 @@ func (s *session) handleHello(id uint32, r *protocol.Reader) {
 		w.Bool(s.d.CanForward())
 		// Session identity for the re-attach handshake.
 		w.U64(s.id)
-		// Optional-feature capability bits (delta replay, serve plane, ...).
-		w.U32(protocol.CapDeltaReplay | protocol.CapServe)
 	})
 }
 
@@ -486,7 +473,6 @@ func (s *session) handleAttachSession(id uint32, r *protocol.Reader) {
 		w.String(s.d.cfg.PeerAddr)
 		w.Bool(s.d.CanForward())
 		w.U64(s.id)
-		w.U32(protocol.CapDeltaReplay | protocol.CapServe)
 	})
 	s.d.logf("daemon %s: session %d attach (was %d, retained=%v)", s.d.cfg.Name, s.id, sid, retained)
 }
@@ -512,17 +498,15 @@ func (s *session) handleForwardBuffer(r *protocol.Reader) {
 	}
 	s.mu.Lock()
 	q := s.queues[f.QueueID]
-	buf := s.buffers[f.SrcBufID]
 	s.mu.Unlock()
-	if q == nil || buf == nil {
-		failFwd(cl.Errf(cl.InvalidCommandQueue, "unknown queue or buffer"))
+	if q == nil {
+		failFwd(cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", f.QueueID))
 		return
 	}
 	offset, size := int(f.SrcOffset), int(f.Size)
-	// Bound the staging allocation before trusting wire-supplied sizes
-	// (written to avoid offset+size overflow).
-	if size < 0 || offset < 0 || size > buf.Size() || offset > buf.Size()-size {
-		failFwd(cl.Errf(cl.InvalidValue, "malformed forward (offset %d size %d)", offset, size))
+	buf, err := s.bufferRange(f.SrcBufID, offset, size)
+	if err != nil {
+		failFwd(err)
 		return
 	}
 	waits, err := s.resolveWaits(f.WaitIDs)
@@ -530,28 +514,19 @@ func (s *session) handleForwardBuffer(r *protocol.Reader) {
 		failFwd(err)
 		return
 	}
-	// The source side stages the full region, matching the enqueue-read
-	// path (the device read is one queue command); the receive side
-	// streams without staging. The staging block is pooled and the send
-	// path references it zero-copy — forwardPayload's release returns it
-	// to the pool once the last frame flushes. Windowed source staging
-	// for multi-GB forwards is future work.
-	staged := gcf.GetPayload(size)
-	ev, err := q.EnqueueReadBuffer(buf, false, offset, staged, waits)
-	if err != nil {
-		gcf.PutPayload(staged)
-		failFwd(err)
-		return
-	}
 	// done is the client-visible completion event: it fires only after
 	// the payload has been handed to the peer transport, not when the
 	// local device read finishes.
 	done := native.NewUserEvent()
-	s.registerEvent(f.EventID, done)
 	hdr := protocol.PeerTransfer{Token: f.Token, BufID: f.DstBufID, Offset: f.DstOffset, Size: f.Size}
-	cbErr := ev.SetCallback(cl.Complete, func(_ cl.Event, st cl.CommandStatus) {
-		if st != cl.Complete {
-			gcf.PutPayload(staged)
+	// The source side stages the full region, like the enqueue-read path
+	// (the device read is one queue command); the receive side streams
+	// without staging. The send path references the pooled block
+	// zero-copy — forwardPayload returns it to the pool once the
+	// transport is done with it. Windowed source staging for multi-GB
+	// forwards is future work.
+	_, err = readStaged(q, buf, offset, size, waits, func(staged []byte, st cl.CommandStatus) {
+		if staged == nil {
 			failFwd(cl.Errf(cl.ErrorCode(st), "forward source read failed"))
 			if serr := done.SetStatus(st); serr != nil {
 				s.d.logf("daemon %s: forward done status: %v", s.d.cfg.Name, serr)
@@ -562,9 +537,11 @@ func (s *session) handleForwardBuffer(r *protocol.Reader) {
 		// not stall the native queue's completion path.
 		go s.d.forwardPayload(f.PeerAddr, hdr, staged, func() { gcf.PutPayload(staged) }, done, failFwd)
 	})
-	if cbErr != nil {
-		failFwd(cbErr)
+	if err != nil {
+		failFwd(err)
+		return
 	}
+	s.registerEvent(f.EventID, done)
 }
 
 // handleAcceptForward executes the target half of a peer transfer:
@@ -580,17 +557,10 @@ func (s *session) handleAcceptForward(r *protocol.Reader) {
 	failAcc := func(err error) {
 		s.notifyCommandFailed(a.QueueID, a.EventID, protocol.MsgAcceptForward, err)
 	}
-	s.mu.Lock()
-	buf := s.buffers[a.BufID]
-	s.mu.Unlock()
-	if buf == nil {
-		failAcc(cl.Errf(cl.InvalidMemObject, "unknown buffer %d", a.BufID))
-		return
-	}
 	offset, size := int(a.Offset), int(a.Size)
-	// Overflow-safe bounds check on wire-supplied values, as everywhere.
-	if size < 0 || offset < 0 || size > buf.Size() || offset > buf.Size()-size {
-		failAcc(cl.Errf(cl.InvalidValue, "malformed accept (offset %d size %d)", offset, size))
+	buf, err := s.bufferRange(a.BufID, offset, size)
+	if err != nil {
+		failAcc(err)
 		return
 	}
 	gate := newForwardGate()
@@ -685,16 +655,21 @@ func (s *session) handleCreateBuffer(id uint32, r *protocol.Reader) {
 		// Initial contents arrive on a gcf stream (the paper's synchronous
 		// request/response + bulk data pattern). CreateBuffer copies host
 		// into the backing store, so pooled staging is safe.
+		if size <= 0 {
+			s.drainStream(streamID)
+			s.fail(id, protocol.MsgCreateBuffer, cl.Errf(cl.InvalidBufferSize, "buffer size %d", size))
+			return
+		}
 		host = gcf.GetPayload(size)
-		st := s.ep.Stream(streamID)
-		if _, err := io.ReadFull(st, host); err != nil {
-			st.Release()
+		gate, err := s.stage(streamID, host, nil)
+		if err == nil {
+			err = gate.Wait()
+		}
+		if err != nil {
 			gcf.PutPayload(host)
 			s.fail(id, protocol.MsgCreateBuffer, cl.Errf(cl.InvalidValue, "buffer init transfer: %v", err))
 			return
 		}
-		st.WaitEOF()
-		st.Release()
 	} else {
 		flags &^= cl.MemCopyHostPtr
 	}
@@ -809,52 +784,18 @@ func (s *session) handleCreateKernel(id uint32, oneway bool, r *protocol.Reader)
 }
 
 func (s *session) handleSetKernelArg(id uint32, oneway bool, r *protocol.Reader) {
-	kernelID := r.U64()
-	idx := int(r.U32())
-	kind := r.U8()
+	a := protocol.GetSetKernelArg(r)
 	s.mu.Lock()
-	k := s.kernels[kernelID]
+	k, ok := s.kernels[a.KernelID].(*native.Kernel)
 	s.mu.Unlock()
-	if k == nil {
-		s.replyErr(id, oneway, protocol.MsgSetKernelArg, 0, 0, cl.Errf(cl.InvalidKernel, "unknown kernel %d", kernelID))
-		return
-	}
 	var err error
-	switch kind {
-	case protocol.ArgValScalar:
-		raw := r.U64()
-		err = setScalarArg(k, idx, raw)
-	case protocol.ArgValBuffer:
-		bufID := r.U64()
-		s.mu.Lock()
-		buf := s.buffers[bufID]
-		s.mu.Unlock()
-		if buf == nil {
-			err = cl.Errf(cl.InvalidMemObject, "unknown buffer %d", bufID)
-		} else {
-			err = k.SetArg(idx, buf)
-		}
-	case protocol.ArgValSubBuffer:
-		bufID := r.U64()
-		org := int(r.I64())
-		size := int(r.I64())
-		s.mu.Lock()
-		buf := s.buffers[bufID]
-		s.mu.Unlock()
-		if buf == nil {
-			err = cl.Errf(cl.InvalidMemObject, "unknown buffer %d", bufID)
-		} else {
-			var sub cl.Buffer
-			sub, err = subBufferView(buf, org, size)
-			if err == nil {
-				err = k.SetArg(idx, sub)
-			}
-		}
-	case protocol.ArgValLocal:
-		size := int(r.I64())
-		err = k.SetArg(idx, cl.LocalSpace{Size: size})
+	switch {
+	case r.Err() != nil:
+		err = cl.Errf(cl.InvalidValue, "bad set kernel arg")
+	case !ok:
+		err = cl.Errf(cl.InvalidKernel, "unknown kernel %d", a.KernelID)
 	default:
-		err = cl.Errf(cl.InvalidValue, "bad arg kind %d", kind)
+		err = s.bindArg(k, int(a.Index), a.Arg)
 	}
 	if err != nil {
 		s.replyErr(id, oneway, protocol.MsgSetKernelArg, 0, 0, err)
@@ -863,314 +804,6 @@ func (s *session) handleSetKernelArg(id uint32, oneway bool, r *protocol.Reader)
 	// One-way commands are acknowledged by silence (ack only on error).
 	if !oneway {
 		s.respond(id, protocol.MsgSetKernelArg, cl.Success, nil)
-	}
-}
-
-// setScalarArg binds a raw 64-bit scalar image to argument idx, letting
-// the native kernel's signature decide the interpretation.
-func setScalarArg(k cl.Kernel, idx int, raw uint64) error {
-	nk, ok := k.(*native.Kernel)
-	if !ok {
-		return cl.Errf(cl.InvalidKernel, "foreign kernel object")
-	}
-	return nk.SetRawArg(idx, raw)
-}
-
-// subBufferView materializes a native sub-buffer aliasing [org, org+size)
-// of the session buffer: the wire ships root ID + range instead of a
-// standalone remote object, so creating one is free of round trips.
-func subBufferView(buf cl.Buffer, org, size int) (cl.Buffer, error) {
-	nb, ok := buf.(*native.Buffer)
-	if !ok {
-		return nil, cl.Errf(cl.InvalidMemObject, "buffer is not a native object")
-	}
-	return nb.CreateSubBuffer(org, size)
-}
-
-// enqueueWrite is the decoded body of a MsgEnqueueWrite command.
-type enqueueWrite struct {
-	queueID, bufID uint64
-	offset, size   int
-	streamID       uint32
-	eventID        uint64
-	waitIDs        []uint64
-}
-
-func getEnqueueWrite(r *protocol.Reader) enqueueWrite {
-	return enqueueWrite{
-		queueID: r.U64(), bufID: r.U64(),
-		offset: int(r.I64()), size: int(r.I64()),
-		streamID: r.U32(), eventID: r.U64(), waitIDs: r.U64s(),
-	}
-}
-
-func (s *session) handleEnqueueWrite(r *protocol.Reader) {
-	w := getEnqueueWrite(r)
-	if r.Err() != nil {
-		s.badFrame(protocol.MsgEnqueueWrite)
-		return
-	}
-	// The payload is pipelined behind the command, so a failed write must
-	// still consume it.
-	failWrite := func(err error) {
-		s.drainStream(w.streamID)
-		s.notifyCommandFailed(w.queueID, w.eventID, protocol.MsgEnqueueWrite, err)
-	}
-	s.mu.Lock()
-	q := s.queues[w.queueID]
-	buf := s.buffers[w.bufID]
-	s.mu.Unlock()
-	if q == nil || buf == nil {
-		failWrite(cl.Errf(cl.InvalidCommandQueue, "unknown queue or buffer"))
-		return
-	}
-	// Bound the staging allocation before trusting wire-supplied sizes
-	// (written to avoid offset+size overflow).
-	if w.size < 0 || w.offset < 0 || w.size > buf.Size() || w.offset > buf.Size()-w.size {
-		failWrite(cl.Errf(cl.InvalidValue, "malformed enqueue write (offset %d size %d)", w.offset, w.size))
-		return
-	}
-	waits, err := s.resolveWaits(w.waitIDs)
-	if err != nil {
-		failWrite(err)
-		return
-	}
-	// Stage the inbound stream data off the dispatcher: a native marker
-	// command gates the actual write so queue order is preserved while the
-	// network transfer overlaps with earlier commands. The staging block
-	// is pooled; it is referenced by both the receive goroutine and the
-	// native write command, so it re-enters the pool only after BOTH are
-	// done with it (refcount of two — on a synchronous enqueue failure
-	// the error branch stands in for the completion callback).
-	stream := s.ep.Stream(w.streamID)
-	staged := gcf.GetPayload(w.size)
-	var stagedRefs atomic.Int32
-	releaseStaged := func() {
-		if stagedRefs.Add(1) == 2 {
-			gcf.PutPayload(staged)
-		}
-	}
-	gate := native.NewUserEvent()
-	go func() {
-		if _, rerr := io.ReadFull(stream, staged); rerr != nil {
-			releaseStaged()
-			if serr := gate.SetStatus(cl.CommandStatus(cl.InvalidValue)); serr != nil {
-				s.d.logf("daemon %s: gate status: %v", s.d.cfg.Name, serr)
-			}
-		} else {
-			stream.WaitEOF()
-			releaseStaged()
-			if serr := gate.SetStatus(cl.Complete); serr != nil {
-				s.d.logf("daemon %s: gate status: %v", s.d.cfg.Name, serr)
-			}
-		}
-		stream.Release()
-	}()
-	ev, err := q.EnqueueWriteBuffer(buf, false, w.offset, staged, append(waits, gate))
-	if err != nil {
-		releaseStaged()
-		s.notifyCommandFailed(w.queueID, w.eventID, protocol.MsgEnqueueWrite, err)
-		return
-	}
-	if cerr := ev.SetCallback(cl.Complete, func(cl.Event, cl.CommandStatus) {
-		releaseStaged()
-	}); cerr != nil {
-		s.d.logf("daemon %s: write staging callback: %v", s.d.cfg.Name, cerr)
-	}
-	s.registerEvent(w.eventID, ev)
-}
-
-func (s *session) handleEnqueueRead(r *protocol.Reader) {
-	queueID := r.U64()
-	bufID := r.U64()
-	offset := int(r.I64())
-	size := int(r.I64())
-	streamID := r.U32()
-	eventID := r.U64()
-	waitIDs := r.U64s()
-	if r.Err() != nil {
-		s.badFrame(protocol.MsgEnqueueRead)
-		return
-	}
-	// A failed read must close the announced stream empty so a client
-	// blocked on the download unblocks (the real error follows as a
-	// MsgCommandFailed notification).
-	failRead := func(err error) {
-		if streamID != 0 {
-			st := s.ep.Stream(streamID)
-			if cerr := st.CloseWrite(); cerr != nil {
-				s.d.logf("daemon %s: read-back stream close: %v", s.d.cfg.Name, cerr)
-			}
-			st.Release()
-		}
-		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueRead, err)
-	}
-	s.mu.Lock()
-	q := s.queues[queueID]
-	buf := s.buffers[bufID]
-	s.mu.Unlock()
-	if q == nil || buf == nil {
-		failRead(cl.Errf(cl.InvalidCommandQueue, "unknown queue or buffer"))
-		return
-	}
-	// Bound the staging allocation before trusting wire-supplied sizes
-	// (written to avoid offset+size overflow).
-	if size < 0 || offset < 0 || size > buf.Size() || offset > buf.Size()-size {
-		failRead(cl.Errf(cl.InvalidValue, "malformed enqueue read (offset %d size %d)", offset, size))
-		return
-	}
-	waits, err := s.resolveWaits(waitIDs)
-	if err != nil {
-		failRead(err)
-		return
-	}
-	// Pooled staging for the device read: on the fast path (one read per
-	// compute iteration) a fresh multi-megabyte allocation per read makes
-	// the allocator the dominant transfer cost.
-	staged := gcf.GetPayload(size)
-	ev, err := q.EnqueueReadBuffer(buf, false, offset, staged, waits)
-	if err != nil {
-		gcf.PutPayload(staged)
-		failRead(err)
-		return
-	}
-	// Once the device read completes, ship the data back on the stream.
-	stream := s.ep.Stream(streamID)
-	cbErr := ev.SetCallback(cl.Complete, func(e cl.Event, st cl.CommandStatus) {
-		if st == cl.Complete {
-			// Zero-copy hand-off: the frames reference the staging block
-			// until the deferred flush writes them; the release returns it
-			// to the pool once the last frame is on the wire.
-			if werr := stream.WriteOwned(staged, func() { gcf.PutPayload(staged) }); werr != nil {
-				s.d.logf("daemon %s: read-back stream write: %v", s.d.cfg.Name, werr)
-			}
-		} else {
-			gcf.PutPayload(staged)
-		}
-		if cerr := stream.CloseWrite(); cerr != nil {
-			s.d.logf("daemon %s: read-back stream close: %v", s.d.cfg.Name, cerr)
-		}
-		stream.Release()
-	})
-	if cbErr != nil {
-		failRead(cbErr)
-		return
-	}
-	s.registerEvent(eventID, ev)
-}
-
-func (s *session) handleEnqueueCopy(r *protocol.Reader) {
-	queueID := r.U64()
-	srcID := r.U64()
-	dstID := r.U64()
-	srcOff := int(r.I64())
-	dstOff := int(r.I64())
-	size := int(r.I64())
-	eventID := r.U64()
-	waitIDs := r.U64s()
-	if r.Err() != nil {
-		s.badFrame(protocol.MsgEnqueueCopy)
-		return
-	}
-	s.mu.Lock()
-	q := s.queues[queueID]
-	src := s.buffers[srcID]
-	dst := s.buffers[dstID]
-	s.mu.Unlock()
-	if q == nil || src == nil || dst == nil {
-		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueCopy, cl.Errf(cl.InvalidCommandQueue, "unknown queue or buffer"))
-		return
-	}
-	waits, err := s.resolveWaits(waitIDs)
-	if err != nil {
-		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueCopy, err)
-		return
-	}
-	ev, err := q.EnqueueCopyBuffer(src, dst, srcOff, dstOff, size, waits)
-	if err != nil {
-		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueCopy, err)
-		return
-	}
-	s.registerEvent(eventID, ev)
-}
-
-func (s *session) handleEnqueueKernel(r *protocol.Reader) {
-	queueID := r.U64()
-	kernelID := r.U64()
-	goffset := r.Ints()
-	global := r.Ints()
-	local := r.Ints()
-	eventID := r.U64()
-	waitIDs := r.U64s()
-	if r.Err() != nil {
-		s.badFrame(protocol.MsgEnqueueKernel)
-		return
-	}
-	s.mu.Lock()
-	q := s.queues[queueID]
-	k := s.kernels[kernelID]
-	s.mu.Unlock()
-	if q == nil || k == nil {
-		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueKernel, cl.Errf(cl.InvalidCommandQueue, "unknown queue or kernel"))
-		return
-	}
-	waits, err := s.resolveWaits(waitIDs)
-	if err != nil {
-		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueKernel, err)
-		return
-	}
-	if len(local) == 0 {
-		local = nil
-	}
-	if len(goffset) == 0 {
-		goffset = nil
-	}
-	ev, err := q.EnqueueNDRangeKernelWithOffset(k, goffset, global, local, waits)
-	if err != nil {
-		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueKernel, err)
-		return
-	}
-	s.registerEvent(eventID, ev)
-}
-
-func (s *session) handleEnqueueMarker(r *protocol.Reader) {
-	queueID := r.U64()
-	eventID := r.U64()
-	if r.Err() != nil {
-		s.badFrame(protocol.MsgEnqueueMarker)
-		return
-	}
-	s.mu.Lock()
-	q := s.queues[queueID]
-	s.mu.Unlock()
-	if q == nil {
-		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueMarker, cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", queueID))
-		return
-	}
-	ev, err := q.EnqueueMarker()
-	if err != nil {
-		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueMarker, err)
-		return
-	}
-	s.registerEvent(eventID, ev)
-}
-
-func (s *session) handleEnqueueBarrier(r *protocol.Reader) {
-	queueID := r.U64()
-	if r.Err() != nil {
-		s.badFrame(protocol.MsgEnqueueBarrier)
-		return
-	}
-	s.mu.Lock()
-	q := s.queues[queueID]
-	s.mu.Unlock()
-	if q == nil {
-		s.notifyCommandFailed(queueID, 0, protocol.MsgEnqueueBarrier, cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", queueID))
-		return
-	}
-	if err := q.EnqueueBarrier(); err != nil {
-		s.notifyCommandFailed(queueID, 0, protocol.MsgEnqueueBarrier, err)
-		return
 	}
 }
 

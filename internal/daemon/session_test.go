@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"io"
+	"math"
 	"testing"
 	"time"
 
@@ -11,26 +12,23 @@ import (
 	"dopencl/internal/protocol"
 )
 
-// TestRequestClassEnqueueRejected: the command path is served in one-way
-// class only. A request-class MsgEnqueueWrite or MsgEnqueueKernel frame
-// is answered with InvalidOperation and never executed — no event is
-// registered, the buffer is untouched, the write's pipelined payload is
-// consumed rather than parked in the session, and the session keeps
-// serving.
-func TestRequestClassEnqueueRejected(t *testing.T) {
-	const (
-		ctxID, queueID, bufID, progID, kernelID = 1, 2, 3, 4, 5
-		size                                    = 64
-	)
-	d := testDaemon(t, false)
-	// An in-process endpoint pair hands stream payloads across by
-	// reference, so the payload's release callback firing is the proof
-	// that the daemon consumed the stream.
+// Object IDs of the session commandSession sets up.
+const (
+	csCtx, csQueue, csBuf, csProg, csKernel = 1, 2, 3, 4, 5
+	csSize                                  = 64 // bytes in buffer csBuf
+)
+
+// commandSession starts a raw session holding a queue, a zeroed buffer
+// and a kernel "fill" bound to that buffer. The in-process endpoint pair
+// hands stream payloads across by reference, so a payload's release
+// callback firing is the proof that the daemon consumed the stream.
+func commandSession(t *testing.T) (*graphSession, *session) {
+	t.Helper()
 	clientEP, serverEP := gcf.NewLocalPair()
-	sess := newSession(d, serverEP)
+	sess := newSession(testDaemon(t, false), serverEP)
 	sess.start()
 	gs := startGraphSession(clientEP)
-	defer gs.ep.Close()
+	t.Cleanup(func() { gs.ep.Close() })
 
 	ok := func(what string, env protocol.Envelope) {
 		t.Helper()
@@ -39,66 +37,51 @@ func TestRequestClassEnqueueRejected(t *testing.T) {
 		}
 	}
 	ok("hello", gs.call(t, 1, protocol.MsgHello, func(w *protocol.Writer) {
-		w.String("reject-test")
+		w.String("command-test")
 		w.String("")
 	}))
 	ok("create context", gs.call(t, 2, protocol.MsgCreateContext, func(w *protocol.Writer) {
-		w.U64(ctxID)
+		w.U64(csCtx)
 		w.U64s([]uint64{0})
 	}))
 	ok("create queue", gs.call(t, 3, protocol.MsgCreateQueue, func(w *protocol.Writer) {
-		w.U64(queueID)
-		w.U64(ctxID)
+		w.U64(csQueue)
+		w.U64(csCtx)
 		w.U64(0)
 	}))
 	ok("create buffer", gs.call(t, 4, protocol.MsgCreateBuffer, func(w *protocol.Writer) {
-		w.U64(bufID)
-		w.U64(ctxID)
+		w.U64(csBuf)
+		w.U64(csCtx)
 		w.U32(uint32(cl.MemReadWrite))
-		w.I64(size)
+		w.I64(csSize)
 		w.U32(0)
 	}))
 	ok("create program", gs.call(t, 5, protocol.MsgCreateProgram, func(w *protocol.Writer) {
-		w.U64(progID)
-		w.U64(ctxID)
+		w.U64(csProg)
+		w.U64(csCtx)
 		w.String(`kernel void fill(global int* p) { p[get_global_id(0)] = 7; }`)
 	}))
 	ok("build", gs.call(t, 6, protocol.MsgBuildProgram, func(w *protocol.Writer) {
-		w.U64(progID)
+		w.U64(csProg)
 		w.String("")
 	}))
 	ok("create kernel", gs.call(t, 7, protocol.MsgCreateKernel, func(w *protocol.Writer) {
-		w.U64(kernelID)
-		w.U64(progID)
+		w.U64(csKernel)
+		w.U64(csProg)
 		w.String("fill")
 	}))
 	ok("set arg", gs.call(t, 8, protocol.MsgSetKernelArg, func(w *protocol.Writer) {
-		w.U64(kernelID)
-		w.U32(0)
-		w.U8(protocol.ArgValBuffer)
-		w.U64(bufID)
+		protocol.PutSetKernelArg(w, protocol.SetKernelArg{KernelID: csKernel, Index: 0,
+			Arg: protocol.GraphKernelArg{Kind: protocol.ArgValBuffer, Raw: csBuf}})
 	}))
+	return gs, sess
+}
 
-	rejected := func(what string, env protocol.Envelope) {
-		t.Helper()
-		if st := cl.ErrorCode(env.Body.I32()); st != cl.InvalidOperation {
-			t.Fatalf("request-class %s answered %v, want InvalidOperation", what, st)
-		}
-	}
-
-	// Request-class write, payload pipelined behind the frame.
-	stream := gs.ep.OpenStream()
+// sendPayload ships payload on an announced write stream and waits for
+// the daemon to consume it.
+func sendPayload(t *testing.T, stream *gcf.Stream, payload []byte) {
+	t.Helper()
 	consumed := make(chan struct{})
-	payload := bytes.Repeat([]byte{0xAB}, size)
-	rejected("EnqueueWrite", gs.call(t, 9, protocol.MsgEnqueueWrite, func(w *protocol.Writer) {
-		w.U64(queueID)
-		w.U64(bufID)
-		w.I64(0)
-		w.I64(size)
-		w.U32(stream.ID())
-		w.U64(100) // event ID
-		w.U64s(nil)
-	}))
 	if err := stream.WriteOwned(payload, func() { close(consumed) }); err != nil {
 		t.Fatal(err)
 	}
@@ -110,16 +93,60 @@ func TestRequestClassEnqueueRejected(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("rejected write's payload stream was never drained")
 	}
+}
+
+// expectUntouched checks that the session still serves the one-way
+// command path and that buffer csBuf is still all zeros, then drains the
+// queue.
+func expectUntouched(t *testing.T, gs *graphSession, eventID uint64) {
+	t.Helper()
+	back := gs.ep.OpenStream()
+	gs.enqueue(t, protocol.Enqueue{QueueID: csQueue, EventID: eventID,
+		Cmd: protocol.GraphCommand{Op: protocol.GraphOpRead, BufID: csBuf, Size: csSize, StreamID: back.ID()}})
+	got := make([]byte, csSize)
+	if _, err := io.ReadFull(back, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, csSize)) {
+		t.Fatalf("buffer modified by a rejected command: % x", got[:8])
+	}
+	env := gs.waitNotify(t, protocol.MsgEventComplete)
+	if id := env.Body.U64(); id != eventID {
+		t.Fatalf("completion for event %d, want %d", id, eventID)
+	}
+	if env := gs.call(t, 99, protocol.MsgFinish, func(w *protocol.Writer) { w.U64(csQueue) }); cl.ErrorCode(env.Body.I32()) != cl.Success {
+		t.Fatal("finish failed after rejected commands")
+	}
+}
+
+// TestRequestClassEnqueueRejected: the command path is served in one-way
+// class only. A request-class MsgEnqueueWrite or MsgEnqueueKernel frame
+// is answered with InvalidOperation and never executed — no event is
+// registered, the buffer is untouched, the write's pipelined payload is
+// consumed rather than parked in the session, and the session keeps
+// serving.
+func TestRequestClassEnqueueRejected(t *testing.T) {
+	gs, sess := commandSession(t)
+
+	rejected := func(what string, env protocol.Envelope) {
+		t.Helper()
+		if st := cl.ErrorCode(env.Body.I32()); st != cl.InvalidOperation {
+			t.Fatalf("request-class %s answered %v, want InvalidOperation", what, st)
+		}
+	}
+
+	// Request-class write, payload pipelined behind the frame.
+	stream := gs.ep.OpenStream()
+	rejected("EnqueueWrite", gs.call(t, 9, protocol.MsgEnqueueWrite, func(w *protocol.Writer) {
+		protocol.PutEnqueue(w, protocol.Enqueue{QueueID: csQueue, EventID: 100,
+			Cmd: protocol.GraphCommand{Op: protocol.GraphOpWrite, BufID: csBuf, Size: csSize, StreamID: stream.ID()}})
+	}))
+	sendPayload(t, stream, bytes.Repeat([]byte{0xAB}, csSize))
 
 	// Request-class launch of a fully bound kernel.
 	rejected("EnqueueKernel", gs.call(t, 10, protocol.MsgEnqueueKernel, func(w *protocol.Writer) {
-		w.U64(queueID)
-		w.U64(kernelID)
-		w.Ints(nil)
-		w.Ints([]int{size / 4})
-		w.Ints(nil)
-		w.U64(101) // event ID
-		w.U64s(nil)
+		protocol.PutEnqueue(w, protocol.Enqueue{QueueID: csQueue, EventID: 101,
+			Cmd: protocol.GraphCommand{Op: protocol.GraphOpKernel, KernelID: csKernel, Global: []int{csSize / 4}}})
 	}))
 
 	sess.mu.Lock()
@@ -128,29 +155,63 @@ func TestRequestClassEnqueueRejected(t *testing.T) {
 	if events != 0 {
 		t.Fatalf("%d events registered by rejected frames, want 0", events)
 	}
+	expectUntouched(t, gs, 102)
+}
 
-	// The session still serves the one-way command path, and neither the
-	// write nor the kernel touched the buffer.
-	back := gs.ep.OpenStream()
-	gs.oneway(t, protocol.MsgEnqueueRead, func(w *protocol.Writer) {
-		w.U64(queueID)
-		w.U64(bufID)
-		w.I64(0)
-		w.I64(size)
-		w.U32(back.ID())
-		w.U64(102)
-		w.U64s(nil)
+// TestMalformedEnqueueRejected: one-way command frames whose ranges lie
+// outside their buffers — negative sizes and offset+size wrap-around
+// included — or that name unknown objects come back as MsgCommandFailed
+// with the right status; none executes (a copy of size -8 used to panic
+// the native queue goroutine, and with it the daemon), announced streams
+// are consumed, and the session keeps serving.
+func TestMalformedEnqueueRejected(t *testing.T) {
+	gs, sess := commandSession(t)
+	for i, tc := range []struct {
+		name string
+		cmd  protocol.GraphCommand
+		want cl.ErrorCode
+	}{
+		{"copy of negative size", protocol.GraphCommand{Op: protocol.GraphOpCopy, SrcID: csBuf, DstID: csBuf, Offset: 8, DstOff: 8, Size: -8}, cl.InvalidValue},
+		{"copy past the source", protocol.GraphCommand{Op: protocol.GraphOpCopy, SrcID: csBuf, DstID: csBuf, Offset: 60, Size: 8}, cl.InvalidValue},
+		{"copy wrapping the destination", protocol.GraphCommand{Op: protocol.GraphOpCopy, SrcID: csBuf, DstID: csBuf, DstOff: math.MaxInt64 - 3, Size: 8}, cl.InvalidValue},
+		{"copy from an unknown buffer", protocol.GraphCommand{Op: protocol.GraphOpCopy, SrcID: 999, DstID: csBuf, Size: 8}, cl.InvalidMemObject},
+		{"write of negative size", protocol.GraphCommand{Op: protocol.GraphOpWrite, BufID: csBuf, Size: -8}, cl.InvalidValue},
+		{"write past the buffer", protocol.GraphCommand{Op: protocol.GraphOpWrite, BufID: csBuf, Offset: 1, Size: csSize}, cl.InvalidValue},
+		{"read of huge size", protocol.GraphCommand{Op: protocol.GraphOpRead, BufID: csBuf, Size: 1 << 62}, cl.InvalidValue},
+		{"launch of an unknown kernel", protocol.GraphCommand{Op: protocol.GraphOpKernel, KernelID: 999, Global: []int{4}}, cl.InvalidKernel},
+	} {
+		eventID := uint64(200 + i)
+		var stream *gcf.Stream
+		if tc.cmd.Op == protocol.GraphOpWrite || tc.cmd.Op == protocol.GraphOpRead {
+			stream = gs.ep.OpenStream()
+			tc.cmd.StreamID = stream.ID()
+		}
+		gs.enqueue(t, protocol.Enqueue{QueueID: csQueue, EventID: eventID, Cmd: tc.cmd})
+		switch tc.cmd.Op {
+		case protocol.GraphOpWrite:
+			sendPayload(t, stream, make([]byte, 8))
+		case protocol.GraphOpRead:
+			// A failed read closes its stream empty.
+			if n, err := io.Copy(io.Discard, stream); n != 0 || err != nil {
+				t.Fatalf("%s: read stream carried %d bytes (err %v), want an empty close", tc.name, n, err)
+			}
+		}
+		f := protocol.GetCommandFailure(gs.waitNotify(t, protocol.MsgCommandFailed).Body)
+		if f.QueueID != csQueue || f.EventID != eventID || cl.ErrorCode(f.Status) != tc.want {
+			t.Fatalf("%s: failure = %+v, want status %v for event %d", tc.name, f, tc.want, eventID)
+		}
+	}
+	// A frame whose opcode contradicts its message type is dropped whole.
+	gs.oneway(t, protocol.MsgEnqueueMarker, func(w *protocol.Writer) {
+		protocol.PutEnqueue(w, protocol.Enqueue{QueueID: csQueue, EventID: 300,
+			Cmd: protocol.GraphCommand{Op: protocol.GraphOpKernel, KernelID: csKernel, Global: []int{csSize / 4}}})
 	})
-	got := make([]byte, size)
-	if _, err := io.ReadFull(back, got); err != nil {
-		t.Fatal(err)
+
+	sess.mu.Lock()
+	events := len(sess.events)
+	sess.mu.Unlock()
+	if events != 0 {
+		t.Fatalf("%d events registered by rejected frames, want 0", events)
 	}
-	if !bytes.Equal(got, make([]byte, size)) {
-		t.Fatalf("buffer modified by a rejected command: % x", got[:8])
-	}
-	env := gs.waitNotify(t, protocol.MsgEventComplete)
-	if id := env.Body.U64(); id != 102 {
-		t.Fatalf("completion for event %d, want 102", id)
-	}
-	ok("finish", gs.call(t, 11, protocol.MsgFinish, func(w *protocol.Writer) { w.U64(queueID) }))
+	expectUntouched(t, gs, 301)
 }

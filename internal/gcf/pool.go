@@ -74,6 +74,12 @@ func (p *Pool) Get(addr string) (*Endpoint, error) {
 		if e.err != nil {
 			return nil, e.err
 		}
+		if e.ep.Closed() {
+			// Dead, but its close notice has not run yet: do not hand it
+			// out again.
+			p.evict(addr, e)
+			return p.Get(addr)
+		}
 		return e.ep, nil
 	}
 	e := &poolEntry{ready: make(chan struct{})}

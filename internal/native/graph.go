@@ -8,9 +8,12 @@ import (
 
 // Command-graph recording for the native runtime: the single-node
 // implementation of cl.Queue.BeginRecording / Finalize /
-// EnqueueCommandBuffer. The daemon builds on the same primitives when it
-// replays a client-registered graph (see internal/daemon), so the native
-// recorder doubles as the replay executor of the distributed path.
+// EnqueueCommandBuffer, so recorded host code runs unchanged locally and
+// distributed. The daemon does not replay through this recorder: it keeps
+// its own resolved command list per registered graph and puts each
+// command on a native queue with the ordinary Enqueue* calls (see
+// internal/daemon/command.go), using only EnqueueMarkerAfter and
+// Kernel.Clone from this file.
 
 // graphOp enumerates recorded command kinds.
 type graphOp uint8

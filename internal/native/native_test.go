@@ -358,6 +358,11 @@ func TestBufferValidation(t *testing.T) {
 	if _, err := q.EnqueueReadBuffer(buf, true, -1, make([]byte, 2), nil); cl.CodeOf(err) != cl.InvalidValue {
 		t.Errorf("negative offset: %v", err)
 	}
+	for _, bad := range [][3]int{{8, 8, -8}, {0, 4, 8}, {-1, 0, 4}, {4, 0, math.MaxInt}} {
+		if _, err := q.EnqueueCopyBuffer(buf, buf, bad[0], bad[1], bad[2], nil); cl.CodeOf(err) != cl.InvalidValue {
+			t.Errorf("copy src+%d dst+%d size %d: %v", bad[0], bad[1], bad[2], err)
+		}
+	}
 }
 
 func TestEnqueueCopyBuffer(t *testing.T) {

@@ -195,7 +195,7 @@ func (q *Queue) EnqueueCopyBuffer(src, dst cl.Buffer, srcOffset, dstOffset, size
 	if err != nil {
 		return nil, err
 	}
-	if srcOffset < 0 || srcOffset+size > len(nsrc.data) || dstOffset < 0 || dstOffset+size > len(ndst.data) {
+	if size < 0 || srcOffset < 0 || srcOffset > len(nsrc.data)-size || dstOffset < 0 || dstOffset > len(ndst.data)-size {
 		return nil, cl.Errf(cl.InvalidValue, "copy range out of bounds")
 	}
 	if ev, rec, err := q.maybeRecord(false, wait, func() *graphCmd {

@@ -26,17 +26,9 @@ import (
 // are folded into the surrounding literal run — two varint headers cost
 // more than re-sending a handful of unchanged bytes.
 //
-// Negotiation: a daemon advertises CapDeltaReplay in its hello/attach
-// response; the client then requests delta per graph at registration
-// (RegisterGraph.DeltaReplay) and marks each shipped update with
-// GraphPayloadFull or GraphPayloadDelta. Encoding falls back to a full
-// frame whenever the delta would not be smaller.
-
-// Capability bits exchanged in the hello/attach handshake.
-const (
-	// CapDeltaReplay: the daemon decodes GraphPayloadDelta update streams.
-	CapDeltaReplay uint32 = 1 << 0
-)
+// The client marks each shipped update GraphPayloadFull or
+// GraphPayloadDelta: encoding falls back to a full frame whenever the
+// delta would not be smaller.
 
 // GraphUpdate.Encoding values for GraphUpdateWriteData payload streams.
 const (

@@ -75,6 +75,15 @@ func FuzzEnvelopeParse(f *testing.F) {
 	rw := NewWriter()
 	PutServeResults(rw, ServeResults{ServeID: 1, Results: []ServeResult{{JobID: 1, Output: []byte{1}}}})
 	f.Add(EncodeEnvelope(ClassNotification, 0, MsgServeResult, rw))
+	for _, form := range commandForms() {
+		cw := NewWriter()
+		form.put(cw)
+		typ := MsgSetKernelArg
+		if e, ok := form.in.(Enqueue); ok {
+			typ = e.MsgType()
+		}
+		f.Add(EncodeEnvelope(ClassOneWay, 0, typ, cw))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := ParseEnvelope(data)
 		if err != nil {
@@ -97,6 +106,16 @@ func FuzzEnvelopeParse(f *testing.F) {
 		}
 		if env3, err3 := ParseEnvelope(data); err3 == nil {
 			_ = GetServeResults(env3.Body)
+		}
+		for _, get := range []func(*Reader){
+			func(r *Reader) { GetEnqueue(r) },
+			func(r *Reader) { GetSetKernelArg(r) },
+			func(r *Reader) { GetRegisterGraph(r) },
+			func(r *Reader) { GetExecGraph(r) },
+		} {
+			if env4, err4 := ParseEnvelope(data); err4 == nil {
+				get(env4.Body)
+			}
 		}
 		if r.Err() != nil {
 			// Errors must stay sticky: further reads return zero values.

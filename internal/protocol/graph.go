@@ -1,19 +1,21 @@
 package protocol
 
-// Command-graph wire format (MsgRegisterGraph / MsgExecGraph /
-// MsgReleaseGraph): the client compiles a finalized cl.CommandBuffer
-// recording into a per-server command list, registers it once with the
-// daemon owning the recording queue, and then replays it with one small
-// MsgExecGraph frame per iteration. All three messages are one-way
-// (ClassOneWay), riding the PR 1 pipelined command path; failures come
-// back as deferred MsgCommandFailed notifications.
+// Command wire format. A queue command — write, read, copy, kernel
+// launch, marker, barrier — has one encoding, GraphCommand, used wherever
+// a command crosses the wire: an eager MsgEnqueue* frame carries one
+// behind a routing header (Enqueue), a graph registration carries the
+// recorded list (RegisterGraph), and a kernel argument value has one
+// encoding, GraphKernelArg, shared by MsgSetKernelArg, registration
+// snapshots, replay updates and serve jobs. All of these messages are
+// one-way (ClassOneWay); failures come back as deferred MsgCommandFailed
+// notifications.
 
-// Graph command opcodes.
+// Command opcodes, in the order of the MsgEnqueue* message types.
 const (
-	GraphOpWrite   = uint8(1) // host → buffer upload, payload cached daemon-side
-	GraphOpRead    = uint8(2) // buffer → host download, data shipped per replay
+	GraphOpWrite   = uint8(1) // host → buffer upload, payload on a stream
+	GraphOpRead    = uint8(2) // buffer → host download, data shipped on a stream
 	GraphOpCopy    = uint8(3) // buffer → buffer copy on the owning server
-	GraphOpKernel  = uint8(4) // kernel launch with a recorded argument snapshot
+	GraphOpKernel  = uint8(4) // kernel launch
 	GraphOpMarker  = uint8(5)
 	GraphOpBarrier = uint8(6)
 )
@@ -24,9 +26,9 @@ const (
 	GraphUpdateWriteData = uint8(2) // replace a write command's cached payload
 )
 
-// GraphKernelArg is one recorded kernel argument: a raw scalar image, a
+// GraphKernelArg is one kernel argument value: a raw scalar image, a
 // buffer reference, a sub-buffer region view or a local-memory
-// reservation, tagged like the MsgSetKernelArg payload.
+// reservation.
 type GraphKernelArg struct {
 	Kind   uint8  // ArgValScalar / ArgValBuffer / ArgValSubBuffer / ArgValLocal
 	Raw    uint64 // scalar bit image or (root) buffer ID
@@ -35,7 +37,8 @@ type GraphKernelArg struct {
 	SubLen int64  // view size (ArgValSubBuffer)
 }
 
-func putGraphKernelArg(w *Writer, a GraphKernelArg) {
+// PutGraphKernelArg encodes an argument value.
+func PutGraphKernelArg(w *Writer, a GraphKernelArg) {
 	w.U8(a.Kind)
 	switch a.Kind {
 	case ArgValLocal:
@@ -49,7 +52,8 @@ func putGraphKernelArg(w *Writer, a GraphKernelArg) {
 	}
 }
 
-func getGraphKernelArg(r *Reader) GraphKernelArg {
+// GetGraphKernelArg decodes an argument value.
+func GetGraphKernelArg(r *Reader) GraphKernelArg {
 	a := GraphKernelArg{Kind: r.U8()}
 	switch a.Kind {
 	case ArgValLocal:
@@ -64,7 +68,49 @@ func getGraphKernelArg(r *Reader) GraphKernelArg {
 	return a
 }
 
-// GraphCommand is one recorded command in a registered graph.
+// putKernelArgs encodes a full argument set (registration snapshots,
+// serve jobs).
+func putKernelArgs(w *Writer, args []GraphKernelArg) {
+	w.U32(uint32(len(args)))
+	for _, a := range args {
+		PutGraphKernelArg(w, a)
+	}
+}
+
+func getKernelArgs(r *Reader) []GraphKernelArg {
+	n := int(r.U32())
+	if n > r.Remaining() {
+		r.err = ErrTruncated
+		return nil
+	}
+	args := make([]GraphKernelArg, n)
+	for i := range args {
+		args[i] = GetGraphKernelArg(r)
+	}
+	return args
+}
+
+// SetKernelArg is the body of a MsgSetKernelArg command: bind one
+// argument of the session kernel.
+type SetKernelArg struct {
+	KernelID uint64
+	Index    uint32
+	Arg      GraphKernelArg
+}
+
+// PutSetKernelArg encodes an argument binding.
+func PutSetKernelArg(w *Writer, s SetKernelArg) {
+	w.U64(s.KernelID)
+	w.U32(s.Index)
+	PutGraphKernelArg(w, s.Arg)
+}
+
+// GetSetKernelArg decodes an argument binding.
+func GetSetKernelArg(r *Reader) SetKernelArg {
+	return SetKernelArg{KernelID: r.U64(), Index: r.U32(), Arg: GetGraphKernelArg(r)}
+}
+
+// GraphCommand is one queue command.
 type GraphCommand struct {
 	Op uint8
 
@@ -76,11 +122,15 @@ type GraphCommand struct {
 	DstOff int64 // copy destination offset
 	Size   int64
 
-	// StreamID carries the write payload at registration time (writes
-	// only; the daemon caches the staged bytes for replay).
+	// StreamID is the command's bulk-data stream: a write's payload
+	// (eager, or the registration payload the daemon caches for replay)
+	// or an eager read's return stream. Registered reads leave it zero —
+	// each replay announces its own streams (ExecGraph.ReadStreamIDs).
 	StreamID uint32
 
-	// Kernel launch.
+	// Kernel launch. Args is the frozen argument snapshot a registered
+	// launch replays with; an eager launch carries none and runs with
+	// the bindings MsgSetKernelArg made.
 	KernelID uint64
 	Args     []GraphKernelArg
 	GOffset  []int // global work offset (empty = zero)
@@ -88,18 +138,16 @@ type GraphCommand struct {
 	Local    []int
 }
 
-func putGraphCommand(w *Writer, c GraphCommand) {
+// PutGraphCommand encodes a command (without a launch's Args, which only
+// a registration ships).
+func PutGraphCommand(w *Writer, c GraphCommand) {
 	w.U8(c.Op)
 	switch c.Op {
-	case GraphOpWrite:
+	case GraphOpWrite, GraphOpRead:
 		w.U64(c.BufID)
 		w.I64(c.Offset)
 		w.I64(c.Size)
 		w.U32(c.StreamID)
-	case GraphOpRead:
-		w.U64(c.BufID)
-		w.I64(c.Offset)
-		w.I64(c.Size)
 	case GraphOpCopy:
 		w.U64(c.SrcID)
 		w.U64(c.DstID)
@@ -108,28 +156,21 @@ func putGraphCommand(w *Writer, c GraphCommand) {
 		w.I64(c.Size)
 	case GraphOpKernel:
 		w.U64(c.KernelID)
-		w.U32(uint32(len(c.Args)))
-		for _, a := range c.Args {
-			putGraphKernelArg(w, a)
-		}
 		w.Ints(c.GOffset)
 		w.Ints(c.Global)
 		w.Ints(c.Local)
 	}
 }
 
-func getGraphCommand(r *Reader) GraphCommand {
+// GetGraphCommand decodes a command; an unknown opcode is a decode error.
+func GetGraphCommand(r *Reader) GraphCommand {
 	c := GraphCommand{Op: r.U8()}
 	switch c.Op {
-	case GraphOpWrite:
+	case GraphOpWrite, GraphOpRead:
 		c.BufID = r.U64()
 		c.Offset = r.I64()
 		c.Size = r.I64()
 		c.StreamID = r.U32()
-	case GraphOpRead:
-		c.BufID = r.U64()
-		c.Offset = r.I64()
-		c.Size = r.I64()
 	case GraphOpCopy:
 		c.SrcID = r.U64()
 		c.DstID = r.U64()
@@ -138,15 +179,6 @@ func getGraphCommand(r *Reader) GraphCommand {
 		c.Size = r.I64()
 	case GraphOpKernel:
 		c.KernelID = r.U64()
-		n := int(r.U32())
-		if n > r.Remaining() {
-			r.err = ErrTruncated
-			return c
-		}
-		c.Args = make([]GraphKernelArg, n)
-		for i := range c.Args {
-			c.Args[i] = getGraphKernelArg(r)
-		}
 		c.GOffset = r.Ints()
 		c.Global = r.Ints()
 		c.Local = r.Ints()
@@ -157,6 +189,33 @@ func getGraphCommand(r *Reader) GraphCommand {
 	return c
 }
 
+// Enqueue is the body of the six MsgEnqueue* one-way commands: the queue
+// the command runs on, the client's event ID for it (0: no event, as for
+// barriers) and its wait list, then the command itself. Cmd.Op selects
+// the message type (MsgType).
+type Enqueue struct {
+	QueueID uint64
+	EventID uint64
+	WaitIDs []uint64
+	Cmd     GraphCommand
+}
+
+// MsgType returns the MsgEnqueue* type that carries the command.
+func (e Enqueue) MsgType() MsgType { return MsgEnqueueWrite + MsgType(e.Cmd.Op-GraphOpWrite) }
+
+// PutEnqueue encodes an eager enqueue.
+func PutEnqueue(w *Writer, e Enqueue) {
+	w.U64(e.QueueID)
+	w.U64(e.EventID)
+	w.U64s(e.WaitIDs)
+	PutGraphCommand(w, e.Cmd)
+}
+
+// GetEnqueue decodes an eager enqueue.
+func GetEnqueue(r *Reader) Enqueue {
+	return Enqueue{QueueID: r.U64(), EventID: r.U64(), WaitIDs: r.U64s(), Cmd: GetGraphCommand(r)}
+}
+
 // RegisterGraph is the body of a MsgRegisterGraph one-way command.
 // QueueID routes deferred registration failures (the message has no
 // event; a failed registration surfaces at the queue's next Finish, and
@@ -165,27 +224,25 @@ type RegisterGraph struct {
 	GraphID  uint64
 	QueueID  uint64
 	Commands []GraphCommand
-	// DeltaReplay asks the daemon to keep this graph delta-capable:
-	// later replay updates may ship GraphPayloadDelta streams encoded
-	// against the cached payloads. Clients set it only on daemons that
-	// advertised CapDeltaReplay.
-	DeltaReplay bool
 }
 
-// PutRegisterGraph encodes a graph registration.
+// PutRegisterGraph encodes a graph registration: each command, a kernel
+// launch followed by its argument snapshot.
 func PutRegisterGraph(w *Writer, g RegisterGraph) {
 	w.U64(g.GraphID)
 	w.U64(g.QueueID)
-	w.Bool(g.DeltaReplay)
 	w.U32(uint32(len(g.Commands)))
 	for _, c := range g.Commands {
-		putGraphCommand(w, c)
+		PutGraphCommand(w, c)
+		if c.Op == GraphOpKernel {
+			putKernelArgs(w, c.Args)
+		}
 	}
 }
 
 // GetRegisterGraph decodes a graph registration.
 func GetRegisterGraph(r *Reader) RegisterGraph {
-	g := RegisterGraph{GraphID: r.U64(), QueueID: r.U64(), DeltaReplay: r.Bool()}
+	g := RegisterGraph{GraphID: r.U64(), QueueID: r.U64()}
 	n := int(r.U32())
 	if n > r.Remaining() {
 		r.err = ErrTruncated
@@ -193,7 +250,10 @@ func GetRegisterGraph(r *Reader) RegisterGraph {
 	}
 	g.Commands = make([]GraphCommand, n)
 	for i := range g.Commands {
-		g.Commands[i] = getGraphCommand(r)
+		g.Commands[i] = GetGraphCommand(r)
+		if g.Commands[i].Op == GraphOpKernel {
+			g.Commands[i].Args = getKernelArgs(r)
+		}
 	}
 	return g
 }
@@ -209,7 +269,7 @@ type GraphUpdate struct {
 	StreamID uint32 // new payload stream (GraphUpdateWriteData)
 	// Encoding says what the payload stream carries: the full payload
 	// (GraphPayloadFull) or a delta against the daemon's cached payload
-	// (GraphPayloadDelta, only on graphs registered with DeltaReplay).
+	// (GraphPayloadDelta).
 	Encoding uint8
 	// PayloadLen is the byte count on the payload stream: the command's
 	// recorded size for full payloads, the encoded length for deltas.
@@ -222,7 +282,7 @@ func putGraphUpdate(w *Writer, u GraphUpdate) {
 	switch u.Kind {
 	case GraphUpdateKernelArg:
 		w.U32(u.ArgIndex)
-		putGraphKernelArg(w, u.Arg)
+		PutGraphKernelArg(w, u.Arg)
 	case GraphUpdateWriteData:
 		w.U32(u.StreamID)
 		w.U8(u.Encoding)
@@ -235,7 +295,7 @@ func getGraphUpdate(r *Reader) GraphUpdate {
 	switch u.Kind {
 	case GraphUpdateKernelArg:
 		u.ArgIndex = r.U32()
-		u.Arg = getGraphKernelArg(r)
+		u.Arg = GetGraphKernelArg(r)
 	case GraphUpdateWriteData:
 		u.StreamID = r.U32()
 		u.Encoding = r.U8()

@@ -29,12 +29,6 @@ const (
 	msgServeEnd
 )
 
-// CapServe advertises the serve plane in the Hello/AttachSession
-// capability mask: the daemon coalesces serve jobs, keeps a
-// content-addressed result cache and enforces weighted fair queueing.
-// Clients must not send MsgServe* to daemons that did not advertise it.
-const CapServe = uint32(1 << 1)
-
 // ServeOpen is the body of a MsgServeOpen request. ServeID is a
 // client-allocated stub ID like every other remote object. Weight is the
 // session's share in the daemon's weighted fair queue (relative to other
@@ -92,10 +86,7 @@ type ServeJob struct {
 func putServeJob(w *Writer, j ServeJob) {
 	w.U64(j.JobID)
 	w.U64(j.KernelID)
-	w.U32(uint32(len(j.Args)))
-	for _, a := range j.Args {
-		putGraphKernelArg(w, a)
-	}
+	putKernelArgs(w, j.Args)
 	w.I32(j.InputArg)
 	w.I32(j.OutputArg)
 	w.Blob(j.Input)
@@ -107,15 +98,7 @@ func putServeJob(w *Writer, j ServeJob) {
 
 func getServeJob(r *Reader) ServeJob {
 	j := ServeJob{JobID: r.U64(), KernelID: r.U64()}
-	n := int(r.U32())
-	if n > r.Remaining() {
-		r.err = ErrTruncated
-		return j
-	}
-	j.Args = make([]GraphKernelArg, n)
-	for i := range j.Args {
-		j.Args[i] = getGraphKernelArg(r)
-	}
+	j.Args = getKernelArgs(r)
 	j.InputArg = r.I32()
 	j.OutputArg = r.I32()
 	j.Input = r.Blob()
