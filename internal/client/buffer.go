@@ -320,14 +320,25 @@ func (b *Buffer) markHostValidRangeIfUnchanged(off int, data []byte, gen uint64)
 }
 
 // inboundGatesRange returns the distinct pending inbound-forward gates
-// toward srv over [off, end) of the root buffer. Commands that overwrite
-// the range without consulting ensureValid (writes, copy destinations)
-// must wait on them: otherwise a forwarded payload, landing outside queue
-// order, would clobber their fresher data.
+// toward srv over [off, end) of the root buffer. Commands that read srv's
+// copy of the range without consulting ensureValid must wait on them: the
+// copy may be valid-but-in-flight.
 func (b *Buffer) inboundGatesRange(srv *Server, off, end int) []*Event {
 	r := b.root()
 	r.mu.Lock()
 	gs := r.coh.InboundGates(srv, off, end)
+	r.mu.Unlock()
+	return gateEvents(gs)
+}
+
+// writeGatesRange returns the distinct gates a command on srv that
+// overwrites [off, end) of the root buffer must wait on: the forwards
+// still landing there and the forward reads still sourcing from there
+// (coherence.Dir.WriteGates).
+func (b *Buffer) writeGatesRange(srv *Server, off, end int) []*Event {
+	r := b.root()
+	r.mu.Lock()
+	gs := r.coh.WriteGates(srv, off, end)
 	r.mu.Unlock()
 	return gateEvents(gs)
 }
@@ -630,13 +641,29 @@ func (b *Buffer) forwardRange(src, dst *Server, ps, pe int, srcGate *Event) (*Ev
 		return nil, err
 	}
 	srcQ.track(sendEv)
+	// sendEv completing only says the payload was handed to src's
+	// transport: a src that dies right after takes the bytes still in its
+	// send path with it, dst's accept stays parked, and nothing above
+	// would ever settle the gate. This hook is one no daemon completes —
+	// only the loss sweep of src's connection fires it.
+	lostID := b.ctx.plat.newID()
+	src.registerHook(lostID, func(st cl.CommandStatus) { b.failRemoteGate(dst, gate, gateID, st) })
 
 	// Optimistic directory update over the range: src's read downgrades
 	// M→S, dst gains a Shared copy gated on the transfer; the host copy is
-	// untouched (the payload never visits the client).
+	// untouched (the payload never visits the client). Until sendEv
+	// settles, a write to the range on src must wait for it: the source
+	// read runs on the coherence queue, which no app queue is ordered with.
 	b.mu.Lock()
-	b.coh.ValidateForward(src, dst, ps, pe, gate)
+	b.coh.ValidateForward(src, dst, ps, pe, gate, sendEv)
 	b.mu.Unlock()
+	if cerr := sendEv.SetCallback(cl.Complete, func(cl.Event, cl.CommandStatus) {
+		b.mu.Lock()
+		b.coh.RetireOutbound(src, ps, pe, sendEv)
+		b.mu.Unlock()
+	}); cerr != nil {
+		return nil, cerr
+	}
 	if cerr := gate.SetCallback(cl.Complete, func(_ cl.Event, st cl.CommandStatus) {
 		// A transport-class failure means the peer path itself is broken
 		// (the source may have "handed the payload to the transport"
@@ -646,6 +673,7 @@ func (b *Buffer) forwardRange(src, dst *Server, ps, pe int, srcGate *Event) (*Ev
 		if st != cl.Complete && cl.ErrorCode(st) == cl.InvalidServer {
 			src.markPeerUnreachable(peerAddr)
 		}
+		src.dropHook(lostID)
 		b.mu.Lock()
 		b.coh.SettleForward(dst, ps, pe, gate, st == cl.Complete)
 		b.mu.Unlock()

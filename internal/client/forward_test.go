@@ -386,6 +386,140 @@ func TestInFlightForwardDoesNotClobberNewerWrite(t *testing.T) {
 	}
 }
 
+// TestRewriteOnForwardSourceWaitsForItsRead: a consumer enqueued on
+// another server before a range is rewritten must see the data from
+// before the rewrite. The forward feeding it reads the source's copy on
+// the coherence queue, which the rewrite's app queue is not ordered with:
+// the user event parks the first write so that the forward's read and the
+// rewrite become runnable at the same moment.
+func TestRewriteOnForwardSourceWaitsForItsRead(t *testing.T) {
+	const n = 256 << 10 // ints
+	const size = 4 * n
+	_, ctx, _, q0, q1 := twoNodeContext(t)
+	defer ctx.Release()
+
+	prog, err := ctx.CreateProgramWithSource(`
+kernel void take(global int* out, global const int* in) {
+	int i = get_global_id(0);
+	out[i] = in[i];
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prog.Build(nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	k, err := prog.CreateKernel("take")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := ctx.CreateBuffer(cl.MemReadWrite, size, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen, err := ctx.CreateBuffer(cl.MemReadWrite, size, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := pattern(size, 1), pattern(size, 2)
+
+	gate, err := ctx.CreateUserEvent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q0.EnqueueWriteBuffer(r, false, 0, first, []cl.Event{gate}); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.SetArg(0, seen); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.SetArg(1, r); err != nil {
+		t.Fatal(err)
+	}
+	consumed, err := q1.EnqueueNDRangeKernel(k, []int{n}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewritten, err := q0.EnqueueWriteBuffer(r, false, 0, second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gate.SetStatus(cl.Complete); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.WaitForEvents([]cl.Event{consumed, rewritten}); err != nil {
+		t.Fatal(err)
+	}
+
+	got := make([]byte, size)
+	if _, err := q1.EnqueueReadBuffer(seen, true, 0, got, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if got[i] != first[i] {
+			t.Fatalf("consumer saw byte %d = %#x, want %#x: the forward carried the rewrite's data", i, got[i], first[i])
+		}
+	}
+	if _, err := q0.EnqueueReadBuffer(r, true, 0, got, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if got[i] != second[i] {
+			t.Fatalf("byte %d = %#x after the rewrite, want %#x", i, got[i], second[i])
+		}
+	}
+}
+
+// TestForwardGateFailsWhenSourceDiesAfterHandOff: the source daemon's
+// completion event only says the payload was handed to its transport. If
+// the source dies with the bytes still on the wire, the target's accept
+// stays parked and no daemon will ever settle the gate — the client must,
+// or every command behind it waits forever.
+func TestForwardGateFailsWhenSourceDiesAfterHandOff(t *testing.T) {
+	const size = 64 << 10
+	tc, ctx, _, q0, q1 := twoNodeContext(t)
+	defer ctx.Release()
+	// 2 s on the wire: the payload is still in flight when node0 dies.
+	tc.net.SetLinkBetween("node0", peerAddrOf("node1"), simnet.LinkConfig{LatencySec: 2})
+
+	buf, err := ctx.CreateBuffer(cl.MemReadWrite, size, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q0.EnqueueWriteBuffer(buf, true, 0, pattern(size, 3), nil); err != nil {
+		t.Fatal(err)
+	}
+	dst, err := ctx.CreateBuffer(cl.MemReadWrite, size, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied, err := q1.EnqueueCopyBuffer(buf, dst, 0, 0, size, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The forward's source-side event rides node0's coherence queue:
+	// once that drains, node0 has reported the hand-off.
+	cohQ, err := ctx.(*Context).coherenceQueue(q0.(*Queue).srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cohQ.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	tc.kill("node0")
+
+	done := make(chan error, 1)
+	go func() { done <- copied.Wait() }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("copy behind a lost forward completed successfully")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("copy behind a lost forward never completed: the gate was not failed")
+	}
+}
+
 // TestSupersededForwardNeverLands: a write on another server
 // invalidates a copy whose forwarded payload is still in flight; the
 // stale payload must never be committed, even though it arrives after

@@ -166,8 +166,10 @@ func (cb *CommandBuffer) compileLocked() {
 		return true
 	}
 	addUnique := func(list []span, s span) []span {
-		if containsSpan(list, s) {
-			return list
+		for _, e := range list {
+			if e == s {
+				return list
+			}
 		}
 		return append(list, s)
 	}

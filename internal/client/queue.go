@@ -163,8 +163,10 @@ func (c *recCmd) wire(streamID uint32) protocol.GraphCommand {
 // valid there — transferred daemon-to-daemon or through the client as
 // needed, range-granular either way — and the returned gates, which must
 // ride the command's wait list, cover those transfers plus every
-// in-flight inbound forward overlapping a written range, so a
-// late-landing payload cannot clobber the fresh data. The gates are hard
+// in-flight forward overlapping a written range: inbound, so a
+// late-landing payload cannot clobber the fresh data, and outbound, so
+// the fresh data cannot ride a payload meant for an earlier consumer (the
+// source read runs on the coherence queue). The gates are hard
 // dependencies on purpose: an ordering-only wait would let an overwrite
 // run while a cancelled transfer's receive is still copying, so a failed
 // forward fails the command too (safe, and the application can retry).
@@ -194,22 +196,9 @@ func (q *Queue) acquire(reads, writes []span, strict bool) ([]*Event, error) {
 		add(gs)
 	}
 	for _, s := range writes {
-		// A span that was also read is covered: making it valid returned
-		// the inbound gates over it.
-		if !containsSpan(reads, s) {
-			add(s.root.inboundGatesRange(q.srv, s.off, s.end))
-		}
+		add(s.root.writeGatesRange(q.srv, s.off, s.end))
 	}
 	return gates, nil
-}
-
-func containsSpan(list []span, s span) bool {
-	for _, e := range list {
-		if e == s {
-			return true
-		}
-	}
-	return false
 }
 
 // claim records that the command completing ev writes the spans on q's

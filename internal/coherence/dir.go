@@ -42,8 +42,9 @@ type Holder interface {
 }
 
 // Gate is a completion-gated event guarding a span: the most recent
-// writing command of a holder, or an in-flight inbound forward. Gates
-// are compared by identity.
+// writing command of a holder, an in-flight inbound forward, or the
+// source read of an in-flight outbound one. Gates are compared by
+// identity.
 type Gate interface {
 	// Settled reports whether the gate has completed successfully. A
 	// settled write gates nothing, so merging drops it — keeping it
@@ -64,6 +65,7 @@ type span struct {
 	states    map[Holder]State
 	lastWrite map[Holder]Gate // most recent writing command per holder
 	inbound   map[Holder]Gate // in-flight forward gates per target holder
+	outbound  map[Holder]Gate // in-flight forward source reads per source holder
 	gen       uint64          // directory generation of the span's last mutation
 
 	// Lost bookkeeping: when the range's ONLY valid copy lived on a
@@ -89,6 +91,7 @@ func (sp *span) clone() *span {
 		states:    make(map[Holder]State, len(sp.states)),
 		lastWrite: make(map[Holder]Gate, len(sp.lastWrite)),
 		inbound:   make(map[Holder]Gate, len(sp.inbound)),
+		outbound:  make(map[Holder]Gate, len(sp.outbound)),
 	}
 	for h, st := range sp.states {
 		c.states[h] = st
@@ -99,13 +102,17 @@ func (sp *span) clone() *span {
 	for h, ev := range sp.inbound {
 		c.inbound[h] = ev
 	}
+	for h, ev := range sp.outbound {
+		c.outbound[h] = ev
+	}
 	return c
 }
 
 // sameStates reports whether two spans carry identical coherence state
 // (merge predicate; gates compare by identity).
 func (sp *span) sameStates(o *span) bool {
-	if sp.host != o.host || len(sp.lastWrite) != len(o.lastWrite) || len(sp.inbound) != len(o.inbound) {
+	if sp.host != o.host || len(sp.lastWrite) != len(o.lastWrite) ||
+		len(sp.inbound) != len(o.inbound) || len(sp.outbound) != len(o.outbound) {
 		return false
 	}
 	if sp.lostFrom != o.lostFrom || sp.lostWas != o.lostWas || sp.lostConn != o.lostConn {
@@ -128,6 +135,11 @@ func (sp *span) sameStates(o *span) bool {
 	}
 	for h, ev := range sp.inbound {
 		if o.inbound[h] != ev {
+			return false
+		}
+	}
+	for h, ev := range sp.outbound {
+		if o.outbound[h] != ev {
 			return false
 		}
 	}
@@ -187,6 +199,7 @@ func New(id uint64, size int, holders ...Holder) *Dir {
 		states:    map[Holder]State{},
 		lastWrite: map[Holder]Gate{},
 		inbound:   map[Holder]Gate{},
+		outbound:  map[Holder]Gate{},
 	}
 	for _, h := range holders {
 		whole.states[h] = Invalid
@@ -492,8 +505,13 @@ func (d *Dir) ValidateHost(off, end int, gen uint64) bool {
 // ValidateForward records an in-flight peer forward of [off, end) from
 // src to dst: src's read downgrades M→S, dst gains a Shared copy gated
 // on the transfer (gate rides both lastWrite and inbound); the host copy
-// is untouched (the payload never visits the client).
-func (d *Dir) ValidateForward(src, dst Holder, off, end int, gate Gate) {
+// is untouched (the payload never visits the client). read is the
+// forward's source-side event: until RetireOutbound, a command that
+// overwrites the range on src must wait for it (WriteGates). It replaces
+// an earlier outbound read of src's copy — source reads ride src's one
+// in-order coherence queue, so the later one completing implies the
+// earlier one has.
+func (d *Dir) ValidateForward(src, dst Holder, off, end int, gate, read Gate) {
 	spans := d.rangeSpans(off, end)
 	for _, sp := range spans {
 		if sp.states[src] == Modified {
@@ -502,6 +520,7 @@ func (d *Dir) ValidateForward(src, dst Holder, off, end int, gate Gate) {
 		sp.states[dst] = Shared
 		sp.lastWrite[dst] = gate
 		sp.inbound[dst] = gate
+		sp.outbound[src] = read
 	}
 	d.bump(spans)
 	d.merge()
@@ -534,6 +553,24 @@ func (d *Dir) SettleForward(dst Holder, off, end int, gate Gate, ok bool) {
 	d.merge()
 }
 
+// RetireOutbound drops read as the in-flight outbound read of src's copy
+// over [off, end), once the forward's source-side event has completed
+// (either way: a failed forward reads nothing any more).
+func (d *Dir) RetireOutbound(src Holder, off, end int, read Gate) {
+	spans := d.rangeSpans(off, end)
+	retired := false
+	for _, sp := range spans {
+		if sp.outbound[src] == read {
+			delete(sp.outbound, src)
+			retired = true
+		}
+	}
+	if retired {
+		d.bump(spans)
+		d.merge()
+	}
+}
+
 // DisownInbound disassociates the pending inbound gates toward h over
 // [off, end) and returns them (distinct, in span order). The upload path
 // calls this before claiming the range: the upload is about to own h's
@@ -557,15 +594,33 @@ func (d *Dir) DisownInbound(h Holder, off, end int) []Gate {
 }
 
 // InboundGates returns the distinct pending inbound-forward gates toward
-// h over [off, end). Commands that overwrite the range without
-// consulting the validity probe (writes, copy destinations) must wait on
-// them: otherwise a forwarded payload, landing outside queue order,
-// would clobber their fresher data.
+// h over [off, end). A command that reads h's copy of the range without
+// consulting the validity probe must wait on them: the copy may be
+// valid-but-in-flight.
 func (d *Dir) InboundGates(h Holder, off, end int) []Gate {
 	var gates []Gate
 	for _, sp := range d.rangeSpans(off, end) {
 		if g := sp.inbound[h]; g != nil && !containsGate(gates, g) {
 			gates = append(gates, g)
+		}
+	}
+	return gates
+}
+
+// WriteGates returns the distinct gates a command on h that overwrites
+// [off, end) must wait on: the pending inbound forwards toward h (a
+// payload landing outside queue order would clobber the fresher data)
+// and the in-flight outbound reads of h's copy (the read rides h's
+// coherence queue, ordered after the previous writer but not before this
+// one — ungated, the payload could carry this command's data to a
+// consumer that was enqueued before it).
+func (d *Dir) WriteGates(h Holder, off, end int) []Gate {
+	var gates []Gate
+	for _, sp := range d.rangeSpans(off, end) {
+		for _, g := range [2]Gate{sp.inbound[h], sp.outbound[h]} {
+			if g != nil && !containsGate(gates, g) {
+				gates = append(gates, g)
+			}
 		}
 	}
 	return gates
@@ -594,6 +649,7 @@ func (d *Dir) SweepServer(h Holder, connGen uint64) {
 		delete(sp.states, h)
 		delete(sp.lastWrite, h)
 		delete(sp.inbound, h)
+		delete(sp.outbound, h)
 		if had != Shared && had != Modified {
 			continue
 		}

@@ -301,7 +301,7 @@ func TestForwardLifecycle(t *testing.T) {
 	d.Claim(src, 0, 1024, &tGate{name: "w", settled: true})
 
 	fg := &tGate{name: "fwd"}
-	d.ValidateForward(src, dst, 0, 512, fg)
+	d.ValidateForward(src, dst, 0, 512, fg, &tGate{name: "rd"})
 	if _, hs, _ := stateAt(d, 100); hs[src] != Shared || hs[dst] != Shared {
 		t.Fatalf("forward states: src=%v dst=%v, want Shared/Shared", hs[src], hs[dst])
 	}
@@ -330,7 +330,7 @@ func TestForwardLifecycle(t *testing.T) {
 
 	// Success keeps the claim.
 	fg2 := &tGate{name: "fwd2"}
-	d.ValidateForward(src, dst, 0, 512, fg2)
+	d.ValidateForward(src, dst, 0, 512, fg2, &tGate{name: "rd2"})
 	fg2.settled = true
 	d.SettleForward(dst, 0, 512, fg2, true)
 	if _, hs, _ := stateAt(d, 100); hs[dst] != Shared {
@@ -339,7 +339,7 @@ func TestForwardLifecycle(t *testing.T) {
 
 	// DisownInbound hands the gate to the caller exactly once.
 	fg3 := &tGate{name: "fwd3"}
-	d.ValidateForward(src, dst, 512, 1024, fg3)
+	d.ValidateForward(src, dst, 512, 1024, fg3, &tGate{name: "rd3"})
 	if stale := d.DisownInbound(dst, 512, 1024); len(stale) != 1 || stale[0] != fg3 {
 		t.Fatalf("DisownInbound = %v, want the pending gate", stale)
 	}
@@ -350,6 +350,60 @@ func TestForwardLifecycle(t *testing.T) {
 	d.SettleForward(dst, 512, 1024, fg3, false)
 	if _, hs, _ := stateAt(d, 700); hs[dst] != Shared {
 		t.Fatalf("disowned gate revoked the claim: dst=%v", hs[dst])
+	}
+}
+
+// TestWriteOnForwardSourceWaitsForOutboundRead: a forward's source read
+// rides the source's coherence queue, which no other queue is ordered
+// with, so a later write to the range on the source must be handed the
+// read's gate — or the payload could carry the later data to a consumer
+// that was enqueued before it (write-after-read).
+func TestWriteOnForwardSourceWaitsForOutboundRead(t *testing.T) {
+	src := &tHolder{name: "src", alive: true}
+	dst := &tHolder{name: "dst", alive: true}
+	third := &tHolder{name: "third", alive: true}
+	d := New(1, 1024, src, dst, third)
+	d.Claim(src, 0, 1024, &tGate{name: "w", settled: true})
+
+	fg, rd := &tGate{name: "fwd"}, &tGate{name: "read"}
+	d.ValidateForward(src, dst, 0, 512, fg, rd)
+	if gs := d.WriteGates(src, 256, 768); len(gs) != 1 || gs[0] != rd {
+		t.Fatalf("WriteGates on the forward's source = %v, want the outbound read", gs)
+	}
+	if gs := d.WriteGates(dst, 0, 512); len(gs) != 1 || gs[0] != fg {
+		t.Fatalf("WriteGates on the forward's target = %v, want the inbound gate", gs)
+	}
+	if gs := d.WriteGates(src, 512, 1024); len(gs) != 0 {
+		t.Fatalf("WriteGates outside the forwarded range = %v, want none", gs)
+	}
+	// The claim the gated write makes does not retire the read: a second
+	// writer behind it must wait too.
+	d.Claim(src, 0, 512, &tGate{name: "w2"})
+	if gs := d.WriteGates(src, 0, 512); len(gs) != 1 || gs[0] != rd {
+		t.Fatalf("WriteGates after the first gated write = %v, want the outbound read", gs)
+	}
+
+	// A later read of the same copy (same in-order coherence queue)
+	// supersedes the earlier one; retiring the superseded gate is a no-op.
+	fg2, rd2 := &tGate{name: "fwd2"}, &tGate{name: "read2"}
+	d.ValidateForward(src, third, 0, 256, fg2, rd2)
+	d.RetireOutbound(src, 0, 512, rd)
+	if gs := d.WriteGates(src, 0, 256); len(gs) != 1 || gs[0] != rd2 {
+		t.Fatalf("WriteGates after a second forward = %v, want its read", gs)
+	}
+	if gs := d.WriteGates(src, 256, 512); len(gs) != 0 {
+		t.Fatalf("retired read still gates [256,512): %v", gs)
+	}
+	d.RetireOutbound(src, 0, 256, rd2)
+	if gs := d.WriteGates(src, 0, 1024); len(gs) != 0 {
+		t.Fatalf("WriteGates after both reads retired = %v, want none", gs)
+	}
+
+	// A dead source reads nothing any more.
+	d.ValidateForward(src, dst, 512, 1024, &tGate{name: "fwd3"}, &tGate{name: "read3"})
+	d.SweepServer(src, 1)
+	if gs := d.WriteGates(src, 0, 1024); len(gs) != 0 {
+		t.Fatalf("WriteGates after the source was swept = %v, want none", gs)
 	}
 }
 

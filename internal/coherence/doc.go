@@ -40,6 +40,18 @@
 // Shared-claim paths (Invalidate / SettleForward revoke an optimistic
 // Shared copy rather than ever leaving a false-valid one).
 //
+// # Gates
+//
+// The directory also keeps the ordering edges that queue order cannot
+// give, because coherence transfers run outside the application's
+// queues. Per span and holder: lastWrite, the most recent writing
+// command (a coherence read of that copy waits on it); inbound, a
+// forward still landing there (readers and writers of the copy wait on
+// it); outbound, a forward still reading there (writers wait on it, or
+// the payload could carry their data to a consumer enqueued before
+// them). InboundGates and WriteGates hand them to the command about to
+// run.
+//
 // # Lost ranges
 //
 // When a holder's connection dies, SweepServer withdraws every claim it

@@ -12,7 +12,6 @@ package coherence
 // stale-generation host validation racing an edge claim.
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -48,115 +47,14 @@ func TestDirectoryPropertyPartitionEdges(t *testing.T) {
 		return off, end
 	}
 	for trial := 0; trial < 150; trial++ {
-		hs := make([]*tHolder, propHolders)
-		for i := range hs {
-			hs[i] = &tHolder{name: fmt.Sprintf("h%d", i), alive: true}
-		}
-		d := New(uint64(trial), propSize, hs[0], hs[1], hs[2])
-		m := newModel()
-		var gates []*tGate
-		var conn uint64
-		newGate := func() *tGate {
-			g := &tGate{name: fmt.Sprintf("g%d", len(gates)), settled: rng.Intn(2) == 0}
-			gates = append(gates, g)
-			return g
-		}
-		for step := 0; step < 80; step++ {
-			for _, g := range gates {
-				if rng.Intn(4) == 0 {
-					g.settled = true
-				}
-			}
-			h := rng.Intn(propHolders)
-			off, end := randRange()
-			var opName string
-			switch op := rng.Intn(11); op {
-			case 0, 1:
-				opName = "claim"
-				d.Claim(hs[h], off, end, newGate())
-				m.claim(h, off, end)
-			case 2:
-				opName = "validate"
-				d.Validate(hs[h], off, end)
-				m.validate(h, off, end)
-			case 3:
-				opName = "invalidate"
-				d.Invalidate(hs[h], off, end)
-				m.invalidate(h, off, end)
-			case 4:
-				opName = "invalidateHost"
-				d.InvalidateHost(off, end)
-				m.invalidateHost(off, end)
-			case 5:
-				opName = "forceInvalidate"
-				d.ForceInvalidate(off, end)
-				m.forceInvalidate(off, end)
-			case 6:
-				opName = "validateHost"
-				if d.ValidateHost(off, end, d.Generation()) {
-					m.validateHost(off, end)
-				} else {
-					t.Fatalf("ValidateHost with a current generation refused")
-				}
-			case 7:
-				opName = "forward"
-				src := rng.Intn(propHolders)
-				if src == h {
-					continue
-				}
-				g := newGate()
-				d.ValidateForward(hs[src], hs[h], off, end, g)
-				m.validateForward(src, h, off, end, g)
-			case 8:
-				opName = "settleForward"
-				if len(gates) == 0 {
-					continue
-				}
-				g := gates[rng.Intn(len(gates))]
-				ok := rng.Intn(2) == 0
-				d.SettleForward(hs[h], off, end, g, ok)
-				m.settleForward(h, off, end, g, ok)
-			case 9:
-				opName = "disownInbound"
-				d.DisownInbound(hs[h], off, end)
-				m.disownInbound(h, off, end)
-			case 10:
-				opName = "sweep"
-				conn++
-				hs[h].alive = false
-				d.SweepServer(hs[h], conn)
-				m.sweep(h, conn)
-				hs[h].alive = true
-				if rng.Intn(2) == 0 {
-					want := conn
-					if rng.Intn(4) == 0 {
-						want = conn + 100
-					}
-					d.Restore(hs[h], want)
-					m.restore(h, want)
-					opName = "sweep+restore"
-				}
-			}
-			compare(t, trial, step, opName, d, m, hs)
-			if n := d.SpanCount(); n > propSize {
-				t.Fatalf("trial %d step %d: %d spans for %d bytes", trial, step, n, propSize)
-			}
-		}
-		// Rollback at an exact edge: claim a width-1 sliver on a
-		// partition boundary and roll it back with no interim mutation.
-		pre := *m
+		d, m, hs := runTrial(t, rng, trial, randRange)
+		// Rollback at an exact edge: a width-1 sliver on a partition
+		// boundary.
 		off := edgePoints[rng.Intn(len(edgePoints))]
 		if off >= propSize {
 			off = propSize - 1
 		}
-		end := off + 1
-		h := rng.Intn(propHolders)
-		g := &tGate{name: "rb"}
-		snap, gen := d.Claim(hs[h], off, end, g)
-		d.RollbackClaim(hs[h], g, off, end, gen, snap)
-		m = &pre
-		m.each(off, end, func(b *mByte) { b.st[h] = Invalid })
-		compare(t, trial, 999, "edge-rollback", d, m, hs)
+		checkImmediateRollback(t, rng, trial, "edge-rollback", d, m, hs, off, off+1)
 	}
 }
 
@@ -201,14 +99,18 @@ func TestAdjacentClaimsRemergeAtEdges(t *testing.T) {
 			d.Claim(hs[i], p[0], p[1], settled)
 		}
 		// Width-1 halo exchange across both interior edges, both ways.
-		d.ValidateForward(h0, h1, 31, 32, settled)
-		d.ValidateForward(h1, h0, 32, 33, settled)
-		d.ValidateForward(h1, h2, 63, 64, settled)
-		d.ValidateForward(h2, h1, 64, 65, settled)
+		d.ValidateForward(h0, h1, 31, 32, settled, settled)
+		d.ValidateForward(h1, h0, 32, 33, settled, settled)
+		d.ValidateForward(h1, h2, 63, 64, settled, settled)
+		d.ValidateForward(h2, h1, 64, 65, settled, settled)
 		d.SettleForward(h1, 31, 32, settled, true)
 		d.SettleForward(h0, 32, 33, settled, true)
 		d.SettleForward(h2, 63, 64, settled, true)
 		d.SettleForward(h1, 64, 65, settled, true)
+		d.RetireOutbound(h0, 31, 32, settled)
+		d.RetireOutbound(h1, 32, 33, settled)
+		d.RetireOutbound(h1, 63, 64, settled)
+		d.RetireOutbound(h2, 64, 65, settled)
 
 		// Byte-exact states at each edge: the forwarded byte is Shared
 		// on both sides, its neighbours stay exclusive.

@@ -23,7 +23,8 @@ type mByte struct {
 	host     State
 	st       [propHolders]State
 	inb      [propHolders]Gate
-	lostFrom int // holder index, -1 when not lost
+	out      [propHolders]Gate // in-flight outbound read of the holder's copy
+	lostFrom int               // holder index, -1 when not lost
 	lostWas  State
 	lostConn uint64
 }
@@ -94,13 +95,22 @@ func (m *model) validateHost(off, end int) {
 	})
 }
 
-func (m *model) validateForward(src, dst, off, end int, gate Gate) {
+func (m *model) validateForward(src, dst, off, end int, gate, read Gate) {
 	m.each(off, end, func(b *mByte) {
 		if b.st[src] == Modified {
 			b.st[src] = Shared
 		}
 		b.st[dst] = Shared
 		b.inb[dst] = gate
+		b.out[src] = read
+	})
+}
+
+func (m *model) retireOutbound(src, off, end int, read Gate) {
+	m.each(off, end, func(b *mByte) {
+		if b.out[src] == read {
+			b.out[src] = nil
+		}
 	})
 }
 
@@ -126,6 +136,7 @@ func (m *model) sweep(h int, conn uint64) {
 		had := b.st[h]
 		b.st[h] = Invalid
 		b.inb[h] = nil
+		b.out[h] = nil
 		if had != Shared && had != Modified {
 			continue
 		}
@@ -196,128 +207,158 @@ func compare(t *testing.T, trial, step int, opName string, d *Dir, m *model, hs 
 			case want != nil && (len(gs) != 1 || gs[0] != want):
 				t.Fatalf("trial %d step %d (%s): byte %d inbound gate mismatch for %s", trial, step, opName, pos, h.name)
 			}
+			// A writer waits on exactly the byte's inbound gate and the
+			// in-flight outbound read of its copy.
+			var wantW []Gate
+			for _, g := range [2]Gate{want, m.bytes[pos].out[hi]} {
+				if g != nil && !containsGate(wantW, g) {
+					wantW = append(wantW, g)
+				}
+			}
+			if gs := d.WriteGates(h, pos, pos+1); !sameGates(gs, wantW) {
+				t.Fatalf("trial %d step %d (%s): byte %d write gates for %s = %v, model %v", trial, step, opName, pos, h.name, gs, wantW)
+			}
 		}
 	}
 }
 
+// runTrial drives one fresh directory and its byte model through 80
+// random transitions over ranges drawn from randRange, comparing after
+// every step, and returns both for the caller's epilogue.
+func runTrial(t *testing.T, rng *rand.Rand, trial int, randRange func() (int, int)) (*Dir, *model, []*tHolder) {
+	t.Helper()
+	hs := make([]*tHolder, propHolders)
+	for i := range hs {
+		hs[i] = &tHolder{name: fmt.Sprintf("h%d", i), alive: true}
+	}
+	d := New(uint64(trial), propSize, hs[0], hs[1], hs[2])
+	m := newModel()
+	var gates []*tGate
+	var conn uint64
+	newGate := func() *tGate {
+		g := &tGate{name: fmt.Sprintf("g%d", len(gates)), settled: rng.Intn(2) == 0}
+		gates = append(gates, g)
+		return g
+	}
+	for step := 0; step < 80; step++ {
+		// Randomly settle outstanding gates: merging behavior changes,
+		// visible state must not.
+		for _, g := range gates {
+			if rng.Intn(4) == 0 {
+				g.settled = true
+			}
+		}
+		h := rng.Intn(propHolders)
+		off, end := randRange()
+		var opName string
+		switch op := rng.Intn(12); op {
+		case 0, 1: // claims are the most common transition
+			opName = "claim"
+			d.Claim(hs[h], off, end, newGate())
+			m.claim(h, off, end)
+		case 2:
+			opName = "validate"
+			d.Validate(hs[h], off, end)
+			m.validate(h, off, end)
+		case 3:
+			opName = "invalidate"
+			d.Invalidate(hs[h], off, end)
+			m.invalidate(h, off, end)
+		case 4:
+			opName = "invalidateHost"
+			d.InvalidateHost(off, end)
+			m.invalidateHost(off, end)
+		case 5:
+			opName = "forceInvalidate"
+			d.ForceInvalidate(off, end)
+			m.forceInvalidate(off, end)
+		case 6:
+			opName = "validateHost"
+			if d.ValidateHost(off, end, d.Generation()) {
+				m.validateHost(off, end)
+			} else {
+				t.Fatalf("ValidateHost with a current generation refused")
+			}
+		case 7:
+			opName = "forward"
+			src := rng.Intn(propHolders)
+			if src == h {
+				continue
+			}
+			g, read := newGate(), newGate()
+			d.ValidateForward(hs[src], hs[h], off, end, g, read)
+			m.validateForward(src, h, off, end, g, read)
+		case 8:
+			opName = "settleForward"
+			if len(gates) == 0 {
+				continue
+			}
+			g := gates[rng.Intn(len(gates))]
+			ok := rng.Intn(2) == 0
+			d.SettleForward(hs[h], off, end, g, ok)
+			m.settleForward(h, off, end, g, ok)
+		case 9:
+			opName = "disownInbound"
+			d.DisownInbound(hs[h], off, end)
+			m.disownInbound(h, off, end)
+		case 10:
+			opName = "retireOutbound"
+			if len(gates) == 0 {
+				continue
+			}
+			g := gates[rng.Intn(len(gates))]
+			d.RetireOutbound(hs[h], off, end, g)
+			m.retireOutbound(h, off, end, g)
+		case 11:
+			opName = "sweep"
+			conn++
+			hs[h].alive = false
+			d.SweepServer(hs[h], conn)
+			m.sweep(h, conn)
+			hs[h].alive = true
+			if rng.Intn(2) == 0 {
+				// Retained re-attach restores; wrong generation must not.
+				want := conn
+				if rng.Intn(4) == 0 {
+					want = conn + 100
+				}
+				d.Restore(hs[h], want)
+				m.restore(h, want)
+				opName = "sweep+restore"
+			}
+		}
+		compare(t, trial, step, opName, d, m, hs)
+		// Span bookkeeping must stay bounded: boundaries only exist at
+		// state changes, so there can never be more spans than bytes.
+		if n := d.SpanCount(); n > propSize {
+			t.Fatalf("trial %d step %d: %d spans for %d bytes", trial, step, n, propSize)
+		}
+	}
+	return d, m, hs
+}
+
+// checkImmediateRollback claims [off, end) for a random holder and rolls
+// the claim back with no interim mutation: the pre-claim state must come
+// back with the claimer Invalid.
+func checkImmediateRollback(t *testing.T, rng *rand.Rand, trial int, opName string, d *Dir, m *model, hs []*tHolder, off, end int) {
+	t.Helper()
+	h := rng.Intn(propHolders)
+	g := &tGate{name: "rb"}
+	snap, gen := d.Claim(hs[h], off, end, g)
+	d.RollbackClaim(hs[h], g, off, end, gen, snap)
+	m.each(off, end, func(b *mByte) { b.st[h] = Invalid })
+	compare(t, trial, 999, opName, d, m, hs)
+}
+
 func TestDirectoryPropertyVsReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	randRange := func() (int, int) {
+		off := rng.Intn(propSize)
+		return off, off + 1 + rng.Intn(propSize-off)
+	}
 	for trial := 0; trial < 150; trial++ {
-		hs := make([]*tHolder, propHolders)
-		for i := range hs {
-			hs[i] = &tHolder{name: fmt.Sprintf("h%d", i), alive: true}
-		}
-		d := New(uint64(trial), propSize, hs[0], hs[1], hs[2])
-		m := newModel()
-		var gates []*tGate
-		var conn uint64
-		newGate := func() *tGate {
-			g := &tGate{name: fmt.Sprintf("g%d", len(gates)), settled: rng.Intn(2) == 0}
-			gates = append(gates, g)
-			return g
-		}
-		randRange := func() (int, int) {
-			off := rng.Intn(propSize)
-			end := off + 1 + rng.Intn(propSize-off)
-			return off, end
-		}
-		for step := 0; step < 80; step++ {
-			// Randomly settle outstanding gates: merging behavior changes,
-			// visible state must not.
-			for _, g := range gates {
-				if rng.Intn(4) == 0 {
-					g.settled = true
-				}
-			}
-			h := rng.Intn(propHolders)
-			off, end := randRange()
-			var opName string
-			switch op := rng.Intn(11); op {
-			case 0, 1: // claims are the most common transition
-				opName = "claim"
-				d.Claim(hs[h], off, end, newGate())
-				m.claim(h, off, end)
-			case 2:
-				opName = "validate"
-				d.Validate(hs[h], off, end)
-				m.validate(h, off, end)
-			case 3:
-				opName = "invalidate"
-				d.Invalidate(hs[h], off, end)
-				m.invalidate(h, off, end)
-			case 4:
-				opName = "invalidateHost"
-				d.InvalidateHost(off, end)
-				m.invalidateHost(off, end)
-			case 5:
-				opName = "forceInvalidate"
-				d.ForceInvalidate(off, end)
-				m.forceInvalidate(off, end)
-			case 6:
-				opName = "validateHost"
-				if d.ValidateHost(off, end, d.Generation()) {
-					m.validateHost(off, end)
-				} else {
-					t.Fatalf("ValidateHost with a current generation refused")
-				}
-			case 7:
-				opName = "forward"
-				src := rng.Intn(propHolders)
-				if src == h {
-					continue
-				}
-				g := newGate()
-				d.ValidateForward(hs[src], hs[h], off, end, g)
-				m.validateForward(src, h, off, end, g)
-			case 8:
-				opName = "settleForward"
-				if len(gates) == 0 {
-					continue
-				}
-				g := gates[rng.Intn(len(gates))]
-				ok := rng.Intn(2) == 0
-				d.SettleForward(hs[h], off, end, g, ok)
-				m.settleForward(h, off, end, g, ok)
-			case 9:
-				opName = "disownInbound"
-				d.DisownInbound(hs[h], off, end)
-				m.disownInbound(h, off, end)
-			case 10:
-				opName = "sweep"
-				conn++
-				hs[h].alive = false
-				d.SweepServer(hs[h], conn)
-				m.sweep(h, conn)
-				hs[h].alive = true
-				if rng.Intn(2) == 0 {
-					// Retained re-attach restores; wrong generation must not.
-					want := conn
-					if rng.Intn(4) == 0 {
-						want = conn + 100
-					}
-					d.Restore(hs[h], want)
-					m.restore(h, want)
-					opName = "sweep+restore"
-				}
-			}
-			compare(t, trial, step, opName, d, m, hs)
-			// Span bookkeeping must stay bounded: boundaries only exist at
-			// state changes, so there can never be more spans than bytes.
-			if n := d.SpanCount(); n > propSize {
-				t.Fatalf("trial %d step %d: %d spans for %d bytes", trial, step, n, propSize)
-			}
-		}
-		// Immediate rollback property: claim + rollback with no interim
-		// mutation restores the pre-claim state with the claimer Invalid.
-		pre := *m
-		off, end := rng.Intn(propSize), 0
-		end = off + 1 + rng.Intn(propSize-off)
-		h := rng.Intn(propHolders)
-		g := &tGate{name: "rb"}
-		snap, gen := d.Claim(hs[h], off, end, g)
-		d.RollbackClaim(hs[h], g, off, end, gen, snap)
-		m = &pre
-		m.each(off, end, func(b *mByte) { b.st[h] = Invalid })
-		compare(t, trial, 999, "rollback", d, m, hs)
+		d, m, hs := runTrial(t, rng, trial, randRange)
+		off, end := randRange()
+		checkImmediateRollback(t, rng, trial, "rollback", d, m, hs, off, end)
 	}
 }

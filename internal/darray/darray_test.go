@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net"
 	"testing"
+	"time"
 
 	"dopencl/internal/cl"
 	"dopencl/internal/client"
@@ -64,10 +65,17 @@ func peerOf(addr string) string { return addr + "/peer" }
 // links between all daemons, and connects a platform to all of them.
 func newWorld(t *testing.T, link simnet.LinkConfig, addrs ...string) *world {
 	t.Helper()
+	return newWorldOf(t, link, device.TestGPU, addrs...)
+}
+
+// newWorldOf is newWorld with the device each daemon exposes built by
+// mkDev from the device's name.
+func newWorldOf(t *testing.T, link simnet.LinkConfig, mkDev func(name string) device.Config, addrs ...string) *world {
+	t.Helper()
 	nw := simnet.NewNetwork(link)
 	for _, addr := range addrs {
 		addr := addr
-		np := native.NewPlatform("native-"+addr, "test", []device.Config{device.TestGPU("gpu-" + addr)})
+		np := native.NewPlatform("native-"+addr, "test", []device.Config{mkDev("gpu-" + addr)})
 		d, err := daemon.New(daemon.Config{
 			Name: addr, Platform: np,
 			PeerAddr: peerOf(addr),
@@ -446,4 +454,56 @@ func TestHaloTrafficIsSurfaceNotVolume(t *testing.T) {
 		t.Fatalf("client sends %d B/iter in steady state, want small replay delta frames", clientPerIter)
 	}
 	t.Logf("steady state: peer %d B/iter (surface %d), client %d B/iter", peerPerIter, surface, clientPerIter)
+}
+
+// TestSecondDaemonHalvesTheIteration is the scaling contract of the
+// recorded loop: on the same grid, two daemons finish an iteration in
+// about half the time one does, because each computes its half while its
+// halo row travels to the neighbour. Kernel time is slept, not computed
+// (device.ExecModeled: ~49 ms for the whole grid, so ~24 ms per half), so
+// the verdict holds on a 1-core host; results are not checked — a modeled
+// device runs sampled groups only, the bit-identity suites above run on
+// real ones. A halo read that queues behind the source device's running
+// kernel serializes the two daemons and reads 1.0x here.
+func TestSecondDaemonHalvesTheIteration(t *testing.T) {
+	const gw, gh, warm, timed = 64, 64, 2, 8
+	modeled := func(name string) device.Config {
+		cfg := device.TestGPU(name)
+		cfg.ComputeUnits = 1
+		cfg.Mode = device.ExecModeled
+		cfg.InstrPerSec = 1e6
+		return cfg
+	}
+	iterate := func(addrs ...string) time.Duration {
+		w := newWorldOf(t, simnet.Unlimited(), modeled, addrs...)
+		g, _ := w.grid(t, jacobiSrc, gw, gh)
+		defer g.Release()
+		a, _ := g.NewArray()
+		b, _ := g.NewArray()
+		if err := a.Scatter(randomState(gw*gh, 5)); err != nil {
+			t.Fatal(err)
+		}
+		loop, err := g.RecordPingPong("step", a, b, darray.Halo{Lo: 1, Hi: 1}, float32(0.2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer loop.Release()
+		// Warm-up: graph registration, the kernel's cost sample, the peer
+		// connections and the first halo forwards.
+		if err := loop.Iterate(warm, nil); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if err := loop.Iterate(timed, nil); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	one := iterate("solo")
+	two := iterate("node0", "node1")
+	t.Logf("%d iterations of %dx%d: 1 daemon %v, 2 daemons %v (%.2fx)", timed, gw, gh, one, two, float64(two)/float64(one))
+	if two > one*3/4 {
+		t.Errorf("2 daemons took %v against %v on 1 (%.2fx), want <= 0.75x: the daemons are not computing at the same time",
+			two, one, float64(two)/float64(one))
+	}
 }

@@ -14,9 +14,17 @@ type Halo struct {
 // launchSpans splits one partition into up to three launches: the top
 // boundary rows (the ones the previous partition's halo reads), the
 // bottom boundary rows (read by the next partition), and the interior.
-// Boundary launches are enqueued first so their results are available
-// for peer forwarding while the interior — which reads only locally
-// owned rows for a symmetric stencil — is still computing.
+// Boundary launches are enqueued first. Under eager Step each launch has
+// its own event, so a neighbour's halo forward waits only for the small
+// boundary launch and streams while the interior — which reads only
+// locally owned rows for a symmetric stencil — is still computing. Under
+// replay (RecordPingPong) the launches of a partition are one command
+// buffer with one event: a neighbour waits for the whole iteration, and
+// the daemons run in lockstep per iteration. They still compute at the
+// same time, because a halo row is read on the source device's copy
+// engine while its next iteration computes. Gating the boundary and the
+// interior as separate replays was measured on loopback: no gain, twice
+// the frames.
 func launchSpans(p Span, halo Halo) []Span {
 	topHi := min(p.Lo+halo.Hi, p.Hi)
 	botLo := max(p.Hi-halo.Lo, topHi)
@@ -31,8 +39,9 @@ func launchSpans(p Span, halo Halo) []Span {
 
 // enqueueStencil enqueues one stencil launch covering rows span of the
 // output: out is bound to exactly the written rows (so the coherence
-// claim — and the gate neighbours' forwards wait on — covers only this
-// launch), in to the rows the stencil reaches, clamped to the domain.
+// claim covers only this launch, and so does the gate neighbours'
+// forwards wait on when the launch is eager), in to the rows the stencil
+// reaches, clamped to the domain.
 func (g *Grid) enqueueStencil(pi int, k cl.Kernel, dst, src *Array, span Span, halo Halo, scalars []any) (cl.Event, error) {
 	out, err := dst.view(span)
 	if err != nil {
@@ -221,8 +230,10 @@ func (g *Grid) RecordPingPong(name string, a, b *Array, halo Halo, scalars ...an
 }
 
 // maxInFlight bounds the replay pipeline: with two iterations in
-// flight, iteration i+1's boundary frames overlap iteration i's
-// interior compute without the host running unboundedly ahead.
+// flight, iteration i+1's replay frames and halo-forward commands are
+// already parked at the daemons, gated on iteration i's events, while
+// iteration i computes — no client round trip sits between iterations —
+// without the host running unboundedly ahead.
 const maxInFlight = 2
 
 // Iterate replays n iterations. onIter (optional) runs after each

@@ -76,14 +76,20 @@ type BusConfig struct {
 	LatencySec float64 // per-transfer setup latency
 }
 
-// Device is an instantiated simulated device. Commands serialize on the
-// device (mu): like real GPUs, a device executes one kernel or bus
-// transfer at a time even when fed from multiple command queues — the
-// contention that makes unmanaged device sharing slow in Fig. 6.
+// Device is an instantiated simulated device with the two engines of the
+// paper's hardware. Kernels and batches serialize on the compute engine
+// even when fed from multiple command queues — the contention that makes
+// unmanaged device sharing slow in Fig. 6 — and bus transfers serialize on
+// the copy engine; a transfer and a kernel overlap each other. Neither
+// engine orders a transfer against a kernel that touches the same bytes:
+// that ordering is the caller's, by event wait lists and in-order queues
+// (the engines model time, they protect no data: the native queue copies
+// the bytes outside both).
 type Device struct {
-	cfg  Config
-	info cl.DeviceInfo
-	mu   sync.Mutex
+	cfg     Config
+	info    cl.DeviceInfo
+	compute sync.Mutex // held for the duration of a kernel launch or batch
+	copy    sync.Mutex // held for the modeled duration of a bus transfer
 }
 
 // New instantiates a device from its configuration.
@@ -149,21 +155,21 @@ func (d *Device) TransferTime(n int, read bool) time.Duration {
 }
 
 // ChargeTransfer sleeps for the (scaled) modeled bus transfer time and
-// returns the modeled duration. Transfers hold the device, serializing
-// with kernels and other transfers.
+// returns the modeled duration. Transfers hold the copy engine: they
+// serialize with each other and overlap kernels.
 func (d *Device) ChargeTransfer(n int, read bool) time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.copy.Lock()
+	defer d.copy.Unlock()
 	return d.sleepScaled(d.TransferTime(n, read))
 }
 
 // Execute runs a kernel launch on the device, dispatching on the engine
 // mode. It returns the modeled execution duration (zero for ExecReal,
 // where wall-clock time is the real cost). Launches serialize on the
-// device.
+// compute engine.
 func (d *Device) Execute(l vm.Launch) (time.Duration, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.compute.Lock()
+	defer d.compute.Unlock()
 	switch d.cfg.Mode {
 	case ExecModeled:
 		return d.executeModeled(l)
@@ -179,15 +185,16 @@ func (d *Device) Execute(l vm.Launch) (time.Duration, error) {
 }
 
 // ExecuteBatch runs N independent jobs of one compiled kernel as a
-// single device dispatch: the device is locked once and — for ExecReal —
-// the VM spins up one worker pool for the whole batch (vm.RunBatch).
+// single device dispatch: the compute engine is taken once and — for
+// ExecReal — the VM spins up one worker pool for the whole batch
+// (vm.RunBatch).
 // This is the serve-path coalescing payoff: for many small ND-ranges the
 // per-launch fixed costs dominate, and the batch pays them once. Modeled
 // devices charge one summed modeled duration for the batch. The returned
 // slice has one error slot per job (nil on success).
 func (d *Device) ExecuteBatch(b vm.Batch) ([]error, time.Duration) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.compute.Lock()
+	defer d.compute.Unlock()
 	if d.cfg.Mode == ExecModeled {
 		errs := make([]error, len(b.Jobs))
 		var total time.Duration

@@ -133,6 +133,61 @@ func TestDeviceSerializesCommands(t *testing.T) {
 	}
 }
 
+func TestTransferOverlapsRunningKernel(t *testing.T) {
+	// The copy engine is not the compute engine: a bus transfer issued
+	// while a kernel runs starts at once and returns long before the
+	// kernel does (5 ms against 150 ms, both slept).
+	l := busyLaunch(t, 2048, 200)
+	perItem, err := PrewarmCost(busyKernel, "busy", l.Args, l.GlobalSize, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := New(Config{
+		Name: "d", ComputeUnits: 1, Mode: ExecModeled, InstrPerSec: perItem * 2048 / 0.150,
+		Bus: BusConfig{LatencySec: 5e-3},
+	})
+	kernelDone := make(chan struct{})
+	go func() {
+		defer close(kernelDone)
+		if _, err := d.Execute(l); err != nil {
+			t.Error(err)
+		}
+	}()
+	for d.compute.TryLock() { // until the kernel holds the compute engine
+		d.compute.Unlock()
+		time.Sleep(100 * time.Microsecond)
+	}
+	d.ChargeTransfer(1, true)
+	select {
+	case <-kernelDone:
+		t.Error("transfer returned only after the running kernel: it queued behind the compute engine")
+	default:
+	}
+	<-kernelDone
+}
+
+func TestTransfersSerializeOnCopyEngine(t *testing.T) {
+	// Two concurrent transfers share one bus: together they take at least
+	// twice the modeled time of one (the sleeps never run short, so the
+	// bound holds on any host).
+	d := New(Config{Name: "d", Bus: BusConfig{LatencySec: 20e-3}})
+	one := d.TransferTime(1, false)
+	duo := timeIt(func() {
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				d.ChargeTransfer(1, false)
+			}()
+		}
+		wg.Wait()
+	})
+	if duo < 2*one {
+		t.Errorf("two concurrent transfers took %v, want >= %v: they overlapped", duo, 2*one)
+	}
+}
+
 func timeIt(f func()) time.Duration {
 	start := time.Now()
 	f()

@@ -416,18 +416,19 @@ func TestContextDeviceOwnership(t *testing.T) {
 	}
 }
 
-func TestModeledDeviceSleeps(t *testing.T) {
-	// A modeled device with known throughput must take roughly the
-	// modeled time (scaled).
-	cfg := device.Config{
+// modeledSpin builds a one-compute-unit modeled device (1e6 instr/s,
+// durations compressed by timeScale), a context on it, and the spin
+// kernel bound to its output buffer: a 1024-item launch is ~0.2 s of
+// modeled time.
+func modeledSpin(t *testing.T, timeScale float64, bus device.BusConfig) (cl.Context, cl.Device, cl.Kernel) {
+	t.Helper()
+	p := NewPlatform("modeled", "test", []device.Config{{
 		Name: "modeled", Type: cl.DeviceTypeGPU, ComputeUnits: 1,
-		Mode: device.ExecModeled, InstrPerSec: 1e6, TimeScale: 0.05,
-		GlobalMemSize: 1 << 20,
-	}
-	p := NewPlatform("modeled", "test", []device.Config{cfg})
+		Mode: device.ExecModeled, InstrPerSec: 1e6, TimeScale: timeScale,
+		GlobalMemSize: 1 << 20, Bus: bus,
+	}})
 	devs, _ := p.Devices(cl.DeviceTypeAll)
 	ctx, _ := p.CreateContext(devs)
-	q, _ := ctx.CreateQueue(devs[0])
 	prog, _ := ctx.CreateProgramWithSource(`
 kernel void spin(global float* o) {
 	int i = get_global_id(0);
@@ -443,6 +444,14 @@ kernel void spin(global float* o) {
 	if err := k.SetArg(0, buf); err != nil {
 		t.Fatal(err)
 	}
+	return ctx, devs[0], k
+}
+
+func TestModeledDeviceSleeps(t *testing.T) {
+	// A modeled device with known throughput must take roughly the
+	// modeled time (scaled).
+	ctx, dev, k := modeledSpin(t, 0.05, device.BusConfig{})
+	q, _ := ctx.CreateQueue(dev)
 	start := time.Now()
 	ev, err := q.EnqueueNDRangeKernel(k, []int{1024}, nil, nil)
 	if err != nil {
@@ -452,12 +461,41 @@ kernel void spin(global float* o) {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	// ~1024 items × ~400 instr = ~4e5 instr at 1e6 instr/s = ~0.4 s,
-	// scaled by 0.05 → ~20 ms. Accept a generous window.
+	// ~0.2 s modeled, scaled by 0.05 → ~10 ms. Accept a generous window.
 	if elapsed < 5*time.Millisecond {
 		t.Errorf("modeled execution too fast: %v", elapsed)
 	}
 	if elapsed > 2*time.Second {
 		t.Errorf("modeled execution too slow: %v", elapsed)
+	}
+}
+
+func TestReadOverlapsKernelOnAnotherQueue(t *testing.T) {
+	// The device's copy engine is not its compute engine: a read on a
+	// second queue of the device completes while the first queue's kernel
+	// (~100 ms slept, against a 5 ms bus transfer) is still running.
+	ctx, dev, k := modeledSpin(t, 0.5, device.BusConfig{LatencySec: 10e-3})
+	compute, _ := ctx.CreateQueue(dev)
+	transfer, _ := ctx.CreateQueue(dev)
+	other, _ := ctx.CreateBuffer(cl.MemReadWrite|cl.MemCopyHostPtr, 4, []byte{1, 2, 3, 4})
+	kev, err := compute.EnqueueNDRangeKernel(k, []int{1024}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kev.Status() != cl.Running {
+		time.Sleep(100 * time.Microsecond)
+	}
+	got := make([]byte, 4)
+	if _, err := transfer.EnqueueReadBuffer(other, true, 0, got, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := kev.Status(); st != cl.Running {
+		t.Errorf("kernel event is %v when the other queue's read returned, want Running: the read queued behind the kernel", st)
+	}
+	if string(got) != "\x01\x02\x03\x04" {
+		t.Errorf("read returned %v", got)
+	}
+	if err := kev.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
