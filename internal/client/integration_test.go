@@ -448,19 +448,27 @@ func TestRemoteBuildFailure(t *testing.T) {
 	devs, _ := tc.plat.Devices(cl.DeviceTypeAll)
 	ctx, _ := tc.plat.CreateContext(devs)
 	defer ctx.Release()
-	prog, err := ctx.CreateProgramWithSource("kernel void k(global float* o) { o[0] = }")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = prog.Build(nil, "")
-	if cl.CodeOf(err) != cl.BuildProgramFailure {
-		t.Fatalf("Build error = %v", err)
-	}
-	if log := prog.BuildLog(devs[0]); !strings.Contains(log, "expected expression") {
-		t.Fatalf("build log = %q", log)
-	}
-	if _, err := prog.CreateKernel("k"); err == nil {
-		t.Fatal("CreateKernel should fail for unbuilt program")
+	// A syntax error, and a recursive helper: what the daemon's compiler
+	// refuses comes back as a build failure with the daemon's log.
+	for _, bad := range []struct{ src, log string }{
+		{"kernel void k(global float* o) { o[0] = }", "expected expression"},
+		{"int down(int x) { if (x > 0) { return down(x - 1); } return 0; }\n" +
+			"kernel void k(global int* o) { o[0] = down(3); }", "1:39: recursive call to down"},
+	} {
+		prog, err := ctx.CreateProgramWithSource(bad.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = prog.Build(nil, "")
+		if cl.CodeOf(err) != cl.BuildProgramFailure {
+			t.Fatalf("Build error = %v", err)
+		}
+		if log := prog.BuildLog(devs[0]); !strings.Contains(log, bad.log) {
+			t.Fatalf("build log = %q, want %q", log, bad.log)
+		}
+		if _, err := prog.CreateKernel("k"); err == nil {
+			t.Fatal("CreateKernel should fail for unbuilt program")
+		}
 	}
 }
 

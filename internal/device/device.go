@@ -52,7 +52,8 @@ type Config struct {
 
 	Mode ExecMode
 	// InstrPerSec is the modeled per-compute-unit execution rate in
-	// bytecode instructions per second (ExecModeled only).
+	// register-IR instructions per second, the unit vm.Stats counts in
+	// (ExecModeled only).
 	InstrPerSec float64
 	// SampleGroups bounds the number of work-groups executed for cost
 	// sampling (ExecModeled). Zero selects a default of 8.

@@ -1,879 +1,154 @@
 package kernel
 
 import (
-	"fmt"
-	"math"
+	"sync"
+	"sync/atomic"
+	"time"
 )
 
-// Compile parses and compiles MiniCL source into a bytecode Program.
-// Compilation is what Program.Build performs on every device, both in the
-// native runtime and in remote dOpenCL daemons.
+// ArgKind describes how a kernel argument slot is bound at launch.
+type ArgKind int
+
+// Argument kinds.
+const (
+	ArgScalarInt ArgKind = iota
+	ArgScalarFloat
+	ArgGlobalBuf
+	ArgLocalBuf
+)
+
+// ArgInfo describes one kernel parameter: how to bind it and, for buffer
+// parameters, whether kernels may write through it. ReadOnly drives the
+// dOpenCL MSI coherence protocol (const-qualified pointers never dirty the
+// remote copy).
+type ArgInfo struct {
+	Name     string
+	Kind     ArgKind
+	Elem     Type // element type for buffer args
+	ReadOnly bool
+}
+
+// Func is a compiled kernel function.
+type Func struct {
+	Name string
+	Args []ArgInfo
+	// HasBarrier reports that the kernel contains a barrier(), its own or
+	// an inlined helper's: its groups run with one register file per item.
+	HasBarrier bool
+
+	raw    *WGFunc   // register IR as lowered by Compile, no passes run
+	wgOnce sync.Once // guards plan
+	plan   *WGFunc   // raw after the passes of opt.go, built on first use
+}
+
+// Program is a compiled MiniCL translation unit.
+type Program struct {
+	Funcs   []*Func // kernels in declaration order (helpers are inlined)
+	Source  string
+	kernels map[string]*Func
+}
+
+// Kernel returns the compiled kernel function with the given name.
+func (p *Program) Kernel(name string) (*Func, bool) {
+	f, ok := p.kernels[name]
+	return f, ok
+}
+
+// KernelNames lists all kernel functions in declaration order.
+func (p *Program) KernelNames() []string {
+	names := make([]string, len(p.Funcs))
+	for i, f := range p.Funcs {
+		names[i] = f.Name
+	}
+	return names
+}
+
+// Compile parses MiniCL source and lowers every kernel to the register IR
+// (lower.go). It is what Program.Build performs on every device, both in
+// the native runtime and in remote dOpenCL daemons; everything the
+// compiler refuses — syntax and type errors, recursion, kernels that
+// inline past the depth or size caps — is refused here, with a position.
 func Compile(src string) (*Program, error) {
 	file, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	c := &compiler{
-		prog:      &Program{Source: src, kernels: map[string]int{}},
-		funcIndex: map[string]int{},
-		constIdx:  map[uint64]int{},
-	}
-	// Pass 1: collect signatures so helpers can be called in any order.
+	u := &unit{decls: make(map[string]*FuncDecl, len(file.Funcs)), inlined: map[*FuncDecl]bool{}}
 	for _, fn := range file.Funcs {
-		if _, dup := c.funcIndex[fn.Name]; dup {
+		if _, dup := u.decls[fn.Name]; dup {
 			return nil, errAt(fn.Line, fn.Col, "function %s redefined", fn.Name)
 		}
 		if _, isBuiltin := builtinTable[fn.Name]; isBuiltin {
 			return nil, errAt(fn.Line, fn.Col, "function %s shadows a builtin", fn.Name)
 		}
-		c.funcIndex[fn.Name] = len(c.prog.Funcs)
-		cf := &Func{Name: fn.Name, IsKernel: fn.IsKernel, NumParams: len(fn.Params)}
-		if fn.IsKernel {
-			c.prog.kernels[fn.Name] = len(c.prog.Funcs)
-			for _, p := range fn.Params {
-				ai := ArgInfo{Name: p.Name, ReadOnly: p.Const}
-				switch {
-				case p.Type == TypeInt:
-					ai.Kind = ArgScalarInt
-				case p.Type == TypeFloat:
-					ai.Kind = ArgScalarFloat
-				case p.Space == SpaceLocal:
-					ai.Kind = ArgLocalBuf
-					ai.Elem = p.Type.Elem()
-				default:
-					ai.Kind = ArgGlobalBuf
-					ai.Elem = p.Type.Elem()
-				}
-				cf.Args = append(cf.Args, ai)
-			}
-		}
-		c.prog.Funcs = append(c.prog.Funcs, cf)
+		u.decls[fn.Name] = fn
 	}
-	// Pass 2: compile bodies.
-	for i, fn := range file.Funcs {
-		if err := c.compileFunc(c.prog.Funcs[i], fn, file); err != nil {
-			return nil, err
-		}
-	}
-	return c.prog, nil
-}
-
-// compiler holds program-wide compilation state.
-type compiler struct {
-	prog      *Program
-	funcIndex map[string]int
-	constIdx  map[uint64]int
-
-	// per-function state
-	fn       *Func
-	decl     *FuncDecl
-	file     *File
-	scopes   []map[string]varInfo
-	nextSlot int
-	loops    []*loopLabels
-}
-
-// varInfo describes a resolved variable: its slot, type and, for pointer
-// parameters, the address space.
-type varInfo struct {
-	slot  int
-	typ   Type
-	space AddrSpace
-}
-
-type loopLabels struct {
-	breakJumps    []int // instruction indices to patch with the loop end
-	continueJumps []int // instruction indices to patch with the post/cond
-}
-
-func (c *compiler) constPool(raw uint64) int32 {
-	if i, ok := c.constIdx[raw]; ok {
-		return int32(i)
-	}
-	i := len(c.prog.Consts)
-	c.prog.Consts = append(c.prog.Consts, raw)
-	c.constIdx[raw] = i
-	return int32(i)
-}
-
-func slotInt(v int32) uint64     { return uint64(uint32(v)) }
-func slotFloat(v float32) uint64 { return uint64(math.Float32bits(v)) }
-
-func (c *compiler) emit(op Op, a int32) int {
-	c.fn.Code = append(c.fn.Code, Instr{Op: op, A: a})
-	return len(c.fn.Code) - 1
-}
-
-func (c *compiler) patch(at int, target int) {
-	c.fn.Code[at].A = int32(target)
-}
-
-func (c *compiler) here() int { return len(c.fn.Code) }
-
-func (c *compiler) pushScope() { c.scopes = append(c.scopes, map[string]varInfo{}) }
-func (c *compiler) popScope()  { c.scopes = c.scopes[:len(c.scopes)-1] }
-
-func (c *compiler) define(name string, typ Type, space AddrSpace, line, col int) (varInfo, error) {
-	top := c.scopes[len(c.scopes)-1]
-	if _, dup := top[name]; dup {
-		return varInfo{}, errAt(line, col, "variable %s redeclared in this scope", name)
-	}
-	v := varInfo{slot: c.nextSlot, typ: typ, space: space}
-	c.nextSlot++
-	top[name] = v
-	if c.nextSlot > c.fn.NumLocals {
-		c.fn.NumLocals = c.nextSlot
-	}
-	return v, nil
-}
-
-func (c *compiler) lookup(name string) (varInfo, bool) {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if v, ok := c.scopes[i][name]; ok {
-			return v, true
-		}
-	}
-	return varInfo{}, false
-}
-
-func (c *compiler) compileFunc(cf *Func, decl *FuncDecl, file *File) error {
-	c.fn = cf
-	c.decl = decl
-	c.file = file
-	c.scopes = nil
-	c.nextSlot = 0
-	c.loops = nil
-	c.pushScope()
-	for _, p := range decl.Params {
-		if _, err := c.define(p.Name, p.Type, p.Space, p.Line, p.Col); err != nil {
-			return err
-		}
-	}
-	if err := c.compileBlock(decl.Body); err != nil {
-		return err
-	}
-	if decl.IsKernel {
-		c.emit(OpHalt, 0)
-	} else if decl.Return == TypeVoid {
-		c.emit(OpRetVoid, 0)
-	}
-	// Non-void helpers that fall off the end trap in the VM ("missing
-	// return"), matching C's undefined behaviour with a defined error.
-	c.popScope()
-	return nil
-}
-
-func (c *compiler) compileBlock(b *BlockStmt) error {
-	c.pushScope()
-	defer c.popScope()
-	for _, s := range b.Stmts {
-		if err := c.compileStmt(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (c *compiler) compileStmt(s Stmt) error {
-	switch st := s.(type) {
-	case *BlockStmt:
-		return c.compileBlock(st)
-
-	case *DeclStmt:
-		v, err := c.define(st.Name, st.Type, SpaceNone, st.Line, st.Col)
-		if err != nil {
-			return err
-		}
-		if st.Init != nil {
-			t, err := c.compileExpr(st.Init)
-			if err != nil {
-				return err
-			}
-			if err := c.convert(t, st.Type, st.Line, st.Col); err != nil {
-				return err
-			}
-			c.emit(OpStore, int32(v.slot))
-		} else {
-			// Zero-initialise for deterministic behaviour.
-			c.emit(OpConstI, c.constPool(0))
-			c.emit(OpStore, int32(v.slot))
-		}
-		return nil
-
-	case *AssignStmt:
-		return c.compileAssign(st)
-
-	case *IncDecStmt:
-		op := "+="
-		if st.Op == "--" {
-			op = "-="
-		}
-		return c.compileAssign(&AssignStmt{
-			Target: st.Target, Op: op,
-			Value: &IntLit{Value: 1, Line: st.Line, Col: st.Col},
-			Line:  st.Line, Col: st.Col,
-		})
-
-	case *ExprStmt:
-		t, err := c.compileExpr(st.X)
-		if err != nil {
-			return err
-		}
-		if t != TypeVoid {
-			// Discard unused value: store to a scratch slot.
-			scratch := c.nextSlot
-			if scratch+1 > c.fn.NumLocals {
-				c.fn.NumLocals = scratch + 1
-			}
-			c.emit(OpStore, int32(scratch))
-		}
-		return nil
-
-	case *IfStmt:
-		if err := c.compileCond(st.Cond); err != nil {
-			return err
-		}
-		jz := c.emit(OpJumpIfZero, 0)
-		if err := c.compileBlock(st.Then); err != nil {
-			return err
-		}
-		if st.Else == nil {
-			c.patch(jz, c.here())
-			return nil
-		}
-		jend := c.emit(OpJump, 0)
-		c.patch(jz, c.here())
-		if err := c.compileStmt(st.Else); err != nil {
-			return err
-		}
-		c.patch(jend, c.here())
-		return nil
-
-	case *WhileStmt:
-		loop := &loopLabels{}
-		c.loops = append(c.loops, loop)
-		start := c.here()
-		if err := c.compileCond(st.Cond); err != nil {
-			return err
-		}
-		jz := c.emit(OpJumpIfZero, 0)
-		if err := c.compileBlock(st.Body); err != nil {
-			return err
-		}
-		c.emit(OpJump, int32(start))
-		end := c.here()
-		c.patch(jz, end)
-		for _, at := range loop.breakJumps {
-			c.patch(at, end)
-		}
-		for _, at := range loop.continueJumps {
-			c.patch(at, start)
-		}
-		c.loops = c.loops[:len(c.loops)-1]
-		return nil
-
-	case *ForStmt:
-		c.pushScope() // for-init scope
-		if st.Init != nil {
-			if err := c.compileStmt(st.Init); err != nil {
-				c.popScope()
-				return err
-			}
-		}
-		loop := &loopLabels{}
-		c.loops = append(c.loops, loop)
-		condAt := c.here()
-		jz := -1
-		if st.Cond != nil {
-			if err := c.compileCond(st.Cond); err != nil {
-				c.popScope()
-				return err
-			}
-			jz = c.emit(OpJumpIfZero, 0)
-		}
-		if err := c.compileBlock(st.Body); err != nil {
-			c.popScope()
-			return err
-		}
-		postAt := c.here()
-		if st.Post != nil {
-			if err := c.compileStmt(st.Post); err != nil {
-				c.popScope()
-				return err
-			}
-		}
-		c.emit(OpJump, int32(condAt))
-		end := c.here()
-		if jz >= 0 {
-			c.patch(jz, end)
-		}
-		for _, at := range loop.breakJumps {
-			c.patch(at, end)
-		}
-		for _, at := range loop.continueJumps {
-			c.patch(at, postAt)
-		}
-		c.loops = c.loops[:len(c.loops)-1]
-		c.popScope()
-		return nil
-
-	case *BreakStmt:
-		if len(c.loops) == 0 {
-			return errAt(st.Line, st.Col, "break outside loop")
-		}
-		loop := c.loops[len(c.loops)-1]
-		loop.breakJumps = append(loop.breakJumps, c.emit(OpJump, 0))
-		return nil
-
-	case *ContinueStmt:
-		if len(c.loops) == 0 {
-			return errAt(st.Line, st.Col, "continue outside loop")
-		}
-		loop := c.loops[len(c.loops)-1]
-		loop.continueJumps = append(loop.continueJumps, c.emit(OpJump, 0))
-		return nil
-
-	case *ReturnStmt:
-		if c.decl.IsKernel {
-			if st.Value != nil {
-				return errAt(st.Line, st.Col, "kernel cannot return a value")
-			}
-			c.emit(OpHalt, 0)
-			return nil
-		}
-		if c.decl.Return == TypeVoid {
-			if st.Value != nil {
-				return errAt(st.Line, st.Col, "void function cannot return a value")
-			}
-			c.emit(OpRetVoid, 0)
-			return nil
-		}
-		if st.Value == nil {
-			return errAt(st.Line, st.Col, "function %s must return %s", c.decl.Name, c.decl.Return)
-		}
-		t, err := c.compileExpr(st.Value)
-		if err != nil {
-			return err
-		}
-		if err := c.convert(t, c.decl.Return, st.Line, st.Col); err != nil {
-			return err
-		}
-		c.emit(OpRet, 0)
-		return nil
-
-	case *BarrierStmt:
-		if !c.decl.IsKernel {
-			return errAt(st.Line, st.Col, "barrier is only allowed in kernel functions")
-		}
-		c.fn.HasBarrier = true
-		c.emit(OpBarrier, 0)
-		return nil
-	}
-	return fmt.Errorf("kernel: unhandled statement %T", s)
-}
-
-func (c *compiler) compileAssign(st *AssignStmt) error {
-	switch target := st.Target.(type) {
-	case *Ident:
-		v, ok := c.lookup(target.Name)
-		if !ok {
-			return errAt(target.Line, target.Col, "undefined variable %s", target.Name)
-		}
-		if v.typ.IsPointer() {
-			return errAt(target.Line, target.Col, "cannot assign to buffer parameter %s", target.Name)
-		}
-		if st.Op != "=" {
-			c.emit(OpLoad, int32(v.slot))
-		}
-		t, err := c.compileExpr(st.Value)
-		if err != nil {
-			return err
-		}
-		if st.Op != "=" {
-			if err := c.emitCompoundOp(st.Op, v.typ, t, st.Line, st.Col); err != nil {
-				return err
-			}
-		} else if err := c.convert(t, v.typ, st.Line, st.Col); err != nil {
-			return err
-		}
-		c.emit(OpStore, int32(v.slot))
-		return nil
-
-	case *IndexExpr:
-		ident, ok := target.Buf.(*Ident)
-		if !ok {
-			return errAt(target.Line, target.Col, "indexed expression must be a buffer parameter")
-		}
-		v, okVar := c.lookup(ident.Name)
-		if !okVar {
-			return errAt(ident.Line, ident.Col, "undefined variable %s", ident.Name)
-		}
-		if !v.typ.IsPointer() {
-			return errAt(ident.Line, ident.Col, "%s is not a buffer", ident.Name)
-		}
-		elem := v.typ.Elem()
-		it, err := c.compileExpr(target.Index)
-		if err != nil {
-			return err
-		}
-		if it != TypeInt {
-			return errAt(target.Line, target.Col, "buffer index must be int, got %s", it)
-		}
-		if st.Op != "=" {
-			c.emit(OpDup, 0) // keep the index for the store
-			if elem == TypeFloat {
-				c.emit(OpLoadElemF, int32(v.slot))
-			} else {
-				c.emit(OpLoadElemI, int32(v.slot))
-			}
-		}
-		t, err := c.compileExpr(st.Value)
-		if err != nil {
-			return err
-		}
-		if st.Op != "=" {
-			if err := c.emitCompoundOp(st.Op, elem, t, st.Line, st.Col); err != nil {
-				return err
-			}
-		} else if err := c.convert(t, elem, st.Line, st.Col); err != nil {
-			return err
-		}
-		if elem == TypeFloat {
-			c.emit(OpStoreElemF, int32(v.slot))
-		} else {
-			c.emit(OpStoreElemI, int32(v.slot))
-		}
-		return nil
-	}
-	return errAt(st.Line, st.Col, "invalid assignment target")
-}
-
-// emitCompoundOp converts the right operand to the target type and emits
-// the arithmetic op for `target op= value` with the loaded target beneath
-// the value on the stack.
-func (c *compiler) emitCompoundOp(op string, target, value Type, line, col int) error {
-	if err := c.convert(value, target, line, col); err != nil {
-		return err
-	}
-	binOp := map[string]string{"+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%"}[op]
-	return c.emitArith(binOp, target, line, col)
-}
-
-// compileCond compiles a condition expression that must produce int.
-func (c *compiler) compileCond(cond Expr) error {
-	t, err := c.compileExpr(cond)
-	if err != nil {
-		return err
-	}
-	if t != TypeInt {
-		line, col := cond.Pos()
-		return errAt(line, col, "condition must be int (use a comparison), got %s", t)
-	}
-	return nil
-}
-
-// convert emits a conversion from type `from` to `to`, or errors if none
-// exists.
-func (c *compiler) convert(from, to Type, line, col int) error {
-	if from == to {
-		return nil
-	}
-	switch {
-	case from == TypeInt && to == TypeFloat:
-		c.emit(OpI2F, 0)
-		return nil
-	case from == TypeFloat && to == TypeInt:
-		c.emit(OpF2I, 0)
-		return nil
-	}
-	return errAt(line, col, "cannot convert %s to %s", from, to)
-}
-
-// emitArith emits the arithmetic instruction for op on operands of type t.
-func (c *compiler) emitArith(op string, t Type, line, col int) error {
-	type key struct {
-		op string
-		t  Type
-	}
-	table := map[key]Op{
-		{"+", TypeInt}: OpAddI, {"-", TypeInt}: OpSubI,
-		{"*", TypeInt}: OpMulI, {"/", TypeInt}: OpDivI, {"%", TypeInt}: OpModI,
-		{"&", TypeInt}: OpAndI, {"|", TypeInt}: OpOrI, {"^", TypeInt}: OpXorI,
-		{"<<", TypeInt}: OpShlI, {">>", TypeInt}: OpShrI,
-		{"+", TypeFloat}: OpAddF, {"-", TypeFloat}: OpSubF,
-		{"*", TypeFloat}: OpMulF, {"/", TypeFloat}: OpDivF,
-	}
-	o, ok := table[key{op, t}]
-	if !ok {
-		return errAt(line, col, "operator %s not defined for %s", op, t)
-	}
-	c.emit(o, 0)
-	return nil
-}
-
-// compileExpr compiles an expression and returns its type.
-func (c *compiler) compileExpr(e Expr) (Type, error) {
-	switch x := e.(type) {
-	case *IntLit:
-		c.emit(OpConstI, c.constPool(slotInt(x.Value)))
-		return TypeInt, nil
-
-	case *FloatLit:
-		c.emit(OpConstF, c.constPool(slotFloat(x.Value)))
-		return TypeFloat, nil
-
-	case *Ident:
-		if v, ok := c.lookup(x.Name); ok {
-			if v.typ.IsPointer() {
-				return TypeVoid, errAt(x.Line, x.Col, "buffer %s used without index", x.Name)
-			}
-			c.emit(OpLoad, int32(v.slot))
-			return v.typ, nil
-		}
-		if cv, ok := predefinedConsts[x.Name]; ok {
-			c.emit(OpConstI, c.constPool(slotInt(cv)))
-			return TypeInt, nil
-		}
-		return TypeVoid, errAt(x.Line, x.Col, "undefined variable %s", x.Name)
-
-	case *UnaryExpr:
-		t, err := c.compileExpr(x.X)
-		if err != nil {
-			return TypeVoid, err
-		}
-		switch x.Op {
-		case "-":
-			switch t {
-			case TypeInt:
-				c.emit(OpNegI, 0)
-			case TypeFloat:
-				c.emit(OpNegF, 0)
-			default:
-				return TypeVoid, errAt(x.Line, x.Col, "cannot negate %s", t)
-			}
-			return t, nil
-		case "!":
-			if t != TypeInt {
-				return TypeVoid, errAt(x.Line, x.Col, "! requires int operand, got %s", t)
-			}
-			c.emit(OpLNot, 0)
-			return TypeInt, nil
-		case "~":
-			if t != TypeInt {
-				return TypeVoid, errAt(x.Line, x.Col, "~ requires int operand, got %s", t)
-			}
-			c.emit(OpNotI, 0)
-			return TypeInt, nil
-		}
-		return TypeVoid, errAt(x.Line, x.Col, "unknown unary operator %s", x.Op)
-
-	case *CastExpr:
-		t, err := c.compileExpr(x.X)
-		if err != nil {
-			return TypeVoid, err
-		}
-		if err := c.convert(t, x.To, x.Line, x.Col); err != nil {
-			return TypeVoid, err
-		}
-		return x.To, nil
-
-	case *IndexExpr:
-		ident, ok := x.Buf.(*Ident)
-		if !ok {
-			return TypeVoid, errAt(x.Line, x.Col, "indexed expression must be a buffer parameter")
-		}
-		v, okVar := c.lookup(ident.Name)
-		if !okVar {
-			return TypeVoid, errAt(ident.Line, ident.Col, "undefined variable %s", ident.Name)
-		}
-		if !v.typ.IsPointer() {
-			return TypeVoid, errAt(ident.Line, ident.Col, "%s is not a buffer", ident.Name)
-		}
-		it, err := c.compileExpr(x.Index)
-		if err != nil {
-			return TypeVoid, err
-		}
-		if it != TypeInt {
-			return TypeVoid, errAt(x.Line, x.Col, "buffer index must be int, got %s", it)
-		}
-		if v.typ.Elem() == TypeFloat {
-			c.emit(OpLoadElemF, int32(v.slot))
-		} else {
-			c.emit(OpLoadElemI, int32(v.slot))
-		}
-		return v.typ.Elem(), nil
-
-	case *BinaryExpr:
-		return c.compileBinary(x)
-
-	case *CondExpr:
-		if err := c.compileCond(x.Cond); err != nil {
-			return TypeVoid, err
-		}
-		jz := c.emit(OpJumpIfZero, 0)
-		tThen, err := c.compileExpr(x.Then)
-		if err != nil {
-			return TypeVoid, err
-		}
-		// The common type is decided after seeing both branches; compile
-		// Else first to learn its type, then insert conversions. To keep
-		// the single-pass structure simple we require both branches to
-		// have the same type or be int/float (promote to float).
-		jmpEnd := c.emit(OpJump, 0)
-		elseAt := c.here()
-		tElse, err := c.compileExpr(x.Else)
-		if err != nil {
-			return TypeVoid, err
-		}
-		result := tThen
-		if tThen != tElse {
-			if (tThen == TypeInt && tElse == TypeFloat) || (tThen == TypeFloat && tElse == TypeInt) {
-				result = TypeFloat
-				if tElse == TypeInt {
-					c.emit(OpI2F, 0)
-				}
-			} else {
-				return TypeVoid, errAt(x.Line, x.Col, "ternary branches have mismatched types %s and %s", tThen, tElse)
-			}
-		}
-		end := c.here()
-		c.patch(jz, elseAt)
-		c.patch(jmpEnd, end)
-		if result == TypeFloat && tThen == TypeInt {
-			// Patch path: then-branch needs an I2F before the jump; since
-			// we cannot insert retroactively without relocation, recompile
-			// is avoided by a conversion trampoline.
-			return TypeVoid, errAt(x.Line, x.Col, "ternary mixing int then-branch with float else-branch is unsupported; cast explicitly")
-		}
-		return result, nil
-
-	case *CallExpr:
-		return c.compileCall(x)
-	}
-	return TypeVoid, fmt.Errorf("kernel: unhandled expression %T", e)
-}
-
-func (c *compiler) compileBinary(x *BinaryExpr) (Type, error) {
-	switch x.Op {
-	case "&&", "||":
-		// Short-circuit evaluation producing int 0/1.
-		if err := c.compileCond(x.L); err != nil {
-			return TypeVoid, err
-		}
-		var jShort int
-		if x.Op == "&&" {
-			jShort = c.emit(OpJumpIfZero, 0)
-		} else {
-			jShort = c.emit(OpJumpIfNonZero, 0)
-		}
-		if err := c.compileCond(x.R); err != nil {
-			return TypeVoid, err
-		}
-		// Normalise right value to 0/1.
-		c.emit(OpConstI, c.constPool(0))
-		c.emit(OpNeI, 0)
-		jEnd := c.emit(OpJump, 0)
-		shortAt := c.here()
-		if x.Op == "&&" {
-			c.emit(OpConstI, c.constPool(0))
-		} else {
-			c.emit(OpConstI, c.constPool(slotInt(1)))
-		}
-		c.patch(jShort, shortAt)
-		c.patch(jEnd, c.here())
-		return TypeInt, nil
-	}
-
-	tl, err := c.compileExpr(x.L)
-	if err != nil {
-		return TypeVoid, err
-	}
-	// Mixed-type promotion: if the left side is int and the right will be
-	// float we must convert the left operand that is already on the stack.
-	// Compile the right side first into a lookahead to learn its type is
-	// not possible single-pass, so convert after: emit right, then if
-	// types differ, we can only convert the top of stack (right operand).
-	// To promote the left operand we use the standard trick: when left is
-	// int and right is float, rewrite as float(left) op right by emitting
-	// I2F before compiling the right side only when the right side's type
-	// is statically known. MiniCL determines expression types statically,
-	// so peek the type first.
-	tr := c.typeOf(x.R)
-	common := tl
-	isCompare := false
-	switch x.Op {
-	case "<", "<=", ">", ">=", "==", "!=":
-		isCompare = true
-	}
-	switch x.Op {
-	case "%", "&", "|", "^", "<<", ">>":
-		if tl != TypeInt || tr != TypeInt {
-			return TypeVoid, errAt(x.Line, x.Col, "operator %s requires int operands", x.Op)
-		}
-		common = TypeInt
-	default:
-		if tl == TypeFloat || tr == TypeFloat {
-			common = TypeFloat
-			if tl == TypeInt {
-				c.emit(OpI2F, 0)
-			}
-		}
-	}
-	trGot, err := c.compileExpr(x.R)
-	if err != nil {
-		return TypeVoid, err
-	}
-	if trGot != tr {
-		return TypeVoid, errAt(x.Line, x.Col, "internal: type inference mismatch (%s vs %s)", trGot, tr)
-	}
-	if common == TypeFloat && tr == TypeInt {
-		c.emit(OpI2F, 0)
-	}
-	if common != TypeInt && common != TypeFloat {
-		return TypeVoid, errAt(x.Line, x.Col, "operator %s not defined for %s", x.Op, common)
-	}
-	if isCompare {
-		cmpOps := map[string][2]Op{
-			"<": {OpLtI, OpLtF}, "<=": {OpLeI, OpLeF},
-			">": {OpGtI, OpGtF}, ">=": {OpGeI, OpGeF},
-			"==": {OpEqI, OpEqF}, "!=": {OpNeI, OpNeF},
-		}
-		pair := cmpOps[x.Op]
-		if common == TypeFloat {
-			c.emit(pair[1], 0)
-		} else {
-			c.emit(pair[0], 0)
-		}
-		return TypeInt, nil
-	}
-	if err := c.emitArith(x.Op, common, x.Line, x.Col); err != nil {
-		return TypeVoid, err
-	}
-	return common, nil
-}
-
-// typeOf statically determines the type of an expression without emitting
-// code. It mirrors compileExpr's typing rules.
-func (c *compiler) typeOf(e Expr) Type {
-	switch x := e.(type) {
-	case *IntLit:
-		return TypeInt
-	case *FloatLit:
-		return TypeFloat
-	case *Ident:
-		if v, ok := c.lookup(x.Name); ok {
-			return v.typ
-		}
-		if _, ok := predefinedConsts[x.Name]; ok {
-			return TypeInt
-		}
-		return TypeVoid
-	case *UnaryExpr:
-		if x.Op == "!" || x.Op == "~" {
-			return TypeInt
-		}
-		return c.typeOf(x.X)
-	case *CastExpr:
-		return x.To
-	case *IndexExpr:
-		if ident, ok := x.Buf.(*Ident); ok {
-			if v, okVar := c.lookup(ident.Name); okVar {
-				return v.typ.Elem()
-			}
-		}
-		return TypeVoid
-	case *BinaryExpr:
-		switch x.Op {
-		case "&&", "||", "<", "<=", ">", ">=", "==", "!=", "%", "&", "|", "^", "<<", ">>":
-			return TypeInt
-		}
-		if c.typeOf(x.L) == TypeFloat || c.typeOf(x.R) == TypeFloat {
-			return TypeFloat
-		}
-		return TypeInt
-	case *CondExpr:
-		t := c.typeOf(x.Then)
-		e2 := c.typeOf(x.Else)
-		if t == TypeFloat || e2 == TypeFloat {
-			return TypeFloat
-		}
-		return t
-	case *CallExpr:
-		if sig, ok := builtinTable[x.Name]; ok {
-			return sig.result
-		}
-		if fi, ok := c.funcIndex[x.Name]; ok {
-			_ = fi
-			for _, fn := range c.file.Funcs {
-				if fn.Name == x.Name {
-					return fn.Return
-				}
-			}
-		}
-		return TypeVoid
-	}
-	return TypeVoid
-}
-
-func (c *compiler) compileCall(x *CallExpr) (Type, error) {
-	if sig, ok := builtinTable[x.Name]; ok {
-		if len(x.Args) != len(sig.params) {
-			return TypeVoid, errAt(x.Line, x.Col, "%s expects %d arguments, got %d", x.Name, len(sig.params), len(x.Args))
-		}
-		for i, arg := range x.Args {
-			t, err := c.compileExpr(arg)
-			if err != nil {
-				return TypeVoid, err
-			}
-			if err := c.convert(t, sig.params[i], x.Line, x.Col); err != nil {
-				return TypeVoid, err
-			}
-		}
-		c.emit(OpBuiltin, int32(sig.id))
-		return sig.result, nil
-	}
-
-	fi, ok := c.funcIndex[x.Name]
-	if !ok {
-		return TypeVoid, errAt(x.Line, x.Col, "undefined function %s", x.Name)
-	}
-	var declFn *FuncDecl
-	for _, fn := range c.file.Funcs {
-		if fn.Name == x.Name {
-			declFn = fn
-			break
-		}
-	}
-	if declFn.IsKernel {
-		return TypeVoid, errAt(x.Line, x.Col, "cannot call kernel %s from device code", x.Name)
-	}
-	if len(x.Args) != len(declFn.Params) {
-		return TypeVoid, errAt(x.Line, x.Col, "%s expects %d arguments, got %d", x.Name, len(declFn.Params), len(x.Args))
-	}
-	for i, arg := range x.Args {
-		p := declFn.Params[i]
-		if p.Type.IsPointer() {
-			// Buffer pass-through: the argument must be a bare buffer
-			// identifier of matching type; its handle value is copied.
-			ident, isIdent := arg.(*Ident)
-			if !isIdent {
-				return TypeVoid, errAt(x.Line, x.Col, "argument %d of %s must be a buffer name", i+1, x.Name)
-			}
-			v, okVar := c.lookup(ident.Name)
-			if !okVar || v.typ != p.Type {
-				return TypeVoid, errAt(ident.Line, ident.Col, "argument %d of %s must be a %s buffer", i+1, x.Name, p.Type)
-			}
-			c.emit(OpLoad, int32(v.slot))
+	prog := &Program{Source: src, kernels: map[string]*Func{}}
+	for _, fn := range file.Funcs {
+		if !fn.IsKernel {
 			continue
 		}
-		t, err := c.compileExpr(arg)
+		f, err := u.lowerKernel(fn)
 		if err != nil {
-			return TypeVoid, err
+			return nil, err
 		}
-		if err := c.convert(t, p.Type, x.Line, x.Col); err != nil {
-			return TypeVoid, err
+		prog.Funcs = append(prog.Funcs, f)
+		prog.kernels[f.Name] = f
+	}
+	// A helper is type-checked where it is inlined. One that no kernel
+	// reaches is lowered on its own and the code dropped, so its errors
+	// are reported all the same.
+	for _, fn := range file.Funcs {
+		if !fn.IsKernel && !u.inlined[fn] {
+			if err := u.checkHelper(fn); err != nil {
+				return nil, err
+			}
 		}
 	}
-	c.emit(OpCall, int32(fi))
-	return declFn.Return, nil
+	return prog, nil
+}
+
+var wgCompiles atomic.Uint64
+
+// WorkGroupCompiles reports how many work-group compilations have run in
+// this process. Tests use the delta to prove plans are cached and reused
+// across graph replays and daemon chunks.
+func WorkGroupCompiles() uint64 { return wgCompiles.Load() }
+
+// WorkGroup returns the optimized plan of f, running the passes on first
+// use. Safe for concurrent use.
+func (p *Program) WorkGroup(f *Func) *WGFunc {
+	f.wgOnce.Do(func() {
+		f.plan = optimized(f.raw)
+		wgCompiles.Add(1)
+	})
+	return f.plan
+}
+
+// Unoptimized returns f's plan as Compile lowered it, with no pass run:
+// the reference the optimized plan must match bit for bit, and what a
+// group runs on when a strength-reduced divisor turns out to be zero.
+func (p *Program) Unoptimized(f *Func) *WGFunc { return f.raw }
+
+// optimized runs the passes over a copy of raw.
+func optimized(raw *WGFunc) *WGFunc {
+	start := time.Now()
+	plan := *raw
+	plan.Code = append([]RInstr(nil), raw.Code...)
+	b := &builder{
+		numRegs:  int32(raw.NumRegs),
+		consts:   append([]uint64(nil), raw.Consts...),
+		constIdx: make(map[uint64]int32, len(raw.Consts)),
+	}
+	for i, c := range b.consts {
+		b.constIdx[c] = int32(i)
+	}
+	plan.Info = WGCompileInfo{}
+	optimize(b, &plan)
+	plan.Consts = b.consts
+	plan.NumRegs = int(b.numRegs)
+	plan.Info.BodyInstrs = len(plan.Code)
+	plan.Info.PrologueInstrs = len(plan.Prologue)
+	plan.Info.Total = raw.Info.Total + time.Since(start)
+	return &plan
 }

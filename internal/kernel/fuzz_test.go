@@ -1,0 +1,145 @@
+package kernel_test
+
+import (
+	"strings"
+	"testing"
+
+	"dopencl/internal/apps/cgsolve"
+	"dopencl/internal/apps/heat"
+	"dopencl/internal/apps/mandelbrot"
+	"dopencl/internal/apps/osem"
+	"dopencl/internal/kernel"
+)
+
+// fuzzSeeds are every kernel source in the tree — the four apps by import,
+// the benchmark's and the examples' (main packages) by copy — plus what
+// Compile refuses and the shapes that used to need a second engine.
+var fuzzSeeds = []string{
+	mandelbrot.KernelSource, mandelbrot.PartitionedKernelSource,
+	heat.KernelSource, cgsolve.KernelSource,
+	osem.KernelSource, osem.PartitionedKernelSource,
+
+	// benchmark/w_cmdstream.go
+	`
+kernel void mix(global float* work, const global float* in, int off, float keep) {
+	int i = get_global_id(0);
+	work[i] = work[i] * keep + in[off + i];
+}
+
+kernel void blocksum(global float* sums, const global float* work, local float* scratch) {
+	int lid = get_local_id(0);
+	int lsz = get_local_size(0);
+	scratch[lid] = work[get_global_id(0)];
+	barrier(CLK_LOCAL_MEM_FENCE);
+	int stride = lsz / 2;
+	while (stride > 0) {
+		if (lid < stride) {
+			scratch[lid] = scratch[lid] + scratch[lid + stride];
+		}
+		barrier(CLK_LOCAL_MEM_FENCE);
+		stride = stride / 2;
+	}
+	if (lid == 0) {
+		sums[get_group_id(0)] = scratch[0];
+	}
+}
+
+kernel void touch(global float* work) {
+	work[get_global_id(0)] = 1.0;
+}
+`,
+	// benchmark/w_serve.go, examples/multitenant
+	`
+kernel void axpb(const global int* in, global int* out, int f, int n) {
+	int i = get_global_id(0);
+	if (i < n) { out[i] = in[i] * f + 1; }
+}
+`,
+	// examples/quickstart
+	`
+kernel void vadd(global float* out, const global float* a, const global float* b, int n) {
+	int i = get_global_id(0);
+	if (i < n) {
+		out[i] = a[i] + b[i];
+	}
+}
+`,
+	// Every kind of jump: loops with break and continue, ?:, && and ||.
+	`kernel void k(global int* o, int n) {
+	for (int i = 0; i < n; i++) {
+		if (i % 2 == 0) { continue; }
+		if (i > 10) { break; }
+		o[i % 4] += i;
+	}
+	while (n > 0) { n--; }
+}`,
+	`kernel void k(global float* o) {
+	o[0] = (o[0] > 0.0) ? o[0] : -o[0];
+	o[1] = ((1 < 2) && (3 < 4)) ? 1.0 : 0;
+	o[2] = ((1 > 2) || (3 > 4)) ? 1 : 0.0;
+}`,
+	// Barriers under a branch, in a loop and in a helper; a run-time
+	// dimension; every math builtin.
+	`int exchange(local int* s, int lid, int v) {
+	s[lid] = v;
+	barrier(CLK_LOCAL_MEM_FENCE);
+	return s[(lid + 1) % get_local_size(0)];
+}
+kernel void k(global int* o, local int* s, int d) {
+	int lid = get_local_id(d);
+	if (lid > 0) { barrier(CLK_LOCAL_MEM_FENCE); }
+	for (int i = 0; i < d; i++) { o[lid] = exchange(s, lid, i); }
+	o[lid] = get_global_size(d - 1) + get_work_dim();
+}`,
+	`kernel void k(global float* o, float x, int i) {
+	o[0] = sqrt(x) + rsqrt(x) + exp(x) + log(x) + sin(x) + cos(x) + tan(x) + fabs(x);
+	o[1] = floor(x) + ceil(x) + pow(x, 2.0) + fmin(x, 1.0) + fmax(x, 1) + fmod(x, 3.0) + clamp(x, 0.0, 1.0);
+	o[2] = min(i, 3) + max(i, 4) + abs(i) + i / 3 + i % 5;
+}`,
+	// Refused at Compile.
+	`int down(int x) { if (x > 0) { return down(x - 1); } return 0; }
+kernel void k(global int* o) { o[0] = down(get_global_id(0)); }`,
+	`int odd(int x) { return even(x - 1); } int even(int x) { return odd(x - 1); }
+kernel void k(global int* o) { o[0] = even(5); }`,
+	"void f3() {}\nvoid f2() { " + strings.Repeat("f3(); ", 100) + "}\nvoid f1() { " +
+		strings.Repeat("f2(); ", 100) + "}\nkernel void k() { " + strings.Repeat("f1(); ", 100) + "}",
+	"float bad(float x) { if (x > 0.0) { return x; } }\nkernel void k(global float* o) { o[0] = bad(-1.0); }",
+	"kernel void k() { for (;;) { } }",
+	strings.Repeat("(", 400),
+}
+
+// FuzzCompile feeds arbitrary source through Parse, Compile and the
+// passes: none may panic or run past the size caps, and whatever plan
+// comes out — as lowered and optimized — must be well formed.
+func FuzzCompile(f *testing.F) {
+	for _, src := range fuzzSeeds {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := kernel.Compile(src)
+		if err != nil {
+			return
+		}
+		for _, fn := range prog.Funcs {
+			for _, plan := range []*kernel.WGFunc{prog.Unoptimized(fn), prog.WorkGroup(fn)} {
+				if err := kernel.CheckPlan(plan); err != nil {
+					t.Fatalf("kernel %s: %v\n%s\nsource:\n%s", fn.Name, err, plan.Disassemble(), src)
+				}
+			}
+		}
+	})
+}
+
+// TestSeedsCompile keeps the seed list honest: everything in it that is
+// not a refusal must actually reach CheckPlan.
+func TestSeedsCompile(t *testing.T) {
+	refused := 0
+	for _, src := range fuzzSeeds {
+		if _, err := kernel.Compile(src); err != nil {
+			refused++
+		}
+	}
+	if refused != 4 {
+		t.Errorf("%d of %d seeds are refused, want the 4 written to be", refused, len(fuzzSeeds))
+	}
+}

@@ -7,15 +7,15 @@ import (
 	"time"
 )
 
-// This file defines the register IR that the work-group compiler
-// (lower.go, opt.go) produces from stack bytecode. The IR is executed by
-// the fused work-group engine in internal/vm.
+// This file defines the register IR, the one form a kernel has after
+// parsing: lower.go emits it from the AST, opt.go rewrites it, and the
+// plan runner in internal/vm executes it — as lowered when a test wants the
+// reference, after the passes otherwise.
 //
 // Design notes:
 //
-//   - Values are 64-bit slot images exactly like the stack machine's
-//     (int32 in the low bits, float32 as IEEE bits), so lowering never
-//     changes numeric semantics.
+//   - Values are 64-bit slot images: int32 in the low bits, float32 as
+//     IEEE bits.
 //   - Instruction operands are signed: x >= 0 names register x, x < 0
 //     names constant pool entry ^x. Constants therefore never need to be
 //     preloaded into registers.
@@ -106,20 +106,25 @@ const (
 	RBrT
 	RBrF
 
-	// REnd finishes the current work-item (kernel return/halt). It doubles
-	// as the fused loop's back edge: the driver advances induction
-	// registers and re-enters the body for the next item.
+	// REnd finishes the current work-item (kernel return or end of body).
+	// It doubles as the fused loop's back edge: the driver advances
+	// induction registers and re-enters the body for the next item.
 	REnd
 
 	// RTrap aborts the launch with pre-rendered message TrapMsgs[A]
 	// (e.g. "missing return in function f" for inlined helpers).
 	RTrap
 
-	// RBuiltin calls builtin C=BuiltinID with argument operands A, B, E
-	// (in source order) writing D. Used for math builtins that have no
-	// dedicated opcode and for work-item queries with a non-constant
-	// dimension argument.
+	// RBuiltin calls math builtin C=BuiltinID with argument operands A, B,
+	// E (in source order) writing D. Used for the builtins that have no
+	// dedicated opcode.
 	RBuiltin
+
+	// RBarrier suspends the work-item until every item of its group has
+	// arrived at a barrier; the item resumes at the next instruction. It
+	// may stand anywhere a statement can: in loops, under branches, in
+	// inlined helpers.
+	RBarrier
 )
 
 var rOpNames = [...]string{
@@ -140,7 +145,7 @@ var rOpNames = [...]string{
 	RDivI: "div.i", RModI: "mod.i",
 	RLdElem: "ld.elem", RStElem: "st.elem",
 	RJmp: "jmp", RBrT: "br.t", RBrF: "br.f",
-	REnd: "end", RTrap: "trap", RBuiltin: "builtin",
+	REnd: "end", RBarrier: "barrier", RTrap: "trap", RBuiltin: "builtin",
 }
 
 // String returns the opcode mnemonic.
@@ -181,11 +186,10 @@ type RInstr struct {
 	F      int32
 }
 
-// StepEval evaluates a fusable value op on 64-bit slot images with the
-// exact semantics of the stack interpreter (int32 wraparound, per-step
-// float32 rounding, float64 math-library builtins). It is the single
-// source of truth shared by the optimizer's constant folder and the
-// fused execution engine.
+// StepEval evaluates a fusable value op on 64-bit slot images: int32
+// wraparound, float32 rounding after every step, float64 math-library
+// builtins. It is the one definition of MiniCL arithmetic, shared by the
+// optimizer's constant folder and the executor.
 func StepEval(op ROp, a, b uint64) uint64 {
 	switch op {
 	case RAddI:
@@ -331,31 +335,28 @@ type PassTiming struct {
 	Dur  time.Duration
 }
 
-// WGCompileInfo reports how the work-group compilation of a kernel went:
-// per-pass timings and, when the compiler declined the kernel, why the
-// cooperative interpreter is used instead.
+// WGCompileInfo reports how the compilation of a kernel's plan went.
 type WGCompileInfo struct {
-	Passes         []PassTiming
-	Total          time.Duration
-	Fallback       string
-	BodyInstrs     int // static body instruction count after optimization
-	PrologueInstrs int // static once-per-group instruction count
+	Passes         []PassTiming  // empty for the unoptimized plan
+	Total          time.Duration // lowering, plus the passes if any ran
+	BodyInstrs     int           // static body instruction count
+	PrologueInstrs int           // static once-per-group instruction count
 }
 
-// WGFunc is a compiled work-group function: the register-IR form of one
-// kernel, optimized and ready for fused work-item loop execution. A
-// non-empty Fallback means the kernel could not be compiled (recursion,
-// barriers under non-uniform control flow, ...) and must run on the
-// cooperative interpreter.
+// WGFunc is a work-group plan: the register-IR form of one kernel, as
+// lowered (Program.Unoptimized) or after the passes (Program.WorkGroup),
+// ready for the plan runner in internal/vm.
 type WGFunc struct {
-	Fn       *Func
+	Fn *Func
+	// Fallback is never set: every kernel Compile accepts has a plan, and
+	// what it refuses is a build error. The field remains for callers
+	// that still ask.
 	Fallback string
 
 	Consts   []uint64
 	NumRegs  int
 	Prologue []RInstr // executed once per work-group (uniform/hoisted code)
-	Code     []RInstr // per-item body; ends in REnd
-	Segments [][2]int // barrier kernels: [start,end) body ranges between barriers
+	Code     []RInstr // per-item body
 	TrapMsgs []string
 
 	// Driver register conventions; -1 marks an unused register.
@@ -378,14 +379,23 @@ type WGFunc struct {
 	Info WGCompileInfo
 }
 
-// HasBarriers reports whether the plan executes as barrier-separated
-// fused sub-loops rather than one fused loop.
-func (w *WGFunc) HasBarriers() bool { return len(w.Segments) > 1 }
+// HasBarriers reports whether the plan contains RBarrier, so that its
+// items need a register file each instead of sharing one fused loop.
+func (w *WGFunc) HasBarriers() bool { return w.Fn.HasBarrier }
 
-// BuiltinArity reports how many value arguments a builtin consumes
-// (coordinate queries take their dimension as the single argument).
-// It returns -1 for unknown builtins.
-func BuiltinArity(id BuiltinID) int { return builtinArity(id) }
+// BuiltinArity returns how many operands RBuiltin reads for the math
+// builtin id, or -1 if id is not one.
+func BuiltinArity(id BuiltinID) int {
+	switch id {
+	case BSqrt, BRsqrt, BExp, BLog, BSin, BCos, BTan, BFabs, BFloor, BCeil, BAbsI:
+		return 1
+	case BPow, BFmin, BFmax, BFmod, BMinI, BMaxI:
+		return 2
+	case BClampF, BClampI:
+		return 3
+	}
+	return -1
+}
 
 func operandString(x int32, consts []uint64) string {
 	if x >= 0 {
@@ -402,11 +412,7 @@ func operandString(x int32, consts []uint64) string {
 // Disassemble renders the plan for tests, debugging and documentation.
 func (w *WGFunc) Disassemble() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "workgroup %s (regs=%d", w.Fn.Name, w.NumRegs)
-	if w.Fallback != "" {
-		fmt.Fprintf(&b, ", fallback: %s", w.Fallback)
-	}
-	fmt.Fprintf(&b, ")\n")
+	fmt.Fprintf(&b, "workgroup %s (regs=%d)\n", w.Fn.Name, w.NumRegs)
 	if len(w.Prologue) > 0 {
 		fmt.Fprintf(&b, " prologue (once per group):\n")
 		for i, ins := range w.Prologue {
@@ -428,11 +434,6 @@ func (w *WGFunc) Disassemble() string {
 	if len(w.Code) > 0 {
 		fmt.Fprintf(&b, " body (fused per-item loop):\n")
 		for i, ins := range w.Code {
-			for si, seg := range w.Segments {
-				if seg[0] == i && si > 0 {
-					fmt.Fprintf(&b, "  ---- barrier ----\n")
-				}
-			}
 			fmt.Fprintf(&b, "  %4d  %s\n", i, w.instrString(ins))
 		}
 	}
@@ -490,6 +491,8 @@ func (w *WGFunc) instrString(ins RInstr) string {
 		return fmt.Sprintf("%s %s %s %s", s, lhs, ins.F1, op(ins.B))
 	case REnd:
 		return "end"
+	case RBarrier:
+		return "barrier"
 	case RTrap:
 		msg := ""
 		if int(ins.A) < len(w.TrapMsgs) {

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -64,6 +66,11 @@ func TestParseErrors(t *testing.T) {
 		{"missing-semicolon", "kernel void f() { int x = 1 }", `expected ";"`},
 		{"bad-assign-target", "kernel void f() { 3 = 4; }", "not assignable"},
 		{"stray-else", "kernel void f() { else {} }", "expected expression"},
+		{"deep-parens", "kernel void f(global int* o) { o[0] = " + strings.Repeat("(", 5000) + "1", "nest more than 256 deep"},
+		{"deep-negation", "kernel void f(global int* o) { o[0] = " + strings.Repeat("!", 5000) + "1; }", "nest more than 256 deep"},
+		{"deep-ternary", "kernel void f(global int* o) { o[0] = " + strings.Repeat("1 ? 2 : ", 5000) + "1; }", "nest more than 256 deep"},
+		{"deep-blocks", "kernel void f() " + strings.Repeat("{", 5000), "nest more than 256 deep"},
+		{"deep-else-if", "kernel void f() { " + strings.Repeat("if (1) {} else ", 5000) + "{} }", "nest more than 256 deep"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -89,13 +96,17 @@ func TestCompileTypeErrors(t *testing.T) {
 		{"kernel-return-value", "kernel void f() { return 3; }", "kernel cannot return a value"},
 		{"void-return-value", "void g() { return 1; } kernel void f() {}", "void function cannot return"},
 		{"missing-return-value", "int g() { return; } kernel void f() {}", "must return int"},
-		{"barrier-in-helper", "void g() { barrier(); } kernel void f() {}", "only allowed in kernel"},
 		{"call-kernel", "kernel void g() {} kernel void f() { g(); }", "cannot call kernel"},
 		{"redefine", "int g() { return 1; } int g() { return 2; } kernel void f() {}", "redefined"},
 		{"shadow-builtin", "int sqrt(int x) { return x; } kernel void f() {}", "shadows a builtin"},
 		{"arity", "kernel void f(global int* o) { o[0] = min(1); }", "expects 2 arguments"},
 		{"buffer-no-index", "kernel void f(global int* o, global int* p) { o[0] = p + 1; }", "used without index"},
 		{"assign-buffer", "kernel void f(global int* o) { o = o; }", "cannot assign to buffer"},
+		{"void-value", "void g() {} kernel void f(global int* o) { o[0] = g() + 1; }", "not defined for void"},
+		{"ternary-void", "void g() {} kernel void f(global int* o) { o[0] = o[0] > 0 ? g() : 1; }", "mismatched types"},
+		{"buffer-arg", "int g(global int* p) { return p[0]; } kernel void f(global int* o, global float* q) { o[0] = g(q); }", "must be a int* buffer"},
+		// A helper no kernel calls is still checked.
+		{"uncalled-helper", "int g(int x) { return y; } kernel void f() {}", "undefined variable y"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,8 +149,85 @@ kernel void b(global int* out) { out[0] = 1; }
 	if _, ok := prog.Kernel("helper"); ok {
 		t.Error("helper must not be listed as kernel")
 	}
-	if dis := prog.Disassemble(); !strings.Contains(dis, "kernel a") || !strings.Contains(dis, "halt") {
+	if len(prog.Funcs) != 2 {
+		t.Errorf("Funcs lists %d functions, want the 2 kernels", len(prog.Funcs))
+	}
+	if dis := prog.Unoptimized(a).Disassemble(); !strings.Contains(dis, "workgroup a") || !strings.Contains(dis, "end") {
 		t.Errorf("disassembly incomplete:\n%s", dis)
+	}
+}
+
+// TestCompileRefusals pins what Compile declines to inline, each as a
+// positioned build error: OpenCL C has no recursion, and a kernel that
+// nests helpers too deep or inlines to too much code is not compiled.
+func TestCompileRefusals(t *testing.T) {
+	// chain(n) is helpers f1..fn, each calling the next one `calls` times.
+	chain := func(n, calls int) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "int f%d(int x) { return x + 1; }\n", n)
+		for i := n - 1; i >= 1; i-- {
+			fmt.Fprintf(&b, "int f%d(int x) { return ", i)
+			for c := 0; c < calls; c++ {
+				if c > 0 {
+					b.WriteString(" + ")
+				}
+				fmt.Fprintf(&b, "f%d(x)", i+1)
+			}
+			b.WriteString("; }\n")
+		}
+		b.WriteString("kernel void k(global int* o) { o[0] = f1(1); }\n")
+		return b.String()
+	}
+	cases := []struct {
+		name, src, want string
+	}{
+		{
+			"direct-recursion",
+			`int down(int x) {
+	if (x > 0) { return down(x - 1); }
+	return 0;
+}
+kernel void k(global int* o) {
+	o[0] = down(get_global_id(0));
+}`,
+			"2:22: recursive call to down",
+		},
+		{
+			"mutual-recursion",
+			`int odd(int x) { if (x == 0) { return 0; } return even(x - 1); }
+int even(int x) {
+	if (x == 0) { return 1; }
+	return odd(x - 1);
+}
+kernel void k(global int* o) { o[0] = even(5); }`,
+			"1:51: recursive call to even",
+		},
+		{
+			"recursion-in-uncalled-helper",
+			"int loop(int x) { return loop(x); }\nkernel void k() {}",
+			"1:26: recursive call to loop",
+		},
+		{"inline-depth", chain(33, 1), "2:25: call to f33 nests helpers more than 32 deep"},
+		{"size-cap", chain(17, 2), "too large to compile"},
+		{"size-cap-empty-helpers", "void f3() {}\n" +
+			"void f2() { " + strings.Repeat("f3(); ", 100) + "}\n" +
+			"void f1() { " + strings.Repeat("f2(); ", 100) + "}\n" +
+			"kernel void k() { " + strings.Repeat("f1(); ", 100) + "}\n", "4:1: k is too large to compile"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Compile(tc.src)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Compile error = %v, want %q", err, tc.want)
+			}
+			var se *SyntaxError
+			if !errors.As(err, &se) || se.Line == 0 {
+				t.Errorf("refusal carries no position: %#v", err)
+			}
+		})
+	}
+	if _, err := Compile(chain(32, 1)); err != nil {
+		t.Errorf("32 nested helpers must compile: %v", err)
 	}
 }
 
@@ -161,20 +249,24 @@ func TestConstPoolDeduplication(t *testing.T) {
 kernel void k(global int* o) {
 	o[0] = 7;
 	o[1] = 7;
-	o[2] = 7;
+	o[2] = 3 + 4;
 }
 `)
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := 0
-	for _, c := range prog.Consts {
-		if c == 7 {
-			count++
+	fn, _ := prog.Kernel("k")
+	// The third 7 is one the constant folder interns into the same pool.
+	for _, plan := range []*WGFunc{prog.Unoptimized(fn), prog.WorkGroup(fn)} {
+		count := 0
+		for _, c := range plan.Consts {
+			if c == 7 {
+				count++
+			}
 		}
-	}
-	if count != 1 {
-		t.Errorf("constant 7 appears %d times in pool %v", count, prog.Consts)
+		if count != 1 {
+			t.Errorf("constant 7 appears %d times in pool %v", count, plan.Consts)
+		}
 	}
 }
 
@@ -219,41 +311,5 @@ func TestParserNeverPanics(t *testing.T) {
 	}
 	if err := quick.Check(g, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestJumpTargetsInRange(t *testing.T) {
-	// All control-flow targets must stay within the function body:
-	// a structural invariant of the compiler.
-	srcs := []string{
-		`kernel void k(global int* o, int n) {
-			for (int i = 0; i < n; i++) {
-				if (i % 2 == 0) { continue; }
-				if (i > 10) { break; }
-				o[i % 4] += i;
-			}
-			while (n > 0) { n--; }
-		}`,
-		`kernel void k(global float* o) {
-			o[0] = (o[0] > 0.0) ? o[0] : -o[0];
-			o[1] = ((1 < 2) && (3 < 4)) ? 1.0 : 0.0;
-			o[2] = ((1 > 2) || (3 > 4)) ? 1.0 : 0.0;
-		}`,
-	}
-	for _, src := range srcs {
-		prog, err := Compile(src)
-		if err != nil {
-			t.Fatalf("compile: %v", err)
-		}
-		for _, fn := range prog.Funcs {
-			for pc, ins := range fn.Code {
-				switch ins.Op {
-				case OpJump, OpJumpIfZero, OpJumpIfNonZero:
-					if ins.A < 0 || int(ins.A) > len(fn.Code) {
-						t.Errorf("%s pc %d: jump to %d outside [0,%d]", fn.Name, pc, ins.A, len(fn.Code))
-					}
-				}
-			}
-		}
 	}
 }

@@ -2,85 +2,118 @@ package kernel
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
-// Work-group lowering: translate a kernel's stack bytecode into the
-// register IR (ir.go) so internal/vm can run the whole work-group as
-// fused work-item loops instead of dispatching items one at a time.
+// Lowering: one typed walk over a kernel's AST that checks it and emits
+// its register IR (ir.go) in the same step.
 //
-// The translator simulates the operand stack symbolically: every push is
-// a register (or constant-pool reference), so stack traffic disappears
-// entirely. Helper calls are inlined. Control-flow merge points
-// canonicalise the symbolic stack into fixed per-depth registers so both
-// edges agree on where values live. Kernels the translator cannot prove
-// safe (recursion, barriers under non-uniform control flow, dynamic
-// work-item dimension queries, ...) are reported as fallbacks and keep
-// running on the cooperative interpreter.
+// Every expression lowers to an operand — the register of a variable or
+// of a fresh temporary, or a constant-pool reference — so there is no
+// operand stack to model. Helper calls are inlined at the call site:
+// scalar parameters alias the argument operands (a private copy only when
+// the body assigns to them) and buffer parameters resolve to the caller's
+// buffer-table entries, which is why the plan's static buffer table covers
+// every program the type rules accept. Values that merge over control flow
+// (?:, && and ||, helper return values) live in one register written on
+// every incoming path. A barrier() is one RBarrier instruction wherever it
+// stands — in a loop, under a branch, in a helper.
 
 const (
-	lowerMaxDepth = 32    // inline depth cap
-	lowerMaxIR    = 50000 // emitted instruction cap
+	lowerMaxDepth = 32    // nested helper calls
+	lowerMaxIR    = 50000 // emitted instructions, or statements walked, per kernel
 )
 
-var wgCompiles atomic.Uint64
-
-// WorkGroupCompiles reports how many work-group compilations have run in
-// this process. Tests use the delta to prove plans are cached and reused
-// across graph replays and daemon chunks.
-func WorkGroupCompiles() uint64 { return wgCompiles.Load() }
-
-// WorkGroup returns the cached work-group compilation of f, compiling on
-// first use. Safe for concurrent use.
-func (p *Program) WorkGroup(f *Func) *WGFunc {
-	f.wgOnce.Do(func() {
-		f.wgPlan = LowerWorkGroup(p, f)
-		wgCompiles.Add(1)
-	})
-	return f.wgPlan
-}
-
-// wgAbort is the sentinel carrying a fallback reason out of the
-// translator.
-type wgAbort struct{ reason string }
-
-// absVal is one symbolic operand-stack entry: a register (reg >= 0), a
-// constant-pool reference (reg < 0), or a buffer handle (buf >= 0).
-type absVal struct {
-	reg int32
-	buf int
-}
-
-func (v absVal) isBuf() bool { return v.buf >= 0 }
-
-type lowerer struct {
-	prog     *Program
-	plan     *WGFunc
+// builder allocates the registers and interns the constants of one plan;
+// lowering and the passes of opt.go both add to them.
+type builder struct {
 	numRegs  int32
 	consts   []uint64
 	constIdx map[uint64]int32
-	code     []RInstr
-	trapMsgs []string
-	trapIdx  map[string]int32
-	segStart []int          // IR indices where barrier segments begin (excluding 0)
-	uniform  map[int32]bool // driver-preset group-uniform registers
-	active   map[*Func]bool // inline cycle detection
 }
 
-// LowerWorkGroup compiles fn into an optimized work-group plan. It never
-// fails: kernels that cannot be compiled return a plan with a non-empty
-// Fallback reason.
-func LowerWorkGroup(p *Program, fn *Func) (plan *WGFunc) {
-	start := time.Now()
-	lo := &lowerer{
-		prog:     p,
-		constIdx: make(map[uint64]int32),
-		trapIdx:  make(map[string]int32),
-		uniform:  make(map[int32]bool),
-		active:   make(map[*Func]bool),
+func (b *builder) newReg() int32 {
+	r := b.numRegs
+	b.numRegs++
+	return r
+}
+
+// constRef interns v into the constant pool and returns its operand
+// encoding (^index).
+func (b *builder) constRef(v uint64) int32 {
+	if idx, ok := b.constIdx[v]; ok {
+		return ^idx
 	}
-	lo.plan = &WGFunc{Fn: fn, WorkDimReg: -1}
+	idx := int32(len(b.consts))
+	b.consts = append(b.consts, v)
+	b.constIdx[v] = idx
+	return ^idx
+}
+
+// unit is what the functions of one translation unit share.
+type unit struct {
+	decls   map[string]*FuncDecl
+	inlined map[*FuncDecl]bool // helpers some kernel has inlined (and so checked)
+}
+
+// sym is a resolved name: a scalar's operand (a register, or a constant
+// for an argument passed by alias) or a buffer's plan buffer-table index.
+type sym struct {
+	typ Type
+	at  int32
+}
+
+// loopJumps collects a loop's break and continue jumps until their
+// targets are known.
+type loopJumps struct {
+	breaks, continues []int
+}
+
+// expansion is one function being lowered: the kernel, or a helper at one
+// call site.
+type expansion struct {
+	decl   *FuncDecl
+	scopes []map[string]sym
+	loops  []*loopJumps
+	ret    int32 // return-value register of a non-void helper
+	exits  []int // jumps to the end of the expansion (helper returns)
+}
+
+func (f *expansion) pushScope() { f.scopes = append(f.scopes, map[string]sym{}) }
+func (f *expansion) popScope()  { f.scopes = f.scopes[:len(f.scopes)-1] }
+
+func (f *expansion) define(name string, s sym, line, col int) error {
+	top := f.scopes[len(f.scopes)-1]
+	if _, dup := top[name]; dup {
+		return errAt(line, col, "variable %s redeclared in this scope", name)
+	}
+	top[name] = s
+	return nil
+}
+
+func (f *expansion) lookup(name string) (sym, bool) {
+	for i := len(f.scopes) - 1; i >= 0; i-- {
+		if s, ok := f.scopes[i][name]; ok {
+			return s, true
+		}
+	}
+	return sym{}, false
+}
+
+type lowerer struct {
+	builder
+	unit    *unit
+	root    *FuncDecl // the kernel (or the helper checked on its own)
+	plan    *WGFunc
+	code    []RInstr
+	stack   []*expansion // the kernel, then the helpers being inlined into it
+	steps   int          // statements and inline expansions walked so far
+	labelAt int          // the last instruction index bound as a jump target
+}
+
+func newLowerer(u *unit, root *FuncDecl, fn *Func) *lowerer {
+	lo := &lowerer{unit: u, root: root, plan: &WGFunc{Fn: fn, WorkDimReg: -1}}
+	lo.constIdx = make(map[uint64]int32)
 	for d := 0; d < 3; d++ {
 		lo.plan.GidRegs[d] = -1
 		lo.plan.LidRegs[d] = -1
@@ -90,728 +123,820 @@ func LowerWorkGroup(p *Program, fn *Func) (plan *WGFunc) {
 		lo.plan.NGroupRegs[d] = -1
 		lo.plan.GOffRegs[d] = -1
 	}
+	return lo
+}
 
-	defer func() {
-		if r := recover(); r != nil {
-			ab, ok := r.(wgAbort)
-			if !ok {
-				panic(r)
-			}
-			plan = &WGFunc{Fn: fn, Fallback: ab.reason}
-			plan.Info.Fallback = ab.reason
-			plan.Info.Total = time.Since(start)
+// lowerKernel lowers one kernel to its unoptimized plan.
+func (u *unit) lowerKernel(decl *FuncDecl) (*Func, error) {
+	start := time.Now()
+	f := &Func{Name: decl.Name}
+	for _, p := range decl.Params {
+		ai := ArgInfo{Name: p.Name, ReadOnly: p.Const, Elem: p.Type.Elem()}
+		switch {
+		case p.Type == TypeInt:
+			ai.Kind = ArgScalarInt
+		case p.Type == TypeFloat:
+			ai.Kind = ArgScalarFloat
+		case p.Space == SpaceLocal:
+			ai.Kind = ArgLocalBuf
+		default:
+			ai.Kind = ArgGlobalBuf
 		}
-	}()
+		f.Args = append(f.Args, ai)
+	}
+	lo := newLowerer(u, decl, f)
+	if _, err := lo.expand(decl, lo.bindParams(decl)); err != nil {
+		return nil, err
+	}
+	if len(lo.code) > lowerMaxIR {
+		return nil, lo.tooLarge()
+	}
+	lo.plan.Consts = lo.consts
+	lo.plan.Code = lo.code
+	lo.plan.NumRegs = int(lo.numRegs)
+	lo.plan.Info = WGCompileInfo{Total: time.Since(start), BodyInstrs: len(lo.code)}
+	f.raw = lo.plan
+	return f, nil
+}
 
-	lo.lowerRoot(fn)
+// checkHelper lowers a helper as if it were a root and drops the code.
+func (u *unit) checkHelper(decl *FuncDecl) error {
+	lo := newLowerer(u, decl, &Func{Name: decl.Name})
+	_, err := lo.expand(decl, lo.bindParams(decl))
+	return err
+}
 
-	plan = lo.plan
-	plan.Consts = lo.consts
-	plan.Code = lo.code
-	plan.TrapMsgs = lo.trapMsgs
-	plan.NumRegs = int(lo.numRegs)
-	if len(lo.segStart) > 0 {
-		bounds := append([]int{0}, lo.segStart...)
-		for i := 0; i < len(bounds); i++ {
-			end := len(lo.code)
-			if i+1 < len(bounds) {
-				end = bounds[i+1]
-			}
-			plan.Segments = append(plan.Segments, [2]int{bounds[i], end})
+// bindParams gives every parameter of a root function the register or
+// buffer-table entry the driver presets at launch.
+func (lo *lowerer) bindParams(decl *FuncDecl) []sym {
+	p := lo.plan
+	p.ArgRegs = make([]int32, len(decl.Params))
+	p.ArgBufs = make([]int, len(decl.Params))
+	args := make([]sym, len(decl.Params))
+	for i, pd := range decl.Params {
+		p.ArgRegs[i], p.ArgBufs[i] = -1, -1
+		if pd.Type.IsPointer() {
+			p.ArgBufs[i] = p.NumBufs
+			args[i] = sym{pd.Type, int32(p.NumBufs)}
+			p.NumBufs++
+		} else {
+			p.ArgRegs[i] = lo.newReg()
+			args[i] = sym{pd.Type, p.ArgRegs[i]}
 		}
 	}
-
-	optimize(lo, plan)
-
-	// Passes may intern new constants (folding) and registers (rotation).
-	plan.Consts = lo.consts
-	plan.NumRegs = int(lo.numRegs)
-
-	plan.Info.BodyInstrs = len(plan.Code)
-	plan.Info.PrologueInstrs = len(plan.Prologue)
-	plan.Info.Total = time.Since(start)
-	return plan
+	return args
 }
 
-func (lo *lowerer) fail(format string, args ...any) {
-	panic(wgAbort{reason: fmt.Sprintf(format, args...)})
+func (lo *lowerer) cur() *expansion { return lo.stack[len(lo.stack)-1] }
+
+func (lo *lowerer) tooLarge() error {
+	return errAt(lo.root.Line, lo.root.Col, "%s is too large to compile (inlines to more than %d statements or IR instructions)",
+		lo.root.Name, lowerMaxIR)
 }
 
-func (lo *lowerer) newReg() int32 {
-	r := lo.numRegs
-	lo.numRegs++
-	return r
-}
-
-// constRef interns v into the plan's constant pool and returns its
-// operand encoding (^index).
-func (lo *lowerer) constRef(v uint64) int32 {
-	if idx, ok := lo.constIdx[v]; ok {
-		return ^idx
+// step charges one statement or inline expansion against the size cap, so
+// that helpers which expand to nothing cannot make lowering run for ever.
+func (lo *lowerer) step() error {
+	lo.steps++
+	if lo.steps > lowerMaxIR || len(lo.code) > lowerMaxIR {
+		return lo.tooLarge()
 	}
-	idx := int32(len(lo.consts))
-	lo.consts = append(lo.consts, v)
-	lo.constIdx[v] = idx
-	return ^idx
-}
-
-func (lo *lowerer) trapRef(msg string) int32 {
-	if idx, ok := lo.trapIdx[msg]; ok {
-		return idx
-	}
-	idx := int32(len(lo.trapMsgs))
-	lo.trapMsgs = append(lo.trapMsgs, msg)
-	lo.trapIdx[msg] = idx
-	return idx
+	return nil
 }
 
 func (lo *lowerer) emit(ins RInstr) int {
-	if len(lo.code) >= lowerMaxIR {
-		lo.fail("kernel too large to compile (> %d IR instructions)", lowerMaxIR)
-	}
 	lo.code = append(lo.code, ins)
 	return len(lo.code) - 1
 }
 
-// coordSlot lazily allocates the driver-preset register for one work-item
-// coordinate array, marking it uniform when it is group-invariant.
-func (lo *lowerer) coordSlot(arr *[3]int32, dim int, groupUniform bool) int32 {
-	if arr[dim] < 0 {
-		arr[dim] = lo.newReg()
-		if groupUniform {
-			lo.uniform[arr[dim]] = true
-		}
-	}
-	return arr[dim]
+func (lo *lowerer) op1(op ROp, a int32) int32 { return lo.op2(op, a, 0) }
+
+func (lo *lowerer) op2(op ROp, a, b int32) int32 {
+	r := lo.newReg()
+	lo.emit(RInstr{Op: op, D: r, A: a, B: b})
+	return r
 }
 
-// lowerRoot sets up kernel argument conventions and translates the kernel
-// body.
-func (lo *lowerer) lowerRoot(fn *Func) {
-	plan := lo.plan
-	plan.ArgRegs = make([]int32, len(fn.Args))
-	plan.ArgBufs = make([]int, len(fn.Args))
-	rootArgs := make([]absVal, len(fn.Args))
-	for i, a := range fn.Args {
-		switch a.Kind {
-		case ArgScalarInt, ArgScalarFloat:
-			r := lo.newReg()
-			plan.ArgRegs[i] = r
-			plan.ArgBufs[i] = -1
-			lo.uniform[r] = true
-			rootArgs[i] = absVal{reg: r, buf: -1}
-		case ArgGlobalBuf, ArgLocalBuf:
-			plan.ArgRegs[i] = -1
-			plan.ArgBufs[i] = plan.NumBufs
-			rootArgs[i] = absVal{reg: -1, buf: plan.NumBufs}
-			plan.NumBufs++
-		}
-	}
-
-	if fn.HasBarrier {
-		lo.checkBarrierStructure(fn)
-	}
-	lo.translate(fn, rootArgs, 0)
+// label marks the next instruction as a jump target and returns its index.
+func (lo *lowerer) label() int {
+	lo.labelAt = len(lo.code)
+	return lo.labelAt
 }
 
-// checkBarrierStructure verifies that no jump crosses a barrier, i.e.
-// every barrier sits in straight-line top-level control flow. Kernels
-// that branch around barriers keep the cooperative interpreter, which
-// implements the general suspend/resume semantics.
-func (lo *lowerer) checkBarrierStructure(fn *Func) {
-	var barriers []int
-	for pc, ins := range fn.Code {
-		if ins.Op == OpBarrier {
-			barriers = append(barriers, pc)
-		}
-	}
-	for pc, ins := range fn.Code {
-		switch ins.Op {
-		case OpJump, OpJumpIfZero, OpJumpIfNonZero:
-			t := int(ins.A)
-			for _, b := range barriers {
-				if (pc < b && b < t) || (t <= b && b <= pc) {
-					lo.fail("barrier under control flow")
-				}
-			}
-		}
-	}
-}
-
-// fctx is the per-function translation state (one instance per inline
-// expansion).
-type fctx struct {
-	lo         *lowerer
-	fn         *Func
-	slots      []absVal
-	stack      []absVal
-	canon      []int32
-	labelIR    map[int]int
-	labelShape map[int][]absVal
-	fixups     []wgFixup
-	endFixups  []int
-	retReg     int32
-	hasRet     bool
-}
-
-type wgFixup struct {
-	ir int // IR instruction whose C needs patching
-	pc int // bytecode label it targets
-}
-
-// translate inlines fn (called with the given symbolic arguments) into
-// the IR stream. Returns the return-value register for non-void helpers.
-func (lo *lowerer) translate(fn *Func, args []absVal, depth int) (absVal, bool) {
-	if lo.active[fn] {
-		lo.fail("recursive call to %s", fn.Name)
-	}
-	if depth > lowerMaxDepth {
-		lo.fail("call depth exceeds %d", lowerMaxDepth)
-	}
-	lo.active[fn] = true
-	defer delete(lo.active, fn)
-
-	f := &fctx{
-		lo:         lo,
-		fn:         fn,
-		labelIR:    make(map[int]int),
-		labelShape: make(map[int][]absVal),
-		retReg:     -1,
-	}
-	nparams := fn.NumParams
-	if fn.IsKernel {
-		nparams = len(fn.Args)
-	}
-	if len(args) != nparams {
-		lo.fail("call to %s: argument count mismatch", fn.Name)
-	}
-	for _, ins := range fn.Code {
-		if ins.Op == OpRet {
-			f.hasRet = true
-			f.retReg = lo.newReg()
-			break
-		}
-	}
-
-	// Parameter slots alias the caller's values unless the body mutates
-	// them, in which case they get a private copy.
-	stored := make([]bool, fn.NumLocals)
-	for _, ins := range fn.Code {
-		if ins.Op == OpStore && int(ins.A) < len(stored) {
-			stored[ins.A] = true
-		}
-	}
-	f.slots = make([]absVal, fn.NumLocals)
-	for i := range f.slots {
-		if i < nparams {
-			v := args[i]
-			if stored[i] {
-				if v.isBuf() {
-					lo.fail("%s: buffer parameter reassigned", fn.Name)
-				}
-				r := lo.newReg()
-				lo.emit(RInstr{Op: RMov, D: r, A: v.reg})
-				v = absVal{reg: r, buf: -1}
-			}
-			f.slots[i] = v
-		} else {
-			// Non-parameter slots: the front end zero-initialises every
-			// declaration, so each slot is stored before it is loaded on
-			// every executable path.
-			f.slots[i] = absVal{reg: lo.newReg(), buf: -1}
-		}
-	}
-
-	f.run(depth)
-
-	if f.hasRet {
-		return absVal{reg: f.retReg, buf: -1}, true
-	}
-	return absVal{}, false
-}
-
-func (f *fctx) push(v absVal)   { f.stack = append(f.stack, v) }
-func (f *fctx) pushReg(r int32) { f.push(absVal{reg: r, buf: -1}) }
-func (f *fctx) pop() absVal {
-	if len(f.stack) == 0 {
-		f.lo.fail("%s: operand stack underflow during lowering", f.fn.Name)
-	}
-	v := f.stack[len(f.stack)-1]
-	f.stack = f.stack[:len(f.stack)-1]
-	return v
-}
-
-// popVal pops a non-buffer value operand.
-func (f *fctx) popVal() int32 {
-	v := f.pop()
-	if v.isBuf() {
-		f.lo.fail("%s: buffer handle used as value", f.fn.Name)
-	}
-	return v.reg
-}
-
-// canonReg returns the canonical register for stack depth d.
-func (f *fctx) canonReg(d int) int32 {
-	for len(f.canon) <= d {
-		f.canon = append(f.canon, f.lo.newReg())
-	}
-	return f.canon[d]
-}
-
-// materialize rewrites every stack entry currently aliasing reg into a
-// fresh copy, so reg can be overwritten.
-func (f *fctx) materialize(reg int32) {
-	for i := range f.stack {
-		if !f.stack[i].isBuf() && f.stack[i].reg == reg {
-			r := f.lo.newReg()
-			f.lo.emit(RInstr{Op: RMov, D: r, A: reg})
-			f.stack[i].reg = r
-		}
-	}
-}
-
-// canonicalize moves every stack entry into its depth's canonical
-// register so control-flow edges can merge.
-func (f *fctx) canonicalize() {
-	for d := range f.stack {
-		if f.stack[d].isBuf() {
-			continue
-		}
-		want := f.canonReg(d)
-		if f.stack[d].reg == want {
-			continue
-		}
-		// Entries above may alias the canonical register (OpDup); copy
-		// them out before overwriting it.
-		for j := range f.stack {
-			if j != d && !f.stack[j].isBuf() && f.stack[j].reg == want {
-				r := f.lo.newReg()
-				f.lo.emit(RInstr{Op: RMov, D: r, A: want})
-				f.stack[j].reg = r
-			}
-		}
-		f.lo.emit(RInstr{Op: RMov, D: want, A: f.stack[d].reg})
-		f.stack[d].reg = want
-	}
-}
-
-// recordOrCheck canonicalises the stack and records (or verifies) the
-// canonical shape for label pc.
-func (f *fctx) recordOrCheck(pc int) {
-	f.canonicalize()
-	shape, ok := f.labelShape[pc]
-	if !ok {
-		f.labelShape[pc] = append([]absVal(nil), f.stack...)
+// bind points the jumps at the given indices at the next instruction.
+func (lo *lowerer) bind(jumps ...int) {
+	if len(jumps) == 0 {
 		return
 	}
-	if len(shape) != len(f.stack) {
-		f.lo.fail("%s: operand stack depth mismatch at merge point", f.fn.Name)
-	}
-	for i := range shape {
-		if shape[i].buf != f.stack[i].buf ||
-			(!shape[i].isBuf() && shape[i].reg != f.stack[i].reg) {
-			f.lo.fail("%s: operand stack shape mismatch at merge point", f.fn.Name)
-		}
+	target := int32(lo.label())
+	for _, at := range jumps {
+		lo.code[at].C = target
 	}
 }
 
-// run translates fn.Code.
-func (f *fctx) run(depth int) {
-	lo := f.lo
-	fn := f.fn
-	code := fn.Code
+// reachable reports whether control can arrive at the next instruction:
+// by falling out of the previous one or over a jump bound here.
+func (lo *lowerer) reachable() bool {
+	n := len(lo.code)
+	if n == 0 || lo.labelAt == n {
+		return true
+	}
+	switch lo.code[n-1].Op {
+	case RJmp, REnd, RTrap:
+		return false
+	}
+	return true
+}
 
-	targets := make(map[int]bool)
-	for _, ins := range code {
-		switch ins.Op {
-		case OpJump, OpJumpIfZero, OpJumpIfNonZero:
-			targets[int(ins.A)] = true
+func (lo *lowerer) trapRef(msg string) int32 {
+	for i, m := range lo.plan.TrapMsgs {
+		if m == msg {
+			return int32(i)
 		}
 	}
+	lo.plan.TrapMsgs = append(lo.plan.TrapMsgs, msg)
+	return int32(len(lo.plan.TrapMsgs) - 1)
+}
 
-	reachable := true
-	for pc := 0; pc <= len(code); pc++ {
-		if targets[pc] {
-			if shape, ok := f.labelShape[pc]; ok {
-				if reachable {
-					f.recordOrCheck(pc)
-				} else {
-					f.stack = append(f.stack[:0], shape...)
-				}
-			} else {
-				if !reachable {
-					lo.fail("%s: jump into unreachable code", fn.Name)
-				}
-				f.recordOrCheck(pc)
-			}
-			f.labelIR[pc] = len(lo.code)
-			reachable = true
-		}
-		if pc == len(code) {
-			break
-		}
-		if !reachable {
-			continue
-		}
-		ins := code[pc]
-		switch ins.Op {
-		case OpNop:
-
-		case OpConstI, OpConstF:
-			f.pushReg(lo.constRef(lo.prog.Consts[ins.A]))
-
-		case OpLoad:
-			f.push(f.slots[ins.A])
-
-		case OpStore:
-			v := f.pop()
-			dst := f.slots[ins.A]
-			if dst.isBuf() || v.isBuf() {
-				lo.fail("%s: buffer handle stored to variable", fn.Name)
-			}
-			f.materialize(dst.reg)
-			lo.emit(RInstr{Op: RMov, D: dst.reg, A: v.reg})
-
-		case OpDup:
-			if len(f.stack) == 0 {
-				lo.fail("%s: dup on empty stack", fn.Name)
-			}
-			f.push(f.stack[len(f.stack)-1])
-
-		case OpLoadElemI, OpLoadElemF:
-			idx := f.popVal()
-			b := f.slots[ins.A]
-			if !b.isBuf() {
-				lo.fail("%s: element load through non-buffer slot", fn.Name)
-			}
+// expand lowers the body of decl with its parameters bound to args — the
+// kernel itself, or a helper at one call site — and returns the register
+// holding a non-void helper's return value.
+func (lo *lowerer) expand(decl *FuncDecl, args []sym) (int32, error) {
+	f := &expansion{decl: decl, ret: -1}
+	if decl.Return != TypeVoid {
+		f.ret = lo.newReg()
+	}
+	lo.stack = append(lo.stack, f)
+	defer func() { lo.stack = lo.stack[:len(lo.stack)-1] }()
+	if err := lo.step(); err != nil {
+		return 0, err
+	}
+	f.pushScope()
+	for i, p := range decl.Params {
+		a := args[i]
+		if !p.Type.IsPointer() && assigns(decl.Body, p.Name) {
+			// The operand belongs to the caller (or, for a kernel
+			// argument, to every item of the group): write to a copy.
 			r := lo.newReg()
-			lo.emit(RInstr{Op: RLdElem, D: r, A: idx, B: int32(b.buf)})
-			f.pushReg(r)
-
-		case OpStoreElemI, OpStoreElemF:
-			val := f.popVal()
-			idx := f.popVal()
-			b := f.slots[ins.A]
-			if !b.isBuf() {
-				lo.fail("%s: element store through non-buffer slot", fn.Name)
-			}
-			lo.emit(RInstr{Op: RStElem, A: idx, B: int32(b.buf), C: val})
-
-		case OpAddI, OpSubI, OpMulI, OpAndI, OpOrI, OpXorI, OpShlI, OpShrI,
-			OpLtI, OpLeI, OpGtI, OpGeI, OpEqI, OpNeI,
-			OpAddF, OpSubF, OpMulF, OpDivF,
-			OpLtF, OpLeF, OpGtF, OpGeF, OpEqF, OpNeF,
-			OpDivI, OpModI:
-			b := f.popVal()
-			a := f.popVal()
-			r := lo.newReg()
-			lo.emit(RInstr{Op: binOpFor(ins.Op), D: r, A: a, B: b})
-			f.pushReg(r)
-
-		case OpNegI, OpNotI, OpLNot, OpNegF, OpI2F, OpF2I:
-			a := f.popVal()
-			r := lo.newReg()
-			lo.emit(RInstr{Op: unOpFor(ins.Op), D: r, A: a})
-			f.pushReg(r)
-
-		case OpJump:
-			f.emitJump(RInstr{Op: RJmp}, int(ins.A), targets)
-			reachable = false
-
-		case OpJumpIfZero:
-			cond := f.popVal()
-			f.emitJump(RInstr{Op: RBrF, A: cond, D: -1}, int(ins.A), targets)
-
-		case OpJumpIfNonZero:
-			cond := f.popVal()
-			f.emitJump(RInstr{Op: RBrT, A: cond, D: -1}, int(ins.A), targets)
-
-		case OpCall:
-			callee := lo.prog.FuncByIndex(int(ins.A))
-			if len(f.stack) < callee.NumParams {
-				lo.fail("%s: operand stack underflow calling %s", fn.Name, callee.Name)
-			}
-			base := len(f.stack) - callee.NumParams
-			callArgs := append([]absVal(nil), f.stack[base:]...)
-			f.stack = f.stack[:base]
-			ret, hasRet := lo.translate(callee, callArgs, depth+1)
-			if hasRet {
-				f.push(ret)
-			}
-
-		case OpRet:
-			v := f.popVal()
-			lo.emit(RInstr{Op: RMov, D: f.retReg, A: v})
-			f.endFixups = append(f.endFixups, lo.emit(RInstr{Op: RJmp}))
-			f.stack = f.stack[:0]
-			reachable = false
-
-		case OpRetVoid:
-			if fn.IsKernel {
-				lo.emit(RInstr{Op: REnd})
-			} else {
-				f.endFixups = append(f.endFixups, lo.emit(RInstr{Op: RJmp}))
-			}
-			f.stack = f.stack[:0]
-			reachable = false
-
-		case OpHalt:
+			lo.emit(RInstr{Op: RMov, D: r, A: a.at})
+			a.at = r
+		}
+		if err := f.define(p.Name, a, p.Line, p.Col); err != nil {
+			return 0, err
+		}
+	}
+	if err := lo.block(decl.Body); err != nil {
+		return 0, err
+	}
+	if lo.reachable() {
+		switch {
+		case decl.IsKernel:
 			lo.emit(RInstr{Op: REnd})
-			f.stack = f.stack[:0]
-			reachable = false
+		case decl.Return != TypeVoid:
+			lo.emit(RInstr{Op: RTrap, A: lo.trapRef("missing return in function " + decl.Name)})
+		}
+	}
+	lo.bind(f.exits...)
+	return f.ret, nil
+}
 
-		case OpBarrier:
-			if !fn.IsKernel || depth > 0 {
-				lo.fail("barrier in helper function %s", fn.Name)
+// assigns reports whether s assigns to a variable called name.
+func assigns(s Stmt, name string) bool {
+	target := func(e Expr) bool {
+		id, ok := e.(*Ident)
+		return ok && id.Name == name
+	}
+	switch st := s.(type) {
+	case *BlockStmt:
+		for _, c := range st.Stmts {
+			if assigns(c, name) {
+				return true
 			}
-			if len(f.stack) != 0 {
-				lo.fail("barrier with live operand stack")
+		}
+	case *AssignStmt:
+		return target(st.Target)
+	case *IncDecStmt:
+		return target(st.Target)
+	case *IfStmt:
+		return assigns(st.Then, name) || (st.Else != nil && assigns(st.Else, name))
+	case *ForStmt:
+		return (st.Init != nil && assigns(st.Init, name)) ||
+			(st.Post != nil && assigns(st.Post, name)) || assigns(st.Body, name)
+	case *WhileStmt:
+		return assigns(st.Body, name)
+	}
+	return false
+}
+
+func (lo *lowerer) block(b *BlockStmt) error {
+	f := lo.cur()
+	f.pushScope()
+	defer f.popScope()
+	for _, s := range b.Stmts {
+		if err := lo.stmt(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (lo *lowerer) stmt(s Stmt) error {
+	if err := lo.step(); err != nil {
+		return err
+	}
+	f := lo.cur()
+	switch st := s.(type) {
+	case *BlockStmt:
+		return lo.block(st)
+
+	case *DeclStmt:
+		val := lo.constRef(0) // a declaration without initializer reads as zero
+		if st.Init != nil {
+			v, t, err := lo.expr(st.Init)
+			if err != nil {
+				return err
 			}
-			lo.segStart = append(lo.segStart, len(lo.code))
+			if val, err = lo.convert(v, t, st.Type, st.Line, st.Col); err != nil {
+				return err
+			}
+		}
+		r := lo.newReg()
+		lo.emit(RInstr{Op: RMov, D: r, A: val})
+		return f.define(st.Name, sym{st.Type, r}, st.Line, st.Col)
 
-		case OpBuiltin:
-			f.lowerBuiltin(BuiltinID(ins.A))
+	case *AssignStmt:
+		return lo.assign(st)
 
+	case *IncDecStmt:
+		op := "+="
+		if st.Op == "--" {
+			op = "-="
+		}
+		return lo.assign(&AssignStmt{
+			Target: st.Target, Op: op,
+			Value: &IntLit{Value: 1, Line: st.Line, Col: st.Col},
+			Line:  st.Line, Col: st.Col,
+		})
+
+	case *ExprStmt:
+		_, _, err := lo.expr(st.X)
+		return err
+
+	case *IfStmt:
+		c, err := lo.cond(st.Cond)
+		if err != nil {
+			return err
+		}
+		skip := lo.emit(RInstr{Op: RBrF, A: c, D: -1})
+		if err := lo.block(st.Then); err != nil {
+			return err
+		}
+		if st.Else == nil {
+			lo.bind(skip)
+			return nil
+		}
+		end := lo.emit(RInstr{Op: RJmp})
+		lo.bind(skip)
+		if err := lo.stmt(st.Else); err != nil {
+			return err
+		}
+		lo.bind(end)
+		return nil
+
+	case *WhileStmt:
+		return lo.loop(nil, st.Cond, nil, st.Body)
+
+	case *ForStmt:
+		f.pushScope() // the init clause's own scope
+		defer f.popScope()
+		return lo.loop(st.Init, st.Cond, st.Post, st.Body)
+
+	case *BreakStmt:
+		if len(f.loops) == 0 {
+			return errAt(st.Line, st.Col, "break outside loop")
+		}
+		l := f.loops[len(f.loops)-1]
+		l.breaks = append(l.breaks, lo.emit(RInstr{Op: RJmp}))
+		return nil
+
+	case *ContinueStmt:
+		if len(f.loops) == 0 {
+			return errAt(st.Line, st.Col, "continue outside loop")
+		}
+		l := f.loops[len(f.loops)-1]
+		l.continues = append(l.continues, lo.emit(RInstr{Op: RJmp}))
+		return nil
+
+	case *ReturnStmt:
+		switch {
+		case f.decl.IsKernel:
+			if st.Value != nil {
+				return errAt(st.Line, st.Col, "kernel cannot return a value")
+			}
+			lo.emit(RInstr{Op: REnd})
+			return nil
+		case f.decl.Return == TypeVoid:
+			if st.Value != nil {
+				return errAt(st.Line, st.Col, "void function cannot return a value")
+			}
 		default:
-			lo.fail("%s: cannot lower opcode %s", fn.Name, ins.Op)
-		}
-	}
-
-	if reachable {
-		// Fell off the end. Kernels always end in OpHalt, so for the
-		// root this means a jump to the very end; mirror the
-		// interpreter's trap for helpers that miss a return.
-		if fn.IsKernel {
-			lo.emit(RInstr{Op: RTrap, A: lo.trapRef(fmt.Sprintf("missing return in function %s", fn.Name))})
-		} else if f.hasRet {
-			lo.emit(RInstr{Op: RTrap, A: lo.trapRef(fmt.Sprintf("missing return in function %s", fn.Name))})
-		}
-	}
-
-	endIR := len(lo.code)
-	for _, at := range f.endFixups {
-		lo.code[at].C = int32(endIR)
-	}
-	for _, fix := range f.fixups {
-		ir, ok := f.labelIR[fix.pc]
-		if !ok {
-			lo.fail("%s: unresolved jump target", fn.Name)
-		}
-		lo.code[fix.ir].C = int32(ir)
-	}
-}
-
-// emitJump canonicalises the stack, records/verifies the target label
-// shape, and emits the branch (patched later for forward targets).
-func (f *fctx) emitJump(ins RInstr, targetPC int, targets map[int]bool) {
-	if !targets[targetPC] {
-		f.lo.fail("%s: jump to unmarked target", f.fn.Name)
-	}
-	f.recordOrCheck(targetPC)
-	if ir, ok := f.labelIR[targetPC]; ok {
-		ins.C = int32(ir)
-		f.lo.emit(ins)
-		return
-	}
-	at := f.lo.emit(ins)
-	f.fixups = append(f.fixups, wgFixup{ir: at, pc: targetPC})
-}
-
-// lowerBuiltin lowers one builtin call against the symbolic stack.
-func (f *fctx) lowerBuiltin(id BuiltinID) {
-	lo := f.lo
-	plan := lo.plan
-	emitUnary := func(op ROp) {
-		a := f.popVal()
-		r := lo.newReg()
-		lo.emit(RInstr{Op: op, D: r, A: a})
-		f.pushReg(r)
-	}
-	emitBinary := func(op ROp) {
-		b := f.popVal()
-		a := f.popVal()
-		r := lo.newReg()
-		lo.emit(RInstr{Op: op, D: r, A: a, B: b})
-		f.pushReg(r)
-	}
-	switch id {
-	case BGetGlobalID, BGetLocalID, BGetGroupID, BGetGlobalSize,
-		BGetGlobalOffset, BGetLocalSize, BGetNumGroups:
-		dimv := f.pop()
-		if dimv.isBuf() || dimv.reg >= 0 {
-			lo.fail("dynamic dimension argument to work-item query")
-		}
-		dim := int(i32(lo.consts[^dimv.reg]))
-		if dim < 0 || dim > 2 {
-			// Out-of-range dimensions fold to the interpreter's defaults.
-			switch id {
-			case BGetGlobalSize, BGetLocalSize, BGetNumGroups:
-				f.pushReg(lo.constRef(1))
-			default:
-				f.pushReg(lo.constRef(0))
+			if st.Value == nil {
+				return errAt(st.Line, st.Col, "function %s must return %s", f.decl.Name, f.decl.Return)
 			}
-			return
+			v, t, err := lo.expr(st.Value)
+			if err != nil {
+				return err
+			}
+			if v, err = lo.convert(v, t, f.decl.Return, st.Line, st.Col); err != nil {
+				return err
+			}
+			lo.emit(RInstr{Op: RMov, D: f.ret, A: v})
 		}
-		// Dimensions beyond the launch's dimensionality also default;
-		// the driver presets the registers accordingly at launch time.
-		switch id {
-		case BGetGlobalID:
-			f.pushReg(lo.coordSlot(&plan.GidRegs, dim, false))
-		case BGetLocalID:
-			f.pushReg(lo.coordSlot(&plan.LidRegs, dim, false))
-		case BGetGroupID:
-			f.pushReg(lo.coordSlot(&plan.GroupRegs, dim, true))
-		case BGetGlobalSize:
-			f.pushReg(lo.coordSlot(&plan.GSizeRegs, dim, true))
-		case BGetGlobalOffset:
-			f.pushReg(lo.coordSlot(&plan.GOffRegs, dim, true))
-		case BGetLocalSize:
-			f.pushReg(lo.coordSlot(&plan.LSizeRegs, dim, true))
-		case BGetNumGroups:
-			f.pushReg(lo.coordSlot(&plan.NGroupRegs, dim, true))
+		f.exits = append(f.exits, lo.emit(RInstr{Op: RJmp}))
+		return nil
+
+	case *BarrierStmt:
+		lo.plan.Fn.HasBarrier = true
+		lo.emit(RInstr{Op: RBarrier})
+		return nil
+	}
+	return fmt.Errorf("kernel: unhandled statement %T", s)
+}
+
+// loop lowers `for (init; cond; post) body`; a while loop is the same
+// thing with only a condition.
+func (lo *lowerer) loop(init Stmt, cond Expr, post Stmt, body *BlockStmt) error {
+	f := lo.cur()
+	if init != nil {
+		if err := lo.stmt(init); err != nil {
+			return err
 		}
-
-	case BGetWorkDim:
-		if plan.WorkDimReg < 0 {
-			plan.WorkDimReg = lo.newReg()
-			lo.uniform[plan.WorkDimReg] = true
+	}
+	l := &loopJumps{}
+	f.loops = append(f.loops, l)
+	defer func() { f.loops = f.loops[:len(f.loops)-1] }()
+	top := lo.label()
+	if cond != nil {
+		c, err := lo.cond(cond)
+		if err != nil {
+			return err
 		}
-		f.pushReg(plan.WorkDimReg)
+		l.breaks = append(l.breaks, lo.emit(RInstr{Op: RBrF, A: c, D: -1}))
+	}
+	if err := lo.block(body); err != nil {
+		return err
+	}
+	if post == nil {
+		for _, at := range l.continues {
+			lo.code[at].C = int32(top)
+		}
+	} else {
+		lo.bind(l.continues...)
+		if err := lo.stmt(post); err != nil {
+			return err
+		}
+	}
+	lo.emit(RInstr{Op: RJmp, C: int32(top)})
+	lo.bind(l.breaks...)
+	return nil
+}
 
-	case BSqrt:
-		emitUnary(RSqrtF)
-	case BFabs:
-		emitUnary(RAbsF)
-	case BFloor:
-		emitUnary(RFloorF)
-	case BCeil:
-		emitUnary(RCeilF)
-	case BAbsI:
-		emitUnary(RAbsI)
-	case BFmin:
-		emitBinary(RMinF)
-	case BFmax:
-		emitBinary(RMaxF)
-	case BMinI:
-		emitBinary(RMinI)
-	case BMaxI:
-		emitBinary(RMaxI)
+// element resolves the buffer and the index operand of buf[index].
+func (lo *lowerer) element(x *IndexExpr) (sym, int32, error) {
+	ident, ok := x.Buf.(*Ident)
+	if !ok {
+		return sym{}, 0, errAt(x.Line, x.Col, "indexed expression must be a buffer parameter")
+	}
+	b, ok := lo.cur().lookup(ident.Name)
+	if !ok {
+		return sym{}, 0, errAt(ident.Line, ident.Col, "undefined variable %s", ident.Name)
+	}
+	if !b.typ.IsPointer() {
+		return sym{}, 0, errAt(ident.Line, ident.Col, "%s is not a buffer", ident.Name)
+	}
+	idx, t, err := lo.expr(x.Index)
+	if err != nil {
+		return sym{}, 0, err
+	}
+	if t != TypeInt {
+		return sym{}, 0, errAt(x.Line, x.Col, "buffer index must be int, got %s", t)
+	}
+	return b, idx, nil
+}
 
+func (lo *lowerer) assign(st *AssignStmt) error {
+	// rhs lowers the value, applies the compound operator to the target's
+	// current value and converts to the target's type.
+	rhs := func(typ Type, cur int32) (int32, error) {
+		v, t, err := lo.expr(st.Value)
+		if err != nil {
+			return 0, err
+		}
+		if v, err = lo.convert(v, t, typ, st.Line, st.Col); err != nil {
+			return 0, err
+		}
+		if st.Op == "=" {
+			return v, nil
+		}
+		op := arithOp(st.Op[:len(st.Op)-1], typ)
+		if op == RNop {
+			return 0, errAt(st.Line, st.Col, "operator %s not defined for %s", st.Op[:len(st.Op)-1], typ)
+		}
+		return lo.op2(op, cur, v), nil
+	}
+	switch target := st.Target.(type) {
+	case *Ident:
+		v, ok := lo.cur().lookup(target.Name)
+		if !ok {
+			return errAt(target.Line, target.Col, "undefined variable %s", target.Name)
+		}
+		if v.typ.IsPointer() {
+			return errAt(target.Line, target.Col, "cannot assign to buffer parameter %s", target.Name)
+		}
+		val, err := rhs(v.typ, v.at)
+		if err != nil {
+			return err
+		}
+		lo.emit(RInstr{Op: RMov, D: v.at, A: val})
+		return nil
+
+	case *IndexExpr:
+		b, idx, err := lo.element(target)
+		if err != nil {
+			return err
+		}
+		var cur int32
+		if st.Op != "=" {
+			cur = lo.newReg()
+			lo.emit(RInstr{Op: RLdElem, D: cur, A: idx, B: b.at})
+		}
+		val, err := rhs(b.typ.Elem(), cur)
+		if err != nil {
+			return err
+		}
+		lo.emit(RInstr{Op: RStElem, A: idx, B: b.at, C: val})
+		return nil
+	}
+	return errAt(st.Line, st.Col, "invalid assignment target")
+}
+
+// cond lowers a condition, which must be int.
+func (lo *lowerer) cond(e Expr) (int32, error) {
+	v, t, err := lo.expr(e)
+	if err != nil {
+		return 0, err
+	}
+	if t != TypeInt {
+		line, col := e.Pos()
+		return 0, errAt(line, col, "condition must be int (use a comparison), got %s", t)
+	}
+	return v, nil
+}
+
+// convert returns v converted from type from to type to.
+func (lo *lowerer) convert(v int32, from, to Type, line, col int) (int32, error) {
+	switch {
+	case from == to:
+		return v, nil
+	case from == TypeInt && to == TypeFloat:
+		return lo.op1(RI2F, v), nil
+	case from == TypeFloat && to == TypeInt:
+		return lo.op1(RF2I, v), nil
+	}
+	return 0, errAt(line, col, "cannot convert %s to %s", from, to)
+}
+
+var intOps = map[string]ROp{
+	"+": RAddI, "-": RSubI, "*": RMulI, "/": RDivI, "%": RModI,
+	"&": RAndI, "|": ROrI, "^": RXorI, "<<": RShlI, ">>": RShrI,
+	"<": RLtI, "<=": RLeI, ">": RGtI, ">=": RGeI, "==": REqI, "!=": RNeI,
+}
+
+var floatOps = map[string]ROp{
+	"+": RAddF, "-": RSubF, "*": RMulF, "/": RDivF,
+	"<": RLtF, "<=": RLeF, ">": RGtF, ">=": RGeF, "==": REqF, "!=": RNeF,
+}
+
+// arithOp returns the opcode of binary operator op on two operands of
+// type t, or RNop when there is none.
+func arithOp(op string, t Type) ROp {
+	switch t {
+	case TypeInt:
+		return intOps[op]
+	case TypeFloat:
+		return floatOps[op]
+	}
+	return RNop
+}
+
+// expr lowers an expression and returns its operand and type.
+func (lo *lowerer) expr(e Expr) (int32, Type, error) {
+	switch x := e.(type) {
+	case *IntLit:
+		return lo.constRef(u64i(x.Value)), TypeInt, nil
+
+	case *FloatLit:
+		return lo.constRef(u64f(x.Value)), TypeFloat, nil
+
+	case *Ident:
+		if v, ok := lo.cur().lookup(x.Name); ok {
+			if v.typ.IsPointer() {
+				return 0, TypeVoid, errAt(x.Line, x.Col, "buffer %s used without index", x.Name)
+			}
+			return v.at, v.typ, nil
+		}
+		if cv, ok := predefinedConsts[x.Name]; ok {
+			return lo.constRef(u64i(cv)), TypeInt, nil
+		}
+		return 0, TypeVoid, errAt(x.Line, x.Col, "undefined variable %s", x.Name)
+
+	case *UnaryExpr:
+		v, t, err := lo.expr(x.X)
+		if err != nil {
+			return 0, TypeVoid, err
+		}
+		switch x.Op {
+		case "-":
+			switch t {
+			case TypeInt:
+				return lo.op1(RNegI, v), t, nil
+			case TypeFloat:
+				return lo.op1(RNegF, v), t, nil
+			}
+			return 0, TypeVoid, errAt(x.Line, x.Col, "cannot negate %s", t)
+		case "!", "~":
+			if t != TypeInt {
+				return 0, TypeVoid, errAt(x.Line, x.Col, "%s requires int operand, got %s", x.Op, t)
+			}
+			if x.Op == "!" {
+				return lo.op1(RLNot, v), TypeInt, nil
+			}
+			return lo.op1(RNotI, v), TypeInt, nil
+		}
+		return 0, TypeVoid, errAt(x.Line, x.Col, "unknown unary operator %s", x.Op)
+
+	case *CastExpr:
+		v, t, err := lo.expr(x.X)
+		if err != nil {
+			return 0, TypeVoid, err
+		}
+		v, err = lo.convert(v, t, x.To, x.Line, x.Col)
+		return v, x.To, err
+
+	case *IndexExpr:
+		b, idx, err := lo.element(x)
+		if err != nil {
+			return 0, TypeVoid, err
+		}
+		r := lo.newReg()
+		lo.emit(RInstr{Op: RLdElem, D: r, A: idx, B: b.at})
+		return r, b.typ.Elem(), nil
+
+	case *BinaryExpr:
+		if x.Op == "&&" || x.Op == "||" {
+			return lo.shortCircuit(x)
+		}
+		return lo.binary(x)
+
+	case *CondExpr:
+		return lo.ternary(x)
+
+	case *CallExpr:
+		return lo.call(x)
+	}
+	return 0, TypeVoid, fmt.Errorf("kernel: unhandled expression %T", e)
+}
+
+func (lo *lowerer) binary(x *BinaryExpr) (int32, Type, error) {
+	a, ta, err := lo.expr(x.L)
+	if err != nil {
+		return 0, TypeVoid, err
+	}
+	b, tb, err := lo.expr(x.R)
+	if err != nil {
+		return 0, TypeVoid, err
+	}
+	common := ta
+	switch x.Op {
+	case "%", "&", "|", "^", "<<", ">>":
+		if ta != TypeInt || tb != TypeInt {
+			return 0, TypeVoid, errAt(x.Line, x.Col, "operator %s requires int operands", x.Op)
+		}
 	default:
-		// Remaining math builtins go through the generic builtin
-		// dispatcher (float64 math library semantics, like the
-		// interpreter).
-		arity := builtinArity(id)
-		if arity < 0 {
-			lo.fail("cannot lower builtin %d", id)
+		// Mixed int/float operands promote the int one.
+		if ta == TypeInt && tb == TypeFloat {
+			a, common = lo.op1(RI2F, a), TypeFloat
+		} else if ta == TypeFloat && tb == TypeInt {
+			b = lo.op1(RI2F, b)
+		} else if ta != tb {
+			common = TypeVoid
 		}
-		ops := make([]int32, arity)
-		for i := arity - 1; i >= 0; i-- {
-			ops[i] = f.popVal()
-		}
-		ins := RInstr{Op: RBuiltin, D: lo.newReg(), C: int32(id), A: -1, B: -1, E: -1}
-		if arity > 0 {
-			ins.A = ops[0]
-		}
-		if arity > 1 {
-			ins.B = ops[1]
-		}
-		if arity > 2 {
-			ins.E = ops[2]
-		}
-		lo.emit(ins)
-		f.pushReg(ins.D)
 	}
+	op := arithOp(x.Op, common)
+	if op == RNop {
+		return 0, TypeVoid, errAt(x.Line, x.Col, "operator %s not defined for %s and %s", x.Op, ta, tb)
+	}
+	if IsCompare(op) {
+		common = TypeInt
+	}
+	return lo.op2(op, a, b), common, nil
 }
 
-// builtinArity returns the argument count of a builtin, or -1 if it
-// cannot be lowered.
-func builtinArity(id BuiltinID) int {
-	switch id {
+// shortCircuit lowers && and ||: the right operand is evaluated only when
+// the left one does not decide, and the result is 0 or 1.
+func (lo *lowerer) shortCircuit(x *BinaryExpr) (int32, Type, error) {
+	l, err := lo.cond(x.L)
+	if err != nil {
+		return 0, TypeVoid, err
+	}
+	decided, br := int32(0), RBrF
+	if x.Op == "||" {
+		decided, br = 1, RBrT
+	}
+	short := lo.emit(RInstr{Op: br, A: l, D: -1})
+	r, err := lo.cond(x.R)
+	if err != nil {
+		return 0, TypeVoid, err
+	}
+	norm := lo.op2(RNeI, r, lo.constRef(0))
+	res := lo.newReg()
+	lo.emit(RInstr{Op: RMov, D: res, A: norm})
+	end := lo.emit(RInstr{Op: RJmp})
+	lo.bind(short)
+	lo.emit(RInstr{Op: RMov, D: res, A: lo.constRef(u64i(decided))})
+	lo.bind(end)
+	return res, TypeInt, nil
+}
+
+func (lo *lowerer) ternary(x *CondExpr) (int32, Type, error) {
+	c, err := lo.cond(x.Cond)
+	if err != nil {
+		return 0, TypeVoid, err
+	}
+	skip := lo.emit(RInstr{Op: RBrF, A: c, D: -1})
+	res := lo.newReg()
+	a, ta, err := lo.expr(x.Then)
+	if err != nil {
+		return 0, TypeVoid, err
+	}
+	thenMov := lo.emit(RInstr{Op: RMov, D: res, A: a})
+	end := lo.emit(RInstr{Op: RJmp})
+	lo.bind(skip)
+	b, tb, err := lo.expr(x.Else)
+	if err != nil {
+		return 0, TypeVoid, err
+	}
+	scalar := func(t Type) bool { return t == TypeInt || t == TypeFloat }
+	if !scalar(ta) || !scalar(tb) {
+		return 0, TypeVoid, errAt(x.Line, x.Col, "ternary branches have mismatched types %s and %s", ta, tb)
+	}
+	// Branches of different scalar types promote to float; the then
+	// branch's move, already emitted, becomes the conversion.
+	if ta == TypeInt && tb == TypeFloat {
+		lo.code[thenMov].Op = RI2F
+		ta = TypeFloat
+	} else if ta == TypeFloat && tb == TypeInt {
+		b = lo.op1(RI2F, b)
+	}
+	lo.emit(RInstr{Op: RMov, D: res, A: b})
+	lo.bind(end)
+	return res, ta, nil
+}
+
+func (lo *lowerer) call(x *CallExpr) (int32, Type, error) {
+	if sig, ok := builtinTable[x.Name]; ok {
+		return lo.builtin(x, sig)
+	}
+	decl, ok := lo.unit.decls[x.Name]
+	if !ok {
+		return 0, TypeVoid, errAt(x.Line, x.Col, "undefined function %s", x.Name)
+	}
+	if decl.IsKernel {
+		return 0, TypeVoid, errAt(x.Line, x.Col, "cannot call kernel %s from device code", x.Name)
+	}
+	if len(x.Args) != len(decl.Params) {
+		return 0, TypeVoid, errAt(x.Line, x.Col, "%s expects %d arguments, got %d", x.Name, len(decl.Params), len(x.Args))
+	}
+	args := make([]sym, len(x.Args))
+	for i, arg := range x.Args {
+		p := decl.Params[i]
+		if p.Type.IsPointer() {
+			// A buffer is passed by naming it: the callee indexes the
+			// caller's buffer-table entry.
+			ident, isIdent := arg.(*Ident)
+			if !isIdent {
+				return 0, TypeVoid, errAt(x.Line, x.Col, "argument %d of %s must be a buffer name", i+1, x.Name)
+			}
+			b, ok := lo.cur().lookup(ident.Name)
+			if !ok || b.typ != p.Type {
+				return 0, TypeVoid, errAt(ident.Line, ident.Col, "argument %d of %s must be a %s buffer", i+1, x.Name, p.Type)
+			}
+			args[i] = b
+			continue
+		}
+		v, t, err := lo.expr(arg)
+		if err != nil {
+			return 0, TypeVoid, err
+		}
+		if v, err = lo.convert(v, t, p.Type, x.Line, x.Col); err != nil {
+			return 0, TypeVoid, err
+		}
+		args[i] = sym{p.Type, v}
+	}
+	for _, f := range lo.stack {
+		if f.decl == decl {
+			return 0, TypeVoid, errAt(x.Line, x.Col, "recursive call to %s (OpenCL C has no recursion)", x.Name)
+		}
+	}
+	if len(lo.stack) > lowerMaxDepth {
+		return 0, TypeVoid, errAt(x.Line, x.Col, "call to %s nests helpers more than %d deep", x.Name, lowerMaxDepth)
+	}
+	lo.unit.inlined[decl] = true
+	ret, err := lo.expand(decl, args)
+	return ret, decl.Return, err
+}
+
+// builtinOps are the builtins with an opcode of their own; the other math
+// builtins go through RBuiltin.
+var builtinOps = map[BuiltinID]ROp{
+	BSqrt: RSqrtF, BFabs: RAbsF, BFloor: RFloorF, BCeil: RCeilF, BAbsI: RAbsI,
+	BFmin: RMinF, BFmax: RMaxF, BMinI: RMinI, BMaxI: RMaxI,
+}
+
+func (lo *lowerer) builtin(x *CallExpr, sig builtinSig) (int32, Type, error) {
+	if len(x.Args) != len(sig.params) {
+		return 0, TypeVoid, errAt(x.Line, x.Col, "%s expects %d arguments, got %d", x.Name, len(sig.params), len(x.Args))
+	}
+	var ops [3]int32
+	for i, arg := range x.Args {
+		v, t, err := lo.expr(arg)
+		if err != nil {
+			return 0, TypeVoid, err
+		}
+		if ops[i], err = lo.convert(v, t, sig.params[i], x.Line, x.Col); err != nil {
+			return 0, TypeVoid, err
+		}
+	}
+	p := lo.plan
+	switch sig.id {
+	case BGetGlobalID:
+		return lo.coord(&p.GidRegs, 0, ops[0]), TypeInt, nil
+	case BGetLocalID:
+		return lo.coord(&p.LidRegs, 0, ops[0]), TypeInt, nil
+	case BGetGroupID:
+		return lo.coord(&p.GroupRegs, 0, ops[0]), TypeInt, nil
+	case BGetGlobalOffset:
+		return lo.coord(&p.GOffRegs, 0, ops[0]), TypeInt, nil
+	case BGetGlobalSize:
+		return lo.coord(&p.GSizeRegs, 1, ops[0]), TypeInt, nil
+	case BGetLocalSize:
+		return lo.coord(&p.LSizeRegs, 1, ops[0]), TypeInt, nil
+	case BGetNumGroups:
+		return lo.coord(&p.NGroupRegs, 1, ops[0]), TypeInt, nil
 	case BGetWorkDim:
-		return 0
-	case BSqrt, BRsqrt, BExp, BLog, BSin, BCos, BTan, BFabs, BFloor, BCeil, BAbsI:
-		return 1
-	case BPow, BFmin, BFmax, BFmod, BMinI, BMaxI:
-		return 2
-	case BClampF, BClampI:
-		return 3
+		if p.WorkDimReg < 0 {
+			p.WorkDimReg = lo.newReg()
+		}
+		return p.WorkDimReg, TypeInt, nil
 	}
-	return -1
+	if op, ok := builtinOps[sig.id]; ok {
+		return lo.op2(op, ops[0], ops[1]), sig.result, nil
+	}
+	r := lo.newReg()
+	lo.emit(RInstr{Op: RBuiltin, D: r, C: int32(sig.id), A: ops[0], B: ops[1], E: ops[2]})
+	return r, sig.result, nil
 }
 
-func binOpFor(op Op) ROp {
-	switch op {
-	case OpAddI:
-		return RAddI
-	case OpSubI:
-		return RSubI
-	case OpMulI:
-		return RMulI
-	case OpDivI:
-		return RDivI
-	case OpModI:
-		return RModI
-	case OpAndI:
-		return RAndI
-	case OpOrI:
-		return ROrI
-	case OpXorI:
-		return RXorI
-	case OpShlI:
-		return RShlI
-	case OpShrI:
-		return RShrI
-	case OpLtI:
-		return RLtI
-	case OpLeI:
-		return RLeI
-	case OpGtI:
-		return RGtI
-	case OpGeI:
-		return RGeI
-	case OpEqI:
-		return REqI
-	case OpNeI:
-		return RNeI
-	case OpAddF:
-		return RAddF
-	case OpSubF:
-		return RSubF
-	case OpMulF:
-		return RMulF
-	case OpDivF:
-		return RDivF
-	case OpLtF:
-		return RLtF
-	case OpLeF:
-		return RLeF
-	case OpGtF:
-		return RGtF
-	case OpGeF:
-		return RGeF
-	case OpEqF:
-		return REqF
-	case OpNeF:
-		return RNeF
+// coord lowers a work-item query over the coordinate registers regs, which
+// the driver presets per launch, group or item (with the defaults for
+// dimensions the launch does not have). def is what a dimension outside
+// 0..2 reads: 0 for ids and offsets, 1 for sizes.
+func (lo *lowerer) coord(regs *[3]int32, def int32, dim int32) int32 {
+	slot := func(d int32) int32 {
+		if regs[d] < 0 {
+			regs[d] = lo.newReg()
+		}
+		return regs[d]
 	}
-	return RNop
-}
-
-func unOpFor(op Op) ROp {
-	switch op {
-	case OpNegI:
-		return RNegI
-	case OpNotI:
-		return RNotI
-	case OpLNot:
-		return RLNot
-	case OpNegF:
-		return RNegF
-	case OpI2F:
-		return RI2F
-	case OpF2I:
-		return RF2I
+	if dim < 0 { // constant dimension: the register itself
+		if d := i32(lo.consts[^dim]); d >= 0 && d <= 2 {
+			return slot(d)
+		}
+		return lo.constRef(u64i(def))
 	}
-	return RNop
+	// Dimension known only at run time: select among the three.
+	res := lo.newReg()
+	lo.emit(RInstr{Op: RMov, D: res, A: lo.constRef(u64i(def))})
+	var found []int
+	for d := int32(0); d <= 2; d++ {
+		is := lo.op2(REqI, dim, lo.constRef(u64i(d)))
+		next := lo.emit(RInstr{Op: RBrF, A: is, D: -1})
+		lo.emit(RInstr{Op: RMov, D: res, A: slot(d)})
+		if d < 2 {
+			found = append(found, lo.emit(RInstr{Op: RJmp}))
+		}
+		lo.bind(next)
+	}
+	lo.bind(found...)
+	return res
 }

@@ -57,13 +57,9 @@ func compileWG(t *testing.T, src, name string) *WGFunc {
 // div/mod pair and the store-index arithmetic become loop-carried
 // induction variables, the uniform prologue is a single instruction, and
 // the whole per-item body fits in a handful of fused instructions
-// (the interpreter runs the same kernel in hundreds of bytecode
-// instructions per item).
+// (as lowered, the same kernel is several times that).
 func TestMandelblockPlanShape(t *testing.T) {
 	w := compileWG(t, mandelblockSrc, "mandelblock")
-	if w.Fallback != "" {
-		t.Fatalf("mandelblock fell back to the interpreter: %s", w.Fallback)
-	}
 	if w.HasBarriers() {
 		t.Fatal("mandelblock should be barrier-free")
 	}
@@ -115,12 +111,16 @@ func TestWorkGroupPlanCached(t *testing.T) {
 	}
 }
 
-// TestWorkGroupFallbackReasons pins the compiler's refusal cases: these
-// kernels must run on the cooperative interpreter, with a reason string
-// in the plan.
-func TestWorkGroupFallbackReasons(t *testing.T) {
+// TestFormerFallbacksCompile pins that the shapes the compiler used to
+// hand to a second engine are ordinary code now: a barrier under a branch
+// and a work-item query whose dimension is known only at run time get a
+// plan like anything else. (internal/vm runs both against its references;
+// the third former refusal, recursion, is a build error:
+// TestCompileRefusals.)
+func TestFormerFallbacksCompile(t *testing.T) {
 	cases := []struct {
-		name, src, want string
+		name, src string
+		barriers  int
 	}{
 		{
 			"barrier-under-control-flow",
@@ -129,67 +129,74 @@ func TestWorkGroupFallbackReasons(t *testing.T) {
 	if (lid > 0) { barrier(CLK_LOCAL_MEM_FENCE); }
 	o[lid] = lid;
 }`,
-			"barrier under control flow",
-		},
-		{
-			"recursion",
-			`int down(int x) {
-	if (x > 0) { return down(x - 1); }
-	return 0;
-}
-kernel void k(global int* o) {
-	o[0] = down(get_global_id(0));
-}`,
-			"recursive call",
+			1,
 		},
 		{
 			"dynamic-dimension-query",
 			`kernel void k(global int* o, int d) {
 	o[0] = get_global_id(d);
 }`,
-			"dynamic dimension",
+			0,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := compileWG(t, tc.src, "k")
-			if w.Fallback == "" {
-				t.Fatalf("expected fallback, got compiled plan:\n%s", w.Disassemble())
+			if w.Fallback != "" {
+				t.Fatalf("fallback: %s", w.Fallback)
 			}
-			if !strings.Contains(w.Fallback, tc.want) {
-				t.Errorf("fallback %q does not mention %q", w.Fallback, tc.want)
-			}
-			if w.Info.Fallback != w.Fallback {
-				t.Errorf("Info.Fallback %q != Fallback %q", w.Info.Fallback, w.Fallback)
+			if got := countOp(w, RBarrier); got != tc.barriers || w.HasBarriers() != (tc.barriers > 0) {
+				t.Errorf("barriers = %d (HasBarriers %v), want %d:\n%s", got, w.HasBarriers(), tc.barriers, w.Disassemble())
 			}
 		})
 	}
 }
 
-// TestBarrierKernelSegments checks that barrier kernels compile to
-// fused sub-loops split at barrier boundaries.
-func TestBarrierKernelSegments(t *testing.T) {
-	w := compileWG(t, `
-kernel void k(global int* o, local int* s) {
+func countOp(w *WGFunc, op ROp) int {
+	n := 0
+	for _, ins := range w.Code {
+		if ins.Op == op {
+			n++
+		}
+	}
+	return n
+}
+
+// TestBarrierKernelPlan checks that each barrier() is one RBarrier in the
+// plan, before and after the passes, whether it stands at statement level,
+// in a loop or in an inlined helper.
+func TestBarrierKernelPlan(t *testing.T) {
+	p, err := Compile(`
+void sync2(local int* s, int lid) {
+	barrier(CLK_LOCAL_MEM_FENCE);
+	s[lid] = s[lid] + 1;
+	barrier(CLK_LOCAL_MEM_FENCE);
+}
+kernel void k(global int* o, local int* s, int n) {
 	int lid = get_local_id(0);
 	s[lid] = lid * 2;
 	barrier(CLK_LOCAL_MEM_FENCE);
 	int v = s[(lid + 1) % get_local_size(0)];
-	barrier(CLK_LOCAL_MEM_FENCE);
+	for (int i = 0; i < n; i++) {
+		barrier(CLK_LOCAL_MEM_FENCE);
+		v = v + s[i % get_local_size(0)];
+	}
+	sync2(s, lid);
 	o[get_global_id(0)] = v;
-}`, "k")
-	if w.Fallback != "" {
-		t.Fatalf("fallback: %s", w.Fallback)
+}`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !w.HasBarriers() {
-		t.Fatal("plan has no barrier segments")
+	fn, _ := p.Kernel("k")
+	if !fn.HasBarrier {
+		t.Error("HasBarrier not set")
 	}
-	if len(w.Segments) != 3 {
-		t.Errorf("segments = %d, want 3 (two barriers)", len(w.Segments))
-	}
-	for i, seg := range w.Segments {
-		if seg[0] < 0 || seg[1] > len(w.Code) || seg[0] >= seg[1] {
-			t.Errorf("segment %d = %v out of range (body %d)", i, seg, len(w.Code))
+	for _, w := range []*WGFunc{p.Unoptimized(fn), p.WorkGroup(fn)} {
+		if !w.HasBarriers() {
+			t.Error("plan does not report its barriers")
+		}
+		if got := countOp(w, RBarrier); got != 4 {
+			t.Errorf("barrier instructions = %d, want 4:\n%s", got, w.Disassemble())
 		}
 	}
 }
@@ -204,9 +211,6 @@ kernel void k(global int* o, int a) {
 	int u = a * 100 + c;
 	o[get_global_id(0)] = u;
 }`, "k")
-	if w.Fallback != "" {
-		t.Fatalf("fallback: %s", w.Fallback)
-	}
 	// The whole computation is group-uniform: the body should reduce to
 	// the guarded store (index induction + store) with u in the prologue.
 	if len(w.Prologue) == 0 {

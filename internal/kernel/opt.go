@@ -2,16 +2,16 @@ package kernel
 
 import "time"
 
-// Optimization passes over the work-group register IR. Every pass
-// preserves bit-exact semantics relative to the stack interpreter:
-// no float reassociation or commutation, no folding of trapping ops
-// (div/mod by a possibly-zero divisor, buffer accesses), and trap
-// messages and ordering stay intact. Speed comes purely from removing
-// dispatches: fewer instructions, fused superinstructions, hoisted
-// group-uniform code and loop-carried induction variables.
+// Optimization passes over the register IR. Every pass preserves the
+// bit-exact behaviour of the code as lowered (which the tests keep as the
+// reference): no float reassociation or commutation, no folding of
+// trapping ops (div/mod by a possibly-zero divisor, buffer accesses), and
+// trap messages and ordering stay intact. Speed comes purely from
+// removing dispatches: fewer instructions, fused superinstructions,
+// hoisted group-uniform code and loop-carried induction variables.
 
 type optimizer struct {
-	lo   *lowerer
+	b    *builder
 	plan *WGFunc
 
 	defs    []int32 // definitions per register (explicit, in Prologue+Code)
@@ -20,8 +20,8 @@ type optimizer struct {
 	uniform []bool  // register is group-uniform (filled by the hoist pass)
 }
 
-func optimize(lo *lowerer, plan *WGFunc) {
-	o := &optimizer{lo: lo, plan: plan}
+func optimize(b *builder, plan *WGFunc) {
+	o := &optimizer{b: b, plan: plan}
 	run := func(name string, pass func()) {
 		t := time.Now()
 		pass()
@@ -37,7 +37,6 @@ func optimize(lo *lowerer, plan *WGFunc) {
 	run("fuse", o.fuse)
 	run("pack", o.pack)
 	run("guard", o.guard)
-	plan.NumRegs = int(lo.numRegs)
 }
 
 // ---- analysis helpers -------------------------------------------------
@@ -50,7 +49,7 @@ func instrUses(ins *RInstr, f func(int32)) {
 		}
 	}
 	switch ins.Op {
-	case RNop, RJmp, REnd, RTrap:
+	case RNop, RJmp, REnd, RBarrier, RTrap:
 	case RMov:
 		use(ins.A)
 	case RMov2:
@@ -80,7 +79,7 @@ func instrUses(ins *RInstr, f func(int32)) {
 			use(ins.E)
 		}
 	case RBuiltin:
-		n := builtinArity(BuiltinID(ins.C))
+		n := BuiltinArity(BuiltinID(ins.C))
 		if n > 0 {
 			use(ins.A)
 		}
@@ -115,7 +114,7 @@ func instrSubstUses(ins *RInstr, f func(int32) int32) {
 		}
 	}
 	switch ins.Op {
-	case RNop, RJmp, REnd, RTrap:
+	case RNop, RJmp, REnd, RBarrier, RTrap:
 	case RMov:
 		sub(&ins.A)
 	case RMov2:
@@ -145,7 +144,7 @@ func instrSubstUses(ins *RInstr, f func(int32) int32) {
 			sub(&ins.E)
 		}
 	case RBuiltin:
-		n := builtinArity(BuiltinID(ins.C))
+		n := BuiltinArity(BuiltinID(ins.C))
 		if n > 0 {
 			sub(&ins.A)
 		}
@@ -175,7 +174,7 @@ func instrSubstUses(ins *RInstr, f func(int32) int32) {
 // instrDefs calls f for every register the instruction writes.
 func instrDefs(ins *RInstr, f func(int32)) {
 	switch ins.Op {
-	case RNop, RJmp, REnd, RTrap, RStElem:
+	case RNop, RJmp, REnd, RBarrier, RTrap, RStElem:
 	case RMov2:
 		f(ins.D)
 		f(ins.B)
@@ -204,13 +203,16 @@ func instrPure(ins *RInstr) bool {
 }
 
 func isBranch(op ROp) bool { return op == RJmp || op == RBrT || op == RBrF }
+
+// isControl reports whether op ends a basic block. A barrier does: other
+// items run, and write memory, between it and the next instruction.
 func isControl(op ROp) bool {
-	return isBranch(op) || op == REnd || op == RTrap
+	return isBranch(op) || op == REnd || op == RTrap || op == RBarrier
 }
 
 // recount rebuilds def/use counts and the driver-preset register set.
 func (o *optimizer) recount() {
-	n := int(o.lo.numRegs)
+	n := int(o.b.numRegs)
 	o.defs = make([]int32, n)
 	o.uses = make([]int32, n)
 	o.preset = make([]bool, n)
@@ -278,9 +280,8 @@ func (o *optimizer) singleDef(r int32) bool {
 	return o.defs[r] == 1
 }
 
-// jumpTargets marks every instruction entered by a jump edge or a
-// barrier-segment start (positions where a merged instruction would be
-// entered mid-way).
+// jumpTargets marks every instruction entered by a jump edge (positions
+// where a merged instruction would be entered mid-way).
 func (o *optimizer) jumpTargets() []bool {
 	code := o.plan.Code
 	t := make([]bool, len(code)+1)
@@ -288,9 +289,6 @@ func (o *optimizer) jumpTargets() []bool {
 		if isBranch(code[i].Op) {
 			t[code[i].C] = true
 		}
-	}
-	for _, seg := range o.plan.Segments {
-		t[seg[0]] = true
 	}
 	return t
 }
@@ -311,8 +309,8 @@ func (o *optimizer) leaders() []bool {
 	return l
 }
 
-// compact removes RNop instructions and remaps jump targets, segment
-// bounds and the guard entry point.
+// compact removes RNop instructions and remaps jump targets and the guard
+// entry point.
 func (o *optimizer) compact() {
 	p := o.plan
 	code := p.Code
@@ -335,10 +333,6 @@ func (o *optimizer) compact() {
 		if isBranch(out[i].Op) {
 			out[i].C = newIdx[out[i].C]
 		}
-	}
-	for s := range p.Segments {
-		p.Segments[s][0] = int(newIdx[p.Segments[s][0]])
-		p.Segments[s][1] = int(newIdx[p.Segments[s][1]])
 	}
 	if p.Guard != nil {
 		p.Guard.SurvivePC = int(newIdx[p.Guard.SurvivePC])
@@ -388,7 +382,7 @@ func (o *optimizer) copyprop() {
 			// float32 rounding, via the same StepEval the executor uses).
 			if IsFusableStep(ins.Op) {
 				if v, ok := o.foldChain(ins); ok {
-					*ins = RInstr{Op: RMov, D: ins.D, A: o.lo.constRef(v)}
+					*ins = RInstr{Op: RMov, D: ins.D, A: o.b.constRef(v)}
 					changed = true
 				}
 				continue
@@ -396,18 +390,18 @@ func (o *optimizer) copyprop() {
 			// Integer division folds only when the divisor is a nonzero
 			// constant; a zero divisor must keep trapping at runtime.
 			if (ins.Op == RDivI || ins.Op == RModI) && ins.A < 0 && ins.B < 0 {
-				b := i32(o.lo.consts[^ins.B])
+				b := i32(o.b.consts[^ins.B])
 				if b == 0 {
 					continue
 				}
-				a := i32(o.lo.consts[^ins.A])
+				a := i32(o.b.consts[^ins.A])
 				var r int32
 				if ins.Op == RDivI {
 					r = a / b
 				} else {
 					r = a % b
 				}
-				*ins = RInstr{Op: RMov, D: ins.D, A: o.lo.constRef(u64i(r))}
+				*ins = RInstr{Op: RMov, D: ins.D, A: o.b.constRef(u64i(r))}
 				changed = true
 			}
 		}
@@ -424,7 +418,7 @@ func (o *optimizer) foldChain(ins *RInstr) (uint64, bool) {
 		if x >= 0 {
 			return 0, false
 		}
-		return o.lo.consts[^x], true
+		return o.b.consts[^x], true
 	}
 	a, ok := cv(ins.A)
 	if !ok {
@@ -557,7 +551,7 @@ func (o *optimizer) hoist() {
 	o.recount()
 	p := o.plan
 	code := p.Code
-	uniform := make([]bool, int(o.lo.numRegs))
+	uniform := make([]bool, int(o.b.numRegs))
 	seed := func(r int32) {
 		if r >= 0 {
 			uniform[r] = true
@@ -707,8 +701,8 @@ func (o *optimizer) strength() {
 	}
 
 	// col = gid0 % W / row = gid0 / W pairs become wrap-increment
-	// inductions. A zero divisor delegates the whole group to the
-	// interpreter so the trap (and its conditionality) stays exact.
+	// inductions. On a zero divisor the executor runs the whole group on
+	// the unoptimized plan so the trap (and its conditionality) stays exact.
 	type dmKey struct{ w int32 }
 	dmAt := make(map[dmKey]int)
 	for i := range code {
@@ -833,7 +827,7 @@ func (o *optimizer) rotateOne() bool {
 				return r
 			})
 			if t < k {
-				nr := o.lo.newReg()
+				nr := o.b.newReg()
 				rename[ci.D] = nr
 				ci.D = nr
 			} else {
@@ -1111,7 +1105,7 @@ func (o *optimizer) fuseRound() bool {
 // singleDest returns the destination of a single-dest instruction, or -1.
 func singleDest(ins *RInstr) int32 {
 	switch ins.Op {
-	case RNop, RJmp, REnd, RTrap, RStElem, RMov2, RMov3:
+	case RNop, RJmp, REnd, RBarrier, RTrap, RStElem, RMov2, RMov3:
 		return -1
 	case RBrT, RBrF:
 		return ins.D

@@ -4,9 +4,27 @@ import "strconv"
 
 // parser is a recursive-descent parser over the token stream.
 type parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // open statements and expressions, see nest
 }
+
+// maxNesting bounds how deep statements and expressions may nest. Source
+// comes from tenants of a shared daemon: without a bound a megabyte of "("
+// overflows the goroutine stack here (and in every walk over the tree),
+// which is not an error Go lets the daemon recover from.
+const maxNesting = 256
+
+// nest enters one level of nesting; the caller defers unnest.
+func (p *parser) nest() error {
+	if p.depth++; p.depth > maxNesting {
+		t := p.cur()
+		return errAt(t.Line, t.Col, "statements or expressions nest more than %d deep", maxNesting)
+	}
+	return nil
+}
+
+func (p *parser) unnest() { p.depth-- }
 
 // Parse parses MiniCL source into a File.
 func Parse(src string) (*File, error) {
@@ -218,6 +236,10 @@ func (p *parser) parseBlock() (*BlockStmt, error) {
 }
 
 func (p *parser) parseStmt() (Stmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	t := p.cur()
 	switch {
 	case p.atPunct("{"):
@@ -380,6 +402,10 @@ func isLValue(x Expr) bool {
 }
 
 func (p *parser) parseIf() (Stmt, error) {
+	if err := p.nest(); err != nil { // else-if chains recurse here
+		return nil, err
+	}
+	defer p.unnest()
 	p.advance() // 'if'
 	if _, err := p.expectPunct("("); err != nil {
 		return nil, err
@@ -485,6 +511,10 @@ func (p *parser) parseFor() (Stmt, error) {
 func (p *parser) parseExpr() (Expr, error) { return p.parseTernary() }
 
 func (p *parser) parseTernary() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	cond, err := p.parseBinary(0)
 	if err != nil {
 		return nil, err
@@ -550,6 +580,10 @@ func (p *parser) parseBinary(level int) (Expr, error) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	t := p.cur()
 	if p.atPunct("-") || p.atPunct("!") || p.atPunct("~") {
 		p.advance()

@@ -18,7 +18,8 @@
 //   - math builtins (sqrt, exp, log, sin, cos, pow, fabs, fmin, fmax, ...)
 //   - explicit casts (int)x and (float)i
 //
-// The compiler produces stack bytecode executed by internal/vm.
+// The compiler (Compile) lowers every kernel to a register IR, which
+// internal/vm executes.
 package kernel
 
 import "fmt"

@@ -283,27 +283,43 @@ func TestFailedUserEventPropagates(t *testing.T) {
 	}
 }
 
+// buildFailures are sources the compiler refuses, with what the build log
+// must say: a syntax error, and the refusals of things older versions ran
+// on a second engine or inlined without bound.
+var buildFailures = []struct{ name, src, log string }{
+	{"syntax", `kernel void broken(global float* o) { o[0] = ; }`, "expected expression"},
+	{"recursion", `int down(int x) { if (x > 0) { return down(x - 1); } return 0; }
+kernel void broken(global int* o) { o[0] = down(3); }`, "1:39: recursive call to down"},
+	{"too-large", "void f3() {}\nvoid f2() { " + strings.Repeat("f3(); ", 100) + "}\nvoid f1() { " +
+		strings.Repeat("f2(); ", 100) + "}\nkernel void broken() { " + strings.Repeat("f1(); ", 100) + "}",
+		"4:1: broken is too large to compile"},
+}
+
 func TestBuildFailureLog(t *testing.T) {
 	p := testPlatform()
 	devs, _ := p.Devices(cl.DeviceTypeCPU)
 	ctx, _ := p.CreateContext(devs)
-	prog, err := ctx.CreateProgramWithSource(`kernel void broken(global float* o) { o[0] = ; }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = prog.Build(nil, "")
-	if err == nil {
-		t.Fatal("expected build failure")
-	}
-	if cl.CodeOf(err) != cl.BuildProgramFailure {
-		t.Fatalf("code = %v", cl.CodeOf(err))
-	}
-	log := prog.BuildLog(devs[0])
-	if !strings.Contains(log, "expected expression") {
-		t.Fatalf("build log %q lacks error detail", log)
-	}
-	if _, err := prog.CreateKernel("broken"); err == nil {
-		t.Fatal("CreateKernel must fail on unbuilt program")
+	for _, tc := range buildFailures {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := ctx.CreateProgramWithSource(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = prog.Build(nil, "")
+			if err == nil {
+				t.Fatal("expected build failure")
+			}
+			if cl.CodeOf(err) != cl.BuildProgramFailure {
+				t.Fatalf("code = %v", cl.CodeOf(err))
+			}
+			log := prog.BuildLog(devs[0])
+			if !strings.Contains(log, tc.log) {
+				t.Fatalf("build log %q lacks %q", log, tc.log)
+			}
+			if _, err := prog.CreateKernel("broken"); err == nil {
+				t.Fatal("CreateKernel must fail on unbuilt program")
+			}
+		})
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // Program is a native program object holding MiniCL source and, after
-// Build, the compiled bytecode.
+// Build, the compiled kernels.
 type Program struct {
 	ctx *Context
 	src string
@@ -27,9 +27,9 @@ var _ cl.Program = (*Program)(nil)
 func (p *Program) Source() string { return p.src }
 
 // Build compiles the program. The devices argument selects build targets;
-// nil builds for every context device. MiniCL bytecode is portable, so a
-// single compilation serves all devices, but build status and logs are
-// tracked per device like in OpenCL.
+// nil builds for every context device. The compiled register IR is
+// portable, so a single compilation serves all devices, but build status
+// and logs are tracked per device like in OpenCL.
 func (p *Program) Build(devices []cl.Device, options string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -47,14 +47,12 @@ func (p *Program) Build(devices []cl.Device, options string) error {
 	for _, d := range targets {
 		p.buildLogs[d.Name()] = "build succeeded"
 	}
-	// Precompile the work-group plan of every kernel now, so the first
+	// Run the optimization passes over every kernel now, so the first
 	// launch (and every graph replay and scheduler chunk after it) finds
 	// a ready plan in the per-function cache instead of paying compile
 	// latency inside a timed dispatch.
 	for _, fn := range prog.Funcs {
-		if fn.IsKernel {
-			prog.WorkGroup(fn)
-		}
+		prog.WorkGroup(fn)
 	}
 	p.compiled = prog
 	p.built = true
@@ -95,7 +93,7 @@ func (p *Program) CreateKernel(name string) (cl.Kernel, error) {
 // Release marks the program released.
 func (p *Program) Release() error { return nil }
 
-// Compiled exposes the compiled bytecode (used by the daemon).
+// Compiled exposes the compiled program (used by the daemon).
 func (p *Program) Compiled() *kernel.Program {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -25,11 +25,11 @@ type BatchJob struct {
 // amortizes it across every job in the window. Jobs stay semantically
 // independent: each keeps its own arguments, shape and error.
 type Batch struct {
-	Prog             *kernel.Program
-	Kernel           *kernel.Func
-	Jobs             []BatchJob
-	Workers          int // concurrent jobs; <= 0 selects GOMAXPROCS
-	ForceInterpreter bool
+	Prog        *kernel.Program
+	Kernel      *kernel.Func
+	Jobs        []BatchJob
+	Workers     int  // concurrent jobs; <= 0 selects GOMAXPROCS
+	Unoptimized bool // as Launch.Unoptimized
 }
 
 // RunBatch executes every job of the batch and returns one error slot per
@@ -38,7 +38,7 @@ type Batch struct {
 // kernel fails the batch as a whole.
 func RunBatch(b Batch) ([]error, Stats) {
 	errs := make([]error, len(b.Jobs))
-	if b.Kernel == nil || !b.Kernel.IsKernel {
+	if b.Kernel == nil {
 		err := &TrapError{Kernel: "?", Msg: "batch requires a kernel function"}
 		for i := range errs {
 			errs[i] = err
@@ -71,7 +71,7 @@ func RunBatch(b Batch) ([]error, Stats) {
 
 	// One plan fetch for the whole batch (cached on the kernel function,
 	// so this is a map hit after the first ever launch).
-	plan, compileInfo := selectPlan(b.Prog, b.Kernel, b.ForceInterpreter)
+	plan := selectPlan(b.Prog, b.Kernel, b.Unoptimized)
 
 	workers := b.Workers
 	if workers <= 0 {
@@ -94,14 +94,14 @@ func RunBatch(b Batch) ([]error, Stats) {
 					return
 				}
 				jr := runs[id]
-				runOne, flush := groupRunnerFor(jr.disp, plan, &c)
+				pr := newPlanRunner(jr.disp, plan)
 				for gid := 0; gid < jr.groups; gid++ {
-					if err := runOne(gid); err != nil {
+					if err := pr.runGroup(gid); err != nil {
 						errs[jr.idx] = err
 						break
 					}
 				}
-				flush()
+				pr.flush(&c)
 			}
 		}()
 	}
@@ -111,5 +111,5 @@ func RunBatch(b Batch) ([]error, Stats) {
 	for _, jr := range runs {
 		totalGroups += jr.groups
 	}
-	return errs, c.stats(totalGroups, totalGroups, itemsPerGroup, compileInfo)
+	return errs, c.stats(totalGroups, totalGroups, itemsPerGroup, &plan.Info)
 }

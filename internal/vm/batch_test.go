@@ -104,9 +104,9 @@ kernel void divn(global int* out, const global int* in, int d) {
 	}
 }
 
-// TestRunBatchForcedInterpreter pins that the interpreter path batches
-// identically (the compiled path's oracle holds for batches too).
-func TestRunBatchForcedInterpreter(t *testing.T) {
+// TestRunBatchUnoptimized pins that the batch path runs the unoptimized
+// plan too (the reference holds for batches).
+func TestRunBatchUnoptimized(t *testing.T) {
 	p := compile(t, vecAddSrc)
 	fn := kernelFn(t, p, "vadd")
 	n := 48
@@ -118,17 +118,17 @@ func TestRunBatchForcedInterpreter(t *testing.T) {
 	out1 := make([]byte, 4*n)
 	out2 := make([]byte, 4*n)
 	errs, stats := RunBatch(Batch{
-		Prog: p, Kernel: fn, ForceInterpreter: true,
+		Prog: p, Kernel: fn, Unoptimized: true,
 		Jobs: []BatchJob{
 			{Args: []Arg{GlobalArg(out1), GlobalArg(ab), GlobalArg(ab), IntArg(int32(n))}, GlobalSize: []int{n}},
 			{Args: []Arg{GlobalArg(out2), GlobalArg(ab), GlobalArg(ab), IntArg(int32(n))}, GlobalSize: []int{n}},
 		},
 	})
 	if errs[0] != nil || errs[1] != nil {
-		t.Fatalf("interpreter batch failed: %v / %v", errs[0], errs[1])
+		t.Fatalf("unoptimized batch failed: %v / %v", errs[0], errs[1])
 	}
-	if stats.FusedGroups != 0 {
-		t.Errorf("forced interpreter ran %d fused groups", stats.FusedGroups)
+	if stats.Compile == nil || len(stats.Compile.Passes) != 0 {
+		t.Errorf("batch did not run the unoptimized plan: %+v", stats.Compile)
 	}
 	for i, v := range bytesToFloats(out1) {
 		if v != float32(2*i) {

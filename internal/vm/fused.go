@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync/atomic"
 
 	"dopencl/internal/kernel"
 )
 
-// planRunner executes a compiled work-group plan (kernel.WGFunc) for one
-// worker goroutine. All state — the register file, the buffer table,
+// planRunner executes a work-group plan (kernel.WGFunc) for one worker
+// goroutine. All state — the register file, the buffer table,
 // local-memory arenas and the per-item register files of barrier kernels —
 // is allocated once when the runner is created, so the per-group and
 // per-item dispatch loops perform zero heap allocations.
@@ -21,12 +22,12 @@ type planRunner struct {
 	bufs        [][]byte // buffer table indexed by plan buffer index
 	localArenas []int    // entries of bufs that are per-group local memory
 	itemRegs    []uint64 // barrier path: itemsPerGroup register files, flat
-	itemDone    []bool
-	affSteps    []int32 // per-item increment of each affine induction register
+	itemPC      []int    // barrier path: where each item resumes; < 0 once it has ended
+	affSteps    []int32  // per-item increment of each affine induction register
 	scratch     []int
 
 	groupID [3]int
-	interp  *groupRunner // lazy cooperative fallback (zero div/mod width)
+	ref     *planRunner // lazy runner of the unoptimized plan (zero div/mod width)
 
 	instrCount    uint64
 	prologueCount uint64
@@ -57,8 +58,8 @@ func newPlanRunner(d *dispatch, plan *kernel.WGFunc) *planRunner {
 			r.localArenas = append(r.localArenas, bi)
 		}
 	}
-	// Launch-constant coordinate registers, with the interpreter's
-	// defaults for dimensions beyond the launch dimensionality.
+	// Launch-constant coordinate registers; dimensions the launch does not
+	// have read 0 for ids and offsets, 1 for sizes.
 	set := func(reg int32, v int32) {
 		if reg >= 0 {
 			r.regs[reg] = uint64(uint32(v))
@@ -84,7 +85,7 @@ func newPlanRunner(d *dispatch, plan *kernel.WGFunc) *planRunner {
 	set(plan.WorkDimReg, int32(nd))
 	if plan.HasBarriers() {
 		r.itemRegs = make([]uint64, d.itemsPerGroup*plan.NumRegs)
-		r.itemDone = make([]bool, d.itemsPerGroup)
+		r.itemPC = make([]int, d.itemsPerGroup)
 	}
 	return r
 }
@@ -96,6 +97,10 @@ func (r *planRunner) val(regs []uint64, x int32) uint64 {
 		return regs[x]
 	}
 	return r.plan.Consts[^x]
+}
+
+func trap(fn *kernel.Func, format string, args ...any) *TrapError {
+	return &TrapError{Kernel: fn.Name, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (r *planRunner) setReg(reg int32, v int32) {
@@ -126,37 +131,34 @@ func (r *planRunner) runGroup(groupLin int) *TrapError {
 		return err
 	}
 	// A zero induction divisor means the removed div/mod instructions
-	// would trap (conditionally, under the kernel's own control flow):
-	// delegate the whole group to the cooperative interpreter, which
+	// would trap (conditionally, under the kernel's own control flow): run
+	// the whole group on the unoptimized plan, which still has them and
 	// reproduces the trap — or its absence — exactly.
 	for i := range p.DivMod {
 		if int32(uint32(r.val(r.regs, p.DivMod[i].W))) == 0 {
-			return r.delegate(groupLin)
+			if r.ref == nil {
+				r.ref = newPlanRunner(d, d.prog.Unoptimized(d.fn))
+			}
+			return r.ref.runGroup(groupLin)
 		}
 	}
 	if p.HasBarriers() {
-		if err := r.runSegments(); err != nil {
-			return err
-		}
 		r.coopGroups++
-		return nil
-	}
-	if err := r.runFused(); err != nil {
-		return err
+		return r.runCooperative()
 	}
 	r.fusedGroups++
-	return nil
+	return r.runFused()
 }
 
-func (r *planRunner) delegate(groupLin int) *TrapError {
-	if r.interp == nil {
-		r.interp = newGroupRunner(r.d)
+// flush adds the runner's counters to c when its worker is done.
+func (r *planRunner) flush(c *runCounters) {
+	atomic.AddUint64(&c.instr, r.instrCount)
+	atomic.AddUint64(&c.prologue, r.prologueCount)
+	atomic.AddInt64(&c.fused, int64(r.fusedGroups))
+	atomic.AddInt64(&c.coop, int64(r.coopGroups))
+	if r.ref != nil {
+		r.ref.flush(c)
 	}
-	before := r.interp.instrCount
-	err := r.interp.run(groupLin)
-	r.instrCount += r.interp.instrCount - before
-	r.coopGroups++
-	return err
 }
 
 // runPrologue executes the once-per-group hoisted code into the group
@@ -212,12 +214,14 @@ func (r *planRunner) builtinArgs(regs []uint64, ins *kernel.RInstr) (a, b, e uin
 	return
 }
 
-// runBody executes body code over regs from pc until an REnd (done=true)
-// or until pc reaches stop — a barrier arrival (done=false).
-func (r *planRunner) runBody(regs []uint64, pc, stop int) (bool, *TrapError) {
+// runBody executes body code over regs from pc until the item ends (the
+// result is negative) or arrives at a barrier (the result is where it
+// resumes).
+func (r *planRunner) runBody(regs []uint64, pc int) (int, *TrapError) {
 	p := r.plan
 	code := p.Code
 	n := uint64(0)
+	stop := len(code)
 	for pc < stop {
 		ins := &code[pc]
 		n++
@@ -237,9 +241,9 @@ func (r *planRunner) runBody(regs []uint64, pc, stop int) (bool, *TrapError) {
 			if b == 0 {
 				r.instrCount += n
 				if ins.Op == kernel.RDivI {
-					return false, trap(p.Fn, "integer division by zero")
+					return 0, trap(p.Fn, "integer division by zero")
 				}
-				return false, trap(p.Fn, "integer modulo by zero")
+				return 0, trap(p.Fn, "integer modulo by zero")
 			}
 			a := int32(uint32(r.val(regs, ins.A)))
 			if ins.Op == kernel.RDivI {
@@ -258,7 +262,7 @@ func (r *planRunner) runBody(regs []uint64, pc, stop int) (bool, *TrapError) {
 			off := idx * 4
 			if idx < 0 || off+4 > len(buf) {
 				r.instrCount += n
-				return false, trap(p.Fn, "buffer index %d out of range (buffer has %d elements)", idx, len(buf)/4)
+				return 0, trap(p.Fn, "buffer index %d out of range (buffer has %d elements)", idx, len(buf)/4)
 			}
 			regs[ins.D] = uint64(uint32(buf[off]) | uint32(buf[off+1])<<8 |
 				uint32(buf[off+2])<<16 | uint32(buf[off+3])<<24)
@@ -273,7 +277,7 @@ func (r *planRunner) runBody(regs []uint64, pc, stop int) (bool, *TrapError) {
 			off := idx * 4
 			if idx < 0 || off+4 > len(buf) {
 				r.instrCount += n
-				return false, trap(p.Fn, "buffer index %d out of range (buffer has %d elements)", idx, len(buf)/4)
+				return 0, trap(p.Fn, "buffer index %d out of range (buffer has %d elements)", idx, len(buf)/4)
 			}
 			v := uint32(r.val(regs, ins.C))
 			buf[off] = byte(v)
@@ -304,18 +308,22 @@ func (r *planRunner) runBody(regs []uint64, pc, stop int) (bool, *TrapError) {
 
 		case kernel.REnd:
 			r.instrCount += n
-			return true, nil
+			return -1, nil
+
+		case kernel.RBarrier:
+			r.instrCount += n
+			return pc + 1, nil
 
 		case kernel.RTrap:
 			r.instrCount += n
-			return false, trap(p.Fn, "%s", p.TrapMsgs[ins.A])
+			return 0, trap(p.Fn, "%s", p.TrapMsgs[ins.A])
 
 		case kernel.RBuiltin:
 			ba, bb, be := r.builtinArgs(regs, ins)
 			v, ok := evalBuiltin(kernel.BuiltinID(ins.C), ba, bb, be)
 			if !ok {
 				r.instrCount += n
-				return false, trap(p.Fn, "unknown builtin %d", ins.C)
+				return 0, trap(p.Fn, "unknown builtin %d", ins.C)
 			}
 			regs[ins.D] = v
 
@@ -332,7 +340,7 @@ func (r *planRunner) runBody(regs []uint64, pc, stop int) (bool, *TrapError) {
 		pc++
 	}
 	r.instrCount += n
-	return false, nil
+	return -1, nil
 }
 
 // initSpecs seeds the induction registers for a dimension-0 item run
@@ -442,7 +450,7 @@ func (r *planRunner) runFused() *TrapError {
 		dmRecompute := r.initSpecs(gid0)
 
 		for l0 := 0; l0 < local0; l0++ {
-			if _, err := r.runBody(r.regs, startPC, len(p.Code)); err != nil {
+			if _, err := r.runBody(r.regs, startPC); err != nil {
 				return err
 			}
 			if l0+1 == local0 {
@@ -486,12 +494,13 @@ func (r *planRunner) runFused() *TrapError {
 	return nil
 }
 
-// runSegments executes a barrier kernel: every item gets its own register
-// file (cloned from the group template after the prologue), and the body
-// runs segment by segment with a barrier rendezvous between segments —
-// the same cooperative schedule as the interpreter, minus its per-item
-// frame and stack bookkeeping.
-func (r *planRunner) runSegments() *TrapError {
+// runCooperative executes a group of a barrier kernel: every item gets
+// its own register file (cloned from the group template after the
+// prologue) and runs until it ends or arrives at a barrier; once every
+// item has done one or the other, those at a barrier resume. All items
+// of a group must arrive at a barrier or none: one that ends while
+// another waits has diverged.
+func (r *planRunner) runCooperative() *TrapError {
 	d := r.d
 	p := r.plan
 	nr := p.NumRegs
@@ -510,52 +519,42 @@ func (r *planRunner) runSegments() *TrapError {
 				regs[reg] = uint64(uint32(int32(d.offset[dim] + r.groupID[dim]*d.local[dim] + lid)))
 			}
 		}
-		r.itemDone[li] = false
+		r.itemPC[li] = 0
 	}
 
-	remaining := items
-	for _, seg := range p.Segments {
+	for remaining := items; remaining > 0; {
 		arrived, finished := 0, 0
 		for li := 0; li < items; li++ {
-			if r.itemDone[li] {
+			if r.itemPC[li] < 0 {
 				continue
 			}
-			regs := r.itemRegs[li*nr : (li+1)*nr]
-			done, err := r.runBody(regs, seg[0], seg[1])
+			next, err := r.runBody(r.itemRegs[li*nr:(li+1)*nr], r.itemPC[li])
 			if err != nil {
 				return err
 			}
-			if done {
-				r.itemDone[li] = true
+			r.itemPC[li] = next
+			if next < 0 {
 				finished++
 			} else {
 				arrived++
 			}
 		}
 		if arrived > 0 && finished > 0 {
-			return &TrapError{Kernel: p.Fn.Name,
-				Msg: "barrier divergence: some work-items of a group finished while others wait at a barrier"}
+			return trap(p.Fn, "barrier divergence: some work-items of a group finished while others wait at a barrier")
 		}
 		remaining -= finished
-		if remaining == 0 {
-			break
-		}
 	}
 	return nil
 }
 
 // DispatchAllocsPerOp measures heap allocations per work-group dispatch
-// through the compiled engine on a warmed runner. The launch must
-// compile (no interpreter fallback). Used by the benchmark suite and CI
-// to enforce the zero-allocation inner loop.
+// on a warmed runner of the optimized plan. Used by the benchmark suite
+// and CI to enforce the zero-allocation inner loop.
 func DispatchAllocsPerOp(l Launch) (float64, error) {
 	if l.Prog == nil || l.Kernel == nil {
 		return 0, fmt.Errorf("vm: allocs probe needs a program and kernel")
 	}
 	plan := l.Prog.WorkGroup(l.Kernel)
-	if plan.Fallback != "" {
-		return 0, fmt.Errorf("vm: kernel %s falls back to the interpreter: %s", l.Kernel.Name, plan.Fallback)
-	}
 	disp, totalGroups, err := prepare(l.Prog, l.Kernel, l.Args, l.GlobalSize, l.GlobalOffset, l.LocalSize)
 	if err != nil {
 		return 0, err
@@ -577,14 +576,14 @@ func DispatchAllocsPerOp(l Launch) (float64, error) {
 	return float64(m1.Mallocs-m0.Mallocs) / rounds, nil
 }
 
-// evalBuiltin evaluates a math builtin over slot images, mirroring the
-// interpreter's float64 round-trip semantics bit for bit. Coordinate
-// queries never reach here: lowering resolves them to registers (or falls
-// back for dynamic dimension arguments).
+// evalBuiltin evaluates a math builtin over slot images: float arguments
+// widen to float64, go through the Go math library and round back to
+// float32. Coordinate queries never reach here: lowering resolves them to
+// registers.
 func evalBuiltin(id kernel.BuiltinID, a, b, e uint64) (uint64, bool) {
 	F := func(x uint64) float64 { return float64(math.Float32frombits(uint32(x))) }
 	I := func(x uint64) int32 { return int32(uint32(x)) }
-	pf := func(v float64) uint64 { return fbits(float32(v)) }
+	pf := func(v float64) uint64 { return uint64(math.Float32bits(float32(v))) }
 	pi := func(v int32) uint64 { return uint64(uint32(v)) }
 	switch id {
 	case kernel.BSqrt:

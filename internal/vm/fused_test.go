@@ -2,67 +2,108 @@ package vm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"dopencl/internal/kernel"
 )
 
-// Tests for the work-group kernel compiler's execution core (fused.go):
-// the cooperative bytecode interpreter is the oracle, and every compiled
-// run must be bit-identical to it — including trap behaviour.
+// Tests for the kernel compiler's passes and the plan runner (fused.go).
+// Every launch is held against two references: the same executor running
+// the IR as lowered (Launch.Unoptimized), which isolates the passes, and
+// the AST oracle of oracle_test.go, which shares no code with the compiler
+// at all. The three must agree bit for bit, traps included.
 
 // launchShape is one ND-range configuration to cross engines over.
 type launchShape struct {
 	global, offset, local []int
 }
 
-// runEngines executes src's kernel under both engines over the given
-// shape and returns the two output buffers (nil error required). The
-// kernel must take (global int* out, ...extra) with out large enough for
-// the shape.
-func runEngines(t *testing.T, src, name string, extra []Arg, outLen int, sh launchShape) (compiled, interp []byte) {
-	t.Helper()
-	p := compile(t, src)
-	fn := kernelFn(t, p, name)
-	run := func(force bool) []byte {
-		out := make([]byte, outLen)
-		err := Run(Launch{
-			Prog: p, Kernel: fn,
-			Args:             append([]Arg{GlobalArg(out)}, extra...),
-			GlobalSize:       sh.global,
-			GlobalOffset:     sh.offset,
-			LocalSize:        sh.local,
-			ForceInterpreter: force,
-		})
-		if err != nil {
-			t.Fatalf("run (force=%v): %v", force, err)
-		}
-		return out
+func errText(err error) string {
+	if err == nil {
+		return ""
 	}
-	return run(false), run(true)
+	return err.Error()
+}
+
+// crossCheck runs src's kernel over the shape three ways — optimized plan,
+// unoptimized plan, AST oracle — each on a fresh set of arguments from
+// mkArgs, and fails the test unless all three trap with the same message
+// or none traps and every global buffer ends up bit-identical. It returns
+// the optimized run's arguments and error.
+func crossCheck(t *testing.T, src, name string, mkArgs func() []Arg, sh launchShape, workers int) ([]Arg, error) {
+	t.Helper()
+	p, err := kernel.Compile(src)
+	if err != nil {
+		t.Fatalf("compile: %v\n%s", err, src)
+	}
+	fn := kernelFn(t, p, name)
+	local := sh.local
+	if local == nil {
+		local = AutoLocalSize(sh.global)
+	}
+	run := func(unoptimized bool) ([]Arg, error) {
+		args := mkArgs()
+		return args, Run(Launch{Prog: p, Kernel: fn, Args: args,
+			GlobalSize: sh.global, GlobalOffset: sh.offset, LocalSize: local,
+			Workers: workers, Unoptimized: unoptimized})
+	}
+	opt, optErr := run(false)
+	ref, refErr := run(true)
+	ast := mkArgs()
+	astErr := oracleRun(src, name, ast, sh.global, sh.offset, local)
+	for _, other := range []struct {
+		name string
+		args []Arg
+		err  error
+	}{{"unoptimized plan", ref, refErr}, {"AST oracle", ast, astErr}} {
+		if errText(optErr) != errText(other.err) {
+			t.Fatalf("optimized plan: %v\n%s: %v\nshape %+v\n%s", optErr, other.name, other.err, sh, src)
+		}
+		if optErr != nil {
+			continue
+		}
+		for ai := range opt {
+			got, want := bytesToInts(opt[ai].Global), bytesToInts(other.args[ai].Global)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("argument %d word %d: optimized plan %#x, %s %#x\nshape %+v\n%s",
+						ai, i, uint32(got[i]), other.name, uint32(want[i]), sh, src)
+				}
+			}
+		}
+	}
+	return opt, optErr
+}
+
+// outThen returns a mkArgs for crossCheck: a zeroed output buffer of outLen
+// bytes followed by extra (whose buffers the kernel must only read).
+func outThen(outLen int, extra ...Arg) func() []Arg {
+	return func() []Arg {
+		return append([]Arg{GlobalArg(make([]byte, outLen))}, extra...)
+	}
 }
 
 // TestCoordinateBuiltinsAcrossEngines pins the semantics of every
-// work-item coordinate builtin across both execution paths, including
-// global offsets, multi-dimensional ranges, out-of-range dimension
-// queries and guard-mixed groups (items of the same group surviving and
-// failing the bounds guard).
+// work-item coordinate builtin, including global offsets,
+// multi-dimensional ranges, out-of-range dimension queries, dimensions
+// known only at run time and guard-mixed groups (items of the same group
+// surviving and failing the bounds guard).
 func TestCoordinateBuiltinsAcrossEngines(t *testing.T) {
-	// Each work-item encodes its full coordinate view into its own ten
+	// Each work-item encodes its full coordinate view into its own 38
 	// slots (indexed by the linear item number over all dimensions, so no
 	// two items share a slot and the result cannot depend on the order
 	// items run in). The guard makes the tail of the range idle, so the
 	// last active group is "ragged": some of its items store, some do not.
 	src := `
-kernel void coords(global int* out, int n) {
+kernel void coords(global int* out, int n, int one) {
 	int gid = get_global_id(0);
 	int lin = (gid - get_global_offset(0)) + get_global_size(0) *
 		((get_global_id(1) - get_global_offset(1)) + get_global_size(1) *
 		(get_global_id(2) - get_global_offset(2)));
-	int base = lin * 10;
+	int base = lin * 38;
 	if (gid - get_global_offset(0) < n) {
 		out[base + 0] = gid;
 		out[base + 1] = get_local_id(0);
@@ -74,6 +115,18 @@ kernel void coords(global int* out, int n) {
 		out[base + 7] = get_work_dim();
 		out[base + 8] = get_global_id(1) + get_global_offset(1) + get_group_id(2);
 		out[base + 9] = get_global_size(1) * get_local_size(2) * get_num_groups(1);
+		// The same queries with the dimension known only at run time:
+		// d - one runs over -1..2 and d over 0..3, out of range at both ends.
+		for (int d = 0; d < 4; d++) {
+			int at = base + 10 + d * 7;
+			out[at + 0] = get_global_id(d - one);
+			out[at + 1] = get_local_id(d);
+			out[at + 2] = get_group_id(d - one);
+			out[at + 3] = get_global_size(d);
+			out[at + 4] = get_local_size(d - one);
+			out[at + 5] = get_num_groups(d);
+			out[at + 6] = get_global_offset(d - one);
+		}
 	}
 }
 `
@@ -96,13 +149,13 @@ kernel void coords(global int* out, int n) {
 			if n < 1 {
 				n = sh.global[0]
 			}
-			got, want := runEngines(t, src, "coords",
-				[]Arg{IntArg(int32(n))}, 4*10*total, sh)
-			if string(got) != string(want) {
-				t.Fatalf("compiled output differs from interpreter oracle")
+			args, err := crossCheck(t, src, "coords",
+				outThen(4*38*total, IntArg(int32(n)), IntArg(1)), sh, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
 			// Spot-check against first principles for item 0 of dim 0.
-			res := bytesToInts(want)
+			res := bytesToInts(args[0].Global)
 			off := 0
 			if sh.offset != nil {
 				off = sh.offset[0]
@@ -128,13 +181,20 @@ kernel void coords(global int* out, int n) {
 					t.Errorf("out-of-range dim defaults: got %d,%d want 0,1", res[8], res[9])
 				}
 			}
+			// Run-time dimensions: d - one == 0 at d == 1, d == 0 at d == 0.
+			if res[10+7+0] != res[0] || res[10+3] != res[3] || res[10+7+4] != res[4] {
+				t.Errorf("run-time dimension 0 differs from constant dimension 0: %v", res[:38])
+			}
+			if res[10+0] != 0 || res[10+4] != 1 || res[10+3*7+1] != 0 || res[10+3*7+3] != 1 {
+				t.Errorf("run-time dimensions -1 and 3 must read the defaults: %v", res[:38])
+			}
 		})
 	}
 }
 
 // TestBarrierKernelsAcrossEngines runs barrier + local-memory kernels —
-// which the compiled engine executes on its cooperative sub-loop path —
-// against the interpreter, including a ragged guard inside the group.
+// which execute cooperatively, a register file per item — three ways,
+// including a ragged guard inside the group.
 func TestBarrierKernelsAcrossEngines(t *testing.T) {
 	src := `
 kernel void rotate(global int* out, local int* s, int n) {
@@ -158,22 +218,159 @@ kernel void rotate(global int* out, local int* s, int n) {
 		{global: []int{30}, local: []int{30}},
 	} {
 		total := sh.global[0] + 64 // room for offsets
-		got, want := runEngines(t, src, "rotate",
-			[]Arg{LocalArg(4 * sh.local[0]), IntArg(int32(sh.global[0] - 2))}, 4*total, sh)
-		if string(got) != string(want) {
-			t.Fatalf("shape %v: compiled differs from interpreter", sh)
+		if _, err := crossCheck(t, src, "rotate",
+			outThen(4*total, LocalArg(4*sh.local[0]), IntArg(int32(sh.global[0]-2))), sh, 0); err != nil {
+			t.Fatalf("shape %v: %v", sh, err)
+		}
+	}
+}
+
+// blocksumSrc is the cmdstream workload's tree reduction, verbatim from
+// benchmark/w_cmdstream.go: its barrier stands inside a while loop, under
+// which the items of a group must keep arriving together.
+const blocksumSrc = `
+kernel void blocksum(global float* sums, const global float* work, local float* scratch) {
+	int lid = get_local_id(0);
+	int lsz = get_local_size(0);
+	scratch[lid] = work[get_global_id(0)];
+	barrier(CLK_LOCAL_MEM_FENCE);
+	int stride = lsz / 2;
+	while (stride > 0) {
+		if (lid < stride) {
+			scratch[lid] = scratch[lid] + scratch[lid + stride];
+		}
+		barrier(CLK_LOCAL_MEM_FENCE);
+		stride = stride / 2;
+	}
+	if (lid == 0) {
+		sums[get_group_id(0)] = scratch[0];
+	}
+}
+`
+
+func blocksumWork(groups, local int) []byte {
+	work := make([]float32, groups*local)
+	for i := range work {
+		work[i] = float32(i%23) * 0.37
+	}
+	return floatsToBytes(work)
+}
+
+// TestBlockSumAcrossEngines holds the block sum to the other two engines
+// and to the same additions in the same order in Go.
+func TestBlockSumAcrossEngines(t *testing.T) {
+	const groups, local = 16, 16
+	work := blocksumWork(groups, local)
+	args, err := crossCheck(t, blocksumSrc, "blocksum",
+		outThen(4*groups, GlobalArg(work), LocalArg(4*local)),
+		launchShape{global: []int{groups * local}, local: []int{local}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := bytesToFloats(args[0].Global)
+	for g := 0; g < groups; g++ {
+		scratch := bytesToFloats(work[4*g*local : 4*(g+1)*local])
+		for stride := local / 2; stride > 0; stride /= 2 {
+			for lid := 0; lid < stride; lid++ {
+				scratch[lid] += scratch[lid+stride]
+			}
+		}
+		if got[g] != scratch[0] {
+			t.Errorf("group %d: sum %v, want %v", g, got[g], scratch[0])
+		}
+	}
+}
+
+// TestFormerFallbacksAcrossEngines runs the shapes the compiler used to
+// decline: a barrier under a branch and a dimension known only at run time.
+func TestFormerFallbacksAcrossEngines(t *testing.T) {
+	underBranch := `
+kernel void k(global int* o, local int* s, int first) {
+	int lid = get_local_id(0);
+	s[lid] = lid;
+	if (lid >= first) { barrier(CLK_LOCAL_MEM_FENCE); }
+	int from = (first == 0) ? (lid + 1) % get_local_size(0) : lid;
+	o[get_global_id(0)] = s[from] + lid;
+}`
+	sh := launchShape{global: []int{16}, local: []int{4}}
+	// Every item takes the branch: an ordinary barrier.
+	if _, err := crossCheck(t, underBranch, "k", outThen(4*16, LocalArg(4*4), IntArg(0)), sh, 0); err != nil {
+		t.Fatal(err)
+	}
+	// Item 0 skips it and ends while the rest wait.
+	_, err := crossCheck(t, underBranch, "k", outThen(4*16, LocalArg(4*4), IntArg(1)), sh, 0)
+	if err == nil || !strings.Contains(err.Error(), oDivergence) {
+		t.Fatalf("diverging items: got %v, want %q", err, oDivergence)
+	}
+
+	dynamic := `
+kernel void k(global int* o, int d) {
+	o[get_global_id(0) + 4 * get_global_id(1)] = get_global_id(d) + 100 * get_local_size(d);
+}`
+	for d := int32(-1); d <= 3; d++ {
+		if _, err := crossCheck(t, dynamic, "k", outThen(4*8, IntArg(d)),
+			launchShape{global: []int{4, 2}, local: []int{2, 1}}, 0); err != nil {
+			t.Fatalf("d=%d: %v", d, err)
+		}
+	}
+}
+
+// TestTypingRulesThreeWay holds the compiler's typing rules — the implicit
+// int/float conversions of operators, ?:, initializers, assignments,
+// arguments and return values — against the AST oracle, which has its own.
+func TestTypingRulesThreeWay(t *testing.T) {
+	src := `
+float half(float x) { return x / 2; }
+int trunc(float x) { return x; }
+float widen(int i) { return i; }
+void bump(global float* o, int at, int by) { by += 1; o[at] += by; }
+kernel void k(global float* o, const global int* in, int n, float f) {
+	int i = get_global_id(0);
+	int v = in[i];
+	float a = v;
+	int b = f * 3;
+	o[8 * i + 0] = v * f + 1;
+	o[8 * i + 1] = (v > 2) ? v : f;
+	o[8 * i + 2] = (v > 2) ? f : v;
+	o[8 * i + 3] = half(v) + trunc(f * v) + widen(n);
+	a += v;
+	b *= f;
+	b -= 0.5;
+	o[8 * i + 4] = a / b;
+	o[8 * i + 5] = ((v < f) + (f <= v)) * 10 + (v == a) + !(v != 3 || v >= 3.5);
+	o[8 * i + 6] = sqrt(v) + fmin(v, f) + min(v, trunc(f)) + pow(2, v & 3) + clamp(v, 1, 2.5);
+	bump(o, 8 * i + 7, f);
+	bump(o, 8 * i + 7, v);
+}`
+	const n = 32
+	in := make([]int32, n)
+	for i := range in {
+		in[i] = int32(i*7%13) - 4
+	}
+	args, err := crossCheck(t, src, "k", outThen(4*8*n, GlobalArg(intsToBytes(in)), IntArg(n), FloatArg(2.75)),
+		launchShape{global: []int{n}, local: []int{8}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// First principles for one item: v = in[5] = 5, f = 2.75.
+	got := bytesToFloats(args[0].Global)[8*5 : 8*6]
+	want := []float32{5*2.75 + 1, 5, 2.75, 2.5 + 13 + 32, 10.0 / 16, 10, 0, 9}
+	want[6] = float32(math.Sqrt(5)) + 2.75 + 2 + 2 + 2.5
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("o[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 }
 
 // TestTrapParityAcrossEngines checks that runtime traps fire identically
-// (same message) under both engines, including traps that only some
-// work-items of a group hit.
+// (same message) three ways, including traps that only some work-items of
+// a group hit and the zero divisor of a strength-reduced gid % d, which
+// the optimized plan hands to the unoptimized one.
 func TestTrapParityAcrossEngines(t *testing.T) {
 	cases := []struct {
-		name, src string
-		args      func(fn *kernel.Func) []Arg
-		global    int
+		name, src, want string
+		global          int
 	}{
 		{
 			name: "conditional-div-zero",
@@ -181,16 +378,16 @@ func TestTrapParityAcrossEngines(t *testing.T) {
 	int gid = get_global_id(0);
 	if (gid == 13) { o[gid] = 100 / d; } else { o[gid] = gid; }
 }`,
-			args:   func(*kernel.Func) []Arg { return []Arg{IntArg(0)} },
+			want:   "vm: kernel k: integer division by zero",
 			global: 64,
 		},
 		{
 			name: "conditional-oob",
 			src: `kernel void k(global int* o, int d) {
 	int gid = get_global_id(0);
-	if (gid > 60) { o[gid + 1000000] = 1; } else { o[gid] = gid; }
+	if (gid == 61) { o[gid + 1000000] = 1; } else { o[gid] = gid; }
 }`,
-			args:   func(*kernel.Func) []Arg { return []Arg{IntArg(0)} },
+			want:   "vm: kernel k: buffer index 1000061 out of range (buffer has 64 elements)",
 			global: 64,
 		},
 		{
@@ -199,56 +396,71 @@ func TestTrapParityAcrossEngines(t *testing.T) {
 	int gid = get_global_id(0);
 	o[gid] = gid % d;
 }`,
-			args:   func(*kernel.Func) []Arg { return []Arg{IntArg(0)} },
+			want:   "vm: kernel k: integer modulo by zero",
+			global: 16,
+		},
+		{
+			name: "mod-zero-not-reached",
+			src: `kernel void k(global int* o, int d) {
+	int gid = get_global_id(0);
+	if (d != 0) { o[gid] = gid % d; } else { o[gid] = 0 - gid; }
+}`,
 			global: 16,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := compile(t, tc.src)
-			fn := kernelFn(t, p, "k")
-			run := func(force bool) error {
-				out := make([]byte, 4*tc.global)
-				return Run(Launch{Prog: p, Kernel: fn,
-					Args:       append([]Arg{GlobalArg(out)}, tc.args(fn)...),
-					GlobalSize: []int{tc.global}, Workers: 1, ForceInterpreter: force})
-			}
-			errC, errI := run(false), run(true)
-			if errI == nil {
-				t.Fatalf("interpreter did not trap")
-			}
-			if errC == nil {
-				t.Fatalf("compiled engine did not trap (interpreter: %v)", errI)
-			}
-			if errC.Error() != errI.Error() {
-				t.Fatalf("trap mismatch:\n  compiled:    %v\n  interpreter: %v", errC, errI)
+			// One worker and one group: which item traps first is then the
+			// same everywhere (the oracle's items run at once, but at most
+			// one of them traps in these kernels).
+			_, err := crossCheck(t, tc.src, "k", outThen(4*tc.global, IntArg(0)),
+				launchShape{global: []int{tc.global}, local: []int{tc.global}}, 1)
+			if errText(err) != tc.want {
+				t.Fatalf("trap %q, want %q", errText(err), tc.want)
 			}
 		})
 	}
 }
 
 // ---------------------------------------------------------------------
-// Property test: randomized kernels, fused vs interpreter oracle.
+// Property test: randomized kernels, three ways.
 // ---------------------------------------------------------------------
 
 // kgen generates random MiniCL kernels that exercise integer and float
-// arithmetic, control flow, coordinate builtins, global-memory reads,
-// and optionally local memory with barriers. Every generated program is
-// trap-free by construction (guarded divisors, masked indices/shifts) so
-// outputs can be compared bit-for-bit.
+// arithmetic, control flow, coordinate builtins (with constant and with
+// run-time dimensions), global-memory reads, and optionally local memory
+// with barriers — at statement level, inside a uniform for loop, or inside
+// a helper the kernel calls. Every generated program is trap-free by
+// construction (guarded divisors, masked indices/shifts) so outputs can be
+// compared bit-for-bit.
 type kgen struct {
 	r        *rand.Rand
 	b        strings.Builder
 	nvars    int
 	declared int // vars declared so far (prelude generates them in order)
-	barrier  bool
+	barrier  barrierShape
 	depth    int
 }
+
+// barrierShape is where a generated kernel puts its barriers.
+type barrierShape int
+
+const (
+	noBarrier barrierShape = iota
+	barrierTopLevel
+	barrierInLoop
+	barrierInHelper
+)
 
 func (g *kgen) pick(ss ...string) string { return ss[g.r.Intn(len(ss))] }
 
 func (g *kgen) atom() string {
-	switch g.r.Intn(8) {
+	switch g.r.Intn(9) {
+	case 8:
+		// A dimension known only at run time; 1 and 2 are beyond these
+		// one-dimensional launches and 3 beyond any.
+		return fmt.Sprintf("%s((%s) & 3)", g.pick("get_global_id", "get_local_id", "get_group_id",
+			"get_global_size", "get_local_size", "get_num_groups", "get_global_offset"), g.expr())
 	case 0:
 		return fmt.Sprintf("%d", g.r.Intn(2001)-1000)
 	case 1:
@@ -324,13 +536,23 @@ func (g *kgen) stmt(indent string) {
 }
 
 // generate returns the kernel source. Barrier kernels exchange values
-// through local memory between uniform barriers (all items of a group
-// reach every barrier: the exchange happens at statement level, outside
-// generated control flow).
+// through local memory between uniform barriers: all items of a group
+// reach every barrier, because the exchange stands outside generated
+// control flow or under a loop whose trip count is the same for all.
 func (g *kgen) generate() string {
 	g.b.Reset()
 	g.nvars = 2 + g.r.Intn(3)
-	if g.barrier {
+	if g.barrier == barrierInHelper {
+		g.b.WriteString(`int exchange(local int* s, int lid, int v) {
+	s[lid] = v;
+	barrier(CLK_LOCAL_MEM_FENCE);
+	int got = s[(lid + 1) % get_local_size(0)];
+	barrier(CLK_LOCAL_MEM_FENCE);
+	return got;
+}
+`)
+	}
+	if g.barrier != noBarrier {
 		g.b.WriteString("kernel void k(global int* out, const global int* in, local int* s, int n) {\n")
 	} else {
 		g.b.WriteString("kernel void k(global int* out, const global int* in, int n) {\n")
@@ -344,12 +566,27 @@ func (g *kgen) generate() string {
 	nstmts := 2 + g.r.Intn(5)
 	for i := 0; i < nstmts; i++ {
 		g.stmt("\t")
-		if g.barrier && i == nstmts/2 {
-			v := g.r.Intn(g.nvars)
-			fmt.Fprintf(&g.b, "\ts[lid] = v%d;\n", v)
+		if i != nstmts/2 {
+			continue
+		}
+		from, to := g.r.Intn(g.nvars), g.r.Intn(g.nvars)
+		switch g.barrier {
+		case barrierTopLevel:
+			fmt.Fprintf(&g.b, "\ts[lid] = v%d;\n", from)
 			g.b.WriteString("\tbarrier(CLK_LOCAL_MEM_FENCE);\n")
-			fmt.Fprintf(&g.b, "\tv%d = s[(lid + 1) %% get_local_size(0)];\n", g.r.Intn(g.nvars))
+			fmt.Fprintf(&g.b, "\tv%d = s[(lid + 1) %% get_local_size(0)];\n", to)
 			g.b.WriteString("\tbarrier(CLK_LOCAL_MEM_FENCE);\n")
+		case barrierInLoop:
+			// n is a kernel argument: the trip count is uniform but not
+			// known to the compiler.
+			fmt.Fprintf(&g.b, "\tfor (int t = 0; t < 1 + (n & 3); t++) {\n")
+			fmt.Fprintf(&g.b, "\t\ts[lid] = v%d + t;\n", from)
+			g.b.WriteString("\t\tbarrier(CLK_LOCAL_MEM_FENCE);\n")
+			fmt.Fprintf(&g.b, "\t\tv%d = v%d + s[(lid + 1 + t) %% get_local_size(0)];\n", to, to)
+			g.b.WriteString("\t\tbarrier(CLK_LOCAL_MEM_FENCE);\n")
+			g.b.WriteString("\t}\n")
+		case barrierInHelper:
+			fmt.Fprintf(&g.b, "\tv%d = exchange(s, lid, v%d) + %s;\n", to, from, g.expr())
 		}
 	}
 	// Mixed-guard store: items past n stay idle.
@@ -361,78 +598,50 @@ func (g *kgen) generate() string {
 	return g.b.String()
 }
 
-// TestRandomKernelsFusedMatchesInterpreter is the compiler's property
-// test: 120 randomized kernels (half with barriers + local memory), each
-// over a randomized shape with global offsets and a ragged guard, must
-// produce bit-identical output under the compiled engine and the
-// cooperative interpreter. Run with -race this also proves the fused
-// path's worker parallelism is race-clean.
-func TestRandomKernelsFusedMatchesInterpreter(t *testing.T) {
+// TestRandomKernelsThreeWay is the compiler's property test: 120
+// randomized kernels (half with barriers + local memory: at statement
+// level, in a uniform loop, in an inlined helper), each over a randomized
+// shape with global offsets and a ragged guard, must come out bit-identical
+// from the optimized plan, the unoptimized plan and the AST oracle. Run
+// with -race this also proves the plan runner's worker parallelism is
+// race-clean.
+func TestRandomKernelsThreeWay(t *testing.T) {
 	const cases = 120
 	for seed := 0; seed < cases; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			r := rand.New(rand.NewSource(int64(seed)*7919 + 17))
-			g := &kgen{r: r, barrier: seed%2 == 1}
-			src := g.generate()
-			p, err := kernel.Compile(src)
-			if err != nil {
-				t.Fatalf("generated kernel does not compile: %v\n%s", err, src)
+			g := &kgen{r: r}
+			if seed%2 == 1 {
+				g.barrier = barrierTopLevel + barrierShape(seed/2%3)
 			}
-			fn, _ := p.Kernel("k")
+			src := g.generate()
 
 			local := []int{1 << (1 + r.Intn(5))} // 2..32
 			groups := 1 + r.Intn(6)
-			global := []int{local[0] * groups}
-			var offset []int
+			sh := launchShape{global: []int{local[0] * groups}, local: local}
 			if r.Intn(2) == 0 {
-				offset = []int{r.Intn(100)}
+				sh.offset = []int{r.Intn(100)}
 			}
-			n := 1 + r.Intn(global[0]) // ragged guard boundary
+			n := 1 + r.Intn(sh.global[0]) // ragged guard boundary
 
 			in := make([]byte, 4*256)
 			r.Read(in)
-			outLen := 4 * g.nvars * global[0]
-			run := func(force bool) ([]byte, error) {
-				out := make([]byte, outLen)
-				args := []Arg{GlobalArg(out), GlobalArg(in)}
-				if g.barrier {
-					args = append(args, LocalArg(4*local[0]))
-				}
-				args = append(args, IntArg(int32(n)))
-				err := Run(Launch{Prog: p, Kernel: fn, Args: args,
-					GlobalSize: global, GlobalOffset: offset, LocalSize: local,
-					Workers: 1 + r.Intn(4), ForceInterpreter: force})
-				return out, err
+			extra := []Arg{GlobalArg(in)}
+			if g.barrier != noBarrier {
+				extra = append(extra, LocalArg(4*local[0]))
 			}
-			got, errC := run(false)
-			want, errI := run(true)
-			if (errC == nil) != (errI == nil) {
-				t.Fatalf("error mismatch: compiled=%v interpreter=%v\n%s", errC, errI, src)
-			}
-			if errC != nil {
-				if errC.Error() != errI.Error() {
-					t.Fatalf("trap mismatch: compiled=%v interpreter=%v\n%s", errC, errI, src)
-				}
-				return
-			}
-			if string(got) != string(want) {
-				for i := 0; i < outLen/4; i++ {
-					a := bytesToInts(got)[i]
-					b := bytesToInts(want)[i]
-					if a != b {
-						t.Fatalf("output[%d]: compiled=%d interpreter=%d\nshape global=%v offset=%v local=%v n=%d\n%s",
-							i, a, b, global, offset, local, n, src)
-					}
-				}
+			extra = append(extra, IntArg(int32(n)))
+			if _, err := crossCheck(t, src, "k", outThen(4*g.nvars*sh.global[0], extra...), sh, 1+r.Intn(4)); err != nil {
+				t.Fatalf("generated kernel trapped: %v\n%s", err, src)
 			}
 		})
 	}
 }
 
 // ---------------------------------------------------------------------
-// Performance: speedup, engine split, allocation discipline.
+// Engine split, cost estimates, allocation discipline.
 // ---------------------------------------------------------------------
 
 const speedupKernel = `
@@ -462,101 +671,68 @@ kernel void spin(global int* out, int w, int h, int maxIter) {
 }
 `
 
-// TestCompiledSpeedupOverInterpreter requires the compiled engine to
-// beat the cooperative interpreter by at least 1.5x wall clock on a
-// compute-bound kernel (the modeled-instruction-count advantage is ~6x;
-// 1.5x leaves generous headroom for noisy CI machines) while remaining
-// bit-identical.
-func TestCompiledSpeedupOverInterpreter(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	p := compile(t, speedupKernel)
-	fn := kernelFn(t, p, "spin")
-	const w, h, maxIter = 256, 256, 200
-	run := func(force bool) ([]byte, time.Duration) {
-		out := make([]byte, 4*w*h)
-		l := Launch{Prog: p, Kernel: fn,
-			Args:       []Arg{GlobalArg(out), IntArg(w), IntArg(h), IntArg(maxIter)},
-			GlobalSize: []int{w * h}, Workers: 1, ForceInterpreter: force}
-		if err := Run(l); err != nil { // warm plan cache outside timing
-			t.Fatalf("warm run: %v", err)
-		}
-		start := time.Now()
-		if err := Run(l); err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		return out, time.Since(start)
-	}
-	outC, durC := run(false)
-	outI, durI := run(true)
-	if string(outC) != string(outI) {
-		t.Fatal("compiled output differs from interpreter")
-	}
-	speedup := durI.Seconds() / durC.Seconds()
-	t.Logf("interpreter %v, compiled %v: %.2fx", durI, durC, speedup)
-	if speedup < 1.5 {
-		t.Fatalf("compiled engine only %.2fx faster than interpreter (want >= 1.5x)", speedup)
-	}
-}
-
-// TestStatsEngineSplit verifies the fused/cooperative group accounting
-// and that compile info (pass timings) reaches Stats.
+// TestStatsEngineSplit pins what FusedGroups and CoopGroups count: how a
+// group's items were scheduled — one fused loop on a shared register file,
+// or cooperatively with a register file per item — and nothing else. In
+// particular the unoptimized plan and a group handed over to it are not
+// "cooperative": there is no second engine to count.
 func TestStatsEngineSplit(t *testing.T) {
+	split := func(name string, l Launch, fused, coop int) Stats {
+		t.Helper()
+		stats, err := RunStats(l)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if stats.FusedGroups != fused || stats.CoopGroups != coop {
+			t.Errorf("%s: fused/coop = %d/%d, want %d/%d", name, stats.FusedGroups, stats.CoopGroups, fused, coop)
+		}
+		if stats.FusedGroups+stats.CoopGroups != stats.GroupsRun {
+			t.Errorf("%s: fused %d + coop %d != groups run %d", name, stats.FusedGroups, stats.CoopGroups, stats.GroupsRun)
+		}
+		if stats.Compile == nil || stats.Compile.BodyInstrs == 0 {
+			t.Errorf("%s: compile info missing: %+v", name, stats.Compile)
+		}
+		return stats
+	}
+
 	p := compile(t, speedupKernel)
-	fn := kernelFn(t, p, "spin")
-	out := make([]byte, 4*1024)
-	l := Launch{Prog: p, Kernel: fn,
-		Args:       []Arg{GlobalArg(out), IntArg(32), IntArg(32), IntArg(10)},
+	l := Launch{Prog: p, Kernel: kernelFn(t, p, "spin"),
+		Args:       []Arg{GlobalArg(make([]byte, 4*1024)), IntArg(32), IntArg(32), IntArg(10)},
 		GlobalSize: []int{1024}, LocalSize: []int{64}}
-	stats, err := RunStats(l)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if stats.FusedGroups != 16 || stats.CoopGroups != 0 {
-		t.Errorf("fused/coop = %d/%d, want 16/0", stats.FusedGroups, stats.CoopGroups)
-	}
-	if stats.Compile == nil || stats.Compile.Fallback != "" {
-		t.Errorf("compile info missing or fallback: %+v", stats.Compile)
-	}
-	if stats.Compile != nil && len(stats.Compile.Passes) == 0 {
+	if stats := split("optimized", l, 16, 0); len(stats.Compile.Passes) == 0 {
 		t.Error("no per-pass compile timings recorded")
 	}
-	l.ForceInterpreter = true
-	stats, err = RunStats(l)
-	if err != nil {
-		t.Fatalf("run interp: %v", err)
-	}
-	if stats.FusedGroups != 0 || stats.CoopGroups != 16 {
-		t.Errorf("interp fused/coop = %d/%d, want 0/16", stats.FusedGroups, stats.CoopGroups)
-	}
-	if stats.Compile != nil {
-		t.Error("forced interpreter should not report compile info")
+	l.Unoptimized = true
+	if stats := split("unoptimized", l, 16, 0); len(stats.Compile.Passes) != 0 {
+		t.Errorf("unoptimized plan reports passes: %+v", stats.Compile.Passes)
 	}
 
-	// Barrier kernels run on the cooperative sub-loop path.
+	// A zero width sends every group of the optimized plan to the
+	// unoptimized one; each is still counted once, as fused.
+	l.Unoptimized = false
+	l.Args = []Arg{GlobalArg(make([]byte, 4*1024)), IntArg(0), IntArg(32), IntArg(10)}
+	split("zero width", l, 16, 0)
+
+	// Barrier kernels run cooperatively, optimized or not.
 	pb := compile(t, `kernel void b(global int* out, local int* s) {
 	int lid = get_local_id(0);
 	s[lid] = lid;
 	barrier(CLK_LOCAL_MEM_FENCE);
 	out[get_global_id(0)] = s[(lid + 1) % get_local_size(0)];
 }`)
-	fnb := kernelFn(t, pb, "b")
-	stats, err = RunStats(Launch{Prog: pb, Kernel: fnb,
+	lb := Launch{Prog: pb, Kernel: kernelFn(t, pb, "b"),
 		Args:       []Arg{GlobalArg(make([]byte, 4*64)), LocalArg(4 * 16)},
-		GlobalSize: []int{64}, LocalSize: []int{16}})
-	if err != nil {
-		t.Fatalf("run barrier: %v", err)
-	}
-	if stats.FusedGroups != 0 || stats.CoopGroups != 4 {
-		t.Errorf("barrier fused/coop = %d/%d, want 0/4", stats.FusedGroups, stats.CoopGroups)
-	}
+		GlobalSize: []int{64}, LocalSize: []int{16}}
+	split("barrier", lb, 0, 4)
+	lb.Unoptimized = true
+	split("barrier unoptimized", lb, 0, 4)
 }
 
 // TestEstimateCostExtrapolation checks that a cost estimate from a
 // sampled run matches the instruction count of the full run: the
 // per-group (prologue) and per-item components must be separated, or
-// fused kernels with hoisted prologues extrapolate wrongly.
+// fused kernels with hoisted prologues extrapolate wrongly — and every
+// group must be counted in the same unit, whichever way it ran.
 func TestEstimateCostExtrapolation(t *testing.T) {
 	p := compile(t, speedupKernel)
 	fn := kernelFn(t, p, "spin")
@@ -584,6 +760,29 @@ func TestEstimateCostExtrapolation(t *testing.T) {
 	// prologue must report a nonzero per-group share.
 	if s.PrologueInstructions == 0 {
 		t.Error("no prologue instructions recorded for a hoisted plan")
+	}
+
+	// The block sum: its barrier stands in a uniform while loop, and every
+	// group does the same work, so a sample must extrapolate almost
+	// exactly.
+	pb := compile(t, blocksumSrc)
+	const bgroups, blocal = 64, 16
+	bbase := Launch{Prog: pb, Kernel: kernelFn(t, pb, "blocksum"),
+		Args: []Arg{GlobalArg(make([]byte, 4*bgroups)), GlobalArg(blocksumWork(bgroups, blocal)),
+			LocalArg(4 * blocal)},
+		GlobalSize: []int{bgroups * blocal}, LocalSize: []int{blocal}, Workers: 1}
+	full, err = RunStats(bbase)
+	if err != nil {
+		t.Fatalf("block sum, full run: %v", err)
+	}
+	bbase.GroupLimit = 8
+	s, err = RunStats(bbase)
+	if err != nil {
+		t.Fatalf("block sum, sampled run: %v", err)
+	}
+	est, got = s.EstimateCost(bgroups), float64(full.Instructions)
+	if est < got*0.95 || est > got*1.05 {
+		t.Errorf("block sum: estimate %f vs actual %f (%.1f%% off)", est, got, 100*(est/got-1))
 	}
 }
 
@@ -614,9 +813,6 @@ func BenchmarkFusedDispatch(b *testing.B) {
 	}
 	fn, _ := p.Kernel("spin")
 	plan := p.WorkGroup(fn)
-	if plan.Fallback != "" {
-		b.Fatalf("fallback: %s", plan.Fallback)
-	}
 	out := make([]byte, 4*4096)
 	const local = 256
 	disp := &dispatch{
@@ -639,7 +835,7 @@ func BenchmarkFusedDispatch(b *testing.B) {
 }
 
 // BenchmarkFusedLaunch measures a full Run launch (worker pool spin-up
-// included) on the compiled engine.
+// included).
 func BenchmarkFusedLaunch(b *testing.B) {
 	p, err := kernel.Compile(speedupKernel)
 	if err != nil {
@@ -653,27 +849,6 @@ func BenchmarkFusedLaunch(b *testing.B) {
 	if err := Run(l); err != nil { // compile the plan outside the loop
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := Run(l); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkInterpreterDispatch is the same workload on the cooperative
-// interpreter, for side-by-side comparison in benchstat.
-func BenchmarkInterpreterDispatch(b *testing.B) {
-	p, err := kernel.Compile(speedupKernel)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fn, _ := p.Kernel("spin")
-	out := make([]byte, 4*4096)
-	l := Launch{Prog: p, Kernel: fn,
-		Args:       []Arg{GlobalArg(out), IntArg(64), IntArg(64), IntArg(20)},
-		GlobalSize: []int{4096}, Workers: 1, ForceInterpreter: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,13 +1,15 @@
-// Package vm executes compiled MiniCL kernels (internal/kernel bytecode)
-// over OpenCL-style ND-ranges.
+// Package vm executes compiled MiniCL kernels (internal/kernel plans:
+// register IR) over OpenCL-style ND-ranges. There is one executor, the
+// plan runner of fused.go.
 //
-// Work-items of one work-group run cooperatively on a single goroutine:
-// each item executes until it halts or reaches a work-group barrier, at
-// which point its state is suspended and the next item runs. When every
-// item of the group has arrived at the barrier, all items resume — a
-// deterministic rendering of OpenCL's barrier semantics that needs no
-// per-work-item goroutines. Work-groups are distributed over a worker pool
-// whose size models the device's compute units.
+// Work-groups are distributed over a worker pool whose size models the
+// device's compute units; the items of one work-group run on a single
+// goroutine. A kernel without barriers runs as one fused loop over its
+// items on one register file. A kernel with barriers gives every item a
+// register file and a resume point: each item executes until it ends or
+// arrives at a barrier, then the next item runs, and when every item of
+// the group has arrived all of them resume — a deterministic rendering of
+// OpenCL's barrier semantics that needs no per-work-item goroutines.
 package vm
 
 import (
@@ -62,16 +64,17 @@ type Launch struct {
 	// across the ND-range (cost sampling for modeled devices). Output is
 	// only produced for the sampled groups.
 	GroupLimit int
-	// ForceInterpreter bypasses the work-group compiler and runs the
-	// cooperative bytecode interpreter (the compiled path's oracle).
-	ForceInterpreter bool
+	// Unoptimized runs the kernel's IR as lowered, with no compiler pass
+	// applied: the reference the property suites hold the optimized plan
+	// against. Nothing outside tests sets it.
+	Unoptimized bool
 }
 
 // Stats reports execution counters for a launch. Modeled devices use the
 // instruction count of a sampled subset of work-groups to extrapolate the
 // execution time of the full ND-range.
 type Stats struct {
-	Instructions  uint64 // instructions executed (bytecode or compiled IR)
+	Instructions  uint64 // register-IR instructions executed
 	GroupsRun     int    // work-groups actually executed
 	GroupsTotal   int    // work-groups in the full ND-range
 	ItemsPerGroup int
@@ -80,14 +83,13 @@ type Stats struct {
 	// extrapolate cost correctly: fused loops collapse per-item counts,
 	// making the per-group share non-negligible.
 	PrologueInstructions uint64
-	// FusedGroups/CoopGroups split GroupsRun by execution engine: fused
-	// work-item loops vs the cooperative path (barrier kernels,
-	// interpreter fallback and interpreter-delegated groups).
+	// FusedGroups/CoopGroups split GroupsRun by how the group's items were
+	// scheduled: one fused loop over a shared register file, or
+	// cooperatively with a register file per item (kernels with barriers).
 	FusedGroups int
 	CoopGroups  int
-	// Compile reports how work-group compilation went (per-pass timings,
-	// fallback reason). Nil when the interpreter was forced or no
-	// program was attached.
+	// Compile reports how compilation of the plan that ran went (lowering
+	// and per-pass timings).
 	Compile *kernel.WGCompileInfo
 }
 
@@ -106,7 +108,7 @@ func (s Stats) EstimateCost(totalGroups int) float64 {
 }
 
 // TrapError reports a runtime fault inside kernel execution (division by
-// zero, out-of-bounds access, barrier divergence, stack overflow).
+// zero, out-of-bounds access, barrier divergence, missing return).
 type TrapError struct {
 	Kernel string
 	Msg    string
@@ -115,13 +117,6 @@ type TrapError struct {
 func (e *TrapError) Error() string {
 	return fmt.Sprintf("vm: kernel %s: %s", e.Kernel, e.Msg)
 }
-
-const (
-	spaceGlobal = uint64(1) << 32
-	spaceLocal  = uint64(2) << 32
-	spaceMask   = uint64(0xFFFFFFFF) << 32
-	maxFrames   = 256
-)
 
 // AutoLocalSize picks a work-group size for each dimension: the largest
 // divisor of the global size not exceeding 256 (dimension 0) or 16 (higher
@@ -156,7 +151,7 @@ func Run(l Launch) error {
 
 // RunStats executes the launch and returns execution statistics.
 func RunStats(l Launch) (Stats, error) {
-	if l.Kernel == nil || !l.Kernel.IsKernel {
+	if l.Kernel == nil {
 		return Stats{}, &TrapError{Kernel: "?", Msg: "launch requires a kernel function"}
 	}
 	disp, totalGroups, err := prepare(l.Prog, l.Kernel, l.Args, l.GlobalSize, l.GlobalOffset, l.LocalSize)
@@ -176,7 +171,7 @@ func RunStats(l Launch) (Stats, error) {
 		workers = runGroups
 	}
 
-	plan, compileInfo := selectPlan(l.Prog, l.Kernel, l.ForceInterpreter)
+	plan := selectPlan(l.Prog, l.Kernel, l.Unoptimized)
 
 	var wg sync.WaitGroup
 	var next int64
@@ -186,7 +181,7 @@ func RunStats(l Launch) (Stats, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runOne, flush := groupRunnerFor(disp, plan, &c)
+			pr := newPlanRunner(disp, plan)
 			// Sampled runs spread the executed groups across the range so
 			// cost estimates are not biased toward one corner of the
 			// ND-range (e.g. the fast-escaping top rows of a Mandelbrot
@@ -198,15 +193,15 @@ func RunStats(l Launch) (Stats, error) {
 			for {
 				id := atomic.AddInt64(&next, 1) - 1
 				if id >= int64(runGroups) || failed.Load() != nil {
-					flush()
+					pr.flush(&c)
 					return
 				}
 				gid := int(id)*stride + stride/2
 				if gid >= totalGroups {
 					gid = totalGroups - 1
 				}
-				if err := runOne(gid); err != nil {
-					flush()
+				if err := pr.runGroup(gid); err != nil {
+					pr.flush(&c)
 					failed.CompareAndSwap(nil, err)
 					return
 				}
@@ -214,7 +209,7 @@ func RunStats(l Launch) (Stats, error) {
 		}()
 	}
 	wg.Wait()
-	stats := c.stats(runGroups, totalGroups, disp.itemsPerGroup, compileInfo)
+	stats := c.stats(runGroups, totalGroups, disp.itemsPerGroup, &plan.Info)
 	if err := failed.Load(); err != nil {
 		return stats, err.(*TrapError)
 	}
@@ -288,22 +283,15 @@ func prepare(prog *kernel.Program, fn *kernel.Func, args []Arg, global, goffset,
 	}, totalGroups, nil
 }
 
-// selectPlan picks the execution engine for a launch: compiled
-// work-group plans are cached on the kernel function and reused across
-// launches, graph replays and scheduler chunks. A fallback plan (or
-// forceInterp) keeps the cooperative interpreter and returns a nil plan.
-func selectPlan(prog *kernel.Program, fn *kernel.Func, forceInterp bool) (*kernel.WGFunc, *kernel.WGCompileInfo) {
-	if forceInterp || prog == nil {
-		return nil, nil
+// selectPlan returns the plan a launch runs: the optimized one, cached on
+// the kernel function and reused across launches, graph replays and
+// scheduler chunks, or the code as lowered when the caller asks for the
+// reference.
+func selectPlan(prog *kernel.Program, fn *kernel.Func, unoptimized bool) *kernel.WGFunc {
+	if unoptimized {
+		return prog.Unoptimized(fn)
 	}
-	wp := prog.WorkGroup(fn)
-	if wp == nil {
-		return nil, nil
-	}
-	if wp.Fallback != "" {
-		return nil, &wp.Info
-	}
-	return wp, &wp.Info
+	return prog.WorkGroup(fn)
 }
 
 // runCounters accumulates the per-worker execution counters of one run.
@@ -322,31 +310,6 @@ func (c *runCounters) stats(groupsRun, groupsTotal, itemsPerGroup int, info *ker
 		FusedGroups:          int(atomic.LoadInt64(&c.fused)),
 		CoopGroups:           int(atomic.LoadInt64(&c.coop)),
 		Compile:              info,
-	}
-}
-
-// groupRunnerFor builds one worker's group executor over disp — the
-// compiled plan when there is one, the cooperative interpreter otherwise
-// — and a flush that adds the worker's counters to c when it is done.
-func groupRunnerFor(disp *dispatch, plan *kernel.WGFunc, c *runCounters) (runOne func(gid int) *TrapError, flush func()) {
-	if plan != nil {
-		pr := newPlanRunner(disp, plan)
-		return pr.runGroup, func() {
-			atomic.AddUint64(&c.instr, pr.instrCount)
-			atomic.AddUint64(&c.prologue, pr.prologueCount)
-			atomic.AddInt64(&c.fused, int64(pr.fusedGroups))
-			atomic.AddInt64(&c.coop, int64(pr.coopGroups))
-		}
-	}
-	g := newGroupRunner(disp)
-	groups := int64(0)
-	runOne = func(gid int) *TrapError {
-		groups++
-		return g.run(gid)
-	}
-	return runOne, func() {
-		atomic.AddUint64(&c.instr, g.instrCount)
-		atomic.AddInt64(&c.coop, groups)
 	}
 }
 
