@@ -107,8 +107,6 @@ const (
 	RBrF
 
 	// REnd finishes the current work-item (kernel return or end of body).
-	// It doubles as the fused loop's back edge: the driver advances
-	// induction registers and re-enters the body for the next item.
 	REnd
 
 	// RTrap aborts the launch with pre-rendered message TrapMsgs[A]
@@ -298,9 +296,10 @@ func b2u(b bool) uint64 {
 }
 
 // AffineSpec describes a strength-reduced register whose value is an
-// affine function of the dimension-0 global ID: the driver initialises it
-// from the original expression (Op applied to operands L, R) at the
-// group's first item and advances it by a precomputed step per item.
+// affine function of the dimension-0 global ID: the executor evaluates the
+// original expression (Op applied to operands L, R) at the first item of a
+// row of the group and seeds every lane with that plus its item's distance
+// times a precomputed step.
 type AffineSpec struct {
 	Reg  int32
 	Op   ROp   // RAddI, RSubI, RMulI or RShlI
@@ -379,8 +378,9 @@ type WGFunc struct {
 	Info WGCompileInfo
 }
 
-// HasBarriers reports whether the plan contains RBarrier, so that its
-// items need a register file each instead of sharing one fused loop.
+// HasBarriers reports whether the plan contains RBarrier, so that all items
+// of a group must be in flight at once: the executor runs the whole group
+// as one strip of lanes.
 func (w *WGFunc) HasBarriers() bool { return w.Fn.HasBarrier }
 
 // BuiltinArity returns how many operands RBuiltin reads for the math

@@ -18,6 +18,8 @@ type optimizer struct {
 	uses    []int32 // uses per register (incl. driver spec operands)
 	preset  []bool  // register written by the driver (args, coords, inductions)
 	uniform []bool  // register is group-uniform (filled by the hoist pass)
+
+	recounts int // calls of recount; the tests bound it
 }
 
 func optimize(b *builder, plan *WGFunc) {
@@ -212,6 +214,7 @@ func isControl(op ROp) bool {
 
 // recount rebuilds def/use counts and the driver-preset register set.
 func (o *optimizer) recount() {
+	o.recounts++
 	n := int(o.b.numRegs)
 	o.defs = make([]int32, n)
 	o.uses = make([]int32, n)
@@ -517,30 +520,37 @@ func (o *optimizer) cse() {
 
 // ---- pass 3: dead-code elimination ------------------------------------
 
+// dce removes pure instructions whose results nothing reads, and then
+// those that only they read: one count of the body, and a work-list on
+// which a register's defining instructions go when its last use goes.
 func (o *optimizer) dce() {
 	code := o.plan.Code
-	for {
-		o.recount()
-		removed := false
-		for i := range code {
-			ins := &code[i]
-			if ins.Op == RNop || !instrPure(ins) {
-				continue
+	o.recount()
+	defSites := make([][]int32, len(o.uses))
+	work := make([]int32, len(code))
+	for i := range code {
+		instrDefs(&code[i], func(r int32) { defSites[r] = append(defSites[r], int32(i)) })
+		work[i] = int32(i)
+	}
+	for len(work) > 0 {
+		ins := &code[work[len(work)-1]]
+		work = work[:len(work)-1]
+		dead := ins.Op != RNop && instrPure(ins)
+		instrDefs(ins, func(r int32) {
+			if o.uses[r] > 0 || o.preset[r] {
+				dead = false
 			}
-			dead := true
-			instrDefs(ins, func(r int32) {
-				if o.uses[r] > 0 || o.preset[r] {
-					dead = false
-				}
-			})
-			if dead {
-				*ins = RInstr{Op: RNop}
-				removed = true
+		})
+		if !dead {
+			continue
+		}
+		instrDefs(ins, func(r int32) { o.defs[r]-- })
+		instrUses(ins, func(r int32) {
+			if o.uses[r]--; o.uses[r] == 0 {
+				work = append(work, defSites[r]...)
 			}
-		}
-		if !removed {
-			break
-		}
+		})
+		*ins = RInstr{Op: RNop}
 	}
 	o.compact()
 }

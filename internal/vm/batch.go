@@ -18,8 +18,9 @@ type BatchJob struct {
 }
 
 // Batch describes N independent jobs of the same compiled kernel executed
-// as one dispatch: the worker pool spins up once and the work-group plan
-// is fetched once, then workers pull whole jobs. This is the serve-path
+// as one dispatch: the worker pool spins up once, the work-group plan is
+// fetched once and every worker builds one plan runner, which it re-binds
+// to each job it pulls. This is the serve-path
 // coalescing entry point — for many small ND-ranges the per-launch
 // overhead (pool spinup, plan lookup, validation) dominates, and batching
 // amortizes it across every job in the window. Jobs stay semantically
@@ -88,19 +89,26 @@ func RunBatch(b Batch) ([]error, Stats) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var pr *planRunner
 			for {
 				id := atomic.AddInt64(&next, 1) - 1
 				if id >= int64(len(runs)) {
-					return
+					break
 				}
 				jr := runs[id]
-				pr := newPlanRunner(jr.disp, plan)
+				if pr == nil {
+					pr = newPlanRunner(jr.disp, plan)
+				} else {
+					pr.bind(jr.disp)
+				}
 				for gid := 0; gid < jr.groups; gid++ {
 					if err := pr.runGroup(gid); err != nil {
 						errs[jr.idx] = err
 						break
 					}
 				}
+			}
+			if pr != nil {
 				pr.flush(&c)
 			}
 		}()

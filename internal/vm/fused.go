@@ -1,33 +1,58 @@
 package vm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 
 	"dopencl/internal/kernel"
 )
 
+// laneWidth is the most work-items a kernel without barriers runs in lock
+// step: a strip is up to this many consecutive dimension-0 items of a group.
+const laneWidth = 64
+
+// laneSet is a set of lanes of the strip (a bit per lane) that will next
+// execute the instruction at pc.
+type laneSet struct {
+	pc   int
+	mask []uint64
+}
+
 // planRunner executes a work-group plan (kernel.WGFunc) for one worker
-// goroutine. All state — the register file, the buffer table,
-// local-memory arenas and the per-item register files of barrier kernels —
-// is allocated once when the runner is created, so the per-group and
-// per-item dispatch loops perform zero heap allocations.
+// goroutine, a strip of work-items at a time: every IR instruction runs as
+// one loop over the lanes of the running set, so its dispatch is paid once
+// per strip and not once per item. Registers are rows of lanes; a uniform
+// register is a row whose lanes are all equal. All state is allocated when
+// the runner is bound to a launch shape, so running groups performs zero
+// heap allocations.
 type planRunner struct {
 	d    *dispatch
 	plan *kernel.WGFunc
 
-	regs        []uint64 // group register file (prologue + current item)
+	width       int      // lanes: min(laneWidth, local[0]), or the whole group if the kernel has barriers
+	rows        []uint32 // [row][lane] 32-bit slot images: the registers, then a broadcast row per constant, then tmp
+	tmp         []uint32 // scratch row: carries a fused chain from step to step
 	bufs        [][]byte // buffer table indexed by plan buffer index
 	localArenas []int    // entries of bufs that are per-group local memory
-	itemRegs    []uint64 // barrier path: itemsPerGroup register files, flat
-	itemPC      []int    // barrier path: where each item resumes; < 0 once it has ended
-	affSteps    []int32  // per-item increment of each affine induction register
-	scratch     []int
+	affInit     []int32  // value of each affine induction register at the first item of the current row
+	affSteps    []int32  // and its increment per item
+	scratch     [3]int
 
-	groupID [3]int
-	ref     *planRunner // lazy runner of the unoptimized plan (zero div/mod width)
+	// The running set, as a mask and as the ascending list of its lanes,
+	// and the sets that wait: to run (the lowest pc goes first, and sets
+	// that meet at a pc join), or at a barrier for the rest of the group.
+	cur, side []uint64
+	lanes     []uint32
+	pending   []laneSet
+	parked    []laneSet
+	waitPC    int        // lowest pc in pending
+	trapErr   *TrapError // trap of the lowest lane that has trapped in this strip
+
+	ref *planRunner // lazy runner of the unoptimized plan (zero div/mod width)
 
 	instrCount    uint64
 	prologueCount uint64
@@ -37,117 +62,216 @@ type planRunner struct {
 
 func newPlanRunner(d *dispatch, plan *kernel.WGFunc) *planRunner {
 	r := &planRunner{
-		d:        d,
 		plan:     plan,
-		regs:     make([]uint64, plan.NumRegs),
 		bufs:     make([][]byte, plan.NumBufs),
+		affInit:  make([]int32, len(plan.Affine)),
 		affSteps: make([]int32, len(plan.Affine)),
-		scratch:  make([]int, len(d.global)),
 	}
-	for i, a := range d.args {
-		switch a.Kind {
-		case kernel.ArgScalarInt, kernel.ArgScalarFloat:
-			if reg := plan.ArgRegs[i]; reg >= 0 {
-				r.regs[reg] = a.Scalar
-			}
-		case kernel.ArgGlobalBuf:
-			r.bufs[plan.ArgBufs[i]] = a.Global
-		case kernel.ArgLocalBuf:
-			bi := plan.ArgBufs[i]
-			r.bufs[bi] = make([]byte, a.LocalSize)
-			r.localArenas = append(r.localArenas, bi)
-		}
-	}
-	// Launch-constant coordinate registers; dimensions the launch does not
-	// have read 0 for ids and offsets, 1 for sizes.
-	set := func(reg int32, v int32) {
-		if reg >= 0 {
-			r.regs[reg] = uint64(uint32(v))
-		}
-	}
-	nd := len(d.global)
-	for dim := 0; dim < 3; dim++ {
-		if dim < nd {
-			set(plan.GSizeRegs[dim], int32(d.global[dim]))
-			set(plan.LSizeRegs[dim], int32(d.local[dim]))
-			set(plan.NGroupRegs[dim], int32(d.numGroups[dim]))
-			set(plan.GOffRegs[dim], int32(d.offset[dim]))
-		} else {
-			set(plan.GSizeRegs[dim], 1)
-			set(plan.LSizeRegs[dim], 1)
-			set(plan.NGroupRegs[dim], 1)
-			set(plan.GOffRegs[dim], 0)
-			set(plan.GidRegs[dim], 0)
-			set(plan.LidRegs[dim], 0)
-			set(plan.GroupRegs[dim], 0)
-		}
-	}
-	set(plan.WorkDimReg, int32(nd))
-	if plan.HasBarriers() {
-		r.itemRegs = make([]uint64, d.itemsPerGroup*plan.NumRegs)
-		r.itemPC = make([]int, d.itemsPerGroup)
-	}
+	r.bind(d)
 	return r
 }
 
-// val resolves an IR operand against a register file: non-negative
-// operands are registers, negative operands index the constant pool.
-func (r *planRunner) val(regs []uint64, x int32) uint64 {
-	if x >= 0 {
-		return regs[x]
+// bind points the runner at a launch: lane rows sized for its work-group
+// shape (kept when the shape repeats, as across the jobs of a batch),
+// arguments, and the coordinate registers that are constant across it.
+func (r *planRunner) bind(d *dispatch) {
+	p := r.plan
+	r.d = d
+	if r.ref != nil {
+		r.ref.bind(d)
 	}
-	return r.plan.Consts[^x]
+	width := min(d.local[0], laneWidth)
+	if p.HasBarriers() {
+		width = d.itemsPerGroup
+	}
+	if width != r.width {
+		r.width = width
+		nrows := p.NumRegs + len(p.Consts) + 1
+		r.rows = make([]uint32, (nrows+1)*width) // and the list of lanes
+		r.tmp = r.rows[(nrows-1)*width : nrows*width]
+		r.lanes = r.rows[nrows*width:][:0]
+		words := (width + 63) / 64
+		masks := make([]uint64, 2*words)
+		r.cur, r.side = masks[:words], masks[words:]
+		r.pending, r.parked = nil, nil
+		for i, c := range p.Consts {
+			fill(r.row(^int32(i)), uint32(c), 0)
+		}
+	}
+	r.localArenas = r.localArenas[:0]
+	for i, a := range d.args {
+		switch a.Kind {
+		case kernel.ArgScalarInt, kernel.ArgScalarFloat:
+			r.set(p.ArgRegs[i], uint32(a.Scalar))
+		case kernel.ArgGlobalBuf:
+			r.bufs[p.ArgBufs[i]] = a.Global
+		case kernel.ArgLocalBuf:
+			bi := p.ArgBufs[i]
+			if len(r.bufs[bi]) != a.LocalSize {
+				r.bufs[bi] = make([]byte, a.LocalSize)
+			}
+			r.localArenas = append(r.localArenas, bi)
+		}
+	}
+	// Dimensions the launch does not have read 0 for ids and offsets, 1
+	// for sizes.
+	nd := len(d.global)
+	for dim := 0; dim < 3; dim++ {
+		if dim < nd {
+			r.set(p.GSizeRegs[dim], uint32(d.global[dim]))
+			r.set(p.LSizeRegs[dim], uint32(d.local[dim]))
+			r.set(p.NGroupRegs[dim], uint32(d.numGroups[dim]))
+			r.set(p.GOffRegs[dim], uint32(d.offset[dim]))
+		} else {
+			r.set(p.GSizeRegs[dim], 1)
+			r.set(p.LSizeRegs[dim], 1)
+			r.set(p.NGroupRegs[dim], 1)
+			r.set(p.GOffRegs[dim], 0)
+			r.set(p.GidRegs[dim], 0)
+			r.set(p.LidRegs[dim], 0)
+			r.set(p.GroupRegs[dim], 0)
+		}
+	}
+	r.set(p.WorkDimReg, uint32(nd))
+}
+
+// row resolves an IR operand to its row of lanes: non-negative operands
+// are registers, negative operands index the constant pool.
+func (r *planRunner) row(x int32) []uint32 {
+	i := int(x)
+	if x < 0 {
+		i = r.plan.NumRegs + int(^x)
+	}
+	return r.rows[i*r.width : (i+1)*r.width]
+}
+
+// operand is row(x) for the right-hand operand of a step, which a unary
+// step does not have.
+func (r *planRunner) operand(op kernel.ROp, x int32) []uint32 {
+	if kernel.IsUnaryStep(op) {
+		return r.tmp
+	}
+	return r.row(x)
+}
+
+// fill writes the progression v, v+step, ... to row.
+func fill(row []uint32, v, step uint32) {
+	for l := range row {
+		row[l] = v
+		v += step
+	}
+}
+
+// set broadcasts v to every lane of register reg, if the plan has it.
+func (r *planRunner) set(reg int32, v uint32) {
+	if reg >= 0 {
+		fill(r.row(reg), v, 0)
+	}
 }
 
 func trap(fn *kernel.Func, format string, args ...any) *TrapError {
 	return &TrapError{Kernel: fn.Name, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (r *planRunner) setReg(reg int32, v int32) {
-	if reg >= 0 {
-		r.regs[reg] = uint64(uint32(v))
-	}
-}
-
 // runGroup executes one work-group through the compiled plan.
 func (r *planRunner) runGroup(groupLin int) *TrapError {
 	d := r.d
 	p := r.plan
-	decompose(groupLin, d.numGroups, r.scratch)
-	for i := range r.groupID {
-		r.groupID[i] = 0
-	}
-	copy(r.groupID[:], r.scratch)
-	for dim := 0; dim < len(d.global); dim++ {
-		r.setReg(p.GroupRegs[dim], int32(r.groupID[dim]))
+	nd := len(d.global)
+	sc := r.scratch[:nd]
+	decompose(groupLin, d.numGroups, sc)
+	var group [3]int
+	copy(group[:], sc)
+	for dim := 0; dim < nd; dim++ {
+		r.set(p.GroupRegs[dim], uint32(group[dim]))
 	}
 	for _, bi := range r.localArenas {
-		mem := r.bufs[bi]
-		for i := range mem {
-			mem[i] = 0
-		}
+		clear(r.bufs[bi])
 	}
-	if err := r.runPrologue(); err != nil {
-		return err
+	// The once-per-group hoisted code is pure and straight-line: it runs
+	// on every lane, which leaves its results broadcast, and is charged
+	// once.
+	if n := uint64(len(p.Prologue)); n > 0 {
+		before := r.instrCount
+		r.begin(r.width)
+		r.run(p.Prologue, 0)
+		r.instrCount = before + n
+		r.prologueCount += n
+		if r.trapErr != nil {
+			return r.trapErr
+		}
 	}
 	// A zero induction divisor means the removed div/mod instructions
 	// would trap (conditionally, under the kernel's own control flow): run
 	// the whole group on the unoptimized plan, which still has them and
 	// reproduces the trap — or its absence — exactly.
 	for i := range p.DivMod {
-		if int32(uint32(r.val(r.regs, p.DivMod[i].W))) == 0 {
+		if r.row(p.DivMod[i].W)[0] == 0 {
 			if r.ref == nil {
 				r.ref = newPlanRunner(d, d.prog.Unoptimized(d.fn))
 			}
 			return r.ref.runGroup(groupLin)
 		}
 	}
+	gidOf := func(dim, lid int) uint32 {
+		return uint32(d.offset[dim] + group[dim]*d.local[dim] + lid)
+	}
 	if p.HasBarriers() {
+		// The whole group is one strip, a lane per item.
 		r.coopGroups++
-		return r.runCooperative()
+		for li := 0; li < d.itemsPerGroup; li++ {
+			decompose(li, d.local, sc)
+			for dim, lid := range sc {
+				if reg := p.LidRegs[dim]; reg >= 0 {
+					r.row(reg)[li] = uint32(lid)
+				}
+				if reg := p.GidRegs[dim]; reg >= 0 {
+					r.row(reg)[li] = gidOf(dim, lid)
+				}
+			}
+		}
+		return r.runStrip(d.itemsPerGroup, 0)
 	}
 	r.fusedGroups++
-	return r.runFused()
+
+	local0 := d.local[0]
+	base0 := int32(gidOf(0, 0))
+	startPC := 0
+	if g := p.Guard; g != nil {
+		rhs := uint64(r.row(g.RHS)[0])
+		survives := func(gid0 int32) bool {
+			pred := kernel.StepEval(g.Cmp, uint64(uint32(gid0)), rhs) != 0
+			return (pred == g.BranchIfTrue) == g.SurviveTaken
+		}
+		first, last := survives(base0), survives(base0+int32(local0)-1)
+		switch {
+		case first && last:
+			startPC = g.SurvivePC
+		case !first && !last:
+			// No item survives the guard: retire the group after
+			// charging the guard branch + end per item.
+			r.instrCount += 2 * uint64(d.itemsPerGroup)
+			return nil
+		}
+	}
+
+	r.affineSteps()
+	for li := 0; li < d.itemsPerGroup; li += local0 {
+		// Coordinates for dimensions >= 1 are uniform along a row.
+		decompose(li, d.local, sc)
+		for dim := 1; dim < nd; dim++ {
+			r.set(p.LidRegs[dim], uint32(sc[dim]))
+			r.set(p.GidRegs[dim], gidOf(dim, sc[dim]))
+		}
+		for at := 0; at < local0; at += r.width {
+			n := min(r.width, local0-at)
+			r.seedStrip(base0, at, n)
+			if err := r.runStrip(n, startPC); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // flush adds the runner's counters to c when its worker is done.
@@ -161,213 +285,10 @@ func (r *planRunner) flush(c *runCounters) {
 	}
 }
 
-// runPrologue executes the once-per-group hoisted code into the group
-// register file. Prologue instructions are pure by construction.
-func (r *planRunner) runPrologue() *TrapError {
-	code := r.plan.Prologue
-	for i := range code {
-		ins := &code[i]
-		r.prologueCount++
-		r.instrCount++
-		switch ins.Op {
-		case kernel.RMov:
-			r.regs[ins.D] = r.val(r.regs, ins.A)
-		case kernel.RMov2:
-			r.regs[ins.D] = r.val(r.regs, ins.A)
-			r.regs[ins.B] = r.val(r.regs, ins.C)
-		case kernel.RMov3:
-			r.regs[ins.D] = r.val(r.regs, ins.A)
-			r.regs[ins.B] = r.val(r.regs, ins.C)
-			r.regs[ins.E] = r.val(r.regs, ins.F)
-		case kernel.RBuiltin:
-			ba, bb, be := r.builtinArgs(r.regs, ins)
-			v, ok := evalBuiltin(kernel.BuiltinID(ins.C), ba, bb, be)
-			if !ok {
-				return trap(r.plan.Fn, "unknown builtin %d", ins.C)
-			}
-			r.regs[ins.D] = v
-		default:
-			v := kernel.StepEval(ins.Op, r.val(r.regs, ins.A), r.val(r.regs, ins.B))
-			if ins.F1 != kernel.RNop {
-				v = kernel.StepEval(ins.F1, v, r.val(r.regs, ins.C))
-				if ins.F2 != kernel.RNop {
-					v = kernel.StepEval(ins.F2, v, r.val(r.regs, ins.E))
-				}
-			}
-			r.regs[ins.D] = v
-		}
-	}
-	return nil
-}
-
-func (r *planRunner) builtinArgs(regs []uint64, ins *kernel.RInstr) (a, b, e uint64) {
-	switch kernel.BuiltinArity(kernel.BuiltinID(ins.C)) {
-	case 3:
-		e = r.val(regs, ins.E)
-		fallthrough
-	case 2:
-		b = r.val(regs, ins.B)
-		fallthrough
-	case 1:
-		a = r.val(regs, ins.A)
-	}
-	return
-}
-
-// runBody executes body code over regs from pc until the item ends (the
-// result is negative) or arrives at a barrier (the result is where it
-// resumes).
-func (r *planRunner) runBody(regs []uint64, pc int) (int, *TrapError) {
-	p := r.plan
-	code := p.Code
-	n := uint64(0)
-	stop := len(code)
-	for pc < stop {
-		ins := &code[pc]
-		n++
-		switch ins.Op {
-		case kernel.RMov:
-			regs[ins.D] = r.val(regs, ins.A)
-		case kernel.RMov2:
-			regs[ins.D] = r.val(regs, ins.A)
-			regs[ins.B] = r.val(regs, ins.C)
-		case kernel.RMov3:
-			regs[ins.D] = r.val(regs, ins.A)
-			regs[ins.B] = r.val(regs, ins.C)
-			regs[ins.E] = r.val(regs, ins.F)
-
-		case kernel.RDivI, kernel.RModI:
-			b := int32(uint32(r.val(regs, ins.B)))
-			if b == 0 {
-				r.instrCount += n
-				if ins.Op == kernel.RDivI {
-					return 0, trap(p.Fn, "integer division by zero")
-				}
-				return 0, trap(p.Fn, "integer modulo by zero")
-			}
-			a := int32(uint32(r.val(regs, ins.A)))
-			if ins.Op == kernel.RDivI {
-				regs[ins.D] = uint64(uint32(a / b))
-			} else {
-				regs[ins.D] = uint64(uint32(a % b))
-			}
-
-		case kernel.RLdElem:
-			iv := r.val(regs, ins.A)
-			if ins.F1 != kernel.RNop {
-				iv = kernel.StepEval(ins.F1, iv, r.val(regs, ins.E))
-			}
-			idx := int(int32(uint32(iv)))
-			buf := r.bufs[ins.B]
-			off := idx * 4
-			if idx < 0 || off+4 > len(buf) {
-				r.instrCount += n
-				return 0, trap(p.Fn, "buffer index %d out of range (buffer has %d elements)", idx, len(buf)/4)
-			}
-			regs[ins.D] = uint64(uint32(buf[off]) | uint32(buf[off+1])<<8 |
-				uint32(buf[off+2])<<16 | uint32(buf[off+3])<<24)
-
-		case kernel.RStElem:
-			iv := r.val(regs, ins.A)
-			if ins.F1 != kernel.RNop {
-				iv = kernel.StepEval(ins.F1, iv, r.val(regs, ins.E))
-			}
-			idx := int(int32(uint32(iv)))
-			buf := r.bufs[ins.B]
-			off := idx * 4
-			if idx < 0 || off+4 > len(buf) {
-				r.instrCount += n
-				return 0, trap(p.Fn, "buffer index %d out of range (buffer has %d elements)", idx, len(buf)/4)
-			}
-			v := uint32(r.val(regs, ins.C))
-			buf[off] = byte(v)
-			buf[off+1] = byte(v >> 8)
-			buf[off+2] = byte(v >> 16)
-			buf[off+3] = byte(v >> 24)
-
-		case kernel.RJmp:
-			pc = int(ins.C)
-			continue
-
-		case kernel.RBrT, kernel.RBrF:
-			v := r.val(regs, ins.A)
-			if ins.F2 != kernel.RNop {
-				v = kernel.StepEval(ins.F2, v, r.val(regs, ins.E))
-				if ins.D >= 0 {
-					regs[ins.D] = v
-				}
-			}
-			if ins.F1 != kernel.RNop {
-				v = kernel.StepEval(ins.F1, v, r.val(regs, ins.B))
-			}
-			taken := (v != 0) == (ins.Op == kernel.RBrT)
-			if taken {
-				pc = int(ins.C)
-				continue
-			}
-
-		case kernel.REnd:
-			r.instrCount += n
-			return -1, nil
-
-		case kernel.RBarrier:
-			r.instrCount += n
-			return pc + 1, nil
-
-		case kernel.RTrap:
-			r.instrCount += n
-			return 0, trap(p.Fn, "%s", p.TrapMsgs[ins.A])
-
-		case kernel.RBuiltin:
-			ba, bb, be := r.builtinArgs(regs, ins)
-			v, ok := evalBuiltin(kernel.BuiltinID(ins.C), ba, bb, be)
-			if !ok {
-				r.instrCount += n
-				return 0, trap(p.Fn, "unknown builtin %d", ins.C)
-			}
-			regs[ins.D] = v
-
-		default: // fusable value ops, optionally chained
-			v := kernel.StepEval(ins.Op, r.val(regs, ins.A), r.val(regs, ins.B))
-			if ins.F1 != kernel.RNop {
-				v = kernel.StepEval(ins.F1, v, r.val(regs, ins.C))
-				if ins.F2 != kernel.RNop {
-					v = kernel.StepEval(ins.F2, v, r.val(regs, ins.E))
-				}
-			}
-			regs[ins.D] = v
-		}
-		pc++
-	}
-	r.instrCount += n
-	return -1, nil
-}
-
-// initSpecs seeds the induction registers for a dimension-0 item run
-// starting at gid0, and returns whether div/mod advancing must recompute
-// per item (negative IDs or divisors make wrap-increment invalid).
-func (r *planRunner) initSpecs(gid0 int32) (dmRecompute bool) {
-	p := r.plan
-	for i := range p.Affine {
-		a := &p.Affine[i]
-		r.regs[a.Reg] = kernel.StepEval(a.Op, r.val(r.regs, a.L), r.val(r.regs, a.R))
-	}
-	for i := range p.DivMod {
-		dm := &p.DivMod[i]
-		w := int32(uint32(r.val(r.regs, dm.W)))
-		if w < 0 || gid0 < 0 {
-			dmRecompute = true
-		}
-		r.setReg(dm.ModReg, gid0%w)
-		r.setReg(dm.DivReg, gid0/w)
-	}
-	return dmRecompute
-}
-
-// affineStepsFor computes the per-item increment of every affine
-// induction register for the current group (uniform operands are fixed
-// once the prologue has run).
-func (r *planRunner) affineStepsFor() {
+// affineSteps computes the per-item increment of every affine induction
+// register for the current group (uniform operands are fixed once the
+// prologue has run).
+func (r *planRunner) affineSteps() {
 	p := r.plan
 	gid := p.GidRegs[0]
 	stepOf := func(x int32, upto int) int32 {
@@ -395,156 +316,480 @@ func (r *planRunner) affineStepsFor() {
 			s = sL - sR
 		case kernel.RMulI:
 			if sR == 0 {
-				s = sL * int32(uint32(r.val(r.regs, a.R)))
+				s = sL * int32(r.row(a.R)[0])
 			} else {
-				s = int32(uint32(r.val(r.regs, a.L))) * sR
+				s = int32(r.row(a.L)[0]) * sR
 			}
 		case kernel.RShlI:
-			s = sL << (uint32(r.val(r.regs, a.R)) & 31)
+			s = sL << (r.row(a.R)[0] & 31)
 		}
 		r.affSteps[i] = s
 	}
 }
 
-// runFused executes a barrier-free group as fused work-item loops: one
-// body execution per item over a single register file, with induction
-// registers advanced in place along dimension 0.
-func (r *planRunner) runFused() *TrapError {
-	d := r.d
+// seedStrip gives the n lanes of the strip that starts at item `at` of a
+// row whose first dimension-0 global ID is base0 their coordinates and
+// induction registers: each is its value at the row's first item plus
+// (at + lane) steps.
+func (r *planRunner) seedStrip(base0 int32, at, n int) {
 	p := r.plan
-	local0 := d.local[0]
-	base0 := int32(d.offset[0] + r.groupID[0]*local0)
-
-	startPC := 0
-	if g := p.Guard; g != nil {
-		rhs := r.val(r.regs, g.RHS)
-		survives := func(gid0 int32) bool {
-			pred := kernel.StepEval(g.Cmp, uint64(uint32(gid0)), rhs) != 0
-			return (pred == g.BranchIfTrue) == g.SurviveTaken
+	gid0 := base0 + int32(at)
+	if reg := p.GidRegs[0]; reg >= 0 {
+		fill(r.row(reg)[:n], uint32(gid0), 1)
+	}
+	if reg := p.LidRegs[0]; reg >= 0 {
+		fill(r.row(reg)[:n], uint32(at), 1)
+	}
+	for i := range p.Affine {
+		a := &p.Affine[i]
+		if at == 0 {
+			// Lane 0 of every operand row holds its value at the first item.
+			r.affInit[i] = int32(kernel.StepEval(a.Op, uint64(r.row(a.L)[0]), uint64(r.row(a.R)[0])))
 		}
-		first, last := survives(base0), survives(base0+int32(local0)-1)
-		switch {
-		case first && last:
-			startPC = g.SurvivePC
-		case !first && !last:
-			// No item survives the guard: retire the group after
-			// charging the guard branch + end per item.
-			r.instrCount += 2 * uint64(d.itemsPerGroup)
-			return nil
+		fill(r.row(a.Reg)[:n], uint32(r.affInit[i]+int32(at)*r.affSteps[i]), uint32(r.affSteps[i]))
+	}
+	for i := range p.DivMod {
+		dm := &p.DivMod[i]
+		mod, div := r.tmp, r.tmp
+		if dm.ModReg >= 0 {
+			mod = r.row(dm.ModReg)
+		}
+		if dm.DivReg >= 0 {
+			div = r.row(dm.DivReg)
+		}
+		w := int32(r.row(dm.W)[0])
+		// Wrap-increment is only the quotient and remainder while both
+		// the IDs and the divisor are non-negative.
+		wrap := w > 0 && gid0 >= 0
+		m, q := gid0%w, gid0/w
+		for l := 0; l < n; l++ {
+			mod[l], div[l] = uint32(m), uint32(q)
+			if !wrap {
+				g := gid0 + int32(l) + 1
+				m, q = g%w, g/w
+			} else if m++; m == w {
+				m, q = 0, q+1
+			}
 		}
 	}
+}
 
-	r.affineStepsFor()
-	gidReg, lidReg := p.GidRegs[0], p.LidRegs[0]
-	for li := 0; li < d.itemsPerGroup; li += local0 {
-		// Per-run coordinates for dimensions >= 1.
-		decompose(li, d.local, r.scratch)
-		for dim := 1; dim < len(d.local); dim++ {
-			lid := r.scratch[dim]
-			r.setReg(p.LidRegs[dim], int32(lid))
-			r.setReg(p.GidRegs[dim], int32(d.offset[dim]+r.groupID[dim]*d.local[dim]+lid))
+// begin makes lanes 0..n-1 the running set and nothing else waiting.
+func (r *planRunner) begin(n int) {
+	r.pending, r.parked = r.pending[:0], r.parked[:0]
+	r.waitPC = math.MaxInt
+	r.trapErr = nil
+	for w := range r.cur {
+		r.cur[w] = ^uint64(0) >> max(0, min(64, 64*(w+1)-n)) // the low n-64w bits
+	}
+	r.lanes = r.lanes[:n]
+	fill(r.lanes, 0, 1)
+}
+
+// runStrip executes the body from pc on lanes 0..n-1 until every lane has
+// ended. Lanes that arrive at a barrier wait there, whichever barrier it
+// is, until no lane can run; then all of them resume. All items of a group
+// must arrive at a barrier or none: one that ends while another waits has
+// diverged. A trap is that of the lowest lane that traps before the next
+// barrier; the lanes below it run on to there, the others are dropped.
+func (r *planRunner) runStrip(n, pc int) *TrapError {
+	r.begin(n)
+	for pc >= 0 {
+		r.run(r.plan.Code, pc)
+		if r.trapErr != nil {
+			return r.trapErr
 		}
-		gid0 := base0
-		r.setReg(gidReg, gid0)
-		r.setReg(lidReg, 0)
-		dmRecompute := r.initSpecs(gid0)
-
-		for l0 := 0; l0 < local0; l0++ {
-			if _, err := r.runBody(r.regs, startPC); err != nil {
-				return err
-			}
-			if l0+1 == local0 {
-				break
-			}
-			gid0++
-			if gidReg >= 0 {
-				r.regs[gidReg] = uint64(uint32(gid0))
-			}
-			if lidReg >= 0 {
-				r.regs[lidReg] = uint64(uint32(l0 + 1))
-			}
-			for i := range p.Affine {
-				a := &p.Affine[i]
-				r.regs[a.Reg] = uint64(uint32(int32(uint32(r.regs[a.Reg])) + r.affSteps[i]))
-			}
-			for i := range p.DivMod {
-				dm := &p.DivMod[i]
-				w := int32(uint32(r.val(r.regs, dm.W)))
-				if dmRecompute {
-					r.setReg(dm.ModReg, gid0%w)
-					r.setReg(dm.DivReg, gid0/w)
-					continue
-				}
-				if dm.ModReg >= 0 {
-					m := int32(uint32(r.regs[dm.ModReg])) + 1
-					if m == w {
-						m = 0
-						if dm.DivReg >= 0 {
-							r.regs[dm.DivReg] = uint64(uint32(int32(uint32(r.regs[dm.DivReg])) + 1))
-						}
-					}
-					r.regs[dm.ModReg] = uint64(uint32(m))
-				} else if dm.DivReg >= 0 {
-					// Only the quotient is live: recompute it directly.
-					r.setReg(dm.DivReg, gid0/w)
-				}
+		arrived := 0
+		for i := range r.parked {
+			for _, m := range r.parked[i].mask {
+				arrived += bits.OnesCount64(m)
 			}
 		}
+		if arrived == 0 {
+			return nil
+		}
+		if arrived != n {
+			return trap(r.plan.Fn, "barrier divergence: some work-items of a group finished while others wait at a barrier")
+		}
+		r.pending, r.parked = r.parked, r.pending
+		pc = r.resume()
 	}
 	return nil
 }
 
-// runCooperative executes a group of a barrier kernel: every item gets
-// its own register file (cloned from the group template after the
-// prologue) and runs until it ends or arrives at a barrier; once every
-// item has done one or the other, those at a barrier resume. All items
-// of a group must arrive at a barrier or none: one that ends while
-// another waits has diverged.
-func (r *planRunner) runCooperative() *TrapError {
-	d := r.d
-	p := r.plan
-	nr := p.NumRegs
-	items := d.itemsPerGroup
-
-	for li := 0; li < items; li++ {
-		regs := r.itemRegs[li*nr : (li+1)*nr]
-		copy(regs, r.regs)
-		decompose(li, d.local, r.scratch)
-		for dim := 0; dim < len(d.local); dim++ {
-			lid := r.scratch[dim]
-			if reg := p.LidRegs[dim]; reg >= 0 {
-				regs[reg] = uint64(uint32(int32(lid)))
+// post adds the lanes of mask to the sets of *list, joining the set that
+// already waits at pc if there is one.
+func post(list *[]laneSet, pc int, mask []uint64) {
+	sets := *list
+	for i := range sets {
+		if sets[i].pc == pc {
+			for w, m := range mask {
+				sets[i].mask[w] |= m
 			}
-			if reg := p.GidRegs[dim]; reg >= 0 {
-				regs[reg] = uint64(uint32(int32(d.offset[dim] + r.groupID[dim]*d.local[dim] + lid)))
-			}
+			return
 		}
-		r.itemPC[li] = 0
 	}
-
-	for remaining := items; remaining > 0; {
-		arrived, finished := 0, 0
-		for li := 0; li < items; li++ {
-			if r.itemPC[li] < 0 {
-				continue
-			}
-			next, err := r.runBody(r.itemRegs[li*nr:(li+1)*nr], r.itemPC[li])
-			if err != nil {
-				return err
-			}
-			r.itemPC[li] = next
-			if next < 0 {
-				finished++
-			} else {
-				arrived++
-			}
-		}
-		if arrived > 0 && finished > 0 {
-			return trap(p.Fn, "barrier divergence: some work-items of a group finished while others wait at a barrier")
-		}
-		remaining -= finished
+	if len(sets) < cap(sets) {
+		sets = sets[:len(sets)+1] // with the mask of an earlier set
+	} else {
+		sets = append(sets, laneSet{})
 	}
-	return nil
+	s := &sets[len(sets)-1]
+	if s.mask == nil {
+		s.mask = make([]uint64, len(mask))
+	}
+	s.pc = pc
+	copy(s.mask, mask)
+	*list = sets
+}
+
+// expand lists the lanes of the running set.
+func (r *planRunner) expand() {
+	ls := r.lanes[:0]
+	for w, m := range r.cur {
+		for ; m != 0; m &= m - 1 {
+			ls = append(ls, uint32(w*64+bits.TrailingZeros64(m)))
+		}
+	}
+	r.lanes = ls
+}
+
+// resume makes the waiting set with the lowest pc the running one and
+// returns that pc, or -1 when no set waits.
+func (r *planRunner) resume() int {
+	for len(r.pending) > 0 {
+		sets := r.pending
+		best := 0
+		for i := range sets {
+			if sets[i].pc < sets[best].pc {
+				best = i
+			}
+		}
+		pc := sets[best].pc
+		copy(r.cur, sets[best].mask)
+		last := len(sets) - 1
+		sets[best], sets[last] = sets[last], sets[best] // keeps the mask for post
+		r.pending = sets[:last]
+		r.waitPC = math.MaxInt
+		for i := range r.pending {
+			r.waitPC = min(r.waitPC, r.pending[i].pc)
+		}
+		if r.expand(); len(r.lanes) > 0 {
+			return pc
+		}
+	}
+	r.waitPC = math.MaxInt
+	r.lanes = r.lanes[:0]
+	return -1
+}
+
+// split parts the running set at a branch that side, a subset of it,
+// takes: the part with the lower pc runs on and the other waits, so that
+// the two meet again where their paths join.
+func (r *planRunner) split(fall, target int) int {
+	if fall < target {
+		for w, m := range r.cur {
+			r.side[w] = m &^ r.side[w]
+		}
+		fall, target = target, fall
+	}
+	for w := range r.cur {
+		r.cur[w] &^= r.side[w]
+	}
+	post(&r.pending, fall, r.cur)
+	r.waitPC = min(r.waitPC, fall)
+	copy(r.cur, r.side)
+	r.expand()
+	return target
+}
+
+// fault records that the i-th lane of the running set traps. Lanes are
+// listed in ascending order and every lane from the trapping one up is
+// dropped from all sets, so a later trap is always that of a lower item.
+func (r *planRunner) fault(i int, format string, args ...any) {
+	lane := int(r.lanes[i])
+	r.trapErr = trap(r.plan.Fn, format, args...)
+	r.lanes = r.lanes[:i]
+	cut := func(mask []uint64) {
+		mask[lane>>6] &= 1<<(lane&63) - 1
+		clear(mask[lane>>6+1:])
+	}
+	cut(r.cur)
+	for i := range r.pending {
+		cut(r.pending[i].mask)
+	}
+	for i := range r.parked {
+		cut(r.parked[i].mask)
+	}
+}
+
+// run executes code from pc on the running set, then on every set that
+// waits to run, until all of them have ended, trapped or parked at a
+// barrier. Each instruction has its loops over the lanes in a method of
+// its own, which keeps this frame within a new goroutine's first stack.
+func (r *planRunner) run(code []kernel.RInstr, pc int) {
+	for pc >= 0 {
+		if len(r.lanes) == 0 || pc >= len(code) {
+			pc = r.resume()
+			continue
+		}
+		if pc >= r.waitPC {
+			// Another set waits here or earlier: it goes first, or joins.
+			post(&r.pending, pc, r.cur)
+			pc = r.resume()
+			continue
+		}
+		ins := &code[pc]
+		r.instrCount += uint64(len(r.lanes))
+		switch ins.Op {
+		case kernel.RMov3:
+			apply(kernel.RMov, r.lanes, r.row(ins.D), r.row(ins.A), nil)
+			apply(kernel.RMov, r.lanes, r.row(ins.B), r.row(ins.C), nil)
+			apply(kernel.RMov, r.lanes, r.row(ins.E), r.row(ins.F), nil)
+		case kernel.RMov2:
+			apply(kernel.RMov, r.lanes, r.row(ins.D), r.row(ins.A), nil)
+			apply(kernel.RMov, r.lanes, r.row(ins.B), r.row(ins.C), nil)
+		case kernel.RMov:
+			apply(kernel.RMov, r.lanes, r.row(ins.D), r.row(ins.A), nil)
+		case kernel.RDivI, kernel.RModI:
+			r.divide(ins)
+		case kernel.RLdElem, kernel.RStElem:
+			r.access(ins)
+		case kernel.RJmp:
+			pc = int(ins.C)
+			continue
+		case kernel.RBrT, kernel.RBrF:
+			pc = r.branch(ins, pc)
+			continue
+		case kernel.REnd:
+			pc = r.resume()
+			continue
+		case kernel.RBarrier:
+			post(&r.parked, pc+1, r.cur)
+			pc = r.resume()
+			continue
+		case kernel.RTrap:
+			r.fault(0, "%s", r.plan.TrapMsgs[ins.A])
+		case kernel.RBuiltin:
+			r.builtin(ins)
+		default:
+			r.chain(ins)
+		}
+		pc++
+	}
+}
+
+// chain executes a fusable value op and its follow-on steps. Intermediate
+// results go through tmp: D is written last, so it may be a later operand.
+func (r *planRunner) chain(ins *kernel.RInstr) {
+	ls, d := r.lanes, r.row(ins.D)
+	a, b := r.row(ins.A), r.operand(ins.Op, ins.B)
+	switch {
+	case ins.F1 == kernel.RNop:
+		apply(ins.Op, ls, d, a, b)
+	case ins.F2 == kernel.RNop:
+		apply(ins.Op, ls, r.tmp, a, b)
+		apply(ins.F1, ls, d, r.tmp, r.operand(ins.F1, ins.C))
+	default:
+		apply(ins.Op, ls, r.tmp, a, b)
+		apply(ins.F1, ls, r.tmp, r.tmp, r.operand(ins.F1, ins.C))
+		apply(ins.F2, ls, d, r.tmp, r.operand(ins.F2, ins.E))
+	}
+}
+
+// branch evaluates a conditional branch and returns where the running set
+// (all of it, or the part that split keeps running) goes on.
+func (r *planRunner) branch(ins *kernel.RInstr, pc int) int {
+	ls, v := r.lanes, r.row(ins.A)
+	if ins.F2 != kernel.RNop {
+		d := r.tmp
+		if ins.D >= 0 {
+			d = r.row(ins.D)
+		}
+		apply(ins.F2, ls, d, v, r.operand(ins.F2, ins.E))
+		v = d
+	}
+	if ins.F1 != kernel.RNop {
+		apply(ins.F1, ls, r.tmp, v, r.operand(ins.F1, ins.B))
+		v = r.tmp
+	}
+	nonzero := uint32(0)
+	for _, l := range ls {
+		nonzero += (v[l] | -v[l]) >> 31
+	}
+	taken := int(nonzero)
+	if ins.Op == kernel.RBrF {
+		taken = len(ls) - taken
+	}
+	switch taken {
+	case 0:
+		return pc + 1
+	case len(ls):
+		return int(ins.C)
+	}
+	clear(r.side)
+	for _, l := range ls {
+		if (v[l] != 0) == (ins.Op == kernel.RBrT) {
+			r.side[l>>6] |= 1 << (l & 63)
+		}
+	}
+	return r.split(pc+1, int(ins.C))
+}
+
+func (r *planRunner) divide(ins *kernel.RInstr) {
+	d, a, b := r.row(ins.D), r.row(ins.A), r.row(ins.B)
+	for i, l := range r.lanes {
+		x, y := int32(a[l]), int32(b[l])
+		switch {
+		case y == 0 && ins.Op == kernel.RDivI:
+			r.fault(i, "integer division by zero")
+			return
+		case y == 0:
+			r.fault(i, "integer modulo by zero")
+			return
+		case ins.Op == kernel.RDivI:
+			d[l] = uint32(x / y)
+		default:
+			d[l] = uint32(x % y)
+		}
+	}
+}
+
+// access loads or stores one buffer element per lane, the index optionally
+// through one fused step.
+func (r *planRunner) access(ins *kernel.RInstr) {
+	idx := r.row(ins.A)
+	if ins.F1 != kernel.RNop {
+		apply(ins.F1, r.lanes, r.tmp, idx, r.operand(ins.F1, ins.E))
+		idx = r.tmp
+	}
+	buf := r.bufs[ins.B]
+	store := ins.Op == kernel.RStElem
+	reg := ins.D
+	if store {
+		reg = ins.C
+	}
+	val := r.row(reg)
+	for i, l := range r.lanes {
+		at := int(int32(idx[l]))
+		if at < 0 || at*4+4 > len(buf) {
+			r.fault(i, "buffer index %d out of range (buffer has %d elements)", at, len(buf)/4)
+			return
+		}
+		if store {
+			binary.LittleEndian.PutUint32(buf[at*4:], val[l])
+		} else {
+			val[l] = binary.LittleEndian.Uint32(buf[at*4:])
+		}
+	}
+}
+
+func (r *planRunner) builtin(ins *kernel.RInstr) {
+	id := kernel.BuiltinID(ins.C)
+	d, a, b, e := r.row(ins.D), r.tmp, r.tmp, r.tmp
+	switch kernel.BuiltinArity(id) {
+	case 3:
+		e = r.row(ins.E)
+		fallthrough
+	case 2:
+		b = r.row(ins.B)
+		fallthrough
+	case 1:
+		a = r.row(ins.A)
+	}
+	for i, l := range r.lanes {
+		v, ok := evalBuiltin(id, uint64(a[l]), uint64(b[l]), uint64(e[l]))
+		if !ok {
+			r.fault(i, "unknown builtin %d", ins.C)
+			return
+		}
+		d[l] = uint32(v)
+	}
+}
+
+func fbits(f float32) uint32 { return math.Float32bits(f) }
+func bitsf(v uint32) float32 { return math.Float32frombits(v) }
+func flag(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// apply runs one step over the lanes ls: d[l] = op(a[l], b[l]). The steps
+// the application kernels spend their time in have a loop of their own;
+// the others go through kernel.StepEval, which defines them all.
+func apply(op kernel.ROp, ls []uint32, d, a, b []uint32) {
+	switch op {
+	case kernel.RMov:
+		for _, l := range ls {
+			d[l] = a[l]
+		}
+	case kernel.RAddI:
+		for _, l := range ls {
+			d[l] = a[l] + b[l]
+		}
+	case kernel.RSubI:
+		for _, l := range ls {
+			d[l] = a[l] - b[l]
+		}
+	case kernel.RMulI:
+		for _, l := range ls {
+			d[l] = a[l] * b[l]
+		}
+	case kernel.RAddF:
+		for _, l := range ls {
+			d[l] = fbits(bitsf(a[l]) + bitsf(b[l]))
+		}
+	case kernel.RSubF:
+		for _, l := range ls {
+			d[l] = fbits(bitsf(a[l]) - bitsf(b[l]))
+		}
+	case kernel.RMulF:
+		for _, l := range ls {
+			d[l] = fbits(bitsf(a[l]) * bitsf(b[l]))
+		}
+	case kernel.RDivF:
+		for _, l := range ls {
+			d[l] = fbits(bitsf(a[l]) / bitsf(b[l]))
+		}
+	case kernel.RLtI:
+		for _, l := range ls {
+			d[l] = flag(int32(a[l]) < int32(b[l]))
+		}
+	case kernel.RGeI:
+		for _, l := range ls {
+			d[l] = flag(int32(a[l]) >= int32(b[l]))
+		}
+	case kernel.REqI:
+		for _, l := range ls {
+			d[l] = flag(a[l] == b[l])
+		}
+	case kernel.RNeI:
+		for _, l := range ls {
+			d[l] = flag(a[l] != b[l])
+		}
+	case kernel.RLtF:
+		for _, l := range ls {
+			d[l] = flag(bitsf(a[l]) < bitsf(b[l]))
+		}
+	case kernel.RGtF:
+		for _, l := range ls {
+			d[l] = flag(bitsf(a[l]) > bitsf(b[l]))
+		}
+	case kernel.RI2F:
+		for _, l := range ls {
+			d[l] = fbits(float32(int32(a[l])))
+		}
+	case kernel.RF2I:
+		for _, l := range ls {
+			d[l] = uint32(int32(bitsf(a[l])))
+		}
+	default:
+		for _, l := range ls {
+			d[l] = uint32(kernel.StepEval(op, uint64(a[l]), uint64(b[l])))
+		}
+	}
 }
 
 // DispatchAllocsPerOp measures heap allocations per work-group dispatch
@@ -560,10 +805,13 @@ func DispatchAllocsPerOp(l Launch) (float64, error) {
 		return 0, err
 	}
 	r := newPlanRunner(disp, plan)
-	if err := r.runGroup(0); err != nil {
-		return 0, err
-	}
 	const rounds = 64
+	// Warm-up: the lists of waiting lane sets grow to what the groups need.
+	for i := 0; i < min(rounds, totalGroups); i++ {
+		if err := r.runGroup(i); err != nil {
+			return 0, err
+		}
+	}
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)

@@ -193,7 +193,7 @@ kernel void coords(global int* out, int n, int one) {
 }
 
 // TestBarrierKernelsAcrossEngines runs barrier + local-memory kernels —
-// which execute cooperatively, a register file per item — three ways,
+// whose groups execute as one strip of all their items — three ways,
 // including a ragged guard inside the group.
 func TestBarrierKernelsAcrossEngines(t *testing.T) {
 	src := `
@@ -371,6 +371,7 @@ func TestTrapParityAcrossEngines(t *testing.T) {
 	cases := []struct {
 		name, src, want string
 		global          int
+		visible         int // leading items whose stores must have happened despite the trap
 	}{
 		{
 			name: "conditional-div-zero",
@@ -407,16 +408,73 @@ func TestTrapParityAcrossEngines(t *testing.T) {
 }`,
 			global: 16,
 		},
+		// In lock step the first lane to reach a trap need not be the
+		// lowest item that traps; the lowest is still the one reported.
+		{
+			name: "late-trap-of-lower-item",
+			src: `kernel void k(global int* o, int d) {
+	int gid = get_global_id(0);
+	if (gid == 40) { o[gid + 1000000] = 1; }
+	int s = gid;
+	for (int i = 0; i < 100; i++) { s = s * 3 + i; }
+	if (gid == 3) { o[gid] = s / d; } else { o[gid] = s; }
+}`,
+			want:   "vm: kernel k: integer division by zero",
+			global: 64,
+		},
+		{
+			// And once an item has trapped, no later trap of a higher one
+			// replaces it.
+			name: "early-trap-of-lower-item",
+			src: `kernel void k(global int* o, int d) {
+	int gid = get_global_id(0);
+	if (gid == 3) { o[gid + 1000000] = 1; }
+	int s = gid;
+	for (int i = 0; i < 100; i++) { s = s * 3 + i; }
+	if (gid == 40) { o[gid] = s / d; } else { o[gid] = s; }
+}`,
+			want:   "vm: kernel k: buffer index 1000003 out of range (buffer has 64 elements)",
+			global: 64,
+		},
+		{
+			name: "two-oob-lanes-in-one-strip",
+			src: `kernel void k(global int* o, int d) {
+	int gid = get_global_id(0);
+	if (gid == 50) { o[gid + 1000] = 1; }
+	int s = gid;
+	for (int i = 0; i < 10; i++) { s = s * 3 + i; }
+	if (gid == 20 || gid == 57) { o[gid + 1000] = s; } else { o[gid] = s; }
+}`,
+			want:   "vm: kernel k: buffer index 1020 out of range (buffer has 64 elements)",
+			global: 64,
+		},
+		{
+			// A group is executed strip by strip: by the time item 100
+			// traps, the 64 items of the first strip have run and stored.
+			name: "trap-in-second-strip",
+			src: `kernel void k(global int* o, int d) {
+	int gid = get_global_id(0);
+	o[gid] = gid + 1;
+	if (gid == 100) { o[gid] = gid % d; }
+}`,
+			want:    "vm: kernel k: integer modulo by zero",
+			global:  128,
+			visible: 64,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// One worker and one group: which item traps first is then the
-			// same everywhere (the oracle's items run at once, but at most
-			// one of them traps in these kernels).
-			_, err := crossCheck(t, tc.src, "k", outThen(4*tc.global, IntArg(0)),
+			// One worker and one group. The oracle's items run at once; it
+			// reports the trap of the lowest of them, like the executor.
+			args, err := crossCheck(t, tc.src, "k", outThen(4*tc.global, IntArg(0)),
 				launchShape{global: []int{tc.global}, local: []int{tc.global}}, 1)
 			if errText(err) != tc.want {
 				t.Fatalf("trap %q, want %q", errText(err), tc.want)
+			}
+			for i, v := range bytesToInts(args[0].Global)[:tc.visible] {
+				if v != int32(i+1) {
+					t.Fatalf("o[%d] = %d after the trap, want the store of item %d", i, v, i)
+				}
 			}
 		})
 	}
@@ -427,12 +485,14 @@ func TestTrapParityAcrossEngines(t *testing.T) {
 // ---------------------------------------------------------------------
 
 // kgen generates random MiniCL kernels that exercise integer and float
-// arithmetic, control flow, coordinate builtins (with constant and with
-// run-time dimensions), global-memory reads, and optionally local memory
-// with barriers — at statement level, inside a uniform for loop, or inside
-// a helper the kernel calls. Every generated program is trap-free by
-// construction (guarded divisors, masked indices/shifts) so outputs can be
-// compared bit-for-bit.
+// arithmetic, control flow whose path and trip counts depend on the item
+// (so that the lanes of a strip part and meet again), coordinate builtins
+// (with constant and with run-time dimensions), global-memory reads, and
+// optionally local memory with barriers — at statement level, inside a
+// uniform for loop, inside a helper the kernel calls, after code on which
+// the items diverge, and on both sides of a branch. Every generated
+// program is trap-free by construction (guarded divisors, masked
+// indices/shifts) so outputs can be compared bit-for-bit.
 type kgen struct {
 	r        *rand.Rand
 	b        strings.Builder
@@ -440,6 +500,7 @@ type kgen struct {
 	declared int // vars declared so far (prelude generates them in order)
 	barrier  barrierShape
 	depth    int
+	names    int // loop variables handed out
 }
 
 // barrierShape is where a generated kernel puts its barriers.
@@ -450,15 +511,24 @@ const (
 	barrierTopLevel
 	barrierInLoop
 	barrierInHelper
+	barrierInDivergentLoop       // each iteration diverges, reconverges, exchanges
+	barrierInDivergentLoopHelper // the same, the exchange in an inlined helper
+	barrierInBranches            // odd and even items wait at different barriers
+	barrierShapes
 )
 
 func (g *kgen) pick(ss ...string) string { return ss[g.r.Intn(len(ss))] }
 
+func (g *kgen) fresh() string {
+	g.names++
+	return fmt.Sprintf("c%d", g.names)
+}
+
 func (g *kgen) atom() string {
 	switch g.r.Intn(9) {
 	case 8:
-		// A dimension known only at run time; 1 and 2 are beyond these
-		// one-dimensional launches and 3 beyond any.
+		// A dimension known only at run time, also one the launch does not
+		// have; 3 is beyond any.
 		return fmt.Sprintf("%s((%s) & 3)", g.pick("get_global_id", "get_local_id", "get_group_id",
 			"get_global_size", "get_local_size", "get_num_groups", "get_global_offset"), g.expr())
 	case 0:
@@ -469,7 +539,7 @@ func (g *kgen) atom() string {
 		return "lid"
 	case 3:
 		return g.pick("get_group_id(0)", "get_global_size(0)", "get_local_size(0)",
-			"get_num_groups(0)", "get_global_offset(0)", "get_work_dim()")
+			"get_num_groups(0)", "get_global_offset(0)", "get_work_dim()", "get_global_id(1)", "get_local_id(2)")
 	case 4:
 		return fmt.Sprintf("in[(%s) & 255]", g.expr())
 	default:
@@ -508,8 +578,21 @@ func (g *kgen) expr() string {
 	}
 }
 
+// loop writes a loop whose trip count (0..7) depends on the item.
+func (g *kgen) loop(indent string) {
+	c, v := g.fresh(), g.r.Intn(g.nvars)
+	if g.r.Intn(2) == 0 {
+		fmt.Fprintf(&g.b, "%sfor (int %s = 0; %s < ((%s) & 7); %s++) {\n", indent, c, c, g.expr(), c)
+		fmt.Fprintf(&g.b, "%s\tv%d = v%d + %s + %s;\n", indent, v, v, c, g.expr())
+	} else {
+		fmt.Fprintf(&g.b, "%sint %s = (%s) & 7;\n%swhile (%s > 0) {\n", indent, c, g.expr(), indent, c)
+		fmt.Fprintf(&g.b, "%s\t%s--;\n%s\tv%d = v%d * 3 + %s;\n", indent, c, indent, v, v, g.expr())
+	}
+	fmt.Fprintf(&g.b, "%s}\n", indent)
+}
+
 func (g *kgen) stmt(indent string) {
-	switch g.r.Intn(6) {
+	switch g.r.Intn(8) {
 	case 0, 1:
 		fmt.Fprintf(&g.b, "%sv%d = %s;\n", indent, g.r.Intn(g.nvars), g.expr())
 	case 2:
@@ -529,24 +612,47 @@ func (g *kgen) stmt(indent string) {
 			indent, g.depth, g.depth, 1+g.r.Intn(6), g.depth)
 		fmt.Fprintf(&g.b, "%s\tv%d = v%d + %s;\n", indent, v, v, g.expr())
 		fmt.Fprintf(&g.b, "%s}\n", indent)
+	case 5:
+		// A while loop the items leave at different times and ways.
+		c, v := g.fresh(), g.r.Intn(g.nvars)
+		fmt.Fprintf(&g.b, "%sint %s = (%s) & 15;\n%swhile (%s > 0) {\n", indent, c, g.expr(), indent, c)
+		fmt.Fprintf(&g.b, "%s\t%s = %s - 1;\n", indent, c, c)
+		fmt.Fprintf(&g.b, "%s\tif (((%s) & 3) == 0) { continue; }\n", indent, g.expr())
+		fmt.Fprintf(&g.b, "%s\tif (((%s + %s) & 15) == 1) { break; }\n", indent, g.expr(), c)
+		fmt.Fprintf(&g.b, "%s\tv%d = v%d + (%s);\n%s}\n", indent, v, v, g.expr(), indent)
+	case 6:
+		// Nested branches whose sides both loop.
+		fmt.Fprintf(&g.b, "%sif (%s %s %s) {\n", indent, g.expr(), g.pick("<", ">", "!="), g.expr())
+		fmt.Fprintf(&g.b, "%s\tif (((%s) & 1) == 0) {\n", indent, g.expr())
+		g.loop(indent + "\t\t")
+		fmt.Fprintf(&g.b, "%s\t} else {\n", indent)
+		g.loop(indent + "\t\t")
+		fmt.Fprintf(&g.b, "%s\t}\n%s} else {\n", indent, indent)
+		g.loop(indent + "\t")
+		fmt.Fprintf(&g.b, "%s}\n", indent)
 	default:
 		fmt.Fprintf(&g.b, "%sv%d = (v%d & 255) + (%s & 65535);\n",
 			indent, g.r.Intn(g.nvars), g.r.Intn(g.nvars), g.expr())
 	}
 }
 
+// item stands in the generated source for the item's number in the
+// launch, which in one dimension is written so that the store guard is
+// the compiler's hoistable bounds check.
+const item = "ITEM"
+
 // generate returns the kernel source. Barrier kernels exchange values
-// through local memory between uniform barriers: all items of a group
-// reach every barrier, because the exchange stands outside generated
-// control flow or under a loop whose trip count is the same for all.
+// through local memory between barriers that every item of a group
+// reaches: the exchange stands outside generated control flow, under a loop
+// whose trip count is the same for all, or on both sides of a branch.
 func (g *kgen) generate() string {
 	g.b.Reset()
 	g.nvars = 2 + g.r.Intn(3)
-	if g.barrier == barrierInHelper {
-		g.b.WriteString(`int exchange(local int* s, int lid, int v) {
-	s[lid] = v;
+	if g.barrier == barrierInHelper || g.barrier == barrierInDivergentLoopHelper {
+		g.b.WriteString(`int exchange(local int* s, int at, int lsz, int v) {
+	s[at] = v;
 	barrier(CLK_LOCAL_MEM_FENCE);
-	int got = s[(lid + 1) % get_local_size(0)];
+	int got = s[(at + 1) % lsz];
 	barrier(CLK_LOCAL_MEM_FENCE);
 	return got;
 }
@@ -557,7 +663,13 @@ func (g *kgen) generate() string {
 	} else {
 		g.b.WriteString("kernel void k(global int* out, const global int* in, int n) {\n")
 	}
-	g.b.WriteString("\tint gid = get_global_id(0);\n\tint lid = get_local_id(0);\n")
+	g.b.WriteString(`	int gid = get_global_id(0);
+	int lid = get_local_id(0);
+	int lin = (gid - get_global_offset(0)) + get_global_size(0) * ((get_global_id(1) - get_global_offset(1)) +
+		get_global_size(1) * (get_global_id(2) - get_global_offset(2)));
+	int llin = lid + get_local_size(0) * (get_local_id(1) + get_local_size(1) * get_local_id(2));
+	int lsz = get_local_size(0) * get_local_size(1) * get_local_size(2);
+`)
 	g.declared = 0
 	for i := 0; i < g.nvars; i++ {
 		fmt.Fprintf(&g.b, "\tint v%d = %s;\n", i, g.expr())
@@ -572,39 +684,62 @@ func (g *kgen) generate() string {
 		from, to := g.r.Intn(g.nvars), g.r.Intn(g.nvars)
 		switch g.barrier {
 		case barrierTopLevel:
-			fmt.Fprintf(&g.b, "\ts[lid] = v%d;\n", from)
+			fmt.Fprintf(&g.b, "\ts[llin] = v%d;\n", from)
 			g.b.WriteString("\tbarrier(CLK_LOCAL_MEM_FENCE);\n")
-			fmt.Fprintf(&g.b, "\tv%d = s[(lid + 1) %% get_local_size(0)];\n", to)
+			fmt.Fprintf(&g.b, "\tv%d = s[(llin + 1) %% lsz];\n", to)
 			g.b.WriteString("\tbarrier(CLK_LOCAL_MEM_FENCE);\n")
-		case barrierInLoop:
+		case barrierInLoop, barrierInDivergentLoop, barrierInDivergentLoopHelper:
 			// n is a kernel argument: the trip count is uniform but not
 			// known to the compiler.
 			fmt.Fprintf(&g.b, "\tfor (int t = 0; t < 1 + (n & 3); t++) {\n")
-			fmt.Fprintf(&g.b, "\t\ts[lid] = v%d + t;\n", from)
-			g.b.WriteString("\t\tbarrier(CLK_LOCAL_MEM_FENCE);\n")
-			fmt.Fprintf(&g.b, "\t\tv%d = v%d + s[(lid + 1 + t) %% get_local_size(0)];\n", to, to)
-			g.b.WriteString("\t\tbarrier(CLK_LOCAL_MEM_FENCE);\n")
+			if g.barrier != barrierInLoop {
+				fmt.Fprintf(&g.b, "\t\tif (((%s + t) & 1) == 0) {\n", g.expr())
+				g.stmt("\t\t\t")
+				g.b.WriteString("\t\t} else {\n")
+				g.loop("\t\t\t")
+				g.b.WriteString("\t\t}\n")
+			}
+			if g.barrier == barrierInDivergentLoopHelper {
+				fmt.Fprintf(&g.b, "\t\tv%d = v%d + exchange(s, llin, lsz, v%d + t);\n", to, to, from)
+			} else {
+				fmt.Fprintf(&g.b, "\t\ts[llin] = v%d + t;\n", from)
+				g.b.WriteString("\t\tbarrier(CLK_LOCAL_MEM_FENCE);\n")
+				fmt.Fprintf(&g.b, "\t\tv%d = v%d + s[(llin + 1 + t) %% lsz];\n", to, to)
+				g.b.WriteString("\t\tbarrier(CLK_LOCAL_MEM_FENCE);\n")
+			}
 			g.b.WriteString("\t}\n")
 		case barrierInHelper:
-			fmt.Fprintf(&g.b, "\tv%d = exchange(s, lid, v%d) + %s;\n", to, from, g.expr())
+			fmt.Fprintf(&g.b, "\tv%d = exchange(s, llin, lsz, v%d) + %s;\n", to, from, g.expr())
+		case barrierInBranches:
+			fmt.Fprintf(&g.b, "\tif ((%s) & 1) {\n\t\ts[llin] = v%d;\n", g.expr(), from)
+			g.b.WriteString("\t\tbarrier(CLK_LOCAL_MEM_FENCE);\n\t} else {\n")
+			fmt.Fprintf(&g.b, "\t\ts[llin] = v%d + 1;\n", from)
+			g.b.WriteString("\t\tbarrier(CLK_LOCAL_MEM_FENCE);\n\t}\n")
+			fmt.Fprintf(&g.b, "\tv%d = s[(llin + 1) %% lsz];\n", to)
+			g.b.WriteString("\tbarrier(CLK_LOCAL_MEM_FENCE);\n")
 		}
 	}
 	// Mixed-guard store: items past n stay idle.
-	g.b.WriteString("\tif (gid - get_global_offset(0) < n) {\n")
+	g.b.WriteString("\tif (" + item + " < n) {\n")
 	for i := 0; i < g.nvars; i++ {
-		fmt.Fprintf(&g.b, "\t\tout[(gid - get_global_offset(0)) * %d + %d] = v%d;\n", g.nvars, i, i)
+		fmt.Fprintf(&g.b, "\t\tout[%s * %d + %d] = v%d;\n", item, g.nvars, i, i)
 	}
 	g.b.WriteString("\t}\n}\n")
 	return g.b.String()
 }
 
-// TestRandomKernelsThreeWay is the compiler's property test: 120
-// randomized kernels (half with barriers + local memory: at statement
-// level, in a uniform loop, in an inlined helper), each over a randomized
-// shape with global offsets and a ragged guard, must come out bit-identical
-// from the optimized plan, the unoptimized plan and the AST oracle. Run
-// with -race this also proves the plan runner's worker parallelism is
-// race-clean.
+// stripEdges are the dimension-0 group sizes every random kernel runs at:
+// around the strip width, so that last strips are partial, and a single
+// lane.
+var stripEdges = []int{1, 3, 63, 64, 65, 100, 256}
+
+// TestRandomKernelsThreeWay is the compiler's and the executor's property
+// test: 120 randomized kernels (half with barriers + local memory), each
+// over every group size of stripEdges in one dimension and over a 2-D or
+// 3-D range of multi-row groups, with global offsets and a ragged guard,
+// must come out bit-identical from the optimized plan, the unoptimized
+// plan and the AST oracle. Run with -race this also proves the plan
+// runner's worker parallelism is race-clean.
 func TestRandomKernelsThreeWay(t *testing.T) {
 	const cases = 120
 	for seed := 0; seed < cases; seed++ {
@@ -614,27 +749,49 @@ func TestRandomKernelsThreeWay(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(seed)*7919 + 17))
 			g := &kgen{r: r}
 			if seed%2 == 1 {
-				g.barrier = barrierTopLevel + barrierShape(seed/2%3)
+				g.barrier = barrierTopLevel + barrierShape(seed/2)%(barrierShapes-1)
 			}
 			src := g.generate()
+			src1 := strings.ReplaceAll(src, item, "(gid - get_global_offset(0))")
+			srcN := strings.ReplaceAll(src, item, "lin")
 
-			local := []int{1 << (1 + r.Intn(5))} // 2..32
-			groups := 1 + r.Intn(6)
-			sh := launchShape{global: []int{local[0] * groups}, local: local}
-			if r.Intn(2) == 0 {
-				sh.offset = []int{r.Intn(100)}
+			var shapes []launchShape
+			for _, l0 := range stripEdges {
+				sh := launchShape{global: []int{l0 * (1 + r.Intn(3))}, local: []int{l0}}
+				if r.Intn(2) == 0 {
+					sh.offset = []int{r.Intn(100)}
+				}
+				shapes = append(shapes, sh)
 			}
-			n := 1 + r.Intn(sh.global[0]) // ragged guard boundary
+			l0 := stripEdges[seed%len(stripEdges)]
+			if seed/len(stripEdges)%2 == 0 {
+				shapes = append(shapes, launchShape{global: []int{l0 * (1 + r.Intn(2)), 4},
+					offset: []int{1 + r.Intn(100), 7}, local: []int{l0, 2}})
+			} else {
+				shapes = append(shapes, launchShape{global: []int{l0, 2, 4},
+					offset: []int{1 + r.Intn(100), 5, 3}, local: []int{l0, 2, 2}})
+			}
 
 			in := make([]byte, 4*256)
 			r.Read(in)
-			extra := []Arg{GlobalArg(in)}
-			if g.barrier != noBarrier {
-				extra = append(extra, LocalArg(4*local[0]))
-			}
-			extra = append(extra, IntArg(int32(n)))
-			if _, err := crossCheck(t, src, "k", outThen(4*g.nvars*sh.global[0], extra...), sh, 1+r.Intn(4)); err != nil {
-				t.Fatalf("generated kernel trapped: %v\n%s", err, src)
+			for _, sh := range shapes {
+				total, group := 1, 1
+				for d := range sh.global {
+					total *= sh.global[d]
+					group *= sh.local[d]
+				}
+				extra := []Arg{GlobalArg(in)}
+				if g.barrier != noBarrier {
+					extra = append(extra, LocalArg(4*group))
+				}
+				extra = append(extra, IntArg(int32(1+r.Intn(total)))) // ragged guard boundary
+				src := src1
+				if len(sh.global) > 1 {
+					src = srcN
+				}
+				if _, err := crossCheck(t, src, "k", outThen(4*g.nvars*total, extra...), sh, 1+r.Intn(4)); err != nil {
+					t.Fatalf("generated kernel trapped: %v\nshape %+v\n%s", err, sh, src)
+				}
 			}
 		})
 	}
@@ -671,11 +828,11 @@ kernel void spin(global int* out, int w, int h, int maxIter) {
 }
 `
 
-// TestStatsEngineSplit pins what FusedGroups and CoopGroups count: how a
-// group's items were scheduled — one fused loop on a shared register file,
-// or cooperatively with a register file per item — and nothing else. In
-// particular the unoptimized plan and a group handed over to it are not
-// "cooperative": there is no second engine to count.
+// TestStatsEngineSplit pins what FusedGroups and CoopGroups count: whether
+// a group ran strip after strip or, its kernel having barriers, as one
+// strip of all its items — and nothing else. In particular the unoptimized
+// plan and a group handed over to it are not "cooperative": there is no
+// second engine to count.
 func TestStatsEngineSplit(t *testing.T) {
 	split := func(name string, l Launch, fused, coop int) Stats {
 		t.Helper()
@@ -713,7 +870,7 @@ func TestStatsEngineSplit(t *testing.T) {
 	l.Args = []Arg{GlobalArg(make([]byte, 4*1024)), IntArg(0), IntArg(32), IntArg(10)}
 	split("zero width", l, 16, 0)
 
-	// Barrier kernels run cooperatively, optimized or not.
+	// Groups of barrier kernels are the cooperative ones, optimized or not.
 	pb := compile(t, `kernel void b(global int* out, local int* s) {
 	int lid = get_local_id(0);
 	s[lid] = lid;
@@ -787,7 +944,7 @@ func TestEstimateCostExtrapolation(t *testing.T) {
 }
 
 // TestDispatchAllocsZero is the zero-allocation claim as a plain test:
-// steady-state fused dispatch must not touch the heap.
+// steady-state dispatch must not touch the heap.
 func TestDispatchAllocsZero(t *testing.T) {
 	p := compile(t, speedupKernel)
 	fn := kernelFn(t, p, "spin")
@@ -802,8 +959,8 @@ func TestDispatchAllocsZero(t *testing.T) {
 	}
 }
 
-// BenchmarkFusedDispatch measures the steady-state fused dispatch inner
-// loop — one op is one work-group dispatch on a preallocated runner. Run
+// BenchmarkFusedDispatch measures steady-state dispatch — one op is one
+// work-group of four strips on a preallocated runner. Run
 // with -benchmem: allocs/op must be 0 (enforced by TestDispatchAllocsZero
 // and the CI bench smoke).
 func BenchmarkFusedDispatch(b *testing.B) {

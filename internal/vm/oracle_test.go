@@ -72,6 +72,7 @@ type ogroup struct {
 	ended   int // items that have returned
 	gen     int // bumped every time the waiting items are released
 	failed  error
+	trapped int // lowest item that has trapped; items while none has
 }
 
 const oDivergence = "barrier divergence: some work-items of a group finished while others wait at a barrier"
@@ -94,6 +95,7 @@ func (g *ogroup) settle() {
 type oitem struct {
 	file   *kernel.File
 	nd     int
+	lin    int      // this item's number within its group
 	gid    [3]int32 // this item
 	lid    [3]int32
 	group  [3]int32 // this group and launch
@@ -131,7 +133,7 @@ func oracleRun(src, name string, args []Arg, global, offset, local []int) error 
 		items *= local[d]
 	}
 	for gl := 0; gl < totalGroups; gl++ {
-		g := &ogroup{items: items}
+		g := &ogroup{items: items, trapped: items}
 		g.cond = sync.NewCond(&g.mu)
 		// Fresh, zeroed local memory per group; global memory is shared.
 		bufs := make([]obuf, len(args))
@@ -146,7 +148,7 @@ func oracleRun(src, name string, args []Arg, global, offset, local []int) error 
 		}
 		var wg sync.WaitGroup
 		for li := 0; li < items; li++ {
-			it := &oitem{file: file, nd: nd, g: g}
+			it := &oitem{file: file, nd: nd, g: g, lin: li}
 			gr, l := gl, li
 			for d := 0; d < nd; d++ {
 				it.group[d] = int32(gr % ngroups[d])
@@ -195,8 +197,11 @@ func (it *oitem) run(decl *kernel.FuncDecl, params map[string]any) {
 		switch t := r.(type) {
 		case nil, oabort:
 		case otrap:
-			if g.failed == nil {
-				g.failed = fmt.Errorf("%s", string(t))
+			// Items run at once here, so which trap comes first is up to
+			// the scheduler; the one reported is that of the lowest item,
+			// as if they had run in order.
+			if it.lin < g.trapped {
+				g.failed, g.trapped = fmt.Errorf("%s", string(t)), it.lin
 			}
 			g.cond.Broadcast() // nobody waits for a failed group to rendezvous
 		default:

@@ -1,15 +1,37 @@
 // Package vm executes compiled MiniCL kernels (internal/kernel plans:
 // register IR) over OpenCL-style ND-ranges. There is one executor, the
-// plan runner of fused.go.
+// plan runner of fused.go, and it runs work-items in lock step.
 //
 // Work-groups are distributed over a worker pool whose size models the
 // device's compute units; the items of one work-group run on a single
-// goroutine. A kernel without barriers runs as one fused loop over its
-// items on one register file. A kernel with barriers gives every item a
-// register file and a resume point: each item executes until it ends or
-// arrives at a barrier, then the next item runs, and when every item of
-// the group has arrived all of them resume — a deterministic rendering of
-// OpenCL's barrier semantics that needs no per-work-item goroutines.
+// goroutine, a strip at a time. A strip is up to 64 consecutive
+// dimension-0 items of the group — the whole group if the kernel has
+// barriers — and each item of it is a lane: registers are rows of lanes
+// (constants and group-uniform values are rows whose lanes are equal; the
+// coordinate and induction registers are seeded per strip as first value +
+// lane x step), and every IR instruction, each fused step included, is one
+// loop specialised for its opcode over the lanes of the running set. What
+// an instruction costs to dispatch is so paid once per strip, while
+// Stats.Instructions still counts it once per item.
+//
+//   - Lane sets. The running set starts as the whole strip. A branch on
+//     which its lanes disagree splits it: the side with the lower pc runs
+//     on, the other waits with its pc; whenever a waiting set's pc is at or
+//     before the running one's, the lower goes first, and sets that meet at
+//     the same pc become one again — so the sides of an if or the items
+//     that leave a loop early rejoin where their paths do.
+//   - Barriers. A set that arrives at a barrier waits there; when no set
+//     can run, all that wait resume (joined by resume pc), a deterministic
+//     rendering of OpenCL's barrier semantics that needs no per-work-item
+//     goroutines. All items of a group must arrive at a barrier or none: if
+//     some ended instead, the launch fails with "barrier divergence".
+//   - Traps. The first lane to reach a trap need not be the lowest item
+//     that will trap, so a trap is recorded with its lane, that lane and
+//     all above it are dropped from every set, and the lower ones run on to
+//     the next barrier or their end: the launch reports the trap of the
+//     lowest-numbered item of the group that traps before the next barrier,
+//     as if the items had run one after another. Strips run in order, so
+//     every item of an earlier strip has finished by then.
 package vm
 
 import (
@@ -80,12 +102,12 @@ type Stats struct {
 	ItemsPerGroup int
 	// PrologueInstructions counts the once-per-group share of
 	// Instructions (hoisted uniform code of compiled plans). Needed to
-	// extrapolate cost correctly: fused loops collapse per-item counts,
+	// extrapolate cost correctly: hoisting collapses per-item counts,
 	// making the per-group share non-negligible.
 	PrologueInstructions uint64
-	// FusedGroups/CoopGroups split GroupsRun by how the group's items were
-	// scheduled: one fused loop over a shared register file, or
-	// cooperatively with a register file per item (kernels with barriers).
+	// FusedGroups/CoopGroups split GroupsRun by kernel: groups run as
+	// strips of up to 64 items one after another, or — CoopGroups, the
+	// groups of kernels with barriers — as one strip of all their items.
 	FusedGroups int
 	CoopGroups  int
 	// Compile reports how compilation of the plan that ran went (lowering
@@ -96,7 +118,7 @@ type Stats struct {
 // EstimateCost extrapolates the total instruction count of an ND-range
 // with totalGroups work-groups from this (possibly sampled) run,
 // separating per-group cost (prologue) from per-item cost so that the
-// estimate stays accurate when fused loops collapse per-item counts.
+// estimate stays accurate when hoisting collapses per-item counts.
 func (s Stats) EstimateCost(totalGroups int) float64 {
 	if s.GroupsRun == 0 || s.ItemsPerGroup == 0 {
 		return 0
