@@ -11,6 +11,7 @@ import (
 	"dopencl/internal/cl"
 	"dopencl/internal/gcf"
 	"dopencl/internal/protocol"
+	"dopencl/internal/rpc"
 )
 
 // ParseServerList parses the dOpenCL server configuration file of
@@ -176,7 +177,7 @@ type Lease struct {
 	AuthID      string
 	ManagerAddr string
 	Servers     []*Server
-	manager     *gcf.Endpoint
+	manager     *rpc.Conn
 	plat        *Platform
 }
 
@@ -206,10 +207,11 @@ func (p *Platform) RequestFromManager(cfg ManagerConfig) (*Lease, error) {
 
 	// Candidate order: cached/fetched shard map in the tenant's rendezvous
 	// permutation, then any configured seed not in the map (covers an
-	// unsharded manager and a stale map).
-	_, shards := p.ShardView()
-	if len(shards) == 0 {
-		if view, err := p.fetchShardMap(seeds); err == nil {
+	// unsharded manager, whose view lists no shards, and a stale map).
+	// Epoch 0 means never fetched: managers start at 1.
+	epoch, shards := p.ShardView()
+	if epoch == 0 {
+		if view, err := rpc.FetchShardMap(p.opts.Dialer, seeds, 0); err == nil {
 			p.noteShardView(view)
 			_, shards = p.ShardView()
 		}
@@ -245,142 +247,51 @@ func (p *Platform) RequestFromManager(cfg ManagerConfig) (*Lease, error) {
 	return nil, lastErr
 }
 
-// fetchShardMap asks the first reachable seed for the control-plane
-// membership view.
-func (p *Platform) fetchShardMap(seeds []string) (protocol.ShardMap, error) {
-	var lastErr error
-	for _, addr := range seeds {
-		conn, err := p.opts.Dialer(addr)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		ep := gcf.NewEndpoint(conn, true)
-		respCh := make(chan *protocol.Envelope, 1)
-		lost := make(chan struct{})
-		ep.Start(func(msg []byte) {
-			env, perr := protocol.ParseEnvelope(msg)
-			if perr == nil && env.Class == protocol.ClassResponse {
-				select {
-				case respCh <- &env:
-				default:
-				}
-			}
-		}, func(error) { close(lost) })
-		err = ep.Send(protocol.EncodeEnvelope(protocol.ClassRequest, 1, protocol.MsgDMShardMap, protocol.NewWriter()))
-		if err != nil {
-			ep.Close()
-			lastErr = err
-			continue
-		}
-		env, ok := awaitResponse(respCh, lost)
-		ep.Close()
-		if !ok {
-			// The seed died mid-request: without the close notice this
-			// receive would hang forever instead of trying the next seed.
-			lastErr = fmt.Errorf("%s: connection lost", addr)
-			continue
-		}
-		if status := cl.ErrorCode(env.Body.I32()); status != cl.Success {
-			lastErr = cl.Errf(status, "shard map refused by %s", addr)
-			continue
-		}
-		view := protocol.GetShardMap(env.Body)
-		if err := env.Body.Err(); err != nil {
-			lastErr = err
-			continue
-		}
-		return view, nil
-	}
-	return protocol.ShardMap{}, lastErr
-}
-
-// awaitResponse blocks until the manager answers or its connection dies.
-// The endpoint's close notice fires once when the transport drops, so a
-// shard killed mid-request surfaces as ok=false instead of stranding the
-// caller on a channel nothing will ever write to — the bug that used to
-// defeat ShardOrder failover. A response that raced the close notice is
-// still drained and honoured.
-func awaitResponse(respCh chan *protocol.Envelope, lost chan struct{}) (*protocol.Envelope, bool) {
-	select {
-	case env := <-respCh:
-		return env, true
-	case <-lost:
-		select {
-		case env := <-respCh:
-			return env, true
-		default:
-			return nil, false
-		}
-	}
-}
-
 // requestFromShard runs one placement attempt against one shard.
 func (p *Platform) requestFromShard(manager, tenant string, cfg ManagerConfig) (*Lease, error) {
 	conn, err := p.opts.Dialer(manager)
 	if err != nil {
 		return nil, cl.Errf(cl.InvalidServer, "connecting to device manager %s: %v", manager, err)
 	}
-	ep := gcf.NewEndpoint(conn, true)
-	respCh := make(chan *protocol.Envelope, 1)
-	lost := make(chan struct{})
-	ep.Start(func(msg []byte) {
-		env, perr := protocol.ParseEnvelope(msg)
-		if perr != nil {
-			return
-		}
-		switch {
-		case env.Class == protocol.ClassResponse:
-			select {
-			case respCh <- &env:
-			default:
-			}
-		case env.Class == protocol.ClassOneWay && env.Type == protocol.MsgDMPing:
+	c := rpc.New(gcf.NewEndpoint(conn, true))
+	c.Start(func(env protocol.Envelope) {
+		if env.Type == protocol.MsgDMPing {
 			// Epoch bump pushed by the shard: refresh the cached map.
-			view := protocol.GetShardMap(env.Body)
-			if env.Body.Err() == nil {
+			if view := protocol.GetShardMap(env.Body); env.Body.Err() == nil {
 				p.noteShardView(view)
 			}
 		}
-	}, func(error) { close(lost) })
+	}, nil)
 
-	w := protocol.NewWriter()
-	protocol.PlaceRequest{Tenant: tenant, Weight: cfg.Weight, Requests: cfg.Requests}.Put(w)
-	if err := ep.Send(protocol.EncodeEnvelope(protocol.ClassRequest, 1, protocol.MsgDMRequestDevices, w)); err != nil {
-		ep.Close()
-		return nil, cl.Errf(cl.InvalidServer, "device manager request: %v", err)
+	resp, err := c.Call(protocol.MsgDMRequestDevices, 0, func(w *protocol.Writer) {
+		protocol.PlaceRequest{Tenant: tenant, Weight: cfg.Weight, Requests: cfg.Requests}.Put(w)
+	})
+	if err != nil {
+		c.Close()
+		if resp != nil {
+			return nil, cl.Errf(cl.CodeOf(err), "device manager rejected request: %s", resp.String())
+		}
+		// A shard that crashed mid-acquire included: InvalidServer makes
+		// the candidate loop in RequestFromManager advance to the next
+		// shard of the tenant's permutation.
+		return nil, cl.Errf(cl.InvalidServer, "device manager %s: %v", manager, err)
 	}
-	env, ok := awaitResponse(respCh, lost)
-	if !ok {
-		// The shard crashed mid-acquire. InvalidServer makes the candidate
-		// loop in RequestFromManager advance to the next shard of the
-		// tenant's permutation instead of hanging here forever.
-		ep.Close()
-		return nil, cl.Errf(cl.InvalidServer, "device manager %s connection lost mid-request", manager)
-	}
-	if status := cl.ErrorCode(env.Body.I32()); status != cl.Success {
-		reason := env.Body.String()
-		ep.Close()
-		return nil, cl.Errf(status, "device manager rejected request: %s", reason)
-	}
-	authID := env.Body.String()
-	serverAddrs := env.Body.Strings()
-	if env.Body.Err() != nil {
-		ep.Close()
+	authID := resp.String()
+	serverAddrs := resp.Strings()
+	if resp.Err() != nil {
+		c.Close()
 		return nil, cl.Errf(cl.InvalidServer, "malformed device manager response")
 	}
 	// The grant carries the shard's membership view — a free refresh.
-	if view := protocol.GetShardMap(env.Body); env.Body.Err() == nil {
+	if view := protocol.GetShardMap(resp); resp.Err() == nil {
 		p.noteShardView(view)
 	}
 
-	lease := &Lease{AuthID: authID, ManagerAddr: manager, manager: ep, plat: p}
+	lease := &Lease{AuthID: authID, ManagerAddr: manager, manager: c, plat: p}
 	for _, addr := range serverAddrs {
 		s, err := p.connectServerAuth(addr, authID)
 		if err != nil {
-			if rerr := lease.Release(); rerr != nil {
-				return nil, err
-			}
+			_ = lease.Release() // the connect failure is the one to report
 			return nil, err
 		}
 		lease.Servers = append(lease.Servers, s)
@@ -394,10 +305,10 @@ func (p *Platform) requestFromShard(manager, tenant string, cfg ManagerConfig) (
 // whichever shard adopted the devices (rendezvous re-homing) holds the
 // lease record and frees them; the others ignore the unknown auth ID.
 func (l *Lease) Release() error {
-	w := protocol.NewWriter()
-	w.String(l.AuthID)
-	frame := protocol.EncodeEnvelope(protocol.ClassRequest, 0, protocol.MsgDMReleaseLease, w)
-	err := l.manager.Send(frame)
+	release := func(c *rpc.Conn) error {
+		return c.OneWay(protocol.MsgDMReleaseLease, func(w *protocol.Writer) { w.String(l.AuthID) })
+	}
+	err := release(l.manager)
 	if err != nil {
 		_, shards := l.plat.ShardView()
 		for _, addr := range shards {
@@ -405,12 +316,12 @@ func (l *Lease) Release() error {
 			if derr != nil {
 				continue
 			}
-			ep := gcf.NewEndpoint(conn, true)
-			ep.Start(func([]byte) {}, nil)
-			if serr := ep.Send(frame); serr == nil {
+			c := rpc.New(gcf.NewEndpoint(conn, true))
+			c.Start(nil, nil)
+			if release(c) == nil {
 				err = nil
 			}
-			ep.Close()
+			c.Close()
 		}
 	}
 	for _, s := range l.Servers {

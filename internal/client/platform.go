@@ -63,7 +63,9 @@ type Platform struct {
 // cache; stale epochs are ignored.
 func (p *Platform) noteShardView(view protocol.ShardMap) {
 	p.smMu.Lock()
-	if view.Epoch > p.shardEpoch {
+	// An unsharded manager's view (no shard list) is remembered too, so it
+	// is asked once; a shard list at the same epoch still replaces it.
+	if view.Epoch > p.shardEpoch || view.Epoch == p.shardEpoch && len(p.shards) == 0 {
 		p.shardEpoch = view.Epoch
 		p.shards = append([]string(nil), view.Shards...)
 	}

@@ -18,6 +18,7 @@
 package client
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -25,6 +26,7 @@ import (
 	"dopencl/internal/cl"
 	"dopencl/internal/gcf"
 	"dopencl/internal/protocol"
+	"dopencl/internal/rpc"
 )
 
 // Server is a connected dOpenCL server: the client-side handle returned by
@@ -42,18 +44,16 @@ type Server struct {
 	peerAddr   string
 	canForward bool
 
-	nextReq atomic.Uint32
-
 	// Control-plane frame counters (requests + one-way commands out,
-	// responses + notifications in; bulk stream data is not counted).
-	// Tests use them to prove a graph replay costs one frame per
-	// iteration where the eager path costs one per command.
+	// responses + notifications in; bulk stream data is not counted). A
+	// request is counted when its response arrives, both at once. Tests
+	// use them to prove a graph replay costs one frame per iteration
+	// where the eager path costs one per command.
 	sentFrames atomic.Uint64
 	recvFrames atomic.Uint64
 
 	mu        sync.Mutex
-	ep        *gcf.Endpoint // swapped on re-attach; epLocked() for use
-	pending   map[uint32]chan *protocol.Envelope
+	conn      *rpc.Conn                         // swapped on re-attach
 	hooks     map[uint64]func(cl.CommandStatus) // event ID → completion hook
 	queueErrs map[uint64][]deferredFailure      // queue ID → deferred one-way failures (bounded)
 	sessErrs  []error                           // queue-less one-way failures (object plane, bounded)
@@ -125,7 +125,6 @@ func dialServer(p *Platform, addr string, ep *gcf.Endpoint, authID string) (*Ser
 		plat:      p,
 		addr:      addr,
 		authID:    authID,
-		pending:   map[uint32]chan *protocol.Envelope{},
 		hooks:     map[uint64]func(cl.CommandStatus){},
 		queueErrs: map[uint64][]deferredFailure{},
 		badPeers:  map[string]bool{},
@@ -134,10 +133,7 @@ func dialServer(p *Platform, addr string, ep *gcf.Endpoint, authID string) (*Ser
 		// in call/send, like a re-attach handshake does.
 		reattaching: true,
 	}
-	s.mu.Lock()
-	s.ep = ep
-	s.mu.Unlock()
-	s.startEndpoint(ep)
+	s.startConn(ep)
 
 	resp, err := s.call(protocol.MsgHello, func(w *protocol.Writer) {
 		w.String(p.opts.ClientName)
@@ -167,34 +163,49 @@ func dialServer(p *Platform, addr string, ep *gcf.Endpoint, authID string) (*Ser
 	return s, nil
 }
 
-// startEndpoint launches the endpoint's loops wired to this server. The
-// onClose closure captures the endpoint so a stale endpoint's late close
+// startConn makes ep the server's connection and launches its loops. The
+// onClose closure captures the connection so a stale one's late close
 // (after a re-attach replaced it) cannot tear down the live connection.
-func (s *Server) startEndpoint(ep *gcf.Endpoint) {
-	ep.Start(s.handleMessage, func(err error) { s.onClose(ep, err) })
+func (s *Server) startConn(ep *gcf.Endpoint) *rpc.Conn {
+	c := rpc.New(ep)
+	s.mu.Lock()
+	s.conn = c
+	s.mu.Unlock()
+	c.Start(s.handleMessage, func(err error) { s.onClose(c, err) })
 	if s.plat.opts.HeartbeatInterval > 0 && s.plat.opts.HeartbeatTimeout > 0 {
 		ep.StartHeartbeat(s.plat.opts.HeartbeatInterval, s.plat.opts.HeartbeatTimeout)
 	}
+	return c
 }
 
-// onClose is the ServerDown path: it marks the server and its devices
-// unavailable, fails all pending calls and every in-flight command event
-// with cl.ServerLost, and hands the directory sweep to the platform so
-// buffer ranges whose only valid copy lived here become Lost (and ranges
-// with survivors re-home on their next use).
-func (s *Server) onClose(ep *gcf.Endpoint, err error) {
-	s.mu.Lock()
-	if s.ep != ep {
-		// A stale endpoint (replaced by a re-attach) died late.
-		s.mu.Unlock()
-		return
+// markDownLocked records the death of connection c — seen by its close
+// notice or by a call it failed, whichever comes first — and returns the
+// typed loss. A stale connection's death leaves the server's state alone.
+func (s *Server) markDownLocked(c *rpc.Conn, cause error) error {
+	if s.conn != c {
+		return cl.Errf(cl.ServerLost, "connection to %s lost: %v", s.addr, cause)
 	}
 	s.connected = false
 	if s.downErr == nil {
-		s.downErr = cl.Errf(cl.ServerLost, "server %s connection lost: %v", s.addr, err)
+		s.downErr = cl.Errf(cl.ServerLost, "server %s connection lost: %v", s.addr, cause)
 	}
-	pend := s.pending
-	s.pending = map[uint32]chan *protocol.Envelope{}
+	return s.downErr
+}
+
+// onClose is the ServerDown path: it marks the server and its devices
+// unavailable, fails every in-flight command event with cl.ServerLost
+// (the connection has already failed the pending calls), and hands the
+// directory sweep to the platform so buffer ranges whose only valid copy
+// lived here become Lost (and ranges with survivors re-home on their next
+// use).
+func (s *Server) onClose(c *rpc.Conn, err error) {
+	s.mu.Lock()
+	if s.conn != c {
+		// A stale connection (replaced by a re-attach) died late.
+		s.mu.Unlock()
+		return
+	}
+	s.markDownLocked(c, err)
 	hooks := s.hooks
 	s.hooks = map[uint64]func(cl.CommandStatus){}
 	serves := s.serves
@@ -203,9 +214,6 @@ func (s *Server) onClose(ep *gcf.Endpoint, err error) {
 	downClosed := s.downClosed
 	s.downClosed = true
 	s.mu.Unlock()
-	for _, ch := range pend {
-		close(ch)
-	}
 	for _, hook := range hooks {
 		go hook(cl.CommandStatus(cl.ServerLost))
 	}
@@ -266,31 +274,17 @@ func (s *Server) generation() uint64 {
 	return s.connGen
 }
 
-// endpoint returns the current gcf endpoint.
+// endpoint returns the current connection's gcf endpoint (bulk streams).
 func (s *Server) endpoint() *gcf.Endpoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ep
+	return s.conn.Endpoint()
 }
 
-// handleMessage routes responses to pending calls and dispatches
-// notifications.
-func (s *Server) handleMessage(msg []byte) {
-	env, err := protocol.ParseEnvelope(msg)
-	if err != nil {
-		return
-	}
+// handleMessage dispatches the daemon's notifications.
+func (s *Server) handleMessage(env protocol.Envelope) {
 	s.recvFrames.Add(1)
-	switch env.Class {
-	case protocol.ClassResponse:
-		s.mu.Lock()
-		ch := s.pending[env.ID]
-		delete(s.pending, env.ID)
-		s.mu.Unlock()
-		if ch != nil {
-			ch <- &env
-		}
-	case protocol.ClassNotification:
+	if env.Class == protocol.ClassNotification {
 		switch env.Type {
 		case protocol.MsgEventComplete:
 			eventID := env.Body.U64()
@@ -370,56 +364,56 @@ func (s *Server) dropHook(eventID uint64) {
 	s.mu.Unlock()
 }
 
-// call performs a synchronous request/response exchange. The returned
-// reader is positioned after the status field.
-func (s *Server) call(typ protocol.MsgType, fill func(*protocol.Writer)) (*protocol.Reader, error) {
-	id := s.nextReq.Add(1)
-	ch := make(chan *protocol.Envelope, 1)
+// live returns the connection to talk on. Down servers fail fast with the
+// typed loss — except while a Reattach is in flight, whose own handshake
+// and recovery traffic must pass. (An application call racing that narrow
+// window reaches the daemon early and gets object-level errors; everything
+// before and after gets ServerLost.)
+func (s *Server) live() (*rpc.Conn, error) {
 	s.mu.Lock()
-	// Down servers fail fast with the typed loss — except while a
-	// Reattach is in flight, whose own handshake and recovery traffic
-	// must pass. (An application call racing that narrow window reaches
-	// the daemon early and gets object-level errors; everything before
-	// and after gets ServerLost.)
+	defer s.mu.Unlock()
 	if !s.connected && !s.reattaching {
-		err := s.downErr
-		if err == nil {
-			err = cl.Errf(cl.ServerLost, "server %s disconnected", s.addr)
+		if s.downErr != nil {
+			return nil, s.downErr
 		}
-		s.mu.Unlock()
-		return nil, err
-	}
-	if s.pending == nil {
-		s.mu.Unlock()
 		return nil, cl.Errf(cl.ServerLost, "server %s disconnected", s.addr)
 	}
-	s.pending[id] = ch
-	ep := s.ep
-	s.mu.Unlock()
+	return s.conn, nil
+}
 
-	w := protocol.NewWriter()
-	if fill != nil {
-		fill(w)
-	}
-	if err := ep.Send(protocol.EncodeEnvelope(protocol.ClassRequest, id, typ, w)); err != nil {
+// sendErr types a transmission failure on connection c: a lost connection
+// is the server going down (cl.ServerLost, recoverable via re-attach) and
+// is recorded as such here, whether or not the close notice has run yet —
+// the caller sees a disconnected server the moment it sees the error.
+// Anything else stays a generic server error.
+func (s *Server) sendErr(c *rpc.Conn, err error) error {
+	if errors.Is(err, rpc.ErrLost) {
 		s.mu.Lock()
-		delete(s.pending, id)
-		s.mu.Unlock()
-		return nil, s.sendError(err)
+		defer s.mu.Unlock()
+		return s.markDownLocked(c, err)
+	}
+	return cl.Errf(cl.InvalidServer, "send to %s failed: %v", s.addr, err)
+}
+
+// call performs a synchronous request/response exchange. The returned
+// reader is positioned after the status field. The wait is bounded by the
+// ServerDown signal: a dead or silently-partitioned daemon (the heartbeat
+// path) cannot park a Finish forever.
+func (s *Server) call(typ protocol.MsgType, fill func(*protocol.Writer)) (*protocol.Reader, error) {
+	c, err := s.live()
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.Call(typ, 0, fill)
+	if resp == nil {
+		return nil, s.sendErr(c, err)
 	}
 	s.sentFrames.Add(1)
-	// onClose closes every pending channel, so this receive is bounded by
-	// the ServerDown signal: a dead or silently-partitioned daemon (the
-	// heartbeat path) cannot park a Finish forever.
-	env, ok := <-ch
-	if !ok {
-		return nil, cl.Errf(cl.ServerLost, "connection to %s lost", s.addr)
+	s.recvFrames.Add(1)
+	if err != nil {
+		return resp, cl.Errf(cl.CodeOf(err), "%s on %s failed", typ, s.addr)
 	}
-	status := cl.ErrorCode(env.Body.I32())
-	if status != cl.Success {
-		return env.Body, cl.Errf(status, "%s on %s failed", typ, s.addr)
-	}
-	return env.Body, nil
+	return resp, nil
 }
 
 // send fires a one-way request (fire-and-forget, Section III-B): no
@@ -428,39 +422,15 @@ func (s *Server) call(typ protocol.MsgType, fill func(*protocol.Writer)) (*proto
 // notifications and surface through the command's event or the queue's
 // next Finish. Only local transmission failures are reported here.
 func (s *Server) send(typ protocol.MsgType, fill func(*protocol.Writer)) error {
-	s.mu.Lock()
-	if !s.connected && !s.reattaching {
-		err := s.downErr
-		if err == nil {
-			err = cl.Errf(cl.ServerLost, "server %s disconnected", s.addr)
-		}
-		s.mu.Unlock()
+	c, err := s.live()
+	if err != nil {
 		return err
 	}
-	ep := s.ep
-	s.mu.Unlock()
-	w := protocol.NewWriter()
-	if fill != nil {
-		fill(w)
-	}
-	if err := ep.Send(protocol.EncodeEnvelope(protocol.ClassOneWay, 0, typ, w)); err != nil {
-		return s.sendError(err)
+	if err := c.OneWay(typ, fill); err != nil {
+		return s.sendErr(c, err)
 	}
 	s.sentFrames.Add(1)
 	return nil
-}
-
-// sendError classifies a transmission failure: once the server is down
-// every send reports the typed ServerLost (recoverable via re-attach);
-// other failures stay generic server errors.
-func (s *Server) sendError(err error) error {
-	s.mu.Lock()
-	down := s.downErr
-	s.mu.Unlock()
-	if down != nil {
-		return down
-	}
-	return cl.Errf(cl.InvalidServer, "send to %s failed: %v", s.addr, err)
 }
 
 // FrameCounts reports the control-plane frames exchanged with this
@@ -605,21 +575,23 @@ func (s *Server) Reattach() (retained bool, err error) {
 	}
 	s.reattaching = true
 	sid := s.sessionID
+	down := s.down
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
 		s.reattaching = false
 		s.mu.Unlock()
 	}()
+	// A failed call reports the loss a moment before the dead connection's
+	// close notice has failed its events and swept the directories; a new
+	// connection installed in between would make that notice stale.
+	<-down
 
 	ep, err := s.plat.dialEndpoint(s.addr)
 	if err != nil {
 		return false, cl.Errf(cl.ServerLost, "reconnecting to %s: %v", s.addr, err)
 	}
-	s.mu.Lock()
-	s.ep = ep
-	s.mu.Unlock()
-	s.startEndpoint(ep)
+	c := s.startConn(ep)
 
 	resp, err := s.call(protocol.MsgAttachSession, func(w *protocol.Writer) {
 		w.U64(sid)
@@ -682,7 +654,7 @@ func (s *Server) Reattach() (retained bool, err error) {
 		if err == nil {
 			err = cl.Errf(cl.ServerLost, "server %s died during reattach", s.addr)
 		}
-		s.onClose(ep, err)
+		s.onClose(c, err)
 		return retained, cl.Errf(cl.ServerLost, "server %s died during reattach: %v", s.addr, err)
 	}
 	if retained {

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -11,6 +12,7 @@ import (
 	"dopencl/internal/cl"
 	"dopencl/internal/gcf"
 	"dopencl/internal/protocol"
+	"dopencl/internal/rpc"
 )
 
 // Control-plane attachment. Three entry points, layered:
@@ -31,28 +33,15 @@ import (
 // assign/revoke/ping traffic. onView (may be nil) receives shard-map
 // views pushed or carried on pings; onDown (may be nil) fires when the
 // connection dies.
-func (d *Daemon) attachManagerConn(conn net.Conn, selfAddr string, units []uint32, onView func(protocol.ShardMap), onDown func()) (*gcf.Endpoint, error) {
-	ep := gcf.NewEndpoint(conn, true)
+func (d *Daemon) attachManagerConn(conn net.Conn, selfAddr string, units []uint32, onView func(protocol.ShardMap), onDown func()) (*rpc.Conn, error) {
+	c := rpc.New(gcf.NewEndpoint(conn, true))
 	d.dmMu.Lock()
-	d.dms[ep] = true
+	d.dms[c] = true
 	d.dmMu.Unlock()
 
-	regCh := make(chan *protocol.Envelope, 1)
-	var regOnce sync.Once
-
-	ep.Start(func(msg []byte) {
-		env, err := protocol.ParseEnvelope(msg)
-		if err != nil {
-			d.logf("daemon %s: bad manager message: %v", d.cfg.Name, err)
-			return
-		}
-		switch {
-		case env.Class == protocol.ClassResponse:
-			select {
-			case regCh <- &env:
-			default:
-			}
-		case env.Type == protocol.MsgDMAssign:
+	c.Start(func(env protocol.Envelope) {
+		switch env.Type {
+		case protocol.MsgDMAssign:
 			authID := env.Body.String()
 			units := env.Body.U64s()
 			u32 := make([]uint32, len(units))
@@ -60,20 +49,9 @@ func (d *Daemon) attachManagerConn(conn net.Conn, selfAddr string, units []uint3
 				u32[i] = uint32(u)
 			}
 			d.Allow(authID, u32)
-			resp := protocol.NewWriter()
-			resp.I32(int32(cl.Success))
-			if err := ep.Send(protocol.EncodeEnvelope(protocol.ClassResponse, env.ID, env.Type, resp)); err != nil {
-				d.logf("daemon %s: assign ack failed: %v", d.cfg.Name, err)
-			}
-		case env.Type == protocol.MsgDMRevoke:
-			authID := env.Body.String()
-			d.Revoke(authID)
-			resp := protocol.NewWriter()
-			resp.I32(int32(cl.Success))
-			if err := ep.Send(protocol.EncodeEnvelope(protocol.ClassResponse, env.ID, env.Type, resp)); err != nil {
-				d.logf("daemon %s: revoke ack failed: %v", d.cfg.Name, err)
-			}
-		case env.Type == protocol.MsgDMPing:
+		case protocol.MsgDMRevoke:
+			d.Revoke(env.Body.String())
+		case protocol.MsgDMPing:
 			// Manager health probe (request) or epoch push (one-way). The
 			// body, when present, carries the manager's membership view.
 			if onView != nil && env.Body.Remaining() > 0 {
@@ -82,20 +60,19 @@ func (d *Daemon) attachManagerConn(conn net.Conn, selfAddr string, units []uint3
 					onView(view)
 				}
 			}
-			if env.Class != protocol.ClassRequest {
-				return
-			}
-			resp := protocol.NewWriter()
-			resp.I32(int32(cl.Success))
-			if err := ep.Send(protocol.EncodeEnvelope(protocol.ClassResponse, env.ID, env.Type, resp)); err != nil {
-				d.logf("daemon %s: ping ack failed: %v", d.cfg.Name, err)
+		default:
+			return
+		}
+		// Only a request is waited on: a revoke or an epoch push is not.
+		if env.Class == protocol.ClassRequest {
+			if err := c.Reply(env.ID, env.Type, cl.Success, nil); err != nil {
+				d.logf("daemon %s: %s ack failed: %v", d.cfg.Name, env.Type, err)
 			}
 		}
 	}, func(error) {
 		d.dmMu.Lock()
-		delete(d.dms, ep)
+		delete(d.dms, c)
 		d.dmMu.Unlock()
-		regOnce.Do(func() { close(regCh) })
 		if onDown != nil {
 			onDown()
 		}
@@ -108,25 +85,21 @@ func (d *Daemon) attachManagerConn(conn net.Conn, selfAddr string, units []uint3
 	// re-homing) reconstructs lease accounting instead of double-booking
 	// still-leased devices.
 	recs, leasedBy := d.recordsFor(units)
-	w := protocol.NewWriter()
-	w.String(selfAddr)
-	w.String(d.cfg.PeerAddr)
-	protocol.PutDeviceRecords(w, recs)
-	w.Strings(leasedBy)
-	if err := ep.Send(protocol.EncodeEnvelope(protocol.ClassRequest, 1, protocol.MsgDMRegisterServer, w)); err != nil {
-		ep.Close()
-		return nil, fmt.Errorf("daemon: registering with device manager: %w", err)
-	}
-	env, ok := <-regCh
-	if !ok || env == nil {
-		return nil, cl.Errf(cl.InvalidServer, "device manager connection lost during registration")
-	}
-	if status := cl.ErrorCode(env.Body.I32()); status != cl.Success {
-		ep.Close()
-		return nil, cl.Errf(status, "device manager rejected registration")
+	_, err := c.Call(protocol.MsgDMRegisterServer, 0, func(w *protocol.Writer) {
+		w.String(selfAddr)
+		w.String(d.cfg.PeerAddr)
+		protocol.PutDeviceRecords(w, recs)
+		w.Strings(leasedBy)
+	})
+	if err != nil {
+		c.Close()
+		if errors.Is(err, rpc.ErrLost) {
+			return nil, cl.Errf(cl.InvalidServer, "registering with device manager: %v", err)
+		}
+		return nil, cl.Errf(cl.CodeOf(err), "device manager rejected registration")
 	}
 	d.logf("daemon %s: registered %d devices with device manager as %s", d.cfg.Name, len(recs), selfAddr)
-	return ep, nil
+	return c, nil
 }
 
 // recordsFor returns the device records for the given units (nil = all)
@@ -189,7 +162,7 @@ func (d *Daemon) AttachManagerAuto(dial func() (net.Conn, error), selfAddr strin
 	}
 	done := make(chan struct{})
 	var mu sync.Mutex
-	var cur *gcf.Endpoint
+	var cur *rpc.Conn
 	go func() {
 		delay := min
 		for {
@@ -199,10 +172,10 @@ func (d *Daemon) AttachManagerAuto(dial func() (net.Conn, error), selfAddr strin
 			default:
 			}
 			down := make(chan struct{})
-			var ep *gcf.Endpoint
+			var c *rpc.Conn
 			conn, err := dial()
 			if err == nil {
-				ep, err = d.attachManagerConn(conn, selfAddr, nil, nil, func() { close(down) })
+				c, err = d.attachManagerConn(conn, selfAddr, nil, nil, func() { close(down) })
 			}
 			if err != nil {
 				d.logf("daemon %s: manager attach failed (retrying in ~%s): %v", d.cfg.Name, delay, err)
@@ -217,7 +190,7 @@ func (d *Daemon) AttachManagerAuto(dial func() (net.Conn, error), selfAddr strin
 				continue
 			}
 			mu.Lock()
-			cur = ep
+			cur = c
 			mu.Unlock()
 			delay = min // successful registration resets the backoff
 			select {
@@ -233,10 +206,10 @@ func (d *Daemon) AttachManagerAuto(dial func() (net.Conn, error), selfAddr strin
 		once.Do(func() {
 			close(done)
 			mu.Lock()
-			ep := cur
+			c := cur
 			mu.Unlock()
-			if ep != nil {
-				ep.Close()
+			if c != nil {
+				c.Close()
 			}
 		})
 	}
@@ -285,7 +258,7 @@ type controlPlane struct {
 // shardLink is one live registration with one shard.
 type shardLink struct {
 	addr  string
-	ep    *gcf.Endpoint
+	conn  *rpc.Conn
 	units []uint32 // sorted
 }
 
@@ -390,48 +363,8 @@ func (cp *controlPlane) refreshView() {
 			targets = append(targets, a)
 		}
 	}
-	for _, addr := range targets {
-		conn, err := cp.cfg.Dial(addr)
-		if err != nil {
-			continue
-		}
-		ep := gcf.NewEndpoint(conn, true)
-		respCh := make(chan *protocol.Envelope, 1)
-		ep.Start(func(msg []byte) {
-			env, perr := protocol.ParseEnvelope(msg)
-			if perr == nil && env.Class == protocol.ClassResponse {
-				select {
-				case respCh <- &env:
-				default:
-				}
-			}
-		}, nil)
-		err = ep.Send(protocol.EncodeEnvelope(protocol.ClassRequest, 1, protocol.MsgDMShardMap, protocol.NewWriter()))
-		if err != nil {
-			ep.Close()
-			continue
-		}
-		select {
-		case env := <-respCh:
-			ep.Close()
-			if env == nil {
-				continue
-			}
-			if status := cl.ErrorCode(env.Body.I32()); status != cl.Success {
-				continue
-			}
-			view := protocol.GetShardMap(env.Body)
-			if env.Body.Err() != nil {
-				continue
-			}
-			cp.noteView(view)
-			return
-		case <-time.After(cp.cfg.RetryMax):
-			ep.Close()
-		case <-cp.stop:
-			ep.Close()
-			return
-		}
+	if view, err := rpc.FetchShardMap(cp.cfg.Dial, targets, cp.cfg.RetryMax); err == nil {
+		cp.noteView(view)
 	}
 }
 
@@ -462,7 +395,7 @@ func (cp *controlPlane) reconcile() bool {
 			continue
 		}
 		if link != nil {
-			link.ep.Close() // partition changed: re-register wholesale
+			link.conn.Close() // partition changed: re-register wholesale
 		}
 		if !cp.register(addr, units) {
 			settled = false
@@ -478,7 +411,7 @@ func (cp *controlPlane) reconcile() bool {
 	}
 	cp.mu.Unlock()
 	for _, link := range stale {
-		link.ep.Close()
+		link.conn.Close()
 	}
 	return settled
 }
@@ -491,7 +424,7 @@ func (cp *controlPlane) register(addr string, units []uint32) bool {
 		return false
 	}
 	link := &shardLink{addr: addr, units: units}
-	ep, err := cp.d.attachManagerConn(conn, cp.cfg.SelfAddr, units, cp.noteView, func() {
+	c, err := cp.d.attachManagerConn(conn, cp.cfg.SelfAddr, units, cp.noteView, func() {
 		cp.mu.Lock()
 		if cp.links[addr] == link {
 			delete(cp.links, addr)
@@ -503,7 +436,7 @@ func (cp *controlPlane) register(addr string, units []uint32) bool {
 		cp.d.logf("daemon %s: registering with shard %s: %v", cp.d.cfg.Name, addr, err)
 		return false
 	}
-	link.ep = ep
+	link.conn = c
 	cp.mu.Lock()
 	cp.links[addr] = link
 	cp.mu.Unlock()
@@ -520,7 +453,7 @@ func (cp *controlPlane) close() {
 	cp.links = map[string]*shardLink{}
 	cp.mu.Unlock()
 	for _, l := range links {
-		l.ep.Close()
+		l.conn.Close()
 	}
 }
 

@@ -5,9 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"dopencl/internal/cl"
 	"dopencl/internal/device"
 	"dopencl/internal/devmgr"
+	"dopencl/internal/gcf"
 	"dopencl/internal/native"
+	"dopencl/internal/protocol"
 	"dopencl/internal/simnet"
 )
 
@@ -63,4 +66,136 @@ func TestAttachManagerAutoReRegisters(t *testing.T) {
 	// external nudge.
 	nw.HealNode("node1")
 	waitFree("auto re-registration", 2)
+}
+
+// fakeManager is the manager's end of a daemon's management link, framed
+// by hand: it acknowledges the registration and hands every other frame
+// the daemon sends to the test.
+type fakeManager struct {
+	ep     *gcf.Endpoint
+	frames chan protocol.Envelope
+}
+
+func attachFakeManager(t *testing.T, d *Daemon) *fakeManager {
+	t.Helper()
+	a, b := simnet.Pipe(simnet.Unlimited())
+	fm := &fakeManager{ep: gcf.NewEndpoint(b, false), frames: make(chan protocol.Envelope, 16)}
+	fm.ep.Start(func(msg []byte) {
+		env, err := protocol.ParseEnvelope(msg)
+		if err != nil {
+			t.Errorf("daemon sent a malformed frame: %v", err)
+			return
+		}
+		if env.Type == protocol.MsgDMRegisterServer {
+			fm.send(t, protocol.ClassResponse, env.ID, env.Type, func(w *protocol.Writer) { w.I32(int32(cl.Success)) })
+			return
+		}
+		fm.frames <- env
+	}, nil)
+	t.Cleanup(func() { fm.ep.Close() })
+	if err := d.AttachManager(a, "node"); err != nil {
+		t.Fatal(err)
+	}
+	return fm
+}
+
+func (fm *fakeManager) send(t *testing.T, class uint8, id uint32, typ protocol.MsgType, fill func(*protocol.Writer)) {
+	t.Helper()
+	w := protocol.NewWriter()
+	if fill != nil {
+		fill(w)
+	}
+	if err := fm.ep.Send(protocol.EncodeEnvelope(class, id, typ, w)); err != nil {
+		t.Error(err)
+	}
+}
+
+func (fm *fakeManager) next(t *testing.T) protocol.Envelope {
+	t.Helper()
+	select {
+	case env := <-fm.frames:
+		return env
+	case <-time.After(5 * time.Second):
+		t.Fatal("no frame from the daemon")
+		return protocol.Envelope{}
+	}
+}
+
+// Which class each management message travels in, pinned at frame level:
+// the daemon acts on an assignment, a revoke or a ping in either class
+// but answers only a request (a one-way revoke or epoch push has nobody
+// waiting), and reports an invalidated lease one-way.
+func TestManagerLinkAnswersOnlyRequests(t *testing.T) {
+	d := testDaemon(t, true)
+	fm := attachFakeManager(t, d)
+	lease := func(w *protocol.Writer) { w.String("lease-a") }
+	assign := func(w *protocol.Writer) { w.String("lease-a"); w.U64s([]uint64{1}) }
+
+	fm.send(t, protocol.ClassOneWay, 0, protocol.MsgDMAssign, assign)
+	fm.send(t, protocol.ClassOneWay, 0, protocol.MsgDMPing, nil)
+	fm.send(t, protocol.ClassOneWay, 0, protocol.MsgDMRevoke, lease)
+	fm.send(t, protocol.ClassRequest, 7, protocol.MsgDMPing, nil)
+	// Frames are handled in order, so an answer to any of the one-ways
+	// would arrive ahead of this one.
+	if env := fm.next(t); env.Class != protocol.ClassResponse || env.ID != 7 || env.Type != protocol.MsgDMPing {
+		t.Fatalf("first frame back: class=%d id=%d type=%s, want the response to ping 7", env.Class, env.ID, env.Type)
+	}
+	if d.HasLease("lease-a") {
+		t.Fatal("one-way assign + revoke left the lease in place")
+	}
+
+	fm.send(t, protocol.ClassRequest, 8, protocol.MsgDMAssign, assign)
+	if env := fm.next(t); env.Class != protocol.ClassResponse || env.ID != 8 || cl.ErrorCode(env.Body.I32()) != cl.Success {
+		t.Fatalf("assign request not acknowledged: class=%d id=%d", env.Class, env.ID)
+	}
+	if !d.HasLease("lease-a") {
+		t.Fatal("assign request not applied")
+	}
+
+	d.reportInvalidatedLease("lease-a")
+	env := fm.next(t)
+	if env.Type != protocol.MsgDMReleaseLease || env.Class != protocol.ClassOneWay || env.Body.String() != "lease-a" {
+		t.Fatalf("lease report: type=%s class=%d, want a one-way DMReleaseLease for lease-a", env.Type, env.Class)
+	}
+}
+
+// A seed that accepts the connection and then dies must cost the
+// shard-map refresh nothing: the close notice fails the request and the
+// next seed is asked. The daemon's copy of the fetch used to have no
+// close notice and sat out RetryMax (an hour here) per dead seed.
+func TestRefreshViewSkipsSeedThatDiesMidRequest(t *testing.T) {
+	live := devmgr.New(devmgr.WithShard("live", nil, nil))
+	defer live.Close()
+	cp := &controlPlane{
+		d: testDaemon(t, true),
+		cfg: ControlPlaneConfig{
+			Dial: func(addr string) (net.Conn, error) {
+				a, b := simnet.Pipe(simnet.Unlimited())
+				if addr == "dead" {
+					b.Close()
+				} else {
+					live.ServeConn(b)
+				}
+				return a, nil
+			},
+			Seeds: []string{"dead", "live"}, SelfAddr: "node",
+			RetryMin: time.Millisecond, RetryMax: time.Hour,
+		},
+		shards: []string{"dead", "live"},
+		links:  map[string]*shardLink{},
+		wake:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+	}
+	done := make(chan struct{})
+	go func() { cp.refreshView(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("refreshView is still waiting on the dead seed")
+	}
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	if cp.epoch != 1 || len(cp.shards) != 1 || cp.shards[0] != "live" {
+		t.Fatalf("view after refresh: epoch %d shards %v, want the live seed's", cp.epoch, cp.shards)
+	}
 }

@@ -23,6 +23,7 @@ import (
 	"dopencl/internal/cl"
 	"dopencl/internal/gcf"
 	"dopencl/internal/protocol"
+	"dopencl/internal/rpc"
 	"dopencl/internal/serve"
 )
 
@@ -82,7 +83,7 @@ type Daemon struct {
 	// invalidation reports broadcast to all of them (shards ignore auth
 	// IDs they don't hold).
 	dmMu sync.Mutex
-	dms  map[*gcf.Endpoint]bool
+	dms  map[*rpc.Conn]bool
 
 	// graphCount tracks cached command graphs across all sessions, for
 	// observability and the session-teardown hygiene tests.
@@ -143,7 +144,7 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:        cfg,
 		devices:    devs,
 		leases:     map[string]map[uint32]bool{},
-		dms:        map[*gcf.Endpoint]bool{},
+		dms:        map[*rpc.Conn]bool{},
 		sessions:   map[uint64]*session{},
 		fwdIn:      map[uint64]*pendingForward{},
 		fwdLive:    map[cl.Buffer][]*pendingForward{},
@@ -452,16 +453,13 @@ func (d *Daemon) RetainedSessions() int {
 // links: only the shard holding the lease record acts on it.
 func (d *Daemon) reportInvalidatedLease(authID string) {
 	d.dmMu.Lock()
-	eps := make([]*gcf.Endpoint, 0, len(d.dms))
-	for ep := range d.dms {
-		eps = append(eps, ep)
+	links := make([]*rpc.Conn, 0, len(d.dms))
+	for c := range d.dms {
+		links = append(links, c)
 	}
 	d.dmMu.Unlock()
-	w := protocol.NewWriter()
-	w.String(authID)
-	frame := protocol.EncodeEnvelope(protocol.ClassRequest, 0, protocol.MsgDMReleaseLease, w)
-	for _, ep := range eps {
-		if err := ep.Send(frame); err != nil {
+	for _, c := range links {
+		if err := c.OneWay(protocol.MsgDMReleaseLease, func(w *protocol.Writer) { w.String(authID) }); err != nil {
 			d.logf("daemon %s: lease release report failed: %v", d.cfg.Name, err)
 		}
 	}

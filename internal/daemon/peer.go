@@ -10,6 +10,7 @@ import (
 	"dopencl/internal/gcf"
 	"dopencl/internal/native"
 	"dopencl/internal/protocol"
+	"dopencl/internal/rpc"
 )
 
 // Peer data plane (server-to-server bulk transfers).
@@ -170,10 +171,10 @@ func (d *Daemon) PendingEarlyTimers() int { return int(d.earlyTimers.Load()) }
 // peerHello is the pool handshake: one one-way frame identifying the
 // dialing daemon, sent before any transfer header.
 func (d *Daemon) peerHello(ep *gcf.Endpoint) error {
-	w := protocol.NewWriter()
-	w.String(d.cfg.Name)
-	w.String(d.cfg.PeerAddr)
-	return ep.Send(protocol.EncodeEnvelope(protocol.ClassOneWay, 0, protocol.MsgPeerHello, w))
+	return rpc.OneWay(ep, protocol.MsgPeerHello, func(w *protocol.Writer) {
+		w.String(d.cfg.Name)
+		w.String(d.cfg.PeerAddr)
+	})
 }
 
 // ServePeers accepts daemon-to-daemon connections until the listener
@@ -191,7 +192,7 @@ func (d *Daemon) ServePeers(l net.Listener) error {
 // ServePeerConn runs one inbound peer connection (non-blocking).
 func (d *Daemon) ServePeerConn(conn net.Conn) {
 	ps := &peerSession{d: d, ep: gcf.NewEndpoint(conn, false)}
-	ps.ep.Start(ps.handle, nil)
+	rpc.New(ps.ep).Start(ps.handle, nil)
 }
 
 // peerSession is one inbound peer connection.
@@ -204,12 +205,7 @@ type peerSession struct {
 // handle dispatches peer-plane messages. Everything here is one-way:
 // failures are resolved through the transfer's gating event (completed
 // with an error status), never through responses on the peer link.
-func (s *peerSession) handle(msg []byte) {
-	env, err := protocol.ParseEnvelope(msg)
-	if err != nil {
-		s.d.logf("daemon %s: bad peer message: %v", s.d.cfg.Name, err)
-		return
-	}
+func (s *peerSession) handle(env protocol.Envelope) {
 	switch env.Type {
 	case protocol.MsgPeerHello:
 		name := env.Body.String()
@@ -547,9 +543,8 @@ func (d *Daemon) sendTransfer(addr string, hdr protocol.PeerTransfer, payload []
 	stream := ep.OpenStream()
 	defer stream.Release()
 	hdr.StreamID = stream.ID()
-	w := protocol.NewWriter()
-	protocol.PutPeerTransfer(w, hdr)
-	if err := ep.Send(protocol.EncodeEnvelope(protocol.ClassOneWay, 0, protocol.MsgPeerTransfer, w)); err != nil {
+	err = rpc.OneWay(ep, protocol.MsgPeerTransfer, func(w *protocol.Writer) { protocol.PutPeerTransfer(w, hdr) })
+	if err != nil {
 		return true, cl.Errf(cl.InvalidServer, "peer transfer header to %s: %v", addr, err)
 	}
 	// The transport only queues frames; its write loop sends them later,

@@ -365,9 +365,10 @@ func serveKey(prog serve.Key, pj *protocol.ServeJob) serve.Key {
 
 // sendResults ships one ServeResults notification for this lane.
 func (lane *serveLane) sendResults(results []protocol.ServeResult) {
-	w := protocol.NewWriter()
-	protocol.PutServeResults(w, protocol.ServeResults{ServeID: lane.serveID, Results: results})
-	if err := lane.s.ep.Send(protocol.EncodeEnvelope(protocol.ClassNotification, 0, protocol.MsgServeResult, w)); err != nil {
+	err := lane.s.conn.Notify(protocol.MsgServeResult, func(w *protocol.Writer) {
+		protocol.PutServeResults(w, protocol.ServeResults{ServeID: lane.serveID, Results: results})
+	})
+	if err != nil {
 		lane.s.d.logf("daemon %s: serve result send failed: %v", lane.s.d.cfg.Name, err)
 	}
 }

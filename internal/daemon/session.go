@@ -8,6 +8,7 @@ import (
 	"dopencl/internal/gcf"
 	"dopencl/internal/native"
 	"dopencl/internal/protocol"
+	"dopencl/internal/rpc"
 	"dopencl/internal/serve"
 )
 
@@ -19,8 +20,9 @@ import (
 // finds its buffers, queues, programs, kernels and cached graphs exactly
 // where it left them.
 type session struct {
-	d  *Daemon
-	ep *gcf.Endpoint
+	d    *Daemon
+	ep   *gcf.Endpoint // bulk-data streams
+	conn *rpc.Conn     // every message, over ep
 
 	// Registry state, guarded by d.sessMu.
 	id          uint64
@@ -47,7 +49,7 @@ type session struct {
 
 func newSession(d *Daemon, ep *gcf.Endpoint) *session {
 	s := &session{
-		d: d, ep: ep,
+		d: d, ep: ep, conn: rpc.New(ep),
 		contexts: map[uint64]cl.Context{},
 		queues:   map[uint64]cl.Queue{},
 		buffers:  map[uint64]cl.Buffer{},
@@ -66,7 +68,7 @@ func newSession(d *Daemon, ep *gcf.Endpoint) *session {
 }
 
 func (s *session) start() {
-	s.ep.Start(s.handle, s.onClose)
+	s.conn.Start(s.handle, s.onClose)
 }
 
 // onClose detaches the session: the connection is gone, but the object
@@ -118,12 +120,7 @@ func (s *session) retire() {
 
 // respond sends a response with the given status and optional body fields.
 func (s *session) respond(id uint32, typ protocol.MsgType, status cl.ErrorCode, fill func(*protocol.Writer)) {
-	w := protocol.NewWriter()
-	w.I32(int32(status))
-	if fill != nil && status == cl.Success {
-		fill(w)
-	}
-	if err := s.ep.Send(protocol.EncodeEnvelope(protocol.ClassResponse, id, typ, w)); err != nil {
+	if err := s.conn.Reply(id, typ, status, fill); err != nil {
 		s.d.logf("daemon %s: response send failed: %v", s.d.cfg.Name, err)
 	}
 }
@@ -139,15 +136,16 @@ func (s *session) fail(id uint32, typ protocol.MsgType, err error) {
 // commands never get success responses, so this notification is the only
 // traffic a failure produces.
 func (s *session) notifyCommandFailed(queueID, eventID uint64, typ protocol.MsgType, err error) {
-	w := protocol.NewWriter()
-	protocol.PutCommandFailure(w, protocol.CommandFailure{
-		QueueID: queueID,
-		EventID: eventID,
-		Op:      typ,
-		Status:  int32(cl.CodeOf(err)),
-		Msg:     err.Error(),
+	serr := s.conn.Notify(protocol.MsgCommandFailed, func(w *protocol.Writer) {
+		protocol.PutCommandFailure(w, protocol.CommandFailure{
+			QueueID: queueID,
+			EventID: eventID,
+			Op:      typ,
+			Status:  int32(cl.CodeOf(err)),
+			Msg:     err.Error(),
+		})
 	})
-	if serr := s.ep.Send(protocol.EncodeEnvelope(protocol.ClassNotification, 0, protocol.MsgCommandFailed, w)); serr != nil {
+	if serr != nil {
 		s.d.logf("daemon %s: failure notification failed: %v", s.d.cfg.Name, serr)
 	}
 }
@@ -182,10 +180,11 @@ func (s *session) drainStream(streamID uint32) {
 // notifyEvent pushes an event-completion notification (the daemon-side
 // half of the paper's clSetEventCallback mechanism).
 func (s *session) notifyEvent(eventID uint64, status cl.CommandStatus) {
-	w := protocol.NewWriter()
-	w.U64(eventID)
-	w.I32(int32(status))
-	if err := s.ep.Send(protocol.EncodeEnvelope(protocol.ClassNotification, 0, protocol.MsgEventComplete, w)); err != nil {
+	err := s.conn.Notify(protocol.MsgEventComplete, func(w *protocol.Writer) {
+		w.U64(eventID)
+		w.I32(int32(status))
+	})
+	if err != nil {
 		s.d.logf("daemon %s: event notification failed: %v", s.d.cfg.Name, err)
 	}
 }
@@ -234,12 +233,7 @@ func (s *session) resolveWaits(ids []uint64) ([]cl.Event, error) {
 // command-path operations are served in this class only; the dispatch
 // order relative to a later Finish request is what makes Finish a
 // correct synchronization point for the whole pipeline.
-func (s *session) handle(msg []byte) {
-	env, err := protocol.ParseEnvelope(msg)
-	if err != nil {
-		s.d.logf("daemon %s: bad message: %v", s.d.cfg.Name, err)
-		return
-	}
+func (s *session) handle(env protocol.Envelope) {
 	if env.Class == protocol.ClassOneWay {
 		s.handleOneWay(env)
 		return
@@ -729,16 +723,11 @@ func (s *session) handleBuildProgram(id uint32, r *protocol.Reader) {
 	}
 	if err := prog.Build(nil, options); err != nil {
 		// Carry the build log in the error response body.
-		w := protocol.NewWriter()
-		w.I32(int32(cl.CodeOf(err)))
 		logText := ""
-		if devs := prog.(interface{ BuildLog(cl.Device) string }); devs != nil && len(s.d.devices) > 0 {
+		if len(s.d.devices) > 0 {
 			logText = prog.BuildLog(s.d.devices[0])
 		}
-		w.String(logText)
-		if serr := s.ep.Send(protocol.EncodeEnvelope(protocol.ClassResponse, id, protocol.MsgBuildProgram, w)); serr != nil {
-			s.d.logf("daemon %s: build response failed: %v", s.d.cfg.Name, serr)
-		}
+		s.respond(id, protocol.MsgBuildProgram, cl.CodeOf(err), func(w *protocol.Writer) { w.String(logText) })
 		return
 	}
 	s.respond(id, protocol.MsgBuildProgram, cl.Success, func(w *protocol.Writer) {

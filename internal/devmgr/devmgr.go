@@ -34,6 +34,7 @@ import (
 	"dopencl/internal/cl"
 	"dopencl/internal/gcf"
 	"dopencl/internal/protocol"
+	"dopencl/internal/rpc"
 )
 
 // managedDevice is one registered device.
@@ -53,80 +54,11 @@ type lease struct {
 	servers map[string]bool
 }
 
-// rpcConn is one request/response window over a gcf endpoint — a
-// registered daemon or a peer shard's gossip link.
-type rpcConn struct {
+// daemonLink is a registered daemon's management connection.
+type daemonLink struct {
 	addr     string
 	peerAddr string // daemon-to-daemon bulk-plane address ("" if unset)
-	ep       *gcf.Endpoint
-	nextReq  uint32
-	pending  map[uint32]chan *protocol.Envelope
-	mu       sync.Mutex
-}
-
-func newRPCConn(addr string, ep *gcf.Endpoint) *rpcConn {
-	return &rpcConn{addr: addr, ep: ep, pending: map[uint32]chan *protocol.Envelope{}}
-}
-
-// deliver routes a response envelope to its waiting request.
-func (c *rpcConn) deliver(env *protocol.Envelope) {
-	c.mu.Lock()
-	ch := c.pending[env.ID]
-	delete(c.pending, env.ID)
-	c.mu.Unlock()
-	if ch != nil {
-		ch <- env
-	}
-}
-
-// failAll closes every pending request window (connection death).
-func (c *rpcConn) failAll() {
-	c.mu.Lock()
-	for id, ch := range c.pending {
-		close(ch)
-		delete(c.pending, id)
-	}
-	c.mu.Unlock()
-}
-
-// roundTrip performs one request/response exchange. A positive timeout
-// bounds the wait (health probes must not hang on a silently dead
-// daemon); zero waits until the connection dies.
-func (c *rpcConn) roundTrip(typ protocol.MsgType, timeout time.Duration, fill func(*protocol.Writer)) (*protocol.Envelope, error) {
-	c.mu.Lock()
-	c.nextReq++
-	id := c.nextReq
-	ch := make(chan *protocol.Envelope, 1)
-	c.pending[id] = ch
-	c.mu.Unlock()
-	w := protocol.NewWriter()
-	if fill != nil {
-		fill(w)
-	}
-	if err := c.ep.Send(protocol.EncodeEnvelope(protocol.ClassRequest, id, typ, w)); err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return nil, err
-	}
-	var deadline <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		deadline = t.C
-	}
-	select {
-	case resp := <-ch:
-		if resp == nil {
-			return nil, fmt.Errorf("%s connection lost", c.addr)
-		}
-		return resp, nil
-	case <-deadline:
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%s unresponsive after %s", c.addr, timeout)
-	}
+	conn     *rpc.Conn
 }
 
 // Manager is one device manager instance — the whole control plane when
@@ -143,12 +75,12 @@ type Manager struct {
 
 	// srvMu guards the daemon registry.
 	srvMu   sync.Mutex
-	servers map[string]*rpcConn
+	servers map[string]*daemonLink
 	misses  map[string]int // consecutive failed health probes per server
 
-	// clMu guards the connected-client endpoint set (epoch push targets).
+	// clMu guards the connected-client set (epoch push targets).
 	clMu    sync.Mutex
-	clients map[*gcf.Endpoint]bool
+	clients map[*rpc.Conn]bool
 
 	place *placement
 	shard *shardState // nil when unsharded
@@ -192,9 +124,9 @@ func New(opts ...Option) *Manager {
 	m := &Manager{
 		leases:      map[string]*lease{},
 		idx:         newDevIndex(),
-		servers:     map[string]*rpcConn{},
+		servers:     map[string]*daemonLink{},
 		misses:      map[string]int{},
-		clients:     map[*gcf.Endpoint]bool{},
+		clients:     map[*rpc.Conn]bool{},
 		probeFanout: defaultProbeFanout,
 	}
 	m.place = newPlacement(m)
@@ -213,23 +145,8 @@ func (m *Manager) Close() {
 		if m.shard != nil {
 			m.shard.close()
 		}
-		m.srvMu.Lock()
-		conns := make([]*rpcConn, 0, len(m.servers))
-		for _, sc := range m.servers {
-			conns = append(conns, sc)
-		}
-		m.srvMu.Unlock()
-		for _, sc := range conns {
-			sc.ep.Close()
-		}
-		m.clMu.Lock()
-		eps := make([]*gcf.Endpoint, 0, len(m.clients))
-		for ep := range m.clients {
-			eps = append(eps, ep)
-		}
-		m.clMu.Unlock()
-		for _, ep := range eps {
-			ep.Close()
+		for _, c := range m.conns() {
+			c.Close()
 		}
 	})
 }
@@ -252,47 +169,49 @@ func (m *Manager) Serve(l net.Listener) error {
 	}
 }
 
+// conns snapshots every registered daemon's and connected client's
+// connection.
+func (m *Manager) conns() []*rpc.Conn {
+	m.srvMu.Lock()
+	out := make([]*rpc.Conn, 0, len(m.servers))
+	for _, sc := range m.servers {
+		out = append(out, sc.conn)
+	}
+	m.srvMu.Unlock()
+	m.clMu.Lock()
+	for c := range m.clients {
+		out = append(out, c)
+	}
+	m.clMu.Unlock()
+	return out
+}
+
 // ServeConn handles one connection. Daemons send DMRegisterServer first;
 // clients send DMShardMap and/or DMRequestDevices; peer shards send
 // DMGossip.
 func (m *Manager) ServeConn(conn net.Conn) {
-	ep := gcf.NewEndpoint(conn, false)
-	var sc *rpcConn // set once the peer registers as a daemon
-	ep.Start(func(msg []byte) {
-		env, err := protocol.ParseEnvelope(msg)
-		if err != nil {
-			m.log("devmgr: bad message: %v", err)
-			return
-		}
-		switch {
-		case env.Class == protocol.ClassResponse:
-			if sc != nil {
-				sc.deliver(&env)
-			}
-		case env.Type == protocol.MsgDMRegisterServer:
-			sc = m.handleRegister(ep, env)
-		case env.Type == protocol.MsgDMRequestDevices:
+	c := rpc.New(gcf.NewEndpoint(conn, false))
+	var sc *daemonLink // set once the peer registers as a daemon
+	c.Start(func(env protocol.Envelope) {
+		switch env.Type {
+		case protocol.MsgDMRegisterServer:
+			sc = m.handleRegister(c, env)
+		case protocol.MsgDMRequestDevices:
 			m.clMu.Lock()
-			m.clients[ep] = true
+			m.clients[c] = true
 			m.clMu.Unlock()
-			m.handleRequest(ep, env)
-		case env.Type == protocol.MsgDMReleaseLease:
+			m.handleRequest(c, env)
+		case protocol.MsgDMReleaseLease:
 			authID := env.Body.String()
 			m.ReleaseLease(authID)
-		case env.Type == protocol.MsgDMShardMap:
-			view := m.ShardMap()
-			w := protocol.NewWriter()
-			w.I32(int32(cl.Success))
-			view.Put(w)
-			if err := ep.Send(protocol.EncodeEnvelope(protocol.ClassResponse, env.ID, env.Type, w)); err != nil {
-				m.log("devmgr: shard map response failed: %v", err)
-			}
-		case env.Type == protocol.MsgDMGossip:
-			m.handleGossip(ep, env)
+		case protocol.MsgDMShardMap:
+			m.reply(c, env, cl.Success, m.ShardMap().Put)
+		case protocol.MsgDMGossip:
+			m.handleGossip(c, env)
 		}
 	}, func(error) {
 		m.clMu.Lock()
-		delete(m.clients, ep)
+		delete(m.clients, c)
 		m.clMu.Unlock()
 		if sc != nil {
 			m.dropServer(sc.addr)
@@ -305,7 +224,7 @@ func (m *Manager) ServeConn(conn net.Conn) {
 // the daemon still enforces those auth IDs, so the adopting shard must
 // account the devices as leased, not free). A re-registration under an
 // address already present replaces the old registration wholesale.
-func (m *Manager) handleRegister(ep *gcf.Endpoint, env protocol.Envelope) *rpcConn {
+func (m *Manager) handleRegister(c *rpc.Conn, env protocol.Envelope) *daemonLink {
 	addr := env.Body.String()
 	peerAddr := env.Body.String()
 	recs := protocol.GetDeviceRecords(env.Body)
@@ -314,7 +233,7 @@ func (m *Manager) handleRegister(ep *gcf.Endpoint, env protocol.Envelope) *rpcCo
 		leasedBy = env.Body.Strings()
 	}
 	if env.Body.Err() != nil || addr == "" {
-		m.respondStatus(ep, env.ID, env.Type, cl.InvalidValue)
+		m.reply(c, env, cl.InvalidValue, nil)
 		return nil
 	}
 
@@ -327,8 +246,7 @@ func (m *Manager) handleRegister(ep *gcf.Endpoint, env protocol.Envelope) *rpcCo
 		m.dropServer(addr)
 	}
 
-	sc := newRPCConn(addr, ep)
-	sc.peerAddr = peerAddr
+	sc := &daemonLink{addr: addr, peerAddr: peerAddr, conn: c}
 	m.srvMu.Lock()
 	m.servers[addr] = sc
 	m.srvMu.Unlock()
@@ -358,7 +276,7 @@ func (m *Manager) handleRegister(ep *gcf.Endpoint, env protocol.Envelope) *rpcCo
 	}
 	total := len(m.devices)
 	m.mu.Unlock()
-	m.respondStatus(ep, env.ID, env.Type, cl.Success)
+	m.reply(c, env, cl.Success, nil)
 	m.log("devmgr: server %s registered %d devices (%d total)", addr, len(recs), total)
 	return sc
 }
@@ -392,19 +310,19 @@ func (m *Manager) dropServer(addr string) {
 	m.mu.Unlock()
 
 	if sc != nil {
-		sc.failAll()
 		// Close the connection so an evicted-but-alive daemon observes
-		// the drop instead of believing it is still registered.
-		sc.ep.Close()
+		// the drop instead of believing it is still registered (and so
+		// every assignment push in flight on it fails).
+		sc.conn.Close()
 	}
 	m.log("devmgr: server %s dropped", addr)
 }
 
-func (m *Manager) respondStatus(ep *gcf.Endpoint, id uint32, typ protocol.MsgType, status cl.ErrorCode) {
-	w := protocol.NewWriter()
-	w.I32(int32(status))
-	if err := ep.Send(protocol.EncodeEnvelope(protocol.ClassResponse, id, typ, w)); err != nil {
-		m.log("devmgr: response failed: %v", err)
+// reply answers the request in env; a failure to send it is only logged
+// (the requester's connection is gone, and its close notice cleans up).
+func (m *Manager) reply(c *rpc.Conn, env protocol.Envelope, status cl.ErrorCode, fill func(*protocol.Writer)) {
+	if err := c.Reply(env.ID, env.Type, status, fill); err != nil {
+		m.log("devmgr: %s response failed: %v", env.Type, err)
 	}
 }
 
@@ -415,36 +333,22 @@ func (m *Manager) respondStatus(ep *gcf.Endpoint, id uint32, typ protocol.MsgTyp
 // commitGrant — so by the time the response is sent the servers accept
 // the authentication ID, and a shard's outstanding pushes are bounded by
 // its worker pool. The endpoint's dispatch goroutine never blocks.
-func (m *Manager) handleRequest(ep *gcf.Endpoint, env protocol.Envelope) {
+func (m *Manager) handleRequest(c *rpc.Conn, env protocol.Envelope) {
 	preq := protocol.GetPlaceRequest(env.Body)
 	if env.Body.Err() != nil || len(preq.Requests) == 0 {
-		m.respondStatus(ep, env.ID, env.Type, cl.InvalidValue)
+		m.reply(c, env, cl.InvalidValue, nil)
 		return
 	}
-	envID, envType := env.ID, env.Type
 	m.placeLeaseAsync(preq.Tenant, preq.Weight, preq.Requests, func(ls *leaseView, err error) {
 		if err != nil {
-			w := protocol.NewWriter()
-			w.I32(int32(cl.CodeOf(err)))
-			w.String(err.Error())
-			if serr := ep.Send(protocol.EncodeEnvelope(protocol.ClassResponse, envID, envType, w)); serr != nil {
-				m.log("devmgr: reject response failed: %v", serr)
-			}
+			m.reply(c, env, cl.CodeOf(err), func(w *protocol.Writer) { w.String(err.Error()) })
 			return
 		}
-		w := protocol.NewWriter()
-		w.I32(int32(cl.Success))
-		w.String(ls.authID)
-		servers := make([]string, 0, len(ls.servers))
-		for s := range ls.servers {
-			servers = append(servers, s)
-		}
-		w.Strings(servers)
-		view := m.ShardMap()
-		view.Put(w)
-		if serr := ep.Send(protocol.EncodeEnvelope(protocol.ClassResponse, envID, envType, w)); serr != nil {
-			m.log("devmgr: grant response failed: %v", serr)
-		}
+		m.reply(c, env, cl.Success, func(w *protocol.Writer) {
+			w.String(ls.authID)
+			w.Strings(ls.Servers())
+			m.ShardMap().Put(w)
+		})
 		m.log("devmgr: lease %s granted: %d devices on %d servers",
 			ls.authID[:8], len(ls.devices), len(ls.servers))
 	})
@@ -485,29 +389,23 @@ func (m *Manager) commitGrant(ls *leaseView) error {
 
 // pushAssign sends a DMAssign to the daemon at addr and waits for its ack.
 func (m *Manager) pushAssign(addr, authID string, units []uint64) error {
-	resp, err := m.request(addr, protocol.MsgDMAssign, pushTimeout, func(w *protocol.Writer) {
+	return m.request(addr, protocol.MsgDMAssign, pushTimeout, func(w *protocol.Writer) {
 		w.String(authID)
 		w.U64s(units)
 	})
-	if err != nil {
-		return err
-	}
-	if status := cl.ErrorCode(resp.Body.I32()); status != cl.Success {
-		return cl.Errf(status, "server %s rejected assignment", addr)
-	}
-	return nil
 }
 
 // request performs one request/response exchange with a registered
-// daemon.
-func (m *Manager) request(addr string, typ protocol.MsgType, timeout time.Duration, fill func(*protocol.Writer)) (*protocol.Envelope, error) {
+// daemon; a refusal is an error like any other.
+func (m *Manager) request(addr string, typ protocol.MsgType, timeout time.Duration, fill func(*protocol.Writer)) error {
 	m.srvMu.Lock()
 	sc := m.servers[addr]
 	m.srvMu.Unlock()
 	if sc == nil {
-		return nil, fmt.Errorf("server %s not registered", addr)
+		return fmt.Errorf("server %s not registered", addr)
 	}
-	return sc.roundTrip(typ, timeout, fill)
+	_, err := sc.conn.Call(typ, timeout, fill)
+	return err
 }
 
 // ReleaseLease returns a lease's devices to the free set and tells the
@@ -534,21 +432,21 @@ func (m *Manager) ReleaseLease(authID string) {
 	m.mu.Unlock()
 
 	m.srvMu.Lock()
-	var conns []*rpcConn
+	var links []*daemonLink
 	for addr := range ls.servers {
 		if sc := m.servers[addr]; sc != nil {
-			conns = append(conns, sc)
+			links = append(links, sc)
 		}
 	}
 	m.srvMu.Unlock()
-	for _, sc := range conns {
-		w := protocol.NewWriter()
-		w.String(authID)
-		if err := sc.ep.Send(protocol.EncodeEnvelope(protocol.ClassRequest, 0, protocol.MsgDMRevoke, w)); err != nil {
+	for _, sc := range links {
+		if err := sc.conn.OneWay(protocol.MsgDMRevoke, func(w *protocol.Writer) { w.String(authID) }); err != nil {
 			m.log("devmgr: revoke to %s failed: %v", sc.addr, err)
 		}
 	}
-	m.log("devmgr: lease %s released", authID[:8])
+	// Adopted lease IDs (handleRegister) are whatever the daemon sent:
+	// never slice one.
+	m.log("devmgr: lease %.8s released", authID)
 }
 
 // CheckHealth pings every registered daemon and evicts the ones that
@@ -586,7 +484,7 @@ func (m *Manager) CheckHealth(timeout time.Duration) []string {
 		sem <- struct{}{}
 		go func(i int, addr string) {
 			defer func() { <-sem; wg.Done() }()
-			if _, err := m.request(addr, protocol.MsgDMPing, timeout, fill); err != nil {
+			if err := m.request(addr, protocol.MsgDMPing, timeout, fill); err != nil {
 				m.log("devmgr: health check failed for %s: %v", addr, err)
 				failed[i] = true
 			}

@@ -1,6 +1,7 @@
 package devmgr
 
 import (
+	"fmt"
 	"net"
 	"sort"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"dopencl/internal/cl"
 	"dopencl/internal/gcf"
 	"dopencl/internal/protocol"
+	"dopencl/internal/rpc"
 )
 
 // DeviceID, Owner and TenantHash are the sharding contract, defined in
@@ -42,7 +44,7 @@ type shardState struct {
 	epoch  uint64
 	live   map[string]bool
 	misses map[string]int
-	peers  map[string]*rpcConn // gossip links to other shards
+	peers  map[string]*rpc.Conn // gossip links to other shards
 	stop   chan struct{}
 	once   sync.Once
 }
@@ -74,7 +76,7 @@ func WithShard(self string, members []string, dial func(addr string) (net.Conn, 
 			epoch:   1,
 			live:    live,
 			misses:  map[string]int{},
-			peers:   map[string]*rpcConn{},
+			peers:   map[string]*rpc.Conn{},
 			stop:    make(chan struct{}),
 		}
 	}
@@ -161,8 +163,7 @@ func (m *Manager) gossipRound(timeout time.Duration) {
 }
 
 // gossipWith performs one gossip exchange with a peer, dialing a link on
-// demand (the PR 5 request/pending/timeout plumbing, pointed shard-to-
-// shard instead of manager-to-daemon).
+// demand.
 func (m *Manager) gossipWith(addr string, local protocol.ShardMap, timeout time.Duration) (protocol.ShardMap, error) {
 	s := m.shard
 	s.mu.Lock()
@@ -173,47 +174,32 @@ func (m *Manager) gossipWith(addr string, local protocol.ShardMap, timeout time.
 		if err != nil {
 			return protocol.ShardMap{}, err
 		}
-		pc = newRPCConn(addr, gcf.NewEndpoint(conn, true))
-		pc.ep.Start(func(msg []byte) {
-			env, perr := protocol.ParseEnvelope(msg)
-			if perr != nil {
-				return
-			}
-			if env.Class == protocol.ClassResponse {
-				pc.deliver(&env)
-			}
-		}, func(error) {
+		fresh := rpc.New(gcf.NewEndpoint(conn, true))
+		fresh.Start(nil, func(error) {
 			s.mu.Lock()
-			if s.peers[addr] == pc {
+			if s.peers[addr] == fresh {
 				delete(s.peers, addr)
 			}
 			s.mu.Unlock()
-			pc.failAll()
 		})
 		s.mu.Lock()
-		if existing := s.peers[addr]; existing != nil {
-			s.mu.Unlock()
-			pc.ep.Close()
-			pc = existing
-		} else {
+		if pc = s.peers[addr]; pc == nil {
+			pc = fresh
 			s.peers[addr] = pc
-			s.mu.Unlock()
+		}
+		s.mu.Unlock()
+		if pc != fresh {
+			fresh.Close()
 		}
 	}
-	resp, err := pc.roundTrip(protocol.MsgDMGossip, timeout, func(w *protocol.Writer) {
+	resp, err := pc.Call(protocol.MsgDMGossip, timeout, func(w *protocol.Writer) {
 		protocol.Gossip{From: s.self, View: local}.Put(w)
 	})
 	if err != nil {
-		return protocol.ShardMap{}, err
+		return protocol.ShardMap{}, fmt.Errorf("gossip with %s: %w", addr, err)
 	}
-	if status := cl.ErrorCode(resp.Body.I32()); status != cl.Success {
-		return protocol.ShardMap{}, cl.Errf(status, "gossip rejected by %s", addr)
-	}
-	remote := protocol.GetShardMap(resp.Body)
-	if resp.Body.Err() != nil {
-		return protocol.ShardMap{}, resp.Body.Err()
-	}
-	return remote, nil
+	remote := protocol.GetShardMap(resp)
+	return remote, resp.Err()
 }
 
 // noteGossipMiss counts a failed probe; at the limit the peer is
@@ -277,20 +263,14 @@ func (m *Manager) mergeView(from string, remote protocol.ShardMap) {
 
 // handleGossip answers a peer's gossip request with our view, merging
 // theirs first.
-func (m *Manager) handleGossip(ep *gcf.Endpoint, env protocol.Envelope) {
+func (m *Manager) handleGossip(c *rpc.Conn, env protocol.Envelope) {
 	g := protocol.GetGossip(env.Body)
 	if env.Body.Err() != nil || m.shard == nil {
-		m.respondStatus(ep, env.ID, env.Type, cl.InvalidValue)
+		m.reply(c, env, cl.InvalidValue, nil)
 		return
 	}
 	m.mergeView(g.From, g.View)
-	view := m.ShardMap()
-	w := protocol.NewWriter()
-	w.I32(int32(cl.Success))
-	view.Put(w)
-	if err := ep.Send(protocol.EncodeEnvelope(protocol.ClassResponse, env.ID, env.Type, w)); err != nil {
-		m.log("devmgr: gossip response failed: %v", err)
-	}
+	m.reply(c, env, cl.Success, m.ShardMap().Put)
 }
 
 // notifyEpoch pushes the new shard map to every registered daemon and
@@ -299,23 +279,8 @@ func (m *Manager) handleGossip(ep *gcf.Endpoint, env protocol.Envelope) {
 // refresh path. Receivers that miss it still converge via the epoch
 // carried on periodic health probes.
 func (m *Manager) notifyEpoch(view protocol.ShardMap) {
-	w := protocol.NewWriter()
-	view.Put(w)
-	frame := protocol.EncodeEnvelope(protocol.ClassOneWay, 0, protocol.MsgDMPing, w)
-
-	m.srvMu.Lock()
-	eps := make([]*gcf.Endpoint, 0, len(m.servers))
-	for _, sc := range m.servers {
-		eps = append(eps, sc.ep)
-	}
-	m.srvMu.Unlock()
-	m.clMu.Lock()
-	for ep := range m.clients {
-		eps = append(eps, ep)
-	}
-	m.clMu.Unlock()
-	for _, ep := range eps {
-		if err := ep.Send(frame); err != nil {
+	for _, c := range m.conns() {
+		if err := c.OneWay(protocol.MsgDMPing, view.Put); err != nil {
 			m.log("devmgr: epoch push failed: %v", err)
 		}
 	}
@@ -325,13 +290,10 @@ func (m *Manager) notifyEpoch(view protocol.ShardMap) {
 func (s *shardState) close() {
 	s.once.Do(func() { close(s.stop) })
 	s.mu.Lock()
-	peers := make([]*rpcConn, 0, len(s.peers))
-	for _, pc := range s.peers {
-		peers = append(peers, pc)
-	}
-	s.peers = map[string]*rpcConn{}
+	peers := s.peers
+	s.peers = map[string]*rpc.Conn{}
 	s.mu.Unlock()
 	for _, pc := range peers {
-		pc.ep.Close()
+		pc.Close()
 	}
 }

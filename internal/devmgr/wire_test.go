@@ -1,0 +1,150 @@
+package devmgr
+
+import (
+	"net"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dopencl/internal/cl"
+	"dopencl/internal/client"
+	"dopencl/internal/device"
+	"dopencl/internal/gcf"
+	"dopencl/internal/protocol"
+	"dopencl/internal/simnet"
+)
+
+// wire is a hand-framed connection to a manager: what a daemon or client
+// puts on the wire and what comes back, frame by frame, with none of the
+// code under test on this side of it.
+type wire struct {
+	ep   *gcf.Endpoint
+	resp chan protocol.Envelope // responses
+	rest chan protocol.Envelope // everything else, in arrival order
+}
+
+func dialWire(t *testing.T, m *Manager) *wire {
+	t.Helper()
+	a, b := simnet.Pipe(simnet.Unlimited())
+	m.ServeConn(b)
+	w := &wire{ep: gcf.NewEndpoint(a, true), resp: make(chan protocol.Envelope, 16), rest: make(chan protocol.Envelope, 16)}
+	w.ep.Start(func(msg []byte) {
+		env, err := protocol.ParseEnvelope(msg)
+		if err != nil {
+			t.Errorf("manager sent a malformed frame: %v", err)
+		} else if env.Class == protocol.ClassResponse {
+			w.resp <- env
+		} else {
+			w.rest <- env
+		}
+	}, nil)
+	t.Cleanup(func() { w.ep.Close() })
+	return w
+}
+
+func (w *wire) send(t *testing.T, class uint8, id uint32, typ protocol.MsgType, fill func(*protocol.Writer)) {
+	t.Helper()
+	body := protocol.NewWriter()
+	if fill != nil {
+		fill(body)
+	}
+	if err := w.ep.Send(protocol.EncodeEnvelope(class, id, typ, body)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (w *wire) next(t *testing.T, ch chan protocol.Envelope, what string) protocol.Envelope {
+	t.Helper()
+	select {
+	case env := <-ch:
+		return env
+	case <-time.After(5 * time.Second):
+		t.Fatalf("no %s from the manager", what)
+		return protocol.Envelope{}
+	}
+}
+
+// registerLeased registers a one-GPU server whose device is held by the
+// given lease ID — the re-homing form of a registration.
+func (w *wire) registerLeased(t *testing.T, addr, leasedBy string) {
+	t.Helper()
+	w.send(t, protocol.ClassRequest, 1, protocol.MsgDMRegisterServer, func(b *protocol.Writer) {
+		b.String(addr)
+		b.String("")
+		protocol.PutDeviceRecords(b, []protocol.DeviceRecord{{UnitID: 0, Info: cl.DeviceInfo{Type: cl.DeviceTypeGPU}}})
+		b.Strings([]string{leasedBy})
+	})
+	if st := cl.ErrorCode(w.next(t, w.resp, "registration response").Body.I32()); st != cl.Success {
+		t.Fatalf("registration refused: %v", st)
+	}
+}
+
+// A lease ID adopted from a daemon's registration is whatever string the
+// daemon sent. Releasing a 3-byte one used to slice it [:8] for a log
+// line and panic the manager's dispatch goroutine.
+func TestReleaseOfShortAdoptedLeaseID(t *testing.T) {
+	m := New()
+	defer m.Close()
+	w := dialWire(t, m)
+	w.registerLeased(t, "node", "abc")
+	if m.ActiveLeases() != 1 || m.FreeDevices() != 0 {
+		t.Fatalf("adopted lease not accounted: leases=%d free=%d", m.ActiveLeases(), m.FreeDevices())
+	}
+	w.send(t, protocol.ClassOneWay, 0, protocol.MsgDMReleaseLease, func(b *protocol.Writer) { b.String("abc") })
+	w.send(t, protocol.ClassRequest, 2, protocol.MsgDMShardMap, nil)
+	env := w.next(t, w.resp, "shard map after the release")
+	if st := cl.ErrorCode(env.Body.I32()); env.ID != 2 || st != cl.Success {
+		t.Fatalf("shard map response: id=%d status=%v", env.ID, st)
+	}
+	if m.ActiveLeases() != 0 || m.FreeDevices() != 1 {
+		t.Fatalf("lease not released: leases=%d free=%d", m.ActiveLeases(), m.FreeDevices())
+	}
+}
+
+// The manager revokes a lease one-way: nobody waits for the daemon to
+// answer, so the frame must not ask it to.
+func TestRevokeTravelsOneWay(t *testing.T) {
+	m := New()
+	defer m.Close()
+	w := dialWire(t, m)
+	w.registerLeased(t, "node", "lease-0123456789")
+	m.ReleaseLease("lease-0123456789")
+	env := w.next(t, w.rest, "revoke")
+	if env.Type != protocol.MsgDMRevoke || env.Class != protocol.ClassOneWay || env.ID != 0 {
+		t.Fatalf("revoke frame: type=%s class=%d id=%d, want a one-way DMRevoke", env.Type, env.Class, env.ID)
+	}
+	if got := env.Body.String(); got != "lease-0123456789" {
+		t.Fatalf("revoke names lease %q", got)
+	}
+}
+
+// Against an unsharded manager — whose view lists no shards — the client
+// must still remember that it asked: one dial for the map, then one per
+// placement, not two per placement.
+func TestUnshardedManagerIsAskedForItsMapOnce(t *testing.T) {
+	w := newManagedWorld(t, map[string][]device.Config{"gpuserver": {device.TestGPU("g0")}})
+	var managerDials atomic.Int32
+	app := client.NewPlatform(client.Options{ClientName: "looper", Dialer: func(addr string) (net.Conn, error) {
+		if addr == "devmgr" {
+			managerDials.Add(1)
+		}
+		return w.nw.Dial(addr)
+	}})
+	const cycles = 5
+	for i := 0; i < cycles; i++ {
+		lease, err := app.RequestFromManager(client.ManagerConfig{
+			Manager:  "devmgr",
+			Requests: []protocol.DeviceRequest{{Count: 1, Type: cl.DeviceTypeGPU}},
+		})
+		if err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		if err := lease.Release(); err != nil {
+			t.Fatalf("cycle %d release: %v", i, err)
+		}
+		waitFor(t, func() bool { return w.manager.FreeDevices() == 1 }, "lease release")
+	}
+	if got := managerDials.Load(); got != cycles+1 {
+		t.Fatalf("%d acquire/release cycles dialed the manager %d times, want %d", cycles, got, cycles+1)
+	}
+}

@@ -144,6 +144,10 @@ func PutPayload(p []byte) {
 // ErrClosed is returned for operations on a closed endpoint.
 var ErrClosed = errors.New("gcf: endpoint closed")
 
+// ErrTooLarge is returned by Send for a message over the frame limit:
+// the one send failure that says nothing about the connection's health.
+var ErrTooLarge = errors.New("gcf: message exceeds frame limit")
+
 // ErrHeartbeatTimeout shuts an endpoint down when the peer went silent
 // past the heartbeat deadline: the connection is still "open" at the
 // transport level (nothing errored) but the link is effectively dead — a
@@ -245,7 +249,7 @@ func (e *Endpoint) Start(handler Handler, onClose func(error)) {
 // use.
 func (e *Endpoint) Send(msg []byte) error {
 	if len(msg) > maxFrame {
-		return fmt.Errorf("gcf: message of %d bytes exceeds frame limit", len(msg))
+		return fmt.Errorf("%w (%d bytes)", ErrTooLarge, len(msg))
 	}
 	return e.writeFrame(msgChannel, msg)
 }

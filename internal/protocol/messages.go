@@ -79,8 +79,8 @@ const (
 	MsgDMRegisterServer MsgType = iota + 60 // daemon → manager
 	MsgDMRequestDevices                     // client → manager
 	MsgDMAssign                             // manager → daemon
-	MsgDMReleaseLease                       // client/daemon → manager
-	MsgDMRevoke                             // manager → daemon (lease teardown)
+	MsgDMReleaseLease                       // client/daemon → manager, one-way
+	MsgDMRevoke                             // manager → daemon, one-way (lease teardown)
 	// MsgDMPing is the manager → daemon health probe. In a sharded
 	// control plane its body (and one-way copies pushed to clients and
 	// daemons) carries the sender's shard-map epoch and membership, so
