@@ -6,6 +6,9 @@
 package dopencl_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"net"
 	"runtime"
 	"testing"
@@ -776,5 +779,182 @@ func TestEnqueueAllocsGate(t *testing.T) {
 	}
 	if perOp > ceilingBytes {
 		t.Fatalf("enqueue hot path churns %d bytes/op, gate is %d", perOp, ceilingBytes)
+	}
+}
+
+// TestReplayUpdateBytesGate is TestEnqueueAllocsGate for the replay path,
+// over loopback TCP as the benchmark's cmdstream workload runs it: a
+// recorded upload → fold → read-back iteration replayed with its 64 KiB
+// upload rewritten wholesale every time. The plan's copy of the update,
+// the delta attempt, the ship and the daemon's cached payload all come
+// from the payload pool, so a replay allocates bookkeeping, not payloads.
+// The second case pipelines replays without waiting: every block above
+// is then recycled while neighbours are still in flight, and a block
+// handed back while a ship or an earlier replay's write still reads it
+// shows up as a wrong read-back here (or a report under -race).
+func TestReplayUpdateBytesGate(t *testing.T) {
+	const payloadInts = 16 << 10 // 64 KiB
+	const lanes = 16
+	np := native.NewPlatform("native-replay-gate", "bench", []device.Config{device.TestCPU("cpu")})
+	d, err := daemon.New(daemon.Config{Name: "replay-gate", Platform: np})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback TCP unavailable: %v", err)
+	}
+	defer l.Close()
+	go func() { _ = d.Serve(l) }() // returns when l closes
+	plat := dopencl.NewPlatform(dopencl.Options{
+		Dialer:     func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
+		ClientName: "replay-gate",
+	})
+	if _, err := plat.ConnectServer(l.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	devs, err := plat.Devices(cl.DeviceTypeAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := plat.CreateContext(devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctx.Release()
+	q, err := ctx.CreateQueue(devs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := ctx.CreateBuffer(cl.MemReadWrite, 4*payloadInts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums, err := ctx.CreateBuffer(cl.MemReadWrite, 4*lanes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ctx.CreateProgramWithSource(`
+kernel void fold(global int* sums, const global int* in, int n) {
+	int lane = get_global_id(0);
+	int lanes = get_global_size(0);
+	int acc = 0;
+	for (int i = lane; i < n; i += lanes) {
+		acc = acc * 31 + in[i];
+	}
+	sums[lane] = acc;
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prog.Build(nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	k, err := prog.CreateKernel("fold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, arg := range []any{sums, in, int32(payloadInts)} {
+		if err := k.SetArg(i, arg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Four uploads that share no word, and what fold makes of each.
+	rng := rand.New(rand.NewSource(19))
+	var uploads, want [4][]byte
+	for u := range uploads {
+		uploads[u] = make([]byte, 4*payloadInts)
+		rng.Read(uploads[u])
+		var acc [lanes]int32
+		for i := 0; i < payloadInts; i++ {
+			acc[i%lanes] = acc[i%lanes]*31 + int32(binary.LittleEndian.Uint32(uploads[u][4*i:]))
+		}
+		want[u] = make([]byte, 4*lanes)
+		for lane, v := range acc {
+			binary.LittleEndian.PutUint32(want[u][4*lane:], uint32(v))
+		}
+	}
+
+	const window = 8
+	var dsts [window][]byte
+	for i := range dsts {
+		dsts[i] = make([]byte, 4*lanes)
+	}
+	if err := q.BeginRecording(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.EnqueueWriteBuffer(in, false, 0, uploads[0], nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.EnqueueNDRangeKernel(k, []int{lanes}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.EnqueueReadBuffer(sums, false, 0, dsts[0], nil); err != nil {
+		t.Fatal(err)
+	}
+	cb, err := q.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cb.Release()
+
+	// burst replays n iterations back to back — iteration i uploads
+	// uploads[(first+i)%4] and reads into its own destination — and only
+	// then waits for them and checks every read-back.
+	burst := func(first, n int) {
+		t.Helper()
+		var evs [window]cl.Event
+		for i := 0; i < n; i++ {
+			ev, err := q.EnqueueCommandBuffer(cb, []cl.CommandUpdate{
+				cl.WriteDataUpdate(0, uploads[(first+i)%len(uploads)]),
+				cl.ReadDstUpdate(2, dsts[i]),
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs[i] = ev
+		}
+		for i := 0; i < n; i++ {
+			if err := evs[i].Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if u := (first + i) % len(uploads); !bytes.Equal(dsts[i], want[u]) {
+				t.Fatalf("replay %d of a burst of %d read back %x, want %x (upload %d)", i, n, dsts[i], want[u], u)
+			}
+			if err := evs[i].Release(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// Steady state, one replay at a time.
+	for i := 0; i < 100; i++ {
+		burst(i, 1)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const rounds = 200
+	for i := 0; i < rounds; i++ {
+		burst(i, 1)
+	}
+	runtime.ReadMemStats(&after)
+	perReplay := int64(after.TotalAlloc-before.TotalAlloc) / rounds
+	t.Logf("replay with a rewritten %d-byte upload: %d bytes allocated per replay", 4*payloadInts, perReplay)
+	// Under the race detector sync.Pool drops a quarter of its Puts on
+	// purpose, which is a payload block or so per replay.
+	const ceiling = 16 << 10
+	if perReplay >= ceiling && !raceEnabled {
+		t.Fatalf("a replay allocates %d bytes, gate is %d", perReplay, ceiling)
+	}
+
+	// Pipelined: a window of replays in flight at once.
+	for round := 0; round < 50; round++ {
+		burst(round, window)
+	}
+	if err := q.Finish(); err != nil {
+		t.Fatal(err)
 	}
 }

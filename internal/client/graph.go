@@ -39,7 +39,9 @@ func (q *Queue) record(c *recCmd, blocking bool, wait []cl.Event) (cl.Event, boo
 	// the application's by contract), and updates patch the argument
 	// snapshot in place.
 	rec := *c
-	rec.data = append([]byte(nil), c.data...)
+	if c.op == protocol.GraphOpWrite {
+		rec.payload, rec.data = clonePayload(c.data), nil
+	}
 	rec.args = append([]protocol.GraphKernelArg(nil), c.args...)
 	rec.argBufs = append([]*Buffer(nil), c.argBufs...)
 	rec.goffset = append([]int(nil), c.goffset...)
@@ -66,8 +68,9 @@ func (q *Queue) BeginRecording() error {
 //
 // Registration is per-daemon and lazy: the graph registers with the
 // daemon owning the queue it replays on, re-registering when the target
-// moves to a different queue or when the daemon lost its cached copy (a
-// re-attach without session retention bumps the server's epoch). That is
+// moves to a different queue, when the daemon lost its cached copy (a
+// re-attach without session retention bumps the server's epoch) or when
+// replays on another daemon updated the plan since. That is
 // what lets a replay loop survive a daemon failure — the next
 // EnqueueCommandBuffer on a surviving (or re-attached) queue rebuilds
 // the daemon-side cache from the recording and carries on.
@@ -81,6 +84,7 @@ type CommandBuffer struct {
 	outputs  []span               // ranges the graph writes (Modified after a replay)
 	readIdx  []int                // indices of read commands, stream order
 	reg      map[*Server]graphReg // where (and against which daemon state) the graph is registered
+	version  uint64               // replays that carried updates so far: what a registration must match
 	released bool
 }
 
@@ -93,6 +97,11 @@ type graphReg struct {
 	// trusted on the connection that carried it.
 	conn    uint64
 	queueID uint64 // daemon queue the graph was registered against
+	// version is the plan version the daemon's copy reflects. Updates are
+	// persistent in the plan but travel only to the daemon their replay
+	// runs on; every other registration falls behind and is rebuilt from
+	// the plan before it is replayed again.
+	version uint64
 }
 
 var _ cl.CommandBuffer = (*CommandBuffer)(nil)
@@ -190,15 +199,30 @@ func (cb *CommandBuffer) compileLocked() {
 	}
 }
 
-// wireCommands builds the registration command list, opening one payload
-// stream per write. The returned uploads ship the payloads (started by
-// the caller after the registration frame is on the wire); the streams
-// are returned separately so a failed registration send can release
-// them without running the uploads.
-func (cb *CommandBuffer) wireCommandsLocked(srv *Server) ([]protocol.GraphCommand, []func(), []*gcf.Stream) {
-	wire := make([]protocol.GraphCommand, len(cb.cmds))
-	var uploads []func()
-	var streams []*gcf.Stream
+// clonePayload copies data into a pooled payload held once, by the plan.
+func clonePayload(data []byte) *gcf.SharedPayload {
+	p := gcf.NewSharedPayload(len(data))
+	copy(p.Data, data)
+	return p
+}
+
+// shipPayload sends data on st behind a frame that announced it and
+// closes the stream; release runs once the transport is done with the
+// bytes, on every path (gcf.Stream.WriteOwned) — the ownership rule of an
+// eager write's upload (enqueueWriteInternal).
+func shipPayload(st *gcf.Stream, data []byte, release func()) {
+	defer st.Release()
+	if err := st.WriteOwned(data, release); err != nil {
+		return
+	}
+	_ = st.CloseWrite() // a dead connection fails the command on its own
+}
+
+// wireCommandsLocked builds the registration command list, opening one
+// payload stream per write; payloads[i] is what the caller ships on
+// streams[i] once the registration frame is on the wire.
+func (cb *CommandBuffer) wireCommandsLocked(srv *Server) (wire []protocol.GraphCommand, streams []*gcf.Stream, payloads []*gcf.SharedPayload) {
+	wire = make([]protocol.GraphCommand, len(cb.cmds))
 	for i, c := range cb.cmds {
 		if c.op != protocol.GraphOpWrite {
 			wire[i] = c.wire(0)
@@ -207,18 +231,9 @@ func (cb *CommandBuffer) wireCommandsLocked(srv *Server) ([]protocol.GraphComman
 		stream := srv.openStream()
 		wire[i] = c.wire(stream.ID())
 		streams = append(streams, stream)
-		data := c.data
-		uploads = append(uploads, func() {
-			defer stream.Release()
-			if _, err := stream.Write(data); err != nil {
-				return
-			}
-			if err := stream.CloseWrite(); err != nil {
-				return
-			}
-		})
+		payloads = append(payloads, c.payload)
 	}
-	return wire, uploads, streams
+	return wire, streams, payloads
 }
 
 // Finalize ends recording, compiles the captured commands into a
@@ -267,7 +282,7 @@ func (cb *CommandBuffer) registerLocked(q *Queue) error {
 			return err
 		}
 	}
-	wire, uploads, streams := cb.wireCommandsLocked(srv)
+	wire, streams, payloads := cb.wireCommandsLocked(srv)
 	if err := srv.send(protocol.MsgRegisterGraph, func(w *protocol.Writer) {
 		protocol.PutRegisterGraph(w, protocol.RegisterGraph{GraphID: cb.id, QueueID: q.id, Commands: wire})
 	}); err != nil {
@@ -278,10 +293,13 @@ func (cb *CommandBuffer) registerLocked(q *Queue) error {
 		}
 		return err
 	}
-	for _, up := range uploads {
-		go up()
+	for i, st := range streams {
+		// The plan may replace the payload while the upload is still
+		// reading it.
+		payloads[i].Hold()
+		go shipPayload(st, payloads[i].Data, payloads[i].Drop)
 	}
-	cb.reg[srv] = graphReg{epoch: srv.Epoch(), conn: srv.generation(), queueID: q.id}
+	cb.reg[srv] = graphReg{epoch: srv.Epoch(), conn: srv.generation(), queueID: q.id, version: cb.version}
 	return nil
 }
 
@@ -318,13 +336,14 @@ func (q *Queue) EnqueueCommandBuffer(b cl.CommandBuffer, updates []cl.CommandUpd
 		}
 		cb.q = q
 	}
-	if reg, ok := cb.reg[q.srv]; !ok || reg.conn != q.srv.generation() || reg.queueID != q.id {
+	if reg, ok := cb.reg[q.srv]; !ok || reg.conn != q.srv.generation() || reg.queueID != q.id || reg.version != cb.version {
 		// Not registered with this daemon yet, registered against another
-		// queue, or registered on an earlier connection — the one-way
+		// queue, registered on an earlier connection — the one-way
 		// registration frame may have died with it (and a daemon that
 		// lost its session state certainly dropped the cache; every
-		// epoch bump is also a generation bump): rebuild the daemon-side
-		// cache from the recording.
+		// epoch bump is also a generation bump) — or behind the plan,
+		// whose updates went to the daemons the replays in between ran
+		// on: rebuild the daemon-side cache from the recording.
 		if err := cb.registerLocked(q); err != nil {
 			cb.mu.Unlock()
 			return nil, err
@@ -346,9 +365,9 @@ func (q *Queue) EnqueueCommandBuffer(b cl.CommandBuffer, updates []cl.CommandUpd
 		}
 	}
 	var wireUpdates []protocol.GraphUpdate
-	var updPayloads []updPayload // parallel to GraphUpdateWriteData entries
+	var ships []updShip // parallel to GraphUpdateWriteData entries
 	for _, u := range updates {
-		wu, payload, undo, dirty, err := cb.applyUpdateLocked(u)
+		wu, ship, undo, dirty, err := cb.applyUpdateLocked(u)
 		if err != nil {
 			rollback()
 			cb.mu.Unlock()
@@ -358,10 +377,23 @@ func (q *Queue) EnqueueCommandBuffer(b cl.CommandBuffer, updates []cl.CommandUpd
 		footprintDirty = footprintDirty || dirty
 		if wu != nil {
 			wireUpdates = append(wireUpdates, *wu)
-			if payload.cur != nil {
-				updPayloads = append(updPayloads, payload)
+			if wu.Kind == protocol.GraphUpdateWriteData {
+				ships = append(ships, ship)
 			}
 		}
+	}
+	if len(wireUpdates) > 0 {
+		// This daemon's copy moves with the plan; every other
+		// registration is now behind it.
+		behind := cb.reg[q.srv]
+		cb.version++
+		current := behind
+		current.version = cb.version
+		cb.reg[q.srv] = current
+		undos = append(undos, func() {
+			cb.version--
+			cb.reg[q.srv] = behind
+		})
 	}
 	if footprintDirty {
 		cb.compileLocked()
@@ -408,32 +440,13 @@ func (q *Queue) EnqueueCommandBuffer(b cl.CommandBuffer, updates []cl.CommandUpd
 		readStreams[i] = q.srv.openStream()
 		readIDs[i] = readStreams[i].ID()
 	}
-	// Encode each updated write payload: both sides hold the previous
-	// iteration's payload (the daemon as the cached command, the client
-	// as the pre-update plan), so the stream ships just the changed byte
-	// runs when that is smaller. Updates ride the same ordered connection
-	// as the baselines they were encoded against; like the update
-	// mechanism itself, delta encoding assumes replays of one command
-	// buffer are not raced from multiple goroutines.
-	updStreams := make([]*gcf.Stream, 0, len(updPayloads))
-	shipPayloads := make([][]byte, 0, len(updPayloads))
-	j := 0
+	updStreams := make([]*gcf.Stream, 0, len(ships))
 	for i := range wireUpdates {
-		if wireUpdates[i].Kind != protocol.GraphUpdateWriteData {
-			continue
+		if wireUpdates[i].Kind == protocol.GraphUpdateWriteData {
+			st := q.srv.openStream()
+			wireUpdates[i].StreamID = st.ID()
+			updStreams = append(updStreams, st)
 		}
-		up := updPayloads[j]
-		j++
-		data := up.cur
-		if enc, ok := protocol.EncodeDelta(up.prev, up.cur); ok {
-			data = enc
-			wireUpdates[i].Encoding = protocol.GraphPayloadDelta
-		}
-		wireUpdates[i].PayloadLen = uint32(len(data))
-		st := q.srv.openStream()
-		wireUpdates[i].StreamID = st.ID()
-		updStreams = append(updStreams, st)
-		shipPayloads = append(shipPayloads, data)
 	}
 	releaseStreams := func() {
 		for _, st := range readStreams {
@@ -502,16 +515,12 @@ func (q *Queue) EnqueueCommandBuffer(b cl.CommandBuffer, updates []cl.CommandUpd
 			st.WaitEOF()
 		}()
 	}
-	// Ship updated write payloads behind the exec frame.
-	for i, st := range updStreams {
-		data := shipPayloads[i]
-		go func() {
-			defer st.Release()
-			if _, werr := st.Write(data); werr != nil {
-				return
-			}
-			_ = st.CloseWrite()
-		}()
+	// Ship updated write payloads behind the exec frame. The frame is on
+	// the wire, so the updates stand: the baselines they replaced are not
+	// coming back.
+	for i, sh := range ships {
+		sh.prev.Drop()
+		go shipPayload(updStreams[i], sh.data, sh.release)
 	}
 	q.track(wrapped)
 	// Directory effects of the whole iteration: every written buffer is
@@ -521,33 +530,37 @@ func (q *Queue) EnqueueCommandBuffer(b cl.CommandBuffer, updates []cl.CommandUpd
 	return wrapped, nil
 }
 
-// updPayload is one write-data update's ship set: the new payload and
-// the baseline it replaced (the daemon's cached payload, the
-// delta-encoding baseline).
-type updPayload struct {
-	cur, prev []byte
+// updShip is what one write-data update sends behind its exec frame —
+// the new payload, or its delta against the baseline both sides hold —
+// with the transport's way of handing those bytes back, and the baseline
+// the update replaced, which the plan keeps until the frame is sent: up
+// to there the update can still be undone.
+type updShip struct {
+	data    []byte
+	release func()
+	prev    *gcf.SharedPayload
 }
 
 // applyUpdateLocked patches one mutable slot of the client-side plan and
 // returns the wire update for the daemon's cached copy (nil for
-// client-only slots such as read destinations), the payload pair to ship
-// for write-data updates, an undo closure withdrawing the mutation (run
-// if the exec frame never makes it onto the wire), and whether the
-// coherence footprint changed.
-func (cb *CommandBuffer) applyUpdateLocked(u cl.CommandUpdate) (*protocol.GraphUpdate, updPayload, func(), bool, error) {
+// client-only slots such as read destinations), what to ship for a
+// write-data update, an undo closure withdrawing the mutation (run if the
+// exec frame never makes it onto the wire), and whether the coherence
+// footprint changed.
+func (cb *CommandBuffer) applyUpdateLocked(u cl.CommandUpdate) (*protocol.GraphUpdate, updShip, func(), bool, error) {
 	if u.Command < 0 || u.Command >= len(cb.cmds) {
-		return nil, updPayload{}, nil, false, cl.Errf(cl.InvalidCommandBuffer, "update targets command %d of %d", u.Command, len(cb.cmds))
+		return nil, updShip{}, nil, false, cl.Errf(cl.InvalidCommandBuffer, "update targets command %d of %d", u.Command, len(cb.cmds))
 	}
 	c := cb.cmds[u.Command]
 	switch u.Kind {
 	case cl.UpdateKernelArg:
 		if c.op != protocol.GraphOpKernel {
-			return nil, updPayload{}, nil, false, cl.Errf(cl.InvalidCommandBuffer, "command %d is not a kernel launch", u.Command)
+			return nil, updShip{}, nil, false, cl.Errf(cl.InvalidCommandBuffer, "command %d is not a kernel launch", u.Command)
 		}
 		i := u.ArgIndex
 		val, buf, err := c.k.encodeArg(i, u.ArgValue)
 		if err != nil {
-			return nil, updPayload{}, nil, false, err
+			return nil, updShip{}, nil, false, err
 		}
 		prevVal, prevBuf := c.args[i], c.argBufs[i]
 		c.args[i], c.argBufs[i] = val, buf
@@ -556,30 +569,52 @@ func (cb *CommandBuffer) applyUpdateLocked(u cl.CommandUpdate) (*protocol.GraphU
 			Kind:     protocol.GraphUpdateKernelArg,
 			ArgIndex: uint32(i),
 			Arg:      val,
-		}, updPayload{}, func() { c.args[i], c.argBufs[i] = prevVal, prevBuf }, buf != prevBuf, nil
+		}, updShip{}, func() { c.args[i], c.argBufs[i] = prevVal, prevBuf }, buf != prevBuf, nil
 	case cl.UpdateWriteData:
 		if c.op != protocol.GraphOpWrite {
-			return nil, updPayload{}, nil, false, cl.Errf(cl.InvalidCommandBuffer, "command %d is not a write", u.Command)
+			return nil, updShip{}, nil, false, cl.Errf(cl.InvalidCommandBuffer, "command %d is not a write", u.Command)
 		}
 		if len(u.Data) != c.size {
-			return nil, updPayload{}, nil, false, cl.Errf(cl.InvalidValue, "write update of %d bytes, recorded size %d", len(u.Data), c.size)
+			return nil, updShip{}, nil, false, cl.Errf(cl.InvalidValue, "write update of %d bytes, recorded size %d", len(u.Data), c.size)
 		}
-		prev := c.data
-		c.data = append([]byte(nil), u.Data...)
-		return &protocol.GraphUpdate{
-			Cmd:  uint32(u.Command),
-			Kind: protocol.GraphUpdateWriteData,
-		}, updPayload{cur: c.data, prev: prev}, func() { c.data = prev }, false, nil
+		// The plan's copy: the application has its slice back on return.
+		prev, cur := c.payload, clonePayload(u.Data)
+		c.payload = cur
+		wu := &protocol.GraphUpdate{Cmd: uint32(u.Command), Kind: protocol.GraphUpdateWriteData}
+		ship := updShip{prev: prev}
+		// Both sides hold the baseline — the daemon as its cached command,
+		// the client as the plan before this update — so the stream can
+		// carry just the changed byte runs when that is smaller. Updates
+		// ride the same ordered connection as the baselines they were
+		// encoded against; like the update mechanism itself, delta
+		// encoding assumes replays of one command buffer are not raced
+		// from multiple goroutines. A delta is shorter than its payload: a
+		// block of the payload's class takes any that is worth sending.
+		block := gcf.GetPayload(c.size)
+		if enc, ok := protocol.AppendDelta(block[:0], prev.Data, cur.Data); ok {
+			wu.Encoding = protocol.GraphPayloadDelta
+			ship.data, ship.release = enc, func() { gcf.PutPayload(block) }
+		} else {
+			gcf.PutPayload(block)
+			cur.Hold() // the ship's, next to the plan's
+			ship.data, ship.release = cur.Data, cur.Drop
+		}
+		wu.PayloadLen = uint32(len(ship.data))
+		return wu, ship, func() {
+			c.payload = prev
+			cur.Drop()
+			ship.release()
+		}, false, nil
 	case cl.UpdateReadDst:
 		if c.op != protocol.GraphOpRead {
-			return nil, updPayload{}, nil, false, cl.Errf(cl.InvalidCommandBuffer, "command %d is not a read", u.Command)
+			return nil, updShip{}, nil, false, cl.Errf(cl.InvalidCommandBuffer, "command %d is not a read", u.Command)
 		}
 		if len(u.Data) != c.size {
-			return nil, updPayload{}, nil, false, cl.Errf(cl.InvalidValue, "read update of %d bytes, recorded size %d", len(u.Data), c.size)
+			return nil, updShip{}, nil, false, cl.Errf(cl.InvalidValue, "read update of %d bytes, recorded size %d", len(u.Data), c.size)
 		}
 		prev := c.rdst
 		c.rdst = u.Data
-		return nil, updPayload{}, func() { c.rdst = prev }, false, nil
+		return nil, updShip{}, func() { c.rdst = prev }, false, nil
 	}
-	return nil, updPayload{}, nil, false, cl.Errf(cl.InvalidValue, "unknown update kind %d", u.Kind)
+	return nil, updShip{}, nil, false, cl.Errf(cl.InvalidValue, "unknown update kind %d", u.Kind)
 }

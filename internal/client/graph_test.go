@@ -333,3 +333,118 @@ func TestGraphSteadyStateFrameCost(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGraphUpdatesReachEveryDaemon: updates are persistent in the plan,
+// but a replay carries them only to the daemon it runs on. A daemon that
+// registered the graph earlier must not replay its own, older copy: not
+// with no update at all (it would run the recorded payload), not with a
+// small write update (the delta is coded against the plan's payload, the
+// daemon would apply it to the recorded one — same length, no error,
+// wrong bytes), not after a kernel-argument update.
+func TestGraphUpdatesReachEveryDaemon(t *testing.T) {
+	recorded := []float32{1, 2, 3, 4}
+	d7 := []float32{7, 70, 700, 7000}
+	d8 := []float32{7, 70, 700, 8000} // one float from d7: ships as a delta
+	for _, tc := range []struct {
+		name    string
+		onB     []cl.CommandUpdate // carried by the replay on daemon B
+		backOnA []cl.CommandUpdate // carried by the replay on daemon A after it
+		want    []float32
+	}{
+		{"no-update", []cl.CommandUpdate{cl.WriteDataUpdate(0, f32bytes(d7))}, nil, []float32{14, 140, 1400, 14000}},
+		{"write-data", []cl.CommandUpdate{cl.WriteDataUpdate(0, f32bytes(d7))}, []cl.CommandUpdate{cl.WriteDataUpdate(0, f32bytes(d8))}, []float32{14, 140, 1400, 16000}},
+		{"kernel-arg", []cl.CommandUpdate{cl.KernelArgUpdate(1, 1, float32(3))}, nil, []float32{3, 6, 9, 12}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cluster := newTestCluster(t, map[string][]device.Config{
+				"nodeA": {device.TestCPU("cpuA")},
+				"nodeB": {device.TestCPU("cpuB")},
+			})
+			for _, addr := range []string{"nodeA", "nodeB"} {
+				if _, err := cluster.plat.ConnectServer(addr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			devs, err := cluster.plat.Devices(cl.DeviceTypeAll)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, err := cluster.plat.CreateContext(devs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queues := map[string]cl.Queue{}
+			for _, d := range devs {
+				if queues[d.(*Device).Server().Addr()], err = ctx.CreateQueue(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			qA, qB := queues["nodeA"], queues["nodeB"]
+			a, err := ctx.CreateBuffer(cl.MemReadWrite, 16, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := ctx.CreateProgramWithSource(vaddSrc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := prog.Build(nil, ""); err != nil {
+				t.Fatal(err)
+			}
+			k, err := prog.CreateKernel("scale")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range []any{a, float32(2), int32(4)} {
+				if err := k.SetArg(i, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			out := make([]byte, 16)
+			if err := qA.BeginRecording(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := qA.EnqueueWriteBuffer(a, false, 0, f32bytes(recorded), nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := qA.EnqueueNDRangeKernel(k, []int{4}, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := qA.EnqueueReadBuffer(a, false, 0, out, nil); err != nil {
+				t.Fatal(err)
+			}
+			cb, err := qA.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			replay := func(q cl.Queue, updates []cl.CommandUpdate) []float32 {
+				t.Helper()
+				ev, err := q.EnqueueCommandBuffer(cb, updates, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ev.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				return bytesF32(out)
+			}
+			if got, want := replay(qA, nil), []float32{2, 4, 6, 8}; !f32Equal(got, want) {
+				t.Fatalf("first replay on A = %v, want %v", got, want)
+			}
+			replay(qB, tc.onB)
+			if got := replay(qA, tc.backOnA); !f32Equal(got, tc.want) {
+				t.Fatalf("replay on A after an update on B = %v, want %v", got, tc.want)
+			}
+			// And B is behind A now, if A's replay carried an update.
+			if got := replay(qB, nil); !f32Equal(got, tc.want) {
+				t.Fatalf("replay on B after that = %v, want %v", got, tc.want)
+			}
+			for _, q := range []cl.Queue{qA, qB} {
+				if err := q.Finish(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}

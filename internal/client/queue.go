@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"dopencl/internal/cl"
+	"dopencl/internal/gcf"
 	"dopencl/internal/protocol"
 )
 
@@ -93,8 +94,11 @@ type recCmd struct {
 	dstOff   int
 	size     int
 
-	data []byte // write payload
+	data []byte // write payload (the application's slice)
 	rdst []byte // read destination (application slice)
+	// payload is a recorded write's payload instead of data: the plan's
+	// own pooled copy, shared with the ships that are still sending it.
+	payload *gcf.SharedPayload
 
 	// Kernel launch. The bindings are frozen when the command is built:
 	// later SetArg calls do not leak into it (in a recording, updates are

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"io"
-	"sync/atomic"
 
 	"dopencl/internal/cl"
 	"dopencl/internal/gcf"
@@ -31,6 +30,9 @@ type command struct {
 
 	payload     []byte   // write payload, staged from its stream
 	payloadGate cl.Event // completes when the staged payload has fully landed
+	// cached is the pooled block behind payload in a cached graph, where
+	// the bytes have more readers than one command (graph.go).
+	cached *gcf.SharedPayload
 
 	k       *native.Kernel
 	goffset []int // global work offset (nil = zero)
@@ -271,37 +273,32 @@ func (s *session) handleEnqueue(typ protocol.MsgType, r *protocol.Reader) {
 		fail(err)
 		return
 	}
-	var unref func() // write only: drops one reference to the staging block
+	var staged *gcf.SharedPayload // write only
 	if op == protocol.GraphOpWrite {
-		// The pooled staging block is referenced by both the receive
-		// goroutine and the native write command; it re-enters the pool
-		// only after BOTH are done with it.
-		staged := gcf.GetPayload(cmd.size)
-		var refs atomic.Int32
-		unref = func() {
-			if refs.Add(1) == 2 {
-				gcf.PutPayload(staged)
-			}
-		}
-		gate, err := s.stage(streamID, staged, func(err error) error { unref(); return err })
+		// The pooled staging block has two holders, the receive goroutine
+		// and the native write command; it re-enters the pool only after
+		// BOTH are done with it.
+		staged = gcf.NewSharedPayload(cmd.size)
+		staged.Hold()
+		gate, err := s.stage(streamID, staged.Data, func(err error) error { staged.Drop(); return err })
 		if err != nil {
-			gcf.PutPayload(staged)
+			gcf.PutPayload(staged.Data) // neither holder ever started
 			fail(err)
 			return
 		}
 		streamID = 0 // the stager consumes the stream from here on
-		cmd.payload, cmd.payloadGate = staged, gate
+		cmd.payload, cmd.payloadGate = staged.Data, gate
 	}
 	ev, err := s.enqueue(q, &cmd, waits, streamID)
 	if err != nil {
-		if unref != nil {
-			unref()
+		if staged != nil {
+			staged.Drop()
 		}
 		fail(err)
 		return
 	}
-	if unref != nil {
-		if cerr := ev.SetCallback(cl.Complete, func(cl.Event, cl.CommandStatus) { unref() }); cerr != nil {
+	if staged != nil {
+		if cerr := ev.SetCallback(cl.Complete, func(cl.Event, cl.CommandStatus) { staged.Drop() }); cerr != nil {
 			s.d.logf("daemon %s: write staging callback: %v", s.d.cfg.Name, cerr)
 		}
 	}

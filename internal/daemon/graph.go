@@ -76,10 +76,7 @@ func (s *session) handleRegisterGraph(r *protocol.Reader) {
 			err = cl.Errf(cl.InvalidValue, "graph write %d reuses payload stream %d", i, c.StreamID)
 		case c.Op == protocol.GraphOpWrite:
 			seenStreams[c.StreamID] = true
-			// The cached payload outlives the registration: a fresh slice,
-			// not a pooled block.
-			cmd.payload = make([]byte, cmd.size)
-			if cmd.payloadGate, err = s.stage(c.StreamID, cmd.payload, nil); err == nil {
+			if err = s.stageCached(&cmd, c.StreamID, -1); err == nil {
 				claimed = i + 1
 			}
 		}
@@ -161,10 +158,24 @@ func (s *session) handleExecGraph(r *protocol.Reader) {
 		if cmd.op == protocol.GraphOpRead {
 			readStream = e.ReadStreamIDs[handed]
 		}
+		// A replayed write reads the payload current now, for as long as
+		// it takes to run: updates behind it replace the block.
+		payload := cmd.cached
+		if payload != nil {
+			payload.Hold()
+		}
 		ev, cerr := s.enqueue(g.q, cmd, w, readStream)
 		if cerr != nil {
+			if payload != nil {
+				payload.Drop()
+			}
 			failExec(cerr)
 			return
+		}
+		if payload != nil {
+			if cbErr := ev.SetCallback(cl.Complete, func(cl.Event, cl.CommandStatus) { payload.Drop() }); cbErr != nil {
+				s.d.logf("daemon %s: graph write callback: %v", s.d.cfg.Name, cbErr)
+			}
 		}
 		if cmd.op == protocol.GraphOpRead {
 			handed++
@@ -224,17 +235,12 @@ func (s *session) applyGraphUpdate(g *sessGraph, u protocol.GraphUpdate) error {
 		if cmd.op != protocol.GraphOpWrite {
 			return fail(cl.Errf(cl.InvalidCommandBuffer, "command %d is not a write", u.Cmd))
 		}
-		// Either way the new payload lands on a fresh slice: an earlier
-		// replay's enqueue may still be reading the old one.
-		staged := make([]byte, cmd.size)
-		var gate cl.Event
-		var err error
 		switch u.Encoding {
 		case protocol.GraphPayloadFull:
 			if u.PayloadLen != 0 && int(u.PayloadLen) != cmd.size {
 				return fail(cl.Errf(cl.InvalidValue, "write update for command %d announces %d bytes, recorded size %d", u.Cmd, u.PayloadLen, cmd.size))
 			}
-			gate, err = s.stage(u.StreamID, staged, nil)
+			return s.stageCached(cmd, u.StreamID, -1)
 		case protocol.GraphPayloadDelta:
 			// A delta is never longer than the payload it encodes (the
 			// client ships the full payload instead), which also bounds
@@ -242,37 +248,67 @@ func (s *session) applyGraphUpdate(g *sessGraph, u protocol.GraphUpdate) error {
 			if int(u.PayloadLen) > cmd.size {
 				return fail(cl.Errf(cl.InvalidValue, "delta update for command %d announces %d bytes, recorded size %d", u.Cmd, u.PayloadLen, cmd.size))
 			}
-			// Reconstruct against the current cached payload — the baseline
-			// the client encoded against; both sides retain the previous
-			// iteration's bytes. The baseline's own gate may still be
-			// pending (pipelined updates, or an update chasing the
-			// registration upload): decoding waits for it on the staging
-			// goroutine, and a failed baseline fails this gate too, and
-			// with it every replay of the slot.
-			enc, prev, prevGate := gcf.GetPayload(int(u.PayloadLen)), cmd.payload, cmd.payloadGate
-			gate, err = s.stage(u.StreamID, enc, func(err error) error {
-				defer gcf.PutPayload(enc)
-				if err == nil {
-					err = prevGate.Wait()
-				}
-				if err == nil {
-					err = protocol.ApplyDelta(staged, prev, enc)
-				}
-				return err
-			})
-			if err != nil {
-				gcf.PutPayload(enc)
-			}
+			return s.stageCached(cmd, u.StreamID, int(u.PayloadLen))
 		default:
 			return fail(cl.Errf(cl.InvalidValue, "write update for command %d has unknown payload encoding %d", u.Cmd, u.Encoding))
 		}
-		if err != nil {
-			return err
-		}
-		cmd.payload, cmd.payloadGate = staged, gate
 	default:
 		return cl.Errf(cl.InvalidValue, "unknown graph update kind %d", u.Kind)
 	}
+	return nil
+}
+
+// stageCached gives a cached write command a new payload block and
+// starts filling it from the stream: with the payload itself, or with a
+// delta of deltaLen bytes (when that is not negative) against the block
+// it replaces. Either way the bytes land on a block of their own — an
+// earlier replay's write may still be reading the old one — and every
+// block goes back to the pool when its last holder lets go: the graph
+// once the block is replaced, the staging that fills it, the replayed
+// writes that read it (handleExecGraph) and the decoding of the delta
+// that replaces it.
+func (s *session) stageCached(cmd *command, streamID uint32, deltaLen int) error {
+	next := gcf.NewSharedPayload(cmd.size)
+	next.Hold() // the staging goroutine's
+	dst, landed := next.Data, func(err error) error {
+		next.Drop()
+		return err
+	}
+	if deltaLen >= 0 {
+		// Reconstruct against the current cached payload — the baseline
+		// the client encoded against; both sides retain the previous
+		// iteration's bytes. The baseline's own gate may still be pending
+		// (pipelined updates, or an update chasing the registration
+		// upload): decoding waits for it on the staging goroutine, and a
+		// failed baseline fails this gate too, and with it every replay of
+		// the slot.
+		delta, prev, prevGate := gcf.GetPayload(deltaLen), cmd.cached, cmd.payloadGate
+		prev.Hold()
+		dst, landed = delta, func(err error) error {
+			if err == nil {
+				err = prevGate.Wait()
+			}
+			if err == nil {
+				err = protocol.ApplyDelta(next.Data, prev.Data, delta)
+			}
+			gcf.PutPayload(delta)
+			prev.Drop()
+			next.Drop()
+			return err
+		}
+	}
+	gate, err := s.stage(streamID, dst, landed)
+	if err != nil {
+		// Nothing was started: release what landed would have, and the
+		// graph's hold on a block it never got.
+		_ = landed(err)
+		next.Drop()
+		return err
+	}
+	if cmd.cached != nil {
+		cmd.cached.Drop()
+	}
+	cmd.cached, cmd.payload, cmd.payloadGate = next, next.Data, gate
 	return nil
 }
 

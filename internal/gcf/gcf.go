@@ -23,10 +23,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 const (
@@ -102,6 +104,9 @@ const (
 	payloadMaxShift = 24 // 16 MiB
 )
 
+// payloadPools hold each buffer as the *byte of its first element, the
+// class giving the length back: a pointer fits sync.Pool's interface
+// word, where a slice header would be boxed — one allocation per Put.
 var payloadPools [payloadMaxShift - payloadMinShift + 1]sync.Pool
 
 // GetPayload returns a buffer of length n, drawn from a process-wide
@@ -114,7 +119,7 @@ func GetPayload(n int) []byte {
 	for i := range payloadPools {
 		if sz := 1 << (payloadMinShift + i); n <= sz {
 			if v := payloadPools[i].Get(); v != nil {
-				return v.([]byte)[:n]
+				return unsafe.Slice(v.(*byte), sz)[:n]
 			}
 			return make([]byte, n, sz)
 		}
@@ -134,11 +139,40 @@ func PutPayload(p []byte) {
 	if c < 1<<payloadMinShift || c > 1<<payloadMaxShift || c&(c-1) != 0 {
 		return
 	}
-	i := 0
-	for 1<<(payloadMinShift+i) < c {
-		i++
+	payloadPools[bits.TrailingZeros(uint(c))-payloadMinShift].Put(unsafe.SliceData(p))
+}
+
+// SharedPayload is a pooled payload with several holders, for bytes that
+// outlive the call that staged them: a daemon's write staging block is
+// filled by the receive goroutine and read by the queued write; a
+// replayed graph's write payload is read by the plan that caches it, by
+// every ship or queued write still using it and by the delta coded
+// against it. Each holder calls Drop once; the last Drop returns Data to
+// the pool.
+type SharedPayload struct {
+	Data []byte
+	refs atomic.Int32
+}
+
+// NewSharedPayload draws an n-byte payload with one holder, the caller.
+func NewSharedPayload(n int) *SharedPayload {
+	p := &SharedPayload{Data: GetPayload(n)}
+	p.refs.Store(1)
+	return p
+}
+
+// Hold adds a holder. Only a holder may call it.
+func (p *SharedPayload) Hold() { p.refs.Add(1) }
+
+// Drop removes a holder; it has the signature of a WriteOwned release.
+func (p *SharedPayload) Drop() {
+	switch n := p.refs.Add(-1); {
+	case n == 0:
+		PutPayload(p.Data)
+	case n < 0:
+		// The block may already be someone else's: nothing to salvage.
+		panic("gcf: SharedPayload dropped by more holders than it had")
 	}
-	payloadPools[i].Put(p[:c])
 }
 
 // ErrClosed is returned for operations on a closed endpoint.

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,6 +95,52 @@ func TestPayloadPoolRejectsAliases(t *testing.T) {
 		q[0], q[n-1] = 1, 2
 		PutPayload(q)
 	}
+}
+
+// TestPayloadPoolAllocsZero pins the pool's promise: a Get/Put pair in
+// steady state allocates nothing, not even the box a slice header needs
+// to travel in sync.Pool's interface.
+func TestPayloadPoolAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	for _, n := range []int{100, 4096, 64 << 10, 256 << 10} {
+		PutPayload(GetPayload(n))
+		if avg := testing.AllocsPerRun(200, func() { PutPayload(GetPayload(n)) }); avg != 0 {
+			t.Errorf("GetPayload(%d)/PutPayload: %.2f allocations per pair, want 0", n, avg)
+		}
+	}
+}
+
+// TestSharedPayloadLastDropReturnsBlock: the block stays out of the pool
+// while anyone holds it, goes back with the last Drop, and a Drop too
+// many — the block may be another owner's by then — panics instead of
+// putting it back twice.
+func TestSharedPayloadLastDropReturnsBlock(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	// One P, as testing.AllocsPerRun arranges it: what a goroutine Puts it
+	// Gets back, wherever the scheduler resumes it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const class = 128 << 10 // no other test of this package parks blocks here
+	p := NewSharedPayload(class)
+	block := &p.Data[0]
+	p.Hold()
+	p.Drop()
+	if q := GetPayload(class); &q[0] == block {
+		t.Fatal("block handed out again while a holder remains")
+	}
+	p.Drop()
+	if q := GetPayload(class); &q[0] != block {
+		t.Fatal("last Drop did not return the block to the pool")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a Drop without a holder did not panic")
+		}
+	}()
+	p.Drop()
 }
 
 func TestFramePoolCapKeying(t *testing.T) {

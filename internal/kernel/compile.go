@@ -144,6 +144,7 @@ func optimized(raw *WGFunc) *WGFunc {
 		b.constIdx[c] = int32(i)
 	}
 	plan.Info = WGCompileInfo{}
+	plan.Runners = new(sync.Pool) // raw's runners are built for raw's registers
 	optimize(b, &plan)
 	plan.Consts = b.consts
 	plan.NumRegs = int(b.numRegs)

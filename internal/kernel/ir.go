@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -376,6 +377,10 @@ type WGFunc struct {
 	Guard  *GuardSpec
 
 	Info WGCompileInfo
+
+	// Runners is internal/vm's free list of runners built for this plan,
+	// kept here so that it lives exactly as long as the plan does.
+	Runners *sync.Pool
 }
 
 // HasBarriers reports whether the plan contains RBarrier, so that all items

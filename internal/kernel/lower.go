@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -112,7 +113,7 @@ type lowerer struct {
 }
 
 func newLowerer(u *unit, root *FuncDecl, fn *Func) *lowerer {
-	lo := &lowerer{unit: u, root: root, plan: &WGFunc{Fn: fn, WorkDimReg: -1}}
+	lo := &lowerer{unit: u, root: root, plan: &WGFunc{Fn: fn, WorkDimReg: -1, Runners: new(sync.Pool)}}
 	lo.constIdx = make(map[uint64]int32)
 	for d := 0; d < 3; d++ {
 		lo.plan.GidRegs[d] = -1

@@ -3,6 +3,7 @@ package protocol
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Replay payload delta encoding. Iterative applications (the paper's
@@ -41,66 +42,97 @@ const (
 // ~10 bytes, so short gaps are cheaper re-sent.
 const deltaMergeGap = 16
 
-// EncodeDelta encodes cur as a delta against baseline prev. It returns
-// ok=false — ship the full payload instead — when the slices differ in
-// length or the delta would be as large as the payload itself.
+// EncodeDelta encodes cur as a delta against baseline prev on a fresh
+// slice. It returns ok=false — ship the full payload instead — when the
+// slices differ in length or the delta would be as large as the payload
+// itself.
 func EncodeDelta(prev, cur []byte) ([]byte, bool) {
+	return AppendDelta(nil, prev, cur)
+}
+
+// AppendDelta is EncodeDelta onto dst: on ok the delta is dst[len(dst):]
+// of the result, otherwise dst comes back as it went in. A delta is
+// always shorter than cur, so a dst with len(cur) spare bytes never
+// grows.
+//
+// Both scans run a word at a time. Payloads whose values change while
+// their high bytes do not (floats sharing an exponent) have an equal
+// byte in nearly every word and never the deltaMergeGap+1 in a row that
+// would end the literal, so a byte loop spends the whole payload in its
+// gap counter; and the size of a record is checked before its literal
+// is copied, so a rewrite that cannot beat the full frame costs one
+// read of the two payloads.
+func AppendDelta(dst, prev, cur []byte) ([]byte, bool) {
 	n := len(cur)
 	if len(prev) != n || n == 0 {
-		return nil, false
+		return dst, false
 	}
-	var out []byte
+	out := dst
 	var tmp [2 * binary.MaxVarintLen64]byte
-	i := 0
-	for i < n {
-		start := i
-		for start < n && cur[start] == prev[start] {
-			start++
-		}
+	for i := 0; i < n; {
+		start := firstDiff(prev, cur, i)
 		if start == n {
 			break // unchanged tail is implicit
 		}
-		// Extend the literal run past any gap shorter than deltaMergeGap.
-		end := start + 1
-		same := 0
-		for j := start + 1; j < n; j++ {
-			if cur[j] == prev[j] {
-				same++
-				if same > deltaMergeGap {
-					break
-				}
-			} else {
-				same = 0
-				end = j + 1
-			}
-		}
+		end := literalEnd(prev, cur, start)
 		k := binary.PutUvarint(tmp[:], uint64(start-i))
 		k += binary.PutUvarint(tmp[k:], uint64(end-start))
-		if out == nil {
-			out = make([]byte, 0, n/4)
+		if len(out)-len(dst)+k+end-start >= n {
+			return dst, false // not smaller: full frame wins
 		}
 		out = append(out, tmp[:k]...)
 		out = append(out, cur[start:end]...)
-		if len(out) >= n {
-			return nil, false // not smaller: full frame wins
-		}
 		i = end
-	}
-	if out == nil {
-		out = []byte{} // identical payload: empty (non-nil) delta
 	}
 	return out, true
 }
 
-// DecodeDelta reconstructs a payload of the given size from a delta and
-// its baseline, onto a fresh slice (callers hand the result to native
-// enqueues that may outlive the baseline).
-func DecodeDelta(prev, delta []byte, size int) ([]byte, error) {
-	out := make([]byte, size)
-	if err := ApplyDelta(out, prev, delta); err != nil {
-		return nil, err
+// firstDiff returns the first index at or after i where cur and prev
+// differ, or len(cur).
+func firstDiff(prev, cur []byte, i int) int {
+	n := len(cur)
+	for ; i+8 <= n; i += 8 {
+		if x := binary.LittleEndian.Uint64(cur[i:]) ^ binary.LittleEndian.Uint64(prev[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
 	}
-	return out, nil
+	for i < n && cur[i] == prev[i] {
+		i++
+	}
+	return i
+}
+
+// literalEnd returns the end of the literal run that starts at the
+// differing byte start: one past the last differing byte that is
+// followed by more than deltaMergeGap equal bytes or by nothing but
+// equal bytes. Any run of more than deltaMergeGap equal bytes holds an
+// all-equal word at stride 8 from any start, so the scan looks for one
+// and only then goes byte-wise, to the bounds of the run around it.
+func literalEnd(prev, cur []byte, start int) int {
+	n := len(cur)
+	for p := start + 1; p+8 <= n; {
+		if binary.LittleEndian.Uint64(cur[p:]) != binary.LittleEndian.Uint64(prev[p:]) {
+			p += 8
+			continue
+		}
+		runStart := p // stops at start at the latest: that byte differs
+		for cur[runStart-1] == prev[runStart-1] {
+			runStart--
+		}
+		runEnd, limit := p+8, runStart+deltaMergeGap+1
+		for runEnd < limit && runEnd < n && cur[runEnd] == prev[runEnd] {
+			runEnd++
+		}
+		if runEnd == limit || runEnd == n {
+			return runStart
+		}
+		p = runEnd + 1 // a short gap: the literal goes on past it
+	}
+	end := n
+	for cur[end-1] == prev[end-1] {
+		end--
+	}
+	return end
 }
 
 // ApplyDelta reconstructs a payload into dst (fully overwritten, same

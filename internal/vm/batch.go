@@ -19,7 +19,7 @@ type BatchJob struct {
 
 // Batch describes N independent jobs of the same compiled kernel executed
 // as one dispatch: the worker pool spins up once, the work-group plan is
-// fetched once and every worker builds one plan runner, which it re-binds
+// fetched once and every worker takes one plan runner, which it re-binds
 // to each job it pulls. This is the serve-path
 // coalescing entry point — for many small ND-ranges the per-launch
 // overhead (pool spinup, plan lookup, validation) dominates, and batching
@@ -97,7 +97,7 @@ func RunBatch(b Batch) ([]error, Stats) {
 				}
 				jr := runs[id]
 				if pr == nil {
-					pr = newPlanRunner(jr.disp, plan)
+					pr = acquireRunner(jr.disp, plan)
 				} else {
 					pr.bind(jr.disp)
 				}
@@ -109,7 +109,7 @@ func RunBatch(b Batch) ([]error, Stats) {
 				}
 			}
 			if pr != nil {
-				pr.flush(&c)
+				pr.release(&c)
 			}
 		}()
 	}

@@ -71,6 +71,38 @@ func newPlanRunner(d *dispatch, plan *kernel.WGFunc) *planRunner {
 	return r
 }
 
+// acquireRunner returns a runner of plan bound to d: one a finished
+// launch left on the plan's free list, or a new one. A small launch costs
+// about as much as building its rows, masks and buffer table.
+func acquireRunner(d *dispatch, plan *kernel.WGFunc) *planRunner {
+	if r, _ := plan.Runners.Get().(*planRunner); r != nil {
+		r.bind(d)
+		return r
+	}
+	return newPlanRunner(d, plan)
+}
+
+// release adds the runner's counters to c and puts it on its plan's free
+// list, holding nothing of the launch it ran: buffers an application
+// frees must not stay reachable from an idle runner.
+func (r *planRunner) release(c *runCounters) {
+	r.flush(c)
+	r.unbind()
+	r.plan.Runners.Put(r)
+}
+
+func (r *planRunner) unbind() {
+	for i, a := range r.d.args {
+		if a.Kind == kernel.ArgGlobalBuf {
+			r.bufs[r.plan.ArgBufs[i]] = nil
+		}
+	}
+	r.d = nil
+	if r.ref != nil {
+		r.ref.unbind()
+	}
+}
+
 // bind points the runner at a launch: lane rows sized for its work-group
 // shape (kept when the shape repeats, as across the jobs of a batch),
 // arguments, and the coordinate registers that are constant across it.
@@ -274,12 +306,13 @@ func (r *planRunner) runGroup(groupLin int) *TrapError {
 	return nil
 }
 
-// flush adds the runner's counters to c when its worker is done.
+// flush moves the runner's counters to c when its worker is done.
 func (r *planRunner) flush(c *runCounters) {
 	atomic.AddUint64(&c.instr, r.instrCount)
 	atomic.AddUint64(&c.prologue, r.prologueCount)
 	atomic.AddInt64(&c.fused, int64(r.fusedGroups))
 	atomic.AddInt64(&c.coop, int64(r.coopGroups))
+	r.instrCount, r.prologueCount, r.fusedGroups, r.coopGroups = 0, 0, 0, 0
 	if r.ref != nil {
 		r.ref.flush(c)
 	}

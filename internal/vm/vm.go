@@ -195,42 +195,47 @@ func RunStats(l Launch) (Stats, error) {
 
 	plan := selectPlan(l.Prog, l.Kernel, l.Unoptimized)
 
-	var wg sync.WaitGroup
 	var next int64
 	var c runCounters
 	var failed atomic.Value // *TrapError
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pr := newPlanRunner(disp, plan)
-			// Sampled runs spread the executed groups across the range so
-			// cost estimates are not biased toward one corner of the
-			// ND-range (e.g. the fast-escaping top rows of a Mandelbrot
-			// image).
-			stride := 1
-			if runGroups < totalGroups {
-				stride = totalGroups / runGroups
-			}
-			for {
-				id := atomic.AddInt64(&next, 1) - 1
-				if id >= int64(runGroups) || failed.Load() != nil {
-					pr.flush(&c)
-					return
-				}
-				gid := int(id)*stride + stride/2
-				if gid >= totalGroups {
-					gid = totalGroups - 1
-				}
-				if err := pr.runGroup(gid); err != nil {
-					pr.flush(&c)
-					failed.CompareAndSwap(nil, err)
-					return
-				}
-			}
-		}()
+	// Sampled runs spread the executed groups across the range so cost
+	// estimates are not biased toward one corner of the ND-range (e.g. the
+	// fast-escaping top rows of a Mandelbrot image).
+	stride := 1
+	if runGroups < totalGroups {
+		stride = totalGroups / runGroups
 	}
-	wg.Wait()
+	work := func() {
+		pr := acquireRunner(disp, plan)
+		defer pr.release(&c)
+		for {
+			id := atomic.AddInt64(&next, 1) - 1
+			if id >= int64(runGroups) || failed.Load() != nil {
+				return
+			}
+			gid := int(id)*stride + stride/2
+			if gid >= totalGroups {
+				gid = totalGroups - 1
+			}
+			if err := pr.runGroup(gid); err != nil {
+				failed.CompareAndSwap(nil, err)
+				return
+			}
+		}
+	}
+	if workers == 1 {
+		work() // nothing to overlap with: spare the launch a goroutine
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
 	stats := c.stats(runGroups, totalGroups, disp.itemsPerGroup, &plan.Info)
 	if err := failed.Load(); err != nil {
 		return stats, err.(*TrapError)
