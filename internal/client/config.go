@@ -247,6 +247,18 @@ func (p *Platform) RequestFromManager(cfg ManagerConfig) (*Lease, error) {
 	return nil, lastErr
 }
 
+// managerRoutes is all a shard tells its client unasked: an epoch bump,
+// to refresh the cached map with.
+func (p *Platform) managerRoutes() rpc.Routes {
+	return rpc.Routes{protocol.MsgDMPing: {OneWay: func(c rpc.Call) {
+		view := protocol.GetShardMap(c.Body)
+		if c.Malformed() {
+			return
+		}
+		p.noteShardView(view)
+	}}}
+}
+
 // requestFromShard runs one placement attempt against one shard.
 func (p *Platform) requestFromShard(manager, tenant string, cfg ManagerConfig) (*Lease, error) {
 	conn, err := p.opts.Dialer(manager)
@@ -254,14 +266,7 @@ func (p *Platform) requestFromShard(manager, tenant string, cfg ManagerConfig) (
 		return nil, cl.Errf(cl.InvalidServer, "connecting to device manager %s: %v", manager, err)
 	}
 	c := rpc.New(gcf.NewEndpoint(conn, true))
-	c.Start(func(env protocol.Envelope) {
-		if env.Type == protocol.MsgDMPing {
-			// Epoch bump pushed by the shard: refresh the cached map.
-			if view := protocol.GetShardMap(env.Body); env.Body.Err() == nil {
-				p.noteShardView(view)
-			}
-		}
-	}, nil)
+	c.Start(p.managerRoutes(), nil)
 
 	resp, err := c.Call(protocol.MsgDMRequestDevices, 0, func(w *protocol.Writer) {
 		protocol.PlaceRequest{Tenant: tenant, Weight: cfg.Weight, Requests: cfg.Requests}.Put(w)

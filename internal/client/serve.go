@@ -6,6 +6,7 @@ import (
 	"dopencl/internal/cl"
 	"dopencl/internal/kernel"
 	"dopencl/internal/protocol"
+	"dopencl/internal/rpc"
 	"dopencl/internal/serve"
 )
 
@@ -392,9 +393,14 @@ func (s *Server) dropServe(id uint64) {
 	s.mu.Unlock()
 }
 
-// handleServeResults routes a result notification to its session; late
+// handleServeResult routes a result notification to its session; late
 // results for closed or swept sessions are dropped.
-func (s *Server) handleServeResults(res protocol.ServeResults) {
+func (s *Server) handleServeResult(c rpc.Call) {
+	s.recvFrames.Add(1)
+	res := protocol.GetServeResults(c.Body)
+	if c.Malformed() {
+		return
+	}
 	s.mu.Lock()
 	ss := s.serves[res.ServeID]
 	s.mu.Unlock()

@@ -171,7 +171,7 @@ func (s *Server) startConn(ep *gcf.Endpoint) *rpc.Conn {
 	s.mu.Lock()
 	s.conn = c
 	s.mu.Unlock()
-	c.Start(s.handleMessage, func(err error) { s.onClose(c, err) })
+	c.Start(s.routes(), func(err error) { s.onClose(c, err) })
 	if s.plat.opts.HeartbeatInterval > 0 && s.plat.opts.HeartbeatTimeout > 0 {
 		ep.StartHeartbeat(s.plat.opts.HeartbeatInterval, s.plat.opts.HeartbeatTimeout)
 	}
@@ -281,63 +281,66 @@ func (s *Server) endpoint() *gcf.Endpoint {
 	return s.conn.Endpoint()
 }
 
-// handleMessage dispatches the daemon's notifications.
-func (s *Server) handleMessage(env protocol.Envelope) {
+// routes is all a daemon ever tells its client unasked: notifications.
+func (s *Server) routes() rpc.Routes {
+	return rpc.Routes{
+		protocol.MsgEventComplete: {Notify: s.handleEventComplete},
+		protocol.MsgCommandFailed: {Notify: s.handleCommandFailed},
+		protocol.MsgServeResult:   {Notify: s.handleServeResult},
+	}
+}
+
+func (s *Server) handleEventComplete(c rpc.Call) {
 	s.recvFrames.Add(1)
-	if env.Class == protocol.ClassNotification {
-		switch env.Type {
-		case protocol.MsgEventComplete:
-			eventID := env.Body.U64()
-			status := cl.CommandStatus(env.Body.I32())
-			s.mu.Lock()
-			hook := s.hooks[eventID]
-			delete(s.hooks, eventID)
-			s.mu.Unlock()
-			if hook != nil {
-				// Completion hooks run callbacks (possibly user code and
-				// cross-server propagation); keep the dispatcher free.
-				go hook(status)
-			}
-		case protocol.MsgCommandFailed:
-			// Deferred failure of a one-way command: record it against the
-			// queue (surfaced at the next Finish) and fail the command's
-			// event stub, if it has one. Recording happens synchronously on
-			// the dispatch goroutine so a later Finish response cannot
-			// overtake the error.
-			f := protocol.GetCommandFailure(env.Body)
-			if env.Body.Err() != nil {
-				return
-			}
-			err := cl.Errf(cl.ErrorCode(f.Status), "%s on %s failed: %s", f.Op, s.addr, f.Msg)
-			s.mu.Lock()
-			if f.QueueID == 0 && f.EventID == 0 && len(s.sessErrs) < 8 {
-				// Object-plane one-way failure (kernel create / set-arg /
-				// release): no queue or event to carry it — surfaced by
-				// the next Finish on any of this server's queues.
-				s.sessErrs = append(s.sessErrs, err)
-			}
-			if f.QueueID != 0 && len(s.queueErrs[f.QueueID]) < 8 {
-				// Keep the first few failures: a blocking caller may clear
-				// its own entry, and that must not drop a concurrent
-				// event-less command's error before the next Finish.
-				s.queueErrs[f.QueueID] = append(s.queueErrs[f.QueueID], deferredFailure{eventID: f.EventID, err: err})
-			}
-			var hook func(cl.CommandStatus)
-			if f.EventID != 0 {
-				hook = s.hooks[f.EventID]
-				delete(s.hooks, f.EventID)
-			}
-			s.mu.Unlock()
-			if hook != nil {
-				go hook(cl.CommandStatus(f.Status))
-			}
-		case protocol.MsgServeResult:
-			res := protocol.GetServeResults(env.Body)
-			if env.Body.Err() != nil {
-				return
-			}
-			s.handleServeResults(res)
-		}
+	eventID := c.Body.U64()
+	status := cl.CommandStatus(c.Body.I32())
+	if c.Malformed() {
+		return
+	}
+	s.mu.Lock()
+	hook := s.hooks[eventID]
+	delete(s.hooks, eventID)
+	s.mu.Unlock()
+	if hook != nil {
+		// Completion hooks run callbacks (possibly user code and
+		// cross-server propagation); keep the dispatcher free.
+		go hook(status)
+	}
+}
+
+// handleCommandFailed takes the deferred failure of a one-way command:
+// record it against the queue (surfaced at the next Finish) and fail the
+// command's event stub, if it has one. Recording happens synchronously on
+// the dispatch goroutine so a later Finish response cannot overtake the
+// error.
+func (s *Server) handleCommandFailed(c rpc.Call) {
+	s.recvFrames.Add(1)
+	f := protocol.GetCommandFailure(c.Body)
+	if c.Malformed() {
+		return
+	}
+	err := cl.Errf(cl.ErrorCode(f.Status), "%s on %s failed: %s", f.Op, s.addr, f.Msg)
+	s.mu.Lock()
+	if f.QueueID == 0 && f.EventID == 0 && len(s.sessErrs) < 8 {
+		// Object-plane one-way failure (kernel create / set-arg /
+		// release): no queue or event to carry it — surfaced by
+		// the next Finish on any of this server's queues.
+		s.sessErrs = append(s.sessErrs, err)
+	}
+	if f.QueueID != 0 && len(s.queueErrs[f.QueueID]) < 8 {
+		// Keep the first few failures: a blocking caller may clear
+		// its own entry, and that must not drop a concurrent
+		// event-less command's error before the next Finish.
+		s.queueErrs[f.QueueID] = append(s.queueErrs[f.QueueID], deferredFailure{eventID: f.EventID, err: err})
+	}
+	var hook func(cl.CommandStatus)
+	if f.EventID != 0 {
+		hook = s.hooks[f.EventID]
+		delete(s.hooks, f.EventID)
+	}
+	s.mu.Unlock()
+	if hook != nil {
+		go hook(cl.CommandStatus(f.Status))
 	}
 }
 

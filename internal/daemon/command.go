@@ -7,6 +7,7 @@ import (
 	"dopencl/internal/gcf"
 	"dopencl/internal/native"
 	"dopencl/internal/protocol"
+	"dopencl/internal/rpc"
 )
 
 // A queue command on the daemon. Whether it arrives eagerly (one
@@ -239,10 +240,10 @@ func (s *session) enqueue(q *native.Queue, cmd *command, waits []cl.Event, readS
 // still drains its payload (it is pipelined behind the frame), a failed
 // read closes its stream empty so a client blocked on the download
 // unblocks.
-func (s *session) handleEnqueue(typ protocol.MsgType, r *protocol.Reader) {
-	e := protocol.GetEnqueue(r)
-	if r.Err() != nil || e.MsgType() != typ {
-		s.badFrame(typ)
+func (s *session) handleEnqueue(c rpc.Call) {
+	e := protocol.GetEnqueue(c.Body)
+	if c.Body.Err() != nil || e.MsgType() != c.Type {
+		c.Refuse(cl.InvalidValue)
 		return
 	}
 	op, streamID := e.Cmd.Op, e.Cmd.StreamID
@@ -254,7 +255,7 @@ func (s *session) handleEnqueue(typ protocol.MsgType, r *protocol.Reader) {
 		case op == protocol.GraphOpRead:
 			s.closeStream(streamID)
 		}
-		s.notifyCommandFailed(e.QueueID, e.EventID, typ, err)
+		s.fail(c, e.QueueID, e.EventID, err)
 	}
 	s.mu.Lock()
 	q, ok := s.queues[e.QueueID].(*native.Queue)

@@ -39,37 +39,8 @@ func (d *Daemon) attachManagerConn(conn net.Conn, selfAddr string, units []uint3
 	d.dms[c] = true
 	d.dmMu.Unlock()
 
-	c.Start(func(env protocol.Envelope) {
-		switch env.Type {
-		case protocol.MsgDMAssign:
-			authID := env.Body.String()
-			units := env.Body.U64s()
-			u32 := make([]uint32, len(units))
-			for i, u := range units {
-				u32[i] = uint32(u)
-			}
-			d.Allow(authID, u32)
-		case protocol.MsgDMRevoke:
-			d.Revoke(env.Body.String())
-		case protocol.MsgDMPing:
-			// Manager health probe (request) or epoch push (one-way). The
-			// body, when present, carries the manager's membership view.
-			if onView != nil && env.Body.Remaining() > 0 {
-				view := protocol.GetShardMap(env.Body)
-				if env.Body.Err() == nil {
-					onView(view)
-				}
-			}
-		default:
-			return
-		}
-		// Only a request is waited on: a revoke or an epoch push is not.
-		if env.Class == protocol.ClassRequest {
-			if err := c.Reply(env.ID, env.Type, cl.Success, nil); err != nil {
-				d.logf("daemon %s: %s ack failed: %v", d.cfg.Name, env.Type, err)
-			}
-		}
-	}, func(error) {
+	c.Start(d.managerRoutes(c, onView), func(error) {
+		d.logUnserved("manager link", c)
 		d.dmMu.Lock()
 		delete(d.dms, c)
 		d.dmMu.Unlock()
@@ -100,6 +71,66 @@ func (d *Daemon) attachManagerConn(conn net.Conn, selfAddr string, units []uint3
 	}
 	d.logf("daemon %s: registered %d devices with device manager as %s", d.cfg.Name, len(recs), selfAddr)
 	return c, nil
+}
+
+// managerRoutes is what the daemon serves on manager link c. The manager
+// asks (an assignment, the health probe) or just tells (a revoke, an epoch
+// push): each is acted on in either class, and the acknowledgement is a
+// reply, which only a request gets.
+func (d *Daemon) managerRoutes(c *rpc.Conn, onView func(protocol.ShardMap)) rpc.Routes {
+	// Health probe or epoch push. The body, when present, carries the
+	// manager's membership view.
+	ping := func(c rpc.Call) {
+		if c.Body.Remaining() > 0 {
+			view := protocol.GetShardMap(c.Body)
+			if c.Malformed() {
+				return
+			}
+			if onView != nil {
+				onView(view)
+			}
+		}
+		c.Reply(cl.Success, nil)
+	}
+	revoke := func(call rpc.Call) { d.handleRevoke(c, call) }
+	return rpc.Routes{
+		protocol.MsgDMAssign: {Request: d.handleAssign, OneWay: d.handleAssign},
+		protocol.MsgDMRevoke: {Request: revoke, OneWay: revoke},
+		protocol.MsgDMPing:   {Request: ping, OneWay: ping},
+	}
+}
+
+// handleAssign admits a lease the manager placed on this daemon's units.
+func (d *Daemon) handleAssign(c rpc.Call) {
+	authID := c.Body.String()
+	units := c.Body.U64s()
+	if c.Malformed() {
+		return
+	}
+	u32 := make([]uint32, len(units))
+	for i, u := range units {
+		u32[i] = uint32(u)
+	}
+	d.Allow(authID, u32)
+	c.Reply(cl.Success, nil)
+}
+
+// handleRevoke ends a lease on the word of the shard behind link from.
+// The lease ends here as a whole, but units of it may have re-homed to
+// other shards since it was granted (a shard died or came back): they
+// hold the lease's record for those units and hear of its end from
+// nobody else — the client releases to the granting shard only, and the
+// session's own report (retire) finds the lease already gone.
+func (d *Daemon) handleRevoke(from *rpc.Conn, c rpc.Call) {
+	authID := c.Body.String()
+	if c.Malformed() {
+		return
+	}
+	if d.HasLease(authID) {
+		d.Revoke(authID)
+		d.reportInvalidatedLease(authID, from)
+	}
+	c.Reply(cl.Success, nil)
 }
 
 // recordsFor returns the device records for the given units (nil = all)

@@ -152,7 +152,7 @@ func TestManagerLinkAnswersOnlyRequests(t *testing.T) {
 		t.Fatal("assign request not applied")
 	}
 
-	d.reportInvalidatedLease("lease-a")
+	d.reportInvalidatedLease("lease-a", nil)
 	env := fm.next(t)
 	if env.Type != protocol.MsgDMReleaseLease || env.Class != protocol.ClassOneWay || env.Body.String() != "lease-a" {
 		t.Fatalf("lease report: type=%s class=%d, want a one-way DMReleaseLease for lease-a", env.Type, env.Class)
@@ -197,5 +197,57 @@ func TestRefreshViewSkipsSeedThatDiesMidRequest(t *testing.T) {
 	defer cp.mu.Unlock()
 	if cp.epoch != 1 || len(cp.shards) != 1 || cp.shards[0] != "live" {
 		t.Fatalf("view after refresh: epoch %d shards %v, want the live seed's", cp.epoch, cp.shards)
+	}
+}
+
+// A request the manager link does not serve is answered, not dropped: the
+// manager's call would otherwise wait out its timeout, or for ever.
+func TestManagerLinkAnswersUnservedRequest(t *testing.T) {
+	fm := attachFakeManager(t, testDaemon(t, true))
+	fm.send(t, protocol.ClassRequest, 5, protocol.MsgDMShardMap, nil)
+	env := fm.next(t)
+	if st := cl.ErrorCode(env.Body.I32()); env.Class != protocol.ClassResponse || env.ID != 5 || st != cl.InvalidOperation {
+		t.Fatalf("answer to an unserved request: class=%d id=%d status=%v, want InvalidOperation", env.Class, env.ID, st)
+	}
+}
+
+// A DMAssign cut short grants nothing (it used to admit the
+// authentication ID "" to an empty lease) and its sender is told so.
+func TestTruncatedAssignGrantsNothing(t *testing.T) {
+	d := testDaemon(t, true)
+	fm := attachFakeManager(t, d)
+	fm.send(t, protocol.ClassRequest, 6, protocol.MsgDMAssign, func(w *protocol.Writer) { w.U16(0xffff) })
+	if st := cl.ErrorCode(fm.next(t).Body.I32()); st != cl.InvalidValue {
+		t.Fatalf("truncated assign answered %v, want InvalidValue", st)
+	}
+	if d.HasLease("") {
+		t.Fatal("truncated assign granted a lease to the empty authentication ID")
+	}
+}
+
+// A lease ends on a daemon as a whole, on the word of one shard; units of
+// it may have re-homed to another shard since, which holds the record for
+// them and hears of the end from nobody else. The daemon passes the word
+// on to its other manager links — and not back to the shard it came from.
+// (Without this a lease released after a shard restart stayed booked on
+// the shard its units had moved to: the "all leases released" timeout of
+// TestShardKillRehomesDevicesExactly, 1 run in 40.)
+func TestRevokeIsPassedOnToOtherShards(t *testing.T) {
+	d := testDaemon(t, true)
+	granting, adopting := attachFakeManager(t, d), attachFakeManager(t, d)
+	granting.send(t, protocol.ClassRequest, 5, protocol.MsgDMAssign, func(w *protocol.Writer) { w.String("lease-a"); w.U64s([]uint64{0, 1}) })
+	granting.next(t) // the acknowledgement
+	granting.send(t, protocol.ClassOneWay, 0, protocol.MsgDMRevoke, func(w *protocol.Writer) { w.String("lease-a") })
+	env := adopting.next(t)
+	if env.Type != protocol.MsgDMReleaseLease || env.Class != protocol.ClassOneWay || env.Body.String() != "lease-a" {
+		t.Fatalf("the other shard got type=%s class=%d, want a one-way DMReleaseLease for lease-a", env.Type, env.Class)
+	}
+	// The revoking shard hears nothing back; neither does anyone when the
+	// lease named is not held here (that is what ends the echo between two
+	// shards that both hold a record).
+	adopting.send(t, protocol.ClassOneWay, 0, protocol.MsgDMRevoke, func(w *protocol.Writer) { w.String("lease-a") })
+	granting.send(t, protocol.ClassRequest, 6, protocol.MsgDMPing, nil)
+	if env := granting.next(t); env.Class != protocol.ClassResponse || env.ID != 6 {
+		t.Fatalf("the revoking shard was sent type=%s class=%d", env.Type, env.Class)
 	}
 }

@@ -165,6 +165,16 @@ func (d *Daemon) logf(format string, args ...any) {
 	}
 }
 
+// logUnserved reports, once per message type, the frames a connection
+// that just ended had dropped: sent in a class this daemon does not serve
+// them in, or with a body it could not decode. Nobody was answered about
+// them, so this line is the only trace of a confused or hostile peer.
+func (d *Daemon) logUnserved(link string, c *rpc.Conn) {
+	for typ, n := range c.Unserved() {
+		d.logf("daemon %s: %s dropped %d unserved or malformed %s frame(s)", d.cfg.Name, link, n, typ)
+	}
+}
+
 // Name returns the daemon's server name.
 func (d *Daemon) Name() string { return d.cfg.Name }
 
@@ -450,12 +460,15 @@ func (d *Daemon) RetainedSessions() int {
 // reportInvalidatedLease tells the device manager(s) that a client
 // disconnected without releasing its lease (Section IV-C). With a
 // sharded control plane the report is broadcast across all manager
-// links: only the shard holding the lease record acts on it.
-func (d *Daemon) reportInvalidatedLease(authID string) {
+// links but except (the one that already knows; nil: none): only a shard
+// holding a record of the lease acts on it.
+func (d *Daemon) reportInvalidatedLease(authID string, except *rpc.Conn) {
 	d.dmMu.Lock()
 	links := make([]*rpc.Conn, 0, len(d.dms))
 	for c := range d.dms {
-		links = append(links, c)
+		if c != except {
+			links = append(links, c)
+		}
 	}
 	d.dmMu.Unlock()
 	for _, c := range links {

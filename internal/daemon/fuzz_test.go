@@ -1,0 +1,133 @@
+package daemon
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"dopencl/internal/cl"
+	"dopencl/internal/protocol"
+	"dopencl/internal/rpc/rpctest"
+)
+
+// A fuzz input is a sequence of frames, each class, type (two bytes),
+// body length (one byte), body.
+func appendFrame(data []byte, class uint8, typ protocol.MsgType, body []byte) []byte {
+	data = append(data, class, byte(typ), byte(typ>>8), byte(len(body)))
+	return append(data, body...)
+}
+
+func nextFrame(data []byte) (class uint8, typ protocol.MsgType, body, rest []byte, ok bool) {
+	if len(data) < 4 {
+		return 0, 0, nil, nil, false
+	}
+	class, typ = data[0], protocol.MsgType(data[1])|protocol.MsgType(data[2])<<8
+	n := min(int(data[3]), len(data)-4)
+	return class, typ, data[4 : 4+n], data[4+n:], true
+}
+
+// FuzzSession sends arbitrary frame sequences to a live session that holds
+// one object of every kind: whatever arrives, the daemon does not panic,
+// the session still answers afterwards, and once the connection is closed
+// every goroutine the frames started is gone. Seeds: the samples of every
+// row of the session's table, as one script and one by one.
+func FuzzSession(f *testing.F) {
+	samples := sessionSamples()
+	var script []byte
+	for _, sm := range samples {
+		if len(sm.Body()) > 255 {
+			f.Fatalf("%s sample does not fit a fuzz frame", sm.Type)
+		}
+		script = appendFrame(script, sm.Class, sm.Type, sm.Body())
+		f.Add(appendFrame(nil, sm.Class, sm.Type, sm.Body()))
+	}
+	f.Add(script)
+	// What the fuzzer has found, each once a leaked goroutine or worse.
+	frames := func(sms ...rpctest.Sample) (data []byte) {
+		for _, sm := range sms {
+			data = appendFrame(data, sm.Class, sm.Type, sm.Body())
+		}
+		return data
+	}
+	row := func(typ protocol.MsgType, class uint8) rpctest.Sample {
+		for _, sm := range samples {
+			if sm.Type == typ && sm.Class == class {
+				return sm
+			}
+		}
+		f.Fatalf("no sample for %s in class %d", typ, class)
+		return rpctest.Sample{}
+	}
+	req, one := protocol.ClassRequest, protocol.ClassOneWay
+	parked := row(protocol.MsgEnqueueRead, one) // waits on user event 0
+	// A user event released, or its ID taken over, with a command parked on it.
+	f.Add(frames(parked, row(protocol.MsgReleaseEvent, one)))
+	f.Add(frames(parked, row(protocol.MsgCreateUserEvent, req)))
+	// A refused write draining the stream that a failed read then closes and
+	// forgets: the drain used to wait on a stream no sweep would find again.
+	aliased := func(class uint8, queue uint64, op uint8) rpctest.Sample {
+		e := protocol.Enqueue{QueueID: queue, Cmd: protocol.GraphCommand{Op: op, Size: csSize, StreamID: 9}}
+		return rpctest.Sample{Type: e.MsgType(), Class: class, Fill: func(w *protocol.Writer) { protocol.PutEnqueue(w, e) }}
+	}
+	f.Add(frames(aliased(req, 0, protocol.GraphOpWrite), aliased(one, 99, protocol.GraphOpRead)))
+	// A buffer of 2^62 bytes.
+	f.Add(frames(rpctest.Sample{Type: protocol.MsgCreateBuffer, Class: req, Fill: func(w *protocol.Writer) {
+		w.U64(1)
+		w.U64(0)
+		w.U32(uint32(cl.MemReadWrite))
+		w.I64(1 << 62)
+		w.U32(0)
+	}}))
+
+	// One daemon for all inputs: its serve dispatcher, started by the first
+	// session's ServeOpen, lives as long as it does.
+	var d *Daemon
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if d == nil {
+			d = testDaemon(t, false)
+			warm, _ := sessionLink(t, d, samples)
+			warm.EP.Close()
+		}
+		settle := func(what string, base int) {
+			deadline := time.Now().Add(10 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%s: %d goroutines, %d before the session:\n%s", what, runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		base := runtime.NumGoroutine()
+		l, _ := sessionLink(t, d, samples)
+		for {
+			class, typ, body, rest, ok := nextFrame(data)
+			if !ok {
+				break
+			}
+			data = rest
+			l.Send(t, class, 0, typ, body)
+			if class == protocol.ClassRequest && typ == protocol.MsgCreateBuffer {
+				// A buffer created with initial contents is the one request
+				// whose handler waits, for the stream that carries them: a
+				// client that never sends them wedges its own session. End
+				// the stream, as a client that gave up would.
+				r := protocol.NewReader(body)
+				r.U64()
+				r.U64()
+				r.U32()
+				r.I64()
+				if streamID := r.U32(); r.Err() == nil && streamID != 0 {
+					st := l.EP.Stream(streamID)
+					_ = st.CloseWrite() // fails only on a closed link
+					st.Release()
+				}
+			}
+		}
+		if st := l.Ask(t, 1, protocol.MsgGetServerInfo, nil); st != cl.Success {
+			t.Fatalf("GetServerInfo after the frames: %v", st)
+		}
+		l.EP.Close()
+		settle("after close", base)
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"dopencl/internal/gcf"
 	"dopencl/internal/native"
 	"dopencl/internal/protocol"
+	"dopencl/internal/rpc"
 )
 
 // Daemon-side command-graph cache and replay (MsgRegisterGraph /
@@ -28,10 +29,9 @@ type sessGraph struct {
 // handleRegisterGraph validates and caches a client graph registration.
 // One-way: failures are deferred to the queue's next Finish; later
 // replays of the unregistered graph fail their own events.
-func (s *session) handleRegisterGraph(r *protocol.Reader) {
-	g := protocol.GetRegisterGraph(r)
-	if r.Err() != nil {
-		s.badFrame(protocol.MsgRegisterGraph)
+func (s *session) handleRegisterGraph(c rpc.Call) {
+	g := protocol.GetRegisterGraph(c.Body)
+	if c.Malformed() {
 		return
 	}
 	// Streams not yet claimed by a staged payload must be drained on
@@ -39,12 +39,12 @@ func (s *session) handleRegisterGraph(r *protocol.Reader) {
 	// frame regardless of its outcome.
 	claimed := 0
 	failReg := func(err error) {
-		for _, c := range g.Commands[claimed:] {
-			if c.Op == protocol.GraphOpWrite {
-				s.drainStream(c.StreamID)
+		for _, unclaimed := range g.Commands[claimed:] {
+			if unclaimed.Op == protocol.GraphOpWrite {
+				s.drainStream(unclaimed.StreamID)
 			}
 		}
-		s.notifyCommandFailed(g.QueueID, 0, protocol.MsgRegisterGraph, err)
+		s.fail(c, g.QueueID, 0, err)
 	}
 	s.mu.Lock()
 	q, ok := s.queues[g.QueueID].(*native.Queue)
@@ -97,10 +97,9 @@ func (s *session) handleRegisterGraph(r *protocol.Reader) {
 // queue. The iteration's completion event is a marker gated on all
 // command events — it fails if any command failed — and read-back data
 // ships on the frame's per-read streams.
-func (s *session) handleExecGraph(r *protocol.Reader) {
-	e := protocol.GetExecGraph(r)
-	if r.Err() != nil {
-		s.badFrame(protocol.MsgExecGraph)
+func (s *session) handleExecGraph(c rpc.Call) {
+	e := protocol.GetExecGraph(c.Body)
+	if c.Malformed() {
 		return
 	}
 	// Streams the client announced must never be left dangling: read
@@ -118,7 +117,7 @@ func (s *session) handleExecGraph(r *protocol.Reader) {
 				s.drainStream(u.StreamID)
 			}
 		}
-		s.notifyCommandFailed(e.QueueID, e.EventID, protocol.MsgExecGraph, err)
+		s.fail(c, e.QueueID, e.EventID, err)
 	}
 	s.mu.Lock()
 	g := s.graphs[e.GraphID]
@@ -195,8 +194,7 @@ func (s *session) handleExecGraph(r *protocol.Reader) {
 		if st == cl.Complete {
 			return
 		}
-		s.notifyCommandFailed(queueID, 0, protocol.MsgExecGraph,
-			cl.Errf(cl.ErrorCode(st), "graph %d replay failed", e.GraphID))
+		s.fail(c, queueID, 0, cl.Errf(cl.ErrorCode(st), "graph %d replay failed", e.GraphID))
 	}); cbErr != nil {
 		s.d.logf("daemon %s: graph marker callback: %v", s.d.cfg.Name, cbErr)
 	}
@@ -313,10 +311,9 @@ func (s *session) stageCached(cmd *command, streamID uint32, deltaLen int) error
 }
 
 // handleReleaseGraph drops a cached graph.
-func (s *session) handleReleaseGraph(r *protocol.Reader) {
-	graphID := r.U64()
-	if r.Err() != nil {
-		s.badFrame(protocol.MsgReleaseGraph)
+func (s *session) handleReleaseGraph(c rpc.Call) {
+	graphID := c.Body.U64()
+	if c.Malformed() {
 		return
 	}
 	s.mu.Lock()

@@ -190,45 +190,45 @@ func (d *Daemon) ServePeers(l net.Listener) error {
 }
 
 // ServePeerConn runs one inbound peer connection (non-blocking).
+// Everything on it is one-way: failures are resolved through the
+// transfer's gating event (completed with an error status), never through
+// responses on the peer link.
 func (d *Daemon) ServePeerConn(conn net.Conn) {
 	ps := &peerSession{d: d, ep: gcf.NewEndpoint(conn, false)}
-	rpc.New(ps.ep).Start(ps.handle, nil)
+	c := rpc.New(ps.ep)
+	c.Start(ps.routes(), func(error) { d.logUnserved("peer link", c) })
 }
 
 // peerSession is one inbound peer connection.
 type peerSession struct {
-	d    *Daemon
-	ep   *gcf.Endpoint
-	name string // dialing daemon's self-reported name (diagnostics)
+	d  *Daemon
+	ep *gcf.Endpoint
 }
 
-// handle dispatches peer-plane messages. Everything here is one-way:
-// failures are resolved through the transfer's gating event (completed
-// with an error status), never through responses on the peer link.
-func (s *peerSession) handle(env protocol.Envelope) {
-	switch env.Type {
-	case protocol.MsgPeerHello:
-		name := env.Body.String()
-		peerAddr := env.Body.String()
-		if env.Body.Err() != nil {
-			s.d.logf("daemon %s: malformed peer hello dropped", s.d.cfg.Name)
-			return
-		}
-		s.name = name
-		s.d.logf("daemon %s: peer %s (%s) connected", s.d.cfg.Name, name, peerAddr)
-	case protocol.MsgPeerTransfer:
-		hdr := protocol.GetPeerTransfer(env.Body)
-		if env.Body.Err() != nil {
-			// With a garbled header the stream ID itself is untrusted:
-			// drop the frame; the dangling stream dies with the
-			// connection.
-			s.d.logf("daemon %s: malformed peer transfer from %s dropped", s.d.cfg.Name, s.name)
-			return
-		}
-		s.d.matchTransfer(s.ep, hdr)
-	default:
-		s.d.logf("daemon %s: unsupported peer message %s", s.d.cfg.Name, env.Type)
+func (s *peerSession) routes() rpc.Routes {
+	return rpc.Routes{
+		protocol.MsgPeerHello:    {OneWay: s.handleHello},
+		protocol.MsgPeerTransfer: {OneWay: s.handleTransfer},
 	}
+}
+
+func (s *peerSession) handleHello(c rpc.Call) {
+	name := c.Body.String()
+	peerAddr := c.Body.String()
+	if c.Malformed() {
+		return
+	}
+	s.d.logf("daemon %s: peer %s (%s) connected", s.d.cfg.Name, name, peerAddr)
+}
+
+func (s *peerSession) handleTransfer(c rpc.Call) {
+	hdr := protocol.GetPeerTransfer(c.Body)
+	if c.Malformed() {
+		// With a garbled header the stream ID itself is untrusted: drop the
+		// frame; the dangling stream dies with the connection.
+		return
+	}
+	s.d.matchTransfer(s.ep, hdr)
 }
 
 // registerForward records a client-announced accept and, if the payload

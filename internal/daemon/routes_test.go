@@ -1,0 +1,298 @@
+package daemon
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"dopencl/internal/cl"
+	"dopencl/internal/gcf"
+	"dopencl/internal/protocol"
+	"dopencl/internal/rpc"
+	"dopencl/internal/rpc/rpctest"
+	"dopencl/internal/simnet"
+)
+
+// The daemon's three receive tables — client session, manager link, peer
+// link — held to the one rule for a frame a role does not serve or cannot
+// decode, by the sweep of rpctest.
+
+// writeStream is the stream the one-way EnqueueWrite sample announces.
+const writeStream = 11
+
+const fillSource = `kernel void fill(global int* p) { p[get_global_id(0)] = 7; }`
+
+// sessionSamples names object 0 of every kind — the ID a truncated body
+// decodes to — so a handler that acts before it checks is caught acting
+// on a live object.
+func sessionSamples() []rpctest.Sample {
+	u64s := func(vs ...uint64) func(*protocol.Writer) {
+		return func(w *protocol.Writer) {
+			for _, v := range vs {
+				w.U64(v)
+			}
+		}
+	}
+	enqueue := func(cmd protocol.GraphCommand) func(*protocol.Writer) {
+		return func(w *protocol.Writer) {
+			protocol.PutEnqueue(w, protocol.Enqueue{QueueID: 0, EventID: 50 + uint64(cmd.Op), WaitIDs: []uint64{0}, Cmd: cmd})
+		}
+	}
+	createKernel := func(w *protocol.Writer) { w.U64(0); w.U64(0); w.String("fill") }
+	setArg := func(w *protocol.Writer) {
+		protocol.PutSetKernelArg(w, protocol.SetKernelArg{KernelID: 0, Index: 0,
+			Arg: protocol.GraphKernelArg{Kind: protocol.ArgValBuffer, Raw: 0}})
+	}
+	eventStatus := func(w *protocol.Writer) { w.U64(0); w.I32(int32(cl.Complete)) }
+	launch := protocol.GraphCommand{Op: protocol.GraphOpKernel, KernelID: 0, Global: []int{csSize / 4}}
+	req, one := protocol.ClassRequest, protocol.ClassOneWay
+	return []rpctest.Sample{
+		{Type: protocol.MsgHello, Class: req, Setup: true, Fill: func(w *protocol.Writer) { w.String("sweep"); w.String("") }},
+		{Type: protocol.MsgAttachSession, Class: req, Fill: func(w *protocol.Writer) { w.U64(12345); w.String("sweep"); w.String("") }},
+		{Type: protocol.MsgGetServerInfo, Class: req},
+		{Type: protocol.MsgCreateContext, Class: req, Setup: true, Fill: func(w *protocol.Writer) { w.U64(0); w.U64s([]uint64{0}) }},
+		{Type: protocol.MsgCreateQueue, Class: req, Setup: true, Fill: u64s(0, 0, 0)},
+		{Type: protocol.MsgCreateBuffer, Class: req, Setup: true, Fill: func(w *protocol.Writer) {
+			w.U64(0)
+			w.U64(0)
+			w.U32(uint32(cl.MemReadWrite))
+			w.I64(csSize)
+			w.U32(0)
+		}},
+		{Type: protocol.MsgCreateProgram, Class: req, Setup: true, Fill: func(w *protocol.Writer) { w.U64(0); w.U64(0); w.String(fillSource) }},
+		{Type: protocol.MsgBuildProgram, Class: req, Setup: true, Fill: func(w *protocol.Writer) { w.U64(0); w.String("") }},
+		{Type: protocol.MsgCreateKernel, Class: req, Setup: true, Fill: createKernel},
+		{Type: protocol.MsgCreateKernel, Class: one, Fill: createKernel},
+		{Type: protocol.MsgSetKernelArg, Class: req, Setup: true, Fill: setArg},
+		{Type: protocol.MsgSetKernelArg, Class: one, Fill: setArg},
+		{Type: protocol.MsgCreateUserEvent, Class: req, Setup: true, Fill: u64s(0, 0)},
+		{Type: protocol.MsgSetUserEventStatus, Class: req, Fill: eventStatus},
+		{Type: protocol.MsgSetUserEventStatus, Class: one, Fill: eventStatus},
+		{Type: protocol.MsgServeOpen, Class: req, Setup: true, Fill: func(w *protocol.Writer) {
+			protocol.PutServeOpen(w, protocol.ServeOpen{ServeID: 0, Weight: 1, MaxPending: 8})
+		}},
+		{Type: protocol.MsgServeSubmit, Class: one, Fill: func(w *protocol.Writer) {
+			protocol.PutServeSubmit(w, protocol.ServeSubmit{ServeID: 0, Jobs: []protocol.ServeJob{{
+				JobID: 1, KernelID: 0, Args: []protocol.GraphKernelArg{{Kind: protocol.ArgValBuffer}},
+				InputArg: -1, OutputArg: 0, OutSize: csSize, Global: []int{csSize / 4},
+			}}})
+		}},
+		{Type: protocol.MsgEnqueueWrite, Class: req, Fill: enqueue(protocol.GraphCommand{Op: protocol.GraphOpWrite, Size: csSize, StreamID: 9})},
+		{Type: protocol.MsgEnqueueWrite, Class: one, Fill: enqueue(protocol.GraphCommand{Op: protocol.GraphOpWrite, Size: csSize, StreamID: writeStream})},
+		{Type: protocol.MsgEnqueueRead, Class: one, Fill: enqueue(protocol.GraphCommand{Op: protocol.GraphOpRead, Size: csSize, StreamID: 13})},
+		{Type: protocol.MsgEnqueueCopy, Class: one, Fill: enqueue(protocol.GraphCommand{Op: protocol.GraphOpCopy, Size: 8, DstOff: 8})},
+		{Type: protocol.MsgEnqueueKernel, Class: one, Fill: enqueue(launch)},
+		{Type: protocol.MsgEnqueueMarker, Class: one, Fill: enqueue(protocol.GraphCommand{Op: protocol.GraphOpMarker})},
+		{Type: protocol.MsgEnqueueBarrier, Class: one, Fill: enqueue(protocol.GraphCommand{Op: protocol.GraphOpBarrier})},
+		{Type: protocol.MsgFlush, Class: one, Fill: u64s(0)},
+		{Type: protocol.MsgFinish, Class: req, Fill: u64s(0)},
+		{Type: protocol.MsgForwardBuffer, Class: one, Fill: func(w *protocol.Writer) {
+			protocol.PutForwardBuffer(w, protocol.ForwardBuffer{Size: csSize, PeerAddr: "peer", Token: 7, EventID: 60, WaitIDs: []uint64{0}})
+		}},
+		{Type: protocol.MsgAcceptForward, Class: one, Fill: func(w *protocol.Writer) {
+			protocol.PutAcceptForward(w, protocol.AcceptForward{Token: 8, Size: csSize, EventID: 61})
+		}},
+		{Type: protocol.MsgRegisterGraph, Class: one, Fill: func(w *protocol.Writer) {
+			frozen := launch
+			frozen.Args = []protocol.GraphKernelArg{{Kind: protocol.ArgValBuffer}}
+			protocol.PutRegisterGraph(w, protocol.RegisterGraph{GraphID: 0, QueueID: 0, Commands: []protocol.GraphCommand{
+				frozen, {Op: protocol.GraphOpRead, Size: csSize}, {Op: protocol.GraphOpMarker},
+			}})
+		}},
+		{Type: protocol.MsgExecGraph, Class: one, Fill: func(w *protocol.Writer) {
+			protocol.PutExecGraph(w, protocol.ExecGraph{GraphID: 0, QueueID: 0, EventID: 62, ReadStreamIDs: []uint32{15},
+				Updates: []protocol.GraphUpdate{{Cmd: 0, Kind: protocol.GraphUpdateKernelArg, Arg: protocol.GraphKernelArg{Kind: protocol.ArgValBuffer}}}})
+		}},
+		{Type: protocol.MsgReleaseGraph, Class: one, Fill: u64s(0)},
+		{Type: protocol.MsgServeClose, Class: one, Fill: func(w *protocol.Writer) { protocol.PutServeClose(w, protocol.ServeClose{ServeID: 0}) }},
+		{Type: protocol.MsgReleaseEvent, Class: one, Fill: u64s(0)},
+		{Type: protocol.MsgReleaseKernel, Class: one, Fill: u64s(0)},
+		{Type: protocol.MsgReleaseProgram, Class: req, Fill: u64s(0)},
+		{Type: protocol.MsgReleaseBuffer, Class: req, Fill: u64s(0)},
+		{Type: protocol.MsgReleaseQueue, Class: req, Fill: u64s(0)},
+		{Type: protocol.MsgReleaseContext, Class: req, Fill: u64s(0)},
+		{Type: protocol.MsgGoodbye, Class: one},
+	}
+}
+
+// sessionLink starts a session on an in-process pair and has it serve the
+// set-up samples, so that it holds one object of every kind, each with ID 0.
+func sessionLink(t *testing.T, d *Daemon, samples []rpctest.Sample) (*rpctest.Link, *session) {
+	t.Helper()
+	clientEP, serverEP := gcf.NewLocalPair()
+	sess := newSession(d, serverEP)
+	sess.start()
+	l := rpctest.StartLink(clientEP)
+	l.Conn = sess.conn
+	for i, sm := range samples {
+		if !sm.Setup {
+			continue
+		}
+		if st := l.Ask(t, uint32(i+1), sm.Type, sm.Body()); st != cl.Success {
+			t.Fatalf("set-up %s: %v", sm.Type, st)
+		}
+	}
+	l.State = func() string {
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		return fmt.Sprintf("contexts=%d queues=%d buffers=%d programs=%d kernels=%d events=%d graphs=%d serves=%d auth=%q",
+			len(sess.contexts), len(sess.queues), len(sess.buffers), len(sess.programs), len(sess.kernels),
+			len(sess.events), len(sess.graphs), len(sess.serves), sess.authID)
+	}
+	l.Alive = func(t *testing.T) {
+		t.Helper()
+		if st := l.Ask(t, 1, protocol.MsgGetServerInfo, nil); st != cl.Success {
+			t.Fatalf("GetServerInfo after the sweep: %v", st)
+		}
+	}
+	return l, sess
+}
+
+func TestSessionRowsHaveSamples(t *testing.T) {
+	rpctest.CheckSamples(t, (&session{}).routes(), sessionSamples())
+}
+
+// Served in list order on a fresh session, every sample is decoded: no
+// request is refused as malformed and no one-way frame is dropped. (Some
+// are refused for other reasons — there is no peer plane to forward on —
+// which is none of this test's business.)
+func TestSessionSamplesAreWellFormed(t *testing.T) {
+	samples := sessionSamples()
+	l, sess := sessionLink(t, testDaemon(t, false), nil)
+	defer l.EP.Close()
+	for i, sm := range samples {
+		if sm.Class != protocol.ClassRequest {
+			l.Send(t, sm.Class, 0, sm.Type, sm.Body())
+			if sm.Type == protocol.MsgEnqueueWrite {
+				// The queue is in order: without its payload the write, and the
+				// Finish behind it, would wait for ever.
+				sendPayload(t, l.EP.Stream(writeStream), make([]byte, csSize))
+			}
+		} else if st := l.Ask(t, uint32(i+1), sm.Type, sm.Body()); st == cl.InvalidValue {
+			t.Errorf("request-class %s sample refused as malformed", sm.Type)
+		}
+	}
+	l.Alive(t)
+	if dropped := sess.conn.Unserved(); len(dropped) != 0 {
+		t.Errorf("samples dropped as malformed: %v", dropped)
+	}
+}
+
+func TestSessionRefusesWhatItDoesNotServe(t *testing.T) {
+	samples := sessionSamples()
+	l, sess := sessionLink(t, testDaemon(t, false), samples)
+	defer l.EP.Close()
+	rpctest.Sweep(t, l, sess.routes(), samples)
+}
+
+func managerLinkSamples() []rpctest.Sample {
+	assign := func(w *protocol.Writer) { w.String("lease-a"); w.U64s([]uint64{1}) }
+	revoke := func(w *protocol.Writer) { w.String("lease-a") }
+	view := protocol.ShardMap{Epoch: 3, Shards: []string{"a", "b"}}.Put
+	req, one := protocol.ClassRequest, protocol.ClassOneWay
+	return []rpctest.Sample{
+		{Type: protocol.MsgDMAssign, Class: req, Fill: assign},
+		{Type: protocol.MsgDMAssign, Class: one, Fill: assign},
+		{Type: protocol.MsgDMRevoke, Class: req, Fill: revoke},
+		{Type: protocol.MsgDMRevoke, Class: one, Fill: revoke},
+		{Type: protocol.MsgDMPing, Class: req, Fill: view, EmptyOK: true},
+		{Type: protocol.MsgDMPing, Class: one, Fill: view, EmptyOK: true},
+	}
+}
+
+func TestManagerLinkRowsHaveSamples(t *testing.T) {
+	rpctest.CheckSamples(t, testDaemon(t, true).managerRoutes(nil, nil), managerLinkSamples())
+}
+
+// The daemon's manager link: a truncated DMAssign used to grant an empty
+// lease to the authentication ID "", and a request of a type the link
+// does not serve was dropped, leaving the manager's call waiting.
+func TestManagerLinkRefusesWhatItDoesNotServe(t *testing.T) {
+	d := testDaemon(t, true)
+	a, b := simnet.Pipe(simnet.Unlimited())
+	l := rpctest.StartLink(gcf.NewEndpoint(b, false))
+	defer l.EP.Close()
+	// The registration is the one request the daemon makes: acknowledge it.
+	registered := make(chan *rpc.Conn, 1)
+	go func() {
+		c, err := d.attachManagerConn(a, "node", nil, nil, nil)
+		if err != nil {
+			t.Error(err)
+		}
+		registered <- c
+	}()
+	select {
+	case env := <-l.Rest:
+		w := protocol.NewWriter()
+		w.I32(int32(cl.Success))
+		if err := l.EP.Send(protocol.EncodeEnvelope(protocol.ClassResponse, env.ID, env.Type, w)); err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the daemon never registered")
+	}
+	if l.Conn = <-registered; l.Conn == nil {
+		t.FailNow()
+	}
+	l.State = func() string {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return fmt.Sprintf("leases=%d", len(d.leases))
+	}
+	l.Alive = func(t *testing.T) {
+		t.Helper()
+		if st := l.Ask(t, 1, protocol.MsgDMPing, nil); st != cl.Success {
+			t.Fatalf("ping after the sweep: %v", st)
+		}
+	}
+	rpctest.Sweep(t, l, d.managerRoutes(nil, nil), managerLinkSamples())
+}
+
+func peerSamples() []rpctest.Sample {
+	return []rpctest.Sample{
+		{Type: protocol.MsgPeerHello, Class: protocol.ClassOneWay, Fill: func(w *protocol.Writer) { w.String("node2"); w.String("node2/peer") }},
+		{Type: protocol.MsgPeerTransfer, Class: protocol.ClassOneWay, Fill: func(w *protocol.Writer) {
+			protocol.PutPeerTransfer(w, protocol.PeerTransfer{Token: 21, BufID: 3, Size: 32, StreamID: 5})
+		}},
+	}
+}
+
+func TestPeerRowsHaveSamples(t *testing.T) {
+	rpctest.CheckSamples(t, (&peerSession{}).routes(), peerSamples())
+}
+
+// The peer link answers nothing it serves, but a request that strays onto
+// it is still refused rather than left waiting; and after the sweep a
+// well-formed transfer header is parked for its accept as ever.
+func TestPeerLinkRefusesWhatItDoesNotServe(t *testing.T) {
+	d := testDaemon(t, false)
+	near, far := gcf.NewLocalPair()
+	ps := &peerSession{d: d, ep: far}
+	l := rpctest.StartLink(near)
+	defer l.EP.Close()
+	l.Conn = rpc.New(far)
+	l.Conn.Start(ps.routes(), nil)
+	parked := func() int {
+		d.fwdMu.Lock()
+		defer d.fwdMu.Unlock()
+		return len(d.fwdEar)
+	}
+	l.State = func() string { return fmt.Sprintf("parked=%d", parked()) }
+	l.Alive = func(t *testing.T) {
+		t.Helper()
+		l.Send(t, protocol.ClassOneWay, 0, protocol.MsgPeerTransfer, peerSamples()[1].Body())
+		// A request is refused, and only after the transfer has been served.
+		if st := l.Ask(t, 1, protocol.MsgGetServerInfo, nil); st != cl.InvalidOperation {
+			t.Fatalf("request on the peer link answered %v", st)
+		}
+		if parked() != 1 {
+			t.Fatal("a well-formed transfer after the sweep was not parked")
+		}
+		d.fwdMu.Lock()
+		defer d.fwdMu.Unlock()
+		for token, et := range d.fwdEar {
+			d.retireEarlyLocked(token, et) // stops its timer
+		}
+	}
+	rpctest.Sweep(t, l, ps.routes(), peerSamples())
+}

@@ -7,6 +7,7 @@ import (
 	"dopencl/internal/kernel"
 	"dopencl/internal/native"
 	"dopencl/internal/protocol"
+	"dopencl/internal/rpc"
 	"dopencl/internal/serve"
 	"dopencl/internal/vm"
 )
@@ -90,10 +91,9 @@ func (d *Daemon) ServeStats() ServeStats {
 
 // handleServeOpen opens a serve lane on this session and starts the
 // daemon's dispatcher on first use.
-func (s *session) handleServeOpen(id uint32, r *protocol.Reader) {
-	o := protocol.GetServeOpen(r)
-	if r.Err() != nil {
-		s.fail(id, protocol.MsgServeOpen, cl.Errf(cl.InvalidValue, "malformed %s", protocol.MsgServeOpen))
+func (s *session) handleServeOpen(c rpc.Call) {
+	o := protocol.GetServeOpen(c.Body)
+	if c.Malformed() {
 		return
 	}
 	lane := &serveLane{s: s, serveID: o.ServeID, laneID: s.d.serveLaneSeq.Add(1)}
@@ -107,22 +107,21 @@ func (s *session) handleServeOpen(id uint32, r *protocol.Reader) {
 		s.d.serveQ.CloseSession(old.laneID)
 	}
 	s.d.serveOnce.Do(func() { go s.d.serveDispatch() })
-	s.respond(id, protocol.MsgServeOpen, cl.Success, nil)
+	c.Reply(cl.Success, nil)
 }
 
 // handleServeClose drops a lane. Still-queued jobs are discarded without
 // result frames: the closing client has already failed its own pending
 // futures (close is client-initiated), so answering them would race the
 // teardown.
-func (s *session) handleServeClose(r *protocol.Reader) {
-	c := protocol.GetServeClose(r)
-	if r.Err() != nil {
-		s.badFrame(protocol.MsgServeClose)
+func (s *session) handleServeClose(c rpc.Call) {
+	sc := protocol.GetServeClose(c.Body)
+	if c.Malformed() {
 		return
 	}
 	s.mu.Lock()
-	lane := s.serves[c.ServeID]
-	delete(s.serves, c.ServeID)
+	lane := s.serves[sc.ServeID]
+	delete(s.serves, sc.ServeID)
 	s.mu.Unlock()
 	if lane != nil {
 		s.d.serveQ.CloseSession(lane.laneID)
@@ -148,10 +147,9 @@ func (s *session) closeServeLanes() {
 // answered immediately in one ServeResults frame; admitted jobs answer
 // later from the dispatcher. The serve plane never uses
 // MsgCommandFailed — every outcome is a per-job status.
-func (s *session) handleServeSubmit(r *protocol.Reader) {
-	sub := protocol.GetServeSubmit(r)
-	if r.Err() != nil {
-		s.badFrame(protocol.MsgServeSubmit)
+func (s *session) handleServeSubmit(c rpc.Call) {
+	sub := protocol.GetServeSubmit(c.Body)
+	if c.Malformed() {
 		return
 	}
 	s.mu.Lock()
@@ -432,10 +430,13 @@ func (d *Daemon) runServeBatch(jobs []*serveJob) {
 		}
 		perLane[j.lane] = append(perLane[j.lane], res)
 	}
-	for lane, results := range perLane {
-		lane.sendResults(results)
-	}
+	// The lane's share is given back before its client hears of the
+	// results: a client that submits the moment it does must not be refused
+	// for jobs that are done.
 	for _, j := range jobs {
 		d.serveQ.Finish(j.lane.laneID)
+	}
+	for lane, results := range perLane {
+		lane.sendResults(results)
 	}
 }

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -39,9 +40,13 @@ type session struct {
 	programs map[uint64]cl.Program
 	kernels  map[uint64]cl.Kernel
 	events   map[uint64]cl.Event
-	graphs   map[uint64]*sessGraph // cached command graphs (session-scoped)
-	unitDevs map[uint32]cl.Device  // unit ID → device, fixed per daemon
-	serves   map[uint64]*serveLane // serve lanes (connection-scoped)
+	// unsettled holds every user event of the session until it completes,
+	// whether or not the event table still names it (a client may release
+	// or overwrite an ID with commands parked on the event).
+	unsettled map[cl.UserEvent]struct{}
+	graphs    map[uint64]*sessGraph // cached command graphs (session-scoped)
+	unitDevs  map[uint32]cl.Device  // unit ID → device, fixed per daemon
+	serves    map[uint64]*serveLane // serve lanes (connection-scoped)
 	// serveProg memoizes each kernel's (source, name) fingerprint so the
 	// per-job serve path never re-hashes program source.
 	serveProg map[uint64]serve.Key
@@ -50,15 +55,16 @@ type session struct {
 func newSession(d *Daemon, ep *gcf.Endpoint) *session {
 	s := &session{
 		d: d, ep: ep, conn: rpc.New(ep),
-		contexts: map[uint64]cl.Context{},
-		queues:   map[uint64]cl.Queue{},
-		buffers:  map[uint64]cl.Buffer{},
-		programs: map[uint64]cl.Program{},
-		kernels:  map[uint64]cl.Kernel{},
-		events:   map[uint64]cl.Event{},
-		graphs:   map[uint64]*sessGraph{},
-		unitDevs: map[uint32]cl.Device{},
-		serves:   map[uint64]*serveLane{},
+		contexts:  map[uint64]cl.Context{},
+		queues:    map[uint64]cl.Queue{},
+		buffers:   map[uint64]cl.Buffer{},
+		programs:  map[uint64]cl.Program{},
+		kernels:   map[uint64]cl.Kernel{},
+		events:    map[uint64]cl.Event{},
+		unsettled: map[cl.UserEvent]struct{}{},
+		graphs:    map[uint64]*sessGraph{},
+		unitDevs:  map[uint32]cl.Device{},
+		serves:    map[uint64]*serveLane{},
 	}
 	for i, dev := range d.devices {
 		s.unitDevs[uint32(i)] = dev
@@ -68,13 +74,14 @@ func newSession(d *Daemon, ep *gcf.Endpoint) *session {
 }
 
 func (s *session) start() {
-	s.conn.Start(s.handle, s.onClose)
+	s.conn.Start(s.routes(), s.onClose)
 }
 
 // onClose detaches the session: the connection is gone, but the object
 // tables survive for the daemon's retention window (a zero window
 // retires immediately, the pre-resilience behaviour).
 func (s *session) onClose(error) {
+	s.d.logUnserved("session", s.conn)
 	s.d.detachSession(s)
 }
 
@@ -85,14 +92,27 @@ func (s *session) onClose(error) {
 // later Finish — forever.
 func (s *session) failPendingEvents() {
 	s.mu.Lock()
-	events := s.events
+	unsettled := s.unsettled
+	s.unsettled = map[cl.UserEvent]struct{}{}
 	s.events = map[uint64]cl.Event{}
 	s.mu.Unlock()
-	for _, ev := range events {
-		if ue, ok := ev.(cl.UserEvent); ok {
-			// Already-completed events reject the status; that is fine.
-			_ = ue.SetStatus(cl.CommandStatus(cl.ServerLost))
-		}
+	for ue := range unsettled {
+		// One that completes just now rejects the status; that is fine.
+		_ = ue.SetStatus(cl.CommandStatus(cl.ServerLost))
+	}
+}
+
+// track remembers a user event until it completes, for failPendingEvents.
+func (s *session) track(ue cl.UserEvent) {
+	s.mu.Lock()
+	s.unsettled[ue] = struct{}{}
+	s.mu.Unlock()
+	if err := ue.SetCallback(cl.Complete, func(cl.Event, cl.CommandStatus) {
+		s.mu.Lock()
+		delete(s.unsettled, ue)
+		s.mu.Unlock()
+	}); err != nil {
+		s.d.logf("daemon %s: user event callback: %v", s.d.cfg.Name, err)
 	}
 }
 
@@ -114,33 +134,25 @@ func (s *session) retire() {
 	s.releaseGraphs()
 	if authID != "" && s.d.cfg.Managed && s.d.HasLease(authID) {
 		s.d.Revoke(authID)
-		s.d.reportInvalidatedLease(authID)
+		s.d.reportInvalidatedLease(authID, nil)
 	}
 }
 
-// respond sends a response with the given status and optional body fields.
-func (s *session) respond(id uint32, typ protocol.MsgType, status cl.ErrorCode, fill func(*protocol.Writer)) {
-	if err := s.conn.Reply(id, typ, status, fill); err != nil {
-		s.d.logf("daemon %s: response send failed: %v", s.d.cfg.Name, err)
+// fail reports a failed command to whoever sent it. A request gets an
+// error response. A one-way command never gets a response, so the
+// deferred MsgCommandFailed notification is the only traffic its failure
+// produces: the client records it against the queue (surfaced at the next
+// Finish) and fails the command's event stub, if it named one (zero: none).
+func (s *session) fail(c rpc.Call, queueID, eventID uint64, err error) {
+	if c.Class == protocol.ClassRequest {
+		c.Reply(cl.CodeOf(err), nil)
+		return
 	}
-}
-
-// fail sends an error response derived from err.
-func (s *session) fail(id uint32, typ protocol.MsgType, err error) {
-	s.respond(id, typ, cl.CodeOf(err), nil)
-}
-
-// notifyCommandFailed pushes the deferred error report for a failed
-// one-way command: the client records it against the queue (surfaced at
-// the next Finish) and fails the command's event stub, if any. One-way
-// commands never get success responses, so this notification is the only
-// traffic a failure produces.
-func (s *session) notifyCommandFailed(queueID, eventID uint64, typ protocol.MsgType, err error) {
 	serr := s.conn.Notify(protocol.MsgCommandFailed, func(w *protocol.Writer) {
 		protocol.PutCommandFailure(w, protocol.CommandFailure{
 			QueueID: queueID,
 			EventID: eventID,
-			Op:      typ,
+			Op:      c.Type,
 			Status:  int32(cl.CodeOf(err)),
 			Msg:     err.Error(),
 		})
@@ -148,23 +160,6 @@ func (s *session) notifyCommandFailed(queueID, eventID uint64, typ protocol.MsgT
 	if serr != nil {
 		s.d.logf("daemon %s: failure notification failed: %v", s.d.cfg.Name, serr)
 	}
-}
-
-// replyErr reports a failed command: an error response for requests, a
-// deferred MsgCommandFailed notification for one-way commands.
-func (s *session) replyErr(id uint32, oneway bool, typ protocol.MsgType, queueID, eventID uint64, err error) {
-	if oneway {
-		s.notifyCommandFailed(queueID, eventID, typ, err)
-		return
-	}
-	s.fail(id, typ, err)
-}
-
-// badFrame handles a one-way message whose body failed to decode: the
-// parsed IDs are garbage, so a failure report would be misdirected (or
-// collide with a live event) — log and drop instead.
-func (s *session) badFrame(typ protocol.MsgType) {
-	s.d.logf("daemon %s: malformed one-way %s frame dropped", s.d.cfg.Name, typ)
 }
 
 // drainStream discards and releases an inbound bulk-data stream whose
@@ -198,6 +193,9 @@ func (s *session) registerEvent(eventID uint64, ev cl.Event) {
 	s.mu.Lock()
 	s.events[eventID] = ev
 	s.mu.Unlock()
+	if ue, ok := ev.(cl.UserEvent); ok {
+		s.track(ue)
+	}
 	if err := ev.SetCallback(cl.Complete, func(e cl.Event, st cl.CommandStatus) {
 		s.notifyEvent(eventID, st)
 	}); err != nil {
@@ -223,176 +221,120 @@ func (s *session) resolveWaits(ids []uint64) ([]cl.Event, error) {
 	return out, nil
 }
 
-// handle dispatches one request message. It runs on the endpoint's
-// dispatch goroutine; blocking operations (Finish) spawn goroutines so the
-// dispatcher stays responsive.
+// routes is what a client session serves, and in which class. Handlers
+// run on the endpoint's dispatch goroutine, in arrival order; blocking
+// operations (Finish) spawn goroutines so the dispatcher stays responsive.
 //
-// One-way commands (ClassOneWay) are processed in arrival order exactly
-// like requests, but no response is synthesized: success is silent and
-// failures are pushed back as MsgCommandFailed notifications. The
-// command-path operations are served in this class only; the dispatch
-// order relative to a later Finish request is what makes Finish a
-// correct synchronization point for the whole pipeline.
-func (s *session) handle(env protocol.Envelope) {
-	if env.Class == protocol.ClassOneWay {
-		s.handleOneWay(env)
-		return
-	}
-	if env.Class != protocol.ClassRequest {
-		return
-	}
-	r := env.Body
-	switch env.Type {
-	case protocol.MsgHello:
-		s.handleHello(env.ID, r)
-	case protocol.MsgAttachSession:
-		s.handleAttachSession(env.ID, r)
-	case protocol.MsgGetServerInfo:
-		s.respond(env.ID, env.Type, cl.Success, func(w *protocol.Writer) {
-			w.String(s.d.cfg.Name)
-			w.Bool(s.d.cfg.Managed)
-			w.U32(uint32(len(s.d.devices)))
-		})
-	case protocol.MsgCreateContext:
-		s.handleCreateContext(env.ID, r)
-	case protocol.MsgReleaseContext:
-		s.handleRelease(env.ID, env.Type, r.U64())
-	case protocol.MsgCreateQueue:
-		s.handleCreateQueue(env.ID, r)
-	case protocol.MsgReleaseQueue:
-		s.handleRelease(env.ID, env.Type, r.U64())
-	case protocol.MsgCreateBuffer:
-		s.handleCreateBuffer(env.ID, r)
-	case protocol.MsgReleaseBuffer:
-		s.handleRelease(env.ID, env.Type, r.U64())
-	case protocol.MsgCreateProgram:
-		s.handleCreateProgram(env.ID, r)
-	case protocol.MsgBuildProgram:
-		s.handleBuildProgram(env.ID, r)
-	case protocol.MsgReleaseProgram:
-		s.handleRelease(env.ID, env.Type, r.U64())
-	case protocol.MsgCreateKernel:
-		s.handleCreateKernel(env.ID, false, r)
-	case protocol.MsgSetKernelArg:
-		s.handleSetKernelArg(env.ID, false, r)
-	case protocol.MsgFinish:
-		s.handleFinish(env.ID, r)
-	case protocol.MsgCreateUserEvent:
-		s.handleCreateUserEvent(env.ID, r)
-	case protocol.MsgSetUserEventStatus:
-		s.handleSetUserEventStatus(env.ID, r)
-	case protocol.MsgServeOpen:
-		s.handleServeOpen(env.ID, r)
-	default:
-		// Everything else — the enqueue, flush and kernel/event release
-		// commands included — is not served in request class: rejected,
-		// never executed.
-		if env.Type == protocol.MsgEnqueueWrite {
-			// Its payload may already be in flight behind the frame.
-			if e := protocol.GetEnqueue(r); r.Err() == nil {
-				s.drainStream(e.Cmd.StreamID)
-			}
-		}
-		s.respond(env.ID, env.Type, cl.InvalidOperation, nil)
+// The object plane is request/response. The command path is one-way only
+// — no response is synthesized, success is silent, failures are pushed
+// back as MsgCommandFailed notifications — and its dispatch order relative
+// to a later Finish request is what makes Finish a correct synchronization
+// point for the whole pipeline. Kernel creation, argument binding and
+// user-event status are served in both classes: the client compiles
+// programs locally (MiniCL is deterministic) and already has the argument
+// metadata a response would carry, so on the launch hot path they ride the
+// ordered one-way stream and cost no round trips; re-attach recovery and
+// user code use the request form.
+func (s *session) routes() rpc.Routes {
+	return rpc.Routes{
+		protocol.MsgHello:              {Request: s.handleHello},
+		protocol.MsgAttachSession:      {Request: s.handleAttachSession},
+		protocol.MsgGetServerInfo:      {Request: s.handleGetServerInfo},
+		protocol.MsgCreateContext:      {Request: s.handleCreateContext},
+		protocol.MsgReleaseContext:     {Request: releaser(s, &s.contexts)},
+		protocol.MsgCreateQueue:        {Request: s.handleCreateQueue},
+		protocol.MsgReleaseQueue:       {Request: releaser(s, &s.queues)},
+		protocol.MsgCreateBuffer:       {Request: s.handleCreateBuffer},
+		protocol.MsgReleaseBuffer:      {Request: releaser(s, &s.buffers)},
+		protocol.MsgCreateProgram:      {Request: s.handleCreateProgram},
+		protocol.MsgBuildProgram:       {Request: s.handleBuildProgram},
+		protocol.MsgReleaseProgram:     {Request: releaser(s, &s.programs)},
+		protocol.MsgCreateKernel:       {Request: s.handleCreateKernel, OneWay: s.handleCreateKernel},
+		protocol.MsgSetKernelArg:       {Request: s.handleSetKernelArg, OneWay: s.handleSetKernelArg},
+		protocol.MsgReleaseKernel:      {OneWay: s.handleReleaseKernel},
+		protocol.MsgEnqueueWrite:       {Request: s.refuseEnqueueWrite, OneWay: s.handleEnqueue},
+		protocol.MsgEnqueueRead:        {OneWay: s.handleEnqueue},
+		protocol.MsgEnqueueCopy:        {OneWay: s.handleEnqueue},
+		protocol.MsgEnqueueKernel:      {OneWay: s.handleEnqueue},
+		protocol.MsgEnqueueMarker:      {OneWay: s.handleEnqueue},
+		protocol.MsgEnqueueBarrier:     {OneWay: s.handleEnqueue},
+		protocol.MsgFinish:             {Request: s.handleFinish},
+		protocol.MsgFlush:              {OneWay: s.handleFlush},
+		protocol.MsgCreateUserEvent:    {Request: s.handleCreateUserEvent},
+		protocol.MsgSetUserEventStatus: {Request: s.handleSetUserEventStatus, OneWay: s.handleSetUserEventStatus},
+		protocol.MsgReleaseEvent:       {OneWay: s.handleReleaseEvent},
+		protocol.MsgForwardBuffer:      {OneWay: s.handleForwardBuffer},
+		protocol.MsgAcceptForward:      {OneWay: s.handleAcceptForward},
+		protocol.MsgRegisterGraph:      {OneWay: s.handleRegisterGraph},
+		protocol.MsgExecGraph:          {OneWay: s.handleExecGraph},
+		protocol.MsgReleaseGraph:       {OneWay: s.handleReleaseGraph},
+		protocol.MsgGoodbye:            {OneWay: s.handleGoodbye},
+		protocol.MsgServeOpen:          {Request: s.handleServeOpen},
+		protocol.MsgServeClose:         {OneWay: s.handleServeClose},
+		protocol.MsgServeSubmit:        {OneWay: s.handleServeSubmit},
 	}
 }
 
-// handleOneWay dispatches a fire-and-forget command. Only the command
-// path supports this class; anything else is logged and dropped (there is
-// no requester to answer).
-func (s *session) handleOneWay(env protocol.Envelope) {
-	r := env.Body
-	switch env.Type {
-	case protocol.MsgCreateKernel:
-		// Pipelined kernel plumbing: the client compiles the program
-		// locally (MiniCL is deterministic) and already has the argument
-		// metadata the response would carry, so creation, argument
-		// binding and release ride the ordered one-way stream and cost
-		// no round trips on the launch hot path.
-		s.handleCreateKernel(0, true, r)
-	case protocol.MsgSetKernelArg:
-		s.handleSetKernelArg(0, true, r)
-	case protocol.MsgReleaseKernel:
-		s.handleReleaseKernel(r)
-	case protocol.MsgEnqueueWrite, protocol.MsgEnqueueRead, protocol.MsgEnqueueCopy,
-		protocol.MsgEnqueueKernel, protocol.MsgEnqueueMarker, protocol.MsgEnqueueBarrier:
-		s.handleEnqueue(env.Type, r)
-	case protocol.MsgFlush:
-		s.handleFlush(r)
-	case protocol.MsgForwardBuffer:
-		s.handleForwardBuffer(r)
-	case protocol.MsgAcceptForward:
-		s.handleAcceptForward(r)
-	case protocol.MsgRegisterGraph:
-		s.handleRegisterGraph(r)
-	case protocol.MsgExecGraph:
-		s.handleExecGraph(r)
-	case protocol.MsgReleaseGraph:
-		s.handleReleaseGraph(r)
-	case protocol.MsgServeSubmit:
-		s.handleServeSubmit(r)
-	case protocol.MsgServeClose:
-		s.handleServeClose(r)
-	case protocol.MsgSetUserEventStatus:
-		// One-way status set: used by the coherence layer to cancel a
-		// superseded forward's gate ordered ahead of the commands that
-		// follow it on this connection (a request/response round trip
-		// would either block the enqueue path or lose that ordering).
-		eventID := r.U64()
-		status := cl.CommandStatus(r.I32())
-		if r.Err() != nil {
-			s.badFrame(protocol.MsgSetUserEventStatus)
-			return
-		}
-		s.mu.Lock()
-		ev := s.events[eventID]
-		s.mu.Unlock()
-		if ue, ok := ev.(cl.UserEvent); ok {
-			if err := ue.SetStatus(status); err != nil {
-				s.d.logf("daemon %s: one-way event status: %v", s.d.cfg.Name, err)
-			}
-		}
-	case protocol.MsgReleaseEvent:
-		eventID := r.U64()
-		if r.Err() != nil {
-			s.badFrame(protocol.MsgReleaseEvent)
-			return
-		}
-		s.mu.Lock()
-		delete(s.events, eventID)
-		s.mu.Unlock()
-	case protocol.MsgGoodbye:
-		// Deliberate disconnect: no point retaining the session for a
-		// re-attach that will never come. The goodbye can be dispatched
-		// AFTER the connection's close already detached the session (the
-		// close notice runs on the read goroutine, dispatch on its own),
-		// so a session already parked is retired here.
-		s.mu.Lock()
-		s.noRetain = true
-		s.mu.Unlock()
-		s.d.retireIfDetached(s)
-	default:
-		s.d.logf("daemon %s: unsupported one-way message %s", s.d.cfg.Name, env.Type)
+// refuseEnqueueWrite answers a request-class write like any other command
+// sent in the wrong class, but its payload may already be in flight behind
+// the frame: drain it first.
+func (s *session) refuseEnqueueWrite(c rpc.Call) {
+	e := protocol.GetEnqueue(c.Body)
+	if c.Malformed() {
+		return
 	}
+	s.drainStream(e.Cmd.StreamID)
+	c.Refuse(cl.InvalidOperation)
 }
 
-func (s *session) handleHello(id uint32, r *protocol.Reader) {
-	clientName := r.String()
-	authID := r.String()
-	if r.Err() != nil {
-		s.fail(id, protocol.MsgHello, cl.Errf(cl.InvalidValue, "bad hello"))
+func (s *session) handleGetServerInfo(c rpc.Call) {
+	c.Reply(cl.Success, func(w *protocol.Writer) {
+		w.String(s.d.cfg.Name)
+		w.Bool(s.d.cfg.Managed)
+		w.U32(uint32(len(s.d.devices)))
+	})
+}
+
+// handleReleaseEvent forgets an event; it rides the ordered one-way
+// stream behind the commands that wait on it.
+func (s *session) handleReleaseEvent(c rpc.Call) {
+	eventID := c.Body.U64()
+	if c.Malformed() {
+		return
+	}
+	s.mu.Lock()
+	delete(s.events, eventID)
+	s.mu.Unlock()
+}
+
+// handleGoodbye is the deliberate disconnect: no point retaining the
+// session for a re-attach that will never come. The goodbye can be
+// dispatched AFTER the connection's close already detached the session
+// (the close notice runs on the read goroutine, dispatch on its own), so a
+// session already parked is retired here.
+func (s *session) handleGoodbye(rpc.Call) {
+	s.mu.Lock()
+	s.noRetain = true
+	s.mu.Unlock()
+	s.d.retireIfDetached(s)
+}
+
+func (s *session) handleHello(c rpc.Call) {
+	clientName := c.Body.String()
+	authID := c.Body.String()
+	if c.Malformed() {
 		return
 	}
 	recs, err := s.d.visibleRecords(authID)
 	if err != nil {
-		s.fail(id, protocol.MsgHello, err)
+		c.Reply(cl.CodeOf(err), nil)
 		return
 	}
 	s.mu.Lock()
 	s.authID = authID
 	s.clientNm = clientName
 	s.mu.Unlock()
-	s.respond(id, protocol.MsgHello, cl.Success, func(w *protocol.Writer) {
+	c.Reply(cl.Success, func(w *protocol.Writer) {
 		w.String(s.d.cfg.Name)
 		protocol.PutDeviceRecords(w, recs)
 		// Peer data-plane capabilities: where peers reach this daemon's
@@ -411,17 +353,16 @@ func (s *session) handleHello(id uint32, r *protocol.Reader) {
 // in its buffers — survived. Otherwise this is a fresh, empty session
 // (daemon restarted or the session expired) and the client re-creates
 // its objects.
-func (s *session) handleAttachSession(id uint32, r *protocol.Reader) {
-	sid := r.U64()
-	clientName := r.String()
-	authID := r.String()
-	if r.Err() != nil {
-		s.fail(id, protocol.MsgAttachSession, cl.Errf(cl.InvalidValue, "bad attach"))
+func (s *session) handleAttachSession(c rpc.Call) {
+	sid := c.Body.U64()
+	clientName := c.Body.String()
+	authID := c.Body.String()
+	if c.Malformed() {
 		return
 	}
 	recs, err := s.d.visibleRecords(authID)
 	if err != nil {
-		s.fail(id, protocol.MsgAttachSession, err)
+		c.Reply(cl.CodeOf(err), nil)
 		return
 	}
 	retained := false
@@ -434,7 +375,8 @@ func (s *session) handleAttachSession(id uint32, r *protocol.Reader) {
 		old.mu.Unlock()
 		if oldAuth != authID {
 			s.d.reparkSession(old) // back on the shelf for its rightful owner
-			s.fail(id, protocol.MsgAttachSession, cl.Errf(cl.InvalidServer, "session credentials rejected"))
+			// The session's credentials are rejected.
+			c.Reply(cl.InvalidServer, nil)
 			return
 		}
 		// Adopt the parked tables. The old session's endpoint is dead and
@@ -460,7 +402,7 @@ func (s *session) handleAttachSession(id uint32, r *protocol.Reader) {
 	s.authID = authID
 	s.clientNm = clientName
 	s.mu.Unlock()
-	s.respond(id, protocol.MsgAttachSession, cl.Success, func(w *protocol.Writer) {
+	c.Reply(cl.Success, func(w *protocol.Writer) {
 		w.String(s.d.cfg.Name)
 		w.Bool(retained)
 		protocol.PutDeviceRecords(w, recs)
@@ -477,15 +419,12 @@ func (s *session) handleAttachSession(id uint32, r *protocol.Reader) {
 // the peer daemon. One-way only — the client's link carries this command
 // and nothing else; failures come back as deferred MsgCommandFailed
 // notifications plus the completion event's failure status.
-func (s *session) handleForwardBuffer(r *protocol.Reader) {
-	f := protocol.GetForwardBuffer(r)
-	if r.Err() != nil {
-		s.badFrame(protocol.MsgForwardBuffer)
+func (s *session) handleForwardBuffer(c rpc.Call) {
+	f := protocol.GetForwardBuffer(c.Body)
+	if c.Malformed() {
 		return
 	}
-	failFwd := func(err error) {
-		s.notifyCommandFailed(f.QueueID, f.EventID, protocol.MsgForwardBuffer, err)
-	}
+	failFwd := func(err error) { s.fail(c, f.QueueID, f.EventID, err) }
 	if s.d.peers == nil {
 		failFwd(cl.Errf(cl.InvalidOperation, "daemon %s has no peer data plane", s.d.cfg.Name))
 		return
@@ -542,19 +481,15 @@ func (s *session) handleForwardBuffer(r *protocol.Reader) {
 // validate the client's announcement, create the gating user event that
 // dependent commands wait on, and register the pending transfer for
 // rendezvous with the peer's payload.
-func (s *session) handleAcceptForward(r *protocol.Reader) {
-	a := protocol.GetAcceptForward(r)
-	if r.Err() != nil {
-		s.badFrame(protocol.MsgAcceptForward)
+func (s *session) handleAcceptForward(c rpc.Call) {
+	a := protocol.GetAcceptForward(c.Body)
+	if c.Malformed() {
 		return
-	}
-	failAcc := func(err error) {
-		s.notifyCommandFailed(a.QueueID, a.EventID, protocol.MsgAcceptForward, err)
 	}
 	offset, size := int(a.Offset), int(a.Size)
 	buf, err := s.bufferRange(a.BufID, offset, size)
 	if err != nil {
-		failAcc(err)
+		s.fail(c, a.QueueID, a.EventID, err)
 		return
 	}
 	gate := newForwardGate()
@@ -566,11 +501,10 @@ func (s *session) handleAcceptForward(r *protocol.Reader) {
 	})
 }
 
-func (s *session) handleCreateContext(id uint32, r *protocol.Reader) {
-	ctxID := r.U64()
-	unitIDs := r.U64s()
-	if r.Err() != nil {
-		s.fail(id, protocol.MsgCreateContext, cl.Errf(cl.InvalidValue, "bad create context"))
+func (s *session) handleCreateContext(c rpc.Call) {
+	ctxID := c.Body.U64()
+	unitIDs := c.Body.U64s()
+	if c.Malformed() {
 		return
 	}
 	devs := make([]cl.Device, 0, len(unitIDs))
@@ -579,7 +513,7 @@ func (s *session) handleCreateContext(id uint32, r *protocol.Reader) {
 		dev, ok := s.unitDevs[uint32(u)]
 		if !ok {
 			s.mu.Unlock()
-			s.fail(id, protocol.MsgCreateContext, cl.Errf(cl.InvalidDevice, "unknown device unit %d", u))
+			c.Reply(cl.InvalidDevice, nil) // unknown device unit
 			return
 		}
 		devs = append(devs, dev)
@@ -587,49 +521,61 @@ func (s *session) handleCreateContext(id uint32, r *protocol.Reader) {
 	s.mu.Unlock()
 	ctx, err := s.d.cfg.Platform.CreateContext(devs)
 	if err != nil {
-		s.fail(id, protocol.MsgCreateContext, err)
+		c.Reply(cl.CodeOf(err), nil)
 		return
 	}
 	s.mu.Lock()
 	s.contexts[ctxID] = ctx
 	s.mu.Unlock()
-	s.respond(id, protocol.MsgCreateContext, cl.Success, nil)
+	c.Reply(cl.Success, nil)
 }
 
-func (s *session) handleCreateQueue(id uint32, r *protocol.Reader) {
-	queueID := r.U64()
-	ctxID := r.U64()
-	unitID := uint32(r.U64())
+func (s *session) handleCreateQueue(c rpc.Call) {
+	queueID := c.Body.U64()
+	ctxID := c.Body.U64()
+	unitID := uint32(c.Body.U64())
+	if c.Malformed() {
+		return
+	}
 	s.mu.Lock()
 	ctx := s.contexts[ctxID]
 	dev := s.unitDevs[unitID]
 	s.mu.Unlock()
 	if ctx == nil || dev == nil {
-		s.fail(id, protocol.MsgCreateQueue, cl.Errf(cl.InvalidContext, "unknown context or device"))
+		c.Reply(cl.InvalidContext, nil) // unknown context or device
 		return
 	}
 	q, err := ctx.CreateQueue(dev)
 	if err != nil {
-		s.fail(id, protocol.MsgCreateQueue, err)
+		c.Reply(cl.CodeOf(err), nil)
 		return
 	}
-	s.mu.Lock()
-	s.queues[queueID] = q
-	s.mu.Unlock()
-	s.respond(id, protocol.MsgCreateQueue, cl.Success, nil)
+	put(s, s.queues, queueID, q)
+	c.Reply(cl.Success, nil)
 }
 
-func (s *session) handleCreateBuffer(id uint32, r *protocol.Reader) {
-	bufID := r.U64()
-	ctxID := r.U64()
-	flags := cl.MemFlags(r.U32())
-	size := int(r.I64())
-	streamID := r.U32()
+func (s *session) handleCreateBuffer(c rpc.Call) {
+	bufID := c.Body.U64()
+	ctxID := c.Body.U64()
+	flags := cl.MemFlags(c.Body.U32())
+	size := int(c.Body.I64())
+	streamID := c.Body.U32()
+	if c.Malformed() {
+		return
+	}
 	s.mu.Lock()
 	ctx := s.contexts[ctxID]
 	s.mu.Unlock()
 	if ctx == nil {
-		s.fail(id, protocol.MsgCreateBuffer, cl.Errf(cl.InvalidContext, "unknown context %d", ctxID))
+		c.Reply(cl.InvalidContext, nil)
+		return
+	}
+	// The size comes off the wire: one no device of the context could hold
+	// is refused before anything that large is allocated for it.
+	fits := func(dev cl.Device) bool { return int64(size) <= dev.Info().MaxAllocSize }
+	if size <= 0 || !slices.ContainsFunc(ctx.Devices(), fits) {
+		s.drainStream(streamID)
+		c.Reply(cl.InvalidBufferSize, nil)
 		return
 	}
 	// Idempotent re-creation: the re-attach recovery replicates every
@@ -641,7 +587,7 @@ func (s *session) handleCreateBuffer(id uint32, r *protocol.Reader) {
 	existing := s.buffers[bufID]
 	s.mu.Unlock()
 	if existing != nil && existing.Size() == size && streamID == 0 {
-		s.respond(id, protocol.MsgCreateBuffer, cl.Success, nil)
+		c.Reply(cl.Success, nil)
 		return
 	}
 	var host []byte
@@ -649,11 +595,6 @@ func (s *session) handleCreateBuffer(id uint32, r *protocol.Reader) {
 		// Initial contents arrive on a gcf stream (the paper's synchronous
 		// request/response + bulk data pattern). CreateBuffer copies host
 		// into the backing store, so pooled staging is safe.
-		if size <= 0 {
-			s.drainStream(streamID)
-			s.fail(id, protocol.MsgCreateBuffer, cl.Errf(cl.InvalidBufferSize, "buffer size %d", size))
-			return
-		}
 		host = gcf.GetPayload(size)
 		gate, err := s.stage(streamID, host, nil)
 		if err == nil {
@@ -661,7 +602,7 @@ func (s *session) handleCreateBuffer(id uint32, r *protocol.Reader) {
 		}
 		if err != nil {
 			gcf.PutPayload(host)
-			s.fail(id, protocol.MsgCreateBuffer, cl.Errf(cl.InvalidValue, "buffer init transfer: %v", err))
+			c.Reply(cl.InvalidValue, nil) // the initial contents never arrived
 			return
 		}
 	} else {
@@ -672,53 +613,49 @@ func (s *session) handleCreateBuffer(id uint32, r *protocol.Reader) {
 		gcf.PutPayload(host)
 	}
 	if err != nil {
-		s.fail(id, protocol.MsgCreateBuffer, err)
+		c.Reply(cl.CodeOf(err), nil)
 		return
 	}
 	s.mu.Lock()
 	s.buffers[bufID] = buf
 	s.mu.Unlock()
-	s.respond(id, protocol.MsgCreateBuffer, cl.Success, nil)
+	c.Reply(cl.Success, nil)
 }
 
-func (s *session) handleCreateProgram(id uint32, r *protocol.Reader) {
-	progID := r.U64()
-	ctxID := r.U64()
-	src := r.String()
+func (s *session) handleCreateProgram(c rpc.Call) {
+	progID := c.Body.U64()
+	ctxID := c.Body.U64()
+	src := c.Body.String()
+	if c.Malformed() {
+		return
+	}
 	s.mu.Lock()
 	ctx := s.contexts[ctxID]
 	s.mu.Unlock()
 	if ctx == nil {
-		s.fail(id, protocol.MsgCreateProgram, cl.Errf(cl.InvalidContext, "unknown context %d", ctxID))
+		c.Reply(cl.InvalidContext, nil)
 		return
 	}
 	prog, err := ctx.CreateProgramWithSource(src)
 	if err != nil {
-		s.fail(id, protocol.MsgCreateProgram, err)
+		c.Reply(cl.CodeOf(err), nil)
 		return
 	}
-	s.mu.Lock()
-	old := s.programs[progID]
-	s.programs[progID] = prog
-	s.mu.Unlock()
-	if old != nil {
-		// Overwrite under the same ID (re-attach recovery replicates all
-		// live programs): release the replaced native object.
-		if rerr := old.Release(); rerr != nil {
-			s.d.logf("daemon %s: replaced program release: %v", s.d.cfg.Name, rerr)
-		}
-	}
-	s.respond(id, protocol.MsgCreateProgram, cl.Success, nil)
+	put(s, s.programs, progID, prog)
+	c.Reply(cl.Success, nil)
 }
 
-func (s *session) handleBuildProgram(id uint32, r *protocol.Reader) {
-	progID := r.U64()
-	options := r.String()
+func (s *session) handleBuildProgram(c rpc.Call) {
+	progID := c.Body.U64()
+	options := c.Body.String()
+	if c.Malformed() {
+		return
+	}
 	s.mu.Lock()
 	prog := s.programs[progID]
 	s.mu.Unlock()
 	if prog == nil {
-		s.fail(id, protocol.MsgBuildProgram, cl.Errf(cl.InvalidProgram, "unknown program %d", progID))
+		c.Reply(cl.InvalidProgram, nil)
 		return
 	}
 	if err := prog.Build(nil, options); err != nil {
@@ -727,193 +664,179 @@ func (s *session) handleBuildProgram(id uint32, r *protocol.Reader) {
 		if len(s.d.devices) > 0 {
 			logText = prog.BuildLog(s.d.devices[0])
 		}
-		s.respond(id, protocol.MsgBuildProgram, cl.CodeOf(err), func(w *protocol.Writer) { w.String(logText) })
+		c.Reply(cl.CodeOf(err), func(w *protocol.Writer) { w.String(logText) })
 		return
 	}
-	s.respond(id, protocol.MsgBuildProgram, cl.Success, func(w *protocol.Writer) {
-		w.String("build succeeded")
-	})
+	c.Reply(cl.Success, func(w *protocol.Writer) { w.String("build succeeded") })
 }
 
-func (s *session) handleCreateKernel(id uint32, oneway bool, r *protocol.Reader) {
-	kernelID := r.U64()
-	progID := r.U64()
-	name := r.String()
+func (s *session) handleCreateKernel(c rpc.Call) {
+	kernelID := c.Body.U64()
+	progID := c.Body.U64()
+	name := c.Body.String()
+	if c.Malformed() {
+		return
+	}
 	s.mu.Lock()
 	prog := s.programs[progID]
 	s.mu.Unlock()
 	if prog == nil {
-		s.replyErr(id, oneway, protocol.MsgCreateKernel, 0, 0, cl.Errf(cl.InvalidProgram, "unknown program %d", progID))
+		s.fail(c, 0, 0, cl.Errf(cl.InvalidProgram, "unknown program %d", progID))
 		return
 	}
 	k, err := prog.CreateKernel(name)
 	if err != nil {
-		s.replyErr(id, oneway, protocol.MsgCreateKernel, 0, 0, err)
+		s.fail(c, 0, 0, err)
 		return
 	}
-	s.mu.Lock()
-	old := s.kernels[kernelID]
-	s.kernels[kernelID] = k
-	s.mu.Unlock()
-	if old != nil {
-		// Overwrite under the same ID (re-attach recovery re-creates
-		// kernels): release the replaced native object, or every
-		// re-attach would leak one kernel per kernel.
-		if rerr := old.Release(); rerr != nil {
-			s.d.logf("daemon %s: replaced kernel release: %v", s.d.cfg.Name, rerr)
-		}
-	}
-	if oneway {
-		return
-	}
-	s.respond(id, protocol.MsgCreateKernel, cl.Success, func(w *protocol.Writer) {
-		nk := k.(*native.Kernel)
-		protocol.PutArgInfo(w, nk.ArgInfo())
-	})
+	put(s, s.kernels, kernelID, k)
+	c.Reply(cl.Success, func(w *protocol.Writer) { protocol.PutArgInfo(w, k.(*native.Kernel).ArgInfo()) })
 }
 
-func (s *session) handleSetKernelArg(id uint32, oneway bool, r *protocol.Reader) {
-	a := protocol.GetSetKernelArg(r)
+func (s *session) handleSetKernelArg(c rpc.Call) {
+	a := protocol.GetSetKernelArg(c.Body)
+	if c.Malformed() {
+		return
+	}
 	s.mu.Lock()
 	k, ok := s.kernels[a.KernelID].(*native.Kernel)
 	s.mu.Unlock()
-	var err error
-	switch {
-	case r.Err() != nil:
-		err = cl.Errf(cl.InvalidValue, "bad set kernel arg")
-	case !ok:
-		err = cl.Errf(cl.InvalidKernel, "unknown kernel %d", a.KernelID)
-	default:
+	err := cl.Errf(cl.InvalidKernel, "unknown kernel %d", a.KernelID)
+	if ok {
 		err = s.bindArg(k, int(a.Index), a.Arg)
 	}
 	if err != nil {
-		s.replyErr(id, oneway, protocol.MsgSetKernelArg, 0, 0, err)
+		s.fail(c, 0, 0, err)
 		return
 	}
-	// One-way commands are acknowledged by silence (ack only on error).
-	if !oneway {
-		s.respond(id, protocol.MsgSetKernelArg, cl.Success, nil)
-	}
+	c.Reply(cl.Success, nil) // one-way: acknowledged by silence
 }
 
-func (s *session) handleFinish(id uint32, r *protocol.Reader) {
-	queueID := r.U64()
+func (s *session) handleFinish(c rpc.Call) {
+	queueID := c.Body.U64()
+	if c.Malformed() {
+		return
+	}
 	s.mu.Lock()
 	q := s.queues[queueID]
 	s.mu.Unlock()
 	if q == nil {
-		s.fail(id, protocol.MsgFinish, cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", queueID))
+		c.Reply(cl.InvalidCommandQueue, nil)
 		return
 	}
 	// Finish blocks; run it off the dispatcher so other requests (e.g.
 	// user-event completions that unblock the queue) keep flowing.
-	go func() {
-		if err := q.Finish(); err != nil {
-			s.fail(id, protocol.MsgFinish, err)
-			return
-		}
-		s.respond(id, protocol.MsgFinish, cl.Success, nil)
-	}()
+	go func() { c.Reply(cl.CodeOf(q.Finish()), nil) }()
 }
 
-func (s *session) handleFlush(r *protocol.Reader) {
-	queueID := r.U64()
-	if r.Err() != nil {
-		s.badFrame(protocol.MsgFlush)
+func (s *session) handleFlush(c rpc.Call) {
+	queueID := c.Body.U64()
+	if c.Malformed() {
 		return
 	}
 	s.mu.Lock()
 	q := s.queues[queueID]
 	s.mu.Unlock()
 	if q == nil {
-		s.notifyCommandFailed(queueID, 0, protocol.MsgFlush, cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", queueID))
+		s.fail(c, queueID, 0, cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", queueID))
 		return
 	}
 	if err := q.Flush(); err != nil {
-		s.notifyCommandFailed(queueID, 0, protocol.MsgFlush, err)
-		return
+		s.fail(c, queueID, 0, err)
 	}
 }
 
-func (s *session) handleCreateUserEvent(id uint32, r *protocol.Reader) {
-	eventID := r.U64()
-	ctxID := r.U64()
+func (s *session) handleCreateUserEvent(c rpc.Call) {
+	eventID := c.Body.U64()
+	ctxID := c.Body.U64()
+	if c.Malformed() {
+		return
+	}
 	s.mu.Lock()
 	ctx := s.contexts[ctxID]
 	s.mu.Unlock()
 	if ctx == nil {
-		s.fail(id, protocol.MsgCreateUserEvent, cl.Errf(cl.InvalidContext, "unknown context %d", ctxID))
+		c.Reply(cl.InvalidContext, nil)
 		return
 	}
 	ue, err := ctx.CreateUserEvent()
 	if err != nil {
-		s.fail(id, protocol.MsgCreateUserEvent, err)
+		c.Reply(cl.CodeOf(err), nil)
 		return
 	}
 	s.mu.Lock()
 	s.events[eventID] = ue
 	s.mu.Unlock()
-	s.respond(id, protocol.MsgCreateUserEvent, cl.Success, nil)
+	s.track(ue)
+	c.Reply(cl.Success, nil)
 }
 
-func (s *session) handleSetUserEventStatus(id uint32, r *protocol.Reader) {
-	eventID := r.U64()
-	status := cl.CommandStatus(r.I32())
+// handleSetUserEventStatus completes a user event. User code asks and
+// waits; the coherence layer cancels a superseded forward's gate one-way,
+// ordered ahead of the commands that follow it on this connection (a round
+// trip would either block the enqueue path or lose that ordering), and an
+// event it no longer finds is none of its concern.
+func (s *session) handleSetUserEventStatus(c rpc.Call) {
+	eventID := c.Body.U64()
+	status := cl.CommandStatus(c.Body.I32())
+	if c.Malformed() {
+		return
+	}
 	s.mu.Lock()
 	ev := s.events[eventID]
 	s.mu.Unlock()
 	ue, ok := ev.(cl.UserEvent)
 	if !ok {
-		s.fail(id, protocol.MsgSetUserEventStatus, cl.Errf(cl.InvalidEvent, "event %d is not a user event", eventID))
+		c.Reply(cl.InvalidEvent, nil)
 		return
 	}
-	if err := ue.SetStatus(status); err != nil {
-		s.fail(id, protocol.MsgSetUserEventStatus, err)
-		return
+	err := ue.SetStatus(status)
+	if err != nil {
+		s.d.logf("daemon %s: event %d status: %v", s.d.cfg.Name, eventID, err)
 	}
-	s.respond(id, protocol.MsgSetUserEventStatus, cl.Success, nil)
+	c.Reply(cl.CodeOf(err), nil)
 }
 
-// handleRelease releases a context, queue, buffer or program by ID.
-func (s *session) handleRelease(id uint32, typ protocol.MsgType, objID uint64) {
+// put stores obj under id and releases the object it displaces, if any:
+// re-attach recovery re-creates every live program and kernel under its
+// ID, and nothing else would ever release the replaced native object — or
+// stop a replaced queue's executor.
+func put[T interface{ Release() error }](s *session, table map[uint64]T, id uint64, obj T) {
 	s.mu.Lock()
-	var err error
-	switch typ {
-	case protocol.MsgReleaseContext:
-		if ctx := s.contexts[objID]; ctx != nil {
-			err = ctx.Release()
-		}
-		delete(s.contexts, objID)
-	case protocol.MsgReleaseQueue:
-		if q := s.queues[objID]; q != nil {
-			err = q.Release()
-		}
-		delete(s.queues, objID)
-	case protocol.MsgReleaseBuffer:
-		if b := s.buffers[objID]; b != nil {
-			err = b.Release()
-		}
-		delete(s.buffers, objID)
-	case protocol.MsgReleaseProgram:
-		if p := s.programs[objID]; p != nil {
-			err = p.Release()
-		}
-		delete(s.programs, objID)
-	}
+	old, replaced := table[id]
+	table[id] = obj
 	s.mu.Unlock()
-	if err != nil {
-		s.fail(id, typ, err)
-		return
+	if replaced {
+		if err := old.Release(); err != nil {
+			s.d.logf("daemon %s: release of replaced object %d: %v", s.d.cfg.Name, id, err)
+		}
 	}
-	s.respond(id, typ, cl.Success, nil)
+}
+
+// releaser serves the Release request of one of the session's object
+// tables (named by address: re-attach swaps the maps themselves).
+func releaser[T interface{ Release() error }](s *session, table *map[uint64]T) func(rpc.Call) {
+	return func(c rpc.Call) {
+		objID := c.Body.U64()
+		if c.Malformed() {
+			return
+		}
+		var err error
+		s.mu.Lock()
+		if obj, ok := (*table)[objID]; ok {
+			err = obj.Release()
+			delete(*table, objID)
+		}
+		s.mu.Unlock()
+		c.Reply(cl.CodeOf(err), nil)
+	}
 }
 
 // handleReleaseKernel releases a kernel; it rides the ordered one-way
 // stream behind the launches that use it.
-func (s *session) handleReleaseKernel(r *protocol.Reader) {
-	kernelID := r.U64()
-	if r.Err() != nil {
-		s.badFrame(protocol.MsgReleaseKernel)
+func (s *session) handleReleaseKernel(c rpc.Call) {
+	kernelID := c.Body.U64()
+	if c.Malformed() {
 		return
 	}
 	s.mu.Lock()
@@ -925,6 +848,6 @@ func (s *session) handleReleaseKernel(r *protocol.Reader) {
 		return
 	}
 	if err := k.Release(); err != nil {
-		s.notifyCommandFailed(0, 0, protocol.MsgReleaseKernel, err)
+		s.fail(c, 0, 0, err)
 	}
 }

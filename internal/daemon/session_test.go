@@ -215,3 +215,25 @@ func TestMalformedEnqueueRejected(t *testing.T) {
 	}
 	expectUntouched(t, gs, 301)
 }
+
+// A Release* request cut short releases nothing: its object ID used to
+// decode as 0, object 0 was deleted and the request answered Success.
+func TestTruncatedReleaseLeavesObjectZero(t *testing.T) {
+	gs, sess := commandSession(t)
+	if st := cl.ErrorCode(gs.call(t, 20, protocol.MsgCreateContext, func(w *protocol.Writer) {
+		w.U64(0)
+		w.U64s([]uint64{0})
+	}).Body.I32()); st != cl.Success {
+		t.Fatalf("create context 0: %v", st)
+	}
+	env := gs.call(t, 21, protocol.MsgReleaseContext, func(w *protocol.Writer) { w.U32(0) })
+	if st := cl.ErrorCode(env.Body.I32()); st != cl.InvalidValue {
+		t.Errorf("truncated release answered %v, want InvalidValue", st)
+	}
+	sess.mu.Lock()
+	_, kept := sess.contexts[0]
+	sess.mu.Unlock()
+	if !kept {
+		t.Error("truncated release deleted context 0")
+	}
+}

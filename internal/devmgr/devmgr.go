@@ -188,28 +188,15 @@ func (m *Manager) conns() []*rpc.Conn {
 
 // ServeConn handles one connection. Daemons send DMRegisterServer first;
 // clients send DMShardMap and/or DMRequestDevices; peer shards send
-// DMGossip.
+// DMGossip. Everything the manager is asked it answers; only the return
+// of a lease, which nobody waits on, is one-way.
 func (m *Manager) ServeConn(conn net.Conn) {
 	c := rpc.New(gcf.NewEndpoint(conn, false))
 	var sc *daemonLink // set once the peer registers as a daemon
-	c.Start(func(env protocol.Envelope) {
-		switch env.Type {
-		case protocol.MsgDMRegisterServer:
-			sc = m.handleRegister(c, env)
-		case protocol.MsgDMRequestDevices:
-			m.clMu.Lock()
-			m.clients[c] = true
-			m.clMu.Unlock()
-			m.handleRequest(c, env)
-		case protocol.MsgDMReleaseLease:
-			authID := env.Body.String()
-			m.ReleaseLease(authID)
-		case protocol.MsgDMShardMap:
-			m.reply(c, env, cl.Success, m.ShardMap().Put)
-		case protocol.MsgDMGossip:
-			m.handleGossip(c, env)
+	c.Start(m.routes(c, &sc), func(error) {
+		for typ, n := range c.Unserved() {
+			m.log("devmgr: connection dropped %d unserved or malformed %s frame(s)", n, typ)
 		}
-	}, func(error) {
 		m.clMu.Lock()
 		delete(m.clients, c)
 		m.clMu.Unlock()
@@ -219,21 +206,33 @@ func (m *Manager) ServeConn(conn net.Conn) {
 	})
 }
 
+// routes is what the manager serves on connection c; *sc becomes the
+// daemon c registers as, if it does.
+func (m *Manager) routes(c *rpc.Conn, sc **daemonLink) rpc.Routes {
+	return rpc.Routes{
+		protocol.MsgDMRegisterServer: {Request: func(call rpc.Call) { *sc = m.handleRegister(c, call) }},
+		protocol.MsgDMRequestDevices: {Request: func(call rpc.Call) { m.handleRequest(c, call) }},
+		protocol.MsgDMReleaseLease:   {OneWay: m.handleRelease},
+		protocol.MsgDMShardMap:       {Request: func(call rpc.Call) { call.Reply(cl.Success, m.ShardMap().Put) }},
+		protocol.MsgDMGossip:         {Request: m.handleGossip},
+	}
+}
+
 // handleRegister adds a daemon's devices to the shard. The registration
 // may carry per-device lease holders (re-homing after a shard death:
 // the daemon still enforces those auth IDs, so the adopting shard must
 // account the devices as leased, not free). A re-registration under an
 // address already present replaces the old registration wholesale.
-func (m *Manager) handleRegister(c *rpc.Conn, env protocol.Envelope) *daemonLink {
-	addr := env.Body.String()
-	peerAddr := env.Body.String()
-	recs := protocol.GetDeviceRecords(env.Body)
+func (m *Manager) handleRegister(c *rpc.Conn, call rpc.Call) *daemonLink {
+	addr := call.Body.String()
+	peerAddr := call.Body.String()
+	recs := protocol.GetDeviceRecords(call.Body)
 	var leasedBy []string
-	if env.Body.Err() == nil && env.Body.Remaining() > 0 {
-		leasedBy = env.Body.Strings()
+	if call.Body.Err() == nil && call.Body.Remaining() > 0 {
+		leasedBy = call.Body.Strings()
 	}
-	if env.Body.Err() != nil || addr == "" {
-		m.reply(c, env, cl.InvalidValue, nil)
+	if call.Body.Err() != nil || addr == "" {
+		call.Refuse(cl.InvalidValue)
 		return nil
 	}
 
@@ -276,7 +275,7 @@ func (m *Manager) handleRegister(c *rpc.Conn, env protocol.Envelope) *daemonLink
 	}
 	total := len(m.devices)
 	m.mu.Unlock()
-	m.reply(c, env, cl.Success, nil)
+	call.Reply(cl.Success, nil)
 	m.log("devmgr: server %s registered %d devices (%d total)", addr, len(recs), total)
 	return sc
 }
@@ -318,12 +317,14 @@ func (m *Manager) dropServer(addr string) {
 	m.log("devmgr: server %s dropped", addr)
 }
 
-// reply answers the request in env; a failure to send it is only logged
-// (the requester's connection is gone, and its close notice cleans up).
-func (m *Manager) reply(c *rpc.Conn, env protocol.Envelope, status cl.ErrorCode, fill func(*protocol.Writer)) {
-	if err := c.Reply(env.ID, env.Type, status, fill); err != nil {
-		m.log("devmgr: %s response failed: %v", env.Type, err)
+// handleRelease takes back a lease its client is done with, or whose
+// client a daemon saw die.
+func (m *Manager) handleRelease(call rpc.Call) {
+	authID := call.Body.String()
+	if call.Malformed() {
+		return
 	}
+	m.ReleaseLease(authID)
 }
 
 // handleRequest processes a client assignment request: admit it into the
@@ -333,18 +334,23 @@ func (m *Manager) reply(c *rpc.Conn, env protocol.Envelope, status cl.ErrorCode,
 // commitGrant — so by the time the response is sent the servers accept
 // the authentication ID, and a shard's outstanding pushes are bounded by
 // its worker pool. The endpoint's dispatch goroutine never blocks.
-func (m *Manager) handleRequest(c *rpc.Conn, env protocol.Envelope) {
-	preq := protocol.GetPlaceRequest(env.Body)
-	if env.Body.Err() != nil || len(preq.Requests) == 0 {
-		m.reply(c, env, cl.InvalidValue, nil)
+func (m *Manager) handleRequest(c *rpc.Conn, call rpc.Call) {
+	preq := protocol.GetPlaceRequest(call.Body)
+	if call.Body.Err() != nil || len(preq.Requests) == 0 {
+		call.Refuse(cl.InvalidValue)
 		return
 	}
+	// A client is a connection that has asked for devices: from here on it
+	// is pushed every epoch bump.
+	m.clMu.Lock()
+	m.clients[c] = true
+	m.clMu.Unlock()
 	m.placeLeaseAsync(preq.Tenant, preq.Weight, preq.Requests, func(ls *leaseView, err error) {
 		if err != nil {
-			m.reply(c, env, cl.CodeOf(err), func(w *protocol.Writer) { w.String(err.Error()) })
+			call.Reply(cl.CodeOf(err), func(w *protocol.Writer) { w.String(err.Error()) })
 			return
 		}
-		m.reply(c, env, cl.Success, func(w *protocol.Writer) {
+		call.Reply(cl.Success, func(w *protocol.Writer) {
 			w.String(ls.authID)
 			w.Strings(ls.Servers())
 			m.ShardMap().Put(w)

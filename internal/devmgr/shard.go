@@ -263,14 +263,14 @@ func (m *Manager) mergeView(from string, remote protocol.ShardMap) {
 
 // handleGossip answers a peer's gossip request with our view, merging
 // theirs first.
-func (m *Manager) handleGossip(c *rpc.Conn, env protocol.Envelope) {
-	g := protocol.GetGossip(env.Body)
-	if env.Body.Err() != nil || m.shard == nil {
-		m.reply(c, env, cl.InvalidValue, nil)
+func (m *Manager) handleGossip(call rpc.Call) {
+	g := protocol.GetGossip(call.Body)
+	if call.Body.Err() != nil || m.shard == nil {
+		call.Refuse(cl.InvalidValue)
 		return
 	}
 	m.mergeView(g.From, g.View)
-	m.reply(c, env, cl.Success, m.ShardMap().Put)
+	call.Reply(cl.Success, m.ShardMap().Put)
 }
 
 // notifyEpoch pushes the new shard map to every registered daemon and

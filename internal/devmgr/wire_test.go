@@ -148,3 +148,56 @@ func TestUnshardedManagerIsAskedForItsMapOnce(t *testing.T) {
 		t.Fatalf("%d acquire/release cycles dialed the manager %d times, want %d", cycles, got, cycles+1)
 	}
 }
+
+// registerFree registers a server with one free GPU.
+func (w *wire) registerFree(t *testing.T, addr string) {
+	t.Helper()
+	w.registerLeased(t, addr, "")
+}
+
+// A placement request that arrives one-way has nobody to hand the lease
+// to: it places nothing. (The manager used to place it and answer ID 0.)
+func TestOneWayPlaceRequestPlacesNothing(t *testing.T) {
+	m := New()
+	defer m.Close()
+	w := dialWire(t, m)
+	w.registerFree(t, "node")
+	w.send(t, protocol.ClassOneWay, 0, protocol.MsgDMRequestDevices, func(b *protocol.Writer) {
+		protocol.PlaceRequest{Tenant: "t", Requests: []protocol.DeviceRequest{{Count: 1, Type: cl.DeviceTypeGPU}}}.Put(b)
+	})
+	// Frames are handled in order, and placement is quick: by the time this
+	// is answered a lease would have been placed.
+	w.send(t, protocol.ClassRequest, 2, protocol.MsgDMShardMap, nil)
+	w.next(t, w.resp, "shard map after the one-way request")
+	time.Sleep(50 * time.Millisecond)
+	if m.ActiveLeases() != 0 || m.FreeDevices() != 1 {
+		t.Fatalf("one-way request placed a lease: leases=%d free=%d", m.ActiveLeases(), m.FreeDevices())
+	}
+	select {
+	case env := <-w.resp:
+		t.Fatalf("one-way request was answered (id %d, type %s)", env.ID, env.Type)
+	default:
+	}
+}
+
+// Pointing a client's server list at the manager's address is a one-line
+// mistake in dcl.nodes. The Hello it sends is a request the manager does
+// not serve: it must be refused, where it used to be dropped and
+// ConnectServer never returned.
+func TestConnectServerOnManagerAddressFails(t *testing.T) {
+	w := newManagedWorld(t, map[string][]device.Config{"gpuserver": {device.TestGPU("g0")}})
+	app := client.NewPlatform(client.Options{ClientName: "lost", Dialer: w.nw.Dial})
+	done := make(chan error, 1)
+	go func() {
+		_, err := app.ConnectServer("devmgr")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if cl.CodeOf(err) != cl.InvalidOperation {
+			t.Fatalf("ConnectServer on the manager's address: %v, want CL_INVALID_OPERATION", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("ConnectServer on the manager's address never returned")
+	}
+}

@@ -417,6 +417,7 @@ func (e *Endpoint) writeLoop() {
 		e.wcond.Broadcast()
 		e.wmu.Unlock()
 		nb := bufs
+		raceRelease()
 		_, err := nb.WriteTo(e.conn)
 		// Flushed (or failed — the frames are gone either way): hand the
 		// owned payloads back to their producers.
@@ -503,6 +504,7 @@ func (e *Endpoint) readLoop() {
 				break
 			}
 		}
+		raceAcquire()
 		e.lastRecv.Store(time.Now().UnixNano())
 		if ch == hbChannel {
 			// Answer pings so one probing side suffices; pongs (and any
@@ -934,6 +936,13 @@ func (s *Stream) Release() {
 	chunks := s.chunks
 	s.chunks = nil
 	s.offset = 0
+	// Stream IDs come off the wire, and two commands may have named this
+	// one: a reader still parked here must not be left waiting for a
+	// shutdown sweep that no longer finds a forgotten stream.
+	if s.rerr == nil {
+		s.rerr = ErrClosed
+	}
+	s.cond.Broadcast()
 	s.mu.Unlock()
 	for _, c := range chunks {
 		if c.pooled {

@@ -9,28 +9,17 @@
 //   - notifications (unsolicited, e.g. event status changes)
 //   - one-way requests (never answered; see ClassOneWay)
 //
-// Which class each message travels in:
+// Which class each message travels in is stated by the receive tables of
+// the roles, one rpc.Routes literal each, and nowhere else: in
+// internal/daemon a client session ((*session).routes), the manager link
+// ((*Daemon).managerRoutes) and the peer link ((*peerSession).routes); in
+// internal/devmgr the manager ((*Manager).routes); in internal/client the
+// daemon link ((*Server).routes) and the manager link
+// ((*Platform).managerRoutes). A frame no table serves gets one treatment
+// everywhere (rpc.Call.Refuse).
 //
-//   - request, answered by a response of the same type and ID: Hello,
-//     AttachSession, GetServerInfo, the Create*/Release* of contexts,
-//     queues, buffers and programs, BuildProgram, Finish, CreateUserEvent,
-//     ServeOpen; on manager links DMRegisterServer, DMRequestDevices,
-//     DMShardMap, DMAssign, DMGossip and the DMPing health probe.
-//     CreateKernel, SetKernelArg and SetUserEventStatus are served in
-//     request class too (re-attach recovery, user code) beside their
-//     pipelined one-way form.
-//   - one-way: every Enqueue*, Flush, ForwardBuffer, AcceptForward,
-//     RegisterGraph, ExecGraph, ReleaseGraph, ServeSubmit, ServeClose,
-//     ReleaseKernel, ReleaseEvent, Goodbye, PeerHello, PeerTransfer, and
-//     on manager links DMReleaseLease (client or daemon → manager),
-//     DMRevoke (manager → daemon) and the DMPing that pushes a new shard
-//     map. Manager-link receivers dispatch by type, so they act on these
-//     in either class and answer only a request.
-//   - notification (daemon → client): EventComplete, CommandFailed,
-//     ServeResult.
-//
-// Frames are built and parsed in one place, internal/rpc; the roles above
-// it deal in types and bodies.
+// Frames are built, parsed and dispatched in one place, internal/rpc; the
+// roles above it deal in types and bodies.
 //
 // Bodies are hand-encoded little-endian binary: messages stay small (bulk
 // data travels on gcf streams), and the encoding adds near-zero overhead,

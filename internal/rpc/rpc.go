@@ -1,10 +1,13 @@
-// Package rpc is the one request/response connection of the dOpenCL
-// communication framework (Section III-B of the paper): every exchange
-// between client and daemon, manager and daemon, manager shard and manager
-// shard, and client or daemon and manager rides a Conn. A Conn owns the
-// protocol envelope over a gcf endpoint's message channel — request IDs,
-// the window of calls awaiting a response, reply framing — so the roles
-// above it deal in message types and bodies only. Bulk data stays on the
+// Package rpc is the one connection of the dOpenCL communication framework
+// (Section III-B of the paper), both halves of it: every exchange between
+// client and daemon, manager and daemon, manager shard and manager shard,
+// and client or daemon and manager rides a Conn. A Conn owns the protocol
+// envelope over a gcf endpoint's message channel. Sending: request IDs,
+// the window of calls awaiting a response, reply framing. Receiving: a
+// role declares what it serves as a table (Routes) of handlers by message
+// type and class, Start dispatches from it, and a frame the table does not
+// serve gets the same treatment on every link (Call.Refuse). The roles
+// above deal in message types and bodies only. Bulk data stays on the
 // endpoint's streams (Endpoint), beside the Conn, not through it.
 //
 // There is one way for a call to learn its connection died: ErrLost. The
@@ -17,6 +20,7 @@ package rpc
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"sync"
 	"time"
@@ -42,31 +46,126 @@ func lost(cause error) error {
 type Conn struct {
 	ep *gcf.Endpoint
 
-	mu      sync.Mutex
-	nextID  uint32
-	pending map[uint32]chan *protocol.Reader // nil once the connection is lost
+	mu       sync.Mutex
+	nextID   uint32
+	pending  map[uint32]chan *protocol.Reader // nil once the connection is lost
+	unserved map[protocol.MsgType]uint64      // frames refused without an answer
 }
 
 // New wraps an endpoint that has not been started.
 func New(ep *gcf.Endpoint) *Conn {
-	return &Conn{ep: ep, pending: map[uint32]chan *protocol.Reader{}}
+	return &Conn{ep: ep, pending: map[uint32]chan *protocol.Reader{}, unserved: map[protocol.MsgType]uint64{}}
 }
 
-// Start launches the receive side. Responses go to their waiting calls
-// (one with an unknown or already-answered ID is dropped, as is a frame
-// too short to parse); every other frame is handed to handle (nil: dropped)
-// on the endpoint's dispatch goroutine, in arrival order. When the
-// connection dies every waiting call fails with ErrLost, then onLost (may
-// be nil) runs once with the transport's reason.
-func (c *Conn) Start(handle func(protocol.Envelope), onLost func(error)) {
+// Route names, for one message type, the handler of each class a role
+// serves it in; nil means the type is not served in that class. A type
+// served in two classes can name one handler twice: Call.Reply is a no-op
+// outside request class.
+type Route struct {
+	Request, OneWay, Notify func(Call)
+}
+
+// Routes is a role's receive table, indexed by protocol.MsgType. It is the
+// whole statement of what the role serves: a frame no row serves gets the
+// one treatment of Call.Refuse with cl.InvalidOperation.
+type Routes []Route
+
+// Handler returns the handler the table names for a type in a class, nil
+// when it serves none.
+func (rt Routes) Handler(typ protocol.MsgType, class uint8) func(Call) {
+	if int(typ) >= len(rt) {
+		return nil
+	}
+	switch class {
+	case protocol.ClassRequest:
+		return rt[typ].Request
+	case protocol.ClassOneWay:
+		return rt[typ].OneWay
+	case protocol.ClassNotification:
+		return rt[typ].Notify
+	}
+	return nil
+}
+
+// Call is one inbound frame as its handler sees it.
+type Call struct {
+	ID    uint32 // what a response must carry; 0 outside request class
+	Type  protocol.MsgType
+	Class uint8
+	Body  *protocol.Reader
+	conn  *Conn
+}
+
+// Reply answers a request: the status first, then whatever fill appends.
+// Outside request class nobody waits for an answer and Reply does nothing.
+func (c Call) Reply(status cl.ErrorCode, fill func(*protocol.Writer)) {
+	if c.Class != protocol.ClassRequest {
+		return
+	}
+	w := protocol.NewWriter()
+	w.I32(int32(status))
+	if fill != nil {
+		fill(w)
+	}
+	// A reply that cannot be sent has nobody to go to: the connection is
+	// gone, and its close notice is what tells the role.
+	_ = write(c.conn.ep, protocol.ClassResponse, c.ID, c.Type, w)
+}
+
+// Refuse turns the frame away: a request is answered with status, so that
+// no caller waits on a receiver that will not act; anything else is
+// dropped and counted (Unserved). It is what a frame no row serves gets
+// (cl.InvalidOperation) and what a handler does with a body it cannot
+// decode (Malformed) or whose fields make no sense (cl.InvalidValue).
+func (c Call) Refuse(status cl.ErrorCode) {
+	if c.Class == protocol.ClassRequest {
+		c.Reply(status, nil)
+		return
+	}
+	c.conn.mu.Lock()
+	c.conn.unserved[c.Type]++
+	c.conn.mu.Unlock()
+}
+
+// Malformed reports whether the body failed to decode, having refused the
+// frame with cl.InvalidValue if so. A handler reads its fields, asks, and
+// returns on true — before it acts on any of them.
+func (c Call) Malformed() bool {
+	if c.Body.Err() == nil {
+		return false
+	}
+	c.Refuse(cl.InvalidValue)
+	return true
+}
+
+// Unserved reports, by type, the one-way and notification frames dropped
+// so far: no row served them, or their handler refused the body. The role
+// logs them; nothing else ever hears of such a frame.
+func (c *Conn) Unserved() map[protocol.MsgType]uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return maps.Clone(c.unserved)
+}
+
+// Start launches the receive side, the one receive path of every role.
+// Responses go to their waiting calls (one with an unknown or
+// already-answered ID is dropped, as is a frame too short to parse); every
+// other frame goes to the handler routes names for its type and class, or
+// is refused, on the endpoint's dispatch goroutine, in arrival order. When
+// the connection dies every waiting call fails with ErrLost, then onLost
+// (may be nil) runs once with the transport's reason.
+func (c *Conn) Start(routes Routes, onLost func(error)) {
 	c.ep.Start(func(msg []byte) {
 		env, err := protocol.ParseEnvelope(msg)
 		if err != nil {
 			return
 		}
 		if env.Class != protocol.ClassResponse {
-			if handle != nil {
-				handle(env)
+			call := Call{ID: env.ID, Type: env.Type, Class: env.Class, Body: env.Body, conn: c}
+			if h := routes.Handler(env.Type, env.Class); h != nil {
+				h(call)
+			} else {
+				call.Refuse(cl.InvalidOperation)
 			}
 			return
 		}
@@ -154,17 +253,6 @@ func OneWay(ep *gcf.Endpoint, typ protocol.MsgType, fill func(*protocol.Writer))
 // Notify sends an unsolicited notification.
 func (c *Conn) Notify(typ protocol.MsgType, fill func(*protocol.Writer)) error {
 	return write(c.ep, protocol.ClassNotification, 0, typ, body(fill))
-}
-
-// Reply answers the request that arrived with the given ID and type: the
-// status first, then whatever fill appends.
-func (c *Conn) Reply(id uint32, typ protocol.MsgType, status cl.ErrorCode, fill func(*protocol.Writer)) error {
-	w := protocol.NewWriter()
-	w.I32(int32(status))
-	if fill != nil {
-		fill(w)
-	}
-	return write(c.ep, protocol.ClassResponse, id, typ, w)
 }
 
 func body(fill func(*protocol.Writer)) *protocol.Writer {

@@ -21,12 +21,16 @@ func pair(t *testing.T) (client, server *Conn) {
 	return client, server
 }
 
-// echo answers every request with the uint32 it carried.
-func echo(c *Conn) func(protocol.Envelope) {
-	return func(env protocol.Envelope) {
-		v := env.Body.U32()
-		_ = c.Reply(env.ID, env.Type, cl.Success, func(w *protocol.Writer) { w.U32(v) })
-	}
+// echo answers a request with the uint32 it carried.
+func echo(c Call) {
+	v := c.Body.U32()
+	c.Reply(cl.Success, func(w *protocol.Writer) { w.U32(v) })
+}
+
+// onFinish is the table of a role that serves MsgFinish requests and
+// nothing else.
+func onFinish(h func(Call)) Routes {
+	return Routes{protocol.MsgFinish: {Request: h}}
 }
 
 func callEcho(c *Conn, v uint32) (uint32, error) {
@@ -48,12 +52,11 @@ func pendingCalls(c *Conn) int {
 // responses come back in another order than the requests went out.
 func TestConcurrentCallsGetTheirOwnResponses(t *testing.T) {
 	client, server := pair(t)
-	answer := echo(server)
 	var replies sync.WaitGroup
-	server.Start(func(env protocol.Envelope) {
+	server.Start(onFinish(func(c Call) {
 		replies.Add(1)
-		go func() { defer replies.Done(); answer(env) }()
-	}, nil)
+		go func() { defer replies.Done(); echo(c) }()
+	}), nil)
 	client.Start(nil, nil)
 
 	const callers, each = 16, 25
@@ -82,9 +85,9 @@ func TestConcurrentCallsGetTheirOwnResponses(t *testing.T) {
 // the body it wrote after it.
 func TestCallReturnsRefusalWithBody(t *testing.T) {
 	client, server := pair(t)
-	server.Start(func(env protocol.Envelope) {
-		_ = server.Reply(env.ID, env.Type, cl.Busy, func(w *protocol.Writer) { w.String("queue full") })
-	}, nil)
+	server.Start(onFinish(func(c Call) {
+		c.Reply(cl.Busy, func(w *protocol.Writer) { w.String("queue full") })
+	}), nil)
 	client.Start(nil, nil)
 	resp, err := client.Call(protocol.MsgFinish, 0, nil)
 	if !errors.Is(err, cl.Busy) || errors.Is(err, ErrLost) {
@@ -101,7 +104,7 @@ func TestCloseFailsPendingAndLaterCalls(t *testing.T) {
 	client, server := pair(t)
 	const waiting = 8
 	arrived := make(chan struct{}, waiting)
-	server.Start(func(protocol.Envelope) { arrived <- struct{}{} }, nil) // never answers
+	server.Start(onFinish(func(Call) { arrived <- struct{}{} }), nil) // never answers
 	var notices atomic.Int32
 	client.Start(nil, func(error) { notices.Add(1) })
 
@@ -128,7 +131,6 @@ func TestCloseFailsPendingAndLaterCalls(t *testing.T) {
 	for _, err := range []error{
 		client.OneWay(protocol.MsgFlush, nil),
 		server.Notify(protocol.MsgEventComplete, nil),
-		server.Reply(1, protocol.MsgFinish, cl.Success, nil),
 	} {
 		if !errors.Is(err, ErrLost) {
 			t.Fatalf("send after close: %v, want ErrLost", err)
@@ -143,17 +145,16 @@ func TestCloseFailsPendingAndLaterCalls(t *testing.T) {
 // late response is dropped instead of reaching a later call.
 func TestTimedOutCallLeavesNoPendingEntry(t *testing.T) {
 	client, server := pair(t)
-	held := make(chan protocol.Envelope, 1)
-	answer := echo(server)
+	held := make(chan Call, 1)
 	first := true // dispatch goroutine only
-	server.Start(func(env protocol.Envelope) {
+	server.Start(onFinish(func(c Call) {
 		if first {
 			first = false
-			held <- env
+			held <- c
 			return
 		}
-		answer(env)
-	}, nil)
+		echo(c)
+	}), nil)
 	client.Start(nil, nil)
 
 	_, err := client.Call(protocol.MsgFinish, 5*time.Millisecond, func(w *protocol.Writer) { w.U32(1) })
@@ -163,7 +164,7 @@ func TestTimedOutCallLeavesNoPendingEntry(t *testing.T) {
 	if n := pendingCalls(client); n != 0 {
 		t.Fatalf("timed-out call left %d pending entries", n)
 	}
-	answer(<-held) // the late response, ahead of the next call's
+	echo(<-held) // the late response, ahead of the next call's
 	if got, err := callEcho(client, 2); err != nil || got != 2 {
 		t.Fatalf("call after the late response: got %d, %v", got, err)
 	}
@@ -173,12 +174,13 @@ func TestTimedOutCallLeavesNoPendingEntry(t *testing.T) {
 // call already served — are dropped without disturbing other calls.
 func TestUnknownAndRepeatedResponsesDropped(t *testing.T) {
 	client, server := pair(t)
-	answer := echo(server)
-	server.Start(func(env protocol.Envelope) {
-		_ = server.Reply(env.ID+1000, env.Type, cl.Success, func(w *protocol.Writer) { w.U32(0xdead) })
-		answer(env)
-		_ = server.Reply(env.ID, env.Type, cl.InvalidValue, nil)
-	}, nil)
+	server.Start(onFinish(func(c Call) {
+		stray := c
+		stray.ID += 1000
+		stray.Reply(cl.Success, func(w *protocol.Writer) { w.U32(0xdead) })
+		echo(c)
+		c.Reply(cl.InvalidValue, nil)
+	}), nil)
 	client.Start(nil, nil)
 	for v := uint32(1); v <= 3; v++ {
 		if got, err := callEcho(client, v); err != nil || got != v {
@@ -231,5 +233,60 @@ func TestOversizedMessageIsNotLost(t *testing.T) {
 	err := client.OneWay(protocol.MsgCreateProgram, func(w *protocol.Writer) { w.Blob(make([]byte, 300<<10)) })
 	if !errors.Is(err, gcf.ErrTooLarge) || errors.Is(err, ErrLost) {
 		t.Fatalf("oversized one-way: %v", err)
+	}
+}
+
+// The receive half: a frame goes to the handler its row names for its
+// class; one handler serves a type in two classes, its Reply reaching only
+// the request; and a frame no row serves gets the one treatment — a
+// request is answered InvalidOperation, anything else is counted.
+func TestDispatchFollowsTheTable(t *testing.T) {
+	client, server := pair(t)
+	var seen atomic.Int32
+	both := func(c Call) {
+		seen.Add(1)
+		if c.Body.U32(); c.Malformed() {
+			return
+		}
+		c.Reply(cl.Success, nil)
+	}
+	server.Start(Routes{protocol.MsgFlush: {Request: both, OneWay: both}}, nil)
+	client.Start(nil, nil)
+	word := func(w *protocol.Writer) { w.U32(7) }
+
+	if err := client.OneWay(protocol.MsgFlush, word); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Call(protocol.MsgFlush, 0, word); err != nil {
+		t.Fatalf("served request: %v", err)
+	}
+	if n := seen.Load(); n != 2 {
+		t.Fatalf("handler ran %d times for a one-way and a request", n)
+	}
+	// A body the handler cannot decode: the request hears InvalidValue, the
+	// one-way is counted.
+	if _, err := client.Call(protocol.MsgFlush, 0, nil); !errors.Is(err, cl.InvalidValue) {
+		t.Fatalf("malformed request: %v", err)
+	}
+	// Not in the table in that class, or not at all.
+	for _, send := range []func() error{
+		func() error { return client.OneWay(protocol.MsgFlush, nil) },
+		func() error { return client.Notify(protocol.MsgFlush, word) },
+		func() error { return client.OneWay(protocol.MsgServeSubmit, nil) },
+	} {
+		if err := send(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Frames are handled in order: this answer comes after all of the above.
+	if _, err := client.Call(protocol.MsgFinish, 0, nil); !errors.Is(err, cl.InvalidOperation) {
+		t.Fatalf("unserved request: %v", err)
+	}
+	got := server.Unserved()
+	if len(got) != 2 || got[protocol.MsgFlush] != 2 || got[protocol.MsgServeSubmit] != 1 {
+		t.Fatalf("dropped frames by type: %v", got)
+	}
+	if n := len(client.Unserved()); n != 0 {
+		t.Fatalf("the responses counted as dropped on the caller's side: %v", client.Unserved())
 	}
 }
