@@ -16,6 +16,20 @@
 // user code (messages are dispatched by a dedicated goroutine, preserving
 // order), so a handler may synchronously read stream data that arrives on
 // the same connection.
+//
+// The receive loop batches the way the write loop does. It reads the
+// connection through a pooled readBufSize buffer: every frame one Read
+// returned is parsed out of it, the messages among them are queued for
+// the dispatcher under one lock with one wake, and their bodies share one
+// allocation. The part of a payload that did not arrive with its header
+// bypasses the buffer: it is read straight into the pooled frame or body
+// it belongs to. Two rules keep that safe. A parsed message is never held
+// back across a Read that can block — the peer may be waiting for the
+// reply to it before sending another byte — so the batch is published
+// before fetching a header or a payload tail the buffer does not hold.
+// And bodies are copied out of the buffer, never aliased to it: dispatch
+// is asynchronous and a response body outlives its handler in the
+// caller that waited for it.
 package gcf
 
 import (
@@ -239,9 +253,10 @@ type Endpoint struct {
 	closeErr atomic.Value // error
 	done     chan struct{}
 
-	// lastRecv is the UnixNano timestamp of the most recent inbound frame
-	// of any kind — data, message or heartbeat. The heartbeat prober reads
-	// it to decide whether the link is alive.
+	// lastRecv is the UnixNano timestamp of the most recent Read that
+	// returned, whatever it carried — data, messages, heartbeats or part
+	// of a frame. The heartbeat prober reads it to decide whether the
+	// link is alive.
 	lastRecv atomic.Int64
 
 	onClose func(error)
@@ -474,68 +489,147 @@ func (e *Endpoint) writeLoop() {
 	}
 }
 
+// readBufSize is the receive buffer every socket endpoint reads through.
+// A 4 KiB transfer frame and the command announcing it arrive in one
+// Read; a maxFrame bulk frame copies at most this much of itself twice,
+// the rest is read straight into its pooled frame.
+const readBufSize = 16 << 10
+
+// readBufPool recycles receive buffers across endpoints: a leased session
+// builds and drops four endpoints, and 16 KiB each is not bookkeeping.
+var readBufPool = sync.Pool{New: func() any { return new([readBufSize]byte) }}
+
+// read fills p with at least min bytes from the connection. It is the one
+// place the receive side touches the socket: the sender's happens-before
+// edge (sync_race.go) and the liveness stamp are taken here, once per
+// arriving batch and before any frame of it is published.
+func (e *Endpoint) read(p []byte, min int) (int, error) {
+	n, err := io.ReadAtLeast(e.conn, p, min)
+	raceAcquire()
+	e.lastRecv.Store(time.Now().UnixNano())
+	return n, err
+}
+
+// messageBytes sums the message bodies among the whole frames b starts
+// with: the size of the slab one batch's bodies are carved from.
+func messageBytes(b []byte) (total int) {
+	for len(b) >= 8 {
+		n := binary.LittleEndian.Uint32(b[4:])
+		if uint64(n) > uint64(len(b)-8) {
+			break
+		}
+		if binary.LittleEndian.Uint32(b) == msgChannel {
+			total += int(n)
+		}
+		b = b[8+n:]
+	}
+	return total
+}
+
+// publish moves the reader's parsed messages to the dispatch queue — one
+// lock and one wake per batch — and returns the batch emptied.
+func (e *Endpoint) publish(batch [][]byte) [][]byte {
+	if len(batch) > 0 {
+		e.msgMu.Lock()
+		e.msgs = append(e.msgs, batch...)
+		e.msgCond.Broadcast()
+		e.msgMu.Unlock()
+		clear(batch)
+	}
+	return batch[:0]
+}
+
 // readLoop receives frames and routes them to the message queue or to
-// stream buffers.
+// stream buffers, a batch per Read (see the package comment): every
+// e.read below is preceded by a publish, because it can block and the
+// peer may be waiting for the reply to a message parsed before it.
 func (e *Endpoint) readLoop() {
-	var hdr [8]byte
-	var err error
+	rb := readBufPool.Get().(*[readBufSize]byte)
+	buf := rb[:]
+	var (
+		r, w  int      // buf[r:w] is received and not yet parsed
+		batch [][]byte // messages parsed and not yet published
+		slab  []byte   // backs the bodies of the messages buf[r:w] holds whole
+		err   error
+	)
 	for {
-		if _, err = io.ReadFull(e.conn, hdr[:]); err != nil {
+		if w-r < 8 {
+			batch = e.publish(batch)
+			w, r = copy(buf, buf[r:w]), 0
+			var n int
+			n, err = e.read(buf[w:], 8-w)
+			w += n
+			if err != nil {
+				break
+			}
+			// Bodies outlive the buffer, so they are copied out — into
+			// one allocation per batch, not one per frame.
+			slab = make([]byte, 0, messageBytes(buf[:w]))
+		}
+		ch := binary.LittleEndian.Uint32(buf[r:])
+		size := binary.LittleEndian.Uint32(buf[r+4:])
+		if size > maxFrame {
+			err = fmt.Errorf("gcf: oversized frame (%d bytes)", size)
 			break
 		}
-		ch := binary.LittleEndian.Uint32(hdr[0:])
-		n := binary.LittleEndian.Uint32(hdr[4:])
-		if n > maxFrame {
-			err = fmt.Errorf("gcf: oversized frame (%d bytes)", n)
-			break
-		}
+		r += 8
+		n := int(size)
+		held := min(n, w-r)
 		var payload []byte
 		pooled := ch != msgChannel && ch != hbChannel && n > 0
-		if pooled {
-			payload = getFrame(int(n))
-		} else {
+		switch {
+		case pooled:
+			payload = getFrame(n)
+		case ch == msgChannel && held == n:
+			payload = slab[len(slab) : len(slab)+n : len(slab)+n]
+			slab = slab[:len(slab)+n]
+		default:
 			payload = make([]byte, n)
 		}
-		if n > 0 {
-			if _, err = io.ReadFull(e.conn, payload); err != nil {
+		copy(payload, buf[r:r+held])
+		r += held
+		if held < n {
+			// The rest of the payload goes straight to where it will
+			// live, not through the buffer.
+			batch = e.publish(batch)
+			if _, err = e.read(payload[held:], n-held); err != nil {
 				if pooled {
 					putFrame(payload)
 				}
 				break
 			}
 		}
-		raceAcquire()
-		e.lastRecv.Store(time.Now().UnixNano())
-		if ch == hbChannel {
+		switch ch {
+		case hbChannel:
 			// Answer pings so one probing side suffices; pongs (and any
 			// malformed probe) are liveness evidence by arrival alone.
 			// Non-blocking: the read loop must never park in outbound
 			// backpressure, and a dropped pong just looks like one missed
 			// probe to the peer.
-			if len(payload) == 1 && payload[0] == hbPing {
+			if n == 1 && payload[0] == hbPing {
 				e.tryWriteFrame(hbChannel, []byte{hbPong})
 			}
-			continue
-		}
-		if ch == msgChannel {
-			e.msgMu.Lock()
-			e.msgs = append(e.msgs, payload)
-			e.msgCond.Broadcast()
-			e.msgMu.Unlock()
-			continue
-		}
-		s := e.Stream(ch)
-		if n == 0 {
-			s.closeRead(io.EOF)
-		} else {
-			s.push(payload)
+		case msgChannel:
+			batch = append(batch, payload)
+		default:
+			s := e.Stream(ch)
+			if n == 0 {
+				s.closeRead(io.EOF)
+			} else {
+				s.push(payload)
+			}
 		}
 	}
+	e.publish(batch)
+	readBufPool.Put(rb)
 	e.shutdown(err)
 }
 
-// dispatchLoop hands queued messages to the handler in arrival order.
+// dispatchLoop hands queued messages to the handler in arrival order,
+// taking everything queued in one swap: the slice it drained becomes the
+// queue the reader appends to next.
 func (e *Endpoint) dispatchLoop(handler Handler) {
+	var batch [][]byte
 	for {
 		e.msgMu.Lock()
 		for len(e.msgs) == 0 {
@@ -545,10 +639,12 @@ func (e *Endpoint) dispatchLoop(handler Handler) {
 			}
 			e.msgCond.Wait()
 		}
-		msg := e.msgs[0]
-		e.msgs = e.msgs[1:]
+		batch, e.msgs = e.msgs, batch[:0]
 		e.msgMu.Unlock()
-		handler(msg)
+		for i, msg := range batch {
+			batch[i] = nil
+			handler(msg)
+		}
 	}
 }
 
