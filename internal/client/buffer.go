@@ -129,15 +129,7 @@ func (b *Buffer) Release() error {
 	b.released = true
 	b.mu.Unlock()
 	b.ctx.forgetBuffer(b)
-	var first error
-	for _, srv := range b.ctx.servers {
-		if _, err := srv.call(protocol.MsgReleaseBuffer, func(w *protocol.Writer) {
-			w.U64(b.id)
-		}); err != nil && first == nil && srv.Connected() {
-			first = err
-		}
-	}
-	return first
+	return b.ctx.sendRelease(protocol.MsgReleaseBuffer, b.id)
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ package client
 import (
 	"bufio"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -177,7 +178,6 @@ type Lease struct {
 	AuthID      string
 	ManagerAddr string
 	Servers     []*Server
-	manager     *rpc.Conn
 	plat        *Platform
 }
 
@@ -259,22 +259,58 @@ func (p *Platform) managerRoutes() rpc.Routes {
 	}}}
 }
 
+// managerConn returns the kept link to the shard at addr, dialing it when
+// there is none; kept reports which. The link outlives the lease it was
+// dialed for: the shard pushes its epoch bumps on it (managerRoutes)
+// whether or not a lease is held, and the next request or release finds it
+// open.
+func (p *Platform) managerConn(addr string) (c *rpc.Conn, kept bool, err error) {
+	p.mgrMu.Lock()
+	defer p.mgrMu.Unlock()
+	if c := p.mgrs[addr]; c != nil {
+		return c, true, nil
+	}
+	conn, err := p.opts.Dialer(addr)
+	if err != nil {
+		return nil, false, err
+	}
+	c = rpc.New(gcf.NewEndpoint(conn, true))
+	p.mgrs[addr] = c
+	c.Start(p.managerRoutes(), func(error) { p.dropManagerConn(addr, c) })
+	return c, false, nil
+}
+
+// dropManagerConn forgets and closes a link that died or failed a call; the
+// next request to its shard dials again.
+func (p *Platform) dropManagerConn(addr string, c *rpc.Conn) {
+	p.mgrMu.Lock()
+	if p.mgrs[addr] == c {
+		delete(p.mgrs, addr)
+	}
+	p.mgrMu.Unlock()
+	c.Close()
+}
+
 // requestFromShard runs one placement attempt against one shard.
 func (p *Platform) requestFromShard(manager, tenant string, cfg ManagerConfig) (*Lease, error) {
-	conn, err := p.opts.Dialer(manager)
-	if err != nil {
-		return nil, cl.Errf(cl.InvalidServer, "connecting to device manager %s: %v", manager, err)
-	}
-	c := rpc.New(gcf.NewEndpoint(conn, true))
-	c.Start(p.managerRoutes(), nil)
-
-	resp, err := c.Call(protocol.MsgDMRequestDevices, 0, func(w *protocol.Writer) {
-		protocol.PlaceRequest{Tenant: tenant, Weight: cfg.Weight, Requests: cfg.Requests}.Put(w)
-	})
-	if err != nil {
-		c.Close()
+	var resp *protocol.Reader
+	for {
+		c, kept, err := p.managerConn(manager)
+		if err != nil {
+			return nil, cl.Errf(cl.InvalidServer, "connecting to device manager %s: %v", manager, err)
+		}
+		resp, err = c.Call(protocol.MsgDMRequestDevices, 0, func(w *protocol.Writer) {
+			protocol.PlaceRequest{Tenant: tenant, Weight: cfg.Weight, Requests: cfg.Requests}.Put(w)
+		})
+		if err == nil {
+			break
+		}
 		if resp != nil {
 			return nil, cl.Errf(cl.CodeOf(err), "device manager rejected request: %s", resp.String())
+		}
+		p.dropManagerConn(manager, c)
+		if kept && errors.Is(err, rpc.ErrLost) {
+			continue // the kept link had died since its last use: dial once
 		}
 		// A shard that crashed mid-acquire included: InvalidServer makes
 		// the candidate loop in RequestFromManager advance to the next
@@ -284,7 +320,6 @@ func (p *Platform) requestFromShard(manager, tenant string, cfg ManagerConfig) (
 	authID := resp.String()
 	serverAddrs := resp.Strings()
 	if resp.Err() != nil {
-		c.Close()
 		return nil, cl.Errf(cl.InvalidServer, "malformed device manager response")
 	}
 	// The grant carries the shard's membership view — a free refresh.
@@ -292,7 +327,7 @@ func (p *Platform) requestFromShard(manager, tenant string, cfg ManagerConfig) (
 		p.noteShardView(view)
 	}
 
-	lease := &Lease{AuthID: authID, ManagerAddr: manager, manager: c, plat: p}
+	lease := &Lease{AuthID: authID, ManagerAddr: manager, plat: p}
 	for _, addr := range serverAddrs {
 		s, err := p.connectServerAuth(addr, authID)
 		if err != nil {
@@ -306,27 +341,29 @@ func (p *Platform) requestFromShard(manager, tenant string, cfg ManagerConfig) (
 
 // Release returns the lease's devices to the device manager (the release
 // message of Section IV-C) and disconnects the lease's servers. If the
-// granting shard died, the release is broadcast to the surviving shards:
-// whichever shard adopted the devices (rendezvous re-homing) holds the
-// lease record and frees them; the others ignore the unknown auth ID.
+// granting shard cannot be reached, the release is broadcast to the
+// surviving shards: whichever shard adopted the devices (rendezvous
+// re-homing) holds the lease record and frees them; the others ignore the
+// unknown auth ID.
 func (l *Lease) Release() error {
-	release := func(c *rpc.Conn) error {
-		return c.OneWay(protocol.MsgDMReleaseLease, func(w *protocol.Writer) { w.String(l.AuthID) })
+	release := func(addr string) error {
+		c, _, err := l.plat.managerConn(addr)
+		if err != nil {
+			return err
+		}
+		err = c.OneWay(protocol.MsgDMReleaseLease, func(w *protocol.Writer) { w.String(l.AuthID) })
+		if err != nil {
+			l.plat.dropManagerConn(addr, c)
+		}
+		return err
 	}
-	err := release(l.manager)
+	err := release(l.ManagerAddr)
 	if err != nil {
 		_, shards := l.plat.ShardView()
 		for _, addr := range shards {
-			conn, derr := l.plat.opts.Dialer(addr)
-			if derr != nil {
-				continue
-			}
-			c := rpc.New(gcf.NewEndpoint(conn, true))
-			c.Start(nil, nil)
-			if release(c) == nil {
+			if release(addr) == nil {
 				err = nil
 			}
-			c.Close()
 		}
 	}
 	for _, s := range l.Servers {
@@ -334,6 +371,5 @@ func (l *Lease) Release() error {
 			err = derr
 		}
 	}
-	l.manager.Close()
 	return err
 }

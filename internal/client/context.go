@@ -1,6 +1,7 @@
 package client
 
 import (
+	"slices"
 	"sync"
 
 	"dopencl/internal/cl"
@@ -63,14 +64,12 @@ func (p *Platform) CreateContext(devices []cl.Device) (cl.Context, error) {
 		perServer[cd.srv] = append(perServer[cd.srv], uint64(cd.unitID))
 	}
 	// Replicate creation to every participating server: each remote
-	// context holds only the devices hosted by that server.
+	// context holds only the devices hosted by that server. The creation
+	// is a pipelined one-way send (see Server.send): the context ID is the
+	// client's, and every later message naming it rides the same ordered
+	// connection.
 	for _, srv := range ctx.servers {
-		rid := ctx.remoteIDs[srv]
-		units := perServer[srv]
-		if _, err := srv.call(protocol.MsgCreateContext, func(w *protocol.Writer) {
-			w.U64(rid)
-			w.U64s(units)
-		}); err != nil {
+		if err := srv.send(protocol.MsgCreateContext, contextBody(ctx.remoteIDs[srv], perServer[srv])); err != nil {
 			return nil, err
 		}
 	}
@@ -177,17 +176,40 @@ func (c *Context) forgetProgram(p *Program) {
 	c.mu.Unlock()
 }
 
-// createRemoteBuffer replicates one buffer object to srv (creation and
-// re-attach recovery share the wire call).
-func createRemoteBuffer(srv *Server, bufID, rctx uint64, flags cl.MemFlags, size int) error {
-	_, err := srv.call(protocol.MsgCreateBuffer, func(w *protocol.Writer) {
-		w.U64(bufID)
+// The bodies of the four create messages, shared by creation (one-way) and
+// re-attach recovery (which asks).
+
+func contextBody(rctx uint64, units []uint64) func(*protocol.Writer) {
+	return func(w *protocol.Writer) {
 		w.U64(rctx)
-		w.U32(uint32(flags))
+		w.U64s(units)
+	}
+}
+
+func queueBody(id, rctx uint64, unitID uint32) func(*protocol.Writer) {
+	return func(w *protocol.Writer) {
+		w.U64(id)
+		w.U64(rctx)
+		w.U64(uint64(unitID))
+	}
+}
+
+func bufferBody(id, rctx uint64, flags cl.MemFlags, size int) func(*protocol.Writer) {
+	return func(w *protocol.Writer) {
+		w.U64(id)
+		w.U64(rctx)
+		w.U32(uint32(flags &^ cl.MemCopyHostPtr))
 		w.I64(int64(size))
-		w.U32(0) // no init stream: contents uploaded lazily by coherence
-	})
-	return err
+		w.U32(0) // no init stream: contents are uploaded lazily by coherence
+	}
+}
+
+func programBody(id, rctx uint64, src string) func(*protocol.Writer) {
+	return func(w *protocol.Writer) {
+		w.U64(id)
+		w.U64(rctx)
+		w.String(src)
+	}
 }
 
 // liveBuffers snapshots the context's unreleased root buffers.
@@ -234,15 +256,12 @@ func (c *Context) resyncServer(srv *Server, retained bool) error {
 				units = append(units, uint64(d.unitID))
 			}
 		}
-		if _, err := srv.call(protocol.MsgCreateContext, func(w *protocol.Writer) {
-			w.U64(rid)
-			w.U64s(units)
-		}); err != nil {
+		if _, err := srv.call(protocol.MsgCreateContext, contextBody(rid, units)); err != nil {
 			return err
 		}
 	}
 	for _, b := range c.liveBuffers() {
-		if err := createRemoteBuffer(srv, b.id, rid, b.flags&^cl.MemCopyHostPtr, b.size); err != nil {
+		if _, err := srv.call(protocol.MsgCreateBuffer, bufferBody(b.id, rid, b.flags, b.size)); err != nil {
 			return err
 		}
 	}
@@ -253,11 +272,7 @@ func (c *Context) resyncServer(srv *Server, retained bool) error {
 		if released {
 			continue
 		}
-		if _, err := srv.call(protocol.MsgCreateProgram, func(w *protocol.Writer) {
-			w.U64(p.id)
-			w.U64(rid)
-			w.String(p.src)
-		}); err != nil {
+		if _, err := srv.call(protocol.MsgCreateProgram, programBody(p.id, rid, p.src)); err != nil {
 			return err
 		}
 		if !built {
@@ -275,11 +290,7 @@ func (c *Context) resyncServer(srv *Server, retained bool) error {
 			if q.srv != srv || q.isReleased() {
 				continue
 			}
-			if _, err := srv.call(protocol.MsgCreateQueue, func(w *protocol.Writer) {
-				w.U64(q.id)
-				w.U64(rid)
-				w.U64(uint64(q.dev.unitID))
-			}); err != nil {
+			if _, err := srv.call(protocol.MsgCreateQueue, queueBody(q.id, rid, q.dev.unitID)); err != nil {
 				return err
 			}
 		}
@@ -333,11 +344,7 @@ func (c *Context) createQueue(cd *Device) (*Queue, error) {
 		return nil, err
 	}
 	id := c.plat.newID()
-	if _, err := cd.srv.call(protocol.MsgCreateQueue, func(w *protocol.Writer) {
-		w.U64(id)
-		w.U64(rctx)
-		w.U64(uint64(cd.unitID))
-	}); err != nil {
+	if err := cd.srv.send(protocol.MsgCreateQueue, queueBody(id, rctx, cd.unitID)); err != nil {
 		return nil, err
 	}
 	q := &Queue{ctx: c, srv: cd.srv, dev: cd, id: id}
@@ -360,6 +367,14 @@ func (c *Context) CreateBuffer(flags cl.MemFlags, size int, host []byte) (cl.Buf
 	if flags&cl.MemCopyHostPtr != 0 && len(host) != size {
 		return nil, cl.Errf(cl.InvalidValue, "MemCopyHostPtr requires len(host) == size")
 	}
+	// The daemons refuse a buffer none of their context devices could
+	// allocate; the device stubs carry that limit, so it is checked here.
+	for _, srv := range c.servers {
+		fits := func(d *Device) bool { return d.srv == srv && int64(size) <= d.info.MaxAllocSize }
+		if !slices.ContainsFunc(c.devices, fits) {
+			return nil, cl.Errf(cl.InvalidBufferSize, "buffer of %d bytes exceeds the largest allocation of every context device on %s", size, srv.addr)
+		}
+	}
 	b := &Buffer{
 		ctx:   c,
 		id:    c.plat.newID(),
@@ -374,7 +389,6 @@ func (c *Context) CreateBuffer(flags cl.MemFlags, size int, host []byte) (cl.Buf
 		holders[i] = srv
 	}
 	b.coh = coherence.New(b.id, size, holders...)
-	remoteFlags := flags &^ cl.MemCopyHostPtr
 	for _, srv := range c.servers {
 		// Dead servers are skipped, like CreateKernel/SetArg: their copy
 		// is Invalid anyway, the re-attach recovery re-creates the remote
@@ -382,11 +396,7 @@ func (c *Context) CreateBuffer(flags cl.MemFlags, size int, host []byte) (cl.Buf
 		if !srv.Connected() {
 			continue
 		}
-		rctx := c.remoteIDs[srv]
-		if err := createRemoteBuffer(srv, b.id, rctx, remoteFlags, size); err != nil {
-			if !srv.Connected() {
-				continue
-			}
+		if err := srv.send(protocol.MsgCreateBuffer, bufferBody(b.id, c.remoteIDs[srv], flags, size)); err != nil && srv.Connected() {
 			return nil, err
 		}
 	}
@@ -409,15 +419,7 @@ func (c *Context) CreateProgramWithSource(src string) (cl.Program, error) {
 		if !srv.Connected() {
 			continue
 		}
-		rctx := c.remoteIDs[srv]
-		if _, err := srv.call(protocol.MsgCreateProgram, func(w *protocol.Writer) {
-			w.U64(p.id)
-			w.U64(rctx)
-			w.String(src)
-		}); err != nil {
-			if !srv.Connected() {
-				continue
-			}
+		if err := srv.send(protocol.MsgCreateProgram, programBody(p.id, c.remoteIDs[srv], src)); err != nil && srv.Connected() {
 			return nil, err
 		}
 	}
@@ -431,6 +433,19 @@ func (c *Context) CreateProgramWithSource(src string) (cl.Program, error) {
 // on any participating server.
 func (c *Context) CreateUserEvent() (cl.UserEvent, error) {
 	return newUserEventStub(c), nil
+}
+
+// sendRelease pipelines the release of the object the context's servers
+// know as id: the daemon serves it in order, behind the commands that use
+// the object. A server that is down has nothing left to release.
+func (c *Context) sendRelease(typ protocol.MsgType, id uint64) error {
+	var first error
+	for _, srv := range c.servers {
+		if err := srv.send(typ, func(w *protocol.Writer) { w.U64(id) }); err != nil && first == nil && srv.Connected() {
+			first = err
+		}
+	}
+	return first
 }
 
 // Release releases the remote contexts and internal coherence queues.
@@ -453,7 +468,7 @@ func (c *Context) Release() error {
 	}
 	for _, srv := range c.servers {
 		rid := c.remoteIDs[srv]
-		if _, err := srv.call(protocol.MsgReleaseContext, func(w *protocol.Writer) {
+		if err := srv.send(protocol.MsgReleaseContext, func(w *protocol.Writer) {
 			w.U64(rid)
 		}); err != nil && first == nil && srv.Connected() {
 			first = err
@@ -501,45 +516,63 @@ var _ cl.Program = (*Program)(nil)
 // Source returns the program source.
 func (p *Program) Source() string { return p.src }
 
-// Build replicates clBuildProgram to every participating server. Dead
-// servers are skipped — the re-attach recovery rebuilds there — so one
-// lost daemon does not block compilation on the survivors.
+// Build replicates clBuildProgram to every participating server, asking
+// all of them before it waits for any: N daemons compile side by side.
+// Dead servers are skipped — the re-attach recovery rebuilds there — so one
+// lost daemon does not block compilation on the survivors. The wait is
+// also where a daemon's refusal of a pipelined create (this program's, or
+// its context's) is reported, in place of the build failure that follows
+// from it.
 func (p *Program) Build(devices []cl.Device, options string) error {
+	var live []*Server
+	for _, srv := range p.ctx.servers {
+		if srv.Connected() {
+			live = append(live, srv)
+		}
+	}
+	logs, errs := make([]string, len(live)), make([]error, len(live))
+	var wg sync.WaitGroup
+	for i, srv := range live {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := srv.call(protocol.MsgBuildProgram, func(w *protocol.Writer) {
+				w.U64(p.id)
+				w.String(options)
+			})
+			if resp != nil {
+				logs[i] = resp.String()
+			}
+			if serr := srv.takeSessionError(); serr != nil {
+				err = serr
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
 	var firstErr error
 	built := false
-	for _, srv := range p.ctx.servers {
-		if !srv.Connected() {
-			continue
+	for i, srv := range live {
+		if errs[i] != nil && firstErr == nil && srv.Connected() {
+			firstErr = errs[i]
 		}
-		resp, err := srv.call(protocol.MsgBuildProgram, func(w *protocol.Writer) {
-			w.U64(p.id)
-			w.String(options)
-		})
-		logText := ""
-		if resp != nil {
-			logText = resp.String()
-		}
-		p.mu.Lock()
-		p.buildLogs[srv.addr] = logText
-		p.mu.Unlock()
-		if err != nil && firstErr == nil && srv.Connected() {
-			firstErr = err
-		}
-		if err == nil {
+		if errs[i] == nil {
 			built = true
 		}
 	}
 	if firstErr == nil && !built {
 		firstErr = cl.Errf(cl.ServerLost, "no connected server to build program")
 	}
-	if firstErr != nil {
-		return firstErr
-	}
 	p.mu.Lock()
-	p.built = true
-	p.buildOpts = options
+	for i, srv := range live {
+		p.buildLogs[srv.addr] = logs[i]
+	}
+	if firstErr == nil {
+		p.built = true
+		p.buildOpts = options
+	}
 	p.mu.Unlock()
-	return nil
+	return firstErr
 }
 
 // forgetKernel drops a released kernel from the recovery registry.
@@ -598,7 +631,7 @@ func (p *Program) KernelNames() ([]string, error) {
 // sends: the data-parallel scheduler creates and releases kernels on
 // every launch, and a round trip per server would put N×RTT of pure
 // latency on that hot path. Daemon-side failures (an unknown program
-// after a lost re-attach, say) surface at the next Finish.
+// after a lost re-attach, say) surface at the next wait on that server.
 func (p *Program) CreateKernel(name string) (cl.Kernel, error) {
 	p.mu.Lock()
 	built := p.built
@@ -653,15 +686,7 @@ func (p *Program) Release() error {
 	p.released = true
 	p.mu.Unlock()
 	p.ctx.forgetProgram(p)
-	var first error
-	for _, srv := range p.ctx.servers {
-		if _, err := srv.call(protocol.MsgReleaseProgram, func(w *protocol.Writer) {
-			w.U64(p.id)
-		}); err != nil && first == nil && srv.Connected() {
-			first = err
-		}
-	}
-	return first
+	return p.ctx.sendRelease(protocol.MsgReleaseProgram, p.id)
 }
 
 // Kernel is a compound stub: argument updates are replicated to the remote
@@ -752,7 +777,7 @@ func (k *Kernel) encodeArg(i int, v any) (protocol.GraphKernelArg, *Buffer, erro
 // co-execution hot path. Disconnected servers are skipped: the binding
 // is recorded locally and replayed by the re-attach recovery, so one
 // dead daemon does not stall launches on the survivors. Daemon-side
-// failures (a released buffer, say) surface at the next Finish.
+// failures (a released buffer, say) surface at the next wait on that server.
 func (k *Kernel) SetArg(i int, v any) error {
 	val, buf, err := k.encodeArg(i, v)
 	if err != nil {
@@ -823,15 +848,7 @@ func (k *Kernel) Release() error {
 	k.released = true
 	k.mu.Unlock()
 	k.prog.forgetKernel(k)
-	var first error
-	for _, srv := range k.prog.ctx.servers {
-		if err := srv.send(protocol.MsgReleaseKernel, func(w *protocol.Writer) {
-			w.U64(k.id)
-		}); err != nil && first == nil && srv.Connected() {
-			first = err
-		}
-	}
-	return first
+	return k.prog.ctx.sendRelease(protocol.MsgReleaseKernel, k.id)
 }
 
 // coerceInt converts supported Go types to int32.

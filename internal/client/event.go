@@ -79,8 +79,29 @@ func (e *Event) Status() cl.CommandStatus { return e.latch.Status() }
 // write gates nothing and may be dropped from the directory).
 func (e *Event) Settled() bool { return e.Status() == cl.Complete }
 
-// Wait blocks until the event completes.
-func (e *Event) Wait() error { return e.latch.Wait() }
+// Wait blocks until the event completes. Waiting on an event is waiting on
+// the server that runs its command, so a deferred object-plane failure that
+// server has reported (Server.takeSessionError) is returned here, once, in
+// place of the event's own status: a command that names an object whose
+// pipelined create was refused fails because of that refusal.
+func (e *Event) Wait() error {
+	err := e.latch.Wait()
+	if e.origin != nil {
+		if serr := e.origin.takeSessionError(); serr != nil {
+			return serr
+		}
+	}
+	return err
+}
+
+// settle waits for w like w.Wait, without taking a deferred failure off its
+// server: for waits whose error is not the application's to see.
+func settle(w cl.Event) error {
+	if e, ok := w.(*Event); ok {
+		return e.latch.Wait()
+	}
+	return w.Wait()
+}
 
 // SetCallback registers a completion callback.
 func (e *Event) SetCallback(status cl.CommandStatus, fn func(cl.Event, cl.CommandStatus)) error {

@@ -10,6 +10,7 @@ import (
 	"dopencl/internal/cl"
 	"dopencl/internal/gcf"
 	"dopencl/internal/protocol"
+	"dopencl/internal/rpc"
 )
 
 // Dialer connects to a server address. It abstracts the fabric: simnet
@@ -57,6 +58,11 @@ type Platform struct {
 	smMu       sync.Mutex
 	shardEpoch uint64
 	shards     []string
+
+	// The kept device-manager links, one per shard asked so far: a lease
+	// session costs a request on it, not a dial (managerConn).
+	mgrMu sync.Mutex
+	mgrs  map[string]*rpc.Conn
 }
 
 // noteShardView merges a pushed or fetched control-plane view into the
@@ -89,7 +95,21 @@ func NewPlatform(opts Options) *Platform {
 	if opts.ClientName == "" {
 		opts.ClientName = "dopencl-client"
 	}
-	return &Platform{opts: opts}
+	return &Platform{opts: opts, mgrs: map[string]*rpc.Conn{}}
+}
+
+// Close ends the platform's device-manager links (a manager closing its
+// side ends one too). Servers are disconnected one by one, by
+// DisconnectServer or Lease.Release; a later RequestFromManager dials
+// again.
+func (p *Platform) Close() {
+	p.mgrMu.Lock()
+	mgrs := p.mgrs
+	p.mgrs = map[string]*rpc.Conn{}
+	p.mgrMu.Unlock()
+	for _, c := range mgrs {
+		c.Close()
+	}
 }
 
 // Name returns "dOpenCL", the uniform platform name.

@@ -459,7 +459,7 @@ func (q *Queue) readStitched(root *Buffer, blocking bool, aoff int, dst []byte, 
 	// reuse the slice): settle the in-flight parts before reporting.
 	failPlan := func(err error) (cl.Event, error) {
 		for _, p := range partEvents {
-			_ = p.Wait()
+			_ = settle(p) // the plan's failure is the one to report
 		}
 		return nil, err
 	}
@@ -493,7 +493,7 @@ func (q *Queue) readStitched(root *Buffer, blocking bool, aoff int, dst []byte, 
 			if w == nil {
 				continue
 			}
-			if err := w.Wait(); err != nil && status == cl.Complete {
+			if err := settle(w); err != nil && status == cl.Complete {
 				status = cl.CommandStatus(cl.InvalidEventWaitList)
 			}
 		}
@@ -503,7 +503,7 @@ func (q *Queue) readStitched(root *Buffer, blocking bool, aoff int, dst []byte, 
 			}
 		}
 		for _, p := range partEvents {
-			if err := p.Wait(); err != nil && status == cl.Complete {
+			if err := settle(p); err != nil && status == cl.Complete {
 				status = cl.CommandStatus(cl.CodeOf(err))
 			}
 		}
@@ -512,7 +512,12 @@ func (q *Queue) readStitched(root *Buffer, blocking bool, aoff int, dst []byte, 
 	ev := &agg.Event
 	q.track(ev)
 	if blocking {
-		if err := ev.Wait(); err != nil {
+		err := ev.Wait()
+		// The aggregate has no server of its own; the caller waited on q's.
+		if serr := q.srv.takeSessionError(); serr != nil {
+			err = serr
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -703,13 +708,16 @@ func (q *Queue) Finish() error {
 	q.inFlight = nil
 	q.mu.Unlock()
 	for _, ev := range pend {
-		_ = ev.Wait()
+		_ = settle(ev)
 	}
-	if derr := q.srv.takeQueueError(q.id); derr != nil {
-		return derr
-	}
+	// An object-plane failure (a refused create, say) came first and is why
+	// the commands naming the object then failed on the queue.
+	derr := q.srv.takeQueueError(q.id)
 	if serr := q.srv.takeSessionError(); serr != nil {
 		return serr
+	}
+	if derr != nil {
+		return derr
 	}
 	return err
 }
@@ -720,7 +728,7 @@ func (q *Queue) Release() error {
 	q.released = true
 	q.mu.Unlock()
 	q.ctx.forgetQueue(q)
-	_, err := q.srv.call(protocol.MsgReleaseQueue, func(w *protocol.Writer) {
+	err := q.srv.send(protocol.MsgReleaseQueue, func(w *protocol.Writer) {
 		w.U64(q.id)
 	})
 	if err != nil && !q.srv.Connected() {

@@ -12,6 +12,13 @@
 //     the client as directory and remote buffers as caches;
 //   - event consistency across servers via user-event replacements
 //     completed on notification (Section III-D);
+//   - a pipelined object plane as well as a pipelined command plane: stub
+//     IDs are the client's, so creates and releases are one-way sends
+//     (Server.send) and only what the application asks for — a build's
+//     verdict, a finished queue — is a round trip (Server.call). What the
+//     client can check about a create it reports from the create call; a
+//     daemon's refusal is reported once by the next call that waits on
+//     that server (Server.takeSessionError);
 //   - the connection API extension (clConnectServerWWU et al.), the server
 //     configuration file, and device-manager assignment requests
 //     (Section IV-B).
@@ -322,9 +329,9 @@ func (s *Server) handleCommandFailed(c rpc.Call) {
 	err := cl.Errf(cl.ErrorCode(f.Status), "%s on %s failed: %s", f.Op, s.addr, f.Msg)
 	s.mu.Lock()
 	if f.QueueID == 0 && f.EventID == 0 && len(s.sessErrs) < 8 {
-		// Object-plane one-way failure (kernel create / set-arg /
-		// release): no queue or event to carry it — surfaced by
-		// the next Finish on any of this server's queues.
+		// Object-plane one-way failure (a create, a release, an
+		// argument binding): no queue or event to carry it — surfaced
+		// by the next call that waits on this server.
 		s.sessErrs = append(s.sessErrs, err)
 	}
 	if f.QueueID != 0 && len(s.queueErrs[f.QueueID]) < 8 {
@@ -420,10 +427,11 @@ func (s *Server) call(typ protocol.MsgType, fill func(*protocol.Writer)) (*proto
 }
 
 // send fires a one-way request (fire-and-forget, Section III-B): no
-// response is awaited or ever sent. The daemon processes one-way commands
+// response is awaited or ever sent. The daemon processes one-way messages
 // in order; failures come back asynchronously as MsgCommandFailed
-// notifications and surface through the command's event or the queue's
-// next Finish. Only local transmission failures are reported here.
+// notifications and surface through the command's event, the queue's next
+// Finish or, for the object plane, the next wait on the server. Only local
+// transmission failures are reported here.
 func (s *Server) send(typ protocol.MsgType, fill func(*protocol.Writer)) error {
 	c, err := s.live()
 	if err != nil {
@@ -456,8 +464,12 @@ func (s *Server) takeQueueError(queueID uint64) error {
 	return fs[0].err
 }
 
-// takeSessionError removes and returns the first deferred queue-less
-// one-way failure (pipelined object-plane commands), if any.
+// takeSessionError removes the deferred queue-less one-way failures
+// (pipelined object-plane messages) and returns the first, if any: the one
+// the later ones follow from. Every call that waits on the server consults
+// it — Program.Build, a blocking read or write, Event.Wait, Queue.Finish —
+// so the application sees a refused create under its own code and message
+// at its next synchronization point, once.
 func (s *Server) takeSessionError() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

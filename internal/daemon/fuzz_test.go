@@ -70,14 +70,44 @@ func FuzzSession(f *testing.F) {
 		return rpctest.Sample{Type: e.MsgType(), Class: class, Fill: func(w *protocol.Writer) { protocol.PutEnqueue(w, e) }}
 	}
 	f.Add(frames(aliased(req, 0, protocol.GraphOpWrite), aliased(one, 99, protocol.GraphOpRead)))
+	createBuffer := func(class uint8, id, ctx uint64, size int64, stream uint32) rpctest.Sample {
+		return rpctest.Sample{Type: protocol.MsgCreateBuffer, Class: class, Fill: func(w *protocol.Writer) {
+			w.U64(id)
+			w.U64(ctx)
+			w.U32(uint32(cl.MemReadWrite | cl.MemCopyHostPtr))
+			w.I64(size)
+			w.U32(stream)
+		}}
+	}
 	// A buffer of 2^62 bytes.
-	f.Add(frames(rpctest.Sample{Type: protocol.MsgCreateBuffer, Class: req, Fill: func(w *protocol.Writer) {
-		w.U64(1)
-		w.U64(0)
-		w.U32(uint32(cl.MemReadWrite))
-		w.I64(1 << 62)
-		w.U32(0)
-	}}))
+	f.Add(frames(createBuffer(req, 1, 0, 1<<62, 0)))
+	// A create announcing initial contents on a stream: the handler used to
+	// wait for them on the dispatcher. Refused in either class, and the
+	// stream nobody will ever write is not waited on.
+	f.Add(frames(createBuffer(req, 1, 0, csSize, 17), createBuffer(one, 2, 0, csSize, 19)))
+	// The pipelined object plane: a create the daemon refuses (no such
+	// context), then what a client that did not wait sends next — a write
+	// to the buffer, a binding of it, a launch, a release of it — and
+	// releases of IDs nothing was ever created under.
+	named := func(typ protocol.MsgType, id uint64) rpctest.Sample {
+		return rpctest.Sample{Type: typ, Class: one, Fill: func(w *protocol.Writer) { w.U64(id) }}
+	}
+	f.Add(frames(
+		createBuffer(one, 5, 77, csSize, 0),
+		rpctest.Sample{Type: protocol.MsgEnqueueWrite, Class: one, Fill: func(w *protocol.Writer) {
+			protocol.PutEnqueue(w, protocol.Enqueue{Cmd: protocol.GraphCommand{Op: protocol.GraphOpWrite, BufID: 5, Size: csSize, StreamID: 21}})
+		}},
+		rpctest.Sample{Type: protocol.MsgSetKernelArg, Class: one, Fill: func(w *protocol.Writer) {
+			protocol.PutSetKernelArg(w, protocol.SetKernelArg{Arg: protocol.GraphKernelArg{Kind: protocol.ArgValBuffer, Raw: 5}})
+		}},
+		row(protocol.MsgEnqueueKernel, one),
+		named(protocol.MsgReleaseBuffer, 5),
+		named(protocol.MsgReleaseProgram, 99), named(protocol.MsgReleaseQueue, 99), named(protocol.MsgReleaseContext, 99),
+	))
+	// One-way creates under IDs that exist, a queue with commands behind it
+	// among them.
+	f.Add(frames(parked, row(protocol.MsgCreateQueue, one), row(protocol.MsgCreateContext, one),
+		row(protocol.MsgCreateProgram, one), row(protocol.MsgCreateBuffer, one)))
 
 	// One daemon for all inputs: its serve dispatcher, started by the first
 	// session's ServeOpen, lives as long as it does.
@@ -107,22 +137,6 @@ func FuzzSession(f *testing.F) {
 			}
 			data = rest
 			l.Send(t, class, 0, typ, body)
-			if class == protocol.ClassRequest && typ == protocol.MsgCreateBuffer {
-				// A buffer created with initial contents is the one request
-				// whose handler waits, for the stream that carries them: a
-				// client that never sends them wedges its own session. End
-				// the stream, as a client that gave up would.
-				r := protocol.NewReader(body)
-				r.U64()
-				r.U64()
-				r.U32()
-				r.I64()
-				if streamID := r.U32(); r.Err() == nil && streamID != 0 {
-					st := l.EP.Stream(streamID)
-					_ = st.CloseWrite() // fails only on a closed link
-					st.Release()
-				}
-			}
 		}
 		if st := l.Ask(t, 1, protocol.MsgGetServerInfo, nil); st != cl.Success {
 			t.Fatalf("GetServerInfo after the frames: %v", st)

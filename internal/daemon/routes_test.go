@@ -38,6 +38,17 @@ func sessionSamples() []rpctest.Sample {
 			protocol.PutEnqueue(w, protocol.Enqueue{QueueID: 0, EventID: 50 + uint64(cmd.Op), WaitIDs: []uint64{0}, Cmd: cmd})
 		}
 	}
+	// The one-way creates re-create an ID that exists, as re-attach recovery
+	// does; the one-way releases, last in the list, find theirs gone.
+	createContext := func(w *protocol.Writer) { w.U64(0); w.U64s([]uint64{0}) }
+	createBuffer := func(w *protocol.Writer) {
+		w.U64(0)
+		w.U64(0)
+		w.U32(uint32(cl.MemReadWrite))
+		w.I64(csSize)
+		w.U32(0)
+	}
+	createProgram := func(w *protocol.Writer) { w.U64(0); w.U64(0); w.String(fillSource) }
 	createKernel := func(w *protocol.Writer) { w.U64(0); w.U64(0); w.String("fill") }
 	setArg := func(w *protocol.Writer) {
 		protocol.PutSetKernelArg(w, protocol.SetKernelArg{KernelID: 0, Index: 0,
@@ -50,16 +61,14 @@ func sessionSamples() []rpctest.Sample {
 		{Type: protocol.MsgHello, Class: req, Setup: true, Fill: func(w *protocol.Writer) { w.String("sweep"); w.String("") }},
 		{Type: protocol.MsgAttachSession, Class: req, Fill: func(w *protocol.Writer) { w.U64(12345); w.String("sweep"); w.String("") }},
 		{Type: protocol.MsgGetServerInfo, Class: req},
-		{Type: protocol.MsgCreateContext, Class: req, Setup: true, Fill: func(w *protocol.Writer) { w.U64(0); w.U64s([]uint64{0}) }},
+		{Type: protocol.MsgCreateContext, Class: req, Setup: true, Fill: createContext},
+		{Type: protocol.MsgCreateContext, Class: one, Fill: createContext},
 		{Type: protocol.MsgCreateQueue, Class: req, Setup: true, Fill: u64s(0, 0, 0)},
-		{Type: protocol.MsgCreateBuffer, Class: req, Setup: true, Fill: func(w *protocol.Writer) {
-			w.U64(0)
-			w.U64(0)
-			w.U32(uint32(cl.MemReadWrite))
-			w.I64(csSize)
-			w.U32(0)
-		}},
-		{Type: protocol.MsgCreateProgram, Class: req, Setup: true, Fill: func(w *protocol.Writer) { w.U64(0); w.U64(0); w.String(fillSource) }},
+		{Type: protocol.MsgCreateQueue, Class: one, Fill: u64s(0, 0, 0)},
+		{Type: protocol.MsgCreateBuffer, Class: req, Setup: true, Fill: createBuffer},
+		{Type: protocol.MsgCreateBuffer, Class: one, Fill: createBuffer},
+		{Type: protocol.MsgCreateProgram, Class: req, Setup: true, Fill: createProgram},
+		{Type: protocol.MsgCreateProgram, Class: one, Fill: createProgram},
 		{Type: protocol.MsgBuildProgram, Class: req, Setup: true, Fill: func(w *protocol.Writer) { w.U64(0); w.String("") }},
 		{Type: protocol.MsgCreateKernel, Class: req, Setup: true, Fill: createKernel},
 		{Type: protocol.MsgCreateKernel, Class: one, Fill: createKernel},
@@ -108,9 +117,13 @@ func sessionSamples() []rpctest.Sample {
 		{Type: protocol.MsgReleaseEvent, Class: one, Fill: u64s(0)},
 		{Type: protocol.MsgReleaseKernel, Class: one, Fill: u64s(0)},
 		{Type: protocol.MsgReleaseProgram, Class: req, Fill: u64s(0)},
+		{Type: protocol.MsgReleaseProgram, Class: one, Fill: u64s(0)},
 		{Type: protocol.MsgReleaseBuffer, Class: req, Fill: u64s(0)},
+		{Type: protocol.MsgReleaseBuffer, Class: one, Fill: u64s(0)},
 		{Type: protocol.MsgReleaseQueue, Class: req, Fill: u64s(0)},
+		{Type: protocol.MsgReleaseQueue, Class: one, Fill: u64s(0)},
 		{Type: protocol.MsgReleaseContext, Class: req, Fill: u64s(0)},
+		{Type: protocol.MsgReleaseContext, Class: one, Fill: u64s(0)},
 		{Type: protocol.MsgGoodbye, Class: one},
 	}
 }

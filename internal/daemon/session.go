@@ -225,30 +225,33 @@ func (s *session) resolveWaits(ids []uint64) ([]cl.Event, error) {
 // run on the endpoint's dispatch goroutine, in arrival order; blocking
 // operations (Finish) spawn goroutines so the dispatcher stays responsive.
 //
-// The object plane is request/response. The command path is one-way only
-// — no response is synthesized, success is silent, failures are pushed
-// back as MsgCommandFailed notifications — and its dispatch order relative
-// to a later Finish request is what makes Finish a correct synchronization
-// point for the whole pipeline. Kernel creation, argument binding and
-// user-event status are served in both classes: the client compiles
-// programs locally (MiniCL is deterministic) and already has the argument
-// metadata a response would carry, so on the launch hot path they ride the
-// ordered one-way stream and cost no round trips; re-attach recovery and
-// user code use the request form.
+// The command path is one-way only — no response is synthesized, success is
+// silent, failures are pushed back as MsgCommandFailed notifications — and
+// its dispatch order relative to a later Finish request is what makes
+// Finish a correct synchronization point for the whole pipeline. Object
+// lifecycle (create and release of contexts, queues, buffers, programs and
+// kernels), argument binding and user-event status are served in both
+// classes by one handler each: the client assigns the IDs, checks what it
+// can itself and compiles programs locally (MiniCL is deterministic), so a
+// response would carry nothing it needs and the message rides the ordered
+// one-way stream ahead of every command that names the object; re-attach
+// recovery, which wants the answer, and user code use the request form.
+// Every failure exit of those handlers goes through fail, which answers a
+// request and notifies for a one-way frame.
 func (s *session) routes() rpc.Routes {
 	return rpc.Routes{
 		protocol.MsgHello:              {Request: s.handleHello},
 		protocol.MsgAttachSession:      {Request: s.handleAttachSession},
 		protocol.MsgGetServerInfo:      {Request: s.handleGetServerInfo},
-		protocol.MsgCreateContext:      {Request: s.handleCreateContext},
-		protocol.MsgReleaseContext:     {Request: releaser(s, &s.contexts)},
-		protocol.MsgCreateQueue:        {Request: s.handleCreateQueue},
-		protocol.MsgReleaseQueue:       {Request: releaser(s, &s.queues)},
-		protocol.MsgCreateBuffer:       {Request: s.handleCreateBuffer},
-		protocol.MsgReleaseBuffer:      {Request: releaser(s, &s.buffers)},
-		protocol.MsgCreateProgram:      {Request: s.handleCreateProgram},
+		protocol.MsgCreateContext:      {Request: s.handleCreateContext, OneWay: s.handleCreateContext},
+		protocol.MsgReleaseContext:     releaser(s, &s.contexts),
+		protocol.MsgCreateQueue:        {Request: s.handleCreateQueue, OneWay: s.handleCreateQueue},
+		protocol.MsgReleaseQueue:       releaser(s, &s.queues),
+		protocol.MsgCreateBuffer:       {Request: s.handleCreateBuffer, OneWay: s.handleCreateBuffer},
+		protocol.MsgReleaseBuffer:      releaser(s, &s.buffers),
+		protocol.MsgCreateProgram:      {Request: s.handleCreateProgram, OneWay: s.handleCreateProgram},
 		protocol.MsgBuildProgram:       {Request: s.handleBuildProgram},
-		protocol.MsgReleaseProgram:     {Request: releaser(s, &s.programs)},
+		protocol.MsgReleaseProgram:     releaser(s, &s.programs),
 		protocol.MsgCreateKernel:       {Request: s.handleCreateKernel, OneWay: s.handleCreateKernel},
 		protocol.MsgSetKernelArg:       {Request: s.handleSetKernelArg, OneWay: s.handleSetKernelArg},
 		protocol.MsgReleaseKernel:      {OneWay: s.handleReleaseKernel},
@@ -513,7 +516,7 @@ func (s *session) handleCreateContext(c rpc.Call) {
 		dev, ok := s.unitDevs[uint32(u)]
 		if !ok {
 			s.mu.Unlock()
-			c.Reply(cl.InvalidDevice, nil) // unknown device unit
+			s.fail(c, 0, 0, cl.Errf(cl.InvalidDevice, "unknown device unit %d", u))
 			return
 		}
 		devs = append(devs, dev)
@@ -521,7 +524,7 @@ func (s *session) handleCreateContext(c rpc.Call) {
 	s.mu.Unlock()
 	ctx, err := s.d.cfg.Platform.CreateContext(devs)
 	if err != nil {
-		c.Reply(cl.CodeOf(err), nil)
+		s.fail(c, 0, 0, err)
 		return
 	}
 	s.mu.Lock()
@@ -542,12 +545,12 @@ func (s *session) handleCreateQueue(c rpc.Call) {
 	dev := s.unitDevs[unitID]
 	s.mu.Unlock()
 	if ctx == nil || dev == nil {
-		c.Reply(cl.InvalidContext, nil) // unknown context or device
+		s.fail(c, 0, 0, cl.Errf(cl.InvalidContext, "unknown context %d or device unit %d", ctxID, unitID))
 		return
 	}
 	q, err := ctx.CreateQueue(dev)
 	if err != nil {
-		c.Reply(cl.CodeOf(err), nil)
+		s.fail(c, 0, 0, err)
 		return
 	}
 	put(s, s.queues, queueID, q)
@@ -563,19 +566,25 @@ func (s *session) handleCreateBuffer(c rpc.Call) {
 	if c.Malformed() {
 		return
 	}
+	if streamID != 0 {
+		// Contents are uploaded by coherence, on first use: a create never
+		// carries them, and the dispatcher never waits on a tenant's stream.
+		s.drainStream(streamID)
+		s.fail(c, 0, 0, cl.Errf(cl.InvalidValue, "buffer %d created with an init stream", bufID))
+		return
+	}
 	s.mu.Lock()
 	ctx := s.contexts[ctxID]
 	s.mu.Unlock()
 	if ctx == nil {
-		c.Reply(cl.InvalidContext, nil)
+		s.fail(c, 0, 0, cl.Errf(cl.InvalidContext, "unknown context %d", ctxID))
 		return
 	}
 	// The size comes off the wire: one no device of the context could hold
 	// is refused before anything that large is allocated for it.
 	fits := func(dev cl.Device) bool { return int64(size) <= dev.Info().MaxAllocSize }
 	if size <= 0 || !slices.ContainsFunc(ctx.Devices(), fits) {
-		s.drainStream(streamID)
-		c.Reply(cl.InvalidBufferSize, nil)
+		s.fail(c, 0, 0, cl.Errf(cl.InvalidBufferSize, "buffer %d of %d bytes fits no device of context %d", bufID, size, ctxID))
 		return
 	}
 	// Idempotent re-creation: the re-attach recovery replicates every
@@ -586,34 +595,13 @@ func (s *session) handleCreateBuffer(c rpc.Call) {
 	s.mu.Lock()
 	existing := s.buffers[bufID]
 	s.mu.Unlock()
-	if existing != nil && existing.Size() == size && streamID == 0 {
+	if existing != nil && existing.Size() == size {
 		c.Reply(cl.Success, nil)
 		return
 	}
-	var host []byte
-	if flags&cl.MemCopyHostPtr != 0 && streamID != 0 {
-		// Initial contents arrive on a gcf stream (the paper's synchronous
-		// request/response + bulk data pattern). CreateBuffer copies host
-		// into the backing store, so pooled staging is safe.
-		host = gcf.GetPayload(size)
-		gate, err := s.stage(streamID, host, nil)
-		if err == nil {
-			err = gate.Wait()
-		}
-		if err != nil {
-			gcf.PutPayload(host)
-			c.Reply(cl.InvalidValue, nil) // the initial contents never arrived
-			return
-		}
-	} else {
-		flags &^= cl.MemCopyHostPtr
-	}
-	buf, err := ctx.CreateBuffer(flags, size, host)
-	if host != nil {
-		gcf.PutPayload(host)
-	}
+	buf, err := ctx.CreateBuffer(flags&^cl.MemCopyHostPtr, size, nil)
 	if err != nil {
-		c.Reply(cl.CodeOf(err), nil)
+		s.fail(c, 0, 0, err)
 		return
 	}
 	s.mu.Lock()
@@ -633,12 +621,12 @@ func (s *session) handleCreateProgram(c rpc.Call) {
 	ctx := s.contexts[ctxID]
 	s.mu.Unlock()
 	if ctx == nil {
-		c.Reply(cl.InvalidContext, nil)
+		s.fail(c, 0, 0, cl.Errf(cl.InvalidContext, "unknown context %d", ctxID))
 		return
 	}
 	prog, err := ctx.CreateProgramWithSource(src)
 	if err != nil {
-		c.Reply(cl.CodeOf(err), nil)
+		s.fail(c, 0, 0, err)
 		return
 	}
 	put(s, s.programs, progID, prog)
@@ -813,10 +801,13 @@ func put[T interface{ Release() error }](s *session, table map[uint64]T, id uint
 	}
 }
 
-// releaser serves the Release request of one of the session's object
-// tables (named by address: re-attach swaps the maps themselves).
-func releaser[T interface{ Release() error }](s *session, table *map[uint64]T) func(rpc.Call) {
-	return func(c rpc.Call) {
+// releaser serves the Release of one of the session's object tables (named
+// by address: re-attach swaps the maps themselves), in both classes like
+// the creates: the client's rides the ordered one-way stream behind the
+// commands that use the object. Releasing an ID the table does not hold is
+// not an error.
+func releaser[T interface{ Release() error }](s *session, table *map[uint64]T) rpc.Route {
+	h := func(c rpc.Call) {
 		objID := c.Body.U64()
 		if c.Malformed() {
 			return
@@ -828,8 +819,13 @@ func releaser[T interface{ Release() error }](s *session, table *map[uint64]T) f
 			delete(*table, objID)
 		}
 		s.mu.Unlock()
-		c.Reply(cl.CodeOf(err), nil)
+		if err != nil {
+			s.fail(c, 0, 0, err)
+			return
+		}
+		c.Reply(cl.Success, nil)
 	}
+	return rpc.Route{Request: h, OneWay: h}
 }
 
 // handleReleaseKernel releases a kernel; it rides the ordered one-way

@@ -10,7 +10,10 @@ type MsgType uint16
 
 // Client ↔ daemon message types. Object IDs are allocated by the client
 // driver (stub IDs, Section III-D of the paper); the daemon maps them to
-// its native OpenCL objects.
+// its native OpenCL objects. That is why the Create* and Release*
+// messages need no answer: the client sends them one-way, ahead of the
+// commands that name the object on the same ordered connection, and only
+// re-attach recovery sends them as requests.
 const (
 	MsgHello MsgType = iota + 1
 	MsgCreateContext
@@ -235,7 +238,9 @@ func GetArgInfo(r *Reader) []kernel.ArgInfo {
 // daemon's deferred error report for a one-way command. QueueID lets the
 // client surface the failure at the queue's next synchronization point
 // (Finish); EventID, when nonzero, fails the command's client-side event
-// stub. Op records which operation failed, Status its OpenCL error code.
+// stub. Both zero: an object-plane message (create, release, argument
+// binding) failed, which the client reports at its next wait on the
+// daemon. Op records which operation failed, Status its OpenCL error code.
 type CommandFailure struct {
 	QueueID uint64
 	EventID uint64
