@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,6 +28,25 @@ func newControlWorld(t *testing.T) *ControlCluster {
 	}
 	t.Cleanup(cc.StopControl)
 	return cc
+}
+
+// dumpPartition prints both sides of the registration state: the devices
+// each live shard holds, and for each daemon the membership view it
+// partitions by and the units it believes each shard has of it. Where the
+// two disagree is where a partition that does not converge is stuck.
+func dumpPartition(cc *ControlCluster) string {
+	var b strings.Builder
+	for _, addr := range cc.AliveShards() {
+		if m := cc.Shard(addr).Manager(); m != nil {
+			fmt.Fprintf(&b, "shard %s holds %v\n", addr, m.DeviceIDs())
+		}
+	}
+	for _, addr := range cc.Addrs() {
+		if d := cc.Node(addr).Daemon(); d != nil {
+			fmt.Fprintf(&b, "daemon %s: %s\n", addr, d.ControlPlaneView())
+		}
+	}
+	return b.String()
 }
 
 // totalFree sums FreeDevices across the given shards.
@@ -101,7 +122,7 @@ func TestShardKillRehomesDevicesExactly(t *testing.T) {
 	// the shard the rendezvous hash names over the survivor set, and the
 	// survivors' combined holdings are the full fleet.
 	if !cc.WaitPartition(survivors, 15*time.Second) {
-		t.Fatalf("post-kill partition did not converge: want %v", cc.ExpectedPartition(survivors))
+		t.Fatalf("post-kill partition did not converge: want %v\n%s", cc.ExpectedPartition(survivors), dumpPartition(cc))
 	}
 	totalDevs := 0
 	for _, a := range survivors {

@@ -205,3 +205,88 @@ func TestPartitionedMandelbrotSurvivesKill(t *testing.T) {
 		t.Fatalf("scheduler reports only %d of %d items", total, p.Width*p.Height)
 	}
 }
+
+// A link blip straight after set-up: the daemon retains the session, but
+// creates are one-way, and the context and queue the client had just sent
+// may have died with the link. Re-attach sends both again whatever the
+// daemon says it retained (it keeps the ones it holds), so what the
+// application creates and runs next finds them. (Before it did, every run
+// of this ended in "CL_INVALID_CONTEXT: unknown context 1".)
+func TestBlipAfterPipelinedCreate(t *testing.T) {
+	for run := 0; run < 10; run++ {
+		cluster, err := NewCluster(Options{SessionRetain: time.Minute}, map[string][]device.Config{
+			"n0": {device.TestCPU("cpu-n0")},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plat := cluster.NewPlatform(0, 0)
+		srv, err := plat.ConnectServer("n0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs, err := plat.Devices(cl.DeviceTypeAll)
+		if err != nil || len(devs) != 1 {
+			t.Fatalf("devices: %v %v", devs, err)
+		}
+		ctx, err := plat.CreateContext(devs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := ctx.CreateQueue(devs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cluster.SeverClientLink("n0")
+		waitDown(t, srv)
+		cluster.HealClientLink("n0")
+		if retained, err := srv.Reattach(); err != nil || !retained {
+			t.Fatalf("run %d: reattach after the blip: retained=%v, %v", run, retained, err)
+		}
+		prog, err := ctx.CreateProgramWithSource(scaleSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := prog.Build(nil, ""); err != nil {
+			t.Fatalf("run %d: Build after the blip: %v", run, err)
+		}
+		k, err := prog.CreateKernel("scale")
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 16
+		data := make([]byte, 4*n)
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint32(data[4*i:], math.Float32bits(float32(i)))
+		}
+		buf, err := ctx.CreateBuffer(cl.MemReadWrite, len(data), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range []any{buf, float32(2), int32(n)} {
+			if err := k.SetArg(i, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := q.EnqueueWriteBuffer(buf, false, 0, data, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.EnqueueNDRangeKernel(k, []int{n}, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(data))
+		if _, err := q.EnqueueReadBuffer(buf, true, 0, got, nil); err != nil {
+			t.Fatalf("run %d: read after the blip: %v", run, err)
+		}
+		for i := 0; i < n; i++ {
+			if v := math.Float32frombits(binary.LittleEndian.Uint32(got[4*i:])); v != float32(2*i) {
+				t.Fatalf("run %d: data[%d] = %v, want %v", run, i, v, 2*i)
+			}
+		}
+		if err := q.Finish(); err != nil {
+			t.Fatalf("run %d: Finish: %v", run, err)
+		}
+		plat.Close()
+		cluster.Kill("n0")
+	}
+}

@@ -229,18 +229,18 @@ func (c *Context) liveBuffers() []*Buffer {
 }
 
 // resyncServer reconciles this context's remote objects on srv after a
-// re-attach. Buffers, programs (with their builds) and kernels are
-// replicated in BOTH modes, because each of those creation paths skips
-// dead servers — an object created during the outage is missing even
-// from a retained session. Replication is idempotent against a retained
-// session: an existing daemon buffer of the same size keeps its
-// contents, programs/kernels are overwritten and the kernels' argument
-// bindings replayed. Contexts and queues cannot be created while a
-// participating server is down (those paths stay strict), so they only
-// need re-creation when the daemon lost everything (unretained).
-// Directory restoration for retained sessions happens separately, after
-// the server is marked connected again (Platform.restoreDirectories).
-func (c *Context) resyncServer(srv *Server, retained bool) error {
+// re-attach: everything is replicated in BOTH modes, in request class —
+// this is the one place the client asks and waits for each object. A
+// retained session may still miss any of them: creates are one-way and
+// the last ones sent may have died with the link, and buffers, programs
+// (with their builds) and kernels made during the outage skipped the dead
+// server. Replication is idempotent against a retained session: a context
+// or queue the daemon holds is kept, an existing daemon buffer of the same
+// size keeps its contents, programs/kernels are overwritten and the
+// kernels' argument bindings replayed. Directory restoration for retained
+// sessions happens separately, after the server is marked connected again
+// (Platform.restoreDirectories).
+func (c *Context) resyncServer(srv *Server) error {
 	rid, err := c.remoteContextID(srv)
 	if err != nil {
 		return err
@@ -249,25 +249,24 @@ func (c *Context) resyncServer(srv *Server, retained bool) error {
 	progs := append([]*Program(nil), c.progs...)
 	queues := append([]*Queue(nil), c.queues...)
 	c.mu.Unlock()
-	if !retained {
-		var units []uint64
-		for _, d := range c.devices {
-			if d.srv == srv {
-				units = append(units, uint64(d.unitID))
-			}
+	var units []uint64
+	for _, d := range c.devices {
+		if d.srv == srv {
+			units = append(units, uint64(d.unitID))
 		}
-		if _, err := srv.call(protocol.MsgCreateContext, contextBody(rid, units)); err != nil {
-			return err
-		}
+	}
+	if _, err := srv.call(protocol.MsgCreateContext, contextBody(rid, units)); err != nil {
+		return err
 	}
 	for _, b := range c.liveBuffers() {
 		if _, err := srv.call(protocol.MsgCreateBuffer, bufferBody(b.id, rid, b.flags, b.size)); err != nil {
 			return err
 		}
 	}
+	var built []*Program
 	for _, p := range progs {
 		p.mu.Lock()
-		released, built, opts := p.released, p.built, p.buildOpts
+		released, isBuilt, opts := p.released, p.local != nil, p.buildOpts
 		p.mu.Unlock()
 		if released {
 			continue
@@ -275,7 +274,7 @@ func (c *Context) resyncServer(srv *Server, retained bool) error {
 		if _, err := srv.call(protocol.MsgCreateProgram, programBody(p.id, rid, p.src)); err != nil {
 			return err
 		}
-		if !built {
+		if !isBuilt {
 			continue
 		}
 		if _, err := srv.call(protocol.MsgBuildProgram, func(w *protocol.Writer) {
@@ -284,24 +283,17 @@ func (c *Context) resyncServer(srv *Server, retained bool) error {
 		}); err != nil {
 			return err
 		}
+		built = append(built, p)
 	}
-	if !retained {
-		for _, q := range queues {
-			if q.srv != srv || q.isReleased() {
-				continue
-			}
-			if _, err := srv.call(protocol.MsgCreateQueue, queueBody(q.id, rid, q.dev.unitID)); err != nil {
-				return err
-			}
-		}
-	}
-	for _, p := range progs {
-		p.mu.Lock()
-		released, built := p.released, p.built
-		p.mu.Unlock()
-		if released || !built {
+	for _, q := range queues {
+		if q.srv != srv || q.isReleased() {
 			continue
 		}
+		if _, err := srv.call(protocol.MsgCreateQueue, queueBody(q.id, rid, q.dev.unitID)); err != nil {
+			return err
+		}
+	}
+	for _, p := range built {
 		for _, k := range p.liveKernels() {
 			if _, err := srv.call(protocol.MsgCreateKernel, func(w *protocol.Writer) {
 				w.U64(k.id)
@@ -413,7 +405,7 @@ func (c *Context) CreateProgramWithSource(src string) (cl.Program, error) {
 	if src == "" {
 		return nil, cl.Errf(cl.InvalidValue, "empty program source")
 	}
-	p := &Program{ctx: c, id: c.plat.newID(), src: src, buildLogs: map[string]string{}}
+	p := &Program{ctx: c, id: c.plat.newID(), src: src}
 	for _, srv := range c.servers {
 		// Dead servers are skipped (re-created by the re-attach recovery).
 		if !srv.Connected() {
@@ -485,30 +477,15 @@ type Program struct {
 	id  uint64
 	src string
 
-	mu        sync.Mutex
-	built     bool
+	mu sync.Mutex
+	// local is the client's own compile of src, set by a successful Build
+	// (nil: not built). MiniCL compilation is deterministic, so it is what
+	// the daemons build: kernel names and argument metadata, no round trip.
+	local     *kernel.Program
 	buildOpts string
-	buildLogs map[string]string
+	buildLog  string    // the client's compiler's verdict: every server's log
 	kernels   []*Kernel // live kernels, for re-attach recovery
 	released  bool
-
-	localOnce sync.Once
-	local     *kernel.Program
-	localErr  error
-}
-
-// localProgram compiles the program source in-process, once. MiniCL
-// compilation is deterministic, so the result matches the objects the
-// daemons built from the same source; it supplies kernel argument
-// metadata without a network round trip.
-func (p *Program) localProgram() (*kernel.Program, error) {
-	p.localOnce.Do(func() {
-		p.local, p.localErr = kernel.Compile(p.src)
-	})
-	if p.localErr != nil {
-		return nil, cl.Errf(cl.BuildProgramFailure, "%v", p.localErr)
-	}
-	return p.local, nil
 }
 
 var _ cl.Program = (*Program)(nil)
@@ -516,63 +493,55 @@ var _ cl.Program = (*Program)(nil)
 // Source returns the program source.
 func (p *Program) Source() string { return p.src }
 
-// Build replicates clBuildProgram to every participating server, asking
-// all of them before it waits for any: N daemons compile side by side.
-// Dead servers are skipped — the re-attach recovery rebuilds there — so one
-// lost daemon does not block compilation on the survivors. The wait is
-// also where a daemon's refusal of a pipelined create (this program's, or
-// its context's) is reported, in place of the build failure that follows
-// from it.
+// Build replicates clBuildProgram to every participating server without
+// waiting for any. The verdict is the client's own compile, through the
+// process's program cache (kernel.Shared): a source that does not compile
+// fails here, the compiler's message being every server's build log, as
+// each daemon would have answered. The daemons are told one-way, ahead of
+// the kernels and launches that need the build; one that disagrees (it
+// never got the program, say) reports it like a refused create, once, at
+// the next wait on it. Dead servers are skipped: re-attach rebuilds there.
 func (p *Program) Build(devices []cl.Device, options string) error {
-	var live []*Server
+	local, err := kernel.Shared(p.src)
+	if err != nil {
+		p.mu.Lock()
+		p.buildLog = err.Error()
+		p.mu.Unlock()
+		return cl.Errf(cl.BuildProgramFailure, "%v", err)
+	}
+	told := false
 	for _, srv := range p.ctx.servers {
-		if srv.Connected() {
-			live = append(live, srv)
+		if !srv.Connected() {
+			continue
 		}
-	}
-	logs, errs := make([]string, len(live)), make([]error, len(live))
-	var wg sync.WaitGroup
-	for i, srv := range live {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := srv.call(protocol.MsgBuildProgram, func(w *protocol.Writer) {
-				w.U64(p.id)
-				w.String(options)
-			})
-			if resp != nil {
-				logs[i] = resp.String()
+		if err := srv.send(protocol.MsgBuildProgram, func(w *protocol.Writer) {
+			w.U64(p.id)
+			w.String(options)
+		}); err != nil {
+			if !srv.Connected() {
+				continue
 			}
-			if serr := srv.takeSessionError(); serr != nil {
-				err = serr
-			}
-			errs[i] = err
-		}()
-	}
-	wg.Wait()
-	var firstErr error
-	built := false
-	for i, srv := range live {
-		if errs[i] != nil && firstErr == nil && srv.Connected() {
-			firstErr = errs[i]
+			return err
 		}
-		if errs[i] == nil {
-			built = true
-		}
+		told = true
 	}
-	if firstErr == nil && !built {
-		firstErr = cl.Errf(cl.ServerLost, "no connected server to build program")
+	if !told {
+		return cl.Errf(cl.ServerLost, "no connected server to build program")
 	}
 	p.mu.Lock()
-	for i, srv := range live {
-		p.buildLogs[srv.addr] = logs[i]
-	}
-	if firstErr == nil {
-		p.built = true
-		p.buildOpts = options
-	}
+	p.local, p.buildOpts, p.buildLog = local, options, "build succeeded"
 	p.mu.Unlock()
-	return firstErr
+	return nil
+}
+
+// built returns the client's compile of a built program.
+func (p *Program) built() (*kernel.Program, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.local == nil {
+		return nil, cl.Errf(cl.InvalidProgramExec, "program not built")
+	}
+	return p.local, nil
 }
 
 // forgetKernel drops a released kernel from the recovery registry.
@@ -598,27 +567,21 @@ func (p *Program) liveKernels() []*Kernel {
 	return out
 }
 
-// BuildLog returns the build log of the server hosting d.
+// BuildLog returns the build log of the server hosting d: the client's
+// compiler's, whichever server that is.
 func (p *Program) BuildLog(d cl.Device) string {
-	cd, ok := d.(*Device)
-	if !ok {
+	if _, ok := d.(*Device); !ok {
 		return ""
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.buildLogs[cd.srv.addr]
+	return p.buildLog
 }
 
-// KernelNames lists kernels by compiling locally (the source is the
-// single source of truth and MiniCL compilation is deterministic).
+// KernelNames lists kernels from the client's own compile (the source is
+// the single source of truth and MiniCL compilation is deterministic).
 func (p *Program) KernelNames() ([]string, error) {
-	p.mu.Lock()
-	built := p.built
-	p.mu.Unlock()
-	if !built {
-		return nil, cl.Errf(cl.InvalidProgramExec, "program not built")
-	}
-	prog, err := p.localProgram()
+	prog, err := p.built()
 	if err != nil {
 		return nil, err
 	}
@@ -633,13 +596,7 @@ func (p *Program) KernelNames() ([]string, error) {
 // latency on that hot path. Daemon-side failures (an unknown program
 // after a lost re-attach, say) surface at the next wait on that server.
 func (p *Program) CreateKernel(name string) (cl.Kernel, error) {
-	p.mu.Lock()
-	built := p.built
-	p.mu.Unlock()
-	if !built {
-		return nil, cl.Errf(cl.InvalidProgramExec, "program not built")
-	}
-	lp, err := p.localProgram()
+	lp, err := p.built()
 	if err != nil {
 		return nil, err
 	}

@@ -188,30 +188,73 @@ func TestDeferredCreateFailureSurfacesAtNextWait(t *testing.T) {
 		}
 	})
 
-	// A context ID the daemon does not know, first waited on by Build.
-	t.Run("unknown context, Build", func(t *testing.T) {
+	// refusedBuild runs what an application does around a Build the daemons
+	// cannot do — because the program's create was refused, or because they
+	// do not know the program: Build itself does not wait and reports only
+	// the client's own verdict, the kernel and its launch fail on the daemon
+	// without panic or hang, and the first refusal is reported once, under
+	// its own code and text, by the blocking read that follows.
+	refusedBuild := func(t *testing.T, sabotage func(*Context, *Server) cl.Program, code cl.ErrorCode, op, text string) {
 		plat, srv, dev := lifecycleWorld(t)
 		cctx, err := plat.CreateContext([]cl.Device{dev})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx := cctx.(*Context)
-		rid := ctx.remoteIDs[srv]
-		ctx.remoteIDs[srv] = 0xdead
-		prog, err := ctx.CreateProgramWithSource(incSource)
+		q, err := ctx.CreateQueue(dev)
 		if err != nil {
-			t.Fatalf("a refusal only the daemon can make came back from the create call: %v", err)
+			t.Fatal(err)
 		}
+		good, err := ctx.CreateBuffer(cl.MemReadWrite, 4096, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.EnqueueWriteBuffer(good, false, 0, make([]byte, 4096), nil); err != nil {
+			t.Fatal(err)
+		}
+		// What the doomed launch would write: a failed launch leaves no
+		// valid copy of it.
+		scratch, err := ctx.CreateBuffer(cl.MemReadWrite, 64, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := sabotage(ctx, srv)
 		within(t, "Build", func() { err = prog.Build(nil, "") })
-		wantRefusal(t, "Build of the refused program", err, cl.InvalidContext, "unknown context 57005")
-		if !strings.Contains(err.Error(), "CreateProgram") {
-			t.Fatalf("the error does not name the create: %v", err)
+		if err != nil {
+			t.Fatalf("Build = %v: a refusal only the daemon can make came back from a call that does not wait", err)
 		}
-		// The second Build fails on its own account: the program is missing.
-		if err := prog.Build(nil, ""); cl.CodeOf(err) != cl.InvalidProgram {
-			t.Fatalf("second Build = %v, want its own InvalidProgram", err)
+		k, err := prog.CreateKernel("inc")
+		if err != nil {
+			t.Fatal(err)
 		}
-		ctx.remoteIDs[srv] = rid
+		if err := k.SetArg(0, scratch); err != nil {
+			t.Fatal(err)
+		}
+		launch, err := q.EnqueueNDRangeKernel(k, []int{16}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]byte, 4096)
+		within(t, "the blocking read", func() { _, err = q.EnqueueReadBuffer(good, true, 0, out, nil) })
+		wantRefusal(t, "blocking read after the refused build", err, code, text)
+		if !strings.Contains(err.Error(), op) {
+			t.Fatalf("the error does not name %s: %v", op, err)
+		}
+		if st := launch.Status(); st >= 0 {
+			within(t, "the dependent launch's event", func() { _ = settle(launch) })
+		}
+		if st := launch.Status(); st >= 0 {
+			t.Fatalf("the launch of a kernel the daemon never made has status %v", st)
+		}
+		// What is left is the launch's own failure, on the queue; then the
+		// server is clean.
+		within(t, "Finish", func() { err = q.Finish() })
+		if err == nil || cl.CodeOf(err) == code && strings.Contains(err.Error(), text) {
+			t.Fatalf("Finish after the refusal was reported = %v, want the launch's failure", err)
+		}
+		if err := q.Finish(); err != nil {
+			t.Fatalf("second Finish: %v", err)
+		}
 		prog2, err := ctx.CreateProgramWithSource(incSource)
 		if err != nil {
 			t.Fatal(err)
@@ -219,6 +262,51 @@ func TestDeferredCreateFailureSurfacesAtNextWait(t *testing.T) {
 		if err := prog2.Build(nil, ""); err != nil {
 			t.Fatalf("Build on the clean server: %v", err)
 		}
+		k2, err := prog2.CreateKernel("inc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k2.SetArg(0, good); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.EnqueueNDRangeKernel(k2, []int{16}, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.EnqueueReadBuffer(good, true, 0, out, nil); err != nil {
+			t.Fatalf("blocking read on the clean server: %v", err)
+		}
+		if out[0] != 1 || out[60] != 1 || out[64] != 0 {
+			t.Fatalf("kernel on the clean server wrote %v %v %v", out[0], out[60], out[64])
+		}
+	}
+
+	// A context ID the daemon does not know, under a program that is then
+	// built: the create's refusal is the one reported, not the InvalidProgram
+	// of the build that follows from it.
+	t.Run("unknown context, Build", func(t *testing.T) {
+		refusedBuild(t, func(ctx *Context, srv *Server) cl.Program {
+			rid := ctx.remoteIDs[srv]
+			ctx.remoteIDs[srv] = 0xdead
+			prog, err := ctx.CreateProgramWithSource(incSource)
+			if err != nil {
+				t.Fatalf("a refusal only the daemon can make came back from the create call: %v", err)
+			}
+			ctx.remoteIDs[srv] = rid
+			return prog
+		}, cl.InvalidContext, "CreateProgram", "unknown context 57005")
+	})
+
+	// The mirror: the create was fine, the one-way Build names a program the
+	// daemon does not know.
+	t.Run("unknown program, Build", func(t *testing.T) {
+		refusedBuild(t, func(ctx *Context, srv *Server) cl.Program {
+			prog, err := ctx.CreateProgramWithSource(incSource)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog.(*Program).id = 0xbeef
+			return prog
+		}, cl.InvalidProgram, "BuildProgram", "unknown program 48879")
 	})
 
 	// The same refusal, first waited on by an event, then by nothing: Finish

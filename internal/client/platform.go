@@ -242,9 +242,9 @@ func (p *Platform) serverLost(srv *Server) {
 // re-attached daemon (see Context.resyncServer). It runs BEFORE the
 // server is marked connected: a half-recovered daemon must stay down and
 // retryable.
-func (p *Platform) serverReattached(srv *Server, retained bool) error {
+func (p *Platform) serverReattached(srv *Server) error {
 	for _, c := range p.contextsOf(srv) {
-		if err := c.resyncServer(srv, retained); err != nil {
+		if err := c.resyncServer(srv); err != nil {
 			return err
 		}
 	}

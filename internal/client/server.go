@@ -14,11 +14,12 @@
 //     completed on notification (Section III-D);
 //   - a pipelined object plane as well as a pipelined command plane: stub
 //     IDs are the client's, so creates and releases are one-way sends
-//     (Server.send) and only what the application asks for — a build's
-//     verdict, a finished queue — is a round trip (Server.call). What the
-//     client can check about a create it reports from the create call; a
-//     daemon's refusal is reported once by the next call that waits on
-//     that server (Server.takeSessionError);
+//     (Server.send), so is a build — its verdict is the client's own
+//     compile (kernel.Shared) — and only what the application waits for,
+//     data or a finished queue, is a round trip (Server.call). What the
+//     client can check it reports from the call itself; a daemon's
+//     refusal is reported once by the next call that waits on that
+//     server (Server.takeSessionError);
 //   - the connection API extension (clConnectServerWWU et al.), the server
 //     configuration file, and device-manager assignment requests
 //     (Section IV-B).
@@ -467,9 +468,9 @@ func (s *Server) takeQueueError(queueID uint64) error {
 // takeSessionError removes the deferred queue-less one-way failures
 // (pipelined object-plane messages) and returns the first, if any: the one
 // the later ones follow from. Every call that waits on the server consults
-// it — Program.Build, a blocking read or write, Event.Wait, Queue.Finish —
-// so the application sees a refused create under its own code and message
-// at its next synchronization point, once.
+// it — a blocking read or write, Event.Wait, Queue.Finish — so the
+// application sees a refused create or build under its own code and
+// message at its next synchronization point, once.
 func (s *Server) takeSessionError() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -563,9 +564,10 @@ func (s *Server) disconnect() {
 // session's state:
 //
 //   - retained (the connection blipped but the daemon kept the session
-//     within its retention window): every remote object is still alive,
-//     and buffer ranges recorded as Lost from this server are restored —
-//     the bytes never left the daemon;
+//     within its retention window): every remote object it got is still
+//     alive (a pipelined create that died with the link is made now), and
+//     buffer ranges recorded as Lost from this server are restored — the
+//     bytes never left the daemon;
 //   - not retained (daemon restarted, or the session expired): the client
 //     re-creates its remote objects (contexts, buffers, programs, kernels,
 //     queues) under their original IDs; buffers start Invalid here, so
@@ -641,7 +643,7 @@ func (s *Server) Reattach() (retained bool, err error) {
 	// half-recovered server (some objects missing on the daemon) must
 	// stay down and retryable — once connected, Reattach refuses to run
 	// again until the connection dies.
-	if err := s.plat.serverReattached(s, retained); err != nil {
+	if err := s.plat.serverReattached(s); err != nil {
 		ep.Close()
 		return retained, err
 	}

@@ -291,6 +291,7 @@ type shardLink struct {
 	addr  string
 	conn  *rpc.Conn
 	units []uint32 // sorted
+	down  bool     // the connection has died (guarded by controlPlane.mu)
 }
 
 // JoinControlPlane starts the daemon's membership in a sharded control
@@ -322,10 +323,26 @@ func (d *Daemon) JoinControlPlane(cfg ControlPlaneConfig) (stop func(), err erro
 		stop:   make(chan struct{}),
 	}
 	sort.Strings(cp.shards)
+	d.cp.Store(cp)
 	go cp.loop()
 	cp.poke()
 	return cp.close, nil
 }
+
+// ControlPlaneView prints this daemon's side of a sharded control plane:
+// the membership view it partitions its devices by, and the units it
+// believes each shard has a registration of.
+func (d *Daemon) ControlPlaneView() string {
+	cp := d.cp.Load()
+	if cp == nil {
+		return "not joined"
+	}
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	return fmt.Sprintf("epoch %d, shards %v, registered %v", cp.epoch, cp.shards, cp.links)
+}
+
+func (l *shardLink) String() string { return fmt.Sprint(l.units) }
 
 func (cp *controlPlane) poke() {
 	select {
@@ -457,6 +474,7 @@ func (cp *controlPlane) register(addr string, units []uint32) bool {
 	link := &shardLink{addr: addr, units: units}
 	c, err := cp.d.attachManagerConn(conn, cp.cfg.SelfAddr, units, cp.noteView, func() {
 		cp.mu.Lock()
+		link.down = true
 		if cp.links[addr] == link {
 			delete(cp.links, addr)
 		}
@@ -469,8 +487,12 @@ func (cp *controlPlane) register(addr string, units []uint32) bool {
 	}
 	link.conn = c
 	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	if link.down {
+		// Its close notice found nothing to forget: recorded now, it stays.
+		return false
+	}
 	cp.links[addr] = link
-	cp.mu.Unlock()
 	return true
 }
 

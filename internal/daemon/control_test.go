@@ -251,3 +251,51 @@ func TestRevokeIsPassedOnToOtherShards(t *testing.T) {
 		t.Fatalf("the revoking shard was sent type=%s class=%d", env.Type, env.Class)
 	}
 }
+
+// A shard that drops a registration the moment it has answered it (its
+// own close notice for the daemon's previous link took the new one too,
+// say, or it died): whichever comes first on the daemon — the registration
+// returning or the link's close notice — the daemon knows the link is gone
+// and registers again. The notice used to find no link to forget when it
+// came first, and the dead link was then recorded as a registration, for
+// good.
+func TestLinkLostRightAfterRegistrationIsNoticed(t *testing.T) {
+	d := testDaemon(t, true)
+	registered := make(chan struct{}, 1)
+	dial := func(string) (net.Conn, error) {
+		a, b := simnet.Pipe(simnet.Unlimited())
+		ep := gcf.NewEndpoint(b, false)
+		ep.Start(func(msg []byte) {
+			env, err := protocol.ParseEnvelope(msg)
+			if err != nil {
+				t.Errorf("daemon sent a malformed frame: %v", err)
+				return
+			}
+			w := protocol.NewWriter()
+			w.I32(int32(cl.Success))
+			switch env.Type {
+			case protocol.MsgDMShardMap: // asked after a registration that failed
+				protocol.ShardMap{Epoch: 1, Shards: []string{"shard"}}.Put(w)
+				_ = ep.Send(protocol.EncodeEnvelope(protocol.ClassResponse, env.ID, env.Type, w))
+			case protocol.MsgDMRegisterServer:
+				_ = ep.Send(protocol.EncodeEnvelope(protocol.ClassResponse, env.ID, env.Type, w))
+				go ep.Close()
+				registered <- struct{}{}
+			}
+		}, nil)
+		return a, nil
+	}
+	stop, err := d.JoinControlPlane(ControlPlaneConfig{Dial: dial, Seeds: []string{"shard"}, SelfAddr: "node",
+		RetryMin: time.Millisecond, RetryMax: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	for i := 0; i < 500; i++ {
+		select {
+		case <-registered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("after %d registrations, each dropped at once, the daemon stopped registering: %s", i, d.ControlPlaneView())
+		}
+	}
+}

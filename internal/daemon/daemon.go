@@ -84,6 +84,7 @@ type Daemon struct {
 	// IDs they don't hold).
 	dmMu sync.Mutex
 	dms  map[*rpc.Conn]bool
+	cp   atomic.Pointer[controlPlane] // set by JoinControlPlane
 
 	// graphCount tracks cached command graphs across all sessions, for
 	// observability and the session-teardown hygiene tests.

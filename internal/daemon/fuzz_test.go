@@ -104,6 +104,21 @@ func FuzzSession(f *testing.F) {
 		named(protocol.MsgReleaseBuffer, 5),
 		named(protocol.MsgReleaseProgram, 99), named(protocol.MsgReleaseQueue, 99), named(protocol.MsgReleaseContext, 99),
 	))
+	// One-way builds, and what a client that did not wait sends behind each:
+	// of a program that exists, of one that does not, and of one whose source
+	// does not compile (a client's own compiler would have refused it).
+	program := func(id uint64, src string) rpctest.Sample {
+		return rpctest.Sample{Type: protocol.MsgCreateProgram, Class: one, Fill: func(w *protocol.Writer) { w.U64(id); w.U64(0); w.String(src) }}
+	}
+	buildOf := func(id uint64) rpctest.Sample {
+		return rpctest.Sample{Type: protocol.MsgBuildProgram, Class: one, Fill: func(w *protocol.Writer) { w.U64(id); w.String("") }}
+	}
+	kernelOf := func(prog uint64) rpctest.Sample {
+		return rpctest.Sample{Type: protocol.MsgCreateKernel, Class: one, Fill: func(w *protocol.Writer) { w.U64(0); w.U64(prog); w.String("fill") }}
+	}
+	f.Add(frames(row(protocol.MsgBuildProgram, one), kernelOf(0), row(protocol.MsgEnqueueKernel, one)))
+	f.Add(frames(buildOf(99), kernelOf(99), row(protocol.MsgEnqueueKernel, one)))
+	f.Add(frames(program(7, "kernel void fill(global int* p) { p[0] = }"), buildOf(7), kernelOf(7), row(protocol.MsgEnqueueKernel, one)))
 	// One-way creates under IDs that exist, a queue with commands behind it
 	// among them.
 	f.Add(frames(parked, row(protocol.MsgCreateQueue, one), row(protocol.MsgCreateContext, one),

@@ -49,6 +49,7 @@ func sessionSamples() []rpctest.Sample {
 		w.U32(0)
 	}
 	createProgram := func(w *protocol.Writer) { w.U64(0); w.U64(0); w.String(fillSource) }
+	build := func(w *protocol.Writer) { w.U64(0); w.String("") }
 	createKernel := func(w *protocol.Writer) { w.U64(0); w.U64(0); w.String("fill") }
 	setArg := func(w *protocol.Writer) {
 		protocol.PutSetKernelArg(w, protocol.SetKernelArg{KernelID: 0, Index: 0,
@@ -69,7 +70,8 @@ func sessionSamples() []rpctest.Sample {
 		{Type: protocol.MsgCreateBuffer, Class: one, Fill: createBuffer},
 		{Type: protocol.MsgCreateProgram, Class: req, Setup: true, Fill: createProgram},
 		{Type: protocol.MsgCreateProgram, Class: one, Fill: createProgram},
-		{Type: protocol.MsgBuildProgram, Class: req, Setup: true, Fill: func(w *protocol.Writer) { w.U64(0); w.String("") }},
+		{Type: protocol.MsgBuildProgram, Class: req, Setup: true, Fill: build},
+		{Type: protocol.MsgBuildProgram, Class: one, Fill: build},
 		{Type: protocol.MsgCreateKernel, Class: req, Setup: true, Fill: createKernel},
 		{Type: protocol.MsgCreateKernel, Class: one, Fill: createKernel},
 		{Type: protocol.MsgSetKernelArg, Class: req, Setup: true, Fill: setArg},

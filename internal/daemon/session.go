@@ -230,13 +230,14 @@ func (s *session) resolveWaits(ids []uint64) ([]cl.Event, error) {
 // its dispatch order relative to a later Finish request is what makes
 // Finish a correct synchronization point for the whole pipeline. Object
 // lifecycle (create and release of contexts, queues, buffers, programs and
-// kernels), argument binding and user-event status are served in both
-// classes by one handler each: the client assigns the IDs, checks what it
-// can itself and compiles programs locally (MiniCL is deterministic), so a
-// response would carry nothing it needs and the message rides the ordered
-// one-way stream ahead of every command that names the object; re-attach
-// recovery, which wants the answer, and user code use the request form.
-// Every failure exit of those handlers goes through fail, which answers a
+// kernels), program build, argument binding and user-event status are
+// served in both classes by one handler each: the client assigns the IDs,
+// checks what it can itself and compiles programs locally (MiniCL is
+// deterministic: its verdict on a build is the daemon's), so a response
+// would carry nothing it needs and the message rides the ordered one-way
+// stream ahead of every command that names the object; re-attach recovery
+// and user code, which want the answer, use the request form. Every
+// failure exit of those handlers goes through fail, which answers a
 // request and notifies for a one-way frame.
 func (s *session) routes() rpc.Routes {
 	return rpc.Routes{
@@ -250,7 +251,7 @@ func (s *session) routes() rpc.Routes {
 		protocol.MsgCreateBuffer:       {Request: s.handleCreateBuffer, OneWay: s.handleCreateBuffer},
 		protocol.MsgReleaseBuffer:      releaser(s, &s.buffers),
 		protocol.MsgCreateProgram:      {Request: s.handleCreateProgram, OneWay: s.handleCreateProgram},
-		protocol.MsgBuildProgram:       {Request: s.handleBuildProgram},
+		protocol.MsgBuildProgram:       {Request: s.handleBuildProgram, OneWay: s.handleBuildProgram},
 		protocol.MsgReleaseProgram:     releaser(s, &s.programs),
 		protocol.MsgCreateKernel:       {Request: s.handleCreateKernel, OneWay: s.handleCreateKernel},
 		protocol.MsgSetKernelArg:       {Request: s.handleSetKernelArg, OneWay: s.handleSetKernelArg},
@@ -521,7 +522,14 @@ func (s *session) handleCreateContext(c rpc.Call) {
 		}
 		devs = append(devs, dev)
 	}
+	_, held := s.contexts[ctxID]
 	s.mu.Unlock()
+	if held {
+		// Idempotent, as for buffers below: re-attach cannot know whether a
+		// one-way create reached a retained session. Kept, contents and all.
+		c.Reply(cl.Success, nil)
+		return
+	}
 	ctx, err := s.d.cfg.Platform.CreateContext(devs)
 	if err != nil {
 		s.fail(c, 0, 0, err)
@@ -543,9 +551,15 @@ func (s *session) handleCreateQueue(c rpc.Call) {
 	s.mu.Lock()
 	ctx := s.contexts[ctxID]
 	dev := s.unitDevs[unitID]
+	_, held := s.queues[queueID]
 	s.mu.Unlock()
 	if ctx == nil || dev == nil {
 		s.fail(c, 0, 0, cl.Errf(cl.InvalidContext, "unknown context %d or device unit %d", ctxID, unitID))
+		return
+	}
+	if held {
+		// Kept, and the commands behind it with it (see handleCreateContext).
+		c.Reply(cl.Success, nil)
 		return
 	}
 	q, err := ctx.CreateQueue(dev)
@@ -643,16 +657,11 @@ func (s *session) handleBuildProgram(c rpc.Call) {
 	prog := s.programs[progID]
 	s.mu.Unlock()
 	if prog == nil {
-		c.Reply(cl.InvalidProgram, nil)
+		s.fail(c, 0, 0, cl.Errf(cl.InvalidProgram, "unknown program %d", progID))
 		return
 	}
 	if err := prog.Build(nil, options); err != nil {
-		// Carry the build log in the error response body.
-		logText := ""
-		if len(s.d.devices) > 0 {
-			logText = prog.BuildLog(s.d.devices[0])
-		}
-		c.Reply(cl.CodeOf(err), func(w *protocol.Writer) { w.String(logText) })
+		s.fail(c, 0, 0, err)
 		return
 	}
 	c.Reply(cl.Success, func(w *protocol.Writer) { w.String("build succeeded") })
@@ -787,8 +796,7 @@ func (s *session) handleSetUserEventStatus(c rpc.Call) {
 
 // put stores obj under id and releases the object it displaces, if any:
 // re-attach recovery re-creates every live program and kernel under its
-// ID, and nothing else would ever release the replaced native object — or
-// stop a replaced queue's executor.
+// ID, and nothing else would ever release the replaced native object.
 func put[T interface{ Release() error }](s *session, table map[uint64]T, id uint64, obj T) {
 	s.mu.Lock()
 	old, replaced := table[id]

@@ -201,7 +201,7 @@ func (m *Manager) ServeConn(conn net.Conn) {
 		delete(m.clients, c)
 		m.clMu.Unlock()
 		if sc != nil {
-			m.dropServer(sc.addr)
+			m.dropServer(sc.addr, sc)
 		}
 	})
 }
@@ -242,7 +242,7 @@ func (m *Manager) handleRegister(c *rpc.Conn, call rpc.Call) *daemonLink {
 	if old != nil {
 		// Stale registration (daemon reconnected before its old
 		// connection's close was observed): replace it.
-		m.dropServer(addr)
+		m.dropServer(addr, nil)
 	}
 
 	sc := &daemonLink{addr: addr, peerAddr: peerAddr, conn: c}
@@ -281,13 +281,20 @@ func (m *Manager) handleRegister(c *rpc.Conn, call rpc.Call) *daemonLink {
 }
 
 // dropServer removes a disconnected daemon and its devices, failing any
-// in-flight assignment pushes.
-func (m *Manager) dropServer(addr string) {
+// in-flight assignment pushes. With only set it removes that link's
+// registration and no other: a daemon that re-registers over a new link
+// may be back under its address before the old link's close notice runs,
+// which must not take the new registration with it. The registry lock is
+// held until the devices are gone, so no registration slips in between.
+func (m *Manager) dropServer(addr string, only *daemonLink) {
 	m.srvMu.Lock()
 	sc := m.servers[addr]
+	if only != nil && sc != only {
+		m.srvMu.Unlock()
+		return
+	}
 	delete(m.servers, addr)
 	delete(m.misses, addr)
-	m.srvMu.Unlock()
 
 	m.mu.Lock()
 	kept := m.devices[:0]
@@ -307,6 +314,7 @@ func (m *Manager) dropServer(addr string) {
 	m.devices = kept
 	m.idx.removeServer(addr)
 	m.mu.Unlock()
+	m.srvMu.Unlock()
 
 	if sc != nil {
 		// Close the connection so an evicted-but-alive daemon observes
@@ -514,7 +522,7 @@ func (m *Manager) CheckHealth(timeout time.Duration) []string {
 		}
 		m.srvMu.Unlock()
 		if evict {
-			m.dropServer(addr)
+			m.dropServer(addr, nil)
 			evicted = append(evicted, addr)
 		}
 	}

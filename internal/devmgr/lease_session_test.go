@@ -12,6 +12,7 @@ import (
 	"dopencl/internal/client"
 	"dopencl/internal/daemon"
 	"dopencl/internal/device"
+	"dopencl/internal/kernel"
 	"dopencl/internal/native"
 	"dopencl/internal/protocol"
 )
@@ -186,12 +187,13 @@ func tcpManagedWorld(t *testing.T) (m *Manager, mgrAddr string, dial client.Dial
 }
 
 // The mechanism behind the lease workload's gain, with no timing in it: a
-// lease session waits for three answers — the grant, the Hello, the build —
-// and dials one connection, the daemon's. Everything else it sends rides
-// the one-way pipeline, and the manager link is the one the first session
-// dialed. (Before object lifecycle was pipelined and the link kept: nine
-// requests — CreateContext, CreateQueue, CreateProgram, two CreateBuffer
-// and ReleaseContext besides — and two dials.)
+// lease session waits for two answers — the grant and the Hello — and dials
+// one connection, the daemon's. Everything else it sends rides the one-way
+// pipeline, the build included, and the manager link is the one the first
+// session dialed. (Before the build was one-way: three. Before object
+// lifecycle was pipelined and the link kept: nine requests — CreateContext,
+// CreateQueue, CreateProgram, two CreateBuffer and ReleaseContext besides —
+// and two dials.)
 func TestLeaseSessionRoundTrips(t *testing.T) {
 	m, mgrAddr, dial, log := tcpManagedWorld(t)
 	app := client.NewPlatform(client.Options{Dialer: dial, ClientName: "counter"})
@@ -201,7 +203,7 @@ func TestLeaseSessionRoundTrips(t *testing.T) {
 	if dials, _ := log.take(); len(dials) != 3 {
 		t.Fatalf("the first session dialed %v, want the manager twice (map, kept link) and the daemon", dials)
 	}
-	want := []protocol.MsgType{protocol.MsgDMRequestDevices, protocol.MsgHello, protocol.MsgBuildProgram}
+	want := []protocol.MsgType{protocol.MsgDMRequestDevices, protocol.MsgHello}
 	for i := 0; i < 3; i++ {
 		waitFor(t, func() bool { return m.FreeDevices() == 1 }, "lease release")
 		leaseShapedSession(t, app, mgrAddr)
@@ -212,6 +214,72 @@ func TestLeaseSessionRoundTrips(t *testing.T) {
 		if len(dials) != 1 || dials[0] == mgrAddr {
 			t.Errorf("session %d dialed %v, want the daemon and nothing else", i, dials)
 		}
+	}
+}
+
+// The other half of the mechanism, again with no timing in it: a source text
+// is compiled once per process. After one warm session, further sessions —
+// each a fresh connection, daemon session, context and program object, on
+// the client and on the daemon — find the program compiled both times they
+// build it and run no optimization pass (one compile and one pass per
+// session on each side before the cache); and two client programs of one
+// source are stubs of one compiled program.
+func TestProgramCompiledOncePerProcess(t *testing.T) {
+	m, mgrAddr, dial, _ := tcpManagedWorld(t)
+	app := client.NewPlatform(client.Options{Dialer: dial, ClientName: "builder"})
+	defer app.Close()
+	leaseShapedSession(t, app, mgrAddr)
+	plans := kernel.WorkGroupCompiles()
+	hits, misses := kernel.SharedCounts()
+	const sessions = 3
+	for i := 0; i < sessions; i++ {
+		waitFor(t, func() bool { return m.FreeDevices() == 1 }, "lease release")
+		leaseShapedSession(t, app, mgrAddr)
+	}
+	if n := kernel.WorkGroupCompiles() - plans; n != 0 {
+		t.Errorf("%d sessions after the first ran %d optimization passes, want 0", sessions, n)
+	}
+	h, ms := kernel.SharedCounts()
+	if h-hits != 2*sessions || ms != misses {
+		t.Errorf("%d sessions after the first: %d builds found the program compiled and %d compiled it, want %d (client and daemon, each session) and 0",
+			sessions, h-hits, ms-misses, 2*sessions)
+	}
+
+	waitFor(t, func() bool { return m.FreeDevices() == 1 }, "lease release")
+	lease, err := app.RequestFromManager(client.ManagerConfig{
+		Manager:  mgrAddr,
+		Requests: []protocol.DeviceRequest{{Count: 1, Type: cl.DeviceTypeGPU}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lease.Release()
+	devs, err := app.Devices(cl.DeviceTypeGPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var args [2][]kernel.ArgInfo
+	for i := range args {
+		ctx, err := app.CreateContext(devs[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ctx.Release()
+		prog, err := ctx.CreateProgramWithSource(leaseShapeSource)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := prog.Build(nil, ""); err != nil {
+			t.Fatal(err)
+		}
+		k, err := prog.CreateKernel("axpb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		args[i] = k.(*client.Kernel).ArgInfo()
+	}
+	if &args[0][0] != &args[1][0] {
+		t.Error("two client programs of one source describe their kernels from two compiles")
 	}
 }
 

@@ -203,3 +203,37 @@ func TestConnectServerOnManagerAddressFails(t *testing.T) {
 		t.Fatal("ConnectServer on the manager's address never returned")
 	}
 }
+
+// A daemon whose partition changed closes its link and registers again
+// over a new one, and the new registration may reach the manager before
+// the old link's close notice has run. The notice removes what was
+// registered over its own link and nothing else: it used to drop the
+// server by address — the new registration, devices and connection — and
+// leave a daemon that believed itself registered with a shard that held
+// nothing of it (chaos.TestShardKillRehomesDevicesExactly, stuck for its
+// whole timeout about one isolated package run in fifteen). Nothing orders
+// the notice against the registration, so this takes many rounds to meet
+// the interleaving; a round that does not meet it proves nothing and costs
+// a few microseconds.
+func TestStaleLinkCloseKeepsNewRegistration(t *testing.T) {
+	m := New()
+	defer m.Close()
+	link := dialWire(t, m)
+	link.registerFree(t, "node")
+	for round := 0; round < 2000; round++ {
+		link.ep.Close()
+		link = dialWire(t, m)
+		link.registerFree(t, "node")
+		// Whatever the previous round's notice did to this registration it
+		// has done by the time the manager has served one more request.
+		link.send(t, protocol.ClassRequest, 2, protocol.MsgDMShardMap, nil)
+		select {
+		case <-link.resp:
+		case <-link.ep.Done():
+		}
+		if m.FreeDevices() != 1 || link.ep.Closed() {
+			t.Fatalf("round %d: the replaced link's close took the new registration with it: free=%d, new link closed=%v",
+				round, m.FreeDevices(), link.ep.Closed())
+		}
+	}
+}

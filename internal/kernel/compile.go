@@ -64,10 +64,11 @@ func (p *Program) KernelNames() []string {
 }
 
 // Compile parses MiniCL source and lowers every kernel to the register IR
-// (lower.go). It is what Program.Build performs on every device, both in
-// the native runtime and in remote dOpenCL daemons; everything the
-// compiler refuses — syntax and type errors, recursion, kernels that
-// inline past the depth or size caps — is refused here, with a position.
+// (lower.go). Every call compiles: it is what Program.Build performs — in
+// the native runtime, in remote daemons, in the client — the first time
+// the process sees a text (Shared, cache.go). Everything the compiler
+// refuses — syntax and type errors, recursion, kernels that inline past
+// the depth or size caps — is refused here, with a position.
 func Compile(src string) (*Program, error) {
 	file, err := Parse(src)
 	if err != nil {
@@ -112,7 +113,7 @@ var wgCompiles atomic.Uint64
 
 // WorkGroupCompiles reports how many work-group compilations have run in
 // this process. Tests use the delta to prove plans are cached and reused
-// across graph replays and daemon chunks.
+// across graph replays, daemon chunks and sessions.
 func WorkGroupCompiles() uint64 { return wgCompiles.Load() }
 
 // WorkGroup returns the optimized plan of f, running the passes on first

@@ -19,7 +19,7 @@
 //   - explicit casts (int)x and (float)i
 //
 // The compiler (Compile) lowers every kernel to a register IR, which
-// internal/vm executes.
+// internal/vm executes; program builds share the result (Shared).
 package kernel
 
 import "fmt"

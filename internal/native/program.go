@@ -26,10 +26,11 @@ var _ cl.Program = (*Program)(nil)
 // Source returns the program source.
 func (p *Program) Source() string { return p.src }
 
-// Build compiles the program. The devices argument selects build targets;
-// nil builds for every context device. The compiled register IR is
-// portable, so a single compilation serves all devices, but build status
-// and logs are tracked per device like in OpenCL.
+// Build compiles the program, or finds it compiled: a process keeps one
+// compiled program per source text (kernel.Shared), whoever built it
+// first. The devices argument selects build targets (nil: every context
+// device); the register IR is portable, so one compilation serves all, but
+// status and logs are per device like in OpenCL. Options are ignored.
 func (p *Program) Build(devices []cl.Device, options string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -37,7 +38,7 @@ func (p *Program) Build(devices []cl.Device, options string) error {
 	if targets == nil {
 		targets = p.ctx.Devices()
 	}
-	prog, err := kernel.Compile(p.src)
+	prog, err := kernel.Shared(p.src)
 	if err != nil {
 		for _, d := range targets {
 			p.buildLogs[d.Name()] = err.Error()
