@@ -164,7 +164,8 @@ func NewDArrayGrid(ctx Context, devices []Device, src string, w, h int) (*DArray
 	return darray.NewGrid(ctx, devices, src, w, h)
 }
 
-// InferHalo recovers a stencil kernel's halo widths from its source
+// InferHalo recovers a stencil kernel's halo widths from its loads on
+// the input buffer as compiled — helpers inlined, merged values refused
 // (see darray.InferHalo).
 func InferHalo(src, kernelName string) (DArrayHalo, error) {
 	return darray.InferHalo(src, kernelName)

@@ -4,7 +4,7 @@
 // The user declares a global 2-D array and a row partition over the
 // devices of a context; the runtime derives each device's owned region
 // as a sub-buffer of one global buffer, infers the ghost (halo) width
-// from the kernel's access pattern (stencil radius, see InferHalo), and
+// from the kernel's loads as compiled (stencil radius, see InferHalo), and
 // schedules each iteration so halo exchanges run as daemon-to-daemon
 // peer forwards overlapped with interior compute. The steady-state
 // iteration is recorded once and graph-replayed — one delta frame per
@@ -18,7 +18,9 @@
 //     Work-items are global cell indices (row-major). out is indexed
 //     out[gid - get_global_offset(0)]; in is indexed in[gid + d - inBase]
 //     where each displacement d is an affine expression a*w + b of the
-//     parameters — the pattern InferHalo recovers the halo widths from.
+//     parameters — the pattern InferHalo recovers the halo widths from,
+//     through helpers and locals, refusing values merged over control
+//     flow.
 //     in must be const-qualified: that is the MSI read-only hint that
 //     lets neighbouring daemons serve halo rows as peer forwards
 //     without invalidating the owner.
@@ -149,6 +151,15 @@ func (g *Grid) finish() error {
 		}
 	}
 	return first
+}
+
+// wait drains every queue, then reports the first of the launches that
+// failed: a launch that traps on a daemon fails its event, not Finish.
+func (g *Grid) wait(launches []cl.Event) error {
+	if err := g.finish(); err != nil {
+		return err
+	}
+	return cl.WaitForEvents(launches)
 }
 
 // Array is one distributed W×H float32 array on a grid: a single global

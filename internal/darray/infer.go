@@ -6,60 +6,63 @@ import (
 	"dopencl/internal/kernel"
 )
 
-// InferHalo parses a MiniCL stencil kernel and recovers its halo widths
-// from the access pattern on the input buffer: every index expression
-// on the const input parameter is decomposed as an affine form
+// InferHalo recovers a stencil kernel's halo widths from the loads on its
+// input buffer as the compiler lowered them (kernel.Program.Loads): after
+// inlining, so a tap read in a helper counts, and with every name resolved
+// to a register, so a shadowed local cannot confuse it. Every index into
+// in must have the affine form
 //
 //	gid + a*w + b - inBase
 //
 // and the displacement a*w + b is converted to rows of reach. A tap one
 // row up (a = -1) needs one halo row above; a column neighbour (a = 0,
 // b = ±1) can cross a row edge, so it also needs one row on that side;
-// a*w + b combines both. The result is the maximum reach over all taps.
+// a*w + b combines both (b is taken to be less than a row). The result is
+// the maximum reach over all taps.
 //
 // The kernel must follow the stencil convention: parameters
 // (global float* out, const global float* in, int w, int h, int inBase,
-// scalars...). Index expressions on in that are not affine in gid and w
-// (e.g. through a loop variable or a modulo) make the radius statically
-// unknowable and return an error — the caller must then pass an
-// explicit Halo.
+// scalars...). An index of any other form — a value merged over control
+// flow (advanced in a loop, reassigned under a branch), a modulo, a term
+// in h — makes the radius statically unknowable: the error names the
+// kernel and the load, and the caller must then pass an explicit Halo.
 func InferHalo(src, kernelName string) (Halo, error) {
-	f, err := kernel.Parse(src)
+	prog, err := kernel.Shared(src)
 	if err != nil {
 		return Halo{}, err
 	}
-	var fn *kernel.FuncDecl
-	for _, fd := range f.Funcs {
-		if fd.Name == kernelName && fd.IsKernel {
-			fn = fd
-			break
-		}
-	}
-	if fn == nil {
+	fn, ok := prog.Kernel(kernelName)
+	if !ok {
 		return Halo{}, fmt.Errorf("darray: kernel %q not found", kernelName)
 	}
-	if err := checkStencilParams(fn); err != nil {
+	if err := checkStencilArgs(fn); err != nil {
 		return Halo{}, err
 	}
-	in, w, base := fn.Params[1].Name, fn.Params[2].Name, fn.Params[4].Name
-	a := &affineWalker{
-		in: in, taps: nil,
-		env: map[string]affine{
-			w:    {w: 1, ok: true},
-			base: {base: 1, ok: true},
-		},
-	}
-	a.stmt(fn.Body)
-	if a.err != nil {
-		return Halo{}, a.err
-	}
+	const in, w, inBase = 1, 2, 4
 	var halo Halo
-	for _, t := range a.taps {
+	for n, ld := range prog.Loads(fn, in) {
+		bad := func(format string, args ...any) error {
+			return fmt.Errorf("darray: kernel %q, load %d from %s (pc %d of the lowered plan): "+format+"; pass an explicit halo",
+				append([]any{fn.Name, n + 1, fn.Args[in].Name, ld.PC}, args...)...)
+		}
+		x := ld.Index
+		if x == nil {
+			return Halo{}, bad("index is not affine in gid and the int arguments")
+		}
+		for i, c := range x.Args {
+			if c != 0 && i != w && i != inBase {
+				return Halo{}, bad("index has a term in %s", fn.Args[i].Name)
+			}
+		}
+		if x.Gid != 1 || x.Args[inBase] != -1 {
+			return Halo{}, bad("index must have the form gid + a*w + b - inBase (got gid*%d, inBase*%d)", x.Gid, x.Args[inBase])
+		}
 		// Reach below (towards row 0): -(a*w + b) cells. Row count is
 		// w-independent: |a| rows, plus one if the column offset spills
 		// past the row edge in the same direction.
-		halo.Lo = max(halo.Lo, -t.a+spill(-t.b))
-		halo.Hi = max(halo.Hi, t.a+spill(t.b))
+		a, b := int(x.Args[w]), int(x.Const)
+		halo.Lo = max(halo.Lo, -a+spill(-b))
+		halo.Hi = max(halo.Hi, a+spill(b))
 	}
 	return halo, nil
 }
@@ -73,199 +76,28 @@ func spill(b int) int {
 	return 0
 }
 
-// checkStencilParams validates the stencil kernel convention.
-func checkStencilParams(fn *kernel.FuncDecl) error {
-	p := fn.Params
+// checkStencilArgs validates the stencil kernel convention.
+func checkStencilArgs(fn *kernel.Func) error {
+	p := fn.Args
 	bad := func(msg string) error {
 		return fmt.Errorf("darray: kernel %q does not follow the stencil convention (out, const in, int w, int h, int inBase, ...): %s", fn.Name, msg)
 	}
 	if len(p) < 5 {
 		return bad(fmt.Sprintf("%d parameters", len(p)))
 	}
-	if p[0].Type != kernel.TypeFloatPtr || p[0].Space != kernel.SpaceGlobal || p[0].Const {
+	floats := func(a kernel.ArgInfo, readOnly bool) bool {
+		return a.Kind == kernel.ArgGlobalBuf && a.Elem == kernel.TypeFloat && a.ReadOnly == readOnly
+	}
+	if !floats(p[0], false) {
 		return bad("param 0 must be a non-const global float* output")
 	}
-	if p[1].Type != kernel.TypeFloatPtr || p[1].Space != kernel.SpaceGlobal || !p[1].Const {
+	if !floats(p[1], true) {
 		return bad("param 1 must be a const global float* input (the read-only coherence hint)")
 	}
 	for i := 2; i <= 4; i++ {
-		if p[i].Type != kernel.TypeInt {
+		if p[i].Kind != kernel.ArgScalarInt {
 			return bad(fmt.Sprintf("param %d must be int", i))
 		}
 	}
 	return nil
-}
-
-// affine is a symbolic value gid*g + w*a + inBase*base + b. ok is false
-// for values that are not affine in these symbols.
-type affine struct {
-	gid, w, base, b int
-	ok              bool
-}
-
-func (x affine) add(y affine, sign int) affine {
-	if !x.ok || !y.ok {
-		return affine{}
-	}
-	return affine{gid: x.gid + sign*y.gid, w: x.w + sign*y.w,
-		base: x.base + sign*y.base, b: x.b + sign*y.b, ok: true}
-}
-
-func (x affine) constVal() (int, bool) {
-	return x.b, x.ok && x.gid == 0 && x.w == 0 && x.base == 0
-}
-
-// tap is one recovered input displacement a*w + b.
-type tap struct{ a, b int }
-
-// affineWalker walks a kernel body in statement order, tracking an
-// affine environment for locals and collecting input-buffer taps.
-type affineWalker struct {
-	in   string
-	env  map[string]affine
-	taps []tap
-	err  error
-}
-
-func (aw *affineWalker) fail(line int, format string, args ...any) {
-	if aw.err == nil {
-		aw.err = fmt.Errorf("darray: line %d: "+format, append([]any{line}, args...)...)
-	}
-}
-
-func (aw *affineWalker) stmt(s kernel.Stmt) {
-	if s == nil || aw.err != nil {
-		return
-	}
-	switch st := s.(type) {
-	case *kernel.BlockStmt:
-		for _, c := range st.Stmts {
-			aw.stmt(c)
-		}
-	case *kernel.DeclStmt:
-		if st.Init != nil {
-			aw.env[st.Name] = aw.eval(st.Init)
-		} else {
-			aw.env[st.Name] = affine{}
-		}
-	case *kernel.AssignStmt:
-		v := aw.eval(st.Value)
-		if id, ok := st.Target.(*kernel.Ident); ok {
-			switch st.Op {
-			case "=":
-				aw.env[id.Name] = v
-			case "+=":
-				aw.env[id.Name] = aw.env[id.Name].add(v, 1)
-			case "-=":
-				aw.env[id.Name] = aw.env[id.Name].add(v, -1)
-			default:
-				aw.env[id.Name] = affine{}
-			}
-			return
-		}
-		// Buffer store: the index may itself contain input taps.
-		aw.eval(st.Target)
-	case *kernel.IncDecStmt:
-		if id, ok := st.Target.(*kernel.Ident); ok {
-			one := affine{b: 1, ok: true}
-			if st.Op == "--" {
-				one.b = -1
-			}
-			aw.env[id.Name] = aw.env[id.Name].add(one, 1)
-			return
-		}
-		aw.eval(st.Target)
-	case *kernel.ExprStmt:
-		aw.eval(st.X)
-	case *kernel.IfStmt:
-		aw.eval(st.Cond)
-		aw.stmt(st.Then)
-		aw.stmt(st.Else)
-	case *kernel.ForStmt:
-		aw.stmt(st.Init)
-		if st.Cond != nil {
-			aw.eval(st.Cond)
-		}
-		aw.stmt(st.Body)
-		aw.stmt(st.Post)
-	case *kernel.WhileStmt:
-		aw.eval(st.Cond)
-		aw.stmt(st.Body)
-	case *kernel.ReturnStmt:
-		if st.Value != nil {
-			aw.eval(st.Value)
-		}
-	}
-}
-
-// eval computes an expression's affine value, recording taps for every
-// index into the input buffer encountered along the way.
-func (aw *affineWalker) eval(e kernel.Expr) affine {
-	if e == nil || aw.err != nil {
-		return affine{}
-	}
-	switch x := e.(type) {
-	case *kernel.IntLit:
-		return affine{b: int(x.Value), ok: true}
-	case *kernel.FloatLit:
-		return affine{}
-	case *kernel.Ident:
-		return aw.env[x.Name]
-	case *kernel.CallExpr:
-		for _, arg := range x.Args {
-			aw.eval(arg)
-		}
-		if x.Name == "get_global_id" {
-			return affine{gid: 1, ok: true}
-		}
-		return affine{}
-	case *kernel.CastExpr:
-		return aw.eval(x.X)
-	case *kernel.UnaryExpr:
-		v := aw.eval(x.X)
-		if x.Op == "-" {
-			return affine{ok: true}.add(v, -1)
-		}
-		return affine{}
-	case *kernel.BinaryExpr:
-		l, r := aw.eval(x.L), aw.eval(x.R)
-		switch x.Op {
-		case "+":
-			return l.add(r, 1)
-		case "-":
-			return l.add(r, -1)
-		case "*":
-			if c, ok := r.constVal(); ok && l.ok {
-				return affine{gid: l.gid * c, w: l.w * c, base: l.base * c, b: l.b * c, ok: true}
-			}
-			if c, ok := l.constVal(); ok && r.ok {
-				return affine{gid: r.gid * c, w: r.w * c, base: r.base * c, b: r.b * c, ok: true}
-			}
-			return affine{}
-		default:
-			return affine{}
-		}
-	case *kernel.CondExpr:
-		aw.eval(x.Cond)
-		aw.eval(x.Then)
-		aw.eval(x.Else)
-		return affine{}
-	case *kernel.IndexExpr:
-		idx := aw.eval(x.Index)
-		if id, ok := x.Buf.(*kernel.Ident); ok && id.Name == aw.in {
-			line, _ := x.Pos()
-			if !idx.ok {
-				aw.fail(line, "index into %s is not affine in gid and w; pass an explicit halo", aw.in)
-				return affine{}
-			}
-			if idx.gid != 1 || idx.base != -1 {
-				aw.fail(line, "index into %s must have the form gid + a*w + b - inBase (got gid*%d, inBase*%d)",
-					aw.in, idx.gid, idx.base)
-				return affine{}
-			}
-			aw.taps = append(aw.taps, tap{a: idx.w, b: idx.b})
-		}
-		return affine{}
-	}
-	return affine{}
 }

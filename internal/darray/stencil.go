@@ -70,14 +70,17 @@ func (g *Grid) Step(name string, dst, src *Array, halo Halo, scalars ...any) err
 	if err != nil {
 		return err
 	}
+	var launches []cl.Event
 	for pi, p := range g.parts {
 		for _, span := range launchSpans(p, halo) {
-			if _, err := g.enqueueStencil(pi, k, dst, src, span, halo, scalars); err != nil {
+			ev, err := g.enqueueStencil(pi, k, dst, src, span, halo, scalars)
+			if err != nil {
 				return err
 			}
+			launches = append(launches, ev)
 		}
 	}
-	return g.finish()
+	return g.wait(launches)
 }
 
 // Map runs an elementwise kernel over the owned rows of every array and
@@ -88,6 +91,7 @@ func (g *Grid) Map(name string, arrays []*Array, scalars ...any) error {
 	if err != nil {
 		return err
 	}
+	var launches []cl.Event
 	for pi, p := range g.parts {
 		if p.Rows() == 0 {
 			continue
@@ -105,12 +109,14 @@ func (g *Grid) Map(name string, arrays []*Array, scalars ...any) error {
 		if err := setArgs(k, args...); err != nil {
 			return err
 		}
-		if _, err := g.queues[pi].EnqueueNDRangeKernelWithOffset(k,
-			[]int{p.Lo * g.w}, []int{p.Rows() * g.w}, nil, nil); err != nil {
+		ev, err := g.queues[pi].EnqueueNDRangeKernelWithOffset(k,
+			[]int{p.Lo * g.w}, []int{p.Rows() * g.w}, nil, nil)
+		if err != nil {
 			return err
 		}
+		launches = append(launches, ev)
 	}
-	return g.finish()
+	return g.wait(launches)
 }
 
 // DotRows computes the dot product of x and y with one work-item per
@@ -128,6 +134,7 @@ func (g *Grid) DotRows(name string, x, y *Array) (float32, error) {
 	if err != nil {
 		return 0, err
 	}
+	var launches []cl.Event
 	for pi, p := range g.parts {
 		if p.Rows() == 0 {
 			continue
@@ -148,12 +155,14 @@ func (g *Grid) DotRows(name string, x, y *Array) (float32, error) {
 			return 0, err
 		}
 		// One work-item per row: the offset space is rows, not cells.
-		if _, err := g.queues[pi].EnqueueNDRangeKernelWithOffset(k,
-			[]int{p.Lo}, []int{p.Rows()}, nil, nil); err != nil {
+		ev, err := g.queues[pi].EnqueueNDRangeKernelWithOffset(k,
+			[]int{p.Lo}, []int{p.Rows()}, nil, nil)
+		if err != nil {
 			return 0, err
 		}
+		launches = append(launches, ev)
 	}
-	if err := g.finish(); err != nil {
+	if err := g.wait(launches); err != nil {
 		return 0, err
 	}
 	vals, err := part.Gather()

@@ -182,3 +182,76 @@ func CheckPlan(w *WGFunc) error {
 	}
 	return nil
 }
+
+// CheckLoads runs f's lowered plan as work-item gid with int scalar
+// arguments ints (indexed like f.Args) for at most 10,000 instructions,
+// and reports the first load through argument arg whose index is not
+// what the form Loads gives it says. Loads is path-insensitive, so any
+// path is one it must be right on: every load reads its own index,
+// builtins read zero, and a branch is taken when its operand is nonzero.
+func CheckLoads(p *Program, f *Func, arg int, gid int32, ints []int32) error {
+	w := p.Unoptimized(f)
+	forms := map[int]*Affine{}
+	for _, ld := range p.Loads(f, arg) {
+		forms[ld.PC] = ld.Index
+	}
+	regs := make([]uint64, w.NumRegs)
+	if w.GidRegs[0] >= 0 {
+		regs[w.GidRegs[0]] = u64i(gid)
+	}
+	for i, r := range w.ArgRegs {
+		if r >= 0 && f.Args[i].Kind == ArgScalarInt {
+			regs[r] = u64i(ints[i])
+		}
+	}
+	val := func(x int32) uint64 {
+		if x < 0 {
+			return w.Consts[^x]
+		}
+		return regs[x]
+	}
+	for pc, steps := 0, 0; pc < len(w.Code) && steps < 10000; steps++ {
+		ins := &w.Code[pc]
+		pc++
+		switch ins.Op {
+		case REnd, RTrap:
+			return nil
+		case RNop, RStElem, RBarrier:
+		case RJmp:
+			pc = int(ins.C)
+		case RBrT, RBrF:
+			if (uint32(val(ins.A)) != 0) == (ins.Op == RBrT) {
+				pc = int(ins.C)
+			}
+		case RMov:
+			regs[ins.D] = val(ins.A)
+		case RBuiltin:
+			regs[ins.D] = 0
+		case RDivI, RModI:
+			a, b := i32(val(ins.A)), i32(val(ins.B))
+			if b == 0 {
+				return nil
+			}
+			if ins.Op == RDivI {
+				regs[ins.D] = u64i(a / b)
+			} else {
+				regs[ins.D] = u64i(a % b)
+			}
+		case RLdElem:
+			idx := i32(val(ins.A))
+			if x := forms[pc-1]; x != nil {
+				want := x.Const + x.Gid*gid
+				for i, c := range x.Args {
+					want += c * ints[i]
+				}
+				if want != idx {
+					return fmt.Errorf("load at pc %d reads index %d, Loads says %+v = %d", pc-1, idx, *x, want)
+				}
+			}
+			regs[ins.D] = u64i(idx)
+		default:
+			regs[ins.D] = StepEval(ins.Op, val(ins.A), val(ins.B))
+		}
+	}
+	return nil
+}

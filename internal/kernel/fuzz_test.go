@@ -96,6 +96,26 @@ kernel void k(global int* o, local int* s, int d) {
 	o[1] = floor(x) + ceil(x) + pow(x, 2.0) + fmin(x, 1.0) + fmax(x, 1) + fmod(x, 3.0) + clamp(x, 0.0, 1.0);
 	o[2] = min(i, 3) + max(i, 4) + abs(i) + i / 3 + i % 5;
 }`,
+	// What Loads follows and what it must refuse: a tap in a helper, a
+	// shadowed local, products with constants, a loop-carried index and a
+	// value merged by ?:.
+	`int up(const global int* in, int i, int w) { return in[i - w]; }
+kernel void k(global int* out, const global int* in, int w, int h, int b) {
+	int g = get_global_id(0);
+	int i = -g * 2 + 3 * w;
+	for (int k = 0; k < h; k++) { i += w; out[g] += in[i - b] + up(in, i, w); }
+	{ int i = g; out[g] += in[i * w]; }
+	out[g] += in[(h > 0) ? g : w];
+}`,
+	// A driver-preset argument the kernel reassigns under a branch: its
+	// value after the join is the argument on one path and 0 on the other.
+	`kernel void k(global int* out, const global int* in, int w, int h) {
+	int g = get_global_id(0);
+	if (h < 0) { w = 0; }
+	out[g] = in[g + w];
+	for (int k = 0; k < 2; k++) { h = h - 1; }
+	out[g] += in[g + h];
+}`,
 	// Refused at Compile.
 	`int down(int x) { if (x > 0) { return down(x - 1); } return 0; }
 kernel void k(global int* o) { o[0] = down(get_global_id(0)); }`,
@@ -110,7 +130,10 @@ kernel void k(global int* o) { o[0] = even(5); }`,
 
 // FuzzCompile feeds arbitrary source through Parse, Compile and the
 // passes: none may panic or run past the size caps, and whatever plan
-// comes out — as lowered and optimized — must be well formed.
+// comes out — as lowered and optimized — must be well formed. The load
+// analysis (Program.Loads) runs on every global buffer of every kernel:
+// it must not panic either, every load it reports must be one, and every
+// index it claims to know must be the one two runs of the item read.
 func FuzzCompile(f *testing.F) {
 	for _, src := range fuzzSeeds {
 		f.Add(src)
@@ -124,6 +147,26 @@ func FuzzCompile(f *testing.F) {
 			for _, plan := range []*kernel.WGFunc{prog.Unoptimized(fn), prog.WorkGroup(fn)} {
 				if err := kernel.CheckPlan(plan); err != nil {
 					t.Fatalf("kernel %s: %v\n%s\nsource:\n%s", fn.Name, err, plan.Disassemble(), src)
+				}
+			}
+			code := prog.Unoptimized(fn).Code
+			for i, a := range fn.Args {
+				if a.Kind != kernel.ArgGlobalBuf {
+					continue
+				}
+				for _, ld := range prog.Loads(fn, i) {
+					if ins := code[ld.PC]; ins.Op != kernel.RLdElem || int(ins.B) != prog.Unoptimized(fn).ArgBufs[i] {
+						t.Fatalf("kernel %s: Loads reports pc %d (%s) for argument %d", fn.Name, ld.PC, ins.Op, i)
+					}
+				}
+				for run, gid := range []int32{0, 13} {
+					ints := make([]int32, len(fn.Args))
+					for j := range ints {
+						ints[j] = int32(7*j+3) * int32(1-2*run)
+					}
+					if err := kernel.CheckLoads(prog, fn, i, gid, ints); err != nil {
+						t.Fatalf("kernel %s, argument %d: %v\n%s\nsource:\n%s", fn.Name, i, err, prog.Unoptimized(fn).Disassemble(), src)
+					}
 				}
 			}
 		}

@@ -43,154 +43,88 @@ func optimize(b *builder, plan *WGFunc) {
 
 // ---- analysis helpers -------------------------------------------------
 
-// instrUses calls f for every register operand the instruction reads.
-func instrUses(ins *RInstr, f func(int32)) {
-	use := func(x int32) {
-		if x >= 0 {
-			f(x)
+// operands calls f with every operand field the instruction names, def
+// set for the registers it writes: the one statement in opt.go of the
+// per-opcode conventions in ir.go. A read may be a constant (< 0); a
+// branch without write-back passes its D of -1.
+func operands(ins *RInstr, f func(x *int32, def bool)) {
+	step := func(op ROp, x *int32) { // a fused step reads x unless unary
+		if op != RNop && !IsUnaryStep(op) {
+			f(x, false)
 		}
 	}
 	switch ins.Op {
 	case RNop, RJmp, REnd, RBarrier, RTrap:
-	case RMov:
-		use(ins.A)
-	case RMov2:
-		use(ins.A)
-		use(ins.C)
-	case RMov3:
-		use(ins.A)
-		use(ins.C)
-		use(ins.F)
+	case RMov, RMov2, RMov3: // pairs D←A, B←C, E←F
+		f(&ins.D, true)
+		f(&ins.A, false)
+		if ins.Op != RMov {
+			f(&ins.B, true)
+			f(&ins.C, false)
+		}
+		if ins.Op == RMov3 {
+			f(&ins.E, true)
+			f(&ins.F, false)
+		}
 	case RLdElem:
-		use(ins.A)
-		if ins.F1 != RNop && !IsUnaryStep(ins.F1) {
-			use(ins.E)
-		}
+		f(&ins.D, true)
+		f(&ins.A, false)
+		step(ins.F1, &ins.E)
 	case RStElem:
-		use(ins.A)
-		use(ins.C)
-		if ins.F1 != RNop && !IsUnaryStep(ins.F1) {
-			use(ins.E)
-		}
+		f(&ins.A, false)
+		f(&ins.C, false)
+		step(ins.F1, &ins.E)
 	case RBrT, RBrF:
-		use(ins.A)
-		if ins.F1 != RNop && !IsUnaryStep(ins.F1) {
-			use(ins.B)
-		}
-		if ins.F2 != RNop && !IsUnaryStep(ins.F2) {
-			use(ins.E)
-		}
+		f(&ins.D, true)
+		f(&ins.A, false)
+		step(ins.F1, &ins.B)
+		step(ins.F2, &ins.E)
 	case RBuiltin:
+		f(&ins.D, true)
 		n := BuiltinArity(BuiltinID(ins.C))
-		if n > 0 {
-			use(ins.A)
-		}
-		if n > 1 {
-			use(ins.B)
-		}
-		if n > 2 {
-			use(ins.E)
+		for i, x := range [...]*int32{&ins.A, &ins.B, &ins.E} {
+			if i < n {
+				f(x, false)
+			}
 		}
 	case RDivI, RModI:
-		use(ins.A)
-		use(ins.B)
-	default: // fusable value ops with optional chain
-		use(ins.A)
-		if !IsUnaryStep(ins.Op) {
-			use(ins.B)
-		}
-		if ins.F1 != RNop && !IsUnaryStep(ins.F1) {
-			use(ins.C)
-		}
-		if ins.F2 != RNop && !IsUnaryStep(ins.F2) {
-			use(ins.E)
-		}
+		f(&ins.D, true)
+		f(&ins.A, false)
+		f(&ins.B, false)
+	default: // fusable value ops with an optional chain
+		f(&ins.D, true)
+		f(&ins.A, false)
+		step(ins.Op, &ins.B)
+		step(ins.F1, &ins.C)
+		step(ins.F2, &ins.E)
 	}
+}
+
+// instrUses calls f for every register operand the instruction reads.
+func instrUses(ins *RInstr, f func(int32)) {
+	operands(ins, func(x *int32, def bool) {
+		if !def && *x >= 0 {
+			f(*x)
+		}
+	})
 }
 
 // instrSubstUses rewrites every register operand through f.
 func instrSubstUses(ins *RInstr, f func(int32) int32) {
-	sub := func(x *int32) {
-		if *x >= 0 {
+	operands(ins, func(x *int32, def bool) {
+		if !def && *x >= 0 {
 			*x = f(*x)
 		}
-	}
-	switch ins.Op {
-	case RNop, RJmp, REnd, RBarrier, RTrap:
-	case RMov:
-		sub(&ins.A)
-	case RMov2:
-		sub(&ins.A)
-		sub(&ins.C)
-	case RMov3:
-		sub(&ins.A)
-		sub(&ins.C)
-		sub(&ins.F)
-	case RLdElem:
-		sub(&ins.A)
-		if ins.F1 != RNop && !IsUnaryStep(ins.F1) {
-			sub(&ins.E)
-		}
-	case RStElem:
-		sub(&ins.A)
-		sub(&ins.C)
-		if ins.F1 != RNop && !IsUnaryStep(ins.F1) {
-			sub(&ins.E)
-		}
-	case RBrT, RBrF:
-		sub(&ins.A)
-		if ins.F1 != RNop && !IsUnaryStep(ins.F1) {
-			sub(&ins.B)
-		}
-		if ins.F2 != RNop && !IsUnaryStep(ins.F2) {
-			sub(&ins.E)
-		}
-	case RBuiltin:
-		n := BuiltinArity(BuiltinID(ins.C))
-		if n > 0 {
-			sub(&ins.A)
-		}
-		if n > 1 {
-			sub(&ins.B)
-		}
-		if n > 2 {
-			sub(&ins.E)
-		}
-	case RDivI, RModI:
-		sub(&ins.A)
-		sub(&ins.B)
-	default:
-		sub(&ins.A)
-		if !IsUnaryStep(ins.Op) {
-			sub(&ins.B)
-		}
-		if ins.F1 != RNop && !IsUnaryStep(ins.F1) {
-			sub(&ins.C)
-		}
-		if ins.F2 != RNop && !IsUnaryStep(ins.F2) {
-			sub(&ins.E)
-		}
-	}
+	})
 }
 
 // instrDefs calls f for every register the instruction writes.
 func instrDefs(ins *RInstr, f func(int32)) {
-	switch ins.Op {
-	case RNop, RJmp, REnd, RBarrier, RTrap, RStElem:
-	case RMov2:
-		f(ins.D)
-		f(ins.B)
-	case RMov3:
-		f(ins.D)
-		f(ins.B)
-		f(ins.E)
-	case RBrT, RBrF:
-		if ins.D >= 0 {
-			f(ins.D)
+	operands(ins, func(x *int32, def bool) {
+		if def && *x >= 0 {
+			f(*x)
 		}
-	default:
-		f(ins.D)
-	}
+	})
 }
 
 // instrPure reports whether the instruction has no side effects and
@@ -996,15 +930,14 @@ func (o *optimizer) fuseRound() bool {
 		a := &code[i]
 		b := &code[i+1]
 
-		// Coalesce a value producer into a following move of its result.
+		// Coalesce a value producer (whose one destination is D) into a
+		// following move of its result.
 		if b.Op == RMov && tempDef(b.A) && a.Op != RNop && a.Op != RMov &&
-			a.Op != RMov2 && a.Op != RMov3 && !isControl(a.Op) && a.Op != RStElem {
-			if d := singleDest(a); d == b.A {
-				a.D = b.D
-				*b = RInstr{Op: RNop}
-				changed = true
-				continue
-			}
+			a.Op != RMov2 && a.Op != RMov3 && !isControl(a.Op) && a.Op != RStElem && a.D == b.A {
+			a.D = b.D
+			*b = RInstr{Op: RNop}
+			changed = true
+			continue
 		}
 
 		if IsFusableStep(a.Op) && tempDef(a.D) {
@@ -1110,18 +1043,6 @@ func (o *optimizer) fuseRound() bool {
 		}
 	}
 	return changed
-}
-
-// singleDest returns the destination of a single-dest instruction, or -1.
-func singleDest(ins *RInstr) int32 {
-	switch ins.Op {
-	case RNop, RJmp, REnd, RBarrier, RTrap, RStElem, RMov2, RMov3:
-		return -1
-	case RBrT, RBrF:
-		return ins.D
-	default:
-		return ins.D
-	}
 }
 
 // ---- pass 9: move packing ---------------------------------------------
