@@ -150,8 +150,9 @@ type (
 	DArrayGrid = darray.Grid
 	// DArray is one distributed float32 array on a grid.
 	DArray = darray.Array
-	// DArraySpan is a half-open row range of the partition.
-	DArraySpan = darray.Span
+	// DArraySpan is one device's rows of a grid's partition (a contiguous
+	// sched.Span).
+	DArraySpan = sched.Span
 	// DArrayHalo is a stencil's ghost-region width in rows.
 	DArrayHalo = darray.Halo
 	// DArrayLoop is a recorded ping-pong stencil iteration.

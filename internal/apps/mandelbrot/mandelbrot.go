@@ -20,7 +20,6 @@ import (
 
 	"dopencl/internal/cl"
 	"dopencl/internal/mpi"
-	"dopencl/internal/native"
 	"dopencl/internal/sched"
 	"dopencl/internal/simnet"
 )
@@ -124,16 +123,6 @@ type Timing struct {
 // Total returns the summed runtime.
 func (t Timing) Total() time.Duration { return t.Init + t.Exec + t.Transfer }
 
-// rowsFor returns how many rows device d of n owns under row-cyclic
-// distribution.
-func rowsFor(height, d, n int) int {
-	rows := height / n
-	if d < height%n {
-		rows++
-	}
-	return rows
-}
-
 // RenderCL computes the fractal with plain OpenCL calls against any
 // cl.Platform — the native runtime or the dOpenCL client driver. This is
 // the paper's point: the application is identical; only the platform
@@ -168,16 +157,15 @@ func RenderCL(plat cl.Platform, devices []cl.Device, p Params) ([]int32, Timing,
 		queue  cl.Queue
 		kernel cl.Kernel
 		buf    cl.Buffer
-		rows   int
-		out    []byte
+		tile   sched.Span
 	}
 	states := make([]*devState, n)
-	for d, dev := range devices {
-		rows := rowsFor(p.Height, d, n)
+	for d, tile := range sched.Cyclic(p.Height, n) {
+		rows := tile.Len()
 		if rows == 0 {
 			continue
 		}
-		q, err := ctx.CreateQueue(dev)
+		q, err := ctx.CreateQueue(devices[d])
 		if err != nil {
 			return nil, tm, err
 		}
@@ -189,7 +177,7 @@ func RenderCL(plat cl.Platform, devices []cl.Device, p Params) ([]int32, Timing,
 		if err != nil {
 			return nil, tm, err
 		}
-		states[d] = &devState{queue: q, kernel: k, buf: buf, rows: rows}
+		states[d] = &devState{queue: q, kernel: k, buf: buf, tile: tile}
 	}
 	tm.Init = time.Since(start)
 
@@ -198,13 +186,13 @@ func RenderCL(plat cl.Platform, devices []cl.Device, p Params) ([]int32, Timing,
 	dx := (p.XMax - p.XMin) / float64(p.Width)
 	dy := (p.YMax - p.YMin) / float64(p.Height)
 	events := make([]cl.Event, 0, n)
-	for d, st := range states {
+	for _, st := range states {
 		if st == nil {
 			continue
 		}
 		args := []any{
-			st.buf, int32(p.Width), int32(st.rows),
-			int32(d), int32(n),
+			st.buf, int32(p.Width), int32(st.tile.Len()),
+			int32(st.tile.Lo), int32(st.tile.Step),
 			float32(p.XMin), float32(p.YMin), float32(dx), float32(dy),
 			int32(p.MaxIter),
 		}
@@ -213,7 +201,7 @@ func RenderCL(plat cl.Platform, devices []cl.Device, p Params) ([]int32, Timing,
 				return nil, tm, err
 			}
 		}
-		ev, err := st.queue.EnqueueNDRangeKernel(st.kernel, []int{p.Width * st.rows}, nil, nil)
+		ev, err := st.queue.EnqueueNDRangeKernel(st.kernel, []int{p.Width * st.tile.Len()}, nil, nil)
 		if err != nil {
 			return nil, tm, err
 		}
@@ -226,26 +214,16 @@ func RenderCL(plat cl.Platform, devices []cl.Device, p Params) ([]int32, Timing,
 
 	// Transfer: download every device's tile and interleave the rows.
 	start = time.Now()
+	img := make([]int32, p.Width*p.Height)
 	for _, st := range states {
 		if st == nil {
 			continue
 		}
-		st.out = make([]byte, 4*p.Width*st.rows)
-		if _, err := st.queue.EnqueueReadBuffer(st.buf, true, 0, st.out, nil); err != nil {
+		out := make([]byte, 4*p.Width*st.tile.Len())
+		if _, err := st.queue.EnqueueReadBuffer(st.buf, true, 0, out, nil); err != nil {
 			return nil, tm, err
 		}
-	}
-	img := make([]int32, p.Width*p.Height)
-	for d, st := range states {
-		if st == nil {
-			continue
-		}
-		for r := 0; r < st.rows; r++ {
-			row := d + r*n
-			for c := 0; c < p.Width; c++ {
-				img[row*p.Width+c] = int32(binary.LittleEndian.Uint32(st.out[4*(r*p.Width+c):]))
-			}
-		}
+		placeTile(img, p.Width, st.tile, out)
 	}
 	tm.Transfer = time.Since(start)
 
@@ -370,26 +348,20 @@ func RenderMPI(nodes int, link simnet.LinkConfig, plats NodePlatform, p Params) 
 		if err != nil {
 			return err
 		}
-		rows := rowsFor(p.Height, rank, nodes)
+		tiles := sched.Cyclic(p.Height, nodes)
 		var tile []byte
 		t.Init = time.Since(start)
 
-		if rows > 0 {
+		if tiles[rank].Len() > 0 {
 			// Tile computation with plain local OpenCL.
-			start = time.Now()
-			sub := p
-			tileImg, tileTm, err := renderLocalTile(plat, devs[0], sub, rank, nodes, rows)
+			var tileTm Timing
+			tile, tileTm, err = renderLocalTile(plat, devs[0], p, tiles[rank])
 			if err != nil {
 				return err
 			}
 			t.Init += tileTm.Init
 			t.Exec = tileTm.Exec
 			t.Transfer = tileTm.Transfer
-			_ = start
-			tile = make([]byte, 4*len(tileImg))
-			for i, v := range tileImg {
-				binary.LittleEndian.PutUint32(tile[4*i:], uint32(v))
-			}
 		}
 
 		// Gather tiles at rank 0 (the MPI_Gather of the paper).
@@ -398,13 +370,7 @@ func RenderMPI(nodes int, link simnet.LinkConfig, plats NodePlatform, p Params) 
 		if rank == 0 {
 			img = make([]int32, p.Width*p.Height)
 			for r, part := range parts {
-				rowsR := rowsFor(p.Height, r, nodes)
-				for lr := 0; lr < rowsR; lr++ {
-					row := r + lr*nodes
-					for col := 0; col < p.Width; col++ {
-						img[row*p.Width+col] = int32(binary.LittleEndian.Uint32(part[4*(lr*p.Width+col):]))
-					}
-				}
+				placeTile(img, p.Width, tiles[r], part)
 			}
 		}
 		t.Transfer += time.Since(start)
@@ -430,8 +396,10 @@ func RenderMPI(nodes int, link simnet.LinkConfig, plats NodePlatform, p Params) 
 	return img, tm, nil
 }
 
-// renderLocalTile computes one rank's row-cyclic tile on a single device.
-func renderLocalTile(plat cl.Platform, dev cl.Device, p Params, rank, nodes, rows int) ([]int32, Timing, error) {
+// renderLocalTile computes one rank's row-cyclic tile on a single device
+// and returns it as the kernel wrote it: its rows in order, 4 bytes per
+// pixel.
+func renderLocalTile(plat cl.Platform, dev cl.Device, p Params, tile sched.Span) ([]byte, Timing, error) {
 	var tm Timing
 	start := time.Now()
 	ctx, err := plat.CreateContext([]cl.Device{dev})
@@ -458,6 +426,7 @@ func renderLocalTile(plat cl.Platform, dev cl.Device, p Params, rank, nodes, row
 	if err != nil {
 		return nil, tm, err
 	}
+	rows := tile.Len()
 	buf, err := ctx.CreateBuffer(cl.MemWriteOnly, 4*p.Width*rows, nil)
 	if err != nil {
 		return nil, tm, err
@@ -468,7 +437,7 @@ func renderLocalTile(plat cl.Platform, dev cl.Device, p Params, rank, nodes, row
 	dx := (p.XMax - p.XMin) / float64(p.Width)
 	dy := (p.YMax - p.YMin) / float64(p.Height)
 	args := []any{
-		buf, int32(p.Width), int32(rows), int32(rank), int32(nodes),
+		buf, int32(p.Width), int32(rows), int32(tile.Lo), int32(tile.Step),
 		float32(p.XMin), float32(p.YMin), float32(dx), float32(dy), int32(p.MaxIter),
 	}
 	for i, v := range args {
@@ -491,15 +460,21 @@ func renderLocalTile(plat cl.Platform, dev cl.Device, p Params, rank, nodes, row
 		return nil, tm, err
 	}
 	tm.Transfer = time.Since(start)
-
-	img := make([]int32, p.Width*rows)
-	for i := range img {
-		img[i] = int32(binary.LittleEndian.Uint32(out[4*i:]))
-	}
 	if err := q.Release(); err != nil {
 		return nil, tm, err
 	}
-	return img, tm, nil
+	return out, tm, nil
+}
+
+// placeTile copies a tile, rows in order as the kernel wrote them, into
+// the image rows the tile's span names.
+func placeTile(img []int32, width int, tile sched.Span, out []byte) {
+	for r := 0; r < tile.Len(); r++ {
+		row := tile.Lo + r*tile.Step
+		for c := 0; c < width; c++ {
+			img[row*width+c] = int32(binary.LittleEndian.Uint32(out[4*(r*width+c):]))
+		}
+	}
 }
 
 // ReferenceRender computes the fractal on the host CPU in pure Go: the
@@ -527,11 +502,4 @@ func ReferenceRender(p Params) []int32 {
 		}
 	}
 	return img
-}
-
-// NativeSingleNodePlatform builds the per-rank platform factory used by
-// tests and experiments: every rank sees one node-local platform with the
-// given device config.
-func NativeSingleNodePlatform(mk func(rank int) *native.Platform) NodePlatform {
-	return func(rank int) cl.Platform { return mk(rank) }
 }

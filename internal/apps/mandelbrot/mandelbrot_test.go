@@ -179,18 +179,6 @@ func TestRenderMPIMatchesReference(t *testing.T) {
 	}
 }
 
-func TestRowsForPartitions(t *testing.T) {
-	for _, tc := range []struct{ h, n int }{{48, 1}, {48, 3}, {47, 4}, {5, 7}} {
-		total := 0
-		for d := 0; d < tc.n; d++ {
-			total += rowsFor(tc.h, d, tc.n)
-		}
-		if total != tc.h {
-			t.Errorf("rowsFor(h=%d, n=%d): rows sum to %d", tc.h, tc.n, total)
-		}
-	}
-}
-
 func TestRenderCLNoDevices(t *testing.T) {
 	if _, _, err := RenderCL(nil, nil, testParams()); err == nil {
 		t.Fatal("expected error with no devices")

@@ -17,6 +17,11 @@
 // computation-intensive (ray sampling in the forward pass, event loops in
 // the voxel-driven back projection), matching the paper's
 // "computation-intensive imaging algorithm".
+//
+// The event list is cut into its ordered subsets by sched.Chunks, and
+// one kernel text serves every variant: Reconstruct and ReconstructGraph
+// run it on one device at global offset 0, which is the one-part
+// partition of what ReconstructPartitioned spreads over many.
 package osem
 
 import (
@@ -30,7 +35,15 @@ import (
 	"dopencl/internal/sched"
 )
 
-// KernelSource holds the forward- and back-projection kernels.
+// KernelSource holds the forward-projection, back-projection and update
+// kernels. Every output argument is indexed relative to the launch's
+// global work offset (gid - get_global_offset(0)), while gid itself is
+// the true global coordinate, so one text serves both uses: a
+// single-device launch has offset 0 and the index is gid, and under
+// internal/sched each device's chunk writes its own sub-buffer view.
+// forward partitions over events, backward and update over voxels; the
+// shared image/correction buffers are carved into per-daemon regions by
+// the coherence directory.
 const KernelSource = `
 /* Sample the image value at a point along the LOR of event e.
    Events are packed as 6 floats: x1 y1 z1 x2 y2 z2 in voxel units. */
@@ -67,105 +80,12 @@ kernel void forward(global float* q, const global float* img,
 		float z = z1 + (z2 - z1) * t;
 		acc += sampleAt(img, x, y, z, nx, ny, nz) * inv;
 	}
-	q[e] = fmax(acc, 0.000001);
+	q[e - get_global_offset(0)] = fmax(acc, 0.000001);
 }
 
 /* Voxel-driven back projection: each work item owns one voxel of the
    output correction image and integrates the contributions of every
    event whose sampled ray visits the voxel. */
-kernel void backward(global float* corr, const global float* q,
-                     const global float* events, int nevents,
-                     int nx, int ny, int nz, int nsamples) {
-	int j = get_global_id(0);
-	if (j >= nx * ny * nz) {
-		return;
-	}
-	int jx = j % nx;
-	int jy = (j / nx) % ny;
-	int jz = j / (nx * ny);
-	float acc = 0.0;
-	float inv = 1.0;
-	inv = inv / (float)nsamples;
-	for (int e = 0; e < nevents; e++) {
-		float x1 = events[e * 6 + 0];
-		float y1 = events[e * 6 + 1];
-		float z1 = events[e * 6 + 2];
-		float x2 = events[e * 6 + 3];
-		float y2 = events[e * 6 + 4];
-		float z2 = events[e * 6 + 5];
-		float w = 0.0;
-		for (int s = 0; s < nsamples; s++) {
-			float t = ((float)s + 0.5) * inv;
-			float x = x1 + (x2 - x1) * t;
-			float y = y1 + (y2 - y1) * t;
-			float z = z1 + (z2 - z1) * t;
-			if ((int)x == jx && (int)y == jy && (int)z == jz) {
-				w += inv;
-			}
-		}
-		if (w > 0.0) {
-			acc += w / q[e];
-		}
-	}
-	corr[j] = acc;
-}
-
-kernel void update(global float* img, const global float* corr, int nvoxels) {
-	int j = get_global_id(0);
-	if (j >= nvoxels) {
-		return;
-	}
-	float c = corr[j];
-	if (c > 0.0) {
-		img[j] = img[j] * c;
-	}
-}
-`
-
-// PartitionedKernelSource holds the data-parallel variants of the OSEM
-// kernels for multi-device co-execution via internal/sched: identical
-// math, but every partitioned (chunk-bound) argument is indexed
-// chunk-relative (gid - get_global_offset(0)) while gid itself stays the
-// true global coordinate. forward partitions over events, backward and
-// update over voxels; the shared image/correction buffers are carved
-// into per-daemon regions by the coherence directory.
-const PartitionedKernelSource = `
-float sampleAt(const global float* img, float x, float y, float z,
-               int nx, int ny, int nz) {
-	int ix = (int)x;
-	int iy = (int)y;
-	int iz = (int)z;
-	if (ix < 0 || ix >= nx || iy < 0 || iy >= ny || iz < 0 || iz >= nz) {
-		return 0.0;
-	}
-	return img[(iz * ny + iy) * nx + ix];
-}
-
-kernel void forward(global float* q, const global float* img,
-                    const global float* events, int nevents,
-                    int nx, int ny, int nz, int nsamples) {
-	int e = get_global_id(0);
-	if (e >= nevents) {
-		return;
-	}
-	float x1 = events[e * 6 + 0];
-	float y1 = events[e * 6 + 1];
-	float z1 = events[e * 6 + 2];
-	float x2 = events[e * 6 + 3];
-	float y2 = events[e * 6 + 4];
-	float z2 = events[e * 6 + 5];
-	float acc = 0.0;
-	float inv = 1.0 / (float)nsamples;
-	for (int s = 0; s < nsamples; s++) {
-		float t = ((float)s + 0.5) * inv;
-		float x = x1 + (x2 - x1) * t;
-		float y = y1 + (y2 - y1) * t;
-		float z = z1 + (z2 - z1) * t;
-		acc += sampleAt(img, x, y, z, nx, ny, nz) * inv;
-	}
-	q[e - get_global_offset(0)] = fmax(acc, 0.000001);
-}
-
 kernel void backward(global float* corr, const global float* q,
                      const global float* events, int nevents,
                      int nx, int ny, int nz, int nsamples) {
@@ -289,6 +209,13 @@ type Params struct {
 	NSamples   int // ray samples per event
 }
 
+// subsetSize is the event count of a full subset: every one but the last.
+func (p Params) subsetSize() int { return (len(p.Events) + p.Subsets - 1) / p.Subsets }
+
+// subsets cuts the events into the ordered subsets of one iteration:
+// consecutive runs of subsetSize events, the last one shorter.
+func (p Params) subsets() []sched.Span { return sched.Chunks(len(p.Events), p.subsetSize()) }
+
 // Result carries the reconstructed image and timing.
 type Result struct {
 	Image         []float32
@@ -354,19 +281,11 @@ func Reconstruct(plat cl.Platform, dev cl.Device, p Params) (Result, error) {
 		return res, err
 	}
 
-	subsetSize := (len(p.Events) + p.Subsets - 1) / p.Subsets
+	subsets := p.subsets()
 	totalStart := time.Now()
 	for it := 0; it < p.Iterations; it++ {
-		for s := 0; s < p.Subsets; s++ {
-			lo := s * subsetSize
-			if lo >= len(p.Events) {
-				break
-			}
-			hi := lo + subsetSize
-			if hi > len(p.Events) {
-				hi = len(p.Events)
-			}
-			sub := p.Events[lo:hi]
+		for _, span := range subsets {
+			sub := p.Events[span.Lo:span.Hi]
 			ne := len(sub)
 
 			// Upload this subset's events — the per-iteration bulk
@@ -492,7 +411,7 @@ func ReconstructGraph(plat cl.Platform, dev cl.Device, p Params) (Result, error)
 	// recorded write always transfers the full capacity, and the ragged
 	// last subset rides the same graph with a patched event count (the
 	// kernels guard on nevents, so the padding is never read).
-	subsetSize := (len(p.Events) + p.Subsets - 1) / p.Subsets
+	subsetSize := p.subsetSize()
 	evBuf, err := ctx.CreateBuffer(cl.MemReadWrite, 24*subsetSize, nil)
 	if err != nil {
 		return res, err
@@ -557,18 +476,11 @@ func ReconstructGraph(plat cl.Platform, dev cl.Device, p Params) (Result, error)
 		return res, err
 	}
 
+	subsets := p.subsets()
 	totalStart := time.Now()
 	for it := 0; it < p.Iterations; it++ {
-		for s := 0; s < p.Subsets; s++ {
-			lo := s * subsetSize
-			if lo >= len(p.Events) {
-				break
-			}
-			hi := lo + subsetSize
-			if hi > len(p.Events) {
-				hi = len(p.Events)
-			}
-			sub := p.Events[lo:hi]
+		for _, span := range subsets {
+			sub := p.Events[span.Lo:span.Hi]
 			ne := len(sub)
 
 			tStart := time.Now()
@@ -637,7 +549,7 @@ func ReconstructPartitioned(plat cl.Platform, devices []cl.Device, p Params, pol
 			_ = rerr
 		}
 	}()
-	prog, err := ctx.CreateProgramWithSource(PartitionedKernelSource)
+	prog, err := ctx.CreateProgramWithSource(KernelSource)
 	if err != nil {
 		return res, err
 	}
@@ -666,19 +578,11 @@ func ReconstructPartitioned(plat cl.Platform, devices []cl.Device, p Params, pol
 		return res, err
 	}
 
-	subsetSize := (len(p.Events) + p.Subsets - 1) / p.Subsets
+	subsets := p.subsets()
 	totalStart := time.Now()
 	for it := 0; it < p.Iterations; it++ {
-		for s := 0; s < p.Subsets; s++ {
-			lo := s * subsetSize
-			if lo >= len(p.Events) {
-				break
-			}
-			hi := lo + subsetSize
-			if hi > len(p.Events) {
-				hi = len(p.Events)
-			}
-			sub := p.Events[lo:hi]
+		for _, span := range subsets {
+			sub := p.Events[span.Lo:span.Hi]
 			ne := len(sub)
 
 			tStart := time.Now()
@@ -759,7 +663,7 @@ func ReferenceReconstruct(p Params) []float32 {
 	for i := range img {
 		img[i] = 1
 	}
-	subsetSize := (len(p.Events) + p.Subsets - 1) / p.Subsets
+	subsets := p.subsets()
 	sample := func(x, y, z float32) float32 {
 		ix, iy, iz := int(x), int(y), int(z)
 		if ix < 0 || ix >= p.Vol.NX || iy < 0 || iy >= p.Vol.NY || iz < 0 || iz >= p.Vol.NZ {
@@ -768,16 +672,8 @@ func ReferenceReconstruct(p Params) []float32 {
 		return img[(iz*p.Vol.NY+iy)*p.Vol.NX+ix]
 	}
 	for it := 0; it < p.Iterations; it++ {
-		for s := 0; s < p.Subsets; s++ {
-			lo := s * subsetSize
-			if lo >= len(p.Events) {
-				break
-			}
-			hi := lo + subsetSize
-			if hi > len(p.Events) {
-				hi = len(p.Events)
-			}
-			sub := p.Events[lo:hi]
+		for _, span := range subsets {
+			sub := p.Events[span.Lo:span.Hi]
 			q := make([]float32, len(sub))
 			inv := float32(1) / float32(p.NSamples)
 			for e, ev := range sub {

@@ -105,6 +105,22 @@ func TestReconstructGraphMatchesEager(t *testing.T) {
 	}
 }
 
+// TestReconstructGraphNoEvents: with no events there are no subsets and
+// no subset buffer to size, and the zero-byte buffer is refused like any
+// other rather than indexing an empty subset list.
+func TestReconstructGraphNoEvents(t *testing.T) {
+	p := smallParams()
+	p.Events = nil
+	plat := native.NewPlatform("test", "test", []device.Config{device.TestCPU("cpu")})
+	devs, err := plat.Devices(cl.DeviceTypeAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReconstructGraph(plat, devs[0], p); cl.CodeOf(err) != cl.InvalidBufferSize {
+		t.Fatalf("zero events: got %v, want InvalidBufferSize", err)
+	}
+}
+
 func TestReconstructionConcentratesActivity(t *testing.T) {
 	// The phantom is a centred sphere: after a few iterations the centre
 	// voxels must accumulate more activity than the corners.

@@ -180,17 +180,6 @@ func (c *Cluster) Addrs() []string {
 	return append([]string(nil), c.addrs...)
 }
 
-// AliveAddrs returns the addresses of running nodes, sorted.
-func (c *Cluster) AliveAddrs() []string {
-	var out []string
-	for _, addr := range c.addrs {
-		if c.nodes[addr].Alive() {
-			out = append(out, addr)
-		}
-	}
-	return out
-}
-
 // Kill crashes a daemon: every connection it holds (client sessions,
 // peer links, both planes) drops and its listeners close. Device memory
 // — and with it every session's buffer contents — is gone; a later
@@ -235,14 +224,6 @@ func (c *Cluster) SeverClientLink(addr string) {
 // HealClientLink allows fresh client dials to the daemon again.
 func (c *Cluster) HealClientLink(addr string) {
 	c.Net.Heal(ClientID, addr)
-}
-
-// StallClientLink silently delays all traffic between client and daemon
-// by extra per chunk without closing anything — the failure mode only a
-// heartbeat can detect. Zero restores the modeled link.
-func (c *Cluster) StallClientLink(addr string, extra time.Duration) {
-	c.Net.SetExtraDelay(ClientID, addr, extra)
-	c.Net.SetExtraDelay(addr, ClientID, extra)
 }
 
 // DelaySpike arms a one-shot latency spike on the client→daemon

@@ -4,8 +4,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"math"
-	"strconv"
-	"strings"
 	"sync"
 
 	"dopencl/internal/cl"
@@ -205,15 +203,6 @@ func (b *Buffer) LostRanges() [][2]int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.coh.LostRanges(off, end)
-}
-
-// String renders the directory for debugging: "[0,512)M@A [512,1024)I".
-func (b *Buffer) debugString() string {
-	var sb strings.Builder
-	for _, rs := range b.RegionStates() {
-		sb.WriteString("[" + strconv.Itoa(rs.Off) + "," + strconv.Itoa(rs.End) + ")h=" + rs.Host + " ")
-	}
-	return sb.String()
 }
 
 // ---------------------------------------------------------------------------

@@ -251,13 +251,6 @@ func (s *Server) Down() <-chan struct{} {
 	return s.down
 }
 
-// DownErr reports why the connection died (nil while connected).
-func (s *Server) DownErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.downErr
-}
-
 // Epoch counts daemon-side state losses: it advances when a re-attach
 // finds the daemon did not retain this client's session. Lazily
 // registered state (command graphs) compares epochs to decide whether
@@ -266,13 +259,6 @@ func (s *Server) Epoch() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.epoch
-}
-
-// SessionID returns the daemon-issued session identity.
-func (s *Server) SessionID() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sessionID
 }
 
 // generation returns the connection generation (see connGen).

@@ -155,7 +155,7 @@ func New(cfg Config) (*Daemon, error) {
 		serveCache: serve.NewCache(0, 0),
 	}
 	if cfg.PeerDial != nil {
-		d.peers = gcf.NewPool(cfg.PeerDial, gcf.WithHandshake(d.peerHello))
+		d.peers = gcf.NewPool(cfg.PeerDial, d.peerHello)
 	}
 	return d, nil
 }

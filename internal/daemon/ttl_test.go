@@ -55,21 +55,24 @@ func TestPeerParkTTLExpiry(t *testing.T) {
 	// TTL — not after the old fixed ~1s timer pad — and a late accept
 	// must fail fast with OutOfResources instead of parking forever.
 	h.sendTransfer(t, protocol.PeerTransfer{Token: 77, BufID: 3, Offset: 0, Size: 64}, payload)
+	// A dropped token proves the payload was parked and then expired: the
+	// only other way into fwdDrop is a full early table, and this test
+	// parks one payload. Polling for the parked entry itself would race
+	// its few-millisecond life on a loaded host.
 	start := time.Now()
 	deadline := start.Add(2 * time.Second)
-	parkedSeen := false
 	for {
 		h.d.fwdMu.Lock()
-		if !parkedSeen && len(h.d.fwdEar) > 0 {
-			parkedSeen = true
-		}
-		dropped := h.d.fwdDrop[77]
+		dropped, early := h.d.fwdDrop[77], len(h.d.fwdEar)
 		h.d.fwdMu.Unlock()
-		if parkedSeen && dropped {
+		if dropped {
+			if early >= maxEarlyTransfers {
+				t.Fatalf("token dropped with a full early table (%d entries), not by expiry", early)
+			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("parked payload never expired at %v TTL (parked=%v)", msTTL, parkedSeen)
+			t.Fatalf("parked payload never expired at %v TTL", msTTL)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -2,9 +2,11 @@
 // exchange on top of the dOpenCL host API.
 //
 // The user declares a global 2-D array and a row partition over the
-// devices of a context; the runtime derives each device's owned region
-// as a sub-buffer of one global buffer, infers the ghost (halo) width
-// from the kernel's loads as compiled (stencil radius, see InferHalo), and
+// devices of a context: sched.Split with equal weights, so device i of n
+// owns the contiguous rows [i*h/n, (i+1)*h/n) as a sched.Span. The
+// runtime derives each device's owned region as a sub-buffer of one
+// global buffer, infers the ghost (halo) width from the kernel's loads
+// as compiled (stencil radius, see InferHalo), and
 // schedules each iteration so halo exchanges run as daemon-to-daemon
 // peer forwards overlapped with interior compute. The steady-state
 // iteration is recorded once and graph-replayed — one delta frame per
@@ -42,15 +44,8 @@ import (
 	"math"
 
 	"dopencl/internal/cl"
+	"dopencl/internal/sched"
 )
-
-// Span is a half-open row range [Lo, Hi).
-type Span struct {
-	Lo, Hi int
-}
-
-// Rows returns the number of rows in the span.
-func (s Span) Rows() int { return s.Hi - s.Lo }
 
 // Grid is a 2-D W×H float32 problem domain row-partitioned across the
 // devices of one context. It owns one in-order queue per device and the
@@ -61,9 +56,10 @@ type Grid struct {
 	queues  []cl.Queue
 	prog    cl.Program
 	w, h    int
-	parts   []Span
+	parts   []sched.Span
 	kernels map[string]cl.Kernel
 	arrays  []*Array
+	part    *Array // DotRows' per-row partials, created on first use
 }
 
 // NewGrid compiles src for the devices and row-partitions an H-row
@@ -87,6 +83,7 @@ func NewGrid(ctx cl.Context, devices []cl.Device, src string, w, h int) (*Grid, 
 		return nil, err
 	}
 	g := &Grid{ctx: ctx, prog: prog, w: w, h: h, kernels: map[string]cl.Kernel{}}
+	equal := make([]float64, len(devices))
 	for i, d := range devices {
 		q, err := ctx.CreateQueue(d)
 		if err != nil {
@@ -94,8 +91,9 @@ func NewGrid(ctx cl.Context, devices []cl.Device, src string, w, h int) (*Grid, 
 			return nil, err
 		}
 		g.queues = append(g.queues, q)
-		g.parts = append(g.parts, Span{Lo: i * h / len(devices), Hi: (i + 1) * h / len(devices)})
+		equal[i] = 1
 	}
+	g.parts = sched.Split(h, equal, 1)
 	return g, nil
 }
 
@@ -106,7 +104,7 @@ func (g *Grid) W() int { return g.w }
 func (g *Grid) H() int { return g.h }
 
 // Parts returns the row partition, one span per device in device order.
-func (g *Grid) Parts() []Span { return append([]Span(nil), g.parts...) }
+func (g *Grid) Parts() []sched.Span { return append([]sched.Span(nil), g.parts...) }
 
 // kernel returns (creating on first use) the named kernel object. One
 // object serves all queues: arguments are snapshotted at each enqueue.
@@ -127,7 +125,7 @@ func (g *Grid) Release() {
 	for _, a := range g.arrays {
 		a.release()
 	}
-	g.arrays = nil
+	g.arrays, g.part = nil, nil
 	for _, k := range g.kernels {
 		k.Release()
 	}
@@ -170,7 +168,7 @@ type Array struct {
 	g        *Grid
 	buf      cl.Buffer
 	rowBytes int
-	views    map[Span]cl.Buffer
+	views    map[sched.Span]cl.Buffer
 }
 
 // NewArray allocates a distributed W×H float32 array on the grid.
@@ -183,18 +181,18 @@ func (g *Grid) newArray(rowBytes int) (*Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Array{g: g, buf: buf, rowBytes: rowBytes, views: map[Span]cl.Buffer{}}
+	a := &Array{g: g, buf: buf, rowBytes: rowBytes, views: map[sched.Span]cl.Buffer{}}
 	g.arrays = append(g.arrays, a)
 	return a, nil
 }
 
 // view returns (creating and caching on first use) the sub-buffer
 // covering rows [s.Lo, s.Hi).
-func (a *Array) view(s Span) (cl.Buffer, error) {
+func (a *Array) view(s sched.Span) (cl.Buffer, error) {
 	if v, ok := a.views[s]; ok {
 		return v, nil
 	}
-	v, err := a.buf.CreateSubBuffer(s.Lo*a.rowBytes, s.Rows()*a.rowBytes)
+	v, err := a.buf.CreateSubBuffer(s.Lo*a.rowBytes, s.Len()*a.rowBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +210,7 @@ func (a *Array) Scatter(vals []float32) error {
 	}
 	perRow := a.rowBytes / 4
 	for pi, p := range a.g.parts {
-		if p.Rows() == 0 {
+		if p.Len() == 0 {
 			continue
 		}
 		data := f32bytes(vals[p.Lo*perRow : p.Hi*perRow])
@@ -240,7 +238,7 @@ func (a *Array) release() {
 		a.buf.Release()
 		a.buf = nil
 	}
-	a.views = map[Span]cl.Buffer{}
+	a.views = map[sched.Span]cl.Buffer{}
 }
 
 // setArgs binds kernel arguments in order.

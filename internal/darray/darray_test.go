@@ -512,6 +512,55 @@ func TestDotRowsPartitionIndependent(t *testing.T) {
 	}
 }
 
+// TestDotRowsOneColumn: on a one-column grid every array has the same
+// row size as the row-partials vector, which must not be mistaken for
+// one of them. Two calls both equal the host dot, and x and y are left
+// as scattered.
+func TestDotRowsOneColumn(t *testing.T) {
+	const gh = 8
+	x := randomState(gh, 7)
+	y := randomState(gh, 8)
+	var want float32
+	for i := range x {
+		want += float32(x[i] * y[i]) // rounded as the kernel rounds it
+	}
+	w := newWorld(t, simnet.Unlimited(), "node0", "node1")
+	g, _ := w.grid(t, jacobiSrc, 1, gh)
+	defer g.Release()
+	ax, _ := g.NewArray()
+	ay, _ := g.NewArray()
+	if err := ax.Scatter(x); err != nil {
+		t.Fatal(err)
+	}
+	if err := ay.Scatter(y); err != nil {
+		t.Fatal(err)
+	}
+	for call := 1; call <= 2; call++ {
+		got, err := g.DotRows("dotrows", ax, ay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("call %d: DotRows = %v, want %v", call, got, want)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		a    *darray.Array
+		want []float32
+	}{{"x", ax, x}, {"y", ay, y}} {
+		got, err := c.a.Gather()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range c.want {
+			if got[i] != c.want[i] {
+				t.Fatalf("%s[%d] = %v after DotRows, want %v", c.name, i, got[i], c.want[i])
+			}
+		}
+	}
+}
+
 // TestMapAxpy: Map applies an elementwise kernel across partitions;
 // verify against the host computation.
 func TestMapAxpy(t *testing.T) {

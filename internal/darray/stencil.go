@@ -2,6 +2,7 @@ package darray
 
 import (
 	"dopencl/internal/cl"
+	"dopencl/internal/sched"
 )
 
 // Halo is the ghost-region width of a stencil in rows: Lo rows of
@@ -25,12 +26,12 @@ type Halo struct {
 // engine while its next iteration computes. Gating the boundary and the
 // interior as separate replays was measured on loopback: no gain, twice
 // the frames.
-func launchSpans(p Span, halo Halo) []Span {
+func launchSpans(p sched.Span, halo Halo) []sched.Span {
 	topHi := min(p.Lo+halo.Hi, p.Hi)
 	botLo := max(p.Hi-halo.Lo, topHi)
-	spans := make([]Span, 0, 3)
-	for _, s := range []Span{{p.Lo, topHi}, {botLo, p.Hi}, {topHi, botLo}} {
-		if s.Rows() > 0 {
+	spans := make([]sched.Span, 0, 3)
+	for _, s := range []sched.Span{{Lo: p.Lo, Hi: topHi}, {Lo: botLo, Hi: p.Hi}, {Lo: topHi, Hi: botLo}} {
+		if s.Len() > 0 {
 			spans = append(spans, s)
 		}
 	}
@@ -42,12 +43,12 @@ func launchSpans(p Span, halo Halo) []Span {
 // claim covers only this launch, and so does the gate neighbours'
 // forwards wait on when the launch is eager), in to the rows the stencil
 // reaches, clamped to the domain.
-func (g *Grid) enqueueStencil(pi int, k cl.Kernel, dst, src *Array, span Span, halo Halo, scalars []any) (cl.Event, error) {
+func (g *Grid) enqueueStencil(pi int, k cl.Kernel, dst, src *Array, span sched.Span, halo Halo, scalars []any) (cl.Event, error) {
 	out, err := dst.view(span)
 	if err != nil {
 		return nil, err
 	}
-	inSpan := Span{max(0, span.Lo-halo.Lo), min(g.h, span.Hi+halo.Hi)}
+	inSpan := sched.Span{Lo: max(0, span.Lo-halo.Lo), Hi: min(g.h, span.Hi+halo.Hi)}
 	in, err := src.view(inSpan)
 	if err != nil {
 		return nil, err
@@ -57,7 +58,7 @@ func (g *Grid) enqueueStencil(pi int, k cl.Kernel, dst, src *Array, span Span, h
 		return nil, err
 	}
 	return g.queues[pi].EnqueueNDRangeKernelWithOffset(k,
-		[]int{span.Lo * g.w}, []int{span.Rows() * g.w}, nil, nil)
+		[]int{span.Lo * g.w}, []int{span.Len() * g.w}, nil, nil)
 }
 
 // Step runs dst = kernel(src) once across all partitions and waits for
@@ -93,7 +94,7 @@ func (g *Grid) Map(name string, arrays []*Array, scalars ...any) error {
 	}
 	var launches []cl.Event
 	for pi, p := range g.parts {
-		if p.Rows() == 0 {
+		if p.Len() == 0 {
 			continue
 		}
 		args := make([]any, 0, len(arrays)+2+len(scalars))
@@ -110,7 +111,7 @@ func (g *Grid) Map(name string, arrays []*Array, scalars ...any) error {
 			return err
 		}
 		ev, err := g.queues[pi].EnqueueNDRangeKernelWithOffset(k,
-			[]int{p.Lo * g.w}, []int{p.Rows() * g.w}, nil, nil)
+			[]int{p.Lo * g.w}, []int{p.Len() * g.w}, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -136,7 +137,7 @@ func (g *Grid) DotRows(name string, x, y *Array) (float32, error) {
 	}
 	var launches []cl.Event
 	for pi, p := range g.parts {
-		if p.Rows() == 0 {
+		if p.Len() == 0 {
 			continue
 		}
 		pv, err := part.view(p)
@@ -156,7 +157,7 @@ func (g *Grid) DotRows(name string, x, y *Array) (float32, error) {
 		}
 		// One work-item per row: the offset space is rows, not cells.
 		ev, err := g.queues[pi].EnqueueNDRangeKernelWithOffset(k,
-			[]int{p.Lo}, []int{p.Rows()}, nil, nil)
+			[]int{p.Lo}, []int{p.Len()}, nil, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -176,15 +177,17 @@ func (g *Grid) DotRows(name string, x, y *Array) (float32, error) {
 	return sum, nil
 }
 
-// partials returns the grid's lazily created per-row partials vector
-// (h rows of one float32 each), shared by all DotRows calls.
+// partials returns the grid's per-row partials vector (h rows of one
+// float32 each), created on the first DotRows and shared by the rest.
 func (g *Grid) partials() (*Array, error) {
-	for _, a := range g.arrays {
-		if a.rowBytes == 4 {
-			return a, nil
+	if g.part == nil {
+		a, err := g.newArray(4)
+		if err != nil {
+			return nil, err
 		}
+		g.part = a
 	}
-	return g.newArray(4)
+	return g.part, nil
 }
 
 // Loop is a recorded ping-pong stencil iteration: per partition, two
@@ -287,9 +290,6 @@ func (l *Loop) drain() error {
 	}
 	return l.g.finish()
 }
-
-// Steps returns the number of iterations run so far.
-func (l *Loop) Steps() int { return l.steps }
 
 // Result returns the array holding the latest state.
 func (l *Loop) Result() *Array {

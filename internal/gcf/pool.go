@@ -12,9 +12,8 @@ import (
 // streams over a single connection and share its coalescing/backpressure
 // machinery. A dead endpoint evicts itself, and the next Get re-dials.
 type Pool struct {
-	dial    func(addr string) (net.Conn, error)
-	hello   func(ep *Endpoint) error // optional post-dial handshake
-	handler Handler                  // inbound messages (default: dropped)
+	dial  func(addr string) (net.Conn, error)
+	hello func(ep *Endpoint) error // post-dial handshake, nil for none
 
 	mu      sync.Mutex
 	entries map[string]*poolEntry
@@ -30,33 +29,13 @@ type poolEntry struct {
 	err   error
 }
 
-// PoolOption configures a Pool.
-type PoolOption func(*Pool)
-
-// WithHandshake runs fn once on every freshly dialed endpoint before it
-// is handed out. A handshake error discards the connection.
-func WithHandshake(fn func(ep *Endpoint) error) PoolOption {
-	return func(p *Pool) { p.hello = fn }
-}
-
-// WithPoolHandler receives inbound messages arriving on pooled
-// connections. Without it, inbound messages are dropped (the peer bulk
-// plane is one-directional: headers and payload flow toward the dialed
-// side; nothing comes back).
-func WithPoolHandler(h Handler) PoolOption {
-	return func(p *Pool) { p.handler = h }
-}
-
-// NewPool creates a pool dialing through dial.
-func NewPool(dial func(addr string) (net.Conn, error), opts ...PoolOption) *Pool {
-	p := &Pool{dial: dial, entries: map[string]*poolEntry{}}
-	for _, o := range opts {
-		o(p)
-	}
-	if p.handler == nil {
-		p.handler = func([]byte) {}
-	}
-	return p
+// NewPool creates a pool dialing through dial. hello, when non-nil, runs
+// once on every freshly dialed endpoint before it is handed out; a
+// handshake error discards the connection. Inbound messages on pooled
+// connections are dropped: the peer bulk plane is one-directional, with
+// headers and payload flowing toward the dialed side and nothing back.
+func NewPool(dial func(addr string) (net.Conn, error), hello func(ep *Endpoint) error) *Pool {
+	return &Pool{dial: dial, hello: hello, entries: map[string]*poolEntry{}}
 }
 
 // Get returns a live endpoint for addr, dialing it if needed. Concurrent
@@ -89,7 +68,7 @@ func (p *Pool) Get(addr string) (*Endpoint, error) {
 	conn, err := p.dial(addr)
 	if err == nil {
 		ep := NewEndpoint(conn, true)
-		ep.Start(p.handler, func(error) { p.evict(addr, e) })
+		ep.Start(func([]byte) {}, func(error) { p.evict(addr, e) })
 		if p.hello != nil {
 			if herr := p.hello(ep); herr != nil {
 				ep.Close()

@@ -37,7 +37,7 @@ func TestPoolReusesConnections(t *testing.T) {
 		serverEPs = append(serverEPs, ep)
 		mu.Unlock()
 	})
-	p := NewPool(dial)
+	p := NewPool(dial, nil)
 	defer p.Close()
 
 	ep1, err := p.Get("a")
@@ -67,7 +67,7 @@ func TestPoolEvictsDeadConnections(t *testing.T) {
 		ep := NewEndpoint(s, false)
 		ep.Start(func([]byte) {}, nil)
 	})
-	p := NewPool(dial)
+	p := NewPool(dial, nil)
 	defer p.Close()
 
 	ep1, err := p.Get("a")
@@ -99,7 +99,7 @@ func TestPoolEvictsDeadConnections(t *testing.T) {
 
 func TestPoolDialFailureIsRetriable(t *testing.T) {
 	dial, _ := pipeDialer(nil)
-	p := NewPool(dial)
+	p := NewPool(dial, nil)
 	defer p.Close()
 	if _, err := p.Get("unreachable"); err == nil {
 		t.Fatal("dial to unreachable address succeeded")
@@ -122,7 +122,7 @@ func TestPoolConcurrentGetSingleDial(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		return dial(addr)
 	}
-	p := NewPool(slowDial)
+	p := NewPool(slowDial, nil)
 	defer p.Close()
 
 	const workers = 16
@@ -156,9 +156,9 @@ func TestPoolHandshakeFailureDiscards(t *testing.T) {
 		ep := NewEndpoint(s, false)
 		ep.Start(func([]byte) {}, nil)
 	})
-	p := NewPool(dial, WithHandshake(func(*Endpoint) error {
+	p := NewPool(dial, func(*Endpoint) error {
 		return fmt.Errorf("handshake rejected")
-	}))
+	})
 	defer p.Close()
 	if _, err := p.Get("a"); err == nil {
 		t.Fatal("handshake failure not surfaced")

@@ -17,7 +17,7 @@ import (
 var fuzzSeeds = []string{
 	mandelbrot.KernelSource, mandelbrot.PartitionedKernelSource,
 	heat.KernelSource, cgsolve.KernelSource,
-	osem.KernelSource, osem.PartitionedKernelSource,
+	osem.KernelSource,
 
 	// benchmark/w_cmdstream.go
 	`

@@ -9,7 +9,14 @@
 // still writes one kernel against one buffer; the scheduler decides which
 // device computes which contiguous block.
 //
-// Mechanics per chunk [s, e):
+// sched also owns the repository's one partition type. A Span holds
+// the indices Lo, Lo+Step, … below Hi (Step 0: the contiguous range),
+// and three cuts make every partition in the tree: Split (proportional
+// to weights, boundaries aligned: Static's chunks and darray's rows),
+// Chunks (fixed-size runs: OSEM's subsets) and Cyclic (round-robin:
+// Mandelbrot's row-cyclic tiles).
+//
+// Mechanics per contiguous chunk [s, e):
 //
 //   - the kernel launches with global work offset s and global size e-s,
 //     so get_global_id(0) yields TRUE coordinates in [s, e);
@@ -147,13 +154,13 @@ func (w *worker) note(items int, d time.Duration) {
 	w.mu.Unlock()
 }
 
-// launchChunk binds the partitioned arguments for [s, e), fires the
-// kernel with global offset s, and waits for completion (the wait is
-// what yields per-chunk throughput feedback).
-func (w *worker) launchChunk(l *Launch, s, e int) error {
+// launchChunk binds the partitioned arguments for the contiguous chunk
+// c, fires the kernel with global offset c.Lo, and waits for completion
+// (the wait is what yields per-chunk throughput feedback).
+func (w *worker) launchChunk(l *Launch, c Span) error {
 	var subs []cl.Buffer
 	for _, p := range l.Parts {
-		sub, err := p.Buffer.CreateSubBuffer(s*p.BytesPerItem, (e-s)*p.BytesPerItem)
+		sub, err := p.Buffer.CreateSubBuffer(c.Lo*p.BytesPerItem, c.Len()*p.BytesPerItem)
 		if err != nil {
 			return err
 		}
@@ -166,7 +173,7 @@ func (w *worker) launchChunk(l *Launch, s, e int) error {
 	if l.Local > 0 {
 		local = []int{l.Local}
 	}
-	ev, err := w.queue.EnqueueNDRangeKernelWithOffset(w.kernel, []int{s}, []int{e - s}, local, nil)
+	ev, err := w.queue.EnqueueNDRangeKernelWithOffset(w.kernel, []int{c.Lo}, []int{c.Len()}, local, nil)
 	if err != nil {
 		return err
 	}
@@ -309,40 +316,28 @@ func Run(l Launch, workers []Worker, p Policy) ([]Report, error) {
 // contiguous chunk sized weight_i/Σweights of the range (aligned), all
 // chunks executing concurrently.
 func (Static) run(ws []*worker, l *Launch, align int) error {
-	total := 0.0
-	for _, w := range ws {
-		total += w.weight
-	}
-	bounds := make([]int, len(ws)+1)
-	acc := 0.0
+	weights := make([]float64, len(ws))
 	for i, w := range ws {
-		acc += w.weight
-		b := int(float64(l.Global) * acc / total)
-		b = alignUp(b, align, l.Global)
-		if b < bounds[i] {
-			b = bounds[i]
-		}
-		bounds[i+1] = b
+		weights[i] = w.weight
 	}
-	bounds[len(ws)] = l.Global
+	spans := Split(l.Global, weights, align)
 
 	var wg sync.WaitGroup
 	errs := make([]error, len(ws))
 	for i, w := range ws {
-		s, e := bounds[i], bounds[i+1]
-		if s >= e {
+		if spans[i].Len() == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, w *worker, s, e int) {
+		go func(i int, w *worker, sp Span) {
 			defer wg.Done()
 			start := time.Now()
-			if err := w.launchChunk(l, s, e); err != nil {
+			if err := w.launchChunk(l, sp); err != nil {
 				errs[i] = err
 				return
 			}
-			w.note(e-s, time.Since(start))
-		}(i, w, s, e)
+			w.note(sp.Len(), time.Since(start))
+		}(i, w, spans[i])
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -385,11 +380,10 @@ func (d Dynamic) run(ws []*worker, l *Launch, align int) error {
 	}
 	base = alignUp(base, align, l.Global)
 
-	type rng struct{ s, e int }
 	var mu sync.Mutex
 	cond := sync.NewCond(&mu)
 	next := 0
-	var requeued []rng // chunks handed back by dead workers
+	var requeued []Span // chunks handed back by dead workers
 	busy := 0
 
 	chunkSize := func(w *worker) int {
@@ -416,7 +410,7 @@ func (d Dynamic) run(ws []*worker, l *Launch, align int) error {
 	// grab returns the next chunk, blocking while the queue is empty but
 	// a busy peer could still hand work back. ok=false means the whole
 	// range is done (or abandoned): no work and nobody running.
-	grab := func(w *worker) (rng, bool) {
+	grab := func(w *worker) (Span, bool) {
 		size := chunkSize(w)
 		mu.Lock()
 		defer mu.Unlock()
@@ -435,17 +429,17 @@ func (d Dynamic) run(ws []*worker, l *Launch, align int) error {
 				}
 				next = e
 				busy++
-				return rng{s, e}, true
+				return Span{Lo: s, Hi: e}, true
 			}
 			if busy == 0 {
-				return rng{}, false
+				return Span{}, false
 			}
 			cond.Wait()
 		}
 	}
 
 	dead := make([]bool, len(ws))
-	doneBy := make([][]rng, len(ws)) // completed chunks, requeued if the worker dies
+	doneBy := make([][]Span, len(ws)) // completed chunks, requeued if the worker dies
 	var lastLoss error
 
 	// One round: alive workers drain the queue (cursor + requeued).
@@ -471,7 +465,7 @@ func (d Dynamic) run(ws []*worker, l *Launch, align int) error {
 						return
 					}
 					start := time.Now()
-					err := w.launchChunk(l, r.s, r.e)
+					err := w.launchChunk(l, r)
 					mu.Lock()
 					busy--
 					if err != nil && serverLostErr(err) {
@@ -500,9 +494,9 @@ func (d Dynamic) run(ws []*worker, l *Launch, align int) error {
 					doneBy[i] = append(doneBy[i], r)
 					cond.Broadcast()
 					mu.Unlock()
-					w.note(r.e-r.s, time.Since(start))
+					w.note(r.Len(), time.Since(start))
 					if d.Observer != nil {
-						d.Observer(w.queue.Device().Name(), r.s, r.e)
+						d.Observer(w.queue.Device().Name(), r.Lo, r.Hi)
 					}
 				}
 			}(i, w)

@@ -300,3 +300,204 @@ func TestPartitionedAcrossDaemons(t *testing.T) {
 		t.Fatalf("stitched read moved %d bytes daemon-to-daemon, want 0", dp)
 	}
 }
+
+// The reference partitions below are the inline loops the three cuts
+// replaced, kept verbatim so any drift in the cuts' arithmetic shows.
+
+// refProportional is Static's proportional bounds loop.
+func refProportional(n int, weights []float64, align int) []int {
+	total := 0.0
+	for _, w := range weights {
+		total += w
+	}
+	bounds := make([]int, len(weights)+1)
+	acc := 0.0
+	for i, w := range weights {
+		acc += w
+		b := int(float64(n) * acc / total)
+		b = alignUp(b, align, n)
+		if b < bounds[i] {
+			b = bounds[i]
+		}
+		bounds[i+1] = b
+	}
+	bounds[len(weights)] = n
+	return bounds
+}
+
+// refSubsets is osem's subset loop.
+func refSubsets(n, subsets int) [][2]int {
+	var out [][2]int
+	subsetSize := (n + subsets - 1) / subsets
+	for s := 0; s < subsets; s++ {
+		lo := s * subsetSize
+		if lo >= n {
+			break
+		}
+		hi := lo + subsetSize
+		if hi > n {
+			hi = n
+		}
+		out = append(out, [2]int{lo, hi})
+	}
+	return out
+}
+
+// refRowsFor is mandelbrot's row count under row-cyclic distribution.
+func refRowsFor(height, d, n int) int {
+	rows := height / n
+	if d < height%n {
+		rows++
+	}
+	return rows
+}
+
+// indices lists a span's indices in order.
+func indices(s Span) []int {
+	var out []int
+	for i := s.Lo; i < s.Hi; i += max(s.Step, 1) {
+		out = append(out, i)
+	}
+	return out
+}
+
+// checkCovers fails unless the spans hold every index of [0, n) exactly
+// once and each span's Len counts its indices.
+func checkCovers(t *testing.T, what string, spans []Span, n int) {
+	t.Helper()
+	seen := make([]int, n)
+	for _, s := range spans {
+		idx := indices(s)
+		if len(idx) != s.Len() {
+			t.Fatalf("%s: %+v has %d indices, Len %d", what, s, len(idx), s.Len())
+		}
+		for _, i := range idx {
+			if i < 0 || i >= n {
+				t.Fatalf("%s: %+v holds %d outside [0, %d)", what, s, i, n)
+			}
+			seen[i]++
+		}
+	}
+	for i, c := range seen {
+		if c != 1 {
+			t.Fatalf("%s: index %d held %d times", what, i, c)
+		}
+	}
+}
+
+// TestPartitionCuts pins Split, Chunks and Cyclic to the reference
+// arithmetic over a grid of sizes, part counts, weights and alignments,
+// and checks that every cut covers its range exactly once.
+func TestPartitionCuts(t *testing.T) {
+	// Equal weights: span i starts at i*n/k, for every n ≤ 5,000, k ≤ 64.
+	for k := 1; k <= 64; k++ {
+		equal := make([]float64, k)
+		for i := range equal {
+			equal[i] = 1
+		}
+		for n := 0; n <= 5000; n++ {
+			spans := Split(n, equal, 1)
+			for i, s := range spans {
+				if s.Lo != i*n/k || s.Hi != (i+1)*n/k || s.Step != 0 {
+					t.Fatalf("Split(%d, %d equal, 1)[%d] = %+v, want [%d, %d)", n, k, i, s, i*n/k, (i+1)*n/k)
+				}
+			}
+		}
+	}
+
+	// Proportional: equal, 3:1, device-spec-like (compute units × clock
+	// MHz) and sign-alternating weights, unaligned and aligned to a
+	// 64-item work-group.
+	specs := []float64{8 * 2400, 4 * 1500, 16 * 1100, 2 * 3000, 30 * 1400}
+	weightSets := map[string]func(k int) []float64{
+		"equal": func(k int) []float64 {
+			w := make([]float64, k)
+			for i := range w {
+				w[i] = 1
+			}
+			return w
+		},
+		"3:1": func(k int) []float64 {
+			w := make([]float64, k)
+			for i := range w {
+				w[i] = float64(3 - 2*(i%2))
+			}
+			return w
+		},
+		"spec": func(k int) []float64 {
+			w := make([]float64, k)
+			for i := range w {
+				w[i] = specs[i%len(specs)]
+			}
+			return w
+		},
+		// A negative weight is the only way a boundary can fall below
+		// the one before it, which the cut must clamp.
+		"2:-1": func(k int) []float64 {
+			w := make([]float64, k)
+			for i := range w {
+				w[i] = float64(2 - 3*(i%2))
+			}
+			return w
+		},
+	}
+	for name, mk := range weightSets {
+		for k := 1; k <= 9; k++ {
+			weights := mk(k)
+			for _, align := range []int{1, 64} {
+				for n := 0; n <= 2048; n += 1 + n/64 {
+					spans := Split(n, weights, align)
+					bounds := refProportional(n, weights, align)
+					for i, s := range spans {
+						if s.Lo != bounds[i] || s.Hi != bounds[i+1] {
+							t.Fatalf("Split(%d, %s×%d, %d)[%d] = %+v, want [%d, %d)", n, name, k, align, i, s, bounds[i], bounds[i+1])
+						}
+					}
+					checkCovers(t, "Split", spans, n)
+				}
+			}
+		}
+	}
+
+	// Chunks is osem's subset loop with size ceil(n/subsets).
+	for n := 0; n <= 300; n++ {
+		for subsets := 1; subsets <= 20; subsets++ {
+			spans := Chunks(n, (n+subsets-1)/subsets)
+			want := refSubsets(n, subsets)
+			if len(spans) != len(want) {
+				t.Fatalf("Chunks(%d, ceil/%d): %d spans, want %d", n, subsets, len(spans), len(want))
+			}
+			for i, s := range spans {
+				if s.Lo != want[i][0] || s.Hi != want[i][1] || s.Step != 0 {
+					t.Fatalf("Chunks(%d, ceil/%d)[%d] = %+v, want %v", n, subsets, i, s, want[i])
+				}
+			}
+			checkCovers(t, "Chunks", spans, n)
+		}
+	}
+	if spans := Chunks(0, 0); len(spans) != 0 {
+		t.Fatalf("Chunks(0, 0) = %+v, want no spans", spans)
+	}
+
+	// Cyclic is mandelbrot's row-cyclic tiles: part d holds refRowsFor rows,
+	// its r-th at image row d + r*k; parts past n are empty.
+	for n := 0; n < 300; n++ {
+		for k := 1; k < 20; k++ {
+			spans := Cyclic(n, k)
+			for d, s := range spans {
+				if s.Len() != refRowsFor(n, d, k) {
+					t.Fatalf("Cyclic(%d, %d)[%d].Len() = %d, want %d", n, k, d, s.Len(), refRowsFor(n, d, k))
+				}
+				for r, row := range indices(s) {
+					if row != d+r*k {
+						t.Fatalf("Cyclic(%d, %d)[%d] row %d = %d, want %d", n, k, d, r, row, d+r*k)
+					}
+				}
+				if d >= n && s.Len() != 0 {
+					t.Fatalf("Cyclic(%d, %d)[%d] = %+v is not empty", n, k, d, s)
+				}
+			}
+			checkCovers(t, "Cyclic", spans, n)
+		}
+	}
+}

@@ -96,11 +96,3 @@ func (h *Hasher) Ints(vs []int) {
 
 // Sum returns the accumulated key.
 func (h *Hasher) Sum() Key { return Key{A: h.a, B: h.b} }
-
-// HashBytes is a convenience for single-field keys (e.g. buildID
-// pre-hashing of program source).
-func HashBytes(p []byte) Key {
-	h := NewHasher()
-	h.Bytes(p)
-	return h.Sum()
-}

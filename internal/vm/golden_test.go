@@ -106,9 +106,9 @@ func TestInstructionCountsGolden(t *testing.T) {
 		{"osem.backward", osem.KernelSource, "backward", osemArgs(64, 40), 64, 0, 16, 314651, 16},
 		{"osem.update", osem.KernelSource, "update",
 			[]vm.Arg{floats(64, 0, 1), floats(64, -1, 2), i(50)}, 64, 0, 64, 300, 0},
-		{"osem.part.forward", osem.PartitionedKernelSource, "forward", osemArgs(32, 64), 32, 8, 8, 7784, 8},
-		{"osem.part.backward", osem.PartitionedKernelSource, "backward", osemArgs(48, 40), 48, 16, 48, 235979, 4},
-		{"osem.part.update", osem.PartitionedKernelSource, "update",
+		{"osem.part.forward", osem.KernelSource, "forward", osemArgs(32, 64), 32, 8, 8, 7784, 8},
+		{"osem.part.backward", osem.KernelSource, "backward", osemArgs(48, 40), 48, 16, 48, 235979, 4},
+		{"osem.part.update", osem.KernelSource, "update",
 			[]vm.Arg{floats(48, 0, 1), floats(48, -1, 2), i(60)}, 48, 16, 24, 223, 0},
 		{"bench.mix", benchSource, "mix",
 			[]vm.Arg{floats(256, 0, 1), floats(512, 0, 1), i(100), f(0.5)}, 256, 0, 64, 1280, 0},
