@@ -211,10 +211,8 @@ func (p *Platform) RequestFromManager(cfg ManagerConfig) (*Lease, error) {
 	// Epoch 0 means never fetched: managers start at 1.
 	epoch, shards := p.ShardView()
 	if epoch == 0 {
-		if view, err := rpc.FetchShardMap(p.opts.Dialer, seeds, 0); err == nil {
-			p.noteShardView(view)
-			_, shards = p.ShardView()
-		}
+		p.fetchShardMap(seeds)
+		_, shards = p.ShardView()
 	}
 	candidates := protocol.ShardOrder(shards, tenant)
 	inMap := map[string]bool{}
@@ -245,6 +243,29 @@ func (p *Platform) RequestFromManager(cfg ManagerConfig) (*Lease, error) {
 		lastErr = cl.Errf(cl.InvalidServer, "no device manager reachable")
 	}
 	return nil, lastErr
+}
+
+// fetchShardMap asks the seeds in turn for the control plane's view, on the
+// kept link to each, until one answers: the link the map comes over is the
+// one a placement request to that shard then rides.
+func (p *Platform) fetchShardMap(seeds []string) {
+	for _, addr := range seeds {
+		c, _, err := p.managerConn(addr)
+		if err != nil {
+			continue
+		}
+		resp, err := c.Call(protocol.MsgDMShardMap, 0, nil)
+		if err != nil {
+			if resp == nil {
+				p.dropManagerConn(addr, c)
+			}
+			continue
+		}
+		if view := protocol.GetShardMap(resp); resp.Err() == nil {
+			p.noteShardView(view)
+			return
+		}
+	}
 }
 
 // managerRoutes is all a shard tells its client unasked: an epoch bump,
@@ -281,14 +302,22 @@ func (p *Platform) managerConn(addr string) (c *rpc.Conn, kept bool, err error) 
 }
 
 // dropManagerConn forgets and closes a link that died or failed a call; the
-// next request to its shard dials again.
+// next request to its shard dials again. With the platform's last manager
+// link go its idle daemon links: no lease can come to bind to them.
 func (p *Platform) dropManagerConn(addr string, c *rpc.Conn) {
 	p.mgrMu.Lock()
 	if p.mgrs[addr] == c {
 		delete(p.mgrs, addr)
 	}
+	var idle map[string]*Server
+	if len(p.mgrs) == 0 {
+		idle, p.idle = p.idle, map[string]*Server{}
+	}
 	p.mgrMu.Unlock()
 	c.Close()
+	for _, s := range idle {
+		s.endpoint().Close()
+	}
 }
 
 // requestFromShard runs one placement attempt against one shard.
@@ -319,6 +348,11 @@ func (p *Platform) requestFromShard(manager, tenant string, cfg ManagerConfig) (
 	}
 	authID := resp.String()
 	serverAddrs := resp.Strings()
+	// Each server's leased devices, as the manager registered them.
+	recs := make([][]protocol.DeviceRecord, len(serverAddrs))
+	for i := range recs {
+		recs[i] = protocol.GetDeviceRecords(resp)
+	}
 	if resp.Err() != nil {
 		return nil, cl.Errf(cl.InvalidServer, "malformed device manager response")
 	}
@@ -328,8 +362,8 @@ func (p *Platform) requestFromShard(manager, tenant string, cfg ManagerConfig) (
 	}
 
 	lease := &Lease{AuthID: authID, ManagerAddr: manager, plat: p}
-	for _, addr := range serverAddrs {
-		s, err := p.connectServerAuth(addr, authID)
+	for i, addr := range serverAddrs {
+		s, err := p.leaseServer(addr, authID, recs[i])
 		if err != nil {
 			_ = lease.Release() // the connect failure is the one to report
 			return nil, err
@@ -340,7 +374,9 @@ func (p *Platform) requestFromShard(manager, tenant string, cfg ManagerConfig) (
 }
 
 // Release returns the lease's devices to the device manager (the release
-// message of Section IV-C) and disconnects the lease's servers. If the
+// message of Section IV-C) and ends the lease on its servers: each daemon
+// session releases every object of the lease, and the link is kept for the
+// platform's next lease on that daemon (Platform.endLease). If the
 // granting shard cannot be reached, the release is broadcast to the
 // surviving shards: whichever shard adopted the devices (rendezvous
 // re-homing) holds the lease record and frees them; the others ignore the
@@ -367,7 +403,7 @@ func (l *Lease) Release() error {
 		}
 	}
 	for _, s := range l.Servers {
-		if derr := l.plat.DisconnectServer(s); derr != nil && err == nil {
+		if derr := l.plat.endLease(s, l.AuthID); derr != nil && err == nil {
 			err = derr
 		}
 	}

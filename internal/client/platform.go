@@ -59,10 +59,15 @@ type Platform struct {
 	shardEpoch uint64
 	shards     []string
 
-	// The kept device-manager links, one per shard asked so far: a lease
-	// session costs a request on it, not a dial (managerConn).
+	// The kept links. One per device-manager shard asked so far: a lease
+	// costs a request on it, not a dial (managerConn). And at most one idle
+	// daemon link per address, the link of a released lease: the next lease
+	// on that daemon binds to it instead of dialing (leaseServer). An idle
+	// link lives as long as some manager link does, since a new lease can
+	// only come through one.
 	mgrMu sync.Mutex
 	mgrs  map[string]*rpc.Conn
+	idle  map[string]*Server
 }
 
 // noteShardView merges a pushed or fetched control-plane view into the
@@ -95,20 +100,23 @@ func NewPlatform(opts Options) *Platform {
 	if opts.ClientName == "" {
 		opts.ClientName = "dopencl-client"
 	}
-	return &Platform{opts: opts, mgrs: map[string]*rpc.Conn{}}
+	return &Platform{opts: opts, mgrs: map[string]*rpc.Conn{}, idle: map[string]*Server{}}
 }
 
 // Close ends the platform's device-manager links (a manager closing its
-// side ends one too). Servers are disconnected one by one, by
-// DisconnectServer or Lease.Release; a later RequestFromManager dials
-// again.
+// side ends one too) and its idle daemon links. Connected servers are
+// disconnected one by one, by DisconnectServer or Lease.Release; a later
+// RequestFromManager dials again.
 func (p *Platform) Close() {
 	p.mgrMu.Lock()
-	mgrs := p.mgrs
-	p.mgrs = map[string]*rpc.Conn{}
+	mgrs, idle := p.mgrs, p.idle
+	p.mgrs, p.idle = map[string]*rpc.Conn{}, map[string]*Server{}
 	p.mgrMu.Unlock()
 	for _, c := range mgrs {
 		c.Close()
+	}
+	for _, s := range idle {
+		s.endpoint().Close()
 	}
 }
 
@@ -144,10 +152,81 @@ func (p *Platform) connectServerAuth(addr, authID string) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.addServer(s)
+	return s, nil
+}
+
+func (p *Platform) addServer(s *Server) {
 	p.mu.Lock()
 	p.servers = append(p.servers, s)
 	p.mu.Unlock()
-	return s, nil
+}
+
+// leaseServer connects the lease authID to the daemon at addr, whose
+// devices in it the grant listed (recs): on the idle link to that daemon
+// if there is a live one, which a one-way Hello binds to the lease, and
+// over a new connection otherwise.
+func (p *Platform) leaseServer(addr, authID string, recs []protocol.DeviceRecord) (*Server, error) {
+	p.mgrMu.Lock()
+	s := p.idle[addr]
+	delete(p.idle, addr)
+	p.mgrMu.Unlock()
+	if s != nil {
+		if err := s.bind(authID, recs); err == nil {
+			p.addServer(s)
+			return s, nil
+		}
+		s.endpoint().Close() // it died idle: dial
+	}
+	return p.connectServerAuth(addr, authID)
+}
+
+// endLease takes s out of the platform for the lease authID, ends the
+// lease's daemon session on it (MsgGoodbye) and keeps the link idle for the
+// next lease on that daemon, or closes it: when it is dead, when another
+// link to the daemon is idle already, or when no manager link is left to
+// bring a next lease. A server bound to another lease by now is left alone.
+func (p *Platform) endLease(s *Server, authID string) error {
+	if s.lease() != authID || !p.removeServer(s) {
+		return cl.Errf(cl.InvalidServer, "server %s does not serve lease %.8s", s.addr, authID)
+	}
+	s.leaseEnded()
+	if s.send(protocol.MsgGoodbye, nil) == nil {
+		p.mgrMu.Lock()
+		keep := len(p.mgrs) > 0 && p.idle[s.addr] == nil && s.Connected()
+		if keep {
+			p.idle[s.addr] = s
+		}
+		p.mgrMu.Unlock()
+		if keep {
+			return nil
+		}
+	}
+	s.endpoint().Close()
+	return nil
+}
+
+// forgetIdle drops s from the idle links once its connection has died.
+func (p *Platform) forgetIdle(s *Server) {
+	p.mgrMu.Lock()
+	if p.idle[s.addr] == s {
+		delete(p.idle, s.addr)
+	}
+	p.mgrMu.Unlock()
+}
+
+// removeServer takes s out of the connected list, reporting whether it was
+// there.
+func (p *Platform) removeServer(s *Server) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, cur := range p.servers {
+		if cur == s {
+			p.servers = append(p.servers[:i], p.servers[i+1:]...)
+			return true
+		}
+	}
+	return false
 }
 
 // dialEndpoint opens a gcf endpoint to addr, preferring the in-process
@@ -168,19 +247,7 @@ func (p *Platform) dialEndpoint(addr string) (*gcf.Endpoint, error) {
 // DisconnectServer removes the server from the platform; its devices
 // become unavailable (clDisconnectServerWWU).
 func (p *Platform) DisconnectServer(s *Server) error {
-	p.mu.Lock()
-	idx := -1
-	for i, cur := range p.servers {
-		if cur == s {
-			idx = i
-			break
-		}
-	}
-	if idx >= 0 {
-		p.servers = append(p.servers[:idx], p.servers[idx+1:]...)
-	}
-	p.mu.Unlock()
-	if idx < 0 {
+	if !p.removeServer(s) {
 		return cl.Errf(cl.InvalidServer, "server %s not connected", s.addr)
 	}
 	s.disconnect()

@@ -22,7 +22,13 @@
 //     server (Server.takeSessionError);
 //   - the connection API extension (clConnectServerWWU et al.), the server
 //     configuration file, and device-manager assignment requests
-//     (Section IV-B).
+//     (Section IV-B) over kept links: one per manager shard, which carries
+//     the shard-map request, every grant and every release, and at most
+//     one idle link per daemon, which a released lease leaves behind and
+//     the next lease on that daemon binds to with a one-way Hello, its
+//     device records taken from the grant (Platform.leaseServer). An idle
+//     link closes with the platform's last manager link, so a warm lease
+//     session waits for the grant alone and dials nothing.
 package client
 
 import (
@@ -222,6 +228,7 @@ func (s *Server) onClose(c *rpc.Conn, err error) {
 	downClosed := s.downClosed
 	s.downClosed = true
 	s.mu.Unlock()
+	s.plat.forgetIdle(s)
 	for _, hook := range hooks {
 		go hook(cl.CommandStatus(cl.ServerLost))
 	}
@@ -543,6 +550,58 @@ func (s *Server) stream(id uint32) *gcf.Stream { return s.endpoint().Stream(id) 
 func (s *Server) disconnect() {
 	_ = s.send(protocol.MsgGoodbye, nil)
 	s.endpoint().Close()
+}
+
+// lease returns the authentication ID of the lease s serves ("" for a
+// direct connection).
+func (s *Server) lease() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.authID
+}
+
+// leaseEnded drops the client's side of a lease whose daemon session is
+// about to end while the link stays up: serve lanes fail their pending
+// futures, and a context kept past the lease loses its buffer ranges held
+// only here and leaves the platform's registry, so that no re-attach of
+// the link under a later lease re-creates it there. The connection
+// generation advances: event replacements of this lease are stale.
+func (s *Server) leaseEnded() {
+	s.mu.Lock()
+	serves := s.serves
+	s.serves = nil
+	s.mu.Unlock()
+	for _, ss := range serves {
+		ss.failPending(cl.Errf(cl.InvalidServer, "lease on %s released", s.addr))
+	}
+	for _, c := range s.plat.contextsOf(s) {
+		for _, b := range c.liveBuffers() {
+			b.handleServerLost(s)
+		}
+		s.plat.forgetContext(c)
+	}
+	s.mu.Lock()
+	s.connGen++
+	s.mu.Unlock()
+}
+
+// bind makes the kept link s serve the lease authID. The grant listed the
+// lease's devices on this daemon (recs), so the Hello that binds the
+// daemon session is one-way: a refusal is reported by the next call that
+// waits on s, like a refused create's.
+func (s *Server) bind(authID string, recs []protocol.DeviceRecord) error {
+	s.mu.Lock()
+	s.authID = authID
+	s.devices = make([]*Device, 0, len(recs))
+	for _, rec := range recs {
+		s.devices = append(s.devices, &Device{srv: s, unitID: rec.UnitID, info: rec.Info})
+	}
+	s.sessErrs = nil
+	s.mu.Unlock()
+	return s.send(protocol.MsgHello, func(w *protocol.Writer) {
+		w.String(s.plat.opts.ClientName)
+		w.String(authID)
+	})
 }
 
 // Reattach re-establishes a dead server connection with the

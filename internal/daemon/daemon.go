@@ -216,6 +216,27 @@ func (d *Daemon) visibleRecords(authID string) ([]protocol.DeviceRecord, error) 
 	return recs, nil
 }
 
+// device returns unit u's device if a session bound to authID may use it:
+// on an unmanaged daemon every unit, on a managed one the units of
+// authID's lease — none once it is revoked, and none for a session that
+// has not bound itself with a Hello. It reads the lease table at each
+// create, so a Revoke takes the units from exactly the sessions still
+// bound to that lease.
+func (d *Daemon) device(authID string, u uint64) cl.Device {
+	if u >= uint64(len(d.devices)) {
+		return nil
+	}
+	if d.cfg.Managed {
+		d.mu.Lock()
+		ok := d.leases[authID][uint32(u)]
+		d.mu.Unlock()
+		if !ok {
+			return nil
+		}
+	}
+	return d.devices[u]
+}
+
 // Allow grants authID access to the given device units (device-manager
 // assignment, step 3b of Fig. 2).
 func (d *Daemon) Allow(authID string, units []uint32) {
@@ -231,7 +252,9 @@ func (d *Daemon) Allow(authID string, units []uint32) {
 	}
 }
 
-// Revoke invalidates an authentication ID.
+// Revoke invalidates an authentication ID: sessions bound to it can create
+// nothing on its units any more, and sessions bound to another lease are
+// untouched.
 func (d *Daemon) Revoke(authID string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -357,22 +380,16 @@ func (d *Daemon) takeDetachedSession(id uint64) *session {
 	}
 }
 
-// detachSession parks a session whose connection died. In-flight
-// forwards are cancelled and pending user events failed (a native queue
-// must not stay wedged on a gate nobody can complete any more), but the
-// object tables — and the buffer data in them — survive for
-// SessionRetain so a re-attach finds them. Without retention the
+// detachSession parks a session whose connection died. The session is
+// quiesced, but the object tables — and the buffer data in them — survive
+// for SessionRetain so a re-attach finds them. Without retention the
 // session retires immediately.
 func (d *Daemon) detachSession(s *session) {
-	d.dropSessionForwards(s)
-	s.failPendingEvents()
-	s.closeServeLanes()
+	s.quiesce()
 	retain := d.cfg.SessionRetain
 	s.mu.Lock()
 	if s.noRetain {
-		// The client said goodbye: this is a deliberate exit, and parking
-		// its device allocations for the retention window would just
-		// starve other clients' memory.
+		// The goodbye ended the lease: there is nothing to retain.
 		retain = 0
 	}
 	s.mu.Unlock()
@@ -411,22 +428,19 @@ func (d *Daemon) reparkSession(s *session) {
 	d.sessMu.Unlock()
 }
 
-// retireIfDetached retires the session immediately if it is currently
-// parked (a goodbye dispatched after the close notice already detached
-// it — the retention window would just strand device memory).
-func (d *Daemon) retireIfDetached(s *session) {
+// unparkSession drops the session from the registry if it is currently
+// parked: a goodbye dispatched after the close notice already detached it
+// retires it at once, where the retention window would just strand device
+// memory.
+func (d *Daemon) unparkSession(s *session) {
 	d.sessMu.Lock()
-	parked := d.sessions[s.id] == s && s.detached
-	if parked {
+	defer d.sessMu.Unlock()
+	if d.sessions[s.id] == s && s.detached {
 		delete(d.sessions, s.id)
 		if s.retireTimer != nil {
 			s.retireTimer.Stop()
 			s.retireTimer = nil
 		}
-	}
-	d.sessMu.Unlock()
-	if parked {
-		s.retire()
 	}
 }
 
@@ -454,6 +468,26 @@ func (d *Daemon) RetainedSessions() int {
 		if s.detached {
 			n++
 		}
+	}
+	return n
+}
+
+// SessionObjects reports how many objects the daemon's sessions hold,
+// attached or parked: contexts, queues, buffers, programs, kernels, events,
+// cached graphs and serve lanes. A session whose lease ended holds none.
+func (d *Daemon) SessionObjects() int {
+	d.sessMu.Lock()
+	sessions := make([]*session, 0, len(d.sessions))
+	for _, s := range d.sessions {
+		sessions = append(sessions, s)
+	}
+	d.sessMu.Unlock()
+	n := 0
+	for _, s := range sessions {
+		s.mu.Lock()
+		n += len(s.contexts) + len(s.queues) + len(s.buffers) + len(s.programs) +
+			len(s.kernels) + len(s.events) + len(s.graphs) + len(s.serves)
+		s.mu.Unlock()
 	}
 	return n
 }

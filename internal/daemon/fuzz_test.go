@@ -123,6 +123,12 @@ func FuzzSession(f *testing.F) {
 	// among them.
 	f.Add(frames(parked, row(protocol.MsgCreateQueue, one), row(protocol.MsgCreateContext, one),
 		row(protocol.MsgCreateProgram, one), row(protocol.MsgCreateBuffer, one)))
+	// A lease ended on a kept link with a command parked on a user event, and
+	// the next lease bound to it one-way, creating and running behind its Hello.
+	f.Add(frames(parked, row(protocol.MsgGoodbye, one), row(protocol.MsgHello, one),
+		row(protocol.MsgCreateContext, one), row(protocol.MsgCreateQueue, one), row(protocol.MsgCreateBuffer, one),
+		row(protocol.MsgCreateProgram, one), row(protocol.MsgBuildProgram, one), row(protocol.MsgCreateKernel, one),
+		row(protocol.MsgEnqueueKernel, one), row(protocol.MsgGoodbye, one)))
 
 	// One daemon for all inputs: its serve dispatcher, started by the first
 	// session's ServeOpen, lives as long as it does.

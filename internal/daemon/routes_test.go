@@ -57,9 +57,11 @@ func sessionSamples() []rpctest.Sample {
 	}
 	eventStatus := func(w *protocol.Writer) { w.U64(0); w.I32(int32(cl.Complete)) }
 	launch := protocol.GraphCommand{Op: protocol.GraphOpKernel, KernelID: 0, Global: []int{csSize / 4}}
+	hello := func(w *protocol.Writer) { w.String("sweep"); w.String("") }
 	req, one := protocol.ClassRequest, protocol.ClassOneWay
 	return []rpctest.Sample{
-		{Type: protocol.MsgHello, Class: req, Setup: true, Fill: func(w *protocol.Writer) { w.String("sweep"); w.String("") }},
+		{Type: protocol.MsgHello, Class: req, Setup: true, Fill: hello},
+		{Type: protocol.MsgHello, Class: one, Fill: hello},
 		{Type: protocol.MsgAttachSession, Class: req, Fill: func(w *protocol.Writer) { w.U64(12345); w.String("sweep"); w.String("") }},
 		{Type: protocol.MsgGetServerInfo, Class: req},
 		{Type: protocol.MsgCreateContext, Class: req, Setup: true, Fill: createContext},

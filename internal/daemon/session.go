@@ -30,10 +30,13 @@ type session struct {
 	detached    bool
 	retireTimer *time.Timer
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// authID is the lease the session is bound to ("" before its Hello and
+	// after its Goodbye): on a managed daemon its units are the only ones the
+	// session may use (Daemon.device).
 	authID   string
 	clientNm string
-	noRetain bool // client said goodbye: retire immediately on close
+	noRetain bool // lease ended by a goodbye: nothing to retain on close
 	contexts map[uint64]cl.Context
 	queues   map[uint64]cl.Queue
 	buffers  map[uint64]cl.Buffer
@@ -45,7 +48,6 @@ type session struct {
 	// or overwrite an ID with commands parked on the event).
 	unsettled map[cl.UserEvent]struct{}
 	graphs    map[uint64]*sessGraph // cached command graphs (session-scoped)
-	unitDevs  map[uint32]cl.Device  // unit ID → device, fixed per daemon
 	serves    map[uint64]*serveLane // serve lanes (connection-scoped)
 	// serveProg memoizes each kernel's (source, name) fingerprint so the
 	// per-job serve path never re-hashes program source.
@@ -63,11 +65,7 @@ func newSession(d *Daemon, ep *gcf.Endpoint) *session {
 		events:    map[uint64]cl.Event{},
 		unsettled: map[cl.UserEvent]struct{}{},
 		graphs:    map[uint64]*sessGraph{},
-		unitDevs:  map[uint32]cl.Device{},
 		serves:    map[uint64]*serveLane{},
-	}
-	for i, dev := range d.devices {
-		s.unitDevs[uint32(i)] = dev
 	}
 	d.registerSession(s)
 	return s
@@ -116,25 +114,51 @@ func (s *session) track(ue cl.UserEvent) {
 	}
 }
 
-// retire releases session resources and reports an unreleased lease to
-// the device manager (abnormal client termination, Section IV-C).
+// quiesce stops what nobody can settle once the client is gone: in-flight
+// forwards are cancelled, pending user events fail (a native queue must not
+// stay wedged on a gate nobody can complete any more) and serve lanes close.
+func (s *session) quiesce() {
+	s.d.dropSessionForwards(s)
+	s.failPendingEvents()
+	s.closeServeLanes()
+}
+
+// retire ends the session's lease. It is the one end-of-lease path: a
+// Goodbye runs it with the connection up, which then carries the client's
+// next lease, and the connection's close runs it for a session that is not
+// retained. Every object the session holds is released — native queues
+// stop — and a lease the client did not release is reported to the device
+// manager (abnormal client termination, Section IV-C). The tables are
+// taken whole, so a second call finds nothing to do.
 func (s *session) retire() {
+	s.quiesce()
+	s.releaseGraphs()
 	s.mu.Lock()
 	authID := s.authID
-	queues := make([]cl.Queue, 0, len(s.queues))
-	for _, q := range s.queues {
-		queues = append(queues, q)
-	}
+	s.authID = ""
+	queues, kernels, programs := s.queues, s.kernels, s.programs
+	buffers, contexts := s.buffers, s.contexts
+	s.queues, s.kernels, s.programs = map[uint64]cl.Queue{}, map[uint64]cl.Kernel{}, map[uint64]cl.Program{}
+	s.buffers, s.contexts = map[uint64]cl.Buffer{}, map[uint64]cl.Context{}
+	s.serveProg = nil
 	s.mu.Unlock()
-	for _, q := range queues {
-		if err := q.Release(); err != nil {
-			s.d.logf("daemon %s: queue release: %v", s.d.cfg.Name, err)
-		}
-	}
-	s.releaseGraphs()
+	releaseAll(s, queues)
+	releaseAll(s, kernels)
+	releaseAll(s, programs)
+	releaseAll(s, buffers)
+	releaseAll(s, contexts)
 	if authID != "" && s.d.cfg.Managed && s.d.HasLease(authID) {
 		s.d.Revoke(authID)
 		s.d.reportInvalidatedLease(authID, nil)
+	}
+}
+
+// releaseAll releases every object of a table retire took from the session.
+func releaseAll[T interface{ Release() error }](s *session, table map[uint64]T) {
+	for id, obj := range table {
+		if err := obj.Release(); err != nil {
+			s.d.logf("daemon %s: release of object %d: %v", s.d.cfg.Name, id, err)
+		}
 	}
 }
 
@@ -230,18 +254,19 @@ func (s *session) resolveWaits(ids []uint64) ([]cl.Event, error) {
 // its dispatch order relative to a later Finish request is what makes
 // Finish a correct synchronization point for the whole pipeline. Object
 // lifecycle (create and release of contexts, queues, buffers, programs and
-// kernels), program build, argument binding and user-event status are
-// served in both classes by one handler each: the client assigns the IDs,
-// checks what it can itself and compiles programs locally (MiniCL is
-// deterministic: its verdict on a build is the daemon's), so a response
-// would carry nothing it needs and the message rides the ordered one-way
-// stream ahead of every command that names the object; re-attach recovery
-// and user code, which want the answer, use the request form. Every
-// failure exit of those handlers goes through fail, which answers a
-// request and notifies for a one-way frame.
+// kernels), program build, argument binding, user-event status and the
+// Hello that binds a lease are served in both classes by one handler each:
+// the client assigns the IDs, checks what it can itself, compiles programs
+// locally (MiniCL is deterministic: its verdict on a build is the daemon's)
+// and has a lease's device records from its grant, so a response would
+// carry nothing it needs and the message rides the ordered one-way stream
+// ahead of every command that names the object; a new connection's Hello,
+// re-attach recovery and user code, which want the answer, use the request
+// form. Every failure exit of those handlers goes through fail, which
+// answers a request and notifies for a one-way frame.
 func (s *session) routes() rpc.Routes {
 	return rpc.Routes{
-		protocol.MsgHello:              {Request: s.handleHello},
+		protocol.MsgHello:              {Request: s.handleHello, OneWay: s.handleHello},
 		protocol.MsgAttachSession:      {Request: s.handleAttachSession},
 		protocol.MsgGetServerInfo:      {Request: s.handleGetServerInfo},
 		protocol.MsgCreateContext:      {Request: s.handleCreateContext, OneWay: s.handleCreateContext},
@@ -311,18 +336,26 @@ func (s *session) handleReleaseEvent(c rpc.Call) {
 	s.mu.Unlock()
 }
 
-// handleGoodbye is the deliberate disconnect: no point retaining the
-// session for a re-attach that will never come. The goodbye can be
-// dispatched AFTER the connection's close already detached the session
-// (the close notice runs on the read goroutine, dispatch on its own), so a
-// session already parked is retired here.
+// handleGoodbye ends the session's lease (retire) and leaves the
+// connection up: the client keeps it for its next lease on this daemon,
+// which binds to it with a Hello. Until then a close has nothing to retain.
+// The goodbye can be dispatched AFTER the connection's close already
+// detached the session (the close notice runs on the read goroutine,
+// dispatch on its own), so a session already parked leaves the registry
+// here.
 func (s *session) handleGoodbye(rpc.Call) {
 	s.mu.Lock()
 	s.noRetain = true
 	s.mu.Unlock()
-	s.d.retireIfDetached(s)
+	s.d.unparkSession(s)
+	s.retire()
 }
 
+// handleHello binds the session to a lease: the client's first message on
+// a new connection, asked, and — one-way, behind the previous lease's
+// Goodbye — the first of each later lease on a kept connection, whose
+// client has the device records from its grant already. A refusal is then
+// reported at the client's next wait, like a refused create's.
 func (s *session) handleHello(c rpc.Call) {
 	clientName := c.Body.String()
 	authID := c.Body.String()
@@ -331,12 +364,13 @@ func (s *session) handleHello(c rpc.Call) {
 	}
 	recs, err := s.d.visibleRecords(authID)
 	if err != nil {
-		c.Reply(cl.CodeOf(err), nil)
+		s.fail(c, 0, 0, err)
 		return
 	}
 	s.mu.Lock()
 	s.authID = authID
 	s.clientNm = clientName
+	s.noRetain = false
 	s.mu.Unlock()
 	c.Reply(cl.Success, func(w *protocol.Writer) {
 		w.String(s.d.cfg.Name)
@@ -511,19 +545,19 @@ func (s *session) handleCreateContext(c rpc.Call) {
 	if c.Malformed() {
 		return
 	}
-	devs := make([]cl.Device, 0, len(unitIDs))
 	s.mu.Lock()
+	authID := s.authID
+	_, held := s.contexts[ctxID]
+	s.mu.Unlock()
+	devs := make([]cl.Device, 0, len(unitIDs))
 	for _, u := range unitIDs {
-		dev, ok := s.unitDevs[uint32(u)]
-		if !ok {
-			s.mu.Unlock()
-			s.fail(c, 0, 0, cl.Errf(cl.InvalidDevice, "unknown device unit %d", u))
+		dev := s.d.device(authID, u)
+		if dev == nil {
+			s.fail(c, 0, 0, cl.Errf(cl.InvalidDevice, "device unit %d is not this session's", u))
 			return
 		}
 		devs = append(devs, dev)
 	}
-	_, held := s.contexts[ctxID]
-	s.mu.Unlock()
 	if held {
 		// Idempotent, as for buffers below: re-attach cannot know whether a
 		// one-way create reached a retained session. Kept, contents and all.
@@ -544,15 +578,16 @@ func (s *session) handleCreateContext(c rpc.Call) {
 func (s *session) handleCreateQueue(c rpc.Call) {
 	queueID := c.Body.U64()
 	ctxID := c.Body.U64()
-	unitID := uint32(c.Body.U64())
+	unitID := c.Body.U64()
 	if c.Malformed() {
 		return
 	}
 	s.mu.Lock()
 	ctx := s.contexts[ctxID]
-	dev := s.unitDevs[unitID]
+	authID := s.authID
 	_, held := s.queues[queueID]
 	s.mu.Unlock()
+	dev := s.d.device(authID, unitID)
 	if ctx == nil || dev == nil {
 		s.fail(c, 0, 0, cl.Errf(cl.InvalidContext, "unknown context %d or device unit %d", ctxID, unitID))
 		return

@@ -360,7 +360,13 @@ func (m *Manager) handleRequest(c *rpc.Conn, call rpc.Call) {
 		}
 		call.Reply(cl.Success, func(w *protocol.Writer) {
 			w.String(ls.authID)
-			w.Strings(ls.Servers())
+			servers := ls.Servers()
+			w.Strings(servers)
+			// Each server's leased devices: what a client binding a kept
+			// link to the lease would otherwise ask the daemon for.
+			for _, addr := range servers {
+				protocol.PutDeviceRecords(w, ls.records(addr))
+			}
 			m.ShardMap().Put(w)
 		})
 		m.log("devmgr: lease %s granted: %d devices on %d servers",
@@ -651,6 +657,17 @@ func (v *leaseView) Servers() []string {
 	out := make([]string, 0, len(v.servers))
 	for s := range v.servers {
 		out = append(out, s)
+	}
+	return out
+}
+
+// records returns the records of the lease's devices on server addr.
+func (v *leaseView) records(addr string) []protocol.DeviceRecord {
+	var out []protocol.DeviceRecord
+	for _, d := range v.devices {
+		if d.server == addr {
+			out = append(out, protocol.DeviceRecord{UnitID: d.unitID, Info: d.info})
+		}
 	}
 	return out
 }

@@ -187,23 +187,26 @@ func tcpManagedWorld(t *testing.T) (m *Manager, mgrAddr string, dial client.Dial
 }
 
 // The mechanism behind the lease workload's gain, with no timing in it: a
-// lease session waits for two answers — the grant and the Hello — and dials
-// one connection, the daemon's. Everything else it sends rides the one-way
-// pipeline, the build included, and the manager link is the one the first
-// session dialed. (Before the build was one-way: three. Before object
-// lifecycle was pipelined and the link kept: nine requests — CreateContext,
+// lease session waits for one answer — the grant — and dials nothing. The
+// daemon link is the previous lease's, kept, and a one-way Hello binds it
+// to the new lease; the manager link is the one the first session dialed,
+// and everything else rides the one-way pipeline, the build included.
+// (Before the daemon link was kept: two answers, the grant and the Hello,
+// and a dial. Before the build was one-way: three. Before object lifecycle
+// was pipelined and the manager link kept: nine requests — CreateContext,
 // CreateQueue, CreateProgram, two CreateBuffer and ReleaseContext besides —
 // and two dials.)
 func TestLeaseSessionRoundTrips(t *testing.T) {
 	m, mgrAddr, dial, log := tcpManagedWorld(t)
 	app := client.NewPlatform(client.Options{Dialer: dial, ClientName: "counter"})
 	defer app.Close()
-	// The first session also fetches the shard map and dials the manager.
+	// The first session dials the manager, asking it for the shard map on
+	// the link it keeps, and the daemon.
 	leaseShapedSession(t, app, mgrAddr)
-	if dials, _ := log.take(); len(dials) != 3 {
-		t.Fatalf("the first session dialed %v, want the manager twice (map, kept link) and the daemon", dials)
+	if dials, _ := log.take(); len(dials) != 2 || dials[0] != mgrAddr || dials[1] == mgrAddr {
+		t.Fatalf("the first session dialed %v, want the manager once, then the daemon", dials)
 	}
-	want := []protocol.MsgType{protocol.MsgDMRequestDevices, protocol.MsgHello}
+	want := []protocol.MsgType{protocol.MsgDMRequestDevices}
 	for i := 0; i < 3; i++ {
 		waitFor(t, func() bool { return m.FreeDevices() == 1 }, "lease release")
 		leaseShapedSession(t, app, mgrAddr)
@@ -211,8 +214,8 @@ func TestLeaseSessionRoundTrips(t *testing.T) {
 		if !slices.Equal(asked, want) {
 			t.Errorf("session %d asked and waited %d times: %v, want %v", i, len(asked), asked, want)
 		}
-		if len(dials) != 1 || dials[0] == mgrAddr {
-			t.Errorf("session %d dialed %v, want the daemon and nothing else", i, dials)
+		if len(dials) != 0 {
+			t.Errorf("session %d dialed %v, want nothing", i, dials)
 		}
 	}
 }
@@ -327,18 +330,18 @@ func TestKeptManagerLinkCutBetweenLeases(t *testing.T) {
 	}
 	cycle()
 	cycle()
-	if links() != 2 {
-		t.Fatalf("two leases dialed the manager %d times, want 2 (map, kept link)", links())
+	if links() != 1 {
+		t.Fatalf("two leases dialed the manager %d times, want 1: the kept link carries the shard map too", links())
 	}
 	// Cut, and ask at once: the request may find the link still in the map.
-	managerLinks[1].Close()
+	managerLinks[0].Close()
 	cycle()
-	if links() != 3 {
-		t.Fatalf("the lease after the cut dialed the manager %d times in all, want 3", links())
+	if links() != 2 {
+		t.Fatalf("the lease after the cut dialed the manager %d times in all, want 2", links())
 	}
 	// Cut, and ask once the manager has seen its side close (the client has
 	// been told by then, or is about to be).
-	managerLinks[2].Close()
+	managerLinks[1].Close()
 	waitFor(t, func() bool {
 		w.manager.clMu.Lock()
 		defer w.manager.clMu.Unlock()
@@ -346,8 +349,8 @@ func TestKeptManagerLinkCutBetweenLeases(t *testing.T) {
 	}, "the manager to drop the cut client link")
 	cycle()
 	cycle()
-	if links() != 4 {
-		t.Fatalf("two leases after the second cut dialed the manager %d times in all, want 4", links())
+	if links() != 3 {
+		t.Fatalf("two leases after the second cut dialed the manager %d times in all, want 3", links())
 	}
 }
 

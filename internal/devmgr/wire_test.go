@@ -119,9 +119,9 @@ func TestRevokeTravelsOneWay(t *testing.T) {
 }
 
 // Against an unsharded manager — whose view lists no shards — the client
-// must still remember that it asked: one dial for the map, and one for the
-// link every placement and release then shares — not a map fetch, or a
-// dial, per placement.
+// must still remember that it asked: one dial, for the link that carries
+// the map request and then every placement and release — not a map fetch,
+// or a dial, per placement.
 func TestUnshardedManagerIsAskedForItsMapOnce(t *testing.T) {
 	w := newManagedWorld(t, map[string][]device.Config{"gpuserver": {device.TestGPU("g0")}})
 	var managerDials atomic.Int32
@@ -145,8 +145,8 @@ func TestUnshardedManagerIsAskedForItsMapOnce(t *testing.T) {
 		}
 		waitFor(t, func() bool { return w.manager.FreeDevices() == 1 }, "lease release")
 	}
-	if got := managerDials.Load(); got != 2 {
-		t.Fatalf("%d acquire/release cycles dialed the manager %d times, want 2: the map once, the kept link once", cycles, got)
+	if got := managerDials.Load(); got != 1 {
+		t.Fatalf("%d acquire/release cycles dialed the manager %d times, want 1: the kept link, which the map request rides too", cycles, got)
 	}
 	app.Close()
 }

@@ -53,10 +53,12 @@ const (
 	// already expired the session) answers with retained=false and a fresh
 	// session, and the client re-creates its objects.
 	MsgAttachSession
-	// MsgGoodbye is a one-way notice that the client is disconnecting on
-	// purpose: the daemon releases the session immediately instead of
-	// retaining it for re-attachment — only abnormal termination pays the
-	// retention cost (parked device memory).
+	// MsgGoodbye is a one-way notice that ends the session's lease: the
+	// daemon releases every object of the session at once, and a close
+	// that follows has nothing to retain for re-attachment — only abnormal
+	// termination pays the retention cost (parked device memory). The
+	// connection may stay up: a client keeps it for its next lease on the
+	// daemon, which a one-way MsgHello then binds to it.
 	MsgGoodbye
 	msgClientEnd // one past the last client ↔ daemon type
 )
@@ -80,7 +82,7 @@ const (
 // Device manager message types.
 const (
 	MsgDMRegisterServer MsgType = iota + 60 // daemon → manager
-	MsgDMRequestDevices                     // client → manager
+	MsgDMRequestDevices                     // client → manager; the grant lists each server's leased device records
 	MsgDMAssign                             // manager → daemon
 	MsgDMReleaseLease                       // client/daemon → manager, one-way
 	MsgDMRevoke                             // manager → daemon, one-way (lease teardown)
