@@ -5,10 +5,16 @@
 //
 //	dcld -listen :7079 -devices cpu:1:12,gpu:2
 //
-// Managed mode registers the daemon with a device manager; clients then
-// only see devices assigned to their lease:
+// Managed mode — set by -devmgr — registers the daemon with a device
+// manager; clients then only see devices assigned to their lease:
 //
-//	dcld -listen :7079 -devices gpu:4 -managed -devmgr manager:7080 -addr gpuserver:7079
+//	dcld -listen :7079 -devices gpu:4 -devmgr manager:7080 -addr gpuserver:7079
+//
+// A single manager is a control plane of one seed. Against a sharded
+// control plane, -devmgr lists seed shards; each device registers with the
+// shard that owns it, and re-registers as shards die and return:
+//
+//	dcld -listen :7079 -devices gpu:4 -devmgr m0:7080,m1:7080 -addr gpuserver:7079
 package main
 
 import (
@@ -70,11 +76,7 @@ func main() {
 	listen := flag.String("listen", ":7079", "TCP address to listen on")
 	devices := flag.String("devices", "cpu:1:4", "device specs: type:count[:units],...")
 	name := flag.String("name", "dcld", "server name reported to clients")
-	managed := flag.Bool("managed", false, "managed mode: register with a device manager")
-	devmgrAddr := flag.String("devmgr", "", "device manager address (managed mode)")
-	devmgrSeeds := flag.String("devmgrs", "", "comma-separated device manager shard seeds (managed mode, sharded control plane)")
-	retryMin := flag.Duration("devmgr-retry-min", 50*time.Millisecond, "min jittered backoff for manager re-registration")
-	retryMax := flag.Duration("devmgr-retry-max", 5*time.Second, "max jittered backoff for manager re-registration")
+	devmgrSeeds := flag.String("devmgr", "", "comma-separated device manager addresses (one, or seed shards); set, it makes the daemon managed")
 	selfAddr := flag.String("addr", "", "address clients use to reach this daemon (managed mode)")
 	peerListen := flag.String("peer-listen", "", "TCP address for the daemon-to-daemon bulk plane (empty disables forwarding)")
 	peerAddr := flag.String("peer-addr", "", "peer address announced to clients (defaults to -peer-listen)")
@@ -123,9 +125,13 @@ func main() {
 	if err != nil {
 		log.Fatalf("dcld: %v", err)
 	}
+	managed := *devmgrSeeds != ""
+	if managed && *selfAddr == "" {
+		log.Fatal("dcld: -devmgr requires -addr")
+	}
 	plat := native.NewPlatform(*name, "dOpenCL simulated vendor", cfgs)
 	dcfg := daemon.Config{
-		Name: *name, Platform: plat, Managed: *managed, Logf: log.Printf,
+		Name: *name, Platform: plat, Managed: managed, Logf: log.Printf,
 		// Originating forwards needs no listener, only a dialer: every
 		// TCP daemon can push buffers to peers that do listen.
 		PeerDial:      func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
@@ -156,45 +162,30 @@ func main() {
 		log.Printf("dcld: peer data plane on %s (announced as %s)", *peerListen, dcfg.PeerAddr)
 	}
 
-	if *managed {
-		if (*devmgrAddr == "" && *devmgrSeeds == "") || *selfAddr == "" {
-			log.Fatal("dcld: managed mode requires -devmgr or -devmgrs, and -addr")
+	if managed {
+		// Register each device with the shard owning it (with one manager,
+		// that one), follow epoch bumps, and re-register with jittered
+		// backoff after a manager restart, an eviction or a shard's death.
+		seeds := strings.Split(*devmgrSeeds, ",")
+		for i := range seeds {
+			seeds[i] = strings.TrimSpace(seeds[i])
 		}
-		switch {
-		case *devmgrSeeds != "":
-			// Sharded control plane: register each device with the shard
-			// owning its DeviceID, follow epoch bumps, re-register with
-			// jittered backoff as shards die and return.
-			seeds := strings.Split(*devmgrSeeds, ",")
-			for i := range seeds {
-				seeds[i] = strings.TrimSpace(seeds[i])
-			}
-			stop, err := d.JoinControlPlane(daemon.ControlPlaneConfig{
-				Dial:     func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
-				Seeds:    seeds,
-				SelfAddr: *selfAddr,
-				RetryMin: *retryMin,
-				RetryMax: *retryMax,
-			})
-			if err != nil {
-				log.Fatalf("dcld: %v", err)
-			}
-			defer stop()
-		default:
-			// Single manager: auto re-registration keeps the daemon managed
-			// across manager restarts.
-			stop := d.AttachManagerAuto(func() (net.Conn, error) {
-				return net.Dial("tcp", *devmgrAddr)
-			}, *selfAddr, *retryMin, *retryMax)
-			defer stop()
+		stop, err := d.JoinControlPlane(daemon.ControlPlaneConfig{
+			Dial:     func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
+			Seeds:    seeds,
+			SelfAddr: *selfAddr,
+		})
+		if err != nil {
+			log.Fatalf("dcld: %v", err)
 		}
+		defer stop()
 	}
 
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatalf("dcld: %v", err)
 	}
-	log.Printf("dcld: serving %d devices on %s (managed=%v)", len(cfgs), *listen, *managed)
+	log.Printf("dcld: serving %d devices on %s (managed=%v)", len(cfgs), *listen, managed)
 	if err := d.Serve(l); err != nil {
 		log.Fatalf("dcld: %v", err)
 	}

@@ -30,10 +30,9 @@ func main() {
 	gossipTimeout := flag.Duration("gossip-timeout", 3*time.Second, "gossip probe timeout before a peer is declared dead")
 	healthEvery := flag.Duration("health-interval", 5*time.Second, "daemon health probe interval (0 disables)")
 	healthTimeout := flag.Duration("health-timeout", 15*time.Second, "daemon health probe timeout")
-	probeFanout := flag.Int("probe-fanout", 8, "max concurrent daemon health probes")
 	flag.Parse()
 
-	opts := []devmgr.Option{devmgr.WithLogf(log.Printf), devmgr.WithProbeFanout(*probeFanout)}
+	opts := []devmgr.Option{devmgr.WithLogf(log.Printf)}
 
 	sharded := *shards != ""
 	if sharded {

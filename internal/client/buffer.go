@@ -552,10 +552,7 @@ func (b *Buffer) uploadRange(q *Queue, ps, pe int) (*Event, error) {
 // corruption) is far worse than a redundant re-transfer — while src
 // keeps its untouched valid copy.
 func (b *Buffer) forwardRange(src, dst *Server, ps, pe int, srcGate *Event) (*Event, error) {
-	token, err := newForwardToken()
-	if err != nil {
-		return nil, err
-	}
+	token := newForwardToken()
 	// The forward rides the coherence queue on src, like client-mediated
 	// coherence downloads do.
 	srcQ, err := b.ctx.coherenceQueue(src)
@@ -752,12 +749,10 @@ func (b *Buffer) failRemoteGate(dst *Server, gate *Event, gateID uint64, st cl.C
 // accept and the payload at the receiving daemon, which serves many
 // clients: random 64-bit values cannot collide across clients the way
 // per-client counters would.
-func newForwardToken() (uint64, error) {
+func newForwardToken() uint64 {
 	var raw [8]byte
-	if _, err := rand.Read(raw[:]); err != nil {
-		return 0, cl.Errf(cl.OutOfResources, "forward token: %v", err)
-	}
-	return binary.LittleEndian.Uint64(raw[:]), nil
+	rand.Read(raw[:]) // cannot fail: a broken entropy source crashes the process
+	return binary.LittleEndian.Uint64(raw[:])
 }
 
 // floatBits converts a float32 to its IEEE bit pattern (helper shared by

@@ -193,11 +193,6 @@ type Lease struct {
 func (p *Platform) RequestFromManager(cfg ManagerConfig) (*Lease, error) {
 	seeds := cfg.seeds()
 	if len(seeds) == 0 {
-		// Fall back to the platform-level seed list (Options.Managers), so
-		// facade users configure the control plane once at NewPlatform.
-		seeds = p.opts.Managers
-	}
-	if len(seeds) == 0 {
 		return nil, cl.Errf(cl.InvalidValue, "no device manager configured")
 	}
 	tenant := cfg.Tenant
@@ -287,13 +282,22 @@ func (p *Platform) managerRoutes() rpc.Routes {
 // open.
 func (p *Platform) managerConn(addr string) (c *rpc.Conn, kept bool, err error) {
 	p.mgrMu.Lock()
-	defer p.mgrMu.Unlock()
-	if c := p.mgrs[addr]; c != nil {
+	c = p.mgrs[addr]
+	p.mgrMu.Unlock()
+	if c != nil {
 		return c, true, nil
 	}
+	// The dial runs outside mgrMu: one to an unreachable shard must not
+	// hold up every lease start, release and close on the platform.
 	conn, err := p.opts.Dialer(addr)
 	if err != nil {
 		return nil, false, err
+	}
+	p.mgrMu.Lock()
+	defer p.mgrMu.Unlock()
+	if c := p.mgrs[addr]; c != nil {
+		conn.Close() // another request linked the shard meanwhile
+		return c, true, nil
 	}
 	c = rpc.New(gcf.NewEndpoint(conn, true))
 	p.mgrs[addr] = c

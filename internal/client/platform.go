@@ -31,12 +31,6 @@ type Options struct {
 	// disables probing (transport errors still surface immediately).
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
-	// Managers seeds the control plane for RequestFromManager calls whose
-	// ManagerConfig names no manager of its own: the platform-level
-	// default shard list. With more than one seed the acquire path fails
-	// over along the tenant's ShardOrder permutation when a shard dies
-	// mid-request.
-	Managers []string
 }
 
 // Platform is the uniform dOpenCL platform (Section III-E): a self-

@@ -15,18 +15,18 @@ import (
 	"dopencl/internal/rpc"
 )
 
-// Control-plane attachment. Three entry points, layered:
+// Control-plane attachment. Two entry points:
 //
 //   - AttachManager: one connection, all devices, no recovery — the
 //     paper's registration (Fig. 2 step 1), kept for embedders and tests.
-//   - AttachManagerAuto: AttachManager plus automatic re-registration
-//     with jittered exponential backoff, for the single-manager daemon
-//     that must survive manager restarts and health-probe evictions.
-//   - JoinControlPlane: the sharded form — the daemon partitions its
-//     devices by rendezvous owner over the live shard set, keeps one
-//     registration per owning shard, and re-partitions (re-homing the
-//     moved devices, carrying their lease holders) whenever the
-//     membership epoch bumps or a link dies.
+//   - JoinControlPlane: the daemon partitions its devices by rendezvous
+//     owner over the live shard set, keeps one registration per owning
+//     shard, and re-partitions (re-homing the moved devices, carrying
+//     their lease holders) whenever the membership epoch bumps or a link
+//     dies, retrying failures with jittered exponential backoff. A single
+//     unsharded manager is a control plane of one seed: its view lists no
+//     shards, so every device stays registered with it, and re-registers
+//     after a restart or an eviction.
 
 // attachManagerConn registers the given device units (nil = all) with
 // the manager over an existing connection and serves the manager's
@@ -172,80 +172,6 @@ func (d *Daemon) AttachManager(conn net.Conn, selfAddr string) error {
 	return err
 }
 
-// AttachManagerAuto keeps the daemon registered with a single device
-// manager: it attaches, and whenever the manager connection dies
-// (manager restart, health-probe eviction, network partition) it
-// re-dials and re-registers — carrying the lease holders of any devices
-// still leased — with exponential backoff jittered uniformly over
-// [delay/2, delay) so a manager restart doesn't see every daemon in the
-// fleet re-register on the same tick. min/max bound the backoff (zero
-// values default to 50ms/5s). The returned stop function ends the loop
-// and closes the current manager connection.
-func (d *Daemon) AttachManagerAuto(dial func() (net.Conn, error), selfAddr string, min, max time.Duration) (stop func()) {
-	if min <= 0 {
-		min = 50 * time.Millisecond
-	}
-	if max < min {
-		max = 5 * time.Second
-		if max < min {
-			max = min
-		}
-	}
-	done := make(chan struct{})
-	var mu sync.Mutex
-	var cur *rpc.Conn
-	go func() {
-		delay := min
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			down := make(chan struct{})
-			var c *rpc.Conn
-			conn, err := dial()
-			if err == nil {
-				c, err = d.attachManagerConn(conn, selfAddr, nil, nil, func() { close(down) })
-			}
-			if err != nil {
-				d.logf("daemon %s: manager attach failed (retrying in ~%s): %v", d.cfg.Name, delay, err)
-				select {
-				case <-done:
-					return
-				case <-time.After(jitter(delay)):
-				}
-				if delay *= 2; delay > max {
-					delay = max
-				}
-				continue
-			}
-			mu.Lock()
-			cur = c
-			mu.Unlock()
-			delay = min // successful registration resets the backoff
-			select {
-			case <-done:
-				return
-			case <-down:
-				d.logf("daemon %s: manager connection lost, re-registering", d.cfg.Name)
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(done)
-			mu.Lock()
-			c := cur
-			mu.Unlock()
-			if c != nil {
-				c.Close()
-			}
-		})
-	}
-}
-
 // jitter draws uniformly from [d/2, d).
 func jitter(d time.Duration) time.Duration {
 	if d <= 1 {
@@ -294,13 +220,14 @@ type shardLink struct {
 	down  bool     // the connection has died (guarded by controlPlane.mu)
 }
 
-// JoinControlPlane starts the daemon's membership in a sharded control
-// plane: it learns the shard map from the seeds, registers each device
-// with the shard that owns its DeviceID, and keeps the partition
-// reconciled as shards die and return — moved devices re-register with
-// their new owner (lease holders carried), with jittered backoff on
-// failure. The returned stop function leaves the control plane and
-// closes all manager links.
+// JoinControlPlane starts the daemon's membership in a control plane: it
+// learns the shard map from the seeds, registers each device with the
+// shard that owns its DeviceID, and keeps the partition reconciled as
+// shards die and return — moved devices re-register with their new owner
+// (lease holders carried), with jittered backoff on failure, over
+// [delay/2, delay) so a restarted manager does not see the whole fleet
+// re-register on one tick. The returned stop function leaves the control
+// plane and closes all manager links.
 func (d *Daemon) JoinControlPlane(cfg ControlPlaneConfig) (stop func(), err error) {
 	if cfg.Dial == nil || len(cfg.Seeds) == 0 || cfg.SelfAddr == "" {
 		return nil, fmt.Errorf("daemon: control plane config requires Dial, Seeds and SelfAddr")

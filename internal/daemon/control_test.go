@@ -2,6 +2,8 @@ package daemon
 
 import (
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,24 +16,30 @@ import (
 	"dopencl/internal/simnet"
 )
 
-// TestAttachManagerAutoReRegisters: when the manager link dies (network
-// severed long enough for the manager's health checks to evict the
-// daemon), AttachManagerAuto re-registers with jittered backoff after
-// the link heals and the manager regains the devices.
-func TestAttachManagerAutoReRegisters(t *testing.T) {
-	nw := simnet.NewNetwork(simnet.Unlimited())
-
-	m := devmgr.New()
-	defer m.Close()
+// serveManager runs an unsharded device manager at "mgr" on nw, with
+// health checks that evict a daemon after two missed probes.
+func serveManager(t *testing.T, nw *simnet.Network) (m *devmgr.Manager, stop func()) {
+	t.Helper()
+	m = devmgr.New()
 	lis, err := nw.Listen("mgr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lis.Close()
 	go func() { _ = m.Serve(lis) }()
 	stopHealth := m.StartHealthChecks(20*time.Millisecond, 60*time.Millisecond)
-	defer stopHealth()
+	stop = sync.OnceFunc(func() {
+		stopHealth()
+		lis.Close()
+		m.Close()
+	})
+	t.Cleanup(stop)
+	return m, stop
+}
 
+// joinOneSeed starts a managed two-GPU daemon "node1" and joins it to the
+// control plane whose only seed is "mgr".
+func joinOneSeed(t *testing.T, nw *simnet.Network) *Daemon {
+	t.Helper()
 	plat := native.NewPlatform("p", "v", []device.Config{
 		device.TestGPU("g0"), device.TestGPU("g1"),
 	})
@@ -39,33 +47,82 @@ func TestAttachManagerAutoReRegisters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := d.AttachManagerAuto(func() (net.Conn, error) {
-		return nw.DialFrom("node1", "mgr")
-	}, "node1", 10*time.Millisecond, 200*time.Millisecond)
-	defer stop()
-
-	waitFree := func(what string, want int) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			if m.FreeDevices() == want {
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatalf("timeout waiting for %s: free=%d want %d", what, m.FreeDevices(), want)
+	stop, err := d.JoinControlPlane(ControlPlaneConfig{
+		Dial:     func(addr string) (net.Conn, error) { return nw.DialFrom("node1", addr) },
+		Seeds:    []string{"mgr"},
+		SelfAddr: "node1",
+		RetryMin: 10 * time.Millisecond, RetryMax: 200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	waitFree("initial registration", 2)
+	t.Cleanup(stop)
+	return d
+}
+
+func waitManager(t *testing.T, m *devmgr.Manager, what string, free, leases int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if m.FreeDevices() == free && m.ActiveLeases() == leases {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("timeout waiting for %s: free=%d leases=%d, want %d and %d", what, m.FreeDevices(), m.ActiveLeases(), free, leases)
+}
+
+// A single unsharded manager is a control plane of one seed: its view
+// lists no shards, so every device registers with the seed. When the
+// manager link dies (network severed long enough for the manager's
+// health checks to evict the daemon), the daemon re-registers with
+// jittered backoff after the link heals and the manager regains the
+// devices.
+func TestSingleManagerIsOneSeedControlPlane(t *testing.T) {
+	nw := simnet.NewNetwork(simnet.Unlimited())
+	m, _ := serveManager(t, nw)
+	d := joinOneSeed(t, nw)
+	waitManager(t, m, "initial registration", 2, 0)
+	if ids := m.DeviceIDs(); len(ids) != 2 {
+		t.Fatalf("manager holds %v, want both devices of node1", ids)
+	}
 
 	// Sever the daemon: probes fail, and after healthMissLimit sweeps the
 	// manager drops the server.
 	nw.SeverNode("node1")
-	waitFree("eviction after sever", 0)
+	waitManager(t, m, "eviction after sever", 0, 0)
 
 	// Heal: the backoff loop re-dials and re-registers without any
 	// external nudge.
 	nw.HealNode("node1")
-	waitFree("auto re-registration", 2)
+	waitManager(t, m, "re-registration after heal", 2, 0)
+	if view := d.ControlPlaneView(); !strings.Contains(view, "shards [mgr]") {
+		t.Fatalf("daemon's view %q, want the seed as its only shard", view)
+	}
+}
+
+// A manager restarted on the same address while a lease is held learns
+// the lease from the daemon's re-registration: the leased device is not
+// free, and the lease is active again.
+func TestSingleManagerRestartCarriesLease(t *testing.T) {
+	nw := simnet.NewNetwork(simnet.Unlimited())
+	m, stop := serveManager(t, nw)
+	d := joinOneSeed(t, nw)
+	waitManager(t, m, "initial registration", 2, 0)
+	lease, err := m.PlaceLease("tenant", 1, []protocol.DeviceRequest{{Count: 1, Type: cl.DeviceTypeGPU}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.HasLease(lease.AuthID()) {
+		t.Fatal("placed lease not assigned on the daemon")
+	}
+
+	stop()
+	m, _ = serveManager(t, nw)
+	waitManager(t, m, "re-registration with the restarted manager", 1, 1)
+	if !d.HasLease(lease.AuthID()) {
+		t.Fatal("the daemon dropped the lease across the manager restart")
+	}
 }
 
 // fakeManager is the manager's end of a daemon's management link, framed

@@ -97,7 +97,6 @@ type Daemon struct {
 	// the new connection.
 	sessMu   sync.Mutex
 	sessions map[uint64]*session
-	nextSess atomic.Uint64
 
 	// Peer data plane: outbound connection pool plus the rendezvous
 	// tables pairing client-announced AcceptForwards with peer-announced
@@ -312,14 +311,7 @@ func (d *Daemon) StopLocal(addr string) {
 func (d *Daemon) registerSession(s *session) uint64 {
 	for {
 		var raw [8]byte
-		if _, err := rand.Read(raw[:]); err != nil {
-			// Entropy source broken: fall back to a sequential counter.
-			// Sequential IDs are guessable and reset across restarts, so
-			// the re-attach credential degrades to the authID check alone
-			// — log loudly; this should never happen on a sane system.
-			d.logf("daemon %s: WARNING: entropy unavailable (%v), session IDs are sequential", d.cfg.Name, err)
-			return d.registerSessionSeq(s)
-		}
+		rand.Read(raw[:]) // cannot fail: a broken entropy source crashes the process
 		id := binary.LittleEndian.Uint64(raw[:])
 		if id == 0 {
 			continue
@@ -334,16 +326,6 @@ func (d *Daemon) registerSession(s *session) uint64 {
 		d.sessMu.Unlock()
 		return id
 	}
-}
-
-// registerSessionSeq is the entropy-less fallback of registerSession.
-func (d *Daemon) registerSessionSeq(s *session) uint64 {
-	id := d.nextSess.Add(1)
-	d.sessMu.Lock()
-	s.id = id
-	d.sessions[id] = s
-	d.sessMu.Unlock()
-	return id
 }
 
 // takeDetachedSession claims a parked session for re-attachment: it is

@@ -39,7 +39,7 @@ import (
 
 // managedDevice is one registered device.
 type managedDevice struct {
-	id     string // DeviceID(server, unitID): the consistent-hash key
+	id     string // protocol.DeviceID(server, unitID): the consistent-hash key
 	server string // server address as announced to clients
 	unitID uint32
 	info   cl.DeviceInfo
@@ -85,21 +85,19 @@ type Manager struct {
 	place *placement
 	shard *shardState // nil when unsharded
 
-	probeFanout int
-
 	closeOnce sync.Once
 }
 
 // healthMissLimit is how many consecutive probe misses evict a daemon: a
 // single miss can be a transient stall (GC pause, load spike) on a
 // perfectly alive daemon. Eviction is no longer permanent — an evicted
-// daemon's manager connection closes, its re-registration loop (jittered
-// backoff, see daemon.AttachManagerAuto) notices and re-registers once
-// the daemon is reachable again.
+// daemon's manager connection closes, and its control-plane loop (jittered
+// backoff, see daemon.JoinControlPlane) notices and re-registers once the
+// daemon is reachable again.
 const healthMissLimit = 2
 
-// defaultProbeFanout bounds how many health probes run concurrently.
-const defaultProbeFanout = 16
+// probeFanout bounds how many health probes run concurrently.
+const probeFanout = 16
 
 // Option configures a Manager.
 type Option func(*Manager)
@@ -109,25 +107,14 @@ func WithLogf(fn func(string, ...any)) Option {
 	return func(m *Manager) { m.logf = fn }
 }
 
-// WithProbeFanout bounds concurrent health probes (0 restores the
-// default).
-func WithProbeFanout(n int) Option {
-	return func(m *Manager) {
-		if n > 0 {
-			m.probeFanout = n
-		}
-	}
-}
-
 // New creates a device manager.
 func New(opts ...Option) *Manager {
 	m := &Manager{
-		leases:      map[string]*lease{},
-		idx:         newDevIndex(),
-		servers:     map[string]*daemonLink{},
-		misses:      map[string]int{},
-		clients:     map[*rpc.Conn]bool{},
-		probeFanout: defaultProbeFanout,
+		leases:  map[string]*lease{},
+		idx:     newDevIndex(),
+		servers: map[string]*daemonLink{},
+		misses:  map[string]int{},
+		clients: map[*rpc.Conn]bool{},
 	}
 	m.place = newPlacement(m)
 	for _, o := range opts {
@@ -253,7 +240,7 @@ func (m *Manager) handleRegister(c *rpc.Conn, call rpc.Call) *daemonLink {
 	m.mu.Lock()
 	for i, rec := range recs {
 		d := &managedDevice{
-			id:     DeviceID(addr, rec.UnitID),
+			id:     protocol.DeviceID(addr, rec.UnitID),
 			server: addr, unitID: rec.UnitID, info: rec.Info,
 		}
 		if i < len(leasedBy) && leasedBy[i] != "" {
@@ -497,7 +484,7 @@ func (m *Manager) CheckHealth(timeout time.Duration) []string {
 	fill := func(w *protocol.Writer) { view.Put(w) }
 
 	failed := make([]bool, len(addrs))
-	sem := make(chan struct{}, m.probeFanout)
+	sem := make(chan struct{}, probeFanout)
 	var wg sync.WaitGroup
 	for i, addr := range addrs {
 		wg.Add(1)
@@ -575,7 +562,7 @@ func (m *Manager) AddDevices(server string, recs []protocol.DeviceRecord) {
 	defer m.mu.Unlock()
 	for _, rec := range recs {
 		d := &managedDevice{
-			id:     DeviceID(server, rec.UnitID),
+			id:     protocol.DeviceID(server, rec.UnitID),
 			server: server, unitID: rec.UnitID, info: rec.Info,
 		}
 		m.devices = append(m.devices, d)
@@ -633,13 +620,12 @@ func matches(d *managedDevice, req protocol.DeviceRequest) bool {
 	return true
 }
 
-// newAuthID generates a cryptographically random lease ID.
-func newAuthID() (string, error) {
+// newAuthID generates a cryptographically random lease ID. crypto/rand
+// cannot fail: since Go 1.24 a broken entropy source crashes the process.
+func newAuthID() string {
 	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "", fmt.Errorf("devmgr: generating auth ID: %w", err)
-	}
-	return hex.EncodeToString(b[:]), nil
+	rand.Read(b[:])
+	return hex.EncodeToString(b[:])
 }
 
 // leaseView is the immutable result of an assignment.

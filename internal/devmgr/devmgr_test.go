@@ -307,10 +307,7 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 func TestAuthIDUniqueness(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 100; i++ {
-		id, err := newAuthID()
-		if err != nil {
-			t.Fatal(err)
-		}
+		id := newAuthID()
 		if len(id) != 32 {
 			t.Fatalf("auth ID %q has wrong length", id)
 		}

@@ -1,12 +1,14 @@
 package devmgr
 
 import (
+	"errors"
 	"net"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dopencl/internal/cl"
 	"dopencl/internal/client"
@@ -148,5 +150,51 @@ func TestRefusedKeptLinkHelloSurfacesOnce(t *testing.T) {
 	}
 	if err := q.Finish(); err == nil || strings.Contains(err.Error(), "Hello") {
 		t.Fatalf("second wait: %v, want the queue's own failure and not the Hello's again", err)
+	}
+}
+
+// A dial to an unreachable shard holds up no other lease on the platform:
+// while a request to "dead" is parked in its dial, a lease from the live
+// shard is released. The dial used to run under the lock that every lease
+// start, release and close takes — over TCP, for as long as the OS
+// connect timeout.
+func TestManagerDialHoldsNoLease(t *testing.T) {
+	w := newManagedWorld(t, map[string][]device.Config{"gpuserver": {device.TestGPU("g0")}})
+	dialing, unblock := make(chan struct{}), make(chan struct{})
+	letGo := sync.OnceFunc(func() { close(unblock) })
+	app := client.NewPlatform(client.Options{ClientName: "dialer", Dialer: func(addr string) (net.Conn, error) {
+		if addr == "dead" {
+			close(dialing)
+			<-unblock
+			return nil, errors.New("unreachable")
+		}
+		return w.nw.Dial(addr)
+	}})
+	defer app.Close()
+	defer letGo() // runs first: Close must not wait on the parked dial
+	gpu := []protocol.DeviceRequest{{Count: 1, Type: cl.DeviceTypeGPU}}
+	lease, err := app.RequestFromManager(client.ManagerConfig{Manager: "devmgr", Requests: gpu})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan error, 1)
+	go func() {
+		_, err := app.RequestFromManager(client.ManagerConfig{Manager: "dead", Requests: gpu})
+		parked <- err
+	}()
+	<-dialing
+	released := make(chan error, 1)
+	go func() { released <- lease.Release() }()
+	select {
+	case err := <-released:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Lease.Release is waiting for a dial to another shard")
+	}
+	letGo()
+	if err := <-parked; cl.CodeOf(err) != cl.InvalidServer {
+		t.Fatalf("request to the unreachable shard: %v, want CL_INVALID_SERVER", err)
 	}
 }

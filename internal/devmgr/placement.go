@@ -105,7 +105,7 @@ func (m *Manager) placeLeaseAsync(tenant string, weight uint32, reqs []protocol.
 		done(nil, cl.Errf(cl.Busy, "devmgr: control plane overloaded (%d grants queued)", p.q.Len()))
 		return
 	}
-	sess := TenantHash(tenant)
+	sess := protocol.TenantHash(tenant)
 	p.q.Open(sess, weight, p.quota)
 	cost := 0
 	for _, r := range reqs {
@@ -176,15 +176,7 @@ func (m *Manager) assign(reqs []protocol.DeviceRequest) (*leaseView, error) {
 			chosen = append(chosen, pick)
 		}
 	}
-	authID, err := newAuthID()
-	if err != nil {
-		for _, d := range chosen {
-			d.leased = ""
-			m.idx.release(d)
-			m.freeCount++
-		}
-		return nil, err
-	}
+	authID := newAuthID()
 	ls := &lease{authID: authID, devices: chosen, servers: map[string]bool{}}
 	for _, d := range chosen {
 		d.leased = authID

@@ -13,20 +13,6 @@ import (
 	"dopencl/internal/rpc"
 )
 
-// DeviceID, Owner and TenantHash are the sharding contract, defined in
-// the protocol package so client, daemon and test harness compute the
-// same answers without importing the manager. Re-exported here for the
-// manager-side code and its tests.
-func DeviceID(server string, unitID uint32) string { return protocol.DeviceID(server, unitID) }
-
-// Owner picks the shard owning a key by rendezvous hashing (see
-// protocol.Owner).
-func Owner(shards []string, key string) string { return protocol.Owner(shards, key) }
-
-// TenantHash maps a tenant name to a fair-queue session ID (and, on the
-// client, to its starting shard permutation for placement requests).
-func TenantHash(tenant string) uint64 { return protocol.TenantHash(tenant) }
-
 // gossipMissLimit mirrors healthMissLimit for shard-to-shard probes: a
 // peer missing this many consecutive gossip rounds is declared dead and
 // the membership epoch bumps.

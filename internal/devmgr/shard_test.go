@@ -20,12 +20,12 @@ func TestOwnerMinimalMovement(t *testing.T) {
 	shards := []string{"shard-a", "shard-b", "shard-c"}
 	keys := make([]string, 300)
 	for i := range keys {
-		keys[i] = DeviceID(fmt.Sprintf("node%d", i%17), uint32(i))
+		keys[i] = protocol.DeviceID(fmt.Sprintf("node%d", i%17), uint32(i))
 	}
 	before := map[string]string{}
 	counts := map[string]int{}
 	for _, k := range keys {
-		before[k] = Owner(shards, k)
+		before[k] = protocol.Owner(shards, k)
 		counts[before[k]]++
 	}
 	// Sanity: all three shards own a nontrivial slice.
@@ -36,7 +36,7 @@ func TestOwnerMinimalMovement(t *testing.T) {
 	}
 	survivors := []string{"shard-a", "shard-c"}
 	for _, k := range keys {
-		after := Owner(survivors, k)
+		after := protocol.Owner(survivors, k)
 		if before[k] != "shard-b" && after != before[k] {
 			t.Fatalf("key %s moved %s→%s though its owner survived", k, before[k], after)
 		}
@@ -65,8 +65,8 @@ func TestShardOrderIsOwnerFirstPermutation(t *testing.T) {
 		if len(seen) != len(shards) {
 			t.Fatalf("order %v repeats shards", order)
 		}
-		if order[0] != Owner(shards, tenant) {
-			t.Fatalf("order head %s != owner %s", order[0], Owner(shards, tenant))
+		if order[0] != protocol.Owner(shards, tenant) {
+			t.Fatalf("order head %s != owner %s", order[0], protocol.Owner(shards, tenant))
 		}
 		firsts[order[0]] = true
 	}
@@ -156,11 +156,11 @@ func waitView(t *testing.T, m *Manager, want int) {
 }
 
 // TestCheckHealthBoundedFanout: health probes run concurrently (a hung
-// daemon must not serialize the sweep) but never exceed the configured
-// fan-out bound.
+// daemon must not serialize the sweep) but never exceed the fan-out
+// bound.
 func TestCheckHealthBoundedFanout(t *testing.T) {
 	nw := simnet.NewNetwork(simnet.Unlimited())
-	m := New(WithProbeFanout(2))
+	m := New()
 	defer m.Close()
 	lis, err := nw.Listen("mgr")
 	if err != nil {
@@ -170,7 +170,7 @@ func TestCheckHealthBoundedFanout(t *testing.T) {
 	go func() { _ = m.Serve(lis) }()
 
 	var cur, peak atomic.Int32
-	const daemons = 8
+	const daemons = 2 * probeFanout
 	for i := 0; i < daemons; i++ {
 		addr := fmt.Sprintf("fake-%d", i)
 		conn, err := nw.DialFrom(addr, "mgr")
@@ -223,13 +223,13 @@ func TestCheckHealthBoundedFanout(t *testing.T) {
 	if len(evicted) != 0 {
 		t.Fatalf("healthy daemons evicted: %v", evicted)
 	}
-	if p := peak.Load(); p > 2 {
-		t.Fatalf("probe fan-out %d exceeded bound 2", p)
+	if p := peak.Load(); p > probeFanout {
+		t.Fatalf("probe fan-out %d exceeded bound %d", p, probeFanout)
 	}
 	if p := peak.Load(); p < 2 {
 		t.Fatalf("probes never ran concurrently (peak %d)", p)
 	}
-	// 8 probes × 10ms at fan-out 2 ≈ 40ms; serial would be ≥80ms. Allow
+	// 32 probes × 10ms at fan-out 16 ≈ 20ms; serial would be ≥320ms. Allow
 	// generous slack but require better than fully serial.
 	if took > 200*time.Millisecond {
 		t.Fatalf("sweep took %s — probes look serialized", took)
