@@ -195,7 +195,7 @@ type (
 // Match it with errors.Is(err, dopencl.Busy).
 const Busy = cl.Busy
 
-// OpenServe opens a serve session on the server hosting dev. Weight is
+// OpenServe opens a serve session whose jobs run on dev. Weight is
 // the session's relative share in the daemon's weighted fair queue
 // (0 means 1); maxPending bounds in-flight jobs (0 means 256) — Submit
 // beyond it returns Busy.

@@ -71,10 +71,12 @@ type pendingServeJob struct {
 	stamps []serve.Stamp
 }
 
-// OpenServe opens a serve session on the server hosting dev. Weight is
-// the session's share in the daemon's weighted fair queue relative to
-// other serve sessions (0 means 1); maxPending bounds the session's
-// in-flight jobs (0 means 256) — Submit beyond it returns cl.Busy.
+// OpenServe opens a serve session on dev: its jobs run on that device of
+// the server hosting it, and a managed daemon refuses a device outside the
+// platform's lease. Weight is the session's share in the daemon's
+// weighted fair queue relative to other serve sessions (0 means 1);
+// maxPending bounds the session's in-flight jobs (0 means 256) — Submit
+// beyond it returns cl.Busy.
 func (c *Context) OpenServe(dev cl.Device, weight, maxPending int) (*ServeSession, error) {
 	d, ok := dev.(*Device)
 	if !ok {
@@ -92,7 +94,7 @@ func (c *Context) OpenServe(dev cl.Device, weight, maxPending int) (*ServeSessio
 	}
 	if _, err := srv.call(protocol.MsgServeOpen, func(w *protocol.Writer) {
 		protocol.PutServeOpen(w, protocol.ServeOpen{
-			ServeID: ss.id, Weight: uint32(weight), MaxPending: uint32(maxPending),
+			ServeID: ss.id, Weight: uint32(weight), MaxPending: uint32(maxPending), UnitID: d.unitID,
 		})
 	}); err != nil {
 		return nil, err

@@ -118,7 +118,7 @@ type Daemon struct {
 	// jobs, the content-addressed result cache for buffer-free jobs, and
 	// the dispatcher that coalesces compatible jobs into batched VM
 	// dispatches. The dispatcher goroutine starts on the first ServeOpen.
-	serveQ          *serve.FairQueue[serve.Key, *serveJob]
+	serveQ          *serve.FairQueue[serveGroup, *serveJob]
 	serveCache      *serve.Cache
 	serveOnce       sync.Once
 	serveLaneSeq    atomic.Uint64
@@ -150,7 +150,7 @@ func New(cfg Config) (*Daemon, error) {
 		fwdLive:    map[cl.Buffer][]*pendingForward{},
 		fwdEar:     map[uint64]earlyTransfer{},
 		fwdDrop:    map[uint64]bool{},
-		serveQ:     serve.NewFairQueue[serve.Key, *serveJob](),
+		serveQ:     serve.NewFairQueue[serveGroup, *serveJob](),
 		serveCache: serve.NewCache(0, 0),
 	}
 	if cfg.PeerDial != nil {

@@ -147,7 +147,7 @@ func TestGoodbyeEndsLeaseInPlace(t *testing.T) {
 	ok("hello", f.ask(protocol.MsgHello, hello("lease-a")))
 	// The first lane starts the daemon's serve dispatcher, which stays.
 	ok("serve lane", f.ask(protocol.MsgServeOpen, func(w *protocol.Writer) {
-		protocol.PutServeOpen(w, protocol.ServeOpen{ServeID: 7, Weight: 1, MaxPending: 8})
+		protocol.PutServeOpen(w, protocol.ServeOpen{ServeID: 7, Weight: 1, MaxPending: 8, UnitID: 1})
 	}))
 	base := runtime.NumGoroutine()
 	ok("context", f.createContext(1, 1))

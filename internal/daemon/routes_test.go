@@ -82,7 +82,7 @@ func sessionSamples() []rpctest.Sample {
 		{Type: protocol.MsgSetUserEventStatus, Class: req, Fill: eventStatus},
 		{Type: protocol.MsgSetUserEventStatus, Class: one, Fill: eventStatus},
 		{Type: protocol.MsgServeOpen, Class: req, Setup: true, Fill: func(w *protocol.Writer) {
-			protocol.PutServeOpen(w, protocol.ServeOpen{ServeID: 0, Weight: 1, MaxPending: 8})
+			protocol.PutServeOpen(w, protocol.ServeOpen{ServeID: 0, Weight: 1, MaxPending: 8, UnitID: 1})
 		}},
 		{Type: protocol.MsgServeSubmit, Class: one, Fill: func(w *protocol.Writer) {
 			protocol.PutServeSubmit(w, protocol.ServeSubmit{ServeID: 0, Jobs: []protocol.ServeJob{{

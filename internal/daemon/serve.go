@@ -27,8 +27,12 @@ import (
 //
 //   - A short coalescing window (Config.ServeWindow): after the
 //     dispatcher pops a batch leader it waits the window out, then
-//     harvests every queued job running the same compiled kernel into
-//     the leader's dispatch (up to Config.ServeMaxBatch).
+//     harvests every queued job running the same compiled kernel
+//     (*kernel.Func) on the same device into the leader's dispatch (up to
+//     Config.ServeMaxBatch). kernel.Shared gives equal source texts one
+//     *kernel.Func per process, so jobs of different tenants still
+//     coalesce; a queued job keeps its Func alive, so two live programs
+//     never share the address the group is keyed by.
 //
 //   - A content-addressed result cache for buffer-free jobs: their key
 //     covers the program source, kernel, frozen arguments, shape and the
@@ -38,8 +42,13 @@ import (
 //     Jobs referencing session buffers are never cached here — the
 //     client-side cache handles those with coherence stamps.
 //
-// Keys are computed daemon-side from wire-visible content only; clients
-// cannot name (and therefore cannot poison) a cache slot.
+// Keys are computed daemon-side from wire-visible content only, under
+// this process's own seeds (serve.Key); clients can neither name nor
+// compute a cache slot.
+//
+// A lane runs on the device unit it was opened on, resolved through the
+// session's lease like a queue's: on a managed daemon a tenant's jobs run
+// only on the units it was leased.
 
 // serveLane is one client serve session: a lane of the daemon-wide fair
 // queue bound to a connection. Lanes are connection-scoped — they do not
@@ -47,18 +56,27 @@ import (
 // disconnect and opens a fresh lane).
 type serveLane struct {
 	s       *session
-	serveID uint64 // client stub ID, names the lane on this connection
-	laneID  uint64 // daemon-wide fair-queue session key
+	serveID uint64         // client stub ID, names the lane on this connection
+	laneID  uint64         // daemon-wide fair-queue session key
+	dev     *native.Device // the unit the lane's jobs run on
+}
+
+// serveGroup is a batch group of the fair queue: jobs coalesce only when
+// they run the same compiled kernel on the same device.
+type serveGroup struct {
+	fn  *kernel.Func
+	dev *native.Device
 }
 
 // serveJob is one admitted job: everything the dispatcher needs to run
-// it inside a coalesced batch and route its result home.
+// it inside a coalesced batch and route its result home. Its argument
+// and shape slices point into the job's own arrays when they fit, so a
+// job is one allocation besides its input copy and output slab.
 type serveJob struct {
 	lane      *serveLane
 	jobID     uint64
 	compiled  *kernel.Program
 	fn        *kernel.Func
-	progKey   serve.Key // hash of (source, kernel name): batch compatibility
 	args      []vm.Arg
 	output    []byte // job-private output slab (nil when OutputArg < 0)
 	goffset   []int
@@ -66,7 +84,13 @@ type serveJob struct {
 	local     []int
 	key       serve.Key
 	cacheable bool
+
+	argBuf   [serveInlineArgs]vm.Arg
+	shapeBuf [9]int // goffset, global and local of up to 3 dimensions each
 }
+
+// serveInlineArgs is how many kernel arguments a serveJob holds inline.
+const serveInlineArgs = 6
 
 // ServeStats snapshots the daemon's serve-plane counters.
 type ServeStats struct {
@@ -89,14 +113,24 @@ func (d *Daemon) ServeStats() ServeStats {
 	}
 }
 
-// handleServeOpen opens a serve lane on this session and starts the
-// daemon's dispatcher on first use.
+// handleServeOpen opens a serve lane on the requested device unit of this
+// session and starts the daemon's dispatcher on first use. The unit is
+// resolved through the session's lease, as for a queue: a managed daemon
+// refuses a unit the session was not leased.
 func (s *session) handleServeOpen(c rpc.Call) {
 	o := protocol.GetServeOpen(c.Body)
 	if c.Malformed() {
 		return
 	}
-	lane := &serveLane{s: s, serveID: o.ServeID, laneID: s.d.serveLaneSeq.Add(1)}
+	s.mu.Lock()
+	authID := s.authID
+	s.mu.Unlock()
+	dev, ok := s.d.device(authID, uint64(o.UnitID)).(*native.Device)
+	if !ok {
+		s.fail(c, 0, 0, cl.Errf(cl.InvalidDevice, "serve: device unit %d is not this session's", o.UnitID))
+		return
+	}
+	lane := &serveLane{s: s, serveID: o.ServeID, laneID: s.d.serveLaneSeq.Add(1), dev: dev}
 	s.d.serveQ.Open(lane.laneID, o.Weight, o.MaxPending)
 	s.mu.Lock()
 	old := s.serves[o.ServeID]
@@ -173,7 +207,7 @@ func (s *session) handleServeSubmit(c rpc.Call) {
 			}
 		}
 		if err == nil {
-			err = s.d.serveQ.Push(lane.laneID, serveCost(pj.Global), job.progKey, job)
+			err = s.d.serveQ.Push(lane.laneID, serveCost(pj.Global), serveGroup{job.fn, lane.dev}, job)
 		}
 		if err != nil {
 			immediate = append(immediate, protocol.ServeResult{
@@ -201,7 +235,8 @@ func serveCost(global []int) float64 {
 
 // buildServeJob resolves a wire job against the session's object tables
 // and freezes it into a dispatchable serveJob. The inline input payload
-// is copied (the wire Reader aliases the connection's frame buffer);
+// and the launch shape are copied (the wire Reader aliases the
+// connection's frame buffer);
 // session buffers are admitted only where the compiled kernel proves the
 // argument read-only — the serve plane shares one native buffer across
 // concurrently batched jobs, so a writable binding would race.
@@ -233,14 +268,15 @@ func (s *session) buildServeJob(lane *serveLane, pj *protocol.ServeJob) (*serveJ
 	if inIdx >= len(fn.Args) || outIdx >= len(fn.Args) || (inIdx >= 0 && inIdx == outIdx) {
 		return nil, cl.Errf(cl.InvalidArgIndex, "serve: bad input/output slots %d/%d", inIdx, outIdx)
 	}
-	job := &serveJob{
-		lane: lane, jobID: pj.JobID, compiled: compiled, fn: fn,
-		progKey: progKey,
-		args:    make([]vm.Arg, len(fn.Args)),
-		goffset: append([]int(nil), pj.GOffset...),
-		global:  append([]int(nil), pj.Global...),
-		local:   append([]int(nil), pj.Local...),
+	job := &serveJob{lane: lane, jobID: pj.JobID, compiled: compiled, fn: fn}
+	if len(fn.Args) <= serveInlineArgs {
+		job.args = job.argBuf[:len(fn.Args)]
+	} else {
+		job.args = make([]vm.Arg, len(fn.Args))
 	}
+	job.goffset = job.shape(0, pj.GOffset)
+	job.global = job.shape(3, pj.Global)
+	job.local = job.shape(6, pj.Local)
 	hasBuffer := false
 	for i := range fn.Args {
 		info := fn.Args[i]
@@ -296,6 +332,19 @@ func (s *session) buildServeJob(lane *serveLane, pj *protocol.ServeJob) (*serveJ
 	return job, nil
 }
 
+// shape copies one launch-shape vector into the job's shape array at off,
+// or into its own slice when it has more than 3 dimensions (prepare
+// refuses it at dispatch). An empty vector becomes nil, as it always did.
+func (job *serveJob) shape(off int, v []int) []int {
+	if len(v) == 0 {
+		return nil
+	}
+	if len(v) > 3 {
+		return append([]int(nil), v...)
+	}
+	return append(job.shapeBuf[off:off:off+3], v...)
+}
+
 // serveBufferRange resolves a session-buffer argument to the byte range
 // it binds, enforcing the read-only contract.
 func (s *session) serveBufferRange(fn *kernel.Func, i int, a protocol.GraphKernelArg) ([]byte, error) {
@@ -325,12 +374,10 @@ func (s *session) serveBufferRange(fn *kernel.Func, i int, a protocol.GraphKerne
 	return data, nil
 }
 
-// serveProgKey fingerprints a job's executable: the program source plus
-// the kernel name. Two contexts building the same source get distinct
-// compiled *kernel.Program objects, but their kernels are semantically
-// identical — matching on the fingerprint lets the coalescer merge jobs
-// from different tenants' connections into one batch, which runs under
-// the batch leader's compiled program.
+// serveProgKey fingerprints a job's executable, the program source plus
+// the kernel name: the memoized prefix of every cache key of the kernel.
+// Batches are grouped by the compiled kernel itself (serveGroup), never
+// by this hash.
 func serveProgKey(src, fnName string) serve.Key {
 	h := serve.NewHasher()
 	h.String(src)
@@ -374,10 +421,10 @@ func (lane *serveLane) sendResults(results []protocol.ServeResult) {
 // serveDispatch is the daemon's single coalescing dispatcher: pop a
 // batch leader in fair order, wait out the coalescing window so
 // concurrent submitters can pile on, harvest every compatible queued job
-// (same program fingerprint — tenants and shapes may differ), and run
-// them as one batched dispatch. Under backlog the window is skipped: a
-// full batch is already waiting, and sleeping would only throttle the
-// drain rate.
+// (same compiled kernel on the same device — tenants and shapes may
+// differ), and run them as one batched dispatch on that device. Under
+// backlog the window is skipped: a full batch is already waiting, and
+// sleeping would only throttle the drain rate.
 func (d *Daemon) serveDispatch() {
 	for {
 		leader, _, ok := d.serveQ.Pop()
@@ -391,14 +438,14 @@ func (d *Daemon) serveDispatch() {
 		if w := d.cfg.ServeWindow; w > 0 && d.serveQ.Len() < max-1 {
 			time.Sleep(w)
 		}
-		batch := append([]*serveJob{leader}, d.serveQ.HarvestGroup(leader.progKey, max-1)...)
+		batch := append([]*serveJob{leader}, d.serveQ.HarvestGroup(serveGroup{leader.fn, leader.lane.dev}, max-1)...)
 		d.runServeBatch(batch)
 	}
 }
 
-// runServeBatch executes one coalesced batch, inserts cacheable
-// successes into the result cache, and ships each lane's results in one
-// notification frame.
+// runServeBatch executes one coalesced batch on its lanes' device,
+// inserts cacheable successes into the result cache, and ships each
+// lane's results in one notification frame.
 func (d *Daemon) runServeBatch(jobs []*serveJob) {
 	b := vm.Batch{
 		Prog:   jobs[0].compiled,
@@ -408,12 +455,7 @@ func (d *Daemon) runServeBatch(jobs []*serveJob) {
 	for i, j := range jobs {
 		b.Jobs[i] = vm.BatchJob{Args: j.args, GlobalSize: j.global, GlobalOffset: j.goffset, LocalSize: j.local}
 	}
-	var errs []error
-	if nd, ok := d.devices[0].(*native.Device); ok {
-		errs, _ = nd.Sim().ExecuteBatch(b)
-	} else {
-		errs, _ = vm.RunBatch(b)
-	}
+	errs, _ := jobs[0].lane.dev.Sim().ExecuteBatch(b)
 	d.serveDispatches.Add(1)
 	d.serveBatched.Add(int64(len(jobs)))
 	perLane := map[*serveLane][]protocol.ServeResult{}

@@ -21,6 +21,7 @@ package device
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dopencl/internal/cl"
@@ -91,6 +92,11 @@ type Device struct {
 	info    cl.DeviceInfo
 	compute sync.Mutex // held for the duration of a kernel launch or batch
 	copy    sync.Mutex // held for the modeled duration of a bus transfer
+
+	// inside counts the launches and batches in the compute engine and
+	// peak is its high-water mark: the engine serializes them, so peak
+	// never exceeds 1 (tests read it).
+	inside, peak atomic.Int32
 }
 
 // New instantiates a device from its configuration.
@@ -171,6 +177,8 @@ func (d *Device) ChargeTransfer(n int, read bool) time.Duration {
 func (d *Device) Execute(l vm.Launch) (time.Duration, error) {
 	d.compute.Lock()
 	defer d.compute.Unlock()
+	d.enter()
+	defer d.inside.Add(-1)
 	switch d.cfg.Mode {
 	case ExecModeled:
 		return d.executeModeled(l)
@@ -196,6 +204,8 @@ func (d *Device) Execute(l vm.Launch) (time.Duration, error) {
 func (d *Device) ExecuteBatch(b vm.Batch) ([]error, time.Duration) {
 	d.compute.Lock()
 	defer d.compute.Unlock()
+	d.enter()
+	defer d.inside.Add(-1)
 	if d.cfg.Mode == ExecModeled {
 		errs := make([]error, len(b.Jobs))
 		var total time.Duration
@@ -219,6 +229,13 @@ func (d *Device) ExecuteBatch(b vm.Batch) ([]error, time.Duration) {
 	}
 	errs, _ := vm.RunBatch(b)
 	return errs, 0
+}
+
+// enter counts one more command inside the compute engine.
+func (d *Device) enter() {
+	n := d.inside.Add(1)
+	for p := d.peak.Load(); n > p && !d.peak.CompareAndSwap(p, n); p = d.peak.Load() {
+	}
 }
 
 // costCache caches instruction-cost estimates across launches, keyed by

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -100,37 +101,54 @@ func TestModeledExecutionScalesWithWork(t *testing.T) {
 }
 
 func TestDeviceSerializesCommands(t *testing.T) {
-	// Two concurrent modeled launches on one device must serialize: the
-	// Fig. 6 contention behaviour.
-	d := New(Config{
-		Name: "d", ComputeUnits: 1, Mode: ExecModeled,
-		InstrPerSec: 1e9, TimeScale: 0.05, SampleGroups: 2,
-	})
+	// Two concurrent launches on one device must serialize: the Fig. 6
+	// contention behaviour. The engine counts the commands inside it; the
+	// second command — a batch, the serve path's entry — is issued while
+	// the first, a 20 ms modeled launch, is inside, so without the compute
+	// engine the count would peak at 2.
 	l := busyLaunch(t, 2048, 200)
-	if _, err := d.Execute(l); err != nil { // prewarm cache
+	perItem, err := PrewarmCost(busyKernel, "busy", l.Args, l.GlobalSize, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	solo := timeIt(func() {
-		if _, err := d.Execute(l); err != nil {
-			t.Error(err)
-		}
+	d := New(Config{
+		Name: "d", ComputeUnits: 1, Mode: ExecModeled, InstrPerSec: perItem * 2048 / 0.020,
 	})
-	duo := timeIt(func() {
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := d.Execute(l); err != nil {
-					t.Error(err)
-				}
-			}()
-		}
-		wg.Wait()
-	})
-	if duo < solo*3/2 {
-		t.Errorf("two concurrent launches (%v) not serialized vs one (%v)", duo, solo)
+	// A launch that ends before this goroutine sees it inside proves
+	// nothing either way: issue another.
+	var first chan struct{}
+	for seen := false; !seen; {
+		first = make(chan struct{})
+		go func(done chan struct{}) {
+			defer close(done)
+			if _, err := d.Execute(l); err != nil {
+				t.Error(err)
+			}
+		}(first)
+		seen = seenInside(d, first)
 	}
+	errs, _ := d.ExecuteBatch(vm.Batch{Prog: l.Prog, Kernel: l.Kernel, Jobs: []vm.BatchJob{{Args: l.Args, GlobalSize: l.GlobalSize}}})
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	<-first
+	if p := d.PeakInside(); p != 1 {
+		t.Errorf("%d commands were inside the compute engine at once, want 1", p)
+	}
+}
+
+// seenInside polls until a command is inside d's compute engine (true) or
+// done is closed first (false).
+func seenInside(d *Device, done <-chan struct{}) bool {
+	for d.Inside() == 0 {
+		select {
+		case <-done:
+			return false
+		default:
+			runtime.Gosched()
+		}
+	}
+	return true
 }
 
 func TestTransferOverlapsRunningKernel(t *testing.T) {

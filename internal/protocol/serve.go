@@ -34,11 +34,14 @@ const (
 // session's share in the daemon's weighted fair queue (relative to other
 // serve sessions' weights; 0 means 1). MaxPending caps the session's
 // admitted-but-unfinished jobs — submits beyond it are refused with
-// CL_BUSY_WWU instead of queueing unboundedly.
+// CL_BUSY_WWU instead of queueing unboundedly. UnitID is the device unit
+// the lane's jobs run on; a managed daemon refuses a unit outside the
+// session's lease with CL_INVALID_DEVICE.
 type ServeOpen struct {
 	ServeID    uint64
 	Weight     uint32
 	MaxPending uint32
+	UnitID     uint32
 }
 
 // PutServeOpen encodes a serve-session open request.
@@ -46,11 +49,12 @@ func PutServeOpen(w *Writer, o ServeOpen) {
 	w.U64(o.ServeID)
 	w.U32(o.Weight)
 	w.U32(o.MaxPending)
+	w.U32(o.UnitID)
 }
 
 // GetServeOpen decodes a serve-session open request.
 func GetServeOpen(r *Reader) ServeOpen {
-	return ServeOpen{ServeID: r.U64(), Weight: r.U32(), MaxPending: r.U32()}
+	return ServeOpen{ServeID: r.U64(), Weight: r.U32(), MaxPending: r.U32(), UnitID: r.U32()}
 }
 
 // ServeClose is the body of a MsgServeClose one-way command.

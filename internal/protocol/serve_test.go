@@ -41,7 +41,7 @@ func sampleServeSubmit() ServeSubmit {
 }
 
 func TestServeOpenRoundTrip(t *testing.T) {
-	in := ServeOpen{ServeID: 42, Weight: 3, MaxPending: 128}
+	in := ServeOpen{ServeID: 42, Weight: 3, MaxPending: 128, UnitID: 2}
 	w := NewWriter()
 	PutServeOpen(w, in)
 	r := NewReader(w.Bytes())

@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // Stamp snapshots one dependency's version at insert time. The client
 // cache stamps every session-buffer range a job reads with the range's
@@ -36,10 +33,16 @@ type CacheStats struct {
 // entry count and total payload bytes, plus stamp-based invalidation.
 // A hit returns the stored output without any dispatch — on the client a
 // warm hit ships zero wire bytes, on the daemon it skips the VM entirely.
+//
+// Entries live in one slice, linked into the LRU list by index; a
+// removed entry's slot goes on a free list and the next Put reuses it, so
+// once the cache has filled, a Put allocates nothing.
 type Cache struct {
 	mu         sync.Mutex
-	entries    map[Key]*list.Element
-	lru        *list.List // front = most recent
+	index      map[Key]int32
+	slots      []cacheEntry
+	head, tail int32 // most and least recently used; -1 when empty
+	free       int32 // first free slot, linked through next; -1 when none
 	maxEntries int
 	maxBytes   int64
 	bytes      int64
@@ -47,9 +50,10 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	key    Key
-	output []byte
-	stamps []Stamp
+	key        Key
+	output     []byte
+	stamps     []Stamp
+	prev, next int32
 }
 
 // NewCache returns a cache bounded to maxEntries entries and maxBytes
@@ -62,8 +66,10 @@ func NewCache(maxEntries int, maxBytes int64) *Cache {
 		maxBytes = 64 << 20
 	}
 	return &Cache{
-		entries:    make(map[Key]*list.Element),
-		lru:        list.New(),
+		index:      make(map[Key]int32),
+		head:       -1,
+		tail:       -1,
+		free:       -1,
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
 	}
@@ -75,21 +81,22 @@ func NewCache(maxEntries int, maxBytes int64) *Cache {
 func (c *Cache) Get(key Key) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	i, ok := c.index[key]
 	if !ok {
 		c.stats.Misses++
 		return nil, false
 	}
-	e := el.Value.(*cacheEntry)
+	e := &c.slots[i]
 	for _, s := range e.stamps {
 		if !s.Valid() {
-			c.removeLocked(el, e)
+			c.removeLocked(i)
 			c.stats.Invalidated++
 			c.stats.Misses++
 			return nil, false
 		}
 	}
-	c.lru.MoveToFront(el)
+	c.unlinkLocked(i)
+	c.pushFrontLocked(i)
 	c.stats.Hits++
 	return e.output, true
 }
@@ -103,19 +110,27 @@ func (c *Cache) Put(key Key, output []byte, stamps []Stamp) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*cacheEntry)
+	if i, ok := c.index[key]; ok {
+		e := &c.slots[i]
 		c.bytes += int64(len(output)) - int64(len(e.output))
 		e.output, e.stamps = output, stamps
-		c.lru.MoveToFront(el)
+		c.unlinkLocked(i)
+		c.pushFrontLocked(i)
 	} else {
-		e := &cacheEntry{key: key, output: output, stamps: stamps}
-		c.entries[key] = c.lru.PushFront(e)
+		i := c.free
+		if i >= 0 {
+			c.free = c.slots[i].next
+		} else {
+			i = int32(len(c.slots))
+			c.slots = append(c.slots, cacheEntry{})
+		}
+		c.slots[i] = cacheEntry{key: key, output: output, stamps: stamps}
+		c.index[key] = i
+		c.pushFrontLocked(i)
 		c.bytes += int64(len(output))
 	}
-	for (c.lru.Len() > c.maxEntries || c.bytes > c.maxBytes) && c.lru.Len() > 1 {
-		back := c.lru.Back()
-		c.removeLocked(back, back.Value.(*cacheEntry))
+	for (len(c.index) > c.maxEntries || c.bytes > c.maxBytes) && len(c.index) > 1 {
+		c.removeLocked(c.tail)
 		c.stats.Evicted++
 	}
 }
@@ -124,15 +139,45 @@ func (c *Cache) Put(key Key, output []byte, stamps []Stamp) {
 func (c *Cache) Drop(key Key) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.removeLocked(el, el.Value.(*cacheEntry))
+	if i, ok := c.index[key]; ok {
+		c.removeLocked(i)
 	}
 }
 
-func (c *Cache) removeLocked(el *list.Element, e *cacheEntry) {
-	c.lru.Remove(el)
-	delete(c.entries, e.key)
+// removeLocked unlinks slot i, forgets its key and output, and puts the
+// slot on the free list.
+func (c *Cache) removeLocked(i int32) {
+	c.unlinkLocked(i)
+	e := &c.slots[i]
+	delete(c.index, e.key)
 	c.bytes -= int64(len(e.output))
+	*e = cacheEntry{next: c.free}
+	c.free = i
+}
+
+func (c *Cache) unlinkLocked(i int32) {
+	e := &c.slots[i]
+	if e.prev >= 0 {
+		c.slots[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next >= 0 {
+		c.slots[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+}
+
+func (c *Cache) pushFrontLocked(i int32) {
+	e := &c.slots[i]
+	e.prev, e.next = -1, c.head
+	if c.head >= 0 {
+		c.slots[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
 }
 
 // Stats snapshots the counters.
@@ -140,7 +185,7 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.Entries = c.lru.Len()
+	s.Entries = len(c.index)
 	s.Bytes = c.bytes
 	return s
 }

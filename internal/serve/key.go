@@ -1,10 +1,16 @@
 package serve
 
-// Key is a 128-bit content-addressed cache key: two independent 64-bit
-// FNV-1a style hashes over the same field stream. Collision probability
-// at 2^64 per half is negligible for a result cache (a collision returns
-// a stale-but-plausible result, not a crash, and the cache is advisory),
-// and 128 bits keeps the map key comparable and allocation-free.
+import (
+	"encoding/binary"
+	"hash/maphash"
+)
+
+// Key is a 128-bit content-addressed cache key: two 64-bit hashes of the
+// same field stream under two independent, process-random seeds.
+// Collision probability at 2^64 per half is negligible for a result cache
+// (a collision returns a stale-but-plausible result, not a crash, and the
+// cache is advisory), and 128 bits keeps the map key comparable and
+// allocation-free.
 //
 // The key is derived from the complete semantic identity of a job:
 //
@@ -15,76 +21,106 @@ package serve
 //	output size
 //	input content hash (the inline input payload)
 //
-// Client and daemon derive keys independently from the same wire fields —
-// keys never travel on the wire, so a client cannot poison the daemon's
-// shared cache with a mislabeled key.
+// The seeds are drawn once per process (maphash.MakeSeed), so keys are
+// deterministic within a process — a daemon's cross-session cache and a
+// client's session cache see equal jobs under equal keys — and computable
+// by nobody outside it. Keys never travel on the wire: client and daemon
+// derive them independently, each under its own seeds, so a tenant can
+// neither name nor precompute a slot of the daemon's shared cache.
 type Key struct {
 	A, B uint64
 }
 
-const (
-	fnvOffset = uint64(14695981039346656037)
-	fnvPrime  = uint64(1099511628211)
-	// The B half starts from a different basis and folds each byte with a
-	// rotation, making the two halves effectively independent functions.
-	fnvOffsetB = uint64(0x9e3779b97f4a7c15)
-)
+var seedA, seedB = maphash.MakeSeed(), maphash.MakeSeed()
 
-// Hasher accumulates a Key over a field stream. The zero value is NOT
-// ready; use NewHasher.
+// hashBuf is the stream buffer's size: a job-shaped stream (prefix, four
+// arguments, a 256-byte input and a one-dimensional shape) fits in one
+// buffer, so its key never folds.
+const hashBuf = 512
+
+// Hasher accumulates a Key over a field stream. Fields are written
+// little-endian into a buffer the Hasher owns; Sum hashes the buffer
+// under both seeds. A stream longer than the buffer is folded: the full
+// buffer's key becomes the first 16 bytes of the next one. The zero value
+// is an empty stream, the same as NewHasher.
 type Hasher struct {
-	a, b uint64
+	n   int
+	buf [hashBuf]byte
 }
 
-// NewHasher returns a hasher with both halves at their offset basis.
-func NewHasher() Hasher { return Hasher{a: fnvOffset, b: fnvOffsetB} }
+// NewHasher returns a hasher over an empty stream.
+func NewHasher() Hasher { return Hasher{} }
 
-// Resume returns a hasher primed with a previously accumulated key,
-// continuing the field stream exactly where the prefix's hasher left
-// off: Resume(prefix.Sum()) followed by the suffix fields produces the
-// same key as hashing prefix+suffix in one stream. Callers memoize the
-// digest of a constant prefix (program source, kernel name) once per
-// kernel and resume per job, so large constant fields are never
-// re-hashed on the per-job fast path.
-func Resume(k Key) Hasher { return Hasher{a: k.A, b: k.B} }
+// Resume returns a hasher whose stream starts with the 16 bytes of k.
+// Callers memoize the key of a constant prefix (program source, kernel
+// name) once per kernel and resume from it per job, so large constant
+// fields are never re-hashed on the per-job path. Resume(k) followed by a
+// suffix is deterministic, and differs from the suffix hashed alone.
+func Resume(k Key) Hasher {
+	var h Hasher
+	h.putKey(k)
+	return h
+}
+
+func (h *Hasher) putKey(k Key) {
+	binary.LittleEndian.PutUint64(h.buf[h.n:], k.A)
+	binary.LittleEndian.PutUint64(h.buf[h.n+8:], k.B)
+	h.n += 16
+}
+
+// fold replaces a full buffer by its key.
+func (h *Hasher) fold() {
+	k := h.Sum()
+	h.n = 0
+	h.putKey(k)
+}
 
 // Bytes folds raw bytes into the key, length-delimited so that
 // ("ab","c") and ("a","bc") hash differently.
 func (h *Hasher) Bytes(p []byte) {
 	h.U64(uint64(len(p)))
-	for _, c := range p {
-		h.a = (h.a ^ uint64(c)) * fnvPrime
-		h.b = ((h.b << 7) | (h.b >> 57)) ^ uint64(c)
-		h.b *= fnvPrime
-	}
+	write(h, p)
 }
 
 // String folds a length-delimited string.
 func (h *Hasher) String(s string) {
 	h.U64(uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		h.a = (h.a ^ uint64(c)) * fnvPrime
-		h.b = ((h.b << 7) | (h.b >> 57)) ^ uint64(c)
-		h.b *= fnvPrime
+	write(h, s)
+}
+
+// write copies raw bytes into the stream, folding whenever the buffer
+// fills.
+func write[T string | []byte](h *Hasher, p T) {
+	for len(p) > 0 {
+		if h.n == hashBuf {
+			h.fold()
+		}
+		c := copy(h.buf[h.n:], p)
+		h.n += c
+		p = p[c:]
 	}
 }
 
-// U64 folds a 64-bit value byte by byte.
+// U64 folds a 64-bit value.
 func (h *Hasher) U64(v uint64) {
-	for i := 0; i < 8; i++ {
-		c := byte(v >> (8 * i))
-		h.a = (h.a ^ uint64(c)) * fnvPrime
-		h.b = ((h.b << 7) | (h.b >> 57)) ^ uint64(c)
-		h.b *= fnvPrime
+	if h.n > hashBuf-8 {
+		h.fold()
 	}
+	binary.LittleEndian.PutUint64(h.buf[h.n:], v)
+	h.n += 8
 }
 
 // I64 folds a signed 64-bit value.
 func (h *Hasher) I64(v int64) { h.U64(uint64(v)) }
 
 // U8 folds one byte.
-func (h *Hasher) U8(v uint8) { h.U64(uint64(v)) }
+func (h *Hasher) U8(v uint8) {
+	if h.n == hashBuf {
+		h.fold()
+	}
+	h.buf[h.n] = v
+	h.n++
+}
 
 // Ints folds a length-delimited int slice (launch shapes).
 func (h *Hasher) Ints(vs []int) {
@@ -94,5 +130,8 @@ func (h *Hasher) Ints(vs []int) {
 	}
 }
 
-// Sum returns the accumulated key.
-func (h *Hasher) Sum() Key { return Key{A: h.a, B: h.b} }
+// Sum returns the key of the stream so far; the stream can go on.
+func (h *Hasher) Sum() Key {
+	b := h.buf[:h.n]
+	return Key{A: maphash.Bytes(seedA, b), B: maphash.Bytes(seedB, b)}
+}

@@ -9,8 +9,8 @@ import (
 
 // FairQueue is a weighted fair queue with per-session admission control
 // and constant-ish-time batch harvesting, generic over the batch-group
-// key K (the daemon groups serve jobs by program fingerprint; tests use
-// small scalar groups) and the queued item type T.
+// key K (the daemon groups serve jobs by compiled kernel and device;
+// tests use small scalar groups) and the queued item type T.
 //
 // Scheduling is finish-time weighted fair queueing: each pushed item is
 // tagged with a virtual finish time vf = max(globalVirtual,

@@ -65,6 +65,228 @@ func TestHasherDiscriminates(t *testing.T) {
 	}
 }
 
+// jobKey hashes a job-shaped field stream, as the client and the daemon
+// do: a resumed program prefix, four frozen arguments, the slot layout, a
+// 256-byte input and a one-dimensional shape.
+func jobKey(prefix Key, input []byte) Key {
+	h := Resume(prefix)
+	for a := 0; a < 4; a++ {
+		h.U8(uint8(a))
+		h.U64(uint64(a) * 3)
+		h.I64(0)
+		h.I64(0)
+		h.I64(0)
+	}
+	h.I64(0)
+	h.I64(1)
+	h.Bytes(input)
+	h.I64(int64(len(input)))
+	h.Ints(nil)
+	h.Ints([]int{len(input) / 4})
+	h.Ints(nil)
+	return h.Sum()
+}
+
+// TestHasherStreams pins the key's discrimination over the stream: every
+// byte-string length from 0 to 24 (and a string against itself plus a
+// zero byte), every single-bit flip of a 64-byte input, the order of
+// fields, the resumed prefix, and streams long enough to fold the buffer.
+func TestHasherStreams(t *testing.T) {
+	seen := map[Key]string{}
+	distinct := func(k Key, what string) {
+		t.Helper()
+		if prev, ok := seen[k]; ok {
+			t.Errorf("%s collides with %s", what, prev)
+		}
+		seen[k] = what
+	}
+	bytesKey := func(p []byte) Key {
+		h := NewHasher()
+		h.Bytes(p)
+		return h.Sum()
+	}
+	zeros := make([]byte, 25)
+	for n := 0; n <= 24; n++ {
+		distinct(bytesKey(zeros[:n]), fmt.Sprintf("%d zero bytes", n))
+	}
+	p := []byte("serve")
+	distinct(bytesKey(p), "p")
+	distinct(bytesKey(append(p, 0)), "p+0x00")
+
+	in := make([]byte, 64)
+	for i := range in {
+		in[i] = byte(i * 7)
+	}
+	base := bytesKey(in)
+	for bit := 0; bit < 8*len(in); bit++ {
+		in[bit/8] ^= 1 << (bit % 8)
+		if bytesKey(in) == base {
+			t.Errorf("flipping bit %d of a 64-byte input kept the key", bit)
+		}
+		in[bit/8] ^= 1 << (bit % 8)
+	}
+	if bytesKey(in) != base {
+		t.Error("the key of an input changed with nothing flipped")
+	}
+
+	ab, ba := NewHasher(), NewHasher()
+	ab.U64(1)
+	ab.String("x")
+	ba.String("x")
+	ba.U64(1)
+	if ab.Sum() == ba.Sum() {
+		t.Error("swapping two fields kept the key")
+	}
+
+	prefix := bytesKey([]byte("kernel void k(...)"))
+	suffix := func(h Hasher) Key { h.Bytes(in); h.Ints([]int{16}); return h.Sum() }
+	if suffix(Resume(prefix)) != suffix(Resume(prefix)) {
+		t.Error("a resumed stream is not deterministic")
+	}
+	if suffix(Resume(prefix)) == suffix(NewHasher()) {
+		t.Error("a resumed stream hashed like the suffix alone")
+	}
+
+	// Streams past the buffer fold: still deterministic, still every byte.
+	long := make([]byte, 3*hashBuf+5)
+	longKey := bytesKey(long)
+	if bytesKey(long) != longKey {
+		t.Error("a folded stream is not deterministic")
+	}
+	for _, i := range []int{0, hashBuf - 9, hashBuf, 2*hashBuf + 1, len(long) - 1} {
+		long[i] = 1
+		if bytesKey(long) == longKey {
+			t.Errorf("changing byte %d of a %d-byte stream kept the key", i, len(long))
+		}
+		long[i] = 0
+	}
+	var many Hasher
+	for i := 0; i < hashBuf; i++ {
+		many.U64(uint64(i))
+	}
+	again := NewHasher()
+	for i := 0; i < hashBuf; i++ {
+		again.U64(uint64(i))
+	}
+	if many.Sum() != again.Sum() {
+		t.Error("a stream of fixed-size fields past the buffer is not deterministic")
+	}
+
+	if n := testing.AllocsPerRun(100, func() { jobKey(prefix, in) }); n != 0 {
+		t.Errorf("a job-shaped key allocates %.1f objects", n)
+	}
+}
+
+// BenchmarkKey derives one job-shaped key per op (0 allocs/op).
+func BenchmarkKey(b *testing.B) {
+	prefix := Key{A: 1, B: 2}
+	input := make([]byte, 256)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(input)))
+	for i := 0; i < b.N; i++ {
+		input[0] = byte(i)
+		jobKey(prefix, input)
+	}
+}
+
+// TestCacheMatchesReference drives the cache and a plain ordered-list LRU
+// through the same random Puts, Gets and Drops under entry and byte
+// bounds, and compares every lookup and the occupancy after each step.
+func TestCacheMatchesReference(t *testing.T) {
+	type ref struct {
+		key Key
+		out []byte
+	}
+	for _, bound := range []struct {
+		entries int
+		bytes   int64
+	}{{1, 100}, {3, 1 << 20}, {8, 40}, {16, 1 << 20}} {
+		c := NewCache(bound.entries, bound.bytes)
+		var lru []ref // front = most recent
+		var bytes int64
+		find := func(k Key) int {
+			for i, r := range lru {
+				if r.key == k {
+					return i
+				}
+			}
+			return -1
+		}
+		remove := func(i int) {
+			bytes -= int64(len(lru[i].out))
+			lru = append(lru[:i], lru[i+1:]...)
+		}
+		rng := uint64(bound.entries)
+		next := func(n int) int {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			return int(rng>>33) % n
+		}
+		for step := 0; step < 5000; step++ {
+			k := Key{A: uint64(next(24))}
+			switch op := next(10); {
+			case op < 5:
+				out := make([]byte, next(20))
+				c.Put(k, out, nil)
+				if int64(len(out)) > bound.bytes {
+					break
+				}
+				if i := find(k); i >= 0 {
+					remove(i)
+				}
+				lru = append([]ref{{k, out}}, lru...)
+				bytes += int64(len(out))
+				for (len(lru) > bound.entries || bytes > bound.bytes) && len(lru) > 1 {
+					remove(len(lru) - 1)
+				}
+			case op < 9:
+				out, ok := c.Get(k)
+				i := find(k)
+				if ok != (i >= 0) || (ok && len(out) != len(lru[i].out)) {
+					t.Fatalf("bound %+v step %d: Get(%d) = %d bytes, %v; reference has it at %d",
+						bound, step, k.A, len(out), ok, i)
+				}
+				if i >= 0 {
+					r := lru[i]
+					lru = append([]ref{r}, append(lru[:i], lru[i+1:]...)...)
+				}
+			default:
+				c.Drop(k)
+				if i := find(k); i >= 0 {
+					remove(i)
+				}
+			}
+			if st := c.Stats(); st.Entries != len(lru) || st.Bytes != bytes {
+				t.Fatalf("bound %+v step %d: cache holds %d entries, %d bytes; reference %d, %d",
+					bound, step, st.Entries, st.Bytes, len(lru), bytes)
+			}
+		}
+	}
+}
+
+// TestCacheChurnAllocatesNothing: once a cache is full, ten times its
+// capacity of unique Puts allocates nothing — evicted slots are reused,
+// and the index map stops growing.
+func TestCacheChurnAllocatesNothing(t *testing.T) {
+	const capacity = 256
+	c := NewCache(capacity, 0)
+	out := make([]byte, 64)
+	var n uint64
+	put := func() {
+		n++
+		c.Put(Key{A: n, B: ^n}, out, nil)
+	}
+	for i := 0; i < 10*capacity; i++ { // fill, then churn once
+		put()
+	}
+	allocs := testing.AllocsPerRun(10*capacity, put)
+	if allocs != 0 {
+		t.Errorf("a churning Put allocates %.2f objects", allocs)
+	}
+	if st := c.Stats(); st.Entries != capacity || st.Evicted != int64(n)-capacity {
+		t.Errorf("stats after churn = %+v", st)
+	}
+}
+
 func TestCacheHitMissAndLRU(t *testing.T) {
 	c := NewCache(2, 0)
 	k1, k2, k3 := Key{A: 1}, Key{A: 2}, Key{A: 3}

@@ -47,26 +47,29 @@ func RunBatch(b Batch) ([]error, Stats) {
 		return errs, Stats{}
 	}
 
-	// Validate every job upfront, building its dispatch. Invalid jobs get
-	// their error recorded and drop out of the run set.
+	// Validate every job upfront, building its dispatch in place in the
+	// batch's one run slice. Invalid jobs get their error recorded and
+	// drop out of the run set: the next job prepares over their slot.
 	type jobRun struct {
 		idx    int
-		disp   *dispatch
 		groups int
+		disp   dispatch
 	}
-	runs := make([]jobRun, 0, len(b.Jobs))
-	itemsPerGroup := 0
+	runs := make([]jobRun, len(b.Jobs))
+	n, itemsPerGroup := 0, 0
 	for i := range b.Jobs {
-		j := &b.Jobs[i]
-		disp, groups, err := prepare(b.Prog, b.Kernel, j.Args, j.GlobalSize, j.GlobalOffset, j.LocalSize)
+		j, jr := &b.Jobs[i], &runs[n]
+		groups, err := prepare(&jr.disp, b.Prog, b.Kernel, j.Args, j.GlobalSize, j.GlobalOffset, j.LocalSize)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		runs = append(runs, jobRun{idx: i, disp: disp, groups: groups})
-		itemsPerGroup = disp.itemsPerGroup // representative; jobs may differ
+		jr.idx, jr.groups = i, groups
+		itemsPerGroup = jr.disp.itemsPerGroup // representative; jobs may differ
+		n++
 	}
-	if len(runs) == 0 {
+	runs = runs[:n]
+	if n == 0 {
 		return errs, Stats{}
 	}
 
@@ -95,11 +98,11 @@ func RunBatch(b Batch) ([]error, Stats) {
 				if id >= int64(len(runs)) {
 					break
 				}
-				jr := runs[id]
+				jr := &runs[id]
 				if pr == nil {
-					pr = acquireRunner(jr.disp, plan)
+					pr = acquireRunner(&jr.disp, plan)
 				} else {
-					pr.bind(jr.disp)
+					pr.bind(&jr.disp)
 				}
 				for gid := 0; gid < jr.groups; gid++ {
 					if err := pr.runGroup(gid); err != nil {

@@ -833,7 +833,8 @@ func DispatchAllocsPerOp(l Launch) (float64, error) {
 		return 0, fmt.Errorf("vm: allocs probe needs a program and kernel")
 	}
 	plan := l.Prog.WorkGroup(l.Kernel)
-	disp, totalGroups, err := prepare(l.Prog, l.Kernel, l.Args, l.GlobalSize, l.GlobalOffset, l.LocalSize)
+	disp := new(dispatch)
+	totalGroups, err := prepare(disp, l.Prog, l.Kernel, l.Args, l.GlobalSize, l.GlobalOffset, l.LocalSize)
 	if err != nil {
 		return 0, err
 	}

@@ -42,7 +42,8 @@ func crossCheck(t *testing.T, src, name string, mkArgs func() []Arg, sh launchSh
 	fn := kernelFn(t, p, name)
 	local := sh.local
 	if local == nil {
-		local = AutoLocalSize(sh.global)
+		local = make([]int, len(sh.global))
+		autoLocalSize(sh.global, local)
 	}
 	run := func(unoptimized bool) ([]Arg, error) {
 		args := mkArgs()

@@ -78,7 +78,8 @@ func TestRecycledRunnerCarriesNothingBetweenTenants(t *testing.T) {
 		runOn := func(r *planRunner, fill int32) (*planRunner, probeRun) {
 			t.Helper()
 			run, args := probeArgs(name, n, fill)
-			d, groups, err := prepare(prog, fn, args, []int{n}, nil, []int{16})
+			d := new(dispatch)
+			groups, err := prepare(d, prog, fn, args, []int{n}, nil, []int{16})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -140,11 +140,11 @@ func (e *TrapError) Error() string {
 	return fmt.Sprintf("vm: kernel %s: %s", e.Kernel, e.Msg)
 }
 
-// AutoLocalSize picks a work-group size for each dimension: the largest
-// divisor of the global size not exceeding 256 (dimension 0) or 16 (higher
-// dimensions), matching typical OpenCL implementation defaults.
-func AutoLocalSize(global []int) []int {
-	local := make([]int, len(global))
+// autoLocalSize picks a work-group size for each dimension into local:
+// the largest divisor of the global size not exceeding 256 (dimension 0)
+// or 16 (higher dimensions), matching typical OpenCL implementation
+// defaults.
+func autoLocalSize(global, local []int) {
 	for d, g := range global {
 		limit := 256
 		if d > 0 {
@@ -162,7 +162,6 @@ func AutoLocalSize(global []int) []int {
 		}
 		local[d] = pick
 	}
-	return local
 }
 
 // Run executes the launch, blocking until every work-group has finished.
@@ -176,7 +175,8 @@ func RunStats(l Launch) (Stats, error) {
 	if l.Kernel == nil {
 		return Stats{}, &TrapError{Kernel: "?", Msg: "launch requires a kernel function"}
 	}
-	disp, totalGroups, err := prepare(l.Prog, l.Kernel, l.Args, l.GlobalSize, l.GlobalOffset, l.LocalSize)
+	disp := new(dispatch)
+	totalGroups, err := prepare(disp, l.Prog, l.Kernel, l.Args, l.GlobalSize, l.GlobalOffset, l.LocalSize)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -244,11 +244,12 @@ func RunStats(l Launch) (Stats, error) {
 }
 
 // prepare validates one ND-range launch of fn against the kernel
-// signature and builds its dispatch. It returns the total work-group
-// count alongside.
-func prepare(prog *kernel.Program, fn *kernel.Func, args []Arg, global, goffset, local []int) (*dispatch, int, error) {
-	trap := func(format string, a ...any) (*dispatch, int, error) {
-		return nil, 0, &TrapError{Kernel: fn.Name, Msg: fmt.Sprintf(format, a...)}
+// signature and builds its dispatch into d, allocating nothing: the
+// dispatch's local and group shapes live in its own arrays. It returns
+// the total work-group count.
+func prepare(d *dispatch, prog *kernel.Program, fn *kernel.Func, args []Arg, global, goffset, local []int) (int, error) {
+	trap := func(format string, a ...any) (int, error) {
+		return 0, &TrapError{Kernel: fn.Name, Msg: fmt.Sprintf(format, a...)}
 	}
 	if len(global) < 1 || len(global) > 3 {
 		return trap("global work size must have 1-3 dimensions")
@@ -282,32 +283,30 @@ func prepare(prog *kernel.Program, fn *kernel.Func, args []Arg, global, goffset,
 			break
 		}
 	}
-	if autoPick {
-		local = AutoLocalSize(global)
-	}
-	if len(local) != len(global) {
+	if !autoPick && len(local) != len(global) {
 		return trap("local size dimensionality mismatch")
 	}
-	numGroups := make([]int, len(global))
-	totalGroups := 1
-	itemsPerGroup := 1
-	for d := range global {
-		if local[d] <= 0 || global[d]%local[d] != 0 {
-			return trap("global size %d not divisible by local size %d in dimension %d",
-				global[d], local[d], d)
-		}
-		numGroups[d] = global[d] / local[d]
-		totalGroups *= numGroups[d]
-		itemsPerGroup *= local[d]
+	*d = dispatch{prog: prog, fn: fn, args: args, global: global}
+	copy(d.offset[:], goffset)
+	d.local = d.shape[:len(global)]
+	d.numGroups = d.shape[3 : 3+len(global)]
+	if autoPick {
+		autoLocalSize(global, d.local)
+	} else {
+		copy(d.local, local)
 	}
-
-	var offset [3]int
-	copy(offset[:], goffset)
-	return &dispatch{
-		prog: prog, fn: fn, args: args,
-		global: global, offset: offset, local: local, numGroups: numGroups,
-		itemsPerGroup: itemsPerGroup,
-	}, totalGroups, nil
+	totalGroups := 1
+	d.itemsPerGroup = 1
+	for dim := range global {
+		if d.local[dim] <= 0 || global[dim]%d.local[dim] != 0 {
+			return trap("global size %d not divisible by local size %d in dimension %d",
+				global[dim], d.local[dim], dim)
+		}
+		d.numGroups[dim] = global[dim] / d.local[dim]
+		totalGroups *= d.numGroups[dim]
+		d.itemsPerGroup *= d.local[dim]
+	}
+	return totalGroups, nil
 }
 
 // selectPlan returns the plan a launch runs: the optimized one, cached on
@@ -350,6 +349,7 @@ type dispatch struct {
 	local         []int
 	numGroups     []int
 	itemsPerGroup int
+	shape         [6]int // backs local and numGroups when prepare builds them
 }
 
 // decompose converts a linear index into per-dimension coordinates.

@@ -425,7 +425,8 @@ kernel void fops(global float* out, float a, float b) {
 func TestAutoLocalSizeDivides(t *testing.T) {
 	f := func(g uint16) bool {
 		n := int(g%4096) + 1
-		local := AutoLocalSize([]int{n})
+		local := make([]int, 1)
+		autoLocalSize([]int{n}, local)
 		return local[0] >= 1 && local[0] <= 256 && n%local[0] == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
