@@ -33,6 +33,50 @@ func waitDown(t *testing.T, srv *client.Server) {
 	}
 }
 
+// checkDirectories holds every buffer's region directory to the per-span
+// invariants the coherence package's tests check on the directory itself:
+// at most one Modified copy, standing alone, and every byte held by a
+// live server, cached on the host or Lost.
+func checkDirectories(t *testing.T, when string, bufs []cl.Buffer, servers map[string]*client.Server) {
+	t.Helper()
+	for bi, b := range bufs {
+		for _, r := range b.(*client.Buffer).RegionStates() {
+			fail := func(what string) {
+				t.Helper()
+				t.Fatalf("%s: buf %d range [%d,%d): %s (host %s, servers %v, lost %v)",
+					when, bi, r.Off, r.End, what, r.Host, r.Servers, r.Lost)
+			}
+			modified, valid := 0, 0
+			for addr, st := range r.Servers {
+				if st == "I" {
+					continue
+				}
+				if !servers[addr].Alive() {
+					fail("a valid copy on a dead server")
+				}
+				valid++
+				if st == "M" {
+					modified++
+				}
+			}
+			if r.Host != "I" {
+				valid++
+				if r.Host == "M" {
+					modified++
+				}
+			}
+			switch {
+			case modified > 1:
+				fail("two Modified copies")
+			case modified == 1 && valid > 1:
+				fail("a Modified copy beside a valid one")
+			case valid == 0 && !r.Lost:
+				fail("no valid copy and not Lost")
+			}
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Property test: randomized programs under a seeded fault schedule,
 // byte-compared against a fault-free oracle.
@@ -291,6 +335,7 @@ func runChaosProgram(t *testing.T, seed int64) {
 			t.Logf("fault: kill %s", f.Target)
 			cluster.Kill(f.Target)
 			waitDown(t, srv)
+			checkDirectories(t, "after the sweep of "+f.Target, bufs, servers)
 			for _, o := range oracle {
 				o.serverDown(sIdx[f.Target], srvGen[f.Target])
 			}
@@ -310,6 +355,7 @@ func runChaosProgram(t *testing.T, seed int64) {
 			if retained {
 				t.Fatalf("reattach after restart claims retained state")
 			}
+			checkDirectories(t, "after the re-attach of "+f.Target, bufs, servers)
 			srvGen[f.Target]++
 			alive[f.Target] = true
 		case BlipLink:
@@ -327,6 +373,7 @@ func runChaosProgram(t *testing.T, seed int64) {
 			if !retained {
 				t.Fatalf("daemon with retention dropped the session on a blip")
 			}
+			checkDirectories(t, "after the restore of "+f.Target, bufs, servers)
 			downGen := srvGen[f.Target]
 			srvGen[f.Target]++
 			for _, o := range oracle {

@@ -217,7 +217,8 @@ func (b *Buffer) LostRanges() [][2]int {
 // The directory is updated optimistically — enqueues are one-way and the
 // common case is success. If the command later fails (a deferred
 // fire-and-forget failure), the update is rolled back so the directory
-// does not gate forever on a failed event.
+// does not gate forever on a failed event: ev keeps the claim and undoes
+// it before its waiters wake (Event.complete).
 func (b *Buffer) markRangeWrittenBy(srv *Server, off, end int, ev *Event) {
 	r := b.root()
 	r.mu.Lock()
@@ -229,16 +230,10 @@ func (b *Buffer) markRangeWrittenBy(srv *Server, off, end int, ev *Event) {
 	// payloads are instead refused at the receiving daemon — a committing
 	// transfer cancels older unlanded overlapping gates — and by the
 	// upload path's ordered cancel.
-	if err := ev.SetCallback(cl.Complete, func(_ cl.Event, st cl.CommandStatus) {
-		if st == cl.Complete {
-			return
-		}
-		r.mu.Lock()
-		r.coh.RollbackClaim(srv, ev, off, end, gen, snap)
-		r.mu.Unlock()
-	}); err != nil {
-		// Callback registration cannot fail for Complete; nothing to do.
-		_ = err
+	c := claim{root: r, srv: srv, off: off, end: end, gen: gen, snap: snap}
+	if recorded, st := ev.addClaim(c); !recorded && st != cl.Complete {
+		// The command was on the wire before the claim: it failed first.
+		c.rollback(ev)
 	}
 }
 

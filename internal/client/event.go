@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"dopencl/internal/cl"
+	"dopencl/internal/coherence"
 	"dopencl/internal/native"
 	"dopencl/internal/protocol"
 )
@@ -30,10 +31,27 @@ type Event struct {
 	originID uint64
 
 	mu           sync.Mutex
-	replacements map[*Server]replEntry // server → replacement user event
+	replacements map[*Server]replEntry // server → replacement user event; nil until the first
 	notified     map[*Server]bool      // replacements already told the final status
 	final        cl.CommandStatus
 	completed    bool
+
+	// claims are the directory claims of the command, undone by complete
+	// if it fails — before the latch completes, so nothing woken by the
+	// failure can read through a claim the failed command never made
+	// good. Most commands write one range: its record rides inline.
+	claims   []claim
+	claimBuf [1]claim
+}
+
+// claim is one optimistic directory claim (Buffer.markRangeWrittenBy):
+// what RollbackClaim needs to undo it.
+type claim struct {
+	root     *Buffer
+	srv      *Server
+	off, end int
+	gen      uint64
+	snap     coherence.Snapshot
 }
 
 // replEntry is one replacement user event, stamped with the server's
@@ -52,24 +70,12 @@ var _ cl.Event = (*Event)(nil)
 // completion hook must be registered with origin before the enqueue
 // request is sent.
 func newRemoteEvent(ctx *Context, origin *Server, originID uint64) *Event {
-	return &Event{
-		latch:        native.NewEvent(),
-		ctx:          ctx,
-		origin:       origin,
-		originID:     originID,
-		replacements: map[*Server]replEntry{},
-		notified:     map[*Server]bool{},
-	}
+	return &Event{latch: native.NewEvent(), ctx: ctx, origin: origin, originID: originID}
 }
 
 // newUserEventStub creates a client-side user event (no origin server).
 func newUserEventStub(ctx *Context) *UserEvent {
-	return &UserEvent{Event{
-		latch:        native.NewEvent(),
-		ctx:          ctx,
-		replacements: map[*Server]replEntry{},
-		notified:     map[*Server]bool{},
-	}}
+	return &UserEvent{Event{latch: native.NewEvent(), ctx: ctx}}
 }
 
 // Status returns the local view of the event status.
@@ -119,8 +125,9 @@ func (e *Event) Release() error {
 	return nil
 }
 
-// complete is the notification hook: it finalises the local latch and
-// propagates the status to every replacement user event.
+// complete is the notification hook: it rolls back the command's
+// directory claims if it failed, propagates the status to every
+// replacement user event and finalises the local latch.
 func (e *Event) complete(status cl.CommandStatus) {
 	e.mu.Lock()
 	if e.completed {
@@ -129,29 +136,65 @@ func (e *Event) complete(status cl.CommandStatus) {
 	}
 	e.completed = true
 	e.final = status
-	targets := make(map[*Server]replEntry, len(e.replacements))
+	claims := e.claims
+	e.claims = nil
+	var targets []replTarget
 	for srv, re := range e.replacements {
 		if !e.notified[srv] {
 			e.notified[srv] = true
-			targets[srv] = re
+			targets = append(targets, replTarget{srv, re})
 		}
 	}
 	e.mu.Unlock()
 
-	for srv, re := range targets {
+	if status != cl.Complete {
+		for i := range claims {
+			claims[i].rollback(e)
+		}
+	}
+	for _, t := range targets {
 		// A replacement from an earlier connection died with the daemon's
 		// event table — nothing waits on it, and notifying the stale ID
 		// would hit an unrelated error.
-		if re.gen != srv.generation() {
+		if t.re.gen != t.srv.generation() {
 			continue
 		}
-		e.setReplacementStatus(srv, re.id, status)
+		e.setReplacementStatus(t.srv, t.re.id, status)
 	}
 	if status == cl.Complete {
 		e.latch.Complete(nil)
 	} else {
 		e.latch.Complete(&cl.Error{Code: cl.ErrorCode(status), Msg: "remote command failed"})
 	}
+}
+
+// replTarget is a replacement complete still has to notify.
+type replTarget struct {
+	srv *Server
+	re  replEntry
+}
+
+// addClaim records a directory claim of the command for rollback on
+// failure. It reports false, recording nothing, when the event has already
+// completed — the caller then settles the claim itself by the final status.
+func (e *Event) addClaim(c claim) (recorded bool, final cl.CommandStatus) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.completed {
+		return false, e.final
+	}
+	if e.claims == nil {
+		e.claims = e.claimBuf[:0]
+	}
+	e.claims = append(e.claims, c)
+	return true, 0
+}
+
+// rollback undoes the claim for its failed command ev.
+func (c *claim) rollback(ev *Event) {
+	c.root.mu.Lock()
+	c.root.coh.RollbackClaim(c.srv, ev, c.off, c.end, c.gen, c.snap)
+	c.root.mu.Unlock()
 }
 
 func (e *Event) setReplacementStatus(srv *Server, id uint64, status cl.CommandStatus) {
@@ -221,6 +264,10 @@ func (e *Event) remoteIDFor(srv *Server) (uint64, error) {
 			return existing.id, nil
 		}
 		return existing.id, nil
+	}
+	if e.replacements == nil {
+		e.replacements = map[*Server]replEntry{}
+		e.notified = map[*Server]bool{}
 	}
 	e.replacements[srv] = replEntry{id: id, gen: gen}
 	// A replacement re-created after a reconnect must learn the final

@@ -1,6 +1,9 @@
 package client
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -151,6 +154,140 @@ func TestDeferredWriteFailureRollsBackCoherence(t *testing.T) {
 		host, servers := buf.(*Buffer).States()
 		return host == "S" && servers["node0"] == "I"
 	}, "MSI rollback after deferred write failure")
+}
+
+// TestFailedClaimRolledBackBeforeWaitersWake: a command's failure must
+// undo its directory claim before anything waiting on its event runs — a
+// callback, or a Wait that returns the failure and then reads the range —
+// or that reader trusts the Modified copy the command never made good.
+// The callback here is registered before the claim, so it runs first
+// among the latch's callbacks: if the rollback were one of them, it would
+// still see the claim.
+func TestFailedClaimRolledBackBeforeWaitersWake(t *testing.T) {
+	tc := newTestCluster(t, map[string][]device.Config{"node0": {device.TestCPU("cpu0")}})
+	if _, err := tc.plat.ConnectServer("node0"); err != nil {
+		t.Fatal(err)
+	}
+	devs, _ := tc.plat.Devices(cl.DeviceTypeAll)
+	ctx, err := tc.plat.CreateContext(devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctx.Release()
+	q, err := ctx.CreateQueue(devs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := ctx.CreateBuffer(cl.MemReadWrite|cl.MemCopyHostPtr, 64, make([]byte, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, srv := buf.(*Buffer), q.(*Queue).srv
+	ev := newRemoteEvent(ctx.(*Context), srv, tc.plat.newID())
+	seen := make(chan string, 1)
+	if err := ev.SetCallback(cl.Complete, func(cl.Event, cl.CommandStatus) {
+		host, servers := cb.States()
+		seen <- "host=" + host + " node0=" + servers["node0"]
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cb.markRangeWrittenBy(srv, 0, 64, ev)
+	if host, servers := cb.States(); host != "I" || servers["node0"] != "M" {
+		t.Fatalf("after the claim: host=%s node0=%s, want I and M", host, servers["node0"])
+	}
+	ev.complete(cl.CommandStatus(cl.OutOfResources))
+	if got, want := <-seen, "host=S node0=I"; got != want {
+		t.Fatalf("the failed event's callback saw %s, want %s (rolled back)", got, want)
+	}
+}
+
+// TestTrappedKernelRollsBackItsClaim is the deferred-failure rollback of
+// a command-stream launch: a mix kernel that overruns its input traps on
+// the daemon, its claim on work is withdrawn, and the next read of work
+// returns the bytes from before the launch.
+func TestTrappedKernelRollsBackItsClaim(t *testing.T) {
+	const items, inFloats = 64, 256
+	tc := newTestCluster(t, map[string][]device.Config{"node0": {device.TestCPU("cpu0")}})
+	if _, err := tc.plat.ConnectServer("node0"); err != nil {
+		t.Fatal(err)
+	}
+	devs, _ := tc.plat.Devices(cl.DeviceTypeAll)
+	ctx, err := tc.plat.CreateContext(devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctx.Release()
+	q, err := ctx.CreateQueue(devs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := ctx.CreateBuffer(cl.MemReadWrite, 4*inFloats, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work, err := ctx.CreateBuffer(cl.MemReadWrite, 4*items, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ctx.CreateProgramWithSource(`
+kernel void mix_trap(global float* work, const global float* in, int off, float keep) {
+	int i = get_global_id(0);
+	work[i] = work[i] * keep + in[off + i];
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prog.Build(nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	mix := func(off int32) cl.Event {
+		t.Helper()
+		k, err := prog.CreateKernel("mix_trap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range []any{work, in, off, float32(0)} {
+			if err := k.SetArg(i, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ev, err := q.EnqueueNDRangeKernel(k, []int{items}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev
+	}
+	input := make([]byte, 4*inFloats)
+	for i := 0; i < inFloats; i++ {
+		binary.LittleEndian.PutUint32(input[4*i:], math.Float32bits(float32(i+1)))
+	}
+	if _, err := q.EnqueueWriteBuffer(in, false, 0, input, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := mix(0).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	prior := make([]byte, 4*items)
+	if _, err := q.EnqueueReadBuffer(work, true, 0, prior, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(prior, input[:4*items]) {
+		t.Fatal("the first mix did not copy its input")
+	}
+	if err := mix(inFloats - items/2).Wait(); err == nil {
+		t.Fatal("a mix that overruns its input did not fail")
+	}
+	if host, servers := work.(*Buffer).States(); host != "S" || servers["node0"] != "I" {
+		t.Fatalf("after the trap: host=%s node0=%s, want S and I (claim withdrawn)", host, servers["node0"])
+	}
+	got := make([]byte, 4*items)
+	if _, err := q.EnqueueReadBuffer(work, true, 0, got, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, prior) {
+		t.Fatal("read after the trapped launch does not return the bytes from before it")
+	}
 }
 
 // TestBarrierAfterReleaseDeferredToFinish exercises the public-API shape

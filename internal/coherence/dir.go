@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -32,7 +33,7 @@ func (s State) String() string {
 }
 
 // Holder identifies one remote cache (a daemon connection). Holders are
-// compared by identity (map keys), so implementations must be pointers.
+// compared by identity (==), so implementations must be pointers.
 type Holder interface {
 	// Alive reports whether the holder's connection is up. Dead holders
 	// are never offered as transfer sources: between a server dying and
@@ -52,6 +53,26 @@ type Gate interface {
 	Settled() bool
 }
 
+// entry is one holder's record in a span: the state of its copy and the
+// three gates that order transfers touching it. listed tells whether the
+// holder is in the span's state table at all — New lists every holder it
+// is given, SweepServer drops the swept one — which is what Regions
+// reports; an unlisted holder reads as Invalid, like a listed Invalid one.
+// An entry with nothing to say (unlisted, no gate) is dropped by merge.
+type entry struct {
+	h         Holder
+	st        State
+	listed    bool
+	lastWrite Gate // most recent writing command on the holder
+	inbound   Gate // in-flight forward landing on the holder
+	outbound  Gate // in-flight forward reading the holder's copy
+}
+
+// empty reports whether the entry says nothing: unlisted and ungated.
+func (e *entry) empty() bool {
+	return !e.listed && e.lastWrite == nil && e.inbound == nil && e.outbound == nil
+}
+
 // span is one interval of the region directory: a maximal byte range
 // [off, end) over which every copy (host and per-holder) has a uniform
 // coherence state.
@@ -60,13 +81,10 @@ type Gate interface {
 //   - at most one copy (host or any holder) is Modified;
 //   - if some copy is Modified, every other copy is Invalid.
 type span struct {
-	off, end  int
-	host      State
-	states    map[Holder]State
-	lastWrite map[Holder]Gate // most recent writing command per holder
-	inbound   map[Holder]Gate // in-flight forward gates per target holder
-	outbound  map[Holder]Gate // in-flight forward source reads per source holder
-	gen       uint64          // directory generation of the span's last mutation
+	off, end int
+	host     State
+	ents     []entry // one per holder with a state or a gate, at most one per holder
+	gen      uint64  // directory generation of the span's last mutation
 
 	// Lost bookkeeping: when the range's ONLY valid copy lived on a
 	// holder whose connection died, lostFrom records that holder,
@@ -84,66 +102,97 @@ type span struct {
 	lostConn uint64
 }
 
-// clone deep-copies the span (snapshot for rollbacks).
-func (sp *span) clone() *span {
-	c := &span{off: sp.off, end: sp.end, host: sp.host, gen: sp.gen,
-		lostFrom: sp.lostFrom, lostWas: sp.lostWas, lostConn: sp.lostConn,
-		states:    make(map[Holder]State, len(sp.states)),
-		lastWrite: make(map[Holder]Gate, len(sp.lastWrite)),
-		inbound:   make(map[Holder]Gate, len(sp.inbound)),
-		outbound:  make(map[Holder]Gate, len(sp.outbound)),
-	}
-	for h, st := range sp.states {
-		c.states[h] = st
-	}
-	for h, ev := range sp.lastWrite {
-		c.lastWrite[h] = ev
-	}
-	for h, ev := range sp.inbound {
-		c.inbound[h] = ev
-	}
-	for h, ev := range sp.outbound {
-		c.outbound[h] = ev
-	}
+// copy returns the span by value with its own entry slice (snapshots for
+// rollbacks, the right half of a split).
+func (sp *span) copy() span {
+	c := *sp
+	c.ents = slices.Clone(sp.ents)
 	return c
 }
 
+// clone deep-copies the span.
+func (sp *span) clone() *span {
+	c := sp.copy()
+	return &c
+}
+
+// find returns the index of h's entry, -1 when it has none.
+func (sp *span) find(h Holder) int {
+	for i := range sp.ents {
+		if sp.ents[i].h == h {
+			return i
+		}
+	}
+	return -1
+}
+
+// noEntry is what a holder without an entry reads as: unlisted, Invalid,
+// ungated. Never written.
+var noEntry entry
+
+// get returns h's entry for reading, &noEntry when it has none.
+func (sp *span) get(h Holder) *entry {
+	if i := sp.find(h); i >= 0 {
+		return &sp.ents[i]
+	}
+	return &noEntry
+}
+
+// at returns h's entry for update, adding an empty one when it has none.
+// The pointer is good until the next at on the span.
+func (sp *span) at(h Holder) *entry {
+	if i := sp.find(h); i >= 0 {
+		return &sp.ents[i]
+	}
+	sp.ents = append(sp.ents, entry{h: h})
+	return &sp.ents[len(sp.ents)-1]
+}
+
+// set lists h with state st.
+func (sp *span) set(h Holder, st State) {
+	e := sp.at(h)
+	e.st, e.listed = st, true
+}
+
 // sameStates reports whether two spans carry identical coherence state
-// (merge predicate; gates compare by identity).
+// (merge predicate; gates compare by identity, an absent entry equals an
+// unlisted ungated one).
 func (sp *span) sameStates(o *span) bool {
-	if sp.host != o.host || len(sp.lastWrite) != len(o.lastWrite) ||
-		len(sp.inbound) != len(o.inbound) || len(sp.outbound) != len(o.outbound) {
+	if sp.host != o.host || sp.lostFrom != o.lostFrom || sp.lostWas != o.lostWas || sp.lostConn != o.lostConn {
 		return false
 	}
-	if sp.lostFrom != o.lostFrom || sp.lostWas != o.lostWas || sp.lostConn != o.lostConn {
-		return false
-	}
-	for h, st := range sp.states {
-		if o.states[h] != st {
+	for i := range sp.ents {
+		if !sp.ents[i].sameAs(o.get(sp.ents[i].h)) {
 			return false
 		}
 	}
-	for h, st := range o.states {
-		if sp.states[h] != st {
-			return false
-		}
-	}
-	for h, ev := range sp.lastWrite {
-		if o.lastWrite[h] != ev {
-			return false
-		}
-	}
-	for h, ev := range sp.inbound {
-		if o.inbound[h] != ev {
-			return false
-		}
-	}
-	for h, ev := range sp.outbound {
-		if o.outbound[h] != ev {
+	for i := range o.ents {
+		if sp.find(o.ents[i].h) < 0 && !o.ents[i].sameAs(&noEntry) {
 			return false
 		}
 	}
 	return true
+}
+
+// sameAs compares state and gates, not the holder or its listing.
+func (e *entry) sameAs(o *entry) bool {
+	return e.st == o.st && e.lastWrite == o.lastWrite && e.inbound == o.inbound && e.outbound == o.outbound
+}
+
+// settle drops the span's settled write gates, then the entries left
+// saying nothing.
+func (sp *span) settle() {
+	drop := false
+	for i := range sp.ents {
+		e := &sp.ents[i]
+		if e.lastWrite != nil && e.lastWrite.Settled() {
+			e.lastWrite = nil
+		}
+		drop = drop || e.empty()
+	}
+	if drop {
+		sp.ents = slices.DeleteFunc(sp.ents, func(e entry) bool { return e.empty() })
+	}
 }
 
 // source returns a holder with a valid copy of the span, preferring the
@@ -153,15 +202,16 @@ func (sp *span) sameStates(o *span) bool {
 // offered.
 func (sp *span) source() Holder {
 	var shared Holder
-	for h, st := range sp.states {
-		if !h.Alive() {
+	for i := range sp.ents {
+		e := &sp.ents[i]
+		if e.st == Invalid || !e.h.Alive() {
 			continue
 		}
-		if st == Modified {
-			return h
+		if e.st == Modified {
+			return e.h
 		}
-		if st == Shared && shared == nil {
-			shared = h
+		if shared == nil {
+			shared = e.h
 		}
 	}
 	return shared
@@ -174,8 +224,8 @@ func (sp *span) source() Holder {
 // cl.InvalidMemObject — the range's true fate (re-home or Lost) is
 // decided by the sweep, moments away.
 func (sp *span) deadHolder() bool {
-	for h, st := range sp.states {
-		if (st == Shared || st == Modified) && !h.Alive() {
+	for i := range sp.ents {
+		if sp.ents[i].st != Invalid && !sp.ents[i].h.Alive() {
 			return true
 		}
 	}
@@ -195,14 +245,9 @@ type Dir struct {
 // covering the whole buffer with the host copy Shared (the client's
 // conceptual copy, Section III-D) and every listed holder Invalid.
 func New(id uint64, size int, holders ...Holder) *Dir {
-	whole := &span{off: 0, end: size, host: Shared,
-		states:    map[Holder]State{},
-		lastWrite: map[Holder]Gate{},
-		inbound:   map[Holder]Gate{},
-		outbound:  map[Holder]Gate{},
-	}
+	whole := &span{off: 0, end: size, host: Shared, ents: make([]entry, 0, len(holders))}
 	for _, h := range holders {
-		whole.states[h] = Invalid
+		whole.set(h, Invalid)
 	}
 	return &Dir{id: id, size: size, spans: []*span{whole}}
 }
@@ -294,11 +339,7 @@ func (d *Dir) rangeGen(off, end int) uint64 {
 // ranges written by different commands could otherwise never re-merge).
 func (d *Dir) merge() {
 	for _, sp := range d.spans {
-		for h, ev := range sp.lastWrite {
-			if ev.Settled() {
-				delete(sp.lastWrite, h)
-			}
-		}
+		sp.settle()
 	}
 	if len(d.spans) < 2 {
 		return
@@ -336,7 +377,7 @@ func (d *Dir) overlapping(off, end int) []*span {
 // Snapshot is an opaque deep copy of the spans covering a range, taken
 // by Claim before its mutation so RollbackClaim can splice it back.
 type Snapshot struct {
-	spans []*span
+	spans []span
 }
 
 // Claim records that a command on h writes [off, end): h's copy of the
@@ -351,17 +392,17 @@ type Snapshot struct {
 // undone with RollbackClaim.
 func (d *Dir) Claim(h Holder, off, end int, write Gate) (Snapshot, uint64) {
 	spans := d.rangeSpans(off, end)
-	snap := Snapshot{spans: make([]*span, len(spans))}
+	snap := Snapshot{spans: make([]span, len(spans))}
 	for i, sp := range spans {
-		snap.spans[i] = sp.clone()
+		snap.spans[i] = sp.copy()
 	}
 	for _, sp := range spans {
-		for o := range sp.states {
-			sp.states[o] = Invalid
+		for i := range sp.ents {
+			sp.ents[i].st = Invalid
 		}
-		sp.states[h] = Modified
+		e := sp.at(h)
+		e.st, e.listed, e.lastWrite = Modified, true, write
 		sp.host = Invalid
-		sp.lastWrite[h] = write
 		sp.lostFrom = nil
 		sp.lostWas = Invalid
 		sp.lostConn = 0
@@ -382,18 +423,20 @@ func (d *Dir) RollbackClaim(h Holder, write Gate, off, end int, gen uint64, snap
 	if d.rangeGen(off, end) <= gen {
 		d.restoreRange(off, end, snap.spans)
 		for _, sp := range d.rangeSpans(off, end) {
-			sp.states[h] = Invalid
-			if sp.lastWrite[h] == write {
-				delete(sp.lastWrite, h)
+			e := sp.at(h)
+			e.st, e.listed = Invalid, true
+			if e.lastWrite == write {
+				e.lastWrite = nil
 			}
 		}
 	} else {
 		// Interim mutations happened; only withdraw the failed write's
 		// own claim wherever it still stands.
 		for _, sp := range d.rangeSpans(off, end) {
-			if sp.lastWrite[h] == write {
-				delete(sp.lastWrite, h)
-				sp.states[h] = Invalid
+			if i := sp.find(h); i >= 0 && sp.ents[i].lastWrite == write {
+				e := &sp.ents[i]
+				e.lastWrite = nil
+				e.st, e.listed = Invalid, true
 			}
 		}
 	}
@@ -404,7 +447,7 @@ func (d *Dir) RollbackClaim(h Holder, write Gate, off, end int, gen uint64, snap
 // restoreRange splices a snapshot back over [off, end). Only safe when
 // the directory generation is unchanged since the snapshot (the caller
 // checks), so boundaries line up exactly.
-func (d *Dir) restoreRange(off, end int, snap []*span) {
+func (d *Dir) restoreRange(off, end int, snap []span) {
 	d.ensureBoundary(off)
 	d.ensureBoundary(end)
 	var i int
@@ -419,7 +462,9 @@ func (d *Dir) restoreRange(off, end int, snap []*span) {
 	}
 	out := make([]*span, 0, len(d.spans)-(j-i)+len(snap))
 	out = append(out, d.spans[:i]...)
-	out = append(out, snap...)
+	for k := range snap {
+		out = append(out, snap[k].clone())
+	}
 	out = append(out, d.spans[j:]...)
 	d.spans = out
 }
@@ -430,7 +475,7 @@ func (d *Dir) restoreRange(off, end int, snap []*span) {
 func (d *Dir) Validate(h Holder, off, end int) {
 	spans := d.rangeSpans(off, end)
 	for _, sp := range spans {
-		sp.states[h] = Shared
+		sp.set(h, Shared)
 	}
 	d.bump(spans)
 	d.merge()
@@ -443,8 +488,8 @@ func (d *Dir) Validate(h Holder, off, end int) {
 func (d *Dir) Invalidate(h Holder, off, end int) {
 	spans := d.rangeSpans(off, end)
 	for _, sp := range spans {
-		if sp.states[h] == Shared {
-			sp.states[h] = Invalid
+		if i := sp.find(h); i >= 0 && sp.ents[i].st == Shared {
+			sp.ents[i].st = Invalid
 		}
 	}
 	d.bump(spans)
@@ -469,8 +514,8 @@ func (d *Dir) ForceInvalidate(off, end int) {
 	spans := d.rangeSpans(off, end)
 	for _, sp := range spans {
 		sp.host = Invalid
-		for h := range sp.states {
-			sp.states[h] = Invalid
+		for i := range sp.ents {
+			sp.ents[i].st = Invalid
 		}
 	}
 	d.bump(spans)
@@ -490,9 +535,9 @@ func (d *Dir) ValidateHost(off, end int, gen uint64) bool {
 	}
 	spans := d.rangeSpans(off, end)
 	for _, sp := range spans {
-		for h, st := range sp.states {
-			if st == Modified {
-				sp.states[h] = Shared
+		for i := range sp.ents {
+			if sp.ents[i].st == Modified {
+				sp.ents[i].st = Shared
 			}
 		}
 		sp.host = Shared
@@ -514,13 +559,12 @@ func (d *Dir) ValidateHost(off, end int, gen uint64) bool {
 func (d *Dir) ValidateForward(src, dst Holder, off, end int, gate, read Gate) {
 	spans := d.rangeSpans(off, end)
 	for _, sp := range spans {
-		if sp.states[src] == Modified {
-			sp.states[src] = Shared
+		if i := sp.find(src); i >= 0 && sp.ents[i].st == Modified {
+			sp.ents[i].st = Shared
 		}
-		sp.states[dst] = Shared
-		sp.lastWrite[dst] = gate
-		sp.inbound[dst] = gate
-		sp.outbound[src] = read
+		e := sp.at(dst)
+		e.st, e.listed, e.lastWrite, e.inbound = Shared, true, gate, gate
+		sp.at(src).outbound = read
 	}
 	d.bump(spans)
 	d.merge()
@@ -536,16 +580,18 @@ func (d *Dir) ValidateForward(src, dst Holder, off, end int, gate, read Gate) {
 func (d *Dir) SettleForward(dst Holder, off, end int, gate Gate, ok bool) {
 	spans := d.rangeSpans(off, end)
 	for _, sp := range spans {
-		if sp.inbound[dst] != gate {
+		i := sp.find(dst)
+		if i < 0 || sp.ents[i].inbound != gate {
 			continue
 		}
-		delete(sp.inbound, dst)
+		e := &sp.ents[i]
+		e.inbound = nil
 		if !ok {
-			if sp.states[dst] == Shared {
-				sp.states[dst] = Invalid
+			if e.st == Shared {
+				e.st = Invalid
 			}
-			if sp.lastWrite[dst] == gate {
-				delete(sp.lastWrite, dst)
+			if e.lastWrite == gate {
+				e.lastWrite = nil
 			}
 		}
 	}
@@ -560,8 +606,8 @@ func (d *Dir) RetireOutbound(src Holder, off, end int, read Gate) {
 	spans := d.rangeSpans(off, end)
 	retired := false
 	for _, sp := range spans {
-		if sp.outbound[src] == read {
-			delete(sp.outbound, src)
+		if i := sp.find(src); i >= 0 && sp.ents[i].outbound == read {
+			sp.ents[i].outbound = nil
 			retired = true
 		}
 	}
@@ -580,8 +626,9 @@ func (d *Dir) DisownInbound(h Holder, off, end int) []Gate {
 	var stale []Gate
 	spans := d.rangeSpans(off, end)
 	for _, sp := range spans {
-		if g := sp.inbound[h]; g != nil {
-			delete(sp.inbound, h)
+		if i := sp.find(h); i >= 0 && sp.ents[i].inbound != nil {
+			g := sp.ents[i].inbound
+			sp.ents[i].inbound = nil
 			if !containsGate(stale, g) {
 				stale = append(stale, g)
 			}
@@ -600,7 +647,7 @@ func (d *Dir) DisownInbound(h Holder, off, end int) []Gate {
 func (d *Dir) InboundGates(h Holder, off, end int) []Gate {
 	var gates []Gate
 	for _, sp := range d.rangeSpans(off, end) {
-		if g := sp.inbound[h]; g != nil && !containsGate(gates, g) {
+		if g := sp.get(h).inbound; g != nil && !containsGate(gates, g) {
 			gates = append(gates, g)
 		}
 	}
@@ -617,7 +664,8 @@ func (d *Dir) InboundGates(h Holder, off, end int) []Gate {
 func (d *Dir) WriteGates(h Holder, off, end int) []Gate {
 	var gates []Gate
 	for _, sp := range d.rangeSpans(off, end) {
-		for _, g := range [2]Gate{sp.inbound[h], sp.outbound[h]} {
+		e := sp.get(h)
+		for _, g := range [2]Gate{e.inbound, e.outbound} {
 			if g != nil && !containsGate(gates, g) {
 				gates = append(gates, g)
 			}
@@ -645,17 +693,18 @@ func containsGate(gs []Gate, g Gate) bool {
 // its session state can Restore it (the bytes never left the daemon).
 func (d *Dir) SweepServer(h Holder, connGen uint64) {
 	for _, sp := range d.spans {
-		had := sp.states[h]
-		delete(sp.states, h)
-		delete(sp.lastWrite, h)
-		delete(sp.inbound, h)
-		delete(sp.outbound, h)
-		if had != Shared && had != Modified {
+		i := sp.find(h)
+		if i < 0 {
+			continue
+		}
+		had := sp.ents[i].st
+		sp.ents = slices.Delete(sp.ents, i, i+1)
+		if had == Invalid {
 			continue
 		}
 		survivor := sp.host != Invalid
-		for _, st := range sp.states {
-			if st == Shared || st == Modified {
+		for j := range sp.ents {
+			if sp.ents[j].st != Invalid {
 				survivor = true
 				break
 			}
@@ -676,14 +725,21 @@ func (d *Dir) SweepServer(h Holder, connGen uint64) {
 // gone. Only losses recorded against wantConn — the connection the
 // retained session lived on — are restorable: a loss that already
 // survived an UNRETAINED reattach (data gone for good) must keep reading
-// as DataLost, never as the re-created buffer's zeros.
+// as DataLost, never as the re-created buffer's zeros. Nothing is
+// restored onto a holder that is dead again: the next connection died
+// before the restore ran and its sweep, finding no claim of h, recorded
+// nothing — re-installing the claim now would leave a valid-looking copy
+// on a dead daemon that no sweep will ever withdraw.
 func (d *Dir) Restore(h Holder, wantConn uint64) {
+	if !h.Alive() {
+		return
+	}
 	touched := false
 	for _, sp := range d.spans {
 		if sp.lostFrom != h || sp.lostConn != wantConn {
 			continue
 		}
-		sp.states[h] = sp.lostWas
+		sp.set(h, sp.lostWas)
 		sp.lostFrom = nil
 		sp.lostWas = Invalid
 		sp.lostConn = 0
@@ -724,9 +780,9 @@ func (d *Dir) ProbeAt(reader Holder, pos, end int) Probe {
 	if p.End > end {
 		p.End = end
 	}
-	if st := sp.states[reader]; st == Shared || st == Modified {
+	if e := sp.get(reader); e.st != Invalid {
 		p.ValidHere = true
-		p.Inbound = sp.inbound[reader]
+		p.Inbound = e.inbound
 		return p
 	}
 	p.HostValid = sp.host != Invalid
@@ -736,7 +792,7 @@ func (d *Dir) ProbeAt(reader Holder, pos, end int) Probe {
 		p.DeadHolder = sp.deadHolder()
 	}
 	if p.Src != nil {
-		p.SrcGate = sp.lastWrite[p.Src]
+		p.SrcGate = sp.get(p.Src).lastWrite
 	}
 	return p
 }
@@ -761,12 +817,13 @@ type Part struct {
 // range-read per daemon, each moving only the bytes that daemon owns.
 func (d *Dir) ReadPlan(reader Holder, off, end int) ([]Part, error) {
 	allLocal := true
-	var parts []Part
-	for _, sp := range d.rangeSpans(off, end) {
+	spans := d.rangeSpans(off, end)
+	parts := make([]Part, 0, len(spans))
+	for _, sp := range spans {
 		var part Part
 		part.Off, part.End = sp.off, sp.end
 		switch {
-		case sp.states[reader] == Shared || sp.states[reader] == Modified:
+		case sp.get(reader).st != Invalid:
 			part.Holder = reader
 		default:
 			allLocal = false
@@ -787,13 +844,14 @@ func (d *Dir) ReadPlan(reader Holder, off, end int) ([]Part, error) {
 			part.Holder = holder
 		}
 		if part.Holder != nil {
-			if g := sp.inbound[part.Holder]; g != nil {
+			e := sp.get(part.Holder)
+			if g := e.inbound; g != nil {
 				part.Gates = append(part.Gates, g)
 			}
 			if part.Holder != reader {
 				// The read runs on the holder's coherence queue, which is
 				// not the queue the producing write ran on: gate on it.
-				if g := sp.lastWrite[part.Holder]; g != nil && !containsGate(part.Gates, g) {
+				if g := e.lastWrite; g != nil && !containsGate(part.Gates, g) {
 					part.Gates = append(part.Gates, g)
 				}
 			}
@@ -848,9 +906,11 @@ func (d *Dir) Regions(off, end int) []Region {
 		if se > end {
 			se = end
 		}
-		r := Region{Off: so, End: se, Host: sp.host, Holders: make(map[Holder]State, len(sp.states)), Lost: sp.lostFrom != nil}
-		for h, st := range sp.states {
-			r.Holders[h] = st
+		r := Region{Off: so, End: se, Host: sp.host, Holders: make(map[Holder]State, len(sp.ents)), Lost: sp.lostFrom != nil}
+		for _, e := range sp.ents {
+			if e.listed {
+				r.Holders[e.h] = e.st
+			}
 		}
 		out[i] = r
 	}

@@ -52,6 +52,17 @@
 // them). InboundGates and WriteGates hand them to the command about to
 // run.
 //
+// # Representation
+//
+// A span keeps its per-holder record as one short slice of entries, one
+// per holder with a state or a gate: the holder, its copy's state, whether
+// it is listed (New lists every holder; a sweep unlists the dead one, and
+// an unlisted holder reads as Invalid) and its three gates. A buffer has
+// a handful of holders, so a scan costs less than hashing, and the
+// snapshot Claim takes for a rollback is one slice copy per span. Entries
+// that say nothing — unlisted, no gate left — are dropped when the
+// directory merges.
+//
 // # Lost ranges
 //
 // When a holder's connection dies, SweepServer withdraws every claim it
@@ -60,7 +71,9 @@
 // range, and the vanished claim is recorded (holder, state, connection
 // generation) so Restore can re-install it after a session re-attach
 // that proves the daemon retained its state — but only when the retained
-// session is the same connection the loss was recorded against.
+// session is the same connection the loss was recorded against, and only
+// while the holder is alive: a restore that runs after that session's
+// connection died as well leaves the range Lost.
 //
 // # Synchronization
 //

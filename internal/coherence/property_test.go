@@ -251,7 +251,7 @@ func runTrial(t *testing.T, rng *rand.Rand, trial int, randRange func() (int, in
 		h := rng.Intn(propHolders)
 		off, end := randRange()
 		var opName string
-		switch op := rng.Intn(12); op {
+		switch op := rng.Intn(13); op {
 		case 0, 1: // claims are the most common transition
 			opName = "claim"
 			d.Claim(hs[h], off, end, newGate())
@@ -316,7 +316,8 @@ func runTrial(t *testing.T, rng *rand.Rand, trial int, randRange func() (int, in
 			d.SweepServer(hs[h], conn)
 			m.sweep(h, conn)
 			hs[h].alive = true
-			if rng.Intn(2) == 0 {
+			switch rng.Intn(3) {
+			case 0:
 				// Retained re-attach restores; wrong generation must not.
 				want := conn
 				if rng.Intn(4) == 0 {
@@ -325,9 +326,35 @@ func runTrial(t *testing.T, rng *rand.Rand, trial int, randRange func() (int, in
 				d.Restore(hs[h], want)
 				m.restore(h, want)
 				opName = "sweep+restore"
+			case 1:
+				// The re-attached connection dies before the restore runs,
+				// and its sweep comes first: the restore of the earlier
+				// connection's losses finds the holder dead and does nothing.
+				conn++
+				hs[h].alive = false
+				d.SweepServer(hs[h], conn)
+				m.sweep(h, conn)
+				d.Restore(hs[h], conn-1)
+				hs[h].alive = true
+				opName = "sweep+resweep+restore"
 			}
+		case 12:
+			// A claim whose holder dies: the sweep runs before the failed
+			// command's rollback, which carries the claim's now stale
+			// generation and must withdraw nothing.
+			opName = "claim+sweep+stale rollback"
+			g := newGate()
+			snap, gen := d.Claim(hs[h], off, end, g)
+			m.claim(h, off, end)
+			conn++
+			hs[h].alive = false
+			d.SweepServer(hs[h], conn)
+			m.sweep(h, conn)
+			d.RollbackClaim(hs[h], g, off, end, gen, snap)
+			hs[h].alive = true
 		}
 		compare(t, trial, step, opName, d, m, hs)
+		compareInvariants(t, trial, step, opName, d, m, hs)
 		// Span bookkeeping must stay bounded: boundaries only exist at
 		// state changes, so there can never be more spans than bytes.
 		if n := d.SpanCount(); n > propSize {
@@ -348,6 +375,7 @@ func checkImmediateRollback(t *testing.T, rng *rand.Rand, trial int, opName stri
 	d.RollbackClaim(hs[h], g, off, end, gen, snap)
 	m.each(off, end, func(b *mByte) { b.st[h] = Invalid })
 	compare(t, trial, 999, opName, d, m, hs)
+	compareInvariants(t, trial, 999, opName, d, m, hs)
 }
 
 func TestDirectoryPropertyVsReferenceModel(t *testing.T) {

@@ -294,7 +294,9 @@ func (e *Endpoint) Start(handler Handler, onClose func(error)) {
 	}
 }
 
-// Send transmits one message (channel-0 frame). It is safe for concurrent
+// Send transmits one message (channel-0 frame). It copies msg before it
+// returns — into the staging buffer, or into the peer's queue on a local
+// link — so the caller may reuse msg at once. It is safe for concurrent
 // use.
 func (e *Endpoint) Send(msg []byte) error {
 	if len(msg) > maxFrame {

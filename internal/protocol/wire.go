@@ -31,18 +31,53 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Writer accumulates a little-endian binary message body.
 type Writer struct {
-	buf []byte
+	buf  []byte
+	body int // start of the body in buf: envelopeLen in a frame writer, else 0
 }
 
 // NewWriter returns a writer with a small preallocated buffer.
 func NewWriter() *Writer { return &Writer{buf: make([]byte, 0, 64)} }
 
 // Bytes returns the accumulated encoding.
-func (w *Writer) Bytes() []byte { return w.buf }
+func (w *Writer) Bytes() []byte { return w.buf[w.body:] }
+
+// envelopeLen is the size of the envelope ahead of a body: class, ID, type.
+const envelopeLen = 7
+
+// maxPooledFrame bounds the frame writers the pool keeps: a rare large
+// body is left to the collector rather than pinned for every later send.
+const maxPooledFrame = 64 << 10
+
+var frames = sync.Pool{New: func() any {
+	return &Writer{buf: make([]byte, envelopeLen, 256), body: envelopeLen}
+}}
+
+// NewFrame returns a pooled writer with the envelope's bytes reserved ahead
+// of the body, so that a message is encoded once: the body is written in
+// place and Seal fills the envelope in front of it. Hand it back with
+// PutFrame once the sealed frame has been copied out.
+func NewFrame() *Writer { return frames.Get().(*Writer) }
+
+// Seal writes the envelope into a frame writer's reserved bytes and returns
+// the whole frame, valid until PutFrame.
+func (w *Writer) Seal(class uint8, id uint32, typ MsgType) []byte {
+	putEnvelope(w.buf[:envelopeLen], class, id, typ)
+	return w.buf
+}
+
+// PutFrame returns a frame writer from NewFrame to the pool.
+func PutFrame(w *Writer) {
+	if cap(w.buf) > maxPooledFrame {
+		return
+	}
+	w.buf = w.buf[:envelopeLen]
+	frames.Put(w)
+}
 
 // U8 appends an unsigned 8-bit value.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
@@ -286,22 +321,29 @@ type Envelope struct {
 
 // EncodeEnvelope frames a message: class, ID, type, body.
 func EncodeEnvelope(class uint8, id uint32, typ MsgType, body *Writer) []byte {
-	out := make([]byte, 0, 7+len(body.buf))
-	out = append(out, class)
-	out = binary.LittleEndian.AppendUint32(out, id)
-	out = binary.LittleEndian.AppendUint16(out, uint16(typ))
-	return append(out, body.buf...)
+	b := body.Bytes()
+	out := make([]byte, envelopeLen+len(b))
+	putEnvelope(out, class, id, typ)
+	copy(out[envelopeLen:], b)
+	return out
+}
+
+// putEnvelope writes the envelope into hdr[:envelopeLen].
+func putEnvelope(hdr []byte, class uint8, id uint32, typ MsgType) {
+	hdr[0] = class
+	binary.LittleEndian.PutUint32(hdr[1:5], id)
+	binary.LittleEndian.PutUint16(hdr[5:7], uint16(typ))
 }
 
 // ParseEnvelope splits a raw message into its envelope.
 func ParseEnvelope(msg []byte) (Envelope, error) {
-	if len(msg) < 7 {
+	if len(msg) < envelopeLen {
 		return Envelope{}, fmt.Errorf("protocol: short message (%d bytes)", len(msg))
 	}
 	return Envelope{
 		Class: msg[0],
 		ID:    binary.LittleEndian.Uint32(msg[1:5]),
 		Type:  MsgType(binary.LittleEndian.Uint16(msg[5:7])),
-		Body:  NewReader(msg[7:]),
+		Body:  NewReader(msg[envelopeLen:]),
 	}, nil
 }

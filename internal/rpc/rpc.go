@@ -102,7 +102,7 @@ func (c Call) Reply(status cl.ErrorCode, fill func(*protocol.Writer)) {
 	if c.Class != protocol.ClassRequest {
 		return
 	}
-	w := protocol.NewWriter()
+	w := protocol.NewFrame()
 	w.I32(int32(status))
 	if fill != nil {
 		fill(w)
@@ -255,20 +255,24 @@ func (c *Conn) Notify(typ protocol.MsgType, fill func(*protocol.Writer)) error {
 	return write(c.ep, protocol.ClassNotification, 0, typ, body(fill))
 }
 
+// body encodes a message body into a pooled frame writer (write hands it
+// back).
 func body(fill func(*protocol.Writer)) *protocol.Writer {
-	w := protocol.NewWriter()
+	w := protocol.NewFrame()
 	if fill != nil {
 		fill(w)
 	}
 	return w
 }
 
-// write frames and queues one message. The transport sends later, so the
-// only failures seen here are a message over the frame limit and an
-// endpoint that is closed or closing — ErrLost, whether or not the close
-// notice has run yet.
+// write seals the frame writer w from body and queues its frame, then
+// hands w back to the pool: Send copies the frame, so nothing holds it.
+// The transport sends later, so the only failures seen here are a message
+// over the frame limit and an endpoint that is closed or closing —
+// ErrLost, whether or not the close notice has run yet.
 func write(ep *gcf.Endpoint, class uint8, id uint32, typ protocol.MsgType, w *protocol.Writer) error {
-	err := ep.Send(protocol.EncodeEnvelope(class, id, typ, w))
+	err := ep.Send(w.Seal(class, id, typ))
+	protocol.PutFrame(w)
 	if err == nil || errors.Is(err, gcf.ErrTooLarge) {
 		return err
 	}
