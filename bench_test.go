@@ -22,6 +22,7 @@ import (
 	"dopencl/internal/native"
 	"dopencl/internal/sched"
 	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 
 	"dopencl"
 )
@@ -113,23 +114,11 @@ func BenchmarkFig7Transfer(b *testing.B) {
 // pipeline must clear that by a wide margin.
 func BenchmarkEnqueueThroughput(b *testing.B) {
 	const oneWayLatency = 100e-6 // 100 µs, Gigabit-Ethernet class
-	nw := simnet.NewNetwork(simnet.LinkConfig{LatencySec: oneWayLatency})
-	np := native.NewPlatform("bench", "bench", []device.Config{device.TestCPU("cpu0")})
-	d, err := daemon.New(daemon.Config{Name: "bench-node", Platform: np})
-	if err != nil {
-		b.Fatal(err)
-	}
-	l, err := nw.Listen("bench-node")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go func() {
-		if serr := d.Serve(l); serr != nil {
-			_ = serr // listener closed at benchmark end
-		}
-	}()
-	defer l.Close()
-	plat := dopencl.NewPlatform(dopencl.Options{Dialer: nw.Dial, ClientName: "bench"})
+	tb := testbed.StartTest(b, testbed.Spec{
+		Link:  simnet.LinkConfig{LatencySec: oneWayLatency},
+		Nodes: map[string][]device.Config{"bench-node": {device.TestCPU("cpu0")}},
+	})
+	plat := dopencl.NewPlatform(dopencl.Options{Dialer: tb.Dialer(""), ClientName: "bench"})
 	if _, err := plat.ConnectServer("bench-node"); err != nil {
 		b.Fatal(err)
 	}
@@ -183,20 +172,11 @@ func BenchmarkEnqueueThroughput(b *testing.B) {
 // graph. Reports iterations/s for both paths, the speedup, and the
 // steady-state client→daemon frame cost per replayed iteration.
 func BenchmarkGraphReplay(b *testing.B) {
-	link := simnet.LinkConfig{BandwidthBps: 106e6, LatencySec: 100e-6}
-	nw := simnet.NewNetwork(link)
-	np := native.NewPlatform("bench", "bench", []device.Config{device.TestCPU("cpu0")})
-	d, err := daemon.New(daemon.Config{Name: "bench-node", Platform: np})
-	if err != nil {
-		b.Fatal(err)
-	}
-	l, err := nw.Listen("bench-node")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go func() { _ = d.Serve(l) }()
-	defer l.Close()
-	plat := dopencl.NewPlatform(dopencl.Options{Dialer: nw.Dial, ClientName: "bench"})
+	tb := testbed.StartTest(b, testbed.Spec{
+		Link:  simnet.LinkConfig{BandwidthBps: 106e6, LatencySec: 100e-6},
+		Nodes: map[string][]device.Config{"bench-node": {device.TestCPU("cpu0")}},
+	})
+	plat := dopencl.NewPlatform(dopencl.Options{Dialer: tb.Dialer(""), ClientName: "bench"})
 	if _, err := plat.ConnectServer("bench-node"); err != nil {
 		b.Fatal(err)
 	}
@@ -350,27 +330,17 @@ func BenchmarkPartitionedMandelbrot(b *testing.B) {
 		imageBytes    = 4 * width * height
 		measured      = 4 // timed iterations per phase
 	)
-	link := simnet.LinkConfig{BandwidthBps: 4e9, LatencySec: 100e-6}
-	nw := simnet.NewNetwork(link)
 	modeled := device.Config{
 		Name: "modeled-cpu", Vendor: "bench", Type: cl.DeviceTypeCPU,
 		ComputeUnits: 4, ClockMHz: 2000, GlobalMemSize: 8 << 30,
 		Mode: device.ExecModeled, InstrPerSec: 1.25e9, TimeScale: 1.0,
 	}
-	for _, addr := range []string{"pm0", "pm1"} {
-		np := native.NewPlatform("native-"+addr, "bench", []device.Config{modeled})
-		d, err := daemon.New(daemon.Config{Name: addr, Platform: np})
-		if err != nil {
-			b.Fatal(err)
-		}
-		l, err := nw.Listen(addr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		go func() { _ = d.Serve(l) }()
-		defer l.Close()
-	}
-	plat := dopencl.NewPlatform(dopencl.Options{Dialer: nw.Dial, ClientName: "bench"})
+	tb := testbed.StartTest(b, testbed.Spec{
+		Link:  simnet.LinkConfig{BandwidthBps: 4e9, LatencySec: 100e-6},
+		Nodes: map[string][]device.Config{"pm0": {modeled}, "pm1": {modeled}},
+	})
+	nw := tb.Net
+	plat := dopencl.NewPlatform(dopencl.Options{Dialer: tb.Dialer(""), ClientName: "bench"})
 	for _, addr := range []string{"pm0", "pm1"} {
 		if _, err := plat.ConnectServer(addr); err != nil {
 			b.Fatal(err)
@@ -483,41 +453,22 @@ func BenchmarkPartitionedMandelbrot(b *testing.B) {
 // crossServerCluster builds a client spanning two daemons over a
 // symmetric bandwidth-limited simnet fabric, with or without the peer
 // data plane, and returns queues on each daemon.
-// The returned cleanup releases the context and shuts the simnet fabric
-// down, unwinding every daemon/session/heartbeat goroutine: leaked
-// clusters from earlier sub-benchmarks otherwise keep spinning and
-// corrupt later measurements (observed as a 10x slowdown on the 10GbE
-// configs when four live clusters accumulated in one process).
-func crossServerCluster(b *testing.B, peers bool, bandwidthBps float64) (cl.Context, cl.Queue, cl.Queue, func()) {
+// When the benchmark ends the context is released and the cluster closed,
+// unwinding every daemon/session/heartbeat goroutine: leaked clusters
+// from earlier sub-benchmarks otherwise keep spinning and corrupt later
+// measurements (observed as a 10x slowdown on the 10GbE configs when four
+// live clusters accumulated in one process).
+func crossServerCluster(b *testing.B, peers bool, bandwidthBps float64) (cl.Context, cl.Queue, cl.Queue) {
 	b.Helper()
-	link := simnet.LinkConfig{BandwidthBps: bandwidthBps, LatencySec: 100e-6}
-	nw := simnet.NewNetwork(link)
-	for _, addr := range []string{"nodeA", "nodeB"} {
-		addr := addr
-		np := native.NewPlatform("native-"+addr, "bench", []device.Config{device.TestCPU("cpu")})
-		cfg := daemon.Config{Name: addr, Platform: np}
-		if peers {
-			cfg.PeerAddr = addr + "/peer"
-			cfg.PeerDial = func(a string) (net.Conn, error) { return nw.DialFrom(addr, a) }
-		}
-		d, err := daemon.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		l, err := nw.Listen(addr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		go func() { _ = d.Serve(l) }()
-		if peers {
-			pl, err := nw.Listen(addr + "/peer")
-			if err != nil {
-				b.Fatal(err)
-			}
-			go func() { _ = d.ServePeers(pl) }()
-		}
-	}
-	plat := dopencl.NewPlatform(dopencl.Options{Dialer: nw.Dial, ClientName: "bench"})
+	tb := testbed.StartTest(b, testbed.Spec{
+		Link: simnet.LinkConfig{BandwidthBps: bandwidthBps, LatencySec: 100e-6},
+		Nodes: map[string][]device.Config{
+			"nodeA": {device.TestCPU("cpu")},
+			"nodeB": {device.TestCPU("cpu")},
+		},
+		Peers: peers,
+	})
+	plat := dopencl.NewPlatform(dopencl.Options{Dialer: tb.Dialer(""), ClientName: "bench"})
 	for _, addr := range []string{"nodeA", "nodeB"} {
 		if _, err := plat.ConnectServer(addr); err != nil {
 			b.Fatal(err)
@@ -531,6 +482,7 @@ func crossServerCluster(b *testing.B, peers bool, bandwidthBps float64) (cl.Cont
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(func() { ctx.Release() })
 	qA, err := ctx.CreateQueue(devs[0])
 	if err != nil {
 		b.Fatal(err)
@@ -539,10 +491,7 @@ func crossServerCluster(b *testing.B, peers bool, bandwidthBps float64) (cl.Cont
 	if err != nil {
 		b.Fatal(err)
 	}
-	return ctx, qA, qB, func() {
-		ctx.Release()
-		nw.Shutdown()
-	}
+	return ctx, qA, qB
 }
 
 // BenchmarkCrossServerCopy measures a cross-daemon buffer copy (source
@@ -568,8 +517,7 @@ func BenchmarkCrossServerCopy(b *testing.B) {
 		{"Forwarded10G", true, 1250e6},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			ctx, qA, qB, cleanup := crossServerCluster(b, mode.peers, mode.bps)
-			defer cleanup()
+			ctx, qA, qB := crossServerCluster(b, mode.peers, mode.bps)
 			src, err := ctx.CreateBuffer(cl.MemReadWrite, size, nil)
 			if err != nil {
 				b.Fatal(err)
@@ -636,8 +584,7 @@ func BenchmarkForwardedCopy(b *testing.B) {
 		size     = 4 << 20
 		floorMBs = 400 // ≥ 2x the 198 MB/s PR 4 forwarded copy
 	)
-	ctx, qA, qB, cleanup := crossServerCluster(b, true, 1250e6)
-	defer cleanup()
+	ctx, qA, qB := crossServerCluster(b, true, 1250e6)
 	src, err := ctx.CreateBuffer(cl.MemReadWrite, size, nil)
 	if err != nil {
 		b.Fatal(err)

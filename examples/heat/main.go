@@ -15,16 +15,13 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
 
 	"dopencl/internal/apps/heat"
 	"dopencl/internal/cl"
 	"dopencl/internal/client"
-	"dopencl/internal/daemon"
 	"dopencl/internal/darray"
 	"dopencl/internal/device"
-	"dopencl/internal/native"
-	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 )
 
 func main() {
@@ -40,36 +37,18 @@ func main() {
 
 	// Three single-GPU daemons on an in-memory network, peer data plane
 	// enabled so halos flow daemon-to-daemon.
-	nw := simnet.NewNetwork(simnet.Unlimited())
 	addrs := []string{"node0", "node1", "node2"}
+	nodes := map[string][]device.Config{}
 	for _, addr := range addrs {
-		addr := addr
-		np := native.NewPlatform("native-"+addr, "example vendor",
-			[]device.Config{device.TestGPU("gpu-" + addr)})
-		d, err := daemon.New(daemon.Config{
-			Name: addr, Platform: np,
-			PeerAddr: addr + "/peer",
-			PeerDial: func(a string) (net.Conn, error) { return nw.DialFrom(addr, a) },
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		l, err := nw.Listen(addr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		go func() { _ = d.Serve(l) }()
-		pl, err := nw.Listen(addr + "/peer")
-		if err != nil {
-			log.Fatal(err)
-		}
-		go func() { _ = d.ServePeers(pl) }()
+		nodes[addr] = []device.Config{device.TestGPU("gpu-" + addr)}
 	}
+	tb, err := testbed.Start(testbed.Spec{Nodes: nodes, Peers: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer tb.Close()
 
-	plat := client.NewPlatform(client.Options{
-		Dialer:     func(addr string) (net.Conn, error) { return nw.DialFrom("client", addr) },
-		ClientName: "heat-example",
-	})
+	plat := client.NewPlatform(client.Options{Dialer: tb.Dialer("client"), ClientName: "heat-example"})
 	for _, addr := range addrs {
 		if _, err := plat.ConnectServer(addr); err != nil {
 			log.Fatal(err)
@@ -95,7 +74,7 @@ func main() {
 	for _, a := range addrs {
 		for _, b := range addrs {
 			if a != b {
-				peer += nw.BytesSent(a, b+"/peer") + nw.BytesSent(a+"/peer", b)
+				peer += tb.Net.BytesSent(a, testbed.PeerAddr(b)) + tb.Net.BytesSent(testbed.PeerAddr(a), b)
 			}
 		}
 	}

@@ -17,10 +17,8 @@ import (
 	"dopencl/internal/apps/mandelbrot"
 	"dopencl/internal/cl"
 	"dopencl/internal/client"
-	"dopencl/internal/daemon"
 	"dopencl/internal/device"
-	"dopencl/internal/native"
-	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 )
 
 func main() {
@@ -32,28 +30,19 @@ func main() {
 	flag.Parse()
 
 	// The "cluster": one daemon per node on an in-memory network.
-	nw := simnet.NewNetwork(simnet.Unlimited())
 	addrs := make([]string, *nodes)
+	spec := testbed.Spec{Nodes: map[string][]device.Config{}}
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("node%d", i)
-		plat := native.NewPlatform("native-"+addrs[i], "example vendor",
-			[]device.Config{device.TestCPU(fmt.Sprintf("cpu%d", i))})
-		d, err := daemon.New(daemon.Config{Name: addrs[i], Platform: plat})
-		if err != nil {
-			log.Fatal(err)
-		}
-		l, err := nw.Listen(addrs[i])
-		if err != nil {
-			log.Fatal(err)
-		}
-		go func() {
-			if err := d.Serve(l); err != nil {
-				log.Printf("daemon stopped: %v", err)
-			}
-		}()
+		spec.Nodes[addrs[i]] = []device.Config{device.TestCPU(fmt.Sprintf("cpu%d", i))}
 	}
+	tb, err := testbed.Start(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer tb.Close()
 
-	plat := client.NewPlatform(client.Options{Dialer: nw.Dial, ClientName: "mandelbrot"})
+	plat := client.NewPlatform(client.Options{Dialer: tb.Dialer(""), ClientName: "mandelbrot"})
 	for _, addr := range addrs {
 		if _, err := plat.ConnectServer(addr); err != nil {
 			log.Fatalf("connect %s: %v", addr, err)

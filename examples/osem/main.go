@@ -15,10 +15,9 @@ import (
 	"dopencl/internal/apps/osem"
 	"dopencl/internal/cl"
 	"dopencl/internal/client"
-	"dopencl/internal/daemon"
 	"dopencl/internal/device"
 	"dopencl/internal/native"
-	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 )
 
 func main() {
@@ -45,24 +44,15 @@ func main() {
 	fmt.Printf("local reconstruction:   %v per iteration\n", local.MeanIteration)
 
 	// Remote reconstruction: same host code, device lives on "gpuserver".
-	nw := simnet.NewNetwork(simnet.Unlimited())
-	serverPlat := native.NewPlatform("gpuserver", "example vendor",
-		[]device.Config{device.TestGPU("tesla0"), device.TestGPU("tesla1")})
-	d, err := daemon.New(daemon.Config{Name: "gpuserver", Platform: serverPlat})
+	tb, err := testbed.Start(testbed.Spec{Nodes: map[string][]device.Config{
+		"gpuserver": {device.TestGPU("tesla0"), device.TestGPU("tesla1")},
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	l, err := nw.Listen("gpuserver")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go func() {
-		if err := d.Serve(l); err != nil {
-			log.Printf("daemon stopped: %v", err)
-		}
-	}()
+	defer tb.Close()
 
-	plat := client.NewPlatform(client.Options{Dialer: nw.Dial, ClientName: "osem"})
+	plat := client.NewPlatform(client.Options{Dialer: tb.Dialer(""), ClientName: "osem"})
 	if _, err := plat.ConnectServer("gpuserver"); err != nil {
 		log.Fatal(err)
 	}

@@ -2,16 +2,14 @@ package cgsolve_test
 
 import (
 	"math/rand"
-	"net"
 	"testing"
 
 	"dopencl/internal/apps/cgsolve"
 	"dopencl/internal/cl"
 	"dopencl/internal/client"
-	"dopencl/internal/daemon"
 	"dopencl/internal/device"
 	"dopencl/internal/native"
-	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 )
 
 // rhs builds a deterministic right-hand side, zero on the boundary.
@@ -28,33 +26,12 @@ func rhs(w, h int, seed int64) []float32 {
 
 func newDistPlatform(t *testing.T, addrs ...string) *client.Platform {
 	t.Helper()
-	nw := simnet.NewNetwork(simnet.Unlimited())
+	nodes := map[string][]device.Config{}
 	for _, addr := range addrs {
-		addr := addr
-		np := native.NewPlatform("native-"+addr, "test", []device.Config{device.TestGPU("gpu-" + addr)})
-		d, err := daemon.New(daemon.Config{
-			Name: addr, Platform: np,
-			PeerAddr: addr + "/peer",
-			PeerDial: func(a string) (net.Conn, error) { return nw.DialFrom(addr, a) },
-		})
-		if err != nil {
-			t.Fatalf("daemon %s: %v", addr, err)
-		}
-		l, err := nw.Listen(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { _ = d.Serve(l) }()
-		pl, err := nw.Listen(addr + "/peer")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { _ = d.ServePeers(pl) }()
+		nodes[addr] = []device.Config{device.TestGPU("gpu-" + addr)}
 	}
-	plat := client.NewPlatform(client.Options{
-		Dialer:     func(addr string) (net.Conn, error) { return nw.DialFrom("client", addr) },
-		ClientName: "cg-test",
-	})
+	tb := testbed.StartTest(t, testbed.Spec{Nodes: nodes, Peers: true})
+	plat := client.NewPlatform(client.Options{Dialer: tb.Dialer("client"), ClientName: "cg-test"})
 	for _, addr := range addrs {
 		if _, err := plat.ConnectServer(addr); err != nil {
 			t.Fatal(err)

@@ -6,11 +6,11 @@ import (
 
 	"dopencl/internal/cl"
 	"dopencl/internal/client"
-	"dopencl/internal/daemon"
 	"dopencl/internal/device"
 	"dopencl/internal/native"
 	"dopencl/internal/sched"
 	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 )
 
 func testParams() Params { return DefaultParams(64, 48, 100) }
@@ -39,29 +39,22 @@ func TestRenderCLMatchesReference(t *testing.T) {
 	}
 }
 
+// twoNodePlatform is a platform over a testbed of two one-CPU daemons,
+// node0 and node1.
+func twoNodePlatform(t *testing.T) *client.Platform {
+	t.Helper()
+	tb := testbed.StartTest(t, testbed.Spec{Nodes: map[string][]device.Config{
+		"node0": {device.TestCPU("cpu")},
+		"node1": {device.TestCPU("cpu")},
+	}})
+	return client.NewPlatform(client.Options{Dialer: tb.Dialer(""), ClientName: "test"})
+}
+
 func TestRenderCLOverDOpenCL(t *testing.T) {
 	p := testParams()
 	want := ReferenceRender(p)
 
-	nw := simnet.NewNetwork(simnet.Unlimited())
-	for i := 0; i < 2; i++ {
-		addr := fmt.Sprintf("node%d", i)
-		np := native.NewPlatform(addr, "test", []device.Config{device.TestCPU("cpu")})
-		d, err := daemon.New(daemon.Config{Name: addr, Platform: np})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := nw.Listen(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			if serr := d.Serve(l); serr != nil {
-				_ = serr
-			}
-		}()
-	}
-	plat := client.NewPlatform(client.Options{Dialer: nw.Dial, ClientName: "test"})
+	plat := twoNodePlatform(t)
 	if _, err := plat.ConnectServer("node0"); err != nil {
 		t.Fatal(err)
 	}
@@ -125,21 +118,7 @@ func TestRenderPartitionedOverDOpenCL(t *testing.T) {
 	p := testParams()
 	want := ReferenceRender(p)
 
-	nw := simnet.NewNetwork(simnet.Unlimited())
-	for i := 0; i < 2; i++ {
-		addr := fmt.Sprintf("node%d", i)
-		np := native.NewPlatform(addr, "test", []device.Config{device.TestCPU("cpu")})
-		d, err := daemon.New(daemon.Config{Name: addr, Platform: np})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := nw.Listen(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { _ = d.Serve(l) }()
-	}
-	plat := client.NewPlatform(client.Options{Dialer: nw.Dial, ClientName: "test"})
+	plat := twoNodePlatform(t)
 	for i := 0; i < 2; i++ {
 		if _, err := plat.ConnectServer(fmt.Sprintf("node%d", i)); err != nil {
 			t.Fatal(err)

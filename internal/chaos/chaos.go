@@ -1,21 +1,23 @@
 // Package chaos is the deterministic fault harness behind the
-// daemon-failure resilience guarantees: an in-memory cluster of dOpenCL
-// daemons over simnet whose failures — daemon kills and restarts,
-// severed and healed links, silent stalls, delay spikes — are injected
-// from a seed-driven plan bound to operation indices, not wall-clock
-// timers, so a failing schedule replays bit-identically.
+// daemon-failure resilience guarantees. Its suites run on an
+// internal/testbed cluster — daemon kills and restarts, severed and
+// healed links, silent stalls, delay spikes, manager shard kills — and
+// inject the faults from a seed-driven plan bound to operation indices,
+// not wall-clock timers, so a failing schedule replays bit-identically.
 //
-// Two pieces compose:
+// What is chaos's own:
 //
-//   - Cluster owns the simnet network and the daemon processes, with
-//     Kill/Restart (a crash loses device memory; the restarted daemon is
-//     empty and clients re-create their objects on re-attach) and
-//     SeverClientLink/HealClientLink (a connection blip; a daemon with
-//     session retention keeps the client's state, so a re-attach finds
-//     buffers — and their data — intact).
 //   - Plan derives a fault schedule from a seed: each fault fires before
 //     a specific operation index. Tests call Plan.Due between operations
-//     and mirror the applied faults into their oracle.
+//     and mirror the applied faults into their oracle. A kill crashes a
+//     daemon (device memory is lost; the restarted daemon is empty and
+//     clients re-create their objects on re-attach); a blip severs and
+//     heals the client link (a daemon with session retention keeps the
+//     client's state, so a re-attach finds buffers — and their data —
+//     intact).
+//   - ExpectedPartition and WaitPartition are the control plane's oracle:
+//     which shard the rendezvous hash names for each device, and whether
+//     the live shards hold exactly that.
 //
 // The chaos property suite (chaos_test.go) runs randomized programs
 // against a fault-free oracle; the recovery guarantees it pins are
@@ -23,214 +25,17 @@
 package chaos
 
 import (
-	"fmt"
 	"math/rand"
-	"net"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
-	"dopencl/internal/client"
-	"dopencl/internal/daemon"
-	"dopencl/internal/device"
-	"dopencl/internal/native"
-	"dopencl/internal/simnet"
+	"dopencl/internal/protocol"
+	"dopencl/internal/testbed"
 )
 
-// ClientID is the simnet endpoint identity of the cluster's client.
+// ClientID is the simnet endpoint identity of the suites' client.
 const ClientID = "chaos-client"
-
-// PeerAddrOf returns a daemon's peer data-plane address.
-func PeerAddrOf(addr string) string { return addr + "/peer" }
-
-// Node is one daemon slot of the cluster.
-type Node struct {
-	Addr string
-	cfgs []device.Config
-
-	mu    sync.Mutex
-	d     *daemon.Daemon
-	lis   net.Listener
-	plis  net.Listener
-	alive bool
-	// incarnation counts (re)starts: restarting builds a fresh native
-	// platform, modeling a crash that lost device memory.
-	incarnation int
-}
-
-// Alive reports whether the node's daemon is currently running.
-func (n *Node) Alive() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.alive
-}
-
-// Daemon returns the node's current daemon instance (nil when killed).
-func (n *Node) Daemon() *daemon.Daemon {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.d
-}
-
-// Cluster is a simnet-backed daemon fleet with fault injection.
-type Cluster struct {
-	Net     *simnet.Network
-	link    simnet.LinkConfig
-	retain  time.Duration
-	managed bool
-
-	mu    sync.Mutex
-	nodes map[string]*Node
-	addrs []string // sorted, for deterministic iteration
-}
-
-// Options configures a Cluster.
-type Options struct {
-	// Link is the modeled network link (default: Unlimited).
-	Link simnet.LinkConfig
-	// SessionRetain is forwarded to every daemon: how long a detached
-	// session's state survives awaiting re-attachment.
-	SessionRetain time.Duration
-	// Managed runs the daemons in device-manager mode (control-plane
-	// chaos tests pair this with a ControlCluster of devmgr shards).
-	Managed bool
-}
-
-// NewCluster starts one daemon per entry, peer plane enabled.
-func NewCluster(opts Options, nodes map[string][]device.Config) (*Cluster, error) {
-	c := &Cluster{
-		Net:     simnet.NewNetwork(opts.Link),
-		link:    opts.Link,
-		retain:  opts.SessionRetain,
-		managed: opts.Managed,
-		nodes:   map[string]*Node{},
-	}
-	for addr, cfgs := range nodes {
-		n := &Node{Addr: addr, cfgs: cfgs}
-		c.nodes[addr] = n
-		c.addrs = append(c.addrs, addr)
-	}
-	sort.Strings(c.addrs)
-	for _, addr := range c.addrs {
-		if err := c.start(c.nodes[addr]); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// start boots (or reboots) a node's daemon with a fresh native platform.
-func (c *Cluster) start(n *Node) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.alive {
-		return fmt.Errorf("chaos: node %s already running", n.Addr)
-	}
-	n.incarnation++
-	np := native.NewPlatform(fmt.Sprintf("native-%s-%d", n.Addr, n.incarnation), "chaos", n.cfgs)
-	addr := n.Addr
-	cfg := daemon.Config{
-		Name:          addr,
-		Platform:      np,
-		Managed:       c.managed,
-		PeerAddr:      PeerAddrOf(addr),
-		PeerDial:      func(a string) (net.Conn, error) { return c.Net.DialFrom(addr, a) },
-		SessionRetain: c.retain,
-	}
-	d, err := daemon.New(cfg)
-	if err != nil {
-		return err
-	}
-	lis, err := c.Net.Listen(addr)
-	if err != nil {
-		return err
-	}
-	plis, err := c.Net.Listen(PeerAddrOf(addr))
-	if err != nil {
-		lis.Close()
-		return err
-	}
-	go func() { _ = d.Serve(lis) }()
-	go func() { _ = d.ServePeers(plis) }()
-	n.d, n.lis, n.plis, n.alive = d, lis, plis, true
-	return nil
-}
-
-// NewPlatform builds a client platform dialing this cluster. Heartbeat
-// settings are passed through so tests can bound silent-partition
-// detection.
-func (c *Cluster) NewPlatform(hbInterval, hbTimeout time.Duration) *client.Platform {
-	return client.NewPlatform(client.Options{
-		Dialer:            func(addr string) (net.Conn, error) { return c.Net.DialFrom(ClientID, addr) },
-		ClientName:        "chaos",
-		HeartbeatInterval: hbInterval,
-		HeartbeatTimeout:  hbTimeout,
-	})
-}
-
-// Node returns the named node.
-func (c *Cluster) Node(addr string) *Node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nodes[addr]
-}
-
-// Addrs returns the node addresses in sorted order.
-func (c *Cluster) Addrs() []string {
-	return append([]string(nil), c.addrs...)
-}
-
-// Kill crashes a daemon: every connection it holds (client sessions,
-// peer links, both planes) drops and its listeners close. Device memory
-// — and with it every session's buffer contents — is gone; a later
-// Restart brings up an empty daemon.
-func (c *Cluster) Kill(addr string) {
-	n := c.Node(addr)
-	if n == nil {
-		return
-	}
-	n.mu.Lock()
-	if !n.alive {
-		n.mu.Unlock()
-		return
-	}
-	n.alive = false
-	lis, plis := n.lis, n.plis
-	n.d, n.lis, n.plis = nil, nil, nil
-	n.mu.Unlock()
-	lis.Close()
-	plis.Close()
-	c.Net.SeverNode(addr)
-	c.Net.SeverNode(PeerAddrOf(addr))
-}
-
-// Restart boots a killed daemon back up at the same address, empty.
-func (c *Cluster) Restart(addr string) error {
-	n := c.Node(addr)
-	if n == nil {
-		return fmt.Errorf("chaos: unknown node %s", addr)
-	}
-	c.Net.HealNode(addr)
-	c.Net.HealNode(PeerAddrOf(addr))
-	return c.start(n)
-}
-
-// SeverClientLink cuts the client↔daemon control link (the daemon keeps
-// running — sessions detach and are retained). Peer links are untouched.
-func (c *Cluster) SeverClientLink(addr string) {
-	c.Net.Sever(ClientID, addr)
-}
-
-// HealClientLink allows fresh client dials to the daemon again.
-func (c *Cluster) HealClientLink(addr string) {
-	c.Net.Heal(ClientID, addr)
-}
-
-// DelaySpike arms a one-shot latency spike on the client→daemon
-// direction at the given cumulative byte offset.
-func (c *Cluster) DelaySpike(addr string, atBytes int64, extra time.Duration) {
-	c.Net.InjectDelayAt(ClientID, addr, atBytes, extra)
-}
 
 // ---------------------------------------------------------------------------
 // Seed-driven fault plans.
@@ -306,8 +111,8 @@ func NewPlan(seed int64, numOps int, nodes []string) *Plan {
 }
 
 // Due pops the faults scheduled before operation op (call once per
-// operation, in order). The caller applies them via Cluster and mirrors
-// their effect into its oracle.
+// operation, in order). The caller applies them to its testbed and
+// mirrors their effect into its oracle.
 func (p *Plan) Due(op int) []Fault {
 	var due []Fault
 	for p.next < len(p.Faults) && p.Faults[p.next].AfterOp <= op {
@@ -315,4 +120,56 @@ func (p *Plan) Due(op int) []Fault {
 		p.next++
 	}
 	return due
+}
+
+// ---------------------------------------------------------------------------
+// The control plane's partition oracle.
+
+// ExpectedPartition computes, from the given live shard set, which shard
+// should own each device of the testbed's running daemons — the oracle the
+// re-homing assertions compare actual shard state against.
+func ExpectedPartition(tb *testbed.Testbed, liveShards []string) map[string][]string {
+	want := map[string][]string{}
+	for _, nodeAddr := range tb.Addrs() {
+		d := tb.Daemon(nodeAddr)
+		if d == nil {
+			continue
+		}
+		for _, rec := range d.Records() {
+			id := protocol.DeviceID(nodeAddr, rec.UnitID)
+			owner := protocol.Owner(liveShards, id)
+			if owner != "" {
+				want[owner] = append(want[owner], id)
+			}
+		}
+	}
+	for _, ids := range want {
+		sort.Strings(ids)
+	}
+	return want
+}
+
+// WaitPartition polls until every live shard's device set matches the
+// expected rendezvous partition over the given live shard list, or the
+// timeout elapses (returns false).
+func WaitPartition(tb *testbed.Testbed, liveShards []string, timeout time.Duration) bool {
+	want := ExpectedPartition(tb, liveShards)
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		if partitionMatches(tb, liveShards, want) {
+			return true
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return partitionMatches(tb, liveShards, want)
+}
+
+func partitionMatches(tb *testbed.Testbed, liveShards []string, want map[string][]string) bool {
+	for _, addr := range liveShards {
+		m := tb.Manager(addr)
+		if m == nil || !slices.Equal(m.DeviceIDs(), want[addr]) {
+			return false
+		}
+	}
+	return true
 }

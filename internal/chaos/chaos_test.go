@@ -12,6 +12,7 @@ import (
 	"dopencl/internal/cl"
 	"dopencl/internal/client"
 	"dopencl/internal/device"
+	"dopencl/internal/testbed"
 )
 
 const scaleSrc = `
@@ -20,6 +21,18 @@ kernel void scale(global float* data, float f, int n) {
 	if (i < n) { data[i] = data[i] * f; }
 }
 `
+
+// startTestbed starts a chaos suite's cluster, peer data plane up.
+func startTestbed(t *testing.T, spec testbed.Spec) *testbed.Testbed {
+	t.Helper()
+	spec.Peers = true
+	return testbed.StartTest(t, spec)
+}
+
+// newPlatform builds a client platform dialing tb as ClientID.
+func newPlatform(tb *testbed.Testbed) *client.Platform {
+	return client.NewPlatform(client.Options{Dialer: tb.Dialer(ClientID), ClientName: "chaos"})
+}
 
 // waitDown blocks until the server's failure sweep finished (the Down
 // channel closes after the directory sweep, so once it fires the Lost
@@ -254,11 +267,8 @@ func runChaosProgram(t *testing.T, seed int64) {
 		"n1": {device.TestCPU("cpu-n1")},
 		"n2": {device.TestCPU("cpu-n2")},
 	}
-	cluster, err := NewCluster(Options{SessionRetain: time.Minute}, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plat := cluster.NewPlatform(0, 0)
+	cluster := startTestbed(t, testbed.Spec{Nodes: nodes, Retain: time.Minute})
+	plat := newPlatform(cluster)
 	addrs := cluster.Addrs()
 	servers := map[string]*client.Server{}
 	sIdx := map[string]int{}
@@ -329,7 +339,7 @@ func runChaosProgram(t *testing.T, seed int64) {
 		srv := servers[f.Target]
 		switch f.Kind {
 		case Kill:
-			if !cluster.Node(f.Target).Alive() {
+			if cluster.Daemon(f.Target) == nil {
 				return
 			}
 			t.Logf("fault: kill %s", f.Target)
@@ -341,7 +351,7 @@ func runChaosProgram(t *testing.T, seed int64) {
 			}
 			alive[f.Target] = false
 		case Restart:
-			if cluster.Node(f.Target).Alive() {
+			if cluster.Daemon(f.Target) != nil {
 				return
 			}
 			t.Logf("fault: restart %s", f.Target)
@@ -363,9 +373,9 @@ func runChaosProgram(t *testing.T, seed int64) {
 				return
 			}
 			t.Logf("fault: blip %s", f.Target)
-			cluster.SeverClientLink(f.Target)
+			cluster.Sever(ClientID, f.Target)
 			waitDown(t, srv)
-			cluster.HealClientLink(f.Target)
+			cluster.Heal(ClientID, f.Target)
 			retained, err := srv.Reattach()
 			if err != nil {
 				t.Fatalf("reattach %s after blip: %v", f.Target, err)
@@ -384,7 +394,7 @@ func runChaosProgram(t *testing.T, seed int64) {
 			if !alive[f.Target] {
 				return
 			}
-			cluster.DelaySpike(f.Target, 2048, 2*time.Millisecond)
+			cluster.Net.InjectDelayAt(ClientID, f.Target, 2048, 2*time.Millisecond)
 		}
 	}
 

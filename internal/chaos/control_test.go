@@ -10,39 +10,57 @@ import (
 	"dopencl/internal/client"
 	"dopencl/internal/device"
 	"dopencl/internal/protocol"
+	"dopencl/internal/testbed"
 )
 
-// controlWorld is the standard control-plane chaos topology: three
+// controlShards are the standard control-plane topology's shards.
+var controlShards = []string{"shard-a", "shard-b", "shard-c"}
+
+// newControlWorld is the standard control-plane chaos topology: three
 // shards, three daemons, four GPUs each.
-func newControlWorld(t *testing.T) *ControlCluster {
+func newControlWorld(t *testing.T) *testbed.Testbed {
 	t.Helper()
-	cc, err := NewControlCluster(ControlOptions{
-		Shards: []string{"shard-a", "shard-b", "shard-c"},
-	}, map[string][]device.Config{
-		"node1": {device.TestGPU("g0"), device.TestGPU("g1"), device.TestGPU("g2"), device.TestGPU("g3")},
-		"node2": {device.TestGPU("g0"), device.TestGPU("g1"), device.TestGPU("g2"), device.TestGPU("g3")},
-		"node3": {device.TestGPU("g0"), device.TestGPU("g1"), device.TestGPU("g2"), device.TestGPU("g3")},
+	return startTestbed(t, testbed.Spec{
+		Shards: controlShards,
+		Nodes: map[string][]device.Config{
+			"node1": {device.TestGPU("g0"), device.TestGPU("g1"), device.TestGPU("g2"), device.TestGPU("g3")},
+			"node2": {device.TestGPU("g0"), device.TestGPU("g1"), device.TestGPU("g2"), device.TestGPU("g3")},
+			"node3": {device.TestGPU("g0"), device.TestGPU("g1"), device.TestGPU("g2"), device.TestGPU("g3")},
+		},
 	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// aliveShards returns the running shards of the standard topology.
+func aliveShards(tb *testbed.Testbed) []string {
+	var out []string
+	for _, a := range controlShards {
+		if tb.Manager(a) != nil {
+			out = append(out, a)
+		}
 	}
-	t.Cleanup(cc.StopControl)
-	return cc
+	return out
+}
+
+// controlPlatform builds a client platform whose manager config spans the
+// standard topology's shards.
+func controlPlatform(tb *testbed.Testbed, name string) (*client.Platform, client.ManagerConfig) {
+	p := client.NewPlatform(client.Options{Dialer: tb.Dialer(ClientID), ClientName: name})
+	return p, client.ManagerConfig{Managers: append([]string(nil), controlShards...), Tenant: name}
 }
 
 // dumpPartition prints both sides of the registration state: the devices
 // each live shard holds, and for each daemon the membership view it
 // partitions by and the units it believes each shard has of it. Where the
 // two disagree is where a partition that does not converge is stuck.
-func dumpPartition(cc *ControlCluster) string {
+func dumpPartition(cc *testbed.Testbed) string {
 	var b strings.Builder
-	for _, addr := range cc.AliveShards() {
-		if m := cc.Shard(addr).Manager(); m != nil {
+	for _, addr := range controlShards {
+		if m := cc.Manager(addr); m != nil {
 			fmt.Fprintf(&b, "shard %s holds %v\n", addr, m.DeviceIDs())
 		}
 	}
 	for _, addr := range cc.Addrs() {
-		if d := cc.Node(addr).Daemon(); d != nil {
+		if d := cc.Daemon(addr); d != nil {
 			fmt.Fprintf(&b, "daemon %s: %s\n", addr, d.ControlPlaneView())
 		}
 	}
@@ -50,10 +68,10 @@ func dumpPartition(cc *ControlCluster) string {
 }
 
 // totalFree sums FreeDevices across the given shards.
-func totalFree(cc *ControlCluster, shards []string) int {
+func totalFree(cc *testbed.Testbed, shards []string) int {
 	n := 0
 	for _, a := range shards {
-		if m := cc.Shard(a).Manager(); m != nil {
+		if m := cc.Manager(a); m != nil {
 			n += m.FreeDevices()
 		}
 	}
@@ -79,20 +97,20 @@ func waitCond(t *testing.T, what string, timeout time.Duration, cond func() bool
 // resurrected into the view with the partition converging back.
 func TestShardKillRehomesDevicesExactly(t *testing.T) {
 	cc := newControlWorld(t)
-	all := cc.ShardAddrs
+	all := controlShards
 
 	// Initial convergence: all 12 devices exactly partitioned by owner.
-	if !cc.WaitPartition(all, 10*time.Second) {
-		t.Fatalf("initial partition did not converge: want %v", cc.ExpectedPartition(all))
+	if !WaitPartition(cc, all, 10*time.Second) {
+		t.Fatalf("initial partition did not converge: want %v", ExpectedPartition(cc, all))
 	}
 
 	// Grant two leases through the client path.
-	p1, mc1 := cc.NewControlPlatform("tenant-one")
+	p1, mc1 := controlPlatform(cc, "tenant-one")
 	lease1, err := p1.RequestFromManager(withRequests(mc1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, mc2 := cc.NewControlPlatform("tenant-two")
+	p2, mc2 := controlPlatform(cc, "tenant-two")
 	lease2, err := p2.RequestFromManager(withRequests(mc2, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -106,14 +124,14 @@ func TestShardKillRehomesDevicesExactly(t *testing.T) {
 	// daemons' carry-over), or shard-a if no shard holds it.
 	victim := all[0]
 	for _, a := range all {
-		if m := cc.Shard(a).Manager(); m != nil && m.ActiveLeases() > 0 {
+		if m := cc.Manager(a); m != nil && m.ActiveLeases() > 0 {
 			victim = a
 			break
 		}
 	}
-	cc.KillShard(victim)
+	cc.Kill(victim)
 
-	survivors := cc.AliveShards()
+	survivors := aliveShards(cc)
 	if len(survivors) != 2 {
 		t.Fatalf("survivors = %v", survivors)
 	}
@@ -121,12 +139,12 @@ func TestShardKillRehomesDevicesExactly(t *testing.T) {
 	// Exact re-homing: every device the victim owned moves to precisely
 	// the shard the rendezvous hash names over the survivor set, and the
 	// survivors' combined holdings are the full fleet.
-	if !cc.WaitPartition(survivors, 15*time.Second) {
-		t.Fatalf("post-kill partition did not converge: want %v\n%s", cc.ExpectedPartition(survivors), dumpPartition(cc))
+	if !WaitPartition(cc, survivors, 15*time.Second) {
+		t.Fatalf("post-kill partition did not converge: want %v\n%s", ExpectedPartition(cc, survivors), dumpPartition(cc))
 	}
 	totalDevs := 0
 	for _, a := range survivors {
-		totalDevs += len(cc.Shard(a).Manager().DeviceIDs())
+		totalDevs += len(cc.Manager(a).DeviceIDs())
 	}
 	if totalDevs != 12 {
 		t.Fatalf("survivors hold %d devices, want 12", totalDevs)
@@ -147,7 +165,7 @@ func TestShardKillRehomesDevicesExactly(t *testing.T) {
 	})
 
 	// Placement still works on the surviving control plane.
-	p3, mc3 := cc.NewControlPlatform("tenant-three")
+	p3, mc3 := controlPlatform(cc, "tenant-three")
 	lease3, err := p3.RequestFromManager(withRequests(mc3, 1))
 	if err != nil {
 		t.Fatalf("placement after shard kill: %v", err)
@@ -158,11 +176,11 @@ func TestShardKillRehomesDevicesExactly(t *testing.T) {
 
 	// Resurrection: restart the victim; gossip readmits it (epoch bump)
 	// and the daemons re-partition onto all three shards again.
-	if err := cc.RestartShard(victim); err != nil {
+	if err := cc.Restart(victim); err != nil {
 		t.Fatal(err)
 	}
-	if !cc.WaitPartition(all, 15*time.Second) {
-		t.Fatalf("post-restart partition did not converge: want %v", cc.ExpectedPartition(all))
+	if !WaitPartition(cc, all, 15*time.Second) {
+		t.Fatalf("post-restart partition did not converge: want %v", ExpectedPartition(cc, all))
 	}
 	waitCond(t, "leases intact after restart", 10*time.Second, func() bool {
 		return totalFree(cc, all) == 12-2

@@ -8,6 +8,7 @@ import (
 	"dopencl/internal/cl"
 	"dopencl/internal/client"
 	"dopencl/internal/device"
+	"dopencl/internal/testbed"
 )
 
 // TestJacobiRecoversFromDaemonKillMidIteration: a daemon holding the
@@ -18,15 +19,12 @@ import (
 // state bit-identical to the fault-free oracle — recomputation is
 // deterministic, so the crash leaves no numerical trace.
 func TestJacobiRecoversFromDaemonKillMidIteration(t *testing.T) {
-	cluster, err := NewCluster(Options{}, map[string][]device.Config{
+	cluster := startTestbed(t, testbed.Spec{Nodes: map[string][]device.Config{
 		"hx0": {device.TestGPU("g0")},
 		"hx1": {device.TestGPU("g1")},
 		"hx2": {device.TestGPU("g2")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plat := cluster.NewPlatform(0, 0)
+	}})
+	plat := newPlatform(cluster)
 	for _, addr := range cluster.Addrs() {
 		if _, err := plat.ConnectServer(addr); err != nil {
 			t.Fatalf("connect %s: %v", addr, err)

@@ -13,6 +13,7 @@ import (
 	"dopencl/internal/cl"
 	"dopencl/internal/device"
 	"dopencl/internal/sched"
+	"dopencl/internal/testbed"
 )
 
 // TestGraphReplayFailover records a command graph on one daemon's queue,
@@ -21,14 +22,11 @@ import (
 // to the pre-failure iterations (the recording — including cached write
 // payloads — is the source of truth, not the dead daemon's cache).
 func TestGraphReplayFailover(t *testing.T) {
-	cluster, err := NewCluster(Options{}, map[string][]device.Config{
+	cluster := startTestbed(t, testbed.Spec{Nodes: map[string][]device.Config{
 		"g0": {device.TestCPU("cpu-g0")},
 		"g1": {device.TestCPU("cpu-g1")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plat := cluster.NewPlatform(0, 0)
+	}})
+	plat := newPlatform(cluster)
 	s0, err := plat.ConnectServer("g0")
 	if err != nil {
 		t.Fatal(err)
@@ -147,15 +145,12 @@ func TestGraphReplayFailover(t *testing.T) {
 // daemon's chunks, whose results died with it — and the final image must
 // be identical to a fault-free single-daemon render.
 func TestPartitionedMandelbrotSurvivesKill(t *testing.T) {
-	cluster, err := NewCluster(Options{}, map[string][]device.Config{
+	cluster := startTestbed(t, testbed.Spec{Nodes: map[string][]device.Config{
 		"m0": {device.TestCPU("cpu-m0")},
 		"m1": {device.TestCPU("cpu-m1")},
 		"m2": {device.TestCPU("cpu-m2")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plat := cluster.NewPlatform(0, 0)
+	}})
+	plat := newPlatform(cluster)
 	for _, addr := range cluster.Addrs() {
 		if _, err := plat.ConnectServer(addr); err != nil {
 			t.Fatal(err)
@@ -214,13 +209,10 @@ func TestPartitionedMandelbrotSurvivesKill(t *testing.T) {
 // of this ended in "CL_INVALID_CONTEXT: unknown context 1".)
 func TestBlipAfterPipelinedCreate(t *testing.T) {
 	for run := 0; run < 10; run++ {
-		cluster, err := NewCluster(Options{SessionRetain: time.Minute}, map[string][]device.Config{
+		cluster := startTestbed(t, testbed.Spec{Nodes: map[string][]device.Config{
 			"n0": {device.TestCPU("cpu-n0")},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plat := cluster.NewPlatform(0, 0)
+		}, Retain: time.Minute})
+		plat := newPlatform(cluster)
 		srv, err := plat.ConnectServer("n0")
 		if err != nil {
 			t.Fatal(err)
@@ -237,9 +229,9 @@ func TestBlipAfterPipelinedCreate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cluster.SeverClientLink("n0")
+		cluster.Sever(ClientID, "n0")
 		waitDown(t, srv)
-		cluster.HealClientLink("n0")
+		cluster.Heal(ClientID, "n0")
 		if retained, err := srv.Reattach(); err != nil || !retained {
 			t.Fatalf("run %d: reattach after the blip: retained=%v, %v", run, retained, err)
 		}

@@ -11,22 +11,23 @@ import (
 	"dopencl/internal/cl"
 	"dopencl/internal/client"
 	"dopencl/internal/device"
+	"dopencl/internal/testbed"
 )
+
+// keptLinkShards is the kept-link world's one device manager.
+var keptLinkShards = []string{"shard-a"}
 
 // keptLinkWorld is one managed daemon with one GPU behind one shard, and a
 // platform that counts its dials to the daemon. Detached sessions are
-// retained, so a blip can be recovered from.
-func keptLinkWorld(t *testing.T) (*ControlCluster, *client.Platform, client.ManagerConfig, *atomic.Int32) {
+// retained for retain, so a blip can be recovered from.
+func keptLinkWorld(t *testing.T, retain time.Duration) (*testbed.Testbed, *client.Platform, client.ManagerConfig, *atomic.Int32) {
 	t.Helper()
-	cc, err := NewControlCluster(ControlOptions{
-		Options: Options{SessionRetain: time.Minute},
-		Shards:  []string{"shard-a"},
-	}, map[string][]device.Config{"node1": {device.TestGPU("g0")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cc.StopControl)
-	if !cc.WaitPartition(cc.ShardAddrs, 10*time.Second) {
+	cc := startTestbed(t, testbed.Spec{
+		Nodes:  map[string][]device.Config{"node1": {device.TestGPU("g0")}},
+		Shards: keptLinkShards,
+		Retain: retain,
+	})
+	if !WaitPartition(cc, keptLinkShards, 10*time.Second) {
 		t.Fatal("the daemon never registered")
 	}
 	var daemonDials atomic.Int32
@@ -37,14 +38,14 @@ func keptLinkWorld(t *testing.T) (*ControlCluster, *client.Platform, client.Mana
 		return cc.Net.DialFrom(ClientID, addr)
 	}})
 	t.Cleanup(p.Close)
-	mc := withRequests(client.ManagerConfig{Managers: cc.ShardAddrs, Tenant: "kept"}, 1)
+	mc := withRequests(client.ManagerConfig{Managers: keptLinkShards, Tenant: "kept"}, 1)
 	return cc, p, mc, &daemonDials
 }
 
 // acquire requests the world's one GPU once the previous lease has freed it.
-func acquire(t *testing.T, cc *ControlCluster, p *client.Platform, mc client.ManagerConfig) *client.Lease {
+func acquire(t *testing.T, cc *testbed.Testbed, p *client.Platform, mc client.ManagerConfig) *client.Lease {
 	t.Helper()
-	waitCond(t, "the GPU to be free", 5*time.Second, func() bool { return totalFree(cc, cc.ShardAddrs) == 1 })
+	waitCond(t, "the GPU to be free", 5*time.Second, func() bool { return totalFree(cc, keptLinkShards) == 1 })
 	lease, err := p.RequestFromManager(mc)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +132,7 @@ func (lb *leaseBuffer) scaleAndCheck(t *testing.T) {
 // next lease dials the daemon again and works on the new link, and the
 // daemon, whose session had ended its lease, retains nothing.
 func TestIdleDaemonLinkCutRedials(t *testing.T) {
-	cc, p, mc, daemonDials := keptLinkWorld(t)
+	cc, p, mc, daemonDials := keptLinkWorld(t, time.Minute)
 	lease := acquire(t, cc, p, mc)
 	srv := lease.Servers[0]
 	if err := lease.Release(); err != nil {
@@ -142,9 +143,9 @@ func TestIdleDaemonLinkCutRedials(t *testing.T) {
 	if _, err := p.GetServerInfo(srv); err != nil {
 		t.Fatalf("the idle link: %v", err)
 	}
-	cc.SeverClientLink("node1")
+	cc.Sever(ClientID, "node1")
 	waitDown(t, srv)
-	cc.HealClientLink("node1")
+	cc.Heal(ClientID, "node1")
 
 	lease = acquire(t, cc, p, mc)
 	defer lease.Release()
@@ -155,7 +156,7 @@ func TestIdleDaemonLinkCutRedials(t *testing.T) {
 		t.Errorf("the daemon was dialed %d times, want 2: once per link", n)
 	}
 	newLeaseBuffer(t, p).scaleAndCheck(t)
-	if n := cc.Node("node1").Daemon().RetainedSessions(); n != 0 {
+	if n := cc.Daemon("node1").RetainedSessions(); n != 0 {
 		t.Errorf("%d daemon sessions retained after the idle link's cut", n)
 	}
 }
@@ -167,7 +168,7 @@ func TestIdleDaemonLinkCutRedials(t *testing.T) {
 // previous lease left unreleased died with that lease: the re-attach does
 // not re-create it in the current lease's session.
 func TestBlipOnKeptLinkReattachesCurrentLease(t *testing.T) {
-	cc, p, mc, daemonDials := keptLinkWorld(t)
+	cc, p, mc, daemonDials := keptLinkWorld(t, time.Minute)
 	first := acquire(t, cc, p, mc)
 	newLeaseBuffer(t, p) // left unreleased
 	if err := first.Release(); err != nil {
@@ -184,12 +185,12 @@ func TestBlipOnKeptLinkReattachesCurrentLease(t *testing.T) {
 	srv := lease.Servers[0]
 	lb := newLeaseBuffer(t, p)
 
-	d := cc.Node("node1").Daemon()
-	cc.SeverClientLink("node1")
+	d := cc.Daemon("node1")
+	cc.Sever(ClientID, "node1")
 	waitDown(t, srv)
 	waitCond(t, "the daemon to park the session", 5*time.Second, func() bool { return d.RetainedSessions() == 1 })
 	parked := d.SessionObjects()
-	cc.HealClientLink("node1")
+	cc.Heal(ClientID, "node1")
 	if retained, err := srv.Reattach(); err != nil || !retained {
 		t.Fatalf("reattach on the kept link: retained=%v, %v", retained, err)
 	}

@@ -17,15 +17,15 @@ import (
 // response channel whose shard died mid-request.
 func TestAcquireFailsOverWhenHomeShardDies(t *testing.T) {
 	cc := newControlWorld(t)
-	if !cc.WaitPartition(cc.ShardAddrs, 10*time.Second) {
+	if !WaitPartition(cc, controlShards, 10*time.Second) {
 		t.Fatalf("initial partition did not converge")
 	}
 
 	const tenant = "failover-tenant"
-	order := protocol.ShardOrder(cc.ShardAddrs, tenant)
+	order := protocol.ShardOrder(controlShards, tenant)
 	home, next := order[0], order[1]
 
-	p, mc := cc.NewControlPlatform(tenant)
+	p, mc := controlPlatform(cc, tenant)
 	mc = withRequests(mc, 1)
 
 	// Baseline: with every shard healthy, the home shard serves the
@@ -43,7 +43,7 @@ func TestAcquireFailsOverWhenHomeShardDies(t *testing.T) {
 		t.Fatalf("baseline release: %v", err)
 	}
 	waitCond(t, "baseline lease released", 5*time.Second, func() bool {
-		return totalFree(cc, cc.AliveShards()) == 12
+		return totalFree(cc, controlShards) == 12
 	})
 
 	// Stall the home shard's responses so the next request is parked
@@ -73,7 +73,7 @@ func TestAcquireFailsOverWhenHomeShardDies(t *testing.T) {
 		t.Fatalf("request finished before the kill (addr=%s err=%v): home shard not stalled", r.addr, r.err)
 	default:
 	}
-	cc.KillShard(home)
+	cc.Kill(home)
 
 	select {
 	case r := <-done:

@@ -111,7 +111,7 @@ func runDeltaLoop(t *testing.T, tc *testCluster, addr string, replay bool) ([]by
 	}
 
 	var all []byte
-	base := tc.net.BytesSent(testClientID, addr)
+	base := tc.Net.BytesSent(testClientID, addr)
 	for iter := 0; iter < deltaLoopIters; iter++ {
 		off := (iter * 1531) % (deltaLoopN - 256)
 		for i := off; i < off+256; i++ {
@@ -138,7 +138,7 @@ func runDeltaLoop(t *testing.T, tc *testCluster, addr string, replay bool) ([]by
 	if err := q.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	return all, tc.net.BytesSent(testClientID, addr) - base
+	return all, tc.Net.BytesSent(testClientID, addr) - base
 }
 
 func TestGraphReplayDeltaEncoding(t *testing.T) {

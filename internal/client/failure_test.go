@@ -2,15 +2,12 @@ package client
 
 import (
 	"bytes"
-	"net"
 	"testing"
 	"time"
 
 	"dopencl/internal/cl"
-	"dopencl/internal/daemon"
 	"dopencl/internal/device"
-	"dopencl/internal/native"
-	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 )
 
 // failSetup builds a connected 1-buffer context for the failure tests.
@@ -73,7 +70,7 @@ func TestFinishBoundedAfterKill(t *testing.T) {
 			t.Fatalf("enqueue %d: %v", i, err)
 		}
 	}
-	tc.kill("node0")
+	tc.Kill("node0")
 
 	done := make(chan error, 1)
 	go func() { done <- q.Finish() }()
@@ -96,19 +93,10 @@ func TestFinishBoundedAfterKill(t *testing.T) {
 // the stream close was noticed, i.e. forever on a true partition) bounds
 // Finish by the heartbeat timeout and reports ServerLost.
 func TestFinishBoundedOnSilentStall(t *testing.T) {
-	nw := simnet.NewNetwork(simnet.Unlimited())
-	np := native.NewPlatform("native-stall", "test vendor", []device.Config{device.TestCPU("cpu0")})
-	d, err := daemon.New(daemon.Config{Name: "stall0", Platform: np})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := nw.Listen("stall0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = d.Serve(l) }()
+	tb := testbed.StartTest(t, testbed.Spec{Nodes: map[string][]device.Config{"stall0": {device.TestCPU("cpu0")}}})
+	nw := tb.Net
 	plat := NewPlatform(Options{
-		Dialer:            func(addr string) (net.Conn, error) { return nw.DialFrom(testClientID, addr) },
+		Dialer:            tb.Dialer(testClientID),
 		ClientName:        "stall-test",
 		HeartbeatInterval: 5 * time.Millisecond,
 		HeartbeatTimeout:  100 * time.Millisecond,
@@ -172,7 +160,7 @@ func TestInFlightEventsFailWithServerLost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc.kill("node0")
+	tc.Kill("node0")
 	waitServerDown(t, servers[0])
 	done := make(chan error, 1)
 	go func() { done <- ev.Wait() }()
@@ -201,7 +189,7 @@ func TestLostRangeReadsFailUntilRewritten(t *testing.T) {
 	if _, err := q0.EnqueueWriteBuffer(buf, true, 0, want, nil); err != nil {
 		t.Fatal(err)
 	}
-	tc.kill("node0")
+	tc.Kill("node0")
 	waitServerDown(t, servers[0])
 
 	cb := buf.(*Buffer)
@@ -263,7 +251,7 @@ func TestRehomeFromSurvivingShared(t *testing.T) {
 	if host != "I" || srvStates["node0"] != "S" || srvStates["node1"] != "S" {
 		t.Fatalf("pre-kill states host=%s servers=%v, want I/S/S", host, srvStates)
 	}
-	tc.kill("node0")
+	tc.Kill("node0")
 	waitServerDown(t, servers[0])
 	if lr := buf.(*Buffer).LostRanges(); len(lr) != 0 {
 		t.Fatalf("ranges with a surviving Shared holder marked lost: %v", lr)
@@ -282,9 +270,9 @@ func TestRehomeFromSurvivingShared(t *testing.T) {
 // Modified buffer data on the daemon are intact, so ranges recorded as
 // Lost are restored without any retransfer.
 func TestReattachRetainedRecoversData(t *testing.T) {
-	tc := newTestClusterRetain(t, simnet.Unlimited(), true, time.Minute, map[string][]device.Config{
+	tc := newTestClusterOf(t, testbed.Spec{Peers: true, Retain: time.Minute, Nodes: map[string][]device.Config{
 		"node0": {device.TestCPU("cpu0")},
-	})
+	}})
 	_, servers, queues, buf := failSetup(t, tc, "node0")
 	q, srv := queues[0], servers[0]
 	want := bytes.Repeat([]byte{0x7E}, 256)
@@ -292,7 +280,7 @@ func TestReattachRetainedRecoversData(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Blip the control link; the daemon keeps the session.
-	tc.net.Sever(testClientID, "node0")
+	tc.Net.Sever(testClientID, "node0")
 	waitServerDown(t, srv)
 	cb := buf.(*Buffer)
 	if lr := cb.LostRanges(); len(lr) != 1 {
@@ -300,8 +288,8 @@ func TestReattachRetainedRecoversData(t *testing.T) {
 	}
 	// The daemon notices the dead connection on its own goroutines; give
 	// the detach a moment rather than asserting instantly.
-	waitFor(t, func() bool { return tc.daemons["node0"].RetainedSessions() == 1 }, "session detach")
-	tc.net.Heal(testClientID, "node0")
+	waitFor(t, func() bool { return tc.Daemon("node0").RetainedSessions() == 1 }, "session detach")
+	tc.Net.Heal(testClientID, "node0")
 	retained, err := srv.Reattach()
 	if err != nil {
 		t.Fatalf("reattach: %v", err)
@@ -330,23 +318,9 @@ func TestReattachRetainedRecoversData(t *testing.T) {
 // original IDs, lost data stays lost until rewritten, and the session is
 // fully usable again.
 func TestReattachUnretainedRecreatesObjects(t *testing.T) {
-	nw := simnet.NewNetwork(simnet.Unlimited())
-	boot := func() *simnet.Listener {
-		np := native.NewPlatform("native-r", "test vendor", []device.Config{device.TestCPU("cpu0")})
-		d, err := daemon.New(daemon.Config{Name: "r0", Platform: np})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := nw.Listen("r0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { _ = d.Serve(l) }()
-		return l
-	}
-	oldL := boot()
+	tb := testbed.StartTest(t, testbed.Spec{Nodes: map[string][]device.Config{"r0": {device.TestCPU("cpu0")}}})
 	plat := NewPlatform(Options{
-		Dialer:     func(addr string) (net.Conn, error) { return nw.DialFrom(testClientID, addr) },
+		Dialer:     tb.Dialer(testClientID),
 		ClientName: "reattach-test",
 	})
 	srv, err := plat.ConnectServer("r0")
@@ -382,14 +356,13 @@ func TestReattachUnretainedRecreatesObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash: isolate the old daemon and close its listener, then boot a
-	// fresh one at the same address.
-	nw.SeverNode("r0")
-	oldL.Close()
+	// Crash the daemon, then boot a fresh one at the same address.
+	tb.Kill("r0")
 	waitServerDown(t, srv)
 	epoch := srv.Epoch()
-	nw.HealNode("r0")
-	boot()
+	if err := tb.Restart("r0"); err != nil {
+		t.Fatal(err)
+	}
 
 	retained, err := srv.Reattach()
 	if err != nil {
@@ -446,15 +419,15 @@ func TestReattachUnretainedRecreatesObjects(t *testing.T) {
 // TestSessionRetentionExpires: an unclaimed detached session retires
 // after the retention window (resources released, lease reported).
 func TestSessionRetentionExpires(t *testing.T) {
-	tc := newTestClusterRetain(t, simnet.Unlimited(), true, 50*time.Millisecond, map[string][]device.Config{
+	tc := newTestClusterOf(t, testbed.Spec{Peers: true, Retain: 50 * time.Millisecond, Nodes: map[string][]device.Config{
 		"node0": {device.TestCPU("cpu0")},
-	})
+	}})
 	_, _, queues, buf := failSetup(t, tc, "node0")
 	if _, err := queues[0].EnqueueWriteBuffer(buf, true, 0, make([]byte, 256), nil); err != nil {
 		t.Fatal(err)
 	}
-	tc.net.Sever(testClientID, "node0")
-	d := tc.daemons["node0"]
+	tc.Net.Sever(testClientID, "node0")
+	d := tc.Daemon("node0")
 	waitFor(t, func() bool { return d.RetainedSessions() == 1 }, "session detach")
 	waitFor(t, func() bool { return d.RetainedSessions() == 0 }, "session expiry")
 }

@@ -8,6 +8,7 @@ import (
 	"dopencl/internal/cl"
 	"dopencl/internal/device"
 	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 )
 
 // controlSlack is the per-link byte budget for control traffic in the
@@ -43,9 +44,9 @@ func TestForwardMovesPayloadOverPeerLink(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base0 := tc.net.BytesSent(testClientID, "node0")
-	base1 := tc.net.BytesSent(testClientID, "node1")
-	basePeer := tc.net.BytesSent("node0", peerAddrOf("node1"))
+	base0 := tc.Net.BytesSent(testClientID, "node0")
+	base1 := tc.Net.BytesSent(testClientID, "node1")
+	basePeer := tc.Net.BytesSent("node0", testbed.PeerAddr("node1"))
 
 	// Cross-daemon copy: src is Modified on node0, the copy runs on
 	// node1, so the coherence layer must move the payload node0→node1.
@@ -60,9 +61,9 @@ func TestForwardMovesPayloadOverPeerLink(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d0 := tc.net.BytesSent(testClientID, "node0") - base0
-	d1 := tc.net.BytesSent(testClientID, "node1") - base1
-	peer := tc.net.BytesSent("node0", peerAddrOf("node1")) - basePeer
+	d0 := tc.Net.BytesSent(testClientID, "node0") - base0
+	d1 := tc.Net.BytesSent(testClientID, "node1") - base1
+	peer := tc.Net.BytesSent("node0", testbed.PeerAddr("node1")) - basePeer
 	if d0 > controlSlack || d1 > controlSlack {
 		t.Fatalf("client links carried payload: client→node0 %d B, client→node1 %d B (want < %d B of control)", d0, d1, controlSlack)
 	}
@@ -88,11 +89,11 @@ func TestForwardMovesPayloadOverPeerLink(t *testing.T) {
 // threeNodeCluster builds a 3-server context with one queue per server.
 func threeNodeCluster(t *testing.T, peers bool, link simnet.LinkConfig) (*testCluster, cl.Context, []cl.Queue) {
 	t.Helper()
-	tc := newTestClusterPeers(t, link, peers, map[string][]device.Config{
+	tc := newTestClusterOf(t, testbed.Spec{Link: link, Peers: peers, Nodes: map[string][]device.Config{
 		"s0": {device.TestCPU("c0")},
 		"s1": {device.TestCPU("c1")},
 		"s2": {device.TestCPU("c2")},
-	})
+	}})
 	for _, addr := range []string{"s0", "s1", "s2"} {
 		if _, err := tc.plat.ConnectServer(addr); err != nil {
 			t.Fatal(err)
@@ -162,7 +163,7 @@ func TestThreeNodeProducerConsumerChain(t *testing.T) {
 
 	var base [3]int64
 	for i, addr := range []string{"s0", "s1", "s2"} {
-		base[i] = tc.net.BytesSent(testClientID, addr)
+		base[i] = tc.Net.BytesSent(testClientID, addr)
 	}
 
 	// The chain: bump on s0, then s1, then s2 — each stage consumes the
@@ -180,12 +181,12 @@ func TestThreeNodeProducerConsumerChain(t *testing.T) {
 	}
 
 	for i, addr := range []string{"s0", "s1", "s2"} {
-		if d := tc.net.BytesSent(testClientID, addr) - base[i]; d > controlSlack {
+		if d := tc.Net.BytesSent(testClientID, addr) - base[i]; d > controlSlack {
 			t.Fatalf("client→%s carried %d B during the chain, want control only (< %d B)", addr, d, controlSlack)
 		}
 	}
-	for _, hop := range [][2]string{{"s0", peerAddrOf("s1")}, {"s1", peerAddrOf("s2")}} {
-		if got := tc.net.BytesSent(hop[0], hop[1]); got < size {
+	for _, hop := range [][2]string{{"s0", testbed.PeerAddr("s1")}, {"s1", testbed.PeerAddr("s2")}} {
+		if got := tc.Net.BytesSent(hop[0], hop[1]); got < size {
 			t.Fatalf("peer hop %s→%s carried %d B, want ≥ %d B", hop[0], hop[1], got, size)
 		}
 	}
@@ -231,7 +232,7 @@ func TestForwardFallbackWithoutPeerPlane(t *testing.T) {
 		}
 	}
 	// No peer plane, no peer traffic.
-	if got := tc.net.BytesSent("s0", peerAddrOf("s1")); got != 0 {
+	if got := tc.Net.BytesSent("s0", testbed.PeerAddr("s1")); got != 0 {
 		t.Fatalf("peer link carried %d B with forwarding disabled", got)
 	}
 }
@@ -302,12 +303,12 @@ func TestCrossServerCopyContract(t *testing.T) {
 // issued first.
 func TestInFlightForwardDoesNotClobberNewerWrite(t *testing.T) {
 	const size = 1 << 20
-	tc := newTestClusterPeers(t, simnet.Unlimited(), true, map[string][]device.Config{
+	tc := newTestClusterOf(t, testbed.Spec{Peers: true, Nodes: map[string][]device.Config{
 		"s0": {device.TestCPU("c0")},
 		"s1": {device.TestCPU("c1")},
-	})
+	}})
 	// ~50 ms for the forwarded megabyte: a wide in-flight window.
-	tc.net.SetLinkBetween("s0", peerAddrOf("s1"), simnet.LinkConfig{BandwidthBps: 20e6})
+	tc.Net.SetLinkBetween("s0", testbed.PeerAddr("s1"), simnet.LinkConfig{BandwidthBps: 20e6})
 	for _, addr := range []string{"s0", "s1"} {
 		if _, err := tc.plat.ConnectServer(addr); err != nil {
 			t.Fatal(err)
@@ -480,7 +481,7 @@ func TestForwardGateFailsWhenSourceDiesAfterHandOff(t *testing.T) {
 	tc, ctx, _, q0, q1 := twoNodeContext(t)
 	defer ctx.Release()
 	// 2 s on the wire: the payload is still in flight when node0 dies.
-	tc.net.SetLinkBetween("node0", peerAddrOf("node1"), simnet.LinkConfig{LatencySec: 2})
+	tc.Net.SetLinkBetween("node0", testbed.PeerAddr("node1"), simnet.LinkConfig{LatencySec: 2})
 
 	buf, err := ctx.CreateBuffer(cl.MemReadWrite, size, nil)
 	if err != nil {
@@ -506,7 +507,7 @@ func TestForwardGateFailsWhenSourceDiesAfterHandOff(t *testing.T) {
 	if err := cohQ.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	tc.kill("node0")
+	tc.Kill("node0")
 
 	done := make(chan error, 1)
 	go func() { done <- copied.Wait() }()
@@ -526,14 +527,14 @@ func TestForwardGateFailsWhenSourceDiesAfterHandOff(t *testing.T) {
 // fresher data has been forwarded to the same server.
 func TestSupersededForwardNeverLands(t *testing.T) {
 	const size = 1 << 20
-	tc := newTestClusterPeers(t, simnet.Unlimited(), true, map[string][]device.Config{
+	tc := newTestClusterOf(t, testbed.Spec{Peers: true, Nodes: map[string][]device.Config{
 		"s0": {device.TestCPU("c0")},
 		"s1": {device.TestCPU("c1")},
 		"s2": {device.TestCPU("c2")},
-	})
+	}})
 	// Slow s0→s1 bulk link: the stale payload stays in flight (~100 ms)
 	// while the rest of the cluster moves on.
-	tc.net.SetLinkBetween("s0", peerAddrOf("s1"), simnet.LinkConfig{BandwidthBps: 10e6})
+	tc.Net.SetLinkBetween("s0", testbed.PeerAddr("s1"), simnet.LinkConfig{BandwidthBps: 10e6})
 	for _, addr := range []string{"s0", "s1", "s2"} {
 		if _, err := tc.plat.ConnectServer(addr); err != nil {
 			t.Fatal(err)

@@ -301,7 +301,7 @@ func TestGraphSteadyStateFrameCost(t *testing.T) {
 
 	const iters = 10
 	sent0, recv0 := srv.FrameCounts()
-	bytes0 := tc.net.BytesSent(testClientID, srv.addr)
+	bytes0 := tc.Net.BytesSent(testClientID, srv.addr)
 	events := make([]cl.Event, 0, iters)
 	for i := 0; i < iters; i++ {
 		ev, err := q.EnqueueCommandBuffer(cb, nil, nil)
@@ -314,7 +314,7 @@ func TestGraphSteadyStateFrameCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	sent1, recv1 := srv.FrameCounts()
-	bytes1 := tc.net.BytesSent(testClientID, srv.addr)
+	bytes1 := tc.Net.BytesSent(testClientID, srv.addr)
 	sentPer := float64(sent1-sent0) / iters
 	recvPer := float64(recv1-recv0) / iters
 	bytesPer := float64(bytes1-bytes0) / iters

@@ -3,108 +3,43 @@ package client
 import (
 	"encoding/binary"
 	"math"
-	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"dopencl/internal/cl"
-	"dopencl/internal/daemon"
 	"dopencl/internal/device"
-	"dopencl/internal/native"
-	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 )
 
-// testCluster spins up daemons on an in-memory network and returns a
-// connected dOpenCL platform.
+// testCluster is a testbed cluster and a platform connected to it as
+// testClientID.
 type testCluster struct {
-	net     *simnet.Network
-	plat    *Platform
-	daemons map[string]*daemon.Daemon
-}
-
-// kill crashes the daemon at addr from the network's point of view:
-// every connection involving it (client sessions and peer links) drops.
-// The daemon object keeps running but can no longer be reached.
-func (tc *testCluster) kill(addr string) {
-	tc.net.SeverNode(addr)
-	tc.net.SeverNode(peerAddrOf(addr))
-}
-
-func newTestCluster(t *testing.T, serverDevices map[string][]device.Config) *testCluster {
-	t.Helper()
-	return newTestClusterLink(t, simnet.Unlimited(), serverDevices)
-}
-
-// newTestClusterLink is newTestCluster with an explicit link model, for
-// tests that need modeled network latency. The peer data plane is
-// enabled (as in a full deployment), so coherence transfers between
-// daemons use direct forwarding.
-func newTestClusterLink(t *testing.T, link simnet.LinkConfig, serverDevices map[string][]device.Config) *testCluster {
-	t.Helper()
-	return newTestClusterPeers(t, link, true, serverDevices)
+	*testbed.Testbed
+	plat *Platform
 }
 
 // testClientID is the simnet endpoint identity of the client, so tests
 // can account bytes on client↔daemon links via Network.BytesSent.
 const testClientID = "client"
 
-// peerAddrOf returns the peer data-plane address of the daemon at addr
-// in test clusters.
-func peerAddrOf(addr string) string { return addr + "/peer" }
-
-// newTestClusterPeers builds a cluster with the peer data plane enabled
-// or disabled: disabled reproduces the paper's client-mediated-only
-// topology (the forwarding fallback).
-func newTestClusterPeers(t *testing.T, link simnet.LinkConfig, peers bool, serverDevices map[string][]device.Config) *testCluster {
+// newTestCluster is newTestClusterOf the given nodes with the peer data
+// plane enabled (as in a full deployment), so coherence transfers
+// between daemons use direct forwarding.
+func newTestCluster(t *testing.T, nodes map[string][]device.Config) *testCluster {
 	t.Helper()
-	return newTestClusterRetain(t, link, peers, 0, serverDevices)
+	return newTestClusterOf(t, testbed.Spec{Peers: true, Nodes: nodes})
 }
 
-// newTestClusterRetain is newTestClusterPeers with daemon-side session
-// retention enabled, for the re-attach tests.
-func newTestClusterRetain(t *testing.T, link simnet.LinkConfig, peers bool, retain time.Duration, serverDevices map[string][]device.Config) *testCluster {
+// newTestClusterOf starts a cluster and a platform dialing it. Tests set
+// a modeled link, leave the peer plane off (the paper's
+// client-mediated-only topology, the forwarding fallback) or retain
+// detached sessions for the re-attach tests.
+func newTestClusterOf(t *testing.T, spec testbed.Spec) *testCluster {
 	t.Helper()
-	nw := simnet.NewNetwork(link)
-	daemons := map[string]*daemon.Daemon{}
-	for addr, cfgs := range serverDevices {
-		addr := addr
-		np := native.NewPlatform("native-"+addr, "test vendor", cfgs)
-		cfg := daemon.Config{Name: addr, Platform: np, SessionRetain: retain}
-		if peers {
-			cfg.PeerAddr = peerAddrOf(addr)
-			cfg.PeerDial = func(a string) (net.Conn, error) { return nw.DialFrom(addr, a) }
-		}
-		d, err := daemon.New(cfg)
-		if err != nil {
-			t.Fatalf("daemon %s: %v", addr, err)
-		}
-		daemons[addr] = d
-		l, err := nw.Listen(addr)
-		if err != nil {
-			t.Fatalf("listen %s: %v", addr, err)
-		}
-		go func() {
-			if serr := d.Serve(l); serr != nil {
-				// Listener closed at test end; nothing to do.
-				_ = serr
-			}
-		}()
-		if peers {
-			pl, err := nw.Listen(peerAddrOf(addr))
-			if err != nil {
-				t.Fatalf("peer listen %s: %v", addr, err)
-			}
-			go func() {
-				if serr := d.ServePeers(pl); serr != nil {
-					_ = serr
-				}
-			}()
-		}
-	}
-	dial := func(addr string) (net.Conn, error) { return nw.DialFrom(testClientID, addr) }
-	plat := NewPlatform(Options{Dialer: dial, ClientName: "itest"})
-	return &testCluster{net: nw, plat: plat, daemons: daemons}
+	tb := testbed.StartTest(t, spec)
+	plat := NewPlatform(Options{Dialer: tb.Dialer(testClientID), ClientName: "itest"})
+	return &testCluster{Testbed: tb, plat: plat}
 }
 
 func f32bytes(vs []float32) []byte {

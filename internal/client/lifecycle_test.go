@@ -445,7 +445,7 @@ func TestClientCheckableCreateErrorsStaySynchronous(t *testing.T) {
 	}
 
 	// A disconnected server: contexts and queues are strict about it.
-	tc.kill("node0")
+	tc.Kill("node0")
 	waitServerDown(t, s0)
 	_, err = tc.plat.CreateContext([]cl.Device{d0[0]})
 	check("context on a disconnected server's device", err, cl.DeviceNotAvailable)

@@ -12,10 +12,8 @@ import (
 	"testing"
 
 	"dopencl/internal/cl"
-	"dopencl/internal/daemon"
 	"dopencl/internal/device"
-	"dopencl/internal/native"
-	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 )
 
 // fastPathWorkload drives a deterministic two-server workload through
@@ -135,13 +133,13 @@ func fastPathWorkload(t *testing.T, plat *Platform) []byte {
 // over the local fast path.
 func localPlatform(t *testing.T, addrs ...string) *Platform {
 	t.Helper()
+	nodes := map[string][]device.Config{}
 	for _, addr := range addrs {
-		addr := addr
-		np := native.NewPlatform("native-"+addr, "test vendor", []device.Config{device.TestCPU("cpu-" + addr)})
-		d, err := daemon.New(daemon.Config{Name: addr, Platform: np})
-		if err != nil {
-			t.Fatal(err)
-		}
+		nodes[addr] = []device.Config{device.TestCPU("cpu-" + addr)}
+	}
+	tb := testbed.StartTest(t, testbed.Spec{Nodes: nodes})
+	for _, addr := range addrs {
+		addr, d := addr, tb.Daemon(addr)
 		if err := d.ServeLocal(addr); err != nil {
 			t.Fatal(err)
 		}
@@ -157,10 +155,10 @@ func localPlatform(t *testing.T, addrs ...string) *Platform {
 
 func TestInProcessFastPathBitIdentical(t *testing.T) {
 	// Socket path (client-mediated topology, same as the local one).
-	tc := newTestClusterPeers(t, simnet.Unlimited(), false, map[string][]device.Config{
+	tc := newTestClusterOf(t, testbed.Spec{Nodes: map[string][]device.Config{
 		"node0": {device.TestCPU("cpu-node0")},
 		"node1": {device.TestCPU("cpu-node1")},
-	})
+	}})
 	for _, addr := range []string{"node0", "node1"} {
 		if _, err := tc.plat.ConnectServer(addr); err != nil {
 			t.Fatal(err)

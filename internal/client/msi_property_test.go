@@ -8,6 +8,7 @@ import (
 	"dopencl/internal/cl"
 	"dopencl/internal/device"
 	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 )
 
 // TestMSIRandomOperationSequences property-tests the coherence protocol:
@@ -169,13 +170,13 @@ kernel void bump(global int* data, int n) {
 // transfer must fall back to the client-mediated path and succeed.
 func TestForwardFailureRollsBackDirectory(t *testing.T) {
 	const size = 256 << 10
-	tc := newTestClusterPeers(t, simnet.Unlimited(), true, map[string][]device.Config{
+	tc := newTestClusterOf(t, testbed.Spec{Peers: true, Nodes: map[string][]device.Config{
 		"s0": {device.TestCPU("c0")},
 		"s1": {device.TestCPU("c1")},
-	})
+	}})
 	// The peer link s0→s1 drops after 32 KiB: every forward attempt of a
 	// 256 KiB buffer fails mid-stream.
-	tc.net.SetLinkBetween("s0", peerAddrOf("s1"), simnet.LinkConfig{FailAfterBytes: 32 << 10})
+	tc.Net.SetLinkBetween("s0", testbed.PeerAddr("s1"), simnet.LinkConfig{FailAfterBytes: 32 << 10})
 	s0, err := tc.plat.ConnectServer("s0")
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"dopencl/internal/device"
 	"dopencl/internal/protocol"
 	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 )
 
 // TestPipelinedEnqueueLatency asserts the headline property of the
@@ -24,8 +25,7 @@ func TestPipelinedEnqueueLatency(t *testing.T) {
 		t.Skip("timing assertion unreliable under the race detector")
 	}
 	const oneWayLatency = 2 * time.Millisecond
-	tc := newTestClusterLink(t, simnet.LinkConfig{LatencySec: oneWayLatency.Seconds()},
-		map[string][]device.Config{"node0": {device.TestCPU("cpu0")}})
+	tc := newTestClusterOf(t, testbed.Spec{Link: simnet.LinkConfig{LatencySec: oneWayLatency.Seconds()}, Peers: true, Nodes: map[string][]device.Config{"node0": {device.TestCPU("cpu0")}}})
 	if _, err := tc.plat.ConnectServer("node0"); err != nil {
 		t.Fatal(err)
 	}

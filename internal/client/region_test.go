@@ -5,6 +5,7 @@ import (
 
 	"dopencl/internal/cl"
 	"dopencl/internal/device"
+	"dopencl/internal/testbed"
 )
 
 // Region-coherence edge cases: the directory must split on overlapping
@@ -172,9 +173,9 @@ func TestWholeBufferReadAfterDisjointDaemonWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c0 := tc.net.BytesSent("s0", testClientID)
-	c1 := tc.net.BytesSent("s1", testClientID)
-	peer := tc.net.BytesSent("s0", peerAddrOf("s1")) + tc.net.BytesSent("s1", peerAddrOf("s0"))
+	c0 := tc.Net.BytesSent("s0", testClientID)
+	c1 := tc.Net.BytesSent("s1", testClientID)
+	peer := tc.Net.BytesSent("s0", testbed.PeerAddr("s1")) + tc.Net.BytesSent("s1", testbed.PeerAddr("s0"))
 	out := make([]byte, size)
 	if _, err := q0.EnqueueReadBuffer(buf, true, 0, out, nil); err != nil {
 		t.Fatal(err)
@@ -189,15 +190,15 @@ func TestWholeBufferReadAfterDisjointDaemonWrites(t *testing.T) {
 			t.Fatalf("byte %d = %d, want s1's %d", i, out[i], hi[i-size/2])
 		}
 	}
-	d0 := tc.net.BytesSent("s0", testClientID) - c0
-	d1 := tc.net.BytesSent("s1", testClientID) - c1
+	d0 := tc.Net.BytesSent("s0", testClientID) - c0
+	d1 := tc.Net.BytesSent("s1", testClientID) - c1
 	half := int64(size / 2)
 	for i, d := range []int64{d0, d1} {
 		if d < half || d > half+(16<<10) {
 			t.Fatalf("daemon s%d shipped %d bytes for the stitched read, want ~%d (its own half only)", i, d, half)
 		}
 	}
-	if dp := tc.net.BytesSent("s0", peerAddrOf("s1")) + tc.net.BytesSent("s1", peerAddrOf("s0")) - peer; dp != 0 {
+	if dp := tc.Net.BytesSent("s0", testbed.PeerAddr("s1")) + tc.Net.BytesSent("s1", testbed.PeerAddr("s0")) - peer; dp != 0 {
 		t.Fatalf("stitched read moved %d bytes daemon-to-daemon, want 0", dp)
 	}
 

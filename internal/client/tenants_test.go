@@ -40,7 +40,7 @@ kernel void stash(global int* in, global int* out, local int* tile) {
 func TestTenantsShareCompiledProgramNotData(t *testing.T) {
 	tc := newTestCluster(t, map[string][]device.Config{"node0": {device.TestCPU("cpu0")}})
 	tenantB := NewPlatform(Options{ClientName: "tenant-b",
-		Dialer: func(addr string) (net.Conn, error) { return tc.net.DialFrom("tenant-b", addr) }})
+		Dialer: func(addr string) (net.Conn, error) { return tc.Net.DialFrom("tenant-b", addr) }})
 	const n, group = 64, 16
 	filled := func(v uint32) []byte {
 		b := make([]byte, 4*n)

@@ -18,7 +18,10 @@ import (
 // Control-plane attachment. Two entry points:
 //
 //   - AttachManager: one connection, all devices, no recovery — the
-//     paper's registration (Fig. 2 step 1), kept for embedders and tests.
+//     paper's registration (Fig. 2 step 1). Its callers: the benchmark's
+//     lease workload (benchmark/w_lease.go), and the in-package devmgr and
+//     daemon tests that need one link's registration that never
+//     re-registers (the health-eviction tests, the fake manager).
 //   - JoinControlPlane: the daemon partitions its devices by rendezvous
 //     owner over the live shard set, keeps one registration per owning
 //     shard, and re-partitions (re-homing the moved devices, carrying

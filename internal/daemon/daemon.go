@@ -237,10 +237,10 @@ func (d *Daemon) device(authID string, u uint64) cl.Device {
 }
 
 // Allow grants authID access to the given device units (device-manager
-// assignment, step 3b of Fig. 2).
+// assignment, step 3b of Fig. 2). On a managed daemon the grant must be
+// bound by a session within the bind window, or it is given back.
 func (d *Daemon) Allow(authID string, units []uint32) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	set, ok := d.leases[authID]
 	if !ok {
 		set = map[uint32]bool{}
@@ -249,6 +249,55 @@ func (d *Daemon) Allow(authID string, units []uint32) {
 	for _, u := range units {
 		set[u] = true
 	}
+	d.mu.Unlock()
+	if d.cfg.Managed {
+		time.AfterFunc(d.bindWindow(), func() { d.expireUnbound(authID) })
+	}
+}
+
+// defaultBindWindow is the bind window when Config.SessionRetain is
+// unset: dcld's -session-retain default.
+const defaultBindWindow = 30 * time.Second
+
+// bindWindow is how long a granted lease may wait for a session to bind
+// it: as long as a detached session waits for its client.
+func (d *Daemon) bindWindow() time.Duration {
+	if d.cfg.SessionRetain > 0 {
+		return d.cfg.SessionRetain
+	}
+	return defaultBindWindow
+}
+
+// expireUnbound gives back a lease no session has bound by the end of its
+// bind window, as a close gives back a bound one: its client died between
+// the grant and its Hello, and nothing else would release its devices.
+func (d *Daemon) expireUnbound(authID string) {
+	if !d.HasLease(authID) || d.leaseBound(authID) {
+		return
+	}
+	d.Revoke(authID)
+	d.reportInvalidatedLease(authID, nil)
+	d.logf("daemon %s: lease %s unbound after %s, given back", d.cfg.Name, authID, d.bindWindow())
+}
+
+// leaseBound reports whether a session, attached or parked, is bound to
+// authID.
+func (d *Daemon) leaseBound(authID string) bool {
+	d.sessMu.Lock()
+	sessions := make([]*session, 0, len(d.sessions))
+	for _, s := range d.sessions {
+		sessions = append(sessions, s)
+	}
+	d.sessMu.Unlock()
+	for _, s := range sessions {
+		s.mu.Lock()
+		bound := s.authID == authID
+		s.mu.Unlock()
+		if bound {
+			return true
+		}
+	}
+	return false
 }
 
 // Revoke invalidates an authentication ID: sessions bound to it can create

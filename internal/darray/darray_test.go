@@ -2,17 +2,15 @@ package darray_test
 
 import (
 	"math/rand"
-	"net"
 	"testing"
 	"time"
 
 	"dopencl/internal/cl"
 	"dopencl/internal/client"
-	"dopencl/internal/daemon"
 	"dopencl/internal/darray"
 	"dopencl/internal/device"
-	"dopencl/internal/native"
 	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 )
 
 // jacobiSrc is the canonical 5-point stencil: fixed (Dirichlet)
@@ -59,52 +57,23 @@ type world struct {
 
 const clientID = "client"
 
-func peerOf(addr string) string { return addr + "/peer" }
-
-// newWorld starts one daemon per addr, each exposing one GPU, with peer
-// links between all daemons, and connects a platform to all of them.
-func newWorld(t *testing.T, link simnet.LinkConfig, addrs ...string) *world {
+// newWorld starts one daemon per addr, each exposing one device built by
+// mkDev from its name, with peer links between all daemons, and connects a
+// platform to all of them.
+func newWorld(t *testing.T, mkDev func(name string) device.Config, addrs ...string) *world {
 	t.Helper()
-	return newWorldOf(t, link, device.TestGPU, addrs...)
-}
-
-// newWorldOf is newWorld with the device each daemon exposes built by
-// mkDev from the device's name.
-func newWorldOf(t *testing.T, link simnet.LinkConfig, mkDev func(name string) device.Config, addrs ...string) *world {
-	t.Helper()
-	nw := simnet.NewNetwork(link)
+	nodes := map[string][]device.Config{}
 	for _, addr := range addrs {
-		addr := addr
-		np := native.NewPlatform("native-"+addr, "test", []device.Config{mkDev("gpu-" + addr)})
-		d, err := daemon.New(daemon.Config{
-			Name: addr, Platform: np,
-			PeerAddr: peerOf(addr),
-			PeerDial: func(a string) (net.Conn, error) { return nw.DialFrom(addr, a) },
-		})
-		if err != nil {
-			t.Fatalf("daemon %s: %v", addr, err)
-		}
-		l, err := nw.Listen(addr)
-		if err != nil {
-			t.Fatalf("listen %s: %v", addr, err)
-		}
-		go func() { _ = d.Serve(l) }()
-		pl, err := nw.Listen(peerOf(addr))
-		if err != nil {
-			t.Fatalf("peer listen %s: %v", addr, err)
-		}
-		go func() { _ = d.ServePeers(pl) }()
+		nodes[addr] = []device.Config{mkDev("gpu-" + addr)}
 	}
-	plat := client.NewPlatform(client.Options{
-		Dialer:     func(addr string) (net.Conn, error) { return nw.DialFrom(clientID, addr) },
-		ClientName: "darray-test",
-	})
+	tb := testbed.StartTest(t, testbed.Spec{Nodes: nodes, Peers: true})
+	plat := client.NewPlatform(client.Options{Dialer: tb.Dialer(clientID), ClientName: "darray-test"})
 	for _, addr := range addrs {
 		if _, err := plat.ConnectServer(addr); err != nil {
 			t.Fatalf("connect %s: %v", addr, err)
 		}
 	}
-	return &world{net: nw, plat: plat}
+	return &world{net: tb.Net, plat: plat}
 }
 
 // grid builds a grid over every device of the world.
@@ -308,7 +277,7 @@ func TestHelperTapStencilDistributed(t *testing.T) {
 		want = smoothRef(gw, want)
 	}
 	for _, addrs := range [][]string{{"node0", "node1"}, {"node0", "node1", "node2"}} {
-		g, _ := newWorld(t, simnet.Unlimited(), addrs...).grid(t, helperTapSrc, gw, gh)
+		g, _ := newWorld(t, device.TestGPU, addrs...).grid(t, helperTapSrc, gw, gh)
 		a, _ := g.NewArray()
 		b, _ := g.NewArray()
 		if err := a.Scatter(init); err != nil {
@@ -341,7 +310,7 @@ func TestHelperTapStencilDistributed(t *testing.T) {
 // and DotRows alike.
 func TestFailedLaunchIsReported(t *testing.T) {
 	const gw, gh = 6, 12
-	g, _ := newWorld(t, simnet.Unlimited(), "node0", "node1").grid(t, helperTapSrc, gw, gh)
+	g, _ := newWorld(t, device.TestGPU, "node0", "node1").grid(t, helperTapSrc, gw, gh)
 	defer g.Release()
 	a, _ := g.NewArray()
 	b, _ := g.NewArray()
@@ -361,7 +330,7 @@ func TestFailedLaunchIsReported(t *testing.T) {
 }
 
 func TestScatterGatherRoundTrip(t *testing.T) {
-	w := newWorld(t, simnet.Unlimited(), "node0", "node1", "node2")
+	w := newWorld(t, device.TestGPU, "node0", "node1", "node2")
 	g, _ := w.grid(t, jacobiSrc, 17, 23)
 	defer g.Release()
 	a, err := g.NewArray()
@@ -427,8 +396,8 @@ func TestJacobiOracleEquivalence(t *testing.T) {
 	const gw, gh, iters = 31, 29, 12
 	init := randomState(gw*gh, 42)
 
-	single := runJacobi(t, newWorld(t, simnet.Unlimited(), "solo"), gw, gh, iters, init)
-	multi := runJacobi(t, newWorld(t, simnet.Unlimited(), "node0", "node1", "node2"), gw, gh, iters, init)
+	single := runJacobi(t, newWorld(t, device.TestGPU, "solo"), gw, gh, iters, init)
+	multi := runJacobi(t, newWorld(t, device.TestGPU, "node0", "node1", "node2"), gw, gh, iters, init)
 	for i := range single {
 		if single[i] != multi[i] {
 			t.Fatalf("cell (%d,%d): distributed %v != single-device %v",
@@ -453,9 +422,9 @@ func TestStepMatchesRecordedLoop(t *testing.T) {
 	const gw, gh, iters = 19, 16, 5
 	init := randomState(gw*gh, 11)
 
-	viaLoop := runJacobi(t, newWorld(t, simnet.Unlimited(), "node0", "node1"), gw, gh, iters, init)
+	viaLoop := runJacobi(t, newWorld(t, device.TestGPU, "node0", "node1"), gw, gh, iters, init)
 
-	w := newWorld(t, simnet.Unlimited(), "node0", "node1")
+	w := newWorld(t, device.TestGPU, "node0", "node1")
 	g, _ := w.grid(t, jacobiSrc, gw, gh)
 	defer g.Release()
 	halo := darray.Halo{Lo: 1, Hi: 1}
@@ -505,8 +474,8 @@ func TestDotRowsPartitionIndependent(t *testing.T) {
 		}
 		return v
 	}
-	single := dot(newWorld(t, simnet.Unlimited(), "solo"))
-	multi := dot(newWorld(t, simnet.Unlimited(), "node0", "node1", "node2"))
+	single := dot(newWorld(t, device.TestGPU, "solo"))
+	multi := dot(newWorld(t, device.TestGPU, "node0", "node1", "node2"))
 	if single != multi {
 		t.Fatalf("dot over 3 devices %v != single device %v", multi, single)
 	}
@@ -524,7 +493,7 @@ func TestDotRowsOneColumn(t *testing.T) {
 	for i := range x {
 		want += float32(x[i] * y[i]) // rounded as the kernel rounds it
 	}
-	w := newWorld(t, simnet.Unlimited(), "node0", "node1")
+	w := newWorld(t, device.TestGPU, "node0", "node1")
 	g, _ := w.grid(t, jacobiSrc, 1, gh)
 	defer g.Release()
 	ax, _ := g.NewArray()
@@ -565,7 +534,7 @@ func TestDotRowsOneColumn(t *testing.T) {
 // verify against the host computation.
 func TestMapAxpy(t *testing.T) {
 	const gw, gh = 9, 12
-	w := newWorld(t, simnet.Unlimited(), "node0", "node1")
+	w := newWorld(t, device.TestGPU, "node0", "node1")
 	g, _ := w.grid(t, jacobiSrc, gw, gh)
 	defer g.Release()
 	xs := randomState(gw*gh, 1)
@@ -599,7 +568,7 @@ func TestMapAxpy(t *testing.T) {
 // partition volume, and the client sends only replay delta frames.
 func TestHaloTrafficIsSurfaceNotVolume(t *testing.T) {
 	const gw, gh, warm, measured = 64, 64, 4, 16
-	w := newWorld(t, simnet.Unlimited(), "node0", "node1")
+	w := newWorld(t, device.TestGPU, "node0", "node1")
 	g, _ := w.grid(t, jacobiSrc, gw, gh)
 	defer g.Release()
 	a, _ := g.NewArray()
@@ -619,8 +588,8 @@ func TestHaloTrafficIsSurfaceNotVolume(t *testing.T) {
 	peerBytes := func() int64 {
 		var n int64
 		for _, pair := range [][2]string{
-			{"node0", peerOf("node1")}, {"node1", peerOf("node0")},
-			{peerOf("node1"), "node0"}, {peerOf("node0"), "node1"},
+			{"node0", testbed.PeerAddr("node1")}, {"node1", testbed.PeerAddr("node0")},
+			{testbed.PeerAddr("node1"), "node0"}, {testbed.PeerAddr("node0"), "node1"},
 		} {
 			n += w.net.BytesSent(pair[0], pair[1])
 		}
@@ -679,7 +648,7 @@ func TestSecondDaemonHalvesTheIteration(t *testing.T) {
 		return cfg
 	}
 	iterate := func(addrs ...string) time.Duration {
-		w := newWorldOf(t, simnet.Unlimited(), modeled, addrs...)
+		w := newWorld(t, modeled, addrs...)
 		g, _ := w.grid(t, jacobiSrc, gw, gh)
 		defer g.Release()
 		a, _ := g.NewArray()

@@ -20,11 +20,9 @@ import (
 	"time"
 
 	"dopencl/internal/client"
-	"dopencl/internal/daemon"
 	"dopencl/internal/device"
-	"dopencl/internal/devmgr"
-	"dopencl/internal/native"
 	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 )
 
 // Options tunes experiment size and time compression.
@@ -84,84 +82,9 @@ func (o Options) seconds(d time.Duration) float64 {
 	return d.Seconds() / o.scale()
 }
 
-// ServerSpec describes one simulated server node.
-type ServerSpec struct {
-	Addr    string
-	Devices []device.Config
-}
-
-// Cluster is a simulated distributed system: daemons on a simnet fabric
-// plus a freshly connected dOpenCL client platform.
-type Cluster struct {
-	Net       *simnet.Network
-	Daemons   map[string]*daemon.Daemon
-	Manager   *devmgr.Manager
-	listeners []*simnet.Listener
-}
-
-// NewCluster builds the fabric and starts one daemon per server spec.
-// When managed is true, a device manager is started at address "devmgr"
-// and every daemon registers with it in managed mode.
-func NewCluster(link simnet.LinkConfig, servers []ServerSpec, managed bool) (*Cluster, error) {
-	c := &Cluster{
-		Net:     simnet.NewNetwork(link),
-		Daemons: map[string]*daemon.Daemon{},
-	}
-	if managed {
-		c.Manager = devmgr.New()
-		ml, err := c.Net.Listen("devmgr")
-		if err != nil {
-			return nil, err
-		}
-		c.listeners = append(c.listeners, ml)
-		go func() {
-			if err := c.Manager.Serve(ml); err != nil {
-				_ = err // listener closed on teardown
-			}
-		}()
-	}
-	for _, spec := range servers {
-		plat := native.NewPlatform("native-"+spec.Addr, "simulated vendor", spec.Devices)
-		d, err := daemon.New(daemon.Config{Name: spec.Addr, Platform: plat, Managed: managed})
-		if err != nil {
-			return nil, err
-		}
-		l, err := c.Net.Listen(spec.Addr)
-		if err != nil {
-			return nil, err
-		}
-		c.listeners = append(c.listeners, l)
-		c.Daemons[spec.Addr] = d
-		go func() {
-			if err := d.Serve(l); err != nil {
-				_ = err // listener closed on teardown
-			}
-		}()
-		if managed {
-			conn, err := c.Net.Dial("devmgr")
-			if err != nil {
-				return nil, err
-			}
-			if err := d.AttachManager(conn, spec.Addr); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return c, nil
-}
-
-// NewClient creates a dOpenCL platform dialing into this cluster.
-func (c *Cluster) NewClient(name string) *client.Platform {
-	return client.NewPlatform(client.Options{Dialer: c.Net.Dial, ClientName: name})
-}
-
-// Close shuts down the cluster's listeners.
-func (c *Cluster) Close() {
-	for _, l := range c.listeners {
-		if err := l.Close(); err != nil {
-			_ = err
-		}
-	}
+// newClient creates a dOpenCL platform dialing into a figure's cluster.
+func newClient(tb *testbed.Testbed, name string) *client.Platform {
+	return client.NewPlatform(client.Options{Dialer: tb.Dialer(""), ClientName: name})
 }
 
 // Table renders rows of labelled values as an aligned text table.

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"dopencl/internal/cl"
 	"dopencl/internal/device"
 	"dopencl/internal/simnet"
 )
@@ -25,41 +24,6 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(out, "\n")
 	if len(lines) < 5 {
 		t.Fatalf("table too short:\n%s", out)
-	}
-}
-
-func TestClusterConstruction(t *testing.T) {
-	c, err := NewCluster(simnet.Unlimited(), []ServerSpec{
-		{Addr: "a", Devices: []device.Config{device.TestCPU("cpu")}},
-		{Addr: "b", Devices: []device.Config{device.TestGPU("gpu")}},
-	}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	plat := c.NewClient("test")
-	if _, err := plat.ConnectServer("a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plat.ConnectServer("b"); err != nil {
-		t.Fatal(err)
-	}
-	devs, err := plat.Devices(cl.DeviceTypeAll)
-	if err != nil || len(devs) != 2 {
-		t.Fatalf("cluster devices: %v, %v", devs, err)
-	}
-}
-
-func TestManagedClusterConstruction(t *testing.T) {
-	c, err := NewCluster(simnet.Unlimited(), []ServerSpec{
-		{Addr: "srv", Devices: []device.Config{device.TestGPU("g")}},
-	}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Manager == nil || c.Manager.FreeDevices() != 1 {
-		t.Fatalf("manager state: %+v", c.Manager)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"dopencl/internal/device"
 	"dopencl/internal/native"
 	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 	"dopencl/internal/vm"
 )
 
@@ -122,23 +123,22 @@ func RunFig4(opt Options) (*Fig4Result, error) {
 
 		// dOpenCL: the unmodified OpenCL application plus a server list.
 		opt.logf("fig4: dOpenCL with %d devices", n)
-		specs := make([]ServerSpec, n)
-		for i := range specs {
-			specs[i] = ServerSpec{
-				Addr:    fmt.Sprintf("node%d", i),
-				Devices: []device.Config{nodeCfg},
-			}
+		nodes := map[string][]device.Config{}
+		addrs := make([]string, n)
+		for i := range addrs {
+			addrs[i] = fmt.Sprintf("node%d", i)
+			nodes[addrs[i]] = []device.Config{nodeCfg}
 		}
-		cluster, err := NewCluster(link, specs, false)
+		cluster, err := testbed.Start(testbed.Spec{Link: link, Nodes: nodes})
 		if err != nil {
 			return nil, err
 		}
-		plat := cluster.NewClient("fig4")
+		plat := newClient(cluster, "fig4")
 		connectStart := time.Now()
-		for _, spec := range specs {
-			if _, err := plat.ConnectServer(spec.Addr); err != nil {
+		for _, addr := range addrs {
+			if _, err := plat.ConnectServer(addr); err != nil {
 				cluster.Close()
-				return nil, fmt.Errorf("fig4 connect %s: %w", spec.Addr, err)
+				return nil, fmt.Errorf("fig4 connect %s: %w", addr, err)
 			}
 		}
 		connectDur := time.Since(connectStart)

@@ -9,6 +9,7 @@ import (
 	"dopencl/internal/device"
 	"dopencl/internal/native"
 	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 	"dopencl/internal/vm"
 )
 
@@ -181,13 +182,14 @@ func RunFig5(opt Options) (*Fig5Result, error) {
 	// Gigabit Ethernet.
 	opt.logf("fig5: desktop offloading via dOpenCL")
 	serverDevices := []device.Config{serverCfg, serverCfg, serverCfg, serverCfg}
-	cluster, err := NewCluster(scaleLink(simnet.GigabitEthernet(scale), w.dataScale), []ServerSpec{
-		{Addr: "gpuserver", Devices: serverDevices},
-	}, false)
+	cluster, err := testbed.Start(testbed.Spec{
+		Link:  scaleLink(simnet.GigabitEthernet(scale), w.dataScale),
+		Nodes: map[string][]device.Config{"gpuserver": serverDevices},
+	})
 	if err != nil {
 		return nil, err
 	}
-	plat := cluster.NewClient("fig5")
+	plat := newClient(cluster, "fig5")
 	if _, err := plat.ConnectServer("gpuserver"); err != nil {
 		cluster.Close()
 		return nil, err

@@ -12,6 +12,7 @@ import (
 	"dopencl/internal/device"
 	"dopencl/internal/protocol"
 	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 	"dopencl/internal/vm"
 )
 
@@ -117,13 +118,21 @@ func runFig6Config(opt Options, scale float64, params mandelbrot.Params, tesla d
 	// connections (one simnet Limiter).
 	gige := simnet.GigabitEthernet(scale)
 	gige.Shared = simnet.NewLimiter()
-	cluster, err := NewCluster(gige, []ServerSpec{
-		{Addr: "gpuserver", Devices: []device.Config{tesla, tesla, tesla, tesla}},
-	}, managed)
+	spec := testbed.Spec{
+		Link:  gige,
+		Nodes: map[string][]device.Config{"gpuserver": {tesla, tesla, tesla, tesla}},
+	}
+	if managed {
+		spec.Shards = []string{"devmgr"}
+	}
+	cluster, err := testbed.Start(spec)
 	if err != nil {
 		return Fig6Entry{}, err
 	}
 	defer cluster.Close()
+	if err := cluster.Ready(10 * time.Second); err != nil {
+		return Fig6Entry{}, err
+	}
 
 	type clientResult struct {
 		init, exec, transfer time.Duration
@@ -136,7 +145,7 @@ func runFig6Config(opt Options, scale float64, params mandelbrot.Params, tesla d
 		go func(ci int) {
 			defer wg.Done()
 			r := &results[ci]
-			plat := cluster.NewClient(fmt.Sprintf("fig6-client%d", ci))
+			plat := newClient(cluster, fmt.Sprintf("fig6-client%d", ci))
 
 			initStart := time.Now()
 			var devs []cl.Device

@@ -9,6 +9,7 @@ import (
 	"dopencl/internal/device"
 	"dopencl/internal/native"
 	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 )
 
 // Fig7Result holds the four bars of Fig. 7: the time to transfer 1024 MB
@@ -66,13 +67,14 @@ func RunFig7(opt Options) (*Fig7Result, error) {
 
 	// dOpenCL path: client → GigE → daemon → PCIe → device.
 	opt.logf("fig7: dOpenCL transfer over Gigabit Ethernet")
-	cluster, err := NewCluster(scaleLink(simnet.GigabitEthernet(scale), dataScale), []ServerSpec{
-		{Addr: "gpuserver", Devices: []device.Config{tesla}},
-	}, false)
+	cluster, err := testbed.Start(testbed.Spec{
+		Link:  scaleLink(simnet.GigabitEthernet(scale), dataScale),
+		Nodes: map[string][]device.Config{"gpuserver": {tesla}},
+	})
 	if err != nil {
 		return nil, err
 	}
-	plat := cluster.NewClient("fig7")
+	plat := newClient(cluster, "fig7")
 	if _, err := plat.ConnectServer("gpuserver"); err != nil {
 		cluster.Close()
 		return nil, err

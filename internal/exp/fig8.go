@@ -8,6 +8,7 @@ import (
 	"dopencl/internal/cl"
 	"dopencl/internal/device"
 	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 )
 
 // theoreticalGigEBps is the theoretical Gigabit Ethernet bandwidth the
@@ -74,14 +75,15 @@ func RunFig8(opt Options) (*Fig8Result, error) {
 	// at 5.3 GB/s would skew small-chunk numbers by <1%).
 	dev := device.TeslaGPU(scale)
 	dev.Bus = device.BusConfig{}
-	cluster, err := NewCluster(link, []ServerSpec{
-		{Addr: "gpuserver", Devices: []device.Config{dev}},
-	}, false)
+	cluster, err := testbed.Start(testbed.Spec{
+		Link:  link,
+		Nodes: map[string][]device.Config{"gpuserver": {dev}},
+	})
 	if err != nil {
 		return nil, err
 	}
 	defer cluster.Close()
-	plat := cluster.NewClient("fig8")
+	plat := newClient(cluster, "fig8")
 	if _, err := plat.ConnectServer("gpuserver"); err != nil {
 		return nil, err
 	}

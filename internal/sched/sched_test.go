@@ -2,15 +2,13 @@ package sched
 
 import (
 	"encoding/binary"
-	"net"
 	"testing"
 
 	"dopencl/internal/cl"
 	"dopencl/internal/client"
-	"dopencl/internal/daemon"
 	"dopencl/internal/device"
 	"dopencl/internal/native"
-	"dopencl/internal/simnet"
+	"dopencl/internal/testbed"
 )
 
 // fillSource writes out[gid] = gid*3+1 for every global coordinate of the
@@ -197,30 +195,12 @@ func TestValidation(t *testing.T) {
 // the halves. Simnet byte accounting proves the stitched read moved each
 // half from its own daemon without any daemon-to-daemon traffic.
 func TestPartitionedAcrossDaemons(t *testing.T) {
-	nw := simnet.NewNetwork(simnet.Unlimited())
-	for _, addr := range []string{"s0", "s1"} {
-		addr := addr
-		np := native.NewPlatform("native-"+addr, "test", []device.Config{device.TestCPU("cpu")})
-		d, err := daemon.New(daemon.Config{
-			Name: addr, Platform: np,
-			PeerAddr: addr + "/peer",
-			PeerDial: func(a string) (net.Conn, error) { return nw.DialFrom(addr, a) },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := nw.Listen(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { _ = d.Serve(l) }()
-		pl, err := nw.Listen(addr + "/peer")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { _ = d.ServePeers(pl) }()
-	}
-	plat := client.NewPlatform(client.Options{Dialer: nw.Dial, ClientName: "sched-test"})
+	tb := testbed.StartTest(t, testbed.Spec{
+		Nodes: map[string][]device.Config{"s0": {device.TestCPU("cpu")}, "s1": {device.TestCPU("cpu")}},
+		Peers: true,
+	})
+	nw := tb.Net
+	plat := client.NewPlatform(client.Options{Dialer: tb.Dialer(""), ClientName: "sched-test"})
 	for _, addr := range []string{"s0", "s1"} {
 		if _, err := plat.ConnectServer(addr); err != nil {
 			t.Fatal(err)
