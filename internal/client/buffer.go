@@ -729,14 +729,12 @@ func (b *Buffer) cancelSupersededForward(g *Event) {
 // SetStatus is a no-op (user-event completion is idempotent). The local
 // stub is failed directly as well, in case dst never saw the accept.
 func (b *Buffer) failRemoteGate(dst *Server, gate *Event, gateID uint64, st cl.CommandStatus) {
-	if _, err := dst.call(protocol.MsgSetUserEventStatus, func(w *protocol.Writer) {
+	// One-way, like cancelSupersededForward: a dead dst took the gate
+	// with it, and one that never saw the accept ignores the status.
+	_ = dst.send(protocol.MsgSetUserEventStatus, func(w *protocol.Writer) {
 		w.U64(gateID)
 		w.I32(int32(st))
-	}); err != nil && dst.Connected() {
-		// The gate may be unknown on dst (accept dropped as malformed);
-		// the local completion below still unblocks client-side waiters.
-		_ = err
-	}
+	})
 	gate.complete(st)
 }
 

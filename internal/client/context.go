@@ -176,8 +176,8 @@ func (c *Context) forgetProgram(p *Program) {
 	c.mu.Unlock()
 }
 
-// The bodies of the four create messages, shared by creation (one-way) and
-// re-attach recovery (which asks).
+// The bodies of the four create messages, shared by creation and
+// re-attach recovery.
 
 func contextBody(rctx uint64, units []uint64) func(*protocol.Writer) {
 	return func(w *protocol.Writer) {
@@ -228,18 +228,20 @@ func (c *Context) liveBuffers() []*Buffer {
 	return out
 }
 
-// resyncServer reconciles this context's remote objects on srv after a
-// re-attach: everything is replicated in BOTH modes, in request class —
-// this is the one place the client asks and waits for each object. A
-// retained session may still miss any of them: creates are one-way and
-// the last ones sent may have died with the link, and buffers, programs
-// (with their builds) and kernels made during the outage skipped the dead
-// server. Replication is idempotent against a retained session: a context
-// or queue the daemon holds is kept, an existing daemon buffer of the same
-// size keeps its contents, programs/kernels are overwritten and the
-// kernels' argument bindings replayed. Directory restoration for retained
-// sessions happens separately, after the server is marked connected again
-// (Platform.restoreDirectories).
+// resyncServer re-sends this context's remote objects to srv after a
+// re-attach, in the one-way frames the application sends them in, in
+// dependency order: the context, its buffers, its programs with their
+// builds, its queues, then its kernels with their bindings. Both modes
+// re-send everything: a retained session may still miss any of them —
+// creates are one-way and the last ones sent may have died with the link,
+// and objects made during the outage skipped the dead server — and the
+// daemon's handlers are idempotent against a session that holds them: a
+// context or queue it holds is kept, an existing buffer of the same size
+// keeps its contents, programs and kernels are overwritten and the
+// bindings replayed. Platform.serverReattached confirms all of it with
+// one request behind the last frame; directory restoration for retained
+// sessions happens separately, after the server is marked connected
+// again (Platform.restoreDirectories).
 func (c *Context) resyncServer(srv *Server) error {
 	rid, err := c.remoteContextID(srv)
 	if err != nil {
@@ -255,11 +257,11 @@ func (c *Context) resyncServer(srv *Server) error {
 			units = append(units, uint64(d.unitID))
 		}
 	}
-	if _, err := srv.call(protocol.MsgCreateContext, contextBody(rid, units)); err != nil {
+	if err := srv.send(protocol.MsgCreateContext, contextBody(rid, units)); err != nil {
 		return err
 	}
 	for _, b := range c.liveBuffers() {
-		if _, err := srv.call(protocol.MsgCreateBuffer, bufferBody(b.id, rid, b.flags, b.size)); err != nil {
+		if err := srv.send(protocol.MsgCreateBuffer, bufferBody(b.id, rid, b.flags, b.size)); err != nil {
 			return err
 		}
 	}
@@ -271,13 +273,13 @@ func (c *Context) resyncServer(srv *Server) error {
 		if released {
 			continue
 		}
-		if _, err := srv.call(protocol.MsgCreateProgram, programBody(p.id, rid, p.src)); err != nil {
+		if err := srv.send(protocol.MsgCreateProgram, programBody(p.id, rid, p.src)); err != nil {
 			return err
 		}
 		if !isBuilt {
 			continue
 		}
-		if _, err := srv.call(protocol.MsgBuildProgram, func(w *protocol.Writer) {
+		if err := srv.send(protocol.MsgBuildProgram, func(w *protocol.Writer) {
 			w.U64(p.id)
 			w.String(opts)
 		}); err != nil {
@@ -289,13 +291,13 @@ func (c *Context) resyncServer(srv *Server) error {
 		if q.srv != srv || q.isReleased() {
 			continue
 		}
-		if _, err := srv.call(protocol.MsgCreateQueue, queueBody(q.id, rid, q.dev.unitID)); err != nil {
+		if err := srv.send(protocol.MsgCreateQueue, queueBody(q.id, rid, q.dev.unitID)); err != nil {
 			return err
 		}
 	}
 	for _, p := range built {
 		for _, k := range p.liveKernels() {
-			if _, err := srv.call(protocol.MsgCreateKernel, func(w *protocol.Writer) {
+			if err := srv.send(protocol.MsgCreateKernel, func(w *protocol.Writer) {
 				w.U64(k.id)
 				w.U64(p.id)
 				w.String(k.name)
@@ -529,7 +531,7 @@ func (p *Program) Build(devices []cl.Device, options string) error {
 		return cl.Errf(cl.ServerLost, "no connected server to build program")
 	}
 	p.mu.Lock()
-	p.local, p.buildOpts, p.buildLog = local, options, "build succeeded"
+	p.local, p.buildOpts, p.buildLog = local, options, "" // a clean build logs nothing
 	p.mu.Unlock()
 	return nil
 }
@@ -773,7 +775,7 @@ func (k *Kernel) resendArgs(srv *Server) error {
 	}
 	k.mu.Unlock()
 	for _, body := range set {
-		if _, err := srv.call(protocol.MsgSetKernelArg, func(w *protocol.Writer) {
+		if err := srv.send(protocol.MsgSetKernelArg, func(w *protocol.Writer) {
 			protocol.PutSetKernelArg(w, body)
 		}); err != nil {
 			return err

@@ -197,15 +197,14 @@ func (c *claim) rollback(ev *Event) {
 	c.root.mu.Unlock()
 }
 
+// setReplacementStatus tells srv the final status of the replacement
+// event id, one-way: it rides the ordered stream like any command, and a
+// connection that dies with it takes the replacement's event table along.
 func (e *Event) setReplacementStatus(srv *Server, id uint64, status cl.CommandStatus) {
-	if _, err := srv.call(protocol.MsgSetUserEventStatus, func(w *protocol.Writer) {
+	_ = srv.send(protocol.MsgSetUserEventStatus, func(w *protocol.Writer) {
 		w.U64(id)
 		w.I32(int32(status))
-	}); err != nil && srv.Connected() {
-		// Replacement update failures would stall remote wait lists; there
-		// is no recovery beyond surfacing the problem.
-		e.latch.Complete(err)
-	}
+	})
 }
 
 // remoteIDFor returns the event ID that represents this event on server

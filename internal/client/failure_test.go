@@ -2,11 +2,15 @@ package client
 
 import (
 	"bytes"
+	"encoding/binary"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dopencl/internal/cl"
 	"dopencl/internal/device"
+	"dopencl/internal/protocol"
 	"dopencl/internal/testbed"
 )
 
@@ -430,4 +434,134 @@ func TestSessionRetentionExpires(t *testing.T) {
 	d := tc.Daemon("node0")
 	waitFor(t, func() bool { return d.RetainedSessions() == 1 }, "session detach")
 	waitFor(t, func() bool { return d.RetainedSessions() == 0 }, "session expiry")
+}
+
+// requestTap counts the request-class frames a client writes on a link:
+// gcf frames a control message as stream 0, its length, then the
+// protocol envelope.
+type requestTap struct {
+	net.Conn
+	held     []byte
+	requests *atomic.Int64
+}
+
+func (c *requestTap) Write(b []byte) (int, error) {
+	c.held = append(c.held, b...)
+	for len(c.held) >= 8 {
+		n := int(binary.LittleEndian.Uint32(c.held[4:]))
+		if len(c.held) < 8+n {
+			break
+		}
+		if binary.LittleEndian.Uint32(c.held) == 0 {
+			if env, err := protocol.ParseEnvelope(c.held[8 : 8+n]); err == nil && env.Class == protocol.ClassRequest {
+				c.requests.Add(1)
+			}
+		}
+		c.held = c.held[8+n:]
+	}
+	return c.Conn.Write(b)
+}
+
+// TestReattachConfirmsWithOneRoundTrip: re-attach recovery re-sends a
+// context's objects one-way and confirms them all with one request, so a
+// re-attach costs two round trips — AttachSession and the confirmation —
+// retained or not, however many objects the context holds. (Recovery used
+// to ask for each object: 20 round trips for this context.)
+func TestReattachConfirmsWithOneRoundTrip(t *testing.T) {
+	tb := testbed.StartTest(t, testbed.Spec{Retain: time.Minute, Nodes: map[string][]device.Config{"node0": {device.TestCPU("cpu0")}}})
+	var requests atomic.Int64
+	dial := tb.Dialer(testClientID)
+	plat := NewPlatform(Options{ClientName: "round-trips", Dialer: func(addr string) (net.Conn, error) {
+		c, err := dial(addr)
+		if err != nil {
+			return nil, err
+		}
+		return &requestTap{Conn: c, requests: &requests}, nil
+	}})
+	t.Cleanup(plat.Close)
+	srv, err := plat.ConnectServer("node0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	devs, _ := plat.Devices(cl.DeviceTypeAll)
+	ctx, err := plat.CreateContext(devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bufs []cl.Buffer
+	for range 3 {
+		b, err := ctx.CreateBuffer(cl.MemReadWrite, 256, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufs = append(bufs, b)
+	}
+	var progs []cl.Program
+	for range 2 {
+		p, err := ctx.CreateProgramWithSource(vaddSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Build(nil, ""); err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	var queues []cl.Queue
+	for range 2 {
+		q, err := ctx.CreateQueue(devs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		queues = append(queues, q)
+	}
+	for i, k := range []struct {
+		prog int
+		name string
+		args []any
+	}{
+		{0, "scale", []any{bufs[0], float32(2)}},
+		{1, "scale", []any{bufs[1], float32(3)}},
+		{0, "vadd", []any{bufs[2], bufs[0]}},
+	} {
+		kern, err := progs[k.prog].CreateKernel(k.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, v := range k.args {
+			if err := kern.SetArg(j, v); err != nil {
+				t.Fatalf("kernel %d arg %d: %v", i, j, err)
+			}
+		}
+	}
+	if err := queues[1].Finish(); err != nil {
+		t.Fatal(err)
+	}
+	reattach := func(what string, wantRetained bool) {
+		t.Helper()
+		requests.Store(0)
+		retained, err := srv.Reattach()
+		if err != nil || retained != wantRetained {
+			t.Fatalf("%s re-attach: retained=%v, %v; want retained=%v", what, retained, err, wantRetained)
+		}
+		if n := requests.Load(); n != 2 {
+			t.Errorf("%s re-attach cost %d round trips, want 2", what, n)
+		}
+		for _, q := range queues {
+			if err := q.Finish(); err != nil {
+				t.Fatalf("finish after the %s re-attach: %v", what, err)
+			}
+		}
+	}
+	tb.Sever(testClientID, "node0")
+	waitServerDown(t, srv)
+	waitFor(t, func() bool { return tb.Daemon("node0").RetainedSessions() == 1 }, "session detach")
+	tb.Heal(testClientID, "node0")
+	reattach("retained", true)
+	tb.Kill("node0")
+	waitServerDown(t, srv)
+	if err := tb.Restart("node0"); err != nil {
+		t.Fatal(err)
+	}
+	reattach("unretained", false)
 }

@@ -10,6 +10,7 @@ import (
 	"dopencl/internal/daemon"
 	"dopencl/internal/device"
 	"dopencl/internal/native"
+	"dopencl/internal/protocol"
 	"dopencl/internal/simnet"
 )
 
@@ -451,4 +452,29 @@ func TestClientCheckableCreateErrorsStaySynchronous(t *testing.T) {
 	check("context on a disconnected server's device", err, cl.DeviceNotAvailable)
 	_, err = ctx.CreateQueue(d0[0])
 	check("queue on a disconnected server", err, cl.ServerLost)
+}
+
+// A re-create that re-attach recovery sends and the daemon refuses is
+// what Reattach returns, with the create's code, and the server stays
+// down: a half-recovered daemon must not count as connected, and the
+// application may retry.
+func TestReattachReportsRefusedRecreate(t *testing.T) {
+	plat, srv, dev := lifecycleWorld(t)
+	ctx, err := plat.CreateContext([]cl.Device{dev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.CreateBuffer(cl.MemReadWrite, stingySize, nil); err != nil {
+		t.Fatal(err)
+	}
+	srv.endpoint().Close()
+	waitServerDown(t, srv)
+	retained, err := srv.Reattach()
+	if retained {
+		t.Error("a daemon without session retention retained the session")
+	}
+	wantRefusal(t, "Reattach", err, cl.OutOfResources, protocol.MsgCreateBuffer.String())
+	if srv.Connected() {
+		t.Fatal("the server counts as connected after a refused re-create")
+	}
 }

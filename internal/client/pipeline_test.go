@@ -201,12 +201,14 @@ func TestFailedClaimRolledBackBeforeWaitersWake(t *testing.T) {
 	}
 }
 
-// TestTrappedKernelRollsBackItsClaim is the deferred-failure rollback of
-// a command-stream launch: a mix kernel that overruns its input traps on
-// the daemon, its claim on work is withdrawn, and the next read of work
-// returns the bytes from before the launch.
-func TestTrappedKernelRollsBackItsClaim(t *testing.T) {
-	const items, inFloats = 64, 256
+// trapWorld is one node holding a queue, an input buffer of trapFloats
+// floats 1, 2, ... and a work buffer of trapItems floats, and mix, which
+// launches work[i] = work[i]*0 + in[off+i]: an offset past
+// trapFloats-trapItems overruns the input and traps on the daemon.
+const trapItems, trapFloats = 64, 256
+
+func trapWorld(t *testing.T) (q cl.Queue, work cl.Buffer, input []byte, mix func(off int32) cl.Event) {
+	t.Helper()
 	tc := newTestCluster(t, map[string][]device.Config{"node0": {device.TestCPU("cpu0")}})
 	if _, err := tc.plat.ConnectServer("node0"); err != nil {
 		t.Fatal(err)
@@ -216,16 +218,16 @@ func TestTrappedKernelRollsBackItsClaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ctx.Release()
-	q, err := ctx.CreateQueue(devs[0])
+	t.Cleanup(func() { ctx.Release() })
+	q, err = ctx.CreateQueue(devs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := ctx.CreateBuffer(cl.MemReadWrite, 4*inFloats, nil)
+	in, err := ctx.CreateBuffer(cl.MemReadWrite, 4*trapFloats, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	work, err := ctx.CreateBuffer(cl.MemReadWrite, 4*items, nil)
+	work, err = ctx.CreateBuffer(cl.MemReadWrite, 4*trapItems, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +243,7 @@ kernel void mix_trap(global float* work, const global float* in, int off, float 
 	if err := prog.Build(nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	mix := func(off int32) cl.Event {
+	mix = func(off int32) cl.Event {
 		t.Helper()
 		k, err := prog.CreateKernel("mix_trap")
 		if err != nil {
@@ -252,41 +254,74 @@ kernel void mix_trap(global float* work, const global float* in, int off, float 
 				t.Fatal(err)
 			}
 		}
-		ev, err := q.EnqueueNDRangeKernel(k, []int{items}, nil, nil)
+		ev, err := q.EnqueueNDRangeKernel(k, []int{trapItems}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ev
 	}
-	input := make([]byte, 4*inFloats)
-	for i := 0; i < inFloats; i++ {
+	input = make([]byte, 4*trapFloats)
+	for i := 0; i < trapFloats; i++ {
 		binary.LittleEndian.PutUint32(input[4*i:], math.Float32bits(float32(i+1)))
 	}
 	if _, err := q.EnqueueWriteBuffer(in, false, 0, input, nil); err != nil {
 		t.Fatal(err)
 	}
+	return q, work, input, mix
+}
+
+// TestTrappedKernelRollsBackItsClaim is the deferred-failure rollback of
+// a command-stream launch: a mix kernel that overruns its input traps on
+// the daemon, its claim on work is withdrawn, and the next read of work
+// returns the bytes from before the launch.
+func TestTrappedKernelRollsBackItsClaim(t *testing.T) {
+	q, work, input, mix := trapWorld(t)
 	if err := mix(0).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	prior := make([]byte, 4*items)
+	prior := make([]byte, 4*trapItems)
 	if _, err := q.EnqueueReadBuffer(work, true, 0, prior, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(prior, input[:4*items]) {
+	if !bytes.Equal(prior, input[:4*trapItems]) {
 		t.Fatal("the first mix did not copy its input")
 	}
-	if err := mix(inFloats - items/2).Wait(); err == nil {
+	if err := mix(trapFloats - trapItems/2).Wait(); err == nil {
 		t.Fatal("a mix that overruns its input did not fail")
 	}
 	if host, servers := work.(*Buffer).States(); host != "S" || servers["node0"] != "I" {
 		t.Fatalf("after the trap: host=%s node0=%s, want S and I (claim withdrawn)", host, servers["node0"])
 	}
-	got := make([]byte, 4*items)
+	got := make([]byte, 4*trapItems)
 	if _, err := q.EnqueueReadBuffer(work, true, 0, got, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, prior) {
 		t.Fatal("read after the trapped launch does not return the bytes from before it")
+	}
+}
+
+// TestTrappedKernelOnTheOnlyCopyLeavesItLost: the same trap when node0
+// holds the only copy of work (nothing read it back). The rollback drops
+// that copy — the launch may have written part of it — so the range is
+// Lost and the next read fails with DataLost. It used to be held by
+// nobody and not Lost, and the read failed with InvalidMemObject.
+func TestTrappedKernelOnTheOnlyCopyLeavesItLost(t *testing.T) {
+	q, work, _, mix := trapWorld(t)
+	if err := mix(0).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mix(trapFloats - trapItems/2).Wait(); err == nil {
+		t.Fatal("a mix that overruns its input did not fail")
+	}
+	cb := work.(*Buffer)
+	if lr := cb.LostRanges(); len(lr) != 1 || lr[0] != [2]int{0, 4 * trapItems} {
+		host, servers := cb.States()
+		t.Fatalf("after the trap: LostRanges = %v (host=%s node0=%s), want [[0 %d]]", lr, host, servers["node0"], 4*trapItems)
+	}
+	_, err := q.EnqueueReadBuffer(work, true, 0, make([]byte, 4*trapItems), nil)
+	if cl.CodeOf(err) != cl.DataLost {
+		t.Fatalf("read after the trap = %v, want CL_DATA_LOST_WWU", err)
 	}
 }
 

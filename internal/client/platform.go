@@ -300,16 +300,22 @@ func (p *Platform) serverLost(srv *Server) {
 }
 
 // serverReattached replicates this client's remote objects back onto the
-// re-attached daemon (see Context.resyncServer). It runs BEFORE the
-// server is marked connected: a half-recovered daemon must stay down and
-// retryable.
+// re-attached daemon (see Context.resyncServer) and confirms them with one
+// round trip: the daemon serves the one-way re-creates in order and writes
+// the MsgCommandFailed of any it refuses ahead of the GetServerInfo
+// answer, which the client records before the answer is delivered (the
+// ordering Finish relies on). It runs BEFORE the server is marked
+// connected: a half-recovered daemon must stay down and retryable.
 func (p *Platform) serverReattached(srv *Server) error {
 	for _, c := range p.contextsOf(srv) {
 		if err := c.resyncServer(srv); err != nil {
 			return err
 		}
 	}
-	return nil
+	if _, err := srv.call(protocol.MsgGetServerInfo, nil); err != nil {
+		return err
+	}
+	return srv.takeSessionError()
 }
 
 // restoreDirectories re-installs the directory claims recorded as lost

@@ -96,7 +96,9 @@ type span struct {
 	// session is the SAME connection the loss was recorded against
 	// (lostConn), so a loss that survived an unretained reattach (data
 	// truly gone) can never be "restored" into garbage by a later
-	// retained one.
+	// retained one. A loss recorded by the rollback of a failed command
+	// (lostWas Invalid) is never restored: that command may have written
+	// the copy.
 	lostFrom Holder
 	lostWas  State
 	lostConn uint64
@@ -418,16 +420,22 @@ func (d *Dir) Claim(h Holder, off, end int, write Gate) (Snapshot, uint64) {
 // (per-span generation check); otherwise the interim state stands and
 // only the failed write's own claim is withdrawn. h's copy always drops
 // to Invalid in the restored state — a partially executed command may
-// have scribbled on it.
+// have scribbled on it — and a span where it was the only valid copy is
+// Lost, for good: no re-attach restores a copy the failed command may
+// have written. A dead holder's claim is left to its sweep, which records
+// the loss the same way whether it runs before the rollback or after.
 func (d *Dir) RollbackClaim(h Holder, write Gate, off, end int, gen uint64, snap Snapshot) {
+	if !h.Alive() {
+		return
+	}
 	if d.rangeGen(off, end) <= gen {
 		d.restoreRange(off, end, snap.spans)
 		for _, sp := range d.rangeSpans(off, end) {
 			e := sp.at(h)
-			e.st, e.listed = Invalid, true
 			if e.lastWrite == write {
 				e.lastWrite = nil
 			}
+			sp.dropFailed(e)
 		}
 	} else {
 		// Interim mutations happened; only withdraw the failed write's
@@ -436,12 +444,36 @@ func (d *Dir) RollbackClaim(h Holder, write Gate, off, end int, gen uint64, snap
 			if i := sp.find(h); i >= 0 && sp.ents[i].lastWrite == write {
 				e := &sp.ents[i]
 				e.lastWrite = nil
-				e.st, e.listed = Invalid, true
+				sp.dropFailed(e)
 			}
 		}
 	}
 	d.bump(d.rangeSpans(off, end))
 	d.merge()
+}
+
+// dropFailed lists e's holder Invalid after a command on it failed, and
+// records the span Lost, with nothing to restore (lostWas Invalid), when
+// that took its last valid copy.
+func (sp *span) dropFailed(e *entry) {
+	had := e.st
+	e.st, e.listed = Invalid, true
+	if had != Invalid && !sp.valid() {
+		sp.lostFrom, sp.lostWas, sp.lostConn = e.h, Invalid, 0
+	}
+}
+
+// valid reports whether some copy of the span, host or holder, is valid.
+func (sp *span) valid() bool {
+	if sp.host != Invalid {
+		return true
+	}
+	for i := range sp.ents {
+		if sp.ents[i].st != Invalid {
+			return true
+		}
+	}
+	return false
 }
 
 // restoreRange splices a snapshot back over [off, end). Only safe when
@@ -699,17 +731,7 @@ func (d *Dir) SweepServer(h Holder, connGen uint64) {
 		}
 		had := sp.ents[i].st
 		sp.ents = slices.Delete(sp.ents, i, i+1)
-		if had == Invalid {
-			continue
-		}
-		survivor := sp.host != Invalid
-		for j := range sp.ents {
-			if sp.ents[j].st != Invalid {
-				survivor = true
-				break
-			}
-		}
-		if !survivor {
+		if had != Invalid && !sp.valid() {
 			sp.lostFrom = h
 			sp.lostWas = had
 			sp.lostConn = connGen
@@ -736,7 +758,7 @@ func (d *Dir) Restore(h Holder, wantConn uint64) {
 	}
 	touched := false
 	for _, sp := range d.spans {
-		if sp.lostFrom != h || sp.lostConn != wantConn {
+		if sp.lostFrom != h || sp.lostConn != wantConn || sp.lostWas == Invalid {
 			continue
 		}
 		sp.set(h, sp.lostWas)

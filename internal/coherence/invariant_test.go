@@ -180,14 +180,57 @@ func TestRestoreRacingSweep(t *testing.T) {
 	}
 }
 
+// TestRollbackOfTheOnlyCopyLeavesItLost: a command on the holder of a
+// range's only copy fails. Its rollback drops that copy — the command may
+// have written part of it — so the range is Lost, and a later restore of
+// the holder does not bring it back. It used to be held by nobody and not
+// Lost.
+func TestRollbackOfTheOnlyCopyLeavesItLost(t *testing.T) {
+	a := &tHolder{name: "A", alive: true}
+	d := New(1, 64, a)
+	d.Claim(a, 0, 32, &tGate{settled: true})
+	g := &tGate{name: "w"}
+	snap, gen := d.Claim(a, 0, 32, g)
+	d.RollbackClaim(a, g, 0, 32, gen, snap)
+	requireInvariants(t, d, "after the rollback")
+	if lr := d.LostRanges(0, 64); len(lr) != 1 || lr[0] != [2]int{0, 32} {
+		t.Fatalf("LostRanges = %v, want [[0 32]]", lr)
+	}
+	d.Restore(a, 0)
+	if lr := d.LostRanges(0, 64); len(lr) != 1 || lr[0] != [2]int{0, 32} {
+		t.Fatalf("after a restore: LostRanges = %v, want [[0 32]]", lr)
+	}
+}
+
 // TestStaleClaimRollbackAroundSweep: a command's claim fails because its
 // holder died, and the failure's rollback (carrying the claim's
 // generation) races the sweep of that holder. Either order leaves every
 // byte held, cached or Lost; the rollback after the sweep withdraws
 // nothing, so it cannot resurrect the dead holder's claim, and a host
-// validation from before the sweep is refused.
+// validation from before the sweep is refused. When the dead holder's
+// copy was the only one even before the claim, both orders record the
+// same loss (a rollback before the sweep used to drop the copy unrecorded).
 func TestStaleClaimRollbackAroundSweep(t *testing.T) {
 	for _, sweepFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("onlyCopy/sweepFirst=%v", sweepFirst), func(t *testing.T) {
+			a := &tHolder{name: "A", alive: true}
+			d := New(1, 64, a)
+			d.Claim(a, 0, 32, &tGate{settled: true})
+			g := &tGate{name: "w"}
+			snap, gen := d.Claim(a, 0, 32, g)
+			a.alive = false
+			if sweepFirst {
+				d.SweepServer(a, 1)
+				d.RollbackClaim(a, g, 0, 32, gen, snap)
+			} else {
+				d.RollbackClaim(a, g, 0, 32, gen, snap)
+				d.SweepServer(a, 1)
+			}
+			requireInvariants(t, d, "after rollback and sweep")
+			if lr := d.LostRanges(0, 64); len(lr) != 1 || lr[0] != [2]int{0, 32} {
+				t.Fatalf("LostRanges = %v, want [[0 32]]", lr)
+			}
+		})
 		t.Run(fmt.Sprintf("sweepFirst=%v", sweepFirst), func(t *testing.T) {
 			a := &tHolder{name: "A", alive: true}
 			b := &tHolder{name: "B", alive: true}

@@ -154,10 +154,26 @@ func (m *model) sweep(h int, conn uint64) {
 	}
 }
 
+// dropFailed drops h's copy after a command on it failed: a byte whose
+// last valid copy that was is Lost, with nothing to restore.
+func (m *model) dropFailed(h, off, end int) {
+	m.each(off, end, func(b *mByte) {
+		had := b.st[h]
+		b.st[h] = Invalid
+		valid := b.host != Invalid
+		for o := range b.st {
+			valid = valid || b.st[o] != Invalid
+		}
+		if had != Invalid && !valid {
+			b.lostFrom, b.lostWas, b.lostConn = h, Invalid, 0
+		}
+	})
+}
+
 func (m *model) restore(h int, conn uint64) {
 	for i := range m.bytes {
 		b := &m.bytes[i]
-		if b.lostFrom == h && b.lostConn == conn {
+		if b.lostFrom == h && b.lostConn == conn && b.lostWas != Invalid {
 			b.st[h] = b.lostWas
 			b.lostFrom = -1
 			b.lostWas = Invalid
@@ -339,18 +355,25 @@ func runTrial(t *testing.T, rng *rand.Rand, trial int, randRange func() (int, in
 				opName = "sweep+resweep+restore"
 			}
 		case 12:
-			// A claim whose holder dies: the sweep runs before the failed
-			// command's rollback, which carries the claim's now stale
-			// generation and must withdraw nothing.
+			// A claim whose holder dies, and the failed command's rollback
+			// on either side of the sweep: after it, the rollback carries
+			// the claim's now stale generation; before it, the holder is
+			// dead. Either way it withdraws nothing and the sweep decides.
 			opName = "claim+sweep+stale rollback"
 			g := newGate()
 			snap, gen := d.Claim(hs[h], off, end, g)
 			m.claim(h, off, end)
 			conn++
 			hs[h].alive = false
-			d.SweepServer(hs[h], conn)
+			if rng.Intn(2) == 0 {
+				opName = "claim+dead rollback+sweep"
+				d.RollbackClaim(hs[h], g, off, end, gen, snap)
+				d.SweepServer(hs[h], conn)
+			} else {
+				d.SweepServer(hs[h], conn)
+				d.RollbackClaim(hs[h], g, off, end, gen, snap)
+			}
 			m.sweep(h, conn)
-			d.RollbackClaim(hs[h], g, off, end, gen, snap)
 			hs[h].alive = true
 		}
 		compare(t, trial, step, opName, d, m, hs)
@@ -366,14 +389,14 @@ func runTrial(t *testing.T, rng *rand.Rand, trial int, randRange func() (int, in
 
 // checkImmediateRollback claims [off, end) for a random holder and rolls
 // the claim back with no interim mutation: the pre-claim state must come
-// back with the claimer Invalid.
+// back with the claimer Invalid, and Lost where its copy was the last.
 func checkImmediateRollback(t *testing.T, rng *rand.Rand, trial int, opName string, d *Dir, m *model, hs []*tHolder, off, end int) {
 	t.Helper()
 	h := rng.Intn(propHolders)
 	g := &tGate{name: "rb"}
 	snap, gen := d.Claim(hs[h], off, end, g)
 	d.RollbackClaim(hs[h], g, off, end, gen, snap)
-	m.each(off, end, func(b *mByte) { b.st[h] = Invalid })
+	m.dropFailed(h, off, end)
 	compare(t, trial, 999, opName, d, m, hs)
 	compareInvariants(t, trial, 999, opName, d, m, hs)
 }

@@ -76,10 +76,10 @@ func (d *Daemon) attachManagerConn(conn net.Conn, selfAddr string, units []uint3
 	return c, nil
 }
 
-// managerRoutes is what the daemon serves on manager link c. The manager
-// asks (an assignment, the health probe) or just tells (a revoke, an epoch
-// push): each is acted on in either class, and the acknowledgement is a
-// reply, which only a request gets.
+// managerRoutes is what the daemon serves on manager link c, each in the
+// class the manager sends it: an assignment is asked (the manager waits
+// for the daemon to admit the lease before it grants it), a revoke is
+// told, and a ping is either — a health probe asks, an epoch push tells.
 func (d *Daemon) managerRoutes(c *rpc.Conn, onView func(protocol.ShardMap)) rpc.Routes {
 	// Health probe or epoch push. The body, when present, carries the
 	// manager's membership view.
@@ -97,8 +97,8 @@ func (d *Daemon) managerRoutes(c *rpc.Conn, onView func(protocol.ShardMap)) rpc.
 	}
 	revoke := func(call rpc.Call) { d.handleRevoke(c, call) }
 	return rpc.Routes{
-		protocol.MsgDMAssign: {Request: d.handleAssign, OneWay: d.handleAssign},
-		protocol.MsgDMRevoke: {Request: revoke, OneWay: revoke},
+		protocol.MsgDMAssign: {Request: d.handleAssign},
+		protocol.MsgDMRevoke: {OneWay: revoke},
 		protocol.MsgDMPing:   {Request: ping, OneWay: ping},
 	}
 }
@@ -133,7 +133,6 @@ func (d *Daemon) handleRevoke(from *rpc.Conn, c rpc.Call) {
 		d.Revoke(authID)
 		d.reportInvalidatedLease(authID, from)
 	}
-	c.Reply(cl.Success, nil)
 }
 
 // recordsFor returns the device records for the given units (nil = all)

@@ -179,16 +179,19 @@ func (fm *fakeManager) next(t *testing.T) protocol.Envelope {
 }
 
 // Which class each management message travels in, pinned at frame level:
-// the daemon acts on an assignment, a revoke or a ping in either class
-// but answers only a request (a one-way revoke or epoch push has nobody
-// waiting), and reports an invalidated lease one-way.
+// the daemon acts on an assignment asked, a revoke told and a ping in
+// either class, answers only a request (a one-way revoke or epoch push
+// has nobody waiting), and reports an invalidated lease one-way.
 func TestManagerLinkAnswersOnlyRequests(t *testing.T) {
 	d := testDaemon(t, true)
 	fm := attachFakeManager(t, d)
 	lease := func(w *protocol.Writer) { w.String("lease-a") }
 	assign := func(w *protocol.Writer) { w.String("lease-a"); w.U64s([]uint64{1}) }
 
-	fm.send(t, protocol.ClassOneWay, 0, protocol.MsgDMAssign, assign)
+	fm.send(t, protocol.ClassRequest, 6, protocol.MsgDMAssign, assign)
+	if env := fm.next(t); env.Class != protocol.ClassResponse || env.ID != 6 || cl.ErrorCode(env.Body.I32()) != cl.Success {
+		t.Fatalf("assign request not acknowledged: class=%d id=%d", env.Class, env.ID)
+	}
 	fm.send(t, protocol.ClassOneWay, 0, protocol.MsgDMPing, nil)
 	fm.send(t, protocol.ClassOneWay, 0, protocol.MsgDMRevoke, lease)
 	fm.send(t, protocol.ClassRequest, 7, protocol.MsgDMPing, nil)
@@ -198,7 +201,7 @@ func TestManagerLinkAnswersOnlyRequests(t *testing.T) {
 		t.Fatalf("first frame back: class=%d id=%d type=%s, want the response to ping 7", env.Class, env.ID, env.Type)
 	}
 	if d.HasLease("lease-a") {
-		t.Fatal("one-way assign + revoke left the lease in place")
+		t.Fatal("one-way revoke left the lease in place")
 	}
 
 	fm.send(t, protocol.ClassRequest, 8, protocol.MsgDMAssign, assign)

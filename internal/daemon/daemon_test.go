@@ -5,10 +5,8 @@ import (
 
 	"dopencl/internal/cl"
 	"dopencl/internal/device"
-	"dopencl/internal/gcf"
 	"dopencl/internal/native"
 	"dopencl/internal/protocol"
-	"dopencl/internal/simnet"
 )
 
 func testDaemon(t *testing.T, managed bool) *Daemon {
@@ -69,64 +67,26 @@ func TestUnmanagedExposesEverything(t *testing.T) {
 	}
 }
 
-// rawSession drives the daemon's wire protocol directly, bypassing the
-// client driver — protocol-level tests.
-type rawSession struct {
-	ep   *gcf.Endpoint
-	resp chan protocol.Envelope
-}
-
-func newRawSession(t *testing.T, d *Daemon) *rawSession {
-	t.Helper()
-	a, b := simnet.Pipe(simnet.Unlimited())
-	d.ServeConn(b)
-	rs := &rawSession{
-		ep:   gcf.NewEndpoint(a, true),
-		resp: make(chan protocol.Envelope, 16),
-	}
-	rs.ep.Start(func(msg []byte) {
-		env, err := protocol.ParseEnvelope(msg)
-		if err == nil && env.Class == protocol.ClassResponse {
-			rs.resp <- env
-		}
-	}, nil)
-	return rs
-}
-
-func (rs *rawSession) call(t *testing.T, id uint32, typ protocol.MsgType, fill func(*protocol.Writer)) protocol.Envelope {
-	t.Helper()
-	w := protocol.NewWriter()
-	if fill != nil {
-		fill(w)
-	}
-	if err := rs.ep.Send(protocol.EncodeEnvelope(protocol.ClassRequest, id, typ, w)); err != nil {
-		t.Fatal(err)
-	}
-	return <-rs.resp
-}
-
 func TestProtocolObjectErrors(t *testing.T) {
 	d := testDaemon(t, false)
-	rs := newRawSession(t, d)
+	rs := newGraphSession(t, d)
 	defer rs.ep.Close()
 
 	// Operations against unknown object IDs return the right codes.
-	env := rs.call(t, 1, protocol.MsgCreateQueue, func(w *protocol.Writer) {
+	if rs.tell(t, protocol.MsgCreateQueue, func(w *protocol.Writer) {
 		w.U64(100) // queue ID
 		w.U64(999) // unknown context
 		w.U64(0)
-	})
-	if cl.ErrorCode(env.Body.I32()) != cl.InvalidContext {
+	}) != cl.InvalidContext {
 		t.Fatal("unknown context not rejected")
 	}
-	env = rs.call(t, 2, protocol.MsgBuildProgram, func(w *protocol.Writer) {
+	if rs.tell(t, protocol.MsgBuildProgram, func(w *protocol.Writer) {
 		w.U64(999)
 		w.String("")
-	})
-	if cl.ErrorCode(env.Body.I32()) != cl.InvalidProgram {
+	}) != cl.InvalidProgram {
 		t.Fatal("unknown program not rejected")
 	}
-	env = rs.call(t, 3, protocol.MsgFinish, func(w *protocol.Writer) {
+	env := rs.call(t, 3, protocol.MsgFinish, func(w *protocol.Writer) {
 		w.U64(999)
 	})
 	if cl.ErrorCode(env.Body.I32()) != cl.InvalidCommandQueue {
@@ -138,18 +98,17 @@ func TestProtocolObjectErrors(t *testing.T) {
 		t.Fatal("unknown message type not rejected")
 	}
 	// A context created on a bad device unit fails cleanly.
-	env = rs.call(t, 5, protocol.MsgCreateContext, func(w *protocol.Writer) {
+	if rs.tell(t, protocol.MsgCreateContext, func(w *protocol.Writer) {
 		w.U64(50)
 		w.U64s([]uint64{7})
-	})
-	if cl.ErrorCode(env.Body.I32()) != cl.InvalidDevice {
+	}) != cl.InvalidDevice {
 		t.Fatal("bad device unit not rejected")
 	}
 }
 
 func TestProtocolHappyPath(t *testing.T) {
 	d := testDaemon(t, false)
-	rs := newRawSession(t, d)
+	rs := newGraphSession(t, d)
 	defer rs.ep.Close()
 
 	env := rs.call(t, 1, protocol.MsgHello, func(w *protocol.Writer) {
@@ -166,11 +125,10 @@ func TestProtocolHappyPath(t *testing.T) {
 		t.Fatalf("hello records = %+v", recs)
 	}
 
-	env = rs.call(t, 2, protocol.MsgCreateContext, func(w *protocol.Writer) {
+	if rs.tell(t, protocol.MsgCreateContext, func(w *protocol.Writer) {
 		w.U64(10)
 		w.U64s([]uint64{0})
-	})
-	if cl.ErrorCode(env.Body.I32()) != cl.Success {
+	}) != cl.Success {
 		t.Fatal("create context failed")
 	}
 	env = rs.call(t, 3, protocol.MsgGetServerInfo, nil)
@@ -181,10 +139,9 @@ func TestProtocolHappyPath(t *testing.T) {
 		t.Fatal("server info content wrong")
 	}
 	// Releases are idempotent even for unknown IDs.
-	env = rs.call(t, 4, protocol.MsgReleaseContext, func(w *protocol.Writer) {
-		w.U64(10)
-	})
-	if cl.ErrorCode(env.Body.I32()) != cl.Success {
-		t.Fatal("release failed")
+	for _, id := range []uint64{10, 10} {
+		if rs.tell(t, protocol.MsgReleaseContext, func(w *protocol.Writer) { w.U64(id) }) != cl.Success {
+			t.Fatal("release failed")
+		}
 	}
 }

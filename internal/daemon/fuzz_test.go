@@ -80,11 +80,11 @@ func FuzzSession(f *testing.F) {
 		}}
 	}
 	// A buffer of 2^62 bytes.
-	f.Add(frames(createBuffer(req, 1, 0, 1<<62, 0)))
-	// A create announcing initial contents on a stream: the handler used to
-	// wait for them on the dispatcher. Refused in either class, and the
-	// stream nobody will ever write is not waited on.
-	f.Add(frames(createBuffer(req, 1, 0, csSize, 17), createBuffer(one, 2, 0, csSize, 19)))
+	f.Add(frames(createBuffer(one, 1, 0, 1<<62, 0)))
+	// Creates announcing initial contents on a stream: the handler used to
+	// wait for them on the dispatcher. Refused, and the stream nobody will
+	// ever write is not waited on.
+	f.Add(frames(createBuffer(one, 1, 0, csSize, 17), createBuffer(one, 2, 0, csSize, 19)))
 	// The pipelined object plane: a create the daemon refuses (no such
 	// context), then what a client that did not wait sends next — a write
 	// to the buffer, a binding of it, a launch, a release of it — and
@@ -129,6 +129,14 @@ func FuzzSession(f *testing.F) {
 		row(protocol.MsgCreateContext, one), row(protocol.MsgCreateQueue, one), row(protocol.MsgCreateBuffer, one),
 		row(protocol.MsgCreateProgram, one), row(protocol.MsgBuildProgram, one), row(protocol.MsgCreateKernel, one),
 		row(protocol.MsgEnqueueKernel, one), row(protocol.MsgGoodbye, one)))
+	// The object plane as re-attach recovery used to send it: requests of
+	// types now served one-way only, each refused without acting.
+	for _, typ := range []protocol.MsgType{protocol.MsgCreateContext, protocol.MsgCreateQueue, protocol.MsgCreateBuffer,
+		protocol.MsgCreateProgram, protocol.MsgBuildProgram, protocol.MsgCreateKernel, protocol.MsgSetKernelArg,
+		protocol.MsgSetUserEventStatus, protocol.MsgReleaseProgram, protocol.MsgReleaseBuffer, protocol.MsgReleaseQueue,
+		protocol.MsgReleaseContext} {
+		f.Add(appendFrame(nil, req, typ, row(typ, one).Body()))
+	}
 
 	// One daemon for all inputs: its serve dispatcher, started by the first
 	// session's ServeOpen, lives as long as it does.

@@ -10,12 +10,14 @@ import (
 	"dopencl/internal/simnet"
 )
 
-// graphSession is a raw protocol session that also captures
-// notifications (MsgCommandFailed, MsgEventComplete), which the plain
-// rawSession discards.
+// graphSession is a raw protocol session: it frames requests and one-way
+// messages by hand and captures responses, failure notices
+// (MsgCommandFailed) and every other notification, each on its own
+// channel.
 type graphSession struct {
 	ep     *gcf.Endpoint
 	resp   chan protocol.Envelope
+	failed chan protocol.Envelope
 	notify chan protocol.Envelope
 }
 
@@ -31,6 +33,7 @@ func startGraphSession(ep *gcf.Endpoint) *graphSession {
 	gs := &graphSession{
 		ep:     ep,
 		resp:   make(chan protocol.Envelope, 16),
+		failed: make(chan protocol.Envelope, 16),
 		notify: make(chan protocol.Envelope, 16),
 	}
 	gs.ep.Start(func(msg []byte) {
@@ -38,10 +41,12 @@ func startGraphSession(ep *gcf.Endpoint) *graphSession {
 		if err != nil {
 			return
 		}
-		switch env.Class {
-		case protocol.ClassResponse:
+		switch {
+		case env.Class == protocol.ClassResponse:
 			gs.resp <- env
-		case protocol.ClassNotification:
+		case env.Type == protocol.MsgCommandFailed:
+			gs.failed <- env
+		case env.Class == protocol.ClassNotification:
 			gs.notify <- env
 		}
 	}, nil)
@@ -77,6 +82,29 @@ func (gs *graphSession) oneway(t *testing.T, typ protocol.MsgType, fill func(*pr
 	}
 }
 
+// tell sends a one-way frame and one request behind it, and returns what
+// the daemon made of the frame: the code of the MsgCommandFailed it wrote
+// ahead of the request's answer, or Success. It reads no other failure
+// notice than the one its own frame caused, so the test must not have
+// left an earlier one unread.
+func (gs *graphSession) tell(t *testing.T, typ protocol.MsgType, fill func(*protocol.Writer)) cl.ErrorCode {
+	t.Helper()
+	gs.oneway(t, typ, fill)
+	if st := cl.ErrorCode(gs.call(t, 1, protocol.MsgGetServerInfo, nil).Body.I32()); st != cl.Success {
+		t.Fatalf("GetServerInfo behind %s: %v", typ, st)
+	}
+	select {
+	case env := <-gs.failed:
+		f := protocol.GetCommandFailure(env.Body)
+		if f.Op != typ {
+			t.Fatalf("%s answered with the failure of %s", typ, f.Op)
+		}
+		return cl.ErrorCode(f.Status)
+	default:
+		return cl.Success
+	}
+}
+
 // enqueue sends an eager command as its one-way MsgEnqueue* frame.
 func (gs *graphSession) enqueue(t *testing.T, e protocol.Enqueue) {
 	t.Helper()
@@ -85,10 +113,14 @@ func (gs *graphSession) enqueue(t *testing.T, e protocol.Enqueue) {
 
 func (gs *graphSession) waitNotify(t *testing.T, typ protocol.MsgType) protocol.Envelope {
 	t.Helper()
+	ch := gs.notify
+	if typ == protocol.MsgCommandFailed {
+		ch = gs.failed
+	}
 	deadline := time.After(5 * time.Second)
 	for {
 		select {
-		case env := <-gs.notify:
+		case env := <-ch:
 			if env.Type == typ {
 				return env
 			}
@@ -109,17 +141,17 @@ func (gs *graphSession) setupGraphQueue(t *testing.T, queueID, graphID uint64) {
 	}); cl.ErrorCode(env.Body.I32()) != cl.Success {
 		t.Fatal("hello failed")
 	}
-	if env := gs.call(t, 2, protocol.MsgCreateContext, func(w *protocol.Writer) {
+	if st := gs.tell(t, protocol.MsgCreateContext, func(w *protocol.Writer) {
 		w.U64(10)
 		w.U64s([]uint64{0})
-	}); cl.ErrorCode(env.Body.I32()) != cl.Success {
+	}); st != cl.Success {
 		t.Fatal("create context failed")
 	}
-	if env := gs.call(t, 3, protocol.MsgCreateQueue, func(w *protocol.Writer) {
+	if st := gs.tell(t, protocol.MsgCreateQueue, func(w *protocol.Writer) {
 		w.U64(queueID)
 		w.U64(10)
 		w.U64(0)
-	}); cl.ErrorCode(env.Body.I32()) != cl.Success {
+	}); st != cl.Success {
 		t.Fatal("create queue failed")
 	}
 	gs.oneway(t, protocol.MsgRegisterGraph, func(w *protocol.Writer) {

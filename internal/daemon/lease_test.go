@@ -37,6 +37,7 @@ func managedSession(t *testing.T) (*Daemon, *graphSession, *session) {
 }
 
 // leaseFrames drives a session frame by frame. Every check is a request,
+// or a one-way frame with a request behind it (graphSession.tell),
 // answered after every frame sent before it: no timing.
 type leaseFrames struct {
 	t  *testing.T
@@ -50,14 +51,19 @@ func (f *leaseFrames) ask(typ protocol.MsgType, fill func(*protocol.Writer)) cl.
 	return cl.ErrorCode(f.gs.call(f.t, f.id, typ, fill).Body.I32())
 }
 
+func (f *leaseFrames) tell(typ protocol.MsgType, fill func(*protocol.Writer)) cl.ErrorCode {
+	f.t.Helper()
+	return f.gs.tell(f.t, typ, fill)
+}
+
 func hello(authID string) func(*protocol.Writer) {
 	return func(w *protocol.Writer) { w.String("lease-test"); w.String(authID) }
 }
 
-// createContext asks for context ctxID on one device unit.
+// createContext creates context ctxID on one device unit.
 func (f *leaseFrames) createContext(ctxID, unit uint64) cl.ErrorCode {
 	f.t.Helper()
-	return f.ask(protocol.MsgCreateContext, func(w *protocol.Writer) { w.U64(ctxID); w.U64s([]uint64{unit}) })
+	return f.tell(protocol.MsgCreateContext, func(w *protocol.Writer) { w.U64(ctxID); w.U64s([]uint64{unit}) })
 }
 
 // A managed daemon lets a session use the units of the lease it is bound
@@ -90,7 +96,7 @@ func TestSessionUsesOnlyItsLease(t *testing.T) {
 	if st := f.createContext(5, 1); st != cl.InvalidDevice {
 		t.Errorf("after the revoke of lease-a its session created a context: %v", st)
 	}
-	if st := f.ask(protocol.MsgCreateQueue, func(w *protocol.Writer) { w.U64(6); w.U64(4); w.U64(1) }); st == cl.Success {
+	if st := f.tell(protocol.MsgCreateQueue, func(w *protocol.Writer) { w.U64(6); w.U64(4); w.U64(1) }); st == cl.Success {
 		t.Error("after the revoke of lease-a its session created a queue on the lease's unit")
 	}
 
@@ -151,17 +157,17 @@ func TestGoodbyeEndsLeaseInPlace(t *testing.T) {
 	}))
 	base := runtime.NumGoroutine()
 	ok("context", f.createContext(1, 1))
-	ok("queue", f.ask(protocol.MsgCreateQueue, func(w *protocol.Writer) { w.U64(2); w.U64(1); w.U64(1) }))
-	ok("buffer", f.ask(protocol.MsgCreateBuffer, func(w *protocol.Writer) {
+	ok("queue", f.tell(protocol.MsgCreateQueue, func(w *protocol.Writer) { w.U64(2); w.U64(1); w.U64(1) }))
+	ok("buffer", f.tell(protocol.MsgCreateBuffer, func(w *protocol.Writer) {
 		w.U64(3)
 		w.U64(1)
 		w.U32(uint32(cl.MemReadWrite))
 		w.I64(csSize)
 		w.U32(0)
 	}))
-	ok("program", f.ask(protocol.MsgCreateProgram, func(w *protocol.Writer) { w.U64(4); w.U64(1); w.String(fillSource) }))
-	ok("build", f.ask(protocol.MsgBuildProgram, func(w *protocol.Writer) { w.U64(4); w.String("") }))
-	ok("kernel", f.ask(protocol.MsgCreateKernel, func(w *protocol.Writer) { w.U64(5); w.U64(4); w.String("fill") }))
+	ok("program", f.tell(protocol.MsgCreateProgram, func(w *protocol.Writer) { w.U64(4); w.U64(1); w.String(fillSource) }))
+	ok("build", f.tell(protocol.MsgBuildProgram, func(w *protocol.Writer) { w.U64(4); w.String("") }))
+	ok("kernel", f.tell(protocol.MsgCreateKernel, func(w *protocol.Writer) { w.U64(5); w.U64(4); w.String("fill") }))
 	ok("user event", f.ask(protocol.MsgCreateUserEvent, func(w *protocol.Writer) { w.U64(6); w.U64(1) }))
 	gs.oneway(t, protocol.MsgRegisterGraph, func(w *protocol.Writer) {
 		protocol.PutRegisterGraph(w, protocol.RegisterGraph{GraphID: 8, QueueID: 2, Commands: []protocol.GraphCommand{{Op: protocol.GraphOpMarker}}})

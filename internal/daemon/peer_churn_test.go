@@ -22,7 +22,7 @@ func TestPeerTransferChurn(t *testing.T) {
 		size      = 128 << 10
 	)
 	h := newPeerHarness(t)
-	defer h.client.Close()
+	defer h.ep.Close()
 	defer h.peer.Close()
 	h.setupBuffer(t, size)
 
@@ -31,13 +31,13 @@ func TestPeerTransferChurn(t *testing.T) {
 		for i := range payload {
 			payload[i] = byte(token + uint64(i))
 		}
-		h.oneWay(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
+		h.oneway(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
 			protocol.PutAcceptForward(w, protocol.AcceptForward{
 				Token: token, BufID: 3, Offset: 0, Size: size, EventID: eventID,
 			})
 		})
 		h.sendTransfer(t, protocol.PeerTransfer{Token: token, BufID: 3, Offset: 0, Size: size}, payload)
-		env := h.waitNotif(t, protocol.MsgEventComplete)
+		env := h.waitNotify(t, protocol.MsgEventComplete)
 		if id := env.Body.U64(); id != eventID {
 			t.Fatalf("transfer %d: completion for event %d", token, id)
 		}

@@ -19,12 +19,10 @@ import (
 // (collecting notifications) and a raw peer connection — the three ends
 // of a forward, driven at wire level for validation tests.
 type peerHarness struct {
-	d      *Daemon
-	nw     *simnet.Network
-	client *gcf.Endpoint
-	peer   *gcf.Endpoint
-	resp   chan protocol.Envelope
-	notif  chan protocol.Envelope
+	*graphSession // the client's session
+	d             *Daemon
+	nw            *simnet.Network
+	peer          *gcf.Endpoint
 }
 
 func newPeerHarness(t *testing.T) *peerHarness {
@@ -76,24 +74,7 @@ func newPeerHarnessWrap(t *testing.T, ttl time.Duration, wrap func(net.Conn) net
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &peerHarness{
-		d: d, nw: nw,
-		client: gcf.NewEndpoint(cconn, true),
-		resp:   make(chan protocol.Envelope, 16),
-		notif:  make(chan protocol.Envelope, 16),
-	}
-	h.client.Start(func(msg []byte) {
-		env, perr := protocol.ParseEnvelope(msg)
-		if perr != nil {
-			return
-		}
-		switch env.Class {
-		case protocol.ClassResponse:
-			h.resp <- env
-		case protocol.ClassNotification:
-			h.notif <- env
-		}
-	}, nil)
+	h := &peerHarness{graphSession: startGraphSession(gcf.NewEndpoint(cconn, true)), d: d, nw: nw}
 
 	pconn, err := nw.Dial("srv/peer")
 	if err != nil {
@@ -104,74 +85,29 @@ func newPeerHarnessWrap(t *testing.T, ttl time.Duration, wrap func(net.Conn) net
 	return h
 }
 
-func (h *peerHarness) call(t *testing.T, id uint32, typ protocol.MsgType, fill func(*protocol.Writer)) protocol.Envelope {
-	t.Helper()
-	w := protocol.NewWriter()
-	if fill != nil {
-		fill(w)
-	}
-	if err := h.client.Send(protocol.EncodeEnvelope(protocol.ClassRequest, id, typ, w)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case env := <-h.resp:
-		return env
-	case <-time.After(5 * time.Second):
-		t.Fatalf("no response to %s", typ)
-		return protocol.Envelope{}
-	}
-}
-
-func (h *peerHarness) oneWay(t *testing.T, typ protocol.MsgType, fill func(*protocol.Writer)) {
-	t.Helper()
-	w := protocol.NewWriter()
-	if fill != nil {
-		fill(w)
-	}
-	if err := h.client.Send(protocol.EncodeEnvelope(protocol.ClassOneWay, 0, typ, w)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// waitNotif waits for one notification of the given type.
-func (h *peerHarness) waitNotif(t *testing.T, typ protocol.MsgType) protocol.Envelope {
-	t.Helper()
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case env := <-h.notif:
-			if env.Type == typ {
-				return env
-			}
-		case <-deadline:
-			t.Fatalf("no %s notification", typ)
-		}
-	}
-}
-
 // setupBuffer creates context 1, queue 2 and buffer 3 of the given size.
 func (h *peerHarness) setupBuffer(t *testing.T, size int) {
 	t.Helper()
-	if env := h.call(t, 1, protocol.MsgCreateContext, func(w *protocol.Writer) {
+	if h.tell(t, protocol.MsgCreateContext, func(w *protocol.Writer) {
 		w.U64(1)
 		w.U64s([]uint64{0})
-	}); cl.ErrorCode(env.Body.I32()) != cl.Success {
+	}) != cl.Success {
 		t.Fatal("create context failed")
 	}
-	if env := h.call(t, 2, protocol.MsgCreateQueue, func(w *protocol.Writer) {
+	if h.tell(t, protocol.MsgCreateQueue, func(w *protocol.Writer) {
 		w.U64(2)
 		w.U64(1)
 		w.U64(0)
-	}); cl.ErrorCode(env.Body.I32()) != cl.Success {
+	}) != cl.Success {
 		t.Fatal("create queue failed")
 	}
-	if env := h.call(t, 3, protocol.MsgCreateBuffer, func(w *protocol.Writer) {
+	if h.tell(t, protocol.MsgCreateBuffer, func(w *protocol.Writer) {
 		w.U64(3)
 		w.U64(1)
 		w.U32(uint32(cl.MemReadWrite))
 		w.I64(int64(size))
 		w.U32(0)
-	}); cl.ErrorCode(env.Body.I32()) != cl.Success {
+	}) != cl.Success {
 		t.Fatal("create buffer failed")
 	}
 }
@@ -203,7 +139,7 @@ func (h *peerHarness) sendTransfer(t *testing.T, hdr protocol.PeerTransfer, payl
 // wire-size validation of the enqueue paths.
 func TestAcceptForwardValidation(t *testing.T) {
 	h := newPeerHarness(t)
-	defer h.client.Close()
+	defer h.ep.Close()
 	defer h.peer.Close()
 	h.setupBuffer(t, 1024)
 
@@ -217,10 +153,10 @@ func TestAcceptForwardValidation(t *testing.T) {
 		{"offset+size overflow", protocol.AcceptForward{Token: 4, BufID: 3, Offset: 1<<62 + 1, Size: 1 << 62, EventID: 103}},
 	}
 	for _, tc := range cases {
-		h.oneWay(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
+		h.oneway(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
 			protocol.PutAcceptForward(w, tc.acc)
 		})
-		env := h.waitNotif(t, protocol.MsgCommandFailed)
+		env := h.waitNotify(t, protocol.MsgCommandFailed)
 		f := protocol.GetCommandFailure(env.Body)
 		if f.EventID != tc.acc.EventID || f.Status >= 0 {
 			t.Fatalf("%s: failure = %+v", tc.name, f)
@@ -240,18 +176,18 @@ func TestAcceptForwardValidation(t *testing.T) {
 // gate fails instead.
 func TestPeerTransferHeaderMismatch(t *testing.T) {
 	h := newPeerHarness(t)
-	defer h.client.Close()
+	defer h.ep.Close()
 	defer h.peer.Close()
 	h.setupBuffer(t, 1024)
 
-	h.oneWay(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
+	h.oneway(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
 		protocol.PutAcceptForward(w, protocol.AcceptForward{
 			Token: 7, BufID: 3, Offset: 0, Size: 1024, EventID: 200,
 		})
 	})
 	// Size mismatch: announced 1024, peer claims 512.
 	h.sendTransfer(t, protocol.PeerTransfer{Token: 7, BufID: 3, Offset: 0, Size: 512}, make([]byte, 512))
-	env := h.waitNotif(t, protocol.MsgEventComplete)
+	env := h.waitNotify(t, protocol.MsgEventComplete)
 	if id := env.Body.U64(); id != 200 {
 		t.Fatalf("event = %d, want 200", id)
 	}
@@ -265,7 +201,7 @@ func TestPeerTransferHeaderMismatch(t *testing.T) {
 // accept arrives.
 func TestEarlyTransferRendezvous(t *testing.T) {
 	h := newPeerHarness(t)
-	defer h.client.Close()
+	defer h.ep.Close()
 	defer h.peer.Close()
 	h.setupBuffer(t, 64)
 
@@ -277,12 +213,12 @@ func TestEarlyTransferRendezvous(t *testing.T) {
 	h.sendTransfer(t, protocol.PeerTransfer{Token: 9, BufID: 3, Offset: 0, Size: 64}, payload)
 	// ... give it time to be parked, then the accept.
 	time.Sleep(10 * time.Millisecond)
-	h.oneWay(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
+	h.oneway(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
 		protocol.PutAcceptForward(w, protocol.AcceptForward{
 			Token: 9, BufID: 3, Offset: 0, Size: 64, EventID: 300,
 		})
 	})
-	env := h.waitNotif(t, protocol.MsgEventComplete)
+	env := h.waitNotify(t, protocol.MsgEventComplete)
 	if id := env.Body.U64(); id != 300 {
 		t.Fatalf("event = %d, want 300", id)
 	}
@@ -290,11 +226,11 @@ func TestEarlyTransferRendezvous(t *testing.T) {
 		t.Fatalf("gate status = %v, want Complete", st)
 	}
 	// The payload must be in the buffer: read it back through the queue.
-	h.oneWay(t, protocol.MsgEnqueueRead, func(w *protocol.Writer) {
+	h.oneway(t, protocol.MsgEnqueueRead, func(w *protocol.Writer) {
 		protocol.PutEnqueue(w, protocol.Enqueue{QueueID: 2,
 			Cmd: protocol.GraphCommand{Op: protocol.GraphOpRead, BufID: 3, Size: 64, StreamID: 41}}) // client-side stream ID (odd)
 	})
-	st := h.client.Stream(41)
+	st := h.ep.Stream(41)
 	got := make([]byte, 64)
 	if _, err := ioReadFull(st, got); err != nil {
 		t.Fatal(err)
@@ -310,7 +246,7 @@ func TestEarlyTransferRendezvous(t *testing.T) {
 // without wedging the connection — a valid transfer afterwards works.
 func TestMalformedPeerFramesDropped(t *testing.T) {
 	h := newPeerHarness(t)
-	defer h.client.Close()
+	defer h.ep.Close()
 	defer h.peer.Close()
 	h.setupBuffer(t, 32)
 
@@ -329,13 +265,13 @@ func TestMalformedPeerFramesDropped(t *testing.T) {
 	}
 
 	// The connection still serves a valid rendezvous.
-	h.oneWay(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
+	h.oneway(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
 		protocol.PutAcceptForward(w, protocol.AcceptForward{
 			Token: 11, BufID: 3, Offset: 0, Size: 32, EventID: 400,
 		})
 	})
 	h.sendTransfer(t, protocol.PeerTransfer{Token: 11, BufID: 3, Offset: 0, Size: 32}, make([]byte, 32))
-	env := h.waitNotif(t, protocol.MsgEventComplete)
+	env := h.waitNotify(t, protocol.MsgEventComplete)
 	if id := env.Body.U64(); id != 400 {
 		t.Fatalf("event = %d, want 400", id)
 	}
@@ -350,7 +286,7 @@ func TestMalformedPeerFramesDropped(t *testing.T) {
 // not hang.
 func TestOverflowedEarlyTransferFailsAcceptFast(t *testing.T) {
 	h := newPeerHarness(t)
-	defer h.client.Close()
+	defer h.ep.Close()
 	defer h.peer.Close()
 	h.setupBuffer(t, 8)
 
@@ -375,12 +311,12 @@ func TestOverflowedEarlyTransferFailsAcceptFast(t *testing.T) {
 	}
 
 	// The victim's accept fails fast ...
-	h.oneWay(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
+	h.oneway(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
 		protocol.PutAcceptForward(w, protocol.AcceptForward{
 			Token: victim, BufID: 3, Offset: 0, Size: 8, EventID: 600,
 		})
 	})
-	env := h.waitNotif(t, protocol.MsgEventComplete)
+	env := h.waitNotify(t, protocol.MsgEventComplete)
 	if id := env.Body.U64(); id != 600 {
 		t.Fatalf("event = %d, want 600", id)
 	}
@@ -388,12 +324,12 @@ func TestOverflowedEarlyTransferFailsAcceptFast(t *testing.T) {
 		t.Fatalf("gate status = %v, want failure", st)
 	}
 	// ... while a parked transfer still completes normally.
-	h.oneWay(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
+	h.oneway(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
 		protocol.PutAcceptForward(w, protocol.AcceptForward{
 			Token: 1000, BufID: 3, Offset: 0, Size: 8, EventID: 601,
 		})
 	})
-	env = h.waitNotif(t, protocol.MsgEventComplete)
+	env = h.waitNotify(t, protocol.MsgEventComplete)
 	if id := env.Body.U64(); id != 601 {
 		t.Fatalf("event = %d, want 601", id)
 	}
@@ -407,21 +343,21 @@ func TestOverflowedEarlyTransferFailsAcceptFast(t *testing.T) {
 // afterwards must not write a single byte into the buffer.
 func TestCancelledForwardNeverTouchesBuffer(t *testing.T) {
 	h := newPeerHarness(t)
-	defer h.client.Close()
+	defer h.ep.Close()
 	defer h.peer.Close()
 	h.setupBuffer(t, 32)
 
-	h.oneWay(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
+	h.oneway(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
 		protocol.PutAcceptForward(w, protocol.AcceptForward{
 			Token: 21, BufID: 3, Offset: 0, Size: 32, EventID: 700,
 		})
 	})
 	// Client-side cancellation: fail the gate through the normal
 	// user-event path (what failRemoteGate does after a source failure).
-	if env := h.call(t, 10, protocol.MsgSetUserEventStatus, func(w *protocol.Writer) {
+	if h.tell(t, protocol.MsgSetUserEventStatus, func(w *protocol.Writer) {
 		w.U64(700)
 		w.I32(int32(cl.InvalidServer))
-	}); cl.ErrorCode(env.Body.I32()) != cl.Success {
+	}) != cl.Success {
 		t.Fatal("gate cancellation failed")
 	}
 	// The payload arrives too late.
@@ -433,12 +369,12 @@ func TestCancelledForwardNeverTouchesBuffer(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 
 	// The buffer must still be all zeros.
-	h.oneWay(t, protocol.MsgEnqueueRead, func(w *protocol.Writer) {
+	h.oneway(t, protocol.MsgEnqueueRead, func(w *protocol.Writer) {
 		protocol.PutEnqueue(w, protocol.Enqueue{QueueID: 2,
 			Cmd: protocol.GraphCommand{Op: protocol.GraphOpRead, BufID: 3, Size: 32, StreamID: 43}})
 	})
 	got := make([]byte, 32)
-	if _, err := ioReadFull(h.client.Stream(43), got); err != nil {
+	if _, err := ioReadFull(h.ep.Stream(43), got); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range got {
@@ -457,7 +393,7 @@ func TestSessionCloseRetiresPendingForwards(t *testing.T) {
 	defer h.peer.Close()
 	h.setupBuffer(t, 16)
 
-	h.oneWay(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
+	h.oneway(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
 		protocol.PutAcceptForward(w, protocol.AcceptForward{
 			Token: 31, BufID: 3, Offset: 0, Size: 16, EventID: 800,
 		})
@@ -478,7 +414,7 @@ func TestSessionCloseRetiresPendingForwards(t *testing.T) {
 		}
 	}
 	waitPending(1)
-	h.client.Close()
+	h.ep.Close()
 	waitPending(0)
 }
 
@@ -487,7 +423,7 @@ func TestSessionCloseRetiresPendingForwards(t *testing.T) {
 // failures, never panics or silent drops.
 func TestForwardBufferValidation(t *testing.T) {
 	h := newPeerHarness(t)
-	defer h.client.Close()
+	defer h.ep.Close()
 	defer h.peer.Close()
 	h.setupBuffer(t, 1024)
 
@@ -501,10 +437,10 @@ func TestForwardBufferValidation(t *testing.T) {
 		{"range overflow", protocol.ForwardBuffer{QueueID: 2, SrcBufID: 3, SrcOffset: 1 << 62, Size: 1 << 62, PeerAddr: "srv/peer", EventID: 503}},
 	}
 	for _, tc := range cases {
-		h.oneWay(t, protocol.MsgForwardBuffer, func(w *protocol.Writer) {
+		h.oneway(t, protocol.MsgForwardBuffer, func(w *protocol.Writer) {
 			protocol.PutForwardBuffer(w, tc.f)
 		})
-		env := h.waitNotif(t, protocol.MsgCommandFailed)
+		env := h.waitNotify(t, protocol.MsgCommandFailed)
 		f := protocol.GetCommandFailure(env.Body)
 		if f.EventID != tc.f.EventID || f.Status >= 0 {
 			t.Fatalf("%s: failure = %+v", tc.name, f)
@@ -541,7 +477,7 @@ func TestForwardOverStalePooledConnection(t *testing.T) {
 		pooled = append(pooled, hc)
 		return hc
 	})
-	defer h.client.Close()
+	defer h.ep.Close()
 	defer h.peer.Close()
 	h.setupBuffer(t, 64)
 
@@ -549,15 +485,15 @@ func TestForwardOverStalePooledConnection(t *testing.T) {
 	// for the receiver's gate.
 	forward := func(token, gateID uint64) {
 		t.Helper()
-		h.oneWay(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
+		h.oneway(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
 			protocol.PutAcceptForward(w, protocol.AcceptForward{Token: token, BufID: 3, Size: 64, EventID: gateID})
 		})
-		h.oneWay(t, protocol.MsgForwardBuffer, func(w *protocol.Writer) {
+		h.oneway(t, protocol.MsgForwardBuffer, func(w *protocol.Writer) {
 			protocol.PutForwardBuffer(w, protocol.ForwardBuffer{QueueID: 2, SrcBufID: 3, Size: 64,
 				PeerAddr: "srv/peer", Token: token, DstBufID: 3, EventID: gateID + 1})
 		})
 		for {
-			env := h.waitNotif(t, protocol.MsgEventComplete)
+			env := h.waitNotify(t, protocol.MsgEventComplete)
 			if id := env.Body.U64(); id != gateID {
 				continue // the source-side completion
 			}

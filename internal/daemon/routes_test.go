@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -64,22 +65,14 @@ func sessionSamples() []rpctest.Sample {
 		{Type: protocol.MsgHello, Class: one, Fill: hello},
 		{Type: protocol.MsgAttachSession, Class: req, Fill: func(w *protocol.Writer) { w.U64(12345); w.String("sweep"); w.String("") }},
 		{Type: protocol.MsgGetServerInfo, Class: req},
-		{Type: protocol.MsgCreateContext, Class: req, Setup: true, Fill: createContext},
-		{Type: protocol.MsgCreateContext, Class: one, Fill: createContext},
-		{Type: protocol.MsgCreateQueue, Class: req, Setup: true, Fill: u64s(0, 0, 0)},
-		{Type: protocol.MsgCreateQueue, Class: one, Fill: u64s(0, 0, 0)},
-		{Type: protocol.MsgCreateBuffer, Class: req, Setup: true, Fill: createBuffer},
-		{Type: protocol.MsgCreateBuffer, Class: one, Fill: createBuffer},
-		{Type: protocol.MsgCreateProgram, Class: req, Setup: true, Fill: createProgram},
-		{Type: protocol.MsgCreateProgram, Class: one, Fill: createProgram},
-		{Type: protocol.MsgBuildProgram, Class: req, Setup: true, Fill: build},
-		{Type: protocol.MsgBuildProgram, Class: one, Fill: build},
-		{Type: protocol.MsgCreateKernel, Class: req, Setup: true, Fill: createKernel},
-		{Type: protocol.MsgCreateKernel, Class: one, Fill: createKernel},
-		{Type: protocol.MsgSetKernelArg, Class: req, Setup: true, Fill: setArg},
-		{Type: protocol.MsgSetKernelArg, Class: one, Fill: setArg},
+		{Type: protocol.MsgCreateContext, Class: one, Setup: true, Fill: createContext},
+		{Type: protocol.MsgCreateQueue, Class: one, Setup: true, Fill: u64s(0, 0, 0)},
+		{Type: protocol.MsgCreateBuffer, Class: one, Setup: true, Fill: createBuffer},
+		{Type: protocol.MsgCreateProgram, Class: one, Setup: true, Fill: createProgram},
+		{Type: protocol.MsgBuildProgram, Class: one, Setup: true, Fill: build},
+		{Type: protocol.MsgCreateKernel, Class: one, Setup: true, Fill: createKernel},
+		{Type: protocol.MsgSetKernelArg, Class: one, Setup: true, Fill: setArg},
 		{Type: protocol.MsgCreateUserEvent, Class: req, Setup: true, Fill: u64s(0, 0)},
-		{Type: protocol.MsgSetUserEventStatus, Class: req, Fill: eventStatus},
 		{Type: protocol.MsgSetUserEventStatus, Class: one, Fill: eventStatus},
 		{Type: protocol.MsgServeOpen, Class: req, Setup: true, Fill: func(w *protocol.Writer) {
 			protocol.PutServeOpen(w, protocol.ServeOpen{ServeID: 0, Weight: 1, MaxPending: 8, UnitID: 1})
@@ -120,20 +113,18 @@ func sessionSamples() []rpctest.Sample {
 		{Type: protocol.MsgServeClose, Class: one, Fill: func(w *protocol.Writer) { protocol.PutServeClose(w, protocol.ServeClose{ServeID: 0}) }},
 		{Type: protocol.MsgReleaseEvent, Class: one, Fill: u64s(0)},
 		{Type: protocol.MsgReleaseKernel, Class: one, Fill: u64s(0)},
-		{Type: protocol.MsgReleaseProgram, Class: req, Fill: u64s(0)},
 		{Type: protocol.MsgReleaseProgram, Class: one, Fill: u64s(0)},
-		{Type: protocol.MsgReleaseBuffer, Class: req, Fill: u64s(0)},
 		{Type: protocol.MsgReleaseBuffer, Class: one, Fill: u64s(0)},
-		{Type: protocol.MsgReleaseQueue, Class: req, Fill: u64s(0)},
 		{Type: protocol.MsgReleaseQueue, Class: one, Fill: u64s(0)},
-		{Type: protocol.MsgReleaseContext, Class: req, Fill: u64s(0)},
 		{Type: protocol.MsgReleaseContext, Class: one, Fill: u64s(0)},
 		{Type: protocol.MsgGoodbye, Class: one},
 	}
 }
 
 // sessionLink starts a session on an in-process pair and has it serve the
-// set-up samples, so that it holds one object of every kind, each with ID 0.
+// set-up samples, each in its class, so that it holds one object of every
+// kind, each with ID 0. A set-up frame the session refuses fails the
+// sweep: its notice is a frame the sweep did not expect.
 func sessionLink(t *testing.T, d *Daemon, samples []rpctest.Sample) (*rpctest.Link, *session) {
 	t.Helper()
 	clientEP, serverEP := gcf.NewLocalPair()
@@ -142,11 +133,14 @@ func sessionLink(t *testing.T, d *Daemon, samples []rpctest.Sample) (*rpctest.Li
 	l := rpctest.StartLink(clientEP)
 	l.Conn = sess.conn
 	for i, sm := range samples {
-		if !sm.Setup {
-			continue
-		}
-		if st := l.Ask(t, uint32(i+1), sm.Type, sm.Body()); st != cl.Success {
-			t.Fatalf("set-up %s: %v", sm.Type, st)
+		switch {
+		case !sm.Setup:
+		case sm.Class != protocol.ClassRequest:
+			l.Send(t, sm.Class, 0, sm.Type, sm.Body())
+		default:
+			if st := l.Ask(t, uint32(i+1), sm.Type, sm.Body()); st != cl.Success {
+				t.Fatalf("set-up %s: %v", sm.Type, st)
+			}
 		}
 	}
 	l.State = func() string {
@@ -209,11 +203,68 @@ func managerLinkSamples() []rpctest.Sample {
 	req, one := protocol.ClassRequest, protocol.ClassOneWay
 	return []rpctest.Sample{
 		{Type: protocol.MsgDMAssign, Class: req, Fill: assign},
-		{Type: protocol.MsgDMAssign, Class: one, Fill: assign},
-		{Type: protocol.MsgDMRevoke, Class: req, Fill: revoke},
 		{Type: protocol.MsgDMRevoke, Class: one, Fill: revoke},
 		{Type: protocol.MsgDMPing, Class: req, Fill: view, EmptyOK: true},
 		{Type: protocol.MsgDMPing, Class: one, Fill: view, EmptyOK: true},
+	}
+}
+
+// Every message is served in the one class its senders use: a request
+// only where the sender uses the answer or needs the fence. Three types
+// keep two classes, each for two senders: the first Hello asks and a
+// kept link's tells, an EnqueueWrite request is refused after its payload
+// is drained, and a health probe asks where an epoch push tells.
+func TestRouteClasses(t *testing.T) {
+	// classes lists, per type, the classes a table serves it in, and counts
+	// the table's rows and request rows.
+	classes := func(rt rpc.Routes) (byType map[protocol.MsgType][]uint8, rows, requests int) {
+		byType = map[protocol.MsgType][]uint8{}
+		for typ := range rt {
+			for _, class := range []uint8{protocol.ClassRequest, protocol.ClassOneWay, protocol.ClassNotification} {
+				if rt.Handler(protocol.MsgType(typ), class) != nil {
+					byType[protocol.MsgType(typ)] = append(byType[protocol.MsgType(typ)], class)
+					rows++
+					if class == protocol.ClassRequest {
+						requests++
+					}
+				}
+			}
+		}
+		return byType, rows, requests
+	}
+	session, rows, requests := classes((&session{}).routes())
+	if rows != 37 || requests != 7 {
+		t.Errorf("the session serves %d rows, %d of them requests; want 37 and 7", rows, requests)
+	}
+	manager, rows, _ := classes(testDaemon(t, true).managerRoutes(nil, nil))
+	if rows != 4 {
+		t.Errorf("the manager link serves %d rows, want 4", rows)
+	}
+	req, one := protocol.ClassRequest, protocol.ClassOneWay
+	if !slices.Equal(manager[protocol.MsgDMAssign], []uint8{req}) || !slices.Equal(manager[protocol.MsgDMRevoke], []uint8{one}) {
+		t.Errorf("DMAssign in classes %v and DMRevoke in %v, want a request and a one-way", manager[protocol.MsgDMAssign], manager[protocol.MsgDMRevoke])
+	}
+	var twoClasses, requestOnly []protocol.MsgType
+	for typ, cs := range session {
+		if len(cs) == 2 {
+			twoClasses = append(twoClasses, typ)
+		} else if cs[0] == req {
+			requestOnly = append(requestOnly, typ)
+		}
+	}
+	for typ, cs := range manager {
+		if len(cs) == 2 {
+			twoClasses = append(twoClasses, typ)
+		}
+	}
+	slices.Sort(twoClasses)
+	slices.Sort(requestOnly)
+	if want := []protocol.MsgType{protocol.MsgHello, protocol.MsgEnqueueWrite, protocol.MsgDMPing}; !slices.Equal(twoClasses, want) {
+		t.Errorf("served in two classes: %v, want %v", twoClasses, want)
+	}
+	want := []protocol.MsgType{protocol.MsgAttachSession, protocol.MsgGetServerInfo, protocol.MsgFinish, protocol.MsgCreateUserEvent, protocol.MsgServeOpen}
+	if slices.Sort(want); !slices.Equal(requestOnly, want) {
+		t.Errorf("the session serves as requests only %v, want %v", requestOnly, want)
 	}
 }
 

@@ -5,71 +5,8 @@ import (
 	"time"
 
 	"dopencl/internal/cl"
-	"dopencl/internal/gcf"
 	"dopencl/internal/protocol"
-	"dopencl/internal/simnet"
 )
-
-// rawServeSession is rawSession plus a notification channel: serve
-// results ride ClassNotification frames, which the plain harness drops.
-type rawServeSession struct {
-	ep    *gcf.Endpoint
-	resp  chan protocol.Envelope
-	notif chan protocol.Envelope
-}
-
-func newRawServeSession(t *testing.T, d *Daemon) *rawServeSession {
-	t.Helper()
-	a, b := simnet.Pipe(simnet.Unlimited())
-	d.ServeConn(b)
-	rs := &rawServeSession{
-		ep:    gcf.NewEndpoint(a, true),
-		resp:  make(chan protocol.Envelope, 16),
-		notif: make(chan protocol.Envelope, 16),
-	}
-	rs.ep.Start(func(msg []byte) {
-		env, err := protocol.ParseEnvelope(msg)
-		if err != nil {
-			return
-		}
-		switch env.Class {
-		case protocol.ClassResponse:
-			rs.resp <- env
-		case protocol.ClassNotification:
-			rs.notif <- env
-		}
-	}, nil)
-	return rs
-}
-
-func (rs *rawServeSession) call(t *testing.T, id uint32, typ protocol.MsgType, fill func(*protocol.Writer)) protocol.Envelope {
-	t.Helper()
-	w := protocol.NewWriter()
-	if fill != nil {
-		fill(w)
-	}
-	if err := rs.ep.Send(protocol.EncodeEnvelope(protocol.ClassRequest, id, typ, w)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case env := <-rs.resp:
-		return env
-	case <-time.After(10 * time.Second):
-		t.Fatalf("no response to %v", typ)
-		return protocol.Envelope{}
-	}
-}
-
-func (rs *rawServeSession) oneWay(t *testing.T, typ protocol.MsgType, fill func(*protocol.Writer)) {
-	t.Helper()
-	w := protocol.NewWriter()
-	if fill != nil {
-		fill(w)
-	}
-	if err := rs.ep.Send(protocol.EncodeEnvelope(protocol.ClassOneWay, 0, typ, w)); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestServeMalformedFramesDropped: truncated or nonsensical serve frames
 // must be logged and dropped without wedging the connection or crashing
@@ -78,25 +15,25 @@ func (rs *rawServeSession) oneWay(t *testing.T, typ protocol.MsgType, fill func(
 // MsgCommandFailed.
 func TestServeMalformedFramesDropped(t *testing.T) {
 	d := testDaemon(t, false)
-	rs := newRawServeSession(t, d)
+	rs := newGraphSession(t, d)
 	defer rs.ep.Close()
 
 	// Truncated one-way serve frames: empty bodies, cut-off job lists.
-	rs.oneWay(t, protocol.MsgServeSubmit, nil)
-	rs.oneWay(t, protocol.MsgServeClose, nil)
-	rs.oneWay(t, protocol.MsgServeSubmit, func(w *protocol.Writer) {
+	rs.oneway(t, protocol.MsgServeSubmit, nil)
+	rs.oneway(t, protocol.MsgServeClose, nil)
+	rs.oneway(t, protocol.MsgServeSubmit, func(w *protocol.Writer) {
 		w.U64(1)           // serve ID
 		w.U32(0xffff_ffff) // job count the body cannot hold
 	})
 	// A structurally valid submit for a lane that was never opened.
-	rs.oneWay(t, protocol.MsgServeSubmit, func(w *protocol.Writer) {
+	rs.oneway(t, protocol.MsgServeSubmit, func(w *protocol.Writer) {
 		protocol.PutServeSubmit(w, protocol.ServeSubmit{
 			ServeID: 99,
 			Jobs:    []protocol.ServeJob{{JobID: 1, KernelID: 5, InputArg: -1, OutputArg: -1, Global: []int{1}}},
 		})
 	})
 	// Closing an unknown lane is a no-op, not an error.
-	rs.oneWay(t, protocol.MsgServeClose, func(w *protocol.Writer) {
+	rs.oneway(t, protocol.MsgServeClose, func(w *protocol.Writer) {
 		protocol.PutServeClose(w, protocol.ServeClose{ServeID: 99})
 	})
 
@@ -115,14 +52,14 @@ func TestServeMalformedFramesDropped(t *testing.T) {
 	if cl.ErrorCode(env.Body.I32()) != cl.Success {
 		t.Fatal("serve open failed after malformed frames")
 	}
-	rs.oneWay(t, protocol.MsgServeSubmit, func(w *protocol.Writer) {
+	rs.oneway(t, protocol.MsgServeSubmit, func(w *protocol.Writer) {
 		protocol.PutServeSubmit(w, protocol.ServeSubmit{
 			ServeID: 7,
 			Jobs:    []protocol.ServeJob{{JobID: 42, KernelID: 12345, InputArg: -1, OutputArg: -1, Global: []int{1}}},
 		})
 	})
 	select {
-	case env := <-rs.notif:
+	case env := <-rs.notify:
 		if env.Type != protocol.MsgServeResult {
 			t.Fatalf("notification type = %v, want MsgServeResult", env.Type)
 		}
@@ -139,5 +76,10 @@ func TestServeMalformedFramesDropped(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("no serve result after malformed frames")
+	}
+	select {
+	case env := <-rs.failed:
+		t.Fatalf("a serve frame failed as %s", protocol.GetCommandFailure(env.Body).Op)
+	default:
 	}
 }

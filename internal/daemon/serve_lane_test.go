@@ -50,9 +50,9 @@ func laneSession(t *testing.T, d *Daemon, unit uint64) (*leaseFrames, *session) 
 		prog, kern uint64
 		src, name  string
 	}{{2, 3, laneAxpbSource, "axpb"}, {4, 5, laneAxmbSource, "axmb"}} {
-		ok("program", f.ask(protocol.MsgCreateProgram, func(w *protocol.Writer) { w.U64(k.prog); w.U64(1); w.String(k.src) }))
-		ok("build", f.ask(protocol.MsgBuildProgram, func(w *protocol.Writer) { w.U64(k.prog); w.String("") }))
-		ok("kernel", f.ask(protocol.MsgCreateKernel, func(w *protocol.Writer) { w.U64(k.kern); w.U64(k.prog); w.String(k.name) }))
+		ok("program", f.tell(protocol.MsgCreateProgram, func(w *protocol.Writer) { w.U64(k.prog); w.U64(1); w.String(k.src) }))
+		ok("build", f.tell(protocol.MsgBuildProgram, func(w *protocol.Writer) { w.U64(k.prog); w.String("") }))
+		ok("kernel", f.tell(protocol.MsgCreateKernel, func(w *protocol.Writer) { w.U64(k.kern); w.U64(k.prog); w.String(k.name) }))
 	}
 	return f, sess
 }

@@ -162,11 +162,12 @@ func releaseAll[T interface{ Release() error }](s *session, table map[uint64]T) 
 	}
 }
 
-// fail reports a failed command to whoever sent it. A request gets an
-// error response. A one-way command never gets a response, so the
-// deferred MsgCommandFailed notification is the only traffic its failure
-// produces: the client records it against the queue (surfaced at the next
-// Finish) and fails the command's event stub, if it named one (zero: none).
+// fail reports a failed command to whoever sent it. A request (a new
+// link's Hello, a ServeOpen) gets an error response. A one-way command
+// never gets a response, so the deferred MsgCommandFailed notification is
+// the only traffic its failure produces: the client records it against
+// the queue (surfaced at the next Finish) and fails the command's event
+// stub, if it named one (zero: none).
 func (s *session) fail(c rpc.Call, queueID, eventID uint64, err error) {
 	if c.Class == protocol.ClassRequest {
 		c.Reply(cl.CodeOf(err), nil)
@@ -249,37 +250,39 @@ func (s *session) resolveWaits(ids []uint64) ([]cl.Event, error) {
 // run on the endpoint's dispatch goroutine, in arrival order; blocking
 // operations (Finish) spawn goroutines so the dispatcher stays responsive.
 //
-// The command path is one-way only — no response is synthesized, success is
-// silent, failures are pushed back as MsgCommandFailed notifications — and
-// its dispatch order relative to a later Finish request is what makes
-// Finish a correct synchronization point for the whole pipeline. Object
-// lifecycle (create and release of contexts, queues, buffers, programs and
-// kernels), program build, argument binding, user-event status and the
-// Hello that binds a lease are served in both classes by one handler each:
-// the client assigns the IDs, checks what it can itself, compiles programs
-// locally (MiniCL is deterministic: its verdict on a build is the daemon's)
-// and has a lease's device records from its grant, so a response would
-// carry nothing it needs and the message rides the ordered one-way stream
-// ahead of every command that names the object; a new connection's Hello,
-// re-attach recovery and user code, which want the answer, use the request
-// form. Every failure exit of those handlers goes through fail, which
-// answers a request and notifies for a one-way frame.
+// A message is a request only where the client uses the answer or needs
+// the fence: a new connection's Hello (session ID and devices),
+// AttachSession, GetServerInfo, Finish, ServeOpen and CreateUserEvent
+// (whose round trip stamps a replacement event with the connection it
+// was created on). Everything else is one-way — no response is
+// synthesized, success is silent, failures are pushed back as
+// MsgCommandFailed notifications — and its dispatch order relative to a
+// later request is what makes that request a synchronization point for
+// the whole pipeline. That covers the object plane too: the client
+// assigns the IDs, checks what it can itself, compiles programs locally
+// (MiniCL is deterministic: its verdict on a build is the daemon's) and
+// has a lease's device records from its grant, so a create, build,
+// binding, release or kept link's Hello rides the ordered stream ahead of
+// every command that names the object, and re-attach recovery confirms
+// its re-creates with one GetServerInfo behind them. Hello serves both
+// classes; so does EnqueueWrite, whose request form is refused after its
+// payload is drained.
 func (s *session) routes() rpc.Routes {
 	return rpc.Routes{
 		protocol.MsgHello:              {Request: s.handleHello, OneWay: s.handleHello},
 		protocol.MsgAttachSession:      {Request: s.handleAttachSession},
 		protocol.MsgGetServerInfo:      {Request: s.handleGetServerInfo},
-		protocol.MsgCreateContext:      {Request: s.handleCreateContext, OneWay: s.handleCreateContext},
+		protocol.MsgCreateContext:      {OneWay: s.handleCreateContext},
 		protocol.MsgReleaseContext:     releaser(s, &s.contexts),
-		protocol.MsgCreateQueue:        {Request: s.handleCreateQueue, OneWay: s.handleCreateQueue},
+		protocol.MsgCreateQueue:        {OneWay: s.handleCreateQueue},
 		protocol.MsgReleaseQueue:       releaser(s, &s.queues),
-		protocol.MsgCreateBuffer:       {Request: s.handleCreateBuffer, OneWay: s.handleCreateBuffer},
+		protocol.MsgCreateBuffer:       {OneWay: s.handleCreateBuffer},
 		protocol.MsgReleaseBuffer:      releaser(s, &s.buffers),
-		protocol.MsgCreateProgram:      {Request: s.handleCreateProgram, OneWay: s.handleCreateProgram},
-		protocol.MsgBuildProgram:       {Request: s.handleBuildProgram, OneWay: s.handleBuildProgram},
+		protocol.MsgCreateProgram:      {OneWay: s.handleCreateProgram},
+		protocol.MsgBuildProgram:       {OneWay: s.handleBuildProgram},
 		protocol.MsgReleaseProgram:     releaser(s, &s.programs),
-		protocol.MsgCreateKernel:       {Request: s.handleCreateKernel, OneWay: s.handleCreateKernel},
-		protocol.MsgSetKernelArg:       {Request: s.handleSetKernelArg, OneWay: s.handleSetKernelArg},
+		protocol.MsgCreateKernel:       {OneWay: s.handleCreateKernel},
+		protocol.MsgSetKernelArg:       {OneWay: s.handleSetKernelArg},
 		protocol.MsgReleaseKernel:      {OneWay: s.handleReleaseKernel},
 		protocol.MsgEnqueueWrite:       {Request: s.refuseEnqueueWrite, OneWay: s.handleEnqueue},
 		protocol.MsgEnqueueRead:        {OneWay: s.handleEnqueue},
@@ -290,7 +293,7 @@ func (s *session) routes() rpc.Routes {
 		protocol.MsgFinish:             {Request: s.handleFinish},
 		protocol.MsgFlush:              {OneWay: s.handleFlush},
 		protocol.MsgCreateUserEvent:    {Request: s.handleCreateUserEvent},
-		protocol.MsgSetUserEventStatus: {Request: s.handleSetUserEventStatus, OneWay: s.handleSetUserEventStatus},
+		protocol.MsgSetUserEventStatus: {OneWay: s.handleSetUserEventStatus},
 		protocol.MsgReleaseEvent:       {OneWay: s.handleReleaseEvent},
 		protocol.MsgForwardBuffer:      {OneWay: s.handleForwardBuffer},
 		protocol.MsgAcceptForward:      {OneWay: s.handleAcceptForward},
@@ -561,7 +564,6 @@ func (s *session) handleCreateContext(c rpc.Call) {
 	if held {
 		// Idempotent, as for buffers below: re-attach cannot know whether a
 		// one-way create reached a retained session. Kept, contents and all.
-		c.Reply(cl.Success, nil)
 		return
 	}
 	ctx, err := s.d.cfg.Platform.CreateContext(devs)
@@ -572,7 +574,6 @@ func (s *session) handleCreateContext(c rpc.Call) {
 	s.mu.Lock()
 	s.contexts[ctxID] = ctx
 	s.mu.Unlock()
-	c.Reply(cl.Success, nil)
 }
 
 func (s *session) handleCreateQueue(c rpc.Call) {
@@ -594,7 +595,6 @@ func (s *session) handleCreateQueue(c rpc.Call) {
 	}
 	if held {
 		// Kept, and the commands behind it with it (see handleCreateContext).
-		c.Reply(cl.Success, nil)
 		return
 	}
 	q, err := ctx.CreateQueue(dev)
@@ -603,7 +603,6 @@ func (s *session) handleCreateQueue(c rpc.Call) {
 		return
 	}
 	put(s, s.queues, queueID, q)
-	c.Reply(cl.Success, nil)
 }
 
 func (s *session) handleCreateBuffer(c rpc.Call) {
@@ -645,7 +644,6 @@ func (s *session) handleCreateBuffer(c rpc.Call) {
 	existing := s.buffers[bufID]
 	s.mu.Unlock()
 	if existing != nil && existing.Size() == size {
-		c.Reply(cl.Success, nil)
 		return
 	}
 	buf, err := ctx.CreateBuffer(flags&^cl.MemCopyHostPtr, size, nil)
@@ -656,7 +654,6 @@ func (s *session) handleCreateBuffer(c rpc.Call) {
 	s.mu.Lock()
 	s.buffers[bufID] = buf
 	s.mu.Unlock()
-	c.Reply(cl.Success, nil)
 }
 
 func (s *session) handleCreateProgram(c rpc.Call) {
@@ -679,7 +676,6 @@ func (s *session) handleCreateProgram(c rpc.Call) {
 		return
 	}
 	put(s, s.programs, progID, prog)
-	c.Reply(cl.Success, nil)
 }
 
 func (s *session) handleBuildProgram(c rpc.Call) {
@@ -697,9 +693,7 @@ func (s *session) handleBuildProgram(c rpc.Call) {
 	}
 	if err := prog.Build(nil, options); err != nil {
 		s.fail(c, 0, 0, err)
-		return
 	}
-	c.Reply(cl.Success, func(w *protocol.Writer) { w.String("build succeeded") })
 }
 
 func (s *session) handleCreateKernel(c rpc.Call) {
@@ -722,7 +716,6 @@ func (s *session) handleCreateKernel(c rpc.Call) {
 		return
 	}
 	put(s, s.kernels, kernelID, k)
-	c.Reply(cl.Success, func(w *protocol.Writer) { protocol.PutArgInfo(w, k.(*native.Kernel).ArgInfo()) })
 }
 
 func (s *session) handleSetKernelArg(c rpc.Call) {
@@ -739,9 +732,7 @@ func (s *session) handleSetKernelArg(c rpc.Call) {
 	}
 	if err != nil {
 		s.fail(c, 0, 0, err)
-		return
 	}
-	c.Reply(cl.Success, nil) // one-way: acknowledged by silence
 }
 
 func (s *session) handleFinish(c rpc.Call) {
@@ -803,11 +794,12 @@ func (s *session) handleCreateUserEvent(c rpc.Call) {
 	c.Reply(cl.Success, nil)
 }
 
-// handleSetUserEventStatus completes a user event. User code asks and
-// waits; the coherence layer cancels a superseded forward's gate one-way,
-// ordered ahead of the commands that follow it on this connection (a round
-// trip would either block the enqueue path or lose that ordering), and an
-// event it no longer finds is none of its concern.
+// handleSetUserEventStatus completes a user event: a replacement learning
+// its original's status, or a forward's gate failed or cancelled by the
+// client, ordered ahead of the commands that follow it on this connection
+// (a round trip would either block the enqueue path or lose that
+// ordering). An event it no longer finds is none of its concern, and a
+// status it cannot set is logged.
 func (s *session) handleSetUserEventStatus(c rpc.Call) {
 	eventID := c.Body.U64()
 	status := cl.CommandStatus(c.Body.I32())
@@ -819,14 +811,11 @@ func (s *session) handleSetUserEventStatus(c rpc.Call) {
 	s.mu.Unlock()
 	ue, ok := ev.(cl.UserEvent)
 	if !ok {
-		c.Reply(cl.InvalidEvent, nil)
 		return
 	}
-	err := ue.SetStatus(status)
-	if err != nil {
+	if err := ue.SetStatus(status); err != nil {
 		s.d.logf("daemon %s: event %d status: %v", s.d.cfg.Name, eventID, err)
 	}
-	c.Reply(cl.CodeOf(err), nil)
 }
 
 // put stores obj under id and releases the object it displaces, if any:
@@ -845,10 +834,9 @@ func put[T interface{ Release() error }](s *session, table map[uint64]T, id uint
 }
 
 // releaser serves the Release of one of the session's object tables (named
-// by address: re-attach swaps the maps themselves), in both classes like
-// the creates: the client's rides the ordered one-way stream behind the
-// commands that use the object. Releasing an ID the table does not hold is
-// not an error.
+// by address: re-attach swaps the maps themselves), one-way like the
+// creates: it rides the ordered stream behind the commands that use the
+// object. Releasing an ID the table does not hold is not an error.
 func releaser[T interface{ Release() error }](s *session, table *map[uint64]T) rpc.Route {
 	h := func(c rpc.Call) {
 		objID := c.Body.U64()
@@ -864,11 +852,9 @@ func releaser[T interface{ Release() error }](s *session, table *map[uint64]T) r
 		s.mu.Unlock()
 		if err != nil {
 			s.fail(c, 0, 0, err)
-			return
 		}
-		c.Reply(cl.Success, nil)
 	}
-	return rpc.Route{Request: h, OneWay: h}
+	return rpc.Route{OneWay: h}
 }
 
 // handleReleaseKernel releases a kernel; it rides the ordered one-way

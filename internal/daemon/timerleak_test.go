@@ -18,7 +18,7 @@ import (
 // and drain goroutines must all retire with their transfers.
 func TestEarlyTransferTimersRetire(t *testing.T) {
 	h := newPeerHarness(t)
-	defer h.client.Close()
+	defer h.ep.Close()
 	defer h.peer.Close()
 	h.setupBuffer(t, 64)
 
@@ -35,12 +35,12 @@ func TestEarlyTransferTimersRetire(t *testing.T) {
 		// Payload first (parks an early transfer and arms its timer),
 		// accept second (retires the entry — and must stop the timer).
 		h.sendTransfer(t, protocol.PeerTransfer{Token: token, BufID: 3, Offset: 0, Size: 64}, payload)
-		h.oneWay(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
+		h.oneway(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
 			protocol.PutAcceptForward(w, protocol.AcceptForward{
 				Token: token, BufID: 3, Offset: 0, Size: 64, EventID: eventID,
 			})
 		})
-		env := h.waitNotif(t, protocol.MsgEventComplete)
+		env := h.waitNotify(t, protocol.MsgEventComplete)
 		if id := env.Body.U64(); id != eventID {
 			t.Fatalf("transfer %d completed event %d, want %d", i, id, eventID)
 		}

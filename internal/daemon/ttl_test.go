@@ -46,7 +46,7 @@ func waitForwardTablesEmpty(t *testing.T, d *Daemon, within time.Duration) {
 
 func TestPeerParkTTLExpiry(t *testing.T) {
 	h := newPeerHarnessTTL(t, msTTL)
-	defer h.client.Close()
+	defer h.ep.Close()
 	defer h.peer.Close()
 	h.setupBuffer(t, 64)
 	payload := make([]byte, 64)
@@ -81,12 +81,12 @@ func TestPeerParkTTLExpiry(t *testing.T) {
 	if waited := time.Since(start); waited > time.Second {
 		t.Fatalf("expiry took %v for a %v TTL", waited, msTTL)
 	}
-	h.oneWay(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
+	h.oneway(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
 		protocol.PutAcceptForward(w, protocol.AcceptForward{
 			Token: 77, BufID: 3, Offset: 0, Size: 64, EventID: 900,
 		})
 	})
-	env := h.waitNotif(t, protocol.MsgEventComplete)
+	env := h.waitNotify(t, protocol.MsgEventComplete)
 	if id := env.Body.U64(); id != 900 {
 		t.Fatalf("completion for event %d, want 900", id)
 	}
@@ -98,7 +98,7 @@ func TestPeerParkTTLExpiry(t *testing.T) {
 
 func TestPeerParkTTLChurnRace(t *testing.T) {
 	h := newPeerHarnessTTL(t, msTTL)
-	defer h.client.Close()
+	defer h.ep.Close()
 	defer h.peer.Close()
 	h.setupBuffer(t, 256)
 	payload := make([]byte, 256)
@@ -120,12 +120,12 @@ func TestPeerParkTTLChurnRace(t *testing.T) {
 			// Let some payloads age past the TTL before their accept.
 			time.Sleep(msTTL + parkTimerPad(msTTL))
 		}
-		h.oneWay(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
+		h.oneway(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
 			protocol.PutAcceptForward(w, protocol.AcceptForward{
 				Token: token, BufID: 3, Offset: 0, Size: 256, EventID: eventID,
 			})
 		})
-		env := h.waitNotif(t, protocol.MsgEventComplete)
+		env := h.waitNotify(t, protocol.MsgEventComplete)
 		if id := env.Body.U64(); id != eventID {
 			t.Fatalf("transfer %d: completion for event %d, want %d", i, id, eventID)
 		}
@@ -158,7 +158,7 @@ func TestPeerParkTTLSessionCloseRace(t *testing.T) {
 	// accepts' gates, TTL expiry must drain the orphaned payloads, and
 	// the two paths must not trip over each other's table entries.
 	for i := 0; i < 50; i++ {
-		h.oneWay(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
+		h.oneway(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
 			protocol.PutAcceptForward(w, protocol.AcceptForward{
 				Token: uint64(5000 + i), BufID: 3, Offset: 0, Size: 64, EventID: uint64(15000 + i),
 			})
@@ -169,6 +169,6 @@ func TestPeerParkTTLSessionCloseRace(t *testing.T) {
 	}
 	// Give the one-way frames time to dispatch before the close races in.
 	time.Sleep(msTTL)
-	h.client.Close()
+	h.ep.Close()
 	waitForwardTablesEmpty(t, h.d, 5*time.Second)
 }

@@ -46,7 +46,7 @@ func (p *Program) Build(devices []cl.Device, options string) error {
 		return cl.Errf(cl.BuildProgramFailure, "%s", err.Error())
 	}
 	for _, d := range targets {
-		p.buildLogs[d.Name()] = "build succeeded"
+		p.buildLogs[d.Name()] = "" // a clean build logs nothing
 	}
 	// Run the optimization passes over every kernel now, so the first
 	// launch (and every graph replay and scheduler chunk after it) finds
@@ -125,10 +125,6 @@ func (k *Kernel) Name() string { return k.fn.Name }
 
 // NumArgs returns the number of kernel parameters.
 func (k *Kernel) NumArgs() int { return len(k.fn.Args) }
-
-// ArgInfo exposes the compiled argument descriptions (the dOpenCL client
-// uses the ReadOnly flag to drive MSI coherence).
-func (k *Kernel) ArgInfo() []kernel.ArgInfo { return k.fn.Args }
 
 // SetArg binds argument i.
 func (k *Kernel) SetArg(i int, v any) error {

@@ -1,9 +1,6 @@
 package protocol
 
-import (
-	"dopencl/internal/cl"
-	"dopencl/internal/kernel"
-)
+import "dopencl/internal/cl"
 
 // MsgType enumerates protocol messages.
 type MsgType uint16
@@ -11,9 +8,10 @@ type MsgType uint16
 // Client ↔ daemon message types. Object IDs are allocated by the client
 // driver (stub IDs, Section III-D of the paper); the daemon maps them to
 // its native OpenCL objects. That is why the Create* and Release*
-// messages need no answer: the client sends them one-way, ahead of the
-// commands that name the object on the same ordered connection, and only
-// re-attach recovery sends them as requests.
+// messages, a build and an argument binding need no answer: they are
+// one-way, ahead of the commands that name the object on the same ordered
+// connection, and a client that must know they were served (re-attach
+// recovery) follows them with one request.
 const (
 	MsgHello MsgType = iota + 1
 	MsgCreateContext
@@ -203,35 +201,6 @@ func GetDeviceRecords(r *Reader) []DeviceRecord {
 	for i := range out {
 		out[i].UnitID = r.U32()
 		out[i].Info = GetDeviceInfo(r)
-	}
-	return out
-}
-
-// PutArgInfo encodes compiled kernel argument metadata (returned by
-// CreateKernel so the client driver can drive MSI coherence).
-func PutArgInfo(w *Writer, args []kernel.ArgInfo) {
-	w.U32(uint32(len(args)))
-	for _, a := range args {
-		w.String(a.Name)
-		w.U8(uint8(a.Kind))
-		w.U8(uint8(a.Elem))
-		w.Bool(a.ReadOnly)
-	}
-}
-
-// GetArgInfo decodes kernel argument metadata.
-func GetArgInfo(r *Reader) []kernel.ArgInfo {
-	n := int(r.U32())
-	if n > r.Remaining() {
-		r.err = ErrTruncated
-		return nil
-	}
-	out := make([]kernel.ArgInfo, n)
-	for i := range out {
-		out[i].Name = r.String()
-		out[i].Kind = kernel.ArgKind(r.U8())
-		out[i].Elem = kernel.Type(r.U8())
-		out[i].ReadOnly = r.Bool()
 	}
 	return out
 }

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"dopencl/internal/cl"
-	"dopencl/internal/kernel"
 )
 
 func TestScalarRoundTrip(t *testing.T) {
@@ -135,7 +134,6 @@ func TestTruncatedContainers(t *testing.T) {
 		func(r *Reader) { r.Ints() },
 		func(r *Reader) { r.Strings() },
 		func(r *Reader) { GetDeviceRecords(r) },
-		func(r *Reader) { GetArgInfo(r) },
 	} {
 		r := NewReader(w.Bytes())
 		read(r)
@@ -204,26 +202,6 @@ func TestDeviceRecordsRoundTrip(t *testing.T) {
 	out := GetDeviceRecords(NewReader(w.Bytes()))
 	if len(out) != 2 || out[1].UnitID != 3 || out[1].Info.Name != "cpu1" || out[1].Info.ComputeUnits != 12 {
 		t.Fatalf("records = %+v", out)
-	}
-}
-
-func TestArgInfoRoundTrip(t *testing.T) {
-	args := []kernel.ArgInfo{
-		{Name: "out", Kind: kernel.ArgGlobalBuf, Elem: kernel.TypeFloat, ReadOnly: false},
-		{Name: "in", Kind: kernel.ArgGlobalBuf, Elem: kernel.TypeInt, ReadOnly: true},
-		{Name: "n", Kind: kernel.ArgScalarInt},
-		{Name: "s", Kind: kernel.ArgLocalBuf, Elem: kernel.TypeFloat},
-	}
-	w := NewWriter()
-	PutArgInfo(w, args)
-	out := GetArgInfo(NewReader(w.Bytes()))
-	if len(out) != len(args) {
-		t.Fatalf("got %d args", len(out))
-	}
-	for i := range args {
-		if out[i] != args[i] {
-			t.Errorf("arg %d = %+v, want %+v", i, out[i], args[i])
-		}
 	}
 }
 

@@ -58,9 +58,11 @@ func New(ep *gcf.Endpoint) *Conn {
 }
 
 // Route names, for one message type, the handler of each class a role
-// serves it in; nil means the type is not served in that class. A type
-// served in two classes can name one handler twice: Call.Reply is a no-op
-// outside request class.
+// serves it in; nil means the type is not served in that class. A type is
+// served in the class its senders use, and in two only when it has two
+// kinds of sender — a daemon's ping is a manager's health probe, asked,
+// and its epoch push, told — which can name one handler twice:
+// Call.Reply is a no-op outside request class.
 type Route struct {
 	Request, OneWay, Notify func(Call)
 }

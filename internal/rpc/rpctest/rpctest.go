@@ -25,7 +25,7 @@ type Sample struct {
 	// EmptyOK: the empty body is a message of its own (a ping without a
 	// view), not a truncation of this one.
 	EmptyOK bool
-	// Setup: the role must have served this request, in list order, before
+	// Setup: the role must have served this sample, in list order, before
 	// it holds the objects the other samples name.
 	Setup bool
 }
