@@ -34,9 +34,9 @@ func newPlatform(tb *testbed.Testbed) *client.Platform {
 	return client.NewPlatform(client.Options{Dialer: tb.Dialer(ClientID), ClientName: "chaos"})
 }
 
-// waitDown blocks until the server's failure sweep finished (the Down
-// channel closes after the directory sweep, so once it fires the Lost
-// ranges are recorded).
+// waitDown blocks until the server's connection died and every command in
+// flight on it failed (the Down channel closes after that, so once it
+// fires the directories derive the loss and no failure is still landing).
 func waitDown(t *testing.T, srv *client.Server) {
 	t.Helper()
 	select {
@@ -64,7 +64,7 @@ func checkDirectories(t *testing.T, when string, bufs []cl.Buffer, servers map[s
 				if st == "I" {
 					continue
 				}
-				if !servers[addr].Alive() {
+				if !servers[addr].Connected() {
 					fail("a valid copy on a dead server")
 				}
 				valid++

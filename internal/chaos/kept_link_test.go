@@ -199,3 +199,26 @@ func TestBlipOnKeptLinkReattachesCurrentLease(t *testing.T) {
 	}
 	lb.scaleAndCheck(t)
 }
+
+// The end of a lease ends the epoch of the daemon-side state it held: the
+// lease's sole buffer copies read DataLost while the link, kept idle for
+// the next lease, stays up, and LostRanges reports them.
+func TestLeaseEndLosesSoleCopies(t *testing.T) {
+	cc, p, mc, _ := keptLinkWorld(t, time.Minute)
+	lease := acquire(t, cc, p, mc)
+	srv := lease.Servers[0]
+	lb := newLeaseBuffer(t, p)
+	if err := lease.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if !srv.Connected() {
+		t.Fatal("the kept link went down with the lease")
+	}
+	cb := lb.buf.(*client.Buffer)
+	if lr := cb.LostRanges(); len(lr) != 1 || lr[0] != [2]int{0, 4 * leaseN} {
+		t.Fatalf("LostRanges after the lease ended = %v, want [[0 %d]]", lr, 4*leaseN)
+	}
+	if _, err := lb.q.EnqueueReadBuffer(lb.buf, true, 0, make([]byte, 4*leaseN), nil); cl.CodeOf(err) != cl.DataLost {
+		t.Fatalf("read after the lease ended: %v, want DataLost", err)
+	}
+}

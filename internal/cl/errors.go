@@ -53,8 +53,13 @@ const (
 	// server (or route to a survivor) and retry.
 	ServerLost ErrorCode = -2002
 	// DataLost is a dOpenCL extension code: a buffer range's only valid
-	// copy lived on a daemon that died, so its contents are unrecoverable.
-	// Reads of the range fail with this code until the range is rewritten.
+	// copy was lost. Reads of the range fail with this code until the
+	// range is rewritten. The contents come back by themselves in one
+	// case: the copy's daemon connection is down, and a re-attach finds
+	// the daemon retained the session (Server.Reattach reports it). They
+	// are unrecoverable when the daemon lost the session (a restart, the
+	// retention window's expiry, the end of the lease) or when a failed
+	// command dropped the copy.
 	DataLost ErrorCode = -2003
 	// Busy is a dOpenCL extension code: the serve-path admission control
 	// rejected a job because the session's queue share is full. Unlike

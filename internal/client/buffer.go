@@ -158,12 +158,13 @@ func (b *Buffer) States() (host string, servers map[string]string) {
 	return coherence.Summarize(hostL), servers
 }
 
-// RegionState describes one directory span for tests and debugging.
+// RegionState describes one directory span for tests and debugging, as a
+// read sees it: a copy on a server that is down or lost its state is "I".
 type RegionState struct {
 	Off, End int
 	Host     string
 	Servers  map[string]string
-	Lost     bool // only valid copy died with its daemon
+	Lost     bool // no valid copy, and one was lost: reads fail with DataLost
 }
 
 // RegionStates returns the full region directory over the buffer's (or
@@ -195,8 +196,9 @@ func (b *Buffer) SpanCount() int {
 }
 
 // LostRanges reports the byte ranges of this buffer (or view) whose only
-// valid copy died with its daemon: reads of them fail with cl.DataLost
-// until rewritten.
+// valid copy was lost — its server is down or lost its state, or a failed
+// command dropped it: reads of them fail with cl.DataLost until rewritten,
+// or until a re-attach that finds the server's session retained.
 func (b *Buffer) LostRanges() [][2]int {
 	r := b.root()
 	off, end := b.viewRange()
@@ -215,10 +217,10 @@ func (b *Buffer) LostRanges() [][2]int {
 // later coherence reads of the range.
 //
 // The directory is updated optimistically — enqueues are one-way and the
-// common case is success. If the command later fails (a deferred
-// fire-and-forget failure), the update is rolled back so the directory
-// does not gate forever on a failed event: ev keeps the claim and undoes
-// it before its waiters wake (Event.complete).
+// common case is success. If the daemon later reports the command failed
+// (a deferred fire-and-forget failure), the update is rolled back so the
+// directory does not gate forever on a failed event: ev keeps the claim
+// and undoes it before its waiters wake (Event.complete).
 func (b *Buffer) markRangeWrittenBy(srv *Server, off, end int, ev *Event) {
 	r := b.root()
 	r.mu.Lock()
@@ -233,28 +235,8 @@ func (b *Buffer) markRangeWrittenBy(srv *Server, off, end int, ev *Event) {
 	c := claim{root: r, srv: srv, off: off, end: end, gen: gen, snap: snap}
 	if recorded, st := ev.addClaim(c); !recorded && st != cl.Complete {
 		// The command was on the wire before the claim: it failed first.
-		c.rollback(ev)
+		c.rollback(ev, st)
 	}
-}
-
-// handleServerLost sweeps the directory after srv's connection died.
-func (b *Buffer) handleServerLost(srv *Server) {
-	gen := srv.generation()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.coh.SweepServer(srv, gen)
-}
-
-// restoreAfterReattach re-installs the claims that were recorded as lost
-// from srv, after a session re-attach confirmed the daemon retained its
-// state: the remote buffer still holds exactly the bytes the directory
-// thought were gone. Only losses recorded against the connection the
-// retained session lived on are restorable.
-func (b *Buffer) restoreAfterReattach(srv *Server) {
-	wantConn := srv.generation() - 1
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.coh.Restore(srv, wantConn)
 }
 
 // noteHostRead updates directory state after the client read
@@ -390,9 +372,6 @@ func (b *Buffer) ensureRangeValidOn(q *Queue, off, end int) ([]*Event, error) {
 			pos = p.End
 			continue
 		}
-		if !p.HostValid && p.Src == nil && !p.Lost && p.DeadHolder {
-			return nil, cl.Errf(cl.ServerLost, "buffer %d range [%d,%d): holder's connection just died (sweep pending)", b.id, pos, p.End)
-		}
 		var src *Server
 		var srcGate *Event
 		if p.Src != nil {
@@ -437,7 +416,7 @@ func (b *Buffer) makeRangeValid(q *Queue, ps, pe int, hostValid, lost bool, src 
 	if !hostValid {
 		if src == nil {
 			if lost {
-				return nil, false, cl.Errf(cl.DataLost, "buffer %d range [%d,%d): only valid copy died with its daemon", b.id, ps, pe)
+				return nil, false, cl.Errf(cl.DataLost, "buffer %d range [%d,%d): its only copy was lost", b.id, ps, pe)
 			}
 			return nil, false, cl.Errf(cl.InvalidMemObject, "buffer %d range [%d,%d) has no valid copy", b.id, ps, pe)
 		}
@@ -520,16 +499,14 @@ func (b *Buffer) uploadRange(q *Queue, ps, pe int) (*Event, error) {
 	// The revoke ignores the generation on purpose: an interim mutation
 	// may have left srv's Shared range untouched, and a false-valid copy
 	// (silent corruption) is far worse than a redundant re-upload.
-	if cerr := ev.SetCallback(cl.Complete, func(_ cl.Event, st cl.CommandStatus) {
+	ev.settleWith(func(st cl.CommandStatus) {
 		if st == cl.Complete {
 			return
 		}
 		b.mu.Lock()
 		b.coh.Invalidate(srv, ps, pe)
 		b.mu.Unlock()
-	}); cerr != nil {
-		return nil, cerr
-	}
+	})
 	return ev, nil
 }
 
@@ -568,7 +545,7 @@ func (b *Buffer) forwardRange(src, dst *Server, ps, pe int, srcGate *Event) (*Ev
 	// notification path.
 	gateID := b.ctx.plat.newID()
 	gate := newRemoteEvent(b.ctx, dst, gateID)
-	dst.registerHook(gateID, gate.complete)
+	dst.registerHook(gateID, gate, gate.complete)
 	if err := dst.send(protocol.MsgAcceptForward, func(w *protocol.Writer) {
 		protocol.PutAcceptForward(w, protocol.AcceptForward{
 			Token: token, BufID: b.id, Offset: int64(ps), Size: int64(pe - ps),
@@ -586,7 +563,7 @@ func (b *Buffer) forwardRange(src, dst *Server, ps, pe int, srcGate *Event) (*Ev
 	sendID := b.ctx.plat.newID()
 	sendEv := newRemoteEvent(b.ctx, src, sendID)
 	peerAddr := dst.PeerAddr()
-	src.registerHook(sendID, func(st cl.CommandStatus) {
+	src.registerHook(sendID, sendEv, func(st cl.CommandStatus) {
 		sendEv.complete(st)
 		if st == cl.Complete {
 			return
@@ -594,9 +571,9 @@ func (b *Buffer) forwardRange(src, dst *Server, ps, pe int, srcGate *Event) (*Ev
 		if cl.ErrorCode(st) == cl.InvalidServer {
 			src.markPeerUnreachable(peerAddr)
 		}
-		// The payload never reached dst: fail the gate remotely so
-		// dependent commands (and the local stub) unblock.
-		go b.failRemoteGate(dst, gate, gateID, st)
+		// The payload may never reach dst: have dst fail the gate unless
+		// it landed, so dependent commands (and the local stub) unblock.
+		go failRemoteGate(dst, gateID, st)
 	})
 	if err := src.send(protocol.MsgForwardBuffer, func(w *protocol.Writer) {
 		protocol.PutForwardBuffer(w, protocol.ForwardBuffer{
@@ -610,7 +587,7 @@ func (b *Buffer) forwardRange(src, dst *Server, ps, pe int, srcGate *Event) (*Ev
 		src.dropHook(sendID)
 		// The accept is already parked at dst; fail its gate so the
 		// daemon retires it and nothing waits forever.
-		go b.failRemoteGate(dst, gate, gateID, cl.CommandStatus(cl.InvalidServer))
+		go failRemoteGate(dst, gateID, cl.CommandStatus(cl.InvalidServer))
 		return nil, err
 	}
 	srcQ.track(sendEv)
@@ -618,9 +595,9 @@ func (b *Buffer) forwardRange(src, dst *Server, ps, pe int, srcGate *Event) (*Ev
 	// transport: a src that dies right after takes the bytes still in its
 	// send path with it, dst's accept stays parked, and nothing above
 	// would ever settle the gate. This hook is one no daemon completes —
-	// only the loss sweep of src's connection fires it.
+	// only the close notice of src's connection fires it.
 	lostID := b.ctx.plat.newID()
-	src.registerHook(lostID, func(st cl.CommandStatus) { b.failRemoteGate(dst, gate, gateID, st) })
+	src.registerHook(lostID, nil, func(st cl.CommandStatus) { failRemoteGate(dst, gateID, st) })
 
 	// Optimistic directory update over the range: src's read downgrades
 	// M→S, dst gains a Shared copy gated on the transfer; the host copy is
@@ -637,7 +614,7 @@ func (b *Buffer) forwardRange(src, dst *Server, ps, pe int, srcGate *Event) (*Ev
 	}); cerr != nil {
 		return nil, cerr
 	}
-	if cerr := gate.SetCallback(cl.Complete, func(_ cl.Event, st cl.CommandStatus) {
+	gate.settleWith(func(st cl.CommandStatus) {
 		// A transport-class failure means the peer path itself is broken
 		// (the source may have "handed the payload to the transport"
 		// successfully and only the receiver saw the wire die): stop
@@ -650,9 +627,7 @@ func (b *Buffer) forwardRange(src, dst *Server, ps, pe int, srcGate *Event) (*Ev
 		b.mu.Lock()
 		b.coh.SettleForward(dst, ps, pe, gate, st == cl.Complete)
 		b.mu.Unlock()
-	}); cerr != nil {
-		return nil, cerr
-	}
+	})
 	return gate, nil
 }
 
@@ -713,29 +688,29 @@ func (b *Buffer) hostRangeCopy(off, end int, dst []byte) {
 // only this transfer is obsolete — so the pair is not marked
 // unreachable.
 func (b *Buffer) cancelSupersededForward(g *Event) {
-	if err := g.origin.send(protocol.MsgSetUserEventStatus, func(w *protocol.Writer) {
+	// A send that fails found the target's connection gone, and the
+	// transfer with it.
+	_ = g.origin.send(protocol.MsgSetUserEventStatus, func(w *protocol.Writer) {
 		w.U64(g.originID)
 		w.I32(int32(cl.InvalidOperation))
-	}); err != nil {
-		// The connection to the target is gone; so is the transfer.
-		_ = err
-	}
+	})
 }
 
 // failRemoteGate fails a forward's gating user event on dst after the
-// source side reported that the payload will never arrive: commands
-// waiting on the gate unblock with the error, and the daemon retires the
-// pending accept. If the transfer actually landed first, the remote
-// SetStatus is a no-op (user-event completion is idempotent). The local
-// stub is failed directly as well, in case dst never saw the accept.
-func (b *Buffer) failRemoteGate(dst *Server, gate *Event, gateID uint64, st cl.CommandStatus) {
-	// One-way, like cancelSupersededForward: a dead dst took the gate
-	// with it, and one that never saw the accept ignores the status.
+// source side reported, or its connection's death implied, that the
+// payload may never arrive: commands waiting on the gate unblock with the
+// error, and the daemon retires the pending accept. If the transfer
+// landed first, dst ignores the status. dst alone decides, and its
+// verdict reaches the local stub through the gate's own completion
+// notice: that notice may simply not have been handled yet, and failing
+// the stub here would revoke a copy that landed. A dst whose connection
+// dies fails the stub with it (the close notice fails every hook).
+func failRemoteGate(dst *Server, gateID uint64, st cl.CommandStatus) {
+	// One-way, like cancelSupersededForward.
 	_ = dst.send(protocol.MsgSetUserEventStatus, func(w *protocol.Writer) {
 		w.U64(gateID)
 		w.I32(int32(st))
 	})
-	gate.complete(st)
 }
 
 // newForwardToken draws a random transfer token. Tokens rendezvous the

@@ -239,9 +239,8 @@ func (c *Context) liveBuffers() []*Buffer {
 // context or queue it holds is kept, an existing buffer of the same size
 // keeps its contents, programs and kernels are overwritten and the
 // bindings replayed. Platform.serverReattached confirms all of it with
-// one request behind the last frame; directory restoration for retained
-// sessions happens separately, after the server is marked connected
-// again (Platform.restoreDirectories).
+// one request behind the last frame. The region directories need nothing:
+// the server's copies count again once its incarnation says so.
 func (c *Context) resyncServer(srv *Server) error {
 	rid, err := c.remoteContextID(srv)
 	if err != nil {

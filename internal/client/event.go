@@ -34,24 +34,27 @@ type Event struct {
 	replacements map[*Server]replEntry // server → replacement user event; nil until the first
 	notified     map[*Server]bool      // replacements already told the final status
 	final        cl.CommandStatus
+	settled      bool // settle ran: final is the status
 	completed    bool
 
-	// claims are the directory claims of the command, undone by complete
-	// if it fails — before the latch completes, so nothing woken by the
-	// failure can read through a claim the failed command never made
-	// good. Most commands write one range: its record rides inline.
+	// claims are the directory effects of the command, run by settle
+	// before the latch completes, so nothing woken by a failure can read
+	// through a claim the failed command never made good. Most commands
+	// write one range: its record rides inline.
 	claims   []claim
 	claimBuf [1]claim
 }
 
 // claim is one optimistic directory claim (Buffer.markRangeWrittenBy):
-// what RollbackClaim needs to undo it.
+// what RollbackClaim needs to undo it — or, with effect set, another
+// directory effect of the command's final status (settleWith).
 type claim struct {
 	root     *Buffer
 	srv      *Server
 	off, end int
 	gen      uint64
 	snap     coherence.Snapshot
+	effect   func(cl.CommandStatus)
 }
 
 // replEntry is one replacement user event, stamped with the server's
@@ -125,19 +128,17 @@ func (e *Event) Release() error {
 	return nil
 }
 
-// complete is the notification hook: it rolls back the command's
-// directory claims if it failed, propagates the status to every
-// replacement user event and finalises the local latch.
+// complete is the notification hook: it settles the command's directory
+// effects, propagates the status to every replacement user event and
+// finalises the local latch.
 func (e *Event) complete(status cl.CommandStatus) {
+	e.settle(status)
 	e.mu.Lock()
 	if e.completed {
 		e.mu.Unlock()
 		return
 	}
 	e.completed = true
-	e.final = status
-	claims := e.claims
-	e.claims = nil
 	var targets []replTarget
 	for srv, re := range e.replacements {
 		if !e.notified[srv] {
@@ -147,11 +148,6 @@ func (e *Event) complete(status cl.CommandStatus) {
 	}
 	e.mu.Unlock()
 
-	if status != cl.Complete {
-		for i := range claims {
-			claims[i].rollback(e)
-		}
-	}
 	for _, t := range targets {
 		// A replacement from an earlier connection died with the daemon's
 		// event table — nothing waits on it, and notifying the stale ID
@@ -174,13 +170,44 @@ type replTarget struct {
 	re  replEntry
 }
 
+// settle runs the command's directory effects for its final status, once:
+// the rollback of its claims if it failed, and the effects settleWith
+// recorded. complete runs it first, and a connection's close notice runs
+// it for every event of the connection before Down closes (onClose).
+func (e *Event) settle(status cl.CommandStatus) {
+	e.mu.Lock()
+	if e.settled {
+		e.mu.Unlock()
+		return
+	}
+	e.settled, e.final = true, status
+	claims := e.claims
+	e.claims = nil
+	e.mu.Unlock()
+	for i := range claims {
+		if c := &claims[i]; c.effect != nil {
+			c.effect(status)
+		} else if status != cl.Complete {
+			c.rollback(e, status)
+		}
+	}
+}
+
+// settleWith records fn as a directory effect of the command's final
+// status, run by settle — at once if the event has already settled.
+func (e *Event) settleWith(fn func(cl.CommandStatus)) {
+	if recorded, st := e.addClaim(claim{effect: fn}); !recorded {
+		fn(st)
+	}
+}
+
 // addClaim records a directory claim of the command for rollback on
 // failure. It reports false, recording nothing, when the event has already
-// completed — the caller then settles the claim itself by the final status.
+// settled — the caller then settles the claim itself by the final status.
 func (e *Event) addClaim(c claim) (recorded bool, final cl.CommandStatus) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.completed {
+	if e.settled {
 		return false, e.final
 	}
 	if e.claims == nil {
@@ -190,8 +217,15 @@ func (e *Event) addClaim(c claim) (recorded bool, final cl.CommandStatus) {
 	return true, 0
 }
 
-// rollback undoes the claim for its failed command ev.
-func (c *claim) rollback(ev *Event) {
+// rollback undoes the claim of ev, whose command failed with st. A
+// command that died with its connection (cl.ServerLost: the daemon
+// reported nothing) is not undone — whether it ran is the daemon's to
+// know, and its copy counts again, like every other the server holds, if
+// a re-attach finds the session retained.
+func (c *claim) rollback(ev *Event, st cl.CommandStatus) {
+	if cl.ErrorCode(st) == cl.ServerLost {
+		return
+	}
 	c.root.mu.Lock()
 	c.root.coh.RollbackClaim(c.srv, ev, c.off, c.end, c.gen, c.snap)
 	c.root.mu.Unlock()
@@ -259,9 +293,7 @@ func (e *Event) remoteIDFor(srv *Server) (uint64, error) {
 		// Lost a race with another creator; use theirs. The spare remote
 		// user event is released.
 		e.mu.Unlock()
-		if rerr := srv.send(protocol.MsgReleaseEvent, func(w *protocol.Writer) { w.U64(id) }); rerr != nil {
-			return existing.id, nil
-		}
+		_ = srv.send(protocol.MsgReleaseEvent, func(w *protocol.Writer) { w.U64(id) })
 		return existing.id, nil
 	}
 	if e.replacements == nil {

@@ -316,6 +316,109 @@ func TestReattachRetainedRecoversData(t *testing.T) {
 	}
 }
 
+// TestLateRollback: the rollback of a command's claim runs late — after
+// the link blipped and the session was re-attached, retained. A command
+// that died with its connection (its event failed with ServerLost) is not
+// rolled back: its claim stands, the range is the server's like every copy
+// the retained session kept, and nothing reads as Lost. A command the
+// daemon reported failed is rolled back whenever that runs: the copy it
+// may have scribbled on is dropped, and the range, whose only copy it
+// was, stays Lost across the next retained re-attach too. The first half
+// depends on claim.rollback's `cl.ErrorCode(st) == cl.ServerLost` return:
+// without it the range reads Lost. The second half failed while a sweep
+// and a restore kept the loss: the restore brought the failed claim back.
+func TestLateRollback(t *testing.T) {
+	tc := newTestClusterOf(t, testbed.Spec{Retain: time.Minute, Nodes: map[string][]device.Config{
+		"node0": {device.TestCPU("cpu0")},
+	}})
+	ctx, servers, queues, buf := failSetup(t, tc, "node0")
+	q, srv, cb := queues[0], servers[0], buf.(*Buffer)
+	if _, err := q.EnqueueWriteBuffer(buf, true, 0, bytes.Repeat([]byte{0x3C}, 256), nil); err != nil {
+		t.Fatal(err)
+	}
+	blip := func() {
+		t.Helper()
+		tc.Net.Sever(testClientID, "node0")
+		waitServerDown(t, srv)
+		waitFor(t, func() bool { return tc.Daemon("node0").RetainedSessions() == 1 }, "session detach")
+		tc.Net.Heal(testClientID, "node0")
+		if retained, err := srv.Reattach(); err != nil || !retained {
+			t.Fatalf("reattach: retained=%v, %v", retained, err)
+		}
+	}
+	claim := func() *Event {
+		ev := newRemoteEvent(ctx.(*Context), srv, tc.plat.newID())
+		cb.markRangeWrittenBy(srv, 0, 128, ev)
+		return ev
+	}
+
+	died := claim()
+	blip()
+	died.complete(cl.CommandStatus(cl.ServerLost))
+	if lr := cb.LostRanges(); len(lr) != 0 {
+		t.Fatalf("after the late rollback of a command lost with its link: LostRanges = %v, want none", lr)
+	}
+	if _, servers := cb.States(); servers["node0"] != "M" {
+		t.Fatalf("after the late rollback of a command lost with its link: node0 = %s, want M", servers["node0"])
+	}
+
+	failed := claim()
+	blip()
+	failed.complete(cl.CommandStatus(cl.InvalidOperation))
+	for _, when := range []string{"after the late rollback of a failed command", "after one more retained re-attach"} {
+		if lr := cb.LostRanges(); len(lr) != 1 || lr[0] != [2]int{0, 128} {
+			t.Fatalf("%s: LostRanges = %v, want [[0 128]]", when, lr)
+		}
+		if _, err := q.EnqueueReadBuffer(buf, true, 0, make([]byte, 256), nil); cl.CodeOf(err) != cl.DataLost {
+			t.Fatalf("%s: read = %v, want DataLost", when, err)
+		}
+		blip()
+	}
+}
+
+// TestDownWaitsForDirectoryEffectsOnly: Down closes once the directory
+// effects of every event in flight on the dead connection have run — the
+// revocation of a transfer that died with the link included — and not
+// later: a failed event's callback that waits for Down does not hang. A
+// re-attach waits for Down, so it cannot make the server's copies count
+// again while an optimistic copy the connection never finished is still
+// standing. It depends on onClose's `h.ev.settle(...)` line.
+func TestDownWaitsForDirectoryEffectsOnly(t *testing.T) {
+	tc := newTestCluster(t, map[string][]device.Config{"node0": {device.TestCPU("cpu0")}})
+	srv, err := tc.plat.ConnectServer("node0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := newRemoteEvent(nil, srv, tc.plat.newID())
+	var settled atomic.Bool
+	ev.settleWith(func(st cl.CommandStatus) {
+		time.Sleep(20 * time.Millisecond)
+		settled.Store(cl.ErrorCode(st) == cl.ServerLost)
+	})
+	sawDown := make(chan struct{})
+	if err := ev.SetCallback(cl.Complete, func(cl.Event, cl.CommandStatus) {
+		<-srv.Down()
+		close(sawDown)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	srv.registerHook(ev.originID, ev, ev.complete)
+	tc.Net.Sever(testClientID, "node0")
+	select {
+	case <-srv.Down():
+	case <-time.After(10 * time.Second):
+		t.Fatal("Down never closed: it waits for a failed event's callback, which waits for Down")
+	}
+	if !settled.Load() {
+		t.Fatal("Down closed before the in-flight event's directory effect ran")
+	}
+	select {
+	case <-sawDown:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the failed event's callback never saw Down")
+	}
+}
+
 // TestReattachUnretainedRecreatesObjects: the daemon restarted (fresh
 // process, empty tables, device memory gone). Re-attach reports
 // retained=false, the client re-creates its remote objects under their

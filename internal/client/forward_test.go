@@ -521,6 +521,61 @@ func TestForwardGateFailsWhenSourceDiesAfterHandOff(t *testing.T) {
 	}
 }
 
+// TestLateGateNoticeSurvivesSourceLoss: a forward's payload has landed on
+// its target, but the client has not handled the gate's completion notice
+// yet when the source's connection dies. Only the target knows whether
+// the payload landed, so the source's loss must not fail the gate on the
+// client: that revoked the target's good copy, and with the source down
+// the range read as Lost. It depends on failRemoteGate leaving the stub to
+// the target's verdict (no local gate.complete).
+func TestLateGateNoticeSurvivesSourceLoss(t *testing.T) {
+	const size = 4 << 10
+	tc, ctx, _, q0, q1 := twoNodeContext(t)
+	defer ctx.Release()
+	// The payload is on the wire long enough to hold the notice back first.
+	tc.Net.SetLinkBetween("node0", testbed.PeerAddr("node1"), simnet.LinkConfig{LatencySec: 0.2})
+	buf, err := ctx.CreateBuffer(cl.MemReadWrite, size, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pattern(size, 5)
+	if _, err := q0.EnqueueWriteBuffer(buf, true, 0, want, nil); err != nil {
+		t.Fatal(err)
+	}
+	cb, src, dst := buf.(*Buffer), q0.(*Queue).srv, q1.(*Queue).srv
+	gate, err := cb.forwardRange(src, dst, 0, size, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	notice := make(chan cl.CommandStatus, 1)
+	dst.dropHook(gate.originID)
+	dst.registerHook(gate.originID, nil, func(st cl.CommandStatus) { notice <- st })
+	select {
+	case st := <-notice:
+		if st != cl.Complete {
+			t.Fatalf("the forward failed to land: %d", st)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the forward never landed")
+	}
+
+	tc.Kill("node0")
+	waitServerDown(t, src)
+	if lr := cb.LostRanges(); len(lr) != 0 {
+		t.Fatalf("after the source's loss: LostRanges = %v, want none (the copy on node1 landed)", lr)
+	}
+	gate.complete(cl.Complete) // the notice held back
+	got := make([]byte, size)
+	if _, err := q1.EnqueueReadBuffer(buf, true, 0, got, nil); err != nil {
+		t.Fatalf("read of the landed copy: %v", err)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("byte %d of the landed copy = %d, want %d", i, got[i], want[i])
+		}
+	}
+}
+
 // TestSupersededForwardNeverLands: a write on another server
 // invalidates a copy whose forwarded payload is still in flight; the
 // stale payload must never be committed, even though it arrives after

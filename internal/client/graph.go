@@ -469,7 +469,7 @@ func (q *Queue) EnqueueCommandBuffer(b cl.CommandBuffer, updates []cl.CommandUpd
 	// daemon could complete the iteration before they spawn) but only
 	// started once the exec frame is on the wire.
 	wg.Add(len(readDsts))
-	q.srv.registerHook(execID, func(st cl.CommandStatus) {
+	q.srv.registerHook(execID, wrapped, func(st cl.CommandStatus) {
 		// The daemon closes every announced read stream on both success
 		// and failure paths, so this wait always terminates.
 		wg.Wait()
@@ -494,6 +494,9 @@ func (q *Queue) EnqueueCommandBuffer(b cl.CommandBuffer, updates []cl.CommandUpd
 		})
 	}); err != nil {
 		q.srv.dropHook(execID)
+		// The receivers never start: a close notice that took the hook
+		// before it was dropped must not wait for them.
+		wg.Add(-len(readDsts))
 		releaseStreams()
 		rollbackLocked()
 		return nil, err

@@ -84,7 +84,7 @@ func TestDeferredFailureFailsEventAndFinish(t *testing.T) {
 	const bogusQueue = uint64(0xdeadbeef)
 	evID := tc.plat.newID()
 	status := make(chan cl.CommandStatus, 1)
-	srv.registerHook(evID, func(st cl.CommandStatus) { status <- st })
+	srv.registerHook(evID, nil, func(st cl.CommandStatus) { status <- st })
 	if err := srv.send(protocol.MsgEnqueueMarker, func(w *protocol.Writer) {
 		protocol.PutEnqueue(w, protocol.Enqueue{QueueID: bogusQueue, EventID: evID,
 			Cmd: protocol.GraphCommand{Op: protocol.GraphOpMarker}})

@@ -44,7 +44,7 @@ type Platform struct {
 
 	mu      sync.Mutex
 	servers []*Server
-	ctxs    []*Context // live contexts, for the server-down directory sweep
+	ctxs    []*Context // live contexts, for re-attach recovery and lease ends
 
 	// Control-plane shard map cache: fetched at connect, refreshed by
 	// epoch bumps pushed on the manager connection (MsgDMPing one-ways)
@@ -255,7 +255,7 @@ func (p *Platform) Servers() []*Server {
 	return append([]*Server(nil), p.servers...)
 }
 
-// registerContext records a live context for the failure sweeps.
+// registerContext records a live context for re-attach recovery.
 func (p *Platform) registerContext(c *Context) {
 	p.mu.Lock()
 	p.ctxs = append(p.ctxs, c)
@@ -288,17 +288,6 @@ func (p *Platform) contextsOf(srv *Server) []*Context {
 	return out
 }
 
-// serverLost sweeps every context after srv's connection died: buffer
-// ranges whose only valid copy lived on srv become Lost, ranges with
-// surviving holders keep working (re-homed on next use).
-func (p *Platform) serverLost(srv *Server) {
-	for _, c := range p.contextsOf(srv) {
-		for _, b := range c.liveBuffers() {
-			b.handleServerLost(srv)
-		}
-	}
-}
-
 // serverReattached replicates this client's remote objects back onto the
 // re-attached daemon (see Context.resyncServer) and confirms them with one
 // round trip: the daemon serves the one-way re-creates in order and writes
@@ -316,19 +305,6 @@ func (p *Platform) serverReattached(srv *Server) error {
 		return err
 	}
 	return srv.takeSessionError()
-}
-
-// restoreDirectories re-installs the directory claims recorded as lost
-// from srv after a retained re-attach confirmed the daemon kept the
-// data. It runs AFTER the server is marked connected, so a concurrent
-// read either still sees the range as Lost (DataLost) or sees a live
-// Modified holder — never a half-state.
-func (p *Platform) restoreDirectories(srv *Server) {
-	for _, c := range p.contextsOf(srv) {
-		for _, b := range c.liveBuffers() {
-			b.restoreAfterReattach(srv)
-		}
-	}
 }
 
 // ServerInfo describes a connected server (clGetServerInfoWWU).

@@ -273,7 +273,7 @@ func (q *Queue) submit(c *recCmd, wait []cl.Event) (cl.Event, error) {
 func (q *Queue) newCommandEvent() *Event {
 	id := q.ctx.plat.newID()
 	ev := newRemoteEvent(q.ctx, q.srv, id)
-	q.srv.registerHook(id, ev.complete)
+	q.srv.registerHook(id, ev, ev.complete)
 	return ev
 }
 
@@ -561,7 +561,7 @@ func (q *Queue) enqueueReadInternal(c *recCmd, blocking bool, wait []cl.Event, n
 	if !blocking {
 		wrapped = newRemoteEvent(q.ctx, q.srv, ev.originID)
 		q.srv.dropHook(ev.originID)
-		q.srv.registerHook(ev.originID, func(st cl.CommandStatus) {
+		q.srv.registerHook(ev.originID, wrapped, func(st cl.CommandStatus) {
 			if st == cl.Complete {
 				if rerr := recv(); rerr != nil {
 					wrapped.complete(cl.CommandStatus(cl.InvalidServer))

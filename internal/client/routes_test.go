@@ -57,7 +57,7 @@ func TestServerLinkRefusesWhatItDoesNotServe(t *testing.T) {
 	}
 	l.Conn = srv.conn
 	fired := make(chan cl.CommandStatus, 1)
-	srv.registerHook(0, func(st cl.CommandStatus) { fired <- st })
+	srv.registerHook(0, nil, func(st cl.CommandStatus) { fired <- st })
 	l.State = func() string {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()

@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 
 	"dopencl/internal/cl"
+	"dopencl/internal/coherence"
 	"dopencl/internal/gcf"
 	"dopencl/internal/protocol"
 	"dopencl/internal/rpc"
@@ -67,29 +68,32 @@ type Server struct {
 	recvFrames atomic.Uint64
 
 	mu        sync.Mutex
-	conn      *rpc.Conn                         // swapped on re-attach
-	hooks     map[uint64]func(cl.CommandStatus) // event ID → completion hook
-	queueErrs map[uint64][]deferredFailure      // queue ID → deferred one-way failures (bounded)
-	sessErrs  []error                           // queue-less one-way failures (object plane, bounded)
-	badPeers  map[string]bool                   // peer addresses this daemon failed to reach
-	serves    map[uint64]*ServeSession          // open serve lanes (connection-scoped)
+	conn      *rpc.Conn                    // swapped on re-attach
+	hooks     map[uint64]hook              // event ID → completion hook
+	queueErrs map[uint64][]deferredFailure // queue ID → deferred one-way failures (bounded)
+	sessErrs  []error                      // queue-less one-way failures (object plane, bounded)
+	badPeers  map[string]bool              // peer addresses this daemon failed to reach
+	serves    map[uint64]*ServeSession     // open serve lanes (connection-scoped)
 	devices   []*Device
-	connected bool
+
+	// inc is the server's incarnation, published whole so that the region
+	// directories read it with one atomic load (coherence.Incarnated); it
+	// is written under mu. Conn counts connections: it advances on every
+	// successful re-attach, retained or not, and at the end of a lease —
+	// the daemon clears its event table with each, so event replacements
+	// and directory gates of an older one are stale. Epoch counts
+	// daemon-side state losses: it advances when a re-attach finds the
+	// session not retained (restart, expiry) and at the end of a lease,
+	// telling the directories that the copies made before are gone and
+	// lazily-registered state (command graphs) that it must register
+	// again. Up is the connection's liveness.
+	inc atomic.Pointer[coherence.Incarnation]
 
 	// Failure/recovery state. sessionID is the daemon-issued session
-	// identity used by the re-attach handshake. epoch counts daemon-side
-	// state losses: it bumps when a re-attach finds the daemon did NOT
-	// retain the session (restart, expiry), telling lazily-registered
-	// state (command graphs) that the daemon-side copy is gone. downErr
-	// records why the connection died; down is closed when it does (and
-	// replaced on re-attach), so blocked paths can select on server death.
-	sessionID uint64
-	epoch     uint64
-	// connGen counts connections (bumps on every successful re-attach,
-	// retained or not): the daemon clears its event table at detach, so
-	// event replacements cached against an older connection are stale and
-	// must be re-created.
-	connGen     uint64
+	// identity used by the re-attach handshake. downErr records why the
+	// connection died; down is closed when it has and every command in
+	// flight on it has failed (replaced on re-attach).
+	sessionID   uint64
 	downErr     error
 	down        chan struct{}
 	downClosed  bool
@@ -116,15 +120,20 @@ func (s *Server) Name() string {
 }
 
 // Connected reports whether the server connection is alive.
-func (s *Server) Connected() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.connected
-}
+func (s *Server) Connected() bool { return s.inc.Load().Up }
 
-// Alive reports connection liveness (coherence.Holder: dead holders are
-// never offered as transfer sources).
-func (s *Server) Alive() bool { return s.Connected() }
+// Incarnation reports the server's incarnation (see inc) to the region
+// directories (coherence.Incarnated).
+func (s *Server) Incarnation() coherence.Incarnation { return *s.inc.Load() }
+
+var _ coherence.Incarnated = (*Server)(nil)
+
+// setIncLocked publishes the incarnation f makes of the current one.
+func (s *Server) setIncLocked(f func(*coherence.Incarnation)) {
+	inc := *s.inc.Load()
+	f(&inc)
+	s.inc.Store(&inc)
+}
 
 // Devices returns the devices this server exposes to this client.
 func (s *Server) Devices() []*Device {
@@ -139,7 +148,7 @@ func dialServer(p *Platform, addr string, ep *gcf.Endpoint, authID string) (*Ser
 		plat:      p,
 		addr:      addr,
 		authID:    authID,
-		hooks:     map[uint64]func(cl.CommandStatus){},
+		hooks:     map[uint64]hook{},
 		queueErrs: map[uint64][]deferredFailure{},
 		badPeers:  map[string]bool{},
 		down:      make(chan struct{}),
@@ -147,6 +156,7 @@ func dialServer(p *Platform, addr string, ep *gcf.Endpoint, authID string) (*Ser
 		// in call/send, like a re-attach handshake does.
 		reattaching: true,
 	}
+	s.inc.Store(&coherence.Incarnation{})
 	s.startConn(ep)
 
 	resp, err := s.call(protocol.MsgHello, func(w *protocol.Writer) {
@@ -171,7 +181,7 @@ func dialServer(p *Platform, addr string, ep *gcf.Endpoint, authID string) (*Ser
 		s.devices = append(s.devices, &Device{srv: s, unitID: rec.UnitID, info: rec.Info})
 	}
 	s.sessionID = sessionID
-	s.connected = true
+	s.setIncLocked(func(inc *coherence.Incarnation) { inc.Up = true })
 	s.reattaching = false
 	s.mu.Unlock()
 	return s, nil
@@ -199,7 +209,7 @@ func (s *Server) markDownLocked(c *rpc.Conn, cause error) error {
 	if s.conn != c {
 		return cl.Errf(cl.ServerLost, "connection to %s lost: %v", s.addr, cause)
 	}
-	s.connected = false
+	s.setIncLocked(func(inc *coherence.Incarnation) { inc.Up = false })
 	if s.downErr == nil {
 		s.downErr = cl.Errf(cl.ServerLost, "server %s connection lost: %v", s.addr, cause)
 	}
@@ -207,11 +217,11 @@ func (s *Server) markDownLocked(c *rpc.Conn, cause error) error {
 }
 
 // onClose is the ServerDown path: it marks the server and its devices
-// unavailable, fails every in-flight command event with cl.ServerLost
-// (the connection has already failed the pending calls), and hands the
-// directory sweep to the platform so buffer ranges whose only valid copy
-// lived here become Lost (and ranges with survivors re-home on their next
-// use).
+// unavailable — from here on the region directories count none of its
+// copies, so ranges whose only valid copy lived here read as Lost and
+// ranges with survivors re-home on their next use — and fails every
+// in-flight command event with cl.ServerLost (the connection has already
+// failed the pending calls).
 func (s *Server) onClose(c *rpc.Conn, err error) {
 	s.mu.Lock()
 	if s.conn != c {
@@ -221,7 +231,7 @@ func (s *Server) onClose(c *rpc.Conn, err error) {
 	}
 	s.markDownLocked(c, err)
 	hooks := s.hooks
-	s.hooks = map[uint64]func(cl.CommandStatus){}
+	s.hooks = map[uint64]hook{}
 	serves := s.serves
 	s.serves = nil
 	down := s.down
@@ -229,8 +239,11 @@ func (s *Server) onClose(c *rpc.Conn, err error) {
 	s.downClosed = true
 	s.mu.Unlock()
 	s.plat.forgetIdle(s)
-	for _, hook := range hooks {
-		go hook(cl.CommandStatus(cl.ServerLost))
+	for _, h := range hooks {
+		if h.ev != nil {
+			h.ev.settle(cl.CommandStatus(cl.ServerLost))
+		}
+		go h.fn(cl.CommandStatus(cl.ServerLost))
 	}
 	// Serve lanes are connection-scoped: fail their pending futures now —
 	// the daemon's lane died with the connection and a re-attach will not
@@ -238,13 +251,10 @@ func (s *Server) onClose(c *rpc.Conn, err error) {
 	for _, ss := range serves {
 		ss.connectionLost()
 	}
-	// Sweep every context's region directory: Modified/Shared claims held
-	// only here become Lost; everything else survives on its remaining
-	// holders. The sweep bumps every span's generation, so the failure
-	// rollbacks running on the hook goroutines above are ownership-guarded
-	// no-ops and cannot resurrect the dead server's claims.
-	s.plat.serverLost(s)
-	// Down closes last: observers of the signal see the sweep's results.
+	// Down closes last, once the failures have reached the directories: a
+	// transfer that died with the connection has revoked the copy it was
+	// making, so none counts again after a re-attach, which waits for Down.
+	// It does not wait for their completions: a callback may wait for Down.
 	if !downClosed {
 		close(down)
 	}
@@ -259,21 +269,14 @@ func (s *Server) Down() <-chan struct{} {
 }
 
 // Epoch counts daemon-side state losses: it advances when a re-attach
-// finds the daemon did not retain this client's session. Lazily
-// registered state (command graphs) compares epochs to decide whether
-// its daemon-side copy still exists.
-func (s *Server) Epoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch
-}
+// finds the daemon did not retain this client's session, and when the
+// lease the server serves ends. Lazily registered state (command graphs)
+// compares epochs to decide whether its daemon-side copy still exists, and
+// the region directories count a copy only in the epoch it was made in.
+func (s *Server) Epoch() uint64 { return s.inc.Load().Epoch }
 
-// generation returns the connection generation (see connGen).
-func (s *Server) generation() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.connGen
-}
+// generation returns the connection generation (see inc).
+func (s *Server) generation() uint64 { return s.inc.Load().Conn }
 
 // endpoint returns the current connection's gcf endpoint (bulk streams).
 func (s *Server) endpoint() *gcf.Endpoint {
@@ -299,13 +302,13 @@ func (s *Server) handleEventComplete(c rpc.Call) {
 		return
 	}
 	s.mu.Lock()
-	hook := s.hooks[eventID]
+	h := s.hooks[eventID]
 	delete(s.hooks, eventID)
 	s.mu.Unlock()
-	if hook != nil {
+	if h.fn != nil {
 		// Completion hooks run callbacks (possibly user code and
 		// cross-server propagation); keep the dispatcher free.
-		go hook(status)
+		go h.fn(status)
 	}
 }
 
@@ -334,30 +337,37 @@ func (s *Server) handleCommandFailed(c rpc.Call) {
 		// event-less command's error before the next Finish.
 		s.queueErrs[f.QueueID] = append(s.queueErrs[f.QueueID], deferredFailure{eventID: f.EventID, err: err})
 	}
-	var hook func(cl.CommandStatus)
+	var h hook
 	if f.EventID != 0 {
-		hook = s.hooks[f.EventID]
+		h = s.hooks[f.EventID]
 		delete(s.hooks, f.EventID)
 	}
 	s.mu.Unlock()
-	if hook != nil {
-		go hook(cl.CommandStatus(f.Status))
+	if h.fn != nil {
+		go h.fn(cl.CommandStatus(f.Status))
 	}
 }
 
-// registerHook installs the completion hook for a remote event ID. It must
-// be called before the request that creates the remote event is sent. A
-// hook registered against a dead server fails immediately with ServerLost
-// — after the close sweep nothing else would ever fire it, and a caller
-// racing the shutdown must not park forever.
-func (s *Server) registerHook(eventID uint64, hook func(cl.CommandStatus)) {
+// hook completes the client's side of a remote event: fn completes ev, if
+// set, with a cl.ServerLost it is given, so a close notice can settle ev.
+type hook struct {
+	ev *Event
+	fn func(cl.CommandStatus)
+}
+
+// registerHook installs the completion hook for a remote event ID (see
+// hook). It must be called before the request that creates the remote
+// event is sent. A hook registered against a dead server fails
+// immediately with ServerLost — after the close notice nothing else would
+// ever fire it, and a caller racing the shutdown must not park forever.
+func (s *Server) registerHook(eventID uint64, ev *Event, fn func(cl.CommandStatus)) {
 	s.mu.Lock()
-	if !s.connected {
+	if !s.inc.Load().Up {
 		s.mu.Unlock()
-		go hook(cl.CommandStatus(cl.ServerLost))
+		go fn(cl.CommandStatus(cl.ServerLost))
 		return
 	}
-	s.hooks[eventID] = hook
+	s.hooks[eventID] = hook{ev, fn}
 	s.mu.Unlock()
 }
 
@@ -376,7 +386,7 @@ func (s *Server) dropHook(eventID uint64) {
 func (s *Server) live() (*rpc.Conn, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.connected && !s.reattaching {
+	if !s.inc.Load().Up && !s.reattaching {
 		if s.downErr != nil {
 			return nil, s.downErr
 		}
@@ -561,13 +571,15 @@ func (s *Server) lease() string {
 }
 
 // leaseEnded drops the client's side of a lease whose daemon session is
-// about to end while the link stays up: serve lanes fail their pending
-// futures, and a context kept past the lease loses its buffer ranges held
-// only here and leaves the platform's registry, so that no re-attach of
-// the link under a later lease re-creates it there. The connection
-// generation advances: event replacements of this lease are stale.
+// about to end while the link stays up: the epoch ends, so the copies made
+// under the lease stop counting and a buffer range held only here reads
+// as Lost; the connection generation advances, so its event replacements
+// and directory gates are stale; serve lanes fail their pending futures;
+// and a context kept past the lease leaves the platform's registry, so
+// that no re-attach of the link under a later lease re-creates it there.
 func (s *Server) leaseEnded() {
 	s.mu.Lock()
+	s.setIncLocked(func(inc *coherence.Incarnation) { inc.Conn, inc.Epoch = inc.Conn+1, inc.Epoch+1 })
 	serves := s.serves
 	s.serves = nil
 	s.mu.Unlock()
@@ -575,14 +587,8 @@ func (s *Server) leaseEnded() {
 		ss.failPending(cl.Errf(cl.InvalidServer, "lease on %s released", s.addr))
 	}
 	for _, c := range s.plat.contextsOf(s) {
-		for _, b := range c.liveBuffers() {
-			b.handleServerLost(s)
-		}
 		s.plat.forgetContext(c)
 	}
-	s.mu.Lock()
-	s.connGen++
-	s.mu.Unlock()
 }
 
 // bind makes the kept link s serve the lease authID. The grant listed the
@@ -611,19 +617,21 @@ func (s *Server) bind(authID string, recs []protocol.DeviceRecord) error {
 //   - retained (the connection blipped but the daemon kept the session
 //     within its retention window): every remote object it got is still
 //     alive (a pipelined create that died with the link is made now), and
-//     buffer ranges recorded as Lost from this server are restored — the
-//     bytes never left the daemon;
+//     the server's buffer copies count again — the bytes never left the
+//     daemon — so ranges that read as Lost while it was down are back;
 //   - not retained (daemon restarted, or the session expired): the client
 //     re-creates its remote objects (contexts, buffers, programs, kernels,
-//     queues) under their original IDs; buffers start Invalid here, so
-//     Lost ranges stay lost until rewritten, and cached command graphs
-//     re-register lazily on their next replay (epoch bump).
+//     queues) under their original IDs; the epoch advances, so the copies
+//     made before stop counting for good and ranges held only here stay
+//     Lost until rewritten, and cached command graphs re-register lazily
+//     on their next replay.
 //
 // In both cases in-flight commands from before the failure are gone —
-// their events already failed with cl.ServerLost.
+// their events already failed with cl.ServerLost — and the connection
+// generation advances, so their gates gate nothing.
 func (s *Server) Reattach() (retained bool, err error) {
 	s.mu.Lock()
-	if s.connected {
+	if s.inc.Load().Up {
 		s.mu.Unlock()
 		return false, cl.Errf(cl.InvalidOperation, "server %s is still connected", s.addr)
 	}
@@ -645,8 +653,8 @@ func (s *Server) Reattach() (retained bool, err error) {
 		s.mu.Unlock()
 	}()
 	// A failed call reports the loss a moment before the dead connection's
-	// close notice has failed its events and swept the directories; a new
-	// connection installed in between would make that notice stale.
+	// close notice has failed its events; a new connection installed in
+	// between would make that notice stale.
 	<-down
 
 	ep, err := s.plat.dialEndpoint(s.addr)
@@ -693,19 +701,18 @@ func (s *Server) Reattach() (retained bool, err error) {
 		return retained, err
 	}
 	s.mu.Lock()
-	s.connected = true
 	s.downErr = nil
 	s.down = make(chan struct{})
 	s.downClosed = false
-	// The generation (and, on state loss, the epoch) advances only on a
-	// FULLY successful reattach: a handshake whose recovery then failed
-	// left nothing usable behind, and bumping early would strand the loss
-	// records (restoreAfterReattach matches lostConn against the
-	// generation that actually died, i.e. the current one minus one).
-	s.connGen++
-	if !retained {
-		s.epoch++
-	}
+	// The incarnation moves only on a FULLY successful reattach, in one
+	// step: up, on a new connection and, on state loss, in a new epoch. A
+	// handshake whose recovery then failed left nothing usable behind.
+	s.setIncLocked(func(inc *coherence.Incarnation) {
+		inc.Up, inc.Conn = true, inc.Conn+1
+		if !retained {
+			inc.Epoch++
+		}
+	})
 	s.mu.Unlock()
 	// The endpoint may have died again between the handshake completing
 	// and the flags flipping — its onClose already ran and will never run
@@ -718,12 +725,6 @@ func (s *Server) Reattach() (retained bool, err error) {
 		}
 		s.onClose(c, err)
 		return retained, cl.Errf(cl.ServerLost, "server %s died during reattach: %v", s.addr, err)
-	}
-	if retained {
-		// Only after the server counts as connected again: a restored
-		// Modified claim on a disconnected server would read as "no valid
-		// copy" instead of DataLost in the gap.
-		s.plat.restoreDirectories(s)
 	}
 	return retained, nil
 }

@@ -33,13 +33,38 @@ func (s State) String() string {
 }
 
 // Holder identifies one remote cache (a daemon connection). Holders are
-// compared by identity (==), so implementations must be pointers.
-type Holder interface {
-	// Alive reports whether the holder's connection is up. Dead holders
-	// are never offered as transfer sources: between a server dying and
-	// the directory sweep clearing its claims, a transfer must not be
-	// pointed at a dead daemon when a surviving holder exists.
-	Alive() bool
+// compared by identity (==), so implementations must be pointers. A holder
+// that can lose its copies reports its Incarnation (Incarnated); one that
+// does not is always up, in one incarnation.
+type Holder any
+
+// Incarnation is one reading of a holder's connection: the connection it
+// is on, the epoch of its daemon-side state and whether it is up. Every
+// entry of the directory is stamped with the incarnation its state and
+// gates were set under, and every read derives validity from the stamp:
+//   - a copy counts while its holder is up and still in the epoch the copy
+//     was made in (a re-attach that finds the daemon's session gone, or
+//     the end of the lease, starts a new one);
+//   - a gate gates while its holder is up and on the connection the gate
+//     was recorded on: the daemon clears its event table with a
+//     connection.
+type Incarnation struct {
+	Conn, Epoch uint64
+	Up          bool
+}
+
+// Incarnated is a Holder that reports its incarnation. The directory reads
+// it per entry on every query, so it must be one lock-free load.
+type Incarnated interface {
+	Incarnation() Incarnation
+}
+
+// incarnation returns h's incarnation now.
+func incarnation(h Holder) Incarnation {
+	if i, ok := h.(Incarnated); ok {
+		return i.Incarnation()
+	}
+	return Incarnation{Up: true}
 }
 
 // Gate is a completion-gated event guarding a span: the most recent
@@ -53,24 +78,65 @@ type Gate interface {
 	Settled() bool
 }
 
-// entry is one holder's record in a span: the state of its copy and the
-// three gates that order transfers touching it. listed tells whether the
-// holder is in the span's state table at all — New lists every holder it
-// is given, SweepServer drops the swept one — which is what Regions
-// reports; an unlisted holder reads as Invalid, like a listed Invalid one.
-// An entry with nothing to say (unlisted, no gate) is dropped by merge.
+// entry is one holder's record in a span: the state of its copy, the
+// incarnation stamp it was set under and the three gates that order
+// transfers touching it. listed tells whether the holder is in the span's
+// state table at all — New lists every holder it is given, a state change
+// lists its holder — which is what Regions reports; an unlisted holder
+// reads as Invalid, like a listed Invalid one. An entry with nothing to
+// say (unlisted, not failed, no gate) is dropped by merge.
 type entry struct {
 	h         Holder
 	st        State
 	listed    bool
-	lastWrite Gate // most recent writing command on the holder
-	inbound   Gate // in-flight forward landing on the holder
-	outbound  Gate // in-flight forward reading the holder's copy
+	failed    bool   // a failed command dropped the range's last copy here
+	conn      uint64 // holder connection the gates were recorded on
+	epoch     uint64 // holder epoch the copy was made in
+	lastWrite Gate   // most recent writing command on the holder
+	inbound   Gate   // in-flight forward landing on the holder
+	outbound  Gate   // in-flight forward reading the holder's copy
 }
 
-// empty reports whether the entry says nothing: unlisted and ungated.
+// empty reports whether the entry says nothing: unlisted, not failed and
+// ungated.
 func (e *entry) empty() bool {
-	return !e.listed && e.lastWrite == nil && e.inbound == nil && e.outbound == nil
+	return !e.listed && !e.failed && e.lastWrite == nil && e.inbound == nil && e.outbound == nil
+}
+
+// counts reports whether e's copy is valid now: held, with its holder up
+// and still in the epoch the copy was made in.
+func (e *entry) counts() bool {
+	if e.st == Invalid {
+		return false
+	}
+	inc := incarnation(e.h)
+	return inc.Up && inc.Epoch == e.epoch
+}
+
+// gate returns g, one of e's gates, while it still gates: its holder is
+// up and on the connection g was recorded on. nil otherwise.
+func (e *entry) gate(g Gate) Gate {
+	if g != nil {
+		if inc := incarnation(e.h); inc.Up && inc.Conn == e.conn {
+			return g
+		}
+	}
+	return nil
+}
+
+// stamp readies e for a write under inc: gates recorded on an earlier
+// connection gate nothing and are dropped, and e moves to inc's.
+func (e *entry) stamp(inc Incarnation) {
+	if e.conn != inc.Conn {
+		e.lastWrite, e.inbound, e.outbound = nil, nil, nil
+		e.conn = inc.Conn
+	}
+}
+
+// hold lists e's holder with a copy in state st, made under inc.
+func (e *entry) hold(st State, inc Incarnation) {
+	e.stamp(inc)
+	e.st, e.listed, e.epoch = st, true, inc.Epoch
 }
 
 // span is one interval of the region directory: a maximal byte range
@@ -85,23 +151,6 @@ type span struct {
 	host     State
 	ents     []entry // one per holder with a state or a gate, at most one per holder
 	gen      uint64  // directory generation of the span's last mutation
-
-	// Lost bookkeeping: when the range's ONLY valid copy lived on a
-	// holder whose connection died, lostFrom records that holder,
-	// lostWas the state it held and lostConn the connection generation
-	// that died with it. Reads of a lost range fail with cl.DataLost
-	// until a write re-materializes it; a session re-attach that finds
-	// the daemon still retaining its state restores the recorded claim
-	// (the bytes never left the daemon) — but only when the retained
-	// session is the SAME connection the loss was recorded against
-	// (lostConn), so a loss that survived an unretained reattach (data
-	// truly gone) can never be "restored" into garbage by a later
-	// retained one. A loss recorded by the rollback of a failed command
-	// (lostWas Invalid) is never restored: that command may have written
-	// the copy.
-	lostFrom Holder
-	lostWas  State
-	lostConn uint64
 }
 
 // copy returns the span by value with its own entry slice (snapshots for
@@ -150,17 +199,11 @@ func (sp *span) at(h Holder) *entry {
 	return &sp.ents[len(sp.ents)-1]
 }
 
-// set lists h with state st.
-func (sp *span) set(h Holder, st State) {
-	e := sp.at(h)
-	e.st, e.listed = st, true
-}
-
 // sameStates reports whether two spans carry identical coherence state
 // (merge predicate; gates compare by identity, an absent entry equals an
 // unlisted ungated one).
 func (sp *span) sameStates(o *span) bool {
-	if sp.host != o.host || sp.lostFrom != o.lostFrom || sp.lostWas != o.lostWas || sp.lostConn != o.lostConn {
+	if sp.host != o.host {
 		return false
 	}
 	for i := range sp.ents {
@@ -176,9 +219,16 @@ func (sp *span) sameStates(o *span) bool {
 	return true
 }
 
-// sameAs compares state and gates, not the holder or its listing.
+// sameAs reports whether two entries read the same under every
+// incarnation their holder may have: state, failure and gates alike, the
+// epoch where there is a copy and the connection where there is a gate.
+// It does not compare the holder or its listing.
 func (e *entry) sameAs(o *entry) bool {
-	return e.st == o.st && e.lastWrite == o.lastWrite && e.inbound == o.inbound && e.outbound == o.outbound
+	if e.st != o.st || e.failed != o.failed || e.lastWrite != o.lastWrite || e.inbound != o.inbound || e.outbound != o.outbound {
+		return false
+	}
+	gated := e.lastWrite != nil || e.inbound != nil || e.outbound != nil
+	return (e.st == Invalid || e.epoch == o.epoch) && (!gated || e.conn == o.conn)
 }
 
 // settle drops the span's settled write gates, then the entries left
@@ -200,13 +250,13 @@ func (sp *span) settle() {
 // source returns a holder with a valid copy of the span, preferring the
 // Modified owner. With peer forwarding, Shared holder copies can exist
 // while the host copy is Invalid (the payload never visited the client),
-// so any valid copy must be usable as a source. Dead holders are never
-// offered.
+// so any valid copy must be usable as a source. A copy that does not count
+// (its holder is down or lost its state) is never offered.
 func (sp *span) source() Holder {
 	var shared Holder
 	for i := range sp.ents {
 		e := &sp.ents[i]
-		if e.st == Invalid || !e.h.Alive() {
+		if !e.counts() {
 			continue
 		}
 		if e.st == Modified {
@@ -219,19 +269,24 @@ func (sp *span) source() Holder {
 	return shared
 }
 
-// deadHolder reports whether a dead holder still holds a valid-looking
-// claim on the span: the window between a server dying and its directory
-// sweep recording lostFrom. Callers translate "no valid copy" into the
-// retryable cl.ServerLost in that window instead of the hard
-// cl.InvalidMemObject — the range's true fate (re-home or Lost) is
-// decided by the sweep, moments away.
-func (sp *span) deadHolder() bool {
+// lost reports whether the span, if it has no valid copy, lost one: a
+// holder's copy that stopped counting (the holder is down, or lost its
+// daemon-side state), or the copy a failed command dropped. Reads of a
+// lost range fail with cl.DataLost until a write re-materializes it; a
+// range that never had a copy is the hard cl.InvalidMemObject.
+func (sp *span) lost() bool {
 	for i := range sp.ents {
-		if sp.ents[i].st != Invalid && !sp.ents[i].h.Alive() {
+		if sp.ents[i].failed || sp.ents[i].st != Invalid {
 			return true
 		}
 	}
 	return false
+}
+
+// readsLost reports whether a read of the span fails with cl.DataLost: no
+// copy counts, host or holder, and one was lost.
+func (sp *span) readsLost() bool {
+	return sp.host == Invalid && sp.source() == nil && sp.lost()
 }
 
 // Dir is the region directory of one buffer. A Dir performs no locking:
@@ -249,7 +304,7 @@ type Dir struct {
 func New(id uint64, size int, holders ...Holder) *Dir {
 	whole := &span{off: 0, end: size, host: Shared, ents: make([]entry, 0, len(holders))}
 	for _, h := range holders {
-		whole.set(h, Invalid)
+		whole.at(h).listed = true
 	}
 	return &Dir{id: id, size: size, spans: []*span{whole}}
 }
@@ -387,7 +442,7 @@ type Snapshot struct {
 // host's) becomes Invalid; the rest of the buffer is untouched. write is
 // the writing command's gate, gating later coherence reads of the range.
 // A write also re-materializes a lost range: fresh data supersedes the
-// copy that died with its daemon.
+// copy that died with its daemon, or that a failed command dropped.
 //
 // The update is optimistic; Claim returns the range's prior state and
 // the post-mutation generation so a deferred command failure can be
@@ -398,16 +453,15 @@ func (d *Dir) Claim(h Holder, off, end int, write Gate) (Snapshot, uint64) {
 	for i, sp := range spans {
 		snap.spans[i] = sp.copy()
 	}
+	inc := incarnation(h)
 	for _, sp := range spans {
 		for i := range sp.ents {
-			sp.ents[i].st = Invalid
+			sp.ents[i].st, sp.ents[i].failed = Invalid, false
 		}
 		e := sp.at(h)
-		e.st, e.listed, e.lastWrite = Modified, true, write
+		e.hold(Modified, inc)
+		e.lastWrite = write
 		sp.host = Invalid
-		sp.lostFrom = nil
-		sp.lostWas = Invalid
-		sp.lostConn = 0
 	}
 	d.bump(spans)
 	gen := d.gen
@@ -420,14 +474,13 @@ func (d *Dir) Claim(h Holder, off, end int, write Gate) (Snapshot, uint64) {
 // (per-span generation check); otherwise the interim state stands and
 // only the failed write's own claim is withdrawn. h's copy always drops
 // to Invalid in the restored state — a partially executed command may
-// have scribbled on it — and a span where it was the only valid copy is
-// Lost, for good: no re-attach restores a copy the failed command may
-// have written. A dead holder's claim is left to its sweep, which records
-// the loss the same way whether it runs before the rollback or after.
+// have scribbled on it — and a span where it was the only copy in a valid
+// state is Lost, for good: no re-attach brings back a copy the failed
+// command may have written. The rollback applies whatever h's incarnation
+// is now; a command that died with its connection is not rolled back by
+// the caller (its claim stands, and counts again if the daemon retained
+// the session).
 func (d *Dir) RollbackClaim(h Holder, write Gate, off, end int, gen uint64, snap Snapshot) {
-	if !h.Alive() {
-		return
-	}
 	if d.rangeGen(off, end) <= gen {
 		d.restoreRange(off, end, snap.spans)
 		for _, sp := range d.rangeSpans(off, end) {
@@ -453,18 +506,19 @@ func (d *Dir) RollbackClaim(h Holder, write Gate, off, end int, gen uint64, snap
 }
 
 // dropFailed lists e's holder Invalid after a command on it failed, and
-// records the span Lost, with nothing to restore (lostWas Invalid), when
-// that took its last valid copy.
+// marks it failed — the span reads Lost until a write — when that took the
+// span's last copy in a valid state.
 func (sp *span) dropFailed(e *entry) {
 	had := e.st
 	e.st, e.listed = Invalid, true
-	if had != Invalid && !sp.valid() {
-		sp.lostFrom, sp.lostWas, sp.lostConn = e.h, Invalid, 0
+	if had != Invalid && !sp.held() {
+		e.failed = true
 	}
 }
 
-// valid reports whether some copy of the span, host or holder, is valid.
-func (sp *span) valid() bool {
+// held reports whether some copy of the span, host or holder, is in a
+// valid state, whether or not it counts now.
+func (sp *span) held() bool {
 	if sp.host != Invalid {
 		return true
 	}
@@ -506,8 +560,9 @@ func (d *Dir) restoreRange(off, end int, snap []span) {
 // own in-order queue).
 func (d *Dir) Validate(h Holder, off, end int) {
 	spans := d.rangeSpans(off, end)
+	inc := incarnation(h)
 	for _, sp := range spans {
-		sp.set(h, Shared)
+		sp.at(h).hold(Shared, inc)
 	}
 	d.bump(spans)
 	d.merge()
@@ -590,13 +645,17 @@ func (d *Dir) ValidateHost(off, end int, gen uint64) bool {
 // earlier one has.
 func (d *Dir) ValidateForward(src, dst Holder, off, end int, gate, read Gate) {
 	spans := d.rangeSpans(off, end)
+	si, di := incarnation(src), incarnation(dst)
 	for _, sp := range spans {
 		if i := sp.find(src); i >= 0 && sp.ents[i].st == Modified {
 			sp.ents[i].st = Shared
 		}
 		e := sp.at(dst)
-		e.st, e.listed, e.lastWrite, e.inbound = Shared, true, gate, gate
-		sp.at(src).outbound = read
+		e.hold(Shared, di)
+		e.lastWrite, e.inbound = gate, gate
+		e = sp.at(src)
+		e.stamp(si)
+		e.outbound = read
 	}
 	d.bump(spans)
 	d.merge()
@@ -653,16 +712,21 @@ func (d *Dir) RetireOutbound(src Holder, off, end int, read Gate) {
 // [off, end) and returns them (distinct, in span order). The upload path
 // calls this before claiming the range: the upload is about to own h's
 // claim, and the old gates' failure callbacks must not revoke it — the
-// caller then cancels the superseded forwards at the daemon.
+// caller then cancels the superseded forwards at the daemon. Only gates
+// that still gate are disowned: those of a down holder stay, so that
+// their failure revokes the copies their transfers never finished (the
+// upload cannot be sent to it either).
 func (d *Dir) DisownInbound(h Holder, off, end int) []Gate {
 	var stale []Gate
 	spans := d.rangeSpans(off, end)
 	for _, sp := range spans {
-		if i := sp.find(h); i >= 0 && sp.ents[i].inbound != nil {
-			g := sp.ents[i].inbound
-			sp.ents[i].inbound = nil
-			if !containsGate(stale, g) {
-				stale = append(stale, g)
+		if i := sp.find(h); i >= 0 {
+			e := &sp.ents[i]
+			if g := e.gate(e.inbound); g != nil {
+				e.inbound = nil
+				if !containsGate(stale, g) {
+					stale = append(stale, g)
+				}
 			}
 		}
 	}
@@ -679,7 +743,8 @@ func (d *Dir) DisownInbound(h Holder, off, end int) []Gate {
 func (d *Dir) InboundGates(h Holder, off, end int) []Gate {
 	var gates []Gate
 	for _, sp := range d.rangeSpans(off, end) {
-		if g := sp.get(h).inbound; g != nil && !containsGate(gates, g) {
+		e := sp.get(h)
+		if g := e.gate(e.inbound); g != nil && !containsGate(gates, g) {
 			gates = append(gates, g)
 		}
 	}
@@ -697,7 +762,7 @@ func (d *Dir) WriteGates(h Holder, off, end int) []Gate {
 	var gates []Gate
 	for _, sp := range d.rangeSpans(off, end) {
 		e := sp.get(h)
-		for _, g := range [2]Gate{e.inbound, e.outbound} {
+		for _, g := range [2]Gate{e.gate(e.inbound), e.gate(e.outbound)} {
 			if g != nil && !containsGate(gates, g) {
 				gates = append(gates, g)
 			}
@@ -715,79 +780,20 @@ func containsGate(gs []Gate, g Gate) bool {
 	return false
 }
 
-// SweepServer sweeps the directory after h's connection died (connGen is
-// the connection generation that died): every claim h held is withdrawn.
-// Ranges with a surviving valid copy (another holder or the host cache)
-// keep working — the next coherence transfer re-homes them from the
-// survivor. Ranges whose ONLY valid copy was h's become Lost: reads fail
-// with cl.DataLost until a write re-materializes them, and the vanished
-// claim is recorded so a re-attach that finds the daemon still retaining
-// its session state can Restore it (the bytes never left the daemon).
-func (d *Dir) SweepServer(h Holder, connGen uint64) {
-	for _, sp := range d.spans {
-		i := sp.find(h)
-		if i < 0 {
-			continue
-		}
-		had := sp.ents[i].st
-		sp.ents = slices.Delete(sp.ents, i, i+1)
-		if had != Invalid && !sp.valid() {
-			sp.lostFrom = h
-			sp.lostWas = had
-			sp.lostConn = connGen
-		}
-	}
-	d.bump(d.spans)
-	d.merge()
-}
-
-// Restore re-installs the claims that were recorded as lost from h,
-// after a session re-attach confirmed the daemon retained its state: the
-// remote buffer still holds exactly the bytes the directory thought were
-// gone. Only losses recorded against wantConn — the connection the
-// retained session lived on — are restorable: a loss that already
-// survived an UNRETAINED reattach (data gone for good) must keep reading
-// as DataLost, never as the re-created buffer's zeros. Nothing is
-// restored onto a holder that is dead again: the next connection died
-// before the restore ran and its sweep, finding no claim of h, recorded
-// nothing — re-installing the claim now would leave a valid-looking copy
-// on a dead daemon that no sweep will ever withdraw.
-func (d *Dir) Restore(h Holder, wantConn uint64) {
-	if !h.Alive() {
-		return
-	}
-	touched := false
-	for _, sp := range d.spans {
-		if sp.lostFrom != h || sp.lostConn != wantConn || sp.lostWas == Invalid {
-			continue
-		}
-		sp.set(h, sp.lostWas)
-		sp.lostFrom = nil
-		sp.lostWas = Invalid
-		sp.lostConn = 0
-		touched = true
-	}
-	if touched {
-		d.bump(d.spans)
-		d.merge()
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Queries.
 
 // Probe describes the span containing one position, for the incremental
 // make-range-valid walk. The probe never splits the directory.
 type Probe struct {
-	End        int    // span end clamped to the probe's range
-	ValidHere  bool   // the reader already holds a valid (S/M) copy
-	Inbound    Gate   // reader's in-flight inbound gate, nil when none
-	HostValid  bool   // the host copy of the span is valid
-	Src        Holder // a live holder with a valid copy, nil when none
-	SrcGate    Gate   // src's last-write gate, nil when none
-	Lost       bool   // only valid copy died with its daemon
-	DeadHolder bool   // a dead holder still holds a valid-looking claim
-	Gen        uint64 // span generation when probed (staleness ticket)
+	End       int    // span end clamped to the probe's range
+	ValidHere bool   // the reader already holds a valid (S/M) copy
+	Inbound   Gate   // reader's in-flight inbound gate, nil when none
+	HostValid bool   // the host copy of the span is valid
+	Src       Holder // a live holder with a valid copy, nil when none
+	SrcGate   Gate   // src's last-write gate, nil when none
+	Lost      bool   // no valid copy, and one was lost (reads fail with DataLost)
+	Gen       uint64 // span generation when probed (staleness ticket)
 }
 
 // ProbeAt inspects the span containing pos for a reader that wants
@@ -802,20 +808,18 @@ func (d *Dir) ProbeAt(reader Holder, pos, end int) Probe {
 	if p.End > end {
 		p.End = end
 	}
-	if e := sp.get(reader); e.st != Invalid {
+	if e := sp.get(reader); e.counts() {
 		p.ValidHere = true
-		p.Inbound = e.inbound
+		p.Inbound = e.gate(e.inbound)
 		return p
 	}
 	p.HostValid = sp.host != Invalid
 	p.Src = sp.source()
-	p.Lost = sp.lostFrom != nil
-	if !p.HostValid && p.Src == nil && !p.Lost {
-		p.DeadHolder = sp.deadHolder()
-	}
 	if p.Src != nil {
-		p.SrcGate = sp.get(p.Src).lastWrite
+		e := sp.get(p.Src)
+		p.SrcGate = e.gate(e.lastWrite)
 	}
+	p.Lost = !p.HostValid && p.Src == nil && sp.lost()
 	return p
 }
 
@@ -845,18 +849,15 @@ func (d *Dir) ReadPlan(reader Holder, off, end int) ([]Part, error) {
 		var part Part
 		part.Off, part.End = sp.off, sp.end
 		switch {
-		case sp.get(reader).st != Invalid:
+		case sp.get(reader).counts():
 			part.Holder = reader
 		default:
 			allLocal = false
 			holder := sp.source()
 			if holder == nil {
 				if sp.host == Invalid {
-					if sp.lostFrom != nil {
-						return nil, cl.Errf(cl.DataLost, "buffer %d range [%d,%d): only valid copy died with its daemon", d.id, sp.off, sp.end)
-					}
-					if sp.deadHolder() {
-						return nil, cl.Errf(cl.ServerLost, "buffer %d range [%d,%d): holder's connection just died (sweep pending)", d.id, sp.off, sp.end)
+					if sp.lost() {
+						return nil, cl.Errf(cl.DataLost, "buffer %d range [%d,%d): its only copy was lost", d.id, sp.off, sp.end)
 					}
 					return nil, cl.Errf(cl.InvalidMemObject, "buffer %d range [%d,%d) has no valid copy", d.id, sp.off, sp.end)
 				}
@@ -867,13 +868,13 @@ func (d *Dir) ReadPlan(reader Holder, off, end int) ([]Part, error) {
 		}
 		if part.Holder != nil {
 			e := sp.get(part.Holder)
-			if g := e.inbound; g != nil {
+			if g := e.gate(e.inbound); g != nil {
 				part.Gates = append(part.Gates, g)
 			}
 			if part.Holder != reader {
 				// The read runs on the holder's coherence queue, which is
 				// not the queue the producing write ran on: gate on it.
-				if g := e.lastWrite; g != nil && !containsGate(part.Gates, g) {
+				if g := e.gate(e.lastWrite); g != nil && !containsGate(part.Gates, g) {
 					part.Gates = append(part.Gates, g)
 				}
 			}
@@ -907,12 +908,13 @@ func sameGates(a, b []Gate) bool {
 // ---------------------------------------------------------------------------
 // Introspection (tests, debugging).
 
-// Region describes one directory span clamped to a query range.
+// Region describes one directory span clamped to a query range, as a
+// read sees it: a copy that does not count reads as Invalid.
 type Region struct {
 	Off, End int
 	Host     State
 	Holders  map[Holder]State
-	Lost     bool // only valid copy died with its daemon
+	Lost     bool // no valid copy, and one was lost: reads fail with DataLost
 }
 
 // Regions returns the directory spans overlapping [off, end), clamped
@@ -928,10 +930,14 @@ func (d *Dir) Regions(off, end int) []Region {
 		if se > end {
 			se = end
 		}
-		r := Region{Off: so, End: se, Host: sp.host, Holders: make(map[Holder]State, len(sp.ents)), Lost: sp.lostFrom != nil}
-		for _, e := range sp.ents {
-			if e.listed {
-				r.Holders[e.h] = e.st
+		r := Region{Off: so, End: se, Host: sp.host, Holders: make(map[Holder]State, len(sp.ents)), Lost: sp.readsLost()}
+		for i := range sp.ents {
+			if e := &sp.ents[i]; e.listed {
+				st := Invalid
+				if e.counts() {
+					st = e.st
+				}
+				r.Holders[e.h] = st
 			}
 		}
 		out[i] = r
@@ -939,12 +945,12 @@ func (d *Dir) Regions(off, end int) []Region {
 	return out
 }
 
-// LostRanges reports the byte ranges within [off, end) whose only valid
-// copy died with its daemon, adjacent ranges joined.
+// LostRanges reports the byte ranges within [off, end) that read
+// DataLost — no copy counts, and one was lost — adjacent ranges joined.
 func (d *Dir) LostRanges(off, end int) [][2]int {
 	var out [][2]int
 	for _, sp := range d.overlapping(off, end) {
-		if sp.lostFrom == nil {
+		if !sp.readsLost() {
 			continue
 		}
 		so, se := sp.off, sp.end

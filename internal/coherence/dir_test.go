@@ -6,15 +6,18 @@ import (
 	"dopencl/internal/cl"
 )
 
-// Test doubles: holders compare by pointer identity, gates settle on
-// demand.
+// Test doubles: holders compare by pointer identity and report the
+// incarnation the test sets, gates settle on demand.
 
 type tHolder struct {
-	name  string
-	alive bool
+	name        string
+	down        bool
+	conn, epoch uint64
 }
 
-func (h *tHolder) Alive() bool { return h.alive }
+func (h *tHolder) Incarnation() Incarnation {
+	return Incarnation{Conn: h.conn, Epoch: h.epoch, Up: !h.down}
+}
 
 type tGate struct {
 	name    string
@@ -34,7 +37,7 @@ func stateAt(d *Dir, pos int) (host State, holders map[Holder]State, lost bool) 
 }
 
 func TestNewDirectoryWholeBufferShared(t *testing.T) {
-	a := &tHolder{name: "A", alive: true}
+	a := &tHolder{name: "A"}
 	d := New(1, 1024, a)
 	if d.SpanCount() != 1 {
 		t.Fatalf("fresh directory has %d spans, want 1", d.SpanCount())
@@ -53,8 +56,8 @@ func TestClaimTable(t *testing.T) {
 		host State
 		a, b State
 	}
-	a := &tHolder{name: "A", alive: true}
-	b := &tHolder{name: "B", alive: true}
+	a := &tHolder{name: "A"}
+	b := &tHolder{name: "B"}
 	cases := []struct {
 		name  string
 		ops   func(d *Dir, g *tGate)
@@ -151,7 +154,7 @@ func TestClaimTable(t *testing.T) {
 // split while their write gates differ, and re-coalesce once the gates
 // settle (settled gates are dropped by the merge pass).
 func TestMergeAfterGatesSettle(t *testing.T) {
-	a := &tHolder{name: "A", alive: true}
+	a := &tHolder{name: "A"}
 	d := New(1, 1024, a)
 	g1, g2 := &tGate{name: "g1"}, &tGate{name: "g2"}
 	d.Claim(a, 0, 512, g1)
@@ -171,7 +174,7 @@ func TestMergeAfterGatesSettle(t *testing.T) {
 // TestGenerationStaleness: ValidateHost must refuse a stale ticket for
 // the mutated range but accept one for a disjoint range.
 func TestGenerationStaleness(t *testing.T) {
-	a := &tHolder{name: "A", alive: true}
+	a := &tHolder{name: "A"}
 	d := New(1, 1024, a)
 	d.Claim(a, 0, 1024, &tGate{name: "g", settled: true})
 	gen := d.Generation()
@@ -185,8 +188,8 @@ func TestGenerationStaleness(t *testing.T) {
 }
 
 func TestRollbackClaimRestoresSnapshot(t *testing.T) {
-	a := &tHolder{name: "A", alive: true}
-	b := &tHolder{name: "B", alive: true}
+	a := &tHolder{name: "A"}
+	b := &tHolder{name: "B"}
 	d := New(1, 1024, a, b)
 	g := &tGate{name: "g"}
 	snap, gen := d.Claim(a, 100, 200, g)
@@ -204,8 +207,8 @@ func TestRollbackClaimRestoresSnapshot(t *testing.T) {
 // range, rollback must keep the interim state and only withdraw the
 // failed write's own claim.
 func TestRollbackClaimInterimMutation(t *testing.T) {
-	a := &tHolder{name: "A", alive: true}
-	b := &tHolder{name: "B", alive: true}
+	a := &tHolder{name: "A"}
+	b := &tHolder{name: "B"}
 	d := New(1, 1024, a, b)
 	g := &tGate{name: "g"}
 	snap, gen := d.Claim(a, 100, 200, g)
@@ -219,19 +222,23 @@ func TestRollbackClaimInterimMutation(t *testing.T) {
 	}
 }
 
+// TestSweepLostAndRestore: a holder's copies stop counting when it goes
+// down. A range they were the only copy of reads DataLost, one the host
+// still caches reads from there; a re-attach that finds the session
+// retained brings the copies back, one that does not leaves them Lost
+// until a write, and a write anywhere re-materializes what it covers. (The
+// name is from the sweep and the restore that recorded this before it was
+// derived.)
 func TestSweepLostAndRestore(t *testing.T) {
-	a := &tHolder{name: "A", alive: true}
-	b := &tHolder{name: "B", alive: true}
+	a := &tHolder{name: "A"}
+	b := &tHolder{name: "B"}
 	d := New(1, 1024, a, b)
 	d.Claim(a, 0, 1024, &tGate{name: "g", settled: true})
 	// Host copy survives [512,1024) via a download.
 	if !d.ValidateHost(512, 1024, d.Generation()) {
 		t.Fatal("ValidateHost refused")
 	}
-	a.alive = false
-	const conn = 7
-	d.SweepServer(a, conn)
-
+	a.down = true
 	if lr := d.LostRanges(0, 1024); len(lr) != 1 || lr[0] != [2]int{0, 512} {
 		t.Fatalf("LostRanges = %v, want [[0 512]]", lr)
 	}
@@ -242,29 +249,94 @@ func TestSweepLostAndRestore(t *testing.T) {
 		t.Fatalf("read of surviving range: parts=%v err=%v, want host part", parts, err)
 	}
 
-	// Restore against the wrong connection generation must not revive.
-	a.alive = true
-	d.Restore(a, conn+1)
-	if _, err := d.ReadPlan(b, 0, 512); cl.CodeOf(err) != cl.DataLost {
-		t.Fatalf("wrong-generation restore revived the range: %v", err)
-	}
-	d.Restore(a, conn)
+	// Retained: A's copy counts again.
+	a.down, a.conn = false, a.conn+1
 	parts, err := d.ReadPlan(b, 0, 512)
 	if err != nil || len(parts) != 1 || parts[0].Holder != a {
-		t.Fatalf("restored range: parts=%v err=%v, want read from A", parts, err)
+		t.Fatalf("after a retained re-attach: parts=%v err=%v, want read from A", parts, err)
 	}
-	// A write re-materializes a lost range even without restore.
-	d.SweepServer(a, conn) // alive again but sweep is the caller's call
+	// Not retained: Lost until rewritten.
+	a.down = true
+	a.down, a.conn, a.epoch = false, a.conn+1, a.epoch+1
+	if _, err := d.ReadPlan(b, 0, 512); cl.CodeOf(err) != cl.DataLost {
+		t.Fatalf("after an unretained re-attach: %v, want DataLost", err)
+	}
+	if host, hs, lost := stateAt(d, 100); host != Invalid || hs[a] != Invalid || !lost {
+		t.Fatalf("after an unretained re-attach: host=%v A=%v lost=%v, want I, I, Lost", host, hs[a], lost)
+	}
 	d.Claim(b, 0, 256, &tGate{name: "g3"})
 	if lr := d.LostRanges(0, 512); len(lr) != 1 || lr[0] != [2]int{256, 512} {
 		t.Fatalf("LostRanges after re-materializing write = %v, want [[256 512]]", lr)
 	}
+	// The end of an epoch with the link up is a loss like any other.
+	b.conn, b.epoch = b.conn+1, b.epoch+1
+	if lr := d.LostRanges(0, 512); len(lr) != 1 || lr[0] != [2]int{0, 512} {
+		t.Fatalf("LostRanges after B's epoch ended = %v, want [[0 512]]", lr)
+	}
+}
+
+// TestStaleGatesGateNothing: a holder's gates are events of its daemon,
+// which clears its event table when the connection dies. So gates
+// recorded on an earlier connection gate nothing once the holder has
+// re-attached — a read of a retained copy must not wait on the write that
+// failed with ServerLost when the link died — and a down holder's gates
+// are not handed out at all. The copies themselves count again after the
+// retained re-attach. This depends on entry.gate's connection compare
+// (`inc.Conn != e.conn`) and on its Up check.
+func TestStaleGatesGateNothing(t *testing.T) {
+	a := &tHolder{name: "A"}
+	b := &tHolder{name: "B"}
+	c := &tHolder{name: "C"}
+	d := New(1, 1024, a, b, c)
+	w, fwd, rd := &tGate{name: "w"}, &tGate{name: "fwd"}, &tGate{name: "rd"}
+	d.Claim(a, 0, 1024, w)                      // a write still in flight on A
+	d.ValidateForward(a, b, 512, 1024, fwd, rd) // and a forward from A to B
+	if gs := d.WriteGates(a, 0, 1024); len(gs) != 1 || gs[0] != rd {
+		t.Fatalf("WriteGates(A) while up = %v, want the outbound read", gs)
+	}
+
+	a.down, b.down = true, true
+	if gs := d.WriteGates(a, 0, 1024); len(gs) != 0 {
+		t.Fatalf("WriteGates(A) while down = %v, want none", gs)
+	}
+	if gs := d.InboundGates(b, 0, 1024); len(gs) != 0 {
+		t.Fatalf("InboundGates(B) while down = %v, want none", gs)
+	}
+	if _, err := d.ReadPlan(c, 0, 512); cl.CodeOf(err) != cl.DataLost {
+		t.Fatalf("read while the only holder is down: %v, want DataLost", err)
+	}
+
+	// Both re-attach, their sessions retained.
+	a.down, a.conn = false, a.conn+1
+	b.down, b.conn = false, b.conn+1
+	parts, err := d.ReadPlan(c, 0, 1024)
+	if err != nil || len(parts) != 1 || parts[0].Holder != a || len(parts[0].Gates) != 0 {
+		t.Fatalf("read of the retained copy = %+v, %v; want one ungated part from A", parts, err)
+	}
+	if p := d.ProbeAt(c, 0, 1024); p.Src != a || p.SrcGate != nil {
+		t.Fatalf("probe of the retained copy = %+v, want source A with no gate", p)
+	}
+	if p := d.ProbeAt(b, 512, 1024); !p.ValidHere || p.Inbound != nil {
+		t.Fatalf("probe of B's forwarded copy = %+v, want valid with no gate", p)
+	}
+	if gs := d.WriteGates(a, 0, 1024); len(gs) != 0 {
+		t.Fatalf("WriteGates(A) after the re-attach = %v, want none", gs)
+	}
+	if gs := d.DisownInbound(b, 0, 1024); len(gs) != 0 {
+		t.Fatalf("DisownInbound(B) after the re-attach = %v, want none to cancel", gs)
+	}
+	// A gate recorded on the new connection gates again.
+	w2 := &tGate{name: "w2"}
+	d.Claim(a, 0, 256, w2)
+	if p := d.ProbeAt(c, 0, 1024); p.Src != a || p.SrcGate != w2 {
+		t.Fatalf("probe after a new write = %+v, want source A gated on it", p)
+	}
 }
 
 func TestForwardLifecycle(t *testing.T) {
-	src := &tHolder{name: "src", alive: true}
-	dst := &tHolder{name: "dst", alive: true}
-	rdr := &tHolder{name: "rdr", alive: true}
+	src := &tHolder{name: "src"}
+	dst := &tHolder{name: "dst"}
+	rdr := &tHolder{name: "rdr"}
 	d := New(1, 1024, src, dst, rdr)
 	d.Claim(src, 0, 1024, &tGate{name: "w", settled: true})
 
@@ -327,9 +399,9 @@ func TestForwardLifecycle(t *testing.T) {
 // read's gate — or the payload could carry the later data to a consumer
 // that was enqueued before it (write-after-read).
 func TestWriteOnForwardSourceWaitsForOutboundRead(t *testing.T) {
-	src := &tHolder{name: "src", alive: true}
-	dst := &tHolder{name: "dst", alive: true}
-	third := &tHolder{name: "third", alive: true}
+	src := &tHolder{name: "src"}
+	dst := &tHolder{name: "dst"}
+	third := &tHolder{name: "third"}
 	d := New(1, 1024, src, dst, third)
 	d.Claim(src, 0, 1024, &tGate{name: "w", settled: true})
 
@@ -369,17 +441,17 @@ func TestWriteOnForwardSourceWaitsForOutboundRead(t *testing.T) {
 
 	// A dead source reads nothing any more.
 	d.ValidateForward(src, dst, 512, 1024, &tGate{name: "fwd3"}, &tGate{name: "read3"})
-	d.SweepServer(src, 1)
+	src.down = true
 	if gs := d.WriteGates(src, 0, 1024); len(gs) != 0 {
-		t.Fatalf("WriteGates after the source was swept = %v, want none", gs)
+		t.Fatalf("WriteGates after the source died = %v, want none", gs)
 	}
 }
 
 // TestReadPlanStitch: disjoint Modified owners produce one part per
 // owner, preferring the reader's own copy where valid.
 func TestReadPlanStitch(t *testing.T) {
-	a := &tHolder{name: "A", alive: true}
-	b := &tHolder{name: "B", alive: true}
+	a := &tHolder{name: "A"}
+	b := &tHolder{name: "B"}
 	d := New(1, 1024, a, b)
 	d.Claim(a, 0, 512, &tGate{name: "ga", settled: true})
 	d.Claim(b, 512, 1024, &tGate{name: "gb", settled: true})
@@ -402,19 +474,19 @@ func TestReadPlanStitch(t *testing.T) {
 	if _, err := d.ReadPlan(a, 0, 1024); cl.CodeOf(err) != cl.InvalidMemObject {
 		t.Fatalf("no-copy plan error = %v, want InvalidMemObject", err)
 	}
-	// A dead holder's not-yet-swept claim reads as the retryable ServerLost.
+	// A dead holder's only copy reads as DataLost until it comes back.
 	d2 := New(2, 256, a, b)
 	d2.Claim(b, 0, 256, &tGate{name: "gd", settled: true})
-	b.alive = false
-	defer func() { b.alive = true }()
-	if _, err := d2.ReadPlan(a, 0, 256); cl.CodeOf(err) != cl.ServerLost {
-		t.Fatalf("dead-holder plan error = %v, want ServerLost", err)
+	b.down = true
+	defer func() { b.down = false }()
+	if _, err := d2.ReadPlan(a, 0, 256); cl.CodeOf(err) != cl.DataLost {
+		t.Fatalf("dead-holder plan error = %v, want DataLost", err)
 	}
 }
 
 func TestProbeAt(t *testing.T) {
-	a := &tHolder{name: "A", alive: true}
-	b := &tHolder{name: "B", alive: true}
+	a := &tHolder{name: "A"}
+	b := &tHolder{name: "B"}
 	d := New(1, 1024, a, b)
 	g := &tGate{name: "g"}
 	d.Claim(a, 0, 512, g)
@@ -437,8 +509,8 @@ func TestProbeAt(t *testing.T) {
 // path: a Claim of one span allocates its snapshot (the span slice and
 // one copy of the span's per-holder entries) and nothing else.
 func TestClaimAllocsGate(t *testing.T) {
-	a := &tHolder{name: "A", alive: true}
-	b := &tHolder{name: "B", alive: true}
+	a := &tHolder{name: "A"}
+	b := &tHolder{name: "B"}
 	d := New(1, 4096, a, b)
 	g := &tGate{name: "w"}
 	d.Claim(a, 0, 4096, g) // the entry for a's gate exists from here on

@@ -17,7 +17,7 @@
 // Modified every other copy is Invalid.
 //
 //	       Claim(h) by another holder,
-//	       SweepServer(h), RollbackClaim
+//	       RollbackClaim, Invalidate
 //	    ┌───────────────────────────────┐
 //	    ▼                               │
 //	┌───────┐   Validate(h) /        ┌──┴─────┐
@@ -56,24 +56,31 @@
 //
 // A span keeps its per-holder record as one short slice of entries, one
 // per holder with a state or a gate: the holder, its copy's state, whether
-// it is listed (New lists every holder; a sweep unlists the dead one, and
-// an unlisted holder reads as Invalid) and its three gates. A buffer has
-// a handful of holders, so a scan costs less than hashing, and the
-// snapshot Claim takes for a rollback is one slice copy per span. Entries
-// that say nothing — unlisted, no gate left — are dropped when the
-// directory merges.
+// it is listed (New lists every holder; an unlisted holder reads as
+// Invalid), whether a failed command dropped the span's last copy there,
+// the incarnation stamp (connection and epoch) it was set under and its
+// three gates. A buffer has a handful of holders, so a scan costs less
+// than hashing, and the snapshot Claim takes for a rollback is one slice
+// copy per span. Entries that say nothing — unlisted, not failed, no gate
+// left — are dropped when the directory merges.
 //
 // # Lost ranges
 //
-// When a holder's connection dies, SweepServer withdraws every claim it
-// held. A range whose ONLY valid copy lived on the dead holder becomes
-// Lost: reads fail with cl.DataLost until a write re-materializes the
-// range, and the vanished claim is recorded (holder, state, connection
-// generation) so Restore can re-install it after a session re-attach
-// that proves the daemon retained its state — but only when the retained
-// session is the same connection the loss was recorded against, and only
-// while the holder is alive: a restore that runs after that session's
-// connection died as well leaves the range Lost.
+// Loss is derived, never recorded. A holder reports its Incarnation —
+// connection, daemon-side state epoch, up — in one lock-free read, and
+// every query compares it with the entry's stamp: a copy counts only
+// while its holder is up and in the epoch the copy was made in, and a
+// gate gates only while its holder is up and on the connection it was
+// recorded on (the daemon clears its event table with a connection). So
+// when a connection dies its holder's copies stop counting at once; a
+// re-attach that finds the session retained (same epoch) brings them back
+// with no record kept, and one that does not (new epoch), or the end of
+// the lease, leaves them stale for good. A range with no counting copy is
+// Lost — reads fail with cl.DataLost until a write re-materializes it —
+// when some copy stopped counting that way or a failed command dropped
+// its last copy (RollbackClaim); a range that never had a copy reads as
+// cl.InvalidMemObject. Regions, LostRanges and ReadPlan all report what a
+// read sees.
 //
 // # Synchronization
 //

@@ -47,14 +47,14 @@ func TestDirectoryPropertyPartitionEdges(t *testing.T) {
 		return off, end
 	}
 	for trial := 0; trial < 150; trial++ {
-		d, m, hs := runTrial(t, rng, trial, randRange)
+		d, m := runTrial(t, rng, trial, randRange)
 		// Rollback at an exact edge: a width-1 sliver on a partition
 		// boundary.
 		off := edgePoints[rng.Intn(len(edgePoints))]
 		if off >= propSize {
 			off = propSize - 1
 		}
-		checkImmediateRollback(t, rng, trial, "edge-rollback", d, m, hs, off, off+1)
+		checkImmediateRollback(t, rng, trial, "edge-rollback", d, m, off, off+1)
 	}
 }
 
@@ -84,9 +84,9 @@ func hostAt(t *testing.T, d *Dir, pos int) State {
 // every edge, and the span table must re-merge instead of accreting a
 // boundary per iteration.
 func TestAdjacentClaimsRemergeAtEdges(t *testing.T) {
-	h0 := &tHolder{name: "h0", alive: true}
-	h1 := &tHolder{name: "h1", alive: true}
-	h2 := &tHolder{name: "h2", alive: true}
+	h0 := &tHolder{name: "h0"}
+	h1 := &tHolder{name: "h1"}
+	h2 := &tHolder{name: "h2"}
 	d := New(1, propSize, h0, h1, h2)
 	hs := []*tHolder{h0, h1, h2}
 	parts := [][2]int{{0, 32}, {32, 64}, {64, 96}}
@@ -174,9 +174,9 @@ func TestAdjacentClaimsRemergeAtEdges(t *testing.T) {
 // an interim mutation. The restored state must be byte-exact: one-off
 // splice errors here corrupt precisely the halo byte darray depends on.
 func TestRollbackWidthOneAtPartitionEdge(t *testing.T) {
-	h0 := &tHolder{name: "h0", alive: true}
-	h1 := &tHolder{name: "h1", alive: true}
-	h2 := &tHolder{name: "h2", alive: true}
+	h0 := &tHolder{name: "h0"}
+	h1 := &tHolder{name: "h1"}
+	h2 := &tHolder{name: "h2"}
 	d := New(2, propSize, h0, h1, h2)
 	settled := &tGate{name: "settled", settled: true}
 	d.Claim(h0, 0, 32, settled)
@@ -245,8 +245,8 @@ func TestRollbackWidthOneAtPartitionEdge(t *testing.T) {
 // accepting it would resurrect the host copy over the claimer's fresh
 // Modified byte.
 func TestStaleGenerationValidateHostAtEdge(t *testing.T) {
-	h0 := &tHolder{name: "h0", alive: true}
-	h1 := &tHolder{name: "h1", alive: true}
+	h0 := &tHolder{name: "h0"}
+	h1 := &tHolder{name: "h1"}
 	d := New(3, propSize, h0, h1)
 	settled := &tGate{name: "settled", settled: true}
 

@@ -204,13 +204,15 @@ type controlPlane struct {
 	d   *Daemon
 	cfg ControlPlaneConfig
 
-	mu     sync.Mutex
-	epoch  uint64
-	shards []string
-	links  map[string]*shardLink
+	mu      sync.Mutex
+	epoch   uint64
+	shards  []string
+	links   map[string]*shardLink
+	pending net.Conn // the connection register is waiting on, closed by close
 
 	wake chan struct{}
 	stop chan struct{}
+	done chan struct{} // closed when loop has returned
 	once sync.Once
 }
 
@@ -229,7 +231,8 @@ type shardLink struct {
 // (lease holders carried), with jittered backoff on failure, over
 // [delay/2, delay) so a restarted manager does not see the whole fleet
 // re-register on one tick. The returned stop function leaves the control
-// plane and closes all manager links.
+// plane and closes all manager links; it returns once the reconciliation
+// loop has exited, so nothing dials a shard on the daemon's behalf after.
 func (d *Daemon) JoinControlPlane(cfg ControlPlaneConfig) (stop func(), err error) {
 	if cfg.Dial == nil || len(cfg.Seeds) == 0 || cfg.SelfAddr == "" {
 		return nil, fmt.Errorf("daemon: control plane config requires Dial, Seeds and SelfAddr")
@@ -250,6 +253,7 @@ func (d *Daemon) JoinControlPlane(cfg ControlPlaneConfig) (stop func(), err erro
 		links:  map[string]*shardLink{},
 		wake:   make(chan struct{}, 1),
 		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	sort.Strings(cp.shards)
 	d.cp.Store(cp)
@@ -296,6 +300,7 @@ func (cp *controlPlane) noteView(view protocol.ShardMap) {
 }
 
 func (cp *controlPlane) loop() {
+	defer close(cp.done)
 	delay := cp.cfg.RetryMin
 	for {
 		settled := cp.reconcile()
@@ -340,7 +345,7 @@ func (cp *controlPlane) refreshView() {
 			targets = append(targets, a)
 		}
 	}
-	if view, err := rpc.FetchShardMap(cp.cfg.Dial, targets, cp.cfg.RetryMax); err == nil {
+	if view, err := rpc.FetchShardMap(cp.dial, targets, cp.cfg.RetryMax); err == nil {
 		cp.noteView(view)
 	}
 }
@@ -393,13 +398,35 @@ func (cp *controlPlane) reconcile() bool {
 	return settled
 }
 
+// dial dials a shard for the loop, unless the control plane is stopping.
+func (cp *controlPlane) dial(addr string) (net.Conn, error) {
+	select {
+	case <-cp.stop:
+		return nil, errors.New("control plane stopped")
+	default:
+		return cp.cfg.Dial(addr)
+	}
+}
+
 // register establishes one shard registration.
 func (cp *controlPlane) register(addr string, units []uint32) bool {
-	conn, err := cp.cfg.Dial(addr)
+	conn, err := cp.dial(addr)
 	if err != nil {
 		cp.d.logf("daemon %s: dialing shard %s: %v", cp.d.cfg.Name, addr, err)
 		return false
 	}
+	// A shard that accepts and never answers must not hold close up: it
+	// closes the connection, failing the registration.
+	cp.mu.Lock()
+	select {
+	case <-cp.stop:
+		cp.mu.Unlock()
+		conn.Close()
+		return false
+	default:
+		cp.pending = conn
+	}
+	cp.mu.Unlock()
 	link := &shardLink{addr: addr, units: units}
 	c, err := cp.d.attachManagerConn(conn, cp.cfg.SelfAddr, units, cp.noteView, func() {
 		cp.mu.Lock()
@@ -410,13 +437,14 @@ func (cp *controlPlane) register(addr string, units []uint32) bool {
 		cp.mu.Unlock()
 		cp.poke()
 	})
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	cp.pending = nil
 	if err != nil {
 		cp.d.logf("daemon %s: registering with shard %s: %v", cp.d.cfg.Name, addr, err)
 		return false
 	}
 	link.conn = c
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
 	if link.down {
 		// Its close notice found nothing to forget: recorded now, it stays.
 		return false
@@ -425,8 +453,17 @@ func (cp *controlPlane) register(addr string, units []uint32) bool {
 	return true
 }
 
+// close stops the loop, waits for it (a registration it is inside fails
+// at once; a view refresh ends within RetryMax) and closes the links it
+// left.
 func (cp *controlPlane) close() {
 	cp.once.Do(func() { close(cp.stop) })
+	cp.mu.Lock()
+	if cp.pending != nil {
+		cp.pending.Close()
+	}
+	cp.mu.Unlock()
+	<-cp.done
 	cp.mu.Lock()
 	links := make([]*shardLink, 0, len(cp.links))
 	for _, l := range cp.links {

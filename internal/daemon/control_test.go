@@ -1,9 +1,11 @@
 package daemon
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -357,5 +359,89 @@ func TestLinkLostRightAfterRegistrationIsNoticed(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("after %d registrations, each dropped at once, the daemon stopped registering: %s", i, d.ControlPlaneView())
 		}
+	}
+}
+
+// The control plane's stop returns only once its loop has exited: a
+// testbed that stops a node and then closes the network must leave no
+// dialer behind (a loop still inside a registration or a view refresh
+// used to dial a shard after its listener closed). The loop is held
+// inside a dial while stop runs; once stop has returned, a counting Dial
+// must see nothing more.
+func TestControlPlaneStopWaitsForItsLoop(t *testing.T) {
+	d := testDaemon(t, true)
+	var stopped atomic.Bool
+	inDial := make(chan struct{}, 1)
+	release := make(chan struct{})
+	dialedAfterStop := make(chan string, 1)
+	dial := func(addr string) (net.Conn, error) {
+		if stopped.Load() {
+			select {
+			case dialedAfterStop <- addr:
+			default:
+			}
+		}
+		select {
+		case inDial <- struct{}{}:
+		default:
+		}
+		<-release
+		return nil, errors.New("unreachable")
+	}
+	stop, err := d.JoinControlPlane(ControlPlaneConfig{Dial: dial, Seeds: []string{"a", "b"}, SelfAddr: "node",
+		RetryMin: time.Millisecond, RetryMax: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-inDial // the loop is registering
+	returned := make(chan struct{})
+	go func() {
+		stop()
+		stopped.Store(true)
+		close(returned)
+	}()
+	select {
+	case <-returned: // a stop that does not wait returns at once
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-returned
+	select {
+	case addr := <-dialedAfterStop:
+		t.Fatalf("the control plane dialed %s after its stop returned", addr)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// A shard that accepts the registration's connection and never answers
+// does not hold the stop function up: stop closes the connection the
+// registration waits on (controlPlane.pending).
+func TestControlPlaneStopInterruptsRegistration(t *testing.T) {
+	d := testDaemon(t, true)
+	accepted := make(chan net.Conn, 1)
+	dial := func(addr string) (net.Conn, error) {
+		ours, theirs := net.Pipe()
+		select {
+		case accepted <- theirs: // never read: the shard says nothing
+		default:
+			theirs.Close()
+		}
+		return ours, nil
+	}
+	stop, err := d.JoinControlPlane(ControlPlaneConfig{Dial: dial, Seeds: []string{"a"}, SelfAddr: "node",
+		RetryMin: time.Millisecond, RetryMax: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer (<-accepted).Close()
+	returned := make(chan struct{})
+	go func() {
+		stop()
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stop waited for a registration the shard never answers")
 	}
 }

@@ -710,38 +710,36 @@ func (n *Network) DialFrom(from, addr string) (net.Conn, error) {
 	server.out.stats = rev
 	client.out.faults = ffwd
 	server.out.faults = frev
-	select {
-	case l.accept <- server:
-		n.mu.Lock()
-		// Re-check under the registration lock: a SeverNode that ran
-		// between the dial check and here must not leave this conn alive
-		// and untracked.
-		if ffwd.severed.Load() || frev.severed.Load() || n.nodeSeveredLocked(caller, addr) {
-			n.mu.Unlock()
-			client.Close()
-			server.Close()
-			return nil, fmt.Errorf("simnet: connection refused: %s", addr)
-		}
-		key := [2]string{caller, addr}
-		n.conns[key] = append(n.conns[key], client)
-		// Bound the registry: closed conns are pruned lazily here rather
-		// than on every Close (Close is on the data path).
-		if len(n.conns[key]) > 8 {
-			kept := n.conns[key][:0]
-			for _, c := range n.conns[key] {
-				if !c.in.isClosed() || !c.out.isClosed() {
-					kept = append(kept, c)
-				}
-			}
-			n.conns[key] = kept
-		}
-		n.mu.Unlock()
-		return client, nil
-	default:
+	if !l.offer(server) {
 		client.Close()
 		server.Close()
-		return nil, fmt.Errorf("simnet: accept queue full for %s", addr)
+		return nil, fmt.Errorf("simnet: connection refused or accept queue full: %s", addr)
 	}
+	n.mu.Lock()
+	// Re-check under the registration lock: a SeverNode that ran
+	// between the dial check and here must not leave this conn alive
+	// and untracked.
+	if ffwd.severed.Load() || frev.severed.Load() || n.nodeSeveredLocked(caller, addr) {
+		n.mu.Unlock()
+		client.Close()
+		server.Close()
+		return nil, fmt.Errorf("simnet: connection refused: %s", addr)
+	}
+	key := [2]string{caller, addr}
+	n.conns[key] = append(n.conns[key], client)
+	// Bound the registry: closed conns are pruned lazily here rather
+	// than on every Close (Close is on the data path).
+	if len(n.conns[key]) > 8 {
+		kept := n.conns[key][:0]
+		for _, c := range n.conns[key] {
+			if !c.in.isClosed() || !c.out.isClosed() {
+				kept = append(kept, c)
+			}
+		}
+		n.conns[key] = kept
+	}
+	n.mu.Unlock()
+	return client, nil
 }
 
 // Listener accepts simnet connections.
@@ -749,7 +747,28 @@ type Listener struct {
 	addr   Addr
 	net    *Network
 	accept chan *Conn
-	once   sync.Once
+
+	// mu orders a dial's hand-off against Close: a dialer that found the
+	// listener registered may reach it after Close unregistered it, and
+	// must then be refused rather than send on the closed channel.
+	mu     sync.Mutex
+	closed bool
+}
+
+// offer queues an inbound connection for Accept. It reports false when
+// the listener is closed or its queue is full.
+func (l *Listener) offer(c *Conn) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return false
+	}
+	select {
+	case l.accept <- c:
+		return true
+	default:
+		return false
+	}
 }
 
 var _ net.Listener = (*Listener)(nil)
@@ -765,12 +784,16 @@ func (l *Listener) Accept() (net.Conn, error) {
 
 // Close unregisters the listener.
 func (l *Listener) Close() error {
-	l.once.Do(func() {
-		l.net.mu.Lock()
-		delete(l.net.listeners, string(l.addr))
-		l.net.mu.Unlock()
-		close(l.accept)
-	})
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return nil
+	}
+	l.closed = true
+	l.net.mu.Lock()
+	delete(l.net.listeners, string(l.addr))
+	l.net.mu.Unlock()
+	close(l.accept)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -393,5 +394,42 @@ func TestFailAfterBytesTruncatesMidWrite(t *testing.T) {
 	// The link stays dead.
 	if _, err := a.Write([]byte{1}); err == nil {
 		t.Fatal("write after fault succeeded")
+	}
+}
+
+// TestDialRacesListenerClose: a dial that finds the listener registered
+// and that listener's Close run at the same time, 20,000 times on one
+// address. The dial either connects or is refused; it used to panic with
+// a send on the closed accept channel when Close ran between its lookup
+// and its send.
+func TestDialRacesListenerClose(t *testing.T) {
+	n := NewNetwork(Unlimited())
+	var spin atomic.Int64
+	for i := 0; i < 20000; i++ {
+		l, err := n.Listen("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			if c, err := n.Dial("a"); err == nil {
+				c.Close()
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			// Sweep the close across the dial: 0 to ~4 µs after the start.
+			for j := 0; j < i%4096; j++ {
+				spin.Add(1)
+			}
+			l.Close()
+		}()
+		close(start)
+		wg.Wait()
 	}
 }
