@@ -81,7 +81,6 @@ func main() {
 	peerListen := flag.String("peer-listen", "", "TCP address for the daemon-to-daemon bulk plane (empty disables forwarding)")
 	peerAddr := flag.String("peer-addr", "", "peer address announced to clients (defaults to -peer-listen)")
 	sessionRetain := flag.Duration("session-retain", 30*time.Second, "how long a disconnected client's session state is kept for re-attachment (0 disables)")
-	peerParkTTL := flag.Duration("peer-park-ttl", 0, "how long a peer payload arriving before its accept is parked (0 = 30s default)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (stopped on SIGINT/SIGTERM)")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on SIGINT/SIGTERM")
 	flag.Parse()
@@ -136,7 +135,6 @@ func main() {
 		// TCP daemon can push buffers to peers that do listen.
 		PeerDial:      func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
 		SessionRetain: *sessionRetain,
-		PeerParkTTL:   *peerParkTTL,
 	}
 	dcfg.PeerAddr = *peerAddr
 	if dcfg.PeerAddr == "" {

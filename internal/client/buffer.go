@@ -1,8 +1,6 @@
 package client
 
 import (
-	"crypto/rand"
-	"encoding/binary"
 	"math"
 	"sync"
 
@@ -524,7 +522,9 @@ func (b *Buffer) uploadRange(q *Queue, ps, pe int) (*Event, error) {
 // corruption) is far worse than a redundant re-transfer — while src
 // keeps its untouched valid copy.
 func (b *Buffer) forwardRange(src, dst *Server, ps, pe int, srcGate *Event) (*Event, error) {
-	token := newForwardToken()
+	// The token names the transfer in the table of dst's connection that
+	// the key names: the platform's IDs never repeat.
+	token := b.ctx.plat.newID()
 	// The forward rides the coherence queue on src, like client-mediated
 	// coherence downloads do.
 	srcQ, err := b.ctx.coherenceQueue(src)
@@ -542,7 +542,8 @@ func (b *Buffer) forwardRange(src, dst *Server, ps, pe int, srcGate *Event) (*Ev
 
 	// Gate stub: dst's daemon completes the remote user event when the
 	// payload lands, which completes this stub through the normal event
-	// notification path.
+	// notification path. The key names the connection the accept rides.
+	peerAddr, peerKey := dst.peerTarget()
 	gateID := b.ctx.plat.newID()
 	gate := newRemoteEvent(b.ctx, dst, gateID)
 	dst.registerHook(gateID, gate, gate.complete)
@@ -556,48 +557,34 @@ func (b *Buffer) forwardRange(src, dst *Server, ps, pe int, srcGate *Event) (*Ev
 		return nil, err
 	}
 
-	// Source-side completion event: "payload handed to the peer
-	// transport". Its failure is the signal that the payload never
-	// reached dst, so the hook cancels dst's gate and (on a dial-class
-	// failure) records the peer pair as unreachable for fallback.
+	// Source-side event: the staging read, complete once src has copied
+	// the range out. lostID is a hook src fails when the payload will not
+	// be sent (read, dial or send failure), and the close notice of src's
+	// connection fails with it: a src that dies takes the bytes still in
+	// its send path along. Either way it asks dst to fail the gate, and
+	// dst, which alone knows whether the payload landed, decides.
 	sendID := b.ctx.plat.newID()
 	sendEv := newRemoteEvent(b.ctx, src, sendID)
-	peerAddr := dst.PeerAddr()
-	src.registerHook(sendID, sendEv, func(st cl.CommandStatus) {
-		sendEv.complete(st)
-		if st == cl.Complete {
-			return
-		}
-		if cl.ErrorCode(st) == cl.InvalidServer {
-			src.markPeerUnreachable(peerAddr)
-		}
-		// The payload may never reach dst: have dst fail the gate unless
-		// it landed, so dependent commands (and the local stub) unblock.
-		go failRemoteGate(dst, gateID, st)
-	})
+	src.registerHook(sendID, sendEv, sendEv.complete)
+	lostID := b.ctx.plat.newID()
+	src.registerHook(lostID, nil, func(st cl.CommandStatus) { failRemoteGate(dst, gateID, st) })
 	if err := src.send(protocol.MsgForwardBuffer, func(w *protocol.Writer) {
 		protocol.PutForwardBuffer(w, protocol.ForwardBuffer{
 			QueueID: srcQ.id, SrcBufID: b.id, SrcOffset: int64(ps), Size: int64(pe - ps),
-			PeerAddr: peerAddr, Token: token,
+			PeerAddr: peerAddr, PeerKey: peerKey, Token: token,
 			// Buffer stubs share one ID on every server of the context.
 			DstBufID: b.id, DstOffset: int64(ps),
-			EventID: sendID, WaitIDs: waitIDs,
+			EventID: sendID, FailID: lostID, WaitIDs: waitIDs,
 		})
 	}); err != nil {
 		src.dropHook(sendID)
+		src.dropHook(lostID)
 		// The accept is already parked at dst; fail its gate so the
 		// daemon retires it and nothing waits forever.
 		go failRemoteGate(dst, gateID, cl.CommandStatus(cl.InvalidServer))
 		return nil, err
 	}
 	srcQ.track(sendEv)
-	// sendEv completing only says the payload was handed to src's
-	// transport: a src that dies right after takes the bytes still in its
-	// send path with it, dst's accept stays parked, and nothing above
-	// would ever settle the gate. This hook is one no daemon completes —
-	// only the close notice of src's connection fires it.
-	lostID := b.ctx.plat.newID()
-	src.registerHook(lostID, nil, func(st cl.CommandStatus) { failRemoteGate(dst, gateID, st) })
 
 	// Optimistic directory update over the range: src's read downgrades
 	// M→S, dst gains a Shared copy gated on the transfer; the host copy is
@@ -616,10 +603,9 @@ func (b *Buffer) forwardRange(src, dst *Server, ps, pe int, srcGate *Event) (*Ev
 	}
 	gate.settleWith(func(st cl.CommandStatus) {
 		// A transport-class failure means the peer path itself is broken
-		// (the source may have "handed the payload to the transport"
-		// successfully and only the receiver saw the wire die): stop
-		// forwarding over this pair and let coherence fall back to the
-		// client-mediated path.
+		// (the source could not dial, or sent the payload and only the
+		// receiver saw the wire die): stop forwarding over this pair and
+		// let coherence fall back to the client-mediated path.
 		if st != cl.Complete && cl.ErrorCode(st) == cl.InvalidServer {
 			src.markPeerUnreachable(peerAddr)
 		}
@@ -682,7 +668,7 @@ func (b *Buffer) hostRangeCopy(off, end int, dst []byte) {
 // cancelSupersededForward tells a forward's target daemon to refuse the
 // transfer's landing. The cancel is a one-way message so it dispatches
 // ahead of every command sent to that daemon afterwards (the daemon's
-// forwardGate guard makes landing-vs-cancel atomic): anything enqueued
+// accept guard makes landing-vs-cancel atomic): anything enqueued
 // after the superseding write is therefore safe from the stale payload.
 // The status is deliberately not InvalidServer — the peer path is fine,
 // only this transfer is obsolete — so the pair is not marked
@@ -711,16 +697,6 @@ func failRemoteGate(dst *Server, gateID uint64, st cl.CommandStatus) {
 		w.U64(gateID)
 		w.I32(int32(st))
 	})
-}
-
-// newForwardToken draws a random transfer token. Tokens rendezvous the
-// accept and the payload at the receiving daemon, which serves many
-// clients: random 64-bit values cannot collide across clients the way
-// per-client counters would.
-func newForwardToken() uint64 {
-	var raw [8]byte
-	rand.Read(raw[:]) // cannot fail: a broken entropy source crashes the process
-	return binary.LittleEndian.Uint64(raw[:])
 }
 
 // floatBits converts a float32 to its IEEE bit pattern (helper shared by

@@ -33,6 +33,7 @@ func TestCallOnDeadLinkBeforeCloseNoticeIsServerLost(t *testing.T) {
 		w.String("")
 		w.Bool(false)
 		w.U64(1)
+		w.U64(2)
 		if err := daemonEP.Send(protocol.EncodeEnvelope(protocol.ClassResponse, env.ID, env.Type, w)); err != nil {
 			t.Error(err)
 		}

@@ -47,6 +47,7 @@ func TestServerLinkRefusesWhatItDoesNotServe(t *testing.T) {
 		w.String("")
 		w.Bool(false)
 		w.U64(1)
+		w.U64(2)
 		if err := l.EP.Send(protocol.EncodeEnvelope(protocol.ClassResponse, hello.ID, hello.Type, w)); err != nil {
 			t.Error(err)
 		}

@@ -55,9 +55,12 @@ type Server struct {
 	// Peer data-plane capabilities, learned in the Hello exchange:
 	// peerAddr is where other daemons reach this daemon's bulk plane
 	// (empty: cannot receive forwards); canForward reports whether the
-	// daemon can originate forwards.
+	// daemon can originate forwards; peerKey names this client's
+	// connection to the daemons forwarding to it (new with each
+	// connection).
 	peerAddr   string
 	canForward bool
+	peerKey    uint64
 
 	// Control-plane frame counters (requests + one-way commands out,
 	// responses + notifications in; bulk stream data is not counted). A
@@ -172,6 +175,7 @@ func dialServer(p *Platform, addr string, ep *gcf.Endpoint, authID string) (*Ser
 	s.peerAddr = resp.String()
 	s.canForward = resp.Bool()
 	sessionID := resp.U64()
+	s.peerKey = resp.U64()
 	if resp.Err() != nil {
 		ep.Close()
 		return nil, cl.Errf(cl.InvalidServer, "malformed hello response from %s", addr)
@@ -524,6 +528,14 @@ func (s *Server) PeerAddr() string {
 	return s.peerAddr
 }
 
+// peerTarget returns where a forward to this daemon goes: its peer
+// address and the key of the current connection.
+func (s *Server) peerTarget() (string, uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.peerAddr, s.peerKey
+}
+
 // CanForward reports whether the daemon can originate peer forwards.
 func (s *Server) CanForward() bool {
 	s.mu.Lock()
@@ -678,6 +690,7 @@ func (s *Server) Reattach() (retained bool, err error) {
 	peerAddr := resp.String()
 	canFwd := resp.Bool()
 	newSID := resp.U64()
+	peerKey := resp.U64()
 	if resp.Err() != nil {
 		ep.Close()
 		return false, cl.Errf(cl.InvalidServer, "malformed attach response from %s", s.addr)
@@ -687,6 +700,7 @@ func (s *Server) Reattach() (retained bool, err error) {
 	s.name = name
 	s.peerAddr = peerAddr
 	s.canForward = canFwd
+	s.peerKey = peerKey
 	s.sessionID = newSID
 	s.badPeers = map[string]bool{}
 	s.queueErrs = map[uint64][]deferredFailure{}

@@ -43,14 +43,6 @@ type Config struct {
 	// PeerDial reaches other daemons' peer data planes for outbound
 	// buffer forwarding. Nil disables outbound forwarding.
 	PeerDial func(addr string) (net.Conn, error)
-	// PeerParkTTL bounds how long a peer payload that arrived before its
-	// accept is parked awaiting the rendezvous. Past it the entry is
-	// drained and its token recorded as dropped, so a client whose accept
-	// was lost neither pins the payload bytes nor hangs on the gate.
-	// Zero means 30s. Deployments with tight memory or chaos tests that
-	// churn forwards can lower it to milliseconds: expiry, late accepts
-	// and session-close retirement race cleanly at any setting.
-	PeerParkTTL time.Duration
 	// SessionRetain keeps a disconnected client's session state (contexts,
 	// buffers, programs, kernels, queues, cached graphs) alive for this
 	// long after the connection dies, so the client can re-attach with
@@ -94,25 +86,14 @@ type Daemon struct {
 	// gets a daemon-issued ID; a session whose connection died is parked
 	// (detached) for SessionRetain before its resources are released, and
 	// MsgAttachSession within that window adopts its object tables onto
-	// the new connection.
+	// the new connection. keys finds a live connection by its peer key,
+	// for the payloads peers forward to it.
 	sessMu   sync.Mutex
 	sessions map[uint64]*session
+	keys     map[uint64]*session
 
-	// Peer data plane: outbound connection pool plus the rendezvous
-	// tables pairing client-announced AcceptForwards with peer-announced
-	// transfers (either side may arrive first).
-	peers    *gcf.Pool
-	fwdMu    sync.Mutex
-	fwdSeq   uint64                          // accept arrival order (newest wins)
-	fwdIn    map[uint64]*pendingForward      // token → accept waiting for payload
-	fwdLive  map[cl.Buffer][]*pendingForward // unsettled transfers per buffer
-	fwdEar   map[uint64]earlyTransfer        // token → payload waiting for accept
-	fwdDrop  map[uint64]bool                 // tokens whose payload was dropped
-	fwdDropQ []uint64                        // FIFO over fwdDrop (bounded memory)
-
-	// earlyTimers counts pending early-transfer TTL timers (observability
-	// for the timer-leak regression test).
-	earlyTimers atomic.Int64
+	// peers is the outbound peer-connection pool (nil: no forwarding).
+	peers *gcf.Pool
 
 	// Serve plane (serve.go): the daemon-wide fair queue of pending serve
 	// jobs, the content-addressed result cache for buffer-free jobs, and
@@ -146,10 +127,7 @@ func New(cfg Config) (*Daemon, error) {
 		leases:     map[string]map[uint32]bool{},
 		dms:        map[*rpc.Conn]bool{},
 		sessions:   map[uint64]*session{},
-		fwdIn:      map[uint64]*pendingForward{},
-		fwdLive:    map[cl.Buffer][]*pendingForward{},
-		fwdEar:     map[uint64]earlyTransfer{},
-		fwdDrop:    map[uint64]bool{},
+		keys:       map[uint64]*session{},
 		serveQ:     serve.NewFairQueue[serveGroup, *serveJob](),
 		serveCache: serve.NewCache(0, 0),
 	}
@@ -352,29 +330,30 @@ func (d *Daemon) StopLocal(addr string) {
 	gcf.UnregisterLocal(addr)
 }
 
-// registerSession issues a session ID and records the session. IDs are
-// cryptographically random, not sequential: the re-attach handshake
-// authenticates by session ID, so a guessable counter (which also
-// resets across daemon restarts) would let one client adopt another's
-// parked session — its buffers included.
-func (d *Daemon) registerSession(s *session) uint64 {
-	for {
-		var raw [8]byte
-		rand.Read(raw[:]) // cannot fail: a broken entropy source crashes the process
-		id := binary.LittleEndian.Uint64(raw[:])
-		if id == 0 {
-			continue
-		}
-		d.sessMu.Lock()
-		if _, taken := d.sessions[id]; taken {
-			d.sessMu.Unlock()
-			continue
-		}
-		s.id = id
-		d.sessions[id] = s
-		d.sessMu.Unlock()
-		return id
+// registerSession issues a session ID and a peer key and records the
+// session under both. Both are cryptographically random, not sequential:
+// the re-attach handshake authenticates by session ID, so a guessable
+// counter (which also resets across daemon restarts) would let one client
+// adopt another's parked session — its buffers included. The peer key
+// travels to other daemons, so it is never the session ID.
+func (d *Daemon) registerSession(s *session) {
+	d.sessMu.Lock()
+	defer d.sessMu.Unlock()
+	for s.id == 0 || d.sessions[s.id] != nil {
+		s.id = randomID()
 	}
+	for s.rv.key == 0 || s.rv.key == s.id || d.keys[s.rv.key] != nil {
+		s.rv.key = randomID()
+	}
+	d.sessions[s.id] = s
+	d.keys[s.rv.key] = s
+}
+
+// randomID draws a random 64-bit identifier.
+func randomID() uint64 {
+	var raw [8]byte
+	rand.Read(raw[:]) // cannot fail: a broken entropy source crashes the process
+	return binary.LittleEndian.Uint64(raw[:])
 }
 
 // takeDetachedSession claims a parked session for re-attachment: it is
@@ -385,7 +364,8 @@ func (d *Daemon) registerSession(s *session) uint64 {
 // may not even have seen the link drop yet — so a session that is still
 // attached gets a bounded grace to detach before the answer is no.
 func (d *Daemon) takeDetachedSession(id uint64) *session {
-	deadline := time.Now().Add(2 * time.Second)
+	grace := time.NewTimer(2 * time.Second)
+	defer grace.Stop()
 	for {
 		d.sessMu.Lock()
 		s := d.sessions[id]
@@ -404,10 +384,11 @@ func (d *Daemon) takeDetachedSession(id uint64) *session {
 			return s
 		}
 		d.sessMu.Unlock()
-		if time.Now().After(deadline) {
+		select {
+		case <-s.gone:
+		case <-grace.C:
 			return nil
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -431,6 +412,7 @@ func (d *Daemon) detachSession(s *session) {
 		return
 	}
 	s.detached = true
+	close(s.gone)
 	if retain <= 0 {
 		delete(d.sessions, s.id)
 		d.sessMu.Unlock()

@@ -1,12 +1,18 @@
 package daemon
 
 import (
+	"bytes"
+	"net"
+	"runtime"
 	"testing"
+	"time"
 
 	"dopencl/internal/cl"
 	"dopencl/internal/device"
+	"dopencl/internal/gcf"
 	"dopencl/internal/native"
 	"dopencl/internal/protocol"
+	"dopencl/internal/simnet"
 )
 
 func testDaemon(t *testing.T, managed bool) *Daemon {
@@ -143,5 +149,81 @@ func TestProtocolHappyPath(t *testing.T) {
 		if rs.tell(t, protocol.MsgReleaseContext, func(w *protocol.Writer) { w.U64(id) }) != cl.Success {
 			t.Fatal("release failed")
 		}
+	}
+}
+
+// lateNoticeConn holds back the end of its read side until notice is
+// closed: the link is gone, but this side's close notice has not run.
+type lateNoticeConn struct {
+	net.Conn
+	notice chan struct{}
+}
+
+func (c *lateNoticeConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if err != nil {
+		<-c.notice
+	}
+	return n, err
+}
+
+// TestAttachBeforeCloseNoticeAdoptsSession: a re-attach can outrace the
+// old connection's close notice. The attach, dispatched first, waits for
+// the session to detach and then adopts it.
+func TestAttachBeforeCloseNoticeAdoptsSession(t *testing.T) {
+	plat := native.NewPlatform("p", "v", []device.Config{device.TestCPU("cpu0")})
+	d, err := New(Config{Name: "srv", Platform: plat, SessionRetain: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := simnet.Pipe(simnet.Unlimited())
+	late := &lateNoticeConn{Conn: b, notice: make(chan struct{})}
+	d.ServeConn(late)
+	old := startGraphSession(gcf.NewEndpoint(a, true))
+	env := old.call(t, 1, protocol.MsgHello, func(w *protocol.Writer) {
+		w.String("old")
+		w.String("")
+	})
+	if st := cl.ErrorCode(env.Body.I32()); st != cl.Success {
+		t.Fatalf("hello: %v", st)
+	}
+	_ = env.Body.String()
+	_ = protocol.GetDeviceRecords(env.Body)
+	_ = env.Body.String()
+	_ = env.Body.Bool()
+	sid := env.Body.U64()
+	old.ep.Close()
+
+	fresh := newGraphSession(t, d)
+	defer fresh.ep.Close()
+	w := protocol.NewWriter()
+	w.U64(sid)
+	w.String("fresh")
+	w.String("")
+	if err := fresh.ep.Send(protocol.EncodeEnvelope(protocol.ClassRequest, 2, protocol.MsgAttachSession, w)); err != nil {
+		t.Fatal(err)
+	}
+	// The attach is waiting for the old session to detach before the old
+	// connection's close notice is let through.
+	deadline := time.Now().Add(5 * time.Second)
+	stacks := make([]byte, 1<<20)
+	for !bytes.Contains(stacks[:runtime.Stack(stacks, true)], []byte("takeDetachedSession")) {
+		if time.Now().After(deadline) {
+			t.Fatal("the attach never waited for the old session")
+		}
+		runtime.Gosched()
+	}
+	close(late.notice)
+	select {
+	case env = <-fresh.resp:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no answer to the attach")
+	}
+	if st := cl.ErrorCode(env.Body.I32()); st != cl.Success {
+		t.Fatalf("attach: %v", st)
+	}
+	_ = env.Body.String()
+	if !env.Body.Bool() {
+		t.Fatal("attach before the close notice: retained=false, want the session adopted")
 	}
 }

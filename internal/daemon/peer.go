@@ -4,7 +4,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 
 	"dopencl/internal/cl"
 	"dopencl/internal/gcf"
@@ -23,150 +22,127 @@ import (
 // travels once, over a direct daemon↔daemon connection.
 //
 // Rendezvous: the accept (from the client) and the transfer (from the
-// peer) race on independent links, so either may arrive first. Both are
-// parked in daemon-level tables keyed by the client-chosen transfer
-// token; whichever side arrives second starts the receive.
+// peer) race on independent links, so either may arrive first. They meet
+// on the client's connection: its session keeps a table keyed by the
+// client-chosen transfer token, and the payload finds that table by the
+// connection's peer key (which the client learned from its Hello or
+// AttachSession answer and handed to the source daemon). A payload waits
+// for its accept only while that connection lives, never on a timer.
 
-// pendingForward is a client-announced inbound transfer: where the
-// payload goes and which gating event unblocks dependent commands.
-type pendingForward struct {
-	sess    *session
-	buf     cl.Buffer
-	bufID   uint64
-	offset  int
-	size    int
-	token   uint64
-	eventID uint64
-	seq     uint64 // accept arrival order; a commit cancels older overlaps
-	gate    *forwardGate
-}
-
-// overlaps reports whether two transfers target overlapping regions of
-// the same buffer.
-func (pf *pendingForward) overlaps(other *pendingForward) bool {
-	return pf.buf == other.buf &&
-		pf.offset < other.offset+other.size &&
-		other.offset < pf.offset+pf.size
-}
-
-// forwardGate is the gating user event of a pending transfer, guarding
-// the race between the payload landing and a client-side cancellation
-// (the client fails the gate remotely when the source daemon reports
-// the payload will never arrive). The commit of the payload into the
-// buffer and any cancellation serialize on the guard: once cancelled,
-// the payload is never written (the client may already be re-uploading
-// the same region over the fallback path); once landed, a stale
-// cancellation is a no-op.
-type forwardGate struct {
+// accept is a client-announced inbound transfer: where the payload goes,
+// and the gate — a user event dependent commands wait on — that its
+// landing completes. The gate guards the race between the payload landing
+// and a cancellation (the client fails it when the source reports the
+// payload will never arrive, a newer transfer supersedes it, the lease or
+// the connection ends): the commit into the buffer and a cancellation
+// serialize on mu. Once cancelled, the payload is never written (the
+// client may already be re-uploading the same region over the fallback
+// path); once landed, a stale cancellation is a no-op.
+type accept struct {
 	*native.UserEvent
+	s      *session
+	buf    cl.Buffer
+	bufID  uint64
+	offset int
+	size   int
+	token  uint64
+	seq    uint64 // arrival order; a landing cancels older overlaps
+
 	mu        sync.Mutex
 	cancelled bool
 	landed    bool
 }
 
-func newForwardGate() *forwardGate {
-	return &forwardGate{UserEvent: native.NewUserEvent()}
+// overlaps reports whether two transfers target overlapping regions of
+// the same buffer.
+func (a *accept) overlaps(other *accept) bool {
+	return a.buf == other.buf &&
+		a.offset < other.offset+other.size &&
+		other.offset < a.offset+a.size
 }
 
-// SetStatus implements cl.UserEvent: error statuses record the
-// cancellation under the guard before completing the event.
-func (g *forwardGate) SetStatus(s cl.CommandStatus) error {
-	g.mu.Lock()
-	if s != cl.Complete {
-		if g.landed {
+// SetStatus implements cl.UserEvent: an error status records the
+// cancellation under the guard, and in the session's table, before the
+// gate completes.
+func (a *accept) SetStatus(st cl.CommandStatus) error {
+	if st != cl.Complete {
+		a.mu.Lock()
+		if a.landed {
 			// The payload already committed; the stale cancellation
 			// must not fail an event whose data is valid.
-			g.mu.Unlock()
+			a.mu.Unlock()
 			return nil
 		}
-		g.cancelled = true
+		a.cancelled = true
+		a.mu.Unlock()
+		a.s.cancelled(a)
 	}
-	g.mu.Unlock()
-	return g.UserEvent.SetStatus(s)
+	return a.UserEvent.SetStatus(st)
 }
 
-// tryLand claims the gate for the payload writer: commit (the copy into
-// the buffer backing store) runs under the guard, so a concurrent
-// cancellation either happens-before (commit is skipped, false is
-// returned) or happens-after (and becomes a no-op). On success the gate
-// completes.
-func (g *forwardGate) tryLand(commit func()) bool {
-	g.mu.Lock()
-	if g.cancelled {
-		g.mu.Unlock()
+// fail cancels the transfer with an error code.
+func (a *accept) fail(code cl.ErrorCode) {
+	if err := a.SetStatus(cl.CommandStatus(code)); err != nil {
+		a.s.d.logf("daemon %s: forward gate status: %v", a.s.d.cfg.Name, err)
+	}
+}
+
+// land claims the gate for the payload writer: commit runs under the
+// guard, so a concurrent cancellation either happens-before (commit is
+// skipped, false is returned) or happens-after (and becomes a no-op). On
+// success the gate completes.
+func (a *accept) land(commit func()) bool {
+	a.mu.Lock()
+	if a.cancelled {
+		a.mu.Unlock()
 		return false
 	}
 	commit()
-	g.landed = true
-	g.mu.Unlock()
-	return g.UserEvent.SetStatus(cl.Complete) == nil
+	a.landed = true
+	a.mu.Unlock()
+	return a.UserEvent.SetStatus(cl.Complete) == nil
 }
 
-// earlyTransfer is a peer payload that arrived before its accept: the
-// header plus the connection carrying the (still unread) stream, and the
-// TTL timer that expires the entry if no accept ever claims it. The
-// timer is stopped when the entry retires (matched or expired) — without
-// that, every matched transfer would leave a live 30s timer behind, and
-// a daemon churning thousands of forwards would carry thousands of
-// pending timers at any moment.
-type earlyTransfer struct {
-	ep    *gcf.Endpoint
-	hdr   protocol.PeerTransfer
-	at    time.Time
-	timer *time.Timer
+// transferState is where one token of a connection's table stands.
+type transferState uint8
+
+const (
+	waiting   transferState = iota // an accept, no payload yet
+	parked                         // a payload, no accept yet
+	receiving                      // both: the payload is being read
+	spent                          // the transfer will not land; the other half is drained
+)
+
+// transfer is one token's entry in a connection's table. A spent entry
+// leaves when the other half arrives (or the source daemon's one retry
+// does); every other entry leaves when its transfer lands or its receive
+// ends, and all of them with the connection.
+type transfer struct {
+	state transferState
+	acc   *accept               // waiting, receiving
+	ep    *gcf.Endpoint         // parked: the peer link carrying the payload
+	hdr   protocol.PeerTransfer // parked
 }
 
-// maxEarlyTransfers bounds the parking table: a peer flooding unmatched
-// transfers must not grow the daemon's entry count without limit. (The
-// payload bytes of a parked entry sit in the gcf stream's receive
-// buffer, which has no window-based flow control yet — the TTL timer
-// bounds how long they can be pinned.)
-const maxEarlyTransfers = 256
-
-// defaultEarlyTransferTTL bounds how long a parked payload waits for its
-// accept when Config.PeerParkTTL is unset: past it the entry is drained
-// and recorded as dropped, so a client whose accept was lost does not
-// pin the payload (and a table slot) until the peer connection dies.
-const defaultEarlyTransferTTL = 30 * time.Second
-
-// parkTTL returns the effective parked-payload TTL.
-func (d *Daemon) parkTTL() time.Duration {
-	if d.cfg.PeerParkTTL > 0 {
-		return d.cfg.PeerParkTTL
-	}
-	return defaultEarlyTransferTTL
+// rendezvous is a client connection's half of the peer plane.
+type rendezvous struct {
+	key     uint64 // names the connection to peers (set by registerSession)
+	mu      sync.Mutex
+	ended   bool // the connection is gone: nothing registers any more
+	seq     uint64
+	parked  int
+	entries map[uint64]*transfer // token → transfer
 }
 
-// parkTimerPad is the slack added to the TTL timer so it always fires
-// after the entry is genuinely expired (the sweep compares against the
-// TTL; a timer firing marginally early would find nothing to do and the
-// entry would then linger until the next rendezvous). The old fixed
-// one-second pad dwarfed millisecond TTLs — an expired payload sat
-// parked for ~1s unless other forward traffic happened to sweep it —
-// so the pad scales with the TTL instead, bounded to stay meaningful
-// for long TTLs and cheap for short ones.
-func parkTimerPad(ttl time.Duration) time.Duration {
-	pad := ttl / 8
-	if pad < time.Millisecond {
-		pad = time.Millisecond
-	}
-	if pad > time.Second {
-		pad = time.Second
-	}
-	return pad
-}
-
-// maxDroppedTokens bounds the memory of recently dropped transfers.
-const maxDroppedTokens = 1024
+// maxParked bounds a connection's parked payloads: a peer flooding
+// unmatched transfers must not grow its entry count without limit (the
+// payload bytes of a parked entry sit in the gcf stream's receive buffer,
+// which has no window-based flow control). Past it a payload is drained
+// and its token spent, so its accept fails fast.
+const maxParked = 256
 
 // CanForward reports whether this daemon can originate peer transfers.
 func (d *Daemon) CanForward() bool { return d.peers != nil }
-
-// PendingEarlyTimers reports the TTL timers currently pending for parked
-// peer payloads. Matched or expired entries stop theirs, so a daemon
-// churning forwards holds timers only for genuinely unmatched payloads
-// (the leak test pins this at zero after a churn).
-func (d *Daemon) PendingEarlyTimers() int { return int(d.earlyTimers.Load()) }
 
 // peerHello is the pool handshake: one one-way frame identifying the
 // dialing daemon, sent before any transfer header.
@@ -228,171 +204,161 @@ func (s *peerSession) handleTransfer(c rpc.Call) {
 		// frame; the dangling stream dies with the connection.
 		return
 	}
-	s.d.matchTransfer(s.ep, hdr)
+	s.d.meet(s.ep, hdr)
 }
 
-// registerForward records a client-announced accept and, if the payload
-// already arrived, starts the receive immediately. Called from the
-// client session's dispatcher.
-func (d *Daemon) registerForward(pf *pendingForward) {
-	d.fwdMu.Lock()
-	if _, dup := d.fwdIn[pf.token]; dup {
-		d.fwdMu.Unlock()
-		d.failGate(pf, cl.InvalidValue)
-		d.logf("daemon %s: duplicate forward token %d rejected", d.cfg.Name, pf.token)
-		return
-	}
-	d.expireEarlyLocked()
-	if d.fwdDrop[pf.token] {
-		// The payload already arrived and was dropped (table overflow or
-		// expiry): fail the gate now instead of parking an accept no
-		// payload will ever match — commands gated on it must not hang.
-		delete(d.fwdDrop, pf.token)
-		d.fwdMu.Unlock()
-		d.failGate(pf, cl.OutOfResources)
-		d.logf("daemon %s: accept for dropped transfer %d failed", d.cfg.Name, pf.token)
-		return
-	}
-	d.fwdSeq++
-	pf.seq = d.fwdSeq
-	d.fwdLive[pf.buf] = append(d.fwdLive[pf.buf], pf)
-	et, early := d.fwdEar[pf.token]
-	if early {
-		d.retireEarlyLocked(pf.token, et)
-	} else {
-		d.fwdIn[pf.token] = pf
-	}
-	d.fwdMu.Unlock()
-	// The gate settling — payload landed, the client cancelled, or a
-	// newer transfer superseded it — retires the accept, so abandoned
-	// transfers do not pin session state forever.
-	if err := pf.gate.SetCallback(cl.Complete, func(cl.Event, cl.CommandStatus) {
-		d.fwdMu.Lock()
-		if d.fwdIn[pf.token] == pf {
-			delete(d.fwdIn, pf.token)
-		}
-		live := d.fwdLive[pf.buf]
-		for i, other := range live {
-			if other == pf {
-				live = append(live[:i], live[i+1:]...)
-				break
-			}
-		}
-		if len(live) == 0 {
-			delete(d.fwdLive, pf.buf)
-		} else {
-			d.fwdLive[pf.buf] = live
-		}
-		d.fwdMu.Unlock()
-	}); err != nil {
-		d.logf("daemon %s: forward gate callback: %v", d.cfg.Name, err)
-	}
-	if early {
-		d.startReceive(pf, et.ep, et.hdr)
+// acceptForward records a client-announced accept and, if the payload
+// already arrived, starts the receive. Called from the client session's
+// dispatcher.
+func (s *session) acceptForward(a *accept) {
+	rv := &s.rv
+	rv.mu.Lock()
+	t := rv.entries[a.token]
+	switch {
+	case rv.ended:
+		// Dispatched after the connection's close: nothing would ever
+		// retire the entry.
+		rv.mu.Unlock()
+		a.fail(cl.InvalidServer)
+	case t == nil:
+		rv.seq++
+		a.seq = rv.seq
+		rv.entries[a.token] = &transfer{state: waiting, acc: a}
+		rv.mu.Unlock()
+	case t.state == parked:
+		rv.seq++
+		a.seq = rv.seq
+		ep, hdr := t.ep, t.hdr
+		*t = transfer{state: receiving, acc: a}
+		rv.parked--
+		rv.mu.Unlock()
+		s.receive(a, ep, hdr)
+	case t.state == spent:
+		// The payload was drained: fail the gate now instead of waiting
+		// for a payload that will never come.
+		delete(rv.entries, a.token)
+		rv.mu.Unlock()
+		a.fail(cl.OutOfResources)
+		s.d.logf("daemon %s: accept for drained transfer %d failed", s.d.cfg.Name, a.token)
+	default:
+		rv.mu.Unlock()
+		a.fail(cl.InvalidValue)
+		s.d.logf("daemon %s: duplicate forward token %d rejected", s.d.cfg.Name, a.token)
 	}
 }
 
-// matchTransfer pairs an inbound transfer header with its accept, or
-// parks it until the accept arrives.
-func (d *Daemon) matchTransfer(ep *gcf.Endpoint, hdr protocol.PeerTransfer) {
-	d.fwdMu.Lock()
-	if pf, ok := d.fwdIn[hdr.Token]; ok {
-		delete(d.fwdIn, hdr.Token)
-		d.fwdMu.Unlock()
-		d.startReceive(pf, ep, hdr)
-		return
-	}
-	d.expireEarlyLocked()
-	if len(d.fwdEar) >= maxEarlyTransfers {
-		d.recordDroppedLocked(hdr.Token)
-		d.fwdMu.Unlock()
+// meet pairs an inbound transfer header with its accept on the connection
+// the header's key names, or parks it there until the accept arrives. A
+// key that names no live connection is drained at once.
+func (d *Daemon) meet(ep *gcf.Endpoint, hdr protocol.PeerTransfer) {
+	d.sessMu.Lock()
+	s := d.keys[hdr.Key]
+	d.sessMu.Unlock()
+	if s == nil {
 		d.drainStream(ep, hdr.StreamID)
-		d.logf("daemon %s: early-transfer table full, token %d dropped", d.cfg.Name, hdr.Token)
+		d.logf("daemon %s: peer transfer %d names no live connection", d.cfg.Name, hdr.Token)
 		return
 	}
-	// A timer enforces the TTL even on a daemon with no further forward
-	// traffic (the lazy sweeps in matchTransfer/registerForward only run
-	// on the next rendezvous). It is stopped when the entry retires
-	// early, so matched transfers do not accumulate pending timers. At
-	// most maxEarlyTransfers timers exist.
-	ttl := d.parkTTL()
-	t := time.AfterFunc(ttl+parkTimerPad(ttl), func() {
-		d.earlyTimers.Add(-1) // fired: no longer pending
-		d.fwdMu.Lock()
-		d.expireEarlyLocked()
-		d.fwdMu.Unlock()
-	})
-	d.earlyTimers.Add(1)
-	d.fwdEar[hdr.Token] = earlyTransfer{ep: ep, hdr: hdr, at: time.Now(), timer: t}
-	d.fwdMu.Unlock()
-}
-
-// retireEarlyLocked removes a parked payload entry and stops its TTL
-// timer. Callers hold fwdMu.
-func (d *Daemon) retireEarlyLocked(token uint64, et earlyTransfer) {
-	delete(d.fwdEar, token)
-	if et.timer != nil && et.timer.Stop() {
-		d.earlyTimers.Add(-1)
+	rv := &s.rv
+	rv.mu.Lock()
+	t := rv.entries[hdr.Token]
+	switch {
+	case rv.ended:
+		rv.mu.Unlock()
+		d.drainStream(ep, hdr.StreamID)
+	case t == nil && rv.parked >= maxParked:
+		rv.entries[hdr.Token] = &transfer{state: spent}
+		rv.mu.Unlock()
+		d.drainStream(ep, hdr.StreamID)
+		d.logf("daemon %s: session %d parks %d payloads, token %d drained", d.cfg.Name, s.id, maxParked, hdr.Token)
+	case t == nil:
+		rv.entries[hdr.Token] = &transfer{state: parked, ep: ep, hdr: hdr}
+		rv.parked++
+		rv.mu.Unlock()
+	case t.state == waiting:
+		t.state = receiving
+		rv.mu.Unlock()
+		s.receive(t.acc, ep, hdr)
+	case t.state == parked:
+		// The source's retry: the copy on the newer link replaces the one
+		// its dead link may have cut short.
+		old := *t
+		t.ep, t.hdr = ep, hdr
+		rv.mu.Unlock()
+		d.drainStream(old.ep, old.hdr.StreamID)
+	case t.state == spent:
+		delete(rv.entries, hdr.Token)
+		rv.mu.Unlock()
+		d.drainStream(ep, hdr.StreamID)
+	default:
+		// A retry while the first copy is being read: that read decides.
+		rv.mu.Unlock()
+		d.drainStream(ep, hdr.StreamID)
 	}
 }
 
-// dropSessionForwards cancels every pending forward announced by the
-// given session: with the client gone nothing can settle the gates, and
-// a payload arriving later must not be committed into a dead session's
-// buffer. Cancelling the gate retires the fwdIn entry through its
-// settle callback.
-func (d *Daemon) dropSessionForwards(s *session) {
-	d.fwdMu.Lock()
-	var orphaned []*pendingForward
-	// fwdLive covers every unsettled transfer of the session — both
-	// accepts still waiting for their payload (also in fwdIn) and
-	// transfers whose receive is already in progress; cancelling the
-	// gate stops the latter's commit through the forwardGate guard.
-	for _, pfs := range d.fwdLive {
-		for _, pf := range pfs {
-			if pf.sess == s {
-				orphaned = append(orphaned, pf)
-			}
+// cancelled records a failed gate: an accept still waiting for its
+// payload becomes spent, so the payload is drained when it comes. A
+// receive in progress settles its entry itself.
+func (s *session) cancelled(a *accept) {
+	s.rv.mu.Lock()
+	if t := s.rv.entries[a.token]; t != nil && t.acc == a && t.state == waiting {
+		*t = transfer{state: spent}
+	}
+	s.rv.mu.Unlock()
+}
+
+// settle retires a receive's entry: it is deleted once both halves were
+// consumed, and spent when the stream was cut (the source may retry).
+func (s *session) settle(a *accept, cut bool) {
+	s.rv.mu.Lock()
+	if t := s.rv.entries[a.token]; t != nil && t.acc == a {
+		if cut {
+			*t = transfer{state: spent}
+		} else {
+			delete(s.rv.entries, a.token)
 		}
 	}
-	d.fwdMu.Unlock()
-	for _, pf := range orphaned {
-		d.failGate(pf, cl.InvalidServer)
-	}
+	s.rv.mu.Unlock()
 }
 
-// expireEarlyLocked drops parked payloads whose accept never arrived
-// within the TTL, draining their streams and recording the tokens so a
-// late accept fails fast. Callers hold fwdMu.
-func (d *Daemon) expireEarlyLocked() {
-	if len(d.fwdEar) == 0 {
-		return
-	}
-	now := time.Now()
-	ttl := d.parkTTL()
-	for token, et := range d.fwdEar {
-		if now.Sub(et.at) < ttl {
-			continue
+// failForwards fails the gate of every accept the lease announced (a
+// Goodbye, or the end of the session). Parked payloads stay: on a kept
+// connection they may belong to the next lease's accepts.
+func (s *session) failForwards() {
+	s.rv.mu.Lock()
+	var accepts []*accept
+	for _, t := range s.rv.entries {
+		if t.acc != nil {
+			accepts = append(accepts, t.acc)
 		}
-		d.retireEarlyLocked(token, et)
-		d.recordDroppedLocked(token)
-		d.drainStream(et.ep, et.hdr.StreamID)
-		d.logf("daemon %s: early transfer %d expired unmatched", d.cfg.Name, token)
+	}
+	s.rv.mu.Unlock()
+	for _, a := range accepts {
+		a.fail(cl.InvalidServer)
 	}
 }
 
-// recordDroppedLocked remembers a dropped transfer token (bounded FIFO)
-// so its accept can be failed instead of parked forever. Callers hold
-// fwdMu.
-func (d *Daemon) recordDroppedLocked(token uint64) {
-	if d.fwdDrop[token] {
-		return
-	}
-	d.fwdDrop[token] = true
-	d.fwdDropQ = append(d.fwdDropQ, token)
-	for len(d.fwdDropQ) > maxDroppedTokens {
-		delete(d.fwdDrop, d.fwdDropQ[0])
-		d.fwdDropQ = d.fwdDropQ[1:]
+// endForwards closes the table with the connection: waiting and receiving
+// transfers fail, parked payloads are drained, and the key becomes
+// unknown, so a later payload naming it is drained at once and a later
+// accept registers nothing.
+func (s *session) endForwards() {
+	s.d.sessMu.Lock()
+	delete(s.d.keys, s.rv.key)
+	s.d.sessMu.Unlock()
+	s.rv.mu.Lock()
+	s.rv.ended = true
+	entries := s.rv.entries
+	s.rv.entries, s.rv.parked = nil, 0
+	s.rv.mu.Unlock()
+	for _, t := range entries {
+		switch {
+		case t.acc != nil:
+			t.acc.fail(cl.InvalidServer)
+		case t.state == parked:
+			s.d.drainStream(t.ep, t.hdr.StreamID)
+		}
 	}
 }
 
@@ -409,41 +375,34 @@ func (d *Daemon) drainStream(ep *gcf.Endpoint, streamID uint32) {
 	}()
 }
 
-// failGate completes a pending transfer's gate with an error status,
-// failing every command gated on the forwarded data and notifying the
-// client through the normal event path.
-func (d *Daemon) failGate(pf *pendingForward, code cl.ErrorCode) {
-	if err := pf.gate.SetStatus(cl.CommandStatus(code)); err != nil {
-		d.logf("daemon %s: forward gate status: %v", d.cfg.Name, err)
+// receive validates the peer's transfer header against the client's
+// accept and streams the payload into the target buffer's backing store.
+// Every header field is peer-supplied and cross-checked (mirroring the
+// wire-size validation of the client command path): a peer may only
+// deliver exactly the transfer the client announced.
+func (s *session) receive(a *accept, ep *gcf.Endpoint, hdr protocol.PeerTransfer) {
+	refuse := func(code cl.ErrorCode) {
+		s.d.drainStream(ep, hdr.StreamID)
+		s.settle(a, false)
+		a.fail(code)
 	}
-}
-
-// startReceive validates the peer's transfer header against the client's
-// accept and streams the payload straight into the target buffer's
-// backing store. Every header field is peer-supplied and cross-checked
-// (mirroring the wire-size validation of the client command path): a
-// peer may only deliver exactly the transfer the client announced.
-func (d *Daemon) startReceive(pf *pendingForward, ep *gcf.Endpoint, hdr protocol.PeerTransfer) {
-	if hdr.BufID != pf.bufID || hdr.Offset != int64(pf.offset) || hdr.Size != int64(pf.size) {
-		d.drainStream(ep, hdr.StreamID)
-		d.failGate(pf, cl.InvalidValue)
-		d.logf("daemon %s: peer transfer header mismatch (token %d): got buf %d [%d,+%d), want buf %d [%d,+%d)",
-			d.cfg.Name, hdr.Token, hdr.BufID, hdr.Offset, hdr.Size, pf.bufID, pf.offset, pf.size)
+	if hdr.BufID != a.bufID || hdr.Offset != int64(a.offset) || hdr.Size != int64(a.size) {
+		refuse(cl.InvalidValue)
+		s.d.logf("daemon %s: peer transfer header mismatch (token %d): got buf %d [%d,+%d), want buf %d [%d,+%d)",
+			s.d.cfg.Name, hdr.Token, hdr.BufID, hdr.Offset, hdr.Size, a.bufID, a.offset, a.size)
 		return
 	}
-	nb, ok := pf.buf.(*native.Buffer)
+	nb, ok := a.buf.(*native.Buffer)
 	if !ok {
-		d.drainStream(ep, hdr.StreamID)
-		d.failGate(pf, cl.InvalidMemObject)
+		refuse(cl.InvalidMemObject)
 		return
 	}
 	data := nb.Bytes()
 	// Re-check bounds against the actual backing store (overflow-safe, as
 	// in the enqueue write/read paths): the accept was validated when it
 	// arrived, but the buffer object is the ground truth.
-	if pf.offset < 0 || pf.size < 0 || pf.size > len(data) || pf.offset > len(data)-pf.size {
-		d.drainStream(ep, hdr.StreamID)
-		d.failGate(pf, cl.InvalidValue)
+	if a.offset < 0 || a.size < 0 || a.size > len(data) || a.offset > len(data)-a.size {
+		refuse(cl.InvalidValue)
 		return
 	}
 	st := ep.Stream(hdr.StreamID)
@@ -454,16 +413,17 @@ func (d *Daemon) startReceive(pf *pendingForward, ep *gcf.Endpoint, hdr protocol
 	// already be re-uploading the region over the fallback path — not a
 	// single forwarded byte touches the backing store.
 	go func() {
-		region := data[pf.offset : pf.offset+pf.size]
+		region := data[a.offset : a.offset+a.size]
 		// Pooled staging across the park/land cycle: a forward-heavy
 		// workload otherwise allocates (and zeroes) a fresh multi-MB block
 		// per transfer, and the allocator churn dominates the landing cost.
-		staging := gcf.GetPayload(pf.size)
+		staging := gcf.GetPayload(a.size)
 		if _, err := io.ReadFull(st, staging); err != nil {
 			gcf.PutPayload(staging)
 			st.Release()
-			d.failGate(pf, cl.InvalidServer)
-			d.logf("daemon %s: peer transfer %d failed mid-stream: %v", d.cfg.Name, hdr.Token, err)
+			s.settle(a, true)
+			a.fail(cl.InvalidServer)
+			s.d.logf("daemon %s: peer transfer %d failed mid-stream: %v", s.d.cfg.Name, hdr.Token, err)
 			return
 		}
 		// Newest wins: before committing, cancel every OLDER unlanded
@@ -471,21 +431,22 @@ func (d *Daemon) startReceive(pf *pendingForward, ep *gcf.Endpoint, hdr protocol
 		// newer transfer to a copy it invalidated, so an older payload
 		// is stale by definition — if it already landed, this commit
 		// overwrites it; if not, the gate guard ensures it never lands.
-		d.fwdMu.Lock()
-		var older []*forwardGate
-		for _, other := range d.fwdLive[pf.buf] {
-			if other.seq < pf.seq && other.overlaps(pf) {
-				older = append(older, other.gate)
+		s.rv.mu.Lock()
+		var older []*accept
+		for _, t := range s.rv.entries {
+			if t.acc != nil && t.acc.seq < a.seq && t.acc.overlaps(a) {
+				older = append(older, t.acc)
 			}
 		}
-		d.fwdMu.Unlock()
-		for _, g := range older {
-			if err := g.SetStatus(cl.CommandStatus(cl.InvalidOperation)); err != nil {
-				d.logf("daemon %s: superseded transfer cancel: %v", d.cfg.Name, err)
-			}
+		s.rv.mu.Unlock()
+		for _, o := range older {
+			o.fail(cl.InvalidOperation)
 		}
-		if !pf.gate.tryLand(func() { copy(region, staging) }) {
-			d.logf("daemon %s: peer transfer %d cancelled before landing", d.cfg.Name, hdr.Token)
+		// The entry leaves before the gate completes, so the landing's
+		// notice finds the table without it.
+		if !a.land(func() { copy(region, staging); s.settle(a, false) }) {
+			s.settle(a, false)
+			s.d.logf("daemon %s: peer transfer %d cancelled before landing", s.d.cfg.Name, hdr.Token)
 		}
 		// Landed (or cancelled) — either way the staging block is done.
 		gcf.PutPayload(staging)
@@ -501,34 +462,25 @@ func (d *Daemon) startReceive(pf *pendingForward, ep *gcf.Endpoint, hdr protocol
 // forwardPayload ships staged bytes to the peer at addr: transfer header
 // on the message channel, payload scatter-gathered onto a stream
 // zero-copy (the gcf write path frames it without copying and applies
-// backpressure, so a slow peer link bounds this daemon's buffering).
-// release returns ownership of payload to the caller's pool; it is
-// called exactly once, when the transport no longer references the
-// payload. done completes when the payload has been written to the peer
-// connection; failures are reported through fail (a deferred
-// MsgCommandFailed to the client) as well.
+// backpressure, so a slow peer link bounds this daemon's buffering). The
+// payload goes back to the pool once the transport no longer references
+// it. fail hears why the payload will not be sent; the target, which
+// alone knows whether a payload landed, decides what that means for its
+// gate.
 //
 // A pooled connection can be dead without knowing it yet: the peer
 // restarted and this side's read loop has not run since. When the
-// connection dies under an attempt, one more is made over a fresh dial
-// — the restarted peer saw nothing of the first; a peer that did see a
-// truncated stream has already failed the transfer's gate and parks the
-// repeat until its TTL.
-func (d *Daemon) forwardPayload(addr string, hdr protocol.PeerTransfer, payload []byte, release func(), done *native.UserEvent, fail func(error)) {
+// connection dies under an attempt, one more is made over a fresh dial —
+// the restarted peer saw nothing of the first; a peer that did see a
+// truncated stream has spent its token and drains the repeat.
+func (d *Daemon) forwardPayload(addr string, hdr protocol.PeerTransfer, payload []byte, fail func(error)) {
 	lost, err := d.sendTransfer(addr, hdr, payload)
 	if lost {
 		_, err = d.sendTransfer(addr, hdr, payload)
 	}
-	if release != nil {
-		release()
-	}
-	st := cl.Complete
+	gcf.PutPayload(payload)
 	if err != nil {
 		fail(err)
-		st = cl.CommandStatus(cl.CodeOf(err))
-	}
-	if serr := done.SetStatus(st); serr != nil {
-		d.logf("daemon %s: forward done status: %v", d.cfg.Name, serr)
 	}
 }
 

@@ -75,7 +75,7 @@ func TestPeerTransferChurn(t *testing.T) {
 	}
 	t.Logf("allocation churn: %d bytes/transfer for %d-byte payloads", perTransfer, size)
 
-	// Rendezvous goroutines and TTL timers must all have retired.
+	// Rendezvous goroutines and table entries must all have retired.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= goroutinesBefore+5 {
@@ -86,13 +86,7 @@ func TestPeerTransferChurn(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n := h.d.PendingEarlyTimers(); n != 0 {
-		t.Fatalf("%d early-transfer timers still pending", n)
-	}
-	h.d.fwdMu.Lock()
-	pending := len(h.d.fwdIn)
-	h.d.fwdMu.Unlock()
-	if pending != 0 {
-		t.Fatalf("%d transfers still parked", pending)
+	if n := h.session(t, h.key).table(); len(n) != 0 {
+		t.Fatalf("transfers left in the table: %v", n)
 	}
 }

@@ -93,7 +93,7 @@ func sessionSamples() []rpctest.Sample {
 		{Type: protocol.MsgFlush, Class: one, Fill: u64s(0)},
 		{Type: protocol.MsgFinish, Class: req, Fill: u64s(0)},
 		{Type: protocol.MsgForwardBuffer, Class: one, Fill: func(w *protocol.Writer) {
-			protocol.PutForwardBuffer(w, protocol.ForwardBuffer{Size: csSize, PeerAddr: "peer", Token: 7, EventID: 60, WaitIDs: []uint64{0}})
+			protocol.PutForwardBuffer(w, protocol.ForwardBuffer{Size: csSize, PeerAddr: "peer", PeerKey: 9, Token: 7, EventID: 60, FailID: 62, WaitIDs: []uint64{0}})
 		}},
 		{Type: protocol.MsgAcceptForward, Class: one, Fill: func(w *protocol.Writer) {
 			protocol.PutAcceptForward(w, protocol.AcceptForward{Token: 8, Size: csSize, EventID: 61})
@@ -316,17 +316,18 @@ func TestManagerLinkRefusesWhatItDoesNotServe(t *testing.T) {
 	rpctest.Sweep(t, l, d.managerRoutes(nil, nil), managerLinkSamples())
 }
 
-func peerSamples() []rpctest.Sample {
+// peerSamples are the peer link's rows; the transfer names key.
+func peerSamples(key uint64) []rpctest.Sample {
 	return []rpctest.Sample{
 		{Type: protocol.MsgPeerHello, Class: protocol.ClassOneWay, Fill: func(w *protocol.Writer) { w.String("node2"); w.String("node2/peer") }},
 		{Type: protocol.MsgPeerTransfer, Class: protocol.ClassOneWay, Fill: func(w *protocol.Writer) {
-			protocol.PutPeerTransfer(w, protocol.PeerTransfer{Token: 21, BufID: 3, Size: 32, StreamID: 5})
+			protocol.PutPeerTransfer(w, protocol.PeerTransfer{Key: key, Token: 21, BufID: 3, Size: 32, StreamID: 5})
 		}},
 	}
 }
 
 func TestPeerRowsHaveSamples(t *testing.T) {
-	rpctest.CheckSamples(t, (&peerSession{}).routes(), peerSamples())
+	rpctest.CheckSamples(t, (&peerSession{}).routes(), peerSamples(0))
 }
 
 // The peer link answers nothing it serves, but a request that strays onto
@@ -334,33 +335,35 @@ func TestPeerRowsHaveSamples(t *testing.T) {
 // well-formed transfer header is parked for its accept as ever.
 func TestPeerLinkRefusesWhatItDoesNotServe(t *testing.T) {
 	d := testDaemon(t, false)
+	gs := newGraphSession(t, d)
+	defer gs.ep.Close()
+	key := gs.hello(t)
+	d.sessMu.Lock()
+	sess := d.keys[key]
+	d.sessMu.Unlock()
+	samples := peerSamples(key)
 	near, far := gcf.NewLocalPair()
 	ps := &peerSession{d: d, ep: far}
 	l := rpctest.StartLink(near)
 	defer l.EP.Close()
 	l.Conn = rpc.New(far)
 	l.Conn.Start(ps.routes(), nil)
-	parked := func() int {
-		d.fwdMu.Lock()
-		defer d.fwdMu.Unlock()
-		return len(d.fwdEar)
-	}
-	l.State = func() string { return fmt.Sprintf("parked=%d", parked()) }
+	held := func() int { return sess.table()[parked] }
+	l.State = func() string { return fmt.Sprintf("parked=%d", held()) }
 	l.Alive = func(t *testing.T) {
 		t.Helper()
-		l.Send(t, protocol.ClassOneWay, 0, protocol.MsgPeerTransfer, peerSamples()[1].Body())
+		l.Send(t, protocol.ClassOneWay, 0, protocol.MsgPeerTransfer, samples[1].Body())
 		// A request is refused, and only after the transfer has been served.
 		if st := l.Ask(t, 1, protocol.MsgGetServerInfo, nil); st != cl.InvalidOperation {
 			t.Fatalf("request on the peer link answered %v", st)
 		}
-		if parked() != 1 {
+		if held() != 1 {
 			t.Fatal("a well-formed transfer after the sweep was not parked")
 		}
-		d.fwdMu.Lock()
-		defer d.fwdMu.Unlock()
-		for token, et := range d.fwdEar {
-			d.retireEarlyLocked(token, et) // stops its timer
-		}
+		sess.rv.mu.Lock()
+		delete(sess.rv.entries, 21)
+		sess.rv.parked = 0
+		sess.rv.mu.Unlock()
 	}
-	rpctest.Sweep(t, l, ps.routes(), peerSamples())
+	rpctest.Sweep(t, l, ps.routes(), samples)
 }

@@ -25,10 +25,14 @@ type session struct {
 	ep   *gcf.Endpoint // bulk-data streams
 	conn *rpc.Conn     // every message, over ep
 
-	// Registry state, guarded by d.sessMu.
+	// Registry state, guarded by d.sessMu. gone is closed when the
+	// connection's close notice detaches the session.
 	id          uint64
 	detached    bool
+	gone        chan struct{}
 	retireTimer *time.Timer
+
+	rv rendezvous // the peer transfers this connection's accepts announce
 
 	mu sync.Mutex
 	// authID is the lease the session is bound to ("" before its Hello and
@@ -57,6 +61,8 @@ type session struct {
 func newSession(d *Daemon, ep *gcf.Endpoint) *session {
 	s := &session{
 		d: d, ep: ep, conn: rpc.New(ep),
+		gone:      make(chan struct{}),
+		rv:        rendezvous{entries: map[uint64]*transfer{}},
 		contexts:  map[uint64]cl.Context{},
 		queues:    map[uint64]cl.Queue{},
 		buffers:   map[uint64]cl.Buffer{},
@@ -75,11 +81,13 @@ func (s *session) start() {
 	s.conn.Start(s.routes(), s.onClose)
 }
 
-// onClose detaches the session: the connection is gone, but the object
-// tables survive for the daemon's retention window (a zero window
-// retires immediately, the pre-resilience behaviour).
+// onClose ends the connection's peer transfers and detaches the session:
+// the connection is gone, but the object tables survive for the daemon's
+// retention window (a zero window retires immediately, the
+// pre-resilience behaviour).
 func (s *session) onClose(error) {
 	s.d.logUnserved("session", s.conn)
+	s.endForwards()
 	s.d.detachSession(s)
 }
 
@@ -114,11 +122,12 @@ func (s *session) track(ue cl.UserEvent) {
 	}
 }
 
-// quiesce stops what nobody can settle once the client is gone: in-flight
-// forwards are cancelled, pending user events fail (a native queue must not
-// stay wedged on a gate nobody can complete any more) and serve lanes close.
+// quiesce stops what nobody can settle once the client or its lease is
+// gone: in-flight forwards are cancelled, pending user events fail (a
+// native queue must not stay wedged on a gate nobody can complete any
+// more) and serve lanes close.
 func (s *session) quiesce() {
-	s.d.dropSessionForwards(s)
+	s.failForwards()
 	s.failPendingEvents()
 	s.closeServeLanes()
 }
@@ -382,8 +391,10 @@ func (s *session) handleHello(c rpc.Call) {
 		// bulk plane, and whether it can originate forwards itself.
 		w.String(s.d.cfg.PeerAddr)
 		w.Bool(s.d.CanForward())
-		// Session identity for the re-attach handshake.
+		// Session identity for the re-attach handshake, and the key that
+		// names this connection to the peers forwarding to it.
 		w.U64(s.id)
+		w.U64(s.rv.key)
 	})
 }
 
@@ -450,6 +461,7 @@ func (s *session) handleAttachSession(c rpc.Call) {
 		w.String(s.d.cfg.PeerAddr)
 		w.Bool(s.d.CanForward())
 		w.U64(s.id)
+		w.U64(s.rv.key)
 	})
 	s.d.logf("daemon %s: session %d attach (was %d, retained=%v)", s.d.cfg.Name, s.id, sid, retained)
 }
@@ -457,71 +469,72 @@ func (s *session) handleAttachSession(c rpc.Call) {
 // handleForwardBuffer executes the source half of a peer transfer: read
 // the buffer region on the command's queue (so the read sequences after
 // the waits like any other command), then stream the bytes directly to
-// the peer daemon. One-way only — the client's link carries this command
-// and nothing else; failures come back as deferred MsgCommandFailed
-// notifications plus the completion event's failure status.
+// the peer daemon. The read's event is the command's event: a later write
+// to the region waits only until the bytes are copied out. Why the
+// payload will not be sent goes to the client's hook under FailID, which
+// asks the target to fail its gate; the target decides. One-way only —
+// failures come back as deferred MsgCommandFailed notifications.
 func (s *session) handleForwardBuffer(c rpc.Call) {
 	f := protocol.GetForwardBuffer(c.Body)
 	if c.Malformed() {
 		return
 	}
-	failFwd := func(err error) { s.fail(c, f.QueueID, f.EventID, err) }
+	unsent := func(err error) { s.fail(c, f.QueueID, f.FailID, err) }
+	refuse := func(err error) {
+		s.fail(c, f.QueueID, f.EventID, err)
+		if f.FailID != 0 {
+			s.fail(c, 0, f.FailID, err)
+		}
+	}
 	if s.d.peers == nil {
-		failFwd(cl.Errf(cl.InvalidOperation, "daemon %s has no peer data plane", s.d.cfg.Name))
+		refuse(cl.Errf(cl.InvalidOperation, "daemon %s has no peer data plane", s.d.cfg.Name))
 		return
 	}
 	s.mu.Lock()
 	q := s.queues[f.QueueID]
 	s.mu.Unlock()
 	if q == nil {
-		failFwd(cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", f.QueueID))
+		refuse(cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", f.QueueID))
 		return
 	}
 	offset, size := int(f.SrcOffset), int(f.Size)
 	buf, err := s.bufferRange(f.SrcBufID, offset, size)
 	if err != nil {
-		failFwd(err)
+		refuse(err)
 		return
 	}
 	waits, err := s.resolveWaits(f.WaitIDs)
 	if err != nil {
-		failFwd(err)
+		refuse(err)
 		return
 	}
-	// done is the client-visible completion event: it fires only after
-	// the payload has been handed to the peer transport, not when the
-	// local device read finishes.
-	done := native.NewUserEvent()
-	hdr := protocol.PeerTransfer{Token: f.Token, BufID: f.DstBufID, Offset: f.DstOffset, Size: f.Size}
+	hdr := protocol.PeerTransfer{Key: f.PeerKey, Token: f.Token, BufID: f.DstBufID, Offset: f.DstOffset, Size: f.Size}
 	// The source side stages the full region, like the enqueue-read path
 	// (the device read is one queue command); the receive side streams
 	// without staging. The send path references the pooled block
 	// zero-copy — forwardPayload returns it to the pool once the
 	// transport is done with it. Windowed source staging for multi-GB
 	// forwards is future work.
-	_, err = readStaged(q, buf, offset, size, waits, func(staged []byte, st cl.CommandStatus) {
+	ev, err := readStaged(q, buf, offset, size, waits, func(staged []byte, st cl.CommandStatus) {
 		if staged == nil {
-			failFwd(cl.Errf(cl.ErrorCode(st), "forward source read failed"))
-			if serr := done.SetStatus(st); serr != nil {
-				s.d.logf("daemon %s: forward done status: %v", s.d.cfg.Name, serr)
-			}
+			unsent(cl.Errf(cl.ErrorCode(st), "forward source read failed"))
 			return
 		}
 		// Stream off the event-callback goroutine: a slow peer link must
 		// not stall the native queue's completion path.
-		go s.d.forwardPayload(f.PeerAddr, hdr, staged, func() { gcf.PutPayload(staged) }, done, failFwd)
+		go s.d.forwardPayload(f.PeerAddr, hdr, staged, unsent)
 	})
 	if err != nil {
-		failFwd(err)
+		refuse(err)
 		return
 	}
-	s.registerEvent(f.EventID, done)
+	s.registerEvent(f.EventID, ev)
 }
 
 // handleAcceptForward executes the target half of a peer transfer:
 // validate the client's announcement, create the gating user event that
-// dependent commands wait on, and register the pending transfer for
-// rendezvous with the peer's payload.
+// dependent commands wait on, and register the transfer on this
+// connection for rendezvous with the peer's payload.
 func (s *session) handleAcceptForward(c rpc.Call) {
 	a := protocol.GetAcceptForward(c.Body)
 	if c.Malformed() {
@@ -533,13 +546,12 @@ func (s *session) handleAcceptForward(c rpc.Call) {
 		s.fail(c, a.QueueID, a.EventID, err)
 		return
 	}
-	gate := newForwardGate()
-	s.registerEvent(a.EventID, gate)
-	s.d.registerForward(&pendingForward{
-		sess: s, buf: buf, bufID: a.BufID,
-		offset: offset, size: size,
-		token: a.Token, eventID: a.EventID, gate: gate,
-	})
+	acc := &accept{
+		UserEvent: native.NewUserEvent(), s: s,
+		buf: buf, bufID: a.BufID, offset: offset, size: size, token: a.Token,
+	}
+	s.registerEvent(a.EventID, acc)
+	s.acceptForward(acc)
 }
 
 func (s *session) handleCreateContext(c rpc.Call) {

@@ -244,23 +244,27 @@ func GetCommandFailure(r *Reader) CommandFailure {
 // client tells the source daemon to read [SrcOffset, SrcOffset+Size) of
 // SrcBufID and stream the bytes directly to the daemon at PeerAddr,
 // bypassing the client's link entirely (the peer-to-peer bulk plane that
-// lifts the Section III-F all-through-the-host limitation). Token pairs
-// the transfer with a MsgAcceptForward registered at the receiver;
+// lifts the Section III-F all-through-the-host limitation). PeerKey names
+// the client's connection at the receiver (its answer to Hello or
+// AttachSession) and Token the MsgAcceptForward registered on it;
 // DstBufID/DstOffset are echoed in the peer transfer header so the
 // receiver can cross-check the client's intent against the peer's claim.
-// EventID is the source-side completion event ("payload handed to the
-// peer transport"); QueueID sequences the buffer read and routes deferred
-// failures.
+// EventID is the staging read's event: it completes once the bytes are
+// copied out of the buffer. FailID is the event the source fails when the
+// payload will not be sent (read, dial or send failure); QueueID
+// sequences the buffer read and routes deferred failures.
 type ForwardBuffer struct {
 	QueueID   uint64
 	SrcBufID  uint64
 	SrcOffset int64
 	Size      int64
 	PeerAddr  string
+	PeerKey   uint64
 	Token     uint64
 	DstBufID  uint64
 	DstOffset int64
 	EventID   uint64
+	FailID    uint64
 	WaitIDs   []uint64
 }
 
@@ -271,10 +275,12 @@ func PutForwardBuffer(w *Writer, f ForwardBuffer) {
 	w.I64(f.SrcOffset)
 	w.I64(f.Size)
 	w.String(f.PeerAddr)
+	w.U64(f.PeerKey)
 	w.U64(f.Token)
 	w.U64(f.DstBufID)
 	w.I64(f.DstOffset)
 	w.U64(f.EventID)
+	w.U64(f.FailID)
 	w.U64s(f.WaitIDs)
 }
 
@@ -286,10 +292,12 @@ func GetForwardBuffer(r *Reader) ForwardBuffer {
 		SrcOffset: r.I64(),
 		Size:      r.I64(),
 		PeerAddr:  r.String(),
+		PeerKey:   r.U64(),
 		Token:     r.U64(),
 		DstBufID:  r.U64(),
 		DstOffset: r.I64(),
 		EventID:   r.U64(),
+		FailID:    r.U64(),
 		WaitIDs:   r.U64s(),
 	}
 }
@@ -333,9 +341,11 @@ func GetAcceptForward(r *Reader) AcceptForward {
 // PeerTransfer is the header of one daemon-to-daemon bulk transfer (the
 // peer-handshake frame identifying the receiving transfer and buffer):
 // sent on the peer connection ahead of the payload, which follows on
-// stream StreamID. Every field is cross-checked against the pending
-// AcceptForward registered under Token before any byte is written.
+// stream StreamID. Key names the client connection whose accept the
+// payload meets, Token the accept; every other field is cross-checked
+// against that accept before any byte is written.
 type PeerTransfer struct {
+	Key      uint64
 	Token    uint64
 	BufID    uint64
 	Offset   int64
@@ -345,6 +355,7 @@ type PeerTransfer struct {
 
 // PutPeerTransfer encodes a peer transfer header.
 func PutPeerTransfer(w *Writer, t PeerTransfer) {
+	w.U64(t.Key)
 	w.U64(t.Token)
 	w.U64(t.BufID)
 	w.I64(t.Offset)
@@ -355,6 +366,7 @@ func PutPeerTransfer(w *Writer, t PeerTransfer) {
 // GetPeerTransfer decodes a peer transfer header.
 func GetPeerTransfer(r *Reader) PeerTransfer {
 	return PeerTransfer{
+		Key:      r.U64(),
 		Token:    r.U64(),
 		BufID:    r.U64(),
 		Offset:   r.I64(),

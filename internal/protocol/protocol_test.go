@@ -60,8 +60,8 @@ func TestScalarRoundTrip(t *testing.T) {
 func TestForwardMessagesRoundTrip(t *testing.T) {
 	fwd := ForwardBuffer{
 		QueueID: 7, SrcBufID: 9, SrcOffset: 64, Size: 4096,
-		PeerAddr: "nodeB/peer", Token: 0xdeadbeefcafe, DstBufID: 9,
-		DstOffset: 128, EventID: 42, WaitIDs: []uint64{1, 2, 3},
+		PeerAddr: "nodeB/peer", PeerKey: 0x5eed, Token: 0xdeadbeefcafe, DstBufID: 9,
+		DstOffset: 128, EventID: 42, FailID: 43, WaitIDs: []uint64{1, 2, 3},
 	}
 	w := NewWriter()
 	PutForwardBuffer(w, fwd)
@@ -72,9 +72,9 @@ func TestForwardMessagesRoundTrip(t *testing.T) {
 	}
 	if got.QueueID != fwd.QueueID || got.SrcBufID != fwd.SrcBufID ||
 		got.SrcOffset != fwd.SrcOffset || got.Size != fwd.Size ||
-		got.PeerAddr != fwd.PeerAddr || got.Token != fwd.Token ||
+		got.PeerAddr != fwd.PeerAddr || got.PeerKey != fwd.PeerKey || got.Token != fwd.Token ||
 		got.DstBufID != fwd.DstBufID || got.DstOffset != fwd.DstOffset ||
-		got.EventID != fwd.EventID || len(got.WaitIDs) != 3 || got.WaitIDs[2] != 3 {
+		got.EventID != fwd.EventID || got.FailID != fwd.FailID || len(got.WaitIDs) != 3 || got.WaitIDs[2] != 3 {
 		t.Fatalf("forward round trip: %+v != %+v", got, fwd)
 	}
 
@@ -86,7 +86,7 @@ func TestForwardMessagesRoundTrip(t *testing.T) {
 		t.Fatalf("accept round trip: %+v != %+v (err %v)", got, acc, r.Err())
 	}
 
-	tr := PeerTransfer{Token: 5, BufID: 6, Offset: 32, Size: 1 << 19, StreamID: 3}
+	tr := PeerTransfer{Key: 0x5eed, Token: 5, BufID: 6, Offset: 32, Size: 1 << 19, StreamID: 3}
 	w = NewWriter()
 	PutPeerTransfer(w, tr)
 	r = NewReader(w.Bytes())
