@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 
 	"dopencl/internal/kernel"
 )
@@ -25,10 +26,10 @@ type laneSet struct {
 // planRunner executes a work-group plan (kernel.WGFunc) for one worker
 // goroutine, a strip of work-items at a time: every IR instruction runs as
 // one loop over the lanes of the running set, so its dispatch is paid once
-// per strip and not once per item. Registers are rows of lanes; a uniform
-// register is a row whose lanes are all equal. All state is allocated when
-// the runner is bound to a launch shape, so running groups performs zero
-// heap allocations.
+// per strip and not once per item, and over a run of lanes without the
+// lane list. Registers are rows of lanes; a uniform register is a row
+// whose lanes are all equal. All state is allocated when the runner is
+// bound to a launch shape, so running groups performs zero heap allocations.
 type planRunner struct {
 	d    *dispatch
 	plan *kernel.WGFunc
@@ -576,14 +577,14 @@ func (r *planRunner) run(code []kernel.RInstr, pc int) {
 		r.instrCount += uint64(len(r.lanes))
 		switch ins.Op {
 		case kernel.RMov3:
-			apply(kernel.RMov, r.lanes, r.row(ins.D), r.row(ins.A), nil)
-			apply(kernel.RMov, r.lanes, r.row(ins.B), r.row(ins.C), nil)
-			apply(kernel.RMov, r.lanes, r.row(ins.E), r.row(ins.F), nil)
+			apply(kernel.RMov, r.lanes, r.row(ins.D), r.row(ins.A), r.tmp)
+			apply(kernel.RMov, r.lanes, r.row(ins.B), r.row(ins.C), r.tmp)
+			apply(kernel.RMov, r.lanes, r.row(ins.E), r.row(ins.F), r.tmp)
 		case kernel.RMov2:
-			apply(kernel.RMov, r.lanes, r.row(ins.D), r.row(ins.A), nil)
-			apply(kernel.RMov, r.lanes, r.row(ins.B), r.row(ins.C), nil)
+			apply(kernel.RMov, r.lanes, r.row(ins.D), r.row(ins.A), r.tmp)
+			apply(kernel.RMov, r.lanes, r.row(ins.B), r.row(ins.C), r.tmp)
 		case kernel.RMov:
-			apply(kernel.RMov, r.lanes, r.row(ins.D), r.row(ins.A), nil)
+			apply(kernel.RMov, r.lanes, r.row(ins.D), r.row(ins.A), r.tmp)
 		case kernel.RDivI, kernel.RModI:
 			r.divide(ins)
 		case kernel.RLdElem, kernel.RStElem:
@@ -631,7 +632,8 @@ func (r *planRunner) chain(ins *kernel.RInstr) {
 }
 
 // branch evaluates a conditional branch and returns where the running set
-// (all of it, or the part that split keeps running) goes on.
+// (all of it, or the part that split keeps running) goes on. On a run, the
+// compare's pass counts the lanes that take it (test).
 func (r *planRunner) branch(ins *kernel.RInstr, pc int) int {
 	ls, v := r.lanes, r.row(ins.A)
 	if ins.F2 != kernel.RNop {
@@ -642,15 +644,26 @@ func (r *planRunner) branch(ins *kernel.RInstr, pc int) int {
 		apply(ins.F2, ls, d, v, r.operand(ins.F2, ins.E))
 		v = d
 	}
+	taken, b := -1, r.tmp
 	if ins.F1 != kernel.RNop {
-		apply(ins.F1, ls, r.tmp, v, r.operand(ins.F1, ins.B))
+		b = r.operand(ins.F1, ins.B)
+	}
+	if lo, hi, ok := span(ls); ok {
+		taken = test(ins.F1, r.tmp[lo:hi], v[lo:hi], b[lo:hi])
+	}
+	if ins.F1 != kernel.RNop {
+		if taken < 0 {
+			apply(ins.F1, ls, r.tmp, v, b)
+		}
 		v = r.tmp
 	}
-	nonzero := uint32(0)
-	for _, l := range ls {
-		nonzero += (v[l] | -v[l]) >> 31
+	if taken < 0 {
+		n := uint32(0)
+		for _, l := range ls {
+			n += (v[l] | -v[l]) >> 31
+		}
+		taken = int(n)
 	}
-	taken := int(nonzero)
 	if ins.Op == kernel.RBrF {
 		taken = len(ls) - taken
 	}
@@ -689,7 +702,8 @@ func (r *planRunner) divide(ins *kernel.RInstr) {
 }
 
 // access loads or stores one buffer element per lane, the index optionally
-// through one fused step.
+// through one fused step: a run whose window is unit-stride and in range
+// as one block, anything else lane by lane.
 func (r *planRunner) access(ins *kernel.RInstr) {
 	idx := r.row(ins.A)
 	if ins.F1 != kernel.RNop {
@@ -703,6 +717,9 @@ func (r *planRunner) access(ins *kernel.RInstr) {
 		reg = ins.C
 	}
 	val := r.row(reg)
+	if lo, hi, ok := span(r.lanes); ok && hostLittle && block(buf, idx[lo:hi], val[lo:hi], store) {
+		return
+	}
 	for i, l := range r.lanes {
 		at := int(int32(idx[l]))
 		if at < 0 || at*4+4 > len(buf) {
@@ -715,6 +732,29 @@ func (r *planRunner) access(ins *kernel.RInstr) {
 			val[l] = binary.LittleEndian.Uint32(buf[at*4:])
 		}
 	}
+}
+
+// block moves a run's access as one copy if its index row is first,
+// first+1, ... and the window lies in buf (else the lanes go one by one).
+func block(buf []byte, idx, val []uint32, store bool) bool {
+	first := int32(idx[0])
+	for i, x := range idx {
+		if x != uint32(first)+uint32(i) {
+			return false
+		}
+	}
+	last := int32(idx[len(idx)-1])
+	if first < 0 || last < first || int(last)*4+4 > len(buf) {
+		return false
+	}
+	mem := buf[int(first)*4 : int(last)*4+4]
+	row := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(val))), len(mem))
+	if store {
+		copy(mem, row)
+	} else {
+		copy(row, mem)
+	}
+	return true
 }
 
 func (r *planRunner) builtin(ins *kernel.RInstr) {
@@ -749,10 +789,30 @@ func flag(b bool) uint32 {
 	return 0
 }
 
-// apply runs one step over the lanes ls: d[l] = op(a[l], b[l]). The steps
-// the application kernels spend their time in have a loop of their own;
-// the others go through kernel.StepEval, which defines them all.
+// span returns ls as lo..hi-1 if it is a run: ascending, it is iff n = extent.
+func span(ls []uint32) (lo, hi int, ok bool) {
+	if n := len(ls); n > 0 && int(ls[n-1]-ls[0])+1 == n {
+		return int(ls[0]), int(ls[0]) + n, true
+	}
+	return 0, 0, false
+}
+
+// floats views a row as the float32 values its slot images are the bits of.
+func floats(x []uint32) []float32 {
+	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(x))), len(x))
+}
+
+// hostLittle: a row's memory is the byte image a buffer holds (block).
+var hostLittle = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// apply runs one step over the lanes ls: d[l] = op(a[l], b[l]), on a run
+// through dense if it has a loop for op. The steps the application kernels
+// spend their time in have a loop of their own; the others go through
+// kernel.StepEval, which defines them all.
 func apply(op kernel.ROp, ls []uint32, d, a, b []uint32) {
+	if lo, hi, ok := span(ls); ok && dense(op, d[lo:hi], a[lo:hi], b[lo:hi]) {
+		return
+	}
 	switch op {
 	case kernel.RMov:
 		for _, l := range ls {
@@ -823,6 +883,94 @@ func apply(op kernel.ROp, ls []uint32, d, a, b []uint32) {
 			d[l] = uint32(kernel.StepEval(op, uint64(a[l]), uint64(b[l])))
 		}
 	}
+}
+
+// dense runs op over rows resliced to a run, or returns false if it has no
+// loop for op.
+func dense(op kernel.ROp, d, a, b []uint32) bool {
+	a, b = a[:len(d)], b[:len(d)]
+	fd := floats(d)
+	fa, fb := floats(a)[:len(fd)], floats(b)[:len(fd)]
+	switch op {
+	case kernel.RMov:
+		copy(d, a)
+	case kernel.RAddI:
+		for i := range d {
+			d[i] = a[i] + b[i]
+		}
+	case kernel.RSubI:
+		for i := range d {
+			d[i] = a[i] - b[i]
+		}
+	case kernel.RAddF:
+		for i := range fd {
+			fd[i] = fa[i] + fb[i]
+		}
+	case kernel.RSubF:
+		for i := range fd {
+			fd[i] = fa[i] - fb[i]
+		}
+	case kernel.RMulF:
+		for i := range fd {
+			fd[i] = fa[i] * fb[i]
+		}
+	default:
+		return test(op, d, a, b) >= 0
+	}
+	return true
+}
+
+// test runs a branch's compare step over a run and returns how many flags
+// it set, writing and counting the condition in one pass (RNop, a branch
+// on a itself, only counts), or -1 for a step it has no loop for.
+func test(op kernel.ROp, d, a, b []uint32) int {
+	a, b = a[:len(d)], b[:len(d)]
+	fa, fb := floats(a), floats(b)[:len(a)]
+	var n uint32
+	switch op {
+	case kernel.RNop:
+		for _, x := range a {
+			n += (x | -x) >> 31
+		}
+	case kernel.RLtI:
+		for i := range d {
+			f := flag(int32(a[i]) < int32(b[i]))
+			d[i], n = f, n+f
+		}
+	case kernel.RGeI:
+		for i := range d {
+			f := flag(int32(a[i]) >= int32(b[i]))
+			d[i], n = f, n+f
+		}
+	case kernel.RGtI:
+		for i := range d {
+			f := flag(int32(a[i]) > int32(b[i]))
+			d[i], n = f, n+f
+		}
+	case kernel.REqI:
+		for i := range d {
+			f := flag(a[i] == b[i])
+			d[i], n = f, n+f
+		}
+	case kernel.RNeI:
+		for i := range d {
+			f := flag(a[i] != b[i])
+			d[i], n = f, n+f
+		}
+	case kernel.RLtF:
+		for i := range d {
+			f := flag(fa[i] < fb[i])
+			d[i], n = f, n+f
+		}
+	case kernel.RGtF:
+		for i := range d {
+			f := flag(fa[i] > fb[i])
+			d[i], n = f, n+f
+		}
+	default:
+		return -1
+	}
+	return int(n)
 }
 
 // DispatchAllocsPerOp measures heap allocations per work-group dispatch

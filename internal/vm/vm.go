@@ -14,6 +14,11 @@
 // an instruction costs to dispatch is so paid once per strip, while
 // Stats.Instructions still counts it once per item.
 //
+//   - Dense runs. A running set that is one run of lanes runs steps over
+//     the rows resliced to it, counts a branch in its compare's pass and
+//     moves a unit-stride, in-range access as one block (little-endian
+//     hosts). Other sets and accesses, division and builtins go lane by
+//     lane, so traps fall as before; instructions are counted either way.
 //   - Lane sets. The running set starts as the whole strip. A branch on
 //     which its lanes disagree splits it: the side with the lower pc runs
 //     on, the other waits with its pc; whenever a waiting set's pc is at or
