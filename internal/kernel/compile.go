@@ -120,7 +120,7 @@ func WorkGroupCompiles() uint64 { return wgCompiles.Load() }
 // use. Safe for concurrent use.
 func (p *Program) WorkGroup(f *Func) *WGFunc {
 	f.wgOnce.Do(func() {
-		f.plan = optimized(f.raw)
+		f.plan, _ = optimized(f.raw)
 		wgCompiles.Add(1)
 	})
 	return f.plan
@@ -131,8 +131,9 @@ func (p *Program) WorkGroup(f *Func) *WGFunc {
 // group runs on when a strength-reduced divisor turns out to be zero.
 func (p *Program) Unoptimized(f *Func) *WGFunc { return f.raw }
 
-// optimized runs the passes over a copy of raw.
-func optimized(raw *WGFunc) *WGFunc {
+// optimized runs the passes over a copy of raw. The optimizer it returns
+// is for the tests, which read what the passes did.
+func optimized(raw *WGFunc) (*WGFunc, *optimizer) {
 	start := time.Now()
 	plan := *raw
 	plan.Code = append([]RInstr(nil), raw.Code...)
@@ -146,11 +147,11 @@ func optimized(raw *WGFunc) *WGFunc {
 	}
 	plan.Info = WGCompileInfo{}
 	plan.Runners = new(sync.Pool) // raw's runners are built for raw's registers
-	optimize(b, &plan)
+	o := optimize(b, &plan)
 	plan.Consts = b.consts
 	plan.NumRegs = int(b.numRegs)
 	plan.Info.BodyInstrs = len(plan.Code)
 	plan.Info.PrologueInstrs = len(plan.Prologue)
 	plan.Info.Total = raw.Info.Total + time.Since(start)
-	return &plan
+	return &plan, o
 }

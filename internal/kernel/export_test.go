@@ -183,6 +183,13 @@ func CheckPlan(w *WGFunc) error {
 	return nil
 }
 
+// SinkMoves plans f as WorkGroup does and returns the registers whose
+// defs the sink pass moved, one entry per move.
+func SinkMoves(f *Func) []int32 {
+	_, o := optimized(f.raw)
+	return o.sunk
+}
+
 // CheckLoads runs f's lowered plan as work-item gid with int scalar
 // arguments ints (indexed like f.Args) for at most 10,000 instructions,
 // and reports the first load through argument arg whose index is not

@@ -78,6 +78,17 @@ kernel void vadd(global float* out, const global float* a, const global float* b
 	o[1] = ((1 < 2) && (3 < 4)) ? 1.0 : 0;
 	o[2] = ((1 > 2) || (3 > 4)) ? 1 : 0.0;
 }`,
+	// Chains of && and ||: flags where no term after the first can trap
+	// or write, branches before a load, a division and a storing call.
+	`int mark(global int* o, int i) { o[i] = 1; return 1; }
+kernel void k(global int* o, const global int* in, int n, int d, float f) {
+	int i = get_global_id(0);
+	int x = in[i & 7];
+	o[i] = (i == 0 || i == n - 1 || (float)x > f) + (i > 2 && -x && !(x & 3));
+	if (i >= 0 && i < n && in[i] > 5) { o[i] += 2; }
+	if (d != 0 && x / d > 1 || d == 0 && x % 3 == 0) { o[i] += 4; }
+	if (x > 3 || mark(o, i + n) > 0) { o[i] += 8; }
+}`,
 	// Barriers under a branch, in a loop and in a helper; a run-time
 	// dimension; every math builtin.
 	`int exchange(local int* s, int lid, int v) {
@@ -171,6 +182,27 @@ func FuzzCompile(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSinkMovesEachDefOnce pins that the sink pass ends by its rule, one
+// bottom-up sweep, and not at a cap: no def of any seed kernel moves
+// twice.
+func TestSinkMovesEachDefOnce(t *testing.T) {
+	for _, src := range fuzzSeeds {
+		prog, err := kernel.Compile(src)
+		if err != nil {
+			continue
+		}
+		for _, fn := range prog.Funcs {
+			seen := map[int32]bool{}
+			for _, d := range kernel.SinkMoves(fn) {
+				if seen[d] {
+					t.Errorf("kernel %s: the sink pass moved r%d twice\n%s", fn.Name, d, src)
+				}
+				seen[d] = true
+			}
+		}
+	}
 }
 
 // TestSeedsCompile keeps the seed list honest: everything in it that is

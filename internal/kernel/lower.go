@@ -743,9 +743,40 @@ func (lo *lowerer) binary(x *BinaryExpr) (int32, Type, error) {
 	return lo.op2(op, a, b), common, nil
 }
 
-// shortCircuit lowers && and ||: the right operand is evaluated only when
-// the left one does not decide, and the result is 0 or 1.
+// shortCircuit lowers a chain of one operator, a || b || c (or &&), to 0
+// or 1. When no term after the first can trap or write (speculable), the
+// chain is data: each term becomes a flag (a compare or a nested chain is
+// one, anything else gets ne.i 0), the flags are summed, and || is sum != 0
+// while && is sum == k for k terms, so that a branch on the chain is one
+// branch. Otherwise the right operand is evaluated only when the left one
+// does not decide.
 func (lo *lowerer) shortCircuit(x *BinaryExpr) (int32, Type, error) {
+	terms := chain(x.Op, x, nil)
+	flags := true
+	for _, t := range terms[1:] {
+		flags = flags && speculable(t)
+	}
+	if flags {
+		var sum int32
+		for i, t := range terms {
+			v, err := lo.cond(t)
+			if err != nil {
+				return 0, TypeVoid, err
+			}
+			if b, ok := t.(*BinaryExpr); !ok || !IsCompare(intOps[b.Op]) && b.Op != "&&" && b.Op != "||" {
+				v = lo.op2(RNeI, v, lo.constRef(0))
+			}
+			if i == 0 {
+				sum = v
+			} else {
+				sum = lo.op2(RAddI, sum, v)
+			}
+		}
+		if x.Op == "||" {
+			return lo.op2(RNeI, sum, lo.constRef(0)), TypeInt, nil
+		}
+		return lo.op2(REqI, sum, lo.constRef(u64i(int32(len(terms))))), TypeInt, nil
+	}
 	l, err := lo.cond(x.L)
 	if err != nil {
 		return 0, TypeVoid, err
@@ -767,6 +798,32 @@ func (lo *lowerer) shortCircuit(x *BinaryExpr) (int32, Type, error) {
 	lo.emit(RInstr{Op: RMov, D: res, A: lo.constRef(u64i(decided))})
 	lo.bind(end)
 	return res, TypeInt, nil
+}
+
+// chain appends the terms of e, a chain of operator op, to terms.
+func chain(op string, e Expr, terms []Expr) []Expr {
+	if b, ok := e.(*BinaryExpr); ok && b.Op == op {
+		return chain(op, b.R, chain(op, b.L, terms))
+	}
+	return append(terms, e)
+}
+
+// speculable reports whether e may be evaluated on a path that would not
+// evaluate it: it reads only variables and literals, through casts,
+// unary and binary operators other than / and %, so it has no load, no
+// call and no division to trap or write.
+func speculable(e Expr) bool {
+	switch x := e.(type) {
+	case *IntLit, *FloatLit, *Ident:
+		return true
+	case *CastExpr:
+		return speculable(x.X)
+	case *UnaryExpr:
+		return speculable(x.X)
+	case *BinaryExpr:
+		return x.Op != "/" && x.Op != "%" && speculable(x.L) && speculable(x.R)
+	}
+	return false
 }
 
 func (lo *lowerer) ternary(x *CondExpr) (int32, Type, error) {

@@ -19,10 +19,11 @@ type optimizer struct {
 	preset  []bool  // register written by the driver (args, coords, inductions)
 	uniform []bool  // register is group-uniform (filled by the hoist pass)
 
-	recounts int // calls of recount; the tests bound it
+	recounts int     // calls of recount; the tests bound it
+	sunk     []int32 // defs the sink pass moved, one entry per move
 }
 
-func optimize(b *builder, plan *WGFunc) {
+func optimize(b *builder, plan *WGFunc) *optimizer {
 	o := &optimizer{b: b, plan: plan}
 	run := func(name string, pass func()) {
 		t := time.Now()
@@ -39,6 +40,7 @@ func optimize(b *builder, plan *WGFunc) {
 	run("fuse", o.fuse)
 	run("pack", o.pack)
 	run("guard", o.guard)
+	return o
 }
 
 // ---- analysis helpers -------------------------------------------------
@@ -811,72 +813,51 @@ func (o *optimizer) rotateOne() bool {
 
 // ---- pass 7: sink single-use defs toward their use --------------------
 
-const maxSinkMoves = 200
-
+// sink moves a fusable single-use def down its block to just before its
+// use, when the use reads it where fuse absorbs it: as operand A, or as B
+// of a commutative int op. It is one sweep from the bottom up, so a use
+// has settled before its defs are looked at and each def moves at most
+// once; two defs of one use cannot trade places without end. Moves keep
+// every instruction inside its block, so the jump targets and the counts
+// stand.
 func (o *optimizer) sink() {
-	p := o.plan
-	moves := 0
-	for moves < maxSinkMoves {
-		o.recount()
-		targets := o.jumpTargets()
-		code := p.Code
-		moved := false
-
-		for i := 0; i < len(code); i++ {
-			ins := &code[i]
-			if !IsFusableStep(ins.Op) {
-				continue
+	o.recount()
+	targets := o.jumpTargets()
+	code := o.plan.Code
+	for i := len(code) - 1; i >= 0; i-- {
+		ins := &code[i]
+		d := ins.D
+		if !IsFusableStep(ins.Op) || !o.singleDef(d) || o.preset[d] || o.uses[d] != 1 {
+			continue
+		}
+		// Find the single use within the block.
+		u := -1
+		for t := i + 1; t < len(code) && !targets[t]; t++ {
+			found := false
+			instrUses(&code[t], func(r int32) { found = found || r == d })
+			if found {
+				u = t
+				break
 			}
-			d := ins.D
-			if !o.singleDef(d) || o.preset[d] || o.uses[d] != 1 {
-				continue
+			if isControl(code[t].Op) {
+				break
 			}
-			// Find the single use within the block.
-			u := -1
-			for t := i + 1; t < len(code); t++ {
-				if targets[t] {
-					break
-				}
-				found := false
-				instrUses(&code[t], func(r int32) {
-					if r == d {
-						found = true
-					}
-				})
-				if found {
-					u = t
-					break
-				}
-				if isControl(code[t].Op) {
-					break
-				}
-			}
-			if u <= i+1 {
-				continue
-			}
-			// Legal if nothing in between redefines our operands.
-			ops := map[int32]bool{}
-			instrUses(ins, func(r int32) { ops[r] = true })
-			ok := true
-			for t := i + 1; t < u; t++ {
-				instrDefs(&code[t], func(r int32) {
-					if ops[r] {
-						ok = false
-					}
-				})
-			}
-			if !ok {
-				continue
-			}
-			moved = true
-			moves++
+		}
+		if u <= i+1 || code[u].A != d && (code[u].B != d || !intCommutative(code[u].Op)) {
+			continue
+		}
+		// Legal if nothing in between redefines our operands.
+		ok := true
+		for t := i + 1; t < u && ok; t++ {
+			instrDefs(&code[t], func(r int32) {
+				instrUses(ins, func(x int32) { ok = ok && x != r })
+			})
+		}
+		if ok {
+			o.sunk = append(o.sunk, d)
 			ci := *ins
 			copy(code[i:], code[i+1:u])
 			code[u-1] = ci
-			break
-		}
-		if !moved {
-			return
 		}
 	}
 }

@@ -491,9 +491,12 @@ func TestTrapParityAcrossEngines(t *testing.T) {
 // (with constant and with run-time dimensions), global-memory reads, and
 // optionally local memory with barriers — at statement level, inside a
 // uniform for loop, inside a helper the kernel calls, after code on which
-// the items diverge, and on both sides of a branch. Every generated
-// program is trap-free by construction (guarded divisors, masked
-// indices/shifts) so outputs can be compared bit-for-bit.
+// the items diverge, and on both sides of a branch — and chains of && and
+// ||, as values and as conditions. Every generated program is trap-free
+// by construction (guarded divisors, masked indices/shifts) so outputs can
+// be compared bit-for-bit; the exceptions are chains whose later term
+// loads out of bounds, divides by zero or stores through a helper unless
+// the terms before it decide, which the compiler must keep as branches.
 type kgen struct {
 	r        *rand.Rand
 	b        strings.Builder
@@ -573,10 +576,39 @@ func (g *kgen) expr() string {
 	case 5:
 		cmp := g.pick("<", "<=", ">", ">=", "==", "!=")
 		return fmt.Sprintf("((%s %s %s) ? %s : %s)", a, cmp, b, g.atom(), g.atom())
+	case 6:
+		return g.chain(g.pick("&&", "||"))
 	default:
 		op := g.pick("+", "-", "*", "&", "|", "^")
 		return fmt.Sprintf("(%s %s %s)", a, op, b)
 	}
+}
+
+// chain returns 2 to 4 terms joined by op, && or ||: compares, plain
+// values (which the chain reads as nonzero or not), expressions (whose
+// guarded divisions and masked loads make the chain branch) and a nested
+// chain of the other operator.
+func (g *kgen) chain(op string) string {
+	g.depth++
+	defer func() { g.depth-- }()
+	terms := make([]string, 2+g.r.Intn(3))
+	for i := range terms {
+		switch g.r.Intn(6) {
+		case 0:
+			terms[i] = g.atom()
+		case 1:
+			terms[i] = g.expr()
+		case 2:
+			if g.depth < 3 {
+				terms[i] = g.chain(map[string]string{"&&": "||", "||": "&&"}[op])
+				break
+			}
+			fallthrough
+		default:
+			terms[i] = fmt.Sprintf("(%s %s %s)", g.atom(), g.pick("<", "<=", ">", ">=", "==", "!="), g.atom())
+		}
+	}
+	return "(" + strings.Join(terms, " "+op+" ") + ")"
 }
 
 // loop writes a loop whose trip count (0..7) depends on the item.
@@ -593,14 +625,17 @@ func (g *kgen) loop(indent string) {
 }
 
 func (g *kgen) stmt(indent string) {
-	switch g.r.Intn(8) {
+	switch g.r.Intn(9) {
 	case 0, 1:
 		fmt.Fprintf(&g.b, "%sv%d = %s;\n", indent, g.r.Intn(g.nvars), g.expr())
 	case 2:
 		fmt.Fprintf(&g.b, "%sv%d %s= %s;\n", indent, g.r.Intn(g.nvars), g.pick("+", "-", "*"), g.expr())
 	case 3:
-		cmp := g.pick("<", ">", "==", "!=")
-		fmt.Fprintf(&g.b, "%sif (%s %s %s) {\n", indent, g.expr(), cmp, g.expr())
+		cond := fmt.Sprintf("%s %s %s", g.expr(), g.pick("<", ">", "==", "!="), g.expr())
+		if g.r.Intn(2) == 0 {
+			cond = g.chain(g.pick("&&", "||"))
+		}
+		fmt.Fprintf(&g.b, "%sif (%s) {\n", indent, cond)
 		g.stmt(indent + "\t")
 		if g.r.Intn(2) == 0 {
 			fmt.Fprintf(&g.b, "%s} else {\n", indent)
@@ -631,6 +666,27 @@ func (g *kgen) stmt(indent string) {
 		fmt.Fprintf(&g.b, "%s\t}\n%s} else {\n", indent, indent)
 		g.loop(indent + "\t")
 		fmt.Fprintf(&g.b, "%s}\n", indent)
+	case 7:
+		// A chain whose last term traps or stores unless the terms before
+		// it decide: an unmasked load under its bounds test, a division by
+		// a value that is zero on some items, a helper that counts its
+		// calls in the item's own word of out.
+		c, v := g.fresh(), g.r.Intn(g.nvars)
+		fmt.Fprintf(&g.b, "%sint %s = %s;\n", indent, c, g.expr())
+		var cond string
+		switch g.r.Intn(4) {
+		case 0:
+			cond = fmt.Sprintf("%s >= 0 && %s < 256 && in[%s] > %s", c, c, c, g.atom())
+		case 1:
+			cond = fmt.Sprintf("%s < 0 || %s > 255 || in[%s] < %s", c, c, c, g.atom())
+		case 2:
+			fmt.Fprintf(&g.b, "%s%s = %s & 3;\n", indent, c, c)
+			cond = fmt.Sprintf("%s != 0 && %s / %s > 1", c, g.expr(), c)
+		default:
+			cond = fmt.Sprintf("(%s & 1) == 0 %s calls(out, %s * %d + %d, %s) > 0",
+				c, g.pick("&&", "||"), item, g.nvars+1, g.nvars, c)
+		}
+		fmt.Fprintf(&g.b, "%sif (%s) {\n%s\tv%d = v%d + %s;\n%s}\n", indent, cond, indent, v, v, c, indent)
 	default:
 		fmt.Fprintf(&g.b, "%sv%d = (v%d & 255) + (%s & 65535);\n",
 			indent, g.r.Intn(g.nvars), g.r.Intn(g.nvars), g.expr())
@@ -649,6 +705,11 @@ const item = "ITEM"
 func (g *kgen) generate() string {
 	g.b.Reset()
 	g.nvars = 2 + g.r.Intn(3)
+	g.b.WriteString(`int calls(global int* out, int at, int v) {
+	out[at] = out[at] + 1;
+	return v & 2;
+}
+`)
 	if g.barrier == barrierInHelper || g.barrier == barrierInDivergentLoopHelper {
 		g.b.WriteString(`int exchange(local int* s, int at, int lsz, int v) {
 	s[at] = v;
@@ -720,10 +781,11 @@ func (g *kgen) generate() string {
 			g.b.WriteString("\tbarrier(CLK_LOCAL_MEM_FENCE);\n")
 		}
 	}
-	// Mixed-guard store: items past n stay idle.
+	// Mixed-guard store: items past n stay idle. Each item's last word is
+	// calls' counter.
 	g.b.WriteString("\tif (" + item + " < n) {\n")
 	for i := 0; i < g.nvars; i++ {
-		fmt.Fprintf(&g.b, "\t\tout[%s * %d + %d] = v%d;\n", item, g.nvars, i, i)
+		fmt.Fprintf(&g.b, "\t\tout[%s * %d + %d] = v%d;\n", item, g.nvars+1, i, i)
 	}
 	g.b.WriteString("\t}\n}\n")
 	return g.b.String()
@@ -790,7 +852,7 @@ func TestRandomKernelsThreeWay(t *testing.T) {
 				if len(sh.global) > 1 {
 					src = srcN
 				}
-				if _, err := crossCheck(t, src, "k", outThen(4*g.nvars*total, extra...), sh, 1+r.Intn(4)); err != nil {
+				if _, err := crossCheck(t, src, "k", outThen(4*(g.nvars+1)*total, extra...), sh, 1+r.Intn(4)); err != nil {
 					t.Fatalf("generated kernel trapped: %v\nshape %+v\n%s", err, sh, src)
 				}
 			}
