@@ -12,42 +12,27 @@ import (
 
 // A queue command on the daemon. Whether it arrives eagerly (one
 // MsgEnqueue* frame) or inside a registered graph replayed by
-// MsgExecGraph, it is the same protocol.GraphCommand: resolved against
-// the session's object tables by one function (resolve), its kernel
-// arguments bound by one (bindArg), its inbound payload staged by one
-// (stage) and put on the native queue by one (enqueue).
+// MsgExecGraph, it is the same protocol.GraphCommand: resolved into a
+// native.Command against the session's object tables by one function
+// (resolve), its kernel arguments bound by one (bindArg), its inbound
+// payload staged by one (stage) and put on the native queue, with the
+// staging around it, by one (enqueue).
 
-// command is one resolved queue command. The mutable slots of a cached
-// graph's commands (payload, kernel clone) are replaced, never mutated in
-// place, so an already-enqueued replay keeps the values it was fired with.
-type command struct {
-	op uint8 // protocol.GraphOp*
-
-	buf      cl.Buffer // write/read target
-	src, dst cl.Buffer // copy endpoints
-	offset   int
-	dstOff   int
-	size     int
-
-	payload     []byte   // write payload, staged from its stream
-	payloadGate cl.Event // completes when the staged payload has fully landed
-	// cached is the pooled block behind payload in a cached graph, where
-	// the bytes have more readers than one command (graph.go).
-	cached *gcf.SharedPayload
-
-	k       *native.Kernel
-	goffset []int // global work offset (nil = zero)
-	global  []int
-	local   []int
+// payload is a write's staged bytes: a pooled block, shared because a
+// cached graph's block has more readers than one command (graph.go), and
+// the gate that completes once the bytes have landed in it.
+type payload struct {
+	block *gcf.SharedPayload
+	gate  cl.Event
 }
 
 // bufferRange resolves a buffer ID and checks [offset, offset+size)
 // against the buffer. Offsets and sizes come off the wire: the check is
 // written so that neither a negative value nor offset+size overflow can
 // pass.
-func (s *session) bufferRange(bufID uint64, offset, size int) (cl.Buffer, error) {
+func (s *session) bufferRange(bufID uint64, offset, size int) (*native.Buffer, error) {
 	s.mu.Lock()
-	buf := s.buffers[bufID]
+	buf, _ := s.buffers[bufID].(*native.Buffer)
 	s.mu.Unlock()
 	if buf == nil {
 		return nil, cl.Errf(cl.InvalidMemObject, "unknown buffer %d", bufID)
@@ -58,21 +43,35 @@ func (s *session) bufferRange(bufID uint64, offset, size int) (cl.Buffer, error)
 	return buf, nil
 }
 
+// nativeOps maps wire opcodes onto native ones.
+var nativeOps = [...]native.Op{
+	protocol.GraphOpWrite:   native.OpWrite,
+	protocol.GraphOpRead:    native.OpRead,
+	protocol.GraphOpCopy:    native.OpCopy,
+	protocol.GraphOpKernel:  native.OpKernel,
+	protocol.GraphOpMarker:  native.OpMarker,
+	protocol.GraphOpBarrier: native.OpMarker,
+}
+
 // resolve maps a wire command onto the session's objects. frozen gives a
 // kernel launch a private clone bound to the command's argument snapshot
 // — a registered graph runs later, and eager SetKernelArg calls must not
 // leak into it — where an eager launch uses the session kernel as bound.
-func (s *session) resolve(c protocol.GraphCommand, frozen bool) (command, error) {
-	cmd := command{op: c.Op, offset: int(c.Offset), dstOff: int(c.DstOff), size: int(c.Size)}
+// A write's Host is left to its staging (enqueue).
+func (s *session) resolve(c protocol.GraphCommand, frozen bool) (native.Command, error) {
+	cmd := native.Command{Offset: int(c.Offset), DstOffset: int(c.DstOff), Size: int(c.Size)}
+	if int(c.Op) < len(nativeOps) {
+		cmd.Op = nativeOps[c.Op]
+	}
 	var err error
-	switch c.Op {
-	case protocol.GraphOpWrite, protocol.GraphOpRead:
-		cmd.buf, err = s.bufferRange(c.BufID, cmd.offset, cmd.size)
-	case protocol.GraphOpCopy:
-		if cmd.src, err = s.bufferRange(c.SrcID, cmd.offset, cmd.size); err == nil {
-			cmd.dst, err = s.bufferRange(c.DstID, cmd.dstOff, cmd.size)
+	switch cmd.Op {
+	case native.OpWrite, native.OpRead:
+		cmd.Buf, err = s.bufferRange(c.BufID, cmd.Offset, cmd.Size)
+	case native.OpCopy:
+		if cmd.Buf, err = s.bufferRange(c.SrcID, cmd.Offset, cmd.Size); err == nil {
+			cmd.Dst, err = s.bufferRange(c.DstID, cmd.DstOffset, cmd.Size)
 		}
-	case protocol.GraphOpKernel:
+	case native.OpKernel:
 		s.mu.Lock()
 		k, ok := s.kernels[c.KernelID].(*native.Kernel)
 		s.mu.Unlock()
@@ -90,15 +89,15 @@ func (s *session) resolve(c protocol.GraphCommand, frozen bool) (command, error)
 				}
 			}
 		}
-		cmd.k, cmd.global = k, c.Global
+		cmd.Kernel, cmd.Global = k, c.Global
 		// The wire cannot tell a nil slice from an empty one.
 		if len(c.GOffset) > 0 {
-			cmd.goffset = c.GOffset
+			cmd.GOffset = c.GOffset
 		}
 		if len(c.Local) > 0 {
-			cmd.local = c.Local
+			cmd.Local = c.Local
 		}
-	case protocol.GraphOpMarker, protocol.GraphOpBarrier:
+	case native.OpMarker:
 	default:
 		err = cl.Errf(cl.InvalidValue, "unknown command op %d", c.Op)
 	}
@@ -170,14 +169,15 @@ func (s *session) stage(streamID uint32, dst []byte, landed func(error) error) (
 	return gate, nil
 }
 
-// readStaged enqueues a device read of [offset, offset+size) into a
-// pooled block — a fresh multi-megabyte allocation per read would make
-// the allocator the dominant transfer cost — and hands the block to done
-// once the read completed (nil when it failed). done owns the block and
-// returns it with gcf.PutPayload.
-func readStaged(q cl.Queue, buf cl.Buffer, offset, size int, waits []cl.Event, done func([]byte, cl.CommandStatus)) (cl.Event, error) {
-	staged := gcf.GetPayload(size)
-	ev, err := q.EnqueueReadBuffer(buf, false, offset, staged, waits)
+// readStaged enqueues a read (cmd) into a pooled block — a fresh
+// multi-megabyte allocation per read would make the allocator the
+// dominant transfer cost — and hands the block to done once the read
+// completed (nil when it failed). done owns the block and returns it with
+// gcf.PutPayload.
+func readStaged(q *native.Queue, cmd native.Command, waits []cl.Event, done func([]byte, cl.CommandStatus)) (cl.Event, error) {
+	staged := gcf.GetPayload(cmd.Size)
+	cmd.Host = staged
+	ev, err := q.EnqueueCommand(&cmd, waits)
 	if err != nil {
 		gcf.PutPayload(staged)
 		return nil, err
@@ -203,19 +203,17 @@ func (s *session) closeStream(streamID uint32) {
 	st.Release()
 }
 
-// enqueue puts a resolved command on the native queue and returns its
-// event. readStream is the stream a read ships its data back on; once
-// enqueue returns without error the read's completion owns that stream
-// and closes it on success and failure alike.
-func (s *session) enqueue(q *native.Queue, cmd *command, waits []cl.Event, readStream uint32) (cl.Event, error) {
-	switch cmd.op {
-	case protocol.GraphOpWrite:
-		// The write is gated on its payload having landed, so queue order
-		// is preserved while the network transfer overlaps with earlier
-		// commands.
-		return q.EnqueueWriteBuffer(cmd.buf, false, cmd.offset, cmd.payload, append(waits, cmd.payloadGate))
-	case protocol.GraphOpRead:
-		return readStaged(q, cmd.buf, cmd.offset, cmd.size, waits, func(staged []byte, _ cl.CommandStatus) {
+// enqueue puts a resolved command on the native queue with its staging
+// around it, and returns its event. A write (p, its payload) is gated on
+// the payload having landed, so queue order is preserved while the
+// network transfer overlaps with earlier commands, and holds the block
+// for as long as it reads it. A read lands in a pooled block that ships
+// back on readStream; once enqueue returns without error the read's
+// completion owns that stream and closes it on success and failure
+// alike.
+func (s *session) enqueue(q *native.Queue, cmd native.Command, p payload, waits []cl.Event, readStream uint32) (cl.Event, error) {
+	if cmd.Op == native.OpRead {
+		return readStaged(q, cmd, waits, func(staged []byte, _ cl.CommandStatus) {
 			if staged != nil {
 				// Zero-copy hand-off: the frames reference the block until
 				// the deferred flush writes them out.
@@ -225,13 +223,22 @@ func (s *session) enqueue(q *native.Queue, cmd *command, waits []cl.Event, readS
 			}
 			s.closeStream(readStream)
 		})
-	case protocol.GraphOpCopy:
-		return q.EnqueueCopyBuffer(cmd.src, cmd.dst, cmd.offset, cmd.dstOff, cmd.size, waits)
-	case protocol.GraphOpKernel:
-		return q.EnqueueNDRangeKernelWithOffset(cmd.k, cmd.goffset, cmd.global, cmd.local, waits)
 	}
-	// Markers and barriers: the queue is in order, a no-op command does.
-	return q.EnqueueMarkerAfter(waits)
+	block := p.block
+	if block == nil {
+		return q.EnqueueCommand(&cmd, waits)
+	}
+	cmd.Host = block.Data
+	block.Hold()
+	ev, err := q.EnqueueCommand(&cmd, append(waits, p.gate))
+	if err != nil {
+		block.Drop()
+		return nil, err
+	}
+	if cerr := ev.SetCallback(cl.Complete, func(cl.Event, cl.CommandStatus) { block.Drop() }); cerr != nil {
+		s.d.logf("daemon %s: write payload callback: %v", s.d.cfg.Name, cerr)
+	}
+	return ev, nil
 }
 
 // handleEnqueue serves the six MsgEnqueue* one-way commands. Any failure
@@ -274,34 +281,29 @@ func (s *session) handleEnqueue(c rpc.Call) {
 		fail(err)
 		return
 	}
-	var staged *gcf.SharedPayload // write only
-	if op == protocol.GraphOpWrite {
-		// The pooled staging block has two holders, the receive goroutine
-		// and the native write command; it re-enters the pool only after
-		// BOTH are done with it.
-		staged = gcf.NewSharedPayload(cmd.size)
-		staged.Hold()
-		gate, err := s.stage(streamID, staged.Data, func(err error) error { staged.Drop(); return err })
+	var p payload
+	if cmd.Op == native.OpWrite {
+		// The pooled staging block is held by the receive goroutine and by
+		// this handler until the write holds it; it re-enters the pool
+		// only after every holder is done with it.
+		block := gcf.NewSharedPayload(cmd.Size)
+		block.Hold()
+		gate, err := s.stage(streamID, block.Data, func(err error) error { block.Drop(); return err })
 		if err != nil {
-			gcf.PutPayload(staged.Data) // neither holder ever started
+			gcf.PutPayload(block.Data) // neither holder ever started
 			fail(err)
 			return
 		}
 		streamID = 0 // the stager consumes the stream from here on
-		cmd.payload, cmd.payloadGate = staged.Data, gate
+		p = payload{block: block, gate: gate}
 	}
-	ev, err := s.enqueue(q, &cmd, waits, streamID)
+	ev, err := s.enqueue(q, cmd, p, waits, streamID)
+	if p.block != nil {
+		p.block.Drop()
+	}
 	if err != nil {
-		if staged != nil {
-			staged.Drop()
-		}
 		fail(err)
 		return
-	}
-	if staged != nil {
-		if cerr := ev.SetCallback(cl.Complete, func(cl.Event, cl.CommandStatus) { staged.Drop() }); cerr != nil {
-			s.d.logf("daemon %s: write staging callback: %v", s.d.cfg.Name, cerr)
-		}
 	}
 	s.registerEvent(e.EventID, ev)
 }

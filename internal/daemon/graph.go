@@ -18,11 +18,13 @@ import (
 // event through the deferred MsgCommandFailed path instead of wedging
 // the queue.
 
-// sessGraph is one cached graph.
+// sessGraph is one cached graph: its resolved commands and, by the same
+// index, each write's payload.
 type sessGraph struct {
 	queueID   uint64
 	q         *native.Queue
-	cmds      []command
+	cmds      []native.Command
+	payloads  []payload
 	readCount int
 }
 
@@ -62,21 +64,21 @@ func (s *session) handleRegisterGraph(c rpc.Call) {
 		failReg(cl.Errf(cl.InvalidValue, "empty graph"))
 		return
 	}
-	sg := &sessGraph{queueID: g.QueueID, q: q, cmds: make([]command, 0, len(g.Commands))}
+	sg := &sessGraph{queueID: g.QueueID, q: q, cmds: make([]native.Command, 0, len(g.Commands)), payloads: make([]payload, len(g.Commands))}
 	seenStreams := map[uint32]bool{}
 	for i, c := range g.Commands {
 		cmd, err := s.resolve(c, true)
 		switch {
 		case err != nil:
-		case c.Op == protocol.GraphOpRead:
+		case cmd.Op == native.OpRead:
 			sg.readCount++
-		case c.Op == protocol.GraphOpWrite && seenStreams[c.StreamID]:
+		case cmd.Op == native.OpWrite && seenStreams[c.StreamID]:
 			// A duplicated payload stream would park the second staging
 			// read forever and wedge every replay behind its gate.
 			err = cl.Errf(cl.InvalidValue, "graph write %d reuses payload stream %d", i, c.StreamID)
-		case c.Op == protocol.GraphOpWrite:
+		case cmd.Op == native.OpWrite:
 			seenStreams[c.StreamID] = true
-			if err = s.stageCached(&cmd, c.StreamID, -1); err == nil {
+			if err = s.stageCached(&sg.payloads[i], cmd.Size, c.StreamID, -1); err == nil {
 				claimed = i + 1
 			}
 		}
@@ -147,41 +149,29 @@ func (s *session) handleExecGraph(c rpc.Call) {
 		return
 	}
 	evs := make([]cl.Event, 0, len(g.cmds)+1)
-	for i := range g.cmds {
-		cmd := &g.cmds[i]
+	for i, cmd := range g.cmds {
 		var w []cl.Event
 		if i == 0 {
 			w = waits
 		}
+		read := cmd.Op == native.OpRead
 		var readStream uint32
-		if cmd.op == protocol.GraphOpRead {
+		if read {
 			readStream = e.ReadStreamIDs[handed]
 		}
 		// A replayed write reads the payload current now, for as long as
 		// it takes to run: updates behind it replace the block.
-		payload := cmd.cached
-		if payload != nil {
-			payload.Hold()
-		}
-		ev, cerr := s.enqueue(g.q, cmd, w, readStream)
+		ev, cerr := s.enqueue(g.q, cmd, g.payloads[i], w, readStream)
 		if cerr != nil {
-			if payload != nil {
-				payload.Drop()
-			}
 			failExec(cerr)
 			return
 		}
-		if payload != nil {
-			if cbErr := ev.SetCallback(cl.Complete, func(cl.Event, cl.CommandStatus) { payload.Drop() }); cbErr != nil {
-				s.d.logf("daemon %s: graph write callback: %v", s.d.cfg.Name, cbErr)
-			}
-		}
-		if cmd.op == protocol.GraphOpRead {
+		if read {
 			handed++
 		}
 		evs = append(evs, ev)
 	}
-	marker, err := g.q.EnqueueMarkerAfter(evs)
+	marker, err := g.q.EnqueueCommand(&native.Command{Op: native.OpMarker}, evs)
 	if err != nil {
 		failExec(err)
 		return
@@ -203,70 +193,50 @@ func (s *session) handleExecGraph(c rpc.Call) {
 // applyGraphUpdate patches one mutable slot of a cached graph. Updates
 // are persistent (the cache mutates), mirroring the client's plan.
 func (s *session) applyGraphUpdate(g *sessGraph, u protocol.GraphUpdate) error {
-	if int(u.Cmd) >= len(g.cmds) {
-		if u.Kind == protocol.GraphUpdateWriteData {
-			s.drainStream(u.StreamID)
-		}
-		return cl.Errf(cl.InvalidCommandBuffer, "update targets command %d of %d", u.Cmd, len(g.cmds))
-	}
-	cmd := &g.cmds[u.Cmd]
+	i := int(u.Cmd)
 	switch u.Kind {
 	case protocol.GraphUpdateKernelArg:
-		if cmd.op != protocol.GraphOpKernel {
-			return cl.Errf(cl.InvalidCommandBuffer, "command %d is not a kernel launch", u.Cmd)
-		}
-		// Clone-on-update: an earlier replay this session already
-		// snapshotted its arguments at enqueue time, so mutating a fresh
-		// clone is safe and keeps the old clone's bindings intact for
-		// any not-yet-enqueued use.
-		nk := cmd.k.Clone()
-		if err := s.bindArg(nk, int(u.ArgIndex), u.Arg); err != nil {
-			return err
-		}
-		cmd.k = nk
+		return native.UpdateArg(g.cmds, i, func(k *native.Kernel) error { return s.bindArg(k, int(u.ArgIndex), u.Arg) })
 	case protocol.GraphUpdateWriteData:
-		// The announced payload stream must be consumed on every path.
-		fail := func(err error) error {
-			s.drainStream(u.StreamID)
-			return err
-		}
-		if cmd.op != protocol.GraphOpWrite {
-			return fail(cl.Errf(cl.InvalidCommandBuffer, "command %d is not a write", u.Cmd))
-		}
-		switch u.Encoding {
-		case protocol.GraphPayloadFull:
-			if u.PayloadLen != 0 && int(u.PayloadLen) != cmd.size {
-				return fail(cl.Errf(cl.InvalidValue, "write update for command %d announces %d bytes, recorded size %d", u.Cmd, u.PayloadLen, cmd.size))
+		cmd, err := native.UpdateSlot(g.cmds, i, native.OpWrite)
+		deltaLen := -1
+		switch {
+		case err != nil:
+		case u.Encoding == protocol.GraphPayloadFull:
+			if u.PayloadLen != 0 && int(u.PayloadLen) != cmd.Size {
+				err = cl.Errf(cl.InvalidValue, "write update for command %d announces %d bytes, recorded size %d", u.Cmd, u.PayloadLen, cmd.Size)
 			}
-			return s.stageCached(cmd, u.StreamID, -1)
-		case protocol.GraphPayloadDelta:
+		case u.Encoding == protocol.GraphPayloadDelta:
 			// A delta is never longer than the payload it encodes (the
 			// client ships the full payload instead), which also bounds
 			// the staging allocation by something the session owns.
-			if int(u.PayloadLen) > cmd.size {
-				return fail(cl.Errf(cl.InvalidValue, "delta update for command %d announces %d bytes, recorded size %d", u.Cmd, u.PayloadLen, cmd.size))
+			if deltaLen = int(u.PayloadLen); deltaLen > cmd.Size {
+				err = cl.Errf(cl.InvalidValue, "delta update for command %d announces %d bytes, recorded size %d", u.Cmd, u.PayloadLen, cmd.Size)
 			}
-			return s.stageCached(cmd, u.StreamID, int(u.PayloadLen))
 		default:
-			return fail(cl.Errf(cl.InvalidValue, "write update for command %d has unknown payload encoding %d", u.Cmd, u.Encoding))
+			err = cl.Errf(cl.InvalidValue, "write update for command %d has unknown payload encoding %d", u.Cmd, u.Encoding)
 		}
-	default:
-		return cl.Errf(cl.InvalidValue, "unknown graph update kind %d", u.Kind)
+		if err != nil {
+			// The announced payload stream must be consumed on every path.
+			s.drainStream(u.StreamID)
+			return err
+		}
+		return s.stageCached(&g.payloads[i], cmd.Size, u.StreamID, deltaLen)
 	}
-	return nil
+	return cl.Errf(cl.InvalidValue, "unknown graph update kind %d", u.Kind)
 }
 
-// stageCached gives a cached write command a new payload block and
-// starts filling it from the stream: with the payload itself, or with a
-// delta of deltaLen bytes (when that is not negative) against the block
+// stageCached gives a cached write's payload p a new block of size bytes
+// and starts filling it from the stream: with the payload itself, or with
+// a delta of deltaLen bytes (when that is not negative) against the block
 // it replaces. Either way the bytes land on a block of their own — an
 // earlier replay's write may still be reading the old one — and every
 // block goes back to the pool when its last holder lets go: the graph
 // once the block is replaced, the staging that fills it, the replayed
-// writes that read it (handleExecGraph) and the decoding of the delta
+// writes that read it (session.enqueue) and the decoding of the delta
 // that replaces it.
-func (s *session) stageCached(cmd *command, streamID uint32, deltaLen int) error {
-	next := gcf.NewSharedPayload(cmd.size)
+func (s *session) stageCached(p *payload, size int, streamID uint32, deltaLen int) error {
+	next := gcf.NewSharedPayload(size)
 	next.Hold() // the staging goroutine's
 	dst, landed := next.Data, func(err error) error {
 		next.Drop()
@@ -280,7 +250,7 @@ func (s *session) stageCached(cmd *command, streamID uint32, deltaLen int) error
 		// upload): decoding waits for it on the staging goroutine, and a
 		// failed baseline fails this gate too, and with it every replay of
 		// the slot.
-		delta, prev, prevGate := gcf.GetPayload(deltaLen), cmd.cached, cmd.payloadGate
+		delta, prev, prevGate := gcf.GetPayload(deltaLen), p.block, p.gate
 		prev.Hold()
 		dst, landed = delta, func(err error) error {
 			if err == nil {
@@ -303,10 +273,10 @@ func (s *session) stageCached(cmd *command, streamID uint32, deltaLen int) error
 		next.Drop()
 		return err
 	}
-	if cmd.cached != nil {
-		cmd.cached.Drop()
+	if p.block != nil {
+		p.block.Drop()
 	}
-	cmd.cached, cmd.payload, cmd.payloadGate = next, next.Data, gate
+	*p = payload{block: next, gate: gate}
 	return nil
 }
 

@@ -491,7 +491,7 @@ func (s *session) handleForwardBuffer(c rpc.Call) {
 		return
 	}
 	s.mu.Lock()
-	q := s.queues[f.QueueID]
+	q, _ := s.queues[f.QueueID].(*native.Queue)
 	s.mu.Unlock()
 	if q == nil {
 		refuse(cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", f.QueueID))
@@ -515,7 +515,8 @@ func (s *session) handleForwardBuffer(c rpc.Call) {
 	// zero-copy — forwardPayload returns it to the pool once the
 	// transport is done with it. Windowed source staging for multi-GB
 	// forwards is future work.
-	ev, err := readStaged(q, buf, offset, size, waits, func(staged []byte, st cl.CommandStatus) {
+	read := native.Command{Op: native.OpRead, Buf: buf, Offset: offset, Size: size}
+	ev, err := readStaged(q, read, waits, func(staged []byte, st cl.CommandStatus) {
 		if staged == nil {
 			unsent(cl.Errf(cl.ErrorCode(st), "forward source read failed"))
 			return

@@ -63,6 +63,29 @@ func TestSpeculableChainIsOneBranch(t *testing.T) {
 	}
 }
 
+// TestNotIsAFlag pins a logical not as a flag term: lnot already yields
+// 0 or 1, so the chain adds it as it is, with no ne.i of its own. The
+// plan of i > 2 && !(x & 3) runs and.i and lnot once per group, then per
+// item one fused gt.i/add.i/eq.i step, the if's branch, the store and
+// end: six steps.
+func TestNotIsAFlag(t *testing.T) {
+	p, err := kernel.Compile(`kernel void k(global int* o, int x) {
+	int i = get_global_id(0);
+	if (i > 2 && !(x & 3)) { o[i] = 7; }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn, _ := p.Kernel("k")
+	raw, w := p.Unoptimized(fn), p.WorkGroup(fn)
+	if got := countSteps(raw.Code, kernel.RNeI); got != 0 {
+		t.Errorf("%d ne.i as lowered, want 0:\n%s", got, raw.Disassemble())
+	}
+	if got := len(w.Prologue) + len(w.Code); got != 6 {
+		t.Errorf("plan has %d steps, want 6:\n%s", got, w.Disassemble())
+	}
+}
+
 // TestGuardedChainsKeepBranches pins the chains that must stay branches:
 // a term after the first that loads, divides or calls is evaluated only
 // when the terms before it do not decide, one branch per such term.

@@ -763,7 +763,7 @@ func (lo *lowerer) shortCircuit(x *BinaryExpr) (int32, Type, error) {
 			if err != nil {
 				return 0, TypeVoid, err
 			}
-			if b, ok := t.(*BinaryExpr); !ok || !IsCompare(intOps[b.Op]) && b.Op != "&&" && b.Op != "||" {
+			if !isFlag(t) {
 				v = lo.op2(RNeI, v, lo.constRef(0))
 			}
 			if i == 0 {
@@ -798,6 +798,18 @@ func (lo *lowerer) shortCircuit(x *BinaryExpr) (int32, Type, error) {
 	lo.emit(RInstr{Op: RMov, D: res, A: lo.constRef(u64i(decided))})
 	lo.bind(end)
 	return res, TypeInt, nil
+}
+
+// isFlag reports whether e lowers to 0 or 1 already: a compare, a
+// logical not or a nested chain.
+func isFlag(e Expr) bool {
+	switch x := e.(type) {
+	case *UnaryExpr:
+		return x.Op == "!"
+	case *BinaryExpr:
+		return IsCompare(intOps[x.Op]) || x.Op == "&&" || x.Op == "||"
+	}
+	return false
 }
 
 // chain appends the terms of e, a chain of operator op, to terms.

@@ -9,51 +9,20 @@ import (
 // Command-graph recording for the native runtime: the single-node
 // implementation of cl.Queue.BeginRecording / Finalize /
 // EnqueueCommandBuffer, so recorded host code runs unchanged locally and
-// distributed. The daemon does not replay through this recorder: it keeps
-// its own resolved command list per registered graph and puts each
-// command on a native queue with the ordinary Enqueue* calls (see
-// internal/daemon/command.go), using only EnqueueMarkerAfter and
-// Kernel.Clone from this file.
+// distributed. A recording is a list of Command values, the same
+// resolved command every Enqueue* call submits, and a replay puts each on
+// the queue through EnqueueCommand — as the daemon does for the graphs it
+// caches, which obey the same update rule (UpdateSlot, UpdateArg).
 
-// graphOp enumerates recorded command kinds.
-type graphOp uint8
-
-const (
-	opWrite graphOp = iota + 1
-	opRead
-	opCopy
-	opKernel
-	opMarker
-	opBarrier
-)
-
-// graphCmd is one recorded command. Mutable slots (payload, rdst, the
-// kernel clone's arguments) are replaced, never mutated in place, so a
-// replay already enqueued keeps the values it was fired with.
-type graphCmd struct {
-	op graphOp
-
-	buf      *Buffer // write/read target
-	src, dst *Buffer // copy endpoints
-	offset   int     // write/read offset, copy source offset
-	dstOff   int
-	size     int
-
-	payload []byte // write payload (owned copy)
-	rdst    []byte // read destination (application slice)
-
-	k       *Kernel // private clone with the recorded argument snapshot
-	goffset []int   // global work offset (nil = zero)
-	global  []int
-	local   []int
-}
-
-// CommandBuffer is the native finalized recording.
+// CommandBuffer is the native finalized recording. Its mutable slots (a
+// write's or read's Host, a launch's kernel clone) are replaced, never
+// mutated in place, so a replay already enqueued keeps the values it was
+// fired with.
 type CommandBuffer struct {
 	q *Queue
 
 	mu       sync.Mutex
-	cmds     []*graphCmd
+	cmds     []Command
 	released bool
 }
 
@@ -85,7 +54,7 @@ func (q *Queue) BeginRecording() error {
 	if q.rec != nil {
 		return cl.Errf(cl.InvalidOperation, "queue is already recording")
 	}
-	q.rec = []*graphCmd{}
+	q.rec = []Command{}
 	return nil
 }
 
@@ -104,25 +73,38 @@ func (q *Queue) Finalize() (cl.CommandBuffer, error) {
 	return &CommandBuffer{q: q, cmds: cmds}, nil
 }
 
-// maybeRecord captures a command when the queue is recording. The bool
-// result reports whether recording mode was active (the caller must then
-// return (ev, err) instead of executing eagerly). Blocking transfers are
-// rejected: a recorded command does not run, so there is nothing to
-// block on.
-func (q *Queue) maybeRecord(blocking bool, wait []cl.Event, build func() *graphCmd) (cl.Event, bool, error) {
+// record appends cmd to the queue's recording and reports whether the
+// queue was recording. A blocking call is refused: a recorded command
+// does not run, so there is nothing to block on. The recording owns what
+// it keeps: a write's source is copied, since the application may reuse
+// its slice once the call returns, and a launch keeps a clone of its
+// kernel, so later SetArg calls on the application's kernel do not leak
+// into it (updates are the only way to change a replayed launch).
+func (q *Queue) record(cmd *Command, blocking bool, wait []cl.Event) (bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.rec == nil {
-		return nil, false, nil
+		return false, nil
+	}
+	// Unset kernel arguments are refused at record time, not on replay.
+	if _, err := q.check(cmd); err != nil {
+		return true, err
 	}
 	if blocking {
-		return nil, true, cl.Errf(cl.InvalidOperation, "blocking transfer while recording")
+		return true, cl.Errf(cl.InvalidOperation, "blocking transfer while recording")
 	}
 	if err := cl.CheckRecordedWaits(wait); err != nil {
-		return nil, true, err
+		return true, err
 	}
-	q.rec = append(q.rec, build())
-	return cl.RecordedEvent{}, true, nil
+	c := *cmd
+	if c.Op == OpWrite {
+		c.Host = append([]byte(nil), c.Host...)
+	}
+	if c.Kernel != nil {
+		c.Kernel = c.Kernel.Clone()
+	}
+	q.rec = append(q.rec, c)
+	return true, nil
 }
 
 // EnqueueCommandBuffer replays a finalized recording: every recorded
@@ -150,86 +132,80 @@ func (q *Queue) EnqueueCommandBuffer(b cl.CommandBuffer, updates []cl.CommandUpd
 		return nil, cl.Errf(cl.InvalidCommandBuffer, "command buffer released")
 	}
 	for _, u := range updates {
-		if err := cb.applyUpdateLocked(u); err != nil {
+		if err := cb.applyLocked(u); err != nil {
 			return nil, err
 		}
 	}
 	evs := make([]cl.Event, 0, len(cb.cmds))
-	for i, c := range cb.cmds {
+	for i := range cb.cmds {
 		var waits []cl.Event
 		if i == 0 {
 			waits = wait
 		}
-		ev, err := q.replayCmd(c, waits)
+		ev, err := q.EnqueueCommand(&cb.cmds[i], waits)
 		if err != nil {
 			return nil, err
 		}
 		evs = append(evs, ev)
 	}
-	return q.enqueue(evs, nil)
+	return q.EnqueueCommand(&Command{Op: OpMarker}, evs)
 }
 
-// applyUpdateLocked patches one mutable slot, replacing (not mutating)
-// the slot's backing value so in-flight replays keep what they captured.
-func (cb *CommandBuffer) applyUpdateLocked(u cl.CommandUpdate) error {
-	if u.Command < 0 || u.Command >= len(cb.cmds) {
-		return cl.Errf(cl.InvalidCommandBuffer, "update targets command %d of %d", u.Command, len(cb.cmds))
-	}
-	c := cb.cmds[u.Command]
+// applyLocked patches one mutable slot.
+func (cb *CommandBuffer) applyLocked(u cl.CommandUpdate) error {
+	op := OpWrite
 	switch u.Kind {
 	case cl.UpdateKernelArg:
-		if c.op != opKernel {
-			return cl.Errf(cl.InvalidCommandBuffer, "command %d is not a kernel launch", u.Command)
-		}
-		nk := c.k.Clone()
-		if err := nk.SetArg(u.ArgIndex, u.ArgValue); err != nil {
-			return err
-		}
-		c.k = nk
+		return UpdateArg(cb.cmds, u.Command, func(k *Kernel) error { return k.SetArg(u.ArgIndex, u.ArgValue) })
 	case cl.UpdateWriteData:
-		if c.op != opWrite {
-			return cl.Errf(cl.InvalidCommandBuffer, "command %d is not a write", u.Command)
-		}
-		if len(u.Data) != c.size {
-			return cl.Errf(cl.InvalidValue, "write update of %d bytes, recorded size %d", len(u.Data), c.size)
-		}
-		c.payload = append([]byte(nil), u.Data...)
 	case cl.UpdateReadDst:
-		if c.op != opRead {
-			return cl.Errf(cl.InvalidCommandBuffer, "command %d is not a read", u.Command)
-		}
-		if len(u.Data) != c.size {
-			return cl.Errf(cl.InvalidValue, "read update of %d bytes, recorded size %d", len(u.Data), c.size)
-		}
-		c.rdst = u.Data
+		op = OpRead
 	default:
 		return cl.Errf(cl.InvalidValue, "unknown update kind %d", u.Kind)
+	}
+	c, err := UpdateSlot(cb.cmds, u.Command, op)
+	if err != nil {
+		return err
+	}
+	if len(u.Data) != c.Size {
+		return cl.Errf(cl.InvalidValue, "%s update of %d bytes, recorded size %d", opNames[op], len(u.Data), c.Size)
+	}
+	if op == OpWrite {
+		c.Host = append([]byte(nil), u.Data...)
+	} else {
+		c.Host = u.Data
 	}
 	return nil
 }
 
-// replayCmd enqueues one recorded command.
-func (q *Queue) replayCmd(c *graphCmd, waits []cl.Event) (cl.Event, error) {
-	switch c.op {
-	case opWrite:
-		return q.EnqueueWriteBuffer(c.buf, false, c.offset, c.payload, waits)
-	case opRead:
-		return q.EnqueueReadBuffer(c.buf, false, c.offset, c.rdst, waits)
-	case opCopy:
-		return q.EnqueueCopyBuffer(c.src, c.dst, c.offset, c.dstOff, c.size, waits)
-	case opKernel:
-		return q.EnqueueNDRangeKernelWithOffset(c.k, c.goffset, c.global, c.local, waits)
-	case opMarker, opBarrier:
-		return q.enqueue(waits, nil)
+// UpdateSlot is the rule every command-buffer update obeys, recorded here
+// or cached on a daemon: it names one of the recorded commands, and that
+// command is of the op the update patches. It returns the command.
+func UpdateSlot(cmds []Command, i int, op Op) (*Command, error) {
+	if i < 0 || i >= len(cmds) {
+		return nil, cl.Errf(cl.InvalidCommandBuffer, "update targets command %d of %d", i, len(cmds))
 	}
-	return nil, cl.Errf(cl.InvalidCommandBuffer, "unknown recorded op %d", c.op)
+	if c := &cmds[i]; c.Op == op {
+		return c, nil
+	}
+	return nil, cl.Errf(cl.InvalidCommandBuffer, "command %d is not a %s", i, opNames[op])
 }
 
-// EnqueueMarkerAfter enqueues a marker gated on the given events: it
-// completes once all of them have completed and fails if any failed.
-// The daemon uses it as the completion event of a replayed iteration.
-func (q *Queue) EnqueueMarkerAfter(waits []cl.Event) (cl.Event, error) {
-	return q.enqueue(waits, nil)
+// UpdateArg applies a kernel-argument update to launch i of cmds: bind
+// changes a clone of the launch's kernel, which replaces it, so a bind
+// that fails leaves the launch as it was and no kernel a command was
+// recorded or replayed with changes under it.
+func UpdateArg(cmds []Command, i int, bind func(*Kernel) error) error {
+	c, err := UpdateSlot(cmds, i, OpKernel)
+	if err != nil {
+		return err
+	}
+	k := c.Kernel.Clone()
+	if err := bind(k); err != nil {
+		return err
+	}
+	c.Kernel = k
+	return nil
 }
 
 // Clone returns an independent kernel sharing the compiled function but

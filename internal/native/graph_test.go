@@ -138,6 +138,66 @@ func TestNativeGraphRecordReplay(t *testing.T) {
 	}
 }
 
+// TestNativeGraphUpdatesReplaceSlots pins "replaced, never mutated":
+// replay 1 waits on a user event while replay 2 is enqueued with a new
+// write payload, scale factor and read destination; once the gate opens,
+// replay 1 still runs with the values it was fired with.
+func TestNativeGraphUpdatesReplaceSlots(t *testing.T) {
+	_, q, a, b, k := graphFixture(t)
+	for i, v := range []any{a, float32(2), int32(4)} {
+		if err := k.SetArg(i, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out1, out2 := make([]byte, 16), make([]byte, 16)
+	if err := q.BeginRecording(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.EnqueueWriteBuffer(a, false, 0, f32bytes([]float32{1, 2, 3, 4}), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.EnqueueNDRangeKernel(k, []int{4}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.EnqueueCopyBuffer(a, b, 0, 0, 16, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.EnqueueReadBuffer(b, false, 0, out1, nil); err != nil {
+		t.Fatal(err)
+	}
+	cb, err := q.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := NewUserEvent()
+	ev1, err := q.EnqueueCommandBuffer(cb, nil, []cl.Event{gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev2, err := q.EnqueueCommandBuffer(cb, []cl.CommandUpdate{
+		cl.WriteDataUpdate(0, f32bytes([]float32{10, 20, 30, 40})),
+		cl.KernelArgUpdate(1, 1, float32(3)),
+		cl.ReadDstUpdate(3, out2),
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gate.SetStatus(cl.Complete); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range []cl.Event{ev1, ev2} {
+		if err := ev.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := bytesF32(out1), []float32{2, 4, 6, 8}; !f32Equal(got, want) {
+		t.Errorf("replay 1 read %v, want %v", got, want)
+	}
+	if got, want := bytesF32(out2), []float32{30, 60, 90, 120}; !f32Equal(got, want) {
+		t.Errorf("replay 2 read %v, want %v", got, want)
+	}
+}
+
 func f32Equal(a, b []float32) bool {
 	if len(a) != len(b) {
 		return false

@@ -1,17 +1,53 @@
 package native
 
 import (
+	"slices"
 	"sync"
 
 	"dopencl/internal/cl"
 	"dopencl/internal/vm"
 )
 
-// command is one unit of work in a queue: an optional body guarded by a
-// wait list, completing an event.
-type command struct {
+// Op is the kind of a queue command.
+type Op uint8
+
+const (
+	OpWrite  Op = iota + 1 // Host into Buf at Offset
+	OpRead                 // Buf at Offset into Host
+	OpCopy                 // Size bytes from Buf at Offset to Dst at DstOffset
+	OpKernel               // Kernel over GOffset/Global/Local
+	OpMarker               // no work: on an in-order queue a marker and a barrier are the same command
+)
+
+var opNames = [...]string{OpWrite: "write", OpRead: "read", OpCopy: "copy", OpKernel: "kernel launch", OpMarker: "marker"}
+
+// Command is one resolved queue command: what an Enqueue* call, a
+// command-buffer replay and a daemon's forwarded call all put on a queue,
+// through EnqueueCommand. The queue reads Host and the work sizes until
+// the command's event completes; whoever keeps a command to run again
+// replaces those values, never mutates them.
+type Command struct {
+	Op Op
+
+	Buf       *Buffer // write/read target, copy source
+	Dst       *Buffer // copy destination
+	Offset    int     // into Buf
+	DstOffset int     // into Dst
+	Size      int     // bytes moved
+	Host      []byte  // write source or read destination, Size bytes
+
+	Kernel  *Kernel
+	GOffset []int // global work offset (nil: zero)
+	Global  []int
+	Local   []int // nil: the device picks
+}
+
+// work is a command on the queue: gated on its waits, completing its
+// event. args is a launch's argument snapshot, taken at enqueue.
+type work struct {
+	cmd   Command
+	args  []vm.Arg
 	waits []cl.Event
-	body  func() error
 	ev    *Event
 }
 
@@ -23,12 +59,12 @@ type Queue struct {
 	dev *Device
 
 	mu       sync.Mutex
-	pending  []*command
+	pending  []*work
 	wake     chan struct{}
 	released bool
 	idle     *sync.Cond
 	inFlight int
-	rec      []*graphCmd // active recording (nil when not recording)
+	rec      []Command // active recording (nil when not recording)
 }
 
 var _ cl.Queue = (*Queue)(nil)
@@ -59,11 +95,11 @@ func (q *Queue) loop() {
 			<-q.wake
 			q.mu.Lock()
 		}
-		cmd := q.pending[0]
+		w := q.pending[0]
 		q.pending = q.pending[1:]
 		q.mu.Unlock()
 
-		q.execute(cmd)
+		q.execute(w)
 
 		q.mu.Lock()
 		q.inFlight--
@@ -74,139 +110,155 @@ func (q *Queue) loop() {
 	}
 }
 
-func (q *Queue) execute(cmd *command) {
-	for _, w := range cmd.waits {
-		if w == nil {
+func (q *Queue) execute(w *work) {
+	for _, e := range w.waits {
+		if e == nil {
 			continue
 		}
-		if err := w.Wait(); err != nil {
-			cmd.ev.Complete(cl.Errf(cl.InvalidEventWaitList, "wait event failed: %v", err))
+		if err := e.Wait(); err != nil {
+			w.ev.Complete(cl.Errf(cl.InvalidEventWaitList, "wait event failed: %v", err))
 			return
 		}
 	}
-	cmd.ev.MarkRunning()
-	var err error
-	if cmd.body != nil {
-		err = cmd.body()
-	}
-	cmd.ev.Complete(err)
+	w.ev.MarkRunning()
+	w.ev.Complete(q.run(w))
 }
 
-// enqueue appends a command and returns its event.
-func (q *Queue) enqueue(waits []cl.Event, body func() error) (*Event, error) {
-	ev := NewEvent()
-	cmd := &command{waits: waits, body: body, ev: ev}
+// run does a command's work: the one place an op becomes what the device
+// does.
+func (q *Queue) run(w *work) error {
+	c := &w.cmd
+	switch c.Op {
+	case OpWrite:
+		q.dev.sim.ChargeTransfer(c.Size, false)
+		copy(c.Buf.data[c.Offset:], c.Host)
+	case OpRead:
+		q.dev.sim.ChargeTransfer(c.Size, true)
+		copy(c.Host, c.Buf.data[c.Offset:c.Offset+c.Size])
+	case OpCopy:
+		copy(c.Dst.data[c.DstOffset:c.DstOffset+c.Size], c.Buf.data[c.Offset:c.Offset+c.Size])
+	case OpKernel:
+		_, err := q.dev.sim.Execute(vm.Launch{
+			Prog:         c.Kernel.prog.Compiled(),
+			Kernel:       c.Kernel.fn,
+			Args:         w.args,
+			GlobalSize:   c.Global,
+			GlobalOffset: c.GOffset,
+			LocalSize:    c.Local,
+		})
+		return err
+	}
+	return nil
+}
+
+// EnqueueCommand puts cmd on the queue behind waits and returns its
+// event. It copies the command, so the caller may reuse it at once; a
+// launch binds its kernel's arguments as they are now (OpenCL captures
+// them at enqueue).
+func (q *Queue) EnqueueCommand(cmd *Command, waits []cl.Event) (cl.Event, error) {
+	args, err := q.check(cmd)
+	if err != nil {
+		return nil, err
+	}
+	w := &work{cmd: *cmd, args: args, waits: waits, ev: NewEvent()}
 	q.mu.Lock()
 	if q.released {
 		q.mu.Unlock()
 		return nil, cl.Errf(cl.InvalidCommandQueue, "queue released")
 	}
-	q.pending = append(q.pending, cmd)
+	q.pending = append(q.pending, w)
 	q.inFlight++
 	q.mu.Unlock()
 	select {
 	case q.wake <- struct{}{}:
 	default:
 	}
-	return ev, nil
+	return w.ev, nil
 }
 
-func (q *Queue) bufferOf(b cl.Buffer) (*Buffer, error) {
-	nb, ok := b.(*Buffer)
-	if !ok || nb.ctx != q.ctx {
-		return nil, cl.Errf(cl.InvalidMemObject, "buffer does not belong to this context")
+// check validates a command against the queue and returns a launch's
+// arguments as bound now. Offsets and sizes may come off the wire: the
+// range checks let neither a negative value nor an overflowing sum pass.
+func (q *Queue) check(c *Command) ([]vm.Arg, error) {
+	switch c.Op {
+	case OpWrite, OpRead:
+		if len(c.Host) != c.Size {
+			return nil, cl.Errf(cl.InvalidValue, "%s of %d bytes from a %d-byte host slice", opNames[c.Op], c.Size, len(c.Host))
+		}
+		return nil, q.inside(c.Buf, c.Offset, c.Size)
+	case OpCopy:
+		if err := q.inside(c.Buf, c.Offset, c.Size); err != nil {
+			return nil, err
+		}
+		return nil, q.inside(c.Dst, c.DstOffset, c.Size)
+	case OpKernel:
+		if c.Kernel == nil {
+			return nil, cl.Errf(cl.InvalidKernel, "kernel does not belong to this runtime")
+		}
+		if c.GOffset != nil && len(c.GOffset) != len(c.Global) {
+			return nil, cl.Errf(cl.InvalidGlobalOffset, "offset has %d dimensions, global %d", len(c.GOffset), len(c.Global))
+		}
+		return c.Kernel.snapshotArgs()
+	case OpMarker:
+		return nil, nil
 	}
-	return nb, nil
+	return nil, cl.Errf(cl.InvalidValue, "unknown command op %d", c.Op)
 }
 
-// EnqueueWriteBuffer uploads host data into the buffer.
-func (q *Queue) EnqueueWriteBuffer(b cl.Buffer, blocking bool, offset int, data []byte, wait []cl.Event) (cl.Event, error) {
-	nb, err := q.bufferOf(b)
-	if err != nil {
-		return nil, err
+// inside checks that b is a buffer of the queue's context and that
+// [offset, offset+size) lies in it.
+func (q *Queue) inside(b *Buffer, offset, size int) error {
+	if b == nil || b.ctx != q.ctx {
+		return cl.Errf(cl.InvalidMemObject, "buffer does not belong to this context")
 	}
-	if offset < 0 || offset+len(data) > len(nb.data) {
-		return nil, cl.Errf(cl.InvalidValue, "write of %d bytes at offset %d exceeds buffer size %d", len(data), offset, len(nb.data))
+	if size < 0 || offset < 0 || offset > len(b.data)-size {
+		return cl.Errf(cl.InvalidValue, "range (offset %d size %d) outside a buffer of %d bytes", offset, size, len(b.data))
 	}
-	if ev, rec, err := q.maybeRecord(blocking, wait, func() *graphCmd {
-		// Recording copies the payload: the application is free to reuse
-		// its slice after a recorded (never-executing) write returns.
-		return &graphCmd{op: opWrite, buf: nb, offset: offset, size: len(data),
-			payload: append([]byte(nil), data...)}
-	}); rec {
-		return ev, err
+	return nil
+}
+
+// submit is the step every Enqueue* call ends in: a recording queue
+// records the command, any other enqueues it, and a blocking call waits
+// for it.
+func (q *Queue) submit(cmd *Command, blocking bool, wait []cl.Event) (cl.Event, error) {
+	if recording, err := q.record(cmd, blocking, wait); recording {
+		if err != nil {
+			return nil, err
+		}
+		return cl.RecordedEvent{}, nil
 	}
-	// The data slice is captured by reference: OpenCL requires the host
-	// pointer to stay valid for non-blocking writes; callers that reuse
-	// the slice must pass blocking=true, as in C.
-	ev, err := q.enqueue(wait, func() error {
-		q.dev.sim.ChargeTransfer(len(data), false)
-		copy(nb.data[offset:], data)
-		return nil
-	})
+	ev, err := q.EnqueueCommand(cmd, wait)
 	if err != nil {
 		return nil, err
 	}
 	if blocking {
-		if werr := ev.Wait(); werr != nil {
-			return nil, werr
+		if err := ev.Wait(); err != nil {
+			return nil, err
 		}
 	}
 	return ev, nil
+}
+
+// EnqueueWriteBuffer uploads host data into the buffer. The data slice is
+// captured by reference: OpenCL requires the host pointer to stay valid
+// for non-blocking writes; callers that reuse the slice must pass
+// blocking=true, as in C.
+func (q *Queue) EnqueueWriteBuffer(b cl.Buffer, blocking bool, offset int, data []byte, wait []cl.Event) (cl.Event, error) {
+	nb, _ := b.(*Buffer)
+	return q.submit(&Command{Op: OpWrite, Buf: nb, Offset: offset, Size: len(data), Host: data}, blocking, wait)
 }
 
 // EnqueueReadBuffer downloads buffer contents into dst.
 func (q *Queue) EnqueueReadBuffer(b cl.Buffer, blocking bool, offset int, dst []byte, wait []cl.Event) (cl.Event, error) {
-	nb, err := q.bufferOf(b)
-	if err != nil {
-		return nil, err
-	}
-	if offset < 0 || offset+len(dst) > len(nb.data) {
-		return nil, cl.Errf(cl.InvalidValue, "read of %d bytes at offset %d exceeds buffer size %d", len(dst), offset, len(nb.data))
-	}
-	if ev, rec, err := q.maybeRecord(blocking, wait, func() *graphCmd {
-		return &graphCmd{op: opRead, buf: nb, offset: offset, size: len(dst), rdst: dst}
-	}); rec {
-		return ev, err
-	}
-	ev, err := q.enqueue(wait, func() error {
-		q.dev.sim.ChargeTransfer(len(dst), true)
-		copy(dst, nb.data[offset:offset+len(dst)])
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if blocking {
-		if werr := ev.Wait(); werr != nil {
-			return nil, werr
-		}
-	}
-	return ev, nil
+	nb, _ := b.(*Buffer)
+	return q.submit(&Command{Op: OpRead, Buf: nb, Offset: offset, Size: len(dst), Host: dst}, blocking, wait)
 }
 
 // EnqueueCopyBuffer copies between two buffers of the context.
 func (q *Queue) EnqueueCopyBuffer(src, dst cl.Buffer, srcOffset, dstOffset, size int, wait []cl.Event) (cl.Event, error) {
-	nsrc, err := q.bufferOf(src)
-	if err != nil {
-		return nil, err
-	}
-	ndst, err := q.bufferOf(dst)
-	if err != nil {
-		return nil, err
-	}
-	if size < 0 || srcOffset < 0 || srcOffset > len(nsrc.data)-size || dstOffset < 0 || dstOffset > len(ndst.data)-size {
-		return nil, cl.Errf(cl.InvalidValue, "copy range out of bounds")
-	}
-	if ev, rec, err := q.maybeRecord(false, wait, func() *graphCmd {
-		return &graphCmd{op: opCopy, src: nsrc, dst: ndst, offset: srcOffset, dstOff: dstOffset, size: size}
-	}); rec {
-		return ev, err
-	}
-	return q.enqueue(wait, func() error {
-		copy(ndst.data[dstOffset:dstOffset+size], nsrc.data[srcOffset:srcOffset+size])
-		return nil
-	})
+	nsrc, _ := src.(*Buffer)
+	ndst, _ := dst.(*Buffer)
+	return q.submit(&Command{Op: OpCopy, Buf: nsrc, Dst: ndst, Offset: srcOffset, DstOffset: dstOffset, Size: size}, false, wait)
 }
 
 // EnqueueNDRangeKernel launches a kernel over the ND-range.
@@ -216,70 +268,27 @@ func (q *Queue) EnqueueNDRangeKernel(k cl.Kernel, global, local []int, wait []cl
 
 // EnqueueNDRangeKernelWithOffset launches a kernel over the ND-range with
 // a global work offset: work-item IDs run over [offset, offset+global).
+// The work sizes are copied: the caller may reuse its slices. The
+// offset's copy keeps an empty offset apart from none, which the
+// dimension check refuses.
 func (q *Queue) EnqueueNDRangeKernelWithOffset(k cl.Kernel, offset, global, local []int, wait []cl.Event) (cl.Event, error) {
-	nk, ok := k.(*Kernel)
-	if !ok {
-		return nil, cl.Errf(cl.InvalidKernel, "kernel does not belong to this runtime")
-	}
-	if offset != nil && len(offset) != len(global) {
-		return nil, cl.Errf(cl.InvalidGlobalOffset, "offset has %d dimensions, global %d", len(offset), len(global))
-	}
-	// Snapshot (and thereby validate) the arguments up front: recording
-	// must reject unset arguments at record time, not on replay.
-	args, err := nk.snapshotArgs()
-	if err != nil {
-		return nil, err
-	}
-	if ev, rec, err := q.maybeRecord(false, wait, func() *graphCmd {
-		// The clone freezes the argument bindings at record time; later
-		// SetArg calls on the application's kernel do not leak into the
-		// recording (updates are the only way to change a replayed launch).
-		return &graphCmd{op: opKernel, k: nk.Clone(),
-			goffset: append([]int(nil), offset...),
-			global:  append([]int(nil), global...), local: append([]int(nil), local...)}
-	}); rec {
-		return ev, err
-	}
-	offsetCopy := append([]int(nil), offset...)
-	globalCopy := append([]int(nil), global...)
-	localCopy := append([]int(nil), local...)
-	if local == nil {
-		localCopy = nil
-	}
-	prog := nk.prog.Compiled()
-	return q.enqueue(wait, func() error {
-		_, execErr := q.dev.sim.Execute(vm.Launch{
-			Prog:         prog,
-			Kernel:       nk.fn,
-			Args:         args,
-			GlobalSize:   globalCopy,
-			GlobalOffset: offsetCopy,
-			LocalSize:    localCopy,
-		})
-		return execErr
-	})
+	nk, _ := k.(*Kernel)
+	return q.submit(&Command{Op: OpKernel, Kernel: nk,
+		GOffset: slices.Clone(offset),
+		Global:  append([]int(nil), global...),
+		Local:   append([]int(nil), local...)}, false, wait)
 }
 
 // EnqueueMarker enqueues a marker whose event completes after all prior
 // commands.
 func (q *Queue) EnqueueMarker() (cl.Event, error) {
-	if ev, rec, err := q.maybeRecord(false, nil, func() *graphCmd {
-		return &graphCmd{op: opMarker}
-	}); rec {
-		return ev, err
-	}
-	return q.enqueue(nil, nil)
+	return q.submit(&Command{Op: OpMarker}, false, nil)
 }
 
 // EnqueueBarrier blocks later commands until prior ones complete. The
-// queue is in-order, so a no-op command suffices.
+// queue is in-order, so a marker suffices.
 func (q *Queue) EnqueueBarrier() error {
-	if _, rec, err := q.maybeRecord(false, nil, func() *graphCmd {
-		return &graphCmd{op: opBarrier}
-	}); rec {
-		return err
-	}
-	_, err := q.enqueue(nil, nil)
+	_, err := q.submit(&Command{Op: OpMarker}, false, nil)
 	return err
 }
 
