@@ -90,13 +90,13 @@ func (e *Event) Settled() bool { return e.Status() == cl.Complete }
 
 // Wait blocks until the event completes. Waiting on an event is waiting on
 // the server that runs its command, so a deferred object-plane failure that
-// server has reported (Server.takeSessionError) is returned here, once, in
+// server has reported (Server.takeQueueError of queue 0) is returned here, once, in
 // place of the event's own status: a command that names an object whose
 // pipelined create was refused fails because of that refusal.
 func (e *Event) Wait() error {
 	err := e.latch.Wait()
 	if e.origin != nil {
-		if serr := e.origin.takeSessionError(); serr != nil {
+		if serr := e.origin.takeQueueError(0); serr != nil {
 			return serr
 		}
 	}

@@ -14,9 +14,10 @@ import (
 // execution plan and registers it with the daemon owning the queue
 // (MsgRegisterGraph). Each replay is then a single MsgExecGraph frame —
 // one small message per involved daemon per iteration instead of one
-// message per command — with deferred failures on the PR 1
-// MsgCommandFailed path and input coherence (including cross-daemon
-// transfers) on the PR 2 forward path.
+// message per command — with the replay's completion and any failure in
+// one deferred MsgCompleted (the daemon reports a failed replay at the
+// queue's next Finish too) and input coherence (including cross-daemon
+// transfers) on the forward path.
 
 // record captures c when the queue is recording; the bool result reports
 // whether it was (the caller then returns (ev, err) instead of sending

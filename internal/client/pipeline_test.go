@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -73,7 +74,7 @@ func TestPipelinedEnqueueLatency(t *testing.T) {
 
 // TestDeferredFailureFailsEventAndFinish drives the daemon's deferred
 // error path directly: a one-way command against an unknown queue must
-// come back as a MsgCommandFailed notification that (a) fails the
+// come back as a failure notice (MsgCompleted) that (a) fails the
 // command's event hook and (b) is surfaced by queue-level takeQueueError.
 func TestDeferredFailureFailsEventAndFinish(t *testing.T) {
 	tc := newTestCluster(t, map[string][]device.Config{"node0": {device.TestCPU("cpu0")}})
@@ -298,6 +299,45 @@ func TestTrappedKernelRollsBackItsClaim(t *testing.T) {
 	}
 	if !bytes.Equal(got, prior) {
 		t.Fatal("read after the trapped launch does not return the bytes from before it")
+	}
+}
+
+// TestFailedReplayIsOneNotice: a replayed iteration whose kernel traps on
+// the daemon comes back as one completion notice. It fails the
+// iteration's event with the trap's status, and the queue's next Finish
+// reports the failed replay under the same code.
+func TestFailedReplayIsOneNotice(t *testing.T) {
+	q, _, _, mix := trapWorld(t)
+	if err := mix(0).Wait(); err != nil { // work and in settle on node0
+		t.Fatal(err)
+	}
+	if err := q.BeginRecording(); err != nil {
+		t.Fatal(err)
+	}
+	mix(trapFloats - trapItems/2)
+	cb, err := q.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := q.(*Queue).srv
+	_, recv0 := srv.FrameCounts()
+	ev, err := q.EnqueueCommandBuffer(cb, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	werr := ev.Wait()
+	if werr == nil {
+		t.Fatal("a replay whose kernel traps did not fail its event")
+	}
+	ferr := q.Finish()
+	if want := fmt.Sprintf("graph %d replay failed", cb.(*CommandBuffer).id); ferr == nil || !strings.Contains(ferr.Error(), want) {
+		t.Fatalf("Finish after the failed replay: %v, want %q", ferr, want)
+	}
+	if cl.CodeOf(ferr) != cl.CodeOf(werr) {
+		t.Fatalf("Finish reports %v, the event failed with %v", cl.CodeOf(ferr), cl.CodeOf(werr))
+	}
+	if _, recv := srv.FrameCounts(); recv-recv0 != 2 {
+		t.Fatalf("%d frames came back for a failed replay and a Finish, want 2: one completion notice and the answer", recv-recv0)
 	}
 }
 

@@ -291,9 +291,9 @@ func (p *Platform) contextsOf(srv *Server) []*Context {
 // serverReattached replicates this client's remote objects back onto the
 // re-attached daemon (see Context.resyncServer) and confirms them with one
 // round trip: the daemon serves the one-way re-creates in order and writes
-// the MsgCommandFailed of any it refuses ahead of the GetServerInfo
-// answer, which the client records before the answer is delivered (the
-// ordering Finish relies on). It runs BEFORE the server is marked
+// the MsgCompleted failure of any it refuses ahead of the GetServerInfo
+// answer, which the client records under queue 0 before the answer is
+// delivered (the ordering Finish relies on). It runs BEFORE the server is marked
 // connected: a half-recovered daemon must stay down and retryable.
 func (p *Platform) serverReattached(srv *Server) error {
 	for _, c := range p.contextsOf(srv) {
@@ -304,7 +304,7 @@ func (p *Platform) serverReattached(srv *Server) error {
 	if _, err := srv.call(protocol.MsgGetServerInfo, nil); err != nil {
 		return err
 	}
-	return srv.takeSessionError()
+	return srv.takeQueueError(0)
 }
 
 // ServerInfo describes a connected server (clGetServerInfoWWU).

@@ -514,7 +514,7 @@ func (q *Queue) readStitched(root *Buffer, blocking bool, aoff int, dst []byte, 
 	if blocking {
 		err := ev.Wait()
 		// The aggregate has no server of its own; the caller waited on q's.
-		if serr := q.srv.takeSessionError(); serr != nil {
+		if serr := q.srv.takeQueueError(0); serr != nil {
 			err = serr
 		}
 		if err != nil {
@@ -713,7 +713,7 @@ func (q *Queue) Finish() error {
 	// An object-plane failure (a refused create, say) came first and is why
 	// the commands naming the object then failed on the queue.
 	derr := q.srv.takeQueueError(q.id)
-	if serr := q.srv.takeSessionError(); serr != nil {
+	if serr := q.srv.takeQueueError(0); serr != nil {
 		return serr
 	}
 	if derr != nil {

@@ -15,9 +15,10 @@ import (
 func serverLinkSamples() []rpctest.Sample {
 	note := protocol.ClassNotification
 	return []rpctest.Sample{
-		{Type: protocol.MsgEventComplete, Class: note, Fill: func(w *protocol.Writer) { w.U64(0); w.I32(int32(cl.Complete)) }},
-		{Type: protocol.MsgCommandFailed, Class: note, Fill: func(w *protocol.Writer) {
-			protocol.PutCommandFailure(w, protocol.CommandFailure{QueueID: 1, EventID: 0, Op: protocol.MsgFlush, Status: int32(cl.InvalidValue), Msg: "no"})
+		// A failure, the longer body: every truncation of it is refused,
+		// the 12-byte one with a failed status too.
+		{Type: protocol.MsgCompleted, Class: note, Fill: func(w *protocol.Writer) {
+			protocol.PutCompletion(w, protocol.Completion{EventID: 0, Status: int32(cl.InvalidValue), QueueID: 1, Op: protocol.MsgFlush, Msg: "no"})
 		}},
 		{Type: protocol.MsgServeResult, Class: note, Fill: func(w *protocol.Writer) {
 			protocol.PutServeResults(w, protocol.ServeResults{ServeID: 1, Results: []protocol.ServeResult{{JobID: 1, Output: []byte{1, 2}}}})
@@ -30,8 +31,8 @@ func TestServerLinkRowsHaveSamples(t *testing.T) {
 }
 
 // The client's end of a daemon link, with a completion hook waiting on
-// event 0 — the event a truncated EventComplete used to name: no refused
-// frame fires a hook or records a failure, a request the daemon has no
+// event 0 — the event a truncated completion names: no refused frame
+// fires a hook or records a failure, a request the daemon has no
 // business sending is answered, and a well-formed completion still fires
 // its hook afterwards.
 func TestServerLinkRefusesWhatItDoesNotServe(t *testing.T) {
@@ -62,11 +63,13 @@ func TestServerLinkRefusesWhatItDoesNotServe(t *testing.T) {
 	l.State = func() string {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
-		return fmt.Sprintf("hooks=%d queueErrs=%d sessErrs=%d", len(srv.hooks), len(srv.queueErrs), len(srv.sessErrs))
+		return fmt.Sprintf("hooks=%d queueErrs=%d", len(srv.hooks), len(srv.queueErrs))
 	}
 	l.Alive = func(t *testing.T) {
 		t.Helper()
-		l.Send(t, protocol.ClassNotification, 0, protocol.MsgEventComplete, serverLinkSamples()[0].Body())
+		done := protocol.NewWriter()
+		protocol.PutCompletion(done, protocol.Completion{EventID: 0, Status: int32(cl.Complete)})
+		l.Send(t, protocol.ClassNotification, 0, protocol.MsgCompleted, done.Bytes())
 		select {
 		case st := <-fired:
 			if st != cl.Complete {

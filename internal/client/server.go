@@ -19,7 +19,7 @@
 //     data or a finished queue, is a round trip (Server.call). What the
 //     client can check it reports from the call itself; a daemon's
 //     refusal is reported once by the next call that waits on that
-//     server (Server.takeSessionError);
+//     server (Server.takeQueueError of queue 0);
 //   - the connection API extension (clConnectServerWWU et al.), the server
 //     configuration file, and device-manager assignment requests
 //     (Section IV-B) over kept links: one per manager shard, which carries
@@ -73,8 +73,7 @@ type Server struct {
 	mu        sync.Mutex
 	conn      *rpc.Conn                    // swapped on re-attach
 	hooks     map[uint64]hook              // event ID → completion hook
-	queueErrs map[uint64][]deferredFailure // queue ID → deferred one-way failures (bounded)
-	sessErrs  []error                      // queue-less one-way failures (object plane, bounded)
+	queueErrs map[uint64][]deferredFailure // queue ID (0: none) → deferred one-way failures (bounded)
 	badPeers  map[string]bool              // peer addresses this daemon failed to reach
 	serves    map[uint64]*ServeSession     // open serve lanes (connection-scoped)
 	devices   []*Device
@@ -292,60 +291,36 @@ func (s *Server) endpoint() *gcf.Endpoint {
 // routes is all a daemon ever tells its client unasked: notifications.
 func (s *Server) routes() rpc.Routes {
 	return rpc.Routes{
-		protocol.MsgEventComplete: {Notify: s.handleEventComplete},
-		protocol.MsgCommandFailed: {Notify: s.handleCommandFailed},
-		protocol.MsgServeResult:   {Notify: s.handleServeResult},
+		protocol.MsgCompleted:   {Notify: s.handleCompleted},
+		protocol.MsgServeResult: {Notify: s.handleServeResult},
 	}
 }
 
-func (s *Server) handleEventComplete(c rpc.Call) {
+// handleCompleted takes a completion notice. A failure is recorded under
+// its queue (surfaced at the next Finish), or under queue 0 when it names
+// neither a queue nor an event (an object-plane message: a create, a
+// release, an argument binding, surfaced by the next call that waits on
+// this server); one with an event but no queue only fails the event.
+// Recording happens synchronously on the dispatch goroutine so a later
+// Finish response cannot overtake the error. The event's hook runs on a
+// goroutine of its own: it runs callbacks (possibly user code and
+// cross-server propagation), and the dispatcher must stay free.
+func (s *Server) handleCompleted(c rpc.Call) {
 	s.recvFrames.Add(1)
-	eventID := c.Body.U64()
-	status := cl.CommandStatus(c.Body.I32())
+	f := protocol.GetCompletion(c.Body)
 	if c.Malformed() {
 		return
 	}
 	s.mu.Lock()
-	h := s.hooks[eventID]
-	delete(s.hooks, eventID)
-	s.mu.Unlock()
-	if h.fn != nil {
-		// Completion hooks run callbacks (possibly user code and
-		// cross-server propagation); keep the dispatcher free.
-		go h.fn(status)
-	}
-}
-
-// handleCommandFailed takes the deferred failure of a one-way command:
-// record it against the queue (surfaced at the next Finish) and fail the
-// command's event stub, if it has one. Recording happens synchronously on
-// the dispatch goroutine so a later Finish response cannot overtake the
-// error.
-func (s *Server) handleCommandFailed(c rpc.Call) {
-	s.recvFrames.Add(1)
-	f := protocol.GetCommandFailure(c.Body)
-	if c.Malformed() {
-		return
-	}
-	err := cl.Errf(cl.ErrorCode(f.Status), "%s on %s failed: %s", f.Op, s.addr, f.Msg)
-	s.mu.Lock()
-	if f.QueueID == 0 && f.EventID == 0 && len(s.sessErrs) < 8 {
-		// Object-plane one-way failure (a create, a release, an
-		// argument binding): no queue or event to carry it — surfaced
-		// by the next call that waits on this server.
-		s.sessErrs = append(s.sessErrs, err)
-	}
-	if f.QueueID != 0 && len(s.queueErrs[f.QueueID]) < 8 {
+	if f.Status < 0 && (f.QueueID != 0 || f.EventID == 0) && len(s.queueErrs[f.QueueID]) < 8 {
 		// Keep the first few failures: a blocking caller may clear
 		// its own entry, and that must not drop a concurrent
 		// event-less command's error before the next Finish.
+		err := cl.Errf(cl.ErrorCode(f.Status), "%s on %s failed: %s", f.Op, s.addr, f.Msg)
 		s.queueErrs[f.QueueID] = append(s.queueErrs[f.QueueID], deferredFailure{eventID: f.EventID, err: err})
 	}
-	var h hook
-	if f.EventID != 0 {
-		h = s.hooks[f.EventID]
-		delete(s.hooks, f.EventID)
-	}
+	h := s.hooks[f.EventID]
+	delete(s.hooks, f.EventID)
 	s.mu.Unlock()
 	if h.fn != nil {
 		go h.fn(cl.CommandStatus(f.Status))
@@ -436,10 +411,10 @@ func (s *Server) call(typ protocol.MsgType, fill func(*protocol.Writer)) (*proto
 
 // send fires a one-way request (fire-and-forget, Section III-B): no
 // response is awaited or ever sent. The daemon processes one-way messages
-// in order; failures come back asynchronously as MsgCommandFailed
-// notifications and surface through the command's event, the queue's next
-// Finish or, for the object plane, the next wait on the server. Only local
-// transmission failures are reported here.
+// in order; failures come back asynchronously in MsgCompleted notices and
+// surface through the command's event, the queue's next Finish or, for
+// the object plane, the next wait on the server. Only local transmission
+// failures are reported here.
 func (s *Server) send(typ protocol.MsgType, fill func(*protocol.Writer)) error {
 	c, err := s.live()
 	if err != nil {
@@ -460,7 +435,12 @@ func (s *Server) FrameCounts() (sent, recv uint64) {
 }
 
 // takeQueueError removes all deferred one-way failures recorded for the
-// queue and returns the first, if any.
+// queue and returns the first, if any: the one the later ones follow
+// from. Queue 0 holds those of the pipelined object plane, which name no
+// queue; every call that waits on the server takes them — a blocking read
+// or write, Event.Wait, Queue.Finish — so the application sees a refused
+// create or build under its own code and message at its next
+// synchronization point, once.
 func (s *Server) takeQueueError(queueID uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -470,23 +450,6 @@ func (s *Server) takeQueueError(queueID uint64) error {
 		return nil
 	}
 	return fs[0].err
-}
-
-// takeSessionError removes the deferred queue-less one-way failures
-// (pipelined object-plane messages) and returns the first, if any: the one
-// the later ones follow from. Every call that waits on the server consults
-// it — a blocking read or write, Event.Wait, Queue.Finish — so the
-// application sees a refused create or build under its own code and
-// message at its next synchronization point, once.
-func (s *Server) takeSessionError() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.sessErrs) == 0 {
-		return nil
-	}
-	err := s.sessErrs[0]
-	s.sessErrs = nil
-	return err
 }
 
 // peekQueueError returns the first deferred failure without consuming it.
@@ -614,7 +577,7 @@ func (s *Server) bind(authID string, recs []protocol.DeviceRecord) error {
 	for _, rec := range recs {
 		s.devices = append(s.devices, &Device{srv: s, unitID: rec.UnitID, info: rec.Info})
 	}
-	s.sessErrs = nil
+	delete(s.queueErrs, 0)
 	s.mu.Unlock()
 	return s.send(protocol.MsgHello, func(w *protocol.Writer) {
 		w.String(s.plat.opts.ClientName)
@@ -686,7 +649,6 @@ func (s *Server) Reattach() (retained bool, err error) {
 	}
 	name := resp.String()
 	retained = resp.Bool()
-	recs := protocol.GetDeviceRecords(resp)
 	peerAddr := resp.String()
 	canFwd := resp.Bool()
 	newSID := resp.U64()
@@ -695,7 +657,6 @@ func (s *Server) Reattach() (retained bool, err error) {
 		ep.Close()
 		return false, cl.Errf(cl.InvalidServer, "malformed attach response from %s", s.addr)
 	}
-	_ = recs // device identities are stable across restarts of a node
 	s.mu.Lock()
 	s.name = name
 	s.peerAddr = peerAddr
@@ -704,7 +665,6 @@ func (s *Server) Reattach() (retained bool, err error) {
 	s.sessionID = newSID
 	s.badPeers = map[string]bool{}
 	s.queueErrs = map[uint64][]deferredFailure{}
-	s.sessErrs = nil
 	s.mu.Unlock()
 	// Recover daemon-side state BEFORE declaring the server connected: a
 	// half-recovered server (some objects missing on the daemon) must

@@ -194,7 +194,7 @@ func readStaged(q *native.Queue, cmd native.Command, waits []cl.Event, done func
 
 // closeStream ends a client-announced read stream. After a failure it is
 // closed empty, so a receiver blocked on it unblocks; the real error
-// follows as MsgCommandFailed.
+// follows in the command's MsgCompleted.
 func (s *session) closeStream(streamID uint32) {
 	st := s.ep.Stream(streamID)
 	if err := st.CloseWrite(); err != nil {
@@ -241,8 +241,9 @@ func (s *session) enqueue(q *native.Queue, cmd native.Command, p payload, waits 
 	return ev, nil
 }
 
-// handleEnqueue serves the six MsgEnqueue* one-way commands. Any failure
-// is reported as MsgCommandFailed against the command's queue and event,
+// handleEnqueue serves the six MsgEnqueue* one-way commands. A command
+// that cannot be enqueued is reported in a MsgCompleted naming its queue
+// and event (one that fails while running, in its event's notice alone),
 // and a stream the frame announced is never left dangling: a failed write
 // still drains its payload (it is pipelined behind the frame), a failed
 // read closes its stream empty so a client blocked on the download
@@ -305,5 +306,5 @@ func (s *session) handleEnqueue(c rpc.Call) {
 		fail(err)
 		return
 	}
-	s.registerEvent(e.EventID, ev)
+	s.registerEvent(e.EventID, ev, protocol.Completion{})
 }

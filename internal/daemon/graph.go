@@ -1,6 +1,9 @@
 package daemon
 
 import (
+	"fmt"
+	"sync"
+
 	"dopencl/internal/cl"
 	"dopencl/internal/gcf"
 	"dopencl/internal/native"
@@ -15,17 +18,38 @@ import (
 // carries one small message per iteration instead of one per command.
 // Graphs are session-scoped: the cache is torn down with the session,
 // and replaying an unknown or released graph fails the iteration's
-// event through the deferred MsgCommandFailed path instead of wedging
-// the queue.
+// event in a deferred MsgCompleted instead of wedging the queue. So does
+// a replay that fails while running, and the one notice also reports it
+// at the queue's next Finish.
 
 // sessGraph is one cached graph: its resolved commands and, by the same
-// index, each write's payload.
+// index, each write's payload, whose block it holds until the payload is
+// replaced or the graph dropped.
 type sessGraph struct {
 	queueID   uint64
 	q         *native.Queue
 	cmds      []native.Command
 	payloads  []payload
 	readCount int
+	failed    string // what a failed replay reports at the queue's Finish
+
+	// mu orders replays and updates with the drop: a connection's close
+	// notice can retire the session while its dispatcher still replays.
+	mu      sync.Mutex
+	dropped bool
+}
+
+// drop lets go of the graph's hold on each cached payload block. A replay
+// still running holds the blocks it reads.
+func (g *sessGraph) drop() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.dropped = true
+	for _, p := range g.payloads {
+		if p.block != nil {
+			p.block.Drop()
+		}
+	}
 }
 
 // handleRegisterGraph validates and caches a client graph registration.
@@ -40,12 +64,14 @@ func (s *session) handleRegisterGraph(c rpc.Call) {
 	// failure: the client pipelines the payloads behind the registration
 	// frame regardless of its outcome.
 	claimed := 0
+	sg := &sessGraph{queueID: g.QueueID, payloads: make([]payload, len(g.Commands))}
 	failReg := func(err error) {
 		for _, unclaimed := range g.Commands[claimed:] {
 			if unclaimed.Op == protocol.GraphOpWrite {
 				s.drainStream(unclaimed.StreamID)
 			}
 		}
+		sg.drop()
 		s.fail(c, g.QueueID, 0, err)
 	}
 	s.mu.Lock()
@@ -64,7 +90,8 @@ func (s *session) handleRegisterGraph(c rpc.Call) {
 		failReg(cl.Errf(cl.InvalidValue, "empty graph"))
 		return
 	}
-	sg := &sessGraph{queueID: g.QueueID, q: q, cmds: make([]native.Command, 0, len(g.Commands)), payloads: make([]payload, len(g.Commands))}
+	sg.q, sg.cmds = q, make([]native.Command, 0, len(g.Commands))
+	sg.failed = fmt.Sprintf("graph %d replay failed", g.GraphID)
 	seenStreams := map[uint32]bool{}
 	for i, c := range g.Commands {
 		cmd, err := s.resolve(c, true)
@@ -124,7 +151,11 @@ func (s *session) handleExecGraph(c rpc.Call) {
 	s.mu.Lock()
 	g := s.graphs[e.GraphID]
 	s.mu.Unlock()
-	if g == nil {
+	if g != nil {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+	}
+	if g == nil || g.dropped {
 		failExec(cl.Errf(cl.InvalidCommandBuffer, "unknown or released graph %d", e.GraphID))
 		return
 	}
@@ -176,18 +207,9 @@ func (s *session) handleExecGraph(c rpc.Call) {
 		failExec(err)
 		return
 	}
-	s.registerEvent(e.EventID, marker)
-	// A failed iteration must also surface at the queue's next Finish
-	// (the event notification above only reaches waiters of this event).
-	queueID := e.QueueID
-	if cbErr := marker.SetCallback(cl.Complete, func(_ cl.Event, st cl.CommandStatus) {
-		if st == cl.Complete {
-			return
-		}
-		s.fail(c, queueID, 0, cl.Errf(cl.ErrorCode(st), "graph %d replay failed", e.GraphID))
-	}); cbErr != nil {
-		s.d.logf("daemon %s: graph marker callback: %v", s.d.cfg.Name, cbErr)
-	}
+	// A failed iteration fails its event and surfaces at the queue's next
+	// Finish too: one notice says both.
+	s.registerEvent(e.EventID, marker, protocol.Completion{QueueID: e.QueueID, Op: c.Type, Msg: g.failed})
 }
 
 // applyGraphUpdate patches one mutable slot of a cached graph. Updates
@@ -287,10 +309,11 @@ func (s *session) handleReleaseGraph(c rpc.Call) {
 		return
 	}
 	s.mu.Lock()
-	_, ok := s.graphs[graphID]
+	g := s.graphs[graphID]
 	delete(s.graphs, graphID)
 	s.mu.Unlock()
-	if ok {
+	if g != nil {
+		g.drop()
 		s.d.graphCount.Add(-1)
 	}
 }
@@ -298,10 +321,11 @@ func (s *session) handleReleaseGraph(c rpc.Call) {
 // releaseGraphs drops every cached graph of the session (teardown).
 func (s *session) releaseGraphs() {
 	s.mu.Lock()
-	n := len(s.graphs)
+	graphs := s.graphs
 	s.graphs = map[uint64]*sessGraph{}
 	s.mu.Unlock()
-	if n > 0 {
-		s.d.graphCount.Add(-int64(n))
+	for _, g := range graphs {
+		g.drop()
 	}
+	s.d.graphCount.Add(-int64(len(graphs)))
 }

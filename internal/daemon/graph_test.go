@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -11,14 +12,15 @@ import (
 )
 
 // graphSession is a raw protocol session: it frames requests and one-way
-// messages by hand and captures responses, failure notices
-// (MsgCommandFailed) and every other notification, each on its own
+// messages by hand and captures responses, completion notices
+// (MsgCompleted, decoded) and every other notification, each on its own
 // channel.
 type graphSession struct {
 	ep     *gcf.Endpoint
 	resp   chan protocol.Envelope
-	failed chan protocol.Envelope
+	done   chan protocol.Completion
 	notify chan protocol.Envelope
+	early  []protocol.Completion // notices read before anyone waited for them
 }
 
 func newGraphSession(t *testing.T, d *Daemon) *graphSession {
@@ -33,7 +35,7 @@ func startGraphSession(ep *gcf.Endpoint) *graphSession {
 	gs := &graphSession{
 		ep:     ep,
 		resp:   make(chan protocol.Envelope, 16),
-		failed: make(chan protocol.Envelope, 16),
+		done:   make(chan protocol.Completion, 16),
 		notify: make(chan protocol.Envelope, 16),
 	}
 	gs.ep.Start(func(msg []byte) {
@@ -44,8 +46,8 @@ func startGraphSession(ep *gcf.Endpoint) *graphSession {
 		switch {
 		case env.Class == protocol.ClassResponse:
 			gs.resp <- env
-		case env.Type == protocol.MsgCommandFailed:
-			gs.failed <- env
+		case env.Type == protocol.MsgCompleted:
+			gs.done <- protocol.GetCompletion(env.Body)
 		case env.Class == protocol.ClassNotification:
 			gs.notify <- env
 		}
@@ -83,25 +85,52 @@ func (gs *graphSession) oneway(t *testing.T, typ protocol.MsgType, fill func(*pr
 }
 
 // tell sends a one-way frame and one request behind it, and returns what
-// the daemon made of the frame: the code of the MsgCommandFailed it wrote
-// ahead of the request's answer, or Success. It reads no other failure
-// notice than the one its own frame caused, so the test must not have
-// left an earlier one unread.
+// the daemon made of the frame: the code of the failure notice it wrote
+// ahead of the request's answer, or Success. Other notices it reads on
+// the way are kept for completion; a failure of typ left unread by the
+// test would be taken for the frame's.
 func (gs *graphSession) tell(t *testing.T, typ protocol.MsgType, fill func(*protocol.Writer)) cl.ErrorCode {
 	t.Helper()
 	gs.oneway(t, typ, fill)
 	if st := cl.ErrorCode(gs.call(t, 1, protocol.MsgGetServerInfo, nil).Body.I32()); st != cl.Success {
 		t.Fatalf("GetServerInfo behind %s: %v", typ, st)
 	}
-	select {
-	case env := <-gs.failed:
-		f := protocol.GetCommandFailure(env.Body)
-		if f.Op != typ {
-			t.Fatalf("%s answered with the failure of %s", typ, f.Op)
+	for {
+		select {
+		case f := <-gs.done:
+			if f.Status < 0 && f.Op == typ {
+				return cl.ErrorCode(f.Status)
+			}
+			gs.early = append(gs.early, f)
+		default:
+			return cl.Success
 		}
-		return cl.ErrorCode(f.Status)
-	default:
-		return cl.Success
+	}
+}
+
+// completion waits for the completion notice of eventID (0: a failure
+// that names no event), keeping the notices of other events for their
+// own waits.
+func (gs *graphSession) completion(t *testing.T, eventID uint64) protocol.Completion {
+	t.Helper()
+	for i, f := range gs.early {
+		if f.EventID == eventID {
+			gs.early = slices.Delete(gs.early, i, i+1)
+			return f
+		}
+	}
+	deadline := time.After(5 * time.Second)
+	for {
+		select {
+		case f := <-gs.done:
+			if f.EventID == eventID {
+				return f
+			}
+			gs.early = append(gs.early, f)
+		case <-deadline:
+			t.Fatalf("no completion notice for event %d", eventID)
+			return protocol.Completion{}
+		}
 	}
 }
 
@@ -113,14 +142,10 @@ func (gs *graphSession) enqueue(t *testing.T, e protocol.Enqueue) {
 
 func (gs *graphSession) waitNotify(t *testing.T, typ protocol.MsgType) protocol.Envelope {
 	t.Helper()
-	ch := gs.notify
-	if typ == protocol.MsgCommandFailed {
-		ch = gs.failed
-	}
 	deadline := time.After(5 * time.Second)
 	for {
 		select {
-		case env := <-ch:
+		case env := <-gs.notify:
 			if env.Type == typ {
 				return env
 			}
@@ -164,9 +189,9 @@ func (gs *graphSession) setupGraphQueue(t *testing.T, queueID, graphID uint64) {
 }
 
 // TestGraphExecUnknownAndReleased: replaying an unknown or released
-// graph ID must fail the iteration's event through the deferred
-// MsgCommandFailed path and leave the queue usable (Finish still
-// answers) instead of wedging it.
+// graph ID must fail the iteration's event in a deferred completion
+// notice and leave the queue usable (Finish still answers) instead of
+// wedging it.
 func TestGraphExecUnknownAndReleased(t *testing.T) {
 	d := testDaemon(t, false)
 	gs := newGraphSession(t, d)
@@ -178,11 +203,7 @@ func TestGraphExecUnknownAndReleased(t *testing.T) {
 	gs.oneway(t, protocol.MsgExecGraph, func(w *protocol.Writer) {
 		protocol.PutExecGraph(w, protocol.ExecGraph{GraphID: 30, QueueID: 20, EventID: 100})
 	})
-	env := gs.waitNotify(t, protocol.MsgEventComplete)
-	if id := env.Body.U64(); id != 100 {
-		t.Fatalf("completion for event %d, want 100", id)
-	}
-	if st := cl.CommandStatus(env.Body.I32()); st != cl.Complete {
+	if st := cl.CommandStatus(gs.completion(t, 100).Status); st != cl.Complete {
 		t.Fatalf("replay status = %v", st)
 	}
 
@@ -191,8 +212,7 @@ func TestGraphExecUnknownAndReleased(t *testing.T) {
 	gs.oneway(t, protocol.MsgExecGraph, func(w *protocol.Writer) {
 		protocol.PutExecGraph(w, protocol.ExecGraph{GraphID: 999, QueueID: 20, EventID: 101})
 	})
-	env = gs.waitNotify(t, protocol.MsgCommandFailed)
-	f := protocol.GetCommandFailure(env.Body)
+	f := gs.completion(t, 101)
 	if f.QueueID != 20 || f.EventID != 101 || f.Op != protocol.MsgExecGraph {
 		t.Fatalf("failure = %+v", f)
 	}
@@ -208,8 +228,7 @@ func TestGraphExecUnknownAndReleased(t *testing.T) {
 	gs.oneway(t, protocol.MsgExecGraph, func(w *protocol.Writer) {
 		protocol.PutExecGraph(w, protocol.ExecGraph{GraphID: 30, QueueID: 20, EventID: 102})
 	})
-	env = gs.waitNotify(t, protocol.MsgCommandFailed)
-	f = protocol.GetCommandFailure(env.Body)
+	f = gs.completion(t, 102)
 	if f.EventID != 102 || cl.ErrorCode(f.Status) != cl.InvalidCommandBuffer {
 		t.Fatalf("released-graph failure = %+v", f)
 	}
@@ -252,4 +271,51 @@ func TestGraphSessionTeardownReleasesGraphs(t *testing.T) {
 	waitCount(1)  // only the closed session's graph is gone
 	gs2.ep.Close()
 	waitCount(0)
+}
+
+// TestReleasedGraphGivesBackItsPayloads: a cached write's payload block
+// goes back to the pool when the graph lets go of it — on MsgReleaseGraph
+// and when a Goodbye tears the session's graphs down — not to the
+// garbage collector. The test holds each block itself across the
+// release, so its own Drop must be the block's last.
+func TestReleasedGraphGivesBackItsPayloads(t *testing.T) {
+	gs, sess := commandSession(t)
+	// The Goodbye ends the session's lease: it comes last.
+	for i, end := range []protocol.MsgType{protocol.MsgReleaseGraph, protocol.MsgGoodbye} {
+		graphID := uint64(i + 1)
+		stream := gs.ep.OpenStream()
+		if st := gs.tell(t, protocol.MsgRegisterGraph, func(w *protocol.Writer) {
+			protocol.PutRegisterGraph(w, protocol.RegisterGraph{GraphID: graphID, QueueID: csQueue,
+				Commands: []protocol.GraphCommand{{Op: protocol.GraphOpWrite, BufID: csBuf, Size: csSize, StreamID: stream.ID()}}})
+		}); st != cl.Success {
+			t.Fatalf("register graph %d: %v", graphID, st)
+		}
+		sendPayload(t, stream, make([]byte, csSize))
+		sess.mu.Lock()
+		p := sess.graphs[graphID].payloads[0]
+		sess.mu.Unlock()
+		if err := p.gate.Wait(); err != nil { // the staging's hold is gone
+			t.Fatal(err)
+		}
+		p.block.Hold()
+		if st := gs.tell(t, end, func(w *protocol.Writer) {
+			if end == protocol.MsgReleaseGraph {
+				w.U64(graphID)
+			}
+		}); st != cl.Success {
+			t.Fatalf("%s: %v", end, st)
+		}
+		if !lastDrop(p.block) {
+			t.Errorf("after %s the graph still holds its payload block", end)
+		}
+	}
+}
+
+// lastDrop drops a hold on p and reports whether it was the last one: a
+// Drop past the last panics.
+func lastDrop(p *gcf.SharedPayload) (last bool) {
+	p.Drop()
+	defer func() { last = recover() != nil }()
+	p.Drop()
+	return false
 }

@@ -120,13 +120,13 @@ func TestSessionUsesOnlyItsLease(t *testing.T) {
 }
 
 // A refused one-way Hello — the lease is gone before its client binds to
-// it — is reported like a refused create: a CommandFailed notification
-// under the Hello's type and code, and the session uses no unit.
+// it — is reported like a refused create: a failure notice naming no queue
+// or event under the Hello's type and code, and the session uses no unit.
 func TestOneWayHelloRefusal(t *testing.T) {
 	_, gs, _ := managedSession(t)
 	f := &leaseFrames{t: t, gs: gs}
 	gs.oneway(t, protocol.MsgHello, hello("lease-gone"))
-	fail := protocol.GetCommandFailure(gs.waitNotify(t, protocol.MsgCommandFailed).Body)
+	fail := gs.completion(t, 0)
 	if fail.Op != protocol.MsgHello || cl.ErrorCode(fail.Status) != cl.InvalidServer || fail.QueueID != 0 || fail.EventID != 0 {
 		t.Fatalf("refused one-way hello reported as %+v", fail)
 	}

@@ -37,11 +37,7 @@ func TestPeerTransferChurn(t *testing.T) {
 			})
 		})
 		h.sendTransfer(t, protocol.PeerTransfer{Token: token, BufID: 3, Offset: 0, Size: size}, payload)
-		env := h.waitNotify(t, protocol.MsgEventComplete)
-		if id := env.Body.U64(); id != eventID {
-			t.Fatalf("transfer %d: completion for event %d", token, id)
-		}
-		if st := cl.CommandStatus(env.Body.I32()); st != cl.Complete {
+		if st := h.event(t, eventID); st != cl.Complete {
 			t.Fatalf("transfer %d: status %v", token, st)
 		}
 	}

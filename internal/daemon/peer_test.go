@@ -189,16 +189,6 @@ func (h *peerHarness) accept(t *testing.T, token, eventID uint64, size int) {
 	}
 }
 
-// gate waits for a gate's completion notice and returns its status.
-func (h *peerHarness) gate(t *testing.T, eventID uint64) cl.CommandStatus {
-	t.Helper()
-	env := h.waitNotify(t, protocol.MsgEventComplete)
-	if id := env.Body.U64(); id != eventID {
-		t.Fatalf("completion for event %d, want %d", id, eventID)
-	}
-	return cl.CommandStatus(env.Body.I32())
-}
-
 // setupBuffer creates context 1, queue 2 and buffer 3 of the given size.
 func (h *peerHarness) setupBuffer(t *testing.T, size int) {
 	t.Helper()
@@ -274,9 +264,7 @@ func TestAcceptForwardValidation(t *testing.T) {
 		h.oneway(t, protocol.MsgAcceptForward, func(w *protocol.Writer) {
 			protocol.PutAcceptForward(w, tc.acc)
 		})
-		env := h.waitNotify(t, protocol.MsgCommandFailed)
-		f := protocol.GetCommandFailure(env.Body)
-		if f.EventID != tc.acc.EventID || f.Status >= 0 {
+		if f := h.completion(t, tc.acc.EventID); f.Status >= 0 {
 			t.Fatalf("%s: failure = %+v", tc.name, f)
 		}
 	}
@@ -302,11 +290,7 @@ func TestPeerTransferHeaderMismatch(t *testing.T) {
 	})
 	// Size mismatch: announced 1024, peer claims 512.
 	h.sendTransfer(t, protocol.PeerTransfer{Token: 7, BufID: 3, Offset: 0, Size: 512}, make([]byte, 512))
-	env := h.waitNotify(t, protocol.MsgEventComplete)
-	if id := env.Body.U64(); id != 200 {
-		t.Fatalf("event = %d, want 200", id)
-	}
-	if st := cl.CommandStatus(env.Body.I32()); st >= 0 {
+	if st := h.event(t, 200); st >= 0 {
 		t.Fatalf("gate status = %v, want failure", st)
 	}
 }
@@ -331,7 +315,7 @@ func TestEarlyTransferRendezvous(t *testing.T) {
 	}
 	// ... then the accept.
 	h.accept(t, 9, 300, 64)
-	if st := h.gate(t, 300); st != cl.Complete {
+	if st := h.event(t, 300); st != cl.Complete {
 		t.Fatalf("gate status = %v, want Complete", st)
 	}
 	if n := h.session(t, h.key).table(); len(n) != 0 {
@@ -395,7 +379,7 @@ func TestMalformedPeerFramesDropped(t *testing.T) {
 	// every frame above.
 	h.accept(t, 11, 400, 32)
 	h.sendTransfer(t, protocol.PeerTransfer{Token: 11, BufID: 3, Offset: 0, Size: 32}, make([]byte, 32))
-	if st := h.gate(t, 400); st != cl.Complete {
+	if st := h.event(t, 400); st != cl.Complete {
 		t.Fatalf("gate status = %v, want Complete", st)
 	}
 	if n := h.session(t, h.key).table(); len(n) != 0 {
@@ -449,12 +433,12 @@ func TestOverflowedEarlyTransferFailsAcceptFast(t *testing.T) {
 
 	// The victim's accept fails fast ...
 	h.accept(t, victim, 600, 8)
-	if st := h.gate(t, 600); st >= 0 {
+	if st := h.event(t, 600); st >= 0 {
 		t.Fatalf("gate status = %v, want failure", st)
 	}
 	// ... while a parked transfer still completes normally.
 	h.accept(t, 1000, 601, 8)
-	if st := h.gate(t, 601); st != cl.Complete {
+	if st := h.event(t, 601); st != cl.Complete {
 		t.Fatalf("gate status = %v, want Complete", st)
 	}
 	if n := h.session(t, h.key).table(); n[parked] != maxParked-1 || n[spent] != 0 {
@@ -481,7 +465,7 @@ func TestCancelledForwardNeverTouchesBuffer(t *testing.T) {
 	}) != cl.Success {
 		t.Fatal("gate cancellation failed")
 	}
-	if st := h.gate(t, 700); cl.ErrorCode(st) != cl.InvalidServer {
+	if st := h.event(t, 700); cl.ErrorCode(st) != cl.InvalidServer {
 		t.Fatalf("gate status = %v, want InvalidServer", st)
 	}
 	if n := h.session(t, h.key).table(); n[spent] != 1 || len(n) != 1 {
@@ -558,9 +542,7 @@ func TestForwardBufferValidation(t *testing.T) {
 		h.oneway(t, protocol.MsgForwardBuffer, func(w *protocol.Writer) {
 			protocol.PutForwardBuffer(w, tc.f)
 		})
-		env := h.waitNotify(t, protocol.MsgCommandFailed)
-		f := protocol.GetCommandFailure(env.Body)
-		if f.EventID != tc.f.EventID || f.Status >= 0 {
+		if f := h.completion(t, tc.f.EventID); f.Status >= 0 {
 			t.Fatalf("%s: failure = %+v", tc.name, f)
 		}
 	}
@@ -628,16 +610,10 @@ func (h *peerHarness) forward(t *testing.T, f protocol.ForwardBuffer) {
 	h.oneway(t, protocol.MsgForwardBuffer, func(w *protocol.Writer) { protocol.PutForwardBuffer(w, f) })
 }
 
-// event waits for one event's completion notice, passing over the
-// notices of others, and returns its status.
+// event waits for one event's completion notice and returns its status.
 func (h *peerHarness) event(t *testing.T, eventID uint64) cl.CommandStatus {
 	t.Helper()
-	for {
-		env := h.waitNotify(t, protocol.MsgEventComplete)
-		if env.Body.U64() == eventID {
-			return cl.CommandStatus(env.Body.I32())
-		}
-	}
+	return cl.CommandStatus(h.completion(t, eventID).Status)
 }
 
 // heldConn passes writes through and holds the one that carries its
@@ -715,7 +691,7 @@ func TestForwardSourceEventEndsAtItsRead(t *testing.T) {
 	}
 	close(held.release)
 
-	f := protocol.GetCommandFailure(h.waitNotify(t, protocol.MsgCommandFailed).Body)
+	f := h.completion(t, 602)
 	if f.Op != protocol.MsgForwardBuffer || f.EventID != 602 || cl.ErrorCode(f.Status) != cl.InvalidServer {
 		t.Fatalf("send failure = %+v, want InvalidServer on the FailID hook 602", f)
 	}

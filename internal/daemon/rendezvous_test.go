@@ -105,7 +105,7 @@ func TestRendezvousGoodbyeKeepsParkedPayloads(t *testing.T) {
 	if st := h.tell(t, protocol.MsgGoodbye, nil); st != cl.Success {
 		t.Fatalf("goodbye: %v", st)
 	}
-	if st := h.gate(t, 500); cl.ErrorCode(st) != cl.InvalidServer {
+	if st := h.event(t, 500); cl.ErrorCode(st) != cl.InvalidServer {
 		t.Fatalf("waiting gate after the goodbye = %v, want InvalidServer", st)
 	}
 	s := h.session(t, h.key)
@@ -120,7 +120,7 @@ func TestRendezvousGoodbyeKeepsParkedPayloads(t *testing.T) {
 	})
 	h.setupBuffer(t, 32)
 	h.accept(t, 2, 501, 32)
-	if st := h.gate(t, 501); st != cl.Complete {
+	if st := h.event(t, 501); st != cl.Complete {
 		t.Fatalf("next lease's gate = %v, want Complete", st)
 	}
 	// The spent token leaves with its payload.
@@ -141,7 +141,7 @@ func TestRendezvousCutStreamSpendsToken(t *testing.T) {
 
 	h.accept(t, 5, 510, 64)
 	h.deliver(t, protocol.PeerTransfer{Token: 5, BufID: 3, Size: 64}, make([]byte, 10))
-	if st := h.gate(t, 510); cl.ErrorCode(st) != cl.InvalidServer {
+	if st := h.event(t, 510); cl.ErrorCode(st) != cl.InvalidServer {
 		t.Fatalf("gate of a cut stream = %v, want InvalidServer", st)
 	}
 	s := h.session(t, h.key)
@@ -175,7 +175,7 @@ func TestRendezvousChurnLeavesNothing(t *testing.T) {
 			h.accept(t, token, eventID, 64)
 			h.deliver(t, hdr, payload)
 		}
-		if st := h.gate(t, eventID); st != cl.Complete {
+		if st := h.event(t, eventID); st != cl.Complete {
 			t.Fatalf("transfer %d: gate status %v", i, st)
 		}
 		if n := s.table(); len(n) != 0 {

@@ -179,8 +179,8 @@ func (s *session) closeServeLanes() {
 // handleServeSubmit admits a batch of jobs. Rejections (unknown kernel,
 // malformed argument set, fair-queue Busy) and daemon-cache hits are
 // answered immediately in one ServeResults frame; admitted jobs answer
-// later from the dispatcher. The serve plane never uses
-// MsgCommandFailed — every outcome is a per-job status.
+// later from the dispatcher. The serve plane never sends a MsgCompleted
+// — every outcome is a per-job status.
 func (s *session) handleServeSubmit(c rpc.Call) {
 	sub := protocol.GetServeSubmit(c.Body)
 	if c.Malformed() {

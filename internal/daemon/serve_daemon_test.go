@@ -12,7 +12,7 @@ import (
 // must be logged and dropped without wedging the connection or crashing
 // the daemon — a well-formed serve exchange afterwards still works, and
 // every per-job failure comes back as a ServeResult status, never a
-// MsgCommandFailed.
+// completion notice.
 func TestServeMalformedFramesDropped(t *testing.T) {
 	d := testDaemon(t, false)
 	rs := newGraphSession(t, d)
@@ -78,8 +78,8 @@ func TestServeMalformedFramesDropped(t *testing.T) {
 		t.Fatal("no serve result after malformed frames")
 	}
 	select {
-	case env := <-rs.failed:
-		t.Fatalf("a serve frame failed as %s", protocol.GetCommandFailure(env.Body).Op)
+	case f := <-rs.done:
+		t.Fatalf("a serve frame failed as %s", f.Op)
 	default:
 	}
 }

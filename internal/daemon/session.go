@@ -173,26 +173,23 @@ func releaseAll[T interface{ Release() error }](s *session, table map[uint64]T) 
 
 // fail reports a failed command to whoever sent it. A request (a new
 // link's Hello, a ServeOpen) gets an error response. A one-way command
-// never gets a response, so the deferred MsgCommandFailed notification is
-// the only traffic its failure produces: the client records it against
-// the queue (surfaced at the next Finish) and fails the command's event
-// stub, if it named one (zero: none).
+// never gets a response, so its completion notice is the only traffic its
+// failure produces: the client records it against the queue (surfaced at
+// the next Finish) and fails the command's event stub, if it named one
+// (zero: none).
 func (s *session) fail(c rpc.Call, queueID, eventID uint64, err error) {
 	if c.Class == protocol.ClassRequest {
 		c.Reply(cl.CodeOf(err), nil)
 		return
 	}
-	serr := s.conn.Notify(protocol.MsgCommandFailed, func(w *protocol.Writer) {
-		protocol.PutCommandFailure(w, protocol.CommandFailure{
-			QueueID: queueID,
-			EventID: eventID,
-			Op:      c.Type,
-			Status:  int32(cl.CodeOf(err)),
-			Msg:     err.Error(),
-		})
-	})
-	if serr != nil {
-		s.d.logf("daemon %s: failure notification failed: %v", s.d.cfg.Name, serr)
+	s.complete(protocol.Completion{EventID: eventID, Status: int32(cl.CodeOf(err)), QueueID: queueID, Op: c.Type, Msg: err.Error()})
+}
+
+// complete writes the one completion notice, MsgCompleted: a registered
+// event has completed, or a one-way message has failed.
+func (s *session) complete(done protocol.Completion) {
+	if err := s.conn.Notify(protocol.MsgCompleted, func(w *protocol.Writer) { protocol.PutCompletion(w, done) }); err != nil {
+		s.d.logf("daemon %s: completion notice failed: %v", s.d.cfg.Name, err)
 	}
 }
 
@@ -206,32 +203,29 @@ func (s *session) drainStream(streamID uint32) {
 	s.d.drainStream(s.ep, streamID)
 }
 
-// notifyEvent pushes an event-completion notification (the daemon-side
-// half of the paper's clSetEventCallback mechanism).
-func (s *session) notifyEvent(eventID uint64, status cl.CommandStatus) {
-	err := s.conn.Notify(protocol.MsgEventComplete, func(w *protocol.Writer) {
-		w.U64(eventID)
-		w.I32(int32(status))
-	})
-	if err != nil {
-		s.d.logf("daemon %s: event notification failed: %v", s.d.cfg.Name, err)
-	}
-}
-
-// registerEvent stores a native event under the client's ID and arranges a
-// completion notification.
-func (s *session) registerEvent(eventID uint64, ev cl.Event) {
-	if eventID == 0 {
+// registerEvent stores a native event under the client's ID (0: none)
+// and arranges its completion notice, the daemon-side half of the paper's
+// clSetEventCallback mechanism. failure is what the notice says of a
+// failed ev beside its event and status (zero: nothing): the queue whose
+// next Finish reports it, the operation and the text. An event without an
+// ID is noticed only if it fails at a queue.
+func (s *session) registerEvent(eventID uint64, ev cl.Event, failure protocol.Completion) {
+	if eventID != 0 {
+		s.mu.Lock()
+		s.events[eventID] = ev
+		s.mu.Unlock()
+		if ue, ok := ev.(cl.UserEvent); ok {
+			s.track(ue)
+		}
+	} else if failure.QueueID == 0 {
 		return
 	}
-	s.mu.Lock()
-	s.events[eventID] = ev
-	s.mu.Unlock()
-	if ue, ok := ev.(cl.UserEvent); ok {
-		s.track(ue)
-	}
-	if err := ev.SetCallback(cl.Complete, func(e cl.Event, st cl.CommandStatus) {
-		s.notifyEvent(eventID, st)
+	if err := ev.SetCallback(cl.Complete, func(_ cl.Event, st cl.CommandStatus) {
+		if eventID != 0 || st != cl.Complete {
+			done := failure
+			done.EventID, done.Status = eventID, int32(st)
+			s.complete(done)
+		}
 	}); err != nil {
 		s.d.logf("daemon %s: event callback: %v", s.d.cfg.Name, err)
 	}
@@ -264,18 +258,18 @@ func (s *session) resolveWaits(ids []uint64) ([]cl.Event, error) {
 // AttachSession, GetServerInfo, Finish, ServeOpen and CreateUserEvent
 // (whose round trip stamps a replacement event with the connection it
 // was created on). Everything else is one-way — no response is
-// synthesized, success is silent, failures are pushed back as
-// MsgCommandFailed notifications — and its dispatch order relative to a
-// later request is what makes that request a synchronization point for
-// the whole pipeline. That covers the object plane too: the client
-// assigns the IDs, checks what it can itself, compiles programs locally
-// (MiniCL is deterministic: its verdict on a build is the daemon's) and
-// has a lease's device records from its grant, so a create, build,
-// binding, release or kept link's Hello rides the ordered stream ahead of
-// every command that names the object, and re-attach recovery confirms
-// its re-creates with one GetServerInfo behind them. Hello serves both
-// classes; so does EnqueueWrite, whose request form is refused after its
-// payload is drained.
+// synthesized, success is silent but for an event's completion, failures
+// are pushed back in MsgCompleted notices — and its dispatch order
+// relative to a later request is what makes that request a
+// synchronization point for the whole pipeline. That covers the object
+// plane too: the client assigns the IDs, checks what it can itself,
+// compiles programs locally (MiniCL is deterministic: its verdict on a
+// build is the daemon's) and has a lease's device records from its
+// grant, so a create, build, binding, release or kept link's Hello rides
+// the ordered stream ahead of every command that names the object, and
+// re-attach recovery confirms its re-creates with one GetServerInfo
+// behind them. Hello serves both classes; so does EnqueueWrite, whose
+// request form is refused after its payload is drained.
 func (s *session) routes() rpc.Routes {
 	return rpc.Routes{
 		protocol.MsgHello:              {Request: s.handleHello, OneWay: s.handleHello},
@@ -412,8 +406,10 @@ func (s *session) handleAttachSession(c rpc.Call) {
 	if c.Malformed() {
 		return
 	}
-	recs, err := s.d.visibleRecords(authID)
-	if err != nil {
+	// The client keeps its device records across a re-attach (a node's
+	// devices do not change with a restart); the lease is checked all
+	// the same.
+	if _, err := s.d.visibleRecords(authID); err != nil {
 		c.Reply(cl.CodeOf(err), nil)
 		return
 	}
@@ -457,7 +453,6 @@ func (s *session) handleAttachSession(c rpc.Call) {
 	c.Reply(cl.Success, func(w *protocol.Writer) {
 		w.String(s.d.cfg.Name)
 		w.Bool(retained)
-		protocol.PutDeviceRecords(w, recs)
 		w.String(s.d.cfg.PeerAddr)
 		w.Bool(s.d.CanForward())
 		w.U64(s.id)
@@ -473,7 +468,7 @@ func (s *session) handleAttachSession(c rpc.Call) {
 // to the region waits only until the bytes are copied out. Why the
 // payload will not be sent goes to the client's hook under FailID, which
 // asks the target to fail its gate; the target decides. One-way only —
-// failures come back as deferred MsgCommandFailed notifications.
+// failures come back in deferred MsgCompleted notices.
 func (s *session) handleForwardBuffer(c rpc.Call) {
 	f := protocol.GetForwardBuffer(c.Body)
 	if c.Malformed() {
@@ -529,7 +524,7 @@ func (s *session) handleForwardBuffer(c rpc.Call) {
 		refuse(err)
 		return
 	}
-	s.registerEvent(f.EventID, ev)
+	s.registerEvent(f.EventID, ev, protocol.Completion{})
 }
 
 // handleAcceptForward executes the target half of a peer transfer:
@@ -551,7 +546,7 @@ func (s *session) handleAcceptForward(c rpc.Call) {
 		UserEvent: native.NewUserEvent(), s: s,
 		buf: buf, bufID: a.BufID, offset: offset, size: size, token: a.Token,
 	}
-	s.registerEvent(a.EventID, acc)
+	s.registerEvent(a.EventID, acc, protocol.Completion{})
 	s.acceptForward(acc)
 }
 

@@ -110,10 +110,7 @@ func expectUntouched(t *testing.T, gs *graphSession, eventID uint64) {
 	if !bytes.Equal(got, make([]byte, csSize)) {
 		t.Fatalf("buffer modified by a rejected command: % x", got[:8])
 	}
-	env := gs.waitNotify(t, protocol.MsgEventComplete)
-	if id := env.Body.U64(); id != eventID {
-		t.Fatalf("completion for event %d, want %d", id, eventID)
-	}
+	gs.completion(t, eventID)
 	if env := gs.call(t, 99, protocol.MsgFinish, func(w *protocol.Writer) { w.U64(csQueue) }); cl.ErrorCode(env.Body.I32()) != cl.Success {
 		t.Fatal("finish failed after rejected commands")
 	}
@@ -160,7 +157,7 @@ func TestRequestClassEnqueueRejected(t *testing.T) {
 
 // TestMalformedEnqueueRejected: one-way command frames whose ranges lie
 // outside their buffers — negative sizes and offset+size wrap-around
-// included — or that name unknown objects come back as MsgCommandFailed
+// included — or that name unknown objects come back as failure notices
 // with the right status; none executes (a copy of size -8 used to panic
 // the native queue goroutine, and with it the daemon), announced streams
 // are consumed, and the session keeps serving.
@@ -196,7 +193,7 @@ func TestMalformedEnqueueRejected(t *testing.T) {
 				t.Fatalf("%s: read stream carried %d bytes (err %v), want an empty close", tc.name, n, err)
 			}
 		}
-		f := protocol.GetCommandFailure(gs.waitNotify(t, protocol.MsgCommandFailed).Body)
+		f := gs.completion(t, eventID)
 		if f.QueueID != csQueue || f.EventID != eventID || cl.ErrorCode(f.Status) != tc.want {
 			t.Fatalf("%s: failure = %+v, want status %v for event %d", tc.name, f, tc.want, eventID)
 		}

@@ -5,26 +5,30 @@ import (
 	"testing"
 )
 
-func TestCommandFailureRoundTrip(t *testing.T) {
-	in := CommandFailure{
-		QueueID: 42,
-		EventID: 7,
-		Op:      MsgEnqueueKernel,
-		Status:  -36,
-		Msg:     "unknown queue or kernel",
-	}
-	w := NewWriter()
-	PutCommandFailure(w, in)
-	r := NewReader(w.Bytes())
-	out := GetCommandFailure(r)
-	if r.Err() != nil {
-		t.Fatalf("decode error: %v", r.Err())
-	}
-	if out != in {
-		t.Fatalf("round trip: got %+v, want %+v", out, in)
-	}
-	if r.Remaining() != 0 {
-		t.Fatalf("%d bytes left over", r.Remaining())
+// TestCompletionRoundTrip: a success is the 12-byte event and status and
+// nothing else; a failure round-trips every field.
+func TestCompletionRoundTrip(t *testing.T) {
+	for _, in := range []Completion{
+		{EventID: 7, Status: 0},
+		{EventID: 7, Status: -36, QueueID: 42, Op: MsgEnqueueKernel, Msg: "unknown queue or kernel"},
+		{Status: -59, Op: MsgCreateBuffer, Msg: "no context"},
+	} {
+		w := NewWriter()
+		PutCompletion(w, in)
+		if in.Status >= 0 && len(w.Bytes()) != 12 {
+			t.Fatalf("success body is %d bytes, want 12", len(w.Bytes()))
+		}
+		r := NewReader(w.Bytes())
+		out := GetCompletion(r)
+		if r.Err() != nil {
+			t.Fatalf("decode error: %v", r.Err())
+		}
+		if out != in {
+			t.Fatalf("round trip: got %+v, want %+v", out, in)
+		}
+		if r.Remaining() != 0 {
+			t.Fatalf("%d bytes left over", r.Remaining())
+		}
 	}
 }
 
@@ -75,6 +79,11 @@ func FuzzEnvelopeParse(f *testing.F) {
 	rw := NewWriter()
 	PutServeResults(rw, ServeResults{ServeID: 1, Results: []ServeResult{{JobID: 1, Output: []byte{1}}}})
 	f.Add(EncodeEnvelope(ClassNotification, 0, MsgServeResult, rw))
+	for _, c := range []Completion{{EventID: 3}, {EventID: 3, Status: -36, QueueID: 2, Op: MsgExecGraph, Msg: "graph 1 replay failed"}} {
+		cw := NewWriter()
+		PutCompletion(cw, c)
+		f.Add(EncodeEnvelope(ClassNotification, 0, MsgCompleted, cw))
+	}
 	for _, form := range commandForms() {
 		cw := NewWriter()
 		form.put(cw)
@@ -100,7 +109,7 @@ func FuzzEnvelopeParse(f *testing.F) {
 		_ = r.U64s()
 		_ = r.Ints()
 		_ = r.Strings()
-		_ = GetCommandFailure(r)
+		_ = GetCompletion(r)
 		if env2, err2 := ParseEnvelope(data); err2 == nil {
 			_ = GetServeSubmit(env2.Body)
 		}

@@ -7,8 +7,8 @@ package protocol
 // recorded list (RegisterGraph), and a kernel argument value has one
 // encoding, GraphKernelArg, shared by MsgSetKernelArg, registration
 // snapshots, replay updates and serve jobs. All of these messages are
-// one-way (ClassOneWay); failures come back as deferred MsgCommandFailed
-// notifications.
+// one-way (ClassOneWay); failures come back in deferred MsgCompleted
+// notices.
 
 // Command opcodes, in the order of the MsgEnqueue* message types.
 const (

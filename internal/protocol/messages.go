@@ -72,8 +72,7 @@ const (
 
 // Notifications (daemon → client).
 const (
-	MsgEventComplete MsgType = iota + 40
-	MsgCommandFailed         // deferred failure of a one-way command
+	MsgCompleted MsgType = iota + 40 // the one completion notice (Completion)
 	msgNotifyEnd
 )
 
@@ -120,13 +119,12 @@ var msgNames = [...]string{
 	MsgEnqueueBarrier: "EnqueueBarrier", MsgFinish: "Finish",
 	MsgFlush: "Flush", MsgCreateUserEvent: "CreateUserEvent",
 	MsgSetUserEventStatus: "SetUserEventStatus", MsgReleaseEvent: "ReleaseEvent",
-	MsgGetServerInfo: "GetServerInfo", MsgEventComplete: "EventComplete",
+	MsgGetServerInfo: "GetServerInfo", MsgCompleted: "Completed",
 	MsgForwardBuffer: "ForwardBuffer", MsgAcceptForward: "AcceptForward",
 	MsgRegisterGraph: "RegisterGraph", MsgExecGraph: "ExecGraph",
 	MsgReleaseGraph: "ReleaseGraph", MsgAttachSession: "AttachSession",
 	MsgGoodbye:   "Goodbye",
 	MsgPeerHello: "PeerHello", MsgPeerTransfer: "PeerTransfer",
-	MsgCommandFailed:    "CommandFailed",
 	MsgDMRegisterServer: "DMRegisterServer", MsgDMRequestDevices: "DMRequestDevices",
 	MsgDMAssign: "DMAssign", MsgDMReleaseLease: "DMReleaseLease",
 	MsgDMRevoke: "DMRevoke", MsgDMPing: "DMPing",
@@ -205,39 +203,41 @@ func GetDeviceRecords(r *Reader) []DeviceRecord {
 	return out
 }
 
-// CommandFailure is the body of a MsgCommandFailed notification: the
-// daemon's deferred error report for a one-way command. QueueID lets the
-// client surface the failure at the queue's next synchronization point
-// (Finish); EventID, when nonzero, fails the command's client-side event
-// stub. Both zero: an object-plane message (create, release, argument
-// binding) failed, which the client reports at its next wait on the
-// daemon. Op records which operation failed, Status its OpenCL error code.
-type CommandFailure struct {
-	QueueID uint64
+// Completion is the body of MsgCompleted, the daemon's one notice that
+// something the client sent has completed: the command behind event
+// EventID (0: none) ended with Status, cl.Complete or an OpenCL error
+// code. A failure also says where it surfaces and what failed: QueueID is
+// the queue whose next Finish reports it (0: none), Op the message that
+// failed and Msg the daemon's text. A failure naming neither a queue nor
+// an event is an object-plane message's (a create, a build, a binding,
+// a release), which the client reports at its next wait on the daemon.
+// A success is the first two fields, 12 bytes.
+type Completion struct {
 	EventID uint64
-	Op      MsgType
 	Status  int32
+	QueueID uint64
+	Op      MsgType
 	Msg     string
 }
 
-// PutCommandFailure encodes a deferred failure report.
-func PutCommandFailure(w *Writer, f CommandFailure) {
-	w.U64(f.QueueID)
-	w.U64(f.EventID)
-	w.U16(uint16(f.Op))
-	w.I32(f.Status)
-	w.String(f.Msg)
+// PutCompletion encodes a completion notice.
+func PutCompletion(w *Writer, c Completion) {
+	w.U64(c.EventID)
+	w.I32(c.Status)
+	if c.Status < 0 {
+		w.U64(c.QueueID)
+		w.U16(uint16(c.Op))
+		w.String(c.Msg)
+	}
 }
 
-// GetCommandFailure decodes a deferred failure report.
-func GetCommandFailure(r *Reader) CommandFailure {
-	return CommandFailure{
-		QueueID: r.U64(),
-		EventID: r.U64(),
-		Op:      MsgType(r.U16()),
-		Status:  r.I32(),
-		Msg:     r.String(),
+// GetCompletion decodes a completion notice.
+func GetCompletion(r *Reader) Completion {
+	c := Completion{EventID: r.U64(), Status: r.I32()}
+	if c.Status < 0 {
+		c.QueueID, c.Op, c.Msg = r.U64(), MsgType(r.U16()), r.String()
 	}
+	return c
 }
 
 // ForwardBuffer is the body of a MsgForwardBuffer one-way command: the

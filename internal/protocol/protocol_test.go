@@ -224,7 +224,7 @@ func TestMsgTypeNames(t *testing.T) {
 	seen := map[string]MsgType{}
 	for _, r := range []struct{ first, end MsgType }{
 		{MsgHello, msgClientEnd},
-		{MsgEventComplete, msgNotifyEnd},
+		{MsgCompleted, msgNotifyEnd},
 		{MsgDMRegisterServer, msgDMEnd},
 		{MsgPeerHello, msgPeerEnd},
 		{MsgServeOpen, msgServeEnd},

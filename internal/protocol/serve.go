@@ -8,8 +8,8 @@ package protocol
 // cap), then submits jobs as one-way frames that ride the pipelined
 // command path. The daemon coalesces compatible pending jobs into batched
 // VM dispatches and ships each job's outcome back in a MsgServeResult
-// notification — including per-job errors, so the serve plane never uses
-// MsgCommandFailed.
+// notification — including per-job errors, so the serve plane never sends
+// a MsgCompleted.
 //
 // Jobs deliberately carry their whole argument set: serve sessions share
 // kernel objects across many in-flight jobs, so the kernel's mutable

@@ -298,12 +298,13 @@ func (r *Reader) Strings() []string {
 //
 // ClassOneWay is the fire-and-forget request mode of the asynchronous
 // command path (Section III-B): the sender does not wait for — and the
-// receiver never synthesizes — a response. Success is silent; failures
-// travel back asynchronously as MsgCommandFailed notifications, keyed by
-// the command's queue and event IDs. This is what lets N non-blocking
-// enqueues cost ~1 RTT instead of N RTTs. Object lifecycle travels the
-// same way — the client assigns the IDs, so a create or release has
-// nothing to wait for — and its failures name queue 0 and event 0.
+// receiver never synthesizes — a response. Success is silent but for a
+// command's event; failures travel back asynchronously in the one
+// completion notice, MsgCompleted, keyed by the command's queue and event
+// IDs. This is what lets N non-blocking enqueues cost ~1 RTT instead of N
+// RTTs. Object lifecycle travels the same way — the client assigns the
+// IDs, so a create or release has nothing to wait for — and its failures
+// name queue 0 and event 0.
 const (
 	ClassRequest      = uint8(0)
 	ClassResponse     = uint8(1)

@@ -130,7 +130,7 @@ func TestCloseFailsPendingAndLaterCalls(t *testing.T) {
 	}
 	for _, err := range []error{
 		client.OneWay(protocol.MsgFlush, nil),
-		server.Notify(protocol.MsgEventComplete, nil),
+		server.Notify(protocol.MsgCompleted, nil),
 	} {
 		if !errors.Is(err, ErrLost) {
 			t.Fatalf("send after close: %v, want ErrLost", err)
