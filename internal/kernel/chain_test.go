@@ -28,9 +28,9 @@ func countSteps(code []kernel.RInstr, ops ...kernel.ROp) int {
 // TestSpeculableChainIsOneBranch pins the flag form of && and ||: heat's
 // boundary test, four compares that cannot trap, lowers to the compares,
 // three adds and one ne.i, with no ne.i on a compare and no branch but
-// the if's, and the optimized body still indexes its interior store with
-// a fused subtraction (which a sink pass trading two defs at one use
-// once lost).
+// the if's, and the interior store's index costs no step of its own: it
+// is an index-only induction, not a subtraction in the body (which a sink
+// pass trading two defs at one use once left unfused).
 func TestSpeculableChainIsOneBranch(t *testing.T) {
 	p, err := kernel.Compile(heat.KernelSource)
 	if err != nil {
@@ -58,8 +58,13 @@ func TestSpeculableChainIsOneBranch(t *testing.T) {
 	if got := countSteps(w.Code, kernel.RBrT, kernel.RBrF); got != 1 {
 		t.Errorf("%d conditional branches in the plan, want the if's:\n%s", got, w.Disassemble())
 	}
-	if st := w.Code[len(w.Code)-2]; st.Op != kernel.RStElem || st.F1 != kernel.RSubI {
-		t.Errorf("interior store %s has no fused sub.i index:\n%s", st.Op, w.Disassemble())
+	st := w.Code[len(w.Code)-2]
+	indexOnly := false
+	for _, a := range w.Affine {
+		indexOnly = indexOnly || a.Reg == st.A && a.IndexOnly
+	}
+	if st.Op != kernel.RStElem || st.F1 != kernel.RNop || !indexOnly {
+		t.Errorf("interior store %s indexes r%d |%s, not an index-only induction:\n%s", st.Op, st.A, st.F1, w.Disassemble())
 	}
 }
 

@@ -4,8 +4,11 @@ import "fmt"
 
 // CheckPlan reports the first way in which w is not a well-formed plan:
 // something the plan runner would index out of range, jump out of the
-// body with, or fall off the end of. It restates the operand conventions
-// of ir.go on its own, so that it also checks the readers in opt.go.
+// body with, or fall off the end of, or an index-only register (an
+// induction, gid0 or lid0 that the runner keeps no row for) that the plan
+// reads other than as the plain index of an access or as an operand of a
+// later induction, or writes. It restates the operand conventions of
+// ir.go on its own, so that it also checks the readers in opt.go.
 func CheckPlan(w *WGFunc) error {
 	operand := func(x int32) error {
 		if x >= 0 && int(x) >= w.NumRegs {
@@ -39,10 +42,34 @@ func CheckPlan(w *WGFunc) error {
 			}
 		}
 	}
-	for _, a := range w.Affine {
+	indexOnly := map[int32]string{} // register → what it is
+	for d, name := range [...]string{"gid0", "lid0"} {
+		if reg := [...]int32{w.GidRegs[0], w.LidRegs[0]}[d]; w.IndexOnlyIDs[d] {
+			if reg < 0 || w.HasBarriers() {
+				return fmt.Errorf("index-only %s is r%d in a plan with barriers %v", name, reg, w.HasBarriers())
+			}
+			indexOnly[reg] = name
+		}
+	}
+	spec := map[int32]int{} // register → the induction that defines it
+	for i, a := range w.Affine {
+		if _, ok := spec[a.Reg]; ok || a.Reg == w.GidRegs[0] || a.Reg == w.LidRegs[0] {
+			return fmt.Errorf("induction %d redefines r%d", i, a.Reg)
+		}
+		spec[a.Reg] = i
+		if a.IndexOnly {
+			indexOnly[a.Reg] = fmt.Sprintf("induction r%d", a.Reg)
+		}
+	}
+	for i, a := range w.Affine {
 		for _, err := range []error{register(a.Reg), operand(a.L), operand(a.R)} {
 			if err != nil {
 				return fmt.Errorf("affine induction: %v", err)
+			}
+		}
+		for _, x := range []int32{a.L, a.R} {
+			if j, ok := spec[x]; ok && j >= i {
+				return fmt.Errorf("induction %d (r%d) reads r%d, not an earlier induction", i, a.Reg, x)
 			}
 		}
 	}
@@ -133,14 +160,21 @@ func CheckPlan(w *WGFunc) error {
 					reads = append(reads, ins.E)
 				}
 			}
-			for _, x := range reads {
+			index := (ins.Op == RLdElem || ins.Op == RStElem) && ins.F1 == RNop
+			for i, x := range reads {
 				if err := operand(x); err != nil {
 					return fmt.Errorf("%s %d (%s): %v", where, pc, ins.Op, err)
+				}
+				if name, ok := indexOnly[x]; ok && (i > 0 || !index) {
+					return fmt.Errorf("%s %d (%s): reads index-only %s as a value", where, pc, ins.Op, name)
 				}
 			}
 			for _, x := range writes {
 				if err := register(x); err != nil {
 					return fmt.Errorf("%s %d (%s): %v", where, pc, ins.Op, err)
+				}
+				if name, ok := indexOnly[x]; ok {
+					return fmt.Errorf("%s %d (%s): writes index-only %s", where, pc, ins.Op, name)
 				}
 			}
 			for _, step := range steps {

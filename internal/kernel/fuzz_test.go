@@ -48,6 +48,17 @@ kernel void touch(global float* work) {
 	work[get_global_id(0)] = 1.0;
 }
 `,
+	// benchmark/w_heat.go, after heat's step
+	`
+kernel void dotrows(global float* part, const global float* x, const global float* y, int w, int h) {
+	int lr = get_global_id(0) - get_global_offset(0);
+	float acc = 0.0;
+	for (int c = 0; c < w; c++) {
+		acc = acc + x[lr * w + c] * y[lr * w + c];
+	}
+	part[lr] = acc;
+}
+`,
 	// benchmark/w_serve.go, examples/multitenant
 	`
 kernel void axpb(const global int* in, global int* out, int f, int n) {
@@ -201,6 +212,54 @@ func TestSinkMovesEachDefOnce(t *testing.T) {
 				}
 				seen[d] = true
 			}
+		}
+	}
+}
+
+// TestIndexOnlyInductions walks the optimized plan of every kernel of the
+// seeds, every kernel source in the tree among them: CheckPlan holds each
+// index-only induction, and gid0 and lid0 when marked so, to being read
+// only as the plain index of an access or by a later induction, since the
+// executor keeps no row for it. heat's step, whose every tap is indexed
+// through an induction, must have more of them than the six a cap once
+// allowed, all index-only, and no index arithmetic left in its body.
+func TestIndexOnlyInductions(t *testing.T) {
+	marked := 0
+	for _, src := range fuzzSeeds {
+		prog, err := kernel.Compile(src)
+		if err != nil {
+			continue
+		}
+		for _, fn := range prog.Funcs {
+			w := prog.WorkGroup(fn)
+			if err := kernel.CheckPlan(w); err != nil {
+				t.Errorf("kernel %s: %v\n%s", fn.Name, err, w.Disassemble())
+			}
+			for _, a := range w.Affine {
+				if a.IndexOnly {
+					marked++
+				}
+			}
+		}
+	}
+	if marked == 0 {
+		t.Errorf("no seed kernel has an index-only induction")
+	}
+	prog, _ := kernel.Compile(heat.KernelSource)
+	fn, _ := prog.Kernel(heat.StepKernel)
+	w := prog.WorkGroup(fn)
+	if len(w.Affine) <= 6 || !w.IndexOnlyIDs[0] {
+		t.Errorf("%d inductions, gid0 index-only %v, want more than 6 and true:\n%s", len(w.Affine), w.IndexOnlyIDs[0], w.Disassemble())
+	}
+	for _, a := range w.Affine {
+		if !a.IndexOnly {
+			t.Errorf("induction r%d has a row:\n%s", a.Reg, w.Disassemble())
+		}
+	}
+	for _, ins := range w.Code {
+		if ins.Op == kernel.RAddI || ins.Op == kernel.RSubI || ins.F1 == kernel.RSubI {
+			t.Errorf("index arithmetic left in the body:\n%s", w.Disassemble())
+			break
 		}
 	}
 }

@@ -299,12 +299,16 @@ func b2u(b bool) uint64 {
 // AffineSpec describes a strength-reduced register whose value is an
 // affine function of the dimension-0 global ID: the executor evaluates the
 // original expression (Op applied to operands L, R) at the first item of a
-// row of the group and seeds every lane with that plus its item's distance
-// times a precomputed step.
+// row of the group, and an item's value is that plus its distance times a
+// precomputed step. The executor seeds a row of lanes with it, unless the
+// induction is index-only.
 type AffineSpec struct {
 	Reg  int32
 	Op   ROp   // RAddI, RSubI, RMulI or RShlI
 	L, R int32 // operands (registers, constants, the gid register, or earlier affine registers)
+	// IndexOnly: the plan reads Reg only as the plain index of a buffer
+	// access or as an operand of a later induction.
+	IndexOnly bool
 }
 
 // DivModSpec describes the strength-reduced pair col = gid0 % W,
@@ -375,6 +379,9 @@ type WGFunc struct {
 	Affine []AffineSpec
 	DivMod []DivModSpec
 	Guard  *GuardSpec
+	// IndexOnlyIDs marks gid0 and lid0 (in this order) when the plan reads
+	// them as an index-only induction is read.
+	IndexOnlyIDs [2]bool
 
 	Info WGCompileInfo
 
@@ -424,9 +431,20 @@ func (w *WGFunc) Disassemble() string {
 			fmt.Fprintf(&b, "  %4d  %s\n", i, w.instrString(ins))
 		}
 	}
+	only := func(b bool) string {
+		if b {
+			return ", index-only"
+		}
+		return ""
+	}
+	for d, name := range [...]string{"gid0", "lid0"} {
+		if w.IndexOnlyIDs[d] {
+			fmt.Fprintf(&b, " %s (index-only)\n", name)
+		}
+	}
 	for _, a := range w.Affine {
-		fmt.Fprintf(&b, " induction r%d = %s %s %s (per-item step)\n",
-			a.Reg, operandString(a.L, w.Consts), a.Op, operandString(a.R, w.Consts))
+		fmt.Fprintf(&b, " induction r%d = %s %s %s (per-item step%s)\n",
+			a.Reg, operandString(a.L, w.Consts), a.Op, operandString(a.R, w.Consts), only(a.IndexOnly))
 	}
 	for _, dm := range w.DivMod {
 		fmt.Fprintf(&b, " induction mod=r%d div=r%d over gid0 by %s (wrap-increment)\n",

@@ -88,7 +88,7 @@ func (p *Program) Loads(f *Func, arg int) []Load {
 		}
 		// Lowered code fuses no steps: an instruction reads its plain operands.
 		reads = reads[:0]
-		operands(ins, func(x *int32, def bool) {
+		Operands(ins, func(x *int32, def bool) {
 			switch {
 			case def:
 			case *x < 0:

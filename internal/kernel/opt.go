@@ -40,16 +40,18 @@ func optimize(b *builder, plan *WGFunc) *optimizer {
 	run("fuse", o.fuse)
 	run("pack", o.pack)
 	run("guard", o.guard)
+	run("index", o.indexOnly)
 	return o
 }
 
 // ---- analysis helpers -------------------------------------------------
 
-// operands calls f with every operand field the instruction names, def
-// set for the registers it writes: the one statement in opt.go of the
-// per-opcode conventions in ir.go. A read may be a constant (< 0); a
-// branch without write-back passes its D of -1.
-func operands(ins *RInstr, f func(x *int32, def bool)) {
+// Operands calls f with every operand field the instruction names, def
+// set for the registers it writes: the one statement of the per-opcode
+// conventions in ir.go, by which the passes read and rewrite plans and
+// internal/vm binds their rows. A read may be a constant (< 0); a branch
+// without write-back passes its D of -1.
+func Operands(ins *RInstr, f func(x *int32, def bool)) {
 	step := func(op ROp, x *int32) { // a fused step reads x unless unary
 		if op != RNop && !IsUnaryStep(op) {
 			f(x, false)
@@ -104,7 +106,7 @@ func operands(ins *RInstr, f func(x *int32, def bool)) {
 
 // instrUses calls f for every register operand the instruction reads.
 func instrUses(ins *RInstr, f func(int32)) {
-	operands(ins, func(x *int32, def bool) {
+	Operands(ins, func(x *int32, def bool) {
 		if !def && *x >= 0 {
 			f(*x)
 		}
@@ -113,7 +115,7 @@ func instrUses(ins *RInstr, f func(int32)) {
 
 // instrSubstUses rewrites every register operand through f.
 func instrSubstUses(ins *RInstr, f func(int32) int32) {
-	operands(ins, func(x *int32, def bool) {
+	Operands(ins, func(x *int32, def bool) {
 		if !def && *x >= 0 {
 			*x = f(*x)
 		}
@@ -122,7 +124,7 @@ func instrSubstUses(ins *RInstr, f func(int32) int32) {
 
 // instrDefs calls f for every register the instruction writes.
 func instrDefs(ins *RInstr, f func(int32)) {
-	operands(ins, func(x *int32, def bool) {
+	Operands(ins, func(x *int32, def bool) {
 		if def && *x >= 0 {
 			f(*x)
 		}
@@ -567,10 +569,7 @@ func (o *optimizer) operandUniform(x int32) bool {
 
 // ---- pass 5: strength reduction into induction variables --------------
 
-const (
-	maxAffineSpecs = 6
-	maxDivModSpecs = 4
-)
+const maxDivModSpecs = 4
 
 func (o *optimizer) strength() {
 	p := o.plan
@@ -627,13 +626,10 @@ func (o *optimizer) strength() {
 			break
 		}
 	}
-	// Keep a dependency-closed prefix within the spec budget: a spec may
-	// only reference gid0, uniforms, constants, or earlier specs.
+	// Keep them in an order closed under dependence: a spec may only
+	// reference gid0, uniforms, constants, or earlier specs.
 	chosen := map[int32]bool{gid: true}
 	for _, c := range affCands {
-		if len(p.Affine) >= maxAffineSpecs {
-			break
-		}
 		ins := &code[c.idx]
 		dep := func(x int32) bool {
 			return x < 0 || o.operandUniform(x) || chosen[x]
@@ -1098,4 +1094,35 @@ func (o *optimizer) guard() {
 		return
 	}
 	p.Guard = spec
+}
+
+// ---- pass 11: index-only inductions -----------------------------------
+
+// indexOnly marks the inductions, and gid0 and lid0, that the plan reads
+// only as the plain index of a buffer access or as an operand of a later
+// induction, and never writes: the executor keeps each of them as a value
+// and a step per item, with no row of lanes.
+func (o *optimizer) indexOnly() {
+	p := o.plan
+	if p.HasBarriers() {
+		return
+	}
+	value := make([]bool, o.b.numRegs)
+	for _, code := range [][]RInstr{p.Prologue, p.Code} {
+		for i := range code {
+			ins := &code[i]
+			index := (ins.Op == RLdElem || ins.Op == RStElem) && ins.F1 == RNop
+			Operands(ins, func(x *int32, def bool) {
+				if *x >= 0 && (def || x != &ins.A || !index) {
+					value[*x] = true
+				}
+			})
+		}
+	}
+	for i := range p.Affine {
+		p.Affine[i].IndexOnly = !value[p.Affine[i].Reg]
+	}
+	for d, reg := range [...]int32{p.GidRegs[0], p.LidRegs[0]} {
+		p.IndexOnlyIDs[d] = reg >= 0 && !value[reg]
+	}
 }

@@ -281,44 +281,53 @@ func TestDenseWindowTrapsAcrossEngines(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			words := []int{tc.global, tc.same[1][1]}
-			mk := func() []Arg {
-				return []Arg{GlobalArg(make([]byte, 4*words[0])),
-					GlobalArg(intsToBytes(denseInput(words[1])))}
-			}
-			p := compile(t, tc.src)
-			fn := kernelFn(t, p, "k")
-			sh := []int{tc.global}
-			run := func(unoptimized bool) ([]Arg, error) {
-				args := mk()
-				return args, Run(Launch{Prog: p, Kernel: fn, Args: args, GlobalSize: sh,
-					LocalSize: []int{tc.local}, Workers: 1, Unoptimized: unoptimized})
-			}
-			opt, err := run(false)
-			if errText(err) != tc.want {
-				t.Fatalf("optimized plan: trap %q, want %q", errText(err), tc.want)
-			}
-			ref, refErr := run(true)
-			ast := mk()
-			astErr := oracleRun(tc.src, "k", ast, sh, nil, []int{tc.local})
-			for _, other := range []struct {
-				name string
-				args []Arg
-				err  error
-			}{{"unoptimized plan", ref, refErr}, {"AST oracle", ast, astErr}} {
-				if errText(other.err) != tc.want {
-					t.Fatalf("%s: trap %q, want %q", other.name, errText(other.err), tc.want)
-				}
-				for ai, w := range tc.same {
-					got, want := bytesToInts(opt[ai].Global)[w[0]:w[1]], bytesToInts(other.args[ai].Global)[w[0]:w[1]]
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("argument %d word %d: optimized plan %d, %s %d",
-								ai, w[0]+i, got[i], other.name, want[i])
-						}
-					}
-				}
-			}
+			windowTrap(t, tc.src, tc.want, tc.global, tc.local, tc.same)
 		})
+	}
+}
+
+// windowTrap runs kernel k of src over global items in groups of local on
+// one worker, its arguments an output of global words and an input of
+// same[1][1] words, three ways: each must trap with want, and the words
+// [lo, hi) that same lists per argument must agree.
+func windowTrap(t *testing.T, src, want string, global, local int, same [][2]int) {
+	t.Helper()
+	words := []int{global, same[1][1]}
+	mk := func() []Arg {
+		return []Arg{GlobalArg(make([]byte, 4*words[0])),
+			GlobalArg(intsToBytes(denseInput(words[1])))}
+	}
+	p := compile(t, src)
+	fn := kernelFn(t, p, "k")
+	sh := []int{global}
+	run := func(unoptimized bool) ([]Arg, error) {
+		args := mk()
+		return args, Run(Launch{Prog: p, Kernel: fn, Args: args, GlobalSize: sh,
+			LocalSize: []int{local}, Workers: 1, Unoptimized: unoptimized})
+	}
+	opt, err := run(false)
+	if errText(err) != want {
+		t.Fatalf("optimized plan: trap %q, want %q", errText(err), want)
+	}
+	ref, refErr := run(true)
+	ast := mk()
+	astErr := oracleRun(src, "k", ast, sh, nil, []int{local})
+	for _, other := range []struct {
+		name string
+		args []Arg
+		err  error
+	}{{"unoptimized plan", ref, refErr}, {"AST oracle", ast, astErr}} {
+		if errText(other.err) != want {
+			t.Fatalf("%s: trap %q, want %q", other.name, errText(other.err), want)
+		}
+		for ai, w := range same {
+			got, want := bytesToInts(opt[ai].Global)[w[0]:w[1]], bytesToInts(other.args[ai].Global)[w[0]:w[1]]
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("argument %d word %d: optimized plan %d, %s %d",
+						ai, w[0]+i, got[i], other.name, want[i])
+				}
+			}
+		}
 	}
 }

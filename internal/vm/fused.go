@@ -28,8 +28,10 @@ type laneSet struct {
 // one loop over the lanes of the running set, so its dispatch is paid once
 // per strip and not once per item, and over a run of lanes without the
 // lane list. Registers are rows of lanes; a uniform register is a row
-// whose lanes are all equal. All state is allocated when the runner is
-// bound to a launch shape, so running groups performs zero heap allocations.
+// whose lanes are all equal, and an index-only induction has no row. All
+// state, the operand rows of every instruction included, is laid out when
+// the runner is bound to a launch shape, so running groups performs zero
+// heap allocations.
 type planRunner struct {
 	d    *dispatch
 	plan *kernel.WGFunc
@@ -37,10 +39,11 @@ type planRunner struct {
 	width       int      // lanes: min(laneWidth, local[0]), or the whole group if the kernel has barriers
 	rows        []uint32 // [row][lane] 32-bit slot images: the registers, then a broadcast row per constant, then tmp
 	tmp         []uint32 // scratch row: carries a fused chain from step to step
+	pro, body   []bound  // operand rows of each instruction of the prologue and the body
 	bufs        [][]byte // buffer table indexed by plan buffer index
 	localArenas []int    // entries of bufs that are per-group local memory
-	affInit     []int32  // value of each affine induction register at the first item of the current row
-	affSteps    []int32  // and its increment per item
+	ind         []induction
+	at          uint32 // item of the row at which the current strip starts
 	scratch     [3]int
 
 	// The running set, as a mask and as the ascending list of its lanes,
@@ -61,12 +64,32 @@ type planRunner struct {
 	coopGroups    uint64
 }
 
+// induction is gid0, lid0 or an AffineSpec: its value at item i of a row
+// of the group is first + i*step.
+type induction struct {
+	reg         int32    // -1 if the plan has no such register
+	only        bool     // index-only: no row, an access computes its lanes
+	row         []uint32 // the lanes it is seeded into, unless only
+	first, step uint32
+}
+
+// bound is an instruction's operand fields resolved to rows: a field it
+// does not read or write as a register or constant is tmp, and an access
+// through an index-only induction has it in ind instead of a row.
+type bound struct {
+	d, a, b, c, e, f []uint32
+	ind              *induction
+}
+
 func newPlanRunner(d *dispatch, plan *kernel.WGFunc) *planRunner {
 	r := &planRunner{
-		plan:     plan,
-		bufs:     make([][]byte, plan.NumBufs),
-		affInit:  make([]int32, len(plan.Affine)),
-		affSteps: make([]int32, len(plan.Affine)),
+		plan: plan,
+		bufs: make([][]byte, plan.NumBufs),
+		ind: []induction{{reg: plan.GidRegs[0], only: plan.IndexOnlyIDs[0]},
+			{reg: plan.LidRegs[0], only: plan.IndexOnlyIDs[1]}},
+	}
+	for _, a := range plan.Affine {
+		r.ind = append(r.ind, induction{reg: a.Reg, only: a.IndexOnly})
 	}
 	r.bind(d)
 	return r
@@ -104,9 +127,10 @@ func (r *planRunner) unbind() {
 	}
 }
 
-// bind points the runner at a launch: lane rows sized for its work-group
-// shape (kept when the shape repeats, as across the jobs of a batch),
-// arguments, and the coordinate registers that are constant across it.
+// bind points the runner at a launch: lane rows and the operand tables
+// sized for its work-group shape (kept when the width repeats, as across
+// the jobs of a batch), arguments, and the coordinate registers that are
+// constant across it.
 func (r *planRunner) bind(d *dispatch) {
 	p := r.plan
 	r.d = d
@@ -130,6 +154,12 @@ func (r *planRunner) bind(d *dispatch) {
 		for i, c := range p.Consts {
 			fill(r.row(^int32(i)), uint32(c), 0)
 		}
+		for k := range r.ind {
+			if v := &r.ind[k]; v.reg >= 0 && !v.only {
+				v.row = r.row(v.reg)
+			}
+		}
+		r.pro, r.body = r.layout(p.Prologue), r.layout(p.Code)
 	}
 	r.localArenas = r.localArenas[:0]
 	for i, a := range d.args {
@@ -178,13 +208,38 @@ func (r *planRunner) row(x int32) []uint32 {
 	return r.rows[i*r.width : (i+1)*r.width]
 }
 
-// operand is row(x) for the right-hand operand of a step, which a unary
-// step does not have.
-func (r *planRunner) operand(op kernel.ROp, x int32) []uint32 {
-	if kernel.IsUnaryStep(op) {
-		return r.tmp
+// layout resolves every operand field of code to its row, by the one
+// statement of what each opcode reads and writes (kernel.Operands).
+func (r *planRunner) layout(code []kernel.RInstr) []bound {
+	t := make([]bound, len(code))
+	for i := range code {
+		ins, o := &code[i], &t[i]
+		*o = bound{d: r.tmp, a: r.tmp, b: r.tmp, c: r.tmp, e: r.tmp, f: r.tmp}
+		rows := [...]*[]uint32{&o.d, &o.a, &o.b, &o.c, &o.e, &o.f}
+		kernel.Operands(ins, func(x *int32, def bool) {
+			for k, f := range [...]*int32{&ins.D, &ins.A, &ins.B, &ins.C, &ins.E, &ins.F} {
+				if f != x || def && *x < 0 { // or a branch without write-back
+					continue
+				}
+				if v := r.induction(*x); v != nil && v.only {
+					*rows[k], o.ind = nil, v
+				} else {
+					*rows[k] = r.row(*x)
+				}
+			}
+		})
 	}
-	return r.row(x)
+	return t
+}
+
+// induction returns the induction that register x is, or nil.
+func (r *planRunner) induction(x int32) *induction {
+	for k := range r.ind {
+		if x >= 0 && r.ind[k].reg == x {
+			return &r.ind[k]
+		}
+	}
+	return nil
 }
 
 // fill writes the progression v, v+step, ... to row.
@@ -227,7 +282,7 @@ func (r *planRunner) runGroup(groupLin int) *TrapError {
 	if n := uint64(len(p.Prologue)); n > 0 {
 		before := r.instrCount
 		r.begin(r.width)
-		r.run(p.Prologue, 0)
+		r.run(p.Prologue, r.pro, 0)
 		r.instrCount = before + n
 		r.prologueCount += n
 		if r.trapErr != nil {
@@ -288,7 +343,7 @@ func (r *planRunner) runGroup(groupLin int) *TrapError {
 		}
 	}
 
-	r.affineSteps()
+	r.inductions(base0)
 	for li := 0; li < d.itemsPerGroup; li += local0 {
 		// Coordinates for dimensions >= 1 are uniform along a row.
 		decompose(li, d.local, sc)
@@ -298,7 +353,7 @@ func (r *planRunner) runGroup(groupLin int) *TrapError {
 		}
 		for at := 0; at < local0; at += r.width {
 			n := min(r.width, local0-at)
-			r.seedStrip(base0, at, n)
+			r.seedStrip(at, n)
 			if err := r.runStrip(n, startPC); err != nil {
 				return err
 			}
@@ -319,69 +374,52 @@ func (r *planRunner) flush(c *runCounters) {
 	}
 }
 
-// affineSteps computes the per-item increment of every affine induction
-// register for the current group (uniform operands are fixed once the
-// prologue has run).
-func (r *planRunner) affineSteps() {
-	p := r.plan
-	gid := p.GidRegs[0]
-	stepOf := func(x int32, upto int) int32 {
-		if x < 0 {
-			return 0
-		}
-		if x == gid {
-			return 1
-		}
-		for j := 0; j < upto; j++ {
-			if p.Affine[j].Reg == x {
-				return r.affSteps[j]
-			}
-		}
-		return 0 // uniform
-	}
-	for i := range p.Affine {
-		a := &p.Affine[i]
-		sL, sR := stepOf(a.L, i), stepOf(a.R, i)
-		var s int32
+// inductions computes every induction's value at the first item of a row
+// of the group, whose first dimension-0 global ID is base0, and its step
+// per item. Its operands are gid0, earlier inductions and uniforms, which
+// are the same on every row once the prologue has run.
+func (r *planRunner) inductions(base0 int32) {
+	r.ind[0].first, r.ind[0].step = uint32(base0), 1
+	r.ind[1].first, r.ind[1].step = 0, 1
+	for i := range r.plan.Affine {
+		a, v := &r.plan.Affine[i], &r.ind[2+i]
+		lf, ls := r.linear(a.L)
+		rf, rs := r.linear(a.R)
+		v.first = uint32(kernel.StepEval(a.Op, uint64(lf), uint64(rf)))
 		switch a.Op {
 		case kernel.RAddI:
-			s = sL + sR
+			v.step = ls + rs
 		case kernel.RSubI:
-			s = sL - sR
+			v.step = ls - rs
 		case kernel.RMulI:
-			if sR == 0 {
-				s = sL * int32(r.row(a.R)[0])
-			} else {
-				s = int32(r.row(a.L)[0]) * sR
-			}
+			v.step = ls*rf + lf*rs // one side is uniform, of step 0
 		case kernel.RShlI:
-			s = sL << (r.row(a.R)[0] & 31)
+			v.step = ls << (rf & 31)
 		}
-		r.affSteps[i] = s
 	}
 }
 
+// linear returns x's value at the first item of a row and its step per
+// item: an induction's, or a uniform's and 0.
+func (r *planRunner) linear(x int32) (first, step uint32) {
+	if v := r.induction(x); v != nil {
+		return v.first, v.step
+	}
+	return r.row(x)[0], 0
+}
+
 // seedStrip gives the n lanes of the strip that starts at item `at` of a
-// row whose first dimension-0 global ID is base0 their coordinates and
-// induction registers: each is its value at the row's first item plus
-// (at + lane) steps.
-func (r *planRunner) seedStrip(base0 int32, at, n int) {
+// row the rows of its inductions, as first + (at + lane) steps, and its
+// wrap-increment pairs.
+func (r *planRunner) seedStrip(at, n int) {
 	p := r.plan
-	gid0 := base0 + int32(at)
-	if reg := p.GidRegs[0]; reg >= 0 {
-		fill(r.row(reg)[:n], uint32(gid0), 1)
-	}
-	if reg := p.LidRegs[0]; reg >= 0 {
-		fill(r.row(reg)[:n], uint32(at), 1)
-	}
-	for i := range p.Affine {
-		a := &p.Affine[i]
-		if at == 0 {
-			// Lane 0 of every operand row holds its value at the first item.
-			r.affInit[i] = int32(kernel.StepEval(a.Op, uint64(r.row(a.L)[0]), uint64(r.row(a.R)[0])))
+	r.at = uint32(at)
+	for k := range r.ind {
+		if v := &r.ind[k]; v.row != nil {
+			fill(v.row[:n], v.first+r.at*v.step, v.step)
 		}
-		fill(r.row(a.Reg)[:n], uint32(r.affInit[i]+int32(at)*r.affSteps[i]), uint32(r.affSteps[i]))
 	}
+	gid0 := int32(r.ind[0].first) + int32(at)
 	for i := range p.DivMod {
 		dm := &p.DivMod[i]
 		mod, div := r.tmp, r.tmp
@@ -429,7 +467,7 @@ func (r *planRunner) begin(n int) {
 func (r *planRunner) runStrip(n, pc int) *TrapError {
 	r.begin(n)
 	for pc >= 0 {
-		r.run(r.plan.Code, pc)
+		r.run(r.plan.Code, r.body, pc)
 		if r.trapErr != nil {
 			return r.trapErr
 		}
@@ -561,7 +599,7 @@ func (r *planRunner) fault(i int, format string, args ...any) {
 // waits to run, until all of them have ended, trapped or parked at a
 // barrier. Each instruction has its loops over the lanes in a method of
 // its own, which keeps this frame within a new goroutine's first stack.
-func (r *planRunner) run(code []kernel.RInstr, pc int) {
+func (r *planRunner) run(code []kernel.RInstr, rows []bound, pc int) {
 	for pc >= 0 {
 		if len(r.lanes) == 0 || pc >= len(code) {
 			pc = r.resume()
@@ -573,27 +611,27 @@ func (r *planRunner) run(code []kernel.RInstr, pc int) {
 			pc = r.resume()
 			continue
 		}
-		ins := &code[pc]
+		ins, o := &code[pc], &rows[pc]
 		r.instrCount += uint64(len(r.lanes))
 		switch ins.Op {
 		case kernel.RMov3:
-			apply(kernel.RMov, r.lanes, r.row(ins.D), r.row(ins.A), r.tmp)
-			apply(kernel.RMov, r.lanes, r.row(ins.B), r.row(ins.C), r.tmp)
-			apply(kernel.RMov, r.lanes, r.row(ins.E), r.row(ins.F), r.tmp)
+			apply(kernel.RMov, r.lanes, o.d, o.a, r.tmp)
+			apply(kernel.RMov, r.lanes, o.b, o.c, r.tmp)
+			apply(kernel.RMov, r.lanes, o.e, o.f, r.tmp)
 		case kernel.RMov2:
-			apply(kernel.RMov, r.lanes, r.row(ins.D), r.row(ins.A), r.tmp)
-			apply(kernel.RMov, r.lanes, r.row(ins.B), r.row(ins.C), r.tmp)
+			apply(kernel.RMov, r.lanes, o.d, o.a, r.tmp)
+			apply(kernel.RMov, r.lanes, o.b, o.c, r.tmp)
 		case kernel.RMov:
-			apply(kernel.RMov, r.lanes, r.row(ins.D), r.row(ins.A), r.tmp)
+			apply(kernel.RMov, r.lanes, o.d, o.a, r.tmp)
 		case kernel.RDivI, kernel.RModI:
-			r.divide(ins)
+			r.divide(ins, o)
 		case kernel.RLdElem, kernel.RStElem:
-			r.access(ins)
+			r.access(ins, o)
 		case kernel.RJmp:
 			pc = int(ins.C)
 			continue
 		case kernel.RBrT, kernel.RBrF:
-			pc = r.branch(ins, pc)
+			pc = r.branch(ins, o, pc)
 			continue
 		case kernel.REnd:
 			pc = r.resume()
@@ -605,9 +643,9 @@ func (r *planRunner) run(code []kernel.RInstr, pc int) {
 		case kernel.RTrap:
 			r.fault(0, "%s", r.plan.TrapMsgs[ins.A])
 		case kernel.RBuiltin:
-			r.builtin(ins)
+			r.builtin(ins, o)
 		default:
-			r.chain(ins)
+			r.chain(ins, o)
 		}
 		pc++
 	}
@@ -615,45 +653,38 @@ func (r *planRunner) run(code []kernel.RInstr, pc int) {
 
 // chain executes a fusable value op and its follow-on steps. Intermediate
 // results go through tmp: D is written last, so it may be a later operand.
-func (r *planRunner) chain(ins *kernel.RInstr) {
-	ls, d := r.lanes, r.row(ins.D)
-	a, b := r.row(ins.A), r.operand(ins.Op, ins.B)
+func (r *planRunner) chain(ins *kernel.RInstr, o *bound) {
+	ls := r.lanes
 	switch {
 	case ins.F1 == kernel.RNop:
-		apply(ins.Op, ls, d, a, b)
+		apply(ins.Op, ls, o.d, o.a, o.b)
 	case ins.F2 == kernel.RNop:
-		apply(ins.Op, ls, r.tmp, a, b)
-		apply(ins.F1, ls, d, r.tmp, r.operand(ins.F1, ins.C))
+		apply(ins.Op, ls, r.tmp, o.a, o.b)
+		apply(ins.F1, ls, o.d, r.tmp, o.c)
 	default:
-		apply(ins.Op, ls, r.tmp, a, b)
-		apply(ins.F1, ls, r.tmp, r.tmp, r.operand(ins.F1, ins.C))
-		apply(ins.F2, ls, d, r.tmp, r.operand(ins.F2, ins.E))
+		apply(ins.Op, ls, r.tmp, o.a, o.b)
+		apply(ins.F1, ls, r.tmp, r.tmp, o.c)
+		apply(ins.F2, ls, o.d, r.tmp, o.e)
 	}
 }
 
 // branch evaluates a conditional branch and returns where the running set
 // (all of it, or the part that split keeps running) goes on. On a run, the
-// compare's pass counts the lanes that take it (test).
-func (r *planRunner) branch(ins *kernel.RInstr, pc int) int {
-	ls, v := r.lanes, r.row(ins.A)
+// compare's pass counts the lanes that take it (test); a step test has no
+// loop for goes straight to the lanes (each).
+func (r *planRunner) branch(ins *kernel.RInstr, o *bound, pc int) int {
+	ls, v := r.lanes, o.a
 	if ins.F2 != kernel.RNop {
-		d := r.tmp
-		if ins.D >= 0 {
-			d = r.row(ins.D)
-		}
-		apply(ins.F2, ls, d, v, r.operand(ins.F2, ins.E))
-		v = d
+		apply(ins.F2, ls, o.d, v, o.e)
+		v = o.d
 	}
-	taken, b := -1, r.tmp
-	if ins.F1 != kernel.RNop {
-		b = r.operand(ins.F1, ins.B)
-	}
+	taken := -1
 	if lo, hi, ok := span(ls); ok {
-		taken = test(ins.F1, r.tmp[lo:hi], v[lo:hi], b[lo:hi])
+		taken = test(ins.F1, r.tmp[lo:hi], v[lo:hi], o.b[lo:hi])
 	}
 	if ins.F1 != kernel.RNop {
 		if taken < 0 {
-			apply(ins.F1, ls, r.tmp, v, b)
+			each(ins.F1, ls, r.tmp, v, o.b)
 		}
 		v = r.tmp
 	}
@@ -682,8 +713,8 @@ func (r *planRunner) branch(ins *kernel.RInstr, pc int) int {
 	return r.split(pc+1, int(ins.C))
 }
 
-func (r *planRunner) divide(ins *kernel.RInstr) {
-	d, a, b := r.row(ins.D), r.row(ins.A), r.row(ins.B)
+func (r *planRunner) divide(ins *kernel.RInstr, o *bound) {
+	d, a, b := o.d, o.a, o.b
 	for i, l := range r.lanes {
 		x, y := int32(a[l]), int32(b[l])
 		switch {
@@ -703,22 +734,32 @@ func (r *planRunner) divide(ins *kernel.RInstr) {
 
 // access loads or stores one buffer element per lane, the index optionally
 // through one fused step: a run whose window is unit-stride and in range
-// as one block, anything else lane by lane.
-func (r *planRunner) access(ins *kernel.RInstr) {
-	idx := r.row(ins.A)
-	if ins.F1 != kernel.RNop {
-		apply(ins.F1, r.lanes, r.tmp, idx, r.operand(ins.F1, ins.E))
-		idx = r.tmp
-	}
-	buf := r.bufs[ins.B]
+// as one block, anything else lane by lane. Through an index-only
+// induction, lane l's index is base + l*step: a run of unit step needs no
+// index row at all.
+func (r *planRunner) access(ins *kernel.RInstr, o *bound) {
+	buf, idx, val := r.bufs[ins.B], o.a, o.d
 	store := ins.Op == kernel.RStElem
-	reg := ins.D
 	if store {
-		reg = ins.C
+		val = o.c
 	}
-	val := r.row(reg)
-	if lo, hi, ok := span(r.lanes); ok && hostLittle && block(buf, idx[lo:hi], val[lo:hi], store) {
-		return
+	lo, hi, run := span(r.lanes)
+	run = run && hostLittle
+	if v := o.ind; v != nil {
+		base := v.first + r.at*v.step
+		if run && v.step == 1 && window(buf, base+uint32(lo), val[lo:hi], store) {
+			return
+		}
+		idx = r.tmp
+		fill(idx, base, v.step)
+	} else {
+		if ins.F1 != kernel.RNop {
+			apply(ins.F1, r.lanes, r.tmp, idx, o.e)
+			idx = r.tmp
+		}
+		if run && block(buf, idx[lo:hi], val[lo:hi], store) {
+			return
+		}
 	}
 	for i, l := range r.lanes {
 		at := int(int32(idx[l]))
@@ -737,17 +778,22 @@ func (r *planRunner) access(ins *kernel.RInstr) {
 // block moves a run's access as one copy if its index row is first,
 // first+1, ... and the window lies in buf (else the lanes go one by one).
 func block(buf []byte, idx, val []uint32, store bool) bool {
-	first := int32(idx[0])
 	for i, x := range idx {
-		if x != uint32(first)+uint32(i) {
+		if x != idx[0]+uint32(i) {
 			return false
 		}
 	}
-	last := int32(idx[len(idx)-1])
-	if first < 0 || last < first || int(last)*4+4 > len(buf) {
+	return window(buf, idx[0], val, store)
+}
+
+// window moves val to or from the elements first, first+1, ... of buf as
+// one copy if they lie in it.
+func window(buf []byte, first uint32, val []uint32, store bool) bool {
+	lo, hi := int32(first), int32(first+uint32(len(val)-1))
+	if lo < 0 || hi < lo || int(hi)*4+4 > len(buf) {
 		return false
 	}
-	mem := buf[int(first)*4 : int(last)*4+4]
+	mem := buf[int(lo)*4 : int(hi)*4+4]
 	row := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(val))), len(mem))
 	if store {
 		copy(mem, row)
@@ -757,19 +803,9 @@ func block(buf []byte, idx, val []uint32, store bool) bool {
 	return true
 }
 
-func (r *planRunner) builtin(ins *kernel.RInstr) {
+func (r *planRunner) builtin(ins *kernel.RInstr, o *bound) {
 	id := kernel.BuiltinID(ins.C)
-	d, a, b, e := r.row(ins.D), r.tmp, r.tmp, r.tmp
-	switch kernel.BuiltinArity(id) {
-	case 3:
-		e = r.row(ins.E)
-		fallthrough
-	case 2:
-		b = r.row(ins.B)
-		fallthrough
-	case 1:
-		a = r.row(ins.A)
-	}
+	d, a, b, e := o.d, o.a, o.b, o.e
 	for i, l := range r.lanes {
 		v, ok := evalBuiltin(id, uint64(a[l]), uint64(b[l]), uint64(e[l]))
 		if !ok {
@@ -813,6 +849,11 @@ func apply(op kernel.ROp, ls []uint32, d, a, b []uint32) {
 	if lo, hi, ok := span(ls); ok && dense(op, d[lo:hi], a[lo:hi], b[lo:hi]) {
 		return
 	}
+	each(op, ls, d, a, b)
+}
+
+// each runs one step over the lanes ls one by one.
+func each(op kernel.ROp, ls []uint32, d, a, b []uint32) {
 	switch op {
 	case kernel.RMov:
 		for _, l := range ls {

@@ -9,15 +9,19 @@
 // barriers — and each item of it is a lane: registers are rows of lanes
 // (constants and group-uniform values are rows whose lanes are equal; the
 // coordinate and induction registers are seeded per strip as first value +
-// lane x step), and every IR instruction, each fused step included, is one
-// loop specialised for its opcode over the lanes of the running set. What
-// an instruction costs to dispatch is so paid once per strip, while
-// Stats.Instructions still counts it once per item.
+// lane x step, except those the plan reads only as an access's plain
+// index, which have no row: the access computes base + lane x step), and
+// every IR instruction, each fused step included, is one loop specialised
+// for its opcode over the lanes of the running set, its operand rows
+// resolved when the runner lays out its rows. What an instruction costs to
+// dispatch is so paid once per strip, while Stats.Instructions still
+// counts it once per item.
 //
 //   - Dense runs. A running set that is one run of lanes runs steps over
 //     the rows resliced to it, counts a branch in its compare's pass and
 //     moves a unit-stride, in-range access as one block (little-endian
-//     hosts). Other sets and accesses, division and builtins go lane by
+//     hosts): through an index-only induction of step 1 with one range
+//     check. Other sets and accesses, division and builtins go lane by
 //     lane, so traps fall as before; instructions are counted either way.
 //   - Lane sets. The running set starts as the whole strip. A branch on
 //     which its lanes disagree splits it: the side with the lower pc runs
