@@ -14,13 +14,13 @@ import (
 // A call that finds the link dead reports cl.ServerLost even when the
 // connection's close notice has not reached the Server yet, and the
 // caller sees a disconnected server the moment it sees the error. The
-// fake daemon's own close notice is held open: the in-process link is
-// then provably dead for sends while the client's end provably has not
-// been told. (Classifying by "has the close notice run" answered
-// InvalidServer here — the TestFinishBoundedAfterKill flake.)
+// client's dispatcher is held inside a serve-result handler, queued ahead
+// of the close: the in-process link is then provably dead for sends while
+// the client's end provably has not been told, since its close notice
+// runs after the last handler. (Classifying by "has the close notice run"
+// answered InvalidServer here — the TestFinishBoundedAfterKill flake.)
 func TestCallOnDeadLinkBeforeCloseNoticeIsServerLost(t *testing.T) {
 	clientEP, daemonEP := gcf.NewLocalPair()
-	entered, release := make(chan struct{}), make(chan struct{})
 	daemonEP.Start(func(msg []byte) {
 		env, err := protocol.ParseEnvelope(msg)
 		if err != nil || env.Type != protocol.MsgHello {
@@ -37,15 +37,24 @@ func TestCallOnDeadLinkBeforeCloseNoticeIsServerLost(t *testing.T) {
 		if err := daemonEP.Send(protocol.EncodeEnvelope(protocol.ClassResponse, env.ID, env.Type, w)); err != nil {
 			t.Error(err)
 		}
-	}, func(error) { close(entered); <-release })
+	}, nil)
 
 	srv, err := dialServer(NewPlatform(Options{}), "fake", clientEP, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	closed := make(chan struct{})
-	go func() { daemonEP.Close(); close(closed) }()
-	<-entered
+	// A result for a serve session whose lock the test holds blocks the
+	// client's dispatcher in handleResults. A local send lands in the
+	// peer's queue before it returns, so the close comes behind it.
+	ss := &ServeSession{srv: srv, id: 7}
+	srv.registerServe(ss)
+	ss.mu.Lock()
+	w := protocol.NewWriter()
+	protocol.PutServeResults(w, protocol.ServeResults{ServeID: 7, Results: []protocol.ServeResult{{JobID: 1}}})
+	if err := daemonEP.Send(protocol.EncodeEnvelope(protocol.ClassNotification, 0, protocol.MsgServeResult, w)); err != nil {
+		t.Fatal(err)
+	}
+	daemonEP.Close()
 
 	_, err = srv.call(protocol.MsgFinish, func(w *protocol.Writer) { w.U64(1) })
 	if cl.CodeOf(err) != cl.ServerLost {
@@ -62,8 +71,7 @@ func TestCallOnDeadLinkBeforeCloseNoticeIsServerLost(t *testing.T) {
 		t.Error("the close notice had already run: the window was not exercised")
 	default:
 	}
-	close(release)
-	<-closed
+	ss.mu.Unlock()
 	waitServerDown(t, srv)
 }
 

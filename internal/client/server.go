@@ -689,8 +689,9 @@ func (s *Server) Reattach() (retained bool, err error) {
 	})
 	s.mu.Unlock()
 	// The endpoint may have died again between the handshake completing
-	// and the flags flipping — its onClose already ran and will never run
-	// again, which would leave a permanently "connected" dead server.
+	// and the flags flipping — its close notice may have run already and
+	// will not run again, which would leave a permanently "connected" dead
+	// server.
 	// Re-check and drive the down path by hand in that case.
 	if ep.Closed() {
 		err := ep.CloseErr()

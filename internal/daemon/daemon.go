@@ -441,22 +441,6 @@ func (d *Daemon) reparkSession(s *session) {
 	d.sessMu.Unlock()
 }
 
-// unparkSession drops the session from the registry if it is currently
-// parked: a goodbye dispatched after the close notice already detached it
-// retires it at once, where the retention window would just strand device
-// memory.
-func (d *Daemon) unparkSession(s *session) {
-	d.sessMu.Lock()
-	defer d.sessMu.Unlock()
-	if d.sessions[s.id] == s && s.detached {
-		delete(d.sessions, s.id)
-		if s.retireTimer != nil {
-			s.retireTimer.Stop()
-			s.retireTimer = nil
-		}
-	}
-}
-
 // expireSession retires a detached session whose retention window ran
 // out without a re-attach.
 func (d *Daemon) expireSession(s *session) {
@@ -497,12 +481,17 @@ func (d *Daemon) SessionObjects() int {
 	d.sessMu.Unlock()
 	n := 0
 	for _, s := range sessions {
-		s.mu.Lock()
-		n += len(s.contexts) + len(s.queues) + len(s.buffers) + len(s.programs) +
-			len(s.kernels) + len(s.events) + len(s.graphs) + len(s.serves)
-		s.mu.Unlock()
+		n += s.objects()
 	}
 	return n
+}
+
+// objects counts what one session holds (see SessionObjects).
+func (s *session) objects() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.contexts) + len(s.queues) + len(s.buffers) + len(s.programs) +
+		len(s.kernels) + len(s.events) + len(s.graphs) + len(s.serves)
 }
 
 // reportInvalidatedLease tells the device manager(s) that a client

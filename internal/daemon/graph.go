@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"fmt"
-	"sync"
 
 	"dopencl/internal/cl"
 	"dopencl/internal/gcf"
@@ -32,19 +31,11 @@ type sessGraph struct {
 	payloads  []payload
 	readCount int
 	failed    string // what a failed replay reports at the queue's Finish
-
-	// mu orders replays and updates with the drop: a connection's close
-	// notice can retire the session while its dispatcher still replays.
-	mu      sync.Mutex
-	dropped bool
 }
 
 // drop lets go of the graph's hold on each cached payload block. A replay
 // still running holds the blocks it reads.
 func (g *sessGraph) drop() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.dropped = true
 	for _, p := range g.payloads {
 		if p.block != nil {
 			p.block.Drop()
@@ -151,11 +142,7 @@ func (s *session) handleExecGraph(c rpc.Call) {
 	s.mu.Lock()
 	g := s.graphs[e.GraphID]
 	s.mu.Unlock()
-	if g != nil {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-	}
-	if g == nil || g.dropped {
+	if g == nil {
 		failExec(cl.Errf(cl.InvalidCommandBuffer, "unknown or released graph %d", e.GraphID))
 		return
 	}

@@ -128,7 +128,7 @@ type transfer struct {
 type rendezvous struct {
 	key     uint64 // names the connection to peers (set by registerSession)
 	mu      sync.Mutex
-	ended   bool // the connection is gone: nothing registers any more
+	ended   bool // the connection is gone: a payload naming it is drained
 	seq     uint64
 	parked  int
 	entries map[uint64]*transfer // token → transfer
@@ -209,17 +209,12 @@ func (s *peerSession) handleTransfer(c rpc.Call) {
 
 // acceptForward records a client-announced accept and, if the payload
 // already arrived, starts the receive. Called from the client session's
-// dispatcher.
+// dispatcher, so always ahead of the close notice that ends the table.
 func (s *session) acceptForward(a *accept) {
 	rv := &s.rv
 	rv.mu.Lock()
 	t := rv.entries[a.token]
 	switch {
-	case rv.ended:
-		// Dispatched after the connection's close: nothing would ever
-		// retire the entry.
-		rv.mu.Unlock()
-		a.fail(cl.InvalidServer)
 	case t == nil:
 		rv.seq++
 		a.seq = rv.seq
@@ -249,7 +244,8 @@ func (s *session) acceptForward(a *accept) {
 
 // meet pairs an inbound transfer header with its accept on the connection
 // the header's key names, or parks it there until the accept arrives. A
-// key that names no live connection is drained at once.
+// key that names no live connection is drained at once, and so is one
+// whose table ended after the lookup (meet runs on a peer link).
 func (d *Daemon) meet(ep *gcf.Endpoint, hdr protocol.PeerTransfer) {
 	d.sessMu.Lock()
 	s := d.keys[hdr.Key]
@@ -341,8 +337,8 @@ func (s *session) failForwards() {
 
 // endForwards closes the table with the connection: waiting and receiving
 // transfers fail, parked payloads are drained, and the key becomes
-// unknown, so a later payload naming it is drained at once and a later
-// accept registers nothing.
+// unknown, so a later payload naming it is drained at once. It runs in the
+// close notice, after the connection's last accept was dispatched.
 func (s *session) endForwards() {
 	s.d.sessMu.Lock()
 	delete(s.d.keys, s.rv.key)

@@ -508,9 +508,10 @@ func TestSessionCloseRetiresPendingForwards(t *testing.T) {
 		t.Fatalf("table = %v, want one waiting accept", n)
 	}
 	acc := s.accepts()[0]
-	// The daemon's end of the connection, closed synchronously: its close
-	// notice has run when Close returns.
+	// The daemon's end of the connection: its close notice has run once
+	// the session is gone.
 	s.conn.Close()
+	<-s.gone
 	if st := acc.Status(); cl.ErrorCode(st) != cl.InvalidServer {
 		t.Fatalf("gate status after the close = %v, want InvalidServer", st)
 	}

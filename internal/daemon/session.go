@@ -84,7 +84,8 @@ func (s *session) start() {
 // onClose ends the connection's peer transfers and detaches the session:
 // the connection is gone, but the object tables survive for the daemon's
 // retention window (a zero window retires immediately, the
-// pre-resilience behaviour).
+// pre-resilience behaviour). It runs after the last frame's handler, so
+// nothing lands in the tables once it has taken them.
 func (s *session) onClose(error) {
 	s.d.logUnserved("session", s.conn)
 	s.endForwards()
@@ -250,8 +251,9 @@ func (s *session) resolveWaits(ids []uint64) ([]cl.Event, error) {
 }
 
 // routes is what a client session serves, and in which class. Handlers
-// run on the endpoint's dispatch goroutine, in arrival order; blocking
-// operations (Finish) spawn goroutines so the dispatcher stays responsive.
+// run on the endpoint's dispatch goroutine, in arrival order, onClose after
+// the last; blocking operations (Finish) spawn goroutines so the
+// dispatcher stays responsive.
 //
 // A message is a request only where the client uses the answer or needs
 // the fence: a new connection's Hello (session ID and devices),
@@ -345,15 +347,12 @@ func (s *session) handleReleaseEvent(c rpc.Call) {
 // handleGoodbye ends the session's lease (retire) and leaves the
 // connection up: the client keeps it for its next lease on this daemon,
 // which binds to it with a Hello. Until then a close has nothing to retain.
-// The goodbye can be dispatched AFTER the connection's close already
-// detached the session (the close notice runs on the read goroutine,
-// dispatch on its own), so a session already parked leaves the registry
-// here.
+// The session is still attached: the close notice, which detaches it, runs
+// after the last frame's handler.
 func (s *session) handleGoodbye(rpc.Call) {
 	s.mu.Lock()
 	s.noRetain = true
 	s.mu.Unlock()
-	s.d.unparkSession(s)
 	s.retire()
 }
 
@@ -427,9 +426,9 @@ func (s *session) handleAttachSession(c rpc.Call) {
 			c.Reply(cl.InvalidServer, nil)
 			return
 		}
-		// Adopt the parked tables. The old session's endpoint is dead and
-		// its event table was cleared at detach, so nothing still routes
-		// through it.
+		// Adopt the parked tables. The old session is parked only by its
+		// close notice, which ran after its last handler, and its event
+		// table was cleared at detach, so nothing still routes through it.
 		old.mu.Lock()
 		contexts, queues, buffers := old.contexts, old.queues, old.buffers
 		programs, kernels, graphs := old.programs, old.kernels, old.graphs

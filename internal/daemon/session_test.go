@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"dopencl/internal/cl"
+	"dopencl/internal/device"
 	"dopencl/internal/gcf"
+	"dopencl/internal/native"
 	"dopencl/internal/protocol"
 )
 
@@ -235,5 +238,67 @@ func TestTruncatedReleaseLeavesObjectZero(t *testing.T) {
 	sess.mu.Unlock()
 	if !kept {
 		t.Error("truncated release deleted context 0")
+	}
+}
+
+// A session that is not retained keeps nothing once its connection is
+// gone, however many one-way creates were still queued at the close: the
+// close notice runs after the last of them, so retire takes them all. A
+// notice run beside the dispatcher would let creates land in the tables
+// retire had just emptied, where nothing ever releases them.
+func TestCloseAfterQueuedCreatesKeepsNothing(t *testing.T) {
+	// Submits to a lane the session never opened are logged: the log of
+	// the first holds the dispatcher, that of the second marks the last
+	// frame handled.
+	held, release, last := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	submits := 0
+	plat := native.NewPlatform("p", "v", []device.Config{device.TestCPU("cpu0")})
+	d, err := New(Config{Name: "srv", Platform: plat, Logf: func(format string, _ ...any) {
+		if !strings.Contains(format, "unknown lane") {
+			return
+		}
+		if submits++; submits == 1 {
+			close(held)
+			<-release
+		} else {
+			close(last)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientEP, serverEP := gcf.NewLocalPair()
+	sess := newSession(d, serverEP)
+	sess.start()
+	gs := startGraphSession(clientEP)
+	if st := cl.ErrorCode(gs.call(t, 1, protocol.MsgHello, func(w *protocol.Writer) {
+		w.String("close-test")
+		w.String("")
+	}).Body.I32()); st != cl.Success {
+		t.Fatalf("hello: %v", st)
+	}
+	// The creates queue behind the held submit (a local send lands in the
+	// daemon's queue before it returns), and the link closes behind them.
+	submit := func(w *protocol.Writer) { protocol.PutServeSubmit(w, protocol.ServeSubmit{ServeID: 99}) }
+	gs.oneway(t, protocol.MsgServeSubmit, submit)
+	<-held
+	for id := uint64(1); id <= 256; id++ {
+		gs.oneway(t, protocol.MsgCreateContext, func(w *protocol.Writer) {
+			w.U64(id)
+			w.U64s([]uint64{0})
+		})
+	}
+	gs.oneway(t, protocol.MsgServeSubmit, submit)
+	gs.ep.Close()
+	close(release)
+	<-last
+	<-sess.gone
+	// The notice closes gone before it retires the session.
+	deadline := time.Now().Add(5 * time.Second)
+	for sess.objects() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the closed session still holds %d objects", sess.objects())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -237,3 +237,37 @@ func TestStaleLinkCloseKeepsNewRegistration(t *testing.T) {
 		}
 	}
 }
+
+// A daemon that registers and vanishes at once is dropped with its
+// devices: the close notice runs after the registration's handler, so it
+// finds the link that handler recorded. A notice run beside the
+// dispatcher could look before the handler had recorded it, and the dead
+// daemon's devices would stay registered.
+func TestRegisterThenCloseDropsTheDaemon(t *testing.T) {
+	dropped := make(chan struct{}, 1)
+	m := New(WithLogf(func(format string, args ...any) {
+		if format == "devmgr: server %s dropped" {
+			select {
+			case dropped <- struct{}{}:
+			default:
+			}
+		}
+	}))
+	defer m.Close()
+	w := dialWire(t, m)
+	w.send(t, protocol.ClassRequest, 1, protocol.MsgDMRegisterServer, func(b *protocol.Writer) {
+		b.String("node")
+		b.String("")
+		protocol.PutDeviceRecords(b, []protocol.DeviceRecord{{UnitID: 0, Info: cl.DeviceInfo{Type: cl.DeviceTypeGPU}}})
+		b.Strings([]string{""})
+	})
+	w.ep.Close()
+	select {
+	case <-dropped:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("the closed daemon was never dropped: devices %v", m.DeviceIDs())
+	}
+	if ids := m.DeviceIDs(); len(ids) != 0 {
+		t.Fatalf("devices of the closed daemon still registered: %v", ids)
+	}
+}

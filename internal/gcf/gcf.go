@@ -15,7 +15,8 @@
 // sends are serialized by a writer lock; the receive loop never blocks on
 // user code (messages are dispatched by a dedicated goroutine, preserving
 // order), so a handler may synchronously read stream data that arrives on
-// the same connection.
+// the same connection. The close notice is the dispatcher's last delivery,
+// after the handler of every message queued before the close.
 //
 // The receive loop batches the way the write loop does. It reads the
 // connection through a pooled readBufSize buffer: every frame one Read
@@ -205,7 +206,9 @@ var ErrTooLarge = errors.New("gcf: message exceeds frame limit")
 var ErrHeartbeatTimeout = errors.New("gcf: heartbeat timeout")
 
 // Handler consumes an inbound message. Handlers run sequentially on the
-// endpoint's dispatch goroutine, preserving message order.
+// endpoint's dispatch goroutine, preserving message order, and the close
+// notice (Start) runs there after the last of them: a handler must never
+// wait for its own connection's close, or for what only its notice does.
 type Handler func(msg []byte)
 
 // Endpoint is one end of a GCF connection.
@@ -258,8 +261,6 @@ type Endpoint struct {
 	// of a frame. The heartbeat prober reads it to decide whether the
 	// link is alive.
 	lastRecv atomic.Int64
-
-	onClose func(error)
 }
 
 // NewEndpoint wraps conn. Client endpoints allocate odd stream IDs,
@@ -283,10 +284,10 @@ func NewEndpoint(conn net.Conn, client bool) *Endpoint {
 }
 
 // Start launches the receive and dispatch loops. handler receives each
-// inbound message; onClose (optional) runs once when the connection dies.
+// inbound message; onClose (optional) is the close notice: it runs once, on
+// the dispatch goroutine, after shutdown and the last queued message.
 func (e *Endpoint) Start(handler Handler, onClose func(error)) {
-	e.onClose = onClose
-	go e.dispatchLoop(handler)
+	go e.dispatchLoop(handler, onClose)
 	if e.peer == nil {
 		// Local endpoints have no conn to read: the peer's deliverLocal
 		// feeds the message queue and stream buffers directly.
@@ -436,6 +437,9 @@ func (e *Endpoint) writeLoop() {
 		nb := bufs
 		raceRelease()
 		_, err := nb.WriteTo(e.conn)
+		if err != nil {
+			e.shutdown(err) // first: a release asks Closed if its frames left
+		}
 		// Flushed (or failed — the frames are gone either way): hand the
 		// owned payloads back to their producers.
 		for _, r := range rels {
@@ -485,7 +489,6 @@ func (e *Endpoint) writeLoop() {
 				}
 			}
 			close(e.wdone)
-			e.shutdown(err)
 			return
 		}
 	}
@@ -629,14 +632,18 @@ func (e *Endpoint) readLoop() {
 
 // dispatchLoop hands queued messages to the handler in arrival order,
 // taking everything queued in one swap: the slice it drained becomes the
-// queue the reader appends to next.
-func (e *Endpoint) dispatchLoop(handler Handler) {
+// queue the reader appends to next; then, closed and drained, the notice.
+func (e *Endpoint) dispatchLoop(handler Handler, onClose func(error)) {
 	var batch [][]byte
 	for {
 		e.msgMu.Lock()
 		for len(e.msgs) == 0 {
 			if e.closed.Load() {
 				e.msgMu.Unlock()
+				<-e.done
+				if onClose != nil {
+					onClose(e.CloseErr())
+				}
 				return
 			}
 			e.msgCond.Wait()
@@ -653,7 +660,7 @@ func (e *Endpoint) dispatchLoop(handler Handler) {
 // shutdown tears the endpoint down exactly once. Buffered outbound frames
 // are given a bounded grace period to flush (an orderly close must not
 // drop one-way requests queued just before it) before the connection is
-// force-closed.
+// force-closed. The close notice runs later, on the dispatcher (Start).
 func (e *Endpoint) shutdown(err error) {
 	if !e.closed.CompareAndSwap(false, true) {
 		return
@@ -687,9 +694,6 @@ func (e *Endpoint) shutdown(err error) {
 	e.msgCond.Broadcast()
 	e.msgMu.Unlock()
 	close(e.done)
-	if e.onClose != nil {
-		e.onClose(err)
-	}
 	// An in-process link dies as a unit, like a conn close tearing down
 	// both ends: the CAS above terminates the mutual recursion.
 	if e.peer != nil {

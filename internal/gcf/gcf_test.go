@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -259,4 +260,82 @@ func TestConcurrentSenders(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("concurrent sends lost messages")
 	}
+}
+
+// The close notice is the last thing a connection delivers: it runs once,
+// after the handler of every message queued before the close, and never
+// beside a handler. The receiver's first handler is held while Close runs
+// from another goroutine, with the other messages queued behind it.
+func TestCloseNoticeRunsAfterTheLastHandler(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pair func(*testing.T) (*Endpoint, *Endpoint)
+	}{
+		{"local", func(*testing.T) (*Endpoint, *Endpoint) { return NewLocalPair() }},
+		{"tcp", loopbackPair},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			send, recv := tc.pair(t)
+			defer send.Close()
+			const n = 8
+			var handled atomic.Int32
+			entered, release := make(chan struct{}), make(chan struct{})
+			notices := make(chan int32, 2) // messages handled when each notice ran
+			recv.Start(func([]byte) {
+				if handled.Add(1) == 1 {
+					close(entered)
+					<-release
+				}
+			}, func(error) { notices <- handled.Load() })
+			send.Start(func([]byte) {}, nil)
+			for i := range n {
+				if err := send.Send([]byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					<-entered
+				}
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for queued(recv) < n-1 {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d messages queued behind the held handler, want %d", queued(recv), n-1)
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			closed := make(chan struct{})
+			go func() { recv.Close(); close(closed) }()
+			<-closed
+			<-recv.Done()
+			select {
+			case got := <-notices:
+				t.Fatalf("the close notice ran with a handler in progress (%d handled)", got)
+			default:
+			}
+			close(release)
+			select {
+			case got := <-notices:
+				if got != n {
+					t.Fatalf("the close notice ran after %d of %d queued messages", got, n)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("no close notice after the handler was released")
+			}
+			send.Close()
+			recv.Close()
+			select {
+			case <-notices:
+				t.Fatal("the close notice ran twice")
+			case <-time.After(20 * time.Millisecond):
+			}
+		})
+	}
+}
+
+// queued counts the messages waiting for the dispatcher.
+func queued(e *Endpoint) int {
+	e.msgMu.Lock()
+	defer e.msgMu.Unlock()
+	return len(e.msgs)
 }

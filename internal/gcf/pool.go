@@ -89,7 +89,7 @@ func (p *Pool) Get(addr string) (*Endpoint, error) {
 
 // evict forgets the entry if it is still the current one for addr (a
 // replacement dialed after a close must not be dropped by the stale
-// endpoint's onClose).
+// endpoint's close notice).
 func (p *Pool) evict(addr string, e *poolEntry) {
 	p.mu.Lock()
 	if p.entries[addr] == e {

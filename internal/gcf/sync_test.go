@@ -14,30 +14,7 @@ import (
 // no channel, mutex or atomic of the test's orders the two dispatch
 // goroutines. Under -race this fails without raceRelease/raceAcquire.
 func TestFrameOrdersSenderBeforeReceiverOverTCP(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, err := lis.Accept()
-		if err != nil {
-			t.Error(err)
-			close(accepted)
-			return
-		}
-		accepted <- c
-	}()
-	ca, err := net.Dial("tcp", lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, ok := <-accepted
-	if !ok {
-		t.FailNow()
-	}
-	ea, eb := NewEndpoint(ca, true), NewEndpoint(cb, false)
+	ea, eb := loopbackPair(t)
 	defer ea.Close()
 	defer eb.Close()
 
@@ -70,4 +47,33 @@ func TestFrameOrdersSenderBeforeReceiverOverTCP(t *testing.T) {
 	if ball != rounds {
 		t.Fatalf("ball = %d after %d hits", ball, rounds)
 	}
+}
+
+// loopbackPair returns two endpoints over a TCP loopback connection.
+func loopbackPair(t *testing.T) (client, server *Endpoint) {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := lis.Accept()
+		if err != nil {
+			t.Error(err)
+			close(accepted)
+			return
+		}
+		accepted <- c
+	}()
+	ca, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, ok := <-accepted
+	if !ok {
+		t.FailNow()
+	}
+	return NewEndpoint(ca, true), NewEndpoint(cb, false)
 }

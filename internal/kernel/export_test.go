@@ -51,12 +51,18 @@ func CheckPlan(w *WGFunc) error {
 			indexOnly[reg] = name
 		}
 	}
-	spec := map[int32]int{} // register → the induction that defines it
+	spec := map[int32]int{}      // register → the induction that defines it
+	expr := map[[3]int32]int32{} // (Op, L, R) → the induction computing it
 	for i, a := range w.Affine {
 		if _, ok := spec[a.Reg]; ok || a.Reg == w.GidRegs[0] || a.Reg == w.LidRegs[0] {
 			return fmt.Errorf("induction %d redefines r%d", i, a.Reg)
 		}
 		spec[a.Reg] = i
+		k := [3]int32{int32(a.Op), a.L, a.R}
+		if r, ok := expr[k]; ok {
+			return fmt.Errorf("inductions r%d and r%d compute the same %s r%d, r%d", r, a.Reg, a.Op, a.L, a.R)
+		}
+		expr[k] = a.Reg
 		if a.IndexOnly {
 			indexOnly[a.Reg] = fmt.Sprintf("induction r%d", a.Reg)
 		}

@@ -222,7 +222,9 @@ func TestSinkMovesEachDefOnce(t *testing.T) {
 // only as the plain index of an access or by a later induction, since the
 // executor keeps no row for it. heat's step, whose every tap is indexed
 // through an induction, must have more of them than the six a cap once
-// allowed, all index-only, and no index arithmetic left in its body.
+// allowed, all index-only, and no index arithmetic left in its body. It
+// and cg's applyA have exactly 10: each computes one affine expression in
+// two blocks, and the second reuses the first's induction.
 func TestIndexOnlyInductions(t *testing.T) {
 	marked := 0
 	for _, src := range fuzzSeeds {
@@ -244,6 +246,13 @@ func TestIndexOnlyInductions(t *testing.T) {
 	}
 	if marked == 0 {
 		t.Errorf("no seed kernel has an index-only induction")
+	}
+	for _, k := range []struct{ src, name string }{{heat.KernelSource, heat.StepKernel}, {cgsolve.KernelSource, "applyA"}} {
+		prog, _ := kernel.Compile(k.src)
+		fn, _ := prog.Kernel(k.name)
+		if n := len(prog.WorkGroup(fn).Affine); n != 10 {
+			t.Errorf("kernel %s has %d inductions, want 10:\n%s", k.name, n, prog.WorkGroup(fn).Disassemble())
+		}
 	}
 	prog, _ := kernel.Compile(heat.KernelSource)
 	fn, _ := prog.Kernel(heat.StepKernel)

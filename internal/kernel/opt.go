@@ -627,19 +627,36 @@ func (o *optimizer) strength() {
 		}
 	}
 	// Keep them in an order closed under dependence: a spec may only
-	// reference gid0, uniforms, constants, or earlier specs.
-	chosen := map[int32]bool{gid: true}
+	// reference gid0, uniforms, constants, or earlier specs. cse works per
+	// block, so one expression can come from two: the later reuses the
+	// earlier induction (chosen maps each to the one it is).
+	chosen, first := map[int32]int32{gid: gid}, map[AffineSpec]int32{}
+	canon := func(x int32) int32 {
+		if r, ok := chosen[x]; ok {
+			return r
+		}
+		return x
+	}
 	for _, c := range affCands {
 		ins := &code[c.idx]
 		dep := func(x int32) bool {
-			return x < 0 || o.operandUniform(x) || chosen[x]
+			_, ok := chosen[x]
+			return ok || x < 0 || o.operandUniform(x)
 		}
 		if !dep(ins.A) || !dep(ins.B) {
 			continue
 		}
-		p.Affine = append(p.Affine, AffineSpec{Reg: ins.D, Op: ins.Op, L: ins.A, R: ins.B})
-		chosen[ins.D] = true
+		key := AffineSpec{Op: ins.Op, L: canon(ins.A), R: canon(ins.B)}
+		r, ok := first[key]
+		if !ok {
+			r, first[key], key.Reg = ins.D, ins.D, ins.D
+			p.Affine = append(p.Affine, key)
+		}
+		chosen[ins.D] = r
 		*ins = RInstr{Op: RNop}
+	}
+	for i := range code {
+		instrSubstUses(&code[i], canon)
 	}
 
 	// col = gid0 % W / row = gid0 / W pairs become wrap-increment

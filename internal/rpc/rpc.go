@@ -154,8 +154,9 @@ func (c *Conn) Unserved() map[protocol.MsgType]uint64 {
 // already-answered ID is dropped, as is a frame too short to parse); every
 // other frame goes to the handler routes names for its type and class, or
 // is refused, on the endpoint's dispatch goroutine, in arrival order. When
-// the connection dies every waiting call fails with ErrLost, then onLost
-// (may be nil) runs once with the transport's reason.
+// the connection dies, after every frame that came before, every waiting
+// call fails with ErrLost, then onLost (may be nil) runs once with the
+// transport's reason, on the same goroutine (see gcf.Handler).
 func (c *Conn) Start(routes Routes, onLost func(error)) {
 	c.ep.Start(func(msg []byte) {
 		env, err := protocol.ParseEnvelope(msg)

@@ -194,18 +194,22 @@ func TestUnknownAndRepeatedResponsesDropped(t *testing.T) {
 
 // A send that finds the endpoint closed is ErrLost even though this
 // side's close notice has not run yet: the caller does not have to race
-// the notice to classify the failure. The peer's notice is held open so
-// the link is provably dead while ours provably has not been told.
+// the notice to classify the failure. A handler on this side is held in
+// progress, and the notice runs after the last handler, so the link is
+// provably dead while this side provably has not been told.
 func TestSendOnClosedEndpointBeforeCloseNoticeIsLost(t *testing.T) {
 	a, b := gcf.NewLocalPair()
 	client := New(a)
-	var told atomic.Bool
-	client.Start(nil, func(error) { told.Store(true) })
+	told := make(chan struct{})
 	entered, release := make(chan struct{}), make(chan struct{})
-	b.Start(func([]byte) {}, func(error) { close(entered); <-release })
-	closed := make(chan struct{})
-	go func() { b.Close(); close(closed) }()
+	hold := func(Call) { close(entered); <-release }
+	client.Start(Routes{protocol.MsgFlush: {OneWay: hold}}, func(error) { close(told) })
+	b.Start(func([]byte) {}, nil)
+	if err := OneWay(b, protocol.MsgFlush, nil); err != nil {
+		t.Fatal(err)
+	}
 	<-entered
+	b.Close()
 
 	_, err := client.Call(protocol.MsgFinish, 0, nil)
 	if !errors.Is(err, ErrLost) {
@@ -214,14 +218,16 @@ func TestSendOnClosedEndpointBeforeCloseNoticeIsLost(t *testing.T) {
 	if err := client.OneWay(protocol.MsgFlush, nil); !errors.Is(err, ErrLost) {
 		t.Errorf("one-way on the dead link: %v, want ErrLost", err)
 	}
-	if told.Load() {
+	select {
+	case <-told:
 		t.Error("the close notice had already run: the window was not exercised")
+	default:
 	}
 	if n := pendingCalls(client); n != 0 {
 		t.Errorf("failed send left %d pending entries", n)
 	}
 	close(release)
-	<-closed
+	<-told
 }
 
 // A message over the transport's frame limit is refused as such, not
