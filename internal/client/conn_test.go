@@ -28,12 +28,7 @@ func TestCallOnDeadLinkBeforeCloseNoticeIsServerLost(t *testing.T) {
 		}
 		w := protocol.NewWriter()
 		w.I32(int32(cl.Success))
-		w.String("fake")
-		protocol.PutDeviceRecords(w, nil)
-		w.String("")
-		w.Bool(false)
-		w.U64(1)
-		w.U64(2)
+		protocol.PutHelloAnswer(w, protocol.HelloAnswer{Name: "fake", SessionID: 1, PeerKey: 2})
 		if err := daemonEP.Send(protocol.EncodeEnvelope(protocol.ClassResponse, env.ID, env.Type, w)); err != nil {
 			t.Error(err)
 		}

@@ -567,9 +567,9 @@ func (c *requestTap) Write(b []byte) (int, error) {
 
 // TestReattachConfirmsWithOneRoundTrip: re-attach recovery re-sends a
 // context's objects one-way and confirms them all with one request, so a
-// re-attach costs two round trips — AttachSession and the confirmation —
-// retained or not, however many objects the context holds. (Recovery used
-// to ask for each object: 20 round trips for this context.)
+// re-attach costs two round trips — the resuming Hello and the
+// confirmation — retained or not, however many objects the context holds.
+// (Recovery used to ask for each object: 20 round trips for this context.)
 func TestReattachConfirmsWithOneRoundTrip(t *testing.T) {
 	tb := testbed.StartTest(t, testbed.Spec{Retain: time.Minute, Nodes: map[string][]device.Config{"node0": {device.TestCPU("cpu0")}}})
 	var requests atomic.Int64

@@ -43,12 +43,7 @@ func TestServerLinkRefusesWhatItDoesNotServe(t *testing.T) {
 		hello := <-l.Rest
 		w := protocol.NewWriter()
 		w.I32(int32(cl.Success))
-		w.String("fake")
-		protocol.PutDeviceRecords(w, nil)
-		w.String("")
-		w.Bool(false)
-		w.U64(1)
-		w.U64(2)
+		protocol.PutHelloAnswer(w, protocol.HelloAnswer{Name: "fake", SessionID: 1, PeerKey: 2})
 		if err := l.EP.Send(protocol.EncodeEnvelope(protocol.ClassResponse, hello.ID, hello.Type, w)); err != nil {
 			t.Error(err)
 		}

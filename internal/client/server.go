@@ -92,7 +92,7 @@ type Server struct {
 	inc atomic.Pointer[coherence.Incarnation]
 
 	// Failure/recovery state. sessionID is the daemon-issued session
-	// identity used by the re-attach handshake. downErr records why the
+	// identity a re-attach's Hello resumes. downErr records why the
 	// connection died; down is closed when it has and every command in
 	// flight on it has failed (replaced on re-attach).
 	sessionID   uint64
@@ -144,7 +144,7 @@ func (s *Server) Devices() []*Device {
 	return append([]*Device(nil), s.devices...)
 }
 
-// dial establishes the gcf session and performs the Hello exchange.
+// dialServer establishes the gcf session and performs the Hello exchange.
 func dialServer(p *Platform, addr string, ep *gcf.Endpoint, authID string) (*Server, error) {
 	s := &Server{
 		plat:      p,
@@ -161,29 +161,15 @@ func dialServer(p *Platform, addr string, ep *gcf.Endpoint, authID string) (*Ser
 	s.inc.Store(&coherence.Incarnation{})
 	s.startConn(ep)
 
-	resp, err := s.call(protocol.MsgHello, func(w *protocol.Writer) {
-		w.String(p.opts.ClientName)
-		w.String(authID)
-	})
+	a, err := s.hello(authID, 0)
 	if err != nil {
 		ep.Close()
 		return nil, err
 	}
-	s.name = resp.String()
-	recs := protocol.GetDeviceRecords(resp)
-	s.peerAddr = resp.String()
-	s.canForward = resp.Bool()
-	sessionID := resp.U64()
-	s.peerKey = resp.U64()
-	if resp.Err() != nil {
-		ep.Close()
-		return nil, cl.Errf(cl.InvalidServer, "malformed hello response from %s", addr)
-	}
 	s.mu.Lock()
-	for _, rec := range recs {
+	for _, rec := range a.Devices {
 		s.devices = append(s.devices, &Device{srv: s, unitID: rec.UnitID, info: rec.Info})
 	}
-	s.sessionID = sessionID
 	s.setIncLocked(func(inc *coherence.Incarnation) { inc.Up = true })
 	s.reattaching = false
 	s.mu.Unlock()
@@ -580,13 +566,34 @@ func (s *Server) bind(authID string, recs []protocol.DeviceRecord) error {
 	delete(s.queueErrs, 0)
 	s.mu.Unlock()
 	return s.send(protocol.MsgHello, func(w *protocol.Writer) {
-		w.String(s.plat.opts.ClientName)
-		w.String(authID)
+		protocol.PutHello(w, protocol.Hello{Client: s.plat.opts.ClientName, AuthID: authID})
 	})
 }
 
-// Reattach re-establishes a dead server connection with the
-// MsgAttachSession handshake. It reports whether the daemon retained the
+// hello asks the daemon to bind a new connection to lease authID,
+// resuming session resume (0: a new session), and takes from the answer
+// what it says of the connection: the server's name, its peer plane and
+// the session and peer key of this connection.
+func (s *Server) hello(authID string, resume uint64) (protocol.HelloAnswer, error) {
+	resp, err := s.call(protocol.MsgHello, func(w *protocol.Writer) {
+		protocol.PutHello(w, protocol.Hello{Client: s.plat.opts.ClientName, AuthID: authID, Resume: resume})
+	})
+	if err != nil {
+		return protocol.HelloAnswer{}, err
+	}
+	a := protocol.GetHelloAnswer(resp)
+	if resp.Err() != nil {
+		return a, cl.Errf(cl.InvalidServer, "malformed hello answer from %s", s.addr)
+	}
+	s.mu.Lock()
+	s.name, s.peerAddr, s.canForward = a.Name, a.PeerAddr, a.CanForward
+	s.sessionID, s.peerKey = a.SessionID, a.PeerKey
+	s.mu.Unlock()
+	return a, nil
+}
+
+// Reattach re-establishes a dead server connection with a Hello that
+// resumes its session. It reports whether the daemon retained the
 // session's state:
 //
 //   - retained (the connection blipped but the daemon kept the session
@@ -611,15 +618,15 @@ func (s *Server) Reattach() (retained bool, err error) {
 		return false, cl.Errf(cl.InvalidOperation, "server %s is still connected", s.addr)
 	}
 	if s.reattaching {
-		// Two racing Reattach calls would both dial and both send
-		// MsgAttachSession; the first would consume the parked session
+		// Two racing Reattach calls would both dial and both send a
+		// resuming Hello; the first would consume the parked session
 		// and the second would get a fresh empty one, abandoning the
 		// retained state. One attempt at a time.
 		s.mu.Unlock()
 		return false, cl.Errf(cl.InvalidOperation, "server %s reattach already in progress", s.addr)
 	}
 	s.reattaching = true
-	sid := s.sessionID
+	sid, authID := s.sessionID, s.authID
 	down := s.down
 	s.mu.Unlock()
 	defer func() {
@@ -638,31 +645,15 @@ func (s *Server) Reattach() (retained bool, err error) {
 	}
 	c := s.startConn(ep)
 
-	resp, err := s.call(protocol.MsgAttachSession, func(w *protocol.Writer) {
-		w.U64(sid)
-		w.String(s.plat.opts.ClientName)
-		w.String(s.authID)
-	})
+	// The device records stay the client's: a node's devices do not change
+	// with a restart.
+	a, err := s.hello(authID, sid)
 	if err != nil {
 		ep.Close()
 		return false, err
 	}
-	name := resp.String()
-	retained = resp.Bool()
-	peerAddr := resp.String()
-	canFwd := resp.Bool()
-	newSID := resp.U64()
-	peerKey := resp.U64()
-	if resp.Err() != nil {
-		ep.Close()
-		return false, cl.Errf(cl.InvalidServer, "malformed attach response from %s", s.addr)
-	}
+	retained = a.Retained
 	s.mu.Lock()
-	s.name = name
-	s.peerAddr = peerAddr
-	s.canForward = canFwd
-	s.peerKey = peerKey
-	s.sessionID = newSID
 	s.badPeers = map[string]bool{}
 	s.queueErrs = map[uint64][]deferredFailure{}
 	s.mu.Unlock()

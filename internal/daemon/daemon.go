@@ -45,9 +45,10 @@ type Config struct {
 	PeerDial func(addr string) (net.Conn, error)
 	// SessionRetain keeps a disconnected client's session state (contexts,
 	// buffers, programs, kernels, queues, cached graphs) alive for this
-	// long after the connection dies, so the client can re-attach with
-	// MsgAttachSession and find its objects — and their data — intact.
-	// Zero tears sessions down immediately on disconnect.
+	// long after the connection dies, so the client can re-attach with a
+	// Hello that resumes it and find its objects — and their data —
+	// intact. A refused resume does not extend the window. Zero tears
+	// sessions down immediately on disconnect.
 	SessionRetain time.Duration
 	// ServeWindow is the serve plane's coalescing window: after popping a
 	// batch leader the dispatcher waits this long for concurrent
@@ -82,12 +83,12 @@ type Daemon struct {
 	// observability and the session-teardown hygiene tests.
 	graphCount atomic.Int64
 
-	// Session registry for the re-attach handshake: every client session
-	// gets a daemon-issued ID; a session whose connection died is parked
-	// (detached) for SessionRetain before its resources are released, and
-	// MsgAttachSession within that window adopts its object tables onto
-	// the new connection. keys finds a live connection by its peer key,
-	// for the payloads peers forward to it.
+	// Session registry: every client session gets a daemon-issued ID; a
+	// session whose connection died is parked (detached) for SessionRetain
+	// before its resources are released, and a Hello that resumes it
+	// within that window adopts its object tables onto the new connection.
+	// keys finds a live connection by its peer key, for the payloads peers
+	// forward to it.
 	sessMu   sync.Mutex
 	sessions map[uint64]*session
 	keys     map[uint64]*session
@@ -332,7 +333,7 @@ func (d *Daemon) StopLocal(addr string) {
 
 // registerSession issues a session ID and a peer key and records the
 // session under both. Both are cryptographically random, not sequential:
-// the re-attach handshake authenticates by session ID, so a guessable
+// a resuming Hello authenticates by session ID, so a guessable
 // counter (which also resets across daemon restarts) would let one client
 // adopt another's parked session — its buffers included. The peer key
 // travels to other daemons, so it is never the session ID.
@@ -356,14 +357,17 @@ func randomID() uint64 {
 	return binary.LittleEndian.Uint64(raw[:])
 }
 
-// takeDetachedSession claims a parked session for re-attachment: it is
-// removed from the registry and its expiry timer stopped. Returns nil
-// when the ID is unknown, expired, or still attached to a live
-// connection (a live session must not be stealable by ID). A re-attach
-// can outrace the old connection's close notice — this side's read loop
-// may not even have seen the link drop yet — so a session that is still
-// attached gets a bounded grace to detach before the answer is no.
-func (d *Daemon) takeDetachedSession(id uint64) *session {
+// takeDetachedSession claims parked session id for a Hello that resumes
+// it under lease authID: the session leaves the registry and its expiry
+// timer stops. It returns nil when the ID is unknown or expired. A session
+// parked for another lease is refused and stays parked, its timer running:
+// the session ID is the (unguessable, random) credential, and the lease
+// must match on top, so a lease holder cannot adopt another client's
+// session even with a leaked ID. A resume can outrace the old connection's
+// close notice — this side's read loop may not even have seen the link
+// drop yet — so a session that is still attached gets a bounded grace to
+// detach before the answer is nil.
+func (d *Daemon) takeDetachedSession(id uint64, authID string) (*session, error) {
 	grace := time.NewTimer(2 * time.Second)
 	defer grace.Stop()
 	for {
@@ -371,31 +375,34 @@ func (d *Daemon) takeDetachedSession(id uint64) *session {
 		s := d.sessions[id]
 		if s == nil {
 			d.sessMu.Unlock()
-			return nil
+			return nil, nil
 		}
 		if s.detached {
-			delete(d.sessions, id)
-			t := s.retireTimer
-			s.retireTimer = nil
-			d.sessMu.Unlock()
-			if t != nil {
-				t.Stop()
+			s.mu.Lock()
+			owner := s.authID
+			s.mu.Unlock()
+			if owner != authID {
+				d.sessMu.Unlock()
+				return nil, cl.Errf(cl.InvalidServer, "session %d is not parked for this lease", id)
 			}
-			return s
+			delete(d.sessions, id)
+			s.retireTimer.Stop()
+			d.sessMu.Unlock()
+			return s, nil
 		}
 		d.sessMu.Unlock()
 		select {
 		case <-s.gone:
 		case <-grace.C:
-			return nil
+			return nil, nil
 		}
 	}
 }
 
-// detachSession parks a session whose connection died. The session is
-// quiesced, but the object tables — and the buffer data in them — survive
-// for SessionRetain so a re-attach finds them. Without retention the
-// session retires immediately.
+// detachSession parks a session whose connection died; only its own close
+// notice calls it. The session is quiesced, but the object tables — and
+// the buffer data in them — survive for SessionRetain so a resuming Hello
+// finds them. Without retention the session retires immediately.
 func (d *Daemon) detachSession(s *session) {
 	s.quiesce()
 	retain := d.cfg.SessionRetain
@@ -406,11 +413,6 @@ func (d *Daemon) detachSession(s *session) {
 	}
 	s.mu.Unlock()
 	d.sessMu.Lock()
-	if d.sessions[s.id] != s {
-		// Already adopted or retired.
-		d.sessMu.Unlock()
-		return
-	}
 	s.detached = true
 	close(s.gone)
 	if retain <= 0 {
@@ -424,25 +426,8 @@ func (d *Daemon) detachSession(s *session) {
 	d.logf("daemon %s: session %d detached, retained for %s", d.cfg.Name, s.id, retain)
 }
 
-// reparkSession puts a session claimed by takeDetachedSession back into
-// the detached registry (a failed adoption — e.g. wrong credentials —
-// must not cost the rightful owner its state) and re-arms its expiry.
-func (d *Daemon) reparkSession(s *session) {
-	retain := d.cfg.SessionRetain
-	d.sessMu.Lock()
-	if _, taken := d.sessions[s.id]; taken || retain <= 0 {
-		d.sessMu.Unlock()
-		s.retire()
-		return
-	}
-	d.sessions[s.id] = s
-	s.detached = true
-	s.retireTimer = time.AfterFunc(retain, func() { d.expireSession(s) })
-	d.sessMu.Unlock()
-}
-
 // expireSession retires a detached session whose retention window ran
-// out without a re-attach.
+// out without a resume.
 func (d *Daemon) expireSession(s *session) {
 	d.sessMu.Lock()
 	if d.sessions[s.id] != s || !s.detached {

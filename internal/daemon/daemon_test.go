@@ -118,17 +118,17 @@ func TestProtocolHappyPath(t *testing.T) {
 	defer rs.ep.Close()
 
 	env := rs.call(t, 1, protocol.MsgHello, func(w *protocol.Writer) {
-		w.String("raw-client")
-		w.String("")
+		protocol.PutHello(w, protocol.Hello{Client: "raw-client"})
 	})
 	if cl.ErrorCode(env.Body.I32()) != cl.Success {
 		t.Fatal("hello failed")
 	}
-	if name := env.Body.String(); name != "srv" {
-		t.Fatalf("server name = %q", name)
+	a := protocol.GetHelloAnswer(env.Body)
+	if a.Name != "srv" {
+		t.Fatalf("server name = %q", a.Name)
 	}
-	if recs := protocol.GetDeviceRecords(env.Body); len(recs) != 2 {
-		t.Fatalf("hello records = %+v", recs)
+	if len(a.Devices) != 2 {
+		t.Fatalf("hello records = %+v", a.Devices)
 	}
 
 	if rs.tell(t, protocol.MsgCreateContext, func(w *protocol.Writer) {
@@ -168,8 +168,8 @@ func (c *lateNoticeConn) Read(p []byte) (int, error) {
 }
 
 // TestAttachBeforeCloseNoticeAdoptsSession: a re-attach can outrace the
-// old connection's close notice. The attach, dispatched first, waits for
-// the session to detach and then adopts it.
+// old connection's close notice. The resuming Hello, dispatched first,
+// waits for the session to detach and then adopts it.
 func TestAttachBeforeCloseNoticeAdoptsSession(t *testing.T) {
 	plat := native.NewPlatform("p", "v", []device.Config{device.TestCPU("cpu0")})
 	d, err := New(Config{Name: "srv", Platform: plat, SessionRetain: time.Minute})
@@ -181,26 +181,19 @@ func TestAttachBeforeCloseNoticeAdoptsSession(t *testing.T) {
 	d.ServeConn(late)
 	old := startGraphSession(gcf.NewEndpoint(a, true))
 	env := old.call(t, 1, protocol.MsgHello, func(w *protocol.Writer) {
-		w.String("old")
-		w.String("")
+		protocol.PutHello(w, protocol.Hello{Client: "old"})
 	})
 	if st := cl.ErrorCode(env.Body.I32()); st != cl.Success {
 		t.Fatalf("hello: %v", st)
 	}
-	_ = env.Body.String()
-	_ = protocol.GetDeviceRecords(env.Body)
-	_ = env.Body.String()
-	_ = env.Body.Bool()
-	sid := env.Body.U64()
+	sid := protocol.GetHelloAnswer(env.Body).SessionID
 	old.ep.Close()
 
 	fresh := newGraphSession(t, d)
 	defer fresh.ep.Close()
 	w := protocol.NewWriter()
-	w.U64(sid)
-	w.String("fresh")
-	w.String("")
-	if err := fresh.ep.Send(protocol.EncodeEnvelope(protocol.ClassRequest, 2, protocol.MsgAttachSession, w)); err != nil {
+	protocol.PutHello(w, protocol.Hello{Client: "fresh", Resume: sid})
+	if err := fresh.ep.Send(protocol.EncodeEnvelope(protocol.ClassRequest, 2, protocol.MsgHello, w)); err != nil {
 		t.Fatal(err)
 	}
 	// The attach is waiting for the old session to detach before the old
@@ -222,8 +215,7 @@ func TestAttachBeforeCloseNoticeAdoptsSession(t *testing.T) {
 	if st := cl.ErrorCode(env.Body.I32()); st != cl.Success {
 		t.Fatalf("attach: %v", st)
 	}
-	_ = env.Body.String()
-	if !env.Body.Bool() {
+	if !protocol.GetHelloAnswer(env.Body).Retained {
 		t.Fatal("attach before the close notice: retained=false, want the session adopted")
 	}
 }

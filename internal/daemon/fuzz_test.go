@@ -129,6 +129,11 @@ func FuzzSession(f *testing.F) {
 		row(protocol.MsgCreateContext, one), row(protocol.MsgCreateQueue, one), row(protocol.MsgCreateBuffer, one),
 		row(protocol.MsgCreateProgram, one), row(protocol.MsgBuildProgram, one), row(protocol.MsgCreateKernel, one),
 		row(protocol.MsgEnqueueKernel, one), row(protocol.MsgGoodbye, one)))
+	// A Hello resuming a session, on a session that holds objects: refused
+	// at once, where it used to replace the session's tables.
+	f.Add(frames(rpctest.Sample{Type: protocol.MsgHello, Class: req, Fill: func(w *protocol.Writer) {
+		protocol.PutHello(w, protocol.Hello{Client: "fuzz", Resume: 12345})
+	}}, row(protocol.MsgEnqueueKernel, one)))
 	// The object plane as re-attach recovery used to send it: requests of
 	// types now served one-way only, each refused without acting.
 	for _, typ := range []protocol.MsgType{protocol.MsgCreateContext, protocol.MsgCreateQueue, protocol.MsgCreateBuffer,

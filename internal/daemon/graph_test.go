@@ -161,8 +161,7 @@ func (gs *graphSession) waitNotify(t *testing.T, typ protocol.MsgType) protocol.
 func (gs *graphSession) setupGraphQueue(t *testing.T, queueID, graphID uint64) {
 	t.Helper()
 	if env := gs.call(t, 1, protocol.MsgHello, func(w *protocol.Writer) {
-		w.String("graph-test")
-		w.String("")
+		protocol.PutHello(w, protocol.Hello{Client: "graph-test"})
 	}); cl.ErrorCode(env.Body.I32()) != cl.Success {
 		t.Fatal("hello failed")
 	}

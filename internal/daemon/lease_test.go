@@ -57,7 +57,7 @@ func (f *leaseFrames) tell(typ protocol.MsgType, fill func(*protocol.Writer)) cl
 }
 
 func hello(authID string) func(*protocol.Writer) {
-	return func(w *protocol.Writer) { w.String("lease-test"); w.String(authID) }
+	return func(w *protocol.Writer) { protocol.PutHello(w, protocol.Hello{Client: "lease-test", AuthID: authID}) }
 }
 
 // createContext creates context ctxID on one device unit.

@@ -25,9 +25,9 @@ import (
 // peer) race on independent links, so either may arrive first. They meet
 // on the client's connection: its session keeps a table keyed by the
 // client-chosen transfer token, and the payload finds that table by the
-// connection's peer key (which the client learned from its Hello or
-// AttachSession answer and handed to the source daemon). A payload waits
-// for its accept only while that connection lives, never on a timer.
+// connection's peer key (which the client learned from its Hello answer
+// and handed to the source daemon). A payload waits for its accept only
+// while that connection lives, never on a timer.
 
 // accept is a client-announced inbound transfer: where the payload goes,
 // and the gate — a user event dependent commands wait on — that its

@@ -93,18 +93,12 @@ func newPeerHarnessWrap(t *testing.T, wrap func(net.Conn) (net.Conn, error)) *pe
 func (gs *graphSession) hello(t *testing.T) uint64 {
 	t.Helper()
 	env := gs.call(t, 1, protocol.MsgHello, func(w *protocol.Writer) {
-		w.String("peer-test")
-		w.String("")
+		protocol.PutHello(w, protocol.Hello{Client: "peer-test"})
 	})
 	if st := cl.ErrorCode(env.Body.I32()); st != cl.Success {
 		t.Fatalf("hello: %v", st)
 	}
-	_ = env.Body.String() // name
-	_ = protocol.GetDeviceRecords(env.Body)
-	_ = env.Body.String() // peer address
-	_ = env.Body.Bool()   // can forward
-	_ = env.Body.U64()    // session ID
-	key := env.Body.U64()
+	key := protocol.GetHelloAnswer(env.Body).PeerKey
 	if env.Body.Err() != nil || key == 0 {
 		t.Fatalf("hello answer carries no peer key (%v)", env.Body.Err())
 	}
@@ -167,7 +161,7 @@ func (h *peerHarness) deliver(t *testing.T, hdr protocol.PeerTransfer, payload [
 	stream := h.link.OpenStream()
 	hdr.StreamID = stream.ID()
 	if len(payload) > 0 {
-		if _, err := stream.Write(payload); err != nil {
+		if err := stream.WriteOwned(payload, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,7 +225,7 @@ func (h *peerHarness) sendTransfer(t *testing.T, hdr protocol.PeerTransfer, payl
 		t.Fatal(err)
 	}
 	if len(payload) > 0 {
-		if _, err := stream.Write(payload); err != nil {
+		if err := stream.WriteOwned(payload, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -78,8 +78,7 @@ func TestRendezvousGoodbyeKeepsParkedPayloads(t *testing.T) {
 
 	// The next lease on the same connection meets the parked payload.
 	h.oneway(t, protocol.MsgHello, func(w *protocol.Writer) {
-		w.String("peer-test")
-		w.String("")
+		protocol.PutHello(w, protocol.Hello{Client: "peer-test"})
 	})
 	h.setupBuffer(t, 32)
 	h.accept(t, 2, 501, 32)

@@ -58,12 +58,11 @@ func sessionSamples() []rpctest.Sample {
 	}
 	eventStatus := func(w *protocol.Writer) { w.U64(0); w.I32(int32(cl.Complete)) }
 	launch := protocol.GraphCommand{Op: protocol.GraphOpKernel, KernelID: 0, Global: []int{csSize / 4}}
-	hello := func(w *protocol.Writer) { w.String("sweep"); w.String("") }
+	hello := func(w *protocol.Writer) { protocol.PutHello(w, protocol.Hello{Client: "sweep"}) }
 	req, one := protocol.ClassRequest, protocol.ClassOneWay
 	return []rpctest.Sample{
 		{Type: protocol.MsgHello, Class: req, Setup: true, Fill: hello},
 		{Type: protocol.MsgHello, Class: one, Fill: hello},
-		{Type: protocol.MsgAttachSession, Class: req, Fill: func(w *protocol.Writer) { w.U64(12345); w.String("sweep"); w.String("") }},
 		{Type: protocol.MsgGetServerInfo, Class: req},
 		{Type: protocol.MsgCreateContext, Class: one, Setup: true, Fill: createContext},
 		{Type: protocol.MsgCreateQueue, Class: one, Setup: true, Fill: u64s(0, 0, 0)},
@@ -233,8 +232,8 @@ func TestRouteClasses(t *testing.T) {
 		return byType, rows, requests
 	}
 	session, rows, requests := classes((&session{}).routes())
-	if rows != 37 || requests != 7 {
-		t.Errorf("the session serves %d rows, %d of them requests; want 37 and 7", rows, requests)
+	if rows != 36 || requests != 6 {
+		t.Errorf("the session serves %d rows, %d of them requests; want 36 and 6", rows, requests)
 	}
 	manager, rows, _ := classes(testDaemon(t, true).managerRoutes(nil, nil))
 	if rows != 4 {
@@ -262,7 +261,7 @@ func TestRouteClasses(t *testing.T) {
 	if want := []protocol.MsgType{protocol.MsgHello, protocol.MsgEnqueueWrite, protocol.MsgDMPing}; !slices.Equal(twoClasses, want) {
 		t.Errorf("served in two classes: %v, want %v", twoClasses, want)
 	}
-	want := []protocol.MsgType{protocol.MsgAttachSession, protocol.MsgGetServerInfo, protocol.MsgFinish, protocol.MsgCreateUserEvent, protocol.MsgServeOpen}
+	want := []protocol.MsgType{protocol.MsgGetServerInfo, protocol.MsgFinish, protocol.MsgCreateUserEvent, protocol.MsgServeOpen}
 	if slices.Sort(want); !slices.Equal(requestOnly, want) {
 		t.Errorf("the session serves as requests only %v, want %v", requestOnly, want)
 	}

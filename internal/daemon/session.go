@@ -16,8 +16,8 @@ import (
 // session is one client connection: the daemon-side object tables mapping
 // client stub IDs to native OpenCL objects, plus the request dispatcher.
 // A session survives its connection: when the endpoint dies the session
-// detaches (tables intact) for the daemon's retention window, and a
-// MsgAttachSession on a fresh connection adopts the tables — the client
+// detaches (tables intact) for the daemon's retention window, and a Hello
+// on a fresh connection that resumes it adopts the tables — the client
 // finds its buffers, queues, programs, kernels and cached graphs exactly
 // where it left them.
 type session struct {
@@ -39,7 +39,6 @@ type session struct {
 	// after its Goodbye): on a managed daemon its units are the only ones the
 	// session may use (Daemon.device).
 	authID   string
-	clientNm string
 	noRetain bool // lease ended by a goodbye: nothing to retain on close
 	contexts map[uint64]cl.Context
 	queues   map[uint64]cl.Queue
@@ -256,14 +255,14 @@ func (s *session) resolveWaits(ids []uint64) ([]cl.Event, error) {
 // dispatcher stays responsive.
 //
 // A message is a request only where the client uses the answer or needs
-// the fence: a new connection's Hello (session ID and devices),
-// AttachSession, GetServerInfo, Finish, ServeOpen and CreateUserEvent
-// (whose round trip stamps a replacement event with the connection it
-// was created on). Everything else is one-way — no response is
-// synthesized, success is silent but for an event's completion, failures
-// are pushed back in MsgCompleted notices — and its dispatch order
-// relative to a later request is what makes that request a
-// synchronization point for the whole pipeline. That covers the object
+// the fence: a new connection's Hello (session ID, devices and whether
+// the session it resumes was retained), GetServerInfo, Finish, ServeOpen
+// and CreateUserEvent (whose round trip stamps a replacement event with
+// the connection it was created on). Everything else is one-way — no
+// response is synthesized, success is silent but for an event's
+// completion, failures are pushed back in MsgCompleted notices — and its
+// dispatch order relative to a later request is what makes that request
+// a synchronization point for the whole pipeline. That covers the object
 // plane too: the client assigns the IDs, checks what it can itself,
 // compiles programs locally (MiniCL is deterministic: its verdict on a
 // build is the daemon's) and has a lease's device records from its
@@ -275,7 +274,6 @@ func (s *session) resolveWaits(ids []uint64) ([]cl.Event, error) {
 func (s *session) routes() rpc.Routes {
 	return rpc.Routes{
 		protocol.MsgHello:              {Request: s.handleHello, OneWay: s.handleHello},
-		protocol.MsgAttachSession:      {Request: s.handleAttachSession},
 		protocol.MsgGetServerInfo:      {Request: s.handleGetServerInfo},
 		protocol.MsgCreateContext:      {OneWay: s.handleCreateContext},
 		protocol.MsgReleaseContext:     releaser(s, &s.contexts),
@@ -360,104 +358,61 @@ func (s *session) handleGoodbye(rpc.Call) {
 // a new connection, asked, and — one-way, behind the previous lease's
 // Goodbye — the first of each later lease on a kept connection, whose
 // client has the device records from its grant already. A refusal is then
-// reported at the client's next wait, like a refused create's.
+// reported at the client's next wait, like a refused create's. A Hello
+// that resumes a session after a lost connection adopts that session's
+// object tables if the daemon still parks it for the same lease, and
+// retained tells the client that every remote object — and the data in
+// its buffers — survived; if it is gone (restart, expiry) this is a new
+// session and the client re-creates its objects. A session that holds
+// objects, or is the one named, resumes nothing: it is refused at once.
 func (s *session) handleHello(c rpc.Call) {
-	clientName := c.Body.String()
-	authID := c.Body.String()
+	h := protocol.GetHello(c.Body)
 	if c.Malformed() {
 		return
 	}
-	recs, err := s.d.visibleRecords(authID)
+	recs, err := s.d.visibleRecords(h.AuthID)
 	if err != nil {
 		s.fail(c, 0, 0, err)
 		return
 	}
+	retained := false
+	if h.Resume != 0 {
+		if h.Resume == s.id || s.objects() > 0 {
+			s.fail(c, 0, 0, cl.Errf(cl.InvalidOperation, "session %d holds objects or is session %d: it resumes nothing", s.id, h.Resume))
+			return
+		}
+		old, err := s.d.takeDetachedSession(h.Resume, h.AuthID)
+		if err != nil {
+			s.fail(c, 0, 0, err)
+			return
+		}
+		if old != nil {
+			// The old session is parked only by its close notice, which ran
+			// after its last handler, and its event table was cleared at
+			// detach, so nothing still routes through it. This session's
+			// tables are empty: the old one is left holding nothing.
+			old.mu.Lock()
+			s.mu.Lock()
+			s.contexts, old.contexts = old.contexts, s.contexts
+			s.queues, old.queues = old.queues, s.queues
+			s.buffers, old.buffers = old.buffers, s.buffers
+			s.programs, old.programs = old.programs, s.programs
+			s.kernels, old.kernels = old.kernels, s.kernels
+			s.graphs, old.graphs = old.graphs, s.graphs
+			s.mu.Unlock()
+			old.mu.Unlock()
+			retained = true
+		}
+		s.d.logf("daemon %s: session %d of %q resumes %d (retained=%v)", s.d.cfg.Name, s.id, h.Client, h.Resume, retained)
+	}
 	s.mu.Lock()
-	s.authID = authID
-	s.clientNm = clientName
+	s.authID = h.AuthID
 	s.noRetain = false
 	s.mu.Unlock()
 	c.Reply(cl.Success, func(w *protocol.Writer) {
-		w.String(s.d.cfg.Name)
-		protocol.PutDeviceRecords(w, recs)
-		// Peer data-plane capabilities: where peers reach this daemon's
-		// bulk plane, and whether it can originate forwards itself.
-		w.String(s.d.cfg.PeerAddr)
-		w.Bool(s.d.CanForward())
-		// Session identity for the re-attach handshake, and the key that
-		// names this connection to the peers forwarding to it.
-		w.U64(s.id)
-		w.U64(s.rv.key)
+		protocol.PutHelloAnswer(w, protocol.HelloAnswer{Name: s.d.cfg.Name, Retained: retained, Devices: recs,
+			PeerAddr: s.d.cfg.PeerAddr, CanForward: s.d.CanForward(), SessionID: s.id, PeerKey: s.rv.key})
 	})
-}
-
-// handleAttachSession re-binds a client to its daemon-side state after
-// the original connection died. When the named session is still parked
-// (retention window), its object tables are adopted onto this connection
-// and retained=true tells the client every remote object — and the data
-// in its buffers — survived. Otherwise this is a fresh, empty session
-// (daemon restarted or the session expired) and the client re-creates
-// its objects.
-func (s *session) handleAttachSession(c rpc.Call) {
-	sid := c.Body.U64()
-	clientName := c.Body.String()
-	authID := c.Body.String()
-	if c.Malformed() {
-		return
-	}
-	// The client keeps its device records across a re-attach (a node's
-	// devices do not change with a restart); the lease is checked all
-	// the same.
-	if _, err := s.d.visibleRecords(authID); err != nil {
-		c.Reply(cl.CodeOf(err), nil)
-		return
-	}
-	retained := false
-	if old := s.d.takeDetachedSession(sid); old != nil {
-		// The session ID is the (unguessable, random) credential; the
-		// authentication ID must match on top — a lease holder must not
-		// be able to adopt another client's session even with a leaked ID.
-		old.mu.Lock()
-		oldAuth := old.authID
-		old.mu.Unlock()
-		if oldAuth != authID {
-			s.d.reparkSession(old) // back on the shelf for its rightful owner
-			// The session's credentials are rejected.
-			c.Reply(cl.InvalidServer, nil)
-			return
-		}
-		// Adopt the parked tables. The old session is parked only by its
-		// close notice, which ran after its last handler, and its event
-		// table was cleared at detach, so nothing still routes through it.
-		old.mu.Lock()
-		contexts, queues, buffers := old.contexts, old.queues, old.buffers
-		programs, kernels, graphs := old.programs, old.kernels, old.graphs
-		old.contexts = map[uint64]cl.Context{}
-		old.queues = map[uint64]cl.Queue{}
-		old.buffers = map[uint64]cl.Buffer{}
-		old.programs = map[uint64]cl.Program{}
-		old.kernels = map[uint64]cl.Kernel{}
-		old.graphs = map[uint64]*sessGraph{}
-		old.mu.Unlock()
-		s.mu.Lock()
-		s.contexts, s.queues, s.buffers = contexts, queues, buffers
-		s.programs, s.kernels, s.graphs = programs, kernels, graphs
-		s.mu.Unlock()
-		retained = true
-	}
-	s.mu.Lock()
-	s.authID = authID
-	s.clientNm = clientName
-	s.mu.Unlock()
-	c.Reply(cl.Success, func(w *protocol.Writer) {
-		w.String(s.d.cfg.Name)
-		w.Bool(retained)
-		w.String(s.d.cfg.PeerAddr)
-		w.Bool(s.d.CanForward())
-		w.U64(s.id)
-		w.U64(s.rv.key)
-	})
-	s.d.logf("daemon %s: session %d attach (was %d, retained=%v)", s.d.cfg.Name, s.id, sid, retained)
 }
 
 // handleForwardBuffer executes the source half of a peer transfer: read

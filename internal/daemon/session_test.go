@@ -40,8 +40,7 @@ func commandSession(t *testing.T) (*graphSession, *session) {
 		}
 	}
 	ok("hello", cl.ErrorCode(gs.call(t, 1, protocol.MsgHello, func(w *protocol.Writer) {
-		w.String("command-test")
-		w.String("")
+		protocol.PutHello(w, protocol.Hello{Client: "command-test"})
 	}).Body.I32()))
 	ok("create context", gs.tell(t, protocol.MsgCreateContext, func(w *protocol.Writer) {
 		w.U64(csCtx)
@@ -272,8 +271,7 @@ func TestCloseAfterQueuedCreatesKeepsNothing(t *testing.T) {
 	sess.start()
 	gs := startGraphSession(clientEP)
 	if st := cl.ErrorCode(gs.call(t, 1, protocol.MsgHello, func(w *protocol.Writer) {
-		w.String("close-test")
-		w.String("")
+		protocol.PutHello(w, protocol.Hello{Client: "close-test"})
 	}).Body.I32()); st != cl.Success {
 		t.Fatalf("hello: %v", st)
 	}

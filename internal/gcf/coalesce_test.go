@@ -140,8 +140,7 @@ func TestWriteBackpressure(t *testing.T) {
 	payload := make([]byte, 4*writeBufLimit)
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.Write(payload)
-		done <- err
+		done <- s.WriteOwned(payload, nil)
 	}()
 	select {
 	case err := <-done:

@@ -315,8 +315,8 @@ type wseg struct {
 }
 
 // writeFrame queues one frame for the write loop, copying the payload
-// into the staging buffer (small frames: messages, heartbeats, legacy
-// stream writes). It blocks only for backpressure (the coalescing batch
+// into the staging buffer (small frames: messages, heartbeats, a
+// stream's end). It blocks only for backpressure (the coalescing batch
 // is full); actual transmission — and therefore transmission errors —
 // happen asynchronously and surface as endpoint shutdown.
 func (e *Endpoint) writeFrame(ch uint32, payload []byte) error {
@@ -338,7 +338,7 @@ func (e *Endpoint) queueFrame(ch uint32, payload []byte, owned bool, release fun
 		return ErrClosed
 	}
 	if e.peer != nil {
-		return e.deliverLocal(ch, payload, owned, release)
+		return e.deliverLocal(ch, payload, release)
 	}
 	e.wmu.Lock()
 	if block {
@@ -934,24 +934,6 @@ func (s *Stream) Read(p []byte) (int, error) {
 		}
 	}
 	return n, nil
-}
-
-// Write sends data on the stream, chopped into frames. The payload is
-// copied into the coalescing batch, so the caller keeps ownership of p
-// on return; bulk senders should prefer WriteOwned.
-func (s *Stream) Write(p []byte) (int, error) {
-	sent := 0
-	for sent < len(p) {
-		n := len(p) - sent
-		if n > maxFrame {
-			n = maxFrame
-		}
-		if err := s.e.writeFrame(s.id, p[sent:sent+n]); err != nil {
-			return sent, err
-		}
-		sent += n
-	}
-	return sent, nil
 }
 
 // WriteOwned sends p on the stream zero-copy: the frames REFERENCE p

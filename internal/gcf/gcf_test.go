@@ -98,7 +98,7 @@ func TestStreamBulkTransfer(t *testing.T) {
 	if err := ea.Send([]byte{byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Write(payload); err != nil {
+	if err := s.WriteOwned(payload, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.CloseWrite(); err != nil {
@@ -135,7 +135,7 @@ func TestStreamsInterleaveWithMessages(t *testing.T) {
 		defer wg.Done()
 		buf := make([]byte, 1<<20)
 		for i := 0; i < 8; i++ {
-			if _, err := s.Write(buf); err != nil {
+			if err := s.WriteOwned(buf, nil); err != nil {
 				t.Errorf("stream write: %v", err)
 				return
 			}

@@ -5,21 +5,17 @@ package gcf
 // the bytes would be memcpy'd into a staging buffer, framed, copied
 // through the kernel, unframed and memcpy'd out again. A local endpoint
 // pair short-circuits all of that at the queueFrame choke point, which
-// every sender (Send, Stream.Write, Stream.WriteOwned, CloseWrite) funnels
-// through:
+// every sender (Send, Stream.WriteOwned, CloseWrite) funnels through:
 //
 //   - messages are copied once into the peer's dispatch queue (Send's
 //     contract hands the slice back to the caller on return, so the copy
 //     is the copy-on-write protection — the receiver can never observe a
 //     later mutation);
-//   - unowned stream writes are snapshotted into a pooled frame for the
-//     same reason — the same copy the socket path pays in its staging
-//     buffer, minus the framing, syscalls and read-side copy;
-//   - owned stream writes (WriteOwned) cross with NO copy at all: the
-//     receiver reads the writer's slice in place, and the release
-//     callback fires when the chunk is fully consumed (or the stream is
-//     torn down), preserving the exactly-once release contract that the
-//     deferred-flush write loop provides on the socket path.
+//   - stream data (WriteOwned, the one stream write) crosses with NO copy
+//     at all: the receiver reads the writer's slice in place, and the
+//     release callback fires when the chunk is fully consumed (or the
+//     stream is torn down), preserving the exactly-once release contract
+//     that the deferred-flush write loop provides on the socket path.
 //
 // Everything above the Endpoint API — sessions, protocol handlers,
 // coherence, streams — is unchanged and cannot tell the difference,
@@ -62,8 +58,8 @@ func newLocalEndpoint(firstID uint32) *Endpoint {
 
 // deliverLocal is the in-process replacement for the stage→flush→read
 // pipeline: one frame, delivered straight into the peer's message queue
-// or stream buffer.
-func (e *Endpoint) deliverLocal(ch uint32, payload []byte, owned bool, release func()) error {
+// or stream buffer. Stream data is always owned (WriteOwned).
+func (e *Endpoint) deliverLocal(ch uint32, payload []byte, release func()) error {
 	p := e.peer
 	if p.closed.Load() {
 		return ErrClosed
@@ -85,13 +81,7 @@ func (e *Endpoint) deliverLocal(ch uint32, payload []byte, owned bool, release f
 		s.closeRead(io.EOF)
 		return nil
 	}
-	if owned {
-		s.pushLocal(rchunk{p: payload, release: release})
-		return nil
-	}
-	buf := getFrame(len(payload))
-	copy(buf, payload)
-	s.pushLocal(rchunk{p: buf, pooled: true})
+	s.pushLocal(rchunk{p: payload, release: release})
 	return nil
 }
 
@@ -103,9 +93,6 @@ func (s *Stream) pushLocal(c rchunk) {
 	s.mu.Lock()
 	if s.rerr != nil {
 		s.mu.Unlock()
-		if c.pooled {
-			putFrame(c.p)
-		}
 		if c.release != nil {
 			c.release()
 		}

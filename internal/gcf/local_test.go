@@ -46,35 +46,6 @@ func TestLocalPairMessageCopyAndOrder(t *testing.T) {
 	}
 }
 
-func TestLocalStreamWriteIsCopyOnWrite(t *testing.T) {
-	client, server, _ := startLocalPair(t)
-	st := client.OpenStream()
-	data := bytes.Repeat([]byte{0xAB}, 10_000)
-	if _, err := st.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	// The caller may mutate its slice the moment Write returns.
-	for i := range data {
-		data[i] = 0xFF
-	}
-	if err := st.CloseWrite(); err != nil {
-		t.Fatal(err)
-	}
-	ps := server.Stream(st.ID())
-	got := make([]byte, 10_000)
-	if _, err := io.ReadFull(ps, got); err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range got {
-		if b != 0xAB {
-			t.Fatalf("byte %d: got %#x, mutation leaked through the hand-off", i, b)
-		}
-	}
-	ps.WaitEOF()
-	ps.Release()
-	st.Release()
-}
-
 func TestLocalWriteOwnedZeroCopyRelease(t *testing.T) {
 	client, server, _ := startLocalPair(t)
 	st := client.OpenStream()

@@ -5,14 +5,19 @@ import "dopencl/internal/cl"
 // MsgType enumerates protocol messages.
 type MsgType uint16
 
-// Client ↔ daemon message types. Object IDs are allocated by the client
-// driver (stub IDs, Section III-D of the paper); the daemon maps them to
-// its native OpenCL objects. That is why the Create* and Release*
-// messages, a build and an argument binding need no answer: they are
-// one-way, ahead of the commands that name the object on the same ordered
-// connection, and a client that must know they were served (re-attach
-// recovery) follows them with one request.
+// Client ↔ daemon message types. A connection's daemon session is bound
+// to a lease by one handshake, MsgHello, which also resumes a parked
+// session. Object IDs are allocated by the client driver (stub IDs,
+// Section III-D of the paper); the daemon maps them to its native OpenCL
+// objects. That is why the Create* and Release* messages, a build and an
+// argument binding need no answer: they are one-way, ahead of the
+// commands that name the object on the same ordered connection, and a
+// client that must know they were served (re-attach recovery) follows
+// them with one request.
 const (
+	// MsgHello binds the session to a lease (Hello): asked on a new
+	// connection (HelloAnswer), one-way on a kept one behind the previous
+	// lease's Goodbye.
 	MsgHello MsgType = iota + 1
 	MsgCreateContext
 	MsgReleaseContext
@@ -43,14 +48,6 @@ const (
 	MsgRegisterGraph // client → daemon: cache a finalized command graph
 	MsgExecGraph     // client → daemon: replay a cached graph (one frame per iteration)
 	MsgReleaseGraph  // client → daemon: drop a cached graph
-	// MsgAttachSession re-attaches a client to a daemon after the original
-	// connection died: the request carries the session ID issued in the
-	// Hello response. A daemon still retaining the detached session adopts
-	// its object tables onto the new connection (buffers, queues, programs,
-	// kernels and cached graphs survive); a daemon that restarted (or
-	// already expired the session) answers with retained=false and a fresh
-	// session, and the client re-creates its objects.
-	MsgAttachSession
 	// MsgGoodbye is a one-way notice that ends the session's lease: the
 	// daemon releases every object of the session at once, and a close
 	// that follows has nothing to retain for re-attachment — only abnormal
@@ -122,8 +119,7 @@ var msgNames = [...]string{
 	MsgGetServerInfo: "GetServerInfo", MsgCompleted: "Completed",
 	MsgForwardBuffer: "ForwardBuffer", MsgAcceptForward: "AcceptForward",
 	MsgRegisterGraph: "RegisterGraph", MsgExecGraph: "ExecGraph",
-	MsgReleaseGraph: "ReleaseGraph", MsgAttachSession: "AttachSession",
-	MsgGoodbye:   "Goodbye",
+	MsgReleaseGraph: "ReleaseGraph", MsgGoodbye: "Goodbye",
 	MsgPeerHello: "PeerHello", MsgPeerTransfer: "PeerTransfer",
 	MsgDMRegisterServer: "DMRegisterServer", MsgDMRequestDevices: "DMRequestDevices",
 	MsgDMAssign: "DMAssign", MsgDMReleaseLease: "DMReleaseLease",
@@ -203,6 +199,65 @@ func GetDeviceRecords(r *Reader) []DeviceRecord {
 	return out
 }
 
+// Hello is the body of MsgHello. Client names the client in the daemon's
+// logs and AuthID the lease ("" for a direct connection). Resume is the
+// session a client re-attaching after a lost connection resumes (0: a
+// new session): the ID its previous answer carried. The daemon adopts
+// that session's objects if it still parks it for the same lease, and
+// refuses the Hello if it parks it for another, or if the connection's
+// own session holds objects or is the one named.
+type Hello struct {
+	Client string
+	AuthID string
+	Resume uint64
+}
+
+// PutHello encodes a Hello.
+func PutHello(w *Writer, h Hello) {
+	w.String(h.Client)
+	w.String(h.AuthID)
+	w.U64(h.Resume)
+}
+
+// GetHello decodes a Hello.
+func GetHello(r *Reader) Hello {
+	return Hello{Client: r.String(), AuthID: r.String(), Resume: r.U64()}
+}
+
+// HelloAnswer is the answer to a request-class Hello. Retained reports
+// that the session the Hello resumed was adopted, its objects and their
+// data intact; Devices are the lease's device records. PeerAddr is where
+// peers reach the daemon's bulk plane (empty: it receives no forwards)
+// and CanForward whether it originates forwards. SessionID is what a
+// later Hello resumes, and PeerKey names this connection to the daemons
+// forwarding to it (PeerTransfer.Key).
+type HelloAnswer struct {
+	Name       string
+	Retained   bool
+	Devices    []DeviceRecord
+	PeerAddr   string
+	CanForward bool
+	SessionID  uint64
+	PeerKey    uint64
+}
+
+// PutHelloAnswer encodes a Hello's answer.
+func PutHelloAnswer(w *Writer, a HelloAnswer) {
+	w.String(a.Name)
+	w.Bool(a.Retained)
+	PutDeviceRecords(w, a.Devices)
+	w.String(a.PeerAddr)
+	w.Bool(a.CanForward)
+	w.U64(a.SessionID)
+	w.U64(a.PeerKey)
+}
+
+// GetHelloAnswer decodes a Hello's answer.
+func GetHelloAnswer(r *Reader) HelloAnswer {
+	return HelloAnswer{Name: r.String(), Retained: r.Bool(), Devices: GetDeviceRecords(r),
+		PeerAddr: r.String(), CanForward: r.Bool(), SessionID: r.U64(), PeerKey: r.U64()}
+}
+
 // Completion is the body of MsgCompleted, the daemon's one notice that
 // something the client sent has completed: the command behind event
 // EventID (0: none) ended with Status, cl.Complete or an OpenCL error
@@ -245,10 +300,10 @@ func GetCompletion(r *Reader) Completion {
 // SrcBufID and stream the bytes directly to the daemon at PeerAddr,
 // bypassing the client's link entirely (the peer-to-peer bulk plane that
 // lifts the Section III-F all-through-the-host limitation). PeerKey names
-// the client's connection at the receiver (its answer to Hello or
-// AttachSession) and Token the MsgAcceptForward registered on it;
-// DstBufID/DstOffset are echoed in the peer transfer header so the
-// receiver can cross-check the client's intent against the peer's claim.
+// the client's connection at the receiver (HelloAnswer.PeerKey) and Token
+// the MsgAcceptForward registered on it; DstBufID/DstOffset are echoed in
+// the peer transfer header so the receiver can cross-check the client's
+// intent against the peer's claim.
 // EventID is the staging read's event: it completes once the bytes are
 // copied out of the buffer. FailID is the event the source fails when the
 // payload will not be sent (read, dial or send failure); QueueID
