@@ -858,15 +858,11 @@ func newStream(e *Endpoint, id uint32) *Stream {
 // ID returns the stream's channel ID (announced in protocol messages).
 func (s *Stream) ID() uint32 { return s.id }
 
-// push appends inbound data (called from the endpoint read loop).
+// push appends inbound data, a pooled frame the endpoint read loop hands
+// over.
 func (s *Stream) push(p []byte) {
-	s.pushChunk(p, true)
-}
-
-// pushChunk appends inbound data with explicit pool ownership.
-func (s *Stream) pushChunk(p []byte, pooled bool) {
 	s.mu.Lock()
-	s.chunks = append(s.chunks, rchunk{p: p, pooled: pooled})
+	s.chunks = append(s.chunks, rchunk{p: p, pooled: true})
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }

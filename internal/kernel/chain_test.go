@@ -72,7 +72,8 @@ func TestSpeculableChainIsOneBranch(t *testing.T) {
 // 0 or 1, so the chain adds it as it is, with no ne.i of its own. The
 // plan of i > 2 && !(x & 3) runs and.i and lnot once per group, then per
 // item one fused gt.i/add.i/eq.i step, the if's branch, the store and
-// end: six steps.
+// end: six steps, and the position guard that decides the branch per
+// strip, which an item never runs.
 func TestNotIsAFlag(t *testing.T) {
 	p, err := kernel.Compile(`kernel void k(global int* o, int x) {
 	int i = get_global_id(0);
@@ -86,8 +87,8 @@ func TestNotIsAFlag(t *testing.T) {
 	if got := countSteps(raw.Code, kernel.RNeI); got != 0 {
 		t.Errorf("%d ne.i as lowered, want 0:\n%s", got, raw.Disassemble())
 	}
-	if got := len(w.Prologue) + len(w.Code); got != 6 {
-		t.Errorf("plan has %d steps, want 6:\n%s", got, w.Disassemble())
+	if got := len(w.Prologue) + len(w.Code); got != 7 || w.Code[0].Op != kernel.RGuard {
+		t.Errorf("plan has %d steps, want 6 and a guard:\n%s", got, w.Disassemble())
 	}
 }
 

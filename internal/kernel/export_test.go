@@ -87,14 +87,6 @@ func CheckPlan(w *WGFunc) error {
 			return fmt.Errorf("argument buffer %d of %d", b, w.NumBufs)
 		}
 	}
-	if g := w.Guard; g != nil {
-		if err := operand(g.RHS); err != nil {
-			return fmt.Errorf("guard: %v", err)
-		}
-		if g.SurvivePC < 0 || g.SurvivePC >= len(w.Code) {
-			return fmt.Errorf("guard resumes at %d of %d", g.SurvivePC, len(w.Code))
-		}
-	}
 
 	binary := func(step ROp) bool { return step != RNop && !IsUnaryStep(step) }
 	check := func(where string, code []RInstr, body bool) error {
@@ -104,7 +96,7 @@ func CheckPlan(w *WGFunc) error {
 			steps := []ROp{ins.F1, ins.F2}
 			switch ins.Op {
 			case RNop, REnd, RBarrier:
-			case RJmp:
+			case RJmp, RGuard:
 				steps = nil
 			case RTrap:
 				if ins.A < 0 || int(ins.A) >= len(w.TrapMsgs) {
@@ -208,6 +200,13 @@ func CheckPlan(w *WGFunc) error {
 	} else if last := w.Code[n-1].Op; last != REnd && last != RJmp && last != RTrap {
 		return fmt.Errorf("body falls off its end after %s", last)
 	}
+	for pc, ins := range w.Code {
+		if ins.Op == RGuard {
+			if err := checkGuard(w, pc, presets); err != nil {
+				return fmt.Errorf("guard at %d: %v", pc, err)
+			}
+		}
+	}
 	barriers := 0
 	for _, ins := range w.Code {
 		if ins.Op == RBarrier {
@@ -219,6 +218,87 @@ func CheckPlan(w *WGFunc) error {
 	}
 	if len(w.Code) > lowerMaxIR {
 		return fmt.Errorf("%d instructions, over the cap of %d", len(w.Code), lowerMaxIR)
+	}
+	return nil
+}
+
+// checkGuard restates what a position guard's slice must be for the
+// runner to decide its branch in closed form (opt.go's guard pass):
+// every step of the slice and the branch is add.i, sub.i, mul.i or an int
+// compare; what they read is a result of an earlier slice step or a
+// register the body never writes; each slice result is no register the
+// runner presets or seeds, is written once in the plan and is read
+// nowhere but later in the slice and in the branch; no jump lands inside
+// the slice or on the branch, and the branch writes nothing back.
+func checkGuard(w *WGFunc, pc int, presets []int32) error {
+	code := w.Code
+	b := int(code[pc].C)
+	if w.HasBarriers() {
+		return fmt.Errorf("in a plan with barriers")
+	}
+	if b <= pc || b >= len(code) || code[b].Op != RBrT && code[b].Op != RBrF {
+		return fmt.Errorf("decides @%d, not a conditional branch after it", b)
+	}
+	if code[b].D != -1 {
+		return fmt.Errorf("branch writes back r%d", code[b].D)
+	}
+	step := func(op ROp) bool {
+		return op == RAddI || op == RSubI || op == RMulI || op >= RLtI && op <= RNeI
+	}
+	driver := map[int32]bool{}
+	for _, r := range presets {
+		driver[r] = true
+	}
+	for _, a := range w.Affine {
+		driver[a.Reg] = true
+	}
+	writes, bodyWrites := map[int32]int{}, map[int32]int{}
+	for i := range w.Prologue {
+		instrDefs(&w.Prologue[i], func(r int32) { writes[r]++ })
+	}
+	for i := range code {
+		instrDefs(&code[i], func(r int32) { writes[r]++; bodyWrites[r]++ })
+		if isBranch(code[i].Op) && int(code[i].C) > pc && int(code[i].C) <= b {
+			return fmt.Errorf("jump at %d lands at %d, inside the slice", i, code[i].C)
+		}
+	}
+	result := map[int32]bool{}
+	for t := pc + 1; t <= b; t++ {
+		ins := &code[t]
+		if t < b && !step(ins.Op) || ins.F1 != RNop && !step(ins.F1) || ins.F2 != RNop && !step(ins.F2) {
+			return fmt.Errorf("%d (%s): a step out of the closed form", t, ins.Op)
+		}
+		var err error
+		instrUses(ins, func(x int32) {
+			if !result[x] && bodyWrites[x] > 0 && err == nil {
+				err = fmt.Errorf("%d (%s) reads r%d, which the body writes and no earlier slice step does", t, ins.Op, x)
+			}
+		})
+		if err != nil {
+			return err
+		}
+		if t < b {
+			if d := ins.D; driver[d] || writes[d] != 1 {
+				return fmt.Errorf("%d: slice result r%d is preset or written %d times", t, d, writes[d])
+			}
+			result[ins.D] = true
+		}
+	}
+	for ci, part := range [][]RInstr{w.Prologue, code} {
+		for i := range part {
+			if ci == 1 && i > pc && i <= b {
+				continue
+			}
+			var err error
+			instrUses(&part[i], func(x int32) {
+				if result[x] {
+					err = fmt.Errorf("slice result r%d is read at %d, outside the slice", x, i)
+				}
+			})
+			if err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -124,6 +124,13 @@ const (
 	// may stand anywhere a statement can: in loops, under branches, in
 	// inlined helpers.
 	RBarrier
+
+	// RGuard heads a position guard: C is the pc of the conditional branch
+	// whose condition the instructions between, its slice, compute from
+	// where an item is (opt.go's slice). The executor decides the branch
+	// per strip in closed form, charging each lane the slice and the
+	// branch, or else runs the slice, charging the guard nothing.
+	RGuard
 )
 
 var rOpNames = [...]string{
@@ -145,6 +152,7 @@ var rOpNames = [...]string{
 	RLdElem: "ld.elem", RStElem: "st.elem",
 	RJmp: "jmp", RBrT: "br.t", RBrF: "br.f",
 	REnd: "end", RBarrier: "barrier", RTrap: "trap", RBuiltin: "builtin",
+	RGuard: "guard",
 }
 
 // String returns the opcode mnemonic.
@@ -319,20 +327,6 @@ type DivModSpec struct {
 	W              int32 // divisor operand (uniform)
 }
 
-// GuardSpec describes a hoistable leading bounds check: instruction 0 of
-// the body is a conditional branch comparing the dimension-0 global ID
-// against a uniform bound with a monotone comparison, where one outcome
-// immediately ends the item. The driver evaluates the predicate at the
-// group's first and last ID: if every item survives, the body starts past
-// the guard; if none does, the whole group retires without executing.
-type GuardSpec struct {
-	Cmp          ROp   // RLtI/RLeI/RGtI/RGeI
-	RHS          int32 // uniform operand compared against gid0
-	BranchIfTrue bool  // branch opcode sense (RBrT vs RBrF)
-	SurviveTaken bool  // taken branch continues the item (vs. ends it)
-	SurvivePC    int   // body start when every item survives
-}
-
 // PassTiming records the wall-clock cost of one compiler pass.
 type PassTiming struct {
 	Name string
@@ -378,7 +372,6 @@ type WGFunc struct {
 
 	Affine []AffineSpec
 	DivMod []DivModSpec
-	Guard  *GuardSpec
 	// IndexOnlyIDs marks gid0 and lid0 (in this order) when the plan reads
 	// them as an index-only induction is read.
 	IndexOnlyIDs [2]bool
@@ -450,10 +443,6 @@ func (w *WGFunc) Disassemble() string {
 		fmt.Fprintf(&b, " induction mod=r%d div=r%d over gid0 by %s (wrap-increment)\n",
 			dm.ModReg, dm.DivReg, operandString(dm.W, w.Consts))
 	}
-	if w.Guard != nil {
-		fmt.Fprintf(&b, " guard: %s gid0 vs %s (group-hoisted)\n",
-			w.Guard.Cmp, operandString(w.Guard.RHS, w.Consts))
-	}
 	if len(w.Code) > 0 {
 		fmt.Fprintf(&b, " body (fused per-item loop):\n")
 		for i, ins := range w.Code {
@@ -498,6 +487,8 @@ func (w *WGFunc) instrString(ins RInstr) string {
 		return fmt.Sprintf("st.elem buf%d[%s], %s", ins.B, idx, op(ins.C))
 	case RJmp:
 		return fmt.Sprintf("jmp @%d", ins.C)
+	case RGuard:
+		return fmt.Sprintf("guard: decides @%d per strip", ins.C)
 	case RBrT, RBrF:
 		s := fmt.Sprintf("%s @%d if", ins.Op, ins.C)
 		lhs := op(ins.A)

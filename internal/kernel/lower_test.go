@@ -53,7 +53,7 @@ func compileWG(t *testing.T, src, name string) *WGFunc {
 }
 
 // TestMandelblockPlanShape pins the optimization budget achieved on the
-// partitioned Mandelbrot kernel: the guard is extracted and hoisted, the
+// partitioned Mandelbrot kernel: the bounds check is a position guard, the
 // div/mod pair and the store-index arithmetic become loop-carried
 // induction variables, the uniform prologue is a single instruction, and
 // the whole per-item body fits in a handful of fused instructions
@@ -63,8 +63,8 @@ func TestMandelblockPlanShape(t *testing.T) {
 	if w.HasBarriers() {
 		t.Fatal("mandelblock should be barrier-free")
 	}
-	if w.Guard == nil {
-		t.Error("bounds guard not extracted (guarded groups will run item-by-item)")
+	if countOp(w, RGuard) != 1 || w.Code[0].Op != RGuard || w.Code[w.Code[0].C].Op != RBrF {
+		t.Errorf("bounds check not guarded (its strips will run its compare):\n%s", w.Disassemble())
 	}
 	if len(w.DivMod) != 1 {
 		t.Errorf("div/mod induction pairs = %d, want 1 (col/row)", len(w.DivMod))

@@ -1,6 +1,9 @@
 package kernel
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Optimization passes over the register IR. Every pass preserves the
 // bit-exact behaviour of the code as lowered (which the tests keep as the
@@ -50,7 +53,8 @@ func optimize(b *builder, plan *WGFunc) *optimizer {
 // set for the registers it writes: the one statement of the per-opcode
 // conventions in ir.go, by which the passes read and rewrite plans and
 // internal/vm binds their rows. A read may be a constant (< 0); a branch
-// without write-back passes its D of -1.
+// without write-back passes its D of -1. RGuard names no operand: its C
+// is a pc, as a jump's is.
 func Operands(ins *RInstr, f func(x *int32, def bool)) {
 	step := func(op ROp, x *int32) { // a fused step reads x unless unary
 		if op != RNop && !IsUnaryStep(op) {
@@ -58,7 +62,7 @@ func Operands(ins *RInstr, f func(x *int32, def bool)) {
 		}
 	}
 	switch ins.Op {
-	case RNop, RJmp, REnd, RBarrier, RTrap:
+	case RNop, RJmp, REnd, RBarrier, RTrap, RGuard:
 	case RMov, RMov2, RMov3: // pairs D←A, B←C, E←F
 		f(&ins.D, true)
 		f(&ins.A, false)
@@ -204,9 +208,6 @@ func (o *optimizer) recount() {
 	for _, dm := range p.DivMod {
 		specUse(dm.W)
 	}
-	if p.Guard != nil {
-		specUse(p.Guard.RHS)
-	}
 }
 
 // singleDef reports whether r has exactly one definition in total
@@ -250,8 +251,7 @@ func (o *optimizer) leaders() []bool {
 	return l
 }
 
-// compact removes RNop instructions and remaps jump targets and the guard
-// entry point.
+// compact removes RNop instructions and remaps jump targets.
 func (o *optimizer) compact() {
 	p := o.plan
 	code := p.Code
@@ -274,9 +274,6 @@ func (o *optimizer) compact() {
 		if isBranch(out[i].Op) {
 			out[i].C = newIdx[out[i].C]
 		}
-	}
-	if p.Guard != nil {
-		p.Guard.SurvivePC = int(newIdx[p.Guard.SurvivePC])
 	}
 	p.Code = out
 }
@@ -815,9 +812,6 @@ func (o *optimizer) rotateOne() bool {
 				out[i].C = int32(t + grow)
 			}
 		}
-		if p.Guard != nil && p.Guard.SurvivePC > j {
-			p.Guard.SurvivePC += grow
-		}
 		p.Code = out
 		return true
 	}
@@ -1073,44 +1067,93 @@ func (o *optimizer) pack() {
 	}
 }
 
-// ---- pass 10: leading bounds-guard extraction -------------------------
+// ---- pass 10: position guards -----------------------------------------
 
+// guard heads with an RGuard every conditional branch whose condition
+// depends only on where an item is (see slice); a jump to the head of its
+// slice enters at the guard.
 func (o *optimizer) guard() {
 	p := o.plan
-	if p.HasBarriers() || p.GidRegs[0] < 0 || len(p.Code) < 2 {
+	if p.HasBarriers() {
 		return
 	}
 	o.recount()
-	b0 := &p.Code[0]
-	if b0.Op != RBrT && b0.Op != RBrF {
-		return
+	targets := o.jumpTargets()
+	code := p.Code
+	heads := make([]int32, len(code)) // at a slice's head: 1 + its branch's pc
+	n := 0
+	for b := range code {
+		if h, ok := o.slice(b, targets); ok && len(code)+n < lowerMaxIR {
+			heads[h], n = int32(b)+1, n+1
+		}
 	}
-	if b0.F2 != RNop || b0.D >= 0 || b0.A != p.GidRegs[0] {
-		return
+	at := make([]int32, len(code)+1) // where an instruction, or the guard that heads it, lands
+	out := make([]RInstr, 0, len(code)+n)
+	for i, ins := range code {
+		if at[i] = int32(len(out)); heads[i] > 0 {
+			out = append(out, RInstr{Op: RGuard, C: heads[i]})
+		}
+		out = append(out, ins)
 	}
-	switch b0.F1 {
-	case RLtI, RLeI, RGtI, RGeI:
-	default:
-		return
+	at[len(code)] = int32(len(out))
+	for i := range out {
+		if t := out[i].C; out[i].Op == RGuard {
+			out[i].C = at[t] - 1 // the branch, which ends its slot
+		} else if isBranch(out[i].Op) {
+			out[i].C = at[t]
+		}
 	}
-	if !o.operandUniform(b0.B) {
-		return
+	p.Code = out
+}
+
+// slice returns the head of the slice of the branch at b, the run of
+// instructions just before it that compute what it reads, if the branch
+// may be guarded: every step of the slice and the branch is add.i, sub.i,
+// mul.i or an int compare; what they read is a slice result or fixed (a
+// constant, group-uniform, or a preset the body never writes: argument,
+// coordinate, induction, div/mod pair); each slice result is written once
+// and read only later in the slice and by the branch; no jump lands inside
+// the slice or on the branch, and the branch writes nothing back.
+func (o *optimizer) slice(b int, targets []bool) (int, bool) {
+	code := o.plan.Code
+	br := &code[b]
+	steps := func(ops ...ROp) bool {
+		for _, op := range ops {
+			if op != RNop && op != RAddI && op != RSubI && op != RMulI && (op < RLtI || op > RNeI) {
+				return false
+			}
+		}
+		return true
 	}
-	t := int(b0.C)
-	spec := &GuardSpec{Cmp: b0.F1, RHS: b0.B, BranchIfTrue: b0.Op == RBrT}
-	switch {
-	case t < len(p.Code) && p.Code[t].Op == REnd:
-		// Taken edge ends the item; fallthrough survives.
-		spec.SurviveTaken = false
-		spec.SurvivePC = 1
-	case t > 1 && p.Code[1].Op == REnd:
-		// Fallthrough ends the item; taken edge survives.
-		spec.SurviveTaken = true
-		spec.SurvivePC = t
-	default:
-		return
+	if br.Op != RBrT && br.Op != RBrF || br.D >= 0 || !steps(br.F1, br.F2) {
+		return 0, false
 	}
-	p.Guard = spec
+	var need []int32 // read by the steps so far, neither fixed nor computed by them
+	read := func(x int32) {
+		if !o.operandUniform(x) && (!o.preset[x] || o.defs[x] > 0) {
+			need = append(need, x)
+		}
+	}
+	instrUses(br, read)
+	h := b
+	for ; len(need) > 0 && h > 0; h-- {
+		ins, n := &code[h-1], len(need)
+		if need = slices.DeleteFunc(need, func(x int32) bool { return x == ins.D }); len(need) == n ||
+			ins.Op == RNop || !steps(ins.Op, ins.F1, ins.F2) || targets[h] || o.defs[ins.D] != 1 || o.preset[ins.D] {
+			return 0, false
+		}
+		instrUses(ins, read)
+	}
+	reads := map[int32]int32{} // in the slice and the branch, all after their def: else still needed
+	for u := h; u <= b; u++ {
+		instrUses(&code[u], func(x int32) { reads[x]++ })
+	}
+	for t := h; t < b; t++ {
+		if reads[code[t].D] != o.uses[code[t].D] {
+			return 0, false
+		}
+	}
+	return h, len(need) == 0
 }
 
 // ---- pass 11: index-only inductions -----------------------------------

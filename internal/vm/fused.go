@@ -43,7 +43,11 @@ type planRunner struct {
 	bufs        [][]byte // buffer table indexed by plan buffer index
 	localArenas []int    // entries of bufs that are per-group local memory
 	ind         []induction
+	wraps       []wrap // per DivMod pair, on the current strip
+	vals        []gval // a position guard's values
 	at          uint32 // item of the row at which the current strip starts
+	n           int    // lanes of the current strip
+	sliced      uint64 // position guards the runner could not decide
 	scratch     [3]int
 
 	// The running set, as a mask and as the ascending list of its lanes,
@@ -64,13 +68,32 @@ type planRunner struct {
 	coopGroups    uint64
 }
 
-// induction is gid0, lid0 or an AffineSpec: its value at item i of a row
-// of the group is first + i*step.
+// induction is gid0, lid0 or an AffineSpec (op(l, r) at a row's first
+// item): its value at item i of a row of the group is first + i*step.
 type induction struct {
 	reg         int32    // -1 if the plan has no such register
 	only        bool     // index-only: no row, an access computes its lanes
 	row         []uint32 // the lanes it is seeded into, unless only
 	first, step uint32
+	op          kernel.ROp
+	l, r        position
+}
+
+// wrap is a DivMod pair at lane 0 of the current strip, and whether the
+// strip lies in one period of the divisor: mod + lane, div on every lane.
+type wrap struct {
+	mod, div int32
+	one      bool
+}
+
+// position is what a register or constant is on a strip, resolved at
+// layout: an induction, a DivMod pair's mod or div, or else its row
+// (uniform wherever an induction or a position guard reads it).
+type position struct {
+	ind *induction
+	dm  *wrap
+	div bool
+	row []uint32
 }
 
 // bound is an instruction's operand fields resolved to rows: a field it
@@ -79,6 +102,7 @@ type induction struct {
 type bound struct {
 	d, a, b, c, e, f []uint32
 	ind              *induction
+	guard            *guard // an RGuard's slice and branch
 }
 
 func newPlanRunner(d *dispatch, plan *kernel.WGFunc) *planRunner {
@@ -89,8 +113,9 @@ func newPlanRunner(d *dispatch, plan *kernel.WGFunc) *planRunner {
 			{reg: plan.LidRegs[0], only: plan.IndexOnlyIDs[1]}},
 	}
 	for _, a := range plan.Affine {
-		r.ind = append(r.ind, induction{reg: a.Reg, only: a.IndexOnly})
+		r.ind = append(r.ind, induction{reg: a.Reg, only: a.IndexOnly, op: a.Op})
 	}
+	r.wraps = make([]wrap, len(plan.DivMod))
 	r.bind(d)
 	return r
 }
@@ -159,6 +184,9 @@ func (r *planRunner) bind(d *dispatch) {
 				v.row = r.row(v.reg)
 			}
 		}
+		for i, a := range p.Affine {
+			r.ind[2+i].l, r.ind[2+i].r = r.resolve(a.L), r.resolve(a.R)
+		}
 		r.pro, r.body = r.layout(p.Prologue), r.layout(p.Code)
 	}
 	r.localArenas = r.localArenas[:0]
@@ -209,7 +237,8 @@ func (r *planRunner) row(x int32) []uint32 {
 }
 
 // layout resolves every operand field of code to its row, by the one
-// statement of what each opcode reads and writes (kernel.Operands).
+// statement of what each opcode reads and writes (kernel.Operands), and
+// every position guard to its steps.
 func (r *planRunner) layout(code []kernel.RInstr) []bound {
 	t := make([]bound, len(code))
 	for i := range code {
@@ -221,25 +250,35 @@ func (r *planRunner) layout(code []kernel.RInstr) []bound {
 				if f != x || def && *x < 0 { // or a branch without write-back
 					continue
 				}
-				if v := r.induction(*x); v != nil && v.only {
+				if v := r.resolve(*x).ind; v != nil && v.only {
 					*rows[k], o.ind = nil, v
 				} else {
 					*rows[k] = r.row(*x)
 				}
 			}
 		})
+		if ins.Op == kernel.RGuard {
+			o.guard = r.layGuard(code, i)
+		}
 	}
 	return t
 }
 
-// induction returns the induction that register x is, or nil.
-func (r *planRunner) induction(x int32) *induction {
-	for k := range r.ind {
-		if x >= 0 && r.ind[k].reg == x {
-			return &r.ind[k]
+// resolve returns what register or constant x is on a strip.
+func (r *planRunner) resolve(x int32) position {
+	if x >= 0 {
+		for k := range r.ind {
+			if r.ind[k].reg == x {
+				return position{ind: &r.ind[k]}
+			}
+		}
+		for k, dm := range r.plan.DivMod {
+			if x == dm.ModReg || x == dm.DivReg {
+				return position{dm: &r.wraps[k], div: x == dm.DivReg}
+			}
 		}
 	}
-	return nil
+	return position{row: r.row(x)}
 }
 
 // fill writes the progression v, v+step, ... to row.
@@ -318,32 +357,12 @@ func (r *planRunner) runGroup(groupLin int) *TrapError {
 				}
 			}
 		}
-		return r.runStrip(d.itemsPerGroup, 0)
+		return r.runStrip(d.itemsPerGroup)
 	}
 	r.fusedGroups++
 
 	local0 := d.local[0]
-	base0 := int32(gidOf(0, 0))
-	startPC := 0
-	if g := p.Guard; g != nil {
-		rhs := uint64(r.row(g.RHS)[0])
-		survives := func(gid0 int32) bool {
-			pred := kernel.StepEval(g.Cmp, uint64(uint32(gid0)), rhs) != 0
-			return (pred == g.BranchIfTrue) == g.SurviveTaken
-		}
-		first, last := survives(base0), survives(base0+int32(local0)-1)
-		switch {
-		case first && last:
-			startPC = g.SurvivePC
-		case !first && !last:
-			// No item survives the guard: retire the group after
-			// charging the guard branch + end per item.
-			r.instrCount += 2 * uint64(d.itemsPerGroup)
-			return nil
-		}
-	}
-
-	r.inductions(base0)
+	r.inductions(int32(gidOf(0, 0)))
 	for li := 0; li < d.itemsPerGroup; li += local0 {
 		// Coordinates for dimensions >= 1 are uniform along a row.
 		decompose(li, d.local, sc)
@@ -354,7 +373,7 @@ func (r *planRunner) runGroup(groupLin int) *TrapError {
 		for at := 0; at < local0; at += r.width {
 			n := min(r.width, local0-at)
 			r.seedStrip(at, n)
-			if err := r.runStrip(n, startPC); err != nil {
+			if err := r.runStrip(n); err != nil {
 				return err
 			}
 		}
@@ -381,12 +400,12 @@ func (r *planRunner) flush(c *runCounters) {
 func (r *planRunner) inductions(base0 int32) {
 	r.ind[0].first, r.ind[0].step = uint32(base0), 1
 	r.ind[1].first, r.ind[1].step = 0, 1
-	for i := range r.plan.Affine {
-		a, v := &r.plan.Affine[i], &r.ind[2+i]
-		lf, ls := r.linear(a.L)
-		rf, rs := r.linear(a.R)
-		v.first = uint32(kernel.StepEval(a.Op, uint64(lf), uint64(rf)))
-		switch a.Op {
+	for k := 2; k < len(r.ind); k++ {
+		v := &r.ind[k]
+		lf, ls := v.l.linear()
+		rf, rs := v.r.linear()
+		v.first = uint32(kernel.StepEval(v.op, uint64(lf), uint64(rf)))
+		switch v.op {
 		case kernel.RAddI:
 			v.step = ls + rs
 		case kernel.RSubI:
@@ -399,13 +418,13 @@ func (r *planRunner) inductions(base0 int32) {
 	}
 }
 
-// linear returns x's value at the first item of a row and its step per
-// item: an induction's, or a uniform's and 0.
-func (r *planRunner) linear(x int32) (first, step uint32) {
-	if v := r.induction(x); v != nil {
-		return v.first, v.step
+// linear returns an induction operand's value at the first item of a row
+// and its step per item: an induction's, or a uniform's and 0.
+func (x position) linear() (first, step uint32) {
+	if x.ind != nil {
+		return x.ind.first, x.ind.step
 	}
-	return r.row(x)[0], 0
+	return x.row[0], 0
 }
 
 // seedStrip gives the n lanes of the strip that starts at item `at` of a
@@ -413,7 +432,7 @@ func (r *planRunner) linear(x int32) (first, step uint32) {
 // wrap-increment pairs.
 func (r *planRunner) seedStrip(at, n int) {
 	p := r.plan
-	r.at = uint32(at)
+	r.at, r.n = uint32(at), n
 	for k := range r.ind {
 		if v := &r.ind[k]; v.row != nil {
 			fill(v.row[:n], v.first+r.at*v.step, v.step)
@@ -432,11 +451,12 @@ func (r *planRunner) seedStrip(at, n int) {
 		w := int32(r.row(dm.W)[0])
 		// Wrap-increment is only the quotient and remainder while both
 		// the IDs and the divisor are non-negative.
-		wrap := w > 0 && gid0 >= 0
+		inc := w > 0 && gid0 >= 0
 		m, q := gid0%w, gid0/w
+		r.wraps[i] = wrap{m, q, inc && int64(m)+int64(n) <= int64(w)}
 		for l := 0; l < n; l++ {
 			mod[l], div[l] = uint32(m), uint32(q)
-			if !wrap {
+			if !inc {
 				g := gid0 + int32(l) + 1
 				m, q = g%w, g/w
 			} else if m++; m == w {
@@ -458,15 +478,15 @@ func (r *planRunner) begin(n int) {
 	fill(r.lanes, 0, 1)
 }
 
-// runStrip executes the body from pc on lanes 0..n-1 until every lane has
+// runStrip executes the body on lanes 0..n-1 until every lane has
 // ended. Lanes that arrive at a barrier wait there, whichever barrier it
 // is, until no lane can run; then all of them resume. All items of a group
 // must arrive at a barrier or none: one that ends while another waits has
 // diverged. A trap is that of the lowest lane that traps before the next
 // barrier; the lanes below it run on to there, the others are dropped.
-func (r *planRunner) runStrip(n, pc int) *TrapError {
+func (r *planRunner) runStrip(n int) *TrapError {
 	r.begin(n)
-	for pc >= 0 {
+	for pc := 0; pc >= 0; pc = r.resume() {
 		r.run(r.plan.Code, r.body, pc)
 		if r.trapErr != nil {
 			return r.trapErr
@@ -484,7 +504,6 @@ func (r *planRunner) runStrip(n, pc int) *TrapError {
 			return trap(r.plan.Fn, "barrier divergence: some work-items of a group finished while others wait at a barrier")
 		}
 		r.pending, r.parked = r.parked, r.pending
-		pc = r.resume()
 	}
 	return nil
 }
@@ -630,7 +649,7 @@ func (r *planRunner) run(code []kernel.RInstr, rows []bound, pc int) {
 		case kernel.RJmp:
 			pc = int(ins.C)
 			continue
-		case kernel.RBrT, kernel.RBrF:
+		case kernel.RBrT, kernel.RBrF, kernel.RGuard:
 			pc = r.branch(ins, o, pc)
 			continue
 		case kernel.REnd:
@@ -668,11 +687,15 @@ func (r *planRunner) chain(ins *kernel.RInstr, o *bound) {
 	}
 }
 
-// branch evaluates a conditional branch and returns where the running set
-// (all of it, or the part that split keeps running) goes on. On a run, the
-// compare's pass counts the lanes that take it (test); a step test has no
-// loop for goes straight to the lanes (each).
+// branch evaluates a conditional branch, or a position guard's (decide),
+// and returns where the running set (all of it, or the part that split
+// keeps running) goes on. On a run, the compare's pass counts the lanes
+// that take it (test); a step test has no loop for goes straight to the
+// lanes (each).
 func (r *planRunner) branch(ins *kernel.RInstr, o *bound, pc int) int {
+	if ins.Op == kernel.RGuard {
+		return r.decide(o.guard, pc)
+	}
 	ls, v := r.lanes, o.a
 	if ins.F2 != kernel.RNop {
 		apply(ins.F2, ls, o.d, v, o.e)

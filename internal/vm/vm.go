@@ -23,6 +23,12 @@
 //     hosts): through an index-only induction of step 1 with one range
 //     check. Other sets and accesses, division and builtins go lane by
 //     lane, so traps fall as before; instructions are counted either way.
+//   - Position guards. A branch on where an item is has a kernel.RGuard,
+//     whose slice runs once per strip in closed form (a value is affine in
+//     the lane or a sum of compare flags) and splits the running set as
+//     the branch would, each lane charged the slice and the branch. A
+//     strip it cannot decide (one crossing a div/mod period, a lane
+//     outside int32) runs the slice.
 //   - Lane sets. The running set starts as the whole strip. A branch on
 //     which its lanes disagree splits it: the side with the lower pc runs
 //     on, the other waits with its pc; whenever a waiting set's pc is at or
