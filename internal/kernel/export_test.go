@@ -207,6 +207,9 @@ func CheckPlan(w *WGFunc) error {
 			}
 		}
 	}
+	if err := checkGuardOnly(w); err != nil {
+		return err
+	}
 	barriers := 0
 	for _, ins := range w.Code {
 		if ins.Op == RBarrier {
@@ -298,6 +301,43 @@ func checkGuard(w *WGFunc, pc int, presets []int32) error {
 			if err != nil {
 				return err
 			}
+		}
+	}
+	return nil
+}
+
+// checkGuardOnly requires a div/mod pair to be marked guard-only exactly
+// when nothing but guard slices (an RGuard's pc+1 through its branch)
+// reads its registers: the runner leaves a guard-only pair's rows unfilled
+// until a guard runs its slice.
+func checkGuardOnly(w *WGFunc) error {
+	outside := map[int32]int{} // register → a pc that reads it outside every slice
+	for ci, code := range [][]RInstr{w.Prologue, w.Code} {
+		end := -1
+		for pc := range code {
+			if ci == 1 && code[pc].Op == RGuard {
+				end = int(code[pc].C)
+			}
+			if pc > end || ci == 0 {
+				instrUses(&code[pc], func(x int32) {
+					if _, ok := outside[x]; !ok && x >= 0 { // a constant is no register
+						outside[x] = pc
+					}
+				})
+			}
+		}
+	}
+	for i, dm := range w.DivMod {
+		read := false
+		for _, reg := range []int32{dm.ModReg, dm.DivReg} {
+			if pc, ok := outside[reg]; ok && dm.GuardOnly {
+				return fmt.Errorf("guard-only pair %d: r%d is read at %d, outside every guard slice", i, reg, pc)
+			} else if ok {
+				read = true
+			}
+		}
+		if !read && !dm.GuardOnly {
+			return fmt.Errorf("pair %d (r%d, r%d) is read only in guard slices but not marked guard-only", i, dm.ModReg, dm.DivReg)
 		}
 	}
 	return nil

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"dopencl/internal/apps/cgsolve"
 	"dopencl/internal/apps/heat"
+	"dopencl/internal/apps/mandelbrot"
 	"dopencl/internal/kernel"
 )
 
@@ -52,5 +54,66 @@ func TestCheckPlanRefusesBrokenGuards(t *testing.T) {
 		if err := kernel.CheckPlan(&broken); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: CheckPlan says %v, want %q:\n%s", tc.name, err, tc.want, broken.Disassemble())
 		}
+	}
+}
+
+// TestGuardOnlyPairs pins which div/mod pairs the index pass marks
+// guard-only: heat.step's and cg.applyA's, which only their boundary
+// guard's slice reads, and neither Mandelbrot kernel's, whose bodies read
+// col and row. CheckPlan (and so FuzzCompile) must refuse each plan with
+// its mark flipped, and heat.step's with a read of its pair after the
+// branch, before the guard or in the prologue.
+func TestGuardOnlyPairs(t *testing.T) {
+	plan := func(src, name string) *kernel.WGFunc {
+		prog, err := kernel.Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn, _ := prog.Kernel(name)
+		return prog.WorkGroup(fn)
+	}
+	refuse := func(what string, w *kernel.WGFunc, want string) {
+		t.Helper()
+		if err := kernel.CheckPlan(w); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: CheckPlan says %v, want %q:\n%s", what, err, want, w.Disassemble())
+		}
+	}
+	for _, tc := range []struct {
+		src, name string
+		guardOnly bool
+	}{
+		{heat.KernelSource, heat.StepKernel, true},
+		{cgsolve.KernelSource, "applyA", true},
+		{mandelbrot.KernelSource, "mandelbrot", false},
+		{mandelbrot.PartitionedKernelSource, "mandelblock", false},
+	} {
+		w := plan(tc.src, tc.name)
+		if len(w.DivMod) != 1 || w.DivMod[0].GuardOnly != tc.guardOnly {
+			t.Errorf("%s: want one div/mod pair, guard-only %v:\n%s", tc.name, tc.guardOnly, w.Disassemble())
+			continue
+		}
+		if err := kernel.CheckPlan(w); err != nil {
+			t.Errorf("%s: the plan itself: %v", tc.name, err)
+		}
+		flipped := *w
+		flipped.DivMod = []kernel.DivModSpec{w.DivMod[0]}
+		flipped.DivMod[0].GuardOnly = !tc.guardOnly
+		refuse(tc.name+" with its mark flipped", &flipped,
+			map[bool]string{true: "outside every guard slice", false: "not marked guard-only"}[!tc.guardOnly])
+	}
+	w := plan(heat.KernelSource, heat.StepKernel)
+	mod, g := w.DivMod[0].ModReg, slices.IndexFunc(w.Code, func(ins kernel.RInstr) bool { return ins.Op == kernel.RGuard })
+	for _, tc := range []struct {
+		name   string
+		mutate func(w *kernel.WGFunc)
+	}{
+		{"a read after the branch", func(w *kernel.WGFunc) { w.Code[len(w.Code)-2].C = mod }},
+		{"a read before the guard", func(w *kernel.WGFunc) { w.Code[g-1].A = mod }},
+		{"a read in the prologue", func(w *kernel.WGFunc) { w.Prologue[0].A = mod }},
+	} {
+		broken := *w
+		broken.Code, broken.Prologue = slices.Clone(w.Code), slices.Clone(w.Prologue)
+		tc.mutate(&broken)
+		refuse(tc.name, &broken, "outside every guard slice")
 	}
 }

@@ -128,8 +128,9 @@ const (
 	// RGuard heads a position guard: C is the pc of the conditional branch
 	// whose condition the instructions between, its slice, compute from
 	// where an item is (opt.go's slice). The executor decides the branch
-	// per strip in closed form, charging each lane the slice and the
-	// branch, or else runs the slice, charging the guard nothing.
+	// in closed form once for the strips of a row that lie in one period
+	// of every div/mod pair the slice reads, charging each lane the slice
+	// and the branch, or else runs the slice, charging the guard nothing.
 	RGuard
 )
 
@@ -325,6 +326,10 @@ type AffineSpec struct {
 type DivModSpec struct {
 	ModReg, DivReg int32
 	W              int32 // divisor operand (uniform)
+	// GuardOnly: the plan reads ModReg and DivReg only inside the slices
+	// of position guards (an RGuard's pc+1 through its branch), so their
+	// rows are needed only on strips where a guard runs its slice.
+	GuardOnly bool
 }
 
 // PassTiming records the wall-clock cost of one compiler pass.
@@ -424,9 +429,9 @@ func (w *WGFunc) Disassemble() string {
 			fmt.Fprintf(&b, "  %4d  %s\n", i, w.instrString(ins))
 		}
 	}
-	only := func(b bool) string {
-		if b {
-			return ", index-only"
+	tag := func(on bool, s string) string {
+		if on {
+			return ", " + s
 		}
 		return ""
 	}
@@ -437,11 +442,11 @@ func (w *WGFunc) Disassemble() string {
 	}
 	for _, a := range w.Affine {
 		fmt.Fprintf(&b, " induction r%d = %s %s %s (per-item step%s)\n",
-			a.Reg, operandString(a.L, w.Consts), a.Op, operandString(a.R, w.Consts), only(a.IndexOnly))
+			a.Reg, operandString(a.L, w.Consts), a.Op, operandString(a.R, w.Consts), tag(a.IndexOnly, "index-only"))
 	}
 	for _, dm := range w.DivMod {
-		fmt.Fprintf(&b, " induction mod=r%d div=r%d over gid0 by %s (wrap-increment)\n",
-			dm.ModReg, dm.DivReg, operandString(dm.W, w.Consts))
+		fmt.Fprintf(&b, " induction mod=r%d div=r%d over gid0 by %s (wrap-increment%s)\n",
+			dm.ModReg, dm.DivReg, operandString(dm.W, w.Consts), tag(dm.GuardOnly, "guard-only"))
 	}
 	if len(w.Code) > 0 {
 		fmt.Fprintf(&b, " body (fused per-item loop):\n")
@@ -488,7 +493,7 @@ func (w *WGFunc) instrString(ins RInstr) string {
 	case RJmp:
 		return fmt.Sprintf("jmp @%d", ins.C)
 	case RGuard:
-		return fmt.Sprintf("guard: decides @%d per strip", ins.C)
+		return fmt.Sprintf("guard: decides @%d per row", ins.C)
 	case RBrT, RBrF:
 		s := fmt.Sprintf("%s @%d if", ins.Op, ins.C)
 		lhs := op(ins.A)

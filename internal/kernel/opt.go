@@ -1161,20 +1161,31 @@ func (o *optimizer) slice(b int, targets []bool) (int, bool) {
 // indexOnly marks the inductions, and gid0 and lid0, that the plan reads
 // only as the plain index of a buffer access or as an operand of a later
 // induction, and never writes: the executor keeps each of them as a value
-// and a step per item, with no row of lanes.
+// and a step per item, with no row of lanes. It marks guard-only the
+// div/mod pairs whose registers only guard slices read (an RGuard's pc+1
+// through its branch): the executor fills their rows only where a guard
+// runs its slice.
 func (o *optimizer) indexOnly() {
 	p := o.plan
 	if p.HasBarriers() {
 		return
 	}
 	value := make([]bool, o.b.numRegs)
+	outside := make([]bool, o.b.numRegs) // read other than in a guard's slice
 	for _, code := range [][]RInstr{p.Prologue, p.Code} {
+		end := -1 // the branch that ends the last guard's slice
 		for i := range code {
 			ins := &code[i]
+			if ins.Op == RGuard {
+				end = int(ins.C)
+			}
 			index := (ins.Op == RLdElem || ins.Op == RStElem) && ins.F1 == RNop
 			Operands(ins, func(x *int32, def bool) {
 				if *x >= 0 && (def || x != &ins.A || !index) {
 					value[*x] = true
+				}
+				if *x >= 0 && !def && i > end {
+					outside[*x] = true
 				}
 			})
 		}
@@ -1184,5 +1195,9 @@ func (o *optimizer) indexOnly() {
 	}
 	for d, reg := range [...]int32{p.GidRegs[0], p.LidRegs[0]} {
 		p.IndexOnlyIDs[d] = reg >= 0 && !value[reg]
+	}
+	for i := range p.DivMod {
+		dm := &p.DivMod[i]
+		dm.GuardOnly = (dm.ModReg < 0 || !outside[dm.ModReg]) && (dm.DivReg < 0 || !outside[dm.DivReg])
 	}
 }

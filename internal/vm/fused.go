@@ -45,8 +45,11 @@ type planRunner struct {
 	ind         []induction
 	wraps       []wrap // per DivMod pair, on the current strip
 	vals        []gval // a position guard's values
+	rowID       uint64 // counts the rows the runner has started
 	at          uint32 // item of the row at which the current strip starts
 	n           int    // lanes of the current strip
+	lazy        bool   // the guard-only pairs' rows are not filled for the strip
+	evals       uint64 // position guards the runner evaluated
 	sliced      uint64 // position guards the runner could not decide
 	scratch     [3]int
 
@@ -79,11 +82,12 @@ type induction struct {
 	l, r        position
 }
 
-// wrap is a DivMod pair at lane 0 of the current strip, and whether the
-// strip lies in one period of the divisor: mod + lane, div on every lane.
+// wrap is a DivMod pair at lane 0 of the current strip, and the lanes up
+// to the end of its period (0 if it does not wrap-increment): on those,
+// mod + lane, and div on every lane.
 type wrap struct {
 	mod, div int32
-	one      bool
+	left     int
 }
 
 // position is what a register or constant is on a strip, resolved at
@@ -366,6 +370,7 @@ func (r *planRunner) runGroup(groupLin int) *TrapError {
 	for li := 0; li < d.itemsPerGroup; li += local0 {
 		// Coordinates for dimensions >= 1 are uniform along a row.
 		decompose(li, d.local, sc)
+		r.rowID++
 		for dim := 1; dim < nd; dim++ {
 			r.set(p.LidRegs[dim], uint32(sc[dim]))
 			r.set(p.GidRegs[dim], gidOf(dim, sc[dim]))
@@ -429,10 +434,11 @@ func (x position) linear() (first, step uint32) {
 
 // seedStrip gives the n lanes of the strip that starts at item `at` of a
 // row the rows of its inductions, as first + (at + lane) steps, and its
-// wrap-increment pairs.
+// wrap-increment pairs: lane 0 of each, and the rows of those that are not
+// guard-only.
 func (r *planRunner) seedStrip(at, n int) {
 	p := r.plan
-	r.at, r.n = uint32(at), n
+	r.at, r.n, r.lazy = uint32(at), n, false
 	for k := range r.ind {
 		if v := &r.ind[k]; v.row != nil {
 			fill(v.row[:n], v.first+r.at*v.step, v.step)
@@ -440,28 +446,18 @@ func (r *planRunner) seedStrip(at, n int) {
 	}
 	gid0 := int32(r.ind[0].first) + int32(at)
 	for i := range p.DivMod {
-		dm := &p.DivMod[i]
-		mod, div := r.tmp, r.tmp
-		if dm.ModReg >= 0 {
-			mod = r.row(dm.ModReg)
-		}
-		if dm.DivReg >= 0 {
-			div = r.row(dm.DivReg)
-		}
-		w := int32(r.row(dm.W)[0])
+		w := int32(r.row(p.DivMod[i].W)[0])
+		m, q := gid0%w, gid0/w
+		r.wraps[i] = wrap{m, q, 0}
 		// Wrap-increment is only the quotient and remainder while both
 		// the IDs and the divisor are non-negative.
-		inc := w > 0 && gid0 >= 0
-		m, q := gid0%w, gid0/w
-		r.wraps[i] = wrap{m, q, inc && int64(m)+int64(n) <= int64(w)}
-		for l := 0; l < n; l++ {
-			mod[l], div[l] = uint32(m), uint32(q)
-			if !inc {
-				g := gid0 + int32(l) + 1
-				m, q = g%w, g/w
-			} else if m++; m == w {
-				m, q = 0, q+1
-			}
+		if w > 0 && gid0 >= 0 {
+			r.wraps[i].left = int(w - m)
+		}
+		if p.DivMod[i].GuardOnly {
+			r.lazy = true
+		} else {
+			r.fillPair(i)
 		}
 	}
 }

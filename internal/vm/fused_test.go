@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
+	"dopencl/internal/apps/heat"
+	"dopencl/internal/apps/mandelbrot"
 	"dopencl/internal/kernel"
 )
 
@@ -1009,16 +1012,35 @@ func TestEstimateCostExtrapolation(t *testing.T) {
 // TestDispatchAllocsZero is the zero-allocation claim as a plain test:
 // steady-state dispatch must not touch the heap.
 func TestDispatchAllocsZero(t *testing.T) {
+	// One P, as testing.AllocsPerRun arranges it: the count is
+	// process-wide, so no other goroutine may allocate beside the probe.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p := compile(t, speedupKernel)
-	fn := kernelFn(t, p, "spin")
-	allocs, err := DispatchAllocsPerOp(Launch{Prog: p, Kernel: fn,
-		Args:       []Arg{GlobalArg(make([]byte, 4*4096)), IntArg(64), IntArg(64), IntArg(20)},
-		GlobalSize: []int{4096}})
-	if err != nil {
-		t.Fatalf("probe: %v", err)
+	hp := compile(t, heat.KernelSource)
+	heatStep := func(w, h int) Launch {
+		n := w * h
+		return Launch{Prog: hp, Kernel: kernelFn(t, hp, heat.StepKernel), GlobalSize: []int{n},
+			Args: []Arg{GlobalArg(make([]byte, 4*n)), GlobalArg(floatsToBytes(denseFloats(n))),
+				IntArg(int32(w)), IntArg(int32(h)), IntArg(0), FloatArg(0.1)}}
 	}
-	if allocs != 0 {
-		t.Fatalf("fused dispatch allocates %.2f objects per work-group, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		l    Launch
+	}{
+		{"spin", Launch{Prog: p, Kernel: kernelFn(t, p, "spin"),
+			Args:       []Arg{GlobalArg(make([]byte, 4*4096)), IntArg(64), IntArg(64), IntArg(20)},
+			GlobalSize: []int{4096}}},
+		{"heat.step 256x256, rows decided", heatStep(256, 256)},
+		{"heat.step 48x64, strips undecided, guard-only rows filled", heatStep(48, 64)},
+	} {
+		allocs, err := DispatchAllocsPerOp(tc.l)
+		if err != nil {
+			t.Fatalf("%s: probe: %v", tc.name, err)
+		}
+		t.Logf("%s: %.2f allocs per work-group", tc.name, allocs)
+		if allocs != 0 {
+			t.Errorf("%s: fused dispatch allocates %.2f objects per work-group, want 0", tc.name, allocs)
+		}
 	}
 }
 
@@ -1049,6 +1071,60 @@ func BenchmarkFusedDispatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := r.runGroup(i % (4096 / local)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHeatStep times one step of heat's native 256x256 solve on one
+// worker: the three launches darray makes of the grid (top row, bottom
+// row, interior), each through Run. A kernel-only yardstick for the plan
+// runner; end-to-end numbers are the benchmark harness's.
+func BenchmarkHeatStep(b *testing.B) {
+	const w, h = 256, 256
+	p, err := kernel.Compile(heat.KernelSource)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fn, _ := p.Kernel(heat.StepKernel)
+	grid := floatsToBytes(denseFloats(w * h))
+	var launches []Launch
+	for _, rows := range [][2]int{{0, 1}, {h - 1, h}, {1, h - 1}} {
+		lo, hi := max(0, rows[0]-1), min(h, rows[1]+1) // the rows the stencil reads
+		launches = append(launches, Launch{Prog: p, Kernel: fn, Workers: 1,
+			GlobalSize: []int{(rows[1] - rows[0]) * w}, GlobalOffset: []int{rows[0] * w},
+			Args: []Arg{GlobalArg(make([]byte, 4*(rows[1]-rows[0])*w)), GlobalArg(grid[4*lo*w : 4*hi*w]),
+				IntArg(w), IntArg(h), IntArg(int32(lo * w)), FloatArg(0.1)}})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, l := range launches {
+			if err := Run(l); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkMandelbrot times the native 128x128 Mandelbrot image of at
+// most 256 iterations a pixel in one launch on one worker. A kernel-only
+// yardstick like BenchmarkHeatStep.
+func BenchmarkMandelbrot(b *testing.B) {
+	const width, height, maxIter = 128, 128, 256
+	p, err := kernel.Compile(mandelbrot.KernelSource)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fn, _ := p.Kernel("mandelbrot")
+	m := mandelbrot.DefaultParams(width, height, maxIter)
+	l := Launch{Prog: p, Kernel: fn, Workers: 1, GlobalSize: []int{width * height},
+		Args: []Arg{GlobalArg(make([]byte, 4*width*height)), IntArg(width), IntArg(height), IntArg(0), IntArg(1),
+			FloatArg(float32(m.XMin)), FloatArg(float32(m.YMin)),
+			FloatArg(float32((m.XMax - m.XMin) / width)), FloatArg(float32((m.YMax - m.YMin) / height)),
+			IntArg(maxIter)}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Run(l); err != nil {
 			b.Fatal(err)
 		}
 	}

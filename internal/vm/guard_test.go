@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -9,7 +10,8 @@ import (
 )
 
 // Tests for position guards: a branch whose condition depends only on
-// where an item is, decided per strip in closed form. Every kernel here
+// where an item is, decided in closed form once for the strips of a row
+// that lie in one period of its div/mod pairs. Every kernel here
 // is held against the unoptimized plan and the AST oracle, over shapes
 // where the closed form decides every strip, some or none, and must have
 // the guards it is written to have, so that the tests run the path they
@@ -28,10 +30,10 @@ func guards(t *testing.T, src string) int {
 	return n
 }
 
-// slicedStrips runs the launch on one runner of the optimized plan and
-// returns how often a position guard fell into its slice, and how many
-// strips ran.
-func slicedStrips(t *testing.T, l Launch) (sliced, strips int) {
+// guardCounts runs the launch on one runner of the optimized plan and
+// returns how often a position guard evaluated its slice in closed form,
+// how often it fell into the slice, and how many strips ran.
+func guardCounts(t *testing.T, l Launch) (evals, sliced, strips int) {
 	t.Helper()
 	d := new(dispatch)
 	groups, err := prepare(d, l.Prog, l.Kernel, l.Args, l.GlobalSize, l.GlobalOffset, l.LocalSize)
@@ -45,7 +47,7 @@ func slicedStrips(t *testing.T, l Launch) (sliced, strips int) {
 		}
 	}
 	perRow := (d.local[0] + laneWidth - 1) / laneWidth
-	return int(r.sliced), groups * d.itemsPerGroup / d.local[0] * perRow
+	return int(r.evals), int(r.sliced), groups * d.itemsPerGroup / d.local[0] * perRow
 }
 
 // TestPositionGuardsAcrossEngines runs position guards over strips the
@@ -195,13 +197,15 @@ func TestPositionGuardsAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestPositionGuardDecisions pins which strips the closed form decides:
-// the boundary test of a row of 256 or 64 on every strip; of a row of 48
-// on none, since every strip crosses a row; of a row of 63 in groups of
-// four rows on all but the last strip of a group, whose 60 lanes end where
-// the row does; a bound on an induction that leaves int32 inside a strip
-// on that strip only; an && whose term is a uniform !x, a flag the
-// prologue computes, on every strip.
+// TestPositionGuardDecisions pins which strips the closed form decides,
+// and how often it is evaluated: the boundary test of a row of 256 on
+// every strip, once per row of the group; of a row of 64 on every strip,
+// once per strip, since each strip ends a period; of a row of 48 on none,
+// since every strip crosses a row; of a row of 63 in groups of four rows
+// on all but the last strip of a group, whose 60 lanes end where the row
+// does; a bound on an induction that leaves int32 inside a strip on that
+// strip only; an && whose term is a uniform !x, a flag the prologue
+// computes, on every strip.
 func TestPositionGuardDecisions(t *testing.T) {
 	boundary := `kernel void k(global int* o, int w, int h) {
 	int g = get_global_id(0);
@@ -219,17 +223,17 @@ func TestPositionGuardDecisions(t *testing.T) {
 	if (g > a && !(h & 1)) { o[g] = 1; } else { o[g] = 2; }
 }`
 	for _, tc := range []struct {
-		name, src      string
-		w, h, local    int
-		sliced, strips int
+		name, src             string
+		w, h, local           int
+		evals, sliced, strips int
 	}{
-		{"row-of-256", boundary, 256, 8, 256, 0, 32},
-		{"row-of-64", boundary, 64, 8, 128, 0, 8},
-		{"row-of-48", boundary, 48, 8, 192, 6, 6},
-		{"row-of-63", boundary, 63, 8, 252, 6, 8},
+		{"row-of-256", boundary, 256, 8, 256, 8, 0, 32},
+		{"row-of-64", boundary, 64, 8, 128, 8, 0, 8},
+		{"row-of-48", boundary, 48, 8, 192, 6, 6, 6},
+		{"row-of-63", boundary, 63, 8, 252, 8, 6, 8},
 		// The strip at item 64 passes 2^31 - 1 at lane 21.
-		{"end-lane-out-of-int32", overflow, 2147483647 - 65536*84, 1, 64, 1, 4},
-		{"and-a-uniform-not", uniformNot, 100, 2, 64, 0, 4},
+		{"end-lane-out-of-int32", overflow, 2147483647 - 65536*84, 1, 64, 4, 1, 4},
+		{"and-a-uniform-not", uniformNot, 100, 2, 64, 4, 0, 4},
 	} {
 		p := compile(t, tc.src)
 		fn := kernelFn(t, p, "k")
@@ -239,28 +243,45 @@ func TestPositionGuardDecisions(t *testing.T) {
 		}
 		l := Launch{Prog: p, Kernel: fn, GlobalSize: []int{n}, LocalSize: []int{tc.local},
 			Args: []Arg{GlobalArg(make([]byte, 4*n)), IntArg(int32(tc.w)), IntArg(int32(tc.h))}}
-		if sliced, strips := slicedStrips(t, l); sliced != tc.sliced || strips != tc.strips {
-			t.Errorf("%s: %d of %d strips fell into the slice, want %d of %d", tc.name, sliced, strips, tc.sliced, tc.strips)
+		if evals, sliced, strips := guardCounts(t, l); evals != tc.evals || sliced != tc.sliced || strips != tc.strips {
+			t.Errorf("%s: %d evaluations, %d of %d strips fell into the slice, want %d, %d of %d",
+				tc.name, evals, sliced, strips, tc.evals, tc.sliced, tc.strips)
 		}
 	}
 }
 
 // TestHeatStepGuardDecidedPerStrip pins the case the guards are for:
-// heat's boundary test on a 256x256 grid is decided on every strip, and on
-// a grid 48 wide, where strips cross rows, runs its slice on every strip.
+// heat's boundary test on a 256x256 grid is decided on every strip, with
+// one evaluation per row of 256 (four strips); on a grid 48 wide, where
+// strips cross rows, every strip runs the slice, which reads the rows of
+// heat's guard-only div/mod pair that the runner fills only there. The
+// results must be the unoptimized plan's.
 func TestHeatStepGuardDecidedPerStrip(t *testing.T) {
 	p := compile(t, heat.KernelSource)
 	fn := kernelFn(t, p, heat.StepKernel)
+	if dm := p.WorkGroup(fn).DivMod; len(dm) != 1 || !dm[0].GuardOnly {
+		t.Fatalf("heat.step's div/mod pair is not guard-only:\n%s", p.WorkGroup(fn).Disassemble())
+	}
 	for _, tc := range []struct {
-		w, h int
-		all  bool
-	}{{256, 256, false}, {48, 64, true}} {
+		w, h                  int
+		evals, sliced, strips int
+	}{{256, 256, 256, 0, 1024}, {48, 64, 48, 48, 48}} {
 		n := tc.w * tc.h
-		l := Launch{Prog: p, Kernel: fn, GlobalSize: []int{n}, Args: []Arg{GlobalArg(make([]byte, 4*n)),
-			GlobalArg(make([]byte, 4*n)), IntArg(int32(tc.w)), IntArg(int32(tc.h)), IntArg(0), FloatArg(0.1)}}
-		sliced, strips := slicedStrips(t, l)
-		if want := map[bool]int{false: 0, true: strips}[tc.all]; sliced != want || strips == 0 {
-			t.Errorf("%dx%d: %d of %d strips ran the slice, want %d", tc.w, tc.h, sliced, strips, want)
+		args := func() []Arg {
+			return []Arg{GlobalArg(make([]byte, 4*n)), GlobalArg(floatsToBytes(denseFloats(n))),
+				IntArg(int32(tc.w)), IntArg(int32(tc.h)), IntArg(0), FloatArg(0.1)}
+		}
+		l := Launch{Prog: p, Kernel: fn, GlobalSize: []int{n}, Args: args()}
+		if evals, sliced, strips := guardCounts(t, l); evals != tc.evals || sliced != tc.sliced || strips != tc.strips {
+			t.Errorf("%dx%d: %d evaluations, %d of %d strips ran the slice, want %d, %d of %d",
+				tc.w, tc.h, evals, sliced, strips, tc.evals, tc.sliced, tc.strips)
+		}
+		ref := Launch{Prog: p, Kernel: fn, GlobalSize: []int{n}, Args: args(), Unoptimized: true}
+		if err := Run(ref); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(l.Args[0].Global, ref.Args[0].Global) {
+			t.Errorf("%dx%d: the output differs from the unoptimized plan's", tc.w, tc.h)
 		}
 	}
 }
@@ -300,5 +321,101 @@ func TestPositionGuardTrapParity(t *testing.T) {
 			}
 			windowTrap(t, tc.src, tc.want, 64, 64, tc.same)
 		})
+	}
+}
+
+// TestPositionGuardRows holds decisions that cover several strips of a
+// row to the unoptimized plan and the AST oracle: groups of 256 on grids
+// 256, 128 and 192 wide (a period ends at a strip boundary), 160, 100, 127
+// and 191 wide (it ends inside one), behind offsets 5, 7, 64 and 382;
+// groups of 512, a row longer than one decision; a guard that only the
+// third strip of a row reaches, under an if on loaded data; a guard inside
+// a loop, visited again on the same strip; and a 2-D range in groups of
+// (64, 4) whose guard reads get_global_id(1), so that each row of a group
+// decides anew. The boundary test is written twice: once with col and row
+// read only by the guard (a guard-only pair, whose rows the runner fills
+// only on strips that run the slice) and once also read by the body.
+func TestPositionGuardRows(t *testing.T) {
+	const test = `if (x == 0 || x == w - 1 || y == 0 || y == h - 1)`
+	kernelOf := func(body string) string {
+		return `kernel void k(global int* o, const global int* in, int w, int h) {
+	int g = get_global_id(0);
+	int x = g % w;
+	int y = g / w;
+	int l = g - get_global_offset(0);
+	` + body + `
+}`
+	}
+	guardOnly := kernelOf(test + ` { o[l] = in[l] + 1000; return; }
+	o[l] = in[l] * 3 + l;`)
+	bodyReads := kernelOf(test + ` { o[l] = in[l] + 1000; return; }
+	o[l] = in[l] * 3 + x - y;`)
+	thirdStrip := kernelOf(`int s = in[l];
+	if (s == 7) { ` + test + ` { s = 1000; } else { s = -1000; } }
+	o[l] = s;`)
+	inALoop := kernelOf(`int s = 0;
+	for (int i = 0; i < (in[l] & 3) + 1; i++) { ` + test + ` { s = s + i + 1; } else { s = s - 1; } }
+	o[l] = s;`)
+	twoD := `kernel void k(global int* o, const global int* in, int w, int h) {
+	int x = get_global_id(0);
+	int y = get_global_id(1);
+	int l = (y - get_global_offset(1)) * get_global_size(0) + x - get_global_offset(0);
+	if (x == w || y == h || x + y == w + h) { o[l] = in[l] + 1000; } else { o[l] = in[l] * 3; }
+}`
+	for _, tc := range []struct {
+		src       string
+		guardOnly bool
+	}{{guardOnly, true}, {bodyReads, false}, {thirdStrip, true}, {inALoop, true}} {
+		p := compile(t, tc.src)
+		w := p.WorkGroup(kernelFn(t, p, "k"))
+		if len(w.DivMod) != 1 || w.DivMod[0].GuardOnly != tc.guardOnly || guards(t, tc.src) != 1 {
+			t.Fatalf("want one guard and one div/mod pair, guard-only %v:\n%s", tc.guardOnly, w.Disassemble())
+		}
+	}
+	if guards(t, twoD) != 1 {
+		t.Fatalf("no position guard in the 2-D kernel")
+	}
+	run := func(name, src string, sh launchShape, w, h int32, in []int32) {
+		t.Run(fmt.Sprintf("%s/%v+%v/%v/w=%d,h=%d", name, sh.global, sh.offset, sh.local, w, h), func(t *testing.T) {
+			n := len(in)
+			mk := func() []Arg {
+				return []Arg{GlobalArg(make([]byte, 4*n)), GlobalArg(intsToBytes(in)), IntArg(w), IntArg(h)}
+			}
+			if _, err := crossCheck(t, src, "k", mk, sh, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, local := range []int{256, 512} {
+		n := 6 * local
+		widths := map[int][]int32{256: {256, 128, 192, 160, 100, 127, 191}, 512: {512, 256, 300, 100}}[local]
+		for _, w := range widths {
+			for _, off := range []int{0, 5, 7, 64, 382} {
+				sh := launchShape{global: []int{n}, offset: []int{off}, local: []int{local}}
+				h := int32((off+n)/int(w)) - 1
+				run("guard-only", guardOnly, sh, w, h, denseInput(n))
+				run("body-reads", bodyReads, sh, w, h, denseInput(n))
+			}
+		}
+	}
+	// In the third strip of each row of 256 alone, in[l] is 7.
+	third := denseInput(1536)
+	for l := range third {
+		if third[l] = max(third[l], 8); l%256 >= 128 && l%256 < 192 {
+			third[l] = 7
+		}
+	}
+	for _, w := range []int32{256, 128, 100} {
+		for _, off := range []int{0, 5} {
+			sh := launchShape{global: []int{1536}, offset: []int{off}, local: []int{256}}
+			run("third-strip", thirdStrip, sh, w, int32((off+1536)/int(w))-1, third)
+			run("in-a-loop", inALoop, sh, w, int32((off+1536)/int(w))-1, denseInput(1536))
+		}
+	}
+	for _, off := range [][]int{{0, 0}, {64, 3}, {5, 1}} {
+		sh := launchShape{global: []int{128, 8}, offset: off, local: []int{64, 4}}
+		for _, wh := range [][2]int32{{70, 2}, {100, 5}, {3, 130}} {
+			run("2-d-reads-gid1", twoD, sh, wh[0], wh[1], denseInput(1024))
+		}
 	}
 }

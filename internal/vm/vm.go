@@ -24,11 +24,13 @@
 //     check. Other sets and accesses, division and builtins go lane by
 //     lane, so traps fall as before; instructions are counted either way.
 //   - Position guards. A branch on where an item is has a kernel.RGuard,
-//     whose slice runs once per strip in closed form (a value is affine in
-//     the lane or a sum of compare flags) and splits the running set as
-//     the branch would, each lane charged the slice and the branch. A
-//     strip it cannot decide (one crossing a div/mod period, a lane
-//     outside int32) runs the slice.
+//     whose slice runs in closed form (a value is affine in the lane or a
+//     sum of compare flags) once for the strips of a row, up to 256 lanes,
+//     that lie in one period of its div/mod pairs; each strip's running set
+//     splits as the branch would, each lane charged the slice and the
+//     branch. A strip it cannot decide (one crossing a div/mod period, a
+//     lane outside int32) runs the slice, and only then are the rows of a
+//     guard-only div/mod pair (kernel.DivModSpec.GuardOnly) filled.
 //   - Lane sets. The running set starts as the whole strip. A branch on
 //     which its lanes disagree splits it: the side with the lower pc runs
 //     on, the other waits with its pc; whenever a waiting set's pc is at or
